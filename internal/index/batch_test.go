@@ -1,6 +1,7 @@
 package index
 
 import (
+	"bytes"
 	"math"
 	"math/rand/v2"
 	"sync"
@@ -97,10 +98,12 @@ func TestSearchBatchParallelPath(t *testing.T) {
 }
 
 // TestSearchImplParity proves the bit-stability contract end to end:
-// training an IVF index and querying both backends under each kernel
-// implementation yields bit-identical matches — an index built on an
-// AVX2 machine and served with the portable path (or vice versa) agrees
-// exactly.
+// training the IVF and IVFPQ indexes and querying every backend under
+// each kernel implementation yields bit-identical matches AND
+// byte-identical Save streams — an index built on an AVX2 machine and
+// served with the portable path (or vice versa) agrees exactly. IVFPQ
+// (dim 16, M 4: 4-float subvectors) is what holds the lane-per-row
+// kernel under the trainers and the ADC table build to that.
 func TestSearchImplParity(t *testing.T) {
 	impls := kernel.Impls()
 	if len(impls) < 2 {
@@ -115,8 +118,9 @@ func TestSearchImplParity(t *testing.T) {
 	}
 
 	type shot struct {
-		kind string
-		got  [][]fingerprint.Match
+		kind  string
+		got   [][]fingerprint.Match
+		saved []byte
 	}
 	var baseline []shot
 	for implIdx, im := range impls {
@@ -129,7 +133,12 @@ func TestSearchImplParity(t *testing.T) {
 			restore()
 			t.Fatal(err)
 		}
-		for bi, backend := range []fingerprint.Searcher{NewFlat(db), ivf} {
+		pq, err := TrainIVFPQ(db, IVFPQOptions{IVFOptions: IVFOptions{Nlist: 8, Nprobe: 3, Seed: 4}, M: 4})
+		if err != nil {
+			restore()
+			t.Fatal(err)
+		}
+		for bi, backend := range []Searcher{NewFlat(db), ivf, pq} {
 			got := make([][]fingerprint.Match, len(queries))
 			for qi, q := range queries {
 				got[qi], err = backend.Search(q, qi%classes, 10)
@@ -138,11 +147,19 @@ func TestSearchImplParity(t *testing.T) {
 					t.Fatal(err)
 				}
 			}
+			var saved bytes.Buffer
+			if err := Save(&saved, backend); err != nil {
+				restore()
+				t.Fatal(err)
+			}
 			if implIdx == 0 {
-				baseline = append(baseline, shot{backend.Kind(), got})
+				baseline = append(baseline, shot{backend.Kind(), got, saved.Bytes()})
 				continue
 			}
 			want := baseline[bi]
+			if !bytes.Equal(saved.Bytes(), want.saved) {
+				t.Fatalf("%s trained under impl %q saves different bytes than under %q", want.kind, im.Name, impls[0].Name)
+			}
 			for qi := range queries {
 				if len(got[qi]) != len(want.got[qi]) {
 					t.Fatalf("%s impl %q: query %d returned %d matches, %q returned %d",

@@ -130,43 +130,7 @@ func trainClass(b *bucket, dim int, o IVFOptions) *ivfClass {
 		copy(c.centroids[i*dim:(i+1)*dim], b.vecs[p*dim:(p+1)*dim])
 	}
 
-	assign := make([]int32, sampleN)
-	counts := make([]int, c.nlist)
-	sums := make([]float64, c.nlist*dim)
-	for it := 0; it < o.Iters; it++ {
-		assignNearest(b.vecs, dim, sample, c.centroids, c.nlist, assign)
-		// Update step.
-		for i := range sums {
-			sums[i] = 0
-		}
-		for i := range counts {
-			counts[i] = 0
-		}
-		for si, p := range sample {
-			ci := assign[si]
-			counts[ci]++
-			v := b.vecs[int(p)*dim : (int(p)+1)*dim]
-			s := sums[int(ci)*dim : (int(ci)+1)*dim]
-			for j, vj := range v {
-				s[j] += float64(vj)
-			}
-		}
-		for ci := 0; ci < c.nlist; ci++ {
-			if counts[ci] == 0 {
-				// Re-seed an empty cluster with a random sample point so
-				// it doesn't waste a probe forever.
-				p := int(sample[rng.IntN(len(sample))])
-				copy(c.centroids[ci*dim:(ci+1)*dim], b.vecs[p*dim:(p+1)*dim])
-				continue
-			}
-			inv := 1 / float64(counts[ci])
-			cen := c.centroids[ci*dim : (ci+1)*dim]
-			s := sums[ci*dim : (ci+1)*dim]
-			for j := range cen {
-				cen[j] = float32(s[j] * inv)
-			}
-		}
-	}
+	lloyd(b.vecs, dim, sample, c.centroids, c.nlist, o.Iters, rng)
 
 	// Full assignment pass over every point in the label.
 	all := make([]int32, b.n)
@@ -182,33 +146,55 @@ func trainClass(b *bucket, dim int, o IVFOptions) *ivfClass {
 	return c
 }
 
-// nearestCentroid returns the index of the centroid closest to v by
-// squared kernel distance, ties broken by the lower centroid index (the
-// strict-< argmin over an ascending scan). d2s is an nlist-length
-// scratch the caller provides so tight loops don't allocate.
-func nearestCentroid(v, centroids []float32, dim, nlist int, d2s []float64) int {
-	kernel.DistanceRows(v, centroids, dim, d2s[:nlist])
-	best, bestD := 0, math.Inf(1)
-	for ci, d := range d2s[:nlist] {
-		if d < bestD {
-			best, bestD = ci, d
+// lloyd refines the k dim-length centroids in place with iters rounds of
+// Lloyd's algorithm over the listed rows of vecs: assign every point to
+// its nearest centroid (kernel.ArgminRows: strict <, lowest index wins),
+// accumulate per-cluster sums in float64 in point order, then replace
+// each centroid by its cluster mean — or, for a cluster left empty,
+// re-seed it from a random listed point so it doesn't waste a probe
+// forever. It is the one k-means loop under both trainers (the coarse
+// quantizer and every PQ subquantizer); rng is drawn once per empty
+// cluster, in ascending cluster order, which trained bytes depend on.
+func lloyd(vecs []float32, dim int, points []int32, cents []float32, k, iters int, rng *rand.Rand) {
+	assign := make([]int32, len(points))
+	counts := make([]int, k)
+	sums := make([]float64, k*dim)
+	for it := 0; it < iters; it++ {
+		assignNearest(vecs, dim, points, cents, k, assign)
+		clear(sums)
+		clear(counts)
+		for i, p := range points {
+			ci := int(assign[i])
+			counts[ci]++
+			s := sums[ci*dim : (ci+1)*dim]
+			for j, vj := range vecs[int(p)*dim : (int(p)+1)*dim] {
+				s[j] += float64(vj)
+			}
+		}
+		for ci := 0; ci < k; ci++ {
+			cen := cents[ci*dim : (ci+1)*dim]
+			if counts[ci] == 0 {
+				p := int(points[rng.IntN(len(points))])
+				copy(cen, vecs[p*dim:(p+1)*dim])
+				continue
+			}
+			inv := 1 / float64(counts[ci])
+			for j, sj := range sums[ci*dim : (ci+1)*dim] {
+				cen[j] = float32(sj * inv)
+			}
 		}
 	}
-	return best
 }
 
-// assignNearest writes, for each listed bucket position, the index of its
-// nearest centroid. Large point sets fan out across cores.
-func assignNearest(vecs []float32, dim int, points []int32, centroids []float32, nlist int, out []int32) {
-	work := func(lo, hi int) {
-		d2s := make([]float64, nlist)
+// assignNearest writes, for each listed row of vecs, the index of its
+// nearest of the k centroids. Large point sets fan out across cores.
+func assignNearest(vecs []float32, dim int, points []int32, cents []float32, k int, out []int32) {
+	parallelChunks(len(points), func(lo, hi int) {
 		for i := lo; i < hi; i++ {
 			p := int(points[i])
-			v := vecs[p*dim : (p+1)*dim]
-			out[i] = int32(nearestCentroid(v, centroids, dim, nlist, d2s))
+			out[i] = int32(kernel.ArgminRows(vecs[p*dim:(p+1)*dim], cents, dim, k))
 		}
-	}
-	parallelChunks(len(points), work)
+	})
 }
 
 // Dim returns the fingerprint dimensionality.
@@ -246,7 +232,7 @@ func (x *IVF) Append(dbIndex int, l fingerprint.Linkage) error {
 		}
 	} else {
 		pos := c.b.appendEntry(int32(dbIndex), l)
-		best := nearestCentroid(l.F, c.centroids, x.dim, c.nlist, make([]float64, c.nlist))
+		best := kernel.ArgminRows(l.F, c.centroids, x.dim, c.nlist)
 		c.lists[best] = append(c.lists[best], pos)
 	}
 	x.total++

@@ -4,6 +4,7 @@ import (
 	"fmt"
 	"math"
 	"math/rand/v2"
+	"slices"
 	"sort"
 	"sync"
 	"sync/atomic"
@@ -82,6 +83,9 @@ type IVFPQ struct {
 	appended int
 	nprobe   atomic.Int32
 	labels   map[int]*ivfpqClass
+	// appendRes is Append's residual scratch, guarded by the write lock
+	// so an append allocates only what the lists themselves grow by.
+	appendRes []float32
 }
 
 // TrainIVFPQ builds an IVFPQ index from a snapshot of the linkage
@@ -143,9 +147,8 @@ func trainPQClass(b *bucket, dim, m int, co IVFOptions) *ivfpqClass {
 	// Encode every point, then pack codes into list order.
 	codes := make([]byte, b.n*m)
 	parallelChunks(b.n, func(lo, hi int) {
-		d2s := make([]float64, pqKs)
 		for p := lo; p < hi; p++ {
-			c.book.encode(res[p*dim:(p+1)*dim], codes[p*m:(p+1)*m], d2s)
+			c.book.encode(res[p*dim:(p+1)*dim], codes[p*m:(p+1)*m])
 		}
 	})
 	c.lists = make([]*pqList, c.nlist)
@@ -241,17 +244,18 @@ func (x *IVFPQ) Append(dbIndex int, l fingerprint.Linkage) error {
 			n: 1,
 		}
 	} else {
-		d2s := make([]float64, max(c.nlist, pqKs))
-		best := nearestCentroid(l.F, c.centroids, x.dim, c.nlist, d2s)
+		best := kernel.ArgminRows(l.F, c.centroids, x.dim, c.nlist)
 		cen := c.centroids[best*x.dim : (best+1)*x.dim]
-		res := make([]float32, x.dim)
-		for j := range res {
-			res[j] = l.F[j] - cen[j]
+		if x.appendRes == nil {
+			x.appendRes = make([]float32, x.dim)
 		}
-		code := make([]byte, x.m)
-		c.book.encode(res, code, d2s)
+		for j := range x.appendRes {
+			x.appendRes[j] = l.F[j] - cen[j]
+		}
 		lst := c.lists[best]
-		lst.codes = append(lst.codes, code...)
+		n := len(lst.codes)
+		lst.codes = slices.Grow(lst.codes, x.m)[:n+x.m]
+		c.book.encode(x.appendRes, lst.codes[n:])
 		lst.idx = append(lst.idx, int32(dbIndex))
 		lst.src = append(lst.src, l.S)
 		lst.hash = append(lst.hash, l.H)
@@ -343,10 +347,11 @@ func (x *IVFPQ) scanProbed(c *ivfpqClass, f fingerprint.Fingerprint, label, k in
 	}
 	if total < parallelScanThreshold {
 		t := newPQTopK(k)
-		s := newPQScratch(x.dim, x.m)
+		s := getPQScratch(x.dim, x.m)
 		for _, pc := range probed {
 			x.scanList(c, f, pc.ci, t, s)
 		}
+		pqScratchPool.Put(s)
 		return t.matches(label, c)
 	}
 	final := newPQTopK(k)
@@ -357,7 +362,9 @@ func (x *IVFPQ) scanProbed(c *ivfpqClass, f fingerprint.Fingerprint, label, k in
 		go func(ci int) {
 			defer wg.Done()
 			t := newPQTopK(k)
-			x.scanList(c, f, ci, t, newPQScratch(x.dim, x.m))
+			s := getPQScratch(x.dim, x.m)
+			x.scanList(c, f, ci, t, s)
+			pqScratchPool.Put(s)
 			mu.Lock()
 			final.merge(t)
 			mu.Unlock()
@@ -368,21 +375,30 @@ func (x *IVFPQ) scanProbed(c *ivfpqClass, f fingerprint.Fingerprint, label, k in
 }
 
 // pqScratch is the per-scan working set: the query residual, the ADC
-// table, and the kernel output buffers, allocated once per (possibly
-// per-worker) scan instead of per list.
+// table (16 KiB at M 16), and the kernel output buffers. One is taken
+// per (possibly per-worker) scan and recycled through pqScratchPool, so
+// a query allocates none of it.
 type pqScratch struct {
 	res []float32
 	tab []float32
-	d2s []float64
+	d2s [pqKs]float64
 	buf [scanBlock]float64
 }
 
-func newPQScratch(dim, m int) *pqScratch {
-	return &pqScratch{
-		res: make([]float32, dim),
-		tab: make([]float32, m*pqKs),
-		d2s: make([]float64, pqKs),
+var pqScratchPool = sync.Pool{New: func() any { return new(pqScratch) }}
+
+// getPQScratch takes a scratch from the pool sized for dim-length
+// residuals and m-subquantizer tables.
+func getPQScratch(dim, m int) *pqScratch {
+	s := pqScratchPool.Get().(*pqScratch)
+	if cap(s.res) < dim {
+		s.res = make([]float32, dim)
 	}
+	if cap(s.tab) < m*pqKs {
+		s.tab = make([]float32, m*pqKs)
+	}
+	s.res, s.tab = s.res[:dim], s.tab[:m*pqKs]
+	return s
 }
 
 // scanList builds the ADC table for one probed list (from the query's
@@ -398,7 +414,7 @@ func (x *IVFPQ) scanList(c *ivfpqClass, f fingerprint.Fingerprint, ci int, t *pq
 	for j := range s.res {
 		s.res[j] = f[j] - cen[j]
 	}
-	c.book.table(s.res, s.tab, s.d2s)
+	c.book.table(s.res, s.tab, s.d2s[:])
 	li := int32(ci)
 	for off := 0; off < n; {
 		nn := min(scanBlock, n-off)

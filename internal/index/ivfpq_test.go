@@ -391,3 +391,30 @@ func TestIVFPQDefaultM(t *testing.T) {
 		}
 	}
 }
+
+// BenchmarkTrainIVFPQ times the whole IVFPQ build — coarse k-means, PQ
+// codebook training, the encoding pass — for one class at the shape of
+// a bench shard label (dim 64, M 16: 4-float subvectors), 2 500 entries
+// (500 under -short). Nearly all of it is ArgminRows over 256-row
+// codebooks, which is what the rows kernel exists for.
+func BenchmarkTrainIVFPQ(b *testing.B) {
+	n := 2500
+	if testing.Short() {
+		n = 500
+	}
+	db, err := fingerprint.NewDB(64)
+	if err != nil {
+		b.Fatal(err)
+	}
+	for _, f := range linkedFingerprints(rand.New(rand.NewPCG(15, 1)), n, 64, 64, 12, 0.15, 0.05) {
+		if err := db.Add(fingerprint.Linkage{F: f, Y: 0, S: "s"}); err != nil {
+			b.Fatal(err)
+		}
+	}
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		if _, err := TrainIVFPQ(db, IVFPQOptions{IVFOptions: IVFOptions{Seed: 2}}); err != nil {
+			b.Fatal(err)
+		}
+	}
+}

@@ -51,16 +51,12 @@ func trainPQ(res []float32, n, dim, m, iters, sampleCap int, rng *rand.Rand) *pq
 	perm := rng.Perm(n)[:sampleN]
 
 	// Scratch shared across subquantizers: the sampled subvectors packed
-	// contiguously, their identity position list, and per-iteration
-	// assignment/update state.
+	// contiguously and their identity position list.
 	sub := make([]float32, sampleN*dsub)
 	all := make([]int32, sampleN)
 	for i := range all {
 		all[i] = int32(i)
 	}
-	assign := make([]int32, sampleN)
-	counts := make([]int, pqKs)
-	sums := make([]float64, pqKs*dsub)
 
 	for j := 0; j < m; j++ {
 		for i, p := range perm {
@@ -72,54 +68,25 @@ func trainPQ(res []float32, n, dim, m, iters, sampleCap int, rng *rand.Rand) *pq
 		for k := 0; k < pqKs; k++ {
 			copy(cents[k*dsub:(k+1)*dsub], sub[(k%sampleN)*dsub:(k%sampleN+1)*dsub])
 		}
-		for it := 0; it < iters; it++ {
-			assignNearest(sub, dsub, all, cents, pqKs, assign)
-			for i := range sums {
-				sums[i] = 0
-			}
-			for i := range counts {
-				counts[i] = 0
-			}
-			for si, ci := range assign {
-				counts[ci]++
-				v := sub[si*dsub : (si+1)*dsub]
-				s := sums[int(ci)*dsub : (int(ci)+1)*dsub]
-				for d, vd := range v {
-					s[d] += float64(vd)
-				}
-			}
-			for ci := 0; ci < pqKs; ci++ {
-				if counts[ci] == 0 {
-					p := rng.IntN(sampleN)
-					copy(cents[ci*dsub:(ci+1)*dsub], sub[p*dsub:(p+1)*dsub])
-					continue
-				}
-				inv := 1 / float64(counts[ci])
-				cen := cents[ci*dsub : (ci+1)*dsub]
-				s := sums[ci*dsub : (ci+1)*dsub]
-				for d := range cen {
-					cen[d] = float32(s[d] * inv)
-				}
-			}
-		}
+		lloyd(sub, dsub, all, cents, pqKs, iters, rng)
 	}
 	return cb
 }
 
 // encode writes the m-byte code of one dim-length residual: per
 // subquantizer, the index of the nearest centroid (strict-< argmin, so
-// ties are deterministic). d2s is a ≥pqKs scratch.
-func (cb *pqCodebook) encode(res []float32, code []byte, d2s []float64) {
+// ties are deterministic).
+func (cb *pqCodebook) encode(res []float32, code []byte) {
 	for j := 0; j < cb.m; j++ {
 		r := res[j*cb.dsub : (j+1)*cb.dsub]
-		code[j] = byte(nearestCentroid(r, cb.sub(j), cb.dsub, pqKs, d2s))
+		code[j] = byte(kernel.ArgminRows(r, cb.sub(j), cb.dsub, pqKs))
 	}
 }
 
 // table fills one query's ADC lookup table for a dim-length residual:
 // tab[j*pqKs+k] is the squared kernel distance between the query
-// residual's j-th subvector and centroid k of subquantizer j. d2s is a
-// ≥pqKs scratch.
+// residual's j-th subvector and centroid k of subquantizer j — one
+// rows-kernel dispatch per subquantizer. d2s is a ≥pqKs scratch.
 func (cb *pqCodebook) table(res []float32, tab []float32, d2s []float64) {
 	for j := 0; j < cb.m; j++ {
 		r := res[j*cb.dsub : (j+1)*cb.dsub]

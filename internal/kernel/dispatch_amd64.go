@@ -8,11 +8,11 @@ package kernel
 // CPU generation it is tuned for. Build with `-tags noasm` to exclude
 // the assembly and force the portable reference.
 
-// Assembly routines (kernel_amd64.s).
-//
-//go:noescape
-func sqDistAVX2(q, v *float32, n int) float64
+// rowLanes is how many rows rowsSmallAsm scores per step: one per
+// double lane of a YMM register.
+const rowLanes = 4
 
+// CPU probes (kernel_amd64.s).
 func cpuid(eaxIn, ecxIn uint32) (eax, ebx, ecx, edx uint32)
 
 func xgetbv() (eax, edx uint32)
@@ -38,21 +38,15 @@ func hasAVX2() bool {
 	return ebx7&avx2 != 0
 }
 
-func sqDistAsm(q, v []float32) float64 {
-	if len(q) == 0 {
-		return 0
-	}
-	return sqDistAVX2(&q[0], &v[0], len(q))
-}
-
 // registerArch appends the AVX2 path when the host supports it; called
 // once from the package init before the dispatch default is chosen.
-// The ADC slot currently points at the portable scan — table lookups
-// are load-bound and the blocked reference already saturates them; the
-// dispatch slot is where a VPGATHERDD path lands without touching any
-// caller, held to the reference by kerneltest.CheckADC/FuzzADCParity.
+// The pair and rows slots are the assembly (dispatch_asm.go). The ADC
+// slot points at the portable scan — table lookups are load-bound and
+// the blocked reference already saturates them; the dispatch slot is
+// where a VPGATHERDD path lands without touching any caller, held to
+// the reference by kerneltest.CheckADC/FuzzADCParity.
 func registerArch() {
 	if hasAVX2() {
-		impls = append(impls, Impl{Name: "avx2", SqDist: sqDistAsm, ADCScan: adcScanGeneric})
+		impls = append(impls, Impl{Name: "avx2", SqDist: sqDistVector, Rows: rowsVector, ADCScan: adcScanGeneric})
 	}
 }

@@ -8,24 +8,17 @@ package kernel
 // registered unconditionally. Build with `-tags noasm` to exclude the
 // assembly and force the portable reference.
 
-// Assembly routine (kernel_arm64.s).
-//
-//go:noescape
-func sqDistNEON(q, v *float32, n int) float64
-
-func sqDistAsm(q, v []float32) float64 {
-	if len(q) == 0 {
-		return 0
-	}
-	return sqDistNEON(&q[0], &v[0], len(q))
-}
+// rowLanes is how many rows rowsSmallAsm scores per step: one per
+// double lane of a 128-bit vector register.
+const rowLanes = 2
 
 // registerArch appends the NEON path; called once from the package init
-// before the dispatch default is chosen. The ADC slot points at the
-// portable scan for the same reason as on amd64: table lookups are
-// load-bound and the blocked reference already saturates them; the
-// dispatch slot is where a TBL-based path lands without touching any
-// caller, held to the reference by kerneltest.CheckADC/FuzzADCParity.
+// before the dispatch default is chosen. The pair and rows slots are
+// the assembly (dispatch_asm.go). The ADC slot points at the portable
+// scan for the same reason as on amd64: table lookups are load-bound
+// and the blocked reference already saturates them; the dispatch slot
+// is where a TBL-based path lands without touching any caller, held to
+// the reference by kerneltest.CheckADC/FuzzADCParity.
 func registerArch() {
-	impls = append(impls, Impl{Name: "neon", SqDist: sqDistAsm, ADCScan: adcScanGeneric})
+	impls = append(impls, Impl{Name: "neon", SqDist: sqDistVector, Rows: rowsVector, ADCScan: adcScanGeneric})
 }

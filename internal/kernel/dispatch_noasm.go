@@ -9,3 +9,8 @@ package kernel
 // a vector path.
 
 func registerArch() {}
+
+// rowsVector is never reached on this build (the registry holds only
+// the portable reference); it exists so Impl.rows compiles to static
+// calls on every build.
+func rowsVector(q, vecs []float32, dim int, out []float64) { rowsGeneric(q, vecs, dim, out) }

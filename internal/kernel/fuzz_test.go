@@ -46,6 +46,43 @@ func FuzzDistanceBatchParity(f *testing.F) {
 	})
 }
 
+// FuzzRowsParity drives the rows kernel — every registered
+// implementation, the dispatched DistanceRows and ArgminRows — with
+// fuzz-chosen shapes. Half the inputs land on widths 0–9, where the
+// vector paths put one row per double lane, the other half on the
+// adversarial Dims() list; row counts straddle the lane count (not a
+// multiple of 2 or 4) and the 256-row argmin block; off shifts the
+// rows and the query off vector-aligned bases; and values come from the
+// raw byte space, so NaN payloads (canonicalised per lane), infinities
+// and subnormals all occur.
+func FuzzRowsParity(f *testing.F) {
+	f.Add([]byte{1, 2, 3, 4}, byte(8), uint16(5), byte(0))
+	f.Add([]byte{0x7f, 0xc0, 0, 0, 0xff, 0x80, 0, 0, 0, 0, 0x80, 0x3f}, byte(6), uint16(7), byte(1))
+	f.Fuzz(func(t *testing.T, data []byte, width byte, rows uint16, off byte) {
+		dim := int(width/2) % 10
+		if width%2 == 1 {
+			dims := kerneltest.Dims()
+			dim = dims[int(width/2)%len(dims)]
+		}
+		n := int(rows) % 600
+		if dim > 129 {
+			n %= 40
+		}
+		vals := kerneltest.FromBytes(data)
+		if len(vals) == 0 {
+			vals = []float32{0}
+		}
+		shift := int(off) % 4
+		buf := make([]float32, shift+(n+1)*dim+shift)
+		for i := range buf {
+			buf[i] = vals[i%len(vals)]
+		}
+		vecs := buf[shift : shift+n*dim]
+		q := buf[len(buf)-dim:]
+		kerneltest.CheckRows(t, q, vecs, n)
+	})
+}
+
 // FuzzADCParity drives the ADC table scan with fuzz-chosen shapes — the
 // subquantizer count m and the row count straddle the 8-row block
 // boundary — over lookup tables populated from raw bytes, so NaN

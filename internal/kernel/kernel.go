@@ -1,7 +1,9 @@
 // Package kernel is the batched squared-L2 distance subsystem behind
 // every hot path in the serving tier: the Flat exhaustive scan, both IVF
-// stages (centroid ranking and inverted-list scans), the exact DB
-// reference scan, and Fingerprint.L2Distance all bottom out here.
+// stages (centroid ranking and inverted-list scans), the k-means and
+// product-quantization trainers, the ADC table build of every IVFPQ
+// query, the exact DB reference scan, and Fingerprint.L2Distance all
+// bottom out here.
 //
 // Three implementations exist:
 //
@@ -14,6 +16,10 @@
 //   - neon: hand-written Go assembly (kernel_arm64.s) registered
 //     unconditionally on arm64 — ASIMD is baseline ARMv8-A, so no
 //     feature probe is needed.
+//
+// Each implementation fills three slots of Impl: the pair kernel
+// (SqDist), the rows kernel (Rows: one query against a contiguous block
+// of rows, ONE dispatch per block) and the ADC table scan (adc.go).
 //
 // Bit-stability contract. Every implementation MUST produce bitwise
 // identical float64 results for identical inputs, so indexes built,
@@ -34,6 +40,20 @@
 // VCVTPS2PD/VSUBPD/VMULPD/VADDPD, reduced with the fixed tree above,
 // then a scalar tail.
 //
+// Small widths. For len < 8 the blocked prefix is empty, the tree sums
+// eight +0s, and the order degenerates to
+//
+//	s = (((t0 + t1) + t2) + …) + t[len-1]
+//
+// (+0 + t0 is t0 exactly: a term is never -0). That is the shape of a
+// product-quantization subvector (dim/M floats, 4 at dim 64 and M 16),
+// where a per-pair call is all overhead. The rows kernel therefore has
+// a second realisation of the SAME order for those widths: the vector
+// paths put one ROW in each double lane (4 rows per step on AVX2, 2 on
+// NEON) and add the terms of every lane in ascending j, the portable
+// path keeps the widened query in registers and runs the sum straight
+// down each row. Neither changes a bit of any result.
+//
 // A result that is NaN is canonicalized to the math.NaN() bit pattern.
 // Which input payload would otherwise survive the sum depends on x86
 // ADDSD operand order, which the Go compiler is free to commute between
@@ -41,9 +61,11 @@
 // equality for ALL inputs, and SqDist(q,v) == SqDist(v,q) exactly).
 //
 // The batched entry points (DistanceRows, DistanceGather,
-// DistanceBatch) amortize memory traffic: DistanceBatch sweeps a block
-// of vectors sized to stay cache-resident across a whole query batch,
-// so a batch of B queries costs one pass over the data instead of B.
+// DistanceBatch, ArgminRows) amortize dispatch and memory traffic:
+// DistanceRows and ArgminRows hand a whole block of rows to the rows
+// kernel, and DistanceBatch sweeps a block of vectors sized to stay
+// cache-resident across a whole query batch, so a batch of B queries
+// costs one pass over the data instead of B.
 package kernel
 
 import (
@@ -60,6 +82,12 @@ type Impl struct {
 	// equal-length float32 vectors, computed per the package's
 	// specified summation order.
 	SqDist func(q, v []float32) float64
+	// Rows is the rows kernel: out[i] = SqDist(q, vecs[i*dim:(i+1)*dim])
+	// for every i in [0, len(out)), bit-for-bit, with the row loop
+	// inside the implementation. len(q) == dim and len(vecs) ≥
+	// len(out)*dim are validated by the package-level entry points
+	// before dispatch; the assembly reads exactly len(out)*dim floats.
+	Rows func(q, vecs []float32, dim int, out []float64)
 	// ADCScan is the product-quantization table-scan kernel (adc.go):
 	// it scores rows of uint8 codes against one query's ADC lookup
 	// table, per the specified summation order. Arguments are validated
@@ -67,9 +95,23 @@ type Impl struct {
 	ADCScan func(table []float32, codes []byte, m int, out []float64)
 }
 
+// rows runs the rows kernel of im, a registry entry, through a static
+// call: the portable reference is impls[0], anything else is the
+// build's assembly implementation. Dispatching through the Rows func
+// value instead would make escape analysis move every caller's
+// stack-resident out block (index.scanRange's, ArgminRows') to the
+// heap: arguments of an indirect call escape.
+func (im *Impl) rows(q, vecs []float32, dim int, out []float64) {
+	if im == &impls[0] {
+		rowsGeneric(q, vecs, dim, out)
+		return
+	}
+	rowsVector(q, vecs, dim, out)
+}
+
 // impls is the registry: the portable reference first, hardware paths
 // appended by per-arch init (dispatch_amd64.go).
-var impls = []Impl{{Name: "generic", SqDist: sqDistGeneric, ADCScan: adcScanGeneric}}
+var impls = []Impl{{Name: "generic", SqDist: sqDistGeneric, Rows: rowsGeneric, ADCScan: adcScanGeneric}}
 
 // active is the implementation SqDist and the batched entry points
 // dispatch to. It is atomic so benchmarks can swap implementations while
@@ -143,7 +185,8 @@ func SqDistRef(q, v []float32) float64 {
 }
 
 // sqDistGeneric realises the specified summation order in portable Go.
-// The amd64 compiler emits no fused multiply-add for these expressions,
+// The explicit float64 conversion around each product forbids the
+// compiler from fusing it into the following add (it would on arm64),
 // so each operation rounds exactly as the assembly's packed equivalents.
 func sqDistGeneric(q, v []float32) float64 {
 	n := len(q) &^ 7
@@ -152,18 +195,73 @@ func sqDistGeneric(q, v []float32) float64 {
 		qq, vv := q[j:j+8], v[j:j+8]
 		for k := 0; k < 8; k++ {
 			d := float64(qq[k]) - float64(vv[k])
-			p[k] += d * d
+			p[k] += float64(d * d)
 		}
 	}
 	s := ((p[0] + p[4]) + (p[2] + p[6])) + ((p[1] + p[5]) + (p[3] + p[7]))
 	for j := n; j < len(q); j++ {
 		d := float64(q[j]) - float64(v[j])
-		s += d * d
+		s += float64(d * d)
 	}
 	if s != s {
 		return math.NaN() // canonical payload: see the contract above
 	}
 	return s
+}
+
+// rowsGeneric is the portable rows kernel. Widths of a whole block or
+// more run the pair kernel row by row. The tail-only widths take the
+// degenerate order of the package comment straight down each row: the
+// query is widened once per call, and every `dim > j` test is
+// loop-invariant, so a row costs its terms and nothing else.
+func rowsGeneric(q, vecs []float32, dim int, out []float64) {
+	if dim >= 8 {
+		for i := range out {
+			out[i] = sqDistGeneric(q, vecs[i*dim:(i+1)*dim])
+		}
+		return
+	}
+	if dim == 0 {
+		clear(out)
+		return
+	}
+	var qd [7]float64
+	for j, x := range q {
+		qd[j] = float64(x)
+	}
+	for i := range out {
+		v := vecs[i*dim : (i+1)*dim]
+		d := qd[0] - float64(v[0])
+		s := float64(d * d)
+		if dim > 1 {
+			d = qd[1] - float64(v[1])
+			s += float64(d * d)
+		}
+		if dim > 2 {
+			d = qd[2] - float64(v[2])
+			s += float64(d * d)
+		}
+		if dim > 3 {
+			d = qd[3] - float64(v[3])
+			s += float64(d * d)
+		}
+		if dim > 4 {
+			d = qd[4] - float64(v[4])
+			s += float64(d * d)
+		}
+		if dim > 5 {
+			d = qd[5] - float64(v[5])
+			s += float64(d * d)
+		}
+		if dim > 6 {
+			d = qd[6] - float64(v[6])
+			s += float64(d * d)
+		}
+		if s != s {
+			s = math.NaN() // canonical payload: see the contract above
+		}
+		out[i] = s
+	}
 }
 
 // blockRows returns how many dim-length rows fit the cache block the
@@ -178,18 +276,51 @@ func blockRows(dim int) int {
 	return r
 }
 
+// checkRowsArgs validates one rows-kernel call before dispatch: the
+// assembly keeps its row loop to itself and would read past a short
+// vecs instead of failing a bounds check.
+func checkRowsArgs(name string, q, vecs []float32, dim, rows int) {
+	if len(q) != dim {
+		panic(fmt.Sprintf("kernel: %s query has %d dims, want %d", name, len(q), dim))
+	}
+	if rows < 0 || len(vecs) < rows*dim {
+		panic(fmt.Sprintf("kernel: %s %d vector floats for %d rows of %d", name, len(vecs), rows, dim))
+	}
+}
+
 // DistanceRows computes out[i] = SqDist(q, vecs[i*dim:(i+1)*dim]) for
 // every row i in [0, len(out)). vecs must hold at least len(out)*dim
 // floats and len(q) must equal dim. This is the contiguous-scan building
-// block the Flat index and IVF centroid ranking use.
+// block of the Flat index, IVF centroid ranking and the ADC table build.
 func DistanceRows(q, vecs []float32, dim int, out []float64) {
-	if len(q) != dim {
-		panic(fmt.Sprintf("kernel: DistanceRows query has %d dims, want %d", len(q), dim))
+	checkRowsArgs("DistanceRows", q, vecs, dim, len(out))
+	active.Load().rows(q, vecs, dim, out)
+}
+
+// argminBlock is how many rows ArgminRows scores per rows-kernel call:
+// a whole PQ codebook (ADCKs rows) in one dispatch, on 2 KiB of stack.
+const argminBlock = ADCKs
+
+// ArgminRows returns the index of the row of vecs[:n*dim] nearest q by
+// squared kernel distance — the assignment step of k-means and product
+// quantization. The scan is ascending with a strict <, so ties go to
+// the lowest index; a NaN distance never wins, and 0 is returned when no
+// row is closer than +Inf (or n is 0).
+func ArgminRows(q, vecs []float32, dim, n int) int {
+	checkRowsArgs("ArgminRows", q, vecs, dim, n)
+	im := active.Load()
+	var buf [argminBlock]float64
+	best, bestD := 0, math.Inf(1)
+	for r0 := 0; r0 < n; r0 += argminBlock {
+		d2s := buf[:min(argminBlock, n-r0)]
+		im.rows(q, vecs[r0*dim:], dim, d2s)
+		for i, d := range d2s {
+			if d < bestD {
+				best, bestD = r0+i, d
+			}
+		}
 	}
-	fn := active.Load().SqDist
-	for i := range out {
-		out[i] = fn(q, vecs[i*dim:(i+1)*dim])
-	}
+	return best
 }
 
 // DistanceGather computes out[i] = SqDist(q, vecs[pos[i]*dim:...]) —
@@ -228,19 +359,12 @@ func DistanceBatch(queries, vecs []float32, dim int, out []float64) {
 	if len(out) != nq*n {
 		panic(fmt.Sprintf("kernel: DistanceBatch out has %d cells, want %d×%d", len(out), nq, n))
 	}
-	fn := active.Load().SqDist
+	im := active.Load()
 	block := blockRows(dim)
 	for r0 := 0; r0 < n; r0 += block {
-		r1 := r0 + block
-		if r1 > n {
-			r1 = n
-		}
+		r1 := min(r0+block, n)
 		for qi := 0; qi < nq; qi++ {
-			q := queries[qi*dim : (qi+1)*dim]
-			row := out[qi*n : (qi+1)*n]
-			for r := r0; r < r1; r++ {
-				row[r] = fn(q, vecs[r*dim:(r+1)*dim])
-			}
+			im.rows(queries[qi*dim:(qi+1)*dim], vecs[r0*dim:r1*dim], dim, out[qi*n+r0:qi*n+r1])
 		}
 	}
 }

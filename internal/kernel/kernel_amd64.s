@@ -2,7 +2,7 @@
 
 #include "textflag.h"
 
-// func sqDistAVX2(q, v *float32, n int) float64
+// func pairAsm(q, v *float32, n int) float64
 //
 // Squared L2 distance between two n-length float32 vectors, computed in
 // float64 per the summation order specified in kernel.go: two 4-lane
@@ -13,7 +13,7 @@
 // double rounding (convert, subtract, multiply, add — no FMA), and a
 // NaN result is canonicalized to the math.NaN() bit pattern, matching
 // sqDistGeneric bit for bit on every input.
-TEXT ·sqDistAVX2(SB), NOSPLIT, $0-32
+TEXT ·pairAsm(SB), NOSPLIT, $0-32
 	MOVQ q+0(FP), SI
 	MOVQ v+8(FP), DI
 	MOVQ n+16(FP), CX
@@ -69,6 +69,144 @@ done:
 	MOVQ AX, X0                // canonical math.NaN() bits
 store:
 	MOVSD X0, ret+24(FP)
+	RET
+
+// func rowsBlockedAsm(q, vecs *float32, dim, n int, out *float64)
+//
+// out[i] = squared L2 distance between q and row i of vecs, for n
+// contiguous dim-length rows (dim ≥ 1), each computed in float64 per the
+// summation order specified in kernel.go: two 4-lane double accumulators
+// (Y0 holds partial sums p0..p3, Y1 holds p4..p7) fed 8 elements per
+// iteration, reduced with the fixed tree
+// ((p0+p4)+(p2+p6)) + ((p1+p5)+(p3+p7)), then a sequential scalar tail
+// for dim mod 8 elements. Every arithmetic step is a single IEEE-754
+// double rounding (convert, subtract, multiply, add — no FMA), and a
+// NaN result is canonicalized to the math.NaN() bit pattern, matching
+// sqDistGeneric bit for bit on every input. The row loop stays in here:
+// one call scores a whole block, and the next row's loads overlap this
+// row's reduction.
+TEXT ·rowsBlockedAsm(SB), NOSPLIT, $0-40
+	MOVQ q+0(FP), SI
+	MOVQ vecs+8(FP), DI
+	MOVQ dim+16(FP), CX
+	MOVQ n+24(FP), BX
+	MOVQ out+32(FP), R8
+	MOVQ CX, DX
+	ANDQ $-8, DX               // DX = dim &^ 7, the blocked prefix
+	LEAQ (CX*4), R9            // R9 = row stride in bytes
+	MOVQ $0x7FF8000000000001, R10 // canonical math.NaN() bits
+	TESTQ BX, BX
+	JLE  rowsdone
+
+row:
+	VXORPD Y0, Y0, Y0          // acc lanes p0..p3
+	VXORPD Y1, Y1, Y1          // acc lanes p4..p7
+	XORQ AX, AX                // AX = element index j
+	CMPQ DX, $0
+	JE   reduce
+
+blocked:
+	// Lanes j..j+3 into Y0.
+	VCVTPS2PD (SI)(AX*4), Y2   // 4 × float32 -> 4 × float64
+	VCVTPS2PD (DI)(AX*4), Y3
+	VSUBPD Y3, Y2, Y2          // d = q - v
+	VMULPD Y2, Y2, Y2          // d*d
+	VADDPD Y2, Y0, Y0          // p[k] += d*d
+	// Lanes j+4..j+7 into Y1.
+	VCVTPS2PD 16(SI)(AX*4), Y4
+	VCVTPS2PD 16(DI)(AX*4), Y5
+	VSUBPD Y5, Y4, Y4
+	VMULPD Y4, Y4, Y4
+	VADDPD Y4, Y1, Y1
+	ADDQ $8, AX
+	CMPQ AX, DX
+	JL   blocked
+
+reduce:
+	// s = ((p0+p4)+(p2+p6)) + ((p1+p5)+(p3+p7))
+	VADDPD Y1, Y0, Y0          // t[k] = p[k] + p[k+4]
+	VEXTRACTF128 $1, Y0, X1    // X1 = (t2, t3)
+	VADDPD X1, X0, X0          // X0 = (t0+t2, t1+t3)
+	VUNPCKHPD X0, X0, X1       // X1 lane0 = t1+t3
+	VADDSD X1, X0, X0          // s in X0 lane0
+
+tail:
+	CMPQ AX, CX
+	JGE  canon
+	VCVTSS2SD (SI)(AX*4), X2, X2
+	VCVTSS2SD (DI)(AX*4), X3, X3
+	VSUBSD X3, X2, X2
+	VMULSD X2, X2, X2
+	VADDSD X2, X0, X0
+	INCQ AX
+	JMP  tail
+
+canon:
+	VUCOMISD X0, X0            // PF set iff s is NaN
+	JPC  store
+	VMOVQ R10, X0
+store:
+	VMOVSD X0, (R8)
+	ADDQ $8, R8
+	ADDQ R9, DI                // next row
+	DECQ BX
+	JNZ  row
+
+rowsdone:
+	VZEROUPPER
+	RET
+
+// func rowsSmallAsm(qd *float64, vecs *float32, dim, n int, out *float64)
+//
+// The tail-only widths, 1 ≤ dim ≤ 7, where the specified order is
+// s = (((t0+t1)+t2)+…): four rows per step, ONE ROW PER DOUBLE LANE of
+// Y0, so the lanes never meet and each is summed in ascending j exactly
+// as the scalar tail above would. qd is the query already widened to
+// float64 (dim doubles); n must be a positive multiple of 4. Element j
+// of the four rows is gathered with a scalar load plus three VINSERTPS
+// at the row stride, widened, subtracted from the broadcast qd[j],
+// squared and added (no FMA). The accumulator starts at +0: +0 + t0 is
+// t0 exactly, a term is never -0. NaN lanes are canonicalized.
+TEXT ·rowsSmallAsm(SB), NOSPLIT, $0-40
+	MOVQ qd+0(FP), SI
+	MOVQ vecs+8(FP), DI
+	MOVQ dim+16(FP), CX
+	MOVQ n+24(FP), BX
+	MOVQ out+32(FP), R8
+	LEAQ (CX*4), R9            // R9 = row stride in bytes
+	LEAQ (R9)(R9*2), R11       // R11 = 3 × stride
+	MOVQ $0x7FF8000000000001, AX
+	VMOVQ AX, X7
+	VBROADCASTSD X7, Y7        // canonical math.NaN() bits, every lane
+
+group:
+	VXORPD Y0, Y0, Y0          // lane r = sum of row r
+	XORQ AX, AX                // AX = element index j
+	MOVQ DI, R10               // R10 = &row0[j]
+elem:
+	VMOVSS (R10), X1
+	VINSERTPS $0x10, (R10)(R9*1), X1, X1
+	VINSERTPS $0x20, (R10)(R9*2), X1, X1
+	VINSERTPS $0x30, (R10)(R11*1), X1, X1
+	VCVTPS2PD X1, Y1           // element j of rows 0..3
+	VBROADCASTSD (SI)(AX*8), Y2
+	VSUBPD Y1, Y2, Y1          // d = q[j] - v[j]
+	VMULPD Y1, Y1, Y1          // d*d
+	VADDPD Y1, Y0, Y0          // s += d*d
+	ADDQ $4, R10
+	INCQ AX
+	CMPQ AX, CX
+	JL   elem
+
+	VCMPPD $3, Y0, Y0, Y3      // all-ones where the lane is NaN
+	VBLENDVPD Y3, Y7, Y0, Y0
+	VMOVUPD Y0, (R8)
+	ADDQ $32, R8
+	LEAQ (DI)(R9*4), DI        // next four rows
+	SUBQ $4, BX
+	JG   group
+
+	VZEROUPPER
 	RET
 
 // func cpuid(eaxIn, ecxIn uint32) (eax, ebx, ecx, edx uint32)

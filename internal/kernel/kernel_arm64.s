@@ -2,7 +2,7 @@
 
 #include "textflag.h"
 
-// func sqDistNEON(q, v *float32, n int) float64
+// func pairAsm(q, v *float32, n int) float64
 //
 // Squared L2 distance between two n-length float32 vectors, computed in
 // float64 per the summation order specified in kernel.go: four 2-lane
@@ -25,7 +25,7 @@
 //	FADD   Vd.2D, Vn.2D, Vm.2D = 0x4E60D400 | m<<16 | n<<5 | d
 //	FSUB   Vd.2D, Vn.2D, Vm.2D = 0x4EE0D400 | m<<16 | n<<5 | d
 //	FMUL   Vd.2D, Vn.2D, Vm.2D = 0x6E60DC00 | m<<16 | n<<5 | d
-TEXT ·sqDistNEON(SB), NOSPLIT, $0-32
+TEXT ·pairAsm(SB), NOSPLIT, $0-32
 	MOVD q+0(FP), R0
 	MOVD v+8(FP), R1
 	MOVD n+16(FP), R2
@@ -106,4 +106,159 @@ done:
 	FMOVD R5, F0 // canonical math.NaN() bits
 store:
 	FMOVD F0, ret+24(FP)
+	RET
+
+// func rowsBlockedAsm(q, vecs *float32, dim, n int, out *float64)
+//
+// out[i] = squared L2 distance between q and row i of vecs, for n
+// contiguous dim-length rows (dim ≥ 1): the body of pairAsm above —
+// same accumulators, same tree, same tail, same canonical NaN — inside
+// a row loop, so one call scores a whole block. R1 walks the rows (the
+// blocked loop and the tail leave it at the next row's first element);
+// R0 is rewound to the query at the top of every row.
+TEXT ·rowsBlockedAsm(SB), NOSPLIT, $0-40
+	MOVD q+0(FP), R7
+	MOVD vecs+8(FP), R1
+	MOVD dim+16(FP), R2
+	MOVD n+24(FP), R8
+	MOVD out+32(FP), R9
+	AND  $-8, R2, R3               // R3 = dim &^ 7, the blocked prefix
+	MOVD $0x7FF8000000000001, R10  // canonical math.NaN() bits
+	CMP  $1, R8
+	BLT  rowsdone
+
+row:
+	MOVD R7, R0
+	VEOR V16.B16, V16.B16, V16.B16 // acc {p0,p1}
+	VEOR V17.B16, V17.B16, V17.B16 // acc {p2,p3}
+	VEOR V18.B16, V18.B16, V18.B16 // acc {p4,p5}
+	VEOR V19.B16, V19.B16, V19.B16 // acc {p6,p7}
+	MOVD ZR, R4                    // R4 = element index j
+	CBZ  R3, reduce
+
+blocked:
+	VLD1.P 32(R0), [V4.S4, V5.S4] // q[j..j+3], q[j+4..j+7]
+	VLD1.P 32(R1), [V6.S4, V7.S4] // v[j..j+3], v[j+4..j+7]
+
+	// Lanes j, j+1 into V16.
+	WORD $0x0E617880 // FCVTL  V0.2D, V4.2S
+	WORD $0x0E6178C1 // FCVTL  V1.2D, V6.2S
+	WORD $0x4EE1D400 // FSUB   V0.2D, V0.2D, V1.2D   d = q - v
+	WORD $0x6E60DC00 // FMUL   V0.2D, V0.2D, V0.2D   d*d
+	WORD $0x4E60D610 // FADD   V16.2D, V16.2D, V0.2D p[k] += d*d
+
+	// Lanes j+2, j+3 into V17.
+	WORD $0x4E617881 // FCVTL2 V1.2D, V4.4S
+	WORD $0x4E6178C2 // FCVTL2 V2.2D, V6.4S
+	WORD $0x4EE2D421 // FSUB   V1.2D, V1.2D, V2.2D
+	WORD $0x6E61DC21 // FMUL   V1.2D, V1.2D, V1.2D
+	WORD $0x4E61D631 // FADD   V17.2D, V17.2D, V1.2D
+
+	// Lanes j+4, j+5 into V18.
+	WORD $0x0E6178A0 // FCVTL  V0.2D, V5.2S
+	WORD $0x0E6178E1 // FCVTL  V1.2D, V7.2S
+	WORD $0x4EE1D400 // FSUB   V0.2D, V0.2D, V1.2D
+	WORD $0x6E60DC00 // FMUL   V0.2D, V0.2D, V0.2D
+	WORD $0x4E60D652 // FADD   V18.2D, V18.2D, V0.2D
+
+	// Lanes j+6, j+7 into V19.
+	WORD $0x4E6178A1 // FCVTL2 V1.2D, V5.4S
+	WORD $0x4E6178E2 // FCVTL2 V2.2D, V7.4S
+	WORD $0x4EE2D421 // FSUB   V1.2D, V1.2D, V2.2D
+	WORD $0x6E61DC21 // FMUL   V1.2D, V1.2D, V1.2D
+	WORD $0x4E61D673 // FADD   V19.2D, V19.2D, V1.2D
+
+	ADD $8, R4
+	CMP R3, R4
+	BLT blocked
+
+reduce:
+	// s = ((p0+p4)+(p2+p6)) + ((p1+p5)+(p3+p7))
+	WORD $0x4E72D614 // FADD V20.2D, V16.2D, V18.2D  {p0+p4, p1+p5}
+	WORD $0x4E73D635 // FADD V21.2D, V17.2D, V19.2D  {p2+p6, p3+p7}
+	WORD $0x4E75D694 // FADD V20.2D, V20.2D, V21.2D  {lane sums}
+	VMOV  V20.D[0], R5
+	FMOVD R5, F0
+	VMOV  V20.D[1], R6
+	FMOVD R6, F1
+	FADDD F1, F0, F0 // s in F0
+
+tail:
+	CMP R2, R4
+	BGE canon
+	FMOVS  (R0), F2
+	FMOVS  (R1), F3
+	FCVTSD F2, F2 // float32 -> float64
+	FCVTSD F3, F3
+	FSUBD  F3, F2, F2
+	FMULD  F2, F2, F2
+	FADDD  F2, F0, F0
+	ADD    $4, R0
+	ADD    $4, R1
+	ADD    $1, R4
+	B      tail
+
+canon:
+	FMOVD F0, R5
+	FCMPD F0, F0 // unordered (V set) iff s is NaN
+	CSEL  VS, R10, R5, R5
+	MOVD  R5, (R9)
+	ADD   $8, R9
+	SUB   $1, R8
+	CBNZ  R8, row
+
+rowsdone:
+	RET
+
+// func rowsSmallAsm(qd *float64, vecs *float32, dim, n int, out *float64)
+//
+// The tail-only widths, 1 ≤ dim ≤ 7, where the specified order is
+// s = (((t0+t1)+t2)+…): two rows per step, ONE ROW PER DOUBLE LANE of
+// V16, so the lanes never meet and each is summed in ascending j
+// exactly as the scalar tail above would. qd is the query already
+// widened to float64 (dim doubles); n must be a positive multiple of 2.
+// Element j of the two rows is gathered with two single-lane loads (R1
+// walks row 0, R6 row 1), widened, subtracted from the broadcast qd[j],
+// squared and added (no FMLA). The accumulator starts at +0: +0 + t0 is
+// t0 exactly, a term is never -0. NaN lanes are canonicalized.
+// Encodings as listed above pairAsm.
+TEXT ·rowsSmallAsm(SB), NOSPLIT, $0-40
+	MOVD qd+0(FP), R7
+	MOVD vecs+8(FP), R1
+	MOVD dim+16(FP), R2
+	MOVD n+24(FP), R8
+	MOVD out+32(FP), R9
+	LSL  $2, R2, R3                // R3 = row stride in bytes
+	MOVD $0x7FF8000000000001, R10  // canonical math.NaN() bits
+
+group:
+	ADD  R3, R1, R6                // R6 = &row1[0]
+	MOVD R7, R0                    // R0 = &qd[0]
+	VEOR V16.B16, V16.B16, V16.B16 // {sum of row 0, sum of row 1}
+	MOVD R2, R4                    // R4 = elements left
+elem:
+	VLD1.P  4(R1), V0.S[0]         // row0[j]
+	VLD1.P  4(R6), V0.S[1]         // row1[j]
+	VLD1R.P 8(R0), [V1.D2]         // {qd[j], qd[j]}
+	WORD $0x0E617800 // FCVTL V0.2D, V0.2S
+	WORD $0x4EE0D420 // FSUB  V0.2D, V1.2D, V0.2D    d = q[j] - v[j]
+	WORD $0x6E60DC00 // FMUL  V0.2D, V0.2D, V0.2D    d*d
+	WORD $0x4E60D610 // FADD  V16.2D, V16.2D, V0.2D  s += d*d
+	SUB  $1, R4
+	CBNZ R4, elem
+
+	VMOV  V16.D[0], R4
+	FMOVD R4, F0
+	FCMPD F0, F0 // unordered (V set) iff the lane is NaN
+	CSEL  VS, R10, R4, R4
+	VMOV  V16.D[1], R5
+	FMOVD R5, F1
+	FCMPD F1, F1
+	CSEL  VS, R10, R5, R5
+	MOVD  R4, (R9)
+	MOVD  R5, 8(R9)
+	ADD   $16, R9
+	MOVD  R6, R1                   // row 1's end is row 2's start
+	SUB   $2, R8
+	CBNZ  R8, group
 	RET

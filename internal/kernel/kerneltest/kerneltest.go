@@ -4,7 +4,8 @@
 // multiples of the vector width, length-0/1 vectors, NaN/Inf/subnormal
 // values, and slices whose base pointers are not vector-aligned. The
 // kernel package's own property tests and the native Go fuzz targets
-// (FuzzDistanceParity, FuzzDistanceBatchParity) both build on it.
+// (FuzzDistanceParity, FuzzDistanceBatchParity, FuzzRowsParity,
+// FuzzADCParity) both build on it.
 package kerneltest
 
 import (
@@ -20,7 +21,7 @@ import (
 // element either side of each boundary, and a couple of realistic
 // embedding sizes.
 func Dims() []int {
-	return []int{0, 1, 2, 3, 4, 5, 7, 8, 9, 15, 16, 17, 31, 32, 33, 63, 64, 65, 100, 127, 128, 129, 1000}
+	return []int{0, 1, 2, 3, 4, 5, 6, 7, 8, 9, 15, 16, 17, 31, 32, 33, 63, 64, 65, 100, 127, 128, 129, 1000}
 }
 
 // Specials are adversarial float32 values sprinkled into test vectors:
@@ -94,6 +95,55 @@ func checkOrder(t testing.TB, q, v []float32) {
 	if got := kernel.SqDist(q, v); math.Float64bits(got) != math.Float64bits(want) {
 		t.Fatalf("dispatched SqDist (%s) = %v (%#016x), reference %v (%#016x)",
 			kernel.Active(), got, math.Float64bits(got), want, math.Float64bits(want))
+	}
+}
+
+// CheckRows fails t unless every registered implementation's rows
+// kernel scores the n rows of vecs against q (dim = len(q)) with the
+// reference's exact float64 bits, writes nothing past out[n-1], and the
+// dispatched DistanceRows and ArgminRows agree with it — ArgminRows
+// with the strict-<, lowest-index-wins scan of the reference distances.
+// It is the differential check of the one-dispatch-per-block path and
+// of its lane-per-row realisation at widths below 8.
+func CheckRows(t testing.TB, q, vecs []float32, n int) {
+	t.Helper()
+	dim := len(q)
+	want := make([]float64, n)
+	wantBest, bestD := 0, math.Inf(1)
+	for i := range want {
+		want[i] = kernel.SqDistRef(q, vecs[i*dim:(i+1)*dim])
+		if want[i] < bestD {
+			wantBest, bestD = i, want[i]
+		}
+	}
+	const guard = -12345.5
+	got := make([]float64, n+1)
+	check := func(name string) {
+		for i, w := range want {
+			if math.Float64bits(got[i]) != math.Float64bits(w) {
+				t.Fatalf("%s: Rows[%d] = %v (%#016x), reference %v (%#016x) (dim=%d, rows=%d)\nq = %v\nrow = %v",
+					name, i, got[i], math.Float64bits(got[i]), w, math.Float64bits(w), dim, n, q, vecs[i*dim:(i+1)*dim])
+			}
+		}
+		if got[n] != guard {
+			t.Fatalf("%s: Rows wrote past its %d outputs (dim=%d)", name, n, dim)
+		}
+	}
+	reset := func() {
+		for i := range got {
+			got[i] = guard
+		}
+	}
+	for _, im := range kernel.Impls() {
+		reset()
+		im.Rows(q, vecs, dim, got[:n])
+		check("impl " + im.Name)
+	}
+	reset()
+	kernel.DistanceRows(q, vecs, dim, got[:n])
+	check("dispatched (" + kernel.Active() + ")")
+	if best := kernel.ArgminRows(q, vecs, dim, n); best != wantBest {
+		t.Fatalf("ArgminRows (%s) = %d, reference argmin %d (dim=%d, rows=%d)", kernel.Active(), best, wantBest, dim, n)
 	}
 }
 
