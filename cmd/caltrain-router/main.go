@@ -10,13 +10,12 @@
 //	    -shard 1=localhost:9001 \
 //	    -shard 2=localhost:9002 -shard 3=localhost:9003
 //
-// Each -shard flag maps one shard ID to its replica addresses in
-// preference order. The router prefers healthy replicas, puts failed
-// ones on an exponential cooldown (-cooldown), bounds every shard call
-// with -timeout, and degrades gracefully: when a shard's every replica
-// is down, a batch still returns the other shards' results, with the
-// dead shard named in unreachable_shards and per-result errors on its
-// queries. -response-cache N additionally keeps the N hottest
+// The router prefers healthy replicas, puts failed ones on an
+// exponential cooldown, bounds every shard call (all replica attempts
+// combined) with one timeout, and degrades gracefully: when a shard's
+// every replica is down, a batch still returns the other shards'
+// results, with the dead shard named in unreachable_shards and
+// per-result errors on its queries. The response cache keeps the hottest
 // single-query responses at the router itself — repeated checks of the
 // same fingerprint answer without touching any shard, and a write
 // routed to a shard invalidates every response that shard owns.
@@ -24,8 +23,8 @@
 // Writes fan out the other way: POST /ingest routes each new linkage to
 // its owning shard and replicates it to ALL of that shard's replicas
 // (started with -wal so they accept writes), reporting a shard durable
-// once -write-quorum replicas acknowledge. Shards that miss quorum come
-// back in failed_shards with their entries counted failed — partial
+// once the write quorum of replicas acknowledge. Shards that miss quorum
+// come back in failed_shards with their entries counted failed — partial
 // degradation, mirroring the read path — and replicas that missed a
 // durable batch are named in degraded_replicas.
 //
@@ -44,37 +43,66 @@
 //	                      per-shard entry gauges and the merged shard
 //	                      latency histogram
 //
-// Self-healing (-repair, tuned with -repair-after/-repair-interval):
-// when a replica stays degraded past the threshold, the router nudges
-// its sync state machine (POST /v1/repl/sync) naming a healthy replica
-// of the same shard as the source, polls /v1/repl/status until the
-// replica reports live, and readmits it to the rotation. The daemons
-// must run with replication enabled (caltrain-serve -repl). Repairs
-// show up as always-sampled "repair" traces, the repair block of
-// GET /v1/stats, and caltrain_router_repair_* metrics.
+// # Configuration
 //
-// Declarative mode (-deployment config.json) replaces the topology
-// flags with the same serve.Config document format caltrain-serve
-// takes, using its topology block — shard map path, per-shard replica
-// URLs, write quorum, repair — so one config language describes both
-// halves of a deployment:
+// Every routing knob is one field of serve.Config — the document format
+// caltrain-serve takes, using its topology block, so one config language
+// describes both halves of a deployment — reachable two ways: its flag,
+// or its field in a -deployment config.json. The flags are an overlay on
+// serve.Config — each binds straight into the field beside it in the
+// table — so flags and file meet in one value, take the same path
+// (Config.RouterPlan → serve.NewRouter) and the same validation: a
+// negative bound is rejected at startup, 0 means the default, unknown
+// file fields are rejected. A -deployment file declares the whole
+// topology, so every flag of this table conflicts with it.
+//
+//	flag                   config field                       default  meaning
+//	-map                   topology.map                       shards/shardmap.ctsm  shard map written by caltrain-shard
+//	-shard ID=a[,b…]       topology.shards {"ID": ["a","b"]}  (none)   one shard's replicas in preference order, repeat per
+//	                                                                   shard; a bare host:port means http://
+//	-timeout               topology.timeout                   5s       per-shard call timeout, all replica attempts combined
+//	-cooldown              topology.cooldown                  1s       base cooldown of a failed replica (grows exponentially)
+//	-write-quorum          topology.write_quorum              0        replicas that must ack an ingest batch (0 = majority)
+//	-response-cache        topology.response_cache            0 (off)  hot single-query responses cached at the router
+//	-repair                topology.repair: {}                off      anti-entropy loop: drive a degraded replica through
+//	                                                                   POST /v1/repl/sync from a healthy same-shard peer, poll
+//	                                                                   /v1/repl/status until live, readmit it (the daemons
+//	                                                                   run caltrain-serve -repl)
+//	-repair-after          topology.repair.after              default  degradation streak before a repair; implies -repair
+//	-repair-interval       topology.repair.interval           default  health scan period; implies -repair
+//	-max-body              limits.max_body_bytes              8 MiB    request body limit
+//	-max-batch             limits.max_batch                   256      queries per batch request
+//	-latency-buckets       limits.latency_buckets             network-scale  router histogram bounds: 5ms,25ms,… / ["5ms","25ms",…]
+//	-request-log           observability.request_log          false    one structured stderr line per request
+//	-slow-query-threshold  observability.slow_query_threshold 0 (off)  warn about slower requests even without the request log
+//	-trace-sample-rate     observability.tracing.sample_rate  1        head-sampling probability in [0,1]
+//	-trace-store           observability.tracing.store        0        traces kept for /v1/debug/traces (0 = default, <0 = none)
+//	-trace-slow            observability.tracing.slow_always  0 (off)  always keep traces slower than this
+//
+// File only: topology.repair.sync_timeout, observability.metrics,
+// observability.debug_addr. limits.max_k is rejected: k is bounded by
+// the shard daemons.
 //
 //	caltrain-router -deployment router.json
 //	{"topology": {"map": "shards/shardmap.ctsm",
 //	              "shards": {"0": ["replica-a:9000", "replica-b:9000"]},
 //	              "write_quorum": 1, "repair": {"after": "15s"}}}
 //
+// Process flags say where the router runs; they have no config field and
+// compose with -deployment: -addr (listen address), -grace (shutdown
+// drain timeout), -debug-addr (pprof/expvar/trace sidecar, wins over
+// observability.debug_addr), -deployment.
+//
 // Every request carries an X-Request-Id (inbound or generated) that the
 // router forwards to the shard daemons it fans out to, so one ID ties a
-// client call to its per-shard work in every daemon's -request-log. The
+// client call to its per-shard work in every daemon's request log. The
 // router also records every request as a span tree (route, scatter, one
 // span per shard attempt, the replica RPCs) and propagates trace
 // context to the shard daemons W3C-traceparent-style, so a shard's own
-// spans parent under the router's scatter span in one trace; head
-// sampling (-trace-sample-rate), the bounded store (-trace-store), and
-// the slow-trace threshold (-trace-slow) match caltrain-serve.
-// -debug-addr opens a sidecar listener serving pprof, expvar, and
-// GET /v1/debug/traces[/{id}].
+// spans parent under the router's scatter span in one trace; sampling
+// and retention match caltrain-serve. Repairs show up as always-sampled
+// "repair" traces, the repair block of GET /v1/stats, and
+// caltrain_router_repair_* metrics.
 package main
 
 import (
@@ -86,14 +114,10 @@ import (
 	"net"
 	"os"
 	"os/signal"
-	"sort"
-	"strconv"
 	"strings"
 	"syscall"
 	"time"
 
-	"caltrain/internal/fingerprint"
-	"caltrain/internal/obs"
 	"caltrain/internal/serve"
 	"caltrain/internal/shard"
 )
@@ -105,225 +129,135 @@ func main() {
 	}
 }
 
-// shardFlags accumulates repeated -shard ID=addr,addr flags.
-type shardFlags map[int][]string
+// shardFlag accumulates repeated -shard ID=addr,addr flags straight
+// into the topology.shards map of the config. Only what a map cannot
+// express is checked here (a repeated ID); IDs and addresses are
+// validated, trimmed and scheme-defaulted by serve.Config.RouterPlan,
+// for flags and config files alike.
+type shardFlag map[string][]string
 
-func (s shardFlags) String() string {
-	parts := make([]string, 0, len(s))
-	for id, addrs := range s {
-		parts = append(parts, fmt.Sprintf("%d=%s", id, strings.Join(addrs, ",")))
-	}
-	sort.Strings(parts)
-	return strings.Join(parts, " ")
-}
+func (s *shardFlag) String() string { return fmt.Sprint(map[string][]string(*s)) }
 
-func (s shardFlags) Set(v string) error {
+func (s *shardFlag) Set(v string) error {
 	id, addrs, ok := strings.Cut(v, "=")
 	if !ok {
 		return fmt.Errorf("want ID=addr[,addr...], got %q", v)
 	}
-	sid, err := strconv.Atoi(id)
-	if err != nil || sid < 0 {
-		return fmt.Errorf("bad shard id %q", id)
+	if _, dup := (*s)[id]; dup {
+		return fmt.Errorf("shard %s given twice", id)
 	}
-	if _, dup := s[sid]; dup {
-		return fmt.Errorf("shard %d given twice", sid)
+	if *s == nil {
+		*s = shardFlag{}
 	}
-	for _, a := range strings.Split(addrs, ",") {
-		a = strings.TrimSpace(a)
-		if a == "" {
-			return fmt.Errorf("empty replica address for shard %d", sid)
-		}
-		if !strings.Contains(a, "://") {
-			a = "http://" + a
-		}
-		s[sid] = append(s[sid], a)
-	}
+	(*s)[id] = strings.Split(addrs, ",")
 	return nil
 }
 
-func run(parent context.Context, args []string, out io.Writer) error {
-	fs := flag.NewFlagSet("caltrain-router", flag.ContinueOnError)
-	shards := shardFlags{}
-	var (
-		mapPath   = fs.String("map", "shards/shardmap.ctsm", "shard map written by caltrain-shard")
-		addr      = fs.String("addr", ":8790", "listen address")
-		timeout   = fs.Duration("timeout", shard.DefaultShardTimeout, "per-shard call timeout (all replica attempts combined)")
-		cooldown  = fs.Duration("cooldown", shard.DefaultReplicaCooldown, "base cooldown for a failed replica (grows exponentially)")
-		maxBody   = fs.Int64("max-body", 8<<20, "request body size limit in bytes")
-		maxBatch  = fs.Int("max-batch", 256, "queries per batch request limit")
-		quorum    = fs.Int("write-quorum", 0, "replicas per shard that must ack an ingest batch (0 = majority)")
-		respCache = fs.Int("response-cache", 0, "cache up to N hot single-query responses at the router, invalidated on writes to the owning shard (0 = off)")
-		grace     = fs.Duration("grace", 10*time.Second, "shutdown drain timeout")
-		buckets   = fs.String("latency-buckets", "", "comma-separated router latency bucket bounds as durations (e.g. 5ms,25ms,100ms,1s); empty = network-scale defaults")
+// processFlags say where the router runs, not what it routes — the only
+// flags that are not bound into serve.Config, and the only ones that
+// compose with -deployment.
+var processFlags = map[string]bool{"addr": true, "grace": true, "deployment": true, "debug-addr": true}
 
-		debugAddr = fs.String("debug-addr", "", "serve net/http/pprof, expvar, and /v1/debug/traces on this sidecar host:port (empty = no debug listener; never the public address)")
-		reqLog    = fs.Bool("request-log", false, "log one structured line per request: request ID, trace ID, status, duration, stage timings")
-		slowQuery = fs.Duration("slow-query-threshold", 0, "warn about requests slower than this, even without -request-log (0 = disabled)")
+// options is the parsed command line: the process flags, and every
+// routing knob bound straight into cfg — the same serve.Config a
+// -deployment file parses into.
+type options struct {
+	addr, deployment, debugAddr string
+	grace                       time.Duration
 
-		traceRate  = fs.Float64("trace-sample-rate", 1, "head-sampling probability for request traces, in [0,1] (0 = keep only slow/error traces)")
-		traceStore = fs.Int("trace-store", 0, "in-memory trace store size behind /v1/debug/traces (0 = default, negative = no retention)")
-		traceSlow  = fs.Duration("trace-slow", 0, "always store traces slower than this, even when not head-sampled (0 = disabled)")
-
-		depPath        = fs.String("deployment", "", "deployment config file (JSON) with a topology block: shard map, replicas, quorum, repair in one document — conflicts with the topology flags")
-		repair         = fs.Bool("repair", false, "enable the anti-entropy repair loop: drive degraded replicas through a /v1/repl/sync resync from a healthy same-shard peer and readmit them")
-		repairAfter    = fs.Duration("repair-after", 0, "degradation streak before a repair starts (0 = default; implies -repair)")
-		repairInterval = fs.Duration("repair-interval", 0, "repair loop health scan period (0 = default; implies -repair)")
-	)
-	fs.Var(shards, "shard", "shard replicas as ID=addr[,addr...]; repeat per shard")
-	if err := fs.Parse(args); err != nil {
-		return err
-	}
-	set := map[string]bool{}
-	fs.Visit(func(f *flag.Flag) { set[f.Name] = true })
-	if *repairAfter < 0 || *repairInterval < 0 {
-		return fmt.Errorf("-repair-after and -repair-interval must be non-negative (0 means default)")
-	}
-
-	if *depPath != "" {
-		// The config file declares the whole topology; a topology flag
-		// alongside it would silently lose to (or fight with) the file.
-		// Only the flags naming where the router runs are allowed.
-		processFlags := map[string]bool{"addr": true, "grace": true, "deployment": true, "debug-addr": true}
-		var conflict string
-		fs.Visit(func(f *flag.Flag) {
-			if !processFlags[f.Name] && conflict == "" {
-				conflict = f.Name
-			}
-		})
-		if conflict != "" {
-			return fmt.Errorf("-%s conflicts with -deployment: the config file declares the topology", conflict)
-		}
-		cfg, err := serve.LoadConfig(*depPath)
-		if err != nil {
-			return err
-		}
-		plan, err := cfg.RouterPlan(slog.New(slog.NewTextHandler(os.Stderr, nil)))
-		if err != nil {
-			return err
-		}
-		built, err := serve.NewRouter(plan.Map, plan.Replicas, plan.Options...)
-		if err != nil {
-			return err
-		}
-		fmt.Fprintf(out, "deployment config: %s\n", *depPath)
-		da := plan.DebugAddr
-		if *debugAddr != "" {
-			da = *debugAddr
-		}
-		var traces *obs.TraceStore
-		if plan.Tracer != nil {
-			traces = plan.Tracer.Store()
-		}
-		return serveRouter(parent, out, built, plan.Map, da, traces, *addr, *grace)
-	}
-
-	mf, err := os.Open(*mapPath)
-	if err != nil {
-		return err
-	}
-	m, err := shard.LoadMap(mf)
-	mf.Close()
-	if err != nil {
-		return err
-	}
-	replicas := make([][]shard.Replica, m.NumShards())
-	for sid := range replicas {
-		addrs, ok := shards[sid]
-		if !ok {
-			return fmt.Errorf("shard map has %d shards but -shard %d=... is missing", m.NumShards(), sid)
-		}
-		for _, a := range addrs {
-			replicas[sid] = append(replicas[sid], shard.NewHTTPReplica(a, nil))
-		}
-	}
-	for sid := range shards {
-		if sid >= m.NumShards() {
-			return fmt.Errorf("-shard %d given but the map has only %d shards", sid, m.NumShards())
-		}
-	}
-
-	if *quorum < 0 {
-		return fmt.Errorf("-write-quorum must be non-negative, got %d", *quorum)
-	}
-	if *slowQuery < 0 {
-		return fmt.Errorf("-slow-query-threshold must be non-negative (0 disables the slow-query log)")
-	}
-	if *traceRate < 0 || *traceRate > 1 {
-		return fmt.Errorf("-trace-sample-rate must be in [0,1], got %v", *traceRate)
-	}
-	if *traceSlow < 0 {
-		return fmt.Errorf("-trace-slow must be non-negative (0 disables the slow-trace keep)")
-	}
-	tracer := obs.NewTracer(obs.TracerOptions{
-		SampleRate: *traceRate,
-		StoreSize:  *traceStore,
-		SlowAlways: *traceSlow,
-	})
-	opts := []shard.RouterOption{
-		shard.WithShardTimeout(*timeout),
-		shard.WithReplicaCooldown(*cooldown),
-		shard.WithRouterMaxBodyBytes(*maxBody),
-		shard.WithRouterMaxBatch(*maxBatch),
-		shard.WithWriteQuorum(*quorum),
-		// Request and slow-query logs go to stderr, keeping stdout for
-		// the daemon's own startup lines.
-		shard.WithObservability(fingerprint.Observability{
-			Component:          "router",
-			Logger:             slog.New(slog.NewTextHandler(os.Stderr, nil)),
-			RequestLog:         *reqLog,
-			SlowQueryThreshold: *slowQuery,
-			Tracer:             tracer,
-		}),
-	}
-	if *respCache > 0 {
-		opts = append(opts, shard.WithRouterResponseCache(*respCache))
-	}
-	if *buckets != "" {
-		bounds, err := fingerprint.ParseLatencyBuckets(*buckets)
-		if err != nil {
-			return err
-		}
-		opts = append(opts, shard.WithRouterLatencyBuckets(bounds))
-	}
-	if *repair || set["repair-after"] || set["repair-interval"] {
-		opts = append(opts, shard.WithRepair(shard.RepairOptions{
-			After:    *repairAfter,
-			Interval: *repairInterval,
-			Logger:   slog.New(slog.NewTextHandler(os.Stderr, nil)),
-		}))
-	}
-	// The topology assembles through the declarative serving layer, like
-	// caltrain-serve: the router is a Deployment whose shards live in
-	// other processes.
-	built, err := serve.NewRouter(m, replicas, opts...)
-	if err != nil {
-		return err
-	}
-	return serveRouter(parent, out, built, m, *debugAddr, tracer.Store(), *addr, *grace)
+	cfg serve.Config
 }
 
-// serveRouter opens the debug sidecar (when configured) and the public
-// listener, then runs the built router until SIGINT/SIGTERM. Serve also
-// runs the anti-entropy repair loop when the router was built with one.
-func serveRouter(parent context.Context, out io.Writer, built *serve.Server, m *shard.Map, debugAddr string, traces *obs.TraceStore, addr string, grace time.Duration) error {
+func parseFlags(args []string) (*flag.FlagSet, *options, error) {
+	fs := flag.NewFlagSet("caltrain-router", flag.ContinueOnError)
+	o := &options{}
+	fs.StringVar(&o.addr, "addr", ":8790", "listen address")
+	fs.DurationVar(&o.grace, "grace", 10*time.Second, "shutdown drain timeout")
+	fs.StringVar(&o.debugAddr, "debug-addr", "", "serve net/http/pprof, expvar, and /v1/debug/traces on this sidecar host:port (empty = no debug listener; never the public address)")
+	fs.StringVar(&o.deployment, "deployment", "", "deployment config file (JSON) with a topology block: shard map, replicas, quorum, repair in one document — conflicts with the topology flags")
+
+	t := &serve.TopologyConfig{
+		Timeout:  serve.Duration(shard.DefaultShardTimeout),
+		Cooldown: serve.Duration(shard.DefaultReplicaCooldown),
+		Repair:   &serve.RepairFileConfig{},
+	}
+	o.cfg = serve.Config{Topology: t, Limits: &serve.LimitsConfig{}, Observability: &serve.ObsFileConfig{}}
+	fs.StringVar(&t.Map, "map", "shards/shardmap.ctsm", "shard map written by caltrain-shard")
+	fs.Var((*shardFlag)(&t.Shards), "shard", "shard replicas as ID=addr[,addr...]; repeat per shard")
+	fs.Var(&t.Timeout, "timeout", "per-shard call timeout (all replica attempts combined; 0 = default)")
+	fs.Var(&t.Cooldown, "cooldown", "base cooldown for a failed replica (grows exponentially; 0 = default)")
+	fs.IntVar(&t.WriteQuorum, "write-quorum", 0, "replicas per shard that must ack an ingest batch (0 = majority)")
+	fs.IntVar(&t.ResponseCache, "response-cache", 0, "cache up to N hot single-query responses at the router, invalidated on writes to the owning shard (0 = off)")
+	repair := fs.Bool("repair", false, "enable the anti-entropy repair loop: drive degraded replicas through a /v1/repl/sync resync from a healthy same-shard peer and readmit them")
+	fs.Var(&t.Repair.After, "repair-after", "degradation streak before a repair starts (0 = default; implies -repair)")
+	fs.Var(&t.Repair.Interval, "repair-interval", "repair loop health scan period (0 = default; implies -repair)")
+	serve.BindLimitFlags(fs, o.cfg.Limits, "comma-separated router latency bucket bounds as durations (e.g. 5ms,25ms,100ms,1s); empty = network-scale defaults")
+	serve.BindObservabilityFlags(fs, o.cfg.Observability)
+	if err := fs.Parse(args); err != nil {
+		return nil, nil, err
+	}
+	// An optional block's presence is itself a setting (a repair block
+	// turns the loop on), so each survives only when one of its flags was
+	// given — exactly as a config file would spell it.
+	if !*repair && serve.FlagGiven(fs, "repair-after", "repair-interval") == "" {
+		t.Repair = nil
+	}
+	if serve.FlagGiven(fs, "trace-sample-rate", "trace-store", "trace-slow") == "" {
+		o.cfg.Observability.Tracing = nil
+	}
+	return fs, o, nil
+}
+
+// run resolves the topology — from the flags or, whole, from the
+// -deployment file — into one serve.Config, assembles the router from
+// it (like caltrain-serve, through the declarative serving layer: the
+// router is a deployment whose shards live in other processes), and
+// serves until SIGINT/SIGTERM. Serve also runs the anti-entropy repair
+// loop when the config has a repair block.
+func run(parent context.Context, args []string, out io.Writer) error {
+	fs, o, err := parseFlags(args)
+	if err != nil {
+		return err
+	}
+	cfg, err := serve.ResolveConfig(fs, o.cfg, o.deployment, processFlags)
+	if err != nil {
+		return err
+	}
+	// Request, slow-query and repair logs go to stderr, keeping stdout for
+	// the daemon's own startup lines.
+	plan, err := cfg.RouterPlan(slog.New(slog.NewTextHandler(os.Stderr, nil)))
+	if err != nil {
+		return err
+	}
+	built, err := serve.NewRouter(plan.Map, plan.Replicas, plan.Options...)
+	if err != nil {
+		return err
+	}
+	if o.deployment != "" {
+		fmt.Fprintf(out, "deployment config: %s\n", o.deployment)
+	}
+
 	ctx, stop := signal.NotifyContext(parent, syscall.SIGINT, syscall.SIGTERM)
 	defer stop()
+	debugAddr := plan.DebugAddr
+	if o.debugAddr != "" {
+		debugAddr = o.debugAddr
+	}
 	if debugAddr != "" {
-		dl, err := serve.ListenDebug(debugAddr, traces)
+		dl, err := serve.ListenDebug(debugAddr, plan.Tracer.Store())
 		if err != nil {
 			return err
 		}
 		defer dl.Close()
 		fmt.Fprintf(out, "debug listener (pprof, expvar, traces) on %s\n", dl.Addr())
 	}
-	l, err := net.Listen("tcp", addr)
+	l, err := net.Listen("tcp", o.addr)
 	if err != nil {
 		return err
 	}
 	fmt.Fprintf(out, "routing accountability queries on %s across %d shards (%s map; /v1 + legacy: POST /query, POST /query/batch, POST /ingest, GET /healthz, GET /stats, GET /meta)\n",
-		l.Addr(), m.NumShards(), m.Strategy())
-	if err := built.Serve(ctx, l, grace); err != nil {
+		l.Addr(), plan.Map.NumShards(), plan.Map.Strategy())
+	if err := built.Serve(ctx, l, o.grace); err != nil {
 		return err
 	}
 	fmt.Fprintln(out, "drained, bye")

@@ -3,17 +3,22 @@ package main
 import (
 	"bytes"
 	"context"
+	"encoding/json"
+	"flag"
 	"math/rand/v2"
 	"net"
 	"os"
 	"path/filepath"
+	"reflect"
 	"regexp"
+	"strings"
 	"sync"
 	"testing"
 	"time"
 
 	"caltrain/internal/fingerprint"
 	"caltrain/internal/index"
+	"caltrain/internal/serve"
 	"caltrain/internal/shard"
 )
 
@@ -209,6 +214,8 @@ func loadMapFile(path string) (*shard.Map, error) {
 
 func TestRouterRejectsBadConfig(t *testing.T) {
 	mapPath, addrs, _, _ := routedFixture(t)
+	stopped, cancel := context.WithCancel(context.Background())
+	cancel()
 	for _, args := range [][]string{
 		{"-map", mapPath, "-shard", "0=" + addrs[0]},                                             // shard 1 missing
 		{"-map", mapPath, "-shard", "0=" + addrs[0], "-shard", "0=" + addrs[1]},                  // duplicate
@@ -216,9 +223,97 @@ func TestRouterRejectsBadConfig(t *testing.T) {
 		{"-map", mapPath, "-shard", "zero=" + addrs[0]},                                          // bad id
 		{"-map", filepath.Join(t.TempDir(), "missing.ctsm"), "-shard", "0=" + addrs[0]},          // no map
 		{"-map", mapPath, "-shard", "0=" + addrs[0], "-shard", "1=" + addrs[1], "-latency-buckets", "5ms,nope"},
+		{"-map", mapPath, "-shard", "0=" + addrs[0], "-shard", "1="}, // empty replica address
+		// Flags are validated by the config file's validator: negative
+		// bounds are rejected at startup, 0 means the default.
+		{"-map", mapPath, "-shard", "0=" + addrs[0], "-shard", "1=" + addrs[1], "-timeout", "-1s"},
+		{"-map", mapPath, "-shard", "0=" + addrs[0], "-shard", "1=" + addrs[1], "-cooldown", "-1s"},
+		{"-map", mapPath, "-shard", "0=" + addrs[0], "-shard", "1=" + addrs[1], "-max-batch", "-1"},
+		{"-map", mapPath, "-shard", "0=" + addrs[0], "-shard", "1=" + addrs[1], "-max-body", "-1"},
+		{"-map", mapPath, "-shard", "0=" + addrs[0], "-shard", "1=" + addrs[1], "-response-cache", "-1"},
 	} {
-		if err := run(context.Background(), append(args, "-addr", "127.0.0.1:0"), &syncBuffer{}); err == nil {
+		// The context is already cancelled: a router that accepted the
+		// arguments would start, drain and return nil, not hang the test.
+		if err := run(stopped, append(args, "-addr", "127.0.0.1:0"), &syncBuffer{}); err == nil {
 			t.Fatalf("args %v accepted", args)
 		}
 	}
+	// 0 is "the default": -timeout 0 must not make every shard call
+	// expire before it is sent.
+	err := run(stopped, []string{"-map", mapPath, "-shard", "0=" + addrs[0], "-shard", "1=" + addrs[1],
+		"-timeout", "0", "-cooldown", "0", "-max-batch", "0", "-max-body", "0", "-addr", "127.0.0.1:0"}, &syncBuffer{})
+	if err != nil {
+		t.Fatalf("zero-means-default flags: %v", err)
+	}
+}
+
+// TestFlagConfigParity keeps the flag/file fork closed: a command line
+// binds into exactly the serve.Config its equivalent JSON document
+// parses into, so both reach Config.RouterPlan as the same value. The
+// documents spell out the flag defaults that differ from the file's zero
+// value.
+func TestFlagConfigParity(t *testing.T) {
+	const limits = `"limits": {"max_body_bytes": 8388608, "max_batch": 256}`
+	for _, c := range []struct {
+		name string
+		argv []string
+		doc  string
+	}{
+		{"defaults", nil,
+			`{"topology": {"map": "shards/shardmap.ctsm", "timeout": "5s", "cooldown": "1s"}, ` + limits + `, "observability": {}}`},
+		{"topology, repair and response cache",
+			[]string{"-map", "m.ctsm", "-shard", "0=a:9000, http://b:9000", "-shard", "1=c:9001", "-write-quorum", "1",
+				"-timeout", "2s", "-cooldown", "0", "-response-cache", "8", "-repair-after", "15s", "-repair-interval", "1s"},
+			`{"topology": {"map": "m.ctsm", "shards": {"0": ["a:9000", " http://b:9000"], "1": ["c:9001"]}, "write_quorum": 1,
+			    "timeout": "2s", "response_cache": 8, "repair": {"after": "15s", "interval": "1s"}},
+			  ` + limits + `, "observability": {}}`},
+		{"bare -repair", []string{"-repair"},
+			`{"topology": {"map": "shards/shardmap.ctsm", "timeout": "5s", "cooldown": "1s", "repair": {}}, ` + limits + `, "observability": {}}`},
+		{"limits and latency buckets", []string{"-max-body", "4096", "-max-batch", "0", "-latency-buckets", "5ms,25ms"},
+			`{"topology": {"map": "shards/shardmap.ctsm", "timeout": "5s", "cooldown": "1s"}, "observability": {},
+			  "limits": {"max_body_bytes": 4096, "latency_buckets": ["5ms", "25ms"]}}`},
+		{"request log and tracing",
+			[]string{"-request-log", "-slow-query-threshold", "250ms", "-trace-sample-rate", "0", "-trace-store", "-1", "-trace-slow", "50ms"},
+			`{"topology": {"map": "shards/shardmap.ctsm", "timeout": "5s", "cooldown": "1s"}, ` + limits + `,
+			  "observability": {"request_log": true, "slow_query_threshold": "250ms",
+			    "tracing": {"sample_rate": 0, "store": -1, "slow_always": "50ms"}}}`},
+	} {
+		_, o, err := parseFlags(c.argv)
+		if err != nil {
+			t.Fatalf("%s: %v", c.name, err)
+		}
+		want, err := serve.ParseConfig(strings.NewReader(c.doc))
+		if err != nil {
+			t.Fatalf("%s: %v", c.name, err)
+		}
+		if !reflect.DeepEqual(o.cfg, want) {
+			got, _ := json.Marshal(o.cfg)
+			t.Errorf("%s: %v binds to\n  %s\nwant the config of\n  %s", c.name, c.argv, got, c.doc)
+		}
+	}
+}
+
+// TestEveryKnobFlagReachesConfig: a flag is either a process flag or
+// changes serve.Config — a future flag cannot bypass the one validated
+// path by being read straight out of the FlagSet.
+func TestEveryKnobFlagReachesConfig(t *testing.T) {
+	fs, base, err := parseFlags(nil)
+	if err != nil {
+		t.Fatal(err)
+	}
+	fs.VisitAll(func(f *flag.Flag) {
+		if processFlags[f.Name] {
+			return
+		}
+		// Whichever sample the flag's type parses and that is not its default.
+		for _, sample := range []string{"true", "7", "7ms", "7=host:1"} {
+			if _, o, err := parseFlags([]string{"-" + f.Name + "=" + sample}); err == nil && sample != f.DefValue {
+				if reflect.DeepEqual(o.cfg, base.cfg) {
+					t.Errorf("-%s=%s leaves serve.Config unchanged: bind it into a Config field or list it in processFlags", f.Name, sample)
+				}
+				return
+			}
+		}
+		t.Errorf("-%s accepts no sample value", f.Name)
+	})
 }

@@ -117,7 +117,7 @@ func TestIngestDurabilityEndToEnd(t *testing.T) {
 		d := spawnDaemon(t,
 			"-db", filepath.Join(dir, "linkage.db"),
 			"-wal", filepath.Join(dir, "wal"),
-			"-addr", "127.0.0.1:0", "-index", "flat",
+			"-addr", "127.0.0.1:0", "-backend", "flat",
 		)
 		addr := waitForAddr(t, d.out)
 		client := fingerprint.NewClient("http://"+addr, nil)
@@ -169,7 +169,7 @@ func TestIngestDurabilityEndToEnd(t *testing.T) {
 	d := spawnDaemon(t,
 		"-db", filepath.Join(dirs[1], "linkage.db"),
 		"-wal", filepath.Join(dirs[1], "wal"),
-		"-addr", "127.0.0.1:0", "-index", "flat",
+		"-addr", "127.0.0.1:0", "-backend", "flat",
 	)
 	addr := waitForAddr(t, d.out)
 	restarted := fingerprint.NewClient("http://"+addr, nil)
@@ -219,7 +219,7 @@ func TestServeIngestGracefulSnapshot(t *testing.T) {
 	copyFile(t, writeTestDB(t, 60), dbPath)
 
 	d := spawnDaemon(t, "-db", dbPath, "-wal", filepath.Join(dir, "wal"),
-		"-addr", "127.0.0.1:0", "-index", "flat")
+		"-addr", "127.0.0.1:0", "-backend", "flat")
 	addr := waitForAddr(t, d.out)
 	client := fingerprint.NewClient("http://"+addr, nil)
 	waitHealthy(t, client)
@@ -237,7 +237,7 @@ func TestServeIngestGracefulSnapshot(t *testing.T) {
 	}
 
 	d2 := spawnDaemon(t, "-db", dbPath, "-wal", filepath.Join(dir, "wal"),
-		"-addr", "127.0.0.1:0", "-index", "flat")
+		"-addr", "127.0.0.1:0", "-backend", "flat")
 	addr2 := waitForAddr(t, d2.out)
 	client2 := fingerprint.NewClient("http://"+addr2, nil)
 	waitHealthy(t, client2)
@@ -265,7 +265,7 @@ func TestServeIngestSnapshotKeepsIndexInSync(t *testing.T) {
 	copyFile(t, writeTestDB(t, 90), dbPath)
 
 	// First run builds and saves the index.
-	d := spawnDaemon(t, "-db", dbPath, "-index", "ivf", "-nlist", "4",
+	d := spawnDaemon(t, "-db", dbPath, "-backend", "ivf", "-nlist", "4",
 		"-save-index", idxPath, "-wal", filepath.Join(dir, "wal"), "-addr", "127.0.0.1:0")
 	client := fingerprint.NewClient("http://"+waitForAddr(t, d.out), nil)
 	waitHealthy(t, client)

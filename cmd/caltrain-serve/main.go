@@ -20,59 +20,90 @@
 // Every non-200 response carries the structured error envelope
 // {code, error, details, request_id}.
 //
-// Observability: every request is tagged with an X-Request-Id (the
-// inbound header when present, generated otherwise), echoed on the
-// response, in error envelopes, and — with -request-log — in one
-// structured stderr log line per request with per-stage timings;
-// -slow-query-threshold warns about slow requests even without the
-// full request log. Every request is also recorded as a span tree
-// under one trace — joined across processes via the W3C traceparent
-// header — head-sampled at -trace-sample-rate into a bounded in-memory
-// store (-trace-store), with slow (-trace-slow) and 5xx traces always
-// kept. -debug-addr opens a sidecar listener (never the public
-// address) serving pprof, expvar, and GET /v1/debug/traces[/{id}].
+// # Configuration
 //
-// Index backends (-backend; -index is a legacy alias): "linear" is the
-// exact reference scan over the database, "flat" the exact heap-select
-// scan over contiguous storage, "ivf" the approximate inverted-file
-// index (tune with -nlist/-nprobe; see internal/index), "ivfpq" the
-// product-quantized IVF that stores -pq-m code bytes per entry instead
-// of float vectors (~4·dim/M smaller, ADC table scans). The flag is
-// parsed once into a serve.BackendSpec and the whole topology is built
-// through serve.Deployment — a new backend kind means a new Spec, not
-// daemon surgery. A built IVF or IVFPQ index can be persisted with
-// -save-index and reloaded with -load-index to skip training on
-// restart.
+// Every serving knob is one field of serve.Config, reachable two ways:
+// its flag, or its field in a -deployment config.json. The flags are an
+// overlay on serve.Config — each binds straight into the field beside it
+// in the table — so flags and file meet in one value, take the same
+// path (Config.Deployment → Deployment.Build) and the same validation:
+// a negative bound is rejected at startup, 0 means the default, unknown
+// file fields are rejected. A -deployment file declares the whole
+// topology, so every flag of this table conflicts with it. The default
+// column is the flag's; an omitted file field means the same except
+// where noted.
 //
-// Online ingest (-wal DIR) turns the daemon into a durable write path:
-// POST /ingest batches are CRC-framed into a write-ahead log (fsynced
-// per -fsync) before they are applied to the database and appended into
-// the serving index, so an acknowledged batch survives SIGKILL — on
-// restart the daemon replays the log over the loaded database. IVF
-// backends track drift and retrain + hot-swap in the background past
-// -drift-threshold. -snapshot-every (and graceful shutdown) persists
-// the database back to -db and truncates the log.
+//	flag                   config field                       default  meaning
+//	-backend               backend.kind                       flat     linear (reference scan), flat (exact, contiguous),
+//	                                                                   ivf (approximate inverted file), ivfpq (product-
+//	                                                                   quantized ivf: -pq-m code bytes per entry, ~4·dim/M smaller)
+//	-nlist                 backend.nlist                      0        ivf/ivfpq lists per label (0 = auto ≈√n)
+//	-nprobe                backend.nprobe                     0        ivf/ivfpq lists probed per query (0 = auto)
+//	-iters                 backend.iters                      0        k-means iterations (0 = default)
+//	-seed                  backend.seed                       42       training seed (the file's default is 0)
+//	-pq-m                  backend.m                          0        ivfpq subquantizers; must divide the dim (0 = auto)
+//	-max-body              limits.max_body_bytes              8 MiB    request body limit (0 = default)
+//	-max-k                 limits.max_k                       1024     per-query neighbour limit (0 = default)
+//	-max-batch             limits.max_batch                   256      queries per batch request (0 = default)
+//	-latency-buckets       limits.latency_buckets             sub-ms   /stats histogram bounds: 100us,1ms,… / ["100us","1ms",…]
+//	-wal                   wal.dir                            (none)   write-ahead log directory; turns on POST /v1/ingest
+//	-fsync                 wal.fsync                          always   always, interval, or never
+//	-fsync-every           wal.fsync_every                    50ms     flush period under -fsync interval
+//	-wal-segment-bytes     wal.segment_bytes                  64 MiB   segment rotation size
+//	-drift-threshold       wal.drift_threshold                0.25     appended fraction that triggers a background retrain
+//	                                                                   + hot-swap of ivf/ivfpq (negative disables; 0 is rejected)
+//	-repl                  replication: {}                    off      serve /v1/repl/* and run the sync state machine (needs a wal)
+//	-repl-peer             replication.peer                   (none)   sync source URL; implies -repl
+//	-request-log           observability.request_log          false    one structured stderr line per request
+//	-slow-query-threshold  observability.slow_query_threshold 0 (off)  warn about slower requests even without the request log
+//	-trace-sample-rate     observability.tracing.sample_rate  1        head-sampling probability in [0,1]
+//	-trace-store           observability.tracing.store        0        traces kept for /v1/debug/traces (0 = default, <0 = none)
+//	-trace-slow            observability.tracing.slow_always  0 (off)  always keep traces slower than this
 //
-// Replication (-repl, -repl-peer URL; or the replication{} block in
-// -deployment mode) makes a -wal daemon a self-healing replica: it
-// serves GET /v1/repl/snapshot and GET /v1/repl/wal so peers can
-// bootstrap and catch up from it, and runs the sync state machine
-// (cold → snapshot → catchup → live) that POST /v1/repl/sync — and the
-// router's anti-entropy repair loop — drive. With -repl-peer the daemon
-// syncs from that peer at startup before accepting external writes, and
-// a missing -db file is fetched from the peer as a snapshot, so a
-// brand-new empty replica joins with nothing but a peer URL.
-//
-// Declarative mode (-deployment config.json) replaces the per-knob
-// flags with one JSON document — backend, sharding, replicas,
-// durability, limits — parsed by serve.ParseConfig:
+// File only: shards, replicas_per_shard (with "shards" above 1 the one
+// daemon serves the whole in-process sharded topology — the
+// caltrain-router shape without the per-shard processes),
+// volatile_writes, observability.metrics, observability.debug_addr.
 //
 //	caltrain-serve -db linkage.db -deployment deploy.json
 //	{"backend": {"kind": "ivf", "nprobe": 8}, "shards": 4, "volatile_writes": true}
 //
-// With "shards" above 1 the daemon serves the whole in-process sharded
-// topology (the caltrain-router shape without the per-shard processes)
-// from the one file.
+// Process flags say where the daemon runs, not what it serves; they have
+// no config field, and all but the last two compose with -deployment:
+// -db (linkage database), -addr (listen address), -grace (shutdown drain
+// timeout), -debug-addr (pprof/expvar/trace sidecar — never the public
+// address; wins over observability.debug_addr), -snapshot-every
+// (periodically persist the database to -db and truncate the WAL; a
+// graceful shutdown always does), -deployment, -save-index and
+// -load-index (persist a built flat/ivf/ivfpq index, reload it to skip
+// training on restart; the loaded index determines the backend, -nprobe
+// is still honoured).
+//
+// # Behaviour behind the knobs
+//
+// Observability: every request is tagged with an X-Request-Id (the
+// inbound header when present, generated otherwise), echoed on the
+// response, in error envelopes, and in the request log with per-stage
+// timings. Every request is also recorded as a span tree under one
+// trace — joined across processes via the W3C traceparent header —
+// head-sampled into a bounded in-memory store, with slow and 5xx traces
+// always kept; the debug sidecar serves GET /v1/debug/traces[/{id}].
+//
+// Online ingest: with a wal, POST /ingest batches are CRC-framed into the
+// write-ahead log (fsynced per the policy) before they are applied to
+// the database and appended into the serving index, so an acknowledged
+// batch survives SIGKILL — on restart the daemon replays the log over
+// the loaded database. IVF backends track drift and retrain + hot-swap
+// in the background past the drift threshold.
+//
+// Replication makes a wal daemon a self-healing replica: it serves
+// GET /v1/repl/snapshot and GET /v1/repl/wal so peers can bootstrap and
+// catch up from it, and runs the sync state machine (cold → snapshot →
+// catchup → live) that POST /v1/repl/sync — and the router's
+// anti-entropy repair loop — drive. With a peer the daemon syncs from it
+// at startup before accepting external writes, and a missing -db file is
+// fetched from the peer as a snapshot, so a brand-new empty replica
+// joins with nothing but a peer URL.
 package main
 
 import (
@@ -101,135 +132,127 @@ func main() {
 	}
 }
 
-func run(parent context.Context, args []string, out io.Writer) error {
+// processFlags say where the process runs, not what it serves — the
+// only flags that are not bound into serve.Config. The value tells
+// whether the flag composes with -deployment; the rest conflict with it
+// like every serving knob, so a future flag conflicts by default
+// instead of slipping past a stale deny-list.
+var processFlags = map[string]bool{
+	"db": true, "addr": true, "grace": true, "snapshot-every": true, "deployment": true, "debug-addr": true,
+	"load-index": false, "save-index": false,
+}
+
+// options is the parsed command line: the process flags, and every
+// serving knob bound straight into cfg — the same serve.Config a
+// -deployment file parses into.
+type options struct {
+	db, addr, deployment, debugAddr, loadIndex, saveIndex string
+	grace, snapshotEvery                                  time.Duration
+
+	cfg serve.Config
+}
+
+func parseFlags(args []string) (*flag.FlagSet, *options, error) {
 	fs := flag.NewFlagSet("caltrain-serve", flag.ContinueOnError)
-	var (
-		dbPath  = fs.String("db", "linkage.db", "linkage database path")
-		addr    = fs.String("addr", ":8791", "listen address")
-		kind    = fs.String("backend", "flat", "index backend: linear, flat, ivf, or ivfpq")
-		depPath = fs.String("deployment", "", "deployment config file (JSON): backend, sharding, durability, limits in one document — conflicts with the per-knob flags")
-	)
-	fs.StringVar(kind, "index", "flat", "legacy alias of -backend")
-	var (
-		nlist     = fs.Int("nlist", 0, "IVF/IVFPQ lists per label (0 = auto ≈√n)")
-		nprobe    = fs.Int("nprobe", 0, "IVF/IVFPQ lists probed per query (0 = auto)")
-		iters     = fs.Int("iters", 0, "IVF/IVFPQ k-means iterations (0 = default)")
-		seed      = fs.Uint64("seed", 42, "IVF/IVFPQ training seed")
-		pqM       = fs.Int("pq-m", 0, "IVFPQ subquantizers (code bytes per entry, must divide the fingerprint dim; 0 = auto)")
-		loadIndex = fs.String("load-index", "", "load a serialized index instead of building one")
-		saveIndex = fs.String("save-index", "", "persist the built index to this path")
-		maxBody   = fs.Int64("max-body", fingerprint.DefaultMaxBodyBytes, "request body size limit in bytes")
-		maxK      = fs.Int("max-k", fingerprint.DefaultMaxK, "per-query neighbour count limit")
-		maxBatch  = fs.Int("max-batch", fingerprint.DefaultMaxBatch, "queries per batch request limit")
-		grace     = fs.Duration("grace", 10*time.Second, "shutdown drain timeout")
-		buckets   = fs.String("latency-buckets", "", "comma-separated /stats latency bucket bounds as durations (e.g. 100us,1ms,10ms); empty = sub-ms defaults")
+	o := &options{}
+	fs.StringVar(&o.db, "db", "linkage.db", "linkage database path")
+	fs.StringVar(&o.addr, "addr", ":8791", "listen address")
+	fs.DurationVar(&o.grace, "grace", 10*time.Second, "shutdown drain timeout")
+	fs.StringVar(&o.debugAddr, "debug-addr", "", "serve net/http/pprof, expvar, and /v1/debug/traces on this sidecar host:port (empty = no debug listener; never the public address)")
+	fs.DurationVar(&o.snapshotEvery, "snapshot-every", 0, "periodically persist the database to -db and truncate the WAL (0 = only on graceful shutdown)")
+	fs.StringVar(&o.deployment, "deployment", "", "deployment config file (JSON): backend, sharding, durability, limits in one document — conflicts with the per-knob flags")
+	fs.StringVar(&o.loadIndex, "load-index", "", "load a serialized index instead of building one")
+	fs.StringVar(&o.saveIndex, "save-index", "", "persist the built index to this path")
 
-		debugAddr = fs.String("debug-addr", "", "serve net/http/pprof, expvar, and /v1/debug/traces on this sidecar host:port (empty = no debug listener; never the public address)")
-		reqLog    = fs.Bool("request-log", false, "log one structured line per request: request ID, trace ID, status, duration, stage timings")
-		slowQuery = fs.Duration("slow-query-threshold", 0, "warn about requests slower than this, even without -request-log (0 = disabled)")
+	drift := ingest.DefaultDriftThreshold
+	o.cfg = serve.Config{
+		Limits:        &serve.LimitsConfig{},
+		Observability: &serve.ObsFileConfig{},
+		WAL:           &serve.WALFileConfig{FsyncEvery: serve.Duration(50 * time.Millisecond), DriftThreshold: &drift},
+		Replication:   &serve.ReplicationFileConfig{},
+	}
+	c := &o.cfg
+	fs.StringVar(&c.Backend.Kind, "backend", "flat", "index backend: linear, flat, ivf, or ivfpq")
+	serve.BindBackendFlags(fs, &c.Backend)
+	serve.BindLimitFlags(fs, c.Limits, "comma-separated /stats latency bucket bounds as durations (e.g. 100us,1ms,10ms); empty = sub-ms defaults")
+	fs.IntVar(&c.Limits.MaxK, "max-k", fingerprint.DefaultMaxK, "per-query neighbour count limit (0 = default)")
+	serve.BindObservabilityFlags(fs, c.Observability)
 
-		traceRate  = fs.Float64("trace-sample-rate", 1, "head-sampling probability for request traces, in [0,1] (0 = keep only slow/error traces)")
-		traceStore = fs.Int("trace-store", 0, "in-memory trace store size behind /v1/debug/traces (0 = default, negative = no retention)")
-		traceSlow  = fs.Duration("trace-slow", 0, "always store traces slower than this, even when not head-sampled (0 = disabled)")
+	fs.StringVar(&c.WAL.Dir, "wal", "", "write-ahead log directory; enables POST /ingest (empty = read-only daemon)")
+	fs.StringVar(&c.WAL.Fsync, "fsync", "always", "WAL fsync policy: always, interval, or never")
+	fs.Var(&c.WAL.FsyncEvery, "fsync-every", "flush period for -fsync interval (0 = default)")
+	fs.Int64Var(&c.WAL.SegmentBytes, "wal-segment-bytes", 64<<20, "rotate WAL segments past this size (0 = default)")
+	fs.Float64Var(c.WAL.DriftThreshold, "drift-threshold", drift, "appended fraction that triggers a background IVF retrain + hot-swap (negative disables)")
 
-		walDir    = fs.String("wal", "", "write-ahead log directory; enables POST /ingest (empty = read-only daemon)")
-		fsync     = fs.String("fsync", "always", "WAL fsync policy: always, interval, or never")
-		fsyncEvry = fs.Duration("fsync-every", 50*time.Millisecond, "flush period for -fsync interval")
-		segBytes  = fs.Int64("wal-segment-bytes", 64<<20, "rotate WAL segments past this size")
-		drift     = fs.Float64("drift-threshold", ingest.DefaultDriftThreshold, "appended fraction that triggers a background IVF retrain + hot-swap (negative disables)")
-		snapEvery = fs.Duration("snapshot-every", 0, "periodically persist the database to -db and truncate the WAL (0 = only on graceful shutdown)")
-
-		replOn   = fs.Bool("repl", false, "enable replication: serve the /v1/repl/* snapshot+WAL source endpoints and run the sync state machine (needs -wal)")
-		replPeer = fs.String("repl-peer", "", "sync source base URL (another replica of the same shard); implies -repl — the daemon syncs from the peer at startup, and a missing -db file is bootstrapped from its snapshot")
-	)
+	repl := fs.Bool("repl", false, "enable replication: serve the /v1/repl/* snapshot+WAL source endpoints and run the sync state machine (needs -wal)")
+	fs.StringVar(&c.Replication.Peer, "repl-peer", "", "sync source base URL (another replica of the same shard); implies -repl — the daemon syncs from the peer at startup, and a missing -db file is bootstrapped from its snapshot")
 	if err := fs.Parse(args); err != nil {
-		return err
+		return nil, nil, err
 	}
-	set := map[string]bool{}
-	fs.Visit(func(f *flag.Flag) { set[f.Name] = true })
-	if *depPath != "" {
-		// The config file declares the whole topology; a per-knob flag
-		// alongside it would silently lose to (or fight with) the file.
-		// Only the flags naming where the daemon runs — not what it
-		// serves — are allowed, so a future topology flag conflicts by
-		// default instead of silently slipping past a stale deny-list.
-		processFlags := map[string]bool{"db": true, "addr": true, "grace": true, "snapshot-every": true, "deployment": true, "debug-addr": true}
-		var conflict string
-		fs.Visit(func(f *flag.Flag) {
-			if !processFlags[f.Name] && conflict == "" {
-				conflict = f.Name
-			}
-		})
-		if conflict != "" {
-			return fmt.Errorf("-%s conflicts with -deployment: the config file declares the topology", conflict)
-		}
+	// An optional block's presence is itself a setting (a wal block turns
+	// the write path on), so each survives only when one of its flags was
+	// given — exactly as a config file would spell it.
+	if serve.FlagGiven(fs, "wal", "fsync", "fsync-every", "wal-segment-bytes", "drift-threshold") == "" {
+		c.WAL = nil
 	}
-	if *loadIndex != "" {
-		// The loaded index determines the backend; reject training flags
-		// that would silently be ignored. -nprobe stays honored (below).
-		for _, conflicting := range []string{"backend", "index", "nlist", "iters", "seed", "pq-m"} {
-			if set[conflicting] {
-				return fmt.Errorf("-%s conflicts with -load-index: the loaded index determines the backend", conflicting)
-			}
-		}
+	if !*repl && c.Replication.Peer == "" {
+		c.Replication = nil
 	}
-	if *saveIndex != "" && *loadIndex == "" && *kind == "linear" {
-		return fmt.Errorf("-save-index needs an index backend (-index flat, ivf, or ivfpq): the linear scan has nothing to persist")
+	if serve.FlagGiven(fs, "trace-sample-rate", "trace-store", "trace-slow") == "" {
+		c.Observability.Tracing = nil
 	}
-	if *walDir == "" && *depPath == "" {
-		for _, needsWAL := range []string{"fsync", "fsync-every", "wal-segment-bytes", "drift-threshold", "snapshot-every", "repl", "repl-peer"} {
-			if set[needsWAL] {
-				return fmt.Errorf("-%s needs -wal: the read-only daemon has no write path", needsWAL)
-			}
-		}
-	}
-	if *slowQuery < 0 {
-		return fmt.Errorf("-slow-query-threshold must be non-negative (0 disables the slow-query log)")
-	}
-	if *traceRate < 0 || *traceRate > 1 {
-		return fmt.Errorf("-trace-sample-rate must be in [0, 1]")
-	}
-	if *traceSlow < 0 {
-		return fmt.Errorf("-trace-slow must be non-negative (0 disables the always-store threshold)")
-	}
-	syncPolicy, err := ingest.ParseSyncPolicy(*fsync)
+	return fs, o, nil
+}
+
+func run(parent context.Context, args []string, out io.Writer) error {
+	fs, o, err := parseFlags(args)
 	if err != nil {
 		return err
 	}
+	cfg, err := serve.ResolveConfig(fs, o.cfg, o.deployment, processFlags)
+	if err != nil {
+		return err
+	}
+	if f := serve.FlagGiven(fs, "backend", "nlist", "iters", "seed", "pq-m"); f != "" && o.loadIndex != "" {
+		// A training flag would silently be ignored. -nprobe stays honored
+		// (below).
+		return fmt.Errorf("-%s conflicts with -load-index: the loaded index determines the backend", f)
+	}
+	if o.saveIndex != "" && o.loadIndex == "" && cfg.Backend.Kind == "linear" {
+		return fmt.Errorf("-save-index needs an index backend (-backend flat, ivf, or ivfpq): the linear scan has nothing to persist")
+	}
+	if f := serve.FlagGiven(fs, "fsync", "fsync-every", "wal-segment-bytes", "drift-threshold", "repl", "repl-peer"); f != "" && serve.FlagGiven(fs, "wal") == "" {
+		return fmt.Errorf("-%s needs -wal: the read-only daemon has no write path", f)
+	}
 
-	// Resolve the topology into a declarative Deployment: from the
-	// -deployment config file whole, or from the per-knob flags (the
-	// backend flag, or a loaded index, becomes the BackendSpec).
+	// Flags or file, the topology is one serve.Config by now, and this is
+	// the one place it becomes a Deployment — validated once, for both.
 	// Everything downstream — service or router, write path, retrain
 	// hook — assembles from it. The config resolves before the database
 	// loads so a replication peer declared there can bootstrap a missing
 	// -db file.
-	var dep serve.Deployment
-	if *depPath != "" {
-		cfg, err := serve.LoadConfig(*depPath)
-		if err != nil {
-			return err
-		}
-		if dep, err = cfg.Deployment(); err != nil {
-			return err
-		}
-		if *snapEvery > 0 {
-			if dep.WAL == nil {
-				return fmt.Errorf("-snapshot-every needs a wal in the deployment config: the read-only topology has no write path")
-			}
-			if dep.Shards > 1 {
-				return fmt.Errorf("-snapshot-every requires a single-service deployment: sharded stores compact per shard, not into -db")
-			}
-		}
-		fmt.Fprintf(out, "deployment config: %s\n", *depPath)
+	dep, err := cfg.Deployment()
+	if err != nil {
+		return err
 	}
-	peer := *replPeer
+	if o.snapshotEvery > 0 {
+		if dep.WAL == nil {
+			return fmt.Errorf("-snapshot-every needs -wal (or a wal block in the deployment config): the read-only topology has no write path")
+		}
+		if dep.Shards > 1 {
+			return fmt.Errorf("-snapshot-every requires a single-service deployment: sharded stores compact per shard, not into -db")
+		}
+	}
+	if o.deployment != "" {
+		fmt.Fprintf(out, "deployment config: %s\n", o.deployment)
+	}
+	var peer string
 	if dep.Replication != nil {
 		peer = dep.Replication.Peer
 	}
 
 	var db *fingerprint.DB
-	dbf, err := os.Open(*dbPath)
+	dbf, err := os.Open(o.db)
 	switch {
 	case err == nil:
 		db, err = fingerprint.LoadDB(dbf)
@@ -248,96 +271,48 @@ func run(parent context.Context, args []string, out io.Writer) error {
 			return fmt.Errorf("bootstrap from %s: %w", peer, err)
 		}
 		fmt.Fprintf(out, "bootstrap: %s missing; fetched snapshot from %s (%d entries, fingerprint dim %d, seq %d)\n",
-			*dbPath, peer, db.Len(), db.Dim(), seq)
+			o.db, peer, db.Len(), db.Dim(), seq)
 	default:
 		return err
 	}
 
-	if *depPath == "" {
-		ivfOpts := index.IVFPQOptions{
-			IVFOptions: index.IVFOptions{Nlist: *nlist, Nprobe: *nprobe, Iters: *iters, Seed: *seed},
-			M:          *pqM,
+	if o.loadIndex != "" {
+		// The loaded index replaces the backend the config declared; its
+		// kind (and, for IVFPQ, its code width) with the config's training
+		// knobs make the spec whose Rebuild is the drift-retrain hook.
+		loaded, err := loadIndexFile(o.loadIndex, db, out)
+		if err != nil {
+			return err
 		}
-		var spec serve.BackendSpec
-		if *loadIndex != "" {
-			loaded, err := loadIndexFile(*loadIndex, db, out)
-			if err != nil {
-				return err
-			}
-			pre := serve.PrebuiltSpec{Searcher: loaded}
-			switch x := loaded.(type) {
-			case *index.IVF:
-				if set["nprobe"] {
-					x.SetNprobe(*nprobe)
-					fmt.Fprintf(out, "nprobe overridden to %d\n", x.Nprobe())
-				}
-				pre.RebuildFunc = serve.IVFSpec{IVFOptions: ivfOpts.IVFOptions}.Rebuild()
-			case *index.IVFPQ:
-				if set["nprobe"] {
-					x.SetNprobe(*nprobe)
-					fmt.Fprintf(out, "nprobe overridden to %d\n", x.Nprobe())
-				}
-				retrain := ivfOpts
-				retrain.M = x.M() // the loaded code width wins over -pq-m's default
-				pre.RebuildFunc = serve.IVFPQSpec{IVFPQOptions: retrain}.Rebuild()
-			}
-			spec = pre
-		} else {
-			spec, err = serve.ParseBackend(*kind, ivfOpts)
-			if err != nil {
-				return err
-			}
+		retrain := cfg.Backend
+		retrain.Kind = loaded.Kind()
+		if pq, ok := loaded.(*index.IVFPQ); ok {
+			retrain.M = pq.M()
 		}
-
-		svcOpts := []fingerprint.ServiceOption{
-			fingerprint.WithMaxBodyBytes(*maxBody),
-			fingerprint.WithMaxK(*maxK),
-			fingerprint.WithMaxBatch(*maxBatch),
+		if ivf, ok := loaded.(interface {
+			SetNprobe(int)
+			Nprobe() int
+		}); ok && serve.FlagGiven(fs, "nprobe") != "" {
+			ivf.SetNprobe(cfg.Backend.Nprobe)
+			fmt.Fprintf(out, "nprobe overridden to %d\n", ivf.Nprobe())
 		}
-		if *buckets != "" {
-			bounds, err := fingerprint.ParseLatencyBuckets(*buckets)
-			if err != nil {
-				return err
-			}
-			svcOpts = append(svcOpts, fingerprint.WithLatencyBuckets(bounds))
+		spec, err := retrain.Spec()
+		if err != nil {
+			return err
 		}
-
-		dep = serve.Deployment{Backend: spec, Limits: svcOpts}
-		if *walDir != "" {
-			dep.WAL = &serve.WALConfig{Dir: *walDir, Store: ingest.Options{
-				WAL:            ingest.WALOptions{Sync: syncPolicy, SyncEvery: *fsyncEvry, SegmentBytes: *segBytes},
-				DriftThreshold: *drift,
-			}}
-		}
-		if *replOn || *replPeer != "" {
-			dep.Replication = &serve.ReplicationConfig{Peer: *replPeer}
-		}
-	}
-	// Observability: the config file's observability block wins in
-	// -deployment mode (the flag forms of these knobs conflict with it);
-	// -debug-addr is a process flag, so it composes either way. Request
-	// and slow-query logs go to stderr, keeping stdout for the daemon's
-	// own startup lines.
-	if dep.Observability == nil {
-		dep.Observability = &serve.ObservabilityConfig{}
-	}
-	if *depPath == "" {
-		dep.Observability.RequestLog = *reqLog
-		dep.Observability.SlowQueryThreshold = *slowQuery
-		dep.Observability.Trace = &serve.TraceConfig{
-			SampleRate: *traceRate,
-			StoreSize:  *traceStore,
-			SlowAlways: *traceSlow,
-		}
-	}
-	if dep.Observability.Logger == nil {
-		dep.Observability.Logger = slog.New(slog.NewTextHandler(os.Stderr, nil))
-	}
-	if *debugAddr != "" {
-		dep.Observability.DebugAddr = *debugAddr
+		dep.Backend = serve.PrebuiltSpec{Searcher: loaded, RebuildFunc: spec.Rebuild()}
 	}
 
-	if dep.WAL != nil && dep.WAL.Store.Logf == nil {
+	// Observability: -debug-addr is a process flag, so it composes with
+	// (and wins over) the config file's debug_addr. Request and
+	// slow-query logs go to stderr, keeping stdout for the daemon's own
+	// startup lines.
+	dep.Observability.Logger = slog.New(slog.NewTextHandler(os.Stderr, nil))
+	if o.debugAddr != "" {
+		dep.Observability.DebugAddr = o.debugAddr
+	}
+
+	if dep.WAL != nil {
 		dep.WAL.Store.Logf = func(format string, args ...any) {
 			fmt.Fprintf(out, format+"\n", args...)
 		}
@@ -355,7 +330,7 @@ func run(parent context.Context, args []string, out io.Writer) error {
 	if svc != nil {
 		searcher := svc.Searcher()
 		desc = "index " + searcher.Kind()
-		if ivf, ok := searcher.(*index.IVF); ok && *loadIndex == "" {
+		if ivf, ok := searcher.(*index.IVF); ok && o.loadIndex == "" {
 			fmt.Fprintf(out, "trained IVF index in %v (nprobe %d)\n", time.Since(buildStart).Round(time.Millisecond), ivf.Nprobe())
 		}
 		store = built.Store()
@@ -376,11 +351,11 @@ func run(parent context.Context, args []string, out io.Writer) error {
 		}
 	}
 
-	if *saveIndex != "" {
-		if err := saveIndexFile(*saveIndex, svc.Searcher()); err != nil {
+	if o.saveIndex != "" {
+		if err := saveIndexFile(o.saveIndex, svc.Searcher()); err != nil {
 			return err
 		}
-		fmt.Fprintf(out, "index saved to %s\n", *saveIndex)
+		fmt.Fprintf(out, "index saved to %s\n", o.saveIndex)
 	}
 
 	ctx, stop := signal.NotifyContext(parent, syscall.SIGINT, syscall.SIGTERM)
@@ -391,9 +366,9 @@ func run(parent context.Context, args []string, out io.Writer) error {
 	// restart would refuse the (now smaller) index against the grown
 	// database. Running inside Store.Snapshot keeps the two files
 	// agreeing on entry count under the write lock.
-	indexOut := *saveIndex
+	indexOut := o.saveIndex
 	if indexOut == "" {
-		indexOut = *loadIndex
+		indexOut = o.loadIndex
 	}
 	var persist []func(fingerprint.Searcher) error
 	if indexOut != "" {
@@ -403,11 +378,11 @@ func run(parent context.Context, args []string, out io.Writer) error {
 	}
 
 	var snapDone chan struct{}
-	if store != nil && *snapEvery > 0 {
+	if store != nil && o.snapshotEvery > 0 {
 		snapDone = make(chan struct{})
 		go func() {
 			defer close(snapDone)
-			t := time.NewTicker(*snapEvery)
+			t := time.NewTicker(o.snapshotEvery)
 			defer t.Stop()
 			for {
 				select {
@@ -418,11 +393,11 @@ func run(parent context.Context, args []string, out io.Writer) error {
 					if st == nil {
 						continue
 					}
-					if err := st.Snapshot(*dbPath, persist...); err != nil {
+					if err := st.Snapshot(o.db, persist...); err != nil {
 						fmt.Fprintf(out, "snapshot: %v\n", err)
 						continue
 					}
-					fmt.Fprintf(out, "snapshot: %d entries → %s, wal truncated\n", svc.Searcher().Len(), *dbPath)
+					fmt.Fprintf(out, "snapshot: %d entries → %s, wal truncated\n", svc.Searcher().Len(), o.db)
 				case <-ctx.Done():
 					return
 				}
@@ -439,7 +414,7 @@ func run(parent context.Context, args []string, out io.Writer) error {
 		fmt.Fprintf(out, "debug listener (pprof, expvar, traces) on %s\n", dl.Addr())
 	}
 
-	l, err := net.Listen("tcp", *addr)
+	l, err := net.Listen("tcp", o.addr)
 	if err != nil {
 		return err
 	}
@@ -449,7 +424,7 @@ func run(parent context.Context, args []string, out io.Writer) error {
 	}
 	fmt.Fprintf(out, "serving accountability queries on %s (%s; %s)\n",
 		l.Addr(), desc, endpoints)
-	if err := built.Serve(ctx, l, *grace); err != nil {
+	if err := built.Serve(ctx, l, o.grace); err != nil {
 		return err
 	}
 	if store != nil {
@@ -463,14 +438,14 @@ func run(parent context.Context, args []string, out io.Writer) error {
 		// snapshot instead of replaying the whole log. The store is
 		// re-fetched: under replication a full resync swaps it out.
 		if st := built.Store(); st != nil {
-			if err := st.Snapshot(*dbPath, persist...); err != nil {
+			if err := st.Snapshot(o.db, persist...); err != nil {
 				return err
 			}
 		}
 		if err := built.Close(); err != nil {
 			return err
 		}
-		fmt.Fprintf(out, "final snapshot: %d entries → %s\n", svc.Searcher().Len(), *dbPath)
+		fmt.Fprintf(out, "final snapshot: %d entries → %s\n", svc.Searcher().Len(), o.db)
 	} else if stores := built.Stores(); len(stores) > 0 {
 		// Sharded write paths have no single -db file to compact into;
 		// close them flushed — the per-replica WALs replay on restart.

@@ -3,10 +3,13 @@ package main
 import (
 	"bytes"
 	"context"
+	"encoding/json"
 	"errors"
+	"flag"
 	"math/rand/v2"
 	"os"
 	"path/filepath"
+	"reflect"
 	"regexp"
 	"strings"
 	"sync"
@@ -16,6 +19,7 @@ import (
 
 	"caltrain/internal/fingerprint"
 	"caltrain/internal/index"
+	"caltrain/internal/serve"
 )
 
 // syncBuffer lets the test read the daemon's output while run() writes it.
@@ -87,7 +91,7 @@ func TestServeLifecycle(t *testing.T) {
 	go func() {
 		done <- run(context.Background(), []string{
 			"-db", dbPath, "-addr", "127.0.0.1:0",
-			"-index", "ivf", "-nlist", "8", "-nprobe", "4",
+			"-backend", "ivf", "-nlist", "8", "-nprobe", "4",
 		}, &out)
 	}()
 	addr := waitForAddr(t, &out)
@@ -168,7 +172,7 @@ func TestServeSaveLoadIndex(t *testing.T) {
 	go func() {
 		done <- run(ctx, []string{
 			"-db", dbPath, "-addr", "127.0.0.1:0",
-			"-index", "ivf", "-nlist", "4", "-save-index", idxPath,
+			"-backend", "ivf", "-nlist", "4", "-save-index", idxPath,
 		}, &out)
 	}()
 	waitForAddr(t, &out)
@@ -309,7 +313,7 @@ func TestServeDeploymentConflictsWithKnobFlags(t *testing.T) {
 		t.Fatal(err)
 	}
 	for _, extra := range [][]string{
-		{"-backend", "flat"}, {"-index", "ivf"}, {"-nlist", "4"},
+		{"-backend", "flat"}, {"-nlist", "4"},
 		{"-wal", "waldir"}, {"-max-k", "9"}, {"-save-index", "x.idx"},
 	} {
 		args := append([]string{"-db", dbPath, "-deployment", cfgPath}, extra...)
@@ -329,7 +333,7 @@ func TestServeDeploymentConflictsWithKnobFlags(t *testing.T) {
 
 func TestServeRejectsUnknownIndexKind(t *testing.T) {
 	dbPath := writeTestDB(t, 30)
-	err := run(context.Background(), []string{"-db", dbPath, "-index", "annoy"}, &syncBuffer{})
+	err := run(context.Background(), []string{"-db", dbPath, "-backend", "annoy"}, &syncBuffer{})
 	if err == nil {
 		t.Fatal("unknown index kind accepted")
 	}
@@ -338,17 +342,129 @@ func TestServeRejectsUnknownIndexKind(t *testing.T) {
 func TestServeRejectsConflictingFlags(t *testing.T) {
 	dbPath := writeTestDB(t, 30)
 	// -save-index with the linear scan has nothing to persist.
-	err := run(context.Background(), []string{"-db", dbPath, "-index", "linear", "-save-index", "x.idx"}, &syncBuffer{})
+	err := run(context.Background(), []string{"-db", dbPath, "-backend", "linear", "-save-index", "x.idx"}, &syncBuffer{})
 	if err == nil {
-		t.Fatal("-index linear -save-index accepted")
+		t.Fatal("-backend linear -save-index accepted")
 	}
 	// Training flags alongside -load-index would be silently ignored.
-	for _, extra := range [][]string{{"-index", "ivf"}, {"-nlist", "4"}, {"-iters", "3"}, {"-seed", "1"}} {
+	for _, extra := range [][]string{{"-backend", "ivf"}, {"-nlist", "4"}, {"-iters", "3"}, {"-seed", "1"}} {
 		args := append([]string{"-db", dbPath, "-load-index", "whatever.idx"}, extra...)
 		if err := run(context.Background(), args, &syncBuffer{}); err == nil {
 			t.Fatalf("%v with -load-index accepted", extra)
 		}
 	}
+	// Flags are validated by the config file's validator: a negative
+	// bound is rejected at startup (0 means the default) and an explicit
+	// -drift-threshold 0 is ambiguous, like wal.drift_threshold: 0. The
+	// context is already cancelled, so a daemon that accepted the flag
+	// would start, drain and return nil instead of hanging the test.
+	stopped, cancel := context.WithCancel(context.Background())
+	cancel()
+	wal := filepath.Join(t.TempDir(), "wal")
+	for _, extra := range [][]string{
+		{"-max-k", "-1"}, {"-max-batch", "-1"}, {"-max-body", "-1"},
+		{"-wal", wal, "-wal-segment-bytes", "-1"}, {"-wal", wal, "-fsync-every", "-1s"},
+		{"-wal", wal, "-drift-threshold", "0"}, {"-fsync", "never"}, {"-repl"},
+	} {
+		args := append([]string{"-db", dbPath, "-addr", "127.0.0.1:0"}, extra...)
+		if err := run(stopped, args, &syncBuffer{}); err == nil {
+			t.Fatalf("%v accepted", extra)
+		}
+	}
+	// 0 is "the default", not "reject every query".
+	for _, extra := range [][]string{{"-max-k", "0"}, {"-max-batch", "0"}, {"-max-body", "0"}} {
+		args := append([]string{"-db", dbPath, "-addr", "127.0.0.1:0"}, extra...)
+		if err := run(stopped, args, &syncBuffer{}); err != nil {
+			t.Fatalf("%v: %v", extra, err)
+		}
+	}
+	// The -index alias of -backend is gone.
+	err = run(stopped, []string{"-db", dbPath, "-index", "flat"}, &syncBuffer{})
+	if err == nil || !strings.Contains(err.Error(), "flag provided but not defined") {
+		t.Fatalf("-index: %v", err)
+	}
+}
+
+// TestFlagConfigParity keeps the flag/file fork closed: a command line
+// binds into exactly the serve.Config its equivalent JSON document
+// parses into, so both reach Config.Deployment as the same value. The
+// documents spell out the flag defaults that differ from the file's zero
+// value.
+func TestFlagConfigParity(t *testing.T) {
+	const limits = `"limits": {"max_body_bytes": 8388608, "max_k": 1024, "max_batch": 256}`
+	for _, c := range []struct {
+		name string
+		argv []string
+		doc  string
+	}{
+		{"defaults", nil,
+			`{"backend": {"kind": "flat", "seed": 42}, ` + limits + `, "observability": {}}`},
+		{"backend ivfpq",
+			[]string{"-backend", "ivfpq", "-nlist", "8", "-nprobe", "4", "-iters", "3", "-seed", "9", "-pq-m", "2"},
+			`{"backend": {"kind": "ivfpq", "nlist": 8, "nprobe": 4, "iters": 3, "seed": 9, "m": 2}, ` + limits + `, "observability": {}}`},
+		{"wal with fsync interval",
+			[]string{"-wal", "w", "-fsync", "interval", "-fsync-every", "25ms", "-wal-segment-bytes", "1048576", "-drift-threshold", "-1"},
+			`{"backend": {"kind": "flat", "seed": 42}, ` + limits + `, "observability": {},
+			  "wal": {"dir": "w", "fsync": "interval", "fsync_every": "25ms", "segment_bytes": 1048576, "drift_threshold": -1}}`},
+		{"wal defaults and a replication peer",
+			[]string{"-wal", "w", "-repl-peer", "http://a:8791"},
+			`{"backend": {"kind": "flat", "seed": 42}, ` + limits + `, "observability": {},
+			  "wal": {"dir": "w", "fsync": "always", "fsync_every": "50ms", "segment_bytes": 67108864, "drift_threshold": 0.25},
+			  "replication": {"peer": "http://a:8791"}}`},
+		{"source-only replication", []string{"-wal", "w", "-fsync", "never", "-repl"},
+			`{"backend": {"kind": "flat", "seed": 42}, ` + limits + `, "observability": {},
+			  "wal": {"dir": "w", "fsync": "never", "fsync_every": "50ms", "segment_bytes": 67108864, "drift_threshold": 0.25},
+			  "replication": {}}`},
+		{"limits and latency buckets",
+			[]string{"-max-body", "4096", "-max-k", "0", "-max-batch", "8", "-latency-buckets", "100us, 1ms,10ms"},
+			`{"backend": {"kind": "flat", "seed": 42}, "observability": {},
+			  "limits": {"max_body_bytes": 4096, "max_batch": 8, "latency_buckets": ["100us", "1ms", "10ms"]}}`},
+		{"request log and tracing",
+			[]string{"-request-log", "-slow-query-threshold", "250ms", "-trace-sample-rate", "0.05", "-trace-store", "512", "-trace-slow", "100ms"},
+			`{"backend": {"kind": "flat", "seed": 42}, ` + limits + `,
+			  "observability": {"request_log": true, "slow_query_threshold": "250ms",
+			    "tracing": {"sample_rate": 0.05, "store": 512, "slow_always": "100ms"}}}`},
+		{"one trace flag keeps the block, others at their flag defaults", []string{"-trace-store", "-1"},
+			`{"backend": {"kind": "flat", "seed": 42}, ` + limits + `, "observability": {"tracing": {"sample_rate": 1, "store": -1}}}`},
+	} {
+		_, o, err := parseFlags(c.argv)
+		if err != nil {
+			t.Fatalf("%s: %v", c.name, err)
+		}
+		want, err := serve.ParseConfig(strings.NewReader(c.doc))
+		if err != nil {
+			t.Fatalf("%s: %v", c.name, err)
+		}
+		if !reflect.DeepEqual(o.cfg, want) {
+			got, _ := json.Marshal(o.cfg)
+			t.Errorf("%s: %v binds to\n  %s\nwant the config of\n  %s", c.name, c.argv, got, c.doc)
+		}
+	}
+}
+
+// TestEveryKnobFlagReachesConfig: a flag is either a process flag or
+// changes serve.Config — a future flag cannot bypass the one validated
+// path by being read straight out of the FlagSet.
+func TestEveryKnobFlagReachesConfig(t *testing.T) {
+	fs, base, err := parseFlags(nil)
+	if err != nil {
+		t.Fatal(err)
+	}
+	fs.VisitAll(func(f *flag.Flag) {
+		if _, process := processFlags[f.Name]; process {
+			return
+		}
+		// Whichever sample the flag's type parses and that is not its default.
+		for _, sample := range []string{"true", "7", "7ms"} {
+			if _, o, err := parseFlags([]string{"-" + f.Name + "=" + sample}); err == nil && sample != f.DefValue {
+				if reflect.DeepEqual(o.cfg, base.cfg) {
+					t.Errorf("-%s=%s leaves serve.Config unchanged: bind it into a Config field or list it in processFlags", f.Name, sample)
+				}
+				return
+			}
+		}
+		t.Errorf("-%s accepts no sample value", f.Name)
+	})
 }
 
 func TestServeRejectsMismatchedIndex(t *testing.T) {

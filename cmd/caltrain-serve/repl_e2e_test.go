@@ -85,7 +85,7 @@ func TestReplicationKillAndResyncEndToEnd(t *testing.T) {
 	copyFile(t, seedPath, filepath.Join(dirA, "linkage.db"))
 	a := spawnDaemon(t,
 		"-db", filepath.Join(dirA, "linkage.db"), "-wal", filepath.Join(dirA, "wal"),
-		"-addr", "127.0.0.1:0", "-index", "flat", "-repl",
+		"-addr", "127.0.0.1:0", "-backend", "flat", "-repl",
 	)
 	baseA := "http://" + waitForAddr(t, a.out)
 	waitHealthy(t, fingerprint.NewClient(baseA, nil))
@@ -98,7 +98,7 @@ func TestReplicationKillAndResyncEndToEnd(t *testing.T) {
 	spawnB := func() *daemon {
 		return spawnDaemon(t,
 			"-db", filepath.Join(dirB, "linkage.db"), "-wal", filepath.Join(dirB, "wal"),
-			"-addr", addrB, "-index", "flat", "-repl-peer", baseA,
+			"-addr", addrB, "-backend", "flat", "-repl-peer", baseA,
 		)
 	}
 	b := spawnB()
@@ -251,7 +251,7 @@ func TestReplicationEmptyReplicaJoins(t *testing.T) {
 	copyFile(t, seedPath, filepath.Join(dirA, "linkage.db"))
 	a := spawnDaemon(t,
 		"-db", filepath.Join(dirA, "linkage.db"), "-wal", filepath.Join(dirA, "wal"),
-		"-addr", "127.0.0.1:0", "-index", "flat", "-repl",
+		"-addr", "127.0.0.1:0", "-backend", "flat", "-repl",
 	)
 	baseA := "http://" + waitForAddr(t, a.out)
 	clientA := fingerprint.NewClient(baseA, nil)
@@ -274,7 +274,7 @@ func TestReplicationEmptyReplicaJoins(t *testing.T) {
 	dirB := t.TempDir()
 	b := spawnDaemon(t,
 		"-db", filepath.Join(dirB, "linkage.db"), "-wal", filepath.Join(dirB, "wal"),
-		"-addr", "127.0.0.1:0", "-index", "flat", "-repl-peer", baseA,
+		"-addr", "127.0.0.1:0", "-backend", "flat", "-repl-peer", baseA,
 	)
 	baseB := "http://" + waitForAddr(t, b.out)
 	clientB := fingerprint.NewClient(baseB, nil)

@@ -83,7 +83,7 @@ func TestTracePropagationEndToEnd(t *testing.T) {
 			t.Fatal(err)
 		}
 		d := spawnDaemon(t, "-db", path, "-addr", "127.0.0.1:0",
-			"-debug-addr", "127.0.0.1:0", "-index", "flat")
+			"-debug-addr", "127.0.0.1:0", "-backend", "flat")
 		addr := waitForAddr(t, d.out)
 		waitHealthy(t, fingerprint.NewClient("http://"+addr, nil))
 		replicas = append(replicas, shard.NewHTTPReplica("http://"+addr, nil))

@@ -58,15 +58,12 @@ func run(args []string, out io.Writer) error {
 		outDir   = fs.String("out", "shards", "output directory")
 		nshards  = fs.Int("shards", 4, "number of shards")
 		strategy = fs.String("strategy", "hash", "label assignment: hash or range (balanced by entry count)")
-		kind     = fs.String("index", "", "also build a per-shard index: flat, ivf, or ivfpq (empty: none)")
-		nlist    = fs.Int("nlist", 0, "IVF/IVFPQ lists per label (0 = auto ≈√n)")
-		nprobe   = fs.Int("nprobe", 0, "IVF/IVFPQ lists probed per query (0 = auto)")
-		iters    = fs.Int("iters", 0, "IVF/IVFPQ k-means iterations (0 = default)")
-		seed     = fs.Uint64("seed", 42, "IVF/IVFPQ training seed")
-		pqM      = fs.Int("pq-m", 0, "IVFPQ subquantizers (code bytes per entry, must divide the fingerprint dim; 0 = auto)")
+		backend  serve.BackendConfig
 
 		debugAddr = fs.String("debug-addr", "", "serve net/http/pprof and expvar on this sidecar host:port while splitting (empty = no debug listener)")
 	)
+	fs.StringVar(&backend.Kind, "index", "", "also build a per-shard index: flat, ivf, or ivfpq (empty: none)")
+	serve.BindBackendFlags(fs, &backend)
 	if err := fs.Parse(args); err != nil {
 		return err
 	}
@@ -87,13 +84,9 @@ func run(args []string, out io.Writer) error {
 	// persistable backends make sense here (the linear scan is the
 	// database itself — there is no index file to write).
 	var spec serve.BackendSpec
-	if *kind != "" {
+	if backend.Kind != "" {
 		var err error
-		spec, err = serve.ParseBackend(*kind, index.IVFPQOptions{
-			IVFOptions: index.IVFOptions{Nlist: *nlist, Nprobe: *nprobe, Iters: *iters, Seed: *seed},
-			M:          *pqM,
-		})
-		if err != nil {
+		if spec, err = backend.Spec(); err != nil {
 			return err
 		}
 		if _, linear := spec.(serve.LinearSpec); linear {

@@ -132,6 +132,19 @@ type BackendConfig struct {
 	M int `json:"m,omitempty"`
 }
 
+// Spec resolves the block into the BackendSpec it declares, through
+// ParseBackend ("" means flat).
+func (b BackendConfig) Spec() (BackendSpec, error) {
+	kind := b.Kind
+	if kind == "" {
+		kind = "flat"
+	}
+	return ParseBackend(kind, index.IVFPQOptions{
+		IVFOptions: index.IVFOptions{Nlist: b.Nlist, Nprobe: b.Nprobe, Iters: b.Iters, Seed: b.Seed},
+		M:          b.M,
+	})
+}
+
 // WALFileConfig is the file form of WALConfig plus the WAL tuning the
 // daemon otherwise takes as -fsync/-wal-segment-bytes/-drift-threshold.
 type WALFileConfig struct {
@@ -209,13 +222,29 @@ type TraceFileConfig struct {
 	SlowAlways Duration `json:"slow_always,omitempty"`
 }
 
+// maxTraceStore bounds observability.tracing.store: the trace store
+// allocates its ring up front, so an absurd size must fail at startup
+// as a config error, not as an allocation panic.
+const maxTraceStore = 1 << 20
+
+// observability translates the observability block for either
+// translation; an absent block is the zero ObservabilityConfig, never
+// nil, so callers fill in the process-local parts (logger, debug
+// address) without a nil dance.
+func (c Config) observability() (*ObservabilityConfig, error) {
+	if c.Observability == nil {
+		return &ObservabilityConfig{}, nil
+	}
+	return c.Observability.config()
+}
+
 // config validates the block and translates it into the in-memory
 // ObservabilityConfig. Negative thresholds and unparseable listen
 // addresses are rejected rather than silently ignored — an operator
 // who wrote one believes it is in effect.
 func (o ObsFileConfig) config() (*ObservabilityConfig, error) {
 	if o.SlowQueryThreshold < 0 {
-		return nil, fmt.Errorf("serve: observability.slow_query_threshold must be non-negative (0 disables the slow-query log), got %s", time.Duration(o.SlowQueryThreshold))
+		return nil, fmt.Errorf("serve: observability.slow_query_threshold must be non-negative (0 disables the slow-query log), got %s", o.SlowQueryThreshold)
 	}
 	if o.DebugAddr != "" {
 		if _, _, err := net.SplitHostPort(o.DebugAddr); err != nil {
@@ -237,7 +266,10 @@ func (o ObsFileConfig) config() (*ObservabilityConfig, error) {
 			tc.SampleRate = *o.Tracing.SampleRate
 		}
 		if o.Tracing.SlowAlways < 0 {
-			return nil, fmt.Errorf("serve: observability.tracing.slow_always must be non-negative (0 disables), got %s", time.Duration(o.Tracing.SlowAlways))
+			return nil, fmt.Errorf("serve: observability.tracing.slow_always must be non-negative (0 disables), got %s", o.Tracing.SlowAlways)
+		}
+		if o.Tracing.Store > maxTraceStore {
+			return nil, fmt.Errorf("serve: observability.tracing.store must be at most %d traces, got %d", maxTraceStore, o.Tracing.Store)
 		}
 		tc.StoreSize = o.Tracing.Store
 		tc.SlowAlways = time.Duration(o.Tracing.SlowAlways)
@@ -247,10 +279,24 @@ func (o ObsFileConfig) config() (*ObservabilityConfig, error) {
 }
 
 // Duration is a time.Duration that marshals as a duration string
-// ("50ms") in config files. Bare numbers are rejected: nanoseconds are
-// never what an operator means, and silently reading "fsync_every": 50
-// as 50ns would busy-loop the flush timer — a unit must be spelled out.
+// ("50ms") in config files and parses the same string as a flag value.
+// Bare numbers are rejected: nanoseconds are never what an operator
+// means, and silently reading "fsync_every": 50 as 50ns would busy-loop
+// the flush timer — a unit must be spelled out.
 type Duration time.Duration
+
+// Set implements flag.Value.
+func (d *Duration) Set(s string) error {
+	parsed, err := time.ParseDuration(s)
+	if err != nil {
+		return err
+	}
+	*d = Duration(parsed)
+	return nil
+}
+
+// String implements flag.Value and fmt.Stringer.
+func (d Duration) String() string { return time.Duration(d).String() }
 
 // UnmarshalJSON implements json.Unmarshaler.
 func (d *Duration) UnmarshalJSON(b []byte) error {
@@ -258,17 +304,15 @@ func (d *Duration) UnmarshalJSON(b []byte) error {
 	if err := json.Unmarshal(b, &s); err != nil {
 		return fmt.Errorf("serve: duration must be a string with a unit, like \"50ms\" (got %s)", b)
 	}
-	parsed, err := time.ParseDuration(s)
-	if err != nil {
+	if err := d.Set(s); err != nil {
 		return fmt.Errorf("serve: bad duration %q: %w", s, err)
 	}
-	*d = Duration(parsed)
 	return nil
 }
 
 // MarshalJSON implements json.Marshaler.
 func (d Duration) MarshalJSON() ([]byte, error) {
-	return json.Marshal(time.Duration(d).String())
+	return json.Marshal(d.String())
 }
 
 // ParseConfig decodes a deployment config, rejecting unknown fields so
@@ -304,19 +348,7 @@ func (c Config) Deployment() (Deployment, error) {
 	if c.Topology != nil {
 		return Deployment{}, fmt.Errorf("serve: topology is the router's block (caltrain-router -deployment); a daemon config declares backend/wal/replication")
 	}
-	kind := c.Backend.Kind
-	if kind == "" {
-		kind = "flat"
-	}
-	spec, err := ParseBackend(kind, index.IVFPQOptions{
-		IVFOptions: index.IVFOptions{
-			Nlist:  c.Backend.Nlist,
-			Nprobe: c.Backend.Nprobe,
-			Iters:  c.Backend.Iters,
-			Seed:   c.Backend.Seed,
-		},
-		M: c.Backend.M,
-	})
+	spec, err := c.Backend.Spec()
 	if err != nil {
 		return Deployment{}, err
 	}
@@ -342,12 +374,8 @@ func (c Config) Deployment() (Deployment, error) {
 		}
 		dep.Limits = opts
 	}
-	if c.Observability != nil {
-		oc, err := c.Observability.config()
-		if err != nil {
-			return Deployment{}, err
-		}
-		dep.Observability = oc
+	if dep.Observability, err = c.observability(); err != nil {
+		return Deployment{}, err
 	}
 	if c.WAL != nil {
 		if c.VolatileWrites {
@@ -399,13 +427,32 @@ func (c Config) Deployment() (Deployment, error) {
 	return dep, nil
 }
 
-// options translates the limit fields into service options. Negative
-// limits are rejected rather than silently falling back to defaults —
-// an operator who wrote one believes it is enforced.
-func (l LimitsConfig) options() ([]fingerprint.ServiceOption, error) {
+// bounds is the one range check of the limits block, shared by the
+// daemon and router translations: negative limits are rejected rather
+// than silently falling back to defaults — an operator who wrote one
+// believes it is enforced — and latency_buckets go through the one
+// bucket parser (each positive; returned ascending, nil when unset).
+func (l LimitsConfig) bounds() ([]int64, error) {
 	if l.MaxBodyBytes < 0 || l.MaxK < 0 || l.MaxBatch < 0 {
 		return nil, fmt.Errorf("serve: limits must be non-negative (max_body_bytes %d, max_k %d, max_batch %d; 0 means default)",
 			l.MaxBodyBytes, l.MaxK, l.MaxBatch)
+	}
+	if len(l.LatencyBuckets) == 0 {
+		return nil, nil
+	}
+	ss := make([]string, len(l.LatencyBuckets))
+	for i, d := range l.LatencyBuckets {
+		ss[i] = d.String()
+	}
+	return fingerprint.ParseLatencyBuckets(strings.Join(ss, ","))
+}
+
+// options translates the limit fields into service options; zero
+// fields keep the service defaults.
+func (l LimitsConfig) options() ([]fingerprint.ServiceOption, error) {
+	buckets, err := l.bounds()
+	if err != nil {
+		return nil, err
 	}
 	var opts []fingerprint.ServiceOption
 	if l.MaxBodyBytes > 0 {
@@ -417,18 +464,8 @@ func (l LimitsConfig) options() ([]fingerprint.ServiceOption, error) {
 	if l.MaxBatch > 0 {
 		opts = append(opts, fingerprint.WithMaxBatch(l.MaxBatch))
 	}
-	if len(l.LatencyBuckets) > 0 {
-		// Re-join into the flag form so the bounds get the exact
-		// validation (ascending, positive) the -latency-buckets flag has.
-		ss := make([]string, len(l.LatencyBuckets))
-		for i, d := range l.LatencyBuckets {
-			ss[i] = time.Duration(d).String()
-		}
-		bounds, err := fingerprint.ParseLatencyBuckets(strings.Join(ss, ","))
-		if err != nil {
-			return nil, err
-		}
-		opts = append(opts, fingerprint.WithLatencyBuckets(bounds))
+	if buckets != nil {
+		opts = append(opts, fingerprint.WithLatencyBuckets(buckets))
 	}
 	return opts, nil
 }

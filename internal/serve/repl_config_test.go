@@ -124,7 +124,7 @@ func TestReplicationDeploymentBuild(t *testing.T) {
 	}
 }
 
-func writeShardMap(t *testing.T, n int) string {
+func writeShardMap(t testing.TB, n int) string {
 	t.Helper()
 	m, err := shard.NewHashMap(n)
 	if err != nil {

@@ -9,7 +9,6 @@ import (
 	"strings"
 	"time"
 
-	"caltrain/internal/fingerprint"
 	"caltrain/internal/obs"
 	"caltrain/internal/shard"
 )
@@ -109,12 +108,9 @@ func (c Config) RouterPlan(logger *slog.Logger) (*RouterPlan, error) {
 		return nil, fmt.Errorf("serve: topology.shards keys %v are outside the map's %d shards", extra, m.NumShards())
 	}
 
-	oc := &ObservabilityConfig{}
-	if c.Observability != nil {
-		oc, err = c.Observability.config()
-		if err != nil {
-			return nil, err
-		}
+	oc, err := c.observability()
+	if err != nil {
+		return nil, err
 	}
 	if logger != nil {
 		oc.Logger = logger
@@ -162,8 +158,9 @@ func (c Config) RouterPlan(logger *slog.Logger) (*RouterPlan, error) {
 // enforcement point (k is bounded by the shard daemons), so writing it
 // in a topology config is rejected rather than silently ignored.
 func (l LimitsConfig) routerOptions() ([]shard.RouterOption, error) {
-	if l.MaxBodyBytes < 0 || l.MaxBatch < 0 {
-		return nil, fmt.Errorf("serve: limits must be non-negative (max_body_bytes %d, max_batch %d; 0 means default)", l.MaxBodyBytes, l.MaxBatch)
+	buckets, err := l.bounds()
+	if err != nil {
+		return nil, err
 	}
 	if l.MaxK != 0 {
 		return nil, fmt.Errorf("serve: limits.max_k is enforced by the shard daemons, not the router — set it in each daemon's config")
@@ -175,16 +172,8 @@ func (l LimitsConfig) routerOptions() ([]shard.RouterOption, error) {
 	if l.MaxBatch > 0 {
 		opts = append(opts, shard.WithRouterMaxBatch(l.MaxBatch))
 	}
-	if len(l.LatencyBuckets) > 0 {
-		ss := make([]string, len(l.LatencyBuckets))
-		for i, d := range l.LatencyBuckets {
-			ss[i] = time.Duration(d).String()
-		}
-		bounds, err := fingerprint.ParseLatencyBuckets(strings.Join(ss, ","))
-		if err != nil {
-			return nil, err
-		}
-		opts = append(opts, shard.WithRouterLatencyBuckets(bounds))
+	if buckets != nil {
+		opts = append(opts, shard.WithRouterLatencyBuckets(buckets))
 	}
 	return opts, nil
 }

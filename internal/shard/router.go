@@ -668,21 +668,16 @@ func (r *Router) handleMetrics(w http.ResponseWriter, req *http.Request) {
 // NumShards returns how many shards the router fans out across.
 func (r *Router) NumShards() int { return r.m.NumShards() }
 
-// callShard runs one sub-batch against shard sid, failing over between
-// its replicas in health-aware order within the shard timeout. Only
-// genuine replica faults (connection errors, timeouts, malformed
-// replies) count toward replica health: an alive replica rejecting the
-// request (StatusError) and the caller abandoning the request both
-// leave cooldown state untouched.
-func (r *Router) callShard(parent context.Context, sid int, sub []fingerprint.QueryRequest) (*fingerprint.BatchResponse, error) {
-	ctx, cancel := context.WithTimeout(parent, r.timeout)
-	defer cancel()
+// replicaOrder returns shard sid's replicas in the order every fan-out
+// (queries, health probes, stats) tries them under its one shared shard
+// timeout: healthy replicas first, configured order preserved within
+// each class. Cooling-down replicas stay as a last resort, so a shard
+// whose every replica recently failed is still probed rather than
+// written off — but a hung replica the read path has already cooled
+// down cannot eat the budget ahead of a live one.
+func (r *Router) replicaOrder(sid int) []*replicaState {
 	states := r.shards[sid]
 	now := r.now()
-	// Healthy replicas first, configured order preserved within each
-	// class; cooling-down replicas stay as a last resort so a shard whose
-	// every replica recently failed is still probed rather than written
-	// off.
 	order := make([]*replicaState, 0, len(states))
 	var down []*replicaState
 	for _, s := range states {
@@ -692,9 +687,20 @@ func (r *Router) callShard(parent context.Context, sid int, sub []fingerprint.Qu
 			down = append(down, s)
 		}
 	}
-	order = append(order, down...)
+	return append(order, down...)
+}
+
+// callShard runs one sub-batch against shard sid, failing over between
+// its replicas in health-aware order within the shard timeout. Only
+// genuine replica faults (connection errors, timeouts, malformed
+// replies) count toward replica health: an alive replica rejecting the
+// request (StatusError) and the caller abandoning the request both
+// leave cooldown state untouched.
+func (r *Router) callShard(parent context.Context, sid int, sub []fingerprint.QueryRequest) (*fingerprint.BatchResponse, error) {
+	ctx, cancel := context.WithTimeout(parent, r.timeout)
+	defer cancel()
 	var lastErr error
-	for _, s := range order {
+	for _, s := range r.replicaOrder(sid) {
 		// One span per attempt, failover retries included, so a trace of a
 		// slow query shows WHICH replica burned the time before another
 		// answered.
@@ -1205,7 +1211,7 @@ func (r *Router) probeShard(ctx context.Context, sid int) error {
 	ctx, cancel := context.WithTimeout(ctx, r.timeout)
 	defer cancel()
 	var lastErr error
-	for _, s := range r.shards[sid] {
+	for _, s := range r.replicaOrder(sid) {
 		if err := s.r.Healthz(ctx); err == nil {
 			return nil
 		} else {
@@ -1263,7 +1269,7 @@ func (r *Router) fetchShardStats(ctx context.Context) []shardStatsResult {
 			ctx, cancel := context.WithTimeout(ctx, r.timeout)
 			defer cancel()
 			var lastErr error
-			for _, s := range r.shards[sid] {
+			for _, s := range r.replicaOrder(sid) {
 				st, err := s.r.Stats(ctx)
 				if err == nil {
 					results[sid] = shardStatsResult{st: ShardStats{ID: sid, Replica: s.r.Addr(), StatsResponse: *st}}

@@ -494,6 +494,64 @@ func TestRouterHealthzDegraded(t *testing.T) {
 	}
 }
 
+// hungReplica accepts every call and answers none: each method blocks
+// until its context is done — a replica whose host stopped responding
+// without closing connections.
+type hungReplica struct{}
+
+func (hungReplica) QueryBatch(ctx context.Context, _ []fingerprint.QueryRequest) (*fingerprint.BatchResponse, error) {
+	<-ctx.Done()
+	return nil, ctx.Err()
+}
+func (hungReplica) Healthz(ctx context.Context) error { <-ctx.Done(); return ctx.Err() }
+func (hungReplica) Stats(ctx context.Context) (*fingerprint.StatsResponse, error) {
+	<-ctx.Done()
+	return nil, ctx.Err()
+}
+func (hungReplica) Addr() string { return "hung" }
+
+// TestRouterHealthFanoutsSkipCooledReplica: the health and stats
+// fan-outs try replicas healthy-first like the read path. A hung first
+// replica costs one query its whole shard timeout and is cooled down;
+// after that /v1/healthz and /v1/stats must reach the live second
+// replica at once instead of spending the shared budget on the hung one
+// and reporting the shard unreachable.
+func TestRouterHealthFanoutsSkipCooledReplica(t *testing.T) {
+	const timeout = 600 * time.Millisecond
+	db := testDB(t, 8, 40, 2)
+	live := NewLocalReplica("live", fingerprint.NewSearcherService(index.NewFlat(db)))
+	rt, err := NewRouter(mustHashMap(t, 1), [][]Replica{{hungReplica{}, live}},
+		WithShardTimeout(timeout), WithReplicaCooldown(time.Minute))
+	if err != nil {
+		t.Fatal(err)
+	}
+	resp := postBatch(t, rt.Handler(), []fingerprint.QueryRequest{{Fingerprint: db.Entry(0).F, Label: 0, K: 1}})
+	if len(resp.UnreachableShards) != 1 {
+		t.Fatalf("the hung replica should have spent the query's shard timeout: %+v", resp)
+	}
+
+	get := func(path string) *httptest.ResponseRecorder {
+		t.Helper()
+		rec := httptest.NewRecorder()
+		start := time.Now()
+		rt.Handler().ServeHTTP(rec, httptest.NewRequest(http.MethodGet, path, nil))
+		if took := time.Since(start); took > timeout/2 {
+			t.Fatalf("GET %s took %v: the cooled-down replica was tried first (shard timeout %v)", path, took, timeout)
+		}
+		return rec
+	}
+	if rec := get("/v1/healthz"); rec.Code != http.StatusOK {
+		t.Fatalf("healthz with a live second replica: %d %s", rec.Code, rec.Body)
+	}
+	var st StatsResponse
+	if err := json.NewDecoder(get("/v1/stats").Body).Decode(&st); err != nil {
+		t.Fatal(err)
+	}
+	if len(st.UnreachableShards) != 0 || len(st.Shards) != 1 || st.Shards[0].Replica != "live" {
+		t.Fatalf("stats with a live second replica: %+v", st)
+	}
+}
+
 // TestReplicaCooldownSkipsDeadReplica: after a failure the dead replica
 // is not retried until its cooldown expires.
 func TestReplicaCooldownSkipsDeadReplica(t *testing.T) {
