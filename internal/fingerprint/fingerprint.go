@@ -14,6 +14,7 @@
 package fingerprint
 
 import (
+	"bufio"
 	"encoding/binary"
 	"errors"
 	"fmt"
@@ -57,7 +58,7 @@ const maxSourceLen = 65535
 // Searcher is the pluggable nearest-neighbour backend behind the
 // accountability query service. DB itself is the exact linear-scan
 // reference implementation; internal/index provides the production
-// backends (Flat, IVF).
+// backends (Flat, IVF, IVFPQ).
 type Searcher interface {
 	// Search returns the k nearest same-label training instances to f by
 	// L2 fingerprint distance, ascending.
@@ -133,6 +134,14 @@ type DB struct {
 	mu      sync.RWMutex
 	entries []Linkage
 	byClass map[int][]int
+	// blocks maps a label to the class-major rows LoadDB laid out for
+	// it: blocks[y] is the fingerprints of the first len(blocks[y])/dim
+	// entries of byClass[y], contiguous and in that order, and those
+	// entries' F alias it. It is set before the DB is shared and the
+	// rows are never written again, so index backends scan a block
+	// without the lock (see ClassBlock). Entries stored by Add are not
+	// in any block.
+	blocks map[int][]float32
 }
 
 // NewDB creates a database for fingerprints of the given dimensionality.
@@ -157,7 +166,8 @@ func (db *DB) Len() int {
 }
 
 // Entry returns the linkage at index i. The returned fingerprint shares
-// storage with the database; it is immutable after Add.
+// storage with the database; it is immutable after Add, and its capacity
+// equals its length, so appending to it cannot reach a neighbouring row.
 func (db *DB) Entry(i int) Linkage {
 	db.mu.RLock()
 	defer db.mu.RUnlock()
@@ -187,10 +197,19 @@ func (db *DB) ClassIndex(y int) []int {
 	return out
 }
 
+// ClassBlock returns the contiguous row-major fingerprints of the first
+// len(block)/Dim() entries of ClassIndex(y) — the class's rows as LoadDB
+// laid them out — or nil for a label holding only entries stored by Add.
+// The block is immutable: index backends alias it instead of copying the
+// vectors. Callers must not write to it.
+func (db *DB) ClassBlock(y int) []float32 { return db.blocks[y] }
+
 // Snapshot returns a new database holding exactly the first n entries
-// (all of them if n < 0 or n > Len). Fingerprint storage is shared —
-// entries are immutable after Add — so the copy is O(n) index work, not
-// a vector copy. The ingest path trains replacement indexes against a
+// (all of them if n < 0 or n > Len). Nothing is copied: stored entries
+// and class-index prefixes are never rewritten, so the snapshot shares
+// them (capacity-clipped, so an Add on either side reallocates instead
+// of writing into the other) and carries the class blocks clipped to
+// its prefix. The ingest path trains replacement indexes against a
 // snapshot so a concurrent writer cannot smear entries into the build.
 func (db *DB) Snapshot(n int) *DB {
 	db.mu.RLock()
@@ -198,10 +217,21 @@ func (db *DB) Snapshot(n int) *DB {
 	if n < 0 || n > len(db.entries) {
 		n = len(db.entries)
 	}
-	out := &DB{dim: db.dim, byClass: make(map[int][]int)}
-	out.entries = append(out.entries, db.entries[:n]...)
-	for i, e := range out.entries {
-		out.byClass[e.Y] = append(out.byClass[e.Y], i)
+	out := &DB{
+		dim:     db.dim,
+		entries: db.entries[:n:n],
+		byClass: make(map[int][]int, len(db.byClass)),
+		blocks:  make(map[int][]float32, len(db.blocks)),
+	}
+	for y, idxs := range db.byClass {
+		c := sort.SearchInts(idxs, n) // class members with index < n
+		if c == 0 {
+			continue
+		}
+		out.byClass[y] = idxs[:c:c]
+		if rows := min(c, len(db.blocks[y])/db.dim); rows > 0 {
+			out.blocks[y] = db.blocks[y][: rows*db.dim : rows*db.dim]
+		}
 	}
 	return out
 }
@@ -361,79 +391,217 @@ func normalize(f Fingerprint) {
 
 const dbMagic = "CTFP"
 
-// Save serializes the database.
+// ioBufSize is the buffer Save and LoadDB put between the record codec
+// and the file: large enough that a 100k-entry database costs a few
+// hundred write(2)/read(2) calls instead of one or two per entry.
+const ioBufSize = 1 << 18
+
+// maxPlausibleElems bounds the float32 count of the arena LoadDB
+// allocates from a header (16 GB), like internal/index's loader.
+const maxPlausibleElems = 4_000_000_000
+
+// Save serializes the database: "CTFP" | dim u32 | n u32, then per entry
+// label i32 | srclen u16 | src | hash[32] | dim × f32, little-endian.
 func (db *DB) Save(w io.Writer) error {
 	db.mu.RLock()
 	defer db.mu.RUnlock()
-	if _, err := w.Write([]byte(dbMagic)); err != nil {
-		return fmt.Errorf("fingerprint: save: %w", err)
-	}
-	hdr := binary.LittleEndian.AppendUint32(nil, uint32(db.dim))
-	hdr = binary.LittleEndian.AppendUint32(hdr, uint32(len(db.entries)))
-	if _, err := w.Write(hdr); err != nil {
+	bw := bufio.NewWriterSize(w, ioBufSize)
+	rec := append(make([]byte, 0, 6+32+4*db.dim+64), dbMagic...)
+	rec = binary.LittleEndian.AppendUint32(rec, uint32(db.dim))
+	rec = binary.LittleEndian.AppendUint32(rec, uint32(len(db.entries)))
+	if _, err := bw.Write(rec); err != nil {
 		return fmt.Errorf("fingerprint: save: %w", err)
 	}
 	for _, e := range db.entries {
-		rec := binary.LittleEndian.AppendUint32(nil, uint32(e.Y))
+		rec = binary.LittleEndian.AppendUint32(rec[:0], uint32(e.Y))
 		rec = binary.LittleEndian.AppendUint16(rec, uint16(len(e.S)))
 		rec = append(rec, e.S...)
 		rec = append(rec, e.H[:]...)
 		for _, v := range e.F {
 			rec = binary.LittleEndian.AppendUint32(rec, math.Float32bits(v))
 		}
-		if _, err := w.Write(rec); err != nil {
+		if _, err := bw.Write(rec); err != nil {
 			return fmt.Errorf("fingerprint: save: %w", err)
 		}
+	}
+	if err := bw.Flush(); err != nil {
+		return fmt.Errorf("fingerprint: save: %w", err)
 	}
 	return nil
 }
 
-// LoadDB deserializes a database written by Save.
+// LoadDB deserializes a database written by Save into ONE arena of
+// exactly n·dim floats laid out class-major: the rows of a label are
+// contiguous, in database order, whatever order the file interleaves
+// labels in (labels are placed by first appearance, so a class-grouped
+// file — what Save writes for a database built label by label, and what
+// caltrain-shard emits — needs no row moved). Entry(i).F is a
+// capacity-clipped sub-slice of the arena and ClassBlock(y) the label's
+// whole run of rows, which the index backends alias instead of copying.
+// Database indices are the file's record order, as before.
+//
+// Malformed input yields ErrCorrupt (a cut stream also keeps
+// io.ErrUnexpectedEOF in the chain) or ErrBadLabel, never a panic; the
+// arena is allocated only after n·dim passes the plausibility bound
+// and, when r can seek, after the header's claim fits the bytes that
+// remain.
 func LoadDB(r io.Reader) (*DB, error) {
-	magic := make([]byte, 4)
-	if _, err := io.ReadFull(r, magic); err != nil {
-		return nil, fmt.Errorf("fingerprint: load: %w", err)
+	br := bufio.NewReaderSize(r, ioBufSize)
+	hdr := make([]byte, 12)
+	if _, err := io.ReadFull(br, hdr[:4]); err != nil {
+		return nil, truncated("magic", err)
 	}
-	if string(magic) != dbMagic {
-		return nil, fmt.Errorf("fingerprint: load: bad magic %q: %w", magic, ErrCorrupt)
+	if string(hdr[:4]) != dbMagic {
+		return nil, fmt.Errorf("fingerprint: load: bad magic %q: %w", hdr[:4], ErrCorrupt)
 	}
-	hdr := make([]byte, 8)
-	if _, err := io.ReadFull(r, hdr); err != nil {
-		return nil, fmt.Errorf("fingerprint: load: %w", err)
+	if _, err := io.ReadFull(br, hdr[4:]); err != nil {
+		return nil, truncated("header", err)
 	}
-	dim := int(binary.LittleEndian.Uint32(hdr))
-	n := int(binary.LittleEndian.Uint32(hdr[4:]))
-	if dim > 1_000_000 {
+	dim := int(binary.LittleEndian.Uint32(hdr[4:]))
+	n := int(binary.LittleEndian.Uint32(hdr[8:]))
+	if dim <= 0 || dim > 1_000_000 {
 		return nil, fmt.Errorf("fingerprint: load: implausible dimension %d: %w", dim, ErrCorrupt)
 	}
-	db, err := NewDB(dim)
-	if err != nil {
-		return nil, err
+	if n > 100_000_000 || int64(n)*int64(dim) > maxPlausibleElems {
+		return nil, fmt.Errorf("fingerprint: load: implausible entry count %d (dim %d): %w", n, dim, ErrCorrupt)
 	}
-	if n > 100_000_000 {
-		return nil, fmt.Errorf("fingerprint: load: implausible entry count %d: %w", n, ErrCorrupt)
+	if s, ok := r.(io.Seeker); ok {
+		if left, ok := bytesLeft(s); ok {
+			left += int64(br.Buffered())
+			if need := int64(n) * int64(6+32+4*dim); need > left {
+				return nil, fmt.Errorf("fingerprint: load: header claims %d entries (at least %d bytes) but %d remain: %w: %w",
+					n, need, left, io.ErrUnexpectedEOF, ErrCorrupt)
+			}
+		}
 	}
-	for i := 0; i < n; i++ {
-		head := make([]byte, 6)
-		if _, err := io.ReadFull(r, head); err != nil {
-			return nil, fmt.Errorf("fingerprint: load entry %d: %w", i, err)
+
+	arena := make([]float32, n*dim)
+	entries := make([]Linkage, n)
+	sources := make(map[string]string) // interned: one string per participant
+	head := make([]byte, 6)
+	var rec []byte // source + hash + vector of the current record, reused
+
+	// Labels in first-appearance order with their entry counts. grouped
+	// stays true while no label resumes after another one interrupted
+	// it, i.e. while file order already is class-major.
+	var order []int
+	counts := make(map[int]int)
+	grouped, prevY := true, -1
+	for i := range entries {
+		if _, err := io.ReadFull(br, head); err != nil {
+			return nil, truncated(fmt.Sprintf("entry %d", i), err)
 		}
 		y := int(int32(binary.LittleEndian.Uint32(head)))
+		if y < 0 {
+			return nil, fmt.Errorf("fingerprint: load entry %d: %w: %d", i, ErrBadLabel, y)
+		}
 		slen := int(binary.LittleEndian.Uint16(head[4:]))
-		rest := make([]byte, slen+32+4*dim)
-		if _, err := io.ReadFull(r, rest); err != nil {
-			return nil, fmt.Errorf("fingerprint: load entry %d: %w", i, err)
+		if need := slen + 32 + 4*dim; cap(rec) < need {
+			rec = make([]byte, need)
+		} else {
+			rec = rec[:need]
 		}
-		e := Linkage{Y: y, S: string(rest[:slen])}
-		copy(e.H[:], rest[slen:slen+32])
-		e.F = make(Fingerprint, dim)
-		fb := rest[slen+32:]
-		for j := 0; j < dim; j++ {
-			e.F[j] = math.Float32frombits(binary.LittleEndian.Uint32(fb[j*4:]))
+		if _, err := io.ReadFull(br, rec); err != nil {
+			return nil, truncated(fmt.Sprintf("entry %d", i), err)
 		}
-		if err := db.Add(e); err != nil {
-			return nil, fmt.Errorf("fingerprint: load entry %d: %w", i, err)
+		e := &entries[i]
+		e.Y = y
+		src, ok := sources[string(rec[:slen])] // no allocation on a hit
+		if !ok {
+			src = string(rec[:slen])
+			sources[src] = src
 		}
+		e.S = src
+		copy(e.H[:], rec[slen:])
+		fb := rec[slen+32:]
+		for j, row := 0, arena[i*dim:(i+1)*dim]; j < dim; j++ {
+			row[j] = math.Float32frombits(binary.LittleEndian.Uint32(fb[4*j:]))
+		}
+		if y != prevY {
+			if _, seen := counts[y]; seen {
+				grouped = false
+			} else {
+				order = append(order, y)
+			}
+			prevY = y
+		}
+		counts[y]++
+	}
+
+	// next[y] is the class-major row the label's next entry belongs in.
+	next := make(map[int]int, len(order))
+	db := &DB{dim: dim, entries: entries, byClass: make(map[int][]int, len(order)), blocks: make(map[int][]float32, len(order))}
+	members := make([]int, n) // database index by class-major row: every byClass slice, back to back
+	start := 0
+	for _, y := range order {
+		end := start + counts[y]
+		next[y] = start
+		db.byClass[y] = members[start:end:end]
+		db.blocks[y] = arena[start*dim : end*dim : end*dim]
+		start = end
+	}
+	var dest []int32 // class-major row of the vector the file put in row i
+	if !grouped {
+		dest = make([]int32, n)
+	}
+	for i := range entries {
+		row := i
+		if !grouped {
+			row = next[entries[i].Y]
+			next[entries[i].Y]++
+			dest[i] = int32(row)
+		}
+		members[row] = i
+		entries[i].F = arena[row*dim : (row+1)*dim : (row+1)*dim]
+	}
+	if !grouped {
+		permuteRows(arena, dim, dest)
 	}
 	return db, nil
+}
+
+// truncated wraps a read failure inside a record as corruption. A
+// stream that ends between two records reads as io.EOF; the header
+// promised more, so that is an unexpected end too.
+func truncated(where string, err error) error {
+	if err == io.EOF {
+		err = io.ErrUnexpectedEOF
+	}
+	return fmt.Errorf("fingerprint: load %s: %w: %w", where, err, ErrCorrupt)
+}
+
+// bytesLeft reports how many bytes lie between s's position and its
+// end, leaving the position where it was; ok is false for a seeker that
+// cannot say (a pipe behind an *os.File).
+func bytesLeft(s io.Seeker) (left int64, ok bool) {
+	cur, err := s.Seek(0, io.SeekCurrent)
+	if err != nil {
+		return 0, false
+	}
+	end, err := s.Seek(0, io.SeekEnd)
+	if err != nil {
+		return 0, false
+	}
+	if _, err := s.Seek(cur, io.SeekStart); err != nil {
+		return 0, false
+	}
+	return end - cur, true
+}
+
+// permuteRows moves, in place, the dim-length row at each position i of
+// arena to position dest[i], following the permutation's cycles with
+// one row of scratch: every swap puts one row in its final place.
+// dest is consumed.
+func permuteRows(arena []float32, dim int, dest []int32) {
+	tmp := make([]float32, dim)
+	for i := range dest {
+		for int(dest[i]) != i {
+			j := int(dest[i])
+			ri, rj := arena[i*dim:(i+1)*dim], arena[j*dim:(j+1)*dim]
+			copy(tmp, rj)
+			copy(rj, ri)
+			copy(ri, tmp)
+			dest[i], dest[j] = dest[j], int32(j)
+		}
+	}
 }

@@ -1,0 +1,368 @@
+package fingerprint
+
+import (
+	"bytes"
+	"encoding/binary"
+	"errors"
+	"fmt"
+	"io"
+	"math/rand/v2"
+	"reflect"
+	"runtime"
+	"sync"
+	"testing"
+)
+
+// fileDB builds a database by Add and returns it with its Save bytes.
+// grouped lays the labels out one after the other (what caltrain-shard
+// and a label-by-label fingerprinting run write); otherwise they
+// interleave record by record.
+func fileDB(t testing.TB, dim, n, classes int, grouped bool, seed uint64) (*DB, []byte) {
+	t.Helper()
+	db, err := NewDB(dim)
+	if err != nil {
+		t.Fatal(err)
+	}
+	rng := rand.New(rand.NewPCG(seed, 5))
+	for i := 0; i < n; i++ {
+		y := i % classes
+		if grouped {
+			// Descending labels: grouped, but not in label order.
+			y = classes - 1 - i*classes/n
+		}
+		var h [32]byte
+		binary.LittleEndian.PutUint32(h[:], uint32(i))
+		l := Linkage{F: randomFP(rng, dim), Y: y, S: fmt.Sprintf("participant-%02d", i%7), H: h}
+		if err := db.Add(l); err != nil {
+			t.Fatal(err)
+		}
+	}
+	var buf bytes.Buffer
+	if err := db.Save(&buf); err != nil {
+		t.Fatal(err)
+	}
+	return db, buf.Bytes()
+}
+
+// checkArena holds a loaded database to the layout LoadDB promises:
+// every class block is the class's fingerprints, contiguous and in
+// database order, and every entry's F is the capacity-clipped row of
+// its block.
+func checkArena(t testing.TB, db *DB) {
+	t.Helper()
+	covered := 0
+	for _, y := range db.Labels() {
+		idxs, block := db.ClassIndex(y), db.ClassBlock(y)
+		if len(block) != len(idxs)*db.Dim() || cap(block) != len(block) {
+			t.Fatalf("label %d: block of %d floats (cap %d) for %d entries of dim %d", y, len(block), cap(block), len(idxs), db.Dim())
+		}
+		for k, i := range idxs {
+			e := db.Entry(i)
+			if e.Y != y || len(e.F) != db.Dim() || cap(e.F) != db.Dim() {
+				t.Fatalf("entry %d: label %d, len %d, cap %d", i, e.Y, len(e.F), cap(e.F))
+			}
+			if &e.F[0] != &block[k*db.Dim()] {
+				t.Fatalf("entry %d is not row %d of label %d's block", i, k, y)
+			}
+			if k > 0 && idxs[k-1] >= i {
+				t.Fatalf("label %d: class index not ascending at %d", y, k)
+			}
+		}
+		covered += len(idxs)
+	}
+	if covered != db.Len() {
+		t.Fatalf("class indices cover %d of %d entries", covered, db.Len())
+	}
+}
+
+func sameEntries(t testing.TB, got, want *DB) {
+	t.Helper()
+	if got.Len() != want.Len() || got.Dim() != want.Dim() {
+		t.Fatalf("size %d×%d, want %d×%d", got.Len(), got.Dim(), want.Len(), want.Dim())
+	}
+	for i := 0; i < want.Len(); i++ {
+		if g, w := got.Entry(i), want.Entry(i); !reflect.DeepEqual(g, w) {
+			t.Fatalf("entry %d: %+v, want %+v", i, g, w)
+		}
+	}
+}
+
+// TestLoadDBClassMajor: whatever order the file interleaves labels in,
+// the loaded database keeps the file's indices, answers like the
+// Add-built one, saves the same bytes, and holds every class as one
+// contiguous block its entries alias.
+func TestLoadDBClassMajor(t *testing.T) {
+	for _, grouped := range []bool{true, false} {
+		want, raw := fileDB(t, 6, 211, 5, grouped, 3)
+		got, err := LoadDB(bytes.NewReader(raw))
+		if err != nil {
+			t.Fatal(err)
+		}
+		sameEntries(t, got, want)
+		checkArena(t, got)
+		rng := rand.New(rand.NewPCG(8, 8))
+		for trial := 0; trial < 20; trial++ {
+			q := randomFP(rng, 6)
+			g, err := got.Query(q, trial%6, 7)
+			if err != nil {
+				t.Fatal(err)
+			}
+			w, _ := want.Query(q, trial%6, 7)
+			if !reflect.DeepEqual(g, w) {
+				t.Fatalf("grouped=%v query %d: %+v, want %+v", grouped, trial, g, w)
+			}
+		}
+		var again bytes.Buffer
+		if err := got.Save(&again); err != nil {
+			t.Fatal(err)
+		}
+		if !bytes.Equal(again.Bytes(), raw) {
+			t.Fatalf("grouped=%v: Save after LoadDB differs from the file", grouped)
+		}
+	}
+}
+
+// TestEntryFingerprintCapClipped: a caller appending to a returned
+// fingerprint must get a fresh array, not the next row of the arena.
+func TestEntryFingerprintCapClipped(t *testing.T) {
+	_, raw := fileDB(t, 4, 12, 2, true, 9)
+	db, err := LoadDB(bytes.NewReader(raw))
+	if err != nil {
+		t.Fatal(err)
+	}
+	idxs := db.ClassIndex(db.Labels()[0])
+	next := append(Fingerprint(nil), db.Entry(idxs[1]).F...)
+	_ = append(db.Entry(idxs[0]).F, 42, 42, 42, 42)
+	if got := db.Entry(idxs[1]).F; !reflect.DeepEqual(got, next) {
+		t.Fatalf("append to row 0 overwrote row 1: %v, want %v", got, next)
+	}
+}
+
+// TestSnapshotCarriesBlocks: a snapshot shares the class blocks clipped
+// to its prefix, a later Add on either side leaves the other intact, and
+// entries stored by Add stay outside every block.
+func TestSnapshotCarriesBlocks(t *testing.T) {
+	_, raw := fileDB(t, 4, 40, 3, false, 15)
+	db, err := LoadDB(bytes.NewReader(raw))
+	if err != nil {
+		t.Fatal(err)
+	}
+	rng := rand.New(rand.NewPCG(2, 2))
+	for i := 0; i < 9; i++ {
+		if err := db.Add(Linkage{F: randomFP(rng, 4), Y: i % 4, S: "late"}); err != nil {
+			t.Fatal(err)
+		}
+	}
+	for _, n := range []int{-1, 49, 40, 17, 1, 0} {
+		snap := db.Snapshot(n)
+		if n < 0 {
+			n = db.Len()
+		}
+		if snap.Len() != n {
+			t.Fatalf("snapshot(%d) holds %d", n, snap.Len())
+		}
+		for _, y := range db.Labels() {
+			idxs, block := snap.ClassIndex(y), snap.ClassBlock(y)
+			for _, i := range idxs {
+				if i >= n || snap.Entry(i).Y != y {
+					t.Fatalf("snapshot(%d) label %d lists entry %d", n, y, i)
+				}
+			}
+			loaded := 0 // class members that came from the file
+			for _, i := range idxs {
+				if i < 40 {
+					loaded++
+				}
+			}
+			if len(block) != loaded*4 {
+				t.Fatalf("snapshot(%d) label %d: block of %d floats, want %d rows", n, y, len(block), loaded)
+			}
+			if loaded > 0 && &block[0] != &db.ClassBlock(y)[0] {
+				t.Fatalf("snapshot(%d) label %d: block is a copy", n, y)
+			}
+		}
+	}
+	snap := db.Snapshot(20)
+	before, class := db.Entry(20), db.ClassIndex(db.Entry(20).Y)
+	if err := snap.Add(Linkage{F: randomFP(rng, 4), Y: before.Y, S: "fork"}); err != nil {
+		t.Fatal(err)
+	}
+	if got := db.Entry(20); !reflect.DeepEqual(got, before) {
+		t.Fatalf("Add on a snapshot rewrote live entry 20: %+v", got)
+	}
+	if got := db.ClassIndex(before.Y); !reflect.DeepEqual(got, class) {
+		t.Fatalf("Add on a snapshot rewrote the live class index: %v, want %v", got, class)
+	}
+}
+
+// onlyReader hides every method but Read, so LoadDB cannot seek.
+type onlyReader struct{ io.Reader }
+
+// TestLoadDBRejectsMalformed: every malformed input is a typed sentinel,
+// and a cut stream keeps io.ErrUnexpectedEOF in the chain whether or
+// not the reader can seek.
+func TestLoadDBRejectsMalformed(t *testing.T) {
+	_, raw := fileDB(t, 4, 10, 2, false, 21)
+	header := func(dim, n uint32) []byte {
+		b := append([]byte(nil), raw...)
+		binary.LittleEndian.PutUint32(b[4:], dim)
+		binary.LittleEndian.PutUint32(b[8:], n)
+		return b
+	}
+	negative := append([]byte(nil), raw...)
+	binary.LittleEndian.PutUint32(negative[12:], 0xffffffff) // first record's label = -1
+	cases := []struct {
+		name string
+		data []byte
+		want []error
+	}{
+		{"empty", nil, []error{ErrCorrupt, io.ErrUnexpectedEOF}},
+		{"short header", raw[:9], []error{ErrCorrupt, io.ErrUnexpectedEOF}},
+		{"bad magic", append([]byte("ZZZZ"), raw[4:]...), []error{ErrCorrupt}},
+		{"cut mid-record", raw[:len(raw)-3], []error{ErrCorrupt, io.ErrUnexpectedEOF}},
+		{"cut between records", raw[:12+(len(raw)-12)/10*4], []error{ErrCorrupt, io.ErrUnexpectedEOF}},
+		{"zero dim", header(0, 10), []error{ErrCorrupt}},
+		{"huge dim", header(2_000_000, 10), []error{ErrCorrupt}},
+		{"lying count", header(4, 90_000_000), []error{ErrCorrupt}},
+		{"implausible product", header(900_000, 90_000_000), []error{ErrCorrupt}},
+		{"negative label", negative, []error{ErrBadLabel}},
+	}
+	for _, tc := range cases {
+		for _, seekable := range []bool{true, false} {
+			if !seekable && tc.name == "lying count" {
+				continue // without a size to check against, 90M entries is merely plausible
+			}
+			var r io.Reader = bytes.NewReader(tc.data)
+			if !seekable {
+				r = onlyReader{r}
+			}
+			_, err := LoadDB(r)
+			for _, want := range tc.want {
+				if !errors.Is(err, want) {
+					t.Errorf("%s (seekable=%v): error %v does not wrap %v", tc.name, seekable, err, want)
+				}
+			}
+		}
+	}
+	// The size check must leave a seekable reader where LoadDB found it.
+	r := bytes.NewReader(append([]byte("prefix--"), raw...))
+	if _, err := r.Seek(8, io.SeekStart); err != nil {
+		t.Fatal(err)
+	}
+	if db, err := LoadDB(r); err != nil || db.Len() != 10 {
+		t.Fatalf("load from mid-stream position: %v", err)
+	}
+}
+
+// FuzzLoadDB holds the CTFP decoder to "a database or a typed sentinel,
+// never a panic": on success the layout invariants hold and Save
+// reproduces the consumed bytes exactly.
+func FuzzLoadDB(f *testing.F) {
+	_, grouped := fileDB(f, 3, 9, 3, true, 1)
+	_, interleaved := fileDB(f, 3, 9, 3, false, 2)
+	lying := append([]byte(nil), interleaved...)
+	binary.LittleEndian.PutUint32(lying[8:], 50_000_000)
+	f.Add(grouped)
+	f.Add(interleaved)
+	f.Add(interleaved[:len(interleaved)-5])
+	f.Add(lying)
+	f.Fuzz(func(t *testing.T, data []byte) {
+		db, err := LoadDB(bytes.NewReader(data))
+		if err != nil {
+			if !errors.Is(err, ErrCorrupt) && !errors.Is(err, ErrBadLabel) {
+				t.Fatalf("untyped error: %v", err)
+			}
+			return
+		}
+		checkArena(t, db)
+		var out bytes.Buffer
+		if err := db.Save(&out); err != nil {
+			t.Fatal(err)
+		}
+		if !bytes.HasPrefix(data, out.Bytes()) {
+			t.Fatalf("Save after LoadDB is not the %d bytes consumed", out.Len())
+		}
+	})
+}
+
+// TestConcurrentAddQuerySnapshot: readers, a writer and snapshot-takers
+// share one loaded database. Run under -race.
+func TestConcurrentAddQuerySnapshot(t *testing.T) {
+	_, raw := fileDB(t, 8, 300, 3, false, 27)
+	db, err := LoadDB(bytes.NewReader(raw))
+	if err != nil {
+		t.Fatal(err)
+	}
+	var wg sync.WaitGroup
+	stop := make(chan struct{})
+	for g := 0; g < 3; g++ {
+		wg.Add(1)
+		go func(g int) {
+			defer wg.Done()
+			rng := rand.New(rand.NewPCG(uint64(g), 4))
+			for {
+				select {
+				case <-stop:
+					return
+				default:
+				}
+				if _, err := db.Query(randomFP(rng, 8), g, 5); err != nil {
+					t.Error(err)
+					return
+				}
+				snap := db.Snapshot(-1)
+				if got := len(snap.ClassIndex(g)); got < 100 {
+					t.Errorf("snapshot lost label %d entries: %d", g, got)
+					return
+				}
+				_ = snap.ClassBlock(g)[0]
+			}
+		}(g)
+	}
+	rng := rand.New(rand.NewPCG(77, 4))
+	for i := 0; i < 300; i++ {
+		if err := db.Add(Linkage{F: randomFP(rng, 8), Y: i % 4, S: "w"}); err != nil {
+			t.Fatal(err)
+		}
+	}
+	close(stop)
+	wg.Wait()
+	if db.Len() != 600 {
+		t.Fatalf("len %d", db.Len())
+	}
+}
+
+// BenchmarkDBSaveLoad reports what one entry costs to write and to read
+// back (dim 64, 8 labels, file-backed sizes are n × ~310 B). Allocations
+// per entry are the regression canary: both directions are a constant
+// handful per database, so the per-entry figure rounds to zero.
+func BenchmarkDBSaveLoad(b *testing.B) {
+	n := 100_000
+	if testing.Short() {
+		n = 2_000
+	}
+	db, raw := fileDB(b, 64, n, 8, true, 1)
+	var ms0, ms1 runtime.MemStats
+	b.Run("save", func(b *testing.B) {
+		runtime.ReadMemStats(&ms0)
+		for i := 0; i < b.N; i++ {
+			if err := db.Save(io.Discard); err != nil {
+				b.Fatal(err)
+			}
+		}
+		runtime.ReadMemStats(&ms1)
+		b.ReportMetric(float64(b.Elapsed().Nanoseconds())/float64(b.N*n), "ns/entry")
+		b.ReportMetric(float64(ms1.Mallocs-ms0.Mallocs)/float64(b.N*n), "allocs/entry")
+	})
+	b.Run("load", func(b *testing.B) {
+		runtime.ReadMemStats(&ms0)
+		for i := 0; i < b.N; i++ {
+			if _, err := LoadDB(bytes.NewReader(raw)); err != nil {
+				b.Fatal(err)
+			}
+		}
+		runtime.ReadMemStats(&ms1)
+		b.ReportMetric(float64(b.Elapsed().Nanoseconds())/float64(b.N*n), "ns/entry")
+		b.ReportMetric(float64(ms1.Mallocs-ms0.Mallocs)/float64(b.N*n), "allocs/entry")
+	})
+}

@@ -75,6 +75,13 @@ func TestMetricsExpositionService(t *testing.T) {
 	if !strings.Contains(exposition, "caltrain_build_info{") {
 		t.Fatalf("exposition lacks caltrain_build_info:\n%s", exposition)
 	}
+	// Runtime health sits next to the request metrics: resident bytes ÷
+	// caltrain_entries is the live bytes-per-linkage figure.
+	for _, name := range []string{"caltrain_process_resident_bytes", "caltrain_go_heap_inuse_bytes", "caltrain_go_goroutines"} {
+		if got := expositionValue(t, exposition, name); got <= 0 {
+			t.Fatalf("%s = %v, want a positive reading", name, got)
+		}
+	}
 	// A read-only daemon has no write path: the ingest families must be
 	// absent, not zero.
 	if strings.Contains(exposition, "caltrain_wal_bytes") {

@@ -269,6 +269,7 @@ func (s *Service) buildMetrics() *obs.Registry {
 	if fams := s.obsOpts.Tracer.MetricFamilies(); len(fams) > 0 {
 		reg.MustRegister(fams...)
 	}
+	reg.MustRegister(obs.RuntimeFamilies()...)
 	return reg
 }
 

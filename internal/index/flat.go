@@ -29,8 +29,13 @@ type Flat struct {
 // Entries added to the database afterwards are not visible unless fed in
 // with Append.
 func NewFlat(db *fingerprint.DB) *Flat {
-	buckets, total, dim := buildBuckets(db)
-	return &Flat{dim: dim, total: total, buckets: buckets}
+	x := &Flat{dim: db.Dim(), buckets: make(map[int]*bucket)}
+	for _, y := range db.Labels() {
+		b := buildBucket(db, y)
+		x.buckets[y] = b
+		x.total += b.n
+	}
+	return x
 }
 
 // Dim returns the fingerprint dimensionality.
@@ -56,7 +61,7 @@ func (x *Flat) Append(dbIndex int, l fingerprint.Linkage) error {
 	defer x.mu.Unlock()
 	b := x.buckets[l.Y]
 	if b == nil {
-		b = &bucket{}
+		b = &bucket{vecs: rows{dim: x.dim}}
 		x.buckets[l.Y] = b
 	}
 	b.appendEntry(int32(dbIndex), l)
@@ -77,7 +82,7 @@ func (x *Flat) VectorBytes() int64 {
 	defer x.mu.RUnlock()
 	var total int64
 	for _, b := range x.buckets {
-		total += 4 * int64(len(b.vecs))
+		total += b.vecs.bytes()
 		total += 4 * int64(len(b.idx))
 	}
 	return total

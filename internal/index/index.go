@@ -4,7 +4,7 @@
 // scan; at production scale — millions of fingerprints, heavy query
 // traffic — that path needs a real index.
 //
-// Two backends implement fingerprint.Searcher:
+// Three backends implement fingerprint.Searcher:
 //
 //   - Flat: exact. Contiguous per-label vector storage, chunked parallel
 //     scan, squared-distance comparisons with a bounded top-k max-heap and
@@ -14,9 +14,24 @@
 //     each class into nlist inverted lists; queries scan only the nprobe
 //     closest lists. Recall is tunable via nprobe and measurable with
 //     Recall.
+//   - IVFPQ: approximate and compressed. The IVF coarse quantizer, but
+//     each list stores M-byte product-quantization codes of the
+//     residuals instead of float vectors, scored through per-query
+//     lookup tables (kernel.ADCScan).
 //
-// Both serialize with Save/Load so a built index persists and reloads
-// alongside LinkageDB.Save.
+// Flat and IVF keep each label's vectors in a bucket of two row-major
+// segments. base holds the rows the index was built over and is never
+// written again: when the database came from fingerprint.LoadDB it is
+// the database's own class block (DB.ClassBlock), aliased, so a loaded
+// fingerprint is resident once, not once per layer; for a database
+// built by Add, and for Load, it is a private copy. tail is the
+// index-owned segment Append grows, so appends never reallocate or
+// duplicate base. Positions run through base then tail, in database
+// order. IVFPQ keeps no float vectors at all; its trainer reads the
+// same buckets and drops them.
+//
+// All three serialize with Save/Load so a built index persists and
+// reloads alongside LinkageDB.Save.
 package index
 
 import (
@@ -59,12 +74,69 @@ type Drifter interface {
 	Drift() float64
 }
 
+// rows is a row-major float32 matrix stored in two segments: rows
+// [0, nb) in base, the rest in tail. The split exists so a bucket can
+// alias an immutable block it does not own (base) and still grow (tail).
+type rows struct {
+	dim, nb    int
+	base, tail []float32
+}
+
+// at returns row p.
+func (m *rows) at(p int) []float32 {
+	if p < m.nb {
+		return m.base[p*m.dim : (p+1)*m.dim]
+	}
+	p -= m.nb
+	return m.tail[p*m.dim : (p+1)*m.dim]
+}
+
+// span returns the stored rows [r, r+n): the longest contiguous run that
+// starts at r, stays in one segment and ends by hi.
+func (m *rows) span(r, hi int) (run []float32, n int) {
+	if r < m.nb {
+		hi = min(hi, m.nb)
+		return m.base[r*m.dim : hi*m.dim], hi - r
+	}
+	return m.tail[(r-m.nb)*m.dim : (hi-m.nb)*m.dim], hi - r
+}
+
+// gather computes out[i] = SqDist(q, row pos[i]) for at most scanBlock
+// positions, one kernel call per run of positions in the same segment
+// (an inverted list is ascending, so that is at most two calls).
+func (m *rows) gather(q []float32, pos []int32, out []float64) {
+	if len(m.tail) == 0 {
+		kernel.DistanceGather(q, m.base, m.dim, pos, out)
+		return
+	}
+	var rel [scanBlock]int32 // tail-relative positions of the current run
+	for i := 0; i < len(pos); {
+		j := i
+		if int(pos[i]) < m.nb {
+			for j < len(pos) && int(pos[j]) < m.nb {
+				j++
+			}
+			kernel.DistanceGather(q, m.base, m.dim, pos[i:j], out[i:j])
+		} else {
+			for ; j < len(pos) && int(pos[j]) >= m.nb; j++ {
+				rel[j-i] = pos[j] - int32(m.nb)
+			}
+			kernel.DistanceGather(q, m.tail, m.dim, rel[:j-i], out[i:j])
+		}
+		i = j
+	}
+}
+
+// bytes is the float storage both segments address.
+func (m *rows) bytes() int64 { return 4 * int64(len(m.base)+len(m.tail)) }
+
 // bucket is one class label's slice of the index: vectors stored
-// contiguously for cache-friendly scanning, provenance kept parallel.
+// contiguously for cache-friendly scanning (see rows and the package
+// comment for the base/tail split), provenance kept parallel.
 type bucket struct {
 	n    int
-	vecs []float32 // n*dim, row-major
-	idx  []int32   // database indices
+	vecs rows
+	idx  []int32 // database indices
 	src  []string
 	hash [][32]byte
 }
@@ -73,7 +145,7 @@ type bucket struct {
 // Callers hold the owning index's write lock.
 func (b *bucket) appendEntry(dbIdx int32, l fingerprint.Linkage) int32 {
 	pos := int32(b.n)
-	b.vecs = append(b.vecs, l.F...)
+	b.vecs.tail = append(b.vecs.tail, l.F...)
 	b.idx = append(b.idx, dbIdx)
 	b.src = append(b.src, l.S)
 	b.hash = append(b.hash, l.H)
@@ -81,31 +153,37 @@ func (b *bucket) appendEntry(dbIdx int32, l fingerprint.Linkage) int32 {
 	return pos
 }
 
-// buildBuckets snapshots the database into per-label buckets.
-func buildBuckets(db *fingerprint.DB) (map[int]*bucket, int, int) {
+// buildBucket snapshots label y of the database. The rows covered by
+// the database's class block are aliased as base; rows the block does
+// not cover (entries stored by Add) are copied — into the tail behind an
+// aliased base, or as a private base when the label has no block.
+func buildBucket(db *fingerprint.DB, y int) *bucket {
 	dim := db.Dim()
-	buckets := make(map[int]*bucket)
-	total := 0
-	for _, y := range db.Labels() {
-		idxs := db.ClassIndex(y)
-		b := &bucket{
-			n:    len(idxs),
-			vecs: make([]float32, len(idxs)*dim),
-			idx:  make([]int32, len(idxs)),
-			src:  make([]string, len(idxs)),
-			hash: make([][32]byte, len(idxs)),
-		}
-		for i, dbIdx := range idxs {
-			e := db.Entry(dbIdx)
-			copy(b.vecs[i*dim:(i+1)*dim], e.F)
-			b.idx[i] = int32(dbIdx)
-			b.src[i] = e.S
-			b.hash[i] = e.H
-		}
-		buckets[y] = b
-		total += b.n
+	idxs := db.ClassIndex(y)
+	block := db.ClassBlock(y)
+	nb := len(block) / dim
+	own := make([]float32, (len(idxs)-nb)*dim)
+	vecs := rows{dim: dim, nb: nb, base: block, tail: own}
+	if nb == 0 {
+		vecs = rows{dim: dim, nb: len(idxs), base: own}
 	}
-	return buckets, total, dim
+	b := &bucket{
+		n:    len(idxs),
+		vecs: vecs,
+		idx:  make([]int32, len(idxs)),
+		src:  make([]string, len(idxs)),
+		hash: make([][32]byte, len(idxs)),
+	}
+	for i, dbIdx := range idxs {
+		e := db.Entry(dbIdx)
+		if i >= nb {
+			copy(own[(i-nb)*dim:], e.F)
+		}
+		b.idx[i] = int32(dbIdx)
+		b.src[i] = e.S
+		b.hash[i] = e.H
+	}
+	return b
 }
 
 // cand is one scan candidate: squared distance plus position within the
@@ -226,11 +304,11 @@ const scanBlock = 256
 // scanRange feeds bucket positions [lo,hi) through the heap, computing
 // distances a block at a time via the vectorized kernel.
 func scanRange(t *topK, q []float32, dim int, lo, hi int32) {
-	vecs := t.b.vecs
+	vecs := &t.b.vecs
 	var buf [scanBlock]float64
 	for r := int(lo); r < int(hi); {
-		n := min(scanBlock, int(hi)-r)
-		kernel.DistanceRows(q, vecs[r*dim:(r+n)*dim], dim, buf[:n])
+		run, n := vecs.span(r, min(r+scanBlock, int(hi)))
+		kernel.DistanceRows(q, run, dim, buf[:n])
 		for i := 0; i < n; i++ {
 			// Equal distance can still win on the index tie-break, so <=.
 			if d2 := buf[i]; d2 <= t.threshold() {
@@ -305,8 +383,8 @@ func batchSweep(heaps []*topK, qs []float32, dim int, b *bucket, lo, hi int) {
 	nq := len(heaps)
 	buf := make([]float64, nq*scanBlock)
 	for r0 := lo; r0 < hi; {
-		rows := min(scanBlock, hi-r0)
-		kernel.DistanceBatch(qs, b.vecs[r0*dim:(r0+rows)*dim], dim, buf[:nq*rows])
+		run, rows := b.vecs.span(r0, min(r0+scanBlock, hi))
+		kernel.DistanceBatch(qs, run, dim, buf[:nq*rows])
 		for qi, t := range heaps {
 			row := buf[qi*rows : (qi+1)*rows]
 			for i, d2 := range row {

@@ -86,13 +86,14 @@ func TrainIVF(db *fingerprint.DB, opts IVFOptions) (*IVF, error) {
 	if db.Len() == 0 {
 		return nil, fmt.Errorf("index: cannot train IVF on an empty database")
 	}
-	buckets, total, dim := buildBuckets(db)
-	x := &IVF{dim: dim, total: total, labels: make(map[int]*ivfClass, len(buckets))}
+	x := &IVF{dim: db.Dim(), labels: make(map[int]*ivfClass)}
 	nprobe := 0
-	for y, b := range buckets {
+	for _, y := range db.Labels() {
+		b := buildBucket(db, y)
 		o := opts.withDefaults(b.n)
-		c := trainClass(b, dim, o)
+		c := trainClass(b, o)
 		x.labels[y] = c
+		x.total += b.n
 		// The coarsest label's nprobe default governs the index; labels
 		// with fewer lists are clamped at search time.
 		nprobe = max(nprobe, o.Nprobe)
@@ -101,12 +102,13 @@ func TrainIVF(db *fingerprint.DB, opts IVFOptions) (*IVF, error) {
 	return x, nil
 }
 
-func trainClass(b *bucket, dim int, o IVFOptions) *ivfClass {
+func trainClass(b *bucket, o IVFOptions) *ivfClass {
+	dim := b.vecs.dim
 	rng := rand.New(rand.NewPCG(o.Seed, uint64(b.n)<<16|uint64(o.Nlist)))
 	c := &ivfClass{b: b, nlist: o.Nlist}
 	if o.Nlist >= b.n {
 		// Degenerate: every point its own list; centroids are the points.
-		c.centroids = append([]float32(nil), b.vecs...)
+		c.centroids = append(append(make([]float32, 0, b.n*dim), b.vecs.base...), b.vecs.tail...)
 		c.nlist = b.n
 		c.lists = make([][]int32, b.n)
 		for i := range c.lists {
@@ -127,10 +129,10 @@ func trainClass(b *bucket, dim int, o IVFOptions) *ivfClass {
 	c.centroids = make([]float32, c.nlist*dim)
 	for i := 0; i < c.nlist; i++ {
 		p := int(sample[i%len(sample)])
-		copy(c.centroids[i*dim:(i+1)*dim], b.vecs[p*dim:(p+1)*dim])
+		copy(c.centroids[i*dim:(i+1)*dim], b.vecs.at(p))
 	}
 
-	lloyd(b.vecs, dim, sample, c.centroids, c.nlist, o.Iters, rng)
+	lloyd(&b.vecs, sample, c.centroids, c.nlist, o.Iters, rng)
 
 	// Full assignment pass over every point in the label.
 	all := make([]int32, b.n)
@@ -138,7 +140,7 @@ func trainClass(b *bucket, dim int, o IVFOptions) *ivfClass {
 		all[i] = int32(i)
 	}
 	full := make([]int32, b.n)
-	assignNearest(b.vecs, dim, all, c.centroids, c.nlist, full)
+	assignNearest(&b.vecs, all, c.centroids, c.nlist, full)
 	c.lists = make([][]int32, c.nlist)
 	for p, ci := range full {
 		c.lists[ci] = append(c.lists[ci], int32(p))
@@ -155,19 +157,20 @@ func trainClass(b *bucket, dim int, o IVFOptions) *ivfClass {
 // forever. It is the one k-means loop under both trainers (the coarse
 // quantizer and every PQ subquantizer); rng is drawn once per empty
 // cluster, in ascending cluster order, which trained bytes depend on.
-func lloyd(vecs []float32, dim int, points []int32, cents []float32, k, iters int, rng *rand.Rand) {
+func lloyd(vecs *rows, points []int32, cents []float32, k, iters int, rng *rand.Rand) {
+	dim := vecs.dim
 	assign := make([]int32, len(points))
 	counts := make([]int, k)
 	sums := make([]float64, k*dim)
 	for it := 0; it < iters; it++ {
-		assignNearest(vecs, dim, points, cents, k, assign)
+		assignNearest(vecs, points, cents, k, assign)
 		clear(sums)
 		clear(counts)
 		for i, p := range points {
 			ci := int(assign[i])
 			counts[ci]++
 			s := sums[ci*dim : (ci+1)*dim]
-			for j, vj := range vecs[int(p)*dim : (int(p)+1)*dim] {
+			for j, vj := range vecs.at(int(p)) {
 				s[j] += float64(vj)
 			}
 		}
@@ -175,7 +178,7 @@ func lloyd(vecs []float32, dim int, points []int32, cents []float32, k, iters in
 			cen := cents[ci*dim : (ci+1)*dim]
 			if counts[ci] == 0 {
 				p := int(points[rng.IntN(len(points))])
-				copy(cen, vecs[p*dim:(p+1)*dim])
+				copy(cen, vecs.at(p))
 				continue
 			}
 			inv := 1 / float64(counts[ci])
@@ -188,11 +191,10 @@ func lloyd(vecs []float32, dim int, points []int32, cents []float32, k, iters in
 
 // assignNearest writes, for each listed row of vecs, the index of its
 // nearest of the k centroids. Large point sets fan out across cores.
-func assignNearest(vecs []float32, dim int, points []int32, cents []float32, k int, out []int32) {
+func assignNearest(vecs *rows, points []int32, cents []float32, k int, out []int32) {
 	parallelChunks(len(points), func(lo, hi int) {
 		for i := lo; i < hi; i++ {
-			p := int(points[i])
-			out[i] = int32(kernel.ArgminRows(vecs[p*dim:(p+1)*dim], cents, dim, k))
+			out[i] = int32(kernel.ArgminRows(vecs.at(int(points[i])), cents, vecs.dim, k))
 		}
 	})
 }
@@ -222,7 +224,7 @@ func (x *IVF) Append(dbIndex int, l fingerprint.Linkage) error {
 	defer x.mu.Unlock()
 	c := x.labels[l.Y]
 	if c == nil {
-		b := &bucket{}
+		b := &bucket{vecs: rows{dim: x.dim}}
 		pos := b.appendEntry(int32(dbIndex), l)
 		x.labels[l.Y] = &ivfClass{
 			b:         b,
@@ -260,7 +262,7 @@ func (x *IVF) VectorBytes() int64 {
 	defer x.mu.RUnlock()
 	var total int64
 	for _, c := range x.labels {
-		total += 4 * int64(len(c.b.vecs))
+		total += c.b.vecs.bytes()
 		total += 4 * int64(len(c.b.idx))
 		total += 4 * int64(len(c.centroids))
 		for _, list := range c.lists {
@@ -356,7 +358,7 @@ func (x *IVF) scanProbed(c *ivfClass, f fingerprint.Fingerprint, label, k int, c
 	if total < parallelScanThreshold {
 		t := newTopK(c.b, k)
 		for _, pc := range cds[:nprobe] {
-			scanPositions(t, f, x.dim, c.lists[pc.ci])
+			scanPositions(t, f, c.lists[pc.ci])
 		}
 		return t.matches(label)
 	}
@@ -367,19 +369,18 @@ func (x *IVF) scanProbed(c *ivfClass, f fingerprint.Fingerprint, label, k int, c
 		flat = append(flat, c.lists[pc.ci]...)
 	}
 	final := parallelTopK(c.b, k, len(flat), func(t *topK, lo, hi int) {
-		scanPositions(t, f, x.dim, flat[lo:hi])
+		scanPositions(t, f, flat[lo:hi])
 	})
 	return final.matches(label)
 }
 
 // scanPositions feeds the listed bucket positions through the heap,
 // gathering distances a block at a time via the vectorized kernel.
-func scanPositions(t *topK, q []float32, dim int, positions []int32) {
-	vecs := t.b.vecs
+func scanPositions(t *topK, q []float32, positions []int32) {
 	var buf [scanBlock]float64
 	for off := 0; off < len(positions); {
 		n := min(scanBlock, len(positions)-off)
-		kernel.DistanceGather(q, vecs, dim, positions[off:off+n], buf[:n])
+		t.b.vecs.gather(q, positions[off:off+n], buf[:n])
 		for i := 0; i < n; i++ {
 			if d2 := buf[i]; d2 <= t.threshold() {
 				t.consider(cand{d2: d2, pos: positions[off+i]})

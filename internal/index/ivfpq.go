@@ -91,22 +91,25 @@ type IVFPQ struct {
 // TrainIVFPQ builds an IVFPQ index from a snapshot of the linkage
 // database: per label, the IVF coarse training pass (shared with
 // TrainIVF), then per-subquantizer k-means over the residuals and one
-// encoding pass. The float vectors are dropped once encoded — only
-// codes, centroids, and codebooks are retained.
+// encoding pass. A label's float vectors are read where the database
+// keeps them (or from a copy that lives only while that label trains)
+// and never retained — only codes, centroids, and codebooks are.
 func TrainIVFPQ(db *fingerprint.DB, opts IVFPQOptions) (*IVFPQ, error) {
 	if db.Len() == 0 {
 		return nil, fmt.Errorf("index: cannot train IVFPQ on an empty database")
 	}
-	buckets, total, dim := buildBuckets(db)
+	dim := db.Dim()
 	o := opts.withDefaults(dim)
 	if o.M < 1 || dim%o.M != 0 {
 		return nil, fmt.Errorf("index: IVFPQ M=%d must divide the fingerprint dimensionality %d", o.M, dim)
 	}
-	x := &IVFPQ{dim: dim, m: o.M, total: total, labels: make(map[int]*ivfpqClass, len(buckets))}
+	x := &IVFPQ{dim: dim, m: o.M, labels: make(map[int]*ivfpqClass)}
 	nprobe := 0
-	for y, b := range buckets {
+	for _, y := range db.Labels() {
+		b := buildBucket(db, y)
 		co := o.IVFOptions.withDefaults(b.n)
-		x.labels[y] = trainPQClass(b, dim, o.M, co)
+		x.labels[y] = trainPQClass(b, o.M, co)
+		x.total += b.n
 		nprobe = max(nprobe, co.Nprobe)
 	}
 	x.nprobe.Store(int32(nprobe))
@@ -114,25 +117,25 @@ func TrainIVFPQ(db *fingerprint.DB, opts IVFPQOptions) (*IVFPQ, error) {
 }
 
 // trainPQClass runs the full per-label pipeline: coarse k-means (the
-// IVF trainer), residual computation, PQ codebook training, and the
-// encoding pass that turns the bucket's float vectors into per-list
-// code arrays.
-func trainPQClass(b *bucket, dim, m int, co IVFOptions) *ivfpqClass {
-	ivfc := trainClass(b, dim, co)
+// IVF trainer), PQ codebook training on the residuals of a sample, and
+// the encoding pass that turns the bucket's float vectors into per-list
+// code arrays. Residuals (vector minus its coarse centroid) are computed
+// where they are consumed — for the training sample, and one row at a
+// time while encoding — never as a whole n×dim matrix.
+func trainPQClass(b *bucket, m int, co IVFOptions) *ivfpqClass {
+	dim := b.vecs.dim
+	ivfc := trainClass(b, co)
 	c := &ivfpqClass{nlist: ivfc.nlist, centroids: ivfc.centroids, n: b.n}
 
-	// Residual matrix, ordered by bucket position.
-	assign := make([]int32, b.n)
+	assign := make([]int32, b.n) // coarse list by bucket position
 	for ci, list := range ivfc.lists {
 		for _, p := range list {
 			assign[p] = int32(ci)
 		}
 	}
-	res := make([]float32, b.n*dim)
-	for p := 0; p < b.n; p++ {
-		v := b.vecs[p*dim : (p+1)*dim]
+	residual := func(p int, r []float32) {
+		v := b.vecs.at(p)
 		cen := c.centroids[int(assign[p])*dim : (int(assign[p])+1)*dim]
-		r := res[p*dim : (p+1)*dim]
 		for j := range r {
 			r[j] = v[j] - cen[j]
 		}
@@ -142,13 +145,15 @@ func trainPQClass(b *bucket, dim, m int, co IVFOptions) *ivfpqClass {
 	// quantizer's so the two stages can't correlate; the sample floor
 	// keeps a small coarse SampleCap from starving 256-means.
 	rng := rand.New(rand.NewPCG(co.Seed^0x9e3779b97f4a7c15, uint64(b.n)<<16|uint64(m)))
-	c.book = trainPQ(res, b.n, dim, m, co.Iters, max(co.SampleCap, 8*pqKs), rng)
+	c.book = trainPQ(residual, b.n, dim, m, co.Iters, max(co.SampleCap, 8*pqKs), rng)
 
 	// Encode every point, then pack codes into list order.
 	codes := make([]byte, b.n*m)
 	parallelChunks(b.n, func(lo, hi int) {
+		r := make([]float32, dim)
 		for p := lo; p < hi; p++ {
-			c.book.encode(res[p*dim:(p+1)*dim], codes[p*m:(p+1)*m])
+			residual(p, r)
+			c.book.encode(r, codes[p*m:(p+1)*m])
 		}
 	})
 	c.lists = make([]*pqList, c.nlist)

@@ -40,35 +40,40 @@ func zeroCodebook(m, dsub int) *pqCodebook {
 	return &pqCodebook{m: m, dsub: dsub, centroids: make([]float32, m*pqKs*dsub)}
 }
 
-// trainPQ runs k-means per subquantizer over a sample of the n×dim
-// residual matrix. Training is deterministic for a fixed rng state and
-// input (the kernel's bit-stability contract makes the assignment step
-// reproducible across hardware paths).
-func trainPQ(res []float32, n, dim, m, iters, sampleCap int, rng *rand.Rand) *pqCodebook {
+// trainPQ runs k-means per subquantizer over a seeded sample of n
+// dim-length residuals; residual(p, r) writes residual p into r, and is
+// called for the sampled rows only. Training is deterministic for a
+// fixed rng state and input (the kernel's bit-stability contract makes
+// the assignment step reproducible across hardware paths).
+func trainPQ(residual func(p int, r []float32), n, dim, m, iters, sampleCap int, rng *rand.Rand) *pqCodebook {
 	dsub := dim / m
 	cb := &pqCodebook{m: m, dsub: dsub, centroids: make([]float32, m*pqKs*dsub)}
 	sampleN := min(n, sampleCap)
 	perm := rng.Perm(n)[:sampleN]
+	res := make([]float32, sampleN*dim)
+	for i, p := range perm {
+		residual(p, res[i*dim:(i+1)*dim])
+	}
 
 	// Scratch shared across subquantizers: the sampled subvectors packed
 	// contiguously and their identity position list.
-	sub := make([]float32, sampleN*dsub)
+	sub := rows{dim: dsub, nb: sampleN, base: make([]float32, sampleN*dsub)}
 	all := make([]int32, sampleN)
 	for i := range all {
 		all[i] = int32(i)
 	}
 
 	for j := 0; j < m; j++ {
-		for i, p := range perm {
-			copy(sub[i*dsub:(i+1)*dsub], res[p*dim+j*dsub:p*dim+(j+1)*dsub])
+		for i := range perm {
+			copy(sub.at(i), res[i*dim+j*dsub:i*dim+(j+1)*dsub])
 		}
 		cents := cb.sub(j)
 		// Init from the shuffled sample; with fewer than pqKs samples the
 		// duplicates are harmless (strict-< argmin always picks the first).
 		for k := 0; k < pqKs; k++ {
-			copy(cents[k*dsub:(k+1)*dsub], sub[(k%sampleN)*dsub:(k%sampleN+1)*dsub])
+			copy(cents[k*dsub:(k+1)*dsub], sub.at(k%sampleN))
 		}
-		lloyd(sub, dsub, all, cents, pqKs, iters, rng)
+		lloyd(&sub, all, cents, pqKs, iters, rng)
 	}
 	return cb
 }

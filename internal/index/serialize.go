@@ -114,7 +114,7 @@ func Save(w io.Writer, s Searcher) error {
 			bw.Write(u16[:])
 			bw.WriteString(b.src[i])
 			bw.Write(b.hash[i][:])
-			for _, v := range b.vecs[i*dim : (i+1)*dim] {
+			for _, v := range b.vecs.at(i) {
 				put(math.Float32bits(v))
 			}
 		}
@@ -245,9 +245,10 @@ func Load(r io.Reader) (Searcher, error) {
 		if n > maxPlausible || n*dim > maxPlausibleElems {
 			return nil, fmt.Errorf("index: load: implausible entry count %d (dim %d): %w", n, dim, ErrCorrupt)
 		}
+		vecs := make([]float32, n*dim)
 		b := &bucket{
 			n:    n,
-			vecs: make([]float32, n*dim),
+			vecs: rows{dim: dim, nb: n, base: vecs},
 			idx:  make([]int32, n),
 			src:  make([]string, n),
 			hash: make([][32]byte, n),
@@ -271,7 +272,7 @@ func Load(r io.Reader) (Searcher, error) {
 			copy(b.hash[i][:], rest[slen:slen+32])
 			fb := rest[slen+32:]
 			for j := 0; j < dim; j++ {
-				b.vecs[i*dim+j] = math.Float32frombits(binary.LittleEndian.Uint32(fb[j*4:]))
+				vecs[i*dim+j] = math.Float32frombits(binary.LittleEndian.Uint32(fb[j*4:]))
 			}
 		}
 		if _, dup := buckets[y]; dup {

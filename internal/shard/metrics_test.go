@@ -83,6 +83,11 @@ func TestRouterMetricsExposition(t *testing.T) {
 	if got := routerExpositionValue(t, exposition, "caltrain_router_unreachable_shards"); got != 0 {
 		t.Fatalf("caltrain_router_unreachable_shards = %v, want 0", got)
 	}
+	for _, name := range []string{"caltrain_process_resident_bytes", "caltrain_go_heap_inuse_bytes", "caltrain_go_goroutines"} {
+		if got := routerExpositionValue(t, exposition, name); got <= 0 {
+			t.Fatalf("%s = %v, want a positive reading", name, got)
+		}
+	}
 	if got := routerExpositionValue(t, exposition, "caltrain_queries_total"); got != float64(st.Queries) {
 		t.Fatalf("caltrain_queries_total = %v, /stats queries = %d", got, st.Queries)
 	}

@@ -632,6 +632,7 @@ func (r *Router) buildMetrics() *obs.Registry {
 	if fams := r.obsOpts.Tracer.MetricFamilies(); len(fams) > 0 {
 		reg.MustRegister(fams...)
 	}
+	reg.MustRegister(obs.RuntimeFamilies()...)
 	return reg
 }
 
