@@ -8,11 +8,15 @@ import (
 	"os"
 	"os/exec"
 	"path/filepath"
+	"regexp"
+	"strconv"
+	"strings"
 	"syscall"
 	"testing"
 	"time"
 
 	"caltrain/internal/fingerprint"
+	"caltrain/internal/obs"
 	"caltrain/internal/shard"
 )
 
@@ -250,6 +254,69 @@ func TestServeIngestGracefulSnapshot(t *testing.T) {
 	}
 	if st.Ingest == nil || st.Ingest.ReplayEntries != 0 {
 		t.Fatalf("snapshot restart should replay nothing: %+v", st.Ingest)
+	}
+}
+
+// TestServeSetupIsLegible: every backend announces how long loading the
+// database and building its index took, the same split is on
+// /v1/metrics (lint-clean), and a drift retrain moves the build gauge.
+func TestServeSetupIsLegible(t *testing.T) {
+	dir := t.TempDir()
+	dbPath := filepath.Join(dir, "linkage.db")
+	copyFile(t, writeTestDB(t, 300), dbPath)
+	d := spawnDaemon(t, "-db", dbPath, "-wal", filepath.Join(dir, "wal"), "-fsync", "never",
+		"-addr", "127.0.0.1:0", "-backend", "ivf", "-nlist", "4", "-nprobe", "2", "-drift-threshold", "0.05")
+	addr := waitForAddr(t, d.out)
+	if !regexp.MustCompile(`(?m)^loaded 300 entries in \S+, built ivf index in \S+ \(nprobe 2\)$`).MatchString(d.out.String()) {
+		t.Fatalf("no set-up line in the daemon output:\n%s", d.out.String())
+	}
+	client := fingerprint.NewClient("http://"+addr, nil)
+	waitHealthy(t, client)
+
+	gauge := func(name string) float64 {
+		t.Helper()
+		body, err := client.Metrics()
+		if err != nil {
+			t.Fatal(err)
+		}
+		if err := obs.Lint(strings.NewReader(body)); err != nil {
+			t.Fatalf("exposition lint: %v", err)
+		}
+		m := regexp.MustCompile(`(?m)^` + name + ` (\S+)$`).FindStringSubmatch(body)
+		if m == nil {
+			t.Fatalf("%s missing from /v1/metrics:\n%s", name, body)
+		}
+		v, err := strconv.ParseFloat(m[1], 64)
+		if err != nil {
+			t.Fatal(err)
+		}
+		return v
+	}
+	if v := gauge("caltrain_startup_load_seconds"); v <= 0 {
+		t.Errorf("caltrain_startup_load_seconds = %v", v)
+	}
+	atStartup := gauge("caltrain_index_build_seconds")
+	if atStartup <= 0 {
+		t.Errorf("caltrain_index_build_seconds = %v", atStartup)
+	}
+
+	// 30 appends on 300 entries cross the 5 % drift threshold.
+	entries := make([]fingerprint.IngestEntry, 30)
+	for i := range entries {
+		entries[i] = fingerprint.IngestEntry{Fingerprint: make([]float32, 8), Label: i % 3, Source: "late"}
+	}
+	if _, err := client.Ingest(entries); err != nil {
+		t.Fatal(err)
+	}
+	deadline := time.Now().Add(10 * time.Second)
+	for gauge("caltrain_ingest_retrains_total") < 1 {
+		if time.Now().After(deadline) {
+			t.Fatal("no drift retrain within 10s")
+		}
+		time.Sleep(10 * time.Millisecond)
+	}
+	if after := gauge("caltrain_index_build_seconds"); after <= 0 || after == atStartup {
+		t.Errorf("caltrain_index_build_seconds = %v after a retrain, %v at startup", after, atStartup)
 	}
 }
 

@@ -115,6 +115,7 @@ import (
 	"net"
 	"os"
 	"os/signal"
+	"sync/atomic"
 	"syscall"
 	"time"
 
@@ -122,6 +123,7 @@ import (
 	"caltrain/internal/fingerprint"
 	"caltrain/internal/index"
 	"caltrain/internal/ingest"
+	"caltrain/internal/obs"
 	"caltrain/internal/serve"
 )
 
@@ -252,6 +254,7 @@ func run(parent context.Context, args []string, out io.Writer) error {
 	}
 
 	var db *fingerprint.DB
+	loadStart := time.Now()
 	dbf, err := os.Open(o.db)
 	switch {
 	case err == nil:
@@ -275,7 +278,11 @@ func run(parent context.Context, args []string, out io.Writer) error {
 	default:
 		return err
 	}
+	loadTook := time.Since(loadStart)
 
+	// The index is built between here and the end of dep.Build: read
+	// from -load-index or trained, then caught up with the WAL.
+	buildStart := time.Now()
 	if o.loadIndex != "" {
 		// The loaded index replaces the backend the config declared; its
 		// kind (and, for IVFPQ, its code width) with the config's training
@@ -312,31 +319,57 @@ func run(parent context.Context, args []string, out io.Writer) error {
 		dep.Observability.DebugAddr = o.debugAddr
 	}
 
+	// buildNanos is how long the serving index last took to build: the
+	// startup build below, then every drift retrain, which runs through
+	// the store's Rebuild hook.
+	var buildNanos atomic.Int64
 	if dep.WAL != nil {
 		dep.WAL.Store.Logf = func(format string, args ...any) {
 			fmt.Fprintf(out, format+"\n", args...)
 		}
+		if rebuild := dep.Backend.Rebuild(); rebuild != nil {
+			dep.WAL.Store.Rebuild = func(db *fingerprint.DB) (fingerprint.Searcher, error) {
+				start := time.Now()
+				sr, err := rebuild(db)
+				if err == nil {
+					buildNanos.Store(int64(time.Since(start)))
+				}
+				return sr, err
+			}
+		}
 	}
 	// Build trains the index (if any) and replays the WAL, so both
 	// -save-index below and the first query see every acknowledged entry.
-	buildStart := time.Now()
 	built, err := dep.Build(db)
 	if err != nil {
 		return err
 	}
+	buildTook := time.Since(buildStart)
+	buildNanos.Store(int64(buildTook))
+	setup := fmt.Sprintf("loaded %d entries in %v, built %s index in %v", db.Len(),
+		loadTook.Round(time.Millisecond), dep.Backend.Kind(), buildTook.Round(time.Millisecond))
 	svc := built.Service()
 	var desc string
 	var store *ingest.Store
 	if svc != nil {
 		searcher := svc.Searcher()
 		desc = "index " + searcher.Kind()
-		if ivf, ok := searcher.(*index.IVF); ok && o.loadIndex == "" {
-			fmt.Fprintf(out, "trained IVF index in %v (nprobe %d)\n", time.Since(buildStart).Round(time.Millisecond), ivf.Nprobe())
+		if p, ok := searcher.(interface{ Nprobe() int }); ok {
+			setup += fmt.Sprintf(" (nprobe %d)", p.Nprobe())
 		}
 		store = built.Store()
+		svc.MustRegisterMetrics(
+			obs.GaugeFunc("caltrain_startup_load_seconds",
+				"Seconds the daemon took to load (or bootstrap) the linkage database at startup.",
+				loadTook.Seconds),
+			obs.GaugeFunc("caltrain_index_build_seconds",
+				"Seconds the serving index last took to build: at startup, training or loading it and replaying the WAL into it; after that, each drift retrain.",
+				func() float64 { return time.Duration(buildNanos.Load()).Seconds() }),
+		)
 	} else {
 		desc = fmt.Sprintf("%s-sharded router, %d shards", dep.Backend.Kind(), dep.Shards)
 	}
+	fmt.Fprintln(out, setup)
 	if store != nil {
 		fmt.Fprintf(out, "wal: %s (fsync %s), replayed %d entries, %d total\n",
 			dep.WAL.Dir, dep.WAL.Store.WAL.Sync, store.Replayed(), db.Len())

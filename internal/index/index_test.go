@@ -5,6 +5,7 @@ import (
 	"encoding/binary"
 	"errors"
 	"math/rand/v2"
+	"slices"
 	"sync"
 	"testing"
 	"testing/quick"
@@ -233,6 +234,44 @@ func TestIVFDegenerateTinyClass(t *testing.T) {
 		t.Fatal(err)
 	}
 	sameMatches(t, got, want)
+}
+
+// TestInvertedListsCapClipped pins the layout trainClass hands out: the
+// lists of a class are sub-slices of one arena, each with capacity equal
+// to its length, so appending to a list moves THAT list and leaves the
+// rows of the next one alone. Every list gets an append (its own
+// centroid is nearest to itself) and every list is re-checked.
+func TestInvertedListsCapClipped(t *testing.T) {
+	const dim, nlist = 16, 8
+	db := populatedDB(t, dim, 600, 1, 5)
+	x, err := TrainIVF(db, IVFOptions{Nlist: nlist, Seed: 3})
+	if err != nil {
+		t.Fatal(err)
+	}
+	c := x.labels[0]
+	trained := make([][]int32, nlist)
+	for ci, l := range c.lists {
+		if cap(l) != len(l) {
+			t.Errorf("list %d: len %d, cap %d — an append would run into the next list", ci, len(l), cap(l))
+		}
+		trained[ci] = slices.Clone(l)
+	}
+	for ci := 0; ci < nlist; ci++ {
+		cen := fingerprint.Fingerprint(c.centroids[ci*dim : (ci+1)*dim])
+		if err := x.Append(db.Len()+ci, fingerprint.Linkage{F: cen, Y: 0, S: "late"}); err != nil {
+			t.Fatal(err)
+		}
+	}
+	grown := 0
+	for ci, l := range c.lists {
+		if !slices.Equal(l[:len(trained[ci])], trained[ci]) {
+			t.Errorf("list %d changed under an append to another list:\n got %v\nwant %v", ci, l[:len(trained[ci])], trained[ci])
+		}
+		grown += len(l) - len(trained[ci])
+	}
+	if grown != nlist {
+		t.Errorf("lists grew by %d entries over %d appends", grown, nlist)
+	}
 }
 
 func TestTrainIVFEmptyDB(t *testing.T) {

@@ -135,17 +135,36 @@ func trainClass(b *bucket, o IVFOptions) *ivfClass {
 	lloyd(&b.vecs, sample, c.centroids, c.nlist, o.Iters, rng)
 
 	// Full assignment pass over every point in the label.
-	all := make([]int32, b.n)
-	for i := range all {
-		all[i] = int32(i)
-	}
 	full := make([]int32, b.n)
-	assignNearest(&b.vecs, all, c.centroids, c.nlist, full)
-	c.lists = make([][]int32, c.nlist)
-	for p, ci := range full {
-		c.lists[ci] = append(c.lists[ci], int32(p))
-	}
+	assignNearest(&b.vecs, nil, c.centroids, c.nlist, full)
+	c.lists = invertedLists(full, c.nlist)
 	return c
+}
+
+// invertedLists groups the positions 0..len(assign)-1 by their list,
+// ascending within each: count, prefix-sum, then fill ONE exact-size
+// arena through sub-slices whose capacity is their final length. A list
+// therefore never grows while it is built, and an Append to it later
+// reallocates that list instead of writing into its neighbour's rows.
+func invertedLists(assign []int32, nlist int) [][]int32 {
+	end := make([]int, nlist) // end[ci] = arena offset one past list ci
+	for _, ci := range assign {
+		end[ci]++
+	}
+	for ci := 1; ci < nlist; ci++ {
+		end[ci] += end[ci-1]
+	}
+	arena := make([]int32, len(assign))
+	lists := make([][]int32, nlist)
+	lo := 0
+	for ci, hi := range end {
+		lists[ci] = arena[lo:lo:hi]
+		lo = hi
+	}
+	for p, ci := range assign {
+		lists[ci] = append(lists[ci], int32(p))
+	}
+	return lists
 }
 
 // lloyd refines the k dim-length centroids in place with iters rounds of
@@ -189,12 +208,17 @@ func lloyd(vecs *rows, points []int32, cents []float32, k, iters int, rng *rand.
 	}
 }
 
-// assignNearest writes, for each listed row of vecs, the index of its
-// nearest of the k centroids. Large point sets fan out across cores.
+// assignNearest writes into out[i] the index of the nearest of the k
+// centroids to row points[i] of vecs — to row i when points is nil,
+// which means every row. Large point sets fan out across cores.
 func assignNearest(vecs *rows, points []int32, cents []float32, k int, out []int32) {
-	parallelChunks(len(points), func(lo, hi int) {
+	parallelChunks(len(out), func(lo, hi int) {
 		for i := lo; i < hi; i++ {
-			out[i] = int32(kernel.ArgminRows(vecs.at(int(points[i])), cents, vecs.dim, k))
+			p := i
+			if points != nil {
+				p = int(points[i])
+			}
+			out[i] = int32(kernel.ArgminRows(vecs.at(p), cents, vecs.dim, k))
 		}
 	})
 }

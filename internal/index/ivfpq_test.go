@@ -392,6 +392,41 @@ func TestIVFPQDefaultM(t *testing.T) {
 	}
 }
 
+// linkedClassDB is the trainers' benchmark input: one class of n
+// linkage-group fingerprints at the shape of a bench shard label (dim
+// 64, groups of 12).
+func linkedClassDB(b *testing.B, n int) *fingerprint.DB {
+	db, err := fingerprint.NewDB(64)
+	if err != nil {
+		b.Fatal(err)
+	}
+	for _, f := range linkedFingerprints(rand.New(rand.NewPCG(15, 1)), n, 64, 64, 12, 0.15, 0.05) {
+		if err := db.Add(fingerprint.Linkage{F: f, Y: 0, S: "s"}); err != nil {
+			b.Fatal(err)
+		}
+	}
+	return db
+}
+
+// BenchmarkTrainIVF times the whole IVF build — sample, Lloyd rounds,
+// full assignment pass, inverted lists — for one class the size of a
+// bench shard label (25 000 × 64, 158 lists; 2 500 under -short).
+// Nearly all of it is ArgminRows of a 64-float row against the
+// centroid table, which is what the screened argmin exists for.
+func BenchmarkTrainIVF(b *testing.B) {
+	n := 25000
+	if testing.Short() {
+		n = 2500
+	}
+	db := linkedClassDB(b, n)
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		if _, err := TrainIVF(db, IVFOptions{Seed: 2}); err != nil {
+			b.Fatal(err)
+		}
+	}
+}
+
 // BenchmarkTrainIVFPQ times the whole IVFPQ build — coarse k-means, PQ
 // codebook training, the encoding pass — for one class at the shape of
 // a bench shard label (dim 64, M 16: 4-float subvectors), 2 500 entries
@@ -402,15 +437,7 @@ func BenchmarkTrainIVFPQ(b *testing.B) {
 	if testing.Short() {
 		n = 500
 	}
-	db, err := fingerprint.NewDB(64)
-	if err != nil {
-		b.Fatal(err)
-	}
-	for _, f := range linkedFingerprints(rand.New(rand.NewPCG(15, 1)), n, 64, 64, 12, 0.15, 0.05) {
-		if err := db.Add(fingerprint.Linkage{F: f, Y: 0, S: "s"}); err != nil {
-			b.Fatal(err)
-		}
-	}
+	db := linkedClassDB(b, n)
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
 		if _, err := TrainIVFPQ(db, IVFPQOptions{IVFOptions: IVFOptions{Seed: 2}}); err != nil {

@@ -38,6 +38,12 @@ func hasAVX2() bool {
 	return ebx7&avx2 != 0
 }
 
+// screenOK gates the screened argmin (kernel.go): rowsScreenAsm uses
+// VFMADD231PS, which hasAVX2 does not vouch for, so registerArch probes
+// FMA3 separately — CPUID.1:ECX bit 12. An AVX2 host without it keeps
+// the exact scan.
+var screenOK bool
+
 // registerArch appends the AVX2 path when the host supports it; called
 // once from the package init before the dispatch default is chosen.
 // The pair and rows slots are the assembly (dispatch_asm.go). The ADC
@@ -48,5 +54,8 @@ func hasAVX2() bool {
 func registerArch() {
 	if hasAVX2() {
 		impls = append(impls, Impl{Name: "avx2", SqDist: sqDistVector, Rows: rowsVector, ADCScan: adcScanGeneric})
+		_, _, ecx1, _ := cpuid(1, 0)
+		const fma = 1 << 12
+		screenOK = ecx1&fma != 0
 	}
 }

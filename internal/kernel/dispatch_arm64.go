@@ -12,6 +12,10 @@ package kernel
 // double lane of a 128-bit vector register.
 const rowLanes = 2
 
+// screenOK gates the screened argmin (kernel.go): rowsScreenAsm needs
+// nothing beyond baseline ASIMD.
+const screenOK = true
+
 // registerArch appends the NEON path; called once from the package init
 // before the dispatch default is chosen. The pair and rows slots are
 // the assembly (dispatch_asm.go). The ADC slot points at the portable

@@ -14,3 +14,11 @@ func registerArch() {}
 // the portable reference); it exists so Impl.rows compiles to static
 // calls on every build.
 func rowsVector(q, vecs []float32, dim int, out []float64) { rowsGeneric(q, vecs, dim, out) }
+
+// screenOK is false without an assembly implementation, so
+// argminScreened is never reached either.
+const screenOK = false
+
+func argminScreened(q, vecs []float32, dim, n int) int {
+	panic("kernel: no screening routine on this build")
+}

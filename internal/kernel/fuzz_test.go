@@ -1,6 +1,8 @@
 package kernel_test
 
 import (
+	"encoding/binary"
+	"math"
 	"testing"
 
 	"caltrain/internal/kernel"
@@ -80,6 +82,32 @@ func FuzzRowsParity(f *testing.F) {
 		vecs := buf[shift : shift+n*dim]
 		q := buf[len(buf)-dim:]
 		kerneltest.CheckRows(t, q, vecs, n)
+	})
+}
+
+// FuzzArgminParity mutates the adversarial argmin table (the seed
+// corpus is argminCases at compact shapes): the query and the rows
+// arrive as raw float32 bytes, so the fuzzer perturbs single ulps of a
+// planted tie, flips a coordinate to NaN or to a magnitude whose square
+// leaves float32, and resizes both — and ArgminRows under every
+// implementation must still return the exhaustive exact scan's index.
+func FuzzArgminParity(f *testing.F) {
+	toBytes := func(v []float32) []byte {
+		b := make([]byte, 0, 4*len(v))
+		for _, x := range v {
+			b = binary.LittleEndian.AppendUint32(b, math.Float32bits(x))
+		}
+		return b
+	}
+	for _, c := range argminCases([]int{8, 9, 17, 64}, []int{1, 6, 257}) {
+		f.Add(toBytes(c.q), toBytes(c.vecs))
+	}
+	f.Fuzz(func(t *testing.T, qb, vb []byte) {
+		q, vecs := kerneltest.FromBytes(qb), kerneltest.FromBytes(vb)
+		if len(q) == 0 {
+			return
+		}
+		kerneltest.CheckRows(t, q, vecs, min(len(vecs)/len(q), 600))
 	})
 }
 

@@ -19,7 +19,9 @@
 //
 // Each implementation fills three slots of Impl: the pair kernel
 // (SqDist), the rows kernel (Rows: one query against a contiguous block
-// of rows, ONE dispatch per block) and the ADC table scan (adc.go).
+// of rows, ONE dispatch per block) and the ADC table scan (adc.go). The
+// assembly implementations also carry an unexported float32 screening
+// routine that only ArgminRows uses (see "Screened argmin" below).
 //
 // Bit-stability contract. Every implementation MUST produce bitwise
 // identical float64 results for identical inputs, so indexes built,
@@ -66,6 +68,63 @@
 // kernel, and DistanceBatch sweeps a block of vectors sized to stay
 // cache-resident across a whole query batch, so a batch of B queries
 // costs one pass over the data instead of B.
+//
+// Screened argmin. ArgminRows — the nearest-centroid assignment of
+// k-means, the one loop IVF set-up consists of — is specified by its
+// RESULT: the index an ascending strict-< scan of the exact kernel
+// distances returns. Under an assembly implementation, for widths of 8
+// and up, it gets there without running the exact kernel on most rows:
+// rowsScreenAsm scores a block of rows in plain float32 (a subtraction
+// and a fused multiply-add on 8 or 4 lanes, no widening: about a third
+// of the exact row's cost), every row whose screening value a satisfies
+//
+//	a ≤ min·(1+τ) + η,   τ = (dim+8)·2⁻²²,   η = dim·2⁻¹⁴⁸
+//
+// (min the smallest screening value of the block) is a candidate, and
+// only the candidates — one or two of a centroid table, typically —
+// are scored by the exact pair kernel and compared ascending with a
+// strict <. The screening values are NOT part of the bit-stability
+// contract (the two architectures sum in different orders, and a
+// separate multiply and add would be as good); the returned index is,
+// because the candidate set provably contains the exhaustive scan's
+// winner:
+//
+//   - Write T for the real-number distance of a row and u = 2⁻²⁴. A
+//     screening value is a sum of dim non-negative terms, each reached
+//     through at most K ≤ dim/8 + 12 ≤ dim + 8 float32 roundings (one
+//     on the difference, at most one on the square, the lane sum, the
+//     lane reduction, the scalar tail), none of which can cancel, so
+//     |a − T| ≤ γ·T + ε with γ = Ku/(1−Ku). The ε = dim·2⁻¹⁵⁰·(1+γ)
+//     covers the only absolute error: a square, or the fused sum it
+//     enters, rounding in the subnormal range (a float32 subtraction or
+//     addition alone never loses to underflow; the Go runtime leaves
+//     flush-to-zero off). No step overflows while the result is
+//     finite, since terms only accumulate.
+//   - The exact kernel's float64 value D of the same row carries the
+//     same kind of error with u₆₄ = 2⁻⁵³ and no underflow: |D − T| ≤ γ₆₄·T.
+//   - Let i be the exhaustive winner of a block and m the row with the
+//     smallest screening value. D_i ≤ D_m, hence
+//     T_i ≤ T_m·(1+γ₆₄)/(1−γ₆₄), and chaining the two bounds gives
+//     a_i ≤ ρ·(a_m + ε) + ε with ρ = (1+γ)(1+γ₆₄)/((1−γ)(1−γ₆₄)). With
+//     x = (dim+8)·u ≤ 2⁻⁷ (screenMaxDim), ρ ≤ 1 + 2.1x < 1 + 4x = 1 + τ
+//     and (2+τ)·ε < η: row i passes the candidate test, with 1.9x ≥ 30
+//     float32 ulps of slack for the rounding of the threshold itself.
+//   - Among candidates the ascending strict-< scan of exact distances
+//     picks the lowest index at the smallest D, which is i, and blocks
+//     combine by the same rule as before.
+//
+// τ grows with dim; it is not a constant tuned to one width. The bound
+// needs finite arithmetic, so a block with any screening value that is
+// NaN, +Inf or above 1e30 (squares of coordinates ≳ 1e14) is scanned
+// exactly instead, as are widths below 8 (the lane-per-row kernel is
+// already cheap there), widths above screenMaxDim, blocks of fewer than
+// four rows, everything under the portable implementation, and an AVX2
+// host without FMA3 (screenOK: the amd64 routine uses VFMADD231PS, and
+// dispatch_amd64.go probes CPUID.1:ECX bit 12 for it).
+// kerneltest.CheckRows holds ArgminRows to the reference argmin under
+// every implementation; TestArgminAdversarial and FuzzArgminParity aim
+// it at exact ties, one-ulp neighbours, underflowing and overflowing
+// squares and non-finite coordinates.
 package kernel
 
 import (
@@ -298,17 +357,38 @@ func DistanceRows(q, vecs []float32, dim int, out []float64) {
 }
 
 // argminBlock is how many rows ArgminRows scores per rows-kernel call:
-// a whole PQ codebook (ADCKs rows) in one dispatch, on 2 KiB of stack.
+// a whole PQ codebook (ADCKs rows) in one dispatch, on 2 KiB of stack
+// for the exact distances or 1 KiB for the screening values.
 const argminBlock = ADCKs
+
+// The screened argmin applies where its proof does (see the package
+// comment): an assembly implementation whose screening routine the host
+// can run (screenOK, per architecture), at least one whole 8-float
+// block per row and four rows per screening group, a width that keeps
+// (dim+8)·2⁻²⁴ ≤ 2⁻⁷, and a block whose screening values all sit at or
+// below screenSafe (float32 bits of 1e30 — far from overflow, and below
+// every NaN and +Inf pattern).
+const (
+	screenMinDim  = 8
+	screenMaxDim  = 1 << 16
+	screenMinRows = 4
+	screenSafe    = 0x7149F2CA
+)
 
 // ArgminRows returns the index of the row of vecs[:n*dim] nearest q by
 // squared kernel distance — the assignment step of k-means and product
 // quantization. The scan is ascending with a strict <, so ties go to
 // the lowest index; a NaN distance never wins, and 0 is returned when no
-// row is closer than +Inf (or n is 0).
+// row is closer than +Inf (or n is 0). On the assembly implementations
+// most rows are ruled out by a float32 screening pass and never reach
+// the exact kernel; the index returned is the exhaustive scan's for
+// every input (package comment, "Screened argmin").
 func ArgminRows(q, vecs []float32, dim, n int) int {
 	checkRowsArgs("ArgminRows", q, vecs, dim, n)
 	im := active.Load()
+	if screenOK && im != &impls[0] && dim >= screenMinDim && dim <= screenMaxDim {
+		return argminScreened(q, vecs, dim, n)
+	}
 	var buf [argminBlock]float64
 	best, bestD := 0, math.Inf(1)
 	for r0 := 0; r0 < n; r0 += argminBlock {

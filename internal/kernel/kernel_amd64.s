@@ -209,6 +209,117 @@ elem:
 	VZEROUPPER
 	RET
 
+// func rowsScreenAsm(q, vecs *float32, dim, n int, out *float32) (lo, hi uint32)
+//
+// The screening pass of the screened argmin (kernel.go): out[i] ≈ the
+// squared L2 distance between q and row i in plain float32 — 8-lane
+// VSUBPS and VFMADD231PS, no widening — for n ≥ 4 contiguous rows of
+// dim ≥ 8 floats. The caller has probed FMA3 (screenOK). These values
+// are NOT under the bit-stability contract; only the error bound
+// documented in kernel.go is relied on, and every path through here is
+// at most dim/8 + 12 roundings deep.
+//
+// Four rows per step share each load of q (Y8): their lane sums live in
+// Y0..Y3, three VHADDPS and one cross-half add fold them into
+// X0 = {row0, row1, row2, row3}, and the dim mod 8 leftover elements
+// are added four rows at a time (VMOVSS + 3 × VINSERTPS at the row
+// stride against the broadcast q[j]). When n is not a multiple of 4
+// the last group is re-anchored at row n-4 and rescans up to three rows,
+// which rewrites the same values. lo and hi are the unsigned minimum and
+// maximum of the float32 BIT PATTERNS written to out: a sum of squares
+// is +0 or positive, so below +Inf the unsigned order is the float
+// order, and any NaN (either sign) or +Inf lands above every finite
+// value — hi alone tells the caller whether the block is safe to trust.
+TEXT ·rowsScreenAsm(SB), NOSPLIT, $0-48
+	MOVQ q+0(FP), SI
+	MOVQ vecs+8(FP), DI
+	MOVQ dim+16(FP), CX
+	MOVQ n+24(FP), BX
+	MOVQ out+32(FP), R8
+	MOVQ CX, DX
+	ANDQ $-8, DX               // DX = dim &^ 7, the blocked prefix
+	LEAQ (CX*4), R9            // R9 = row stride in bytes
+	VPCMPEQD X12, X12, X12     // running min of the bit patterns, per lane
+	VPXOR X13, X13, X13        // running max
+
+group:
+	LEAQ (DI)(R9*1), R10       // rows 1..3 of the group
+	LEAQ (R10)(R9*1), R11
+	LEAQ (R11)(R9*1), R12
+	VXORPS Y0, Y0, Y0          // lane sums of rows 0..3
+	VXORPS Y1, Y1, Y1
+	VXORPS Y2, Y2, Y2
+	VXORPS Y3, Y3, Y3
+	XORQ AX, AX                // AX = element index j
+
+blocked:
+	VMOVUPS (SI)(AX*4), Y8
+	VSUBPS (DI)(AX*4), Y8, Y4  // d = q - v
+	VFMADD231PS Y4, Y4, Y0   // sum += d*d
+	VSUBPS (R10)(AX*4), Y8, Y5
+	VFMADD231PS Y5, Y5, Y1
+	VSUBPS (R11)(AX*4), Y8, Y6
+	VFMADD231PS Y6, Y6, Y2
+	VSUBPS (R12)(AX*4), Y8, Y7
+	VFMADD231PS Y7, Y7, Y3
+	ADDQ $8, AX
+	CMPQ AX, DX
+	JL   blocked
+
+	VHADDPS Y1, Y0, Y0         // per half: {r0, r0, r1, r1} pair sums
+	VHADDPS Y3, Y2, Y2         // per half: {r2, r2, r3, r3}
+	VHADDPS Y2, Y0, Y0         // per half: {r0, r1, r2, r3}
+	VEXTRACTF128 $1, Y0, X1
+	VADDPS X1, X0, X0          // X0 = {row0, row1, row2, row3}
+
+tail:
+	CMPQ AX, CX
+	JGE  store
+	VMOVSS (DI)(AX*4), X1
+	VINSERTPS $0x10, (R10)(AX*4), X1, X1
+	VINSERTPS $0x20, (R11)(AX*4), X1, X1
+	VINSERTPS $0x30, (R12)(AX*4), X1, X1
+	VBROADCASTSS (SI)(AX*4), X2
+	VSUBPS X1, X2, X1          // element j of the four rows
+	VMULPS X1, X1, X1
+	VADDPS X1, X0, X0
+	INCQ AX
+	JMP  tail
+
+store:
+	VMOVUPS X0, (R8)
+	VPMINUD X0, X12, X12
+	VPMAXUD X0, X13, X13
+	ADDQ $16, R8
+	LEAQ (DI)(R9*4), DI        // next four rows
+	SUBQ $4, BX
+	CMPQ BX, $4
+	JGE  group
+	TESTQ BX, BX
+	JLE  fold
+	SUBQ $4, BX                // 1..3 rows left: step back to row n-4
+	LEAQ (R8)(BX*4), R8
+	IMULQ R9, BX
+	ADDQ BX, DI
+	MOVQ $4, BX
+	JMP  group
+
+fold:
+	VPSHUFD $0x4E, X12, X1
+	VPMINUD X1, X12, X12
+	VPSHUFD $0xB1, X12, X1
+	VPMINUD X1, X12, X12
+	VPSHUFD $0x4E, X13, X1
+	VPMAXUD X1, X13, X13
+	VPSHUFD $0xB1, X13, X1
+	VPMAXUD X1, X13, X13
+	VMOVD X12, AX
+	VMOVD X13, DX
+	VZEROUPPER
+	MOVL AX, lo+40(FP)
+	MOVL DX, hi+44(FP)
+	RET
+
 // func cpuid(eaxIn, ecxIn uint32) (eax, ebx, ecx, edx uint32)
 TEXT ·cpuid(SB), NOSPLIT, $0-24
 	MOVL eaxIn+0(FP), AX

@@ -262,3 +262,88 @@ elem:
 	SUB   $2, R8
 	CBNZ  R8, group
 	RET
+
+// func rowsScreenAsm(q, vecs *float32, dim, n int, out *float32) (lo, hi uint32)
+//
+// The screening pass of the screened argmin (kernel.go): out[i] ≈ the
+// squared L2 distance between q and row i in plain float32 — 4-lane
+// FSUB and FMLA, no widening — for n ≥ 1 contiguous rows of dim ≥ 8
+// floats. These values are NOT under the bit-stability contract; only
+// the error bound documented in kernel.go is relied on, and every path
+// through here is at most dim/8 + 12 roundings deep.
+//
+// One row per pass of the row loop, 8 floats per step into two 4-lane
+// accumulators (V16, V17), folded by one vector add and two pairwise
+// adds, then a scalar tail for the dim mod 8 leftover elements. lo and
+// hi are the unsigned minimum and maximum of the float32 BIT PATTERNS
+// written to out, kept in R11/R12: a sum of squares is +0 or positive,
+// so below +Inf the unsigned order is the float order, and any NaN
+// (either sign) or +Inf lands above every finite value — hi alone
+// tells the caller whether the block is safe to trust.
+//
+// The assembler has VFMLA; the other .4S arithmetic is WORD-coded like
+// the .2D forms above pairAsm (ARMv8 A64; sz = 0 selects single
+// precision):
+//
+//	FADD  Vd.4S, Vn.4S, Vm.4S = 0x4E20D400 | m<<16 | n<<5 | d
+//	FSUB  Vd.4S, Vn.4S, Vm.4S = 0x4EA0D400 | m<<16 | n<<5 | d
+//	FADDP Vd.4S, Vn.4S, Vm.4S = 0x6E20D400 | m<<16 | n<<5 | d
+//	FADDP Sd, Vn.2S           = 0x7E30D800 | n<<5 | d
+TEXT ·rowsScreenAsm(SB), NOSPLIT, $0-48
+	MOVD q+0(FP), R7
+	MOVD vecs+8(FP), R1
+	MOVD dim+16(FP), R2
+	MOVD n+24(FP), R8
+	MOVD out+32(FP), R9
+	AND  $-8, R2, R3               // R3 = dim &^ 7, the blocked prefix
+	MOVD $0xFFFFFFFF, R11          // running min of the bit patterns
+	MOVD ZR, R12                   // running max
+
+row:
+	MOVD R7, R0
+	VEOR V16.B16, V16.B16, V16.B16 // lane sums, elements j..j+3
+	VEOR V17.B16, V17.B16, V17.B16 // lane sums, elements j+4..j+7
+	MOVD ZR, R4                    // R4 = element index j
+
+blocked:
+	VLD1.P 32(R0), [V4.S4, V5.S4] // q[j..j+3], q[j+4..j+7]
+	VLD1.P 32(R1), [V6.S4, V7.S4] // v[j..j+3], v[j+4..j+7]
+	WORD  $0x4EA6D480              // FSUB V0.4S, V4.4S, V6.4S   d = q - v
+	VFMLA V0.S4, V0.S4, V16.S4     // sum += d*d
+	WORD  $0x4EA7D4A1              // FSUB V1.4S, V5.4S, V7.4S
+	VFMLA V1.S4, V1.S4, V17.S4
+	ADD $8, R4
+	CMP R3, R4
+	BLT blocked
+
+	WORD $0x4E31D610 // FADD  V16.4S, V16.4S, V17.4S
+	WORD $0x6E30D610 // FADDP V16.4S, V16.4S, V16.4S {s0+s1, s2+s3, …}
+	WORD $0x7E30DA00 // FADDP S0, V16.2S             row sum in F0
+
+tail:
+	CMP R2, R4
+	BGE store
+	FMOVS (R0), F2
+	FMOVS (R1), F3
+	FSUBS F3, F2, F2
+	FMULS F2, F2, F2
+	FADDS F2, F0, F0
+	ADD   $4, R0
+	ADD   $4, R1
+	ADD   $1, R4
+	B     tail
+
+store:
+	FMOVS F0, R5                   // the bit pattern, zero-extended
+	MOVW  R5, (R9)
+	ADD   $4, R9
+	CMPW  R11, R5
+	CSELW LO, R5, R11, R11
+	CMPW  R12, R5
+	CSELW HI, R5, R12, R12
+	SUB   $1, R8
+	CBNZ  R8, row
+
+	MOVW R11, lo+40(FP)
+	MOVW R12, hi+44(FP)
+	RET

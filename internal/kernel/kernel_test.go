@@ -73,7 +73,7 @@ func TestBatchParity(t *testing.T) {
 func TestRowsParity(t *testing.T) {
 	rng := rand.New(rand.NewPCG(29, 31))
 	for _, dim := range kerneltest.Dims() {
-		for _, n := range []int{0, 1, 2, 3, 4, 5, 7, 8, 9, 255, 256, 257, 600} {
+		for _, n := range []int{0, 1, 2, 3, 4, 5, 6, 7, 8, 9, 255, 256, 257, 600} {
 			if dim > 129 && n > 9 {
 				continue
 			}
@@ -133,6 +133,137 @@ func TestArgminRowsTieBreak(t *testing.T) {
 			}
 		}
 		restore()
+	}
+}
+
+// argminCase is one adversarial ArgminRows input: len(vecs)/len(q) rows.
+type argminCase struct {
+	name    string
+	q, vecs []float32
+}
+
+// argminCases is the table the random fuzzer will not find: for every
+// shape in dims × ns, inputs built to sit ON the decisions the screened
+// argmin makes — exact ties, one-ulp neighbours, distance 0, squares
+// that underflow or overflow float32, a screening value either side of
+// the safe limit, and non-finite coordinates — where a screening margin
+// that is too tight, a wrong tie rule or a missed fallback returns a
+// different index than the exhaustive exact scan. Row a = n/3 and row
+// b = n-1 are planted around the natural winner w = 2n/3, so in the
+// larger shapes the three sit in different 256-row blocks.
+func argminCases(dims, ns []int) []argminCase {
+	rng := rand.New(rand.NewPCG(41, 43))
+	nan, inf := float32(math.NaN()), float32(math.Inf(1))
+	var cases []argminCase
+	for _, dim := range dims {
+		for _, n := range ns {
+			a, w, b := n/3, 2*n/3, n-1
+			add := func(name string, scale float32, twist func(q, vecs []float32, row func(int) []float32)) {
+				q, vecs := randVec(rng, dim), randVec(rng, n*dim)
+				row := func(i int) []float32 { return vecs[i*dim : (i+1)*dim] }
+				for j := range q { // w is the nearest row by a wide margin
+					q[j] = row(w)[j] + 0.01*q[j]
+				}
+				for i := range vecs {
+					vecs[i] *= scale
+				}
+				for j := range q {
+					q[j] *= scale
+				}
+				if twist != nil {
+					twist(q, vecs, row)
+				}
+				cases = append(cases, argminCase{name + "/dim=" + strconv.Itoa(dim) + "/n=" + strconv.Itoa(n), q, vecs})
+			}
+			add("ties", 1, func(q, vecs []float32, row func(int) []float32) {
+				copy(row(a), row(w))
+				copy(row(b), row(w))
+			})
+			add("one ulp apart", 1, func(q, vecs []float32, row func(int) []float32) {
+				copy(row(a), row(w))
+				copy(row(b), row(w))
+				row(a)[0] = math.Nextafter32(row(a)[0], inf)
+				row(b)[dim-1] = math.Nextafter32(row(b)[dim-1], -inf)
+			})
+			add("cluster float32 cannot resolve", 1, func(q, vecs []float32, row func(int) []float32) {
+				for j := range q { // far from the cluster: an ulp of a row moves the distance by ~1e-9 of itself
+					q[j] = -row(w)[j]
+				}
+				for i := 0; i < n; i++ {
+					if i != w {
+						copy(row(i), row(w))
+					}
+					for k := 0; k < i%5; k++ {
+						row(i)[i%dim] = math.Nextafter32(row(i)[i%dim], 0)
+					}
+				}
+			})
+			add("rotations of one difference", 1, func(q, vecs []float32, row func(int) []float32) {
+				// Every row is at the same distance up to the LAST bits of
+				// the exact sum, and the float32 roundings are independent.
+				clear(q)
+				for i := 0; i < n; i++ {
+					if i != w {
+						for j := range q {
+							row(i)[j] = row(w)[(j+i)%dim]
+						}
+					}
+				}
+			})
+			add("query equals rows", 1, func(q, vecs []float32, row func(int) []float32) {
+				copy(q, row(w))
+				copy(row(a), row(w))
+				copy(row(b), row(w))
+			})
+			add("subnormal differences", 1, func(q, vecs []float32, row func(int) []float32) {
+				clear(q)
+				for i := range vecs {
+					vecs[i] = math.Float32frombits(uint32(1 + (i*7+i/dim)%5))
+				}
+			})
+			add("underflow hides a sum", 1, func(q, vecs []float32, row func(int) []float32) {
+				// Every square of rows ≠ w rounds to float32 zero, so they
+				// all screen as 0; row w screens as 2⁻¹⁴⁹ and is nearer.
+				clear(q)
+				for i := range vecs {
+					vecs[i] = 0.99 * 0x1p-75
+				}
+				clear(row(w))
+				row(w)[0] = 1.5 * 0x1p-75
+			})
+			add("squares underflow", 1e-21, nil)
+			add("squares overflow", 1e19, nil)
+			add("one row overflows", 1, func(q, vecs []float32, row func(int) []float32) {
+				row(a)[dim/2] = 3e19
+			})
+			add("either side of the safe limit", 1e14, nil)
+			add("NaN in the query", 1, func(q, vecs []float32, row func(int) []float32) { q[dim/2] = nan })
+			add("Inf in the query", 1, func(q, vecs []float32, row func(int) []float32) { q[dim-1] = -inf })
+			add("NaN in the winner", 1, func(q, vecs []float32, row func(int) []float32) { row(w)[dim-1] = nan })
+			add("Inf in the winner", 1, func(q, vecs []float32, row func(int) []float32) { row(w)[0] = inf })
+			add("NaN in every row", 1, func(q, vecs []float32, row func(int) []float32) {
+				for i := 0; i < n; i++ {
+					row(i)[i%dim] = nan
+				}
+			})
+		}
+	}
+	return cases
+}
+
+// TestArgminAdversarial holds ArgminRows under every implementation to
+// the exhaustive exact scan on the adversarial table, at every width
+// class of the screening pass (whole 8-float blocks, a scalar tail, a
+// long row) and every row count around the 256-row block edges.
+func TestArgminAdversarial(t *testing.T) {
+	dims, ns := []int{8, 9, 15, 16, 17, 64, 100, 1024}, []int{1, 255, 256, 257, 513}
+	if testing.Short() {
+		dims, ns = []int{8, 17, 64}, []int{1, 257}
+	}
+	for _, c := range argminCases(dims, ns) {
+		t.Run(c.name, func(t *testing.T) {
+			kerneltest.CheckRows(t, c.q, c.vecs, len(c.vecs)/len(c.q))
+		})
 	}
 }
 
@@ -253,6 +384,36 @@ func BenchmarkDistanceRows(b *testing.B) {
 				}
 				sink = out[0]
 			})
+		}
+	}
+}
+
+// BenchmarkArgminRows times one nearest-row query per implementation at
+// the two shapes the trainers issue: a 4-float PQ subvector against a
+// 256-row codebook (the lane-per-row exact scan), and a whole 64-float
+// fingerprint against a bench shard label's 158 IVF centroids or a full
+// 256-row block (screened under the assembly implementations, exact
+// under generic). ns/op ÷ n is the cost per row.
+func BenchmarkArgminRows(b *testing.B) {
+	rng := rand.New(rand.NewPCG(7, 13))
+	for _, dim := range []int{4, 64} {
+		for _, n := range []int{158, 256} {
+			q, vecs := randVec(rng, dim), randVec(rng, n*dim)
+			for _, im := range kernel.Impls() {
+				b.Run("dim="+strconv.Itoa(dim)+"/n="+strconv.Itoa(n)+"/"+im.Name, func(b *testing.B) {
+					restore, err := kernel.SetActive(im.Name)
+					if err != nil {
+						b.Fatal(err)
+					}
+					defer restore()
+					b.SetBytes(int64(4 * n * dim))
+					best := 0
+					for i := 0; i < b.N; i++ {
+						best += kernel.ArgminRows(q, vecs, dim, n)
+					}
+					sink = float64(best)
+				})
+			}
 		}
 	}
 }

@@ -5,7 +5,7 @@
 // values, and slices whose base pointers are not vector-aligned. The
 // kernel package's own property tests and the native Go fuzz targets
 // (FuzzDistanceParity, FuzzDistanceBatchParity, FuzzRowsParity,
-// FuzzADCParity) both build on it.
+// FuzzArgminParity, FuzzADCParity) both build on it.
 package kerneltest
 
 import (
@@ -100,11 +100,12 @@ func checkOrder(t testing.TB, q, v []float32) {
 
 // CheckRows fails t unless every registered implementation's rows
 // kernel scores the n rows of vecs against q (dim = len(q)) with the
-// reference's exact float64 bits, writes nothing past out[n-1], and the
-// dispatched DistanceRows and ArgminRows agree with it — ArgminRows
-// with the strict-<, lowest-index-wins scan of the reference distances.
-// It is the differential check of the one-dispatch-per-block path and
-// of its lane-per-row realisation at widths below 8.
+// reference's exact float64 bits, writes nothing past out[n-1], the
+// dispatched DistanceRows agrees with it, and ArgminRows under every
+// implementation returns the strict-<, lowest-index-wins argmin of the
+// reference distances. It is the differential check of the
+// one-dispatch-per-block path, of its lane-per-row realisation at
+// widths below 8, and of the screened argmin at widths from 8.
 func CheckRows(t testing.TB, q, vecs []float32, n int) {
 	t.Helper()
 	dim := len(q)
@@ -142,8 +143,16 @@ func CheckRows(t testing.TB, q, vecs []float32, n int) {
 	reset()
 	kernel.DistanceRows(q, vecs, dim, got[:n])
 	check("dispatched (" + kernel.Active() + ")")
-	if best := kernel.ArgminRows(q, vecs, dim, n); best != wantBest {
-		t.Fatalf("ArgminRows (%s) = %d, reference argmin %d (dim=%d, rows=%d)", kernel.Active(), best, wantBest, dim, n)
+	for _, im := range kernel.Impls() {
+		restore, err := kernel.SetActive(im.Name)
+		if err != nil {
+			t.Fatal(err)
+		}
+		best := kernel.ArgminRows(q, vecs, dim, n)
+		restore()
+		if best != wantBest {
+			t.Fatalf("ArgminRows (%s) = %d, reference argmin %d (dim=%d, rows=%d)", im.Name, best, wantBest, dim, n)
+		}
 	}
 }
 
