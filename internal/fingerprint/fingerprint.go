@@ -466,7 +466,7 @@ func LoadDB(r io.Reader) (*DB, error) {
 		return nil, fmt.Errorf("fingerprint: load: implausible entry count %d (dim %d): %w", n, dim, ErrCorrupt)
 	}
 	if s, ok := r.(io.Seeker); ok {
-		if left, ok := bytesLeft(s); ok {
+		if left, ok := BytesLeft(s); ok {
 			left += int64(br.Buffered())
 			if need := int64(n) * int64(6+32+4*dim); need > left {
 				return nil, fmt.Errorf("fingerprint: load: header claims %d entries (at least %d bytes) but %d remain: %w: %w",
@@ -570,10 +570,11 @@ func truncated(where string, err error) error {
 	return fmt.Errorf("fingerprint: load %s: %w: %w", where, err, ErrCorrupt)
 }
 
-// bytesLeft reports how many bytes lie between s's position and its
+// BytesLeft reports how many bytes lie between s's position and its
 // end, leaving the position where it was; ok is false for a seeker that
-// cannot say (a pipe behind an *os.File).
-func bytesLeft(s io.Seeker) (left int64, ok bool) {
+// cannot say (a pipe behind an *os.File). The format loaders hold the
+// counts a header claims to it before allocating for them.
+func BytesLeft(s io.Seeker) (left int64, ok bool) {
 	cur, err := s.Seek(0, io.SeekCurrent)
 	if err != nil {
 		return 0, false

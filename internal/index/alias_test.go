@@ -7,6 +7,7 @@ import (
 	"runtime"
 	"sync"
 	"testing"
+	"time"
 
 	"caltrain/internal/fingerprint"
 	"caltrain/internal/ingest"
@@ -140,58 +141,109 @@ func TestIndexAliasesLoadedDB(t *testing.T) {
 	}
 }
 
-// swapCatcher records the backend a drift retrain hot-swaps in.
+// swapCatcher records the backend a drift retrain hot-swaps in and
+// signals the swap on done.
 type swapCatcher struct {
-	mu sync.Mutex
-	s  fingerprint.Searcher
+	mu   sync.Mutex
+	s    fingerprint.Searcher
+	done chan struct{}
 }
 
 func (c *swapCatcher) SetSearcher(s fingerprint.Searcher) {
 	c.mu.Lock()
 	defer c.mu.Unlock()
+	if c.s == nil {
+		close(c.done)
+	}
 	c.s = s
+}
+
+// assertCarriedAlias fails unless every linkage an IVFPQ list carries is
+// the database's stored entry of that index: same provenance, and F the
+// database's own row rather than a second copy of it. resident, when
+// non-negative, is how many entries the lists must NOT carry.
+func assertCarriedAlias(t testing.TB, x *IVFPQ, db *fingerprint.DB, resident int, when string) {
+	t.Helper()
+	carried := 0
+	for _, c := range x.labels {
+		for _, l := range c.lists {
+			r := l.n() - len(l.own)
+			for i, o := range l.own {
+				e := db.Entry(int(l.idx[r+i]))
+				if o.S != e.S || o.H != e.H || &o.F[0] != &e.F[0] {
+					t.Fatalf("ivfpq %s: entry %d is carried as a copy, not as the database's row", when, l.idx[r+i])
+				}
+			}
+			carried += len(l.own)
+		}
+	}
+	if resident >= 0 && x.Len()-carried != resident {
+		t.Fatalf("ivfpq %s: %d of %d entries resolve through the database, want %d", when, x.Len()-carried, x.Len(), resident)
+	}
 }
 
 // TestStoreRetrainAliases drives the real drift path: ingest past the
 // threshold, let the store retrain over Snapshot(-1) and swap, and the
-// swapped-in IVF must still scan the loaded database's rows.
+// swapped-in IVF must still scan the loaded database's rows. The
+// swapped-in IVFPQ resolves every entry through the snapshot, and the
+// ones ingested before and after the swap — which no snapshot of its own
+// can see — through the stored entry the store hands Append: no appended
+// vector is held twice.
 func TestStoreRetrainAliases(t *testing.T) {
 	const dim, classes = 8, 2
-	_, db, _ := addedAndLoaded(t, dim, 400, classes, true, 9)
-	train := func(d *fingerprint.DB) (fingerprint.Searcher, error) {
-		return TrainIVF(d, IVFOptions{Nlist: 4, Seed: 1})
-	}
-	first, err := train(db)
-	if err != nil {
-		t.Fatal(err)
-	}
-	var swapped swapCatcher
-	store, err := ingest.Open(t.TempDir(), db, first, ingest.Options{
-		WAL:            ingest.WALOptions{Sync: ingest.SyncNever},
-		DriftThreshold: 0.1,
-		Rebuild:        train,
-		Swapper:        &swapped,
-	})
-	if err != nil {
-		t.Fatal(err)
-	}
-	rng := rand.New(rand.NewPCG(6, 6))
-	batch := make([]fingerprint.Linkage, 60)
-	for i := range batch {
-		batch[i] = fingerprint.Linkage{F: randomFP(rng, dim), Y: i % classes, S: "drift"}
-	}
-	if _, err := store.IngestBatch(batch); err != nil {
-		t.Fatal(err)
-	}
-	if err := store.Close(); err != nil { // waits for the background retrain
-		t.Fatal(err)
-	}
-	if swapped.s == nil {
-		t.Fatal("drift past the threshold did not retrain")
-	}
-	assertAliased(t, swapped.s, db, "after the store's drift retrain")
-	if swapped.s.Len() != db.Len() {
-		t.Fatalf("swapped backend holds %d of %d entries", swapped.s.Len(), db.Len())
+	for _, kind := range []string{"ivf", "ivfpq"} {
+		_, db, _ := addedAndLoaded(t, dim, 400, classes, true, 9)
+		train := func(d *fingerprint.DB) (fingerprint.Searcher, error) {
+			if kind == "ivfpq" {
+				return TrainIVFPQ(d, IVFPQOptions{IVFOptions: IVFOptions{Nlist: 4, Seed: 1}, M: 4})
+			}
+			return TrainIVF(d, IVFOptions{Nlist: 4, Seed: 1})
+		}
+		first, err := train(db)
+		if err != nil {
+			t.Fatal(err)
+		}
+		swapped := swapCatcher{done: make(chan struct{})}
+		store, err := ingest.Open(t.TempDir(), db, first, ingest.Options{
+			WAL:            ingest.WALOptions{Sync: ingest.SyncNever},
+			DriftThreshold: 0.1,
+			Rebuild:        train,
+			Swapper:        &swapped,
+		})
+		if err != nil {
+			t.Fatal(err)
+		}
+		rng := rand.New(rand.NewPCG(6, 6))
+		ingest := func(n int) {
+			batch := make([]fingerprint.Linkage, n)
+			for i := range batch {
+				batch[i] = fingerprint.Linkage{F: randomFP(rng, dim), Y: i % classes, S: "drift"}
+			}
+			if _, err := store.IngestBatch(batch); err != nil {
+				t.Fatal(err)
+			}
+		}
+		ingest(60)
+		if pq, ok := first.(*IVFPQ); ok {
+			assertCarriedAlias(t, pq, db, 400, "before the retrain")
+		}
+		select {
+		case <-swapped.done:
+		case <-time.After(30 * time.Second):
+			t.Fatalf("%s: drift past the threshold did not retrain", kind)
+		}
+		ingest(10) // below the threshold: lands in the swapped-in backend
+		if err := store.Close(); err != nil {
+			t.Fatal(err)
+		}
+		if swapped.s.Len() != db.Len() {
+			t.Fatalf("%s: swapped backend holds %d of %d entries", kind, swapped.s.Len(), db.Len())
+		}
+		if pq, ok := swapped.s.(*IVFPQ); ok {
+			assertCarriedAlias(t, pq, db, -1, "after the store's drift retrain")
+			continue
+		}
+		assertAliased(t, swapped.s, db, "after the store's drift retrain")
 	}
 }
 
@@ -282,7 +334,9 @@ func TestLoadedMatchesAdded(t *testing.T) {
 
 // TestAliasedIndexRace runs everything that touches the shared rows at
 // once — searches over the aliased base, appends to the tails, DB.Add,
-// and snapshots retrained into fresh indexes. Run under -race.
+// and snapshots retrained into fresh indexes; for IVFPQ, searches whose
+// exact stage reads rows through the database and through linkages the
+// concurrent appends are adding. Run under -race.
 func TestAliasedIndexRace(t *testing.T) {
 	const dim, classes = 8, 3
 	_, db, _ := addedAndLoaded(t, dim, 450, classes, false, 23)
@@ -290,7 +344,11 @@ func TestAliasedIndexRace(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	backends := []Appender{NewFlat(db), ivf}
+	pq, err := TrainIVFPQ(db, IVFPQOptions{IVFOptions: IVFOptions{Nlist: 6, Seed: 2}, M: 4})
+	if err != nil {
+		t.Fatal(err)
+	}
+	backends := []Appender{NewFlat(db), ivf, pq}
 	var wg sync.WaitGroup
 	stop := make(chan struct{})
 	for g := 0; g < 2; g++ {
@@ -338,7 +396,7 @@ func TestAliasedIndexRace(t *testing.T) {
 			t.Fatal(err)
 		}
 		for _, b := range backends {
-			if err := b.Append(idx, l); err != nil {
+			if err := b.Append(idx, db.Entry(idx)); err != nil {
 				t.Fatal(err)
 			}
 		}
@@ -346,10 +404,14 @@ func TestAliasedIndexRace(t *testing.T) {
 	close(stop)
 	wg.Wait()
 	for _, b := range backends {
-		assertAliased(t, b, db, "after the race")
 		if b.Len() != db.Len() {
 			t.Fatalf("%s: len %d, want %d", b.Kind(), b.Len(), db.Len())
 		}
+		if b == Appender(pq) {
+			assertCarriedAlias(t, pq, db, 450, "after the race")
+			continue
+		}
+		assertAliased(t, b, db, "after the race")
 	}
 }
 

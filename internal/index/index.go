@@ -16,8 +16,10 @@
 //     Recall.
 //   - IVFPQ: approximate and compressed. The IVF coarse quantizer, but
 //     each list stores M-byte product-quantization codes of the
-//     residuals instead of float vectors, scored through per-query
-//     lookup tables (kernel.ADCScan).
+//     residuals instead of float vectors. A query scores the codes
+//     through lookup tables (kernel.ADCScan), keeps a shortlist, and
+//     re-scores that shortlist exactly against the rows the database
+//     holds, so the distances it returns are exact.
 //
 // Flat and IVF keep each label's vectors in a bucket of two row-major
 // segments. base holds the rows the index was built over and is never
@@ -27,8 +29,10 @@
 // built by Add, and for Load, it is a private copy. tail is the
 // index-owned segment Append grows, so appends never reallocate or
 // duplicate base. Positions run through base then tail, in database
-// order. IVFPQ keeps no float vectors at all; its trainer reads the
-// same buckets and drops them.
+// order. IVFPQ keeps no copy of any float vector: its trainer reads the
+// same buckets and drops them, and its searches reach a row through the
+// database the index was trained over (or, for an appended entry, through
+// the linkage Append was handed).
 //
 // All three serialize with Save/Load so a built index persists and
 // reloads alongside LinkageDB.Save.
@@ -57,8 +61,11 @@ type Searcher = fingerprint.Searcher
 // index and DB.Query. Flat grows its per-label bucket in place (still
 // exact); IVF assigns the vector to its label's nearest centroid (exact
 // within the probed lists, but the coarse quantizer is not retrained —
-// see Drifter). Both backends implement it; implementations serialize
-// Append against Search internally.
+// see Drifter); IVFPQ encodes it the same way and keeps l itself, F
+// aliased rather than copied, for the exact re-rank — so hand Append
+// the database's stored entry, whose fingerprint is immutable, not a
+// buffer that will be reused. Implementations serialize Append against
+// Search internally.
 type Appender interface {
 	Searcher
 	Append(dbIndex int, l fingerprint.Linkage) error
@@ -426,6 +433,36 @@ func batchScanBucket(b *bucket, qs []float32, dim int, ks []int) []*topK {
 		mu.Unlock()
 	})
 	return finals
+}
+
+// nearestLists appends to out the n inverted lists whose squared centroid
+// distances d2s are smallest, nearest first, ties to the lower list — or
+// every list, in list order, when n covers them all (the result set of a
+// search does not depend on the order its lists are scanned in). It is
+// the coarse selection of both IVF backends: one pass over d2s with an
+// insertion into at most n kept lists, instead of sorting all of them.
+func nearestLists(d2s []float64, n int, out []int32) []int32 {
+	if n >= len(d2s) {
+		for ci := range d2s {
+			out = append(out, int32(ci))
+		}
+		return out
+	}
+	for ci, d2 := range d2s {
+		if len(out) == n {
+			if !(d2 < d2s[out[n-1]]) { // not >=: a NaN must not displace a kept list
+				continue
+			}
+		} else {
+			out = append(out, 0)
+		}
+		j := len(out) - 1
+		for ; j > 0 && d2 < d2s[out[j-1]]; j-- {
+			out[j] = out[j-1]
+		}
+		out[j] = int32(ci)
+	}
+	return out
 }
 
 // groupByLabel validates each query and groups the valid ones by label,

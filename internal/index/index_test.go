@@ -6,6 +6,7 @@ import (
 	"errors"
 	"math/rand/v2"
 	"slices"
+	"sort"
 	"sync"
 	"testing"
 	"testing/quick"
@@ -234,6 +235,43 @@ func TestIVFDegenerateTinyClass(t *testing.T) {
 		t.Fatal(err)
 	}
 	sameMatches(t, got, want)
+}
+
+// TestNearestLists: the coarse selection returns the n smallest centroid
+// distances nearest first, gives a tie to the lower list, and returns
+// every list when n covers them.
+func TestNearestLists(t *testing.T) {
+	for _, c := range []struct {
+		d2s  []float64
+		n    int
+		want []int32
+	}{
+		{[]float64{5, 1, 4, 1, 3}, 3, []int32{1, 3, 4}},
+		{[]float64{2, 2, 2, 2}, 2, []int32{0, 1}},
+		{[]float64{9, 8, 7, 6, 5}, 1, []int32{4}},
+		{[]float64{3, 1, 2}, 3, []int32{0, 1, 2}},
+		{[]float64{3, 1, 2}, 7, []int32{0, 1, 2}},
+	} {
+		var buf [2]int32
+		if got := nearestLists(c.d2s, c.n, buf[:0]); !slices.Equal(got, c.want) {
+			t.Errorf("nearestLists(%v, %d) = %v, want %v", c.d2s, c.n, got, c.want)
+		}
+	}
+	rng := rand.New(rand.NewPCG(3, 3))
+	d2s := make([]float64, 300)
+	for i := range d2s {
+		d2s[i] = float64(rng.IntN(40)) // many ties
+	}
+	order := make([]int32, len(d2s))
+	for i := range order {
+		order[i] = int32(i)
+	}
+	sort.SliceStable(order, func(a, b int) bool { return d2s[order[a]] < d2s[order[b]] })
+	for _, n := range []int{1, 2, 31, 32, 33, 299} {
+		if got := nearestLists(d2s, n, nil); !slices.Equal(got, order[:n]) {
+			t.Errorf("n=%d: %v, want the stable sort's prefix %v", n, got, order[:n])
+		}
+	}
 }
 
 // TestInvertedListsCapClipped pins the layout trainClass hands out: the

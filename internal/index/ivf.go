@@ -4,7 +4,6 @@ import (
 	"fmt"
 	"math"
 	"math/rand/v2"
-	"sort"
 	"sync"
 	"sync/atomic"
 
@@ -305,13 +304,6 @@ func (x *IVF) SetNprobe(n int) {
 	x.nprobe.Store(int32(max(1, n)))
 }
 
-// cd is one centroid-ranking entry: centroid index plus squared kernel
-// distance to a query.
-type cd struct {
-	ci int
-	d2 float64
-}
-
 // Search returns approximately the k nearest same-label entries: it scans
 // the nprobe inverted lists whose centroids are closest to f. Results are
 // exact within the probed lists (same ordering contract as DB.Query).
@@ -329,11 +321,7 @@ func (x *IVF) Search(f fingerprint.Fingerprint, label, k int) ([]fingerprint.Mat
 	// kernel sweep of the centroid table.
 	d2s := make([]float64, c.nlist)
 	kernel.DistanceRows(f, c.centroids, x.dim, d2s)
-	cds := make([]cd, c.nlist)
-	for ci, d2 := range d2s {
-		cds[ci] = cd{ci, d2}
-	}
-	return x.scanProbed(c, f, label, k, cds), nil
+	return x.scanProbed(c, f, label, k, d2s), nil
 }
 
 // SearchBatch implements fingerprint.BatchSearcher. The coarse stage is
@@ -358,39 +346,35 @@ func (x *IVF) SearchBatch(fs []fingerprint.Fingerprint, labels []int, ks []int) 
 		d2s := make([]float64, len(qidx)*c.nlist)
 		kernel.DistanceBatch(qs, c.centroids, x.dim, d2s)
 		for j, i := range qidx {
-			cds := make([]cd, c.nlist)
-			for ci, d2 := range d2s[j*c.nlist : (j+1)*c.nlist] {
-				cds[ci] = cd{ci, d2}
-			}
-			results[i] = x.scanProbed(c, fs[i], label, ks[i], cds)
+			results[i] = x.scanProbed(c, fs[i], label, ks[i], d2s[j*c.nlist:(j+1)*c.nlist])
 		}
 	}
 	return results, errs
 }
 
-// scanProbed selects the nprobe closest lists from the (unsorted)
-// centroid ranking and runs the exact top-k scan over their members.
+// scanProbed selects the nprobe closest lists from the query's squared
+// centroid distances and runs the exact top-k scan over their members.
 // Callers hold the read lock.
-func (x *IVF) scanProbed(c *ivfClass, f fingerprint.Fingerprint, label, k int, cds []cd) []fingerprint.Match {
-	nprobe := min(int(x.nprobe.Load()), c.nlist)
-	sort.Slice(cds, func(a, b int) bool { return cds[a].d2 < cds[b].d2 })
+func (x *IVF) scanProbed(c *ivfClass, f fingerprint.Fingerprint, label, k int, d2s []float64) []fingerprint.Match {
+	var buf [32]int32 // holds the default nprobe (≤ 1024/32) without a heap allocation
+	probed := nearestLists(d2s, int(x.nprobe.Load()), buf[:0])
 
 	total := 0
-	for _, pc := range cds[:nprobe] {
-		total += len(c.lists[pc.ci])
+	for _, ci := range probed {
+		total += len(c.lists[ci])
 	}
 	if total < parallelScanThreshold {
 		t := newTopK(c.b, k)
-		for _, pc := range cds[:nprobe] {
-			scanPositions(t, f, c.lists[pc.ci])
+		for _, ci := range probed {
+			scanPositions(t, f, c.lists[ci])
 		}
 		return t.matches(label)
 	}
 	// Large candidate sets fan the probed lists' positions out across
 	// cores, mirroring the flat scan.
 	flat := make([]int32, 0, total)
-	for _, pc := range cds[:nprobe] {
-		flat = append(flat, c.lists[pc.ci]...)
+	for _, ci := range probed {
+		flat = append(flat, c.lists[ci]...)
 	}
 	final := parallelTopK(c.b, k, len(flat), func(t *topK, lo, hi int) {
 		scanPositions(t, f, flat[lo:hi])

@@ -1,11 +1,11 @@
 package index
 
 import (
+	"cmp"
 	"fmt"
 	"math"
 	"math/rand/v2"
 	"slices"
-	"sort"
 	"sync"
 	"sync/atomic"
 
@@ -37,13 +37,18 @@ func (o IVFPQOptions) withDefaults(dim int) IVFPQOptions {
 	return o
 }
 
-// pqList is one inverted list of an IVFPQ class: per-entry codes plus
-// the provenance kept parallel, no float vectors at all.
+// pqList is one inverted list of an IVFPQ class: per-entry codes and
+// database indices. An entry's float row and provenance stay where the
+// database keeps them (IVFPQ.entry resolves them by index); the list
+// carries only the linkages the database cannot resolve.
 type pqList struct {
 	codes []byte // n×m, row-major
 	idx   []int32
-	src   []string
-	hash  [][32]byte
+	// own holds the linkages of the list's LAST len(own) entries: every
+	// entry of a list read by Load, without a fingerprint, until AttachDB
+	// hands them back to the database; and every appended entry, its F
+	// aliasing the row Append was given.
+	own []fingerprint.Linkage
 }
 
 func (l *pqList) n() int { return len(l.idx) }
@@ -61,15 +66,24 @@ type ivfpqClass struct {
 // IVFPQ is the memory-compressed approximate backend: the IVF coarse
 // quantizer partitions each class into inverted lists, but list entries
 // store M-byte product-quantization codes of their residual (vector
-// minus coarse centroid) instead of the 4·dim-byte vector. A query
-// ranks centroids with the float kernel, then for each probed list
-// builds an ADC lookup table from its residual and scores the list's
-// codes with kernel.ADCScan — M table lookups per candidate, no float
-// vector ever touched.
+// minus coarse centroid) instead of the 4·dim-byte vector.
 //
-// Distances (and therefore ranking) are the ADC approximation of the
-// true L2 distance; recall is governed by nprobe and M and measured by
-// TestIVFPQRecall. Match.Distance carries the approximate value.
+// A search has two stages. The ADC stage ranks centroids with the float
+// kernel, then for each probed list builds a lookup table from the
+// query's residual and scores the list's codes with kernel.ADCScan — M
+// table lookups per candidate, no float vector touched — keeping the
+// shortlist(k) best. The exact stage re-scores that shortlist with the
+// float kernel against the rows the database holds and returns the best
+// k by (exact distance, database index). Match.Distance is therefore
+// the exact L2 distance, bit-identical to DB.Query's for the same entry;
+// what stays approximate is which candidates reach the shortlist, which
+// nprobe and M govern and TestIVFPQRecall measures.
+//
+// The index copies neither float vectors nor the provenance of the
+// entries it was trained over: it holds that database and resolves an
+// entry by its index. An index read by Load has no database, carries
+// its provenance itself and answers from the ADC stage alone —
+// approximate order, approximate Distance — until AttachDB gives it one.
 //
 // IVFPQ implements Appender: a new vector is encoded against its
 // label's nearest centroid without retraining, and Drift reports the
@@ -83,9 +97,31 @@ type IVFPQ struct {
 	appended int
 	nprobe   atomic.Int32
 	labels   map[int]*ivfpqClass
+	// db resolves the entries no list carries (see pqList.own); nil for a
+	// loaded index until AttachDB. It may be a Snapshot: entries appended
+	// later arrive through Append with their own row.
+	db *fingerprint.DB
 	// appendRes is Append's residual scratch, guarded by the write lock
 	// so an append allocates only what the lists themselves grow by.
 	appendRes []float32
+}
+
+// shortlist is k′, the number of ADC candidates the exact stage
+// re-scores to return k. It is a fixed function of k, not a knob,
+// chosen from a sweep at k = 9: on the bench's linkage-group data
+// recall@9 reads 0.893 at k′ = k and 0.9994 at 2k, 4k and 8k; once
+// near-duplicate appends outnumber the entries the codebook was trained
+// on (TestIVFPQRecallUnderDuplicateAppends) it reads 0.720, 0.976, 1.000
+// and 1.000, so 4k is the first width with margin to spare, for ~4 µs of
+// a ~26 µs search (8k costs ~8). The floor is for small k, where 4k is
+// too few to hold a linkage group: recall@1 reads 0.81 at k′ = 4 and
+// 1.000 at 32. An index without a database has no exact stage and
+// keeps k.
+func (x *IVFPQ) shortlist(k int) int {
+	if x.db == nil {
+		return k
+	}
+	return max(4*k, 32)
 }
 
 // TrainIVFPQ builds an IVFPQ index from a snapshot of the linkage
@@ -93,7 +129,8 @@ type IVFPQ struct {
 // TrainIVF), then per-subquantizer k-means over the residuals and one
 // encoding pass. A label's float vectors are read where the database
 // keeps them (or from a copy that lives only while that label trains)
-// and never retained — only codes, centroids, and codebooks are.
+// and never retained — only codes, centroids, codebooks, and db itself
+// are.
 func TrainIVFPQ(db *fingerprint.DB, opts IVFPQOptions) (*IVFPQ, error) {
 	if db.Len() == 0 {
 		return nil, fmt.Errorf("index: cannot train IVFPQ on an empty database")
@@ -103,7 +140,7 @@ func TrainIVFPQ(db *fingerprint.DB, opts IVFPQOptions) (*IVFPQ, error) {
 	if o.M < 1 || dim%o.M != 0 {
 		return nil, fmt.Errorf("index: IVFPQ M=%d must divide the fingerprint dimensionality %d", o.M, dim)
 	}
-	x := &IVFPQ{dim: dim, m: o.M, labels: make(map[int]*ivfpqClass)}
+	x := &IVFPQ{dim: dim, m: o.M, db: db, labels: make(map[int]*ivfpqClass)}
 	nprobe := 0
 	for _, y := range db.Labels() {
 		b := buildBucket(db, y)
@@ -158,17 +195,10 @@ func trainPQClass(b *bucket, m int, co IVFOptions) *ivfpqClass {
 	})
 	c.lists = make([]*pqList, c.nlist)
 	for ci, list := range ivfc.lists {
-		l := &pqList{
-			codes: make([]byte, len(list)*m),
-			idx:   make([]int32, len(list)),
-			src:   make([]string, len(list)),
-			hash:  make([][32]byte, len(list)),
-		}
+		l := &pqList{codes: make([]byte, len(list)*m), idx: make([]int32, len(list))}
 		for i, p := range list {
 			copy(l.codes[i*m:(i+1)*m], codes[int(p)*m:(int(p)+1)*m])
 			l.idx[i] = b.idx[p]
-			l.src[i] = b.src[p]
-			l.hash[i] = b.hash[p]
 		}
 		c.lists[ci] = l
 	}
@@ -202,11 +232,12 @@ func (x *IVFPQ) SetNprobe(n int) {
 
 // VectorBytes reports the bytes of search geometry the index holds in
 // memory: M code bytes and a 4-byte database index per entry, plus the
-// coarse centroid tables and PQ codebooks. No float vectors are
-// retained, which is the point — at dim 64 and M 16 this is ~1/13 of
+// coarse centroid tables and PQ codebooks. No float vector is copied,
+// which is the point — at dim 64 and M 16 this is ~1/13 of
 // Flat.VectorBytes for the same entries (the centroid/codebook share
-// amortizes away as classes grow). Provenance metadata (source, hash)
-// is excluded, as in Flat.VectorBytes.
+// amortizes away as classes grow). The rows the exact stage reads are
+// the database's, counted there; provenance metadata (source, hash) is
+// excluded, as in Flat.VectorBytes.
 func (x *IVFPQ) VectorBytes() int64 {
 	x.mu.RLock()
 	defer x.mu.RUnlock()
@@ -227,7 +258,7 @@ func (x *IVFPQ) VectorBytes() int64 {
 // coarse quantizer nor the codebook retrains. A label the index has
 // never seen starts as a degenerate one-list class whose centroid is
 // the vector itself and whose codebook is all-zero (so the residual
-// encodes exactly).
+// encodes exactly). The list keeps l, F aliased: see Appender.
 func (x *IVFPQ) Append(dbIndex int, l fingerprint.Linkage) error {
 	if len(l.F) != x.dim {
 		return fmt.Errorf("%w: appended fingerprint has %d dims, index %d", fingerprint.ErrDimMismatch, len(l.F), x.dim)
@@ -243,8 +274,7 @@ func (x *IVFPQ) Append(dbIndex int, l fingerprint.Linkage) error {
 			lists: []*pqList{{
 				codes: make([]byte, x.m),
 				idx:   []int32{int32(dbIndex)},
-				src:   []string{l.S},
-				hash:  [][32]byte{l.H},
+				own:   []fingerprint.Linkage{l},
 			}},
 			n: 1,
 		}
@@ -262,8 +292,7 @@ func (x *IVFPQ) Append(dbIndex int, l fingerprint.Linkage) error {
 		lst.codes = slices.Grow(lst.codes, x.m)[:n+x.m]
 		c.book.encode(x.appendRes, lst.codes[n:])
 		lst.idx = append(lst.idx, int32(dbIndex))
-		lst.src = append(lst.src, l.S)
-		lst.hash = append(lst.hash, l.H)
+		lst.own = append(lst.own, l)
 		c.n++
 	}
 	x.total++
@@ -282,10 +311,69 @@ func (x *IVFPQ) Drift() float64 {
 	return float64(x.appended) / float64(x.total)
 }
 
+// entry resolves position pos of list l to its linkage: through the
+// database for the entries the index was trained (or attached) over,
+// from the list itself for the ones it carries. Callers hold a lock.
+func (x *IVFPQ) entry(l *pqList, pos int) fingerprint.Linkage {
+	if r := l.n() - len(l.own); pos >= r {
+		return l.own[pos-r]
+	}
+	return x.db.Entry(int(l.idx[pos]))
+}
+
+// loaded counts the entries the list still carries from Load: the
+// fingerprint-less head of own.
+func (l *pqList) loaded() int {
+	n := 0
+	for n < len(l.own) && l.own[n].F == nil {
+		n++
+	}
+	return n
+}
+
+// AttachDB gives an index read by Load the database it indexes: every
+// loaded entry must be db's entry of that index (same label, source and
+// hash), after which the lists drop their carried provenance and
+// searches run the exact stage against db's rows, as on a trained index.
+// On a mismatch the index is left as it was. An index that already has
+// a database keeps it.
+func (x *IVFPQ) AttachDB(db *fingerprint.DB) error {
+	x.mu.Lock()
+	defer x.mu.Unlock()
+	if x.db != nil {
+		return nil
+	}
+	if db.Dim() != x.dim {
+		return fmt.Errorf("%w: attached database has %d dims, index %d", fingerprint.ErrDimMismatch, db.Dim(), x.dim)
+	}
+	n := db.Len()
+	for y, c := range x.labels {
+		for _, l := range c.lists {
+			r := l.n() - len(l.own)
+			for i, o := range l.own[:l.loaded()] {
+				idx := int(l.idx[r+i])
+				if idx < 0 || idx >= n {
+					return fmt.Errorf("index: attach: entry %d is outside the %d-entry database", idx, n)
+				}
+				if e := db.Entry(idx); e.Y != y || e.S != o.S || e.H != o.H {
+					return fmt.Errorf("index: attach: entry %d (label %d, source %q) is not the database's", idx, y, o.S)
+				}
+			}
+		}
+	}
+	for _, c := range x.labels {
+		for _, l := range c.lists {
+			l.own = append([]fingerprint.Linkage(nil), l.own[l.loaded():]...)
+		}
+	}
+	x.db = db
+	return nil
+}
+
 // Search returns approximately the k nearest same-label entries: the
 // nprobe lists whose centroids are closest to f are scanned by ADC
-// table lookups. Ranking is by approximate (ADC) distance, ties broken
-// by database index.
+// table lookups, and the shortlist that survives is re-ranked by exact
+// distance (see IVFPQ), ties broken by database index.
 func (x *IVFPQ) Search(f fingerprint.Fingerprint, label, k int) ([]fingerprint.Match, error) {
 	if err := checkQuery(x.dim, f, k); err != nil {
 		return nil, err
@@ -296,13 +384,11 @@ func (x *IVFPQ) Search(f fingerprint.Fingerprint, label, k int) ([]fingerprint.M
 	if !ok {
 		return nil, nil
 	}
-	d2s := make([]float64, c.nlist)
-	kernel.DistanceRows(f, c.centroids, x.dim, d2s)
-	cds := make([]cd, c.nlist)
-	for ci, d2 := range d2s {
-		cds[ci] = cd{ci, d2}
-	}
-	return x.scanProbed(c, f, label, k, cds), nil
+	s := getPQScratch(x.dim, x.m)
+	defer pqScratchPool.Put(s)
+	s.cd2 = slices.Grow(s.cd2[:0], c.nlist)[:c.nlist]
+	kernel.DistanceRows(f, c.centroids, x.dim, s.cd2)
+	return x.scanProbed(c, f, label, k, s.cd2, s), nil
 }
 
 // SearchBatch implements fingerprint.BatchSearcher. As with IVF, the
@@ -314,6 +400,8 @@ func (x *IVFPQ) SearchBatch(fs []fingerprint.Fingerprint, labels []int, ks []int
 	errs := make([]error, len(fs))
 	x.mu.RLock()
 	defer x.mu.RUnlock()
+	s := getPQScratch(x.dim, x.m)
+	defer pqScratchPool.Put(s)
 	for label, qidx := range groupByLabel(x.dim, fs, labels, ks, errs) {
 		c, ok := x.labels[label]
 		if !ok {
@@ -326,68 +414,101 @@ func (x *IVFPQ) SearchBatch(fs []fingerprint.Fingerprint, labels []int, ks []int
 		d2s := make([]float64, len(qidx)*c.nlist)
 		kernel.DistanceBatch(qs, c.centroids, x.dim, d2s)
 		for j, i := range qidx {
-			cds := make([]cd, c.nlist)
-			for ci, d2 := range d2s[j*c.nlist : (j+1)*c.nlist] {
-				cds[ci] = cd{ci, d2}
-			}
-			results[i] = x.scanProbed(c, fs[i], label, ks[i], cds)
+			results[i] = x.scanProbed(c, fs[i], label, ks[i], d2s[j*c.nlist:(j+1)*c.nlist], s)
 		}
 	}
 	return results, errs
 }
 
-// scanProbed selects the nprobe closest lists from the (unsorted)
-// centroid ranking and ADC-scans their codes. Small candidate sets run
-// serially with one heap; large ones fan the probed lists out across
-// goroutines (each list's table build and scan are independent) and
-// merge per-list heaps. Callers hold the read lock.
-func (x *IVFPQ) scanProbed(c *ivfpqClass, f fingerprint.Fingerprint, label, k int, cds []cd) []fingerprint.Match {
-	nprobe := min(int(x.nprobe.Load()), c.nlist)
-	sort.Slice(cds, func(a, b int) bool { return cds[a].d2 < cds[b].d2 })
-	probed := cds[:nprobe]
-
+// scanProbed selects the nprobe closest lists from the query's squared
+// centroid distances, ADC-scans their codes into one shortlist and hands
+// it to refine. Small candidate sets run serially on the caller's
+// scratch; large ones fan the probed lists out across goroutines (each
+// list's table build and scan are independent) and merge per-list
+// shortlists, so both paths share the one exact stage. Callers hold the
+// read lock.
+func (x *IVFPQ) scanProbed(c *ivfpqClass, f fingerprint.Fingerprint, label, k int, d2s []float64, s *pqScratch) []fingerprint.Match {
+	s.probed = nearestLists(d2s, int(x.nprobe.Load()), s.probed[:0])
 	total := 0
-	for _, pc := range probed {
-		total += c.lists[pc.ci].n()
+	for _, ci := range s.probed {
+		total += c.lists[ci].n()
 	}
+	k = min(k, total)
+	kk := min(x.shortlist(k), total)
+	t := &s.top
+	t.reset(kk)
 	if total < parallelScanThreshold {
-		t := newPQTopK(k)
-		s := getPQScratch(x.dim, x.m)
-		for _, pc := range probed {
-			x.scanList(c, f, pc.ci, t, s)
+		for _, ci := range s.probed {
+			x.scanList(c, f, int(ci), t, s)
 		}
-		pqScratchPool.Put(s)
-		return t.matches(label, c)
+		return x.refine(c, f, label, k, t)
 	}
-	final := newPQTopK(k)
 	var mu sync.Mutex
 	var wg sync.WaitGroup
-	for _, pc := range probed {
+	for _, ci := range s.probed {
 		wg.Add(1)
-		go func(ci int) {
+		go func() {
 			defer wg.Done()
-			t := newPQTopK(k)
-			s := getPQScratch(x.dim, x.m)
-			x.scanList(c, f, ci, t, s)
-			pqScratchPool.Put(s)
+			ws := getPQScratch(x.dim, x.m)
+			defer pqScratchPool.Put(ws)
+			ws.top.reset(kk)
+			x.scanList(c, f, int(ci), &ws.top, ws)
 			mu.Lock()
-			final.merge(t)
+			t.merge(&ws.top)
 			mu.Unlock()
-		}(pc.ci)
+		}()
 	}
 	wg.Wait()
-	return final.matches(label, c)
+	return x.refine(c, f, label, k, t)
 }
 
-// pqScratch is the per-scan working set: the query residual, the ADC
-// table (16 KiB at M 16), and the kernel output buffers. One is taken
-// per (possibly per-worker) scan and recycled through pqScratchPool, so
-// a query allocates none of it.
+// refine is the exact stage, run once on the merged shortlist: with a
+// database, every candidate's ADC estimate is replaced by the kernel
+// distance to its float row; then the best k by (squared distance,
+// database index) are materialized, taking the one sqrt per returned
+// match. The shortlist is consumed.
+func (x *IVFPQ) refine(c *ivfpqClass, f fingerprint.Fingerprint, label, k int, t *pqTopK) []fingerprint.Match {
+	if x.db != nil {
+		for i := range t.h {
+			cd := &t.h[i]
+			cd.d2 = kernel.SqDist(f, x.entry(c.lists[cd.li], int(cd.pos)).F)
+		}
+	}
+	// Select the best k in place: best's heap grows over the front of the
+	// array it is fed from, and never writes a slot the loop has yet to read.
+	best := pqTopK{k: k, h: t.h[:0]}
+	for _, cd := range t.h {
+		best.consider(cd)
+	}
+	slices.SortFunc(best.h, pqCompare)
+	out := make([]fingerprint.Match, len(best.h))
+	for i, cd := range best.h {
+		e := x.entry(c.lists[cd.li], int(cd.pos))
+		out[i] = fingerprint.Match{
+			Index:    int(cd.idx),
+			Source:   e.S,
+			Label:    label,
+			Hash:     e.H,
+			Distance: math.Sqrt(cd.d2),
+		}
+	}
+	return out
+}
+
+// pqScratch is the per-query working set: the centroid distances and
+// the probed lists chosen from them, the shortlist heap (sorted in place
+// by refine), the query residual, the ADC table (16 KiB at M 16), and
+// the kernel output buffers. One is taken per query (and per worker of
+// a fanned-out scan) and recycled through pqScratchPool, so a search
+// allocates only the matches it returns.
 type pqScratch struct {
-	res []float32
-	tab []float32
-	d2s [pqKs]float64
-	buf [scanBlock]float64
+	cd2    []float64
+	probed []int32
+	top    pqTopK
+	res    []float32
+	tab    []float32
+	d2s    [pqKs]float64
+	buf    [scanBlock]float64
 }
 
 var pqScratchPool = sync.Pool{New: func() any { return new(pqScratch) }}
@@ -434,35 +555,39 @@ func (x *IVFPQ) scanList(c *ivfpqClass, f fingerprint.Fingerprint, ci int, t *pq
 	}
 }
 
-// pqCand is one ADC scan candidate: approximate squared distance, the
-// database index (the tie-break — lists don't share the bucket's
-// position-order-is-index-order property), and the (list, position)
-// needed to materialize provenance.
+// pqCand is one scan candidate: squared distance (the ADC estimate
+// until refine overwrites it), the database index (the tie-break —
+// lists don't share the bucket's position-order-is-index-order
+// property), and the (list, position) that resolves to its linkage.
 type pqCand struct {
 	d2      float64
 	idx     int32
 	li, pos int32
 }
 
-func pqBetter(a, b pqCand) bool {
+// pqCompare orders candidates by squared distance, ties by database
+// index.
+func pqCompare(a, b pqCand) int {
 	if a.d2 != b.d2 {
-		return a.d2 < b.d2
+		if a.d2 < b.d2 {
+			return -1
+		}
+		return 1
 	}
-	return a.idx < b.idx
+	return cmp.Compare(a.idx, b.idx)
 }
 
 // pqTopK is the bounded max-heap over ADC candidates, the IVFPQ
-// counterpart of topK (which is tied to float-vector buckets).
+// counterpart of topK (which is tied to float-vector buckets). It lives
+// in a pqScratch and is reset, not reallocated, per query.
 type pqTopK struct {
 	k int
 	h []pqCand
 }
 
-func newPQTopK(k int) *pqTopK {
-	return &pqTopK{k: k, h: make([]pqCand, 0, k)}
-}
+func (t *pqTopK) reset(k int) { t.k, t.h = k, t.h[:0] }
 
-func (t *pqTopK) worse(a, b pqCand) bool { return pqBetter(b, a) }
+func (t *pqTopK) worse(a, b pqCand) bool { return pqCompare(b, a) < 0 }
 
 func (t *pqTopK) threshold() float64 {
 	if len(t.h) < t.k {
@@ -477,7 +602,7 @@ func (t *pqTopK) consider(c pqCand) {
 		t.siftUp(len(t.h) - 1)
 		return
 	}
-	if pqBetter(c, t.h[0]) {
+	if t.worse(t.h[0], c) {
 		t.h[0] = c
 		t.siftDown(0)
 	}
@@ -517,23 +642,4 @@ func (t *pqTopK) merge(o *pqTopK) {
 	for _, c := range o.h {
 		t.consider(c)
 	}
-}
-
-// matches materializes the heap as sorted fingerprint.Match results.
-// Distance is the ADC approximation's square root.
-func (t *pqTopK) matches(label int, c *ivfpqClass) []fingerprint.Match {
-	cands := append([]pqCand(nil), t.h...)
-	sort.Slice(cands, func(a, b int) bool { return pqBetter(cands[a], cands[b]) })
-	out := make([]fingerprint.Match, len(cands))
-	for i, cd := range cands {
-		l := c.lists[cd.li]
-		out[i] = fingerprint.Match{
-			Index:    int(cd.idx),
-			Source:   l.src[cd.pos],
-			Label:    label,
-			Hash:     l.hash[cd.pos],
-			Distance: math.Sqrt(cd.d2),
-		}
-	}
-	return out
 }

@@ -6,9 +6,12 @@ import (
 	"errors"
 	"math"
 	"math/rand/v2"
+	"reflect"
+	"sort"
 	"testing"
 
 	"caltrain/internal/fingerprint"
+	"caltrain/internal/kernel"
 )
 
 // linkedFingerprints builds the two-level workload accountability
@@ -47,7 +50,9 @@ func linkedFingerprints(rng *rand.Rand, n, dim, modes, groupSize int, sigma, jit
 
 // TestIVFPQRecall is the acceptance bar for the product-quantized
 // backend: at 100k entries (20k under -short), recall@10 against the
-// exact scan stays at or above 0.90 while the index holds at most 1/8
+// exact scan stays at or above 0.995 (the two-stage search measures
+// 1.000; the ADC stage alone measured 0.90) while the index holds at
+// most 1/8
 // of Flat's float32 footprint — the memory saving is the whole point of
 // storing M-byte codes instead of dim×4-byte vectors. The workload is
 // the linkage-group distribution the system is built for (queries
@@ -96,8 +101,8 @@ func TestIVFPQRecall(t *testing.T) {
 	t.Logf("IVFPQ recall@10 = %.3f (n=%d, m=%d, nprobe=%d)", r, n, pq.M(), pq.Nprobe())
 	// Deterministic given the seeds and identical under every kernel
 	// implementation (the ADC bit-stability contract).
-	if r < 0.90 {
-		t.Fatalf("recall@10 = %.3f, want ≥ 0.90", r)
+	if r < 0.995 {
+		t.Fatalf("recall@10 = %.3f, want ≥ 0.995", r)
 	}
 	// Widening the probe ray can only help; tightening it must degrade
 	// gracefully, not catastrophically.
@@ -260,8 +265,8 @@ func TestIVFPQRecallAfterAppend(t *testing.T) {
 		t.Fatal(err)
 	}
 	t.Logf("post-append recall@10 = %.3f (n=%d +%d appended, m=%d, nprobe=%d)", r, n, appendN, pq.M(), pq.Nprobe())
-	if r < 0.88 {
-		t.Fatalf("post-append recall@10 = %.3f, want ≥ 0.88", r)
+	if r < 0.995 {
+		t.Fatalf("post-append recall@10 = %.3f, want ≥ 0.995", r)
 	}
 
 	fresh, err := TrainIVFPQ(db, IVFPQOptions{IVFOptions: IVFOptions{Seed: 7}})
@@ -276,8 +281,137 @@ func TestIVFPQRecallAfterAppend(t *testing.T) {
 		t.Fatal(err)
 	}
 	t.Logf("post-retrain recall@10 = %.3f", r2)
-	if r2 < 0.90 {
-		t.Fatalf("post-retrain recall@10 = %.3f, want ≥ 0.90", r2)
+	if r2 < 0.99 {
+		t.Fatalf("post-retrain recall@10 = %.3f, want ≥ 0.99", r2)
+	}
+}
+
+// TestIVFPQRecallUnderDuplicateAppends is the forensic case as a
+// regression test: near-duplicates of indexed linkages — what a
+// duplicated or poisoned contribution looks like — are appended under a
+// frozen codebook until they outnumber the trained entries, and recall@9
+// must hold. The ADC stage alone decays here (the end-to-end benchmark
+// read 0.894 → 0.832 as such appends accumulated; this test logs what it
+// reads through a loaded, unattached copy of the same index), because
+// codes trained on the old residuals tell a group's members apart ever
+// less well; the exact stage does not care.
+func TestIVFPQRecallUnderDuplicateAppends(t *testing.T) {
+	n := 6000
+	if testing.Short() {
+		n = 2400
+	}
+	const nq = 100
+	rng := rand.New(rand.NewPCG(35, 1))
+	// Groups of 25: the first n fingerprints put 12 members of every
+	// group in the trained index, the next n+n/10 append 13 more each.
+	fps := linkedFingerprints(rng, 2*n+n/10+nq, 64, 64, 25, 0.15, 0.05)
+	db, err := fingerprint.NewDB(64)
+	if err != nil {
+		t.Fatal(err)
+	}
+	add := func(f fingerprint.Fingerprint, s string) int {
+		if err := db.Add(fingerprint.Linkage{F: f, Y: 0, S: s}); err != nil {
+			t.Fatal(err)
+		}
+		return db.Len() - 1
+	}
+	for _, f := range fps[:n] {
+		add(f, "s")
+	}
+	pq, err := TrainIVFPQ(db, IVFPQOptions{IVFOptions: IVFOptions{Seed: 6}})
+	if err != nil {
+		t.Fatal(err)
+	}
+	for _, f := range fps[n : len(fps)-nq] {
+		idx := add(f, "dup")
+		if err := pq.Append(idx, db.Entry(idx)); err != nil {
+			t.Fatal(err)
+		}
+	}
+	if d := pq.Drift(); d < 0.5 {
+		t.Fatalf("drift %.2f: the appended linkages should outnumber the trained ones", d)
+	}
+	adcOnly, err := Load(bytes.NewReader(savedBytes(t, pq)))
+	if err != nil {
+		t.Fatal(err)
+	}
+	flat := NewFlat(db)
+	queries := fps[len(fps)-nq:]
+	labels := make([]int, len(queries))
+	r, err := Recall(flat, pq, queries, labels, 9)
+	if err != nil {
+		t.Fatal(err)
+	}
+	r0, err := Recall(flat, adcOnly, queries, labels, 9)
+	if err != nil {
+		t.Fatal(err)
+	}
+	// The nearest neighbour alone is where shortlist's floor earns its
+	// keep: 4·k candidates read 0.81 here, the floor of 32 reads 1.000.
+	r1, err := Recall(flat, pq, queries, labels, 1)
+	if err != nil {
+		t.Fatal(err)
+	}
+	t.Logf("with %d trained + %d appended near-duplicates: recall@9 %.3f (ADC stage alone: %.3f), recall@1 %.3f", n, db.Len()-n, r, r0, r1)
+	if r < 0.97 || r1 < 0.97 {
+		t.Fatalf("under duplicate appends recall@9 = %.3f and recall@1 = %.3f, want ≥ 0.97", r, r1)
+	}
+}
+
+// TestIVFPQDistancesExact: whatever the ADC stage shortlists, every
+// returned Distance is the exact L2 distance — bit for bit what DB.Query
+// reports for that entry — under every kernel implementation, for
+// trained and appended entries, from Search and SearchBatch alike.
+func TestIVFPQDistancesExact(t *testing.T) {
+	const dim, classes = 16, 3
+	db := populatedDB(t, dim, 600, classes, 51)
+	rng := rand.New(rand.NewPCG(52, 1))
+	fs, labels, ks := make([]fingerprint.Fingerprint, 24), make([]int, 24), make([]int, 24)
+	for i := range fs {
+		fs[i], labels[i], ks[i] = randomFP(rng, dim), i%classes, 1+i%13
+	}
+	for _, im := range kernel.Impls() {
+		restore, err := kernel.SetActive(im.Name)
+		if err != nil {
+			t.Fatal(err)
+		}
+		pq, err := TrainIVFPQ(db.Snapshot(540), IVFPQOptions{IVFOptions: IVFOptions{Nlist: 8, Nprobe: 3, Seed: 4}, M: 4})
+		if err != nil {
+			t.Fatal(err)
+		}
+		for i := 540; i < db.Len(); i++ {
+			if err := pq.Append(i, db.Entry(i)); err != nil {
+				t.Fatal(err)
+			}
+		}
+		batch, errs := pq.SearchBatch(fs, labels, ks)
+		for i := range fs {
+			single, err := pq.Search(fs[i], labels[i], ks[i])
+			if err != nil || errs[i] != nil {
+				t.Fatal(err, errs[i])
+			}
+			if !reflect.DeepEqual(batch[i], single) {
+				t.Fatalf("impl %s query %d: SearchBatch %+v, Search %+v", im.Name, i, batch[i], single)
+			}
+			all, err := db.Query(fs[i], labels[i], db.Len())
+			if err != nil {
+				t.Fatal(err)
+			}
+			exact := make(map[int]float64, len(all))
+			for _, m := range all {
+				exact[m.Index] = m.Distance
+			}
+			for j, m := range single {
+				if want, ok := exact[m.Index]; !ok || math.Float64bits(m.Distance) != math.Float64bits(want) {
+					t.Fatalf("impl %s query %d match %d (entry %d): distance %x, DB.Query %x",
+						im.Name, i, j, m.Index, math.Float64bits(m.Distance), math.Float64bits(want))
+				}
+				if j > 0 && single[j-1].Distance > m.Distance {
+					t.Fatalf("impl %s query %d: matches out of order", im.Name, i)
+				}
+			}
+		}
+		restore()
 	}
 }
 
@@ -303,19 +437,62 @@ func TestIVFPQAppendNewLabel(t *testing.T) {
 	}
 }
 
+// adcReference is the first search stage alone, spelled out: every code
+// of the nprobe nearest lists scored through its list's lookup table and
+// ranked by (ADC estimate, database index) — what IVFPQ answered before
+// it had an exact stage, and what a loaded index answers until AttachDB.
+func adcReference(x *IVFPQ, f fingerprint.Fingerprint, label, k int) []fingerprint.Match {
+	c := x.labels[label]
+	d2s := make([]float64, c.nlist)
+	kernel.DistanceRows(f, c.centroids, x.dim, d2s)
+	order := make([]int, c.nlist)
+	for ci := range order {
+		order[ci] = ci
+	}
+	sort.SliceStable(order, func(a, b int) bool { return d2s[order[a]] < d2s[order[b]] })
+	var out []fingerprint.Match
+	res, tab, scratch := make([]float32, x.dim), make([]float32, x.m*pqKs), make([]float64, pqKs)
+	for _, ci := range order[:min(x.Nprobe(), c.nlist)] {
+		for j := range res {
+			res[j] = f[j] - c.centroids[ci*x.dim+j]
+		}
+		c.book.table(res, tab, scratch)
+		l := c.lists[ci]
+		est := make([]float64, l.n())
+		kernel.ADCScan(tab, l.codes, x.m, est)
+		for pos, d2 := range est {
+			e := x.entry(l, pos)
+			out = append(out, fingerprint.Match{Index: int(l.idx[pos]), Source: e.S, Label: label, Hash: e.H, Distance: d2})
+		}
+	}
+	sort.Slice(out, func(a, b int) bool {
+		if out[a].Distance != out[b].Distance {
+			return out[a].Distance < out[b].Distance
+		}
+		return out[a].Index < out[b].Index
+	})
+	out = out[:min(k, len(out))]
+	for i := range out {
+		out[i].Distance = math.Sqrt(out[i].Distance)
+	}
+	return out
+}
+
 // TestSaveLoadIVFPQ: the roundtrip preserves parameters, codes, and
-// codebooks exactly — a reloaded index answers bit-identically.
+// codebooks exactly. A loaded index has no database, so it is the one
+// ADC-only case: it answers the first stage's order with the first
+// stage's distances, as every IVFPQ did before the exact stage. Once
+// AttachDB gives it the database it answers bit-identically to the
+// trained index; a database that is not the indexed one is refused and
+// changes nothing.
 func TestSaveLoadIVFPQ(t *testing.T) {
 	db := populatedDB(t, 8, 400, 2, 33)
 	pq, err := TrainIVFPQ(db, IVFPQOptions{IVFOptions: IVFOptions{Nlist: 10, Nprobe: 3, Seed: 7}, M: 4})
 	if err != nil {
 		t.Fatal(err)
 	}
-	var buf bytes.Buffer
-	if err := Save(&buf, pq); err != nil {
-		t.Fatal(err)
-	}
-	got, err := Load(&buf)
+	saved := savedBytes(t, pq)
+	got, err := Load(bytes.NewReader(saved))
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -329,15 +506,83 @@ func TestSaveLoadIVFPQ(t *testing.T) {
 	if re.VectorBytes() != pq.VectorBytes() {
 		t.Fatalf("reloaded footprint %d, want %d", re.VectorBytes(), pq.VectorBytes())
 	}
+	if !bytes.Equal(savedBytes(t, re), saved) {
+		t.Fatal("a loaded index saves different bytes than the trained one")
+	}
+
 	rng := rand.New(rand.NewPCG(8, 8))
-	for trial := 0; trial < 8; trial++ {
-		q := randomFP(rng, 8)
-		want, _ := pq.Search(q, trial%2, 5)
-		out, err := re.Search(q, trial%2, 5)
+	queries := make([]fingerprint.Fingerprint, 8)
+	for i := range queries {
+		queries[i] = randomFP(rng, 8)
+	}
+	adcOnly := func(when string) {
+		t.Helper()
+		approximate := false
+		for i, q := range queries {
+			out, err := re.Search(q, i%2, 5)
+			if err != nil {
+				t.Fatal(err)
+			}
+			want := adcReference(pq, q, i%2, 5)
+			if !reflect.DeepEqual(out, want) {
+				t.Fatalf("%s, query %d: %+v, want the ADC stage's %+v", when, i, out, want)
+			}
+			for _, m := range out {
+				exact, _ := q.L2Distance(db.Entry(m.Index).F)
+				approximate = approximate || m.Distance != exact
+			}
+		}
+		if !approximate {
+			t.Fatalf("%s: every distance is exact; the ADC-only case is not being exercised", when)
+		}
+	}
+	adcOnly("loaded")
+
+	other := populatedDB(t, 8, 400, 3, 33) // same sources and hashes, other labels
+	if err := re.AttachDB(other); err == nil {
+		t.Fatal("a database with other entries was attached")
+	}
+	if err := re.AttachDB(db.Snapshot(300)); err == nil {
+		t.Fatal("a database shorter than the index was attached")
+	}
+	wrongDim, _ := fingerprint.NewDB(4)
+	if err := re.AttachDB(wrongDim); !errors.Is(err, fingerprint.ErrDimMismatch) {
+		t.Fatalf("attach of a dim-4 database: %v", err)
+	}
+	adcOnly("after refused attaches")
+
+	if err := re.AttachDB(db); err != nil {
+		t.Fatal(err)
+	}
+	if err := re.AttachDB(other); err != nil { // already attached: kept
+		t.Fatal(err)
+	}
+	labels, ks := make([]int, len(queries)), make([]int, len(queries))
+	for i := range queries {
+		labels[i], ks[i] = i%2, 5
+		want, _ := pq.Search(queries[i], i%2, 5)
+		out, err := re.Search(queries[i], i%2, 5)
 		if err != nil {
 			t.Fatal(err)
 		}
-		sameMatches(t, out, want)
+		if !reflect.DeepEqual(out, want) {
+			t.Fatalf("attached, query %d: %+v, want the trained index's %+v", i, out, want)
+		}
+	}
+	wantBatch, _ := pq.SearchBatch(queries, labels, ks)
+	gotBatch, _ := re.SearchBatch(queries, labels, ks)
+	if !reflect.DeepEqual(gotBatch, wantBatch) {
+		t.Fatal("attached: SearchBatch differs from the trained index's")
+	}
+	for _, c := range re.labels {
+		for _, l := range c.lists {
+			if l.own != nil {
+				t.Fatalf("an attached list still carries %d linkages", len(l.own))
+			}
+		}
+	}
+	if !bytes.Equal(savedBytes(t, re), saved) {
+		t.Fatal("an attached index saves different bytes than the trained one")
 	}
 }
 
@@ -444,4 +689,29 @@ func BenchmarkTrainIVFPQ(b *testing.B) {
 			b.Fatal(err)
 		}
 	}
+}
+
+// BenchmarkIVFPQSearch times one refined search — centroid ranking,
+// list selection, two ADC table builds and scans, the exact re-rank of
+// the shortlist — on one class at the shape the bench's ivfpq shards
+// serve (2 500 × 64, M 16, k 9; 500 under -short), with its allocations.
+func BenchmarkIVFPQSearch(b *testing.B) {
+	n := 2500
+	if testing.Short() {
+		n = 500
+	}
+	db := linkedClassDB(b, n)
+	pq, err := TrainIVFPQ(db, IVFPQOptions{IVFOptions: IVFOptions{Seed: 2}})
+	if err != nil {
+		b.Fatal(err)
+	}
+	queries := linkedFingerprints(rand.New(rand.NewPCG(16, 1)), 64, 64, 64, 12, 0.15, 0.05)
+	b.ReportAllocs()
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		if _, err := pq.Search(queries[i%len(queries)], 0, 9); err != nil {
+			b.Fatal(err)
+		}
+	}
+	b.ReportMetric(float64(b.Elapsed().Microseconds())/float64(b.N), "search_us")
 }

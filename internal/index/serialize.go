@@ -30,7 +30,7 @@ var (
 //	IVF only: nprobe u32, then per label: nlist u32 |
 //	          nlist×dim × f32 centroids | nlist × (len u32 | len × pos u32)
 //
-// IVFPQ stores no float vectors, so after the same header its body
+// IVFPQ copies no float vectors, so after the same header its body
 // replaces the per-label entry section entirely:
 //
 //	nprobe u32 | m u32
@@ -177,15 +177,16 @@ func saveIVFPQ(bw *bufio.Writer, x *IVFPQ) error {
 		for _, l := range c.lists {
 			put(uint32(l.n()))
 			for i := 0; i < l.n(); i++ {
-				if len(l.src[i]) > 65535 {
-					return fmt.Errorf("index: save: source %q… exceeds 65535 bytes", l.src[i][:32])
+				e := x.entry(l, i)
+				if len(e.S) > 65535 {
+					return fmt.Errorf("index: save: source %q… exceeds 65535 bytes", e.S[:32])
 				}
 				put(uint32(l.idx[i]))
 				var u16 [2]byte
-				binary.LittleEndian.PutUint16(u16[:], uint16(len(l.src[i])))
+				binary.LittleEndian.PutUint16(u16[:], uint16(len(e.S)))
 				bw.Write(u16[:])
-				bw.WriteString(l.src[i])
-				bw.Write(l.hash[i][:])
+				bw.WriteString(e.S)
+				bw.Write(e.H[:])
 				bw.Write(l.codes[i*x.m : (i+1)*x.m])
 			}
 		}
@@ -198,7 +199,22 @@ func saveIVFPQ(bw *bufio.Writer, x *IVFPQ) error {
 
 // Load deserializes an index written by Save, returning a *Flat, *IVF,
 // or *IVFPQ.
+//
+// Malformed input yields ErrCorrupt or ErrVersionMismatch, never a
+// panic. When r can say how long it is (a file, a bytes.Reader), every
+// count the stream claims is held to the bytes it would need before
+// anything is allocated for it, so a short hostile file costs memory in
+// proportion to its own size, not to what its header says.
 func Load(r io.Reader) (Searcher, error) {
+	left := int64(math.MaxInt64)
+	if s, ok := r.(io.Seeker); ok {
+		if n, ok := fingerprint.BytesLeft(s); ok {
+			left = n
+		}
+	}
+	// holds reports whether the stream is long enough for count records
+	// of at least each bytes.
+	holds := func(count, each int) bool { return int64(count)*int64(each) <= left }
 	br := bufio.NewReader(r)
 	head := make([]byte, 4+1+1+4+4)
 	if _, err := io.ReadFull(br, head); err != nil {
@@ -213,7 +229,7 @@ func Load(r io.Reader) (Searcher, error) {
 	kind := head[5]
 	dim := int(binary.LittleEndian.Uint32(head[6:]))
 	nlabels := int(binary.LittleEndian.Uint32(head[10:]))
-	if dim <= 0 || dim > maxPlausibleDim || nlabels < 0 || nlabels > maxPlausible {
+	if dim <= 0 || dim > maxPlausibleDim || nlabels < 0 || nlabels > maxPlausible || !holds(nlabels, 8) {
 		return nil, fmt.Errorf("index: load: implausible header (dim %d, labels %d): %w", dim, nlabels, ErrCorrupt)
 	}
 	var u32b [4]byte
@@ -224,7 +240,7 @@ func Load(r io.Reader) (Searcher, error) {
 		return binary.LittleEndian.Uint32(u32b[:]), nil
 	}
 	if kind == kindIVFPQ {
-		return loadIVFPQ(br, dim, nlabels, get)
+		return loadIVFPQ(br, dim, nlabels, get, holds)
 	}
 	labels := make([]int, nlabels)
 	buckets := make(map[int]*bucket, nlabels)
@@ -242,7 +258,7 @@ func Load(r io.Reader) (Searcher, error) {
 		n := int(nv)
 		// Bound the product too: make([]float32, n*dim) on hostile
 		// headers must error, not panic or exhaust memory.
-		if n > maxPlausible || n*dim > maxPlausibleElems {
+		if n > maxPlausible || n*dim > maxPlausibleElems || !holds(n, 4+2+32+4*dim) {
 			return nil, fmt.Errorf("index: load: implausible entry count %d (dim %d): %w", n, dim, ErrCorrupt)
 		}
 		vecs := make([]float32, n*dim)
@@ -302,7 +318,7 @@ func Load(r io.Reader) (Searcher, error) {
 				return nil, fmt.Errorf("index: load label %d lists: %w: %w", y, err, ErrCorrupt)
 			}
 			nlist := int(nl)
-			if nlist <= 0 || nlist > maxPlausible || nlist*dim > maxPlausibleElems {
+			if nlist <= 0 || nlist > maxPlausible || nlist*dim > maxPlausibleElems || !holds(nlist, 4*dim+4) {
 				return nil, fmt.Errorf("index: load: implausible nlist %d (dim %d): %w", nlist, dim, ErrCorrupt)
 			}
 			c := &ivfClass{b: b, nlist: nlist, centroids: make([]float32, nlist*dim), lists: make([][]int32, nlist)}
@@ -358,7 +374,7 @@ func Load(r io.Reader) (Searcher, error) {
 // loadIVFPQ deserializes the kindIVFPQ body. Hostile headers must error
 // (never panic or balloon): every count is bounds-checked before its
 // allocation, mirroring the flat/IVF loader.
-func loadIVFPQ(br *bufio.Reader, dim, nlabels int, get func() (uint32, error)) (*IVFPQ, error) {
+func loadIVFPQ(br *bufio.Reader, dim, nlabels int, get func() (uint32, error), holds func(count, each int) bool) (*IVFPQ, error) {
 	np, err := get()
 	if err != nil {
 		return nil, fmt.Errorf("index: load nprobe: %w: %w", err, ErrCorrupt)
@@ -391,7 +407,8 @@ func loadIVFPQ(br *bufio.Reader, dim, nlabels int, get func() (uint32, error)) (
 			return nil, fmt.Errorf("index: load label %d lists: %w: %w", y, err, ErrCorrupt)
 		}
 		nlist := int(nl)
-		if nlist <= 0 || nlist > maxPlausible || nlist*dim > maxPlausibleElems {
+		// Besides its lists a label carries the codebook: m·256·dsub floats.
+		if nlist <= 0 || nlist > maxPlausible || nlist*dim > maxPlausibleElems || !holds(nlist, 4*dim+4) || !holds(dim, 4*pqKs) {
 			return nil, fmt.Errorf("index: load: implausible nlist %d (dim %d): %w", nlist, dim, ErrCorrupt)
 		}
 		c := &ivfpqClass{
@@ -420,15 +437,10 @@ func loadIVFPQ(br *bufio.Reader, dim, nlabels int, get func() (uint32, error)) (
 				return nil, fmt.Errorf("index: load list %d/%d: %w: %w", y, ci, err, ErrCorrupt)
 			}
 			n := int(ln)
-			if n > maxPlausible || n*m > maxPlausibleElems {
+			if n > maxPlausible || n*m > maxPlausibleElems || !holds(n, 4+2+32+m) {
 				return nil, fmt.Errorf("index: load: implausible list length %d (m %d): %w", n, m, ErrCorrupt)
 			}
-			l := &pqList{
-				codes: make([]byte, n*m),
-				idx:   make([]int32, n),
-				src:   make([]string, n),
-				hash:  make([][32]byte, n),
-			}
+			l := &pqList{codes: make([]byte, n*m), idx: make([]int32, n), own: make([]fingerprint.Linkage, n)}
 			for i := 0; i < n; i++ {
 				iv, err := get()
 				if err != nil {
@@ -444,8 +456,8 @@ func loadIVFPQ(br *bufio.Reader, dim, nlabels int, get func() (uint32, error)) (
 					return nil, fmt.Errorf("index: load entry %d/%d/%d: %w: %w", y, ci, i, err, ErrCorrupt)
 				}
 				slen := len(rest) - 32 - m
-				l.src[i] = string(rest[:slen])
-				copy(l.hash[i][:], rest[slen:slen+32])
+				l.own[i].Y, l.own[i].S = y, string(rest[:slen])
+				copy(l.own[i].H[:], rest[slen:slen+32])
 				copy(l.codes[i*m:(i+1)*m], rest[slen+32:])
 			}
 			c.lists[ci] = l

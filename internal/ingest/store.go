@@ -157,7 +157,9 @@ func (s *Store) apply(l fingerprint.Linkage) error {
 		return err
 	}
 	if s.app != nil {
-		if err := s.app.Append(idx, l); err != nil {
+		// The stored entry, as in the retrain catch-up: its fingerprint is
+		// the database's immutable copy, which an appender may alias.
+		if err := s.app.Append(idx, s.db.Entry(idx)); err != nil {
 			return err
 		}
 	}

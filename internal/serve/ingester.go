@@ -71,7 +71,8 @@ func (v *volatileIngester) IngestBatch(ls []fingerprint.Linkage) (int, error) {
 			return i, fmt.Errorf("serve: apply entry %d: %w", i, err)
 		}
 		if v.app != nil {
-			if err := v.app.Append(idx, l); err != nil {
+			// The stored entry: an appender may alias its fingerprint.
+			if err := v.app.Append(idx, v.db.Entry(idx)); err != nil {
 				return i, fmt.Errorf("serve: index entry %d: %w", i, err)
 			}
 		}

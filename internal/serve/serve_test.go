@@ -1,8 +1,10 @@
 package serve
 
 import (
+	"bytes"
 	"math/rand/v2"
 	"net/http/httptest"
+	"reflect"
 	"testing"
 
 	"caltrain/internal/fingerprint"
@@ -101,6 +103,40 @@ func TestPrebuiltSpec(t *testing.T) {
 	}
 	if _, err := (Deployment{Backend: spec, Shards: 2}).Build(db); err == nil {
 		t.Fatal("sharded prebuilt backend accepted")
+	}
+
+	// A loaded IVFPQ index carries no float rows: Build is where it gets
+	// the database, after which it answers with exact distances like the
+	// index it was saved from — or the build fails, for a database that
+	// is not the indexed one.
+	trained, err := index.TrainIVFPQ(db, index.IVFPQOptions{IVFOptions: index.IVFOptions{Nlist: 2, Nprobe: 2, Seed: 3}, M: 4})
+	if err != nil {
+		t.Fatal(err)
+	}
+	var saved bytes.Buffer
+	if err := index.Save(&saved, trained); err != nil {
+		t.Fatal(err)
+	}
+	q := db.Entry(7).F
+	want, _ := trained.Search(q, db.Entry(7).Y, 5)
+	for _, c := range []struct {
+		db *fingerprint.DB
+		ok bool
+	}{{testDB(t, 8, 50, 5), false}, {db, true}} {
+		loaded, err := index.Load(bytes.NewReader(saved.Bytes()))
+		if err != nil {
+			t.Fatal(err)
+		}
+		sr, err := PrebuiltSpec{Searcher: loaded}.Build(c.db)
+		if (err == nil) != c.ok {
+			t.Fatalf("prebuilt ivfpq over a %d-label database: %v", len(c.db.Labels()), err)
+		}
+		if !c.ok {
+			continue
+		}
+		if got, _ := sr.Search(q, db.Entry(7).Y, 5); !reflect.DeepEqual(got, want) || got[0].Distance != 0 {
+			t.Fatalf("prebuilt ivfpq after Build: %+v, want the trained index's %+v", got, want)
+		}
 	}
 }
 

@@ -89,9 +89,10 @@ func (s IVFSpec) Rebuild() func(*fingerprint.DB) (fingerprint.Searcher, error) {
 
 // IVFPQSpec serves the product-quantized inverted-file index: IVF's
 // coarse structure with M-byte codes instead of float vectors in the
-// lists, ~4·dim/M times smaller in memory and scanned by ADC table
-// lookups. Like IVFSpec it supplies the drift-triggered background
-// retrain for durable write paths.
+// lists, ~4·dim/M times smaller in memory, scanned by ADC table
+// lookups and re-ranked exactly against the database's own rows. Like
+// IVFSpec it supplies the drift-triggered background retrain for
+// durable write paths.
 type IVFPQSpec struct {
 	index.IVFPQOptions
 }
@@ -128,8 +129,15 @@ type PrebuiltSpec struct {
 // Kind implements BackendSpec.
 func (s PrebuiltSpec) Kind() string { return s.Searcher.Kind() }
 
-// Build implements BackendSpec: the backend already exists.
-func (s PrebuiltSpec) Build(*fingerprint.DB) (fingerprint.Searcher, error) {
+// Build implements BackendSpec: the backend already exists. A loaded
+// IVFPQ index is handed db, the one thing its file does not carry — the
+// float rows its exact re-rank reads (index.IVFPQ.AttachDB).
+func (s PrebuiltSpec) Build(db *fingerprint.DB) (fingerprint.Searcher, error) {
+	if pq, ok := s.Searcher.(*index.IVFPQ); ok {
+		if err := pq.AttachDB(db); err != nil {
+			return nil, err
+		}
+	}
 	return s.Searcher, nil
 }
 

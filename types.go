@@ -95,7 +95,9 @@ type (
 	// IVFOptions tunes IVF training and search.
 	IVFOptions = index.IVFOptions
 	// IVFPQIndex is the product-quantized IVF backend: M code bytes per
-	// entry instead of float vectors, scanned by ADC table lookups.
+	// entry instead of float vectors, scanned by ADC table lookups, the
+	// shortlist re-ranked exactly against the database's own rows. An
+	// index from LoadIndex needs AttachDB for that second stage.
 	IVFPQIndex = index.IVFPQ
 	// IVFPQOptions tunes IVFPQ training and search (IVFOptions plus the
 	// subquantizer count M).
