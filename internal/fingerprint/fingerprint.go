@@ -67,14 +67,15 @@ type Searcher interface {
 	Len() int
 	// Dim returns the fingerprint dimensionality.
 	Dim() int
-	// Kind names the backend ("linear", "flat", "ivf") for stats.
+	// Kind names the backend ("linear", "flat", "ivf", "ivfpq") for stats.
 	Kind() string
 }
 
 // BatchSearcher is the optional batched extension of Searcher: backends
 // that can amortize one blocked sweep of their storage across a whole
-// query batch (internal/index Flat and IVF both do, via
-// internal/kernel.DistanceBatch). Service.RunBatch passes entire
+// query batch (every internal/index backend does, via
+// internal/kernel.DistanceBatch: Flat over a label's vectors, IVF and
+// IVFPQ over its centroid table). Service.RunBatch passes entire
 // batches down this path when the serving backend implements it.
 type BatchSearcher interface {
 	Searcher

@@ -601,15 +601,16 @@ func queryErrCode(req QueryRequest, maxK int) string {
 	return ErrCodeBadRequest
 }
 
-// runQuery executes one query against the current backend, enforcing the
-// k limit. The read lock covers only the pointer fetch: a snapshot
-// backend is immutable, so queries proceed lock-free while SetSearcher
-// swaps the pointer.
-func (s *Service) runQuery(req QueryRequest) (*QueryResponse, error) {
+// runQuery executes one query against sr — the backend its caller read
+// once, with s.Searcher(), for everything it does on this request —
+// enforcing the k limit. The service's read lock covers only that
+// pointer fetch: a snapshot backend is immutable, so queries proceed
+// lock-free while SetSearcher swaps the pointer.
+func (s *Service) runQuery(sr Searcher, req QueryRequest) (*QueryResponse, error) {
 	if req.K > s.maxK {
 		return nil, fmt.Errorf("k %d exceeds limit %d", req.K, s.maxK)
 	}
-	matches, err := s.Searcher().Search(Fingerprint(req.Fingerprint), req.Label, req.K)
+	matches, err := sr.Search(Fingerprint(req.Fingerprint), req.Label, req.K)
 	if err != nil {
 		return nil, err
 	}
@@ -646,10 +647,11 @@ func (s *Service) handleQuery(w http.ResponseWriter, r *http.Request) {
 		s.fail(w, http.StatusBadRequest, ErrCodeBadRequest, "bad request: %v", err)
 		return
 	}
+	sr := s.Searcher()
 	_, span := obs.StartSpan(r.Context(), "search")
-	span.SetAttr("backend", s.Searcher().Kind())
+	span.SetAttr("backend", sr.Kind())
 	span.SetAttr("kernel", kernel.Active())
-	resp, err := s.runQuery(req)
+	resp, err := s.runQuery(sr, req)
 	span.SetError(err)
 	span.End()
 	if err != nil {
@@ -672,28 +674,31 @@ func (s *Service) RunBatch(reqs []QueryRequest) *BatchResponse {
 // search is recorded as a "search" stage on the context's trace, so a
 // routed batch's request log attributes time to the search itself.
 //
-// When the serving backend implements BatchSearcher (both index
-// backends do), the whole batch goes down in ONE call: queries sharing
-// a label are answered by a single blocked sweep of the label's vectors
-// instead of one scan per query. The backend pointer is read once, so
-// the entire batch is answered by one snapshot even while SetSearcher
-// hot-swaps concurrently. Results, error codes, and /stats counters are
-// identical to the per-query path.
+// When the serving backend implements BatchSearcher (every index
+// backend does), the whole batch goes down in ONE call: queries sharing
+// a label are answered together, by a single blocked sweep of the
+// label's vectors or of its centroid table, instead of one scan per
+// query. The backend pointer is read once, here, so the entire batch —
+// the per-query loop a backend without SearchBatch gets included — is
+// answered by one snapshot even while SetSearcher hot-swaps
+// concurrently. Results, error codes, and /stats counters are identical
+// to the per-query path.
 func (s *Service) RunBatchCtx(ctx context.Context, reqs []QueryRequest) *BatchResponse {
 	started := time.Now()
 	s.batches.Add(1)
 	s.queries.Add(uint64(len(reqs)))
+	sr := s.Searcher()
 	_, span := obs.StartSpan(ctx, "search")
-	span.SetAttr("backend", s.Searcher().Kind())
+	span.SetAttr("backend", sr.Kind())
 	span.SetAttr("kernel", kernel.Active())
 	span.SetAttr("batch", strconv.Itoa(len(reqs)))
 	defer span.End()
 	out := &BatchResponse{Results: make([]BatchResult, len(reqs))}
-	if bs, ok := s.Searcher().(BatchSearcher); ok && len(reqs) > 1 {
+	if bs, ok := sr.(BatchSearcher); ok && len(reqs) > 1 {
 		s.runBatchSearch(bs, reqs, out)
 	} else {
 		for i, q := range reqs {
-			resp, err := s.runQuery(q)
+			resp, err := s.runQuery(sr, q)
 			if err != nil {
 				// Per-query failures count toward /stats errors just like
 				// failures on /query, even though the batch itself is a 200.

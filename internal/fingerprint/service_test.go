@@ -162,6 +162,54 @@ func TestServiceHotSwap(t *testing.T) {
 	}
 }
 
+// swappingSearcher is a backend without SearchBatch that, on its first
+// Search, hot-swaps the service over to another backend — the rollover
+// a batch may straddle, made deterministic.
+type swappingSearcher struct {
+	Searcher
+	svc  *Service
+	next Searcher
+	once sync.Once
+}
+
+func (s *swappingSearcher) Search(f Fingerprint, label, k int) ([]Match, error) {
+	s.once.Do(func() { s.svc.SetSearcher(s.next) })
+	return s.Searcher.Search(f, label, k)
+}
+
+// TestServiceBatchOneSnapshot: RunBatch reads the backend once, so the
+// backend that answers a batch's first query answers all of it, per-query
+// loop included, even when a SetSearcher lands in between. The swapped-in
+// database has an entry at distance 0 of every query; no result may show
+// it.
+func TestServiceBatchOneSnapshot(t *testing.T) {
+	db := populatedDB(t, 4, 30, 2, 23)
+	rng := rand.New(rand.NewPCG(8, 8))
+	reqs := make([]QueryRequest, 6)
+	next := populatedDB(t, 4, 30, 2, 23)
+	for i := range reqs {
+		f := randomFP(rng, 4)
+		reqs[i] = QueryRequest{Fingerprint: f, Label: i % 2, K: 1}
+		if err := next.Add(Linkage{F: f, Y: i % 2, S: "swapped-in"}); err != nil {
+			t.Fatal(err)
+		}
+	}
+	svc := NewService(db)
+	svc.SetSearcher(&swappingSearcher{Searcher: db, svc: svc, next: next})
+	resp := svc.RunBatch(reqs)
+	if svc.Searcher() != Searcher(next) {
+		t.Fatal("the stub did not swap the backend")
+	}
+	for i, r := range resp.Results {
+		if r.Error != "" {
+			t.Fatalf("query %d: %s", i, r.Error)
+		}
+		if m := r.Matches[0]; m.Source == "swapped-in" || m.Distance == 0 {
+			t.Fatalf("query %d was answered by the swapped-in backend: %+v", i, m)
+		}
+	}
+}
+
 // TestServiceConcurrent drives concurrent clients against the handler
 // while the backend hot-swaps and ingest appends — the -race guarantee
 // the daemon relies on.

@@ -88,20 +88,19 @@ func (x *Flat) VectorBytes() int64 {
 	return total
 }
 
+// class implements backend: a label's bucket is its class.
+func (x *Flat) class(label int) (class, int) {
+	if b, ok := x.buckets[label]; ok {
+		return b, 1
+	}
+	return nil, 0
+}
+
 // Search returns the k nearest same-label entries to f, ascending by L2
 // distance with ties broken by database index — exactly DB.Query's
 // contract.
 func (x *Flat) Search(f fingerprint.Fingerprint, label, k int) ([]fingerprint.Match, error) {
-	if err := checkQuery(x.dim, f, k); err != nil {
-		return nil, err
-	}
-	x.mu.RLock()
-	defer x.mu.RUnlock()
-	b, ok := x.buckets[label]
-	if !ok {
-		return nil, nil
-	}
-	return scanBucket(b, f, x.dim, k).matches(label), nil
+	return search(x, &x.mu, f, label, k)
 }
 
 // SearchBatch implements fingerprint.BatchSearcher: queries sharing a
@@ -111,30 +110,5 @@ func (x *Flat) Search(f fingerprint.Fingerprint, label, k int) ([]fingerprint.Ma
 // memory traffic instead of B. Results are identical to per-query
 // Search calls; each query fails or succeeds independently.
 func (x *Flat) SearchBatch(fs []fingerprint.Fingerprint, labels []int, ks []int) ([][]fingerprint.Match, []error) {
-	results := make([][]fingerprint.Match, len(fs))
-	errs := make([]error, len(fs))
-	x.mu.RLock()
-	defer x.mu.RUnlock()
-	for label, qidx := range groupByLabel(x.dim, fs, labels, ks, errs) {
-		b, ok := x.buckets[label]
-		if !ok {
-			continue // absent label: nil matches, nil error, like Search
-		}
-		if len(qidx) == 1 {
-			i := qidx[0]
-			results[i] = scanBucket(b, fs[i], x.dim, ks[i]).matches(label)
-			continue
-		}
-		qs := make([]float32, 0, len(qidx)*x.dim)
-		groupKs := make([]int, len(qidx))
-		for j, i := range qidx {
-			qs = append(qs, fs[i]...)
-			groupKs[j] = ks[i]
-		}
-		heaps := batchScanBucket(b, qs, x.dim, groupKs)
-		for j, i := range qidx {
-			results[i] = heaps[j].matches(label)
-		}
-	}
-	return results, errs
+	return searchBatch(x, &x.mu, fs, labels, ks)
 }

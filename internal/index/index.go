@@ -6,10 +6,10 @@
 //
 // Three backends implement fingerprint.Searcher:
 //
-//   - Flat: exact. Contiguous per-label vector storage, chunked parallel
-//     scan, squared-distance comparisons with a bounded top-k max-heap and
-//     one final sqrt per returned match. Same results as DB.Query, much
-//     less work per query.
+//   - Flat: exact. Contiguous per-label vector storage scanned in full,
+//     squared-distance comparisons with a bounded top-k max-heap and one
+//     final sqrt per returned match. Same results as DB.Query, much less
+//     work per query.
 //   - IVF: approximate. A per-label k-means coarse quantizer partitions
 //     each class into nlist inverted lists; queries scan only the nprobe
 //     closest lists. Recall is tunable via nprobe and measurable with
@@ -20,6 +20,10 @@
 //     through lookup tables (kernel.ADCScan), keeps a shortlist, and
 //     re-scores that shortlist exactly against the rows the database
 //     holds, so the distances it returns are exact.
+//
+// All three answer Search and SearchBatch through one pipeline (scan.go):
+// a backend supplies how a label's entries are arranged and scored, the
+// pipeline the grouping, heaps, fan-out, pooled scratch and result order.
 //
 // Flat and IVF keep each label's vectors in a bucket of two row-major
 // segments. base holds the rows the index was built over and is never
@@ -39,12 +43,6 @@
 package index
 
 import (
-	"fmt"
-	"math"
-	"runtime"
-	"sort"
-	"sync"
-
 	"caltrain/internal/fingerprint"
 	"caltrain/internal/kernel"
 )
@@ -141,6 +139,7 @@ func (m *rows) bytes() int64 { return 4 * int64(len(m.base)+len(m.tail)) }
 // contiguously for cache-friendly scanning (see rows and the package
 // comment for the base/tail split), provenance kept parallel.
 type bucket struct {
+	exact
 	n    int
 	vecs rows
 	idx  []int32 // database indices
@@ -193,299 +192,24 @@ func buildBucket(db *fingerprint.DB, y int) *bucket {
 	return b
 }
 
-// cand is one scan candidate: squared distance plus position within the
-// bucket. The sqrt is deferred until the final top-k is known.
-type cand struct {
-	d2  float64
-	pos int32
-}
+// A bucket is Flat's class: one list, scanned in full by every query.
 
-// better reports whether a ranks strictly before b: smaller squared
-// distance, ties broken by database index (bucket positions are in
-// insertion order, so position order is index order).
-func (b *bucket) better(a, c cand) bool {
-	if a.d2 != c.d2 {
-		return a.d2 < c.d2
-	}
-	return a.pos < c.pos
-}
+func (b *bucket) quantizer() (int, []float32) { return 0, nil }
 
-// topK is a bounded max-heap of the k best candidates seen so far;
-// h[0] is the worst kept candidate, so one comparison rejects most of the
-// scan without any heap movement.
-type topK struct {
-	b *bucket
-	k int
-	h []cand
-}
+func (b *bucket) listLen(int32) int { return b.n }
 
-func newTopK(b *bucket, k int) *topK {
-	return &topK{b: b, k: k, h: make([]cand, 0, k)}
-}
-
-// worse is the heap ordering: the root holds the candidate that ranks
-// last.
-func (t *topK) worse(a, c cand) bool { return t.b.better(c, a) }
-
-// threshold returns the current worst kept squared distance, or +Inf
-// while the heap is not yet full.
-func (t *topK) threshold() float64 {
-	if len(t.h) < t.k {
-		return math.Inf(1)
-	}
-	return t.h[0].d2
-}
-
-func (t *topK) consider(c cand) {
-	if len(t.h) < t.k {
-		t.h = append(t.h, c)
-		t.siftUp(len(t.h) - 1)
-		return
-	}
-	if t.b.better(c, t.h[0]) {
-		t.h[0] = c
-		t.siftDown(0)
-	}
-}
-
-func (t *topK) siftUp(i int) {
-	for i > 0 {
-		p := (i - 1) / 2
-		if !t.worse(t.h[i], t.h[p]) {
-			return
-		}
-		t.h[i], t.h[p] = t.h[p], t.h[i]
-		i = p
-	}
-}
-
-func (t *topK) siftDown(i int) {
-	n := len(t.h)
-	for {
-		l, r := 2*i+1, 2*i+2
-		w := i
-		if l < n && t.worse(t.h[l], t.h[w]) {
-			w = l
-		}
-		if r < n && t.worse(t.h[r], t.h[w]) {
-			w = r
-		}
-		if w == i {
-			return
-		}
-		t.h[i], t.h[w] = t.h[w], t.h[i]
-		i = w
-	}
-}
-
-// merge folds another heap over the same bucket into t.
-func (t *topK) merge(o *topK) {
-	for _, c := range o.h {
-		t.consider(c)
-	}
-}
-
-// matches materializes the heap as sorted fingerprint.Match results,
-// taking the one sqrt per returned row.
-func (t *topK) matches(label int) []fingerprint.Match {
-	cands := append([]cand(nil), t.h...)
-	sort.Slice(cands, func(a, b int) bool { return t.b.better(cands[a], cands[b]) })
-	out := make([]fingerprint.Match, len(cands))
-	for i, c := range cands {
-		out[i] = fingerprint.Match{
-			Index:    int(t.b.idx[c.pos]),
-			Source:   t.b.src[c.pos],
-			Label:    label,
-			Hash:     t.b.hash[c.pos],
-			Distance: math.Sqrt(c.d2),
-		}
-	}
-	return out
-}
-
-// scanBlock is how many candidate distances one kernel call computes
-// before the heap consumes them: big enough to amortize dispatch, small
-// enough that the scratch stays on the stack.
-const scanBlock = 256
-
-// scanRange feeds bucket positions [lo,hi) through the heap, computing
-// distances a block at a time via the vectorized kernel.
-func scanRange(t *topK, q []float32, dim int, lo, hi int32) {
-	vecs := &t.b.vecs
-	var buf [scanBlock]float64
-	for r := int(lo); r < int(hi); {
-		run, n := vecs.span(r, min(r+scanBlock, int(hi)))
-		kernel.DistanceRows(q, run, dim, buf[:n])
-		for i := 0; i < n; i++ {
-			// Equal distance can still win on the index tie-break, so <=.
-			if d2 := buf[i]; d2 <= t.threshold() {
-				t.consider(cand{d2: d2, pos: int32(r + i)})
-			}
+// scanList visits each block of rows with every query while it is
+// cache-resident.
+func (b *bucket) scanList(w *scratch, qs []float32, heaps []topK, _ int32, lo, hi int) {
+	nq := len(heaps)
+	for r := lo; r < hi; {
+		run, n := b.vecs.span(r, min(r+scanBlock, hi))
+		kernel.DistanceBatch(qs, run, b.vecs.dim, w.buf[:nq*n])
+		for j := range heaps {
+			heaps[j].offer(w.buf[j*n:(j+1)*n], 0, r, nil, b.idx)
 		}
 		r += n
 	}
 }
 
-// parallelScanThreshold is the work-item count above which a scan fans
-// out across GOMAXPROCS workers.
-const parallelScanThreshold = 8192
-
-// parallelChunks splits [0, n) into one contiguous chunk per worker and
-// runs fn on each concurrently; below parallelScanThreshold it runs
-// fn(0, n) inline.
-func parallelChunks(n int, fn func(lo, hi int)) {
-	if n < parallelScanThreshold {
-		fn(0, n)
-		return
-	}
-	workers := runtime.GOMAXPROCS(0)
-	chunk := (n + workers - 1) / workers
-	var wg sync.WaitGroup
-	for w := 0; w < workers; w++ {
-		lo := w * chunk
-		hi := min(lo+chunk, n)
-		if lo >= hi {
-			break
-		}
-		wg.Add(1)
-		go func(lo, hi int) {
-			defer wg.Done()
-			fn(lo, hi)
-		}(lo, hi)
-	}
-	wg.Wait()
-}
-
-// parallelTopK runs scan over chunks of [0, n), each worker with a
-// private heap over b, and merges them into one result heap.
-func parallelTopK(b *bucket, k, n int, scan func(t *topK, lo, hi int)) *topK {
-	final := newTopK(b, k)
-	if n < parallelScanThreshold {
-		scan(final, 0, n)
-		return final
-	}
-	var mu sync.Mutex
-	parallelChunks(n, func(lo, hi int) {
-		t := newTopK(b, k)
-		scan(t, lo, hi)
-		mu.Lock()
-		final.merge(t)
-		mu.Unlock()
-	})
-	return final
-}
-
-// scanBucket runs the (possibly parallel) top-k scan of one bucket over
-// the positions [0, n).
-func scanBucket(b *bucket, q []float32, dim, k int) *topK {
-	return parallelTopK(b, k, b.n, func(t *topK, lo, hi int) {
-		scanRange(t, q, dim, int32(lo), int32(hi))
-	})
-}
-
-// batchSweep feeds bucket rows [lo,hi) through one heap per query,
-// visiting each block of vectors with every query while it is
-// cache-resident — the whole group costs one pass of memory traffic.
-func batchSweep(heaps []*topK, qs []float32, dim int, b *bucket, lo, hi int) {
-	nq := len(heaps)
-	buf := make([]float64, nq*scanBlock)
-	for r0 := lo; r0 < hi; {
-		run, rows := b.vecs.span(r0, min(r0+scanBlock, hi))
-		kernel.DistanceBatch(qs, run, dim, buf[:nq*rows])
-		for qi, t := range heaps {
-			row := buf[qi*rows : (qi+1)*rows]
-			for i, d2 := range row {
-				if d2 <= t.threshold() {
-					t.consider(cand{d2: d2, pos: int32(r0 + i)})
-				}
-			}
-		}
-		r0 += rows
-	}
-}
-
-// batchScanBucket runs one blocked sweep of b for a group of queries
-// sharing a label (qs is len(ks) concatenated dim-length queries),
-// returning one result heap per query. Results are identical to
-// per-query scanBucket calls: same kernel distances, same (d2, pos)
-// tie-break, only the traversal is shared. Large buckets fan out across
-// cores with per-worker heap sets merged at the end.
-func batchScanBucket(b *bucket, qs []float32, dim int, ks []int) []*topK {
-	finals := make([]*topK, len(ks))
-	for i, k := range ks {
-		finals[i] = newTopK(b, k)
-	}
-	if b.n < parallelScanThreshold {
-		batchSweep(finals, qs, dim, b, 0, b.n)
-		return finals
-	}
-	var mu sync.Mutex
-	parallelChunks(b.n, func(lo, hi int) {
-		locals := make([]*topK, len(ks))
-		for i, k := range ks {
-			locals[i] = newTopK(b, k)
-		}
-		batchSweep(locals, qs, dim, b, lo, hi)
-		mu.Lock()
-		for i := range finals {
-			finals[i].merge(locals[i])
-		}
-		mu.Unlock()
-	})
-	return finals
-}
-
-// nearestLists appends to out the n inverted lists whose squared centroid
-// distances d2s are smallest, nearest first, ties to the lower list — or
-// every list, in list order, when n covers them all (the result set of a
-// search does not depend on the order its lists are scanned in). It is
-// the coarse selection of both IVF backends: one pass over d2s with an
-// insertion into at most n kept lists, instead of sorting all of them.
-func nearestLists(d2s []float64, n int, out []int32) []int32 {
-	if n >= len(d2s) {
-		for ci := range d2s {
-			out = append(out, int32(ci))
-		}
-		return out
-	}
-	for ci, d2 := range d2s {
-		if len(out) == n {
-			if !(d2 < d2s[out[n-1]]) { // not >=: a NaN must not displace a kept list
-				continue
-			}
-		} else {
-			out = append(out, 0)
-		}
-		j := len(out) - 1
-		for ; j > 0 && d2 < d2s[out[j-1]]; j-- {
-			out[j] = out[j-1]
-		}
-		out[j] = int32(ci)
-	}
-	return out
-}
-
-// groupByLabel validates each query and groups the valid ones by label,
-// recording per-query validation errors in errs. Shared by both
-// backends' SearchBatch implementations.
-func groupByLabel(dim int, fs []fingerprint.Fingerprint, labels []int, ks []int, errs []error) map[int][]int {
-	groups := make(map[int][]int)
-	for i := range fs {
-		if err := checkQuery(dim, fs[i], ks[i]); err != nil {
-			errs[i] = err
-			continue
-		}
-		groups[labels[i]] = append(groups[labels[i]], i)
-	}
-	return groups
-}
-
-func checkQuery(dim int, f fingerprint.Fingerprint, k int) error {
-	if len(f) != dim {
-		return fmt.Errorf("%w: query has %d dims, index %d", fingerprint.ErrDimMismatch, len(f), dim)
-	}
-	if k <= 0 {
-		return fmt.Errorf("index: k must be positive, got %d", k)
-	}
-	return nil
-}
+func (b *bucket) provenance(c cand) (string, [32]byte) { return b.src[c.pos], b.hash[c.pos] }

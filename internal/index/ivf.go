@@ -4,8 +4,6 @@ import (
 	"fmt"
 	"math"
 	"math/rand/v2"
-	"sync"
-	"sync/atomic"
 
 	"caltrain/internal/fingerprint"
 	"caltrain/internal/kernel"
@@ -51,6 +49,7 @@ func (o IVFOptions) withDefaults(n int) IVFOptions {
 // ivfClass is one label's coarse quantizer plus inverted lists over the
 // label's bucket.
 type ivfClass struct {
+	exact
 	b         *bucket
 	nlist     int
 	centroids []float32 // nlist*dim
@@ -70,12 +69,8 @@ type ivfClass struct {
 // retrain and hot-swap once it crosses a threshold. Append and Search
 // are serialized under an internal RWMutex.
 type IVF struct {
-	mu       sync.RWMutex
-	dim      int
-	total    int
-	appended int
-	nprobe   atomic.Int32
-	labels   map[int]*ivfClass
+	coarseStage
+	labels map[int]*ivfClass
 }
 
 // TrainIVF builds an IVF index from a snapshot of the linkage database.
@@ -85,7 +80,8 @@ func TrainIVF(db *fingerprint.DB, opts IVFOptions) (*IVF, error) {
 	if db.Len() == 0 {
 		return nil, fmt.Errorf("index: cannot train IVF on an empty database")
 	}
-	x := &IVF{dim: db.Dim(), labels: make(map[int]*ivfClass)}
+	x := &IVF{labels: make(map[int]*ivfClass)}
+	x.dim = db.Dim()
 	nprobe := 0
 	for _, y := range db.Labels() {
 		b := buildBucket(db, y)
@@ -222,16 +218,6 @@ func assignNearest(vecs *rows, points []int32, cents []float32, k int, out []int
 	})
 }
 
-// Dim returns the fingerprint dimensionality.
-func (x *IVF) Dim() int { return x.dim }
-
-// Len returns the number of indexed linkages.
-func (x *IVF) Len() int {
-	x.mu.RLock()
-	defer x.mu.RUnlock()
-	return x.total
-}
-
 // Kind implements Searcher.
 func (x *IVF) Kind() string { return "ivf" }
 
@@ -265,17 +251,6 @@ func (x *IVF) Append(dbIndex int, l fingerprint.Linkage) error {
 	return nil
 }
 
-// Drift implements Drifter: the fraction of the index appended since
-// training. A freshly trained (or loaded) index reports 0.
-func (x *IVF) Drift() float64 {
-	x.mu.RLock()
-	defer x.mu.RUnlock()
-	if x.total == 0 {
-		return 0
-	}
-	return float64(x.appended) / float64(x.total)
-}
-
 // VectorBytes reports the bytes of search geometry the index holds in
 // memory: the full float32 vectors, per-entry database indices,
 // centroid tables, and inverted-list positions. Provenance metadata
@@ -295,33 +270,19 @@ func (x *IVF) VectorBytes() int64 {
 	return total
 }
 
-// Nprobe returns the current probe width.
-func (x *IVF) Nprobe() int { return int(x.nprobe.Load()) }
-
-// SetNprobe adjusts the recall-vs-latency knob. Safe to call while the
-// index is serving.
-func (x *IVF) SetNprobe(n int) {
-	x.nprobe.Store(int32(max(1, n)))
+// class implements backend.
+func (x *IVF) class(label int) (class, int) {
+	if c, ok := x.labels[label]; ok {
+		return c, x.Nprobe()
+	}
+	return nil, 0
 }
 
 // Search returns approximately the k nearest same-label entries: it scans
 // the nprobe inverted lists whose centroids are closest to f. Results are
 // exact within the probed lists (same ordering contract as DB.Query).
 func (x *IVF) Search(f fingerprint.Fingerprint, label, k int) ([]fingerprint.Match, error) {
-	if err := checkQuery(x.dim, f, k); err != nil {
-		return nil, err
-	}
-	x.mu.RLock()
-	defer x.mu.RUnlock()
-	c, ok := x.labels[label]
-	if !ok {
-		return nil, nil
-	}
-	// Rank centroids by squared distance to the query — one contiguous
-	// kernel sweep of the centroid table.
-	d2s := make([]float64, c.nlist)
-	kernel.DistanceRows(f, c.centroids, x.dim, d2s)
-	return x.scanProbed(c, f, label, k, d2s), nil
+	return search(x, &x.mu, f, label, k)
 }
 
 // SearchBatch implements fingerprint.BatchSearcher. The coarse stage is
@@ -330,70 +291,21 @@ func (x *IVF) Search(f fingerprint.Fingerprint, label, k int) ([]fingerprint.Mat
 // group) before each query scans its own probed lists. Results are
 // identical to per-query Search calls.
 func (x *IVF) SearchBatch(fs []fingerprint.Fingerprint, labels []int, ks []int) ([][]fingerprint.Match, []error) {
-	results := make([][]fingerprint.Match, len(fs))
-	errs := make([]error, len(fs))
-	x.mu.RLock()
-	defer x.mu.RUnlock()
-	for label, qidx := range groupByLabel(x.dim, fs, labels, ks, errs) {
-		c, ok := x.labels[label]
-		if !ok {
-			continue // absent label: nil matches, nil error, like Search
-		}
-		qs := make([]float32, 0, len(qidx)*x.dim)
-		for _, i := range qidx {
-			qs = append(qs, fs[i]...)
-		}
-		d2s := make([]float64, len(qidx)*c.nlist)
-		kernel.DistanceBatch(qs, c.centroids, x.dim, d2s)
-		for j, i := range qidx {
-			results[i] = x.scanProbed(c, fs[i], label, ks[i], d2s[j*c.nlist:(j+1)*c.nlist])
-		}
-	}
-	return results, errs
+	return searchBatch(x, &x.mu, fs, labels, ks)
 }
 
-// scanProbed selects the nprobe closest lists from the query's squared
-// centroid distances and runs the exact top-k scan over their members.
-// Callers hold the read lock.
-func (x *IVF) scanProbed(c *ivfClass, f fingerprint.Fingerprint, label, k int, d2s []float64) []fingerprint.Match {
-	var buf [32]int32 // holds the default nprobe (≤ 1024/32) without a heap allocation
-	probed := nearestLists(d2s, int(x.nprobe.Load()), buf[:0])
+func (c *ivfClass) quantizer() (int, []float32) { return c.nlist, c.centroids }
 
-	total := 0
-	for _, ci := range probed {
-		total += len(c.lists[ci])
+func (c *ivfClass) listLen(li int32) int { return len(c.lists[li]) }
+
+// scanList gathers the listed bucket rows' exact distances.
+func (c *ivfClass) scanList(w *scratch, q []float32, heaps []topK, li int32, lo, hi int) {
+	list := c.lists[li]
+	for off := lo; off < hi; off += scanBlock {
+		at := list[off:min(off+scanBlock, hi)]
+		c.b.vecs.gather(q, at, w.buf[:len(at)])
+		heaps[0].offer(w.buf[:len(at)], li, 0, at, c.b.idx)
 	}
-	if total < parallelScanThreshold {
-		t := newTopK(c.b, k)
-		for _, ci := range probed {
-			scanPositions(t, f, c.lists[ci])
-		}
-		return t.matches(label)
-	}
-	// Large candidate sets fan the probed lists' positions out across
-	// cores, mirroring the flat scan.
-	flat := make([]int32, 0, total)
-	for _, ci := range probed {
-		flat = append(flat, c.lists[ci]...)
-	}
-	final := parallelTopK(c.b, k, len(flat), func(t *topK, lo, hi int) {
-		scanPositions(t, f, flat[lo:hi])
-	})
-	return final.matches(label)
 }
 
-// scanPositions feeds the listed bucket positions through the heap,
-// gathering distances a block at a time via the vectorized kernel.
-func scanPositions(t *topK, q []float32, positions []int32) {
-	var buf [scanBlock]float64
-	for off := 0; off < len(positions); {
-		n := min(scanBlock, len(positions)-off)
-		t.b.vecs.gather(q, positions[off:off+n], buf[:n])
-		for i := 0; i < n; i++ {
-			if d2 := buf[i]; d2 <= t.threshold() {
-				t.consider(cand{d2: d2, pos: positions[off+i]})
-			}
-		}
-		off += n
-	}
-}
+func (c *ivfClass) provenance(cd cand) (string, [32]byte) { return c.b.provenance(cd) }

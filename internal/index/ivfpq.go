@@ -1,13 +1,9 @@
 package index
 
 import (
-	"cmp"
 	"fmt"
-	"math"
 	"math/rand/v2"
 	"slices"
-	"sync"
-	"sync/atomic"
 
 	"caltrain/internal/fingerprint"
 	"caltrain/internal/kernel"
@@ -56,6 +52,7 @@ func (l *pqList) n() int { return len(l.idx) }
 // ivfpqClass is one label's coarse quantizer, PQ codebook, and
 // product-quantized inverted lists.
 type ivfpqClass struct {
+	x         *IVFPQ // the owning index: dim, m, and the database entries resolve through
 	nlist     int
 	centroids []float32 // nlist×dim
 	book      *pqCodebook
@@ -90,13 +87,9 @@ type ivfpqClass struct {
 // appended fraction so the ingest path can retrain and hot-swap, same
 // as IVF.
 type IVFPQ struct {
-	mu       sync.RWMutex
-	dim      int
-	m        int
-	total    int
-	appended int
-	nprobe   atomic.Int32
-	labels   map[int]*ivfpqClass
+	coarseStage
+	m      int
+	labels map[int]*ivfpqClass
 	// db resolves the entries no list carries (see pqList.own); nil for a
 	// loaded index until AttachDB. It may be a Snapshot: entries appended
 	// later arrive through Append with their own row.
@@ -117,8 +110,8 @@ type IVFPQ struct {
 // too few to hold a linkage group: recall@1 reads 0.81 at k′ = 4 and
 // 1.000 at 32. An index without a database has no exact stage and
 // keeps k.
-func (x *IVFPQ) shortlist(k int) int {
-	if x.db == nil {
+func (c *ivfpqClass) shortlist(k int) int {
+	if c.x.db == nil {
 		return k
 	}
 	return max(4*k, 32)
@@ -140,12 +133,13 @@ func TrainIVFPQ(db *fingerprint.DB, opts IVFPQOptions) (*IVFPQ, error) {
 	if o.M < 1 || dim%o.M != 0 {
 		return nil, fmt.Errorf("index: IVFPQ M=%d must divide the fingerprint dimensionality %d", o.M, dim)
 	}
-	x := &IVFPQ{dim: dim, m: o.M, db: db, labels: make(map[int]*ivfpqClass)}
+	x := &IVFPQ{m: o.M, db: db, labels: make(map[int]*ivfpqClass)}
+	x.dim = dim
 	nprobe := 0
 	for _, y := range db.Labels() {
 		b := buildBucket(db, y)
 		co := o.IVFOptions.withDefaults(b.n)
-		x.labels[y] = trainPQClass(b, o.M, co)
+		x.labels[y] = x.trainClass(b, co)
 		x.total += b.n
 		nprobe = max(nprobe, co.Nprobe)
 	}
@@ -153,16 +147,16 @@ func TrainIVFPQ(db *fingerprint.DB, opts IVFPQOptions) (*IVFPQ, error) {
 	return x, nil
 }
 
-// trainPQClass runs the full per-label pipeline: coarse k-means (the
+// trainClass runs the full per-label pipeline: coarse k-means (the
 // IVF trainer), PQ codebook training on the residuals of a sample, and
 // the encoding pass that turns the bucket's float vectors into per-list
 // code arrays. Residuals (vector minus its coarse centroid) are computed
 // where they are consumed — for the training sample, and one row at a
 // time while encoding — never as a whole n×dim matrix.
-func trainPQClass(b *bucket, m int, co IVFOptions) *ivfpqClass {
-	dim := b.vecs.dim
+func (x *IVFPQ) trainClass(b *bucket, co IVFOptions) *ivfpqClass {
+	dim, m := x.dim, x.m
 	ivfc := trainClass(b, co)
-	c := &ivfpqClass{nlist: ivfc.nlist, centroids: ivfc.centroids, n: b.n}
+	c := &ivfpqClass{x: x, nlist: ivfc.nlist, centroids: ivfc.centroids, n: b.n}
 
 	assign := make([]int32, b.n) // coarse list by bucket position
 	for ci, list := range ivfc.lists {
@@ -205,30 +199,11 @@ func trainPQClass(b *bucket, m int, co IVFOptions) *ivfpqClass {
 	return c
 }
 
-// Dim returns the fingerprint dimensionality.
-func (x *IVFPQ) Dim() int { return x.dim }
-
 // M returns the number of subquantizers (code bytes per entry).
 func (x *IVFPQ) M() int { return x.m }
 
-// Len returns the number of indexed linkages.
-func (x *IVFPQ) Len() int {
-	x.mu.RLock()
-	defer x.mu.RUnlock()
-	return x.total
-}
-
 // Kind implements Searcher.
 func (x *IVFPQ) Kind() string { return "ivfpq" }
-
-// Nprobe returns the current probe width.
-func (x *IVFPQ) Nprobe() int { return int(x.nprobe.Load()) }
-
-// SetNprobe adjusts the recall-vs-latency knob. Safe to call while the
-// index is serving.
-func (x *IVFPQ) SetNprobe(n int) {
-	x.nprobe.Store(int32(max(1, n)))
-}
 
 // VectorBytes reports the bytes of search geometry the index holds in
 // memory: M code bytes and a 4-byte database index per entry, plus the
@@ -268,6 +243,7 @@ func (x *IVFPQ) Append(dbIndex int, l fingerprint.Linkage) error {
 	c := x.labels[l.Y]
 	if c == nil {
 		x.labels[l.Y] = &ivfpqClass{
+			x:         x,
 			nlist:     1,
 			centroids: append([]float32(nil), l.F...),
 			book:      zeroCodebook(x.m, x.dim/x.m),
@@ -298,17 +274,6 @@ func (x *IVFPQ) Append(dbIndex int, l fingerprint.Linkage) error {
 	x.total++
 	x.appended++
 	return nil
-}
-
-// Drift implements Drifter: the fraction of the index appended since
-// training. A freshly trained (or loaded) index reports 0.
-func (x *IVFPQ) Drift() float64 {
-	x.mu.RLock()
-	defer x.mu.RUnlock()
-	if x.total == 0 {
-		return 0
-	}
-	return float64(x.appended) / float64(x.total)
 }
 
 // entry resolves position pos of list l to its linkage: through the
@@ -370,25 +335,20 @@ func (x *IVFPQ) AttachDB(db *fingerprint.DB) error {
 	return nil
 }
 
+// class implements backend.
+func (x *IVFPQ) class(label int) (class, int) {
+	if c, ok := x.labels[label]; ok {
+		return c, x.Nprobe()
+	}
+	return nil, 0
+}
+
 // Search returns approximately the k nearest same-label entries: the
 // nprobe lists whose centroids are closest to f are scanned by ADC
 // table lookups, and the shortlist that survives is re-ranked by exact
 // distance (see IVFPQ), ties broken by database index.
 func (x *IVFPQ) Search(f fingerprint.Fingerprint, label, k int) ([]fingerprint.Match, error) {
-	if err := checkQuery(x.dim, f, k); err != nil {
-		return nil, err
-	}
-	x.mu.RLock()
-	defer x.mu.RUnlock()
-	c, ok := x.labels[label]
-	if !ok {
-		return nil, nil
-	}
-	s := getPQScratch(x.dim, x.m)
-	defer pqScratchPool.Put(s)
-	s.cd2 = slices.Grow(s.cd2[:0], c.nlist)[:c.nlist]
-	kernel.DistanceRows(f, c.centroids, x.dim, s.cd2)
-	return x.scanProbed(c, f, label, k, s.cd2, s), nil
+	return search(x, &x.mu, f, label, k)
 }
 
 // SearchBatch implements fingerprint.BatchSearcher. As with IVF, the
@@ -396,250 +356,45 @@ func (x *IVFPQ) Search(f fingerprint.Fingerprint, label, k int) ([]fingerprint.M
 // the centroid table); each query then scans its own probed lists.
 // Results are identical to per-query Search calls.
 func (x *IVFPQ) SearchBatch(fs []fingerprint.Fingerprint, labels []int, ks []int) ([][]fingerprint.Match, []error) {
-	results := make([][]fingerprint.Match, len(fs))
-	errs := make([]error, len(fs))
-	x.mu.RLock()
-	defer x.mu.RUnlock()
-	s := getPQScratch(x.dim, x.m)
-	defer pqScratchPool.Put(s)
-	for label, qidx := range groupByLabel(x.dim, fs, labels, ks, errs) {
-		c, ok := x.labels[label]
-		if !ok {
-			continue // absent label: nil matches, nil error, like Search
-		}
-		qs := make([]float32, 0, len(qidx)*x.dim)
-		for _, i := range qidx {
-			qs = append(qs, fs[i]...)
-		}
-		d2s := make([]float64, len(qidx)*c.nlist)
-		kernel.DistanceBatch(qs, c.centroids, x.dim, d2s)
-		for j, i := range qidx {
-			results[i] = x.scanProbed(c, fs[i], label, ks[i], d2s[j*c.nlist:(j+1)*c.nlist], s)
-		}
-	}
-	return results, errs
+	return searchBatch(x, &x.mu, fs, labels, ks)
 }
 
-// scanProbed selects the nprobe closest lists from the query's squared
-// centroid distances, ADC-scans their codes into one shortlist and hands
-// it to refine. Small candidate sets run serially on the caller's
-// scratch; large ones fan the probed lists out across goroutines (each
-// list's table build and scan are independent) and merge per-list
-// shortlists, so both paths share the one exact stage. Callers hold the
-// read lock.
-func (x *IVFPQ) scanProbed(c *ivfpqClass, f fingerprint.Fingerprint, label, k int, d2s []float64, s *pqScratch) []fingerprint.Match {
-	s.probed = nearestLists(d2s, int(x.nprobe.Load()), s.probed[:0])
-	total := 0
-	for _, ci := range s.probed {
-		total += c.lists[ci].n()
+func (c *ivfpqClass) quantizer() (int, []float32) { return c.nlist, c.centroids }
+
+func (c *ivfpqClass) listLen(li int32) int { return c.lists[li].n() }
+
+// scanList is the ADC stage: it builds the lookup table for list li
+// (from the query's residual against that list's centroid) and scores
+// the list's codes through it, no float vector touched. A fanned-out
+// sweep that splits a list builds its table once per share.
+func (c *ivfpqClass) scanList(w *scratch, q []float32, heaps []topK, li int32, lo, hi int) {
+	dim, m, l := c.x.dim, c.x.m, c.lists[li]
+	cen := c.centroids[int(li)*dim : (int(li)+1)*dim]
+	w.res, w.tab = resize(w.res, dim), resize(w.tab, m*pqKs)
+	for j := range w.res {
+		w.res[j] = q[j] - cen[j]
 	}
-	k = min(k, total)
-	kk := min(x.shortlist(k), total)
-	t := &s.top
-	t.reset(kk)
-	if total < parallelScanThreshold {
-		for _, ci := range s.probed {
-			x.scanList(c, f, int(ci), t, s)
-		}
-		return x.refine(c, f, label, k, t)
+	c.book.table(w.res, w.tab, w.d2s[:])
+	for off := lo; off < hi; off += scanBlock {
+		n := min(scanBlock, hi-off)
+		kernel.ADCScan(w.tab, l.codes[off*m:(off+n)*m], m, w.buf[:n])
+		heaps[0].offer(w.buf[:n], li, off, nil, l.idx)
 	}
-	var mu sync.Mutex
-	var wg sync.WaitGroup
-	for _, ci := range s.probed {
-		wg.Add(1)
-		go func() {
-			defer wg.Done()
-			ws := getPQScratch(x.dim, x.m)
-			defer pqScratchPool.Put(ws)
-			ws.top.reset(kk)
-			x.scanList(c, f, int(ci), &ws.top, ws)
-			mu.Lock()
-			t.merge(&ws.top)
-			mu.Unlock()
-		}()
-	}
-	wg.Wait()
-	return x.refine(c, f, label, k, t)
 }
 
-// refine is the exact stage, run once on the merged shortlist: with a
+// rescore is the exact stage, run once on the merged shortlist: with a
 // database, every candidate's ADC estimate is replaced by the kernel
-// distance to its float row; then the best k by (squared distance,
-// database index) are materialized, taking the one sqrt per returned
-// match. The shortlist is consumed.
-func (x *IVFPQ) refine(c *ivfpqClass, f fingerprint.Fingerprint, label, k int, t *pqTopK) []fingerprint.Match {
-	if x.db != nil {
-		for i := range t.h {
-			cd := &t.h[i]
-			cd.d2 = kernel.SqDist(f, x.entry(c.lists[cd.li], int(cd.pos)).F)
-		}
-	}
-	// Select the best k in place: best's heap grows over the front of the
-	// array it is fed from, and never writes a slot the loop has yet to read.
-	best := pqTopK{k: k, h: t.h[:0]}
-	for _, cd := range t.h {
-		best.consider(cd)
-	}
-	slices.SortFunc(best.h, pqCompare)
-	out := make([]fingerprint.Match, len(best.h))
-	for i, cd := range best.h {
-		e := x.entry(c.lists[cd.li], int(cd.pos))
-		out[i] = fingerprint.Match{
-			Index:    int(cd.idx),
-			Source:   e.S,
-			Label:    label,
-			Hash:     e.H,
-			Distance: math.Sqrt(cd.d2),
-		}
-	}
-	return out
-}
-
-// pqScratch is the per-query working set: the centroid distances and
-// the probed lists chosen from them, the shortlist heap (sorted in place
-// by refine), the query residual, the ADC table (16 KiB at M 16), and
-// the kernel output buffers. One is taken per query (and per worker of
-// a fanned-out scan) and recycled through pqScratchPool, so a search
-// allocates only the matches it returns.
-type pqScratch struct {
-	cd2    []float64
-	probed []int32
-	top    pqTopK
-	res    []float32
-	tab    []float32
-	d2s    [pqKs]float64
-	buf    [scanBlock]float64
-}
-
-var pqScratchPool = sync.Pool{New: func() any { return new(pqScratch) }}
-
-// getPQScratch takes a scratch from the pool sized for dim-length
-// residuals and m-subquantizer tables.
-func getPQScratch(dim, m int) *pqScratch {
-	s := pqScratchPool.Get().(*pqScratch)
-	if cap(s.res) < dim {
-		s.res = make([]float32, dim)
-	}
-	if cap(s.tab) < m*pqKs {
-		s.tab = make([]float32, m*pqKs)
-	}
-	s.res, s.tab = s.res[:dim], s.tab[:m*pqKs]
-	return s
-}
-
-// scanList builds the ADC table for one probed list (from the query's
-// residual against that list's centroid) and feeds the list's codes
-// through the heap, scanBlock rows per kernel call.
-func (x *IVFPQ) scanList(c *ivfpqClass, f fingerprint.Fingerprint, ci int, t *pqTopK, s *pqScratch) {
-	l := c.lists[ci]
-	n := l.n()
-	if n == 0 {
+// distance to its float row.
+func (c *ivfpqClass) rescore(q []float32, h []cand) {
+	if c.x.db == nil {
 		return
 	}
-	cen := c.centroids[ci*x.dim : (ci+1)*x.dim]
-	for j := range s.res {
-		s.res[j] = f[j] - cen[j]
-	}
-	c.book.table(s.res, s.tab, s.d2s[:])
-	li := int32(ci)
-	for off := 0; off < n; {
-		nn := min(scanBlock, n-off)
-		kernel.ADCScan(s.tab, l.codes[off*x.m:(off+nn)*x.m], x.m, s.buf[:nn])
-		for i := 0; i < nn; i++ {
-			// Equal distance can still win on the index tie-break, so <=.
-			if d2 := s.buf[i]; d2 <= t.threshold() {
-				t.consider(pqCand{d2: d2, idx: l.idx[off+i], li: li, pos: int32(off + i)})
-			}
-		}
-		off += nn
+	for i := range h {
+		h[i].d2 = kernel.SqDist(q, c.x.entry(c.lists[h[i].li], int(h[i].pos)).F)
 	}
 }
 
-// pqCand is one scan candidate: squared distance (the ADC estimate
-// until refine overwrites it), the database index (the tie-break —
-// lists don't share the bucket's position-order-is-index-order
-// property), and the (list, position) that resolves to its linkage.
-type pqCand struct {
-	d2      float64
-	idx     int32
-	li, pos int32
-}
-
-// pqCompare orders candidates by squared distance, ties by database
-// index.
-func pqCompare(a, b pqCand) int {
-	if a.d2 != b.d2 {
-		if a.d2 < b.d2 {
-			return -1
-		}
-		return 1
-	}
-	return cmp.Compare(a.idx, b.idx)
-}
-
-// pqTopK is the bounded max-heap over ADC candidates, the IVFPQ
-// counterpart of topK (which is tied to float-vector buckets). It lives
-// in a pqScratch and is reset, not reallocated, per query.
-type pqTopK struct {
-	k int
-	h []pqCand
-}
-
-func (t *pqTopK) reset(k int) { t.k, t.h = k, t.h[:0] }
-
-func (t *pqTopK) worse(a, b pqCand) bool { return pqCompare(b, a) < 0 }
-
-func (t *pqTopK) threshold() float64 {
-	if len(t.h) < t.k {
-		return math.Inf(1)
-	}
-	return t.h[0].d2
-}
-
-func (t *pqTopK) consider(c pqCand) {
-	if len(t.h) < t.k {
-		t.h = append(t.h, c)
-		t.siftUp(len(t.h) - 1)
-		return
-	}
-	if t.worse(t.h[0], c) {
-		t.h[0] = c
-		t.siftDown(0)
-	}
-}
-
-func (t *pqTopK) siftUp(i int) {
-	for i > 0 {
-		p := (i - 1) / 2
-		if !t.worse(t.h[i], t.h[p]) {
-			return
-		}
-		t.h[i], t.h[p] = t.h[p], t.h[i]
-		i = p
-	}
-}
-
-func (t *pqTopK) siftDown(i int) {
-	n := len(t.h)
-	for {
-		l, r := 2*i+1, 2*i+2
-		w := i
-		if l < n && t.worse(t.h[l], t.h[w]) {
-			w = l
-		}
-		if r < n && t.worse(t.h[r], t.h[w]) {
-			w = r
-		}
-		if w == i {
-			return
-		}
-		t.h[i], t.h[w] = t.h[w], t.h[i]
-		i = w
-	}
-}
-
-func (t *pqTopK) merge(o *pqTopK) {
-	for _, c := range o.h {
-		t.consider(c)
-	}
+func (c *ivfpqClass) provenance(cd cand) (string, [32]byte) {
+	e := c.x.entry(c.lists[cd.li], int(cd.pos))
+	return e.S, e.H
 }

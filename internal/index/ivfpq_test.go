@@ -184,36 +184,6 @@ func TestTrainIVFPQErrors(t *testing.T) {
 	}
 }
 
-// TestIVFPQBatchMatchesSearch: SearchBatch must agree with per-query
-// Search exactly — same ADC tables, same tie-breaks.
-func TestIVFPQBatchMatchesSearch(t *testing.T) {
-	db := populatedDB(t, 8, 600, 3, 13)
-	pq, err := TrainIVFPQ(db, IVFPQOptions{IVFOptions: IVFOptions{Nlist: 6, Nprobe: 2, Seed: 5}, M: 4})
-	if err != nil {
-		t.Fatal(err)
-	}
-	rng := rand.New(rand.NewPCG(12, 12))
-	queries := make([]fingerprint.Fingerprint, 20)
-	labels := make([]int, 20)
-	ks := make([]int, 20)
-	for i := range queries {
-		queries[i] = randomFP(rng, 8)
-		labels[i] = i % 4 // includes an absent label
-		ks[i] = 6
-	}
-	batch, errs := pq.SearchBatch(queries, labels, ks)
-	for i := range queries {
-		if errs[i] != nil {
-			t.Fatal(errs[i])
-		}
-		want, err := pq.Search(queries[i], labels[i], 6)
-		if err != nil {
-			t.Fatal(err)
-		}
-		sameMatches(t, batch[i], want)
-	}
-}
-
 // TestIVFPQRecallAfterAppend is the online-ingest guard for the
 // quantized backend: appends encode against the frozen codebooks (new
 // labels get a degenerate exact class), drift accounts them, and the
@@ -691,17 +661,17 @@ func BenchmarkTrainIVFPQ(b *testing.B) {
 	}
 }
 
-// BenchmarkIVFPQSearch times one refined search — centroid ranking,
-// list selection, two ADC table builds and scans, the exact re-rank of
-// the shortlist — on one class at the shape the bench's ivfpq shards
-// serve (2 500 × 64, M 16, k 9; 500 under -short), with its allocations.
-func BenchmarkIVFPQSearch(b *testing.B) {
+// benchSearch times one k-9 search, with its allocations, on one class
+// at the shape the bench's ivfpq shards serve (2 500 × 64; 500 under
+// -short): for Flat the whole blocked sweep, for IVF centroid ranking,
+// list selection and two gathered lists, for IVFPQ (M 16) two ADC table
+// builds and scans and the exact re-rank of the shortlist instead.
+func benchSearch(b *testing.B, build func(*fingerprint.DB) (Searcher, error)) {
 	n := 2500
 	if testing.Short() {
 		n = 500
 	}
-	db := linkedClassDB(b, n)
-	pq, err := TrainIVFPQ(db, IVFPQOptions{IVFOptions: IVFOptions{Seed: 2}})
+	x, err := build(linkedClassDB(b, n))
 	if err != nil {
 		b.Fatal(err)
 	}
@@ -709,9 +679,23 @@ func BenchmarkIVFPQSearch(b *testing.B) {
 	b.ReportAllocs()
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
-		if _, err := pq.Search(queries[i%len(queries)], 0, 9); err != nil {
+		if _, err := x.Search(queries[i%len(queries)], 0, 9); err != nil {
 			b.Fatal(err)
 		}
 	}
 	b.ReportMetric(float64(b.Elapsed().Microseconds())/float64(b.N), "search_us")
+}
+
+func BenchmarkFlatSearch(b *testing.B) {
+	benchSearch(b, func(db *fingerprint.DB) (Searcher, error) { return NewFlat(db), nil })
+}
+
+func BenchmarkIVFSearch(b *testing.B) {
+	benchSearch(b, func(db *fingerprint.DB) (Searcher, error) { return TrainIVF(db, IVFOptions{Seed: 2}) })
+}
+
+func BenchmarkIVFPQSearch(b *testing.B) {
+	benchSearch(b, func(db *fingerprint.DB) (Searcher, error) {
+		return TrainIVFPQ(db, IVFPQOptions{IVFOptions: IVFOptions{Seed: 2}})
+	})
 }

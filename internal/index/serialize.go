@@ -302,7 +302,8 @@ func Load(r io.Reader) (Searcher, error) {
 	case kindFlat:
 		return &Flat{dim: dim, total: total, buckets: buckets}, nil
 	case kindIVF:
-		x := &IVF{dim: dim, total: total, labels: make(map[int]*ivfClass, nlabels)}
+		x := &IVF{labels: make(map[int]*ivfClass, nlabels)}
+		x.dim, x.total = dim, total
 		np, err := get()
 		if err != nil {
 			return nil, fmt.Errorf("index: load nprobe: %w: %w", err, ErrCorrupt)
@@ -391,7 +392,8 @@ func loadIVFPQ(br *bufio.Reader, dim, nlabels int, get func() (uint32, error), h
 		return nil, fmt.Errorf("index: load: IVFPQ m=%d does not divide dim %d: %w", m, dim, ErrCorrupt)
 	}
 	dsub := dim / m
-	x := &IVFPQ{dim: dim, m: m, labels: make(map[int]*ivfpqClass, nlabels)}
+	x := &IVFPQ{m: m, labels: make(map[int]*ivfpqClass, nlabels)}
+	x.dim = dim
 	x.nprobe.Store(int32(np))
 	for li := 0; li < nlabels; li++ {
 		yv, err := get()
@@ -412,6 +414,7 @@ func loadIVFPQ(br *bufio.Reader, dim, nlabels int, get func() (uint32, error), h
 			return nil, fmt.Errorf("index: load: implausible nlist %d (dim %d): %w", nlist, dim, ErrCorrupt)
 		}
 		c := &ivfpqClass{
+			x:         x,
 			nlist:     nlist,
 			centroids: make([]float32, nlist*dim),
 			book:      &pqCodebook{m: m, dsub: dsub, centroids: make([]float32, m*pqKs*dsub)},

@@ -157,9 +157,9 @@ type Impl struct {
 // rows runs the rows kernel of im, a registry entry, through a static
 // call: the portable reference is impls[0], anything else is the
 // build's assembly implementation. Dispatching through the Rows func
-// value instead would make escape analysis move every caller's
-// stack-resident out block (index.scanRange's, ArgminRows') to the
-// heap: arguments of an indirect call escape.
+// value instead would make escape analysis move a caller's
+// stack-resident out block (ArgminRows') to the heap: arguments of an
+// indirect call escape.
 func (im *Impl) rows(q, vecs []float32, dim int, out []float64) {
 	if im == &impls[0] {
 		rowsGeneric(q, vecs, dim, out)
