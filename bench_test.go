@@ -483,7 +483,7 @@ func BenchmarkQueryScalingSharded(b *testing.B) {
 				b.ResetTimer()
 				for b.Loop() {
 					rec := httptest.NewRecorder()
-					req := httptest.NewRequest(http.MethodPost, "/query/batch", bytes.NewReader(payload))
+					req := httptest.NewRequest(http.MethodPost, "/v1/query/batch", bytes.NewReader(payload))
 					h.ServeHTTP(rec, req)
 					if rec.Code != http.StatusOK {
 						b.Fatalf("batch status %d: %s", rec.Code, rec.Body.String())

@@ -131,10 +131,10 @@ func run(parent context.Context, args []string, out io.Writer) error {
 		addr        = fs.String("addr", "http://localhost:8789", "base URL of the daemon or router under load")
 		duration    = fs.Duration("duration", 10*time.Second, "how long to drive traffic")
 		qps         = fs.Float64("qps", 100, "total offered request rate across all workers (0 = unthrottled)")
-		batch       = fs.Int("batch", 1, "queries per request: 1 = POST /query, >1 = POST /query/batch")
-		writeRatio  = fs.Float64("write-ratio", 0, "fraction of requests sent as POST /ingest writes, in [0,1]")
+		batch       = fs.Int("batch", 1, "queries per request: 1 = POST /v1/query, >1 = POST /v1/query/batch")
+		writeRatio  = fs.Float64("write-ratio", 0, "fraction of requests sent as POST /v1/ingest writes, in [0,1]")
 		k           = fs.Int("k", 5, "neighbours per query")
-		dim         = fs.Int("dim", 0, "fingerprint dimensionality (0 = discover via GET /stats)")
+		dim         = fs.Int("dim", 0, "fingerprint dimensionality (0 = discover via GET /v1/stats)")
 		labels      = fs.Int("labels", 10, "label space size for random queries and writes")
 		concurrency = fs.Int("concurrency", 8, "concurrent worker connections")
 		seed        = fs.Uint64("seed", 1, "workload RNG seed")
@@ -176,7 +176,7 @@ func run(parent context.Context, args []string, out io.Writer) error {
 	if *dim == 0 {
 		stats, err := client.StatsCtx(parent)
 		if err != nil {
-			return fmt.Errorf("discovering dimensionality from %s/stats: %w", *addr, err)
+			return fmt.Errorf("discovering dimensionality from %s/v1/stats: %w", *addr, err)
 		}
 		*dim = stats.Dim
 	}

@@ -61,7 +61,7 @@ func run() error {
 			Handler:           caltrain.NewLinearQueryService(db).Handler(),
 			ReadHeaderTimeout: 5 * time.Second,
 		}
-		fmt.Printf("serving accountability queries on %s (/v1 + legacy: POST /query, POST /query/batch, GET /healthz, GET /stats, GET /meta)\n", *addr)
+		fmt.Printf("serving accountability queries on %s (POST /v1/query, POST /v1/query/batch, GET /v1/healthz, GET /v1/stats, GET /v1/meta)\n", *addr)
 		return srv.ListenAndServe()
 	}
 

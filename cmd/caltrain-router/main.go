@@ -1,6 +1,6 @@
 // Command caltrain-router is the scatter-gather front of a sharded
 // accountability deployment: it loads the shard map written by
-// caltrain-shard, fans POST /query/batch out to the daemons owning each
+// caltrain-shard, fans POST /v1/query/batch out to the daemons owning each
 // query's label, gathers and reassembles the per-query top-k results,
 // and serves the exact single-daemon protocol — fingerprint.Client and
 // caltrain-query work unchanged against it.
@@ -20,7 +20,7 @@
 // same fingerprint answer without touching any shard, and a write
 // routed to a shard invalidates every response that shard owns.
 //
-// Writes fan out the other way: POST /ingest routes each new linkage to
+// Writes fan out the other way: POST /v1/ingest routes each new linkage to
 // its owning shard and replicates it to ALL of that shard's replicas
 // (started with -wal so they accept writes), reporting a shard durable
 // once the write quorum of replicas acknowledge. Shards that miss quorum
@@ -28,9 +28,8 @@
 // degradation, mirroring the read path — and replicas that missed a
 // durable batch are named in degraded_replicas.
 //
-// Endpoints (versioned wire protocol; each also serves at its
-// unversioned legacy alias, with structured {code, error} bodies on
-// every failure):
+// Endpoints (the versioned wire protocol, the only spelling, with
+// structured {code, error} bodies on every failure):
 //
 //	POST /v1/query        routed to the owning shard (502 if it is down)
 //	POST /v1/query/batch  scattered across shards, partial on failures
@@ -255,7 +254,7 @@ func run(parent context.Context, args []string, out io.Writer) error {
 	if err != nil {
 		return err
 	}
-	fmt.Fprintf(out, "routing accountability queries on %s across %d shards (%s map; /v1 + legacy: POST /query, POST /query/batch, POST /ingest, GET /healthz, GET /stats, GET /meta)\n",
+	fmt.Fprintf(out, "routing accountability queries on %s across %d shards (%s map; POST /v1/query, POST /v1/query/batch, POST /v1/ingest, GET /v1/healthz, GET /v1/stats, GET /v1/meta)\n",
 		l.Addr(), plan.Map.NumShards(), plan.Map.Strategy())
 	if err := built.Serve(ctx, l, o.grace); err != nil {
 		return err

@@ -6,8 +6,7 @@
 //
 //	caltrain-serve -db linkage.db -addr :8791 -backend ivf -nprobe 8
 //
-// Endpoints (versioned wire protocol; each also serves at its
-// unversioned legacy alias, e.g. POST /query):
+// Endpoints (the versioned wire protocol, the only spelling):
 //
 //	POST /v1/query        one misprediction fingerprint → k nearest neighbours
 //	POST /v1/query/batch  many queries in one round trip, per-query errors
@@ -269,7 +268,7 @@ func run(parent context.Context, args []string, out io.Writer) error {
 		// Its snapshot seeds the database; the sync state machine catches
 		// up the WAL tail once the topology is built and serving.
 		var seq uint64
-		db, seq, err = cluster.FetchSnapshot(parent, nil, peer)
+		db, seq, err = cluster.FetchSnapshot(parent, fingerprint.NewClient(peer, nil))
 		if err != nil {
 			return fmt.Errorf("bootstrap from %s: %w", peer, err)
 		}
@@ -451,9 +450,9 @@ func run(parent context.Context, args []string, out io.Writer) error {
 	if err != nil {
 		return err
 	}
-	endpoints := "/v1 + legacy: POST /query, POST /query/batch, GET /healthz, GET /stats, GET /meta"
+	endpoints := "POST /v1/query, POST /v1/query/batch, GET /v1/healthz, GET /v1/stats, GET /v1/meta"
 	if dep.WAL != nil || dep.VolatileWrites {
-		endpoints = "/v1 + legacy: POST /query, POST /query/batch, POST /ingest, GET /healthz, GET /stats, GET /meta"
+		endpoints = "POST /v1/query, POST /v1/query/batch, POST /v1/ingest, GET /v1/healthz, GET /v1/stats, GET /v1/meta"
 	}
 	fmt.Fprintf(out, "serving accountability queries on %s (%s; %s)\n",
 		l.Addr(), desc, endpoints)

@@ -13,7 +13,6 @@ import (
 	"testing"
 	"time"
 
-	"caltrain/internal/cluster"
 	"caltrain/internal/fingerprint"
 	"caltrain/internal/shard"
 )
@@ -39,7 +38,7 @@ func waitReplState(t *testing.T, base, want string) *fingerprint.ReplStatus {
 	ctx, cancel := context.WithTimeout(context.Background(), 30*time.Second)
 	defer cancel()
 	for {
-		st, err := cluster.SyncStatus(ctx, nil, base)
+		st, err := fingerprint.NewClient(base, nil).ReplStatus(ctx)
 		if err == nil && st.State == want {
 			return st
 		}
@@ -284,7 +283,7 @@ func TestReplicationEmptyReplicaJoins(t *testing.T) {
 	if !strings.Contains(b.out.String(), "bootstrap:") {
 		t.Fatalf("joining replica never announced its snapshot bootstrap:\n%s", b.out.String())
 	}
-	stA, err := cluster.SyncStatus(context.Background(), nil, baseA)
+	stA, err := fingerprint.NewClient(baseA, nil).ReplStatus(context.Background())
 	if err != nil {
 		t.Fatal(err)
 	}

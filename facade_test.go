@@ -211,9 +211,9 @@ func TestShardedServingFacade(t *testing.T) {
 
 // TestDeploymentFacade drives the declarative serving API end to end
 // through the public surface: one Deployment literal describes the
-// topology, Build assembles it, and the negotiated client discovers its
+// topology, Build assembles it, and the client discovers its
 // capabilities on /v1/meta. The sharded shape carries the write path:
-// POST /ingest against the router lands each entry on the shard owning
+// POST /v1/ingest against the router lands each entry on the shard owning
 // its label.
 func TestDeploymentFacade(t *testing.T) {
 	db, err := newTestDB(16, 300)

@@ -66,45 +66,16 @@ const (
 	HeaderReplHead = "X-Caltrain-Repl-Head"
 )
 
-// joinURL appends a wire-protocol path to a replica base URL.
-func joinURL(base, path string) string {
-	return strings.TrimSuffix(base, "/") + "/" + fingerprint.ProtocolVersion + path
-}
-
-// replError turns a non-200 replication reply into a typed APIError.
-func replError(resp *http.Response, what string) error {
-	env, msg := fingerprint.ReadErrorBody(resp.Body)
-	return fmt.Errorf("cluster: %s: %w", what, &fingerprint.APIError{
-		Status:  resp.StatusCode,
-		Code:    fingerprint.ClassifyStatus(resp.StatusCode, env.Code),
-		Message: msg,
-		Details: env.Details,
-	})
-}
-
 // FetchSnapshot pulls a peer's consistent snapshot: the database and
 // the sequence number it covers. A brand-new replica bootstraps from
 // this — no shared filesystem, no offline re-split — and the Syncer
 // uses it for full resyncs.
-func FetchSnapshot(ctx context.Context, client *http.Client, peer string) (*fingerprint.DB, uint64, error) {
-	if client == nil {
-		client = http.DefaultClient
-	}
-	req, err := http.NewRequestWithContext(ctx, http.MethodGet, joinURL(peer, "/repl/snapshot"), nil)
+func FetchSnapshot(ctx context.Context, peer *fingerprint.Client) (*fingerprint.DB, uint64, error) {
+	resp, err := peer.Open(ctx, "/repl/snapshot", nil)
 	if err != nil {
 		return nil, 0, fmt.Errorf("cluster: snapshot: %w", err)
 	}
-	resp, err := client.Do(req)
-	if err != nil {
-		return nil, 0, fmt.Errorf("cluster: snapshot: %w", err)
-	}
-	defer func() {
-		io.Copy(io.Discard, io.LimitReader(resp.Body, 1<<20))
-		resp.Body.Close()
-	}()
-	if resp.StatusCode != http.StatusOK {
-		return nil, 0, replError(resp, "snapshot")
-	}
+	defer resp.Body.Close()
 	db, err := fingerprint.LoadDB(resp.Body)
 	if err != nil {
 		return nil, 0, fmt.Errorf("cluster: snapshot: %w", err)
@@ -121,19 +92,10 @@ func FetchSnapshot(ctx context.Context, client *http.Client, peer string) (*fing
 // fetchWAL opens a peer's WAL ship stream from the given sequence.
 // The caller owns closing the returned body; head is the peer's head
 // sequence at cursor-open time.
-func fetchWAL(ctx context.Context, client *http.Client, peer string, from uint64) (uint64, io.ReadCloser, error) {
-	u := joinURL(peer, "/repl/wal") + "?from=" + strconv.FormatUint(from, 10)
-	req, err := http.NewRequestWithContext(ctx, http.MethodGet, u, nil)
+func fetchWAL(ctx context.Context, peer *fingerprint.Client, from uint64) (uint64, io.ReadCloser, error) {
+	resp, err := peer.Open(ctx, "/repl/wal?from="+strconv.FormatUint(from, 10), nil)
 	if err != nil {
 		return 0, nil, fmt.Errorf("cluster: wal fetch: %w", err)
-	}
-	resp, err := client.Do(req)
-	if err != nil {
-		return 0, nil, fmt.Errorf("cluster: wal fetch: %w", err)
-	}
-	if resp.StatusCode != http.StatusOK {
-		defer resp.Body.Close()
-		return 0, nil, replError(resp, "wal fetch")
 	}
 	head, err := strconv.ParseUint(resp.Header.Get(HeaderReplHead), 10, 64)
 	if err != nil {
@@ -141,59 +103,6 @@ func fetchWAL(ctx context.Context, client *http.Client, peer string, from uint64
 		return 0, nil, fmt.Errorf("cluster: wal fetch: bad %s header %q", HeaderReplHead, resp.Header.Get(HeaderReplHead))
 	}
 	return head, resp.Body, nil
-}
-
-// SyncNudge POSTs a /v1/repl/sync nudge to a replica, telling it to
-// resync from peer (empty keeps the replica's configured source), and
-// returns the replica's reported status. The router's repair loop
-// drives resyncs through this.
-func SyncNudge(ctx context.Context, client *http.Client, replica, peer string) (*fingerprint.ReplStatus, error) {
-	if client == nil {
-		client = http.DefaultClient
-	}
-	body := strings.NewReader(`{"peer":` + strconv.Quote(peer) + `}`)
-	req, err := http.NewRequestWithContext(ctx, http.MethodPost, joinURL(replica, "/repl/sync"), body)
-	if err != nil {
-		return nil, fmt.Errorf("cluster: sync nudge: %w", err)
-	}
-	req.Header.Set("Content-Type", "application/json")
-	resp, err := client.Do(req)
-	if err != nil {
-		return nil, fmt.Errorf("cluster: sync nudge: %w", err)
-	}
-	defer resp.Body.Close()
-	if resp.StatusCode != http.StatusAccepted && resp.StatusCode != http.StatusOK {
-		return nil, replError(resp, "sync nudge")
-	}
-	var st fingerprint.ReplStatus
-	if err := decodeJSON(resp.Body, &st); err != nil {
-		return nil, fmt.Errorf("cluster: sync nudge: %w", err)
-	}
-	return &st, nil
-}
-
-// SyncStatus fetches a replica's /v1/repl/status.
-func SyncStatus(ctx context.Context, client *http.Client, replica string) (*fingerprint.ReplStatus, error) {
-	if client == nil {
-		client = http.DefaultClient
-	}
-	req, err := http.NewRequestWithContext(ctx, http.MethodGet, joinURL(replica, "/repl/status"), nil)
-	if err != nil {
-		return nil, fmt.Errorf("cluster: sync status: %w", err)
-	}
-	resp, err := client.Do(req)
-	if err != nil {
-		return nil, fmt.Errorf("cluster: sync status: %w", err)
-	}
-	defer resp.Body.Close()
-	if resp.StatusCode != http.StatusOK {
-		return nil, replError(resp, "sync status")
-	}
-	var st fingerprint.ReplStatus
-	if err := decodeJSON(resp.Body, &st); err != nil {
-		return nil, fmt.Errorf("cluster: sync status: %w", err)
-	}
-	return &st, nil
 }
 
 // normalizePeer turns an operator-supplied replica address into a base

@@ -239,7 +239,8 @@ func TestNudgeEndpoint(t *testing.T) {
 		t.Fatalf("peerless nudge answered %d, want 400", resp.StatusCode)
 	}
 
-	st, err := SyncNudge(context.Background(), nil, follower.ts.URL, source.ts.URL)
+	fc := fingerprint.NewClient(follower.ts.URL, nil)
+	st, err := fc.ReplSync(context.Background(), source.ts.URL)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -248,7 +249,7 @@ func TestNudgeEndpoint(t *testing.T) {
 	}
 	deadline := time.Now().Add(10 * time.Second)
 	for {
-		st, err := SyncStatus(context.Background(), nil, follower.ts.URL)
+		st, err := fc.ReplStatus(context.Background())
 		if err != nil {
 			t.Fatal(err)
 		}

@@ -313,10 +313,11 @@ func (s *Syncer) Sync(ctx context.Context) error {
 
 	started := time.Now()
 	full := false
-	err := s.catchup(ctx, peer)
+	pc := fingerprint.NewClient(peer, s.client)
+	err := s.catchup(ctx, pc)
 	if errors.Is(err, errGap) {
 		full = true
-		err = s.fullResync(ctx, peer)
+		err = s.fullResync(ctx, pc)
 	}
 	if err != nil {
 		s.failures.Add(1)
@@ -347,7 +348,7 @@ func (s *Syncer) Sync(ctx context.Context) error {
 // applying them through the store's durable, idempotent write path.
 // It returns errGap when the peer cannot supply the records this
 // replica needs next.
-func (s *Syncer) catchup(ctx context.Context, peer string) error {
+func (s *Syncer) catchup(ctx context.Context, peer *fingerprint.Client) error {
 	st := s.store.Load()
 	if st == nil {
 		return errGap
@@ -358,7 +359,7 @@ func (s *Syncer) catchup(ctx context.Context, peer string) error {
 			return err
 		}
 		from := st.Head()
-		head, body, err := fetchWAL(ctx, s.client, peer, from)
+		head, body, err := fetchWAL(ctx, peer, from)
 		if err != nil {
 			return err
 		}
@@ -436,9 +437,9 @@ func (s *Syncer) applyShipped(ctx context.Context, st *ingest.Store, from uint64
 // fullResync is the snapshot bootstrap: fetch the peer's snapshot,
 // build a serving backend over it, discard local WAL state, hand the
 // new world to the service, then catch up the tail.
-func (s *Syncer) fullResync(ctx context.Context, peer string) error {
+func (s *Syncer) fullResync(ctx context.Context, peer *fingerprint.Client) error {
 	s.state.Store(int32(StateSnapshot))
-	db, seq, err := FetchSnapshot(ctx, s.client, peer)
+	db, seq, err := FetchSnapshot(ctx, peer)
 	if err != nil {
 		return err
 	}

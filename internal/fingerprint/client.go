@@ -4,41 +4,29 @@ import (
 	"bytes"
 	"context"
 	"encoding/json"
-	"errors"
 	"fmt"
 	"io"
 	"net/http"
-	"sync"
+	"strings"
 
 	"caltrain/internal/obs"
 )
 
-// ErrNoMeta is returned by Client.Meta against a pre-/v1 server that
-// does not serve GET /v1/meta.
-var ErrNoMeta = errors.New("fingerprint: server does not serve /v1/meta (pre-v1 protocol)")
-
-// Client queries a remote accountability service — a single daemon or a
-// shard router; both speak the same wire protocol.
+// Client is the one JSON-over-HTTP caller of the /v1 wire protocol: the
+// public query client, the router's hop to a shard daemon
+// (shard.HTTPReplica) and a replica's hop to its sync peer
+// (internal/cluster) are all this type, so a change to how a request is
+// built, traced or turned into an error has one place to enter. A single
+// daemon and a shard router serve the same protocol; the client cannot
+// tell them apart.
 //
-// The client negotiates the protocol version once per Client: the first
-// request probes GET /v1/meta, and every call thereafter uses the
-// versioned /v1 routes when the server advertises them, falling back to
-// the legacy unversioned routes against a pre-/v1 server. Only a
-// definitive answer (a meta response, or a 404/405 from a pre-/v1
-// server) settles negotiation; a transport error — the server still
-// starting, a transient network fault — leaves it open, so the next
-// request probes again rather than pinning the client to legacy routes
-// forever. Every method has a context-taking variant (QueryCtx,
-// IngestCtx, …) so callers can cancel in-flight accountability queries;
-// the plain forms use context.Background.
+// Every method has a context-taking variant (QueryCtx, IngestCtx, …) so
+// callers can cancel in-flight accountability queries; the plain forms
+// use context.Background. A reply outside 2xx comes back as a wrapped
+// *APIError — branch on it with errors.As or CodeOf.
 type Client struct {
 	baseURL string
 	http    *http.Client
-
-	mu     sync.Mutex
-	prefix string // "/v1" once negotiated, "" while unknown or legacy
-	known  bool   // negotiation reached a definitive verdict
-	meta   *MetaResponse
 }
 
 // NewClient constructs a client for the service at baseURL. httpClient may
@@ -47,155 +35,94 @@ func NewClient(baseURL string, httpClient *http.Client) *Client {
 	if httpClient == nil {
 		httpClient = http.DefaultClient
 	}
-	return &Client{baseURL: baseURL, http: httpClient}
+	return &Client{baseURL: strings.TrimSuffix(baseURL, "/"), http: httpClient}
 }
 
-// fetchMeta performs one GET /v1/meta, returning the decoded response or
-// an error (ErrNoMeta on a 404/405 from a pre-/v1 server).
-func (c *Client) fetchMeta(ctx context.Context) (*MetaResponse, error) {
-	req, err := http.NewRequestWithContext(ctx, http.MethodGet, c.baseURL+"/v1/meta", nil)
+// Open sends one request to the /v1 route at path — a GET when in is
+// nil, otherwise a POST of in as JSON — and returns the 2xx reply with
+// its body unread: the caller reads it and closes it. The streaming
+// replication fetches call this directly; everything else goes through
+// do. The context's request ID and trace context ride along, so a
+// caller already inside a traced request — the router calling a shard, a
+// replica calling its peer — keeps one ID across the hop and the
+// receiving daemon's spans parent under the caller's trace. Any other
+// reply is consumed and returned as a wrapped *APIError: the envelope's
+// stable code and message when the body carries one, the code
+// classified from the HTTP status when it does not (a proxy's HTML 502).
+func (c *Client) Open(ctx context.Context, path string, in any) (*http.Response, error) {
+	method, body := http.MethodGet, io.Reader(nil)
+	if in != nil {
+		payload, err := json.Marshal(in)
+		if err != nil {
+			return nil, fmt.Errorf("fingerprint: encode %s request: %w", path, err)
+		}
+		method, body = http.MethodPost, bytes.NewReader(payload)
+	}
+	req, err := http.NewRequestWithContext(ctx, method, c.baseURL+"/"+ProtocolVersion+path, body)
 	if err != nil {
-		return nil, err
+		return nil, fmt.Errorf("fingerprint: %w", err)
+	}
+	if in != nil {
+		req.Header.Set("Content-Type", "application/json")
+	}
+	if id := obs.RequestIDFrom(ctx); id != "" {
+		req.Header.Set(obs.RequestIDHeader, id)
+	}
+	if sc := obs.SpanContextFrom(ctx); sc.Valid() {
+		req.Header.Set(obs.TraceParentHeader, sc.TraceParent())
 	}
 	resp, err := c.http.Do(req)
 	if err != nil {
-		return nil, fmt.Errorf("fingerprint: meta: %w", err)
+		return nil, fmt.Errorf("fingerprint: %w", err)
 	}
-	defer func() {
-		_, _ = io.Copy(io.Discard, resp.Body)
-		resp.Body.Close()
-	}()
-	if resp.StatusCode == http.StatusNotFound || resp.StatusCode == http.StatusMethodNotAllowed {
-		return nil, ErrNoMeta
+	if resp.StatusCode/100 != 2 {
+		defer drainClose(resp.Body)
+		env, msg := ReadErrorBody(resp.Body)
+		if msg == "" {
+			msg = resp.Status
+		}
+		return nil, fmt.Errorf("%s %s: %w", method, req.URL.Path, &APIError{
+			Status:  resp.StatusCode,
+			Code:    ClassifyStatus(resp.StatusCode, env.Code),
+			Message: msg,
+			Details: env.Details,
+		})
 	}
-	if resp.StatusCode != http.StatusOK {
-		// Typed like every other rejection, so CodeOf distinguishes a
-		// server refusing /v1/meta from a transport fault.
-		return nil, statusError("meta", resp)
+	return resp, nil
+}
+
+// drainClose reads what is left of a reply before closing it. A JSON
+// decoder stops at the end of the value, short of EOF on any reply too
+// large for a Content-Length; closing there makes the Transport drop the
+// connection, and the router makes one POST per shard per batch — a
+// fresh TCP dial every time. The drain is bounded so a peer that never
+// stops sending costs a connection, not a goroutine.
+func drainClose(body io.ReadCloser) {
+	_, _ = io.Copy(io.Discard, io.LimitReader(body, 1<<20))
+	body.Close()
+}
+
+// do is one JSON round trip: Open, decode the reply into a T.
+func do[T any](ctx context.Context, c *Client, path string, in any) (*T, error) {
+	resp, err := c.Open(ctx, path, in)
+	if err != nil {
+		return nil, err
 	}
-	var out MetaResponse
+	defer drainClose(resp.Body)
+	var out T
 	if err := json.NewDecoder(resp.Body).Decode(&out); err != nil {
-		return nil, fmt.Errorf("fingerprint: decode meta: %w", err)
+		return nil, fmt.Errorf("fingerprint: decode %s reply: %w", path, err)
 	}
 	return &out, nil
 }
 
-// apiPrefix resolves the negotiated route prefix, probing /v1/meta
-// until a definitive verdict lands. While negotiation is open (or
-// against a pre-/v1 server) it returns "" — the legacy aliases are
-// served by every /v1 server, so requests stay correct either way.
-func (c *Client) apiPrefix(ctx context.Context) string {
-	c.mu.Lock()
-	defer c.mu.Unlock()
-	if c.known {
-		return c.prefix
-	}
-	meta, err := c.fetchMeta(ctx)
-	switch {
-	case err == nil:
-		c.prefix = "/" + ProtocolVersion
-		c.meta = meta
-		c.known = true
-	case errors.Is(err, ErrNoMeta):
-		c.prefix = ""
-		c.known = true
-	default:
-		// Transport fault: no verdict. Serve this request on the legacy
-		// alias and probe again next time.
-	}
-	return c.prefix
-}
-
 // Meta fetches the server's /v1/meta identity (backend kind, write and
-// sharding capabilities). Against a pre-/v1 server it returns ErrNoMeta.
+// sharding capabilities).
 func (c *Client) Meta() (*MetaResponse, error) { return c.MetaCtx(context.Background()) }
 
 // MetaCtx is Meta with a caller-supplied context.
 func (c *Client) MetaCtx(ctx context.Context) (*MetaResponse, error) {
-	c.apiPrefix(ctx)
-	c.mu.Lock()
-	meta := c.meta
-	c.mu.Unlock()
-	if meta != nil {
-		return meta, nil
-	}
-	return c.fetchMeta(ctx)
-}
-
-// statusError types a non-200 reply as a wrapped *APIError: the
-// envelope's stable code and message when the body carries one, the
-// code classified from the HTTP status against a pre-envelope server.
-// Callers branch with errors.As or CodeOf instead of matching text.
-func statusError(what string, resp *http.Response) error {
-	env, msg := ReadErrorBody(resp.Body)
-	code := ClassifyStatus(resp.StatusCode, env.Code)
-	if msg == "" {
-		msg = resp.Status
-	}
-	return fmt.Errorf("fingerprint: %s: %w", what,
-		&APIError{Status: resp.StatusCode, Code: code, Message: msg, Details: env.Details})
-}
-
-func (c *Client) post(ctx context.Context, path string, body, out any) error {
-	payload, err := json.Marshal(body)
-	if err != nil {
-		return fmt.Errorf("fingerprint: encode query: %w", err)
-	}
-	req, err := http.NewRequestWithContext(ctx, http.MethodPost, c.baseURL+c.apiPrefix(ctx)+path, bytes.NewReader(payload))
-	if err != nil {
-		return err
-	}
-	req.Header.Set("Content-Type", "application/json")
-	setRequestID(req)
-	resp, err := c.http.Do(req)
-	if err != nil {
-		return fmt.Errorf("fingerprint: query: %w", err)
-	}
-	defer resp.Body.Close()
-	if resp.StatusCode != http.StatusOK {
-		return statusError("query", resp)
-	}
-	if err := json.NewDecoder(resp.Body).Decode(out); err != nil {
-		return fmt.Errorf("fingerprint: decode response: %w", err)
-	}
-	return nil
-}
-
-// setRequestID forwards the context's request ID and trace context (if
-// any) on the outbound request, so a caller already inside a traced
-// request — a service calling a service — keeps one ID across the hop
-// and the receiving daemon's spans parent under the caller's trace.
-func setRequestID(req *http.Request) {
-	if id := obs.RequestIDFrom(req.Context()); id != "" {
-		req.Header.Set(obs.RequestIDHeader, id)
-	}
-	if sc := obs.SpanContextFrom(req.Context()); sc.Valid() {
-		req.Header.Set(obs.TraceParentHeader, sc.TraceParent())
-	}
-}
-
-func (c *Client) get(ctx context.Context, what, path string, out any) error {
-	req, err := http.NewRequestWithContext(ctx, http.MethodGet, c.baseURL+c.apiPrefix(ctx)+path, nil)
-	if err != nil {
-		return err
-	}
-	setRequestID(req)
-	resp, err := c.http.Do(req)
-	if err != nil {
-		return fmt.Errorf("fingerprint: %s: %w", what, err)
-	}
-	defer resp.Body.Close()
-	if resp.StatusCode != http.StatusOK {
-		return statusError(what, resp)
-	}
-	if out != nil {
-		if err := json.NewDecoder(resp.Body).Decode(out); err != nil {
-			return fmt.Errorf("fingerprint: decode %s: %w", what, err)
-		}
-	} else {
-		_, _ = io.Copy(io.Discard, resp.Body)
-	}
-	return nil
+	return do[MetaResponse](ctx, c, "/meta", nil)
 }
 
 // Query posts a misprediction's fingerprint and returns the nearest
@@ -207,11 +134,7 @@ func (c *Client) Query(f Fingerprint, label, k int) (*QueryResponse, error) {
 // QueryCtx is Query with a caller-supplied context: cancel it to abandon
 // an in-flight accountability query.
 func (c *Client) QueryCtx(ctx context.Context, f Fingerprint, label, k int) (*QueryResponse, error) {
-	var out QueryResponse
-	if err := c.post(ctx, "/query", QueryRequest{Fingerprint: f, Label: label, K: k}, &out); err != nil {
-		return nil, err
-	}
-	return &out, nil
+	return do[QueryResponse](ctx, c, "/query", QueryRequest{Fingerprint: f, Label: label, K: k})
 }
 
 // QueryBatch posts many queries in one round trip. Results come back in
@@ -223,11 +146,7 @@ func (c *Client) QueryBatch(reqs []QueryRequest) (*BatchResponse, error) {
 
 // QueryBatchCtx is QueryBatch with a caller-supplied context.
 func (c *Client) QueryBatchCtx(ctx context.Context, reqs []QueryRequest) (*BatchResponse, error) {
-	var out BatchResponse
-	if err := c.post(ctx, "/query/batch", BatchRequest{Queries: reqs}, &out); err != nil {
-		return nil, err
-	}
-	return &out, nil
+	return do[BatchResponse](ctx, c, "/query/batch", BatchRequest{Queries: reqs})
 }
 
 // Ingest posts a batch of new linkages to the service's write path —
@@ -240,11 +159,7 @@ func (c *Client) Ingest(entries []IngestEntry) (*IngestResponse, error) {
 
 // IngestCtx is Ingest with a caller-supplied context.
 func (c *Client) IngestCtx(ctx context.Context, entries []IngestEntry) (*IngestResponse, error) {
-	var out IngestResponse
-	if err := c.post(ctx, "/ingest", IngestRequest{Entries: entries}, &out); err != nil {
-		return nil, err
-	}
-	return &out, nil
+	return do[IngestResponse](ctx, c, "/ingest", IngestRequest{Entries: entries})
 }
 
 // Healthz reports whether the service at baseURL is up.
@@ -252,7 +167,8 @@ func (c *Client) Healthz() error { return c.HealthzCtx(context.Background()) }
 
 // HealthzCtx is Healthz with a caller-supplied context.
 func (c *Client) HealthzCtx(ctx context.Context) error {
-	return c.get(ctx, "healthz", "/healthz", nil)
+	_, err := do[struct{}](ctx, c, "/healthz", nil)
+	return err
 }
 
 // Metrics fetches the service's Prometheus exposition from
@@ -261,22 +177,14 @@ func (c *Client) Metrics() (string, error) { return c.MetricsCtx(context.Backgro
 
 // MetricsCtx is Metrics with a caller-supplied context.
 func (c *Client) MetricsCtx(ctx context.Context) (string, error) {
-	req, err := http.NewRequestWithContext(ctx, http.MethodGet, c.baseURL+c.apiPrefix(ctx)+"/metrics", nil)
+	resp, err := c.Open(ctx, "/metrics", nil)
 	if err != nil {
 		return "", err
 	}
-	setRequestID(req)
-	resp, err := c.http.Do(req)
-	if err != nil {
-		return "", fmt.Errorf("fingerprint: metrics: %w", err)
-	}
 	defer resp.Body.Close()
-	if resp.StatusCode != http.StatusOK {
-		return "", statusError("metrics", resp)
-	}
 	body, err := io.ReadAll(resp.Body)
 	if err != nil {
-		return "", fmt.Errorf("fingerprint: metrics: %w", err)
+		return "", fmt.Errorf("fingerprint: read /metrics reply: %w", err)
 	}
 	return string(body), nil
 }
@@ -286,9 +194,19 @@ func (c *Client) Stats() (*StatsResponse, error) { return c.StatsCtx(context.Bac
 
 // StatsCtx is Stats with a caller-supplied context.
 func (c *Client) StatsCtx(ctx context.Context) (*StatsResponse, error) {
-	var out StatsResponse
-	if err := c.get(ctx, "stats", "/stats", &out); err != nil {
-		return nil, err
-	}
-	return &out, nil
+	return do[StatsResponse](ctx, c, "/stats", nil)
+}
+
+// ReplSync nudges the daemon's sync state machine (POST /v1/repl/sync)
+// to resync from peer — a base URL; empty keeps the daemon's configured
+// source — and returns its status at accept time: the sync itself runs
+// on. A daemon started without replication answers not_found.
+func (c *Client) ReplSync(ctx context.Context, peer string) (*ReplStatus, error) {
+	return do[ReplStatus](ctx, c, "/repl/sync", ReplSyncRequest{Peer: peer})
+}
+
+// ReplStatus fetches where the daemon's sync state machine stands
+// (GET /v1/repl/status).
+func (c *Client) ReplStatus(ctx context.Context) (*ReplStatus, error) {
+	return do[ReplStatus](ctx, c, "/repl/status", nil)
 }

@@ -310,7 +310,7 @@ func TestHTTPServiceStats(t *testing.T) {
 	db := populatedDB(t, 4, 12, 2, 19)
 	srv := httptest.NewServer(NewService(db).Handler())
 	defer srv.Close()
-	resp, err := srv.Client().Get(srv.URL + "/stats")
+	resp, err := srv.Client().Get(srv.URL + "/v1/stats")
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -111,17 +111,14 @@ func TestMetricsExpositionService(t *testing.T) {
 	}
 }
 
-// TestMetricsDisabled: DisableMetrics removes the endpoint (both the
-// versioned route and the legacy alias).
+// TestMetricsDisabled: DisableMetrics removes the endpoint.
 func TestMetricsDisabled(t *testing.T) {
 	db := populatedDB(t, 4, 10, 2, 5)
 	svc := NewService(db, WithObservability(Observability{DisableMetrics: true}))
-	for _, path := range []string{"/v1/metrics", "/metrics"} {
-		rec := httptest.NewRecorder()
-		svc.Handler().ServeHTTP(rec, httptest.NewRequest(http.MethodGet, path, nil))
-		if rec.Code != http.StatusNotFound {
-			t.Fatalf("GET %s with metrics disabled: status %d", path, rec.Code)
-		}
+	rec := httptest.NewRecorder()
+	svc.Handler().ServeHTTP(rec, httptest.NewRequest(http.MethodGet, "/v1/metrics", nil))
+	if rec.Code != http.StatusNotFound {
+		t.Fatalf("GET /v1/metrics with metrics disabled: status %d", rec.Code)
 	}
 }
 
@@ -133,7 +130,7 @@ func TestPromHistogram(t *testing.T) {
 		{LeUS: 1000, Count: 2},
 		{LeUS: -1, Count: 1},
 	}
-	snap := PromHistogram(bins, 4200, true)
+	snap := PromHistogram(bins, 4200)
 	if len(snap.Buckets) != 2 {
 		t.Fatalf("got %d finite buckets, want 2", len(snap.Buckets))
 	}
@@ -146,8 +143,8 @@ func TestPromHistogram(t *testing.T) {
 	if snap.Count != 6 {
 		t.Fatalf("Count = %d, want 6 (overflow folded into +Inf)", snap.Count)
 	}
-	if !snap.HasSum || snap.Sum != 0.0042 {
-		t.Fatalf("Sum = %v (HasSum %v), want 0.0042", snap.Sum, snap.HasSum)
+	if snap.Sum != 0.0042 {
+		t.Fatalf("Sum = %v, want 0.0042", snap.Sum)
 	}
 }
 
@@ -180,7 +177,7 @@ func TestMergeBinsMismatchedBounds(t *testing.T) {
 			t.Fatalf("merged[%d] = %+v, want %+v", i, merged[i], want[i])
 		}
 	}
-	snap := PromHistogram(merged, 0, false)
+	snap := PromHistogram(merged, 0)
 	var prev uint64
 	for _, b := range snap.Buckets {
 		if b.Count < prev {

@@ -15,7 +15,6 @@ import (
 const (
 	// ProtocolVersion is the versioned route prefix both the query
 	// daemon and the shard router mount ("/v1/query", "/v1/ingest", …).
-	// Unversioned legacy routes remain as aliases of the /v1 table.
 	ProtocolVersion = "v1"
 	// ServerVersion identifies the serving build to clients.
 	ServerVersion = "caltrain-serving/1.0"
@@ -45,9 +44,9 @@ const (
 )
 
 // ErrorEnvelope is the structured JSON body of every non-200 response
-// on the /v1 wire protocol (and its legacy aliases): a stable
-// machine-readable Code, the human-readable Error, and optional
-// per-code Details (limits, offending values).
+// on the /v1 wire protocol: a stable machine-readable Code, the
+// human-readable Error, and optional per-code Details (limits,
+// offending values).
 type ErrorEnvelope struct {
 	Code    string         `json:"code"`
 	Error   string         `json:"error"`
@@ -75,11 +74,10 @@ func WriteError(w http.ResponseWriter, status int, code, format string, args ...
 }
 
 // ReadErrorBody reads a bounded snippet of a non-200 response body and
-// decodes the error envelope when one is present — the parsing shared
-// by Client and the shard router's HTTP replicas. msg is the best
+// decodes the error envelope when one is present. msg is the best
 // human-readable message either way: the envelope's Error, or the
-// trimmed raw snippet from a pre-envelope server; env is zero when the
-// body is not an envelope.
+// trimmed raw snippet when something other than a daemon answered (a
+// proxy's HTML 502); env is zero when the body is not an envelope.
 func ReadErrorBody(body io.Reader) (env ErrorEnvelope, msg string) {
 	snippet, _ := io.ReadAll(io.LimitReader(body, 1024))
 	msg = strings.TrimSpace(string(snippet))
@@ -91,15 +89,16 @@ func ReadErrorBody(body io.Reader) (env ErrorEnvelope, msg string) {
 
 // APIError is the typed form of a non-200 wire-protocol reply: the
 // HTTP status, the envelope's stable Code, and its human-readable
-// message. Client methods wrap one into every rejection error, so
-// callers branch on the code —
+// message. Client methods wrap one into every rejection error — and a
+// shard.LocalReplica returns the one its service would have written —
+// so callers, the router among them, branch on the code —
 //
 //	var apiErr *fingerprint.APIError
 //	if errors.As(err, &apiErr) && apiErr.Code == fingerprint.ErrCodeLimitExceeded { ... }
 //
-// or, shorter, with CodeOf — instead of matching message text. Against
-// a pre-envelope server the Code is classified from the HTTP status via
-// ErrCodeForStatus, so the branch works across protocol generations.
+// or, shorter, with CodeOf — instead of matching message text. A reply
+// without an envelope has its Code classified from the HTTP status
+// (ClassifyStatus), so the branch works behind a proxy too.
 type APIError struct {
 	// Status is the HTTP status code of the reply.
 	Status int
@@ -129,8 +128,8 @@ func CodeOf(err error) string {
 }
 
 // ErrCodeForStatus maps an HTTP status to the envelope code used when
-// no more specific code applies (e.g. classifying an ingest error via
-// IngestStatusCode).
+// no more specific code applies (e.g. typing an ingest error via
+// IngestError).
 func ErrCodeForStatus(status int) string {
 	switch status {
 	case http.StatusBadRequest:
@@ -153,9 +152,9 @@ func ErrCodeForStatus(status int) string {
 // ClassifyStatus resolves the stable code for a non-200 reply: the
 // envelope's own code when one was present, otherwise a classification
 // from the HTTP status — where an unmapped envelope-less 4xx (a proxy's
-// 403/429) is a client-side rejection, never internal. The client and
-// the router both classify through here, so codes stay
-// topology-invariant.
+// 403/429) is a client-side rejection, never internal. Client.Open
+// classifies every reply through here, and the router forwards the
+// result, so codes stay topology-invariant.
 func ClassifyStatus(status int, envCode string) string {
 	if envCode != "" {
 		return envCode
@@ -264,9 +263,8 @@ type Observability = obs.Options
 
 // RouteSet is the one route table of the accountability wire protocol,
 // shared by the query daemon (Service) and the shard router (Router) so
-// the two can never drift apart. Handler mounts every endpoint twice:
-// under the versioned /v1 prefix and at its unversioned legacy alias,
-// so pre-/v1 clients keep working unchanged.
+// the two can never drift apart. Handler mounts every endpoint under
+// the versioned /v1 prefix, the only spelling.
 //
 //	POST /v1/query        one fingerprint → k nearest neighbours
 //	POST /v1/query/batch  many queries, per-query errors
@@ -289,8 +287,8 @@ type RouteSet struct {
 	Ingest     http.HandlerFunc
 	Healthz    http.HandlerFunc
 	Stats      http.HandlerFunc
-	// Metrics serves the Prometheus exposition (GET /v1/metrics and the
-	// legacy /metrics alias); nil leaves the route unmounted.
+	// Metrics serves the Prometheus exposition (GET /v1/metrics); nil
+	// leaves the route unmounted.
 	Metrics http.HandlerFunc
 	// Replication endpoints (internal/cluster): nil handlers leave the
 	// routes unmounted, which is how a deployment without replication
@@ -328,17 +326,15 @@ func requireMethod(method string, h http.HandlerFunc) http.HandlerFunc {
 	}
 }
 
-// Handler mounts the route table: every endpoint under /v1 plus its
-// legacy unversioned alias, with envelope-shaped 404/405 fallbacks.
+// Handler mounts the route table under /v1, with envelope-shaped
+// 404/405 fallbacks.
 func (rs RouteSet) Handler() http.Handler {
 	mux := http.NewServeMux()
 	mount := func(method, path string, h http.HandlerFunc) {
 		if h == nil {
 			return
 		}
-		wrapped := requireMethod(method, h)
-		mux.HandleFunc("/"+ProtocolVersion+path, wrapped)
-		mux.HandleFunc(path, wrapped)
+		mux.HandleFunc("/"+ProtocolVersion+path, requireMethod(method, h))
 	}
 	mount(http.MethodPost, "/query", rs.Query)
 	mount(http.MethodPost, "/query/batch", rs.QueryBatch)

@@ -1,13 +1,15 @@
 package fingerprint
 
 import (
+	"context"
 	"encoding/json"
 	"errors"
-	"fmt"
 	"net/http"
 	"net/http/httptest"
+	"net/http/httptrace"
 	"strings"
 	"testing"
+	"time"
 )
 
 // doRaw fires one request at the handler and decodes the error envelope
@@ -37,7 +39,8 @@ func doRaw(t *testing.T, h http.Handler, method, path, body string) (int, ErrorE
 
 // TestServiceErrorEnvelope is the wire-contract table for the daemon
 // handler: every failure answers with the structured {code, error}
-// envelope, identically on the /v1 route and its legacy alias.
+// envelope — the unversioned spelling of a route included, which is now
+// just an unknown route.
 func TestServiceErrorEnvelope(t *testing.T) {
 	db := populatedDB(t, 4, 30, 2, 23)
 	svc := NewService(db, WithMaxBodyBytes(256), WithMaxK(8), WithMaxBatch(2))
@@ -52,59 +55,54 @@ func TestServiceErrorEnvelope(t *testing.T) {
 		wantStatus int
 		wantCode   string
 	}{
-		{"oversized body", "POST", "/query", bigBody, http.StatusRequestEntityTooLarge, ErrCodeBodyTooLarge},
-		{"bad k over limit", "POST", "/query", `{"fingerprint":[0,0,0,0],"label":0,"k":9}`, http.StatusBadRequest, ErrCodeLimitExceeded},
-		{"bad k negative", "POST", "/query", `{"fingerprint":[0,0,0,0],"label":0,"k":-1}`, http.StatusBadRequest, ErrCodeBadRequest},
-		{"malformed json", "POST", "/query", `{not json`, http.StatusBadRequest, ErrCodeBadRequest},
-		{"dim mismatch", "POST", "/query", `{"fingerprint":[0],"label":0,"k":3}`, http.StatusBadRequest, ErrCodeBadRequest},
-		{"empty batch", "POST", "/query/batch", `{"queries":[]}`, http.StatusBadRequest, ErrCodeBadRequest},
-		{"batch over limit", "POST", "/query/batch", `{"queries":[{"k":1},{"k":1},{"k":1}]}`, http.StatusBadRequest, ErrCodeLimitExceeded},
-		{"method not allowed", "GET", "/query", "", http.StatusMethodNotAllowed, ErrCodeMethodNotAllowed},
-		{"method not allowed stats", "POST", "/stats", "", http.StatusMethodNotAllowed, ErrCodeMethodNotAllowed},
-		{"unknown route", "GET", "/nope", "", http.StatusNotFound, ErrCodeNotFound},
-		{"ingest disabled", "POST", "/ingest", `{"entries":[{"fingerprint":[0,0,0,0]}]}`, http.StatusNotImplemented, ErrCodeIngestDisabled},
+		{"oversized body", "POST", "/v1/query", bigBody, http.StatusRequestEntityTooLarge, ErrCodeBodyTooLarge},
+		{"bad k over limit", "POST", "/v1/query", `{"fingerprint":[0,0,0,0],"label":0,"k":9}`, http.StatusBadRequest, ErrCodeLimitExceeded},
+		{"bad k negative", "POST", "/v1/query", `{"fingerprint":[0,0,0,0],"label":0,"k":-1}`, http.StatusBadRequest, ErrCodeBadRequest},
+		{"malformed json", "POST", "/v1/query", `{not json`, http.StatusBadRequest, ErrCodeBadRequest},
+		{"dim mismatch", "POST", "/v1/query", `{"fingerprint":[0],"label":0,"k":3}`, http.StatusBadRequest, ErrCodeBadRequest},
+		{"empty batch", "POST", "/v1/query/batch", `{"queries":[]}`, http.StatusBadRequest, ErrCodeBadRequest},
+		{"batch over limit", "POST", "/v1/query/batch", `{"queries":[{"k":1},{"k":1},{"k":1}]}`, http.StatusBadRequest, ErrCodeLimitExceeded},
+		{"method not allowed", "GET", "/v1/query", "", http.StatusMethodNotAllowed, ErrCodeMethodNotAllowed},
+		{"method not allowed stats", "POST", "/v1/stats", "", http.StatusMethodNotAllowed, ErrCodeMethodNotAllowed},
+		{"unknown route", "GET", "/v1/nope", "", http.StatusNotFound, ErrCodeNotFound},
+		{"unversioned spelling", "POST", "/query", `{"fingerprint":[0,0,0,0],"label":0,"k":3}`, http.StatusNotFound, ErrCodeNotFound},
+		{"ingest disabled", "POST", "/v1/ingest", `{"entries":[{"fingerprint":[0,0,0,0]}]}`, http.StatusNotImplemented, ErrCodeIngestDisabled},
 	}
 	for _, c := range cases {
-		for _, prefix := range []string{"/" + ProtocolVersion, ""} {
-			path := prefix + c.path
-			status, env := doRaw(t, h, c.method, path, c.body)
-			if status != c.wantStatus {
-				t.Errorf("%s (%s %s): status %d, want %d", c.name, c.method, path, status, c.wantStatus)
-				continue
-			}
-			if env.Code != c.wantCode {
-				t.Errorf("%s (%s %s): code %q, want %q (error %q)", c.name, c.method, path, env.Code, c.wantCode, env.Error)
-			}
-			if env.Error == "" {
-				t.Errorf("%s (%s %s): envelope has no error message", c.name, c.method, path)
-			}
+		status, env := doRaw(t, h, c.method, c.path, c.body)
+		if status != c.wantStatus {
+			t.Errorf("%s (%s %s): status %d, want %d", c.name, c.method, c.path, status, c.wantStatus)
+			continue
+		}
+		if env.Code != c.wantCode {
+			t.Errorf("%s (%s %s): code %q, want %q (error %q)", c.name, c.method, c.path, env.Code, c.wantCode, env.Error)
+		}
+		if env.Error == "" {
+			t.Errorf("%s (%s %s): envelope has no error message", c.name, c.method, c.path)
 		}
 	}
 }
 
-// TestServiceV1RoutesServe: the versioned routes answer with the same
-// payloads as the legacy aliases, and /v1/meta reports the backend and
-// capabilities (tracking SetIngester).
+// TestServiceV1RoutesServe: the versioned routes answer, and /v1/meta
+// reports the backend and capabilities (tracking SetIngester).
 func TestServiceV1RoutesServe(t *testing.T) {
 	db := populatedDB(t, 4, 30, 2, 29)
 	svc := NewService(db)
 	srv := httptest.NewServer(svc.Handler())
 	defer srv.Close()
 
-	for _, path := range []string{"/query", "/v1/query"} {
-		resp, err := srv.Client().Post(srv.URL+path, "application/json",
-			strings.NewReader(`{"fingerprint":[0.5,0.5,0.5,0.5],"label":0,"k":3}`))
-		if err != nil {
-			t.Fatal(err)
-		}
-		var qr QueryResponse
-		if err := json.NewDecoder(resp.Body).Decode(&qr); err != nil {
-			t.Fatal(err)
-		}
-		resp.Body.Close()
-		if resp.StatusCode != http.StatusOK || len(qr.Matches) != 3 {
-			t.Fatalf("%s: status %s, %d matches", path, resp.Status, len(qr.Matches))
-		}
+	resp, err := srv.Client().Post(srv.URL+"/v1/query", "application/json",
+		strings.NewReader(`{"fingerprint":[0.5,0.5,0.5,0.5],"label":0,"k":3}`))
+	if err != nil {
+		t.Fatal(err)
+	}
+	var qr QueryResponse
+	if err := json.NewDecoder(resp.Body).Decode(&qr); err != nil {
+		t.Fatal(err)
+	}
+	resp.Body.Close()
+	if resp.StatusCode != http.StatusOK || len(qr.Matches) != 3 {
+		t.Fatalf("/v1/query: status %s, %d matches", resp.Status, len(qr.Matches))
 	}
 
 	meta := func() MetaResponse {
@@ -133,12 +131,11 @@ func TestServiceV1RoutesServe(t *testing.T) {
 }
 
 // TestHeadServesOnGetRoutes: HEAD is accepted wherever GET is — load
-// balancers and uptime probes HEAD /healthz and must keep getting 200,
-// exactly as the pre-/v1 route table answered.
+// balancers and uptime probes HEAD /v1/healthz and must keep getting 200.
 func TestHeadServesOnGetRoutes(t *testing.T) {
 	db := populatedDB(t, 4, 10, 2, 41)
 	h := NewService(db).Handler()
-	for _, path := range []string{"/healthz", "/v1/healthz", "/stats", "/v1/stats", "/v1/meta"} {
+	for _, path := range []string{"/v1/healthz", "/v1/stats", "/v1/meta"} {
 		status, _ := doRaw(t, h, http.MethodHead, path, "")
 		if status != http.StatusOK {
 			t.Errorf("HEAD %s: status %d, want 200", path, status)
@@ -147,51 +144,6 @@ func TestHeadServesOnGetRoutes(t *testing.T) {
 	// POST routes still reject HEAD.
 	if status, _ := doRaw(t, h, http.MethodHead, "/v1/query", ""); status != http.StatusMethodNotAllowed {
 		t.Errorf("HEAD /v1/query: status %d, want 405", status)
-	}
-}
-
-// flakyTransport fails the first n round trips with a transport error,
-// then delegates — a server that is still starting up.
-type flakyTransport struct {
-	next  http.RoundTripper
-	fails int
-}
-
-func (f *flakyTransport) RoundTrip(req *http.Request) (*http.Response, error) {
-	if f.fails > 0 {
-		f.fails--
-		return nil, fmt.Errorf("connect: connection refused (simulated)")
-	}
-	return f.next.RoundTrip(req)
-}
-
-// TestClientNegotiationRetriesAfterTransportFault: a transport error
-// during the /v1/meta probe must not pin the client to legacy routes —
-// once the server answers, the client upgrades to /v1.
-func TestClientNegotiationRetriesAfterTransportFault(t *testing.T) {
-	db := populatedDB(t, 4, 20, 2, 43)
-	var paths []string
-	srv := httptest.NewServer(http.HandlerFunc(func(w http.ResponseWriter, r *http.Request) {
-		paths = append(paths, r.URL.Path)
-		NewService(db).Handler().ServeHTTP(w, r)
-	}))
-	defer srv.Close()
-	hc := &http.Client{Transport: &flakyTransport{next: srv.Client().Transport, fails: 1}}
-	client := NewClient(srv.URL, hc)
-
-	// First call: the meta probe hits the transport fault, the request
-	// itself goes through on the legacy alias (the fault consumed by the
-	// probe), and negotiation stays open.
-	if _, err := client.Query(make(Fingerprint, 4), 0, 2); err != nil {
-		t.Fatalf("query during server startup window: %v", err)
-	}
-	// Second call: the probe succeeds and the client upgrades to /v1.
-	if _, err := client.Query(make(Fingerprint, 4), 0, 2); err != nil {
-		t.Fatal(err)
-	}
-	last := paths[len(paths)-1]
-	if last != "/v1/query" {
-		t.Fatalf("client did not upgrade after transient fault; last path %q (all: %v)", last, paths)
 	}
 }
 
@@ -267,30 +219,22 @@ func TestClientTypedErrorCodes(t *testing.T) {
 		t.Fatalf("meta 503: %v (code %q)", err, CodeOf(err))
 	}
 
-	// A pre-envelope server (plain http.Error text): the code is
-	// classified from the HTTP status so the caller's branch still works.
-	legacy := httptest.NewServer(http.HandlerFunc(func(w http.ResponseWriter, r *http.Request) {
-		if r.URL.Path == "/v1/meta" {
-			http.NotFound(w, r)
-			return
-		}
+	// A reply without an envelope (plain http.Error text, as a proxy
+	// writes): the code is classified from the HTTP status so the caller's
+	// branch still works.
+	plain := httptest.NewServer(http.HandlerFunc(func(w http.ResponseWriter, r *http.Request) {
 		http.Error(w, "k too large", http.StatusBadRequest)
 	}))
-	defer legacy.Close()
-	old := NewClient(legacy.URL, legacy.Client())
-	_, err := old.Query(make(Fingerprint, 4), 0, 3)
+	defer plain.Close()
+	_, err := NewClient(plain.URL, plain.Client()).Query(make(Fingerprint, 4), 0, 3)
 	var ae *APIError
 	if !errors.As(err, &ae) || ae.Code != ErrCodeBadRequest || ae.Message != "k too large" {
-		t.Fatalf("pre-envelope classification: %v (%+v)", err, ae)
+		t.Fatalf("envelope-less classification: %v (%+v)", err, ae)
 	}
 
 	// An unmapped envelope-less 4xx (a proxy's 429) is a client-side
 	// rejection — bad_request, never internal; an envelope-less 5xx is.
 	proxyish := httptest.NewServer(http.HandlerFunc(func(w http.ResponseWriter, r *http.Request) {
-		if r.URL.Path == "/v1/meta" {
-			http.NotFound(w, r)
-			return
-		}
 		http.Error(w, "slow down", http.StatusTooManyRequests)
 	}))
 	defer proxyish.Close()
@@ -300,51 +244,36 @@ func TestClientTypedErrorCodes(t *testing.T) {
 	}
 }
 
-// TestClientNegotiation: the client uses /v1 routes against a /v1
-// server and falls back to legacy paths against a pre-/v1 server.
-func TestClientNegotiation(t *testing.T) {
-	db := populatedDB(t, 4, 20, 2, 31)
-	svc := NewService(db)
-
-	// Record which paths the client actually hits.
-	var paths []string
-	spy := func(next http.Handler) http.Handler {
-		return http.HandlerFunc(func(w http.ResponseWriter, r *http.Request) {
-			paths = append(paths, r.URL.Path)
-			next.ServeHTTP(w, r)
-		})
-	}
-
-	srv := httptest.NewServer(spy(svc.Handler()))
+// TestClientReusesConnectionAfterLargeReply: a reply too large for a
+// Content-Length arrives chunked, and the JSON decoder stops at the end
+// of the value. Whether it has seen EOF by then depends on whether the
+// chunk terminator arrived with the last of the data; here it trails by
+// a moment, as it can over a real network. The client must drain the
+// rest before closing, or the Transport drops the connection and the
+// next batch pays a fresh dial.
+func TestClientReusesConnectionAfterLargeReply(t *testing.T) {
+	big := BatchResponse{Results: []BatchResult{{QueryResponse: &QueryResponse{
+		Matches: []MatchJSON{{Source: strings.Repeat("x", 256<<10)}},
+	}}}}
+	srv := httptest.NewServer(http.HandlerFunc(func(w http.ResponseWriter, r *http.Request) {
+		WriteJSON(w, http.StatusOK, big)
+		w.(http.Flusher).Flush()
+		time.Sleep(20 * time.Millisecond) // the terminator is written on return
+	}))
 	defer srv.Close()
 	client := NewClient(srv.URL, srv.Client())
-	meta, err := client.Meta()
-	if err != nil || meta.Backend != "linear" {
-		t.Fatalf("meta: %+v %v", meta, err)
-	}
-	if _, err := client.Query(make(Fingerprint, 4), 0, 2); err != nil {
-		t.Fatal(err)
-	}
-	last := paths[len(paths)-1]
-	if last != "/v1/query" {
-		t.Fatalf("negotiated client queried %q, want /v1/query", last)
-	}
 
-	// A pre-/v1 server: only the legacy mux, no /v1 at all.
-	paths = nil
-	legacyMux := http.NewServeMux()
-	legacyMux.Handle("POST /query", spy(svc.Handler()))
-	legacy := httptest.NewServer(legacyMux)
-	defer legacy.Close()
-	old := NewClient(legacy.URL, legacy.Client())
-	if _, err := old.Meta(); err == nil {
-		t.Fatal("Meta against a legacy server should fail")
+	var reused []bool
+	ctx := httptrace.WithClientTrace(context.Background(), &httptrace.ClientTrace{
+		GotConn: func(info httptrace.GotConnInfo) { reused = append(reused, info.Reused) },
+	})
+	for range 2 {
+		out, err := client.QueryBatchCtx(ctx, []QueryRequest{{K: 1}})
+		if err != nil || len(out.Results[0].Matches[0].Source) != 256<<10 {
+			t.Fatalf("batch: %v", err)
+		}
 	}
-	if _, err := old.Query(make(Fingerprint, 4), 0, 2); err != nil {
-		t.Fatalf("legacy fallback query: %v", err)
-	}
-	last = paths[len(paths)-1]
-	if last != "/query" {
-		t.Fatalf("legacy client queried %q, want /query", last)
+	if len(reused) != 2 || reused[0] || !reused[1] {
+		t.Fatalf("connections reused per call: %v, want [false true]", reused)
 	}
 }

@@ -221,7 +221,7 @@ func (s *Service) buildMetrics() *obs.Registry {
 		obs.HistogramFunc("caltrain_query_latency_seconds",
 			"Request latency, the /stats histogram re-emitted cumulatively in seconds.",
 			func() obs.HistogramSnapshot {
-				return PromHistogram(s.latency.Bins(), s.latency.SumUS(), true)
+				return PromHistogram(s.latency.Bins(), s.latency.SumUS())
 			}),
 	)
 	// One gauge/counter per write-path stat, suppressed when the daemon
@@ -275,11 +275,9 @@ func (s *Service) buildMetrics() *obs.Registry {
 
 // PromHistogram converts the per-bucket /stats bins (microsecond
 // bounds, overflow bin LeUS == -1 last) into the cumulative
-// seconds-based snapshot the Prometheus exposition requires. hasSum is
-// false when the source does not track a sum (bins merged from
-// pre-upgrade daemons); the _sum series is then omitted.
-func PromHistogram(bins []HistogramBin, sumUS int64, hasSum bool) obs.HistogramSnapshot {
-	snap := obs.HistogramSnapshot{Sum: float64(sumUS) / 1e6, HasSum: hasSum}
+// seconds-based snapshot the Prometheus exposition requires.
+func PromHistogram(bins []HistogramBin, sumUS int64) obs.HistogramSnapshot {
+	snap := obs.HistogramSnapshot{Sum: float64(sumUS) / 1e6}
 	var cum uint64
 	for _, b := range bins {
 		cum += b.Count
@@ -412,8 +410,7 @@ type StatsResponse struct {
 	Errors         uint64         `json:"errors"`
 	LatencyUS      []HistogramBin `json:"latency_us"`
 	// LatencySumUS is the sum of all observed latencies (microseconds),
-	// so rates and averages derive without bucket interpolation. 0 from
-	// a pre-upgrade daemon that does not report it.
+	// so rates and averages derive without bucket interpolation.
 	LatencySumUS int64 `json:"latency_sum_us,omitempty"`
 	// Ingest carries the write path's counters when the daemon has one
 	// (started with -wal).
@@ -546,8 +543,7 @@ func MergeBins(sets ...[]HistogramBin) []HistogramBin {
 
 // Handler returns the HTTP handler serving the versioned wire protocol
 // (POST /v1/query, POST /v1/query/batch, POST /v1/ingest, GET
-// /v1/healthz, GET /v1/stats, GET /v1/meta) plus the unversioned legacy
-// aliases, from the shared RouteSet.
+// /v1/healthz, GET /v1/stats, GET /v1/meta) from the shared RouteSet.
 func (s *Service) Handler() http.Handler {
 	rs := RouteSet{
 		Query:         s.handleQuery,
@@ -769,11 +765,23 @@ func (s *Service) handleBatch(w http.ResponseWriter, r *http.Request) {
 		s.fail(w, http.StatusBadRequest, ErrCodeBadRequest, "batch has no queries")
 		return
 	}
-	if len(req.Queries) > s.maxBatch {
-		s.fail(w, http.StatusBadRequest, ErrCodeLimitExceeded, "batch of %d queries exceeds limit %d", len(req.Queries), s.maxBatch)
+	if ae := s.BatchLimit(len(req.Queries)); ae != nil {
+		s.fail(w, ae.Status, ae.Code, "%s", ae.Message)
 		return
 	}
 	writeJSON(w, s.RunBatchCtx(r.Context(), req.Queries))
+}
+
+// BatchLimit returns the rejection POST /v1/query/batch answers a batch
+// of n queries with when n is over the service's limit, nil within it —
+// shared with shard.LocalReplica, so a sub-batch an in-process shard
+// refuses is refused exactly as its daemon would over HTTP.
+func (s *Service) BatchLimit(n int) *APIError {
+	if n <= s.maxBatch {
+		return nil
+	}
+	return &APIError{Status: http.StatusBadRequest, Code: ErrCodeLimitExceeded,
+		Message: fmt.Sprintf("batch of %d queries exceeds limit %d", n, s.maxBatch)}
 }
 
 // DecodeIngestEntries converts the wire form of an ingest batch into
@@ -800,22 +808,22 @@ func DecodeIngestEntries(entries []IngestEntry) ([]Linkage, error) {
 // Ingester configured).
 var ErrIngestDisabled = errors.New("ingest not enabled on this daemon")
 
-// IngestStatusCode maps a RunIngest error to the HTTP status POST
-// /ingest reports: 501 for a read-only daemon, 400 for a batch the
+// IngestError types a RunIngest error as the reply POST /v1/ingest
+// answers it with: 501 for a read-only daemon, 400 for a batch the
 // daemon validated and refused (every replica of its shard would refuse
-// it identically), 500 for daemon-side faults (WAL I/O). The shard
-// router uses the same mapping so local and HTTP replicas degrade
-// identically.
-func IngestStatusCode(err error) int {
+// it identically), 500 for daemon-side faults (WAL I/O). A
+// shard.LocalReplica returns the same value, so local and HTTP replicas
+// degrade identically.
+func IngestError(err error) *APIError {
+	status := http.StatusInternalServerError
 	switch {
 	case errors.Is(err, ErrIngestDisabled):
-		return http.StatusNotImplemented
+		status = http.StatusNotImplemented
 	case errors.Is(err, ErrDimMismatch), errors.Is(err, ErrBadLabel),
 		errors.Is(err, ErrBadSource), errors.Is(err, ErrBadHash):
-		return http.StatusBadRequest
-	default:
-		return http.StatusInternalServerError
+		status = http.StatusBadRequest
 	}
+	return &APIError{Status: status, Code: ErrCodeForStatus(status), Message: err.Error()}
 }
 
 // RunIngest applies an ingest batch through the configured Ingester,
@@ -890,9 +898,9 @@ func (s *Service) handleIngest(w http.ResponseWriter, r *http.Request) {
 	}
 	resp, err := s.RunIngestCtx(r.Context(), req.Entries)
 	if err != nil {
-		status := IngestStatusCode(err)
-		s.errCodes.Inc(ErrCodeForStatus(status))
-		WriteError(w, status, ErrCodeForStatus(status), "%v", err)
+		ae := IngestError(err)
+		s.errCodes.Inc(ae.Code)
+		WriteError(w, ae.Status, ae.Code, "%s", ae.Message)
 		return
 	}
 	writeJSON(w, resp)

@@ -26,7 +26,7 @@ func serviceFixture(t *testing.T, opts ...ServiceOption) (*Service, *httptest.Se
 
 func TestServiceMalformedJSON(t *testing.T) {
 	_, srv, _ := serviceFixture(t)
-	for _, path := range []string{"/query", "/query/batch"} {
+	for _, path := range []string{"/v1/query", "/v1/query/batch"} {
 		resp, err := srv.Client().Post(srv.URL+path, "application/json", strings.NewReader("{not json"))
 		if err != nil {
 			t.Fatal(err)
@@ -58,7 +58,7 @@ func TestServiceOversizedK(t *testing.T) {
 func TestServiceBodyLimit(t *testing.T) {
 	_, srv, _ := serviceFixture(t, WithMaxBodyBytes(64))
 	body, _ := json.Marshal(QueryRequest{Fingerprint: make([]float32, 40), Label: 0, K: 3})
-	resp, err := srv.Client().Post(srv.URL+"/query", "application/json", bytes.NewReader(body))
+	resp, err := srv.Client().Post(srv.URL+"/v1/query", "application/json", bytes.NewReader(body))
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -378,7 +378,7 @@ func TestServiceIngestEndpoint(t *testing.T) {
 
 	// Malformed hash: 400 via typed classification, nothing applied.
 	badHash := []IngestEntry{{Fingerprint: make([]float32, 4), Hash: "xyz"}}
-	res, err := srv.Client().Post(srv.URL+"/ingest", "application/json",
+	res, err := srv.Client().Post(srv.URL+"/v1/ingest", "application/json",
 		strings.NewReader(`{"entries":[{"fingerprint":[0,0,0,0],"hash":"xyz"}]}`))
 	if err != nil {
 		t.Fatal(err)
@@ -391,14 +391,14 @@ func TestServiceIngestEndpoint(t *testing.T) {
 
 	// Ingester-side validation error → 400; store fault → 500.
 	ing.fail = ErrDimMismatch
-	res, _ = srv.Client().Post(srv.URL+"/ingest", "application/json",
+	res, _ = srv.Client().Post(srv.URL+"/v1/ingest", "application/json",
 		strings.NewReader(`{"entries":[{"fingerprint":[0,0,0,0]}]}`))
 	res.Body.Close()
 	if res.StatusCode != http.StatusBadRequest {
 		t.Fatalf("validation failure status %s", res.Status)
 	}
 	ing.fail = errors.New("disk full")
-	res, _ = srv.Client().Post(srv.URL+"/ingest", "application/json",
+	res, _ = srv.Client().Post(srv.URL+"/v1/ingest", "application/json",
 		strings.NewReader(`{"entries":[{"fingerprint":[0,0,0,0]}]}`))
 	res.Body.Close()
 	if res.StatusCode != http.StatusInternalServerError {

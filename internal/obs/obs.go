@@ -232,16 +232,11 @@ type Bucket struct {
 
 // HistogramSnapshot is a histogram family's state at scrape time:
 // cumulative buckets in ascending bound order, the total observation
-// count, and (when the source tracks one) the sum of observations.
+// count, and the sum of observations.
 type HistogramSnapshot struct {
 	Buckets []Bucket
 	Count   uint64
 	Sum     float64
-	// HasSum reports whether Sum is real. A histogram merged from
-	// sources that did not report sums (pre-upgrade shard daemons) omits
-	// the _sum series rather than publishing a zero that would corrupt
-	// rate(sum)/rate(count) averages.
-	HasSum bool
 }
 
 // HistogramFunc builds a histogram family from a snapshot function
@@ -263,10 +258,9 @@ func HistogramFunc(name, help string, fn func() HistogramSnapshot) *Family {
 			Labels: []Label{{Name: "le", Value: "+Inf"}},
 			Value:  float64(snap.Count),
 		})
-		if snap.HasSum {
-			out = append(out, Sample{Suffix: "_sum", Value: snap.Sum})
-		}
-		out = append(out, Sample{Suffix: "_count", Value: float64(snap.Count)})
+		out = append(out,
+			Sample{Suffix: "_sum", Value: snap.Sum},
+			Sample{Suffix: "_count", Value: float64(snap.Count)})
 		return out
 	}}
 }

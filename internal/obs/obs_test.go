@@ -21,7 +21,7 @@ func TestRegistryWriteTextAndLint(t *testing.T) {
 		HistogramFunc("caltrain_query_latency_seconds", "Query latency.", func() HistogramSnapshot {
 			return HistogramSnapshot{
 				Buckets: []Bucket{{UpperBound: 0.001, Count: 3}, {UpperBound: 0.01, Count: 5}},
-				Count:   7, Sum: 0.5, HasSum: true,
+				Count:   7, Sum: 0.5,
 			}
 		}),
 	)
@@ -338,16 +338,5 @@ func TestBuildInfoFamily(t *testing.T) {
 	}
 	if samples[0].Labels[0].Name != "go_version" || samples[0].Labels[0].Value != b.GoVersion {
 		t.Fatalf("missing go_version label: %v", samples[0].Labels)
-	}
-}
-
-func TestHistogramFuncWithoutSum(t *testing.T) {
-	f := HistogramFunc("h", "x", func() HistogramSnapshot {
-		return HistogramSnapshot{Buckets: []Bucket{{UpperBound: 1, Count: 2}}, Count: 4}
-	})
-	for _, s := range f.Collect() {
-		if s.Suffix == "_sum" {
-			t.Fatal("HasSum=false must omit _sum")
-		}
 	}
 }

@@ -39,8 +39,7 @@ type WALConfig struct {
 // zero value serves metrics and nothing else — logging is opt-in and
 // the debug listener stays closed.
 type ObservabilityConfig struct {
-	// DisableMetrics removes GET /v1/metrics (and the legacy /metrics
-	// alias) from the built handler.
+	// DisableMetrics removes GET /v1/metrics from the built handler.
 	DisableMetrics bool
 	// RequestLog emits one structured log line per request — method,
 	// path, status, duration, request ID, and per-stage timings.
@@ -122,8 +121,8 @@ func (d Deployment) tracer() *obs.Tracer {
 //	Deployment{Shards: 4, ReplicasPerShard: 2, WAL: ...}       // replicated sharded writes
 //
 // Build assembles it; every topology serves the same versioned /v1 wire
-// protocol (plus legacy aliases), so clients cannot tell the shapes
-// apart except through GET /v1/meta.
+// protocol, so clients cannot tell the shapes apart except through
+// GET /v1/meta.
 type Deployment struct {
 	// Backend selects the index backend; nil means FlatSpec{}.
 	Backend BackendSpec
@@ -186,8 +185,8 @@ type Server struct {
 	tracer  *obs.Tracer
 }
 
-// Handler returns the HTTP handler serving the /v1 wire protocol (and
-// legacy aliases) for the whole topology.
+// Handler returns the HTTP handler serving the /v1 wire protocol for
+// the whole topology.
 func (s *Server) Handler() http.Handler { return s.handler }
 
 // Service returns the single query service, nil for a sharded build.

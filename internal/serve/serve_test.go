@@ -141,7 +141,7 @@ func TestPrebuiltSpec(t *testing.T) {
 }
 
 // TestDeploymentSingleReadOnly: the zero-value deployment is one Flat
-// query service with no write path, serving /v1 and legacy routes.
+// query service with no write path.
 func TestDeploymentSingleReadOnly(t *testing.T) {
 	db := testDB(t, 8, 100, 4)
 	srv, err := Deployment{}.Build(db)

@@ -9,6 +9,8 @@ import (
 	"testing"
 
 	"caltrain/internal/fingerprint"
+	"caltrain/internal/index"
+	"caltrain/internal/ingest"
 )
 
 // doRawRouter fires one request at the router handler and decodes the
@@ -29,8 +31,9 @@ func doRawRouter(t *testing.T, h http.Handler, method, path, body string) (int, 
 
 // TestRouterErrorEnvelope is the wire-contract table for the router
 // handler: the same structured {code, error} envelope a single daemon
-// writes, on /v1 routes and legacy aliases alike — including the
-// router-only failure mode, a query whose label's shard is unreachable.
+// writes — including the router-only failure mode, a query whose label's
+// shard is unreachable, and the unversioned spelling of a route, which
+// is now just an unknown route.
 func TestRouterErrorEnvelope(t *testing.T) {
 	db := testDB(t, 8, 200, 8)
 	rt, _ := shardedFixture(t, db, 2, WithRouterMaxBodyBytes(512), WithRouterMaxBatch(2))
@@ -62,38 +65,35 @@ func TestRouterErrorEnvelope(t *testing.T) {
 		wantStatus int
 		wantCode   string
 	}{
-		{"oversized body", h, "POST", "/query", bigBody, http.StatusRequestEntityTooLarge, fingerprint.ErrCodeBodyTooLarge},
-		{"bad k", h, "POST", "/query", `{"fingerprint":[0,0,0,0,0,0,0,0],"label":0,"k":-3}`, http.StatusBadRequest, fingerprint.ErrCodeBadRequest},
-		{"malformed json", h, "POST", "/query", `{not json`, http.StatusBadRequest, fingerprint.ErrCodeBadRequest},
-		{"empty batch", h, "POST", "/query/batch", `{"queries":[]}`, http.StatusBadRequest, fingerprint.ErrCodeBadRequest},
-		{"batch over limit", h, "POST", "/query/batch", `{"queries":[{"k":1},{"k":1},{"k":1}]}`, http.StatusBadRequest, fingerprint.ErrCodeLimitExceeded},
-		{"empty ingest", h, "POST", "/ingest", `{"entries":[]}`, http.StatusBadRequest, fingerprint.ErrCodeBadRequest},
-		{"ingest mixed dims", h, "POST", "/ingest", `{"entries":[{"fingerprint":[0,0,0,0,0,0,0,0]},{"fingerprint":[0]}]}`, http.StatusBadRequest, fingerprint.ErrCodeBadRequest},
-		{"method not allowed", h, "GET", "/query", "", http.StatusMethodNotAllowed, fingerprint.ErrCodeMethodNotAllowed},
-		{"unknown route", h, "GET", "/nope", "", http.StatusNotFound, fingerprint.ErrCodeNotFound},
-		{"unreachable label shard", deadH, "POST", "/query", `{"fingerprint":[0,0,0,0,0,0,0,0],"label":3,"k":2}`, http.StatusBadGateway, fingerprint.ErrCodeShardUnreachable},
+		{"oversized body", h, "POST", "/v1/query", bigBody, http.StatusRequestEntityTooLarge, fingerprint.ErrCodeBodyTooLarge},
+		{"bad k", h, "POST", "/v1/query", `{"fingerprint":[0,0,0,0,0,0,0,0],"label":0,"k":-3}`, http.StatusBadRequest, fingerprint.ErrCodeBadRequest},
+		{"malformed json", h, "POST", "/v1/query", `{not json`, http.StatusBadRequest, fingerprint.ErrCodeBadRequest},
+		{"empty batch", h, "POST", "/v1/query/batch", `{"queries":[]}`, http.StatusBadRequest, fingerprint.ErrCodeBadRequest},
+		{"batch over limit", h, "POST", "/v1/query/batch", `{"queries":[{"k":1},{"k":1},{"k":1}]}`, http.StatusBadRequest, fingerprint.ErrCodeLimitExceeded},
+		{"empty ingest", h, "POST", "/v1/ingest", `{"entries":[]}`, http.StatusBadRequest, fingerprint.ErrCodeBadRequest},
+		{"ingest mixed dims", h, "POST", "/v1/ingest", `{"entries":[{"fingerprint":[0,0,0,0,0,0,0,0]},{"fingerprint":[0]}]}`, http.StatusBadRequest, fingerprint.ErrCodeBadRequest},
+		{"method not allowed", h, "GET", "/v1/query", "", http.StatusMethodNotAllowed, fingerprint.ErrCodeMethodNotAllowed},
+		{"unknown route", h, "GET", "/v1/nope", "", http.StatusNotFound, fingerprint.ErrCodeNotFound},
+		{"unversioned spelling", h, "POST", "/query", `{"fingerprint":[0,0,0,0,0,0,0,0],"label":0,"k":3}`, http.StatusNotFound, fingerprint.ErrCodeNotFound},
+		{"unreachable label shard", deadH, "POST", "/v1/query", `{"fingerprint":[0,0,0,0,0,0,0,0],"label":3,"k":2}`, http.StatusBadGateway, fingerprint.ErrCodeShardUnreachable},
 	}
 	for _, c := range cases {
-		for _, prefix := range []string{"/v1", ""} {
-			path := prefix + c.path
-			status, env := doRawRouter(t, c.handler, c.method, path, c.body)
-			if status != c.wantStatus {
-				t.Errorf("%s (%s %s): status %d, want %d", c.name, c.method, path, status, c.wantStatus)
-				continue
-			}
-			if env.Code != c.wantCode {
-				t.Errorf("%s (%s %s): code %q, want %q (error %q)", c.name, c.method, path, env.Code, c.wantCode, env.Error)
-			}
-			if env.Error == "" {
-				t.Errorf("%s (%s %s): envelope has no error message", c.name, c.method, path)
-			}
+		status, env := doRawRouter(t, c.handler, c.method, c.path, c.body)
+		if status != c.wantStatus {
+			t.Errorf("%s (%s %s): status %d, want %d", c.name, c.method, c.path, status, c.wantStatus)
+			continue
+		}
+		if env.Code != c.wantCode {
+			t.Errorf("%s (%s %s): code %q, want %q (error %q)", c.name, c.method, c.path, env.Code, c.wantCode, env.Error)
+		}
+		if env.Error == "" {
+			t.Errorf("%s (%s %s): envelope has no error message", c.name, c.method, c.path)
 		}
 	}
 }
 
 // TestRouterV1RoutesAndMeta: the router serves the versioned protocol
-// with sharded capability discovery, and batches answer identically on
-// /v1 and legacy paths.
+// with sharded capability discovery.
 func TestRouterV1RoutesAndMeta(t *testing.T) {
 	db := testDB(t, 8, 200, 8)
 	rt, _ := shardedFixture(t, db, 2)
@@ -113,24 +113,21 @@ func TestRouterV1RoutesAndMeta(t *testing.T) {
 		t.Fatalf("router meta: %+v", meta)
 	}
 
-	for _, path := range []string{"/query/batch", "/v1/query/batch"} {
-		body := `{"queries":[{"fingerprint":[0.1,0.1,0.1,0.1,0.1,0.1,0.1,0.1],"label":1,"k":2}]}`
-		res, err := srv.Client().Post(srv.URL+path, "application/json", strings.NewReader(body))
-		if err != nil {
-			t.Fatal(err)
-		}
-		var batch fingerprint.BatchResponse
-		if err := json.NewDecoder(res.Body).Decode(&batch); err != nil {
-			t.Fatal(err)
-		}
-		res.Body.Close()
-		if res.StatusCode != http.StatusOK || len(batch.Results) != 1 || batch.Results[0].Error != "" {
-			t.Fatalf("%s: status %s results %+v", path, res.Status, batch.Results)
-		}
+	body := `{"queries":[{"fingerprint":[0.1,0.1,0.1,0.1,0.1,0.1,0.1,0.1],"label":1,"k":2}]}`
+	res, err := srv.Client().Post(srv.URL+"/v1/query/batch", "application/json", strings.NewReader(body))
+	if err != nil {
+		t.Fatal(err)
+	}
+	var batch fingerprint.BatchResponse
+	if err := json.NewDecoder(res.Body).Decode(&batch); err != nil {
+		t.Fatal(err)
+	}
+	res.Body.Close()
+	if res.StatusCode != http.StatusOK || len(batch.Results) != 1 || batch.Results[0].Error != "" {
+		t.Fatalf("/v1/query/batch: status %s results %+v", res.Status, batch.Results)
 	}
 
-	// The negotiated client works against the router exactly as against
-	// a daemon.
+	// The client works against the router exactly as against a daemon.
 	client := fingerprint.NewClient(srv.URL, srv.Client())
 	cmeta, err := client.Meta()
 	if err != nil || cmeta.Backend != "router" {
@@ -250,6 +247,74 @@ func TestRouterErrorCodeParity(t *testing.T) {
 	}
 }
 
+// TestReplicaErrorTypeParity: the same refusal comes back as the same
+// *fingerprint.APIError — Status and Code — whether the replica is a
+// daemon over HTTP or a service in process, so the router's one
+// rejection test reads both alike. Replication routes exist only over
+// HTTP; a daemon started without them answers not_found through the
+// same type.
+func TestReplicaErrorTypeParity(t *testing.T) {
+	db := testDB(t, 8, 40, 2)
+	readOnly := fingerprint.NewService(db, fingerprint.WithMaxBatch(1))
+	flat := index.NewFlat(db)
+	writable := fingerprint.NewSearcherService(flat)
+	st, err := ingest.Open(t.TempDir(), db, flat, ingest.Options{})
+	if err != nil {
+		t.Fatal(err)
+	}
+	t.Cleanup(func() { st.Close() })
+	writable.SetIngester(st)
+
+	kinds := map[string]func(*fingerprint.Service) IngestReplica{
+		"local": func(svc *fingerprint.Service) IngestReplica { return NewLocalReplica("local", svc) },
+		"http": func(svc *fingerprint.Service) IngestReplica {
+			srv := httptest.NewServer(svc.Handler())
+			t.Cleanup(srv.Close)
+			return NewHTTPReplica(srv.URL, srv.Client())
+		},
+	}
+	cases := []struct {
+		name       string
+		svc        *fingerprint.Service
+		call       func(IngestReplica) error
+		wantStatus int
+		wantCode   string
+	}{
+		{"oversized sub-batch", readOnly, func(r IngestReplica) error {
+			_, err := r.QueryBatch(t.Context(), []fingerprint.QueryRequest{{K: 1}, {K: 1}})
+			return err
+		}, http.StatusBadRequest, fingerprint.ErrCodeLimitExceeded},
+		{"wrong dimension on ingest", writable, func(r IngestReplica) error {
+			_, err := r.Ingest(t.Context(), []fingerprint.IngestEntry{{Fingerprint: make([]float32, 5)}})
+			return err
+		}, http.StatusBadRequest, fingerprint.ErrCodeBadRequest},
+		{"read-only ingest", readOnly, func(r IngestReplica) error {
+			_, err := r.Ingest(t.Context(), []fingerprint.IngestEntry{{Fingerprint: make([]float32, 8)}})
+			return err
+		}, http.StatusNotImplemented, fingerprint.ErrCodeIngestDisabled},
+	}
+	check := func(name string, err error, wantStatus int, wantCode string) {
+		t.Helper()
+		var ae *fingerprint.APIError
+		if !errors.As(err, &ae) || ae.Status != wantStatus || ae.Code != wantCode || ae.Message == "" {
+			t.Errorf("%s: %v (%+v), want status %d code %s", name, err, ae, wantStatus, wantCode)
+		}
+		if (rejection(err) != nil) != (wantStatus < 500) {
+			t.Errorf("%s: rejection(%v) disagrees with status %d", name, err, wantStatus)
+		}
+	}
+	for _, c := range cases {
+		for kind, replica := range kinds {
+			check(c.name+" via "+kind, c.call(replica(c.svc)), c.wantStatus, c.wantCode)
+		}
+	}
+	norepl := kinds["http"](readOnly).(SyncableReplica)
+	_, err = norepl.SyncStatus(t.Context())
+	check("repl status without -repl", err, http.StatusNotFound, fingerprint.ErrCodeNotFound)
+	_, err = norepl.SyncFrom(t.Context(), "http://peer")
+	check("repl sync without -repl", err, http.StatusNotFound, fingerprint.ErrCodeNotFound)
+}
+
 // TestReplicaSurfacesEnvelopeMessage: a daemon rejection travels to the
 // router as the envelope's message, not raw JSON, so per-result errors
 // stay human-readable.
@@ -263,11 +328,11 @@ func TestReplicaSurfacesEnvelopeMessage(t *testing.T) {
 	if err == nil {
 		t.Fatal("over-limit sub-batch accepted")
 	}
-	var se *StatusError
-	if !errors.As(err, &se) {
-		t.Fatalf("error is not a StatusError: %v", err)
+	var ae *fingerprint.APIError
+	if !errors.As(err, &ae) {
+		t.Fatalf("error is not an APIError: %v", err)
 	}
-	if strings.Contains(se.Msg, "{") || !strings.Contains(se.Msg, "exceeds limit 1") {
-		t.Fatalf("replica message not unwrapped from envelope: %q", se.Msg)
+	if strings.Contains(ae.Message, "{") || !strings.Contains(ae.Message, "exceeds limit 1") {
+		t.Fatalf("replica message not unwrapped from envelope: %q", ae.Message)
 	}
 }

@@ -51,7 +51,7 @@ func postBatch(t *testing.T, h http.Handler, reqs []fingerprint.QueryRequest) *f
 		t.Fatal(err)
 	}
 	rec := httptest.NewRecorder()
-	h.ServeHTTP(rec, httptest.NewRequest(http.MethodPost, "/query/batch", bytes.NewReader(payload)))
+	h.ServeHTTP(rec, httptest.NewRequest(http.MethodPost, "/v1/query/batch", bytes.NewReader(payload)))
 	if rec.Code != http.StatusOK {
 		t.Fatalf("batch status %d: %s", rec.Code, rec.Body.String())
 	}
@@ -272,7 +272,7 @@ func TestRouterReplicaFailover(t *testing.T) {
 	// The dead replica is now in cooldown: both shards report healthy
 	// because the live replicas answer.
 	rec := httptest.NewRecorder()
-	rt.Handler().ServeHTTP(rec, httptest.NewRequest(http.MethodGet, "/healthz", nil))
+	rt.Handler().ServeHTTP(rec, httptest.NewRequest(http.MethodGet, "/v1/healthz", nil))
 	if rec.Code != http.StatusOK {
 		t.Fatalf("healthz after failover: %d %s", rec.Code, rec.Body.String())
 	}
@@ -286,7 +286,7 @@ func TestRouterSingleQuery(t *testing.T) {
 
 	body, _ := json.Marshal(fingerprint.QueryRequest{Fingerprint: db.Entry(0).F, Label: 0, K: 4})
 	rec := httptest.NewRecorder()
-	rt.Handler().ServeHTTP(rec, httptest.NewRequest(http.MethodPost, "/query", bytes.NewReader(body)))
+	rt.Handler().ServeHTTP(rec, httptest.NewRequest(http.MethodPost, "/v1/query", bytes.NewReader(body)))
 	if rec.Code != http.StatusOK {
 		t.Fatalf("query status %d: %s", rec.Code, rec.Body.String())
 	}
@@ -300,7 +300,7 @@ func TestRouterSingleQuery(t *testing.T) {
 
 	flaky[rt.m.Shard(0)].setDown(true)
 	rec = httptest.NewRecorder()
-	rt.Handler().ServeHTTP(rec, httptest.NewRequest(http.MethodPost, "/query", bytes.NewReader(body)))
+	rt.Handler().ServeHTTP(rec, httptest.NewRequest(http.MethodPost, "/v1/query", bytes.NewReader(body)))
 	if rec.Code != http.StatusBadGateway {
 		t.Fatalf("query to dead shard: status %d", rec.Code)
 	}
@@ -318,7 +318,7 @@ func TestRouterAggregatedStats(t *testing.T) {
 	postBatch(t, rt.Handler(), reqs)
 
 	rec := httptest.NewRecorder()
-	rt.Handler().ServeHTTP(rec, httptest.NewRequest(http.MethodGet, "/stats", nil))
+	rt.Handler().ServeHTTP(rec, httptest.NewRequest(http.MethodGet, "/v1/stats", nil))
 	if rec.Code != http.StatusOK {
 		t.Fatalf("stats status %d", rec.Code)
 	}
@@ -369,13 +369,13 @@ func TestRouterRespectsLimits(t *testing.T) {
 	}
 	payload, _ := json.Marshal(fingerprint.BatchRequest{Queries: reqs})
 	rec := httptest.NewRecorder()
-	rt.Handler().ServeHTTP(rec, httptest.NewRequest(http.MethodPost, "/query/batch", bytes.NewReader(payload)))
+	rt.Handler().ServeHTTP(rec, httptest.NewRequest(http.MethodPost, "/v1/query/batch", bytes.NewReader(payload)))
 	if rec.Code != http.StatusBadRequest {
 		t.Fatalf("over-limit batch: status %d", rec.Code)
 	}
 	rt2, _ := shardedFixture(t, db, 2, WithRouterMaxBodyBytes(16))
 	rec = httptest.NewRecorder()
-	rt2.Handler().ServeHTTP(rec, httptest.NewRequest(http.MethodPost, "/query/batch", bytes.NewReader(payload)))
+	rt2.Handler().ServeHTTP(rec, httptest.NewRequest(http.MethodPost, "/v1/query/batch", bytes.NewReader(payload)))
 	if rec.Code != http.StatusRequestEntityTooLarge {
 		t.Fatalf("over-size body: status %d", rec.Code)
 	}
@@ -475,13 +475,13 @@ func TestRouterHealthzDegraded(t *testing.T) {
 	db := testDB(t, 8, 120, 4)
 	rt, flaky := httpSharded(t, db, 2, WithShardTimeout(time.Second))
 	rec := httptest.NewRecorder()
-	rt.Handler().ServeHTTP(rec, httptest.NewRequest(http.MethodGet, "/healthz", nil))
+	rt.Handler().ServeHTTP(rec, httptest.NewRequest(http.MethodGet, "/v1/healthz", nil))
 	if rec.Code != http.StatusOK {
 		t.Fatalf("healthy router reports %d", rec.Code)
 	}
 	flaky[1].setDown(true)
 	rec = httptest.NewRecorder()
-	rt.Handler().ServeHTTP(rec, httptest.NewRequest(http.MethodGet, "/healthz", nil))
+	rt.Handler().ServeHTTP(rec, httptest.NewRequest(http.MethodGet, "/v1/healthz", nil))
 	if rec.Code != http.StatusServiceUnavailable {
 		t.Fatalf("degraded router reports %d", rec.Code)
 	}
@@ -668,7 +668,7 @@ func postIngest(t *testing.T, h http.Handler, entries []fingerprint.IngestEntry,
 		t.Fatal(err)
 	}
 	rec := httptest.NewRecorder()
-	h.ServeHTTP(rec, httptest.NewRequest(http.MethodPost, "/ingest", bytes.NewReader(payload)))
+	h.ServeHTTP(rec, httptest.NewRequest(http.MethodPost, "/v1/ingest", bytes.NewReader(payload)))
 	if rec.Code != wantStatus {
 		t.Fatalf("ingest status %d (want %d): %s", rec.Code, wantStatus, rec.Body.String())
 	}
@@ -826,7 +826,7 @@ type rejectingReplica struct {
 }
 
 func (r rejectingReplica) Ingest(context.Context, []fingerprint.IngestEntry) (*fingerprint.IngestResponse, error) {
-	return nil, &StatusError{Code: http.StatusBadRequest, Msg: "batch too rich for my blood"}
+	return nil, &fingerprint.APIError{Status: http.StatusBadRequest, Code: fingerprint.ErrCodeBadRequest, Message: "batch too rich for my blood"}
 }
 
 // TestRouterIngestRejectsBadBatch: everything the router can validate

@@ -97,7 +97,7 @@ func TestSessionEndToEnd(t *testing.T) {
 		t.Fatal(err)
 	}
 	body, _ := json.Marshal(map[string]any{"fingerprint": f, "label": label, "k": 3})
-	resp, err := srv.Client().Post(srv.URL+"/query", "application/json", bytes.NewReader(body))
+	resp, err := srv.Client().Post(srv.URL+"/v1/query", "application/json", bytes.NewReader(body))
 	if err != nil {
 		t.Fatal(err)
 	}
