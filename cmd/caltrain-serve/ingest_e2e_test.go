@@ -299,6 +299,19 @@ func TestServeSetupIsLegible(t *testing.T) {
 	if atStartup <= 0 {
 		t.Errorf("caltrain_index_build_seconds = %v", atStartup)
 	}
+	st, err := client.Stats()
+	if err != nil {
+		t.Fatal(err)
+	}
+	for _, part := range []string{"rows", "provenance", "class_index", "index"} {
+		v := gauge(`caltrain_linkage_resident_bytes\{part="` + part + `"\}`)
+		if v <= 0 || int64(v) != st.LinkageResidentBytes[part] {
+			t.Errorf("caltrain_linkage_resident_bytes{part=%q} = %v, /stats %d", part, v, st.LinkageResidentBytes[part])
+		}
+	}
+	if rows := st.LinkageResidentBytes["rows"]; rows != 300*8*4 {
+		t.Errorf("rows = %d bytes for a loaded 300 × 8 database", rows)
+	}
 
 	// 30 appends on 300 entries cross the 5 % drift threshold.
 	entries := make([]fingerprint.IngestEntry, 30)

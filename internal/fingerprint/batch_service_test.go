@@ -48,10 +48,10 @@ func TestRunBatchRoutesThroughBatchSearcher(t *testing.T) {
 	plain := NewService(db, WithMaxK(5)) // per-query reference path
 
 	reqs := []QueryRequest{
-		{Fingerprint: db.entries[0].F, Label: db.entries[0].Y, K: 3},
-		{Fingerprint: db.entries[1].F, Label: db.entries[1].Y, K: 99}, // over maxK
-		{Fingerprint: []float32{1, 2}, Label: 0, K: 2},                // dim mismatch
-		{Fingerprint: db.entries[2].F, Label: db.entries[2].Y, K: 5},
+		{Fingerprint: db.Entry(0).F, Label: db.Entry(0).Y, K: 3},
+		{Fingerprint: db.Entry(1).F, Label: db.Entry(1).Y, K: 99}, // over maxK
+		{Fingerprint: []float32{1, 2}, Label: 0, K: 2},            // dim mismatch
+		{Fingerprint: db.Entry(2).F, Label: db.Entry(2).Y, K: 5},
 	}
 	got := svc.RunBatch(reqs)
 	want := plain.RunBatch(reqs)
@@ -101,7 +101,7 @@ func TestRunBatchSingleQuerySkipsBatchPath(t *testing.T) {
 	db := seedDB(t, 8)
 	rec := &recordingBatchSearcher{db: db}
 	svc := NewSearcherService(rec)
-	resp := svc.RunBatch([]QueryRequest{{Fingerprint: db.entries[0].F, Label: db.entries[0].Y, K: 2}})
+	resp := svc.RunBatch([]QueryRequest{{Fingerprint: db.Entry(0).F, Label: db.Entry(0).Y, K: 2}})
 	if rec.batchCalls != 0 {
 		t.Fatalf("SearchBatch called %d times for a single-query batch, want 0", rec.batchCalls)
 	}

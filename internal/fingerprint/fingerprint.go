@@ -21,7 +21,9 @@ import (
 	"io"
 	"math"
 	"runtime"
+	"slices"
 	"sort"
+	"strings"
 	"sync"
 
 	"caltrain/internal/kernel"
@@ -128,13 +130,35 @@ type Match struct {
 // post-hoc queries (§IV-C). Entries are indexed per class label because
 // queries always restrict to Y = Ytest.
 //
+// A linkage is stored once, as one position across append-only columns
+// (see column): its row of dim floats, its label, its hash, and its
+// source as an id into a table holding each participant's name once.
+// Entry puts the four back together by value. No column ever moves what
+// it has stored, which is what lets Snapshot and the index backends
+// share the storage instead of copying it.
+//
 // DB is safe for concurrent use: the serving path reads (Query, Entry,
 // Len, Save) while ingest appends (Add).
 type DB struct {
-	dim     int
-	mu      sync.RWMutex
-	entries []Linkage
-	byClass map[int][]int
+	dim int
+	mu  sync.RWMutex
+
+	label column[int32]    // Y; its length is the database's
+	hash  column[[32]byte] // H
+	src   column[uint32]   // S, as an index into sources
+	// rows holds F. Its base is the arena LoadDB laid out class-major,
+	// every chunk after it rows stored by Add. The first loaded entries
+	// find their row in the arena by position — their own, or rowAt's
+	// when the file interleaved its labels — and every later entry's
+	// row follows the arena in order (see row). loaded is below the
+	// arena's row count only in a Snapshot cut inside it.
+	rows   column[float32]
+	loaded int
+	rowAt  []int32
+
+	sources []string          // each distinct source once, by id
+	srcID   map[string]uint32 // sources inverted; a snapshot builds its own on its first Add
+	byClass map[int]*column[int32]
 	// blocks maps a label to the class-major rows LoadDB laid out for
 	// it: blocks[y] is the fingerprints of the first len(blocks[y])/dim
 	// entries of byClass[y], contiguous and in that order, and those
@@ -143,6 +167,9 @@ type DB struct {
 	// without the lock (see ClassBlock). Entries stored by Add are not
 	// in any block.
 	blocks map[int][]float32
+	// borrowed marks a Snapshot, whose last chunks may hold entries its
+	// origin stored later: its first Add takes its own copy of them.
+	borrowed bool
 }
 
 // NewDB creates a database for fingerprints of the given dimensionality.
@@ -150,7 +177,14 @@ func NewDB(dim int) (*DB, error) {
 	if dim <= 0 {
 		return nil, fmt.Errorf("fingerprint: dimension must be positive, got %d", dim)
 	}
-	return &DB{dim: dim, byClass: make(map[int][]int)}, nil
+	return &DB{
+		dim:     dim,
+		label:   newColumn[int32](1),
+		hash:    newColumn[[32]byte](1),
+		src:     newColumn[uint32](1),
+		rows:    newColumn[float32](dim),
+		byClass: make(map[int]*column[int32]),
+	}, nil
 }
 
 // Dim returns the fingerprint dimensionality.
@@ -163,7 +197,7 @@ func (db *DB) Kind() string { return "linear" }
 func (db *DB) Len() int {
 	db.mu.RLock()
 	defer db.mu.RUnlock()
-	return len(db.entries)
+	return db.label.n
 }
 
 // Entry returns the linkage at index i. The returned fingerprint shares
@@ -172,7 +206,23 @@ func (db *DB) Len() int {
 func (db *DB) Entry(i int) Linkage {
 	db.mu.RLock()
 	defer db.mu.RUnlock()
-	return db.entries[i]
+	return db.entry(i)
+}
+
+// entry is Entry for callers that hold the lock.
+func (db *DB) entry(i int) Linkage {
+	return Linkage{F: db.row(i), Y: int(db.label.get(i)), S: db.sources[db.src.get(i)], H: db.hash.get(i)}
+}
+
+// row returns entry i's fingerprint, capacity-clipped.
+func (db *DB) row(i int) Fingerprint {
+	switch {
+	case i >= db.loaded:
+		i += db.rows.nb - db.loaded
+	case db.rowAt != nil:
+		i = int(db.rowAt[i])
+	}
+	return db.rows.at(i)
 }
 
 // Labels returns the distinct class labels present, ascending.
@@ -192,9 +242,11 @@ func (db *DB) Labels() []int {
 func (db *DB) ClassIndex(y int) []int {
 	db.mu.RLock()
 	defer db.mu.RUnlock()
-	idxs := db.byClass[y]
-	out := make([]int, len(idxs))
-	copy(out, idxs)
+	members := db.byClass[y]
+	out := make([]int, members.len())
+	for k := range out {
+		out[k] = int(members.get(k))
+	}
 	return out
 }
 
@@ -206,30 +258,42 @@ func (db *DB) ClassIndex(y int) []int {
 func (db *DB) ClassBlock(y int) []float32 { return db.blocks[y] }
 
 // Snapshot returns a new database holding exactly the first n entries
-// (all of them if n < 0 or n > Len). Nothing is copied: stored entries
-// and class-index prefixes are never rewritten, so the snapshot shares
-// them (capacity-clipped, so an Add on either side reallocates instead
-// of writing into the other) and carries the class blocks clipped to
-// its prefix. The ingest path trains replacement indexes against a
-// snapshot so a concurrent writer cannot smear entries into the build.
+// (all of them if n < 0 or n > Len). Nothing is copied: the columns
+// never move a stored entry, so the snapshot shares their storage, and
+// carries the class blocks clipped to its prefix. An Add on the origin
+// lands beyond what the snapshot reads; an Add on the snapshot first
+// takes its own copy of the chunks it would write into. The ingest path
+// trains replacement indexes against a snapshot so a concurrent writer
+// cannot smear entries into the build.
 func (db *DB) Snapshot(n int) *DB {
 	db.mu.RLock()
 	defer db.mu.RUnlock()
-	if n < 0 || n > len(db.entries) {
-		n = len(db.entries)
+	if n < 0 || n > db.label.n {
+		n = db.label.n
 	}
+	loaded := min(n, db.loaded)
 	out := &DB{
-		dim:     db.dim,
-		entries: db.entries[:n:n],
-		byClass: make(map[int][]int, len(db.byClass)),
-		blocks:  make(map[int][]float32, len(db.blocks)),
+		dim:      db.dim,
+		label:    db.label.prefix(n),
+		hash:     db.hash.prefix(n),
+		src:      db.src.prefix(n),
+		rows:     db.rows.prefix(db.rows.nb + n - loaded), // the whole arena: rowAt points anywhere in it
+		loaded:   loaded,
+		sources:  db.sources[:len(db.sources):len(db.sources)],
+		byClass:  make(map[int]*column[int32], len(db.byClass)),
+		blocks:   make(map[int][]float32, len(db.blocks)),
+		borrowed: true,
 	}
-	for y, idxs := range db.byClass {
-		c := sort.SearchInts(idxs, n) // class members with index < n
+	if db.rowAt != nil {
+		out.rowAt = db.rowAt[:loaded]
+	}
+	for y, members := range db.byClass {
+		c := sort.Search(members.n, func(k int) bool { return int(members.get(k)) >= n })
 		if c == 0 {
 			continue
 		}
-		out.byClass[y] = idxs[:c:c]
+		clipped := members.prefix(c)
+		out.byClass[y] = &clipped
 		if rows := min(c, len(db.blocks[y])/db.dim); rows > 0 {
 			out.blocks[y] = db.blocks[y][: rows*db.dim : rows*db.dim]
 		}
@@ -242,27 +306,132 @@ func (db *DB) Add(l Linkage) error {
 	if len(l.F) != db.dim {
 		return fmt.Errorf("%w: fingerprint has %d dims, db %d", ErrDimMismatch, len(l.F), db.dim)
 	}
-	if l.Y < 0 {
+	if l.Y < 0 || l.Y > math.MaxInt32 {
 		return fmt.Errorf("%w: %d", ErrBadLabel, l.Y)
 	}
 	if len(l.S) > maxSourceLen {
 		return fmt.Errorf("%w: %d bytes", ErrBadSource, len(l.S))
 	}
-	cp := make(Fingerprint, db.dim)
-	copy(cp, l.F)
-	l.F = cp
 	db.mu.Lock()
 	defer db.mu.Unlock()
-	idx := len(db.entries)
-	db.entries = append(db.entries, l)
-	db.byClass[l.Y] = append(db.byClass[l.Y], idx)
+	if db.borrowed {
+		db.label.unshare()
+		db.hash.unshare()
+		db.src.unshare()
+		db.rows.unshare()
+		for _, c := range db.byClass {
+			c.unshare()
+		}
+		db.borrowed = false
+	}
+	members := db.byClass[l.Y]
+	if members == nil {
+		c := newColumn[int32](1)
+		members = &c
+		db.byClass[l.Y] = members
+	}
+	members.append(int32(db.label.n))
+	db.rows.append(l.F...)
+	db.label.append(int32(l.Y))
+	db.hash.append(l.H)
+	db.src.append(db.intern(l.S))
 	return nil
 }
 
-// matchPool recycles the per-query scratch slice of candidate matches —
-// proportional to class size, it is the daemon hot path's dominant
+// intern returns the id of source s, adding it to the table when it is
+// new. Callers hold the write lock.
+func (db *DB) intern(s string) uint32 {
+	if db.srcID == nil { // new, or a snapshot: it shares the table, not the map
+		db.srcID = make(map[string]uint32, len(db.sources))
+		for id, known := range db.sources {
+			db.srcID[known] = uint32(id)
+		}
+	}
+	id, ok := db.srcID[s]
+	if !ok {
+		id = uint32(len(db.sources))
+		s = strings.Clone(s) // kept for good: not a view into a request body
+		db.sources = append(db.sources, s)
+		db.srcID[s] = id
+	}
+	return id
+}
+
+// ResidentBytes reports what the database keeps resident per part, from
+// its column lengths: the float rows, the provenance beside them (label,
+// hash and source id per entry, and the source table), and the class
+// index (the per-label entry lists, and the row map of an interleaved
+// file).
+func (db *DB) ResidentBytes() (rows, provenance, classIndex int64) {
+	db.mu.RLock()
+	defer db.mu.RUnlock()
+	rows = db.rows.bytes(4)
+	provenance = db.label.bytes(4) + db.hash.bytes(32) + db.src.bytes(4)
+	for _, s := range db.sources {
+		provenance += 16 + int64(len(s))
+	}
+	classIndex = 4 * int64(len(db.rowAt))
+	for _, members := range db.byClass {
+		classIndex += members.bytes(4)
+	}
+	return rows, provenance, classIndex
+}
+
+// scored is one class member's distance to a query: what the linear
+// scan keeps per candidate until the k winners are known.
+type scored struct {
+	d   float64
+	idx int32
+}
+
+func (a scored) before(b scored) bool { return a.d < b.d || a.d == b.d && a.idx < b.idx }
+
+// scoredPool recycles the per-query scratch slice of candidates —
+// proportional to class size, it is the linear scan's dominant
 // allocation.
-var matchPool = sync.Pool{New: func() any { return new([]Match) }}
+var scoredPool = sync.Pool{New: func() any { return new([]scored) }}
+
+// nearest moves the k entries of s that come first — by distance, ties
+// by index — to the front, in that order, and returns them. It is a
+// bounded max-heap over s[:k]: one comparison rejects most of the rest.
+func nearest(s []scored, k int) []scored {
+	if k < len(s) {
+		h := s[:k]
+		down := func(i int) {
+			for {
+				l, r, w := 2*i+1, 2*i+2, i
+				if l < k && h[w].before(h[l]) {
+					w = l
+				}
+				if r < k && h[w].before(h[r]) {
+					w = r
+				}
+				if w == i {
+					return
+				}
+				h[i], h[w] = h[w], h[i]
+				i = w
+			}
+		}
+		for i := k/2 - 1; i >= 0; i-- {
+			down(i)
+		}
+		for _, c := range s[k:] {
+			if c.before(h[0]) {
+				h[0] = c
+				down(0)
+			}
+		}
+		s = h
+	}
+	slices.SortFunc(s, func(a, b scored) int {
+		if a.before(b) {
+			return -1
+		}
+		return 1 // indices are distinct: no two candidates compare equal
+	})
+	return s
+}
 
 // Query returns the k nearest same-label training instances to f by L2
 // fingerprint distance, ascending. Fewer than k are returned if the class
@@ -274,33 +443,32 @@ func (db *DB) Query(f Fingerprint, label, k int) ([]Match, error) {
 	if k <= 0 {
 		return nil, fmt.Errorf("fingerprint: k must be positive, got %d", k)
 	}
+	scratch := scoredPool.Get().(*[]scored)
+	defer scoredPool.Put(scratch)
 	db.mu.RLock()
-	idxs := db.byClass[label]
-	scratch := matchPool.Get().(*[]Match)
-	matches := (*scratch)[:0]
-	if cap(matches) < len(idxs) {
-		matches = make([]Match, len(idxs))
-	} else {
-		matches = matches[:len(idxs)]
-	}
+	defer db.mu.RUnlock()
+	members := db.byClass[label]
+	n := members.len()
+	*scratch = slices.Grow((*scratch)[:0], n)[:n]
+	cands := *scratch
 	fill := func(lo, hi int) {
 		for i := lo; i < hi; i++ {
-			e := db.entries[idxs[i]]
+			idx := members.get(i)
 			// Dimensions were validated at Add time; the kernel keeps
 			// this exact scan bit-compatible with the index backends.
-			matches[i] = Match{Index: idxs[i], Source: e.S, Label: e.Y, Hash: e.H, Distance: math.Sqrt(kernel.SqDist(f, e.F))}
+			cands[i] = scored{d: math.Sqrt(kernel.SqDist(f, db.row(int(idx)))), idx: idx}
 		}
 	}
 	// Large classes scan in parallel; the query service's latency is
 	// dominated by this loop (see BenchmarkQueryScaling).
 	const parallelThreshold = 8192
-	if len(idxs) >= parallelThreshold {
+	if n >= parallelThreshold {
 		workers := runtime.GOMAXPROCS(0)
-		chunk := (len(idxs) + workers - 1) / workers
+		chunk := (n + workers - 1) / workers
 		var wg sync.WaitGroup
 		for w := 0; w < workers; w++ {
 			lo := w * chunk
-			hi := min(lo+chunk, len(idxs))
+			hi := min(lo+chunk, n)
 			if lo >= hi {
 				break
 			}
@@ -312,22 +480,15 @@ func (db *DB) Query(f Fingerprint, label, k int) ([]Match, error) {
 		}
 		wg.Wait()
 	} else {
-		fill(0, len(idxs))
+		fill(0, n)
 	}
-	db.mu.RUnlock()
-	sort.Slice(matches, func(a, b int) bool {
-		if matches[a].Distance != matches[b].Distance {
-			return matches[a].Distance < matches[b].Distance
-		}
-		return matches[a].Index < matches[b].Index
-	})
-	if len(matches) > k {
-		matches = matches[:k]
+	// Source and hash are read for the winners only.
+	best := nearest(cands, k)
+	out := make([]Match, len(best))
+	for i, c := range best {
+		idx := int(c.idx)
+		out[i] = Match{Index: idx, Source: db.sources[db.src.get(idx)], Label: label, Hash: db.hash.get(idx), Distance: c.d}
 	}
-	out := make([]Match, len(matches))
-	copy(out, matches)
-	*scratch = matches[:cap(matches)]
-	matchPool.Put(scratch)
 	return out, nil
 }
 
@@ -409,11 +570,12 @@ func (db *DB) Save(w io.Writer) error {
 	bw := bufio.NewWriterSize(w, ioBufSize)
 	rec := append(make([]byte, 0, 6+32+4*db.dim+64), dbMagic...)
 	rec = binary.LittleEndian.AppendUint32(rec, uint32(db.dim))
-	rec = binary.LittleEndian.AppendUint32(rec, uint32(len(db.entries)))
+	rec = binary.LittleEndian.AppendUint32(rec, uint32(db.label.n))
 	if _, err := bw.Write(rec); err != nil {
 		return fmt.Errorf("fingerprint: save: %w", err)
 	}
-	for _, e := range db.entries {
+	for i := 0; i < db.label.n; i++ {
+		e := db.entry(i)
 		rec = binary.LittleEndian.AppendUint32(rec[:0], uint32(e.Y))
 		rec = binary.LittleEndian.AppendUint16(rec, uint16(len(e.S)))
 		rec = append(rec, e.S...)
@@ -431,15 +593,18 @@ func (db *DB) Save(w io.Writer) error {
 	return nil
 }
 
-// LoadDB deserializes a database written by Save into ONE arena of
-// exactly n·dim floats laid out class-major: the rows of a label are
-// contiguous, in database order, whatever order the file interleaves
-// labels in (labels are placed by first appearance, so a class-grouped
-// file — what Save writes for a database built label by label, and what
-// caltrain-shard emits — needs no row moved). Entry(i).F is a
-// capacity-clipped sub-slice of the arena and ClassBlock(y) the label's
-// whole run of rows, which the index backends alias instead of copying.
-// Database indices are the file's record order, as before.
+// LoadDB deserializes a database written by Save into exact-size
+// columns (one array each for labels, hashes, source ids and the class
+// index, every source name once), the rows into ONE arena of exactly
+// n·dim floats laid out class-major: the rows of a label are contiguous,
+// in database order, whatever order the file interleaves labels in
+// (labels are placed by first appearance, so a class-grouped file — what
+// Save writes for a database built label by label, and what
+// caltrain-shard emits — needs no row moved, and no row map kept).
+// Entry(i).F is a capacity-clipped sub-slice of the arena and
+// ClassBlock(y) the label's whole run of rows, which the index backends
+// alias instead of copying. Database indices are the file's record
+// order.
 //
 // Malformed input yields ErrCorrupt (a cut stream also keeps
 // io.ErrUnexpectedEOF in the chain) or ErrBadLabel, never a panic; the
@@ -476,9 +641,13 @@ func LoadDB(r io.Reader) (*DB, error) {
 		}
 	}
 
+	db, err := NewDB(dim)
+	if err != nil {
+		return nil, err
+	}
 	arena := make([]float32, n*dim)
-	entries := make([]Linkage, n)
-	sources := make(map[string]string) // interned: one string per participant
+	labels, hashes, srcs := make([]int32, n), make([][32]byte, n), make([]uint32, n)
+	db.srcID = make(map[string]uint32) // interned: one string per participant
 	head := make([]byte, 6)
 	var rec []byte // source + hash + vector of the current record, reused
 
@@ -488,7 +657,7 @@ func LoadDB(r io.Reader) (*DB, error) {
 	var order []int
 	counts := make(map[int]int)
 	grouped, prevY := true, -1
-	for i := range entries {
+	for i := range labels {
 		if _, err := io.ReadFull(br, head); err != nil {
 			return nil, truncated(fmt.Sprintf("entry %d", i), err)
 		}
@@ -505,15 +674,13 @@ func LoadDB(r io.Reader) (*DB, error) {
 		if _, err := io.ReadFull(br, rec); err != nil {
 			return nil, truncated(fmt.Sprintf("entry %d", i), err)
 		}
-		e := &entries[i]
-		e.Y = y
-		src, ok := sources[string(rec[:slen])] // no allocation on a hit
+		labels[i] = int32(y)
+		id, ok := db.srcID[string(rec[:slen])] // no allocation on a hit
 		if !ok {
-			src = string(rec[:slen])
-			sources[src] = src
+			id = db.intern(string(rec[:slen]))
 		}
-		e.S = src
-		copy(e.H[:], rec[slen:])
+		srcs[i] = id
+		copy(hashes[i][:], rec[slen:])
 		fb := rec[slen+32:]
 		for j, row := 0, arena[i*dim:(i+1)*dim]; j < dim; j++ {
 			row[j] = math.Float32frombits(binary.LittleEndian.Uint32(fb[4*j:]))
@@ -528,36 +695,36 @@ func LoadDB(r io.Reader) (*DB, error) {
 		}
 		counts[y]++
 	}
+	db.label, db.hash, db.src = loadedColumn(1, labels), loadedColumn(1, hashes), loadedColumn(1, srcs)
+	db.rows, db.loaded = loadedColumn(dim, arena), n
 
 	// next[y] is the class-major row the label's next entry belongs in.
 	next := make(map[int]int, len(order))
-	db := &DB{dim: dim, entries: entries, byClass: make(map[int][]int, len(order)), blocks: make(map[int][]float32, len(order))}
-	members := make([]int, n) // database index by class-major row: every byClass slice, back to back
+	db.blocks = make(map[int][]float32, len(order))
+	members := make([]int32, n) // database index by class-major row: every class's entry list, back to back
 	start := 0
 	for _, y := range order {
 		end := start + counts[y]
 		next[y] = start
-		db.byClass[y] = members[start:end:end]
+		class := loadedColumn(1, members[start:end:end])
+		db.byClass[y] = &class
 		db.blocks[y] = arena[start*dim : end*dim : end*dim]
 		start = end
 	}
-	var dest []int32 // class-major row of the vector the file put in row i
-	if !grouped {
-		dest = make([]int32, n)
-	}
-	for i := range entries {
-		row := i
-		if !grouped {
-			row = next[entries[i].Y]
-			next[entries[i].Y]++
-			dest[i] = int32(row)
+	if grouped { // a record's row is where the file put it
+		for i := range members {
+			members[i] = int32(i)
 		}
-		members[row] = i
-		entries[i].F = arena[row*dim : (row+1)*dim : (row+1)*dim]
+		return db, nil
 	}
-	if !grouped {
-		permuteRows(arena, dim, dest)
+	db.rowAt = make([]int32, n)
+	for i, y := range labels {
+		row := next[int(y)]
+		next[int(y)]++
+		db.rowAt[i] = int32(row)
+		members[row] = int32(i)
 	}
+	permuteRows(arena, dim, slices.Clone(db.rowAt))
 	return db, nil
 }
 

@@ -3,9 +3,11 @@ package fingerprint
 import (
 	"bytes"
 	"errors"
+	"fmt"
 	"math"
 	"math/rand/v2"
 	"net/http/httptest"
+	"reflect"
 	"sort"
 	"testing"
 	"testing/quick"
@@ -336,5 +338,43 @@ func TestL2DistanceProperties(t *testing.T) {
 	}
 	if err := quick.Check(f, &quick.Config{MaxCount: 60}); err != nil {
 		t.Fatal(err)
+	}
+}
+
+// TestQueryTieOrder: the linear scan keeps (distance, index) pairs and a
+// bounded heap instead of sorting whole matches, and must still order
+// equal distances by database index — with every member of the class at
+// one distance, with a few distinct distances, and on the parallel path.
+func TestQueryTieOrder(t *testing.T) {
+	for _, tc := range []struct{ n, distinct int }{{40, 1}, {300, 3}, {2*8192 + 5, 2}} {
+		db, err := NewDB(4)
+		if err != nil {
+			t.Fatal(err)
+		}
+		for i := 0; i < tc.n; i++ {
+			f := Fingerprint{float32(i % tc.distinct), 0, 0, 0}
+			if err := db.Add(Linkage{F: f, Y: i % 2, S: fmt.Sprintf("p%d", i%3), H: [32]byte{byte(i)}}); err != nil {
+				t.Fatal(err)
+			}
+		}
+		q := Fingerprint{0, 0, 0, 1}
+		for _, k := range []int{1, 7, tc.n / 2, tc.n} {
+			got, err := db.Query(q, 1, k)
+			if err != nil {
+				t.Fatal(err)
+			}
+			var want []Match
+			for i := 1; i < tc.n; i += 2 {
+				e := db.Entry(i)
+				d, _ := q.L2Distance(e.F)
+				want = append(want, Match{Index: i, Source: e.S, Label: 1, Hash: e.H, Distance: d})
+			}
+			sort.SliceStable(want, func(a, b int) bool { return want[a].Distance < want[b].Distance })
+			want = want[:min(k, len(want))]
+			if !reflect.DeepEqual(got, want) {
+				t.Fatalf("n %d, %d distances, k %d: got %d matches starting %+v, want %d starting %+v",
+					tc.n, tc.distinct, k, len(got), got[:min(3, len(got))], len(want), want[:min(3, len(want))])
+			}
+		}
 	}
 }

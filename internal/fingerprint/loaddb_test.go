@@ -6,9 +6,11 @@ import (
 	"errors"
 	"fmt"
 	"io"
+	"math"
 	"math/rand/v2"
 	"reflect"
 	"runtime"
+	"slices"
 	"sync"
 	"testing"
 )
@@ -75,15 +77,120 @@ func checkArena(t testing.TB, db *DB) {
 	}
 }
 
+// sameLinkage compares field by field, floats by their bits: a fuzzed
+// file may hold NaNs.
+func sameLinkage(a, b Linkage) bool {
+	return a.Y == b.Y && a.S == b.S && a.H == b.H &&
+		slices.EqualFunc(a.F, b.F, func(x, y float32) bool { return math.Float32bits(x) == math.Float32bits(y) })
+}
+
 func sameEntries(t testing.TB, got, want *DB) {
 	t.Helper()
 	if got.Len() != want.Len() || got.Dim() != want.Dim() {
 		t.Fatalf("size %d×%d, want %d×%d", got.Len(), got.Dim(), want.Len(), want.Dim())
 	}
 	for i := 0; i < want.Len(); i++ {
-		if g, w := got.Entry(i), want.Entry(i); !reflect.DeepEqual(g, w) {
+		if g, w := got.Entry(i), want.Entry(i); !sameLinkage(g, w) {
 			t.Fatalf("entry %d: %+v, want %+v", i, g, w)
 		}
+	}
+}
+
+// records decodes a CTFP stream record by record, independently of
+// LoadDB, and returns each linkage with the offset its record ends at.
+func records(t testing.TB, raw []byte) (ls []Linkage, ends []int) {
+	t.Helper()
+	dim, n := int(binary.LittleEndian.Uint32(raw[4:])), int(binary.LittleEndian.Uint32(raw[8:]))
+	off := 12
+	for i := 0; i < n; i++ {
+		l := Linkage{Y: int(int32(binary.LittleEndian.Uint32(raw[off:]))), F: make(Fingerprint, dim)}
+		slen := int(binary.LittleEndian.Uint16(raw[off+4:]))
+		l.S = string(raw[off+6 : off+6+slen])
+		off += 6 + slen
+		off += copy(l.H[:], raw[off:])
+		for j := range l.F {
+			l.F[j] = math.Float32frombits(binary.LittleEndian.Uint32(raw[off:]))
+			off += 4
+		}
+		ls, ends = append(ls, l), append(ends, off)
+	}
+	return ls, ends
+}
+
+func savedDB(t testing.TB, db *DB) []byte {
+	t.Helper()
+	var buf bytes.Buffer
+	if err := db.Save(&buf); err != nil {
+		t.Fatal(err)
+	}
+	return buf.Bytes()
+}
+
+// checkLayout holds a database loaded from raw to what the columnar
+// layout must not show: Entry(i) is record i field by field; Snapshot(n)
+// answers, lists its classes and saves like a database loaded from the
+// file's first n records, and goes on doing so when both take the same
+// Adds — which the database it was cut from must not see.
+func checkLayout(t testing.TB, db *DB, raw []byte) {
+	t.Helper()
+	want, ends := records(t, raw)
+	for i, w := range want {
+		if g := db.Entry(i); !sameLinkage(g, w) {
+			t.Fatalf("entry %d: %+v, want record %+v", i, g, w)
+		}
+	}
+	extra := []Linkage{{F: make(Fingerprint, db.Dim()), Y: 0, S: "late"}, {F: make(Fingerprint, db.Dim()), Y: 1 << 20, S: "participant-00"}}
+	for _, n := range []int{0, 1, len(want) / 2, len(want)} {
+		if n > len(want) {
+			continue
+		}
+		prefix := append([]byte(nil), raw[:12]...)
+		if n > 0 {
+			prefix = append(prefix, raw[12:ends[n-1]]...)
+		}
+		binary.LittleEndian.PutUint32(prefix[8:], uint32(n))
+		ref, err := LoadDB(bytes.NewReader(prefix))
+		if err != nil {
+			t.Fatalf("first %d records do not load: %v", n, err)
+		}
+		snap := db.Snapshot(n)
+		for round := 0; round < 2; round++ {
+			sameEntries(t, snap, ref)
+			if !reflect.DeepEqual(snap.Labels(), ref.Labels()) {
+				t.Fatalf("snapshot(%d) labels %v, want %v", n, snap.Labels(), ref.Labels())
+			}
+			for _, y := range ref.Labels() {
+				if !reflect.DeepEqual(snap.ClassIndex(y), ref.ClassIndex(y)) || len(snap.ClassBlock(y)) != len(ref.ClassBlock(y)) {
+					t.Fatalf("snapshot(%d) label %d: class index or block differs from the prefix file's", n, y)
+				}
+				g, _ := snap.Query(extra[0].F, y, 5)
+				w, _ := ref.Query(extra[0].F, y, 5)
+				if !reflect.DeepEqual(g, w) {
+					t.Fatalf("snapshot(%d) label %d: query %+v, want %+v", n, y, g, w)
+				}
+			}
+			if !bytes.Equal(savedDB(t, snap), savedDB(t, ref)) {
+				t.Fatalf("snapshot(%d) saves different bytes than the prefix file's database", n)
+			}
+			for _, l := range extra { // second round: the same again after Add
+				if err := snap.Add(l); err != nil {
+					t.Fatal(err)
+				}
+				if err := ref.Add(l); err != nil {
+					t.Fatal(err)
+				}
+			}
+		}
+		again, err := LoadDB(bytes.NewReader(savedDB(t, snap)))
+		if err != nil {
+			t.Fatal(err)
+		}
+		if !bytes.Equal(savedDB(t, again), savedDB(t, snap)) {
+			t.Fatalf("snapshot(%d): Add after load does not round-trip through Save", n)
+		}
+	}
+	if !bytes.Equal(savedDB(t, db), raw) {
+		t.Fatal("Adds on snapshots changed the database they were cut from")
 	}
 }
 
@@ -100,6 +207,7 @@ func TestLoadDBClassMajor(t *testing.T) {
 		}
 		sameEntries(t, got, want)
 		checkArena(t, got)
+		checkLayout(t, got, raw)
 		rng := rand.New(rand.NewPCG(8, 8))
 		for trial := 0; trial < 20; trial++ {
 			q := randomFP(rng, 6)
@@ -193,6 +301,32 @@ func TestSnapshotCarriesBlocks(t *testing.T) {
 	if got := db.ClassIndex(before.Y); !reflect.DeepEqual(got, class) {
 		t.Fatalf("Add on a snapshot rewrote the live class index: %v, want %v", got, class)
 	}
+
+	// Cut inside the chunk the nine added entries share: the snapshot's
+	// next entry and the database's entry 45 are the same chunk slot.
+	snap = db.Snapshot(45)
+	var live []Linkage
+	for i := 45; i < db.Len(); i++ {
+		live = append(live, db.Entry(i))
+	}
+	fork := Linkage{F: randomFP(rng, 4), Y: live[0].Y, S: "fork", H: [32]byte{1}}
+	if err := snap.Add(fork); err != nil {
+		t.Fatal(err)
+	}
+	if err := db.Add(Linkage{F: randomFP(rng, 4), Y: live[0].Y, S: "live"}); err != nil {
+		t.Fatal(err)
+	}
+	for i, w := range live {
+		if g := db.Entry(45 + i); !sameLinkage(g, w) {
+			t.Fatalf("Add on a snapshot cut inside a chunk rewrote live entry %d: %+v, want %+v", 45+i, g, w)
+		}
+	}
+	if g := snap.Entry(45); !sameLinkage(g, fork) || snap.Len() != 46 || db.Entry(49).S != "live" {
+		t.Fatalf("snapshot entry 45 is %+v after both sides added, live entry 49 %+v", g, db.Entry(49))
+	}
+	if got, want := snap.ClassIndex(fork.Y), append(db.Snapshot(45).ClassIndex(fork.Y), 45); !reflect.DeepEqual(got, want) {
+		t.Fatalf("forked class index %v, want %v", got, want)
+	}
 }
 
 // onlyReader hides every method but Read, so LoadDB cannot seek.
@@ -275,18 +409,52 @@ func FuzzLoadDB(f *testing.F) {
 			return
 		}
 		checkArena(t, db)
-		var out bytes.Buffer
-		if err := db.Save(&out); err != nil {
-			t.Fatal(err)
+		consumed := savedDB(t, db)
+		if !bytes.HasPrefix(data, consumed) {
+			t.Fatalf("Save after LoadDB is not the %d bytes consumed", len(consumed))
 		}
-		if !bytes.HasPrefix(data, out.Bytes()) {
-			t.Fatalf("Save after LoadDB is not the %d bytes consumed", out.Len())
-		}
+		checkLayout(t, db, consumed)
 	})
 }
 
+// TestEntryNeverMoves: a fingerprint Entry handed out stays the entry's
+// storage however far the database grows past it — through row-chunk
+// boundaries and growths of every chunk table — for loaded entries and
+// added ones alike.
+func TestEntryNeverMoves(t *testing.T) {
+	_, raw := fileDB(t, 4, 10, 2, false, 31)
+	db, err := LoadDB(bytes.NewReader(raw))
+	if err != nil {
+		t.Fatal(err)
+	}
+	rng := rand.New(rand.NewPCG(3, 1))
+	var held []Fingerprint // Entry(i).F as first handed out
+	var want []Linkage
+	for i := 0; i < 10+5*chunkEntries; i++ {
+		if i >= 10 {
+			l := Linkage{F: randomFP(rng, 4), Y: i % 3, S: fmt.Sprintf("p%d", i%5)}
+			l.H[0] = byte(i)
+			if err := db.Add(l); err != nil {
+				t.Fatal(err)
+			}
+		}
+		e := db.Entry(i)
+		held, want = append(held, e.F), append(want, Linkage{F: slices.Clone(e.F), Y: e.Y, S: e.S, H: e.H})
+	}
+	for i, w := range want {
+		e := db.Entry(i)
+		if !sameLinkage(e, w) {
+			t.Fatalf("entry %d changed as the database grew: %+v, want %+v", i, e, w)
+		}
+		if &e.F[0] != &held[i][0] || !slices.Equal(held[i], w.F) {
+			t.Fatalf("entry %d's row moved as the database grew", i)
+		}
+	}
+}
+
 // TestConcurrentAddQuerySnapshot: readers, a writer and snapshot-takers
-// share one loaded database. Run under -race.
+// share one loaded database while it grows across row-chunk boundaries.
+// Run under -race.
 func TestConcurrentAddQuerySnapshot(t *testing.T) {
 	_, raw := fileDB(t, 8, 300, 3, false, 27)
 	db, err := LoadDB(bytes.NewReader(raw))
@@ -310,24 +478,36 @@ func TestConcurrentAddQuerySnapshot(t *testing.T) {
 					t.Error(err)
 					return
 				}
+				i := rng.IntN(db.Len())
+				if e, y := db.Entry(i), i%3; i >= 300 && e.Y != (i-300)%4 || i < 300 && e.Y != y || len(e.F) != 8 {
+					t.Errorf("entry %d read as %+v", i, e)
+					return
+				}
 				snap := db.Snapshot(-1)
 				if got := len(snap.ClassIndex(g)); got < 100 {
 					t.Errorf("snapshot lost label %d entries: %d", g, got)
 					return
 				}
 				_ = snap.ClassBlock(g)[0]
+				// An Add on the snapshot forks it off chunks the writer
+				// is filling at this moment.
+				n := snap.Len()
+				if err := snap.Add(Linkage{F: randomFP(rng, 8), Y: g, S: "fork"}); err != nil || snap.Entry(n).S != "fork" {
+					t.Errorf("Add on a snapshot of %d: %v, entry %+v", n, err, snap.Entry(n))
+					return
+				}
 			}
 		}(g)
 	}
 	rng := rand.New(rand.NewPCG(77, 4))
-	for i := 0; i < 300; i++ {
+	for i := 0; i < 3*chunkEntries; i++ {
 		if err := db.Add(Linkage{F: randomFP(rng, 8), Y: i % 4, S: "w"}); err != nil {
 			t.Fatal(err)
 		}
 	}
 	close(stop)
 	wg.Wait()
-	if db.Len() != 600 {
+	if db.Len() != 300+3*chunkEntries {
 		t.Fatalf("len %d", db.Len())
 	}
 }

@@ -415,7 +415,16 @@ type StatsResponse struct {
 	// Ingest carries the write path's counters when the daemon has one
 	// (started with -wal).
 	Ingest *IngestStats `json:"ingest,omitempty"`
+	// LinkageResidentBytes is the caltrain_linkage_resident_bytes gauge
+	// family by its part label: what the linkages cost resident in the
+	// database's rows, provenance and class index, and in the index.
+	LinkageResidentBytes map[string]int64 `json:"linkage_resident_bytes,omitempty"`
 }
+
+// ResidentBytesMetric names the gauge family StatsSnapshot re-reports as
+// StatsResponse.LinkageResidentBytes; the deployment that knows the
+// database declares it through MustRegisterMetrics.
+const ResidentBytesMetric = "caltrain_linkage_resident_bytes"
 
 // HistogramBin is one cumulative-style latency bucket: Count queries took
 // at most LeUS microseconds (the final bin has LeUS == -1, meaning +Inf).
@@ -933,6 +942,12 @@ func (s *Service) StatsSnapshot() StatsResponse {
 	if s.ingester != nil {
 		st := s.ingester.IngestStats()
 		out.Ingest = &st
+	}
+	for _, part := range s.metrics.Collect(ResidentBytesMetric) {
+		if out.LinkageResidentBytes == nil {
+			out.LinkageResidentBytes = make(map[string]int64)
+		}
+		out.LinkageResidentBytes[part.Labels[0].Value] = int64(part.Value)
 	}
 	return out
 }

@@ -2,6 +2,7 @@ package index
 
 import (
 	"bytes"
+	"errors"
 	"math/rand/v2"
 	"reflect"
 	"runtime"
@@ -141,6 +142,88 @@ func TestIndexAliasesLoadedDB(t *testing.T) {
 	}
 }
 
+// runsOf exposes every run of entries of an index: a bucket per label
+// for Flat and IVF, every inverted list for IVFPQ.
+func runsOf(t testing.TB, s Searcher) []*entries {
+	t.Helper()
+	var out []*entries
+	if pq, ok := s.(*IVFPQ); ok {
+		for _, c := range pq.labels {
+			for _, l := range c.lists {
+				out = append(out, &l.entries)
+			}
+		}
+		return out
+	}
+	for _, b := range bucketsOf(t, s) {
+		out = append(out, &b.entries)
+	}
+	return out
+}
+
+// TestIndexHoldsProvenanceOnlyForAppends: an index built over a
+// database — loaded or Add-built — keeps no linkage of its own for any
+// entry it was built over, only the database it resolves them through;
+// a linkage that arrives through Append and that no database holds is
+// kept, and served with its own index, source and hash, before and after
+// a Save/Load round trip.
+func TestIndexHoldsProvenanceOnlyForAppends(t *testing.T) {
+	const dim, classes = 8, 3
+	added, loaded, _ := addedAndLoaded(t, dim, 300, classes, true, 13)
+	for _, db := range []*fingerprint.DB{added, loaded} {
+		ivf, err := TrainIVF(db, IVFOptions{Nlist: 4, Nprobe: 4, Seed: 2})
+		if err != nil {
+			t.Fatal(err)
+		}
+		pq, err := TrainIVFPQ(db, IVFPQOptions{IVFOptions: IVFOptions{Nlist: 4, Nprobe: 4, Seed: 2}, M: 4})
+		if err != nil {
+			t.Fatal(err)
+		}
+		for _, x := range []Appender{NewFlat(db), ivf, pq} {
+			held := 0
+			for _, e := range runsOf(t, x) {
+				if len(e.src)+len(e.hash)+len(e.f) != 0 || e.db != db {
+					t.Fatalf("%s: a built run of %d entries keeps provenance of its own for %d (database %p, want %p)", x.Kind(), len(e.idx), len(e.src), e.db, db)
+				}
+				held += len(e.idx)
+			}
+			if held != db.Len() {
+				t.Fatalf("%s: runs cover %d of %d entries", x.Kind(), held, db.Len())
+			}
+
+			ghost := fingerprint.Linkage{F: make(fingerprint.Fingerprint, dim), Y: 1, S: "ghost", H: [32]byte{0xfe, 0xed}}
+			ghost.F[0] = 40 // far from every unit-norm entry: its own nearest neighbour
+			ghostIdx := db.Len() + 7
+			if err := x.Append(ghostIdx, ghost); err != nil {
+				t.Fatal(err)
+			}
+			kept := 0
+			for _, e := range runsOf(t, x) {
+				kept += len(e.idx) - e.kept()
+			}
+			if kept != 1 {
+				t.Fatalf("%s: provenance kept for %d entries after one Append", x.Kind(), kept)
+			}
+			reloaded, err := Load(bytes.NewReader(savedBytes(t, x)))
+			if err != nil {
+				t.Fatal(err)
+			}
+			for _, s := range []Searcher{x, reloaded} {
+				got, err := s.Search(ghost.F, 1, 2)
+				if err != nil || len(got) != 2 {
+					t.Fatalf("%s: %v, %v", s.Kind(), got, err)
+				}
+				if m := got[0]; m.Index != ghostIdx || m.Source != "ghost" || m.Hash != ghost.H || m.Label != 1 {
+					t.Fatalf("%s: the appended linkage is served as %+v", s.Kind(), m)
+				}
+				if e := db.Entry(got[1].Index); got[1].Source != e.S || got[1].Hash != e.H || e.Y != 1 {
+					t.Fatalf("%s: the runner-up %+v is not the database's entry %+v", s.Kind(), got[1], e)
+				}
+			}
+		}
+	}
+}
+
 // swapCatcher records the backend a drift retrain hot-swaps in and
 // signals the swap on done.
 type swapCatcher struct {
@@ -167,14 +250,14 @@ func assertCarriedAlias(t testing.TB, x *IVFPQ, db *fingerprint.DB, resident int
 	carried := 0
 	for _, c := range x.labels {
 		for _, l := range c.lists {
-			r := l.n() - len(l.own)
-			for i, o := range l.own {
+			r := l.kept()
+			for i, f := range l.f {
 				e := db.Entry(int(l.idx[r+i]))
-				if o.S != e.S || o.H != e.H || &o.F[0] != &e.F[0] {
+				if l.src[i] != e.S || l.hash[i] != e.H || &f[0] != &e.F[0] {
 					t.Fatalf("ivfpq %s: entry %d is carried as a copy, not as the database's row", when, l.idx[r+i])
 				}
 			}
-			carried += len(l.own)
+			carried += len(l.f)
 		}
 	}
 	if resident >= 0 && x.Len()-carried != resident {
@@ -332,11 +415,13 @@ func TestLoadedMatchesAdded(t *testing.T) {
 	}
 }
 
-// TestAliasedIndexRace runs everything that touches the shared rows at
-// once — searches over the aliased base, appends to the tails, DB.Add,
-// and snapshots retrained into fresh indexes; for IVFPQ, searches whose
-// exact stage reads rows through the database and through linkages the
-// concurrent appends are adding. Run under -race.
+// TestAliasedIndexRace runs everything that touches the shared storage
+// at once — searches over the aliased base that resolve every match's
+// provenance through the database, appends to the tails, DB.Add growing
+// the database's columns across chunk boundaries, and snapshots retrained
+// into fresh indexes; for IVFPQ, searches whose exact stage reads rows
+// through the database and through linkages the concurrent appends are
+// adding. Run under -race.
 func TestAliasedIndexRace(t *testing.T) {
 	const dim, classes = 8, 3
 	_, db, _ := addedAndLoaded(t, dim, 450, classes, false, 23)
@@ -389,7 +474,7 @@ func TestAliasedIndexRace(t *testing.T) {
 		}
 	}()
 	rng := rand.New(rand.NewPCG(99, 12))
-	for i := 0; i < 300; i++ {
+	for i := 0; i < 600; i++ { // the database's chunks hold 256 entries
 		l := fingerprint.Linkage{F: randomFP(rng, dim), Y: i % (classes + 1), S: "w"}
 		idx := db.Len()
 		if err := db.Add(l); err != nil {
@@ -415,54 +500,158 @@ func TestAliasedIndexRace(t *testing.T) {
 	}
 }
 
-// TestLoadedIndexHeapBudget is the memory budget of a serving shard,
-// held in tier-1: a loaded database plus its index may keep at most
-// 1.35 × the raw vector bytes live, plus a fixed allowance, and loading
-// may allocate at most 1.2 × the file. At dim 64 the raw vectors are
-// 256 B/entry; the provenance the database and the index each keep
-// (label, source, hash, indices: ~140 B/entry) is what the 0.35 and the
-// allowance cover. A second copy of the vectors — the parent's
-// per-entry loader plus bucket copy held 2× — cannot fit.
+// liveHeap returns the bytes live after a collection, and every byte
+// allocated so far.
+func liveHeap() (live, total uint64) {
+	runtime.GC()
+	var ms runtime.MemStats
+	runtime.ReadMemStats(&ms)
+	return ms.HeapAlloc, ms.TotalAlloc
+}
+
+// The resident budget of a serving shard at dim 64, where the raw
+// vectors are 256 B/entry, as factors over them plus a fixed allowance.
+// The database keeps a linkage once: its row, 40 B of provenance (hash,
+// label, source id) and a 4-byte class index entry, 300 B or 1.17×; an
+// index adds a database index per entry and IVF a list position, 8 B.
+// Either budget is a few bytes per entry above that: a second copy of
+// an entry's provenance anywhere (48 B and up) cannot fit, let alone of
+// its vector.
+const (
+	heapAllowance = 1 << 20
+	dbBudget      = 1.18
+	indexedBudget = 1.22
+)
+
+// TestLoadedIndexHeapBudget holds a loaded database, alone and under
+// each index, to the resident budget, and loading to allocating at most
+// 1.2 × the file. IVFPQ's codes, M bytes an entry, are its own and come
+// on top.
 func TestLoadedIndexHeapBudget(t *testing.T) {
 	if testing.Short() {
 		t.Skip("allocates a 50 000 × 64 database")
 	}
-	const dim, n, classes = 64, 50_000, 8
-	const allowance = 4 << 20
+	const dim, n, classes, m = 64, 50_000, 8, 16
 	_, _, raw := addedAndLoaded(t, dim, n, classes, true, 7)
 	rawVectors := float64(n * dim * 4)
 
-	heap := func() (live, total uint64) {
-		runtime.GC()
-		var ms runtime.MemStats
-		runtime.ReadMemStats(&ms)
-		return ms.HeapAlloc, ms.TotalAlloc
-	}
-	live0, total0 := heap()
+	live0, total0 := liveHeap()
 	db, err := fingerprint.LoadDB(bytes.NewReader(raw))
 	if err != nil {
 		t.Fatal(err)
 	}
-	_, total1 := heap()
+	_, total1 := liveHeap()
 	if got, limit := float64(total1-total0), 1.2*float64(len(raw)); got > limit {
 		t.Errorf("LoadDB allocated %.1f MB for a %.1f MB file (limit 1.2×)", got/1e6, float64(len(raw))/1e6)
 	}
-	for _, build := range []func() (Searcher, error){
-		func() (Searcher, error) { return NewFlat(db), nil },
-		func() (Searcher, error) { return TrainIVF(db, IVFOptions{Seed: 1}) },
+	for _, row := range []struct {
+		name   string
+		budget float64
+		build  func() (Searcher, error)
+	}{
+		{"database alone", dbBudget * rawVectors, func() (Searcher, error) { return db, nil }},
+		{"flat", indexedBudget * rawVectors, func() (Searcher, error) { return NewFlat(db), nil }},
+		{"ivf", indexedBudget * rawVectors, func() (Searcher, error) { return TrainIVF(db, IVFOptions{Seed: 1}) }},
+		{"ivfpq", indexedBudget*rawVectors + n*m, func() (Searcher, error) {
+			return TrainIVFPQ(db, IVFPQOptions{IVFOptions: IVFOptions{Seed: 1}, M: m})
+		}},
 	} {
-		s, err := build()
+		s, err := row.build()
 		if err != nil {
 			t.Fatal(err)
 		}
-		live1, _ := heap()
-		got, limit := float64(live1-live0), 1.35*rawVectors+allowance
-		t.Logf("%s: %.1f MB live over %.1f MB of vectors (%.2f×, limit %.1f MB)", s.Kind(), got/1e6, rawVectors/1e6, got/rawVectors, limit/1e6)
+		live1, _ := liveHeap()
+		got, limit := float64(live1-live0), row.budget+heapAllowance
+		t.Logf("%s: %.2f MB live over %.1f MB of vectors (%.3f×, limit %.2f MB)", row.name, got/1e6, rawVectors/1e6, got/rawVectors, limit/1e6)
 		if got > limit {
-			t.Errorf("%s: database + index keep %.1f MB live, budget %.1f MB", s.Kind(), got/1e6, limit/1e6)
+			t.Errorf("%s: %.2f MB live, budget %.2f MB", row.name, got/1e6, limit/1e6)
 		}
 		runtime.KeepAlive(s)
 	}
 	runtime.KeepAlive(db)
 	runtime.KeepAlive(raw) // part of the baseline: it must not be collected in between
+}
+
+// TestStoreRetrainPinsNothing: a drift retrain trains over a Snapshot and
+// the swapped-in index keeps it, to resolve the entries it was built
+// over. Once the live database has grown to three times that snapshot,
+// everything still reachable must be current: the database within its
+// budget over the entries it holds NOW, plus what the index reports
+// owning (codes, and the linkage of every entry appended since — the
+// price of a tail, not of a stale copy). Column arrays a growing database
+// had reallocated, kept alive by the snapshot, would not fit: they are
+// 44 B for every entry of the snapshot.
+func TestStoreRetrainPinsNothing(t *testing.T) {
+	if testing.Short() {
+		t.Skip("ingests 90 000 × 64 linkages")
+	}
+	const dim, n, classes = 64, 40_000, 4
+	_, _, raw := addedAndLoaded(t, dim, n, classes, true, 11)
+	live0, _ := liveHeap()
+	db, err := fingerprint.LoadDB(bytes.NewReader(raw))
+	if err != nil {
+		t.Fatal(err)
+	}
+	opts := IVFPQOptions{IVFOptions: IVFOptions{Seed: 1}, M: 16}
+	first, err := TrainIVFPQ(db, opts)
+	if err != nil {
+		t.Fatal(err)
+	}
+	trained := 0 // entries the one retrain saw; written before the swap is signalled
+	swapped := swapCatcher{done: make(chan struct{})}
+	store, err := ingest.Open(t.TempDir(), db, first, ingest.Options{
+		WAL:            ingest.WALOptions{Sync: ingest.SyncNever},
+		DriftThreshold: 0.1,
+		Rebuild: func(snap *fingerprint.DB) (fingerprint.Searcher, error) {
+			if trained > 0 {
+				return nil, errors.New("one retrain is what this test measures")
+			}
+			trained = snap.Len()
+			return TrainIVFPQ(snap, opts)
+		},
+		Swapper: &swapped,
+	})
+	if err != nil {
+		t.Fatal(err)
+	}
+	first = nil // the store's to drop at the swap
+	rng := rand.New(rand.NewPCG(8, 8))
+	ingest := func(count int) {
+		for count > 0 {
+			batch := make([]fingerprint.Linkage, min(count, 500))
+			for i := range batch {
+				batch[i] = fingerprint.Linkage{F: randomFP(rng, dim), Y: i % classes, S: "drift", H: [32]byte{byte(i)}}
+			}
+			if _, err := store.IngestBatch(batch); err != nil {
+				t.Fatal(err)
+			}
+			count -= len(batch)
+		}
+	}
+	ingest(n/10 + 500)
+	select {
+	case <-swapped.done:
+	case <-time.After(60 * time.Second):
+		t.Fatal("drift past the threshold did not retrain")
+	}
+	ingest(2 * trained)
+	if err := store.Close(); err != nil {
+		t.Fatal(err)
+	}
+	store = nil
+	if db.Len() < 3*trained || swapped.s.Len() != db.Len() {
+		t.Fatalf("database holds %d entries, index %d, after a retrain over %d", db.Len(), swapped.s.Len(), trained)
+	}
+
+	live1, _ := liveHeap()
+	rawVectors := float64(db.Len() * dim * 4)
+	owned := float64(swapped.s.(*IVFPQ).OwnedBytes())
+	got, limit := float64(live1-live0), dbBudget*rawVectors+owned+heapAllowance
+	t.Logf("%d entries, %d of them under the retrained index's snapshot: %.2f MB live, %.2f MB of it the index's own (limit %.2f MB)",
+		db.Len(), trained, got/1e6, owned/1e6, limit/1e6)
+	if got > limit {
+		t.Errorf("%.2f MB live after the database outgrew the retrained index, budget %.2f MB", got/1e6, limit/1e6)
+	}
+	runtime.KeepAlive(db)
+	runtime.KeepAlive(raw)
 }

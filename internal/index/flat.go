@@ -69,14 +69,14 @@ func (x *Flat) Append(dbIndex int, l fingerprint.Linkage) error {
 	return nil
 }
 
-// VectorBytes reports the bytes of search geometry the index holds in
-// memory — vector storage plus the per-entry database indices —
-// excluding the provenance metadata (source, hash) every backend
-// stores identically. For Flat this is essentially 4·dim bytes per
-// entry; the IVFPQ backend's VectorBytes divides this by roughly
-// 4·dim/M. The bench trajectory's bytes/entry rows and the
-// TestIVFPQRecall memory assertion both compare backends through this
-// method.
+// VectorBytes reports the bytes of search geometry the index scans —
+// vector storage plus the per-entry database indices — whether the
+// rows are its own or the database's class block, aliased. For Flat
+// this is essentially 4·dim bytes per entry; the IVFPQ backend's
+// VectorBytes divides this by roughly 4·dim/M. The bench trajectory's
+// bytes/entry rows and the TestIVFPQRecall memory assertion both
+// compare backends through this method; OwnedBytes is what the index
+// adds to the process.
 func (x *Flat) VectorBytes() int64 {
 	x.mu.RLock()
 	defer x.mu.RUnlock()
@@ -84,6 +84,20 @@ func (x *Flat) VectorBytes() int64 {
 	for _, b := range x.buckets {
 		total += b.vecs.bytes()
 		total += 4 * int64(len(b.idx))
+	}
+	return total
+}
+
+// OwnedBytes reports what the index keeps resident beyond the database
+// it was built over: per entry a database index, plus the rows and the
+// linkage of every entry Append handed it (and of every entry when the
+// database had no class block to alias, or the index came from Load).
+func (x *Flat) OwnedBytes() int64 {
+	x.mu.RLock()
+	defer x.mu.RUnlock()
+	var total int64
+	for _, b := range x.buckets {
+		total += b.ownedBytes()
 	}
 	return total
 }

@@ -38,6 +38,12 @@
 // database the index was trained over (or, for an appended entry, through
 // the linkage Append was handed).
 //
+// Provenance has the same split in all three (see entries): an index
+// keeps the database it was built over and each entry's database index,
+// resolves source and hash through them when a match is materialised or
+// saved, and keeps a source and hash of its own only for what Append
+// handed it.
+//
 // All three serialize with Save/Load so a built index persists and
 // reloads alongside LinkageDB.Save.
 package index
@@ -85,6 +91,7 @@ type Drifter interface {
 type rows struct {
 	dim, nb    int
 	base, tail []float32
+	shared     bool // base is the database's class block, not the index's own
 }
 
 // at returns row p.
@@ -135,16 +142,60 @@ func (m *rows) gather(q []float32, pos []int32, out []float64) {
 // bytes is the float storage both segments address.
 func (m *rows) bytes() int64 { return 4 * int64(len(m.base)+len(m.tail)) }
 
+// entries is the identity side of a run of index entries — a bucket's,
+// or one IVFPQ list's: the database index of each, and what the index
+// keeps of a linkage itself. That is kept only for the run's last
+// len(src) entries: the ones that arrived through Append, which the
+// database the index was built over need not hold, and every entry of an
+// index read by Load. The entries before them are the database's and
+// resolve through it by index, so a linkage's provenance is resident
+// once.
+type entries struct {
+	db   *fingerprint.DB // what the index was built over; nil for a loaded index
+	idx  []int32         // database indices
+	src  []string        // S of each kept entry
+	hash [][32]byte      // H of each kept entry
+	// f is IVFPQ's alone, which has no vector storage of its own: each
+	// kept entry's row, aliasing the fingerprint Append was handed, nil
+	// for an entry read by Load.
+	f []fingerprint.Fingerprint
+}
+
+// kept is the position of the run's first kept entry.
+func (e *entries) kept() int { return len(e.idx) - len(e.src) }
+
+// provenance resolves position pos of the run to its source and hash.
+// Callers hold the owning index's lock.
+func (e *entries) provenance(pos int) (string, [32]byte) {
+	if r := e.kept(); pos >= r {
+		return e.src[pos-r], e.hash[pos-r]
+	}
+	l := e.db.Entry(int(e.idx[pos]))
+	return l.S, l.H
+}
+
+// row resolves position pos of an IVFPQ list to its float row: the
+// database's, or the one the list aliases for an entry it keeps.
+func (e *entries) row(pos int) []float32 {
+	if r := e.kept(); pos >= r {
+		return e.f[pos-r]
+	}
+	return e.db.Entry(int(e.idx[pos])).F
+}
+
+// bytes is the storage of the run's identities, by capacity.
+func (e *entries) bytes() int64 {
+	return 4*int64(cap(e.idx)) + 16*int64(cap(e.src)) + 32*int64(cap(e.hash)) + 24*int64(cap(e.f))
+}
+
 // bucket is one class label's slice of the index: vectors stored
 // contiguously for cache-friendly scanning (see rows and the package
-// comment for the base/tail split), provenance kept parallel.
+// comment for the base/tail split), identities parallel (see entries).
 type bucket struct {
 	exact
+	entries
 	n    int
 	vecs rows
-	idx  []int32 // database indices
-	src  []string
-	hash [][32]byte
 }
 
 // appendEntry grows the bucket by one linkage and returns its position.
@@ -163,33 +214,40 @@ func (b *bucket) appendEntry(dbIdx int32, l fingerprint.Linkage) int32 {
 // the database's class block are aliased as base; rows the block does
 // not cover (entries stored by Add) are copied — into the tail behind an
 // aliased base, or as a private base when the label has no block.
+// Nothing else of a linkage is copied: the bucket keeps each entry's
+// database index and db.
 func buildBucket(db *fingerprint.DB, y int) *bucket {
 	dim := db.Dim()
 	idxs := db.ClassIndex(y)
 	block := db.ClassBlock(y)
 	nb := len(block) / dim
 	own := make([]float32, (len(idxs)-nb)*dim)
-	vecs := rows{dim: dim, nb: nb, base: block, tail: own}
+	vecs := rows{dim: dim, nb: nb, base: block, tail: own, shared: true}
 	if nb == 0 {
 		vecs = rows{dim: dim, nb: len(idxs), base: own}
 	}
 	b := &bucket{
-		n:    len(idxs),
-		vecs: vecs,
-		idx:  make([]int32, len(idxs)),
-		src:  make([]string, len(idxs)),
-		hash: make([][32]byte, len(idxs)),
+		entries: entries{db: db, idx: make([]int32, len(idxs))},
+		n:       len(idxs),
+		vecs:    vecs,
 	}
 	for i, dbIdx := range idxs {
-		e := db.Entry(dbIdx)
 		if i >= nb {
-			copy(own[(i-nb)*dim:], e.F)
+			copy(own[(i-nb)*dim:], db.Entry(dbIdx).F)
 		}
 		b.idx[i] = int32(dbIdx)
-		b.src[i] = e.S
-		b.hash[i] = e.H
 	}
 	return b
+}
+
+// ownedBytes is what the bucket keeps resident beyond the database: its
+// own rows and its identities, by capacity.
+func (b *bucket) ownedBytes() int64 {
+	n := 4*int64(cap(b.vecs.tail)) + b.entries.bytes()
+	if !b.vecs.shared {
+		n += 4 * int64(cap(b.vecs.base))
+	}
+	return n
 }
 
 // A bucket is Flat's class: one list, scanned in full by every query.
@@ -206,10 +264,8 @@ func (b *bucket) scanList(w *scratch, qs []float32, heaps []topK, _ int32, lo, h
 		run, n := b.vecs.span(r, min(r+scanBlock, hi))
 		kernel.DistanceBatch(qs, run, b.vecs.dim, w.buf[:nq*n])
 		for j := range heaps {
-			heaps[j].offer(w.buf[j*n:(j+1)*n], 0, r, nil, b.idx)
+			heaps[j].offer(w.buf[j*n:(j+1)*n], r, nil, &b.entries)
 		}
 		r += n
 	}
 }
-
-func (b *bucket) provenance(c cand) (string, [32]byte) { return b.src[c.pos], b.hash[c.pos] }

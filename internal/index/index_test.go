@@ -113,6 +113,40 @@ func TestFlatMatchesExact(t *testing.T) {
 	}
 }
 
+// TestFlatMatchesExactAllTies: with every entry of a class at the same
+// distance, both sides must fall back on the database index alone.
+func TestFlatMatchesExactAllTies(t *testing.T) {
+	db, err := fingerprint.NewDB(4)
+	if err != nil {
+		t.Fatal(err)
+	}
+	for i := 0; i < 90; i++ {
+		l := fingerprint.Linkage{F: fingerprint.Fingerprint{0, 1, 0, 0}, Y: i % 2, S: []string{"a", "b", "c"}[i%3], H: [32]byte{byte(i)}}
+		if err := db.Add(l); err != nil {
+			t.Fatal(err)
+		}
+	}
+	flat := NewFlat(db)
+	for _, k := range []int{1, 8, 45, 60} {
+		want, err := db.Query(fingerprint.Fingerprint{1, 0, 0, 0}, 1, k)
+		if err != nil {
+			t.Fatal(err)
+		}
+		got, err := flat.Search(fingerprint.Fingerprint{1, 0, 0, 0}, 1, k)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if !slices.Equal(got, want) {
+			t.Fatalf("k %d: flat %+v, linear scan %+v", k, got, want)
+		}
+		for i, m := range want {
+			if m.Index != 2*i+1 {
+				t.Fatalf("k %d: match %d is entry %d, want ties in index order", k, i, m.Index)
+			}
+		}
+	}
+}
+
 // TestFlatParallelScanMatchesExact exercises the chunked parallel path
 // (class size above parallelScanThreshold).
 func TestFlatParallelScanMatchesExact(t *testing.T) {

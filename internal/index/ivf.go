@@ -251,10 +251,10 @@ func (x *IVF) Append(dbIndex int, l fingerprint.Linkage) error {
 	return nil
 }
 
-// VectorBytes reports the bytes of search geometry the index holds in
-// memory: the full float32 vectors, per-entry database indices,
-// centroid tables, and inverted-list positions. Provenance metadata
-// (source, hash) is excluded, as in Flat.VectorBytes.
+// VectorBytes reports the bytes of search geometry the index scans: the
+// full float32 vectors (its own or the database's, as in
+// Flat.VectorBytes), per-entry database indices, centroid tables, and
+// inverted-list positions.
 func (x *IVF) VectorBytes() int64 {
 	x.mu.RLock()
 	defer x.mu.RUnlock()
@@ -265,6 +265,22 @@ func (x *IVF) VectorBytes() int64 {
 		total += 4 * int64(len(c.centroids))
 		for _, list := range c.lists {
 			total += 4 * int64(len(list))
+		}
+	}
+	return total
+}
+
+// OwnedBytes reports what the index keeps resident beyond the database
+// it was built over: Flat.OwnedBytes plus the centroid tables and the
+// inverted lists.
+func (x *IVF) OwnedBytes() int64 {
+	x.mu.RLock()
+	defer x.mu.RUnlock()
+	var total int64
+	for _, c := range x.labels {
+		total += c.b.ownedBytes() + 4*int64(cap(c.centroids))
+		for _, list := range c.lists {
+			total += 4 * int64(cap(list))
 		}
 	}
 	return total
@@ -304,8 +320,6 @@ func (c *ivfClass) scanList(w *scratch, q []float32, heaps []topK, li int32, lo,
 	for off := lo; off < hi; off += scanBlock {
 		at := list[off:min(off+scanBlock, hi)]
 		c.b.vecs.gather(q, at, w.buf[:len(at)])
-		heaps[0].offer(w.buf[:len(at)], li, 0, at, c.b.idx)
+		heaps[0].offer(w.buf[:len(at)], 0, at, &c.b.entries)
 	}
 }
-
-func (c *ivfClass) provenance(cd cand) (string, [32]byte) { return c.b.provenance(cd) }

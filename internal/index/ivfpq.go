@@ -34,17 +34,14 @@ func (o IVFPQOptions) withDefaults(dim int) IVFPQOptions {
 }
 
 // pqList is one inverted list of an IVFPQ class: per-entry codes and
-// database indices. An entry's float row and provenance stay where the
-// database keeps them (IVFPQ.entry resolves them by index); the list
-// carries only the linkages the database cannot resolve.
+// identities. An entry's float row and provenance stay where the
+// database keeps them; of the entries the list keeps itself (see
+// entries), one read by Load has no row until AttachDB hands it back to
+// the database, and an appended one's aliases the fingerprint Append was
+// given.
 type pqList struct {
+	entries
 	codes []byte // n×m, row-major
-	idx   []int32
-	// own holds the linkages of the list's LAST len(own) entries: every
-	// entry of a list read by Load, without a fingerprint, until AttachDB
-	// hands them back to the database; and every appended entry, its F
-	// aliasing the row Append was given.
-	own []fingerprint.Linkage
 }
 
 func (l *pqList) n() int { return len(l.idx) }
@@ -90,9 +87,9 @@ type IVFPQ struct {
 	coarseStage
 	m      int
 	labels map[int]*ivfpqClass
-	// db resolves the entries no list carries (see pqList.own); nil for a
-	// loaded index until AttachDB. It may be a Snapshot: entries appended
-	// later arrive through Append with their own row.
+	// db resolves the entries no list carries (every list's entries.db);
+	// nil for a loaded index until AttachDB. It may be a Snapshot:
+	// entries appended later arrive through Append with their own row.
 	db *fingerprint.DB
 	// appendRes is Append's residual scratch, guarded by the write lock
 	// so an append allocates only what the lists themselves grow by.
@@ -189,7 +186,7 @@ func (x *IVFPQ) trainClass(b *bucket, co IVFOptions) *ivfpqClass {
 	})
 	c.lists = make([]*pqList, c.nlist)
 	for ci, list := range ivfc.lists {
-		l := &pqList{codes: make([]byte, len(list)*m), idx: make([]int32, len(list))}
+		l := &pqList{codes: make([]byte, len(list)*m), entries: entries{db: x.db, idx: make([]int32, len(list))}}
 		for i, p := range list {
 			copy(l.codes[i*m:(i+1)*m], codes[int(p)*m:(int(p)+1)*m])
 			l.idx[i] = b.idx[p]
@@ -211,8 +208,7 @@ func (x *IVFPQ) Kind() string { return "ivfpq" }
 // which is the point — at dim 64 and M 16 this is ~1/13 of
 // Flat.VectorBytes for the same entries (the centroid/codebook share
 // amortizes away as classes grow). The rows the exact stage reads are
-// the database's, counted there; provenance metadata (source, hash) is
-// excluded, as in Flat.VectorBytes.
+// the database's, counted there.
 func (x *IVFPQ) VectorBytes() int64 {
 	x.mu.RLock()
 	defer x.mu.RUnlock()
@@ -223,6 +219,23 @@ func (x *IVFPQ) VectorBytes() int64 {
 		for _, l := range c.lists {
 			total += int64(len(l.codes))
 			total += 4 * int64(len(l.idx))
+		}
+	}
+	return total
+}
+
+// OwnedBytes reports what the index keeps resident beyond the database
+// it was built over: VectorBytes by capacity, plus the linkage of every
+// entry Append handed it (and of every entry of an index read by Load,
+// until AttachDB).
+func (x *IVFPQ) OwnedBytes() int64 {
+	x.mu.RLock()
+	defer x.mu.RUnlock()
+	var total int64
+	for _, c := range x.labels {
+		total += 4*int64(cap(c.centroids)) + 4*int64(cap(c.book.centroids))
+		for _, l := range c.lists {
+			total += int64(cap(l.codes)) + l.entries.bytes()
 		}
 	}
 	return total
@@ -249,8 +262,8 @@ func (x *IVFPQ) Append(dbIndex int, l fingerprint.Linkage) error {
 			book:      zeroCodebook(x.m, x.dim/x.m),
 			lists: []*pqList{{
 				codes: make([]byte, x.m),
-				idx:   []int32{int32(dbIndex)},
-				own:   []fingerprint.Linkage{l},
+				entries: entries{db: x.db, idx: []int32{int32(dbIndex)},
+					src: []string{l.S}, hash: [][32]byte{l.H}, f: []fingerprint.Fingerprint{l.F}},
 			}},
 			n: 1,
 		}
@@ -268,7 +281,7 @@ func (x *IVFPQ) Append(dbIndex int, l fingerprint.Linkage) error {
 		lst.codes = slices.Grow(lst.codes, x.m)[:n+x.m]
 		c.book.encode(x.appendRes, lst.codes[n:])
 		lst.idx = append(lst.idx, int32(dbIndex))
-		lst.own = append(lst.own, l)
+		lst.src, lst.hash, lst.f = append(lst.src, l.S), append(lst.hash, l.H), append(lst.f, l.F)
 		c.n++
 	}
 	x.total++
@@ -276,21 +289,11 @@ func (x *IVFPQ) Append(dbIndex int, l fingerprint.Linkage) error {
 	return nil
 }
 
-// entry resolves position pos of list l to its linkage: through the
-// database for the entries the index was trained (or attached) over,
-// from the list itself for the ones it carries. Callers hold a lock.
-func (x *IVFPQ) entry(l *pqList, pos int) fingerprint.Linkage {
-	if r := l.n() - len(l.own); pos >= r {
-		return l.own[pos-r]
-	}
-	return x.db.Entry(int(l.idx[pos]))
-}
-
 // loaded counts the entries the list still carries from Load: the
-// fingerprint-less head of own.
+// row-less head of the ones it keeps.
 func (l *pqList) loaded() int {
 	n := 0
-	for n < len(l.own) && l.own[n].F == nil {
+	for n < len(l.f) && l.f[n] == nil {
 		n++
 	}
 	return n
@@ -314,21 +317,22 @@ func (x *IVFPQ) AttachDB(db *fingerprint.DB) error {
 	n := db.Len()
 	for y, c := range x.labels {
 		for _, l := range c.lists {
-			r := l.n() - len(l.own)
-			for i, o := range l.own[:l.loaded()] {
+			r := l.kept()
+			for i := 0; i < l.loaded(); i++ {
 				idx := int(l.idx[r+i])
 				if idx < 0 || idx >= n {
 					return fmt.Errorf("index: attach: entry %d is outside the %d-entry database", idx, n)
 				}
-				if e := db.Entry(idx); e.Y != y || e.S != o.S || e.H != o.H {
-					return fmt.Errorf("index: attach: entry %d (label %d, source %q) is not the database's", idx, y, o.S)
+				if e := db.Entry(idx); e.Y != y || e.S != l.src[i] || e.H != l.hash[i] {
+					return fmt.Errorf("index: attach: entry %d (label %d, source %q) is not the database's", idx, y, l.src[i])
 				}
 			}
 		}
 	}
 	for _, c := range x.labels {
 		for _, l := range c.lists {
-			l.own = append([]fingerprint.Linkage(nil), l.own[l.loaded():]...)
+			k := l.loaded()
+			l.db, l.src, l.hash, l.f = db, slices.Clone(l.src[k:]), slices.Clone(l.hash[k:]), slices.Clone(l.f[k:])
 		}
 	}
 	x.db = db
@@ -378,7 +382,7 @@ func (c *ivfpqClass) scanList(w *scratch, q []float32, heaps []topK, li int32, l
 	for off := lo; off < hi; off += scanBlock {
 		n := min(scanBlock, hi-off)
 		kernel.ADCScan(w.tab, l.codes[off*m:(off+n)*m], m, w.buf[:n])
-		heaps[0].offer(w.buf[:n], li, off, nil, l.idx)
+		heaps[0].offer(w.buf[:n], off, nil, &l.entries)
 	}
 }
 
@@ -390,11 +394,6 @@ func (c *ivfpqClass) rescore(q []float32, h []cand) {
 		return
 	}
 	for i := range h {
-		h[i].d2 = kernel.SqDist(q, c.x.entry(c.lists[h[i].li], int(h[i].pos)).F)
+		h[i].d2 = kernel.SqDist(q, h[i].in.row(int(h[i].pos)))
 	}
-}
-
-func (c *ivfpqClass) provenance(cd cand) (string, [32]byte) {
-	e := c.x.entry(c.lists[cd.li], int(cd.pos))
-	return e.S, e.H
 }

@@ -431,8 +431,8 @@ func adcReference(x *IVFPQ, f fingerprint.Fingerprint, label, k int) []fingerpri
 		est := make([]float64, l.n())
 		kernel.ADCScan(tab, l.codes, x.m, est)
 		for pos, d2 := range est {
-			e := x.entry(l, pos)
-			out = append(out, fingerprint.Match{Index: int(l.idx[pos]), Source: e.S, Label: label, Hash: e.H, Distance: d2})
+			src, hash := l.provenance(pos)
+			out = append(out, fingerprint.Match{Index: int(l.idx[pos]), Source: src, Label: label, Hash: hash, Distance: d2})
 		}
 	}
 	sort.Slice(out, func(a, b int) bool {
@@ -546,8 +546,8 @@ func TestSaveLoadIVFPQ(t *testing.T) {
 	}
 	for _, c := range re.labels {
 		for _, l := range c.lists {
-			if l.own != nil {
-				t.Fatalf("an attached list still carries %d linkages", len(l.own))
+			if l.kept() != l.n() {
+				t.Fatalf("an attached list still carries %d linkages", l.n()-l.kept())
 			}
 		}
 	}

@@ -52,8 +52,6 @@ type class interface {
 	// rescore replaces the scan's score of every kept candidate by its
 	// final squared distance to q.
 	rescore(q []float32, h []cand)
-	// provenance resolves a candidate to its linkage's source and hash.
-	provenance(c cand) (src string, hash [32]byte)
 }
 
 // exact is the shortlist and rescore of a class whose scan already
@@ -107,12 +105,13 @@ func (x *coarseStage) Drift() float64 {
 
 // cand is one scan candidate: squared distance (a class with a shortlist
 // stores its estimate here until rescore), the database index that
-// breaks ties, and the (list, position) that resolves to its linkage.
-// The sqrt is deferred until the final top-k is known.
+// breaks ties, and the run of entries and position in it that resolve
+// to its linkage. The sqrt is deferred until the final top-k is known.
 type cand struct {
-	d2      float64
-	idx     int32
-	li, pos int32
+	d2  float64
+	idx int32
+	pos int32
+	in  *entries
 }
 
 // compareCands orders candidates by squared distance, ties by database
@@ -201,9 +200,8 @@ func (t *topK) merge(o *topK) {
 }
 
 // offer feeds one block of kernel output through the heap: d2s[i] is
-// the score of the entry at position at[i] of list li — off+i when at
-// is nil — and idx holds the database index of every position.
-func (t *topK) offer(d2s []float64, li int32, off int, at, idx []int32) {
+// the score of the entry at position at[i] of e — off+i when at is nil.
+func (t *topK) offer(d2s []float64, off int, at []int32, e *entries) {
 	for i, d2 := range d2s {
 		// Equal distance can still win on the index tie-break, so <=.
 		if d2 <= t.threshold() {
@@ -211,7 +209,7 @@ func (t *topK) offer(d2s []float64, li int32, off int, at, idx []int32) {
 			if at != nil {
 				pos = at[i]
 			}
-			t.consider(cand{d2: d2, idx: idx[pos], li: li, pos: pos})
+			t.consider(cand{d2: d2, idx: e.idx[pos], pos: pos, in: e})
 		}
 	}
 }
@@ -459,8 +457,9 @@ func (w *scratch) scanRange(c class, qs []float32, heaps []topK, lists []int32, 
 
 // matches consumes query j's heap: the class rescores the shortlist,
 // the best k by (squared distance, database index) are selected and
-// sorted in place, and each is materialized with the one sqrt a
-// returned match costs.
+// sorted in place, and each is materialized with the one sqrt and the
+// one resolution of its provenance (entries.provenance) a returned
+// match costs.
 func (s *scratch) matches(c class, j, dim, label int) []fingerprint.Match {
 	t, k := &s.heaps[j], s.ks[j]
 	c.rescore(s.qs[j*dim:(j+1)*dim], t.h)
@@ -476,7 +475,7 @@ func (s *scratch) matches(c class, j, dim, label int) []fingerprint.Match {
 	slices.SortFunc(t.h, compareCands)
 	out := make([]fingerprint.Match, len(t.h))
 	for i, cd := range t.h {
-		src, hash := c.provenance(cd)
+		src, hash := cd.in.provenance(int(cd.pos))
 		out[i] = fingerprint.Match{
 			Index:    int(cd.idx),
 			Source:   src,

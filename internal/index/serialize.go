@@ -100,20 +100,17 @@ func Save(w io.Writer, s Searcher) error {
 	}
 	put(uint32(dim))
 	put(uint32(len(labels)))
+	var rec []byte
 	for _, y := range labels {
 		b := buckets[y]
 		put(uint32(int32(y)))
 		put(uint32(b.n))
 		for i := 0; i < b.n; i++ {
-			if len(b.src[i]) > 65535 {
-				return fmt.Errorf("index: save: source %q… exceeds 65535 bytes", b.src[i][:32])
+			var err error
+			if rec, err = appendIdentity(rec[:0], &b.entries, i); err != nil {
+				return err
 			}
-			put(uint32(b.idx[i]))
-			var u16 [2]byte
-			binary.LittleEndian.PutUint16(u16[:], uint16(len(b.src[i])))
-			bw.Write(u16[:])
-			bw.WriteString(b.src[i])
-			bw.Write(b.hash[i][:])
+			bw.Write(rec)
 			for _, v := range b.vecs.at(i) {
 				put(math.Float32bits(v))
 			}
@@ -141,6 +138,23 @@ func Save(w io.Writer, s Searcher) error {
 	return nil
 }
 
+// appendIdentity appends what every saved entry starts with — idx u32 |
+// srclen u16 | src | hash[32] — for position pos of e, resolved through
+// the database or from the run itself (entries.provenance), so a file
+// does not show where a linkage was resident. rec is the caller's
+// reused buffer: the hash is copied into it, never handed to the writer,
+// which would move every one to the heap.
+func appendIdentity(rec []byte, e *entries, pos int) ([]byte, error) {
+	src, hash := e.provenance(pos)
+	if len(src) > 65535 {
+		return nil, fmt.Errorf("index: save: source %q… exceeds 65535 bytes", src[:32])
+	}
+	rec = binary.LittleEndian.AppendUint32(rec, uint32(e.idx[pos]))
+	rec = binary.LittleEndian.AppendUint16(rec, uint16(len(src)))
+	rec = append(rec, src...)
+	return append(rec, hash[:]...), nil
+}
+
 // saveIVFPQ writes the kindIVFPQ stream: header, search knobs, then per
 // label the coarse centroids, PQ codebook, and code-carrying inverted
 // lists. The caller holds the index read lock.
@@ -164,6 +178,7 @@ func saveIVFPQ(bw *bufio.Writer, x *IVFPQ) error {
 		labels = append(labels, y)
 	}
 	sort.Ints(labels)
+	var rec []byte
 	for _, y := range labels {
 		c := x.labels[y]
 		put(uint32(int32(y)))
@@ -177,16 +192,11 @@ func saveIVFPQ(bw *bufio.Writer, x *IVFPQ) error {
 		for _, l := range c.lists {
 			put(uint32(l.n()))
 			for i := 0; i < l.n(); i++ {
-				e := x.entry(l, i)
-				if len(e.S) > 65535 {
-					return fmt.Errorf("index: save: source %q… exceeds 65535 bytes", e.S[:32])
+				var err error
+				if rec, err = appendIdentity(rec[:0], &l.entries, i); err != nil {
+					return err
 				}
-				put(uint32(l.idx[i]))
-				var u16 [2]byte
-				binary.LittleEndian.PutUint16(u16[:], uint16(len(e.S)))
-				bw.Write(u16[:])
-				bw.WriteString(e.S)
-				bw.Write(e.H[:])
+				bw.Write(rec)
 				bw.Write(l.codes[i*x.m : (i+1)*x.m])
 			}
 		}
@@ -263,11 +273,9 @@ func Load(r io.Reader) (Searcher, error) {
 		}
 		vecs := make([]float32, n*dim)
 		b := &bucket{
-			n:    n,
-			vecs: rows{dim: dim, nb: n, base: vecs},
-			idx:  make([]int32, n),
-			src:  make([]string, n),
-			hash: make([][32]byte, n),
+			entries: entries{idx: make([]int32, n), src: make([]string, n), hash: make([][32]byte, n)},
+			n:       n,
+			vecs:    rows{dim: dim, nb: n, base: vecs},
 		}
 		for i := 0; i < n; i++ {
 			iv, err := get()
@@ -443,7 +451,8 @@ func loadIVFPQ(br *bufio.Reader, dim, nlabels int, get func() (uint32, error), h
 			if n > maxPlausible || n*m > maxPlausibleElems || !holds(n, 4+2+32+m) {
 				return nil, fmt.Errorf("index: load: implausible list length %d (m %d): %w", n, m, ErrCorrupt)
 			}
-			l := &pqList{codes: make([]byte, n*m), idx: make([]int32, n), own: make([]fingerprint.Linkage, n)}
+			l := &pqList{codes: make([]byte, n*m), entries: entries{
+				idx: make([]int32, n), src: make([]string, n), hash: make([][32]byte, n), f: make([]fingerprint.Fingerprint, n)}}
 			for i := 0; i < n; i++ {
 				iv, err := get()
 				if err != nil {
@@ -459,8 +468,8 @@ func loadIVFPQ(br *bufio.Reader, dim, nlabels int, get func() (uint32, error), h
 					return nil, fmt.Errorf("index: load entry %d/%d/%d: %w: %w", y, ci, i, err, ErrCorrupt)
 				}
 				slen := len(rest) - 32 - m
-				l.own[i].Y, l.own[i].S = y, string(rest[:slen])
-				copy(l.own[i].H[:], rest[slen:slen+32])
+				l.src[i] = string(rest[:slen])
+				copy(l.hash[i][:], rest[slen:slen+32])
 				copy(l.codes[i*m:(i+1)*m], rest[slen+32:])
 			}
 			c.lists[ci] = l

@@ -3,6 +3,7 @@ package ingest
 import (
 	"context"
 	"fmt"
+	"math"
 	"os"
 	"sync"
 	"sync/atomic"
@@ -175,7 +176,7 @@ func ValidateBatch(dim int, ls []fingerprint.Linkage) error {
 		if len(l.F) != dim {
 			return fmt.Errorf("%w: entry %d has %d dims, database %d", fingerprint.ErrDimMismatch, i, len(l.F), dim)
 		}
-		if l.Y < 0 {
+		if l.Y < 0 || l.Y > math.MaxInt32 { // every format stores a label as an int32
 			return fmt.Errorf("%w: entry %d label %d", fingerprint.ErrBadLabel, i, l.Y)
 		}
 		if len(l.S) > 65535 {
@@ -351,6 +352,10 @@ func (s *Store) Replayed() int { return int(s.replayed) }
 
 // Dim returns the fingerprint dimension of the backing database.
 func (s *Store) Dim() int { return s.db.Dim() }
+
+// DB returns the backing database, the one a Store is opened over for
+// its whole life.
+func (s *Store) DB() *fingerprint.DB { return s.db }
 
 // Head returns the next sequence number the log will assign — the
 // number of linkages applied so far. A follower at Head() == the

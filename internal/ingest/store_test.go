@@ -198,8 +198,13 @@ func TestStoreRejectsBadBatch(t *testing.T) {
 	if db.Len() != 10 || flat.Len() != 10 || st.IngestStats().Accepted != 0 {
 		t.Fatalf("bad batch leaked: db %d, flat %d", db.Len(), flat.Len())
 	}
-	if _, err := st.IngestBatch([]fingerprint.Linkage{{F: good[0].F, Y: -1}}); !errors.Is(err, fingerprint.ErrBadLabel) {
-		t.Fatalf("bad label: %v", err)
+	for _, y := range []int{-1, 1 << 31} { // a label is an int32 in the WAL and in every file
+		if _, err := st.IngestBatch([]fingerprint.Linkage{{F: good[0].F, Y: y}}); !errors.Is(err, fingerprint.ErrBadLabel) {
+			t.Fatalf("label %d: %v", y, err)
+		}
+	}
+	if db.Len() != 10 || st.Head() != 10 {
+		t.Fatalf("a rejected label was applied: db %d, head %d", db.Len(), st.Head())
 	}
 }
 

@@ -118,6 +118,25 @@ func (r *Registry) MustRegister(fs ...*Family) {
 	}
 }
 
+// Collect evaluates the named family now and returns its samples — how
+// a JSON status page reports the same numbers the scrape does, from the
+// family's one declaration. An unregistered name collects nothing.
+func (r *Registry) Collect(name string) []Sample {
+	r.mu.Lock()
+	var found *Family
+	for _, f := range r.families {
+		if f.Name == name {
+			found = f
+			break
+		}
+	}
+	r.mu.Unlock()
+	if found == nil {
+		return nil
+	}
+	return found.Collect()
+}
+
 // WriteText renders every family in exposition format 0.0.4.
 func (r *Registry) WriteText(w io.Writer) error {
 	r.mu.Lock()

@@ -341,8 +341,47 @@ func (d Deployment) buildSingle(db *fingerprint.DB, spec BackendSpec) (*Server, 
 		}
 		svc.SetIngester(ing)
 	}
+	current := func() *fingerprint.DB { return db }
+	if d.WAL != nil {
+		// Under replication a full resync replaces the store and its
+		// database: ask each time, and keep the old one unreachable from
+		// here.
+		current = func() *fingerprint.DB {
+			if st := srv.Store(); st != nil {
+				return st.DB()
+			}
+			return nil
+		}
+	}
+	svc.MustRegisterMetrics(residentFamily(current, svc.Searcher))
 	srv.handler = svc.Handler()
 	return srv, nil
+}
+
+// residentFamily is the resident cost of the linkages a daemon serves,
+// by where it is kept: the database's float rows, the provenance beside
+// them, its class index, and what the serving index adds on top. Every
+// part is computed from the lengths of the arrays that hold it, so a
+// scrape costs nothing; index ÷ rows is the overhead the index adds,
+// and the four over 4·dim·caltrain_entries the factor over raw vectors.
+func residentFamily(db func() *fingerprint.DB, searcher func() fingerprint.Searcher) *obs.Family {
+	return obs.SamplesFunc(fingerprint.ResidentBytesMetric,
+		"Bytes the served linkages keep resident, by part: the database's rows, provenance and class_index, and what the index holds on top.",
+		obs.KindGauge, func() []obs.Sample {
+			now := db()
+			if now == nil {
+				return nil // mid-resync: no database to measure
+			}
+			rows, provenance, classIndex := now.ResidentBytes()
+			var index int64
+			if o, ok := searcher().(interface{ OwnedBytes() int64 }); ok {
+				index = o.OwnedBytes()
+			}
+			part := func(name string, bytes int64) obs.Sample {
+				return obs.Sample{Labels: []obs.Label{{Name: "part", Value: name}}, Value: float64(bytes)}
+			}
+			return []obs.Sample{part("rows", rows), part("provenance", provenance), part("class_index", classIndex), part("index", index)}
+		})
 }
 
 // newSyncer wires the replication state machine for a single-service

@@ -140,6 +140,86 @@ func TestConfigShardedDeploymentServesMetrics(t *testing.T) {
 	}
 }
 
+// TestConfigSingleDeploymentServesMetrics: a single-service deployment
+// declares caltrain_linkage_resident_bytes once; the scrape (lint-clean)
+// and /stats report the same four parts, which track an ingest and add
+// up to what the layout promises per entry.
+func TestConfigSingleDeploymentServesMetrics(t *testing.T) {
+	const dim, n = 8, 600
+	db := testDB(t, dim, n, 3)
+	cfg, err := ParseConfig(strings.NewReader(`{"backend": {"kind": "ivf", "nlist": 4}, "volatile_writes": true}`))
+	if err != nil {
+		t.Fatal(err)
+	}
+	dep, err := cfg.Deployment()
+	if err != nil {
+		t.Fatal(err)
+	}
+	srv, err := dep.Build(db)
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer srv.Close()
+	hs := httptest.NewServer(srv.Handler())
+	defer hs.Close()
+	client := fingerprint.NewClient(hs.URL, hs.Client())
+
+	parts := func() map[string]int64 {
+		t.Helper()
+		exposition, err := client.Metrics()
+		if err != nil {
+			t.Fatal(err)
+		}
+		if err := obs.Lint(strings.NewReader(exposition)); err != nil {
+			t.Fatalf("deployment exposition fails lint: %v\n%s", err, exposition)
+		}
+		st, err := client.Stats()
+		if err != nil {
+			t.Fatal(err)
+		}
+		if len(st.LinkageResidentBytes) != 4 {
+			t.Fatalf("/stats linkage_resident_bytes = %v, want rows, provenance, class_index and index", st.LinkageResidentBytes)
+		}
+		for part, bytes := range st.LinkageResidentBytes {
+			series := fingerprint.ResidentBytesMetric + `{part="` + part + `"} ` + strconv.FormatInt(bytes, 10)
+			if bytes <= 0 || !strings.Contains(exposition, series+"\n") {
+				t.Fatalf("exposition lacks %q:\n%s", series, exposition)
+			}
+		}
+		return st.LinkageResidentBytes
+	}
+	before := parts()
+	// testDB builds by Add: rows and columns sit in chunks (at most one
+	// spare chunk per column, and per class), and the index copies the
+	// rows it cannot alias.
+	if rows := before["rows"]; rows < n*dim*4 || rows > (n+256)*dim*4 {
+		t.Errorf("rows = %d bytes for %d × %d floats", rows, n, dim)
+	}
+	if p := before["provenance"]; p < n*40 || p > (n+256)*40+1024 {
+		t.Errorf("provenance = %d bytes for %d entries at 40 B", p, n)
+	}
+	if c := before["class_index"]; c < n*4 || c > (n+3*256)*4 {
+		t.Errorf("class_index = %d bytes for %d entries", c, n)
+	}
+	if x := before["index"]; x < n*(dim*4+8) {
+		t.Errorf("index = %d bytes: less than a copy of the rows plus 8 B an entry", x)
+	}
+
+	entries := make([]fingerprint.IngestEntry, 200)
+	for i := range entries {
+		entries[i] = fingerprint.IngestEntry{Fingerprint: make([]float32, dim), Label: i % 3, Source: "late"}
+	}
+	if _, err := client.Ingest(entries); err != nil {
+		t.Fatal(err)
+	}
+	after := parts()
+	for _, part := range []string{"rows", "provenance", "index"} {
+		if after[part] <= before[part] {
+			t.Errorf("%s did not grow with 200 ingested entries: %d → %d", part, before[part], after[part])
+		}
+	}
+}
+
 // TestConfigMetricsFalseRemovesEndpoint: "metrics": false removes
 // GET /v1/metrics from the built handler.
 func TestConfigMetricsFalseRemovesEndpoint(t *testing.T) {
