@@ -131,7 +131,9 @@ func trainClass(b *bucket, o IVFOptions) *ivfClass {
 
 	// Full assignment pass over every point in the label.
 	full := make([]int32, b.n)
-	assignNearest(&b.vecs, nil, c.centroids, c.nlist, full)
+	assignNearest(&b.vecs, nil, full, func(v []float32) int {
+		return kernel.ArgminRows(v, c.centroids, dim, c.nlist)
+	})
 	c.lists = invertedLists(full, c.nlist)
 	return c
 }
@@ -164,20 +166,31 @@ func invertedLists(assign []int32, nlist int) [][]int32 {
 
 // lloyd refines the k dim-length centroids in place with iters rounds of
 // Lloyd's algorithm over the listed rows of vecs: assign every point to
-// its nearest centroid (kernel.ArgminRows: strict <, lowest index wins),
-// accumulate per-cluster sums in float64 in point order, then replace
-// each centroid by its cluster mean — or, for a cluster left empty,
-// re-seed it from a random listed point so it doesn't waste a probe
-// forever. It is the one k-means loop under both trainers (the coarse
-// quantizer and every PQ subquantizer); rng is drawn once per empty
-// cluster, in ascending cluster order, which trained bytes depend on.
+// its nearest centroid (the kernel's argmin: strict <, lowest index
+// wins), accumulate per-cluster sums in float64 in point order, then
+// replace each centroid by its cluster mean — or, for a cluster left
+// empty, re-seed it from a random listed point so it doesn't waste a
+// probe forever. It is the one k-means loop under both trainers (the
+// coarse quantizer and every PQ subquantizer); rng is drawn once per
+// empty cluster, in ascending cluster order, which trained bytes depend
+// on. cents stays row-major, which is what the update step writes; at
+// the widths the kernel reads dimension-major (planar: a PQ subvector)
+// each assignment pass runs against a transposed copy of the table, a
+// few KB rewritten once per round, and returns the same indexes.
 func lloyd(vecs *rows, points []int32, cents []float32, k, iters int, rng *rand.Rand) {
 	dim := vecs.dim
 	assign := make([]int32, len(points))
 	counts := make([]int, k)
 	sums := make([]float64, k*dim)
+	table := cents
+	if planar(dim) {
+		table = make([]float32, k*dim)
+	}
 	for it := 0; it < iters; it++ {
-		assignNearest(vecs, points, cents, k, assign)
+		if planar(dim) {
+			transpose(table, cents, k, dim)
+		}
+		assignNearest(vecs, points, assign, func(v []float32) int { return nearest(v, table, k) })
 		clear(sums)
 		clear(counts)
 		for i, p := range points {
@@ -203,17 +216,17 @@ func lloyd(vecs *rows, points []int32, cents []float32, k, iters int, rng *rand.
 	}
 }
 
-// assignNearest writes into out[i] the index of the nearest of the k
-// centroids to row points[i] of vecs — to row i when points is nil,
-// which means every row. Large point sets fan out across cores.
-func assignNearest(vecs *rows, points []int32, cents []float32, k int, out []int32) {
+// assignNearest writes into out[i] the centroid nearest row points[i] of
+// vecs — row i when points is nil, which means every row. Large point
+// sets fan out across cores.
+func assignNearest(vecs *rows, points []int32, out []int32, argmin func(v []float32) int) {
 	parallelChunks(len(out), func(lo, hi int) {
 		for i := lo; i < hi; i++ {
 			p := i
 			if points != nil {
 				p = int(points[i])
 			}
-			out[i] = int32(kernel.ArgminRows(vecs.at(p), cents, vecs.dim, k))
+			out[i] = int32(argmin(vecs.at(p)))
 		}
 	})
 }

@@ -147,9 +147,10 @@ func TrainIVFPQ(db *fingerprint.DB, opts IVFPQOptions) (*IVFPQ, error) {
 // trainClass runs the full per-label pipeline: coarse k-means (the
 // IVF trainer), PQ codebook training on the residuals of a sample, and
 // the encoding pass that turns the bucket's float vectors into per-list
-// code arrays. Residuals (vector minus its coarse centroid) are computed
-// where they are consumed — for the training sample, and one row at a
-// time while encoding — never as a whole n×dim matrix.
+// code arrays, each code written once, where it stays. Residuals (vector
+// minus its coarse centroid) are computed where they are consumed — for
+// the training sample, and one row at a time while encoding — never as a
+// whole n×dim matrix.
 func (x *IVFPQ) trainClass(b *bucket, co IVFOptions) *ivfpqClass {
 	dim, m := x.dim, x.m
 	ivfc := trainClass(b, co)
@@ -175,24 +176,27 @@ func (x *IVFPQ) trainClass(b *bucket, co IVFOptions) *ivfpqClass {
 	rng := rand.New(rand.NewPCG(co.Seed^0x9e3779b97f4a7c15, uint64(b.n)<<16|uint64(m)))
 	c.book = trainPQ(residual, b.n, dim, m, co.Iters, max(co.SampleCap, 8*pqKs), rng)
 
-	// Encode every point, then pack codes into list order.
-	codes := make([]byte, b.n*m)
+	// Encode every point straight into its list: order is the bucket
+	// positions list by list, so position q of it is entry q-start[ci] of
+	// its list ci, and the pass fans out over points, not lists.
+	c.lists = make([]*pqList, c.nlist)
+	start := make([]int, c.nlist)
+	order := make([]int32, 0, b.n)
+	for ci, list := range ivfc.lists {
+		c.lists[ci] = &pqList{codes: make([]byte, len(list)*m), entries: entries{db: x.db, idx: make([]int32, len(list))}}
+		start[ci] = len(order)
+		order = append(order, list...)
+	}
 	parallelChunks(b.n, func(lo, hi int) {
 		r := make([]float32, dim)
-		for p := lo; p < hi; p++ {
+		for q := lo; q < hi; q++ {
+			p := int(order[q])
+			l, i := c.lists[assign[p]], q-start[assign[p]]
 			residual(p, r)
-			c.book.encode(r, codes[p*m:(p+1)*m])
-		}
-	})
-	c.lists = make([]*pqList, c.nlist)
-	for ci, list := range ivfc.lists {
-		l := &pqList{codes: make([]byte, len(list)*m), entries: entries{db: x.db, idx: make([]int32, len(list))}}
-		for i, p := range list {
-			copy(l.codes[i*m:(i+1)*m], codes[int(p)*m:(int(p)+1)*m])
+			c.book.encode(r, l.codes[i*m:(i+1)*m])
 			l.idx[i] = b.idx[p]
 		}
-		c.lists[ci] = l
-	}
+	})
 	return c
 }
 
@@ -259,7 +263,7 @@ func (x *IVFPQ) Append(dbIndex int, l fingerprint.Linkage) error {
 			x:         x,
 			nlist:     1,
 			centroids: append([]float32(nil), l.F...),
-			book:      zeroCodebook(x.m, x.dim/x.m),
+			book:      newCodebook(x.m, x.dim/x.m),
 			lists: []*pqList{{
 				codes: make([]byte, x.m),
 				entries: entries{db: x.db, idx: []int32{int32(dbIndex)},

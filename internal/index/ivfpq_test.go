@@ -6,6 +6,7 @@ import (
 	"errors"
 	"math"
 	"math/rand/v2"
+	"os"
 	"reflect"
 	"sort"
 	"testing"
@@ -407,6 +408,73 @@ func TestIVFPQAppendNewLabel(t *testing.T) {
 	}
 }
 
+// TestLoadParentSavedIVFPQ: testdata/pr19.ivfpq.ctix was written by the
+// commit before PQ codebooks became dimension-major in memory (PR 19's
+// build: populatedDB(8, 200, 2, 20), Nlist 4, Nprobe 2, Seed 9, M 2, so
+// 4-float subvectors — the planar width the bench serves). The layout is
+// a resident matter only: under every kernel implementation that file
+// must load, re-save to the same bytes, be exactly what training the
+// same database writes today, and answer — from the ADC stage alone, and
+// after AttachDB from both stages — what the index trained today does.
+func TestLoadParentSavedIVFPQ(t *testing.T) {
+	file, err := os.ReadFile("testdata/pr19.ivfpq.ctix")
+	if err != nil {
+		t.Fatal(err)
+	}
+	db := populatedDB(t, 8, 200, 2, 20)
+	rng := rand.New(rand.NewPCG(20, 20))
+	queries := make([]fingerprint.Fingerprint, 12)
+	for i := range queries {
+		queries[i] = randomFP(rng, 8)
+	}
+	for _, im := range kernel.Impls() {
+		restore, err := kernel.SetActive(im.Name)
+		if err != nil {
+			t.Fatal(err)
+		}
+		got, err := Load(bytes.NewReader(file))
+		if err != nil {
+			t.Fatalf("impl %q: %v", im.Name, err)
+		}
+		loaded := got.(*IVFPQ)
+		if !planar(loaded.labels[0].book.dsub) {
+			t.Fatal("the file's subvectors are not of a planar width: the test would prove nothing")
+		}
+		if !bytes.Equal(savedBytes(t, loaded), file) {
+			t.Errorf("impl %q: the parent's file re-saves to different bytes", im.Name)
+		}
+		trained, err := TrainIVFPQ(db, IVFPQOptions{IVFOptions: IVFOptions{Nlist: 4, Nprobe: 2, Seed: 9}, M: 2})
+		if err != nil {
+			t.Fatal(err)
+		}
+		if !bytes.Equal(savedBytes(t, trained), file) {
+			t.Errorf("impl %q: training the same database no longer writes the parent's bytes", im.Name)
+		}
+		answers := func(x *IVFPQ) (out [][]fingerprint.Match) {
+			for i, q := range queries {
+				ms, err := x.Search(q, i%2, 5)
+				if err != nil {
+					t.Fatal(err)
+				}
+				out = append(out, ms)
+			}
+			return out
+		}
+		for i, ms := range answers(loaded) {
+			if want := adcReference(trained, queries[i], i%2, 5); !reflect.DeepEqual(ms, want) {
+				t.Fatalf("impl %q: loaded, query %d: %+v, want the ADC stage's %+v", im.Name, i, ms, want)
+			}
+		}
+		if err := loaded.AttachDB(db); err != nil {
+			t.Fatalf("impl %q: %v", im.Name, err)
+		}
+		if got, want := answers(loaded), answers(trained); !reflect.DeepEqual(got, want) {
+			t.Errorf("impl %q: attached answers %+v, trained %+v", im.Name, got, want)
+		}
+		restore()
+	}
+}
+
 // adcReference is the first search stage alone, spelled out: every code
 // of the nprobe nearest lists scored through its list's lookup table and
 // ranked by (ADC estimate, database index) — what IVFPQ answered before
@@ -645,8 +713,8 @@ func BenchmarkTrainIVF(b *testing.B) {
 // BenchmarkTrainIVFPQ times the whole IVFPQ build — coarse k-means, PQ
 // codebook training, the encoding pass — for one class at the shape of
 // a bench shard label (dim 64, M 16: 4-float subvectors), 2 500 entries
-// (500 under -short). Nearly all of it is ArgminRows over 256-row
-// codebooks, which is what the rows kernel exists for.
+// (500 under -short). Nearly all of it is ArgminPlanar over 256-centroid
+// codebooks, which is what the planar kernel exists for.
 func BenchmarkTrainIVFPQ(b *testing.B) {
 	n := 2500
 	if testing.Short() {

@@ -20,24 +20,56 @@ import (
 // contract (one code element = one uint8).
 const pqKs = kernel.ADCKs
 
-// pqCodebook holds one label's trained subquantizer centroids.
+// pqCodebook holds one label's trained subquantizer centroids. A
+// subquantizer's table is resident in the layout the kernel's argmin
+// reads at its width: dimension-major (dsub planes of pqKs floats) when
+// dsub is below kernel.BlockDim, where a row has no whole block to
+// vectorize over, and row-major (pqKs rows of dsub) from there up. The
+// CTIX stream is row-major either way (slot), so the layout is
+// invisible on disk.
 type pqCodebook struct {
 	m, dsub   int
-	centroids []float32 // m × pqKs × dsub, row-major by subquantizer
+	centroids []float32 // m tables of pqKs×dsub floats
 }
 
-// sub returns subquantizer j's centroid table (pqKs rows of dsub).
+// newCodebook returns the all-zero codebook, which is also the
+// degenerate codebook of a class born from a single append: every
+// centroid is the origin, so every residual encodes to code 0 and the
+// ADC table cell is the residual's own squared subvector norm — the scan
+// degrades to the exact query-to-centroid distance instead of returning
+// garbage.
+func newCodebook(m, dsub int) *pqCodebook {
+	return &pqCodebook{m: m, dsub: dsub, centroids: make([]float32, m*pqKs*dsub)}
+}
+
+// planar reports whether centroid tables of dim-wide rows are read
+// dimension-major (kernel.ArgminPlanar) rather than row by row.
+func planar(dim int) bool { return dim < kernel.BlockDim }
+
+// transpose writes the n×dim row-major table src dimension-major into
+// dst: dst[j*n+i] = src[i*dim+j].
+func transpose(dst, src []float32, n, dim int) {
+	for i := 0; i < n; i++ {
+		for j, v := range src[i*dim : (i+1)*dim] {
+			dst[j*n+i] = v
+		}
+	}
+}
+
+// sub returns subquantizer j's centroid table.
 func (cb *pqCodebook) sub(j int) []float32 {
 	return cb.centroids[j*pqKs*cb.dsub : (j+1)*pqKs*cb.dsub]
 }
 
-// zeroCodebook is the degenerate codebook for a class born from a
-// single append: every centroid is the origin, so every residual
-// encodes to code 0 and the ADC table cell is the residual's own
-// squared subvector norm — the scan degrades to the exact
-// query-to-centroid distance instead of returning garbage.
-func zeroCodebook(m, dsub int) *pqCodebook {
-	return &pqCodebook{m: m, dsub: dsub, centroids: make([]float32, m*pqKs*dsub)}
+// slot maps position i of the row-major stream the CTIX format carries
+// (subquantizer, centroid, coordinate) to where centroids keeps that
+// float.
+func (cb *pqCodebook) slot(i int) int {
+	if !planar(cb.dsub) {
+		return i
+	}
+	table, k, d := i/(pqKs*cb.dsub), i/cb.dsub%pqKs, i%cb.dsub
+	return table*pqKs*cb.dsub + d*pqKs + k
 }
 
 // trainPQ runs k-means per subquantizer over a seeded sample of n
@@ -47,33 +79,39 @@ func zeroCodebook(m, dsub int) *pqCodebook {
 // the assignment step reproducible across hardware paths).
 func trainPQ(residual func(p int, r []float32), n, dim, m, iters, sampleCap int, rng *rand.Rand) *pqCodebook {
 	dsub := dim / m
-	cb := &pqCodebook{m: m, dsub: dsub, centroids: make([]float32, m*pqKs*dsub)}
+	cb := newCodebook(m, dsub)
 	sampleN := min(n, sampleCap)
 	perm := rng.Perm(n)[:sampleN]
-	res := make([]float32, sampleN*dim)
-	for i, p := range perm {
-		residual(p, res[i*dim:(i+1)*dim])
-	}
 
-	// Scratch shared across subquantizers: the sampled subvectors packed
-	// contiguously and their identity position list.
-	sub := rows{dim: dsub, nb: sampleN, base: make([]float32, sampleN*dsub)}
+	// The sampled residuals, packed by subquantizer as they are computed:
+	// block j is the sampleN dsub-length rows subquantizer j trains on.
+	packed := make([]float32, m*sampleN*dsub)
+	r := make([]float32, dim)
+	for i, p := range perm {
+		residual(p, r)
+		for j := 0; j < m; j++ {
+			copy(packed[(j*sampleN+i)*dsub:], r[j*dsub:(j+1)*dsub])
+		}
+	}
 	all := make([]int32, sampleN)
 	for i := range all {
 		all[i] = int32(i)
 	}
 
+	cents := make([]float32, pqKs*dsub) // lloyd's row-major table, reused
 	for j := 0; j < m; j++ {
-		for i := range perm {
-			copy(sub.at(i), res[i*dim+j*dsub:i*dim+(j+1)*dsub])
-		}
-		cents := cb.sub(j)
+		sub := rows{dim: dsub, nb: sampleN, base: packed[j*sampleN*dsub : (j+1)*sampleN*dsub]}
 		// Init from the shuffled sample; with fewer than pqKs samples the
 		// duplicates are harmless (strict-< argmin always picks the first).
 		for k := 0; k < pqKs; k++ {
 			copy(cents[k*dsub:(k+1)*dsub], sub.at(k%sampleN))
 		}
 		lloyd(&sub, all, cents, pqKs, iters, rng)
+		if planar(dsub) {
+			transpose(cb.sub(j), cents, pqKs, dsub)
+		} else {
+			copy(cb.sub(j), cents)
+		}
 	}
 	return cb
 }
@@ -83,19 +121,31 @@ func trainPQ(residual func(p int, r []float32), n, dim, m, iters, sampleCap int,
 // ties are deterministic).
 func (cb *pqCodebook) encode(res []float32, code []byte) {
 	for j := 0; j < cb.m; j++ {
-		r := res[j*cb.dsub : (j+1)*cb.dsub]
-		code[j] = byte(kernel.ArgminRows(r, cb.sub(j), cb.dsub, pqKs))
+		code[j] = byte(nearest(res[j*cb.dsub:(j+1)*cb.dsub], cb.sub(j), pqKs))
 	}
+}
+
+// nearest returns the index of the centroid nearest v in a table of k
+// len(v)-wide centroids held in the layout of that width (planar).
+func nearest(v, table []float32, k int) int {
+	if planar(len(v)) {
+		return kernel.ArgminPlanar(v, table, k)
+	}
+	return kernel.ArgminRows(v, table, len(v), k)
 }
 
 // table fills one query's ADC lookup table for a dim-length residual:
 // tab[j*pqKs+k] is the squared kernel distance between the query
 // residual's j-th subvector and centroid k of subquantizer j — one
-// rows-kernel dispatch per subquantizer. d2s is a ≥pqKs scratch.
+// kernel dispatch per subquantizer. d2s is a ≥pqKs scratch.
 func (cb *pqCodebook) table(res []float32, tab []float32, d2s []float64) {
 	for j := 0; j < cb.m; j++ {
 		r := res[j*cb.dsub : (j+1)*cb.dsub]
-		kernel.DistanceRows(r, cb.sub(j), cb.dsub, d2s[:pqKs])
+		if planar(cb.dsub) {
+			kernel.DistancePlanar(r, cb.sub(j), d2s[:pqKs])
+		} else {
+			kernel.DistanceRows(r, cb.sub(j), cb.dsub, d2s[:pqKs])
+		}
 		for k, d := range d2s[:pqKs] {
 			tab[j*pqKs+k] = float32(d)
 		}

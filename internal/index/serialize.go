@@ -186,8 +186,8 @@ func saveIVFPQ(bw *bufio.Writer, x *IVFPQ) error {
 		for _, v := range c.centroids {
 			put(math.Float32bits(v))
 		}
-		for _, v := range c.book.centroids {
-			put(math.Float32bits(v))
+		for i := range c.book.centroids {
+			put(math.Float32bits(c.book.centroids[c.book.slot(i)]))
 		}
 		for _, l := range c.lists {
 			put(uint32(l.n()))
@@ -425,7 +425,7 @@ func loadIVFPQ(br *bufio.Reader, dim, nlabels int, get func() (uint32, error), h
 			x:         x,
 			nlist:     nlist,
 			centroids: make([]float32, nlist*dim),
-			book:      &pqCodebook{m: m, dsub: dsub, centroids: make([]float32, m*pqKs*dsub)},
+			book:      newCodebook(m, dsub),
 			lists:     make([]*pqList, nlist),
 		}
 		for j := range c.centroids {
@@ -440,7 +440,7 @@ func loadIVFPQ(br *bufio.Reader, dim, nlabels int, get func() (uint32, error), h
 			if err != nil {
 				return nil, fmt.Errorf("index: load codebook %d: %w: %w", y, err, ErrCorrupt)
 			}
-			c.book.centroids[j] = math.Float32frombits(v)
+			c.book.centroids[c.book.slot(j)] = math.Float32frombits(v)
 		}
 		for ci := 0; ci < nlist; ci++ {
 			ln, err := get()

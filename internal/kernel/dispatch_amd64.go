@@ -8,7 +8,7 @@ package kernel
 // CPU generation it is tuned for. Build with `-tags noasm` to exclude
 // the assembly and force the portable reference.
 
-// rowLanes is how many rows rowsSmallAsm scores per step: one per
+// rowLanes is how many centroids planarAsm scores per step: one per
 // double lane of a YMM register.
 const rowLanes = 4
 

@@ -8,7 +8,7 @@ package kernel
 // registered unconditionally. Build with `-tags noasm` to exclude the
 // assembly and force the portable reference.
 
-// rowLanes is how many rows rowsSmallAsm scores per step: one per
+// rowLanes is how many centroids planarAsm scores per step: one per
 // double lane of a 128-bit vector register.
 const rowLanes = 2
 

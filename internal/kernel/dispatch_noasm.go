@@ -15,6 +15,12 @@ func registerArch() {}
 // calls on every build.
 func rowsVector(q, vecs []float32, dim int, out []float64) { rowsGeneric(q, vecs, dim, out) }
 
+// planarVector and argminPlanarVector are never reached either, for the
+// same reason.
+func planarVector(q, planes []float32, out []float64) { planarGeneric(q, planes, len(out), 0, out) }
+
+func argminPlanarVector(q, planes []float32, n int) int { return argminPlanarGeneric(q, planes, n) }
+
 // screenOK is false without an assembly implementation, so
 // argminScreened is never reached either.
 const screenOK = false

@@ -85,6 +85,16 @@ func FuzzRowsParity(f *testing.F) {
 	})
 }
 
+// toBytes is the inverse of kerneltest.FromBytes: how the adversarial
+// table becomes a seed corpus.
+func toBytes(v []float32) []byte {
+	b := make([]byte, 0, 4*len(v))
+	for _, x := range v {
+		b = binary.LittleEndian.AppendUint32(b, math.Float32bits(x))
+	}
+	return b
+}
+
 // FuzzArgminParity mutates the adversarial argmin table (the seed
 // corpus is argminCases at compact shapes): the query and the rows
 // arrive as raw float32 bytes, so the fuzzer perturbs single ulps of a
@@ -92,13 +102,6 @@ func FuzzRowsParity(f *testing.F) {
 // leaves float32, and resizes both — and ArgminRows under every
 // implementation must still return the exhaustive exact scan's index.
 func FuzzArgminParity(f *testing.F) {
-	toBytes := func(v []float32) []byte {
-		b := make([]byte, 0, 4*len(v))
-		for _, x := range v {
-			b = binary.LittleEndian.AppendUint32(b, math.Float32bits(x))
-		}
-		return b
-	}
 	for _, c := range argminCases([]int{8, 9, 17, 64}, []int{1, 6, 257}) {
 		f.Add(toBytes(c.q), toBytes(c.vecs))
 	}
@@ -108,6 +111,28 @@ func FuzzArgminParity(f *testing.F) {
 			return
 		}
 		kerneltest.CheckRows(t, q, vecs, min(len(vecs)/len(q), 600))
+	})
+}
+
+// FuzzPlanarParity is FuzzArgminParity for the planar entry points: the
+// seed corpus is the same adversarial table at the planar widths (below
+// kernel.BlockDim) — exact ties planted in different lanes and lane
+// groups, one-ulp neighbours, NaN and ±Inf coordinates, a NaN in every
+// row (⇒ 0) — and DistancePlanar and ArgminPlanar over the TRANSPOSED
+// table must return, under every implementation, the reference's bits
+// and the exhaustive exact scan's index, for row counts that are not
+// multiples of any lane count too.
+func FuzzPlanarParity(f *testing.F) {
+	for _, c := range argminCases([]int{1, 2, 4, 7}, []int{1, 6, 257}) {
+		f.Add(toBytes(c.q), toBytes(c.vecs))
+	}
+	f.Fuzz(func(t *testing.T, qb, vb []byte) {
+		q, vecs := kerneltest.FromBytes(qb), kerneltest.FromBytes(vb)
+		if len(q) == 0 {
+			return
+		}
+		q = q[:min(len(q), kernel.BlockDim-1)]
+		kerneltest.CheckPlanar(t, q, vecs, min(len(vecs)/len(q), 600))
 	})
 }
 

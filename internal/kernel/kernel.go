@@ -20,8 +20,10 @@
 // Each implementation fills three slots of Impl: the pair kernel
 // (SqDist), the rows kernel (Rows: one query against a contiguous block
 // of rows, ONE dispatch per block) and the ADC table scan (adc.go). The
-// assembly implementations also carry an unexported float32 screening
-// routine that only ArgminRows uses (see "Screened argmin" below).
+// assembly implementations also carry two unexported routines: the
+// planar routine behind DistancePlanar and ArgminPlanar (see "Small
+// widths" below), and a float32 screening routine that only ArgminRows
+// uses (see "Screened argmin").
 //
 // Bit-stability contract. Every implementation MUST produce bitwise
 // identical float64 results for identical inputs, so indexes built,
@@ -42,19 +44,34 @@
 // VCVTPS2PD/VSUBPD/VMULPD/VADDPD, reduced with the fixed tree above,
 // then a scalar tail.
 //
-// Small widths. For len < 8 the blocked prefix is empty, the tree sums
-// eight +0s, and the order degenerates to
+// Small widths. For len < 8 (BlockDim) the blocked prefix is empty, the
+// tree sums eight +0s, and the order degenerates to
 //
 //	s = (((t0 + t1) + t2) + …) + t[len-1]
 //
 // (+0 + t0 is t0 exactly: a term is never -0). That is the shape of a
 // product-quantization subvector (dim/M floats, 4 at dim 64 and M 16),
-// where a per-pair call is all overhead. The rows kernel therefore has
-// a second realisation of the SAME order for those widths: the vector
-// paths put one ROW in each double lane (4 rows per step on AVX2, 2 on
-// NEON) and add the terms of every lane in ascending j, the portable
-// path keeps the widened query in registers and runs the sum straight
-// down each row. Neither changes a bit of any result.
+// and a row that narrow gives a vector unit nothing to work across:
+// scoring four row-major rows at once means gathering every element
+// with a scalar load and a shuffle. So the tables that are hot at those
+// widths — PQ codebooks, and the centroid table of any k-means at such
+// a width — are not kept row-major at all. They are PLANAR (planar.go):
+// dim planes of n floats, plane j holding coordinate j of every
+// centroid, so coordinate j of four neighbouring centroids is one
+// 16-byte load, and the vector paths put one CENTROID in each double
+// lane (4 per step on AVX2, 2 on NEON) and add the terms of every lane
+// in ascending j. DistancePlanar and ArgminPlanar are the entry points;
+// the portable path sweeps one plane at a time. The transposition
+// happens where a table is made resident (internal/index: after a
+// subquantizer trains, when a CTIX file is loaded, once per Lloyd round
+// for the table being refined) and the CTIX bytes stay row-major. None
+// of this can change a bit of any result: the layout decides which
+// address a float is read from, and the value of centroid i is still
+// the sum above over the same floats in the same order — which is also
+// what the rows kernel returns for narrow rows of row-major data (a
+// Flat index over fingerprints narrower than 8), where every
+// implementation runs the portable loop: the query widened once and the
+// sum run straight down each row.
 //
 // A result that is NaN is canonicalized to the math.NaN() bit pattern.
 // Which input payload would otherwise survive the sum depends on x86
@@ -116,15 +133,16 @@
 // τ grows with dim; it is not a constant tuned to one width. The bound
 // needs finite arithmetic, so a block with any screening value that is
 // NaN, +Inf or above 1e30 (squares of coordinates ≳ 1e14) is scanned
-// exactly instead, as are widths below 8 (the lane-per-row kernel is
-// already cheap there), widths above screenMaxDim, blocks of fewer than
-// four rows, everything under the portable implementation, and an AVX2
-// host without FMA3 (screenOK: the amd64 routine uses VFMADD231PS, and
-// dispatch_amd64.go probes CPUID.1:ECX bit 12 for it).
+// exactly instead, as are widths below 8 (the tables that are hot at
+// those widths are planar), widths above screenMaxDim, blocks of fewer
+// than four rows, everything under the portable implementation, and an
+// AVX2 host without FMA3 (screenOK: the amd64 routine uses VFMADD231PS,
+// and dispatch_amd64.go probes CPUID.1:ECX bit 12 for it).
 // kerneltest.CheckRows holds ArgminRows to the reference argmin under
 // every implementation; TestArgminAdversarial and FuzzArgminParity aim
 // it at exact ties, one-ulp neighbours, underflowing and overflowing
-// squares and non-finite coordinates.
+// squares and non-finite coordinates, and FuzzPlanarParity aims the
+// same table, at the planar widths, at ArgminPlanar.
 package kernel
 
 import (
@@ -272,9 +290,10 @@ func sqDistGeneric(q, v []float32) float64 {
 // more run the pair kernel row by row. The tail-only widths take the
 // degenerate order of the package comment straight down each row: the
 // query is widened once per call, and every `dim > j` test is
-// loop-invariant, so a row costs its terms and nothing else.
+// loop-invariant, so a row costs its terms and nothing else. (The
+// assembly implementations send their narrow rows here too.)
 func rowsGeneric(q, vecs []float32, dim int, out []float64) {
-	if dim >= 8 {
+	if dim >= BlockDim {
 		for i := range out {
 			out[i] = sqDistGeneric(q, vecs[i*dim:(i+1)*dim])
 		}
@@ -356,9 +375,9 @@ func DistanceRows(q, vecs []float32, dim int, out []float64) {
 	active.Load().rows(q, vecs, dim, out)
 }
 
-// argminBlock is how many rows ArgminRows scores per rows-kernel call:
-// a whole PQ codebook (ADCKs rows) in one dispatch, on 2 KiB of stack
-// for the exact distances or 1 KiB for the screening values.
+// argminBlock is how many rows an exhaustive argmin scores per kernel
+// call: a whole PQ codebook (ADCKs rows) in one dispatch, on 2 KiB of
+// stack for the exact distances or 1 KiB for the screening values.
 const argminBlock = ADCKs
 
 // The screened argmin applies where its proof does (see the package
@@ -369,7 +388,7 @@ const argminBlock = ADCKs
 // below screenSafe (float32 bits of 1e30 — far from overflow, and below
 // every NaN and +Inf pattern).
 const (
-	screenMinDim  = 8
+	screenMinDim  = BlockDim
 	screenMaxDim  = 1 << 16
 	screenMinRows = 4
 	screenSafe    = 0x7149F2CA

@@ -2,6 +2,14 @@
 
 #include "textflag.h"
 
+// Loop placement. Every routine pins the head of its outermost vector
+// loop with PCALIGN $32, so where its loops sit relative to the 32-byte
+// fetch windows is a property of this file and not of what the linker
+// happened to place before the function. An inner loop head is a fixed
+// distance past an aligned outer one, so it is pinned too, without
+// padding that the outer loop would execute on every pass; the scalar
+// tails run at most seven latency-bound iterations and are left alone.
+
 // func pairAsm(q, v *float32, n int) float64
 //
 // Squared L2 distance between two n-length float32 vectors, computed in
@@ -25,6 +33,7 @@ TEXT ·pairAsm(SB), NOSPLIT, $0-32
 	CMPQ DX, $0
 	JE   reduce
 
+	PCALIGN $32
 blocked:
 	// Lanes j..j+3 into Y0.
 	VCVTPS2PD (SI)(AX*4), Y2   // 4 × float32 -> 4 × float64
@@ -98,6 +107,7 @@ TEXT ·rowsBlockedAsm(SB), NOSPLIT, $0-40
 	TESTQ BX, BX
 	JLE  rowsdone
 
+	PCALIGN $32
 row:
 	VXORPD Y0, Y0, Y0          // acc lanes p0..p3
 	VXORPD Y1, Y1, Y1          // acc lanes p4..p7
@@ -156,56 +166,87 @@ rowsdone:
 	VZEROUPPER
 	RET
 
-// func rowsSmallAsm(qd *float64, vecs *float32, dim, n int, out *float64)
+// func planarAsm(qd *float64, planes *float32, dim, stride, n int, out *float64, best *planarBest)
 //
-// The tail-only widths, 1 ≤ dim ≤ 7, where the specified order is
-// s = (((t0+t1)+t2)+…): four rows per step, ONE ROW PER DOUBLE LANE of
-// Y0, so the lanes never meet and each is summed in ascending j exactly
-// as the scalar tail above would. qd is the query already widened to
-// float64 (dim doubles); n must be a positive multiple of 4. Element j
-// of the four rows is gathered with a scalar load plus three VINSERTPS
-// at the row stride, widened, subtracted from the broadcast qd[j],
-// squared and added (no FMA). The accumulator starts at +0: +0 + t0 is
-// t0 exactly, a term is never -0. NaN lanes are canonicalized.
-TEXT ·rowsSmallAsm(SB), NOSPLIT, $0-40
+// A planar (dimension-major) centroid table, 1 ≤ dim ≤ 7 planes stride
+// floats apart, where the specified order is s = (((t0+t1)+t2)+…): four
+// centroids per step, ONE CENTROID PER DOUBLE LANE of Y0, so the lanes
+// never meet and each is summed in ascending j exactly as the scalar
+// tail of rowsBlockedAsm would. qd is the query already widened to
+// float64 (dim doubles); n must be a positive multiple of 4. Coordinate
+// j of the four centroids is one 16-byte load widened by VCVTPS2PD,
+// subtracted from the broadcast qd[j], squared and added (no FMA, no
+// shuffle). The accumulator starts at +0: +0 + t0 is t0 exactly, a term
+// is never -0.
+//
+// out non-nil: the four sums are stored there, NaN lanes canonicalized.
+// out nil: the fused argmin. Y4 holds each lane's best distance so far
+// and Y6 the index it was found at; Y5 is the index of the centroid now
+// in each lane ({0,1,2,3} from best.i on entry, +4 per step). A lane is
+// replaced where sum < best — ordered, so a NaN sum never is, and
+// strict, so the first of equal sums stays — and both vectors go back
+// to *best at the end for the caller to reduce.
+TEXT ·planarAsm(SB), NOSPLIT, $0-56
 	MOVQ qd+0(FP), SI
-	MOVQ vecs+8(FP), DI
+	MOVQ planes+8(FP), DI
 	MOVQ dim+16(FP), CX
-	MOVQ n+24(FP), BX
-	MOVQ out+32(FP), R8
-	LEAQ (CX*4), R9            // R9 = row stride in bytes
-	LEAQ (R9)(R9*2), R11       // R11 = 3 × stride
+	MOVQ stride+24(FP), R9
+	MOVQ n+32(FP), BX
+	MOVQ out+40(FP), R8
+	MOVQ best+48(FP), R11
+	SHLQ $2, R9                // R9 = plane stride in bytes
+	TESTQ R8, R8
+	JZ   argmininit
 	MOVQ $0x7FF8000000000001, AX
 	VMOVQ AX, X7
 	VBROADCASTSD X7, Y7        // canonical math.NaN() bits, every lane
+	JMP  step
+argmininit:
+	VMOVUPD (R11), Y4
+	VMOVDQU 32(R11), Y5
+	VPXOR Y6, Y6, Y6
+	MOVQ $4, AX
+	VMOVQ AX, X7
+	VPBROADCASTQ X7, Y7        // the index step
 
-group:
-	VXORPD Y0, Y0, Y0          // lane r = sum of row r
-	XORQ AX, AX                // AX = element index j
-	MOVQ DI, R10               // R10 = &row0[j]
-elem:
-	VMOVSS (R10), X1
-	VINSERTPS $0x10, (R10)(R9*1), X1, X1
-	VINSERTPS $0x20, (R10)(R9*2), X1, X1
-	VINSERTPS $0x30, (R10)(R11*1), X1, X1
-	VCVTPS2PD X1, Y1           // element j of rows 0..3
+	PCALIGN $32
+step:
+	VXORPD Y0, Y0, Y0          // lane c = sum of centroid c
+	XORQ AX, AX                // AX = plane index j
+	MOVQ DI, R10               // R10 = &plane j[centroid 0 of the step]
+plane:
+	VCVTPS2PD (R10), Y1        // coordinate j of centroids 0..3
 	VBROADCASTSD (SI)(AX*8), Y2
 	VSUBPD Y1, Y2, Y1          // d = q[j] - v[j]
 	VMULPD Y1, Y1, Y1          // d*d
 	VADDPD Y1, Y0, Y0          // s += d*d
-	ADDQ $4, R10
+	ADDQ R9, R10
 	INCQ AX
 	CMPQ AX, CX
-	JL   elem
+	JL   plane
 
+	TESTQ R8, R8
+	JZ   argmin
 	VCMPPD $3, Y0, Y0, Y3      // all-ones where the lane is NaN
 	VBLENDVPD Y3, Y7, Y0, Y0
 	VMOVUPD Y0, (R8)
 	ADDQ $32, R8
-	LEAQ (DI)(R9*4), DI        // next four rows
+	JMP  next
+argmin:
+	VCMPPD $1, Y4, Y0, Y3      // all-ones where sum < best (false on NaN)
+	VMINPD Y4, Y0, Y4          // sum < best ? sum : best, the same rule
+	VBLENDVPD Y3, Y5, Y6, Y6
+	VPADDQ Y7, Y5, Y5
+next:
+	ADDQ $16, DI               // next four centroids
 	SUBQ $4, BX
-	JG   group
+	JG   step
 
+	TESTQ R8, R8
+	JNZ  done
+	VMOVUPD Y4, (R11)
+	VMOVDQU Y6, 32(R11)
+done:
 	VZEROUPPER
 	RET
 
@@ -242,6 +283,7 @@ TEXT ·rowsScreenAsm(SB), NOSPLIT, $0-48
 	VPCMPEQD X12, X12, X12     // running min of the bit patterns, per lane
 	VPXOR X13, X13, X13        // running max
 
+	PCALIGN $32
 group:
 	LEAQ (DI)(R9*1), R10       // rows 1..3 of the group
 	LEAQ (R10)(R9*1), R11

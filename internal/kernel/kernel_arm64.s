@@ -2,6 +2,11 @@
 
 #include "textflag.h"
 
+// Loop placement. Every routine pins the head of its outermost vector
+// loop with PCALIGN $16 (one fetch group), for the reasons given at the
+// top of kernel_amd64.s: inner heads sit a fixed distance past an
+// aligned outer one, and the scalar tails are left alone.
+
 // func pairAsm(q, v *float32, n int) float64
 //
 // Squared L2 distance between two n-length float32 vectors, computed in
@@ -37,6 +42,7 @@ TEXT ·pairAsm(SB), NOSPLIT, $0-32
 	MOVD ZR, R4                    // R4 = element index j
 	CBZ  R3, reduce
 
+	PCALIGN $16
 blocked:
 	VLD1.P 32(R0), [V4.S4, V5.S4] // q[j..j+3], q[j+4..j+7]
 	VLD1.P 32(R1), [V6.S4, V7.S4] // v[j..j+3], v[j+4..j+7]
@@ -127,6 +133,7 @@ TEXT ·rowsBlockedAsm(SB), NOSPLIT, $0-40
 	CMP  $1, R8
 	BLT  rowsdone
 
+	PCALIGN $16
 row:
 	MOVD R7, R0
 	VEOR V16.B16, V16.B16, V16.B16 // acc {p0,p1}
@@ -210,57 +217,94 @@ canon:
 rowsdone:
 	RET
 
-// func rowsSmallAsm(qd *float64, vecs *float32, dim, n int, out *float64)
+// func planarAsm(qd *float64, planes *float32, dim, stride, n int, out *float64, best *planarBest)
 //
-// The tail-only widths, 1 ≤ dim ≤ 7, where the specified order is
-// s = (((t0+t1)+t2)+…): two rows per step, ONE ROW PER DOUBLE LANE of
-// V16, so the lanes never meet and each is summed in ascending j
-// exactly as the scalar tail above would. qd is the query already
-// widened to float64 (dim doubles); n must be a positive multiple of 2.
-// Element j of the two rows is gathered with two single-lane loads (R1
-// walks row 0, R6 row 1), widened, subtracted from the broadcast qd[j],
-// squared and added (no FMLA). The accumulator starts at +0: +0 + t0 is
-// t0 exactly, a term is never -0. NaN lanes are canonicalized.
-// Encodings as listed above pairAsm.
-TEXT ·rowsSmallAsm(SB), NOSPLIT, $0-40
+// A planar (dimension-major) centroid table, 1 ≤ dim ≤ 7 planes stride
+// floats apart, where the specified order is s = (((t0+t1)+t2)+…): two
+// centroids per step, ONE CENTROID PER DOUBLE LANE of V16, so the lanes
+// never meet and each is summed in ascending j exactly as the scalar
+// tail of rowsBlockedAsm would. qd is the query already widened to
+// float64 (dim doubles); n must be a positive multiple of 2. Coordinate
+// j of the two centroids is one 8-byte load, widened, subtracted from
+// the broadcast qd[j], squared and added (no FMLA). The accumulator
+// starts at +0: +0 + t0 is t0 exactly, a term is never -0. Encodings as
+// listed above pairAsm.
+//
+// out non-nil: the two sums are stored there, NaN lanes canonicalized.
+// out nil: the fused argmin. F4/F5 hold each lane's best distance so
+// far and R12/R13 the index it was found at; R14/R15 are the indexes of
+// the centroids now in the lanes (best.i on entry, +2 per step). A lane
+// is replaced on MI after FCMPD — sum < best, ordered, so a NaN sum
+// never is, and strict, so the first of equal sums stays — and all four
+// go back to *best at the end for the caller to reduce.
+TEXT ·planarAsm(SB), NOSPLIT, $0-56
 	MOVD qd+0(FP), R7
-	MOVD vecs+8(FP), R1
+	MOVD planes+8(FP), R1
 	MOVD dim+16(FP), R2
-	MOVD n+24(FP), R8
-	MOVD out+32(FP), R9
-	LSL  $2, R2, R3                // R3 = row stride in bytes
+	MOVD stride+24(FP), R3
+	MOVD n+32(FP), R8
+	MOVD out+40(FP), R9
+	MOVD best+48(FP), R11
+	LSL  $2, R3, R3                // R3 = plane stride in bytes
 	MOVD $0x7FF8000000000001, R10  // canonical math.NaN() bits
+	CBNZ R9, step
+	FMOVD (R11), F4
+	FMOVD 8(R11), F5
+	MOVD  16(R11), R14
+	MOVD  24(R11), R15
+	MOVD  ZR, R12
+	MOVD  ZR, R13
 
-group:
-	ADD  R3, R1, R6                // R6 = &row1[0]
-	MOVD R7, R0                    // R0 = &qd[0]
-	VEOR V16.B16, V16.B16, V16.B16 // {sum of row 0, sum of row 1}
-	MOVD R2, R4                    // R4 = elements left
-elem:
-	VLD1.P  4(R1), V0.S[0]         // row0[j]
-	VLD1.P  4(R6), V0.S[1]         // row1[j]
+	PCALIGN $16
+step:
+	VEOR V16.B16, V16.B16, V16.B16 // lane c = sum of centroid c
+	MOVD R7, R0                    // R0 = &qd[j]
+	MOVD R1, R6                    // R6 = &plane j[centroid 0 of the step]
+	MOVD R2, R4                    // R4 = planes left
+plane:
+	FMOVD   (R6), F0               // coordinate j of centroids 0, 1
 	VLD1R.P 8(R0), [V1.D2]         // {qd[j], qd[j]}
 	WORD $0x0E617800 // FCVTL V0.2D, V0.2S
 	WORD $0x4EE0D420 // FSUB  V0.2D, V1.2D, V0.2D    d = q[j] - v[j]
 	WORD $0x6E60DC00 // FMUL  V0.2D, V0.2D, V0.2D    d*d
 	WORD $0x4E60D610 // FADD  V16.2D, V16.2D, V0.2D  s += d*d
+	ADD  R3, R6
 	SUB  $1, R4
-	CBNZ R4, elem
+	CBNZ R4, plane
 
 	VMOV  V16.D[0], R4
 	FMOVD R4, F0
-	FCMPD F0, F0 // unordered (V set) iff the lane is NaN
-	CSEL  VS, R10, R4, R4
 	VMOV  V16.D[1], R5
 	FMOVD R5, F1
+	CBZ   R9, argmin
+	FCMPD F0, F0 // unordered (V set) iff the lane is NaN
+	CSEL  VS, R10, R4, R4
 	FCMPD F1, F1
 	CSEL  VS, R10, R5, R5
 	MOVD  R4, (R9)
 	MOVD  R5, 8(R9)
 	ADD   $16, R9
-	MOVD  R6, R1                   // row 1's end is row 2's start
-	SUB   $2, R8
-	CBNZ  R8, group
+	B     next
+argmin:
+	FCMPD  F4, F0 // MI iff sum < best (clear on NaN)
+	FCSELD MI, F0, F4, F4
+	CSEL   MI, R14, R12, R12
+	FCMPD  F5, F1
+	FCSELD MI, F1, F5, F5
+	CSEL   MI, R15, R13, R13
+	ADD    $2, R14
+	ADD    $2, R15
+next:
+	ADD  $8, R1                    // next two centroids
+	SUB  $2, R8
+	CBNZ R8, step
+
+	CBNZ  R9, done
+	FMOVD F4, (R11)
+	FMOVD F5, 8(R11)
+	MOVD  R12, 16(R11)
+	MOVD  R13, 24(R11)
+done:
 	RET
 
 // func rowsScreenAsm(q, vecs *float32, dim, n int, out *float32) (lo, hi uint32)
@@ -299,6 +343,7 @@ TEXT ·rowsScreenAsm(SB), NOSPLIT, $0-48
 	MOVD $0xFFFFFFFF, R11          // running min of the bit patterns
 	MOVD ZR, R12                   // running max
 
+	PCALIGN $16
 row:
 	MOVD R7, R0
 	VEOR V16.B16, V16.B16, V16.B16 // lane sums, elements j..j+3

@@ -67,9 +67,10 @@ func TestBatchParity(t *testing.T) {
 
 // TestRowsParity sweeps the rows kernel of every implementation, and
 // ArgminRows on top of it, against pairwise reference calls: every
-// adversarial width (the lane-per-row widths 1–7 in full), row counts
-// around the lane counts and the argmin block, random, special and
-// mixed values, and rows and query sliced off vector-aligned bases.
+// adversarial width, row counts around the lane counts and the argmin
+// block, random, special and mixed values, and rows and query sliced
+// off vector-aligned bases. At the widths 1–7, covered in full,
+// CheckRows holds the planar entry points to the same table transposed.
 func TestRowsParity(t *testing.T) {
 	rng := rand.New(rand.NewPCG(29, 31))
 	for _, dim := range kerneltest.Dims() {
@@ -254,11 +255,14 @@ func argminCases(dims, ns []int) []argminCase {
 // TestArgminAdversarial holds ArgminRows under every implementation to
 // the exhaustive exact scan on the adversarial table, at every width
 // class of the screening pass (whole 8-float blocks, a scalar tail, a
-// long row) and every row count around the 256-row block edges.
+// long row) and every row count around the 256-row block edges — and,
+// at the planar widths below 8, ArgminPlanar and DistancePlanar over the
+// transposed table (CheckRows runs CheckPlanar there), where the planted
+// ties land in different lanes and lane groups of the fused argmin.
 func TestArgminAdversarial(t *testing.T) {
-	dims, ns := []int{8, 9, 15, 16, 17, 64, 100, 1024}, []int{1, 255, 256, 257, 513}
+	dims, ns := []int{1, 2, 4, 7, 8, 9, 15, 16, 17, 64, 100, 1024}, []int{1, 255, 256, 257, 513}
 	if testing.Short() {
-		dims, ns = []int{8, 17, 64}, []int{1, 257}
+		dims, ns = []int{4, 8, 17, 64}, []int{1, 257}
 	}
 	for _, c := range argminCases(dims, ns) {
 		t.Run(c.name, func(t *testing.T) {
@@ -366,10 +370,11 @@ func BenchmarkSqDist(b *testing.B) {
 	}
 }
 
-// BenchmarkDistanceRows times one rows-kernel dispatch over a
-// codebook-sized block (256 rows) per implementation: dim 2 and 4 are
-// the lane-per-row widths of PQ subvectors, 8 the first blocked width,
-// 64 a whole fingerprint. ns/op ÷ 256 is the cost per row.
+// BenchmarkDistanceRows times one rows-kernel dispatch over a 256-row
+// block per implementation: dim 2 and 4 are narrow rows of row-major
+// data (the portable loop under every implementation; a PQ codebook of
+// that width is planar, see BenchmarkTableCodebook), 8 the first blocked
+// width, 64 a whole fingerprint. ns/op ÷ 256 is the cost per row.
 func BenchmarkDistanceRows(b *testing.B) {
 	rng := rand.New(rand.NewPCG(5, 11))
 	const rows = 256
@@ -388,12 +393,12 @@ func BenchmarkDistanceRows(b *testing.B) {
 	}
 }
 
-// BenchmarkArgminRows times one nearest-row query per implementation at
-// the two shapes the trainers issue: a 4-float PQ subvector against a
-// 256-row codebook (the lane-per-row exact scan), and a whole 64-float
-// fingerprint against a bench shard label's 158 IVF centroids or a full
-// 256-row block (screened under the assembly implementations, exact
-// under generic). ns/op ÷ n is the cost per row.
+// BenchmarkArgminRows times one nearest-row query per implementation
+// over row-major rows: 4-float rows (the exhaustive scan of the portable
+// loop; the PQ shape of that width is BenchmarkArgminCodebook), and a
+// whole 64-float fingerprint against a bench shard label's 158 IVF
+// centroids or a full 256-row block (screened under the assembly
+// implementations, exact under generic). ns/op ÷ n is the cost per row.
 func BenchmarkArgminRows(b *testing.B) {
 	rng := rand.New(rand.NewPCG(7, 13))
 	for _, dim := range []int{4, 64} {
@@ -414,6 +419,60 @@ func BenchmarkArgminRows(b *testing.B) {
 					sink = float64(best)
 				})
 			}
+		}
+	}
+}
+
+// codebook is a product-quantization subquantizer at the serving shape:
+// 256 centroids of dsub floats, dimension-major, and one query subvector.
+func codebook(dsub int) (q, planes []float32) {
+	rng := rand.New(rand.NewPCG(9, 17))
+	return randVec(rng, dsub), randVec(rng, dsub*kernel.ADCKs)
+}
+
+// BenchmarkArgminCodebook times one nearest-centroid query against a
+// planar codebook per implementation — the call PQ training, the
+// encoding pass and IVFPQ.Append make once per subvector (dsub 4 is
+// dim 64 at M 16).
+func BenchmarkArgminCodebook(b *testing.B) {
+	for _, dsub := range []int{4, 2} {
+		q, planes := codebook(dsub)
+		for _, im := range kernel.Impls() {
+			b.Run(strconv.Itoa(dsub)+"x256/"+im.Name, func(b *testing.B) {
+				restore, err := kernel.SetActive(im.Name)
+				if err != nil {
+					b.Fatal(err)
+				}
+				defer restore()
+				best := 0
+				for i := 0; i < b.N; i++ {
+					best += kernel.ArgminPlanar(q, planes, kernel.ADCKs)
+				}
+				sink = float64(best)
+			})
+		}
+	}
+}
+
+// BenchmarkTableCodebook times one row of an ADC lookup table — the
+// distances from a query subvector to all 256 centroids of a planar
+// codebook — which an IVFPQ search builds M times per probed list.
+func BenchmarkTableCodebook(b *testing.B) {
+	out := make([]float64, kernel.ADCKs)
+	for _, dsub := range []int{4, 2} {
+		q, planes := codebook(dsub)
+		for _, im := range kernel.Impls() {
+			b.Run(strconv.Itoa(dsub)+"x256/"+im.Name, func(b *testing.B) {
+				restore, err := kernel.SetActive(im.Name)
+				if err != nil {
+					b.Fatal(err)
+				}
+				defer restore()
+				for i := 0; i < b.N; i++ {
+					kernel.DistancePlanar(q, planes, out)
+				}
+				sink = out[0]
+			})
 		}
 	}
 }

@@ -5,7 +5,7 @@
 // values, and slices whose base pointers are not vector-aligned. The
 // kernel package's own property tests and the native Go fuzz targets
 // (FuzzDistanceParity, FuzzDistanceBatchParity, FuzzRowsParity,
-// FuzzArgminParity, FuzzADCParity) both build on it.
+// FuzzArgminParity, FuzzPlanarParity, FuzzADCParity) both build on it.
 package kerneltest
 
 import (
@@ -104,8 +104,8 @@ func checkOrder(t testing.TB, q, v []float32) {
 // dispatched DistanceRows agrees with it, and ArgminRows under every
 // implementation returns the strict-<, lowest-index-wins argmin of the
 // reference distances. It is the differential check of the
-// one-dispatch-per-block path, of its lane-per-row realisation at
-// widths below 8, and of the screened argmin at widths from 8.
+// one-dispatch-per-block path and of the screened argmin at widths from
+// 8; below 8 the same table is also held to CheckPlanar.
 func CheckRows(t testing.TB, q, vecs []float32, n int) {
 	t.Helper()
 	dim := len(q)
@@ -152,6 +152,60 @@ func CheckRows(t testing.TB, q, vecs []float32, n int) {
 		restore()
 		if best != wantBest {
 			t.Fatalf("ArgminRows (%s) = %d, reference argmin %d (dim=%d, rows=%d)", im.Name, best, wantBest, dim, n)
+		}
+	}
+	if dim < kernel.BlockDim {
+		CheckPlanar(t, q, vecs, n)
+	}
+}
+
+// CheckPlanar fails t unless, under every registered implementation,
+// DistancePlanar over the n-row table vecs TRANSPOSED to dimension-major
+// returns the reference's exact float64 bits for every row (what
+// DistanceRows returns for vecs itself), writes nothing past out[n-1],
+// and ArgminPlanar returns the strict-<, lowest-index-wins argmin of the
+// reference distances. len(q) must be below kernel.BlockDim; n need not
+// be a multiple of any lane count.
+func CheckPlanar(t testing.TB, q, vecs []float32, n int) {
+	t.Helper()
+	dim := len(q)
+	planes := make([]float32, n*dim)
+	want := make([]float64, n)
+	wantBest, bestD := 0, math.Inf(1)
+	for i := range want {
+		row := vecs[i*dim : (i+1)*dim]
+		for j, x := range row {
+			planes[j*n+i] = x
+		}
+		want[i] = kernel.SqDistRef(q, row)
+		if want[i] < bestD {
+			wantBest, bestD = i, want[i]
+		}
+	}
+	const guard = -12345.5
+	got := make([]float64, n+1)
+	for _, im := range kernel.Impls() {
+		restore, err := kernel.SetActive(im.Name)
+		if err != nil {
+			t.Fatal(err)
+		}
+		for i := range got {
+			got[i] = guard
+		}
+		kernel.DistancePlanar(q, planes, got[:n])
+		best := kernel.ArgminPlanar(q, planes, n)
+		restore()
+		for i, w := range want {
+			if math.Float64bits(got[i]) != math.Float64bits(w) {
+				t.Fatalf("DistancePlanar (%s)[%d] = %v (%#016x), reference %v (%#016x) (dim=%d, n=%d)\nq = %v\nrow = %v",
+					im.Name, i, got[i], math.Float64bits(got[i]), w, math.Float64bits(w), dim, n, q, vecs[i*dim:(i+1)*dim])
+			}
+		}
+		if got[n] != guard {
+			t.Fatalf("DistancePlanar (%s) wrote past its %d outputs (dim=%d)", im.Name, n, dim)
+		}
+		if best != wantBest {
+			t.Fatalf("ArgminPlanar (%s) = %d, reference argmin %d (dim=%d, n=%d)\nq = %v\nrows = %v", im.Name, best, wantBest, dim, n, q, vecs[:n*dim])
 		}
 	}
 }
