@@ -4,6 +4,7 @@ import (
 	"fmt"
 	"math"
 	"math/rand/v2"
+	"slices"
 
 	"caltrain/internal/fingerprint"
 	"caltrain/internal/kernel"
@@ -112,13 +113,14 @@ func trainClass(b *bucket, o IVFOptions) *ivfClass {
 		return c
 	}
 
-	// Training sample: a seeded permutation prefix.
-	sampleN := min(b.n, o.SampleCap)
-	perm := rng.Perm(b.n)[:sampleN]
-	sample := make([]int32, sampleN)
-	for i, p := range perm {
-		sample[i] = int32(p)
+	// Training sample: a seeded permutation prefix — rng.Perm's draws
+	// (it is this Shuffle of the identity), in int32 and without a copy.
+	perm := make([]int32, b.n)
+	for i := range perm {
+		perm[i] = int32(i)
 	}
+	rng.Shuffle(len(perm), func(i, j int) { perm[i], perm[j] = perm[j], perm[i] })
+	sample := perm[:min(b.n, o.SampleCap)]
 
 	// Random distinct init from the sample.
 	c.centroids = make([]float32, c.nlist*dim)
@@ -131,8 +133,8 @@ func trainClass(b *bucket, o IVFOptions) *ivfClass {
 
 	// Full assignment pass over every point in the label.
 	full := make([]int32, b.n)
-	assignNearest(&b.vecs, nil, full, func(v []float32) int {
-		return kernel.ArgminRows(v, c.centroids, dim, c.nlist)
+	assignNearest(&b.vecs, nil, nil, full, func(qs []float32, out []int32) {
+		kernel.ArgminBatch(qs, c.centroids, dim, c.nlist, out)
 	})
 	c.lists = invertedLists(full, c.nlist)
 	return c
@@ -186,11 +188,23 @@ func lloyd(vecs *rows, points []int32, cents []float32, k, iters int, rng *rand.
 	if planar(dim) {
 		table = make([]float32, k*dim)
 	}
+	listed, order := points, storageOrder(points, vecs.nb+len(vecs.tail)/dim)
+	if order == nil {
+		listed = nil
+	}
 	for it := 0; it < iters; it++ {
 		if planar(dim) {
 			transpose(table, cents, k, dim)
 		}
-		assignNearest(vecs, points, assign, func(v []float32) int { return nearest(v, table, k) })
+		assignNearest(vecs, listed, order, assign, func(qs []float32, out []int32) {
+			if !planar(dim) {
+				kernel.ArgminBatch(qs, table, dim, k, out)
+				return
+			}
+			for i := range out {
+				out[i] = int32(kernel.ArgminPlanar(qs[i*dim:(i+1)*dim], table, k))
+			}
+		})
 		clear(sums)
 		clear(counts)
 		for i, p := range points {
@@ -218,18 +232,66 @@ func lloyd(vecs *rows, points []int32, cents []float32, k, iters int, rng *rand.
 
 // assignNearest writes into out[i] the centroid nearest row points[i] of
 // vecs — row i when points is nil, which means every row. Large point
-// sets fan out across cores.
-func assignNearest(vecs *rows, points []int32, out []int32, argmin func(v []float32) int) {
+// sets fan out across cores, and each worker hands its chunk to argmin
+// in batches (argmin(qs, o) fills o[j] for the j-th row of qs). Every
+// row is one run of contiguous storage, passed as it lies; listed rows
+// are visited in storage order (points[order[0]], points[order[1]], …,
+// ascending) so that they stream from memory, and gathered assignTile
+// at a time into a pooled scratch.
+func assignNearest(vecs *rows, points, order, out []int32, argmin func(qs []float32, out []int32)) {
+	dim := vecs.dim
 	parallelChunks(len(out), func(lo, hi int) {
-		for i := lo; i < hi; i++ {
-			p := i
-			if points != nil {
-				p = int(points[i])
+		if points == nil {
+			for i := lo; i < hi; {
+				run, n := vecs.span(i, hi)
+				argmin(run, out[i:i+n])
+				i += n
 			}
-			out[i] = int32(argmin(vecs.at(p)))
+			return
+		}
+		s := scratchPool.Get().(*scratch)
+		defer scratchPool.Put(s)
+		s.qs, s.probed = resize(s.qs, assignTile*dim), resize(s.probed, assignTile)
+		for k0 := lo; k0 < hi; k0 += assignTile {
+			tile := order[k0:min(k0+assignTile, hi)]
+			for k, i := range tile {
+				copy(s.qs[k*dim:], vecs.at(int(points[i])))
+			}
+			argmin(s.qs[:len(tile)*dim], s.probed[:len(tile)])
+			for k, i := range tile {
+				out[i] = s.probed[k]
+			}
 		}
 	})
 }
+
+// storageOrder returns the positions of points — distinct rows below n
+// — sorted by the row each names: the order assignNearest visits them
+// in; nil when points already lists every row in order (trainPQ's
+// sample), which assignNearest then reads as every row. One pass over
+// the rows: slot[p] is 1 + the position naming row p, and the answer is
+// compacted into slot's own prefix (the write index never passes the
+// read index).
+func storageOrder(points []int32, n int) []int32 {
+	if len(points) == n && slices.IsSorted(points) {
+		return nil
+	}
+	slot := make([]int32, n)
+	for i, p := range points {
+		slot[p] = int32(i) + 1
+	}
+	order := slot[:0]
+	for _, s := range slot {
+		if s != 0 {
+			order = append(order, s-1)
+		}
+	}
+	return order
+}
+
+// assignTile is how many listed rows assignNearest gathers per argmin
+// call: whole screening tiles of the kernel, 4 KiB at dim 64.
+const assignTile = 4 * kernel.ArgminTile
 
 // Kind implements Searcher.
 func (x *IVF) Kind() string { return "ivf" }

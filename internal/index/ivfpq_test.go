@@ -694,7 +694,7 @@ func linkedClassDB(b *testing.B, n int) *fingerprint.DB {
 // BenchmarkTrainIVF times the whole IVF build — sample, Lloyd rounds,
 // full assignment pass, inverted lists — for one class the size of a
 // bench shard label (25 000 × 64, 158 lists; 2 500 under -short).
-// Nearly all of it is ArgminRows of a 64-float row against the
+// Nearly all of it is ArgminBatch of 64-float rows against the
 // centroid table, which is what the screened argmin exists for.
 func BenchmarkTrainIVF(b *testing.B) {
 	n := 25000

@@ -38,7 +38,7 @@ func hasAVX2() bool {
 	return ebx7&avx2 != 0
 }
 
-// screenOK gates the screened argmin (kernel.go): rowsScreenAsm uses
+// screenOK gates the screened argmin (kernel.go): screenAsm uses
 // VFMADD231PS, which hasAVX2 does not vouch for, so registerArch probes
 // FMA3 separately — CPUID.1:ECX bit 12. An AVX2 host without it keeps
 // the exact scan.

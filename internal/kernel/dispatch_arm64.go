@@ -12,7 +12,7 @@ package kernel
 // double lane of a 128-bit vector register.
 const rowLanes = 2
 
-// screenOK gates the screened argmin (kernel.go): rowsScreenAsm needs
+// screenOK gates the screened argmin (kernel.go): screenAsm needs
 // nothing beyond baseline ASIMD.
 const screenOK = true
 

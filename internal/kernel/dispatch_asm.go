@@ -2,7 +2,10 @@
 
 package kernel
 
-import "math"
+import (
+	"math"
+	"math/bits"
+)
 
 // Go side of the assembly implementations: four routines per
 // architecture (kernel_amd64.s, kernel_arm64.s) behind the same names,
@@ -42,12 +45,29 @@ type planarBest struct {
 //go:noescape
 func planarAsm(qd *float64, planes *float32, dim, stride, n int, out *float64, best *planarBest)
 
-// rowsScreenAsm is the screening pass of the screened argmin: float32
-// approximations of the n ≥ 4 row distances (dim ≥ 8) into out, and the
-// unsigned minimum and maximum of their bit patterns.
+// screenResult is one screenAsm call's bound and answer. The routine
+// reads bound and writes the rest: per query slot the candidate limit
+// and squared norm it computed, and the candidate rows as a bitmap (bit
+// i of the 256-bit row of slot t: row i is a candidate; bits at and past
+// n are unspecified). The assembly addresses the fields by offset:
+// 0 bound, 24 lim, 40 qq, 56 cand (TestScreenResultLayout).
+type screenResult struct {
+	bound screenBound
+	lim   [ArgminTile]float32
+	qq    [ArgminTile]float32
+	cand  [ArgminTile][argminBlock / 64]uint64
+}
+
+// screenAsm is the screening pass of the screened argmin: the dot-form
+// values s = ‖v‖² − 2·q·v, in float32, of nq (1…ArgminTile) queries
+// against n ≥ 4 rows (dim ≥ 8, n ≤ argminBlock), query t's value for
+// row i to out[t*argminBlock+i] (slots past nq repeat the last query);
+// then, for each of the nq queries, the limit L of res.bound from the
+// slot's smallest value and ‖q‖², and the rows whose value is not above
+// it into res.cand.
 //
 //go:noescape
-func rowsScreenAsm(q, vecs *float32, dim, n int, out *float32) (lo, hi uint32)
+func screenAsm(qs, vecs *float32, dim, n, nq int, out *float32, res *screenResult)
 
 func sqDistVector(q, v []float32) float64 {
 	if len(q) == 0 {
@@ -131,34 +151,82 @@ func argminPlanarVector(q, planes []float32, n int) int {
 }
 
 // argminScreened is the screened argmin (package comment, "Screened
-// argmin"): per block of argminBlock rows, screen every row in float32,
-// then run the exact pair kernel on the candidates — the rows whose
-// screening value is within the proved margin of the block minimum —
-// ascending and strict-<, which is the exhaustive scan's answer. In a
-// block of fewer than screenMinRows rows, or with a screening value
-// outside the safe range, every row is a candidate: the exhaustive
-// scan itself.
-func argminScreened(q, vecs []float32, dim, n int) int {
-	tau := float64(dim+8) * 0x1p-22
-	eta := float64(dim) * 0x1p-148
-	var a [argminBlock]float32
-	best, bestD := 0, math.Inf(1)
-	for r0 := 0; r0 < n; r0 += argminBlock {
-		nb := min(argminBlock, n-r0)
-		block := vecs[r0*dim:]
-		limit := float32(math.Inf(1))
-		if nb >= screenMinRows {
-			if lo, hi := rowsScreenAsm(&q[0], &block[0], dim, nb, &a[0]); hi <= screenSafe {
-				limit = float32(float64(math.Float32frombits(lo))*(1+tau) + eta)
-			}
+// argmin") of the len(out) queries in qs, ArgminTile at a time: per
+// block of argminBlock rows, screenAsm scores every row against the tile
+// in float32 dot form and marks each query's candidates — the rows whose
+// value is within the proved margin of that query's smallest — and the
+// exact pair kernel compares the candidates ascending and strict-<,
+// which is the exhaustive scan's answer. In a block of fewer than
+// screenMinRows rows every row is a candidate: the exhaustive scan
+// itself. a is the screening values' scratch: argminBlock floats for one
+// query, ArgminTile times that for more.
+func argminScreened(qs, vecs []float32, dim, n int, out []int32, a []float32) {
+	bound := newScreenBound(dim)
+	for t0 := 0; t0 < len(out); t0 += ArgminTile {
+		nt := min(ArgminTile, len(out)-t0)
+		var best [ArgminTile]int
+		var bestD [ArgminTile]float64
+		for t := range bestD {
+			bestD[t] = math.Inf(1)
 		}
-		for i, ai := range a[:nb] {
-			if !(ai > limit) { // under the +Inf limit a NaN is a candidate too
-				if d := pairAsm(&q[0], &block[i*dim], dim); d < bestD {
-					best, bestD = r0+i, d
+		for r0 := 0; r0 < n; r0 += argminBlock {
+			nb := min(argminBlock, n-r0)
+			block := vecs[r0*dim:]
+			res := screenResult{bound: bound}
+			if nb >= screenMinRows {
+				screenAsm(&qs[t0*dim], &block[0], dim, nb, nt, &a[0], &res)
+			} else {
+				for t := range nt {
+					res.cand[t][0] = 1<<nb - 1
+				}
+			}
+			for t := range nt {
+				q := &qs[(t0+t)*dim]
+				words := res.cand[t][:(nb+63)/64]
+				if rest := nb % 64; rest != 0 {
+					words[len(words)-1] &= 1<<rest - 1
+				}
+				// The one candidate of the only block is the answer: its
+				// exact distance would decide nothing.
+				one := nb == n && onlyOne(words)
+				for w, word := range words {
+					for ; word != 0; word &= word - 1 {
+						i := 64*w + bits.TrailingZeros64(word)
+						if one {
+							best[t] = i
+						} else if d := pairAsm(q, &block[i*dim], dim); d < bestD[t] {
+							best[t], bestD[t] = r0+i, d
+						}
+					}
 				}
 			}
 		}
+		for t := range nt {
+			out[t0+t] = int32(best[t])
+		}
 	}
-	return best
+}
+
+// onlyOne reports whether exactly one bit is set across words.
+func onlyOne(words []uint64) bool {
+	n := 0
+	for _, w := range words {
+		n += bits.OnesCount64(w)
+	}
+	return n == 1
+}
+
+// screenBound is the candidate limit of the screened argmin at one
+// width, L = a·m + b·qq + c0 (package comment, "Screened argmin"), as
+// the coefficients of a line: m is a block's smallest screening value
+// for one query and qq that query's squared norm, both as screenAsm
+// computed them, and screenAsm evaluates it.
+type screenBound struct{ a, b, c0 float64 }
+
+func newScreenBound(dim int) screenBound {
+	k := float64(dim/8 + 12)
+	c := k*0x1p-24/(1-k*0x1p-24) + 0x1p-23 // γ_K + 2u
+	eta := float64(dim+8) * 0x1p-147
+	w := 16*c + 4*c*(1+4*c)*(1+8*c)
+	return screenBound{a: 1 + 4*c*(1+4*c), b: (1 + 2*c) * w, c0: eta * (w + 4*c*(1+4*c) + 1)}
 }

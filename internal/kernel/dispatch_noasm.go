@@ -25,6 +25,6 @@ func argminPlanarVector(q, planes []float32, n int) int { return argminPlanarGen
 // argminScreened is never reached either.
 const screenOK = false
 
-func argminScreened(q, vecs []float32, dim, n int) int {
+func argminScreened(qs, vecs []float32, dim, n int, out []int32, a []float32) {
 	panic("kernel: no screening routine on this build")
 }

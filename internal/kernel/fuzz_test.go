@@ -114,6 +114,32 @@ func FuzzArgminParity(f *testing.F) {
 	})
 }
 
+// FuzzArgminBatchParity is FuzzArgminParity for a batch: the seed corpus
+// is the adversarial table with the planted query in a tile beside one
+// of its rows (distance 0) and its negation, and the fuzzer resizes the
+// batch, the rows and the width and perturbs every float — and
+// ArgminBatch under every implementation must return, for every query
+// at every slot position, the exhaustive exact scan's index.
+func FuzzArgminBatchParity(f *testing.F) {
+	for _, c := range argminCases([]int{8, 9, 17, 64}, []int{1, 6, 257}) {
+		dim := len(c.q)
+		qs := append(append([]float32{}, c.vecs[:dim]...), c.q...)
+		for _, x := range c.q {
+			qs = append(qs, -x)
+		}
+		f.Add(toBytes(qs), toBytes(c.vecs), uint8(dim))
+	}
+	f.Fuzz(func(t *testing.T, qb, vb []byte, width uint8) {
+		dim := max(1, int(width))
+		qs, vecs := kerneltest.FromBytes(qb), kerneltest.FromBytes(vb)
+		nq := min(len(qs)/dim, 2*kernel.ArgminTile+1)
+		if nq == 0 {
+			return
+		}
+		kerneltest.CheckArgminBatch(t, qs[:nq*dim], vecs, dim, min(len(vecs)/dim, 600))
+	})
+}
+
 // FuzzPlanarParity is FuzzArgminParity for the planar entry points: the
 // seed corpus is the same adversarial table at the planar widths (below
 // kernel.BlockDim) — exact ties planted in different lanes and lane

@@ -22,8 +22,8 @@
 // of rows, ONE dispatch per block) and the ADC table scan (adc.go). The
 // assembly implementations also carry two unexported routines: the
 // planar routine behind DistancePlanar and ArgminPlanar (see "Small
-// widths" below), and a float32 screening routine that only ArgminRows
-// uses (see "Screened argmin").
+// widths" below), and the float32 screening routine ArgminRows and
+// ArgminBatch share (see "Screened argmin").
 //
 // Bit-stability contract. Every implementation MUST produce bitwise
 // identical float64 results for identical inputs, so indexes built,
@@ -80,69 +80,88 @@
 // equality for ALL inputs, and SqDist(q,v) == SqDist(v,q) exactly).
 //
 // The batched entry points (DistanceRows, DistanceGather,
-// DistanceBatch, ArgminRows) amortize dispatch and memory traffic:
-// DistanceRows and ArgminRows hand a whole block of rows to the rows
-// kernel, and DistanceBatch sweeps a block of vectors sized to stay
+// DistanceBatch, ArgminRows, ArgminBatch) amortize dispatch and memory
+// traffic: DistanceRows and ArgminRows hand a whole block of rows to one
+// kernel call, DistanceBatch sweeps a block of vectors sized to stay
 // cache-resident across a whole query batch, so a batch of B queries
-// costs one pass over the data instead of B.
+// costs one pass over the data instead of B, and ArgminBatch screens a
+// tile of queries per load of each row.
 //
-// Screened argmin. ArgminRows — the nearest-centroid assignment of
-// k-means, the one loop IVF set-up consists of — is specified by its
-// RESULT: the index an ascending strict-< scan of the exact kernel
-// distances returns. Under an assembly implementation, for widths of 8
-// and up, it gets there without running the exact kernel on most rows:
-// rowsScreenAsm scores a block of rows in plain float32 (a subtraction
-// and a fused multiply-add on 8 or 4 lanes, no widening: about a third
-// of the exact row's cost), every row whose screening value a satisfies
+// Screened argmin. ArgminRows and ArgminBatch — the nearest-centroid
+// assignment of k-means, the one loop IVF set-up consists of — are
+// specified by their RESULT: the index an ascending strict-< scan of the
+// exact kernel distances returns. Under an assembly implementation, for
+// widths of 8 and up, they get there without running the exact kernel on
+// most rows. One routine per architecture, screenAsm, scores a TILE of up
+// to four queries against a block of at most 256 rows in float32 DOT
+// FORM,
 //
-//	a ≤ min·(1+τ) + η,   τ = (dim+8)·2⁻²²,   η = dim·2⁻¹⁴⁸
+//	s = ‖v‖² − 2·q·v  =  T − ‖q‖²   (T the real squared distance)
 //
-// (min the smallest screening value of the block) is a candidate, and
-// only the candidates — one or two of a centroid table, typically —
-// are scored by the exact pair kernel and compared ascending with a
-// strict <. The screening values are NOT part of the bit-stability
-// contract (the two architectures sum in different orders, and a
-// separate multiply and add would be as good); the returned index is,
-// because the candidate set provably contains the exhaustive scan's
-// winner:
+// dropping the per-query ‖q‖² and computing ‖v‖² in-kernel beside the
+// dots: each block of a row is loaded once for the whole tile and costs
+// one fused multiply-add per query per 8 coordinates, plus one for the
+// norm (a batch of one sums v·(v − 2·q) instead: a subtraction and an
+// FMA per lane, the port mix of one query). Then, per query, from the
+// block's smallest value m and the routine's own ‖q‖² (qq), every row
+// with s ≤ L is a candidate,
 //
-//   - Write T for the real-number distance of a row and u = 2⁻²⁴. A
-//     screening value is a sum of dim non-negative terms, each reached
-//     through at most K ≤ dim/8 + 12 ≤ dim + 8 float32 roundings (one
-//     on the difference, at most one on the square, the lane sum, the
-//     lane reduction, the scalar tail), none of which can cancel, so
-//     |a − T| ≤ γ·T + ε with γ = Ku/(1−Ku). The ε = dim·2⁻¹⁵⁰·(1+γ)
-//     covers the only absolute error: a square, or the fused sum it
-//     enters, rounding in the subnormal range (a float32 subtraction or
-//     addition alone never loses to underflow; the Go runtime leaves
-//     flush-to-zero off). No step overflows while the result is
-//     finite, since terms only accumulate.
-//   - The exact kernel's float64 value D of the same row carries the
-//     same kind of error with u₆₄ = 2⁻⁵³ and no underflow: |D − T| ≤ γ₆₄·T.
-//   - Let i be the exhaustive winner of a block and m the row with the
-//     smallest screening value. D_i ≤ D_m, hence
-//     T_i ≤ T_m·(1+γ₆₄)/(1−γ₆₄), and chaining the two bounds gives
-//     a_i ≤ ρ·(a_m + ε) + ε with ρ = (1+γ)(1+γ₆₄)/((1−γ)(1−γ₆₄)). With
-//     x = (dim+8)·u ≤ 2⁻⁷ (screenMaxDim), ρ ≤ 1 + 2.1x < 1 + 4x = 1 + τ
-//     and (2+τ)·ε < η: row i passes the candidate test, with 1.9x ≥ 30
-//     float32 ulps of slack for the rounding of the threshold itself.
+//	L = a·m + b·qq + c₀   (screenBound: a = 1 + 4c(1+4c), b ≈ 20c, c₀ ≈ η)
+//	c = γ_K + 2u,  γ_K = Ku/(1−Ku),  K = dim/8 + 12,  u = 2⁻²⁴,  η = (dim+8)·2⁻¹⁴⁷
+//
+// (L evaluated in float64 and rounded UP to float32), marked in a bitmap,
+// and only the candidates — one of a bench centroid table, typically, and
+// the one candidate of a single block is the answer outright — are
+// scored by the exact pair kernel and compared ascending with a strict <.
+// The screening values are NOT part of the bit-stability contract (the
+// two architectures sum in different orders); the returned index is,
+// because the candidate set provably contains the exhaustive winner:
+//
+//   - One value. Every term of s (v_j² and −2·q_j·v_j) passes through at
+//     most K float32 roundings — ⌈dim/8⌉ fused steps per lane, the lane's
+//     n − 2·d (or the subtraction v − 2·q), three reduction levels, and on
+//     NEON up to eight more for the scalar tail — so for a row whose
+//     arithmetic never overflows, |ŝ − s| ≤ c·(‖q‖ + ‖v‖)² + η/2: the
+//     terms' magnitudes sum to at most ‖v‖² + 2‖q‖‖v‖ ≤ (‖q‖ + ‖v‖)², the
+//     extra u covers the rounding of the subtraction, and η/2 the absolute
+//     error of a product rounding in the subnormal range (additions are
+//     exact there; the Go runtime leaves flush-to-zero off).
+//   - Why it scales with (‖q‖ + ‖v‖)². The dot form cancels ‖v‖² against
+//     2·q·v, so its error is relative to the norms, not to the distance:
+//     tight for fingerprints near the origin (one candidate of 158 at unit
+//     norm), every row a candidate for a cloud 1e3 from it — slower, never
+//     wrong (TestScreenBoundWidensOffOrigin logs the count).
+//   - No row norms needed. Only two rows matter: m's and the exhaustive
+//     winner i's. For any row ‖v‖ ≤ ‖q‖ + √T, so (‖q‖ + ‖v‖)² ≤ 8‖q‖² + 2T;
+//     applied to m, T_m ≤ m + ‖q‖² + c·(8‖q‖² + 2T_m) + η/2, a bound linear
+//     in m; and the float64 exact values D (|D − T| ≤ γ₆₄·T) give
+//     D_i ≤ D_m, hence T_i ≤ T_m·(1 + 3γ₆₄). Chaining them,
+//     ŝ_i ≤ m + c·(16‖q‖² + 4T_m) + η, with ‖q‖² ≤ qq·(1 + 2c) + η from qq's
+//     own error and the γ₆₄ terms inside the u/2 of slack c keeps: that
+//     is L. Row i passes.
 //   - Among candidates the ascending strict-< scan of exact distances
 //     picks the lowest index at the smallest D, which is i, and blocks
-//     combine by the same rule as before.
+//     combine by the same rule.
 //
-// τ grows with dim; it is not a constant tuned to one width. The bound
-// needs finite arithmetic, so a block with any screening value that is
-// NaN, +Inf or above 1e30 (squares of coordinates ≳ 1e14) is scanned
-// exactly instead, as are widths below 8 (the tables that are hot at
-// those widths are planar), widths above screenMaxDim, blocks of fewer
-// than four rows, everything under the portable implementation, and an
-// AVX2 host without FMA3 (screenOK: the amd64 routine uses VFMADD231PS,
-// and dispatch_amd64.go probes CPUID.1:ECX bit 12 for it).
-// kerneltest.CheckRows holds ArgminRows to the reference argmin under
-// every implementation; TestArgminAdversarial and FuzzArgminParity aim
-// it at exact ties, one-ulp neighbours, underflowing and overflowing
-// squares and non-finite coordinates, and FuzzPlanarParity aims the
-// same table, at the planar widths, at ArgminPlanar.
+// The bound needs finite arithmetic. A query whose qq is above 1e30 or
+// NaN, and a block whose m is (m is also NaN when a NaN row hides the
+// minimum), get L = +Inf: every row a candidate — the exhaustive scan,
+// for that query alone; its tile's other queries keep their limits. A
+// row whose arithmetic overflows float32 screens as +Inf (no −Inf can
+// arise while ‖q‖² ≤ 1e30) or NaN: never a candidate under a finite L,
+// rightly, since its T is past 3e38 while T_m ≤ 2e30; always one if NaN.
+// Widths below 8 (the tables hot at those widths are planar), widths
+// above screenMaxDim, blocks of fewer than four rows, everything under
+// the portable implementation, and an AVX2 host without FMA3 (screenOK:
+// dispatch_amd64.go probes CPUID.1:ECX bit 12) keep the exact scan.
+// kerneltest.CheckRows and CheckArgminBatch hold both entry points to the
+// reference argmin under every implementation, at every slot of a tile;
+// TestArgminAdversarial, TestArgminBatchAdversarial, FuzzArgminParity and
+// FuzzArgminBatchParity aim them at exact ties, one-ulp neighbours, rows
+// whose distances agree to the last bits (also 100 from the origin, where
+// the dot form cancels), underflowing and overflowing squares and
+// non-finite coordinates, and FuzzPlanarParity aims the same table, at
+// the planar widths, at ArgminPlanar.
 package kernel
 
 import (
@@ -377,37 +396,74 @@ func DistanceRows(q, vecs []float32, dim int, out []float64) {
 
 // argminBlock is how many rows an exhaustive argmin scores per kernel
 // call: a whole PQ codebook (ADCKs rows) in one dispatch, on 2 KiB of
-// stack for the exact distances or 1 KiB for the screening values.
+// stack for the exact distances. The screened argmin screens a block of
+// that many rows at a time too, for up to ArgminTile queries at once.
 const argminBlock = ADCKs
 
 // The screened argmin applies where its proof does (see the package
 // comment): an assembly implementation whose screening routine the host
 // can run (screenOK, per architecture), at least one whole 8-float
-// block per row and four rows per screening group, a width that keeps
-// (dim+8)·2⁻²⁴ ≤ 2⁻⁷, and a block whose screening values all sit at or
-// below screenSafe (float32 bits of 1e30 — far from overflow, and below
-// every NaN and +Inf pattern).
+// block per row, at least four rows per block, and a width that keeps
+// the rounding depth K far below 2²⁴ (c ≤ 1/4, and the float64 error
+// terms inside c's slack).
 const (
 	screenMinDim  = BlockDim
 	screenMaxDim  = 1 << 16
 	screenMinRows = 4
-	screenSafe    = 0x7149F2CA
 )
+
+// screens reports whether im runs the screened argmin at width dim.
+func screens(im *Impl, dim int) bool {
+	return screenOK && im != &impls[0] && dim >= screenMinDim && dim <= screenMaxDim
+}
+
+// ArgminTile is how many queries of an ArgminBatch the assembly
+// implementations screen together against each block of rows (one
+// screenAsm call).
+const ArgminTile = 4
+
+// ArgminBatch writes into out[i] the index of the row of vecs[:n*dim]
+// nearest query i of qs (len(out) queries of dim floats, concatenated):
+// bit for bit what ArgminRows(qs[i*dim:(i+1)*dim], vecs, dim, n)
+// returns. On the assembly implementations the queries are screened
+// ArgminTile at a time, so each block of rows is read once per tile
+// instead of once per query — the assignment pass of k-means hands a
+// whole chunk of points to one call.
+func ArgminBatch(qs, vecs []float32, dim, n int, out []int32) {
+	if dim < 0 || len(qs) != len(out)*dim {
+		panic(fmt.Sprintf("kernel: ArgminBatch %d query floats for %d queries of %d", len(qs), len(out), dim))
+	}
+	if n < 0 || len(vecs) < n*dim {
+		panic(fmt.Sprintf("kernel: ArgminBatch %d vector floats for %d rows of %d", len(vecs), n, dim))
+	}
+	im := active.Load()
+	if screens(im, dim) {
+		var a [ArgminTile * argminBlock]float32
+		argminScreened(qs, vecs, dim, n, out, a[:])
+		return
+	}
+	for i := range out {
+		out[i] = int32(ArgminRows(qs[i*dim:(i+1)*dim], vecs, dim, n))
+	}
+}
 
 // ArgminRows returns the index of the row of vecs[:n*dim] nearest q by
 // squared kernel distance — the assignment step of k-means and product
 // quantization. The scan is ascending with a strict <, so ties go to
 // the lowest index; a NaN distance never wins, and 0 is returned when no
 // row is closer than +Inf (or n is 0). On the assembly implementations
-// most rows are ruled out by a float32 screening pass and never reach
-// the exact kernel; the index returned is the exhaustive scan's for
-// every input (package comment, "Screened argmin").
+// it is ArgminBatch's batch of one: most rows are ruled out by a float32
+// screening pass and never reach the exact kernel, and the index
+// returned is the exhaustive scan's for every input (package comment,
+// "Screened argmin").
 func ArgminRows(q, vecs []float32, dim, n int) int {
 	checkRowsArgs("ArgminRows", q, vecs, dim, n)
 	im := active.Load()
-	if screenOK && im != &impls[0] && dim >= screenMinDim && dim <= screenMaxDim {
-		return argminScreened(q, vecs, dim, n)
+	if screens(im, dim) {
+		return argminOne(q, vecs, dim, n)
 	}
+	// The exhaustive scan both argmins are specified by, kept inline: a
+	// call level around its 2 KiB block cost the dim-4 path ~25 ns.
 	var buf [argminBlock]float64
 	best, bestD := 0, math.Inf(1)
 	for r0 := 0; r0 < n; r0 += argminBlock {
@@ -420,6 +476,18 @@ func ArgminRows(q, vecs []float32, dim, n int) int {
 		}
 	}
 	return best
+}
+
+// argminOne is ArgminRows' batch of one. Its screening scratch lives in
+// this frame: declared in ArgminRows, the address-taken 1 KiB block was
+// zeroed on every call, exact path included (+5 % at dim 4).
+//
+//go:noinline
+func argminOne(q, vecs []float32, dim, n int) int {
+	var a [argminBlock]float32
+	var out [1]int32
+	argminScreened(q, vecs, dim, n, out[:], a[:])
+	return int(out[0])
 }
 
 // DistanceGather computes out[i] = SqDist(q, vecs[pos[i]*dim:...]) —

@@ -3,9 +3,12 @@
 #include "textflag.h"
 
 // Loop placement. Every routine pins the head of its outermost vector
-// loop with PCALIGN $32, so where its loops sit relative to the 32-byte
-// fetch windows is a property of this file and not of what the linker
-// happened to place before the function. An inner loop head is a fixed
+// loop with PCALIGN $64, so where its loops sit relative to the 64-byte
+// windows of the decoded-uop cache is a property of this file and not of
+// what the linker happened to place before the function. (32 was not
+// enough: planarAsm's loop head at 32 mod 64 instead of 0 cost its
+// argmin 20–30 % on the Sapphire Rapids sandbox, in whichever binary
+// drew it.) An inner loop head is a fixed
 // distance past an aligned outer one, so it is pinned too, without
 // padding that the outer loop would execute on every pass; the scalar
 // tails run at most seven latency-bound iterations and are left alone.
@@ -33,7 +36,7 @@ TEXT ·pairAsm(SB), NOSPLIT, $0-32
 	CMPQ DX, $0
 	JE   reduce
 
-	PCALIGN $32
+	PCALIGN $64
 blocked:
 	// Lanes j..j+3 into Y0.
 	VCVTPS2PD (SI)(AX*4), Y2   // 4 × float32 -> 4 × float64
@@ -107,7 +110,7 @@ TEXT ·rowsBlockedAsm(SB), NOSPLIT, $0-40
 	TESTQ BX, BX
 	JLE  rowsdone
 
-	PCALIGN $32
+	PCALIGN $64
 row:
 	VXORPD Y0, Y0, Y0          // acc lanes p0..p3
 	VXORPD Y1, Y1, Y1          // acc lanes p4..p7
@@ -209,7 +212,7 @@ argmininit:
 	VMOVQ AX, X7
 	VPBROADCASTQ X7, Y7        // the index step
 
-	PCALIGN $32
+	PCALIGN $64
 step:
 	VXORPD Y0, Y0, Y0          // lane c = sum of centroid c
 	XORQ AX, AX                // AX = plane index j
@@ -250,117 +253,363 @@ done:
 	VZEROUPPER
 	RET
 
-// func rowsScreenAsm(q, vecs *float32, dim, n int, out *float32) (lo, hi uint32)
+// func screenAsm(qs, vecs *float32, dim, n, nq int, out *float32, res *screenResult)
 //
-// The screening pass of the screened argmin (kernel.go): out[i] ≈ the
-// squared L2 distance between q and row i in plain float32 — 8-lane
-// VSUBPS and VFMADD231PS, no widening — for n ≥ 4 contiguous rows of
-// dim ≥ 8 floats. The caller has probed FMA3 (screenOK). These values
-// are NOT under the bit-stability contract; only the error bound
-// documented in kernel.go is relied on, and every path through here is
-// at most dim/8 + 12 roundings deep.
+// The screening pass of the screened argmin (kernel.go), in DOT FORM:
+// s = ‖v‖² − 2·q·v = ‖q − v‖² − ‖q‖² in plain float32 — 8-lane FMA, no
+// widening — for nq (1…4) queries of dim ≥ 8 floats, concatenated at
+// qs, against n ≥ 4 contiguous rows (n ≤ 256). The caller has probed
+// FMA3 (screenOK). These values are NOT under the bit-stability
+// contract; only the error bound documented in kernel.go is relied on:
+// every term is ⌈dim/8⌉ fused steps per lane, one combining rounding and
+// three reduction adds deep.
 //
-// Four rows per step share each load of q (Y8): their lane sums live in
-// Y0..Y3, three VHADDPS and one cross-half add fold them into
-// X0 = {row0, row1, row2, row3}, and the dim mod 8 leftover elements
-// are added four rows at a time (VMOVSS + 3 × VINSERTPS at the row
-// stride against the broadcast q[j]). When n is not a multiple of 4
-// the last group is re-anchored at row n-4 and rescans up to three rows,
-// which rewrites the same values. lo and hi are the unsigned minimum and
-// maximum of the float32 BIT PATTERNS written to out: a sum of squares
-// is +0 or positive, so below +Inf the unsigned order is the float
-// order, and any NaN (either sign) or +Inf lands above every finite
-// value — hi alone tells the caller whether the block is safe to trust.
-TEXT ·rowsScreenAsm(SB), NOSPLIT, $0-48
-	MOVQ q+0(FP), SI
+// Query slot t's value for row i goes to out[t*256+i]; slots past nq
+// read the last query again. First the four slots' ‖q‖² (res.qq, summed
+// the same way), then one of two register tiles:
+//
+//   - nq = 1: one query × four rows, s = Σ v·(v − 2·q) — a subtraction
+//     and an FMA per lane, the port mix of one query (Y0..Y3 sums, 2·q
+//     in Y12). When n is not a multiple of 4 the last group is
+//     re-anchored at row n-4 and rewrites up to three values.
+//   - nq ≥ 2: four queries × two rows, s = ‖v‖² − 2·q·v: each block of a
+//     row is loaded once for the four queries, its ‖v‖² (Y8/Y9) summed
+//     beside their dots (Y0..Y7, each query block an FMA memory operand)
+//     and combined lane by lane before the reduction. An odd n
+//     re-anchors the last pair at row n-2.
+//
+// The dim mod 8 leftover elements are one more step through VMASKMOVPS
+// (Y15 masks them in; masked lanes load +0 and add exactly nothing).
+// X13 lane t is the smallest value m of query slot t (lane 0 alone for
+// nq = 1) as VMINPS keeps it: a finite value of some row, or not finite
+// (a NaN row can hide the rest), which `finish` treats as unsafe.
+TEXT ·screenAsm(SB), NOSPLIT, $0-56
+	MOVQ qs+0(FP), SI
 	MOVQ vecs+8(FP), DI
 	MOVQ dim+16(FP), CX
 	MOVQ n+24(FP), BX
-	MOVQ out+32(FP), R8
+	MOVQ nq+32(FP), R13
+	MOVQ out+40(FP), R8
+	LEAQ (CX*4), R9            // R9 = row stride in bytes
+	MOVQ CX, AX
+	ANDQ $7, AX
+	NEGQ AX
+	LEAQ screenMask<>(SB), DX
+	VMOVDQU 32(DX)(AX*4), Y15  // lanes below dim mod 8 all-ones
 	MOVQ CX, DX
 	ANDQ $-8, DX               // DX = dim &^ 7, the blocked prefix
-	LEAQ (CX*4), R9            // R9 = row stride in bytes
-	VPCMPEQD X12, X12, X12     // running min of the bit patterns, per lane
-	VPXOR X13, X13, X13        // running max
+	MOVL $0x7F800000, AX
+	VMOVD AX, X13
+	VPBROADCASTD X13, X13      // running minimum per query slot: +Inf
 
-	PCALIGN $32
-group:
-	LEAQ (DI)(R9*1), R10       // rows 1..3 of the group
-	LEAQ (R10)(R9*1), R11
-	LEAQ (R11)(R9*1), R12
-	VXORPS Y0, Y0, Y0          // lane sums of rows 0..3
+	// Query pointers of slots 1..3, clamped to the last query.
+	DECQ R13                   // R13 = nq-1
+	MOVQ $1, R10
+	CMPQ R13, R10
+	CMOVQLT R13, R10
+	IMULQ R9, R10
+	ADDQ SI, R10
+	MOVQ $2, R11
+	CMPQ R13, R11
+	CMOVQLT R13, R11
+	IMULQ R9, R11
+	ADDQ SI, R11
+	MOVQ $3, R12
+	CMPQ R13, R12
+	CMOVQLT R13, R12
+	IMULQ R9, R12
+	ADDQ SI, R12
+
+	// ‖q‖² of the four slots, summed like the dots below.
+	VXORPS Y0, Y0, Y0
 	VXORPS Y1, Y1, Y1
 	VXORPS Y2, Y2, Y2
 	VXORPS Y3, Y3, Y3
-	XORQ AX, AX                // AX = element index j
-
-blocked:
-	VMOVUPS (SI)(AX*4), Y8
-	VSUBPS (DI)(AX*4), Y8, Y4  // d = q - v
-	VFMADD231PS Y4, Y4, Y0   // sum += d*d
-	VSUBPS (R10)(AX*4), Y8, Y5
+	XORQ AX, AX
+qqblk:
+	VMOVUPS (SI)(AX*4), Y4
+	VFMADD231PS Y4, Y4, Y0
+	VMOVUPS (R10)(AX*4), Y5
 	VFMADD231PS Y5, Y5, Y1
-	VSUBPS (R11)(AX*4), Y8, Y6
+	VMOVUPS (R11)(AX*4), Y6
 	VFMADD231PS Y6, Y6, Y2
-	VSUBPS (R12)(AX*4), Y8, Y7
+	VMOVUPS (R12)(AX*4), Y7
 	VFMADD231PS Y7, Y7, Y3
 	ADDQ $8, AX
 	CMPQ AX, DX
-	JL   blocked
-
-	VHADDPS Y1, Y0, Y0         // per half: {r0, r0, r1, r1} pair sums
-	VHADDPS Y3, Y2, Y2         // per half: {r2, r2, r3, r3}
-	VHADDPS Y2, Y0, Y0         // per half: {r0, r1, r2, r3}
-	VEXTRACTF128 $1, Y0, X1
-	VADDPS X1, X0, X0          // X0 = {row0, row1, row2, row3}
-
-tail:
+	JL   qqblk
 	CMPQ AX, CX
-	JGE  store
-	VMOVSS (DI)(AX*4), X1
-	VINSERTPS $0x10, (R10)(AX*4), X1, X1
-	VINSERTPS $0x20, (R11)(AX*4), X1, X1
-	VINSERTPS $0x30, (R12)(AX*4), X1, X1
-	VBROADCASTSS (SI)(AX*4), X2
-	VSUBPS X1, X2, X1          // element j of the four rows
-	VMULPS X1, X1, X1
+	JGE  qqred
+	VMASKMOVPS (SI)(AX*4), Y15, Y4
+	VFMADD231PS Y4, Y4, Y0
+	VMASKMOVPS (R10)(AX*4), Y15, Y5
+	VFMADD231PS Y5, Y5, Y1
+	VMASKMOVPS (R11)(AX*4), Y15, Y6
+	VFMADD231PS Y6, Y6, Y2
+	VMASKMOVPS (R12)(AX*4), Y15, Y7
+	VFMADD231PS Y7, Y7, Y3
+qqred:
+	VHADDPS Y1, Y0, Y0
+	VHADDPS Y3, Y2, Y2
+	VHADDPS Y2, Y0, Y0
+	VEXTRACTF128 $1, Y0, X1
 	VADDPS X1, X0, X0
-	INCQ AX
-	JMP  tail
+	MOVQ res+48(FP), AX
+	VMOVUPS X0, 40(AX)         // res.qq
+	CMPQ R13, $0
+	JEQ  single
 
-store:
+	PCALIGN $64
+pair:
+	LEAQ (DI)(R9*1), R13       // row 1 of the pair
+	VXORPS Y0, Y0, Y0
+	VXORPS Y1, Y1, Y1
+	VXORPS Y2, Y2, Y2
+	VXORPS Y3, Y3, Y3
+	VXORPS Y4, Y4, Y4
+	VXORPS Y5, Y5, Y5
+	VXORPS Y6, Y6, Y6
+	VXORPS Y7, Y7, Y7
+	VXORPS Y8, Y8, Y8
+	VXORPS Y9, Y9, Y9
+	XORQ AX, AX                // AX = element index j
+
+pairblk:
+	VMOVUPS (DI)(AX*4), Y10
+	VMOVUPS (R13)(AX*4), Y11
+	VFMADD231PS Y10, Y10, Y8   // ‖v0‖²
+	VFMADD231PS Y11, Y11, Y9   // ‖v1‖²
+	VFMADD231PS (SI)(AX*4), Y10, Y0
+	VFMADD231PS (SI)(AX*4), Y11, Y1
+	VFMADD231PS (R10)(AX*4), Y10, Y2
+	VFMADD231PS (R10)(AX*4), Y11, Y3
+	VFMADD231PS (R11)(AX*4), Y10, Y4
+	VFMADD231PS (R11)(AX*4), Y11, Y5
+	VFMADD231PS (R12)(AX*4), Y10, Y6
+	VFMADD231PS (R12)(AX*4), Y11, Y7
+	ADDQ $8, AX
+	CMPQ AX, DX
+	JL   pairblk
+
+	CMPQ AX, CX
+	JGE  pairred
+	VMASKMOVPS (DI)(AX*4), Y15, Y10
+	VMASKMOVPS (R13)(AX*4), Y15, Y11
+	VFMADD231PS Y10, Y10, Y8
+	VFMADD231PS Y11, Y11, Y9
+	VMASKMOVPS (SI)(AX*4), Y15, Y12
+	VFMADD231PS Y12, Y10, Y0
+	VFMADD231PS Y12, Y11, Y1
+	VMASKMOVPS (R10)(AX*4), Y15, Y12
+	VFMADD231PS Y12, Y10, Y2
+	VFMADD231PS Y12, Y11, Y3
+	VMASKMOVPS (R11)(AX*4), Y15, Y12
+	VFMADD231PS Y12, Y10, Y4
+	VFMADD231PS Y12, Y11, Y5
+	VMASKMOVPS (R12)(AX*4), Y15, Y12
+	VFMADD231PS Y12, Y10, Y6
+	VFMADD231PS Y12, Y11, Y7
+
+pairred:
+	VBROADCASTSS screenTwo<>(SB), Y12
+	VFNMADD213PS Y8, Y12, Y0   // per lane: n0 - 2·d, one rounding
+	VFNMADD213PS Y9, Y12, Y1
+	VFNMADD213PS Y8, Y12, Y2
+	VFNMADD213PS Y9, Y12, Y3
+	VFNMADD213PS Y8, Y12, Y4
+	VFNMADD213PS Y9, Y12, Y5
+	VFNMADD213PS Y8, Y12, Y6
+	VFNMADD213PS Y9, Y12, Y7
+	VHADDPS Y2, Y0, Y0         // row 0, per half: {q0, q0, q1, q1} pair sums
+	VHADDPS Y6, Y4, Y4         // {q2, q2, q3, q3}
+	VHADDPS Y4, Y0, Y0         // {q0, q1, q2, q3}
+	VEXTRACTF128 $1, Y0, X2
+	VADDPS X0, X2, X2          // X2 = s of row 0, queries 0..3
+	VHADDPS Y3, Y1, Y1         // the same for row 1
+	VHADDPS Y7, Y5, Y5
+	VHADDPS Y5, Y1, Y1
+	VEXTRACTF128 $1, Y1, X3
+	VADDPS X1, X3, X3          // X3 = s of row 1
+	VMOVSS X2, (R8)            // query t's values are 1 KiB apart
+	VEXTRACTPS $1, X2, 1024(R8)
+	VEXTRACTPS $2, X2, 2048(R8)
+	VEXTRACTPS $3, X2, 3072(R8)
+	VMOVSS X3, 4(R8)
+	VEXTRACTPS $1, X3, 1028(R8)
+	VEXTRACTPS $2, X3, 2052(R8)
+	VEXTRACTPS $3, X3, 3076(R8)
+	VMINPS X2, X13, X13
+	VMINPS X3, X13, X13
+	ADDQ $8, R8
+	LEAQ (DI)(R9*2), DI        // next two rows
+	SUBQ $2, BX
+	CMPQ BX, $2
+	JGE  pair
+	TESTQ BX, BX
+	JLE  finish
+	SUBQ R9, DI                // one row left: step back to row n-2
+	SUBQ $4, R8
+	MOVQ $2, BX
+	JMP  pair
+
+	PCALIGN $64
+single:
+	LEAQ (DI)(R9*1), R10       // rows 1..3 of the group
+	LEAQ (R10)(R9*1), R11
+	LEAQ (R11)(R9*1), R12
+	VXORPS Y0, Y0, Y0
+	VXORPS Y1, Y1, Y1
+	VXORPS Y2, Y2, Y2
+	VXORPS Y3, Y3, Y3
+	VXORPS Y4, Y4, Y4
+	VXORPS Y5, Y5, Y5
+	VXORPS Y6, Y6, Y6
+	VXORPS Y7, Y7, Y7
+	XORQ AX, AX                // AX = element index j
+
+singleblk:
+	VMOVUPS (SI)(AX*4), Y12
+	VADDPS Y12, Y12, Y12       // 2·q, exact
+	VMOVUPS (DI)(AX*4), Y8
+	VMOVUPS (R10)(AX*4), Y9
+	VMOVUPS (R11)(AX*4), Y10
+	VMOVUPS (R12)(AX*4), Y11
+	VSUBPS Y12, Y8, Y4         // v - 2·q
+	VFMADD231PS Y4, Y8, Y0     // s += v·(v - 2·q)
+	VSUBPS Y12, Y9, Y5
+	VFMADD231PS Y5, Y9, Y1
+	VSUBPS Y12, Y10, Y6
+	VFMADD231PS Y6, Y10, Y2
+	VSUBPS Y12, Y11, Y7
+	VFMADD231PS Y7, Y11, Y3
+	ADDQ $8, AX
+	CMPQ AX, DX
+	JL   singleblk
+
+	CMPQ AX, CX
+	JGE  singlered
+	VMASKMOVPS (SI)(AX*4), Y15, Y12
+	VADDPS Y12, Y12, Y12
+	VMASKMOVPS (DI)(AX*4), Y15, Y8
+	VMASKMOVPS (R10)(AX*4), Y15, Y9
+	VMASKMOVPS (R11)(AX*4), Y15, Y10
+	VMASKMOVPS (R12)(AX*4), Y15, Y11
+	VSUBPS Y12, Y8, Y4
+	VFMADD231PS Y4, Y8, Y0
+	VSUBPS Y12, Y9, Y5
+	VFMADD231PS Y5, Y9, Y1
+	VSUBPS Y12, Y10, Y6
+	VFMADD231PS Y6, Y10, Y2
+	VSUBPS Y12, Y11, Y7
+	VFMADD231PS Y7, Y11, Y3
+
+singlered:
+	VHADDPS Y1, Y0, Y0         // per half: {r0, r0, r1, r1} pair sums
+	VHADDPS Y3, Y2, Y2         // {r2, r2, r3, r3}
+	VHADDPS Y2, Y0, Y0         // {r0, r1, r2, r3}
+	VEXTRACTF128 $1, Y0, X1
+	VADDPS X1, X0, X0          // X0 = s of rows 0..3
 	VMOVUPS X0, (R8)
-	VPMINUD X0, X12, X12
-	VPMAXUD X0, X13, X13
+	VMINPS X0, X13, X13
 	ADDQ $16, R8
 	LEAQ (DI)(R9*4), DI        // next four rows
 	SUBQ $4, BX
 	CMPQ BX, $4
-	JGE  group
+	JGE  single
 	TESTQ BX, BX
-	JLE  fold
+	JLE  singlemin
 	SUBQ $4, BX                // 1..3 rows left: step back to row n-4
 	LEAQ (R8)(BX*4), R8
 	IMULQ R9, BX
 	ADDQ BX, DI
 	MOVQ $4, BX
-	JMP  group
+	JMP  single
 
-fold:
-	VPSHUFD $0x4E, X12, X1
-	VPMINUD X1, X12, X12
-	VPSHUFD $0xB1, X12, X1
-	VPMINUD X1, X12, X12
-	VPSHUFD $0x4E, X13, X1
-	VPMAXUD X1, X13, X13
-	VPSHUFD $0xB1, X13, X1
-	VPMAXUD X1, X13, X13
-	VMOVD X12, AX
-	VMOVD X13, DX
+singlemin:
+	VSHUFPS $0x4E, X13, X13, X1 // fold the four row lanes into lane 0
+	VMINPS X1, X13, X13
+	VSHUFPS $0xB1, X13, X13, X1
+	VMINPS X1, X13, X13
+
+finish:
+	// The limit of each slot, L = a·m + b·qq + c0 in float64 (m and qq
+	// widen exactly), then rounded UP to float32: L + |L|·2⁻²³ + 2⁻¹⁴⁹
+	// rounds to nearest at or above L. A slot whose m or qq is not at most
+	// 1e30 (NaN is not) gets +Inf: every row a candidate.
+	MOVQ res+48(FP), AX
+	VCVTPS2PD X13, Y0          // m
+	VCVTPS2PD 40(AX), Y1       // qq
+	VBROADCASTSD 16(AX), Y2    // c0
+	VBROADCASTSD 8(AX), Y3     // b
+	VFMADD231PD Y3, Y1, Y2
+	VBROADCASTSD 0(AX), Y3     // a
+	VFMADD231PD Y3, Y0, Y2     // L
+	VPCMPEQQ Y3, Y3, Y3
+	VPSRLQ $1, Y3, Y3
+	VANDPD Y3, Y2, Y3          // |L|
+	MOVQ $0x3E80000000000000, DX // 2⁻²³
+	VMOVQ DX, X4
+	VBROADCASTSD X4, Y4
+	VFMADD231PD Y4, Y3, Y2
+	MOVQ $0x36A0000000000000, DX // 2⁻¹⁴⁹
+	VMOVQ DX, X4
+	VBROADCASTSD X4, Y4
+	VADDPD Y4, Y2, Y2
+	VCVTPD2PSY Y2, X2
+	MOVL $0x7149F2CA, DX       // 1e30
+	VMOVD DX, X5
+	VBROADCASTSS X5, X5
+	VCMPPS $2, X5, X13, X6     // m ≤ 1e30
+	VMOVUPS 40(AX), X7
+	VCMPPS $2, X5, X7, X7      // qq ≤ 1e30
+	VANDPS X7, X6, X6
+	MOVL $0x7F800000, DX
+	VMOVD DX, X5
+	VBROADCASTSS X5, X5
+	VBLENDVPS X6, X2, X5, X2   // safe ? L : +Inf
+	VMOVUPS X2, 24(AX)         // res.lim
+
+	// Candidate bitmaps: bit i of slot t is !(lim[t] < out[t*256+i]),
+	// true for a NaN, eight rows per compare.
+	MOVQ out+40(FP), SI
+	LEAQ 56(AX), DI            // res.cand
+	MOVQ n+24(FP), BX
+	MOVQ nq+32(FP), R13
+	XORQ R10, R10              // slot t
+selslot:
+	VBROADCASTSS 24(AX)(R10*4), Y0
+	XORQ CX, CX                // row i
+	XORQ R11, R11              // bitmap byte i/8
+selrow:
+	VCMPPS $0x15, (SI)(CX*4), Y0, Y1
+	VMOVMSKPS Y1, DX
+	MOVB DX, (DI)(R11*1)
+	INCQ R11
+	ADDQ $8, CX
+	CMPQ CX, BX
+	JL   selrow
+	ADDQ $1024, SI
+	ADDQ $32, DI
+	INCQ R10
+	CMPQ R10, R13
+	JL   selslot
 	VZEROUPPER
-	MOVL AX, lo+40(FP)
-	MOVL DX, hi+44(FP)
 	RET
+
+// screenMask: eight all-ones lanes then eight zero lanes; the 8 lanes
+// starting at lane 8 - (dim mod 8) mask in the leftover elements.
+DATA screenMask<>+0(SB)/8, $0xffffffffffffffff
+DATA screenMask<>+8(SB)/8, $0xffffffffffffffff
+DATA screenMask<>+16(SB)/8, $0xffffffffffffffff
+DATA screenMask<>+24(SB)/8, $0xffffffffffffffff
+DATA screenMask<>+32(SB)/8, $0
+DATA screenMask<>+40(SB)/8, $0
+DATA screenMask<>+48(SB)/8, $0
+DATA screenMask<>+56(SB)/8, $0
+GLOBL screenMask<>(SB), RODATA|NOPTR, $64
+
+DATA screenTwo<>+0(SB)/4, $0x40000000 // 2.0
+GLOBL screenTwo<>(SB), RODATA|NOPTR, $4
 
 // func cpuid(eaxIn, ecxIn uint32) (eax, ebx, ecx, edx uint32)
 TEXT ·cpuid(SB), NOSPLIT, $0-24

@@ -307,88 +307,345 @@ next:
 done:
 	RET
 
-// func rowsScreenAsm(q, vecs *float32, dim, n int, out *float32) (lo, hi uint32)
+// func screenAsm(qs, vecs *float32, dim, n, nq int, out *float32, res *screenResult)
 //
-// The screening pass of the screened argmin (kernel.go): out[i] ≈ the
-// squared L2 distance between q and row i in plain float32 — 4-lane
-// FSUB and FMLA, no widening — for n ≥ 1 contiguous rows of dim ≥ 8
-// floats. These values are NOT under the bit-stability contract; only
-// the error bound documented in kernel.go is relied on, and every path
-// through here is at most dim/8 + 12 roundings deep.
+// The screening pass of the screened argmin (kernel.go), in DOT FORM:
+// s = ‖v‖² − 2·q·v = ‖q − v‖² − ‖q‖² in plain float32 — 4-lane FMLA, no
+// widening — for nq (1…4) queries of dim ≥ 8 floats, concatenated at qs,
+// against n ≥ 4 contiguous rows (n ≤ 256); query slot t's value for row
+// i goes to out[t*256+i], slots past nq reading the last query again.
+// These values are NOT under the bit-stability contract; only the error
+// bound documented in kernel.go is relied on: every term is ⌈dim/8⌉
+// fused steps per lane, one combining rounding and three reduction adds
+// deep, and the dim mod 8 leftover elements add at most eight more
+// roundings (v·(v − 2·q) as a scalar subtraction, multiplication and
+// addition per element).
 //
-// One row per pass of the row loop, 8 floats per step into two 4-lane
-// accumulators (V16, V17), folded by one vector add and two pairwise
-// adds, then a scalar tail for the dim mod 8 leftover elements. lo and
-// hi are the unsigned minimum and maximum of the float32 BIT PATTERNS
-// written to out, kept in R11/R12: a sum of squares is +0 or positive,
-// so below +Inf the unsigned order is the float order, and any NaN
-// (either sign) or +Inf lands above every finite value — hi alone
-// tells the caller whether the block is safe to trust.
+// First the four slots' ‖q‖² (res.qq, summed the same way). Then one
+// row at a time against the whole tile: 8 floats of the row per step
+// (V6/V7), its ‖v‖² summed beside the four slots' dots (V16/V17 norms,
+// V18..V25 dots, two 4-lane accumulators each), combined lane by lane
+// into n − 2·d and reduced to one value per slot; a batch of one (R15 =
+// nq-1 = 0) skips slots 1..3. F28..F31 keep each slot's smallest value
+// (FMIN: a NaN sticks, and the caller's limit is then +Inf).
 //
-// The assembler has VFMLA; the other .4S arithmetic is WORD-coded like
-// the .2D forms above pairAsm (ARMv8 A64; sz = 0 selects single
-// precision):
+// Then, as on amd64, each slot's limit L = a·m + b·qq + c0 of res.bound
+// in float64, rounded up to float32 through L + |L|·2⁻²³ + 2⁻¹⁴⁹ (+Inf
+// unless m and qq are at most 1e30) into res.lim, and for each of the nq
+// queries the candidate bitmap res.cand: bit i is !(out[t*256+i] > L),
+// four rows per FCMGT, weighted {1,2,4,8} and summed across lanes.
+//
+// Encodings of the WORD-coded .4S forms (sz = 0) beside those above
+// pairAsm and planarAsm:
 //
 //	FADD  Vd.4S, Vn.4S, Vm.4S = 0x4E20D400 | m<<16 | n<<5 | d
 //	FSUB  Vd.4S, Vn.4S, Vm.4S = 0x4EA0D400 | m<<16 | n<<5 | d
 //	FADDP Vd.4S, Vn.4S, Vm.4S = 0x6E20D400 | m<<16 | n<<5 | d
 //	FADDP Sd, Vn.2S           = 0x7E30D800 | n<<5 | d
-TEXT ·rowsScreenAsm(SB), NOSPLIT, $0-48
-	MOVD q+0(FP), R7
+//	FCMGT Vd.4S, Vn.4S, Vm.4S = 0x6EA0E400 | m<<16 | n<<5 | d
+TEXT ·screenAsm(SB), NOSPLIT, $0-56
+	MOVD qs+0(FP), R0
 	MOVD vecs+8(FP), R1
 	MOVD dim+16(FP), R2
 	MOVD n+24(FP), R8
-	MOVD out+32(FP), R9
-	AND  $-8, R2, R3               // R3 = dim &^ 7, the blocked prefix
-	MOVD $0xFFFFFFFF, R11          // running min of the bit patterns
-	MOVD ZR, R12                   // running max
+	MOVD nq+32(FP), R13
+	MOVD out+40(FP), R9
+	MOVD res+48(FP), R11
+	AND  $-8, R2, R6               // R6 = dim &^ 7, the blocked prefix
+	LSL  $2, R2, R10               // R10 = row stride in bytes
+	SUB  $1, R13, R15              // R15 = nq-1: 0 for a batch of one
+
+	// Query pointers of slots 1..3 (R3, R4, R5), clamped to the last query.
+	MOVD $1, R7
+	CMP  R7, R15
+	CSEL LT, R15, R7, R7
+	MUL  R10, R7, R7
+	ADD  R0, R7, R3
+	MOVD $2, R7
+	CMP  R7, R15
+	CSEL LT, R15, R7, R7
+	MUL  R10, R7, R7
+	ADD  R0, R7, R4
+	MOVD $3, R7
+	CMP  R7, R15
+	CSEL LT, R15, R7, R7
+	MUL  R10, R7, R7
+	ADD  R0, R7, R5
+
+	// ‖q‖² of the four slots into S18, S20, S22, S24, then res.qq.
+	MOVD R0, R19
+	MOVD R3, R20
+	MOVD R4, R21
+	MOVD R5, R22
+	VEOR V18.B16, V18.B16, V18.B16
+	VEOR V19.B16, V19.B16, V19.B16
+	VEOR V20.B16, V20.B16, V20.B16
+	VEOR V21.B16, V21.B16, V21.B16
+	VEOR V22.B16, V22.B16, V22.B16
+	VEOR V23.B16, V23.B16, V23.B16
+	VEOR V24.B16, V24.B16, V24.B16
+	VEOR V25.B16, V25.B16, V25.B16
+	MOVD ZR, R14
+qqblk:
+	VLD1.P 32(R19), [V0.S4, V1.S4]
+	VLD1.P 32(R20), [V2.S4, V3.S4]
+	VLD1.P 32(R21), [V4.S4, V5.S4]
+	VLD1.P 32(R22), [V26.S4, V27.S4]
+	VFMLA V0.S4, V0.S4, V18.S4
+	VFMLA V1.S4, V1.S4, V19.S4
+	VFMLA V2.S4, V2.S4, V20.S4
+	VFMLA V3.S4, V3.S4, V21.S4
+	VFMLA V4.S4, V4.S4, V22.S4
+	VFMLA V5.S4, V5.S4, V23.S4
+	VFMLA V26.S4, V26.S4, V24.S4
+	VFMLA V27.S4, V27.S4, V25.S4
+	ADD $8, R14
+	CMP R6, R14
+	BLT qqblk
+	WORD $0x4E33D652 // FADD  V18.4S, V18.4S, V19.4S
+	WORD $0x6E32D652 // FADDP V18.4S, V18.4S, V18.4S
+	WORD $0x7E30DA52 // FADDP S18, V18.2S
+	WORD $0x4E35D694 // FADD  V20.4S, V20.4S, V21.4S
+	WORD $0x6E34D694 // FADDP V20.4S, V20.4S, V20.4S
+	WORD $0x7E30DA94 // FADDP S20, V20.2S
+	WORD $0x4E37D6D6 // FADD  V22.4S, V22.4S, V23.4S
+	WORD $0x6E36D6D6 // FADDP V22.4S, V22.4S, V22.4S
+	WORD $0x7E30DAD6 // FADDP S22, V22.2S
+	WORD $0x4E39D718 // FADD  V24.4S, V24.4S, V25.4S
+	WORD $0x6E38D718 // FADDP V24.4S, V24.4S, V24.4S
+	WORD $0x7E30DB18 // FADDP S24, V24.2S
+qqtail:
+	CMP R2, R14
+	BGE qqdone
+	FMOVS (R19), F0
+	FMULS F0, F0, F0
+	FADDS F0, F18, F18
+	FMOVS (R20), F0
+	FMULS F0, F0, F0
+	FADDS F0, F20, F20
+	FMOVS (R21), F0
+	FMULS F0, F0, F0
+	FADDS F0, F22, F22
+	FMOVS (R22), F0
+	FMULS F0, F0, F0
+	FADDS F0, F24, F24
+	ADD $4, R19
+	ADD $4, R20
+	ADD $4, R21
+	ADD $4, R22
+	ADD $1, R14
+	B   qqtail
+qqdone:
+	FMOVS F18, 40(R11)
+	FMOVS F20, 44(R11)
+	FMOVS F22, 48(R11)
+	FMOVS F24, 52(R11)
+
+	MOVW  $0x7F800000, R7
+	FMOVS R7, F28                  // running minimum of each slot: +Inf
+	FMOVS R7, F29
+	FMOVS R7, F30
+	FMOVS R7, F31
 
 	PCALIGN $16
 row:
-	MOVD R7, R0
-	VEOR V16.B16, V16.B16, V16.B16 // lane sums, elements j..j+3
-	VEOR V17.B16, V17.B16, V17.B16 // lane sums, elements j+4..j+7
-	MOVD ZR, R4                    // R4 = element index j
+	MOVD R0, R19                   // the four slots' queries, walked per row
+	MOVD R3, R20
+	MOVD R4, R21
+	MOVD R5, R22
+	VEOR V16.B16, V16.B16, V16.B16 // ‖v‖² lanes
+	VEOR V17.B16, V17.B16, V17.B16
+	VEOR V18.B16, V18.B16, V18.B16 // q·v lanes, slot 0
+	VEOR V19.B16, V19.B16, V19.B16
+	VEOR V20.B16, V20.B16, V20.B16 // slot 1
+	VEOR V21.B16, V21.B16, V21.B16
+	VEOR V22.B16, V22.B16, V22.B16 // slot 2
+	VEOR V23.B16, V23.B16, V23.B16
+	VEOR V24.B16, V24.B16, V24.B16 // slot 3
+	VEOR V25.B16, V25.B16, V25.B16
+	MOVD ZR, R14                   // R14 = element index j
 
 blocked:
-	VLD1.P 32(R0), [V4.S4, V5.S4] // q[j..j+3], q[j+4..j+7]
-	VLD1.P 32(R1), [V6.S4, V7.S4] // v[j..j+3], v[j+4..j+7]
-	WORD  $0x4EA6D480              // FSUB V0.4S, V4.4S, V6.4S   d = q - v
-	VFMLA V0.S4, V0.S4, V16.S4     // sum += d*d
-	WORD  $0x4EA7D4A1              // FSUB V1.4S, V5.4S, V7.4S
-	VFMLA V1.S4, V1.S4, V17.S4
-	ADD $8, R4
-	CMP R3, R4
+	VLD1.P 32(R1), [V6.S4, V7.S4]  // v[j..j+7]
+	VLD1.P 32(R19), [V0.S4, V1.S4]
+	VFMLA V6.S4, V6.S4, V16.S4
+	VFMLA V7.S4, V7.S4, V17.S4
+	VFMLA V0.S4, V6.S4, V18.S4
+	VFMLA V1.S4, V7.S4, V19.S4
+	CBZ R15, blocknext
+	VLD1.P 32(R20), [V2.S4, V3.S4]
+	VLD1.P 32(R21), [V4.S4, V5.S4]
+	VLD1.P 32(R22), [V26.S4, V27.S4]
+	VFMLA V2.S4, V6.S4, V20.S4
+	VFMLA V3.S4, V7.S4, V21.S4
+	VFMLA V4.S4, V6.S4, V22.S4
+	VFMLA V5.S4, V7.S4, V23.S4
+	VFMLA V26.S4, V6.S4, V24.S4
+	VFMLA V27.S4, V7.S4, V25.S4
+blocknext:
+	ADD $8, R14
+	CMP R6, R14
 	BLT blocked
 
-	WORD $0x4E31D610 // FADD  V16.4S, V16.4S, V17.4S
-	WORD $0x6E30D610 // FADDP V16.4S, V16.4S, V16.4S {s0+s1, s2+s3, …}
-	WORD $0x7E30DA00 // FADDP S0, V16.2S             row sum in F0
+	// Per lane n - 2·d (the doubling is exact), then each slot's lanes
+	// reduced into S18, S20, S22, S24.
+	WORD $0x4E32D652 // FADD  V18.4S, V18.4S, V18.4S
+	WORD $0x4EB2D612 // FSUB  V18.4S, V16.4S, V18.4S
+	WORD $0x4E33D673 // FADD  V19.4S, V19.4S, V19.4S
+	WORD $0x4EB3D633 // FSUB  V19.4S, V17.4S, V19.4S
+	WORD $0x4E34D694 // FADD  V20.4S, V20.4S, V20.4S
+	WORD $0x4EB4D614 // FSUB  V20.4S, V16.4S, V20.4S
+	WORD $0x4E35D6B5 // FADD  V21.4S, V21.4S, V21.4S
+	WORD $0x4EB5D635 // FSUB  V21.4S, V17.4S, V21.4S
+	WORD $0x4E36D6D6 // FADD  V22.4S, V22.4S, V22.4S
+	WORD $0x4EB6D616 // FSUB  V22.4S, V16.4S, V22.4S
+	WORD $0x4E37D6F7 // FADD  V23.4S, V23.4S, V23.4S
+	WORD $0x4EB7D637 // FSUB  V23.4S, V17.4S, V23.4S
+	WORD $0x4E38D718 // FADD  V24.4S, V24.4S, V24.4S
+	WORD $0x4EB8D618 // FSUB  V24.4S, V16.4S, V24.4S
+	WORD $0x4E39D739 // FADD  V25.4S, V25.4S, V25.4S
+	WORD $0x4EB9D639 // FSUB  V25.4S, V17.4S, V25.4S
+	WORD $0x4E33D652 // FADD  V18.4S, V18.4S, V19.4S
+	WORD $0x6E32D652 // FADDP V18.4S, V18.4S, V18.4S
+	WORD $0x7E30DA52 // FADDP S18, V18.2S
+	WORD $0x4E35D694 // FADD  V20.4S, V20.4S, V21.4S
+	WORD $0x6E34D694 // FADDP V20.4S, V20.4S, V20.4S
+	WORD $0x7E30DA94 // FADDP S20, V20.2S
+	WORD $0x4E37D6D6 // FADD  V22.4S, V22.4S, V23.4S
+	WORD $0x6E36D6D6 // FADDP V22.4S, V22.4S, V22.4S
+	WORD $0x7E30DAD6 // FADDP S22, V22.2S
+	WORD $0x4E39D718 // FADD  V24.4S, V24.4S, V25.4S
+	WORD $0x6E38D718 // FADDP V24.4S, V24.4S, V24.4S
+	WORD $0x7E30DB18 // FADDP S24, V24.2S
 
-tail:
-	CMP R2, R4
-	BGE store
-	FMOVS (R0), F2
-	FMOVS (R1), F3
-	FSUBS F3, F2, F2
-	FMULS F2, F2, F2
-	FADDS F2, F0, F0
-	ADD   $4, R0
+rowtail:
+	CMP R2, R14
+	BGE rowdone
+	FMOVS (R1), F6                 // v[j]
 	ADD   $4, R1
-	ADD   $1, R4
-	B     tail
+	FMOVS (R19), F0
+	FADDS F0, F0, F0               // 2·q[j], exact
+	FSUBS F0, F6, F0               // v - 2·q
+	FMULS F6, F0, F0
+	FADDS F0, F18, F18
+	CBZ   R15, rowtailnext
+	FMOVS (R20), F0
+	FADDS F0, F0, F0
+	FSUBS F0, F6, F0
+	FMULS F6, F0, F0
+	FADDS F0, F20, F20
+	FMOVS (R21), F0
+	FADDS F0, F0, F0
+	FSUBS F0, F6, F0
+	FMULS F6, F0, F0
+	FADDS F0, F22, F22
+	FMOVS (R22), F0
+	FADDS F0, F0, F0
+	FSUBS F0, F6, F0
+	FMULS F6, F0, F0
+	FADDS F0, F24, F24
+rowtailnext:
+	ADD $4, R19
+	ADD $4, R20
+	ADD $4, R21
+	ADD $4, R22
+	ADD $1, R14
+	B   rowtail
 
-store:
-	FMOVS F0, R5                   // the bit pattern, zero-extended
-	MOVW  R5, (R9)
-	ADD   $4, R9
-	CMPW  R11, R5
-	CSELW LO, R5, R11, R11
-	CMPW  R12, R5
-	CSELW HI, R5, R12, R12
-	SUB   $1, R8
-	CBNZ  R8, row
+rowdone:
+	FMOVS F18, (R9)
+	FMINS F18, F28, F28
+	CBZ   R15, rownext
+	FMOVS F20, 1024(R9)
+	FMINS F20, F29, F29
+	FMOVS F22, 2048(R9)
+	FMINS F22, F30, F30
+	FMOVS F24, 3072(R9)
+	FMINS F24, F31, F31
+rownext:
+	ADD  $4, R9
+	SUB  $1, R8
+	CBNZ R8, row
 
-	MOVW R11, lo+40(FP)
-	MOVW R12, hi+44(FP)
+	// Limits.
+	MOVD  $0x3E80000000000000, R7  // 2⁻²³
+	FMOVD R7, F8
+	MOVD  $0x36A0000000000000, R7  // 2⁻¹⁴⁹
+	FMOVD R7, F9
+	MOVW  $0x7149F2CA, R7          // 1e30
+	FMOVS R7, F10
+	MOVW  $0x7F800000, R7          // +Inf
+	FMOVS R7, F11
+	FMOVD 0(R11), F12              // a
+	FMOVD 8(R11), F13              // b
+	FMOVD 16(R11), F14             // c0
+	FMOVS F28, 24(R11)             // the minima, replaced by the limits
+	FMOVS F29, 28(R11)
+	FMOVS F30, 32(R11)
+	FMOVS F31, 36(R11)
+	ADD   $24, R11, R12
+	MOVD  $4, R7
+limslot:
+	FMOVS  (R12), F0               // m
+	FMOVS  16(R12), F1             // qq
+	FCVTSD F0, F3
+	FCVTSD F1, F4
+	FMULD  F13, F4, F2             // b·qq
+	FADDD  F14, F2, F2             // + c0
+	FMULD  F12, F3, F3             // a·m
+	FADDD  F3, F2, F2              // L
+	FABSD  F2, F3
+	FMULD  F8, F3, F3
+	FADDD  F3, F2, F2              // + |L|·2⁻²³
+	FADDD  F9, F2, F2              // + 2⁻¹⁴⁹
+	FCVTDS F2, F2
+	FCMPS  F10, F0                 // LS iff m ≤ 1e30 (not on NaN)
+	FCSELS LS, F2, F11, F2
+	FCMPS  F10, F1
+	FCSELS LS, F2, F11, F2
+	FMOVS  F2, (R12)
+	ADD    $4, R12
+	SUB    $1, R7
+	CBNZ   R7, limslot
+
+	// Candidate bitmaps, four rows per compare.
+	MOVD $0x0000000200000001, R7
+	VMOV R7, V6.D[0]
+	MOVD $0x0000000800000004, R7
+	VMOV R7, V6.D[1]               // lane weights {1, 2, 4, 8}
+	MOVD out+40(FP), R9
+	ADD  $24, R11, R12             // &res.lim[t]
+	ADD  $56, R11, R14             // &res.cand[t]
+selslot:
+	VLD1R.P 4(R12), [V5.S4]        // lim[t] in every lane
+	MOVD R9, R19
+	MOVD n+24(FP), R8
+	MOVD ZR, R20                   // the bitmap word being filled
+	MOVD ZR, R21                   // its next bit
+	MOVD R14, R22
+selrow:
+	VLD1.P 16(R19), [V0.S4]
+	WORD $0x6EA5E401 // FCMGT V1.4S, V0.4S, V5.4S   all-ones where out > lim (not on NaN)
+	VAND  V6.B16, V1.B16, V1.B16
+	VADDV V1.S4, V1
+	VMOV  V1.S[0], R7
+	EOR   $15, R7, R7              // the candidates among the four rows
+	LSL   R21, R7, R7
+	ORR   R7, R20, R20
+	ADD   $4, R21
+	CMP   $64, R21
+	BNE   selnext
+	MOVD.P R20, 8(R22)
+	MOVD  ZR, R20
+	MOVD  ZR, R21
+selnext:
+	SUBS $4, R8, R8
+	BGT  selrow
+	CBZ  R21, selslotdone
+	MOVD R20, (R22)
+selslotdone:
+	ADD  $1024, R9
+	ADD  $32, R14
+	SUB  $1, R13
+	CBNZ R13, selslot
 	RET

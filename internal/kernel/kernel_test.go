@@ -211,6 +211,21 @@ func argminCases(dims, ns []int) []argminCase {
 					}
 				}
 			})
+			add("rotations far from the origin", 1, func(q, vecs []float32, row func(int) []float32) {
+				// The same rotations around a query 100 from the origin in
+				// every coordinate: ‖v‖² and 2·q·v of the dot form cancel
+				// to a few bits, so a margin that ignores ‖q‖ and ‖v‖
+				// loses the winner.
+				d := append([]float32(nil), row(w)...)
+				for j := range q {
+					q[j] = 100
+				}
+				for i := 0; i < n; i++ {
+					for j := range q {
+						row(i)[j] = 100 + d[(j+i)%dim]
+					}
+				}
+			})
 			add("query equals rows", 1, func(q, vecs []float32, row func(int) []float32) {
 				copy(q, row(w))
 				copy(row(a), row(w))
@@ -268,6 +283,82 @@ func TestArgminAdversarial(t *testing.T) {
 		t.Run(c.name, func(t *testing.T) {
 			kerneltest.CheckRows(t, c.q, c.vecs, len(c.vecs)/len(c.q))
 		})
+	}
+}
+
+// TestArgminBatchParity holds ArgminBatch under every implementation to
+// the reference argmin of each query: every screened width class (whole
+// blocks, a leftover tail, a long row) and a few below it, row counts
+// around the four-row screening minimum and the 256-row block, batches
+// that are not a multiple of the tile, and random, special and mixed
+// values.
+func TestArgminBatchParity(t *testing.T) {
+	rng := rand.New(rand.NewPCG(53, 59))
+	dims, ns := []int{1, 4, 7, 8, 9, 15, 16, 17, 63, 64, 65, 129}, []int{0, 1, 3, 4, 5, 158, 256, 257, 600}
+	if testing.Short() {
+		dims, ns = []int{4, 8, 17, 64}, []int{0, 3, 158, 257}
+	}
+	for _, dim := range dims {
+		for _, n := range ns {
+			nq := 1 + (dim+n)%(2*kernel.ArgminTile+2)
+			vecs := randVec(rng, n*dim)
+			kerneltest.CheckArgminBatch(t, randVec(rng, nq*dim), vecs, dim, n)
+			kerneltest.CheckArgminBatch(t, specialVec(nq*dim, 3), specialVec(n*dim, 1), dim, n)
+			kerneltest.CheckArgminBatch(t, specialVec(nq*dim, 5), vecs, dim, n)
+		}
+	}
+}
+
+// TestArgminBatchAdversarial runs the adversarial table through
+// ArgminBatch with the planted query at every slot position of a tile
+// and beyond it, its neighbours rows of the same table (distance 0,
+// ties) and its own negation: every slot must equal the exhaustive exact
+// scan's index.
+func TestArgminBatchAdversarial(t *testing.T) {
+	dims, ns := []int{8, 9, 16, 17, 64, 100}, []int{4, 255, 257}
+	if testing.Short() {
+		dims, ns = []int{8, 17, 64}, []int{257}
+	}
+	for _, c := range argminCases(dims, ns) {
+		t.Run(c.name, func(t *testing.T) {
+			dim := len(c.q)
+			n := len(c.vecs) / dim
+			for slot := 0; slot <= kernel.ArgminTile; slot++ {
+				qs := make([]float32, 0, (kernel.ArgminTile+1)*dim)
+				for s := 0; s <= kernel.ArgminTile; s++ {
+					switch {
+					case s == slot:
+						qs = append(qs, c.q...)
+					case s%2 == 0:
+						r := (s * 7) % n
+						qs = append(qs, c.vecs[r*dim:(r+1)*dim]...)
+					default:
+						for _, x := range c.q {
+							qs = append(qs, -x)
+						}
+					}
+				}
+				kerneltest.CheckArgminBatch(t, qs, c.vecs, dim, n)
+			}
+		})
+	}
+}
+
+// TestArgminBatchIsolatesSpecialQueries puts a NaN, an infinite and a
+// huge query (squared norm far above the screen's 1e30 safe range) into
+// one slot of a tile of ordinary ones: that slot falls back to the
+// exhaustive scan and the other slots keep their screened answers, all
+// equal to the reference.
+func TestArgminBatchIsolatesSpecialQueries(t *testing.T) {
+	rng := rand.New(rand.NewPCG(61, 67))
+	const dim, n = 64, 158
+	vecs := randVec(rng, n*dim)
+	for _, special := range []float32{float32(math.NaN()), float32(math.Inf(1)), float32(math.Inf(-1)), 3e18, 1e16} {
+		for slot := 0; slot < kernel.ArgminTile; slot++ {
+			qs := randVec(rng, kernel.ArgminTile*dim)
+			qs[slot*dim+dim/2] = special
+			kerneltest.CheckArgminBatch(t, qs, vecs, dim, n)
+		}
 	}
 }
 
@@ -420,6 +511,27 @@ func BenchmarkArgminRows(b *testing.B) {
 				})
 			}
 		}
+	}
+}
+
+// BenchmarkArgminBatch times one ArgminBatch call of tile queries against
+// a bench shard label's 158 IVF centroids at a whole 64-float
+// fingerprint, under the dispatched implementation: tile 1 is
+// ArgminRows' batch of one (IVF.Append), 4 one screening tile, 64 a run
+// of the assignment pass. ns/op ÷ tile is the cost per point.
+func BenchmarkArgminBatch(b *testing.B) {
+	rng := rand.New(rand.NewPCG(71, 73))
+	const dim, n = 64, 158
+	vecs := randVec(rng, n*dim)
+	for _, tile := range []int{1, 4, 64} {
+		qs, out := randVec(rng, tile*dim), make([]int32, tile)
+		b.Run("dim="+strconv.Itoa(dim)+"/n="+strconv.Itoa(n)+"/tile="+strconv.Itoa(tile), func(b *testing.B) {
+			b.SetBytes(int64(4 * tile * n * dim))
+			for i := 0; i < b.N; i++ {
+				kernel.ArgminBatch(qs, vecs, dim, n, out)
+			}
+			sink = float64(out[0])
+		})
 	}
 }
 

@@ -5,7 +5,8 @@
 // values, and slices whose base pointers are not vector-aligned. The
 // kernel package's own property tests and the native Go fuzz targets
 // (FuzzDistanceParity, FuzzDistanceBatchParity, FuzzRowsParity,
-// FuzzArgminParity, FuzzPlanarParity, FuzzADCParity) both build on it.
+// FuzzArgminParity, FuzzArgminBatchParity, FuzzPlanarParity,
+// FuzzADCParity) both build on it.
 package kerneltest
 
 import (
@@ -156,6 +157,63 @@ func CheckRows(t testing.TB, q, vecs []float32, n int) {
 	}
 	if dim < kernel.BlockDim {
 		CheckPlanar(t, q, vecs, n)
+	}
+}
+
+// CheckArgminBatch fails t unless, under every registered
+// implementation, ArgminBatch over the n rows of vecs returns for every
+// query of qs (len(qs)/dim of them) the strict-<, lowest-index-wins
+// argmin of the reference distances — for the whole batch (a ragged
+// last tile when its size is not a multiple of kernel.ArgminTile) and
+// for every window of 1…ArgminTile+1 consecutive queries, so each query
+// is screened at every slot position of a tile and beside every
+// neighbour.
+func CheckArgminBatch(t testing.TB, qs, vecs []float32, dim, n int) {
+	t.Helper()
+	if dim <= 0 {
+		t.Fatalf("CheckArgminBatch needs dim ≥ 1, got %d", dim)
+	}
+	nq := len(qs) / dim
+	qs = qs[:nq*dim]
+	want := make([]int32, nq)
+	for i := range want {
+		q, bestD := qs[i*dim:(i+1)*dim], math.Inf(1)
+		for r := 0; r < n; r++ {
+			if d := kernel.SqDistRef(q, vecs[r*dim:(r+1)*dim]); d < bestD {
+				want[i], bestD = int32(r), d
+			}
+		}
+	}
+	got := make([]int32, nq+1)
+	for _, im := range kernel.Impls() {
+		restore, err := kernel.SetActive(im.Name)
+		if err != nil {
+			t.Fatal(err)
+		}
+		check := func(lo, hi int) {
+			t.Helper()
+			const guard = -7
+			got[hi-lo] = guard
+			kernel.ArgminBatch(qs[lo*dim:hi*dim], vecs, dim, n, got[:hi-lo])
+			for i := lo; i < hi; i++ {
+				if got[i-lo] != want[i] {
+					restore()
+					t.Fatalf("ArgminBatch (%s) of queries [%d,%d): query %d (slot %d) = %d, reference argmin %d (dim=%d, n=%d)\nq = %v",
+						im.Name, lo, hi, i, i-lo, got[i-lo], want[i], dim, n, qs[i*dim:(i+1)*dim])
+				}
+			}
+			if got[hi-lo] != guard {
+				restore()
+				t.Fatalf("ArgminBatch (%s) wrote past its %d outputs", im.Name, hi-lo)
+			}
+		}
+		check(0, nq)
+		for k := 1; k <= min(nq, kernel.ArgminTile+1); k++ {
+			for lo := 0; lo+k <= nq; lo++ {
+				check(lo, lo+k)
+			}
+		}
+		restore()
 	}
 }
 

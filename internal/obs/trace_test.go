@@ -48,6 +48,48 @@ func TestParseTraceParentRejections(t *testing.T) {
 	}
 }
 
+// FuzzParseTraceParent holds the traceparent decoder to the W3C shape
+// on any header value: an accepted one names non-zero lowercase-hex
+// trace and span IDs, re-renders through TraceParent as the same header
+// with only the flags normalized to 00/01 by their sampled bit, and
+// parses back to the same context; everything else is refused (ok
+// false, zero context), never a panic.
+func FuzzParseTraceParent(f *testing.F) {
+	valid := SpanContext{TraceID: "4bf92f3577b34da6a3ce929d0e0e4736", SpanID: "00f067aa0ba902b7", Sampled: true}.TraceParent()
+	for _, h := range []string{
+		valid,
+		valid[:53] + "00",
+		valid[:53] + "ff",
+		valid[:len(valid)-1],
+		"01" + valid[2:],
+		strings.ToUpper(valid),
+		"00-" + strings.Repeat("0", 32) + "-" + valid[36:],
+		valid[:36] + strings.Repeat("0", 16) + valid[52:],
+		valid + "-extra",
+	} {
+		f.Add(h)
+	}
+	f.Fuzz(func(t *testing.T, h string) {
+		sc, ok := ParseTraceParent(h)
+		if !ok {
+			if sc != (SpanContext{}) {
+				t.Fatalf("refused %q but returned %+v", h, sc)
+			}
+			return
+		}
+		if !sc.Valid() || strings.Trim(sc.TraceID, "0") == "" || strings.Trim(sc.SpanID, "0") == "" {
+			t.Fatalf("accepted %q as an invalid or all-zero context %+v", h, sc)
+		}
+		out := sc.TraceParent()
+		if out[:53] != h[:53] || (out[53:] != "00" && out[53:] != "01") {
+			t.Fatalf("%q re-rendered as %q", h, out)
+		}
+		if again, ok := ParseTraceParent(out); !ok || again != sc {
+			t.Fatalf("%q → %+v → %q → %+v (ok %v)", h, sc, out, again, ok)
+		}
+	})
+}
+
 // TestStartSpanHierarchy: spans parent under the context's current span
 // and the snapshot preserves the tree.
 func TestStartSpanHierarchy(t *testing.T) {

@@ -215,7 +215,11 @@ func (m *Map) Save(w io.Writer) error {
 }
 
 // LoadMap deserializes a map written by Save, rejecting unknown
-// versions, strategies, and implausible shard counts.
+// versions, strategies, implausible shard counts and range boundaries
+// that do not ascend — every refusal wraps fingerprint.ErrCorrupt or
+// ErrVersionMismatch. A range map's boundaries are read as they arrive,
+// so a header claiming a million shards costs what the file holds, not
+// 8 MB. Bytes past the map are left unread.
 func LoadMap(r io.Reader) (*Map, error) {
 	head := make([]byte, 4+1+1+4)
 	if _, err := io.ReadFull(r, head); err != nil {
@@ -236,15 +240,22 @@ func LoadMap(r io.Reader) (*Map, error) {
 	case StrategyHash:
 		return NewHashMap(n)
 	case StrategyRange:
-		starts := make([]int64, n)
-		buf := make([]byte, 8*n)
-		if _, err := io.ReadFull(r, buf); err != nil {
+		buf, err := io.ReadAll(io.LimitReader(r, 8*int64(n)))
+		if err == nil && len(buf) < 8*n {
+			err = io.ErrUnexpectedEOF
+		}
+		if err != nil {
 			return nil, fmt.Errorf("shard: load map: %w: %w", err, fingerprint.ErrCorrupt)
 		}
+		starts := make([]int64, n)
 		for i := range starts {
 			starts[i] = int64(binary.LittleEndian.Uint64(buf[i*8:]))
 		}
-		return NewRangeMap(starts)
+		m, err := NewRangeMap(starts)
+		if err != nil {
+			return nil, fmt.Errorf("shard: load map: %w: %w", err, fingerprint.ErrCorrupt)
+		}
+		return m, nil
 	default:
 		return nil, fmt.Errorf("shard: load map: unknown strategy %d: %w", strategy, fingerprint.ErrCorrupt)
 	}

@@ -195,7 +195,7 @@ func TestSplitDBPartitions(t *testing.T) {
 	}
 }
 
-func mustHashMap(t *testing.T, n int) *Map {
+func mustHashMap(t testing.TB, n int) *Map {
 	t.Helper()
 	m, err := NewHashMap(n)
 	if err != nil {
@@ -204,7 +204,7 @@ func mustHashMap(t *testing.T, n int) *Map {
 	return m
 }
 
-func mustRangeMap(t *testing.T, starts []int64) *Map {
+func mustRangeMap(t testing.TB, starts []int64) *Map {
 	t.Helper()
 	m, err := NewRangeMap(starts)
 	if err != nil {
