@@ -90,8 +90,8 @@ func TestRunBatchRoutesThroughBatchSearcher(t *testing.T) {
 	}
 
 	// Counter parity: both services saw the same error mix.
-	if svc.errs.Load() != plain.errs.Load() {
-		t.Fatalf("batched path counted %d errors, per-query path %d", svc.errs.Load(), plain.errs.Load())
+	if svc.front.Stats().Errors != plain.front.Stats().Errors {
+		t.Fatalf("batched path counted %d errors, per-query path %d", svc.front.Stats().Errors, plain.front.Stats().Errors)
 	}
 }
 

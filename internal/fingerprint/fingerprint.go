@@ -301,16 +301,30 @@ func (db *DB) Snapshot(n int) *DB {
 	return out
 }
 
+// ValidateLinkages vets linkages for a database of dimension dim: the
+// fingerprint length, a label every format can store (a non-negative
+// int32), and a source the uint16 framing can carry. DB.Add, the write
+// paths' all-or-nothing batch check and the router's ingest pre-check
+// all run it, so a linkage one accepts none of the others refuses.
+func ValidateLinkages(dim int, ls ...Linkage) error {
+	for i, l := range ls {
+		if len(l.F) != dim {
+			return fmt.Errorf("%w: entry %d has %d dims, database %d", ErrDimMismatch, i, len(l.F), dim)
+		}
+		if l.Y < 0 || l.Y > math.MaxInt32 {
+			return fmt.Errorf("%w: entry %d label %d", ErrBadLabel, i, l.Y)
+		}
+		if len(l.S) > maxSourceLen {
+			return fmt.Errorf("%w: entry %d source %d bytes", ErrBadSource, i, len(l.S))
+		}
+	}
+	return nil
+}
+
 // Add stores one linkage. The fingerprint is copied.
 func (db *DB) Add(l Linkage) error {
-	if len(l.F) != db.dim {
-		return fmt.Errorf("%w: fingerprint has %d dims, db %d", ErrDimMismatch, len(l.F), db.dim)
-	}
-	if l.Y < 0 || l.Y > math.MaxInt32 {
-		return fmt.Errorf("%w: %d", ErrBadLabel, l.Y)
-	}
-	if len(l.S) > maxSourceLen {
-		return fmt.Errorf("%w: %d bytes", ErrBadSource, len(l.S))
+	if err := ValidateLinkages(db.dim, l); err != nil {
+		return err
 	}
 	db.mu.Lock()
 	defer db.mu.Unlock()

@@ -11,30 +11,8 @@ import (
 	"testing"
 
 	"caltrain/internal/obs"
+	"caltrain/internal/obs/obstest"
 )
-
-// expositionValue extracts the value of the first sample line matching
-// the given series prefix (name plus any label set), or fails.
-func expositionValue(t *testing.T, exposition, series string) float64 {
-	t.Helper()
-	for _, line := range strings.Split(exposition, "\n") {
-		if !strings.HasPrefix(line, series) {
-			continue
-		}
-		rest := strings.TrimPrefix(line, series)
-		if rest != "" && rest[0] != ' ' && rest[0] != '{' {
-			continue // longer metric name sharing the prefix
-		}
-		fields := strings.Fields(line)
-		v, err := strconv.ParseFloat(fields[len(fields)-1], 64)
-		if err != nil {
-			t.Fatalf("bad sample line %q: %v", line, err)
-		}
-		return v
-	}
-	t.Fatalf("exposition has no series %q:\n%s", series, exposition)
-	return 0
-}
 
 // TestMetricsExpositionService: GET /v1/metrics serves lint-clean
 // Prometheus text whose counters and latency buckets agree with /stats.
@@ -63,13 +41,13 @@ func TestMetricsExpositionService(t *testing.T) {
 		t.Fatal(err)
 	}
 
-	if got := expositionValue(t, exposition, "caltrain_queries_total"); got != float64(st.Queries) {
+	if got := obstest.Value(t, exposition, "caltrain_queries_total"); got != float64(st.Queries) {
 		t.Fatalf("caltrain_queries_total = %v, /stats queries = %d", got, st.Queries)
 	}
-	if got := expositionValue(t, exposition, "caltrain_entries"); got != float64(st.Entries) {
+	if got := obstest.Value(t, exposition, "caltrain_entries"); got != float64(st.Entries) {
 		t.Fatalf("caltrain_entries = %v, /stats entries = %d", got, st.Entries)
 	}
-	if got := expositionValue(t, exposition, `caltrain_request_errors_total{code="bad_request"}`); got < 1 {
+	if got := obstest.Value(t, exposition, `caltrain_request_errors_total{code="bad_request"}`); got < 1 {
 		t.Fatalf("caltrain_request_errors_total{code=bad_request} = %v, want >= 1", got)
 	}
 	if !strings.Contains(exposition, "caltrain_build_info{") {
@@ -78,7 +56,7 @@ func TestMetricsExpositionService(t *testing.T) {
 	// Runtime health sits next to the request metrics: resident bytes ÷
 	// caltrain_entries is the live bytes-per-linkage figure.
 	for _, name := range []string{"caltrain_process_resident_bytes", "caltrain_go_heap_inuse_bytes", "caltrain_go_goroutines"} {
-		if got := expositionValue(t, exposition, name); got <= 0 {
+		if got := obstest.Value(t, exposition, name); got <= 0 {
 			t.Fatalf("%s = %v, want a positive reading", name, got)
 		}
 	}
@@ -99,14 +77,14 @@ func TestMetricsExpositionService(t *testing.T) {
 			bound = strconv.FormatFloat(float64(bin.LeUS)/1e6, 'g', -1, 64)
 		}
 		series := `caltrain_query_latency_seconds_bucket{le="` + bound + `"}`
-		if got := expositionValue(t, exposition, series); got != float64(cum) {
+		if got := obstest.Value(t, exposition, series); got != float64(cum) {
 			t.Fatalf("%s = %v, /stats cumulative = %d", series, got, cum)
 		}
 	}
-	if got := expositionValue(t, exposition, "caltrain_query_latency_seconds_count"); got != float64(cum) {
+	if got := obstest.Value(t, exposition, "caltrain_query_latency_seconds_count"); got != float64(cum) {
 		t.Fatalf("histogram _count = %v, want %d", got, cum)
 	}
-	if got := expositionValue(t, exposition, "caltrain_query_latency_seconds_sum"); got != float64(st.LatencySumUS)/1e6 {
+	if got := obstest.Value(t, exposition, "caltrain_query_latency_seconds_sum"); got != float64(st.LatencySumUS)/1e6 {
 		t.Fatalf("histogram _sum = %v, /stats latency_sum_us = %d", got, st.LatencySumUS)
 	}
 }

@@ -73,6 +73,12 @@ func WriteError(w http.ResponseWriter, status int, code, format string, args ...
 	})
 }
 
+// WriteAPIError writes a typed rejection as its envelope: its status,
+// code and message.
+func WriteAPIError(w http.ResponseWriter, ae *APIError) {
+	WriteError(w, ae.Status, ae.Code, "%s", ae.Message)
+}
+
 // ReadErrorBody reads a bounded snippet of a non-200 response body and
 // decodes the error envelope when one is present. msg is the best
 // human-readable message either way: the envelope's Error, or the

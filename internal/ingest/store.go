@@ -3,7 +3,6 @@ package ingest
 import (
 	"context"
 	"fmt"
-	"math"
 	"os"
 	"sync"
 	"sync/atomic"
@@ -167,25 +166,6 @@ func (s *Store) apply(l fingerprint.Linkage) error {
 	return nil
 }
 
-// ValidateBatch vets an ingest batch against the database dimension —
-// the all-or-nothing pre-check shared by the durable Store and the
-// volatile in-process write path (internal/serve): any failure rejects
-// the whole batch before a single entry is logged or applied.
-func ValidateBatch(dim int, ls []fingerprint.Linkage) error {
-	for i, l := range ls {
-		if len(l.F) != dim {
-			return fmt.Errorf("%w: entry %d has %d dims, database %d", fingerprint.ErrDimMismatch, i, len(l.F), dim)
-		}
-		if l.Y < 0 || l.Y > math.MaxInt32 { // every format stores a label as an int32
-			return fmt.Errorf("%w: entry %d label %d", fingerprint.ErrBadLabel, i, l.Y)
-		}
-		if len(l.S) > 65535 {
-			return fmt.Errorf("%w: entry %d source %d bytes", fingerprint.ErrBadSource, i, len(l.S))
-		}
-	}
-	return nil
-}
-
 // IngestBatch implements fingerprint.Ingester: validate everything,
 // log the batch (durable per the WAL's fsync policy), then apply it to
 // the database and index. All-or-nothing: a validation failure anywhere
@@ -202,7 +182,7 @@ func (s *Store) IngestBatchCtx(ctx context.Context, ls []fingerprint.Linkage) (i
 	if len(ls) == 0 {
 		return 0, nil
 	}
-	if err := ValidateBatch(s.db.Dim(), ls); err != nil {
+	if err := fingerprint.ValidateLinkages(s.db.Dim(), ls...); err != nil {
 		return 0, err
 	}
 	s.mu.Lock()

@@ -6,7 +6,6 @@ import (
 	"sync/atomic"
 
 	"caltrain/internal/fingerprint"
-	"caltrain/internal/ingest"
 )
 
 // appender matches index.Appender structurally, like internal/ingest.
@@ -60,7 +59,7 @@ func (v *volatileIngester) IngestBatch(ls []fingerprint.Linkage) (int, error) {
 	if len(ls) == 0 {
 		return 0, nil
 	}
-	if err := ingest.ValidateBatch(v.db.Dim(), ls); err != nil {
+	if err := fingerprint.ValidateLinkages(v.db.Dim(), ls...); err != nil {
 		return 0, err
 	}
 	v.mu.Lock()

@@ -12,7 +12,7 @@ import (
 	"caltrain/internal/ingest"
 )
 
-func testDB(t *testing.T, dim, n, labels int) *fingerprint.DB {
+func testDB(t testing.TB, dim, n, labels int) *fingerprint.DB {
 	t.Helper()
 	db, err := fingerprint.NewDB(dim)
 	if err != nil {

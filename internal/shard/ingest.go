@@ -1,6 +1,7 @@
 package shard
 
 import (
+	"cmp"
 	"context"
 	"errors"
 	"fmt"
@@ -29,6 +30,7 @@ type shardIngestResult struct {
 	acked    int
 	quorum   int
 	rejected string   // non-empty: a replica definitively refused the batch (4xx)
+	code     string   // the refusal's wire code ("" when no replica answered one)
 	failed   []string // replicas that did not acknowledge
 }
 
@@ -84,13 +86,14 @@ func (r *Router) ingestShard(parent context.Context, sid int, entries []fingerpr
 			// reaches quorum anyway, this replica is divergent, not
 			// authoritative.
 			s.markUp()
-			res.rejected = err.Error()
+			res.rejected, res.code = err.Error(), rejection(err).Code
 		case errors.As(err, &ae) && ae.Status == http.StatusNotImplemented:
 			// A read-only replica (501: no -wal) is alive and serving
 			// queries; it just cannot take writes. Count it as a missed
 			// acknowledgment without poisoning the read path's health
 			// state with a cooldown.
 			s.markUp()
+			res.code = cmp.Or(res.code, ae.Code)
 		case parent.Err() == nil:
 			s.markDown(now, r.cooldown)
 		}
@@ -101,41 +104,27 @@ func (r *Router) ingestShard(parent context.Context, sid int, entries []fingerpr
 }
 
 func (r *Router) handleIngest(w http.ResponseWriter, req *http.Request) {
-	r.ingests.Add(1)
+	r.front.Ingests.Add(1)
 	var batch fingerprint.IngestRequest
-	if !r.decode(w, req, &batch) {
+	if !r.front.Decode(w, req, &batch) {
 		return
 	}
-	if len(batch.Entries) == 0 {
-		r.fail(w, http.StatusBadRequest, fingerprint.ErrCodeBadRequest, "ingest batch has no entries")
-		return
-	}
-	if len(batch.Entries) > r.maxBatch {
-		r.fail(w, http.StatusBadRequest, fingerprint.ErrCodeLimitExceeded, "ingest batch of %d entries exceeds limit %d", len(batch.Entries), r.maxBatch)
+	if ae := r.front.AdmitIngest(len(batch.Entries)); ae != nil {
+		fingerprint.WriteAPIError(w, ae)
 		return
 	}
 	// Sub-batches apply atomically per shard, but a multi-shard request
-	// is not globally atomic — so reject everything the router CAN
-	// validate before any shard sees a byte. Only a mismatch against the
-	// daemons' database dimension can still surface per-shard.
-	if _, err := fingerprint.DecodeIngestEntries(batch.Entries); err != nil {
-		r.fail(w, http.StatusBadRequest, fingerprint.ErrCodeBadRequest, "%v", err)
-		return
+	// is not globally atomic — so everything a shard would refuse is
+	// refused here, by the validator every write path runs, before any
+	// shard sees a byte. Only a mismatch against the daemons' database
+	// dimension (taken here from entry 0) can still surface per shard.
+	ls, err := fingerprint.DecodeIngestEntries(batch.Entries)
+	if err == nil {
+		err = fingerprint.ValidateLinkages(len(ls[0].F), ls...)
 	}
-	dim0 := len(batch.Entries[0].Fingerprint)
-	for i, e := range batch.Entries {
-		if e.Label < 0 {
-			r.fail(w, http.StatusBadRequest, fingerprint.ErrCodeBadRequest, "entry %d: label %d out of range", i, e.Label)
-			return
-		}
-		if len(e.Fingerprint) != dim0 {
-			r.fail(w, http.StatusBadRequest, fingerprint.ErrCodeBadRequest, "entry %d has %d dims, entry 0 has %d", i, len(e.Fingerprint), dim0)
-			return
-		}
-		if len(e.Source) > 65535 {
-			r.fail(w, http.StatusBadRequest, fingerprint.ErrCodeBadRequest, "entry %d: source of %d bytes exceeds 65535", i, len(e.Source))
-			return
-		}
+	if err != nil {
+		r.front.Fail(w, http.StatusBadRequest, fingerprint.ErrCodeBadRequest, "%v", err)
+		return
 	}
 	byShard := make([][]fingerprint.IngestEntry, len(r.shards))
 	for _, e := range batch.Entries {
@@ -188,7 +177,7 @@ func (r *Router) handleIngest(w http.ResponseWriter, req *http.Request) {
 		}
 		out.Failed += res.entries
 		failed[sid] = true
-		r.errs.Add(uint64(res.entries))
+		r.front.CountErrors(cmp.Or(res.code, fingerprint.ErrCodeShardUnreachable), res.entries)
 	}
 	out.FailedShards = shardNames(failed)
 	sort.Strings(out.DegradedReplicas)

@@ -15,31 +15,10 @@ import (
 
 	"caltrain/internal/fingerprint"
 	"caltrain/internal/index"
+	"caltrain/internal/ingest"
 	"caltrain/internal/obs"
+	"caltrain/internal/obs/obstest"
 )
-
-// routerExpositionValue extracts the value of the first sample line
-// matching the given series (name plus any label set), or fails.
-func routerExpositionValue(t *testing.T, exposition, series string) float64 {
-	t.Helper()
-	for _, line := range strings.Split(exposition, "\n") {
-		if !strings.HasPrefix(line, series) {
-			continue
-		}
-		rest := strings.TrimPrefix(line, series)
-		if rest != "" && rest[0] != ' ' && rest[0] != '{' {
-			continue
-		}
-		fields := strings.Fields(line)
-		v, err := strconv.ParseFloat(fields[len(fields)-1], 64)
-		if err != nil {
-			t.Fatalf("bad sample line %q: %v", line, err)
-		}
-		return v
-	}
-	t.Fatalf("exposition has no series %q:\n%s", series, exposition)
-	return 0
-}
 
 // TestRouterMetricsExposition: the router's /v1/metrics is lint-clean
 // and its topology gauges and merged shard histogram agree with the
@@ -77,23 +56,23 @@ func TestRouterMetricsExposition(t *testing.T) {
 		t.Fatal(err)
 	}
 
-	if got := routerExpositionValue(t, exposition, "caltrain_router_shards"); got != 3 {
+	if got := obstest.Value(t, exposition, "caltrain_router_shards"); got != 3 {
 		t.Fatalf("caltrain_router_shards = %v, want 3", got)
 	}
-	if got := routerExpositionValue(t, exposition, "caltrain_router_unreachable_shards"); got != 0 {
+	if got := obstest.Value(t, exposition, "caltrain_router_unreachable_shards"); got != 0 {
 		t.Fatalf("caltrain_router_unreachable_shards = %v, want 0", got)
 	}
 	for _, name := range []string{"caltrain_process_resident_bytes", "caltrain_go_heap_inuse_bytes", "caltrain_go_goroutines"} {
-		if got := routerExpositionValue(t, exposition, name); got <= 0 {
+		if got := obstest.Value(t, exposition, name); got <= 0 {
 			t.Fatalf("%s = %v, want a positive reading", name, got)
 		}
 	}
-	if got := routerExpositionValue(t, exposition, "caltrain_queries_total"); got != float64(st.Queries) {
+	if got := obstest.Value(t, exposition, "caltrain_queries_total"); got != float64(st.Queries) {
 		t.Fatalf("caltrain_queries_total = %v, /stats queries = %d", got, st.Queries)
 	}
 	var shardEntries float64
 	for sid := 0; sid < 3; sid++ {
-		shardEntries += routerExpositionValue(t, exposition, `caltrain_shard_entries{shard="`+strconv.Itoa(sid)+`"}`)
+		shardEntries += obstest.Value(t, exposition, `caltrain_shard_entries{shard="`+strconv.Itoa(sid)+`"}`)
 	}
 	if shardEntries != float64(st.Entries) {
 		t.Fatalf("caltrain_shard_entries sums to %v, /stats entries = %d", shardEntries, st.Entries)
@@ -109,11 +88,11 @@ func TestRouterMetricsExposition(t *testing.T) {
 			bound = strconv.FormatFloat(float64(bin.LeUS)/1e6, 'g', -1, 64)
 		}
 		series := `caltrain_shard_query_latency_seconds_bucket{le="` + bound + `"}`
-		if got := routerExpositionValue(t, exposition, series); got != float64(cum) {
+		if got := obstest.Value(t, exposition, series); got != float64(cum) {
 			t.Fatalf("%s = %v, /stats cumulative = %d", series, got, cum)
 		}
 	}
-	if got := routerExpositionValue(t, exposition, "caltrain_shard_query_latency_seconds_count"); got != float64(cum) {
+	if got := obstest.Value(t, exposition, "caltrain_shard_query_latency_seconds_count"); got != float64(cum) {
 		t.Fatalf("merged histogram _count = %v, want %d", got, cum)
 	}
 }
@@ -196,5 +175,108 @@ func TestRequestIDThreadsThroughRouter(t *testing.T) {
 			t.Fatalf("shard request logs lack test-123:\n%s", shardLog.String())
 		}
 		time.Sleep(10 * time.Millisecond)
+	}
+}
+
+// errorTotals reads one tier's error count both ways: the /v1/stats
+// errors total and the sum of caltrain_request_errors_total over codes.
+func errorTotals(t *testing.T, h http.Handler) (stats uint64, metrics float64) {
+	t.Helper()
+	rec := httptest.NewRecorder()
+	h.ServeHTTP(rec, httptest.NewRequest(http.MethodGet, "/v1/stats", nil))
+	var st fingerprint.StatsResponse
+	if err := json.NewDecoder(rec.Body).Decode(&st); err != nil {
+		t.Fatal(err)
+	}
+	rec = httptest.NewRecorder()
+	h.ServeHTTP(rec, httptest.NewRequest(http.MethodGet, "/v1/metrics", nil))
+	return st.Errors, obstest.Sum(t, rec.Body.String(), "caltrain_request_errors_total")
+}
+
+// TestErrorsCountedOnce: on every tier — a daemon over HTTP, a service
+// reached in process through a LocalReplica, the router — each failure
+// moves the /v1/stats errors total and caltrain_request_errors_total by
+// the same amount, one per failed query or entry, so the two pages
+// never disagree.
+func TestErrorsCountedOnce(t *testing.T) {
+	db := testDB(t, 8, 60, 4)
+	writable := func() *fingerprint.Service {
+		copyDB := db.Snapshot(-1)
+		flat := index.NewFlat(copyDB)
+		svc := fingerprint.NewSearcherService(flat, fingerprint.WithMaxK(2), fingerprint.WithMaxBatch(2))
+		st, err := ingest.Open(t.TempDir(), copyDB, flat, ingest.Options{})
+		if err != nil {
+			t.Fatal(err)
+		}
+		t.Cleanup(func() { st.Close() })
+		svc.SetIngester(st)
+		return svc
+	}
+	daemon, inproc, routed := writable(), writable(), writable()
+	local := NewLocalReplica("local", inproc)
+	m := mustHashMap(t, 1)
+	rt, err := NewRouter(m, [][]Replica{{NewLocalReplica("routed", routed)}})
+	if err != nil {
+		t.Fatal(err)
+	}
+	down, err := NewRouter(m, [][]Replica{{NewHTTPReplica("http://127.0.0.1:1", nil)}})
+	if err != nil {
+		t.Fatal(err)
+	}
+	tiers := map[string]http.Handler{
+		"daemon": daemon.Handler(), "in-process shard": inproc.Handler(), "routed shard": routed.Handler(),
+		"router": rt.Handler(), "router over a down shard": down.Handler(),
+	}
+
+	fp := func(dim int) string { return "[" + strings.TrimSuffix(strings.Repeat("0.5,", dim), ",") + "]" }
+	query := func(k int) string { return `{"fingerprint":` + fp(8) + `,"label":1,"k":` + strconv.Itoa(k) + `}` }
+	entry := func(dim int) string { return `{"fingerprint":` + fp(dim) + `,"label":1}` }
+	post := func(tier, path, body string) func() {
+		return func() { doRawRouter(t, tiers[tier], http.MethodPost, path, body) }
+	}
+	cases := []struct {
+		name, tier string
+		act        func()
+		want       uint64 // errors this case adds to its tier
+	}{
+		{"malformed body", "daemon", post("daemon", "/v1/query", `{`), 1},
+		{"k over max_k", "daemon", post("daemon", "/v1/query", query(3)), 1},
+		{"batch with one bad query", "daemon", post("daemon", "/v1/query/batch", `{"queries":[`+query(1)+`,`+query(3)+`]}`), 1},
+		{"oversized batch", "daemon", post("daemon", "/v1/query/batch", `{"queries":[`+query(1)+`,`+query(1)+`,`+query(1)+`]}`), 1},
+		{"ingest of the wrong dimension", "daemon", post("daemon", "/v1/ingest", `{"entries":[`+entry(5)+`]}`), 1},
+		{"oversized ingest", "daemon", post("daemon", "/v1/ingest", `{"entries":[`+entry(8)+`,`+entry(8)+`,`+entry(8)+`]}`), 1},
+		{"ingest of the wrong dimension", "in-process shard", func() {
+			local.Ingest(t.Context(), []fingerprint.IngestEntry{{Fingerprint: make([]float32, 5)}})
+		}, 1},
+		{"oversized ingest", "in-process shard", func() {
+			e := fingerprint.IngestEntry{Fingerprint: db.Entry(0).F, Label: 1}
+			local.Ingest(t.Context(), []fingerprint.IngestEntry{e, e, e})
+		}, 1},
+		{"oversized sub-batch", "in-process shard", func() {
+			local.QueryBatch(t.Context(), make([]fingerprint.QueryRequest, 3))
+		}, 1},
+		{"query over the shard's max_k", "router", post("router", "/v1/query", query(3)), 1},
+		{"batch with a query over the shard's max_k", "router", post("router", "/v1/query/batch", `{"queries":[`+query(1)+`,`+query(3)+`]}`), 1},
+		{"ingest every shard rejects", "router", post("router", "/v1/ingest", `{"entries":[`+entry(5)+`,`+entry(5)+`]}`), 2},
+		{"query to a down shard", "router over a down shard", post("router over a down shard", "/v1/query", query(1)), 1},
+		{"batch to a down shard", "router over a down shard", post("router over a down shard", "/v1/query/batch", `{"queries":[`+query(1)+`,`+query(1)+`]}`), 2},
+		{"ingest to a down shard", "router over a down shard", post("router over a down shard", "/v1/ingest", `{"entries":[`+entry(8)+`]}`), 1},
+	}
+	for _, c := range cases {
+		before, _ := errorTotals(t, tiers[c.tier])
+		c.act()
+		stats, metrics := errorTotals(t, tiers[c.tier])
+		if stats-before != c.want {
+			t.Errorf("%s on the %s: /v1/stats errors moved by %d, want %d", c.name, c.tier, stats-before, c.want)
+		}
+		if float64(stats) != metrics {
+			t.Errorf("%s on the %s: /v1/stats errors = %d, Σ caltrain_request_errors_total = %v", c.name, c.tier, stats, metrics)
+		}
+	}
+	// The shard behind the router counted its own rejections the same way.
+	for name, h := range tiers {
+		if stats, metrics := errorTotals(t, h); float64(stats) != metrics {
+			t.Errorf("%s: /v1/stats errors = %d, Σ caltrain_request_errors_total = %v", name, stats, metrics)
+		}
 	}
 }

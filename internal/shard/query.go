@@ -1,6 +1,7 @@
 package shard
 
 import (
+	"cmp"
 	"context"
 	"fmt"
 	"net/http"
@@ -58,7 +59,8 @@ func (r *Router) callShard(parent context.Context, sid int, sub []fingerprint.Qu
 // Shards whose every replica fails surface as per-result errors plus an
 // entry in the returned unreachable list ("shard N"); a shard that
 // answered with a rejection yields per-result errors only — it was
-// reached.
+// reached. Every failed result counts as one router error under its
+// code, so the callers count nothing.
 func (r *Router) scatter(ctx context.Context, reqs []fingerprint.QueryRequest) ([]fingerprint.BatchResult, []string) {
 	_, route := obs.StartSpan(ctx, "route")
 	byShard := make([][]int, len(r.shards))
@@ -82,11 +84,12 @@ func (r *Router) scatter(ctx context.Context, reqs []fingerprint.QueryRequest) (
 		resp, err := r.callShard(sctx, sid, sub)
 		if err == nil {
 			for j, pos := range positions {
-				results[pos] = resp.Results[j]
+				if results[pos] = resp.Results[j]; results[pos].Error != "" {
+					r.front.CountErrors(resultCode(results[pos]), 1)
+				}
 			}
 			return
 		}
-		r.errs.Add(uint64(len(positions)))
 		var failed fingerprint.BatchResult
 		if ae := rejection(err); ae != nil {
 			// The shard answered; it just refused the request. Keep the
@@ -99,6 +102,7 @@ func (r *Router) scatter(ctx context.Context, reqs []fingerprint.QueryRequest) (
 				Code:  fingerprint.ErrCodeShardUnreachable,
 			}
 		}
+		r.front.CountErrors(failed.Code, len(positions))
 		for _, pos := range positions {
 			results[pos] = failed
 		}
@@ -107,11 +111,17 @@ func (r *Router) scatter(ctx context.Context, reqs []fingerprint.QueryRequest) (
 	return results, shardNames(unreachable)
 }
 
+// resultCode is a failed result's wire code; a reply without one (a
+// daemon predating codes) is a bad request.
+func resultCode(res fingerprint.BatchResult) string {
+	return cmp.Or(res.Code, fingerprint.ErrCodeBadRequest)
+}
+
 func (r *Router) handleQuery(w http.ResponseWriter, req *http.Request) {
 	started := time.Now()
-	r.queries.Add(1)
+	r.front.Queries.Add(1)
 	var q fingerprint.QueryRequest
-	if !r.decode(w, req, &q) {
+	if !r.front.Decode(w, req, &q) {
 		return
 	}
 	// Cache lookup keys on the exact request triple; the generation is
@@ -130,59 +140,43 @@ func (r *Router) handleQuery(w http.ResponseWriter, req *http.Request) {
 		lookup.SetAttr("hit", strconv.FormatBool(ok))
 		lookup.End()
 		if ok {
-			r.latency.Observe(time.Since(started))
+			r.front.Latency.Observe(time.Since(started))
 			writeJSON(w, resp)
 			return
 		}
 		gen = r.cache.gen(sid)
 	}
-	results, unreachable := r.scatter(req.Context(), []fingerprint.QueryRequest{q})
-	if len(unreachable) > 0 {
-		// A single query has no partial result to return; the owning
-		// shard being down is a gateway failure. scatter already counted
-		// the error, so write the envelope directly (r.fail would double
-		// count).
-		r.errCodes.Inc(fingerprint.ErrCodeShardUnreachable)
-		fingerprint.WriteError(w, http.StatusBadGateway, fingerprint.ErrCodeShardUnreachable, "%s", results[0].Error)
-		return
-	}
-	if results[0].Error != "" {
-		// The per-result code is the shard service's own classification
-		// (limit_exceeded vs bad_request vs body_too_large), so a routed
-		// rejection answers with the same envelope — code AND status — a
-		// single daemon would.
-		code := results[0].Code
-		if code == "" {
-			code = fingerprint.ErrCodeBadRequest
-		}
-		r.errCodes.Inc(code)
-		fingerprint.WriteError(w, fingerprint.StatusForErrCode(code), code, "%s", results[0].Error)
+	results, _ := r.scatter(req.Context(), []fingerprint.QueryRequest{q})
+	if res := results[0]; res.Error != "" {
+		// A single query has no partial result to return: its owning
+		// shard being down is a gateway failure (shard_unreachable, 502),
+		// and a shard's rejection (limit_exceeded vs bad_request vs
+		// body_too_large) answers with the envelope — code AND status — a
+		// single daemon would. scatter counted it.
+		code := resultCode(res)
+		fingerprint.WriteError(w, fingerprint.StatusForErrCode(code), code, "%s", res.Error)
 		return
 	}
 	if r.cache != nil {
 		r.cache.put(key, sid, gen, results[0].QueryResponse)
 	}
-	r.latency.Observe(time.Since(started))
+	r.front.Latency.Observe(time.Since(started))
 	writeJSON(w, results[0].QueryResponse)
 }
 
 func (r *Router) handleBatch(w http.ResponseWriter, req *http.Request) {
 	started := time.Now()
-	r.batches.Add(1)
+	r.front.Batches.Add(1)
 	var batch fingerprint.BatchRequest
-	if !r.decode(w, req, &batch) {
+	if !r.front.Decode(w, req, &batch) {
 		return
 	}
-	if len(batch.Queries) == 0 {
-		r.fail(w, http.StatusBadRequest, fingerprint.ErrCodeBadRequest, "batch has no queries")
+	if ae := r.front.AdmitBatch(len(batch.Queries)); ae != nil {
+		fingerprint.WriteAPIError(w, ae)
 		return
 	}
-	if len(batch.Queries) > r.maxBatch {
-		r.fail(w, http.StatusBadRequest, fingerprint.ErrCodeLimitExceeded, "batch of %d queries exceeds limit %d", len(batch.Queries), r.maxBatch)
-		return
-	}
-	r.queries.Add(uint64(len(batch.Queries)))
+	r.front.Queries.Add(uint64(len(batch.Queries)))
 	results, unreachable := r.scatter(req.Context(), batch.Queries)
-	r.latency.Observe(time.Since(started))
+	r.front.Latency.Observe(time.Since(started))
 	writeJSON(w, fingerprint.BatchResponse{Results: results, UnreachableShards: unreachable})
 }

@@ -249,7 +249,7 @@ func (rp *repairer) repairOne(ctx context.Context, sid int, s *replicaState, syn
 	if err != nil {
 		status = 502
 	}
-	rp.r.obsOpts.Tracer.Finish(trace, status, time.Since(started))
+	rp.r.front.Observability.Tracer.Finish(trace, status, time.Since(started))
 
 	rp.mu.Lock()
 	rp.lastReplica = s.r.Addr()

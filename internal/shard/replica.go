@@ -176,10 +176,11 @@ func (r *LocalReplica) QueryBatch(ctx context.Context, reqs []fingerprint.QueryR
 	return r.svc.RunBatchCtx(ctx, reqs), nil
 }
 
-// Ingest applies the batch directly through the service's write path.
-// An error is the reply the service would have written over HTTP, so the
-// router's quorum accounting treats local and HTTP replicas alike (a
-// validation rejection is definitive, a store fault is not).
+// Ingest applies the batch directly through the service's write path,
+// held to the service's batch limit as over HTTP. An error is the reply
+// the service would have written over HTTP, so the router's quorum
+// accounting treats local and HTTP replicas alike (a validation
+// rejection is definitive, a store fault is not).
 func (r *LocalReplica) Ingest(ctx context.Context, entries []fingerprint.IngestEntry) (*fingerprint.IngestResponse, error) {
 	resp, err := r.svc.RunIngestCtx(ctx, entries)
 	if err != nil {

@@ -2,14 +2,11 @@ package shard
 
 import (
 	"context"
-	"encoding/json"
-	"errors"
 	"fmt"
 	"net"
 	"net/http"
 	"sort"
 	"sync"
-	"sync/atomic"
 	"time"
 
 	"caltrain/internal/fingerprint"
@@ -45,19 +42,13 @@ type Router struct {
 	shards      [][]*replicaState
 	timeout     time.Duration
 	cooldown    time.Duration
-	maxBody     int64
-	maxBatch    int
 	writeQuorum int
 	metaIngest  bool
 	now         func() time.Time
-	obsOpts     fingerprint.Observability
 
-	start   time.Time
-	queries atomic.Uint64
-	batches atomic.Uint64
-	ingests atomic.Uint64
-	errs    atomic.Uint64
-	latency *fingerprint.Histogram
+	// front is the request side the router shares with a single daemon:
+	// limits, counters, body decoding, batch admission, error counting.
+	front *fingerprint.Front
 
 	// cacheSize > 0 enables the single-query response cache; cache is
 	// built in NewRouter once the shard count is known.
@@ -69,15 +60,12 @@ type Router struct {
 	repairCfg *RepairOptions
 	repair    *repairer
 
-	errCodes *obs.CounterVec
-	metrics  *obs.Registry
+	metrics *obs.Registry
 	// scrapeMu guards scrape, the shard totals refreshed on every
 	// /v1/metrics request so the per-shard gauges and the rolled-up
 	// histogram read from one consistent fetch.
 	scrapeMu sync.Mutex
 	scrape   shardTotals
-
-	bucketsUS []int64
 }
 
 // RouterOption configures a Router.
@@ -97,15 +85,16 @@ func WithReplicaCooldown(d time.Duration) RouterOption {
 }
 
 // WithRouterMaxBodyBytes bounds the accepted request body size.
-func WithRouterMaxBodyBytes(n int64) RouterOption { return func(r *Router) { r.maxBody = n } }
+func WithRouterMaxBodyBytes(n int64) RouterOption { return func(r *Router) { r.front.MaxBody = n } }
 
-// WithRouterMaxBatch bounds the number of queries in one batch request.
-func WithRouterMaxBatch(n int) RouterOption { return func(r *Router) { r.maxBatch = n } }
+// WithRouterMaxBatch bounds the number of queries in one batch request,
+// and of entries in one ingest request.
+func WithRouterMaxBatch(n int) RouterOption { return func(r *Router) { r.front.MaxBatch = n } }
 
 // WithRouterLatencyBuckets replaces the router-level latency histogram
 // bounds (microseconds). Default RouterLatencyBucketsUS.
 func WithRouterLatencyBuckets(boundsUS []int64) RouterOption {
-	return func(r *Router) { r.bucketsUS = boundsUS }
+	return func(r *Router) { r.front.Latency = fingerprint.NewHistogram(boundsUS) }
 }
 
 // WithIngestCapability sets whether GET /v1/meta advertises a write
@@ -143,7 +132,7 @@ func WithRouterResponseCache(n int) RouterOption {
 // threshold, and metrics toggle — the same knobs
 // fingerprint.WithObservability gives a single daemon.
 func WithObservability(o fingerprint.Observability) RouterOption {
-	return func(r *Router) { r.obsOpts = o }
+	return func(r *Router) { r.front.Observability = o }
 }
 
 // NewRouter creates a router over m.NumShards() shards; replicas[i]
@@ -156,17 +145,13 @@ func NewRouter(m *Map, replicas [][]Replica, opts ...RouterOption) (*Router, err
 		m:          m,
 		timeout:    DefaultShardTimeout,
 		cooldown:   DefaultReplicaCooldown,
-		maxBody:    fingerprint.DefaultMaxBodyBytes,
-		maxBatch:   fingerprint.DefaultMaxBatch,
 		metaIngest: true,
 		now:        time.Now,
-		start:      time.Now(),
-		bucketsUS:  RouterLatencyBucketsUS,
+		front:      fingerprint.NewFront(RouterLatencyBucketsUS),
 	}
 	for _, o := range opts {
 		o(r)
 	}
-	r.latency = fingerprint.NewHistogram(r.bucketsUS)
 	r.shards = make([][]*replicaState, len(replicas))
 	for i, reps := range replicas {
 		if len(reps) == 0 {
@@ -184,8 +169,6 @@ func NewRouter(m *Map, replicas [][]Replica, opts ...RouterOption) (*Router, err
 	if r.repairCfg != nil {
 		r.repair = newRepairer(r, *r.repairCfg)
 	}
-	r.errCodes = obs.NewCounterVec("caltrain_request_errors_total",
-		"Error envelopes written, labeled by stable wire-protocol code.", "code")
 	r.metrics = r.buildMetrics()
 	return r, nil
 }
@@ -204,9 +187,9 @@ func (r *Router) Handler() http.Handler {
 		Healthz:       r.handleHealthz,
 		Stats:         r.handleStats,
 		Meta:          r.Meta,
-		Observability: r.obsOpts,
+		Observability: r.front.Observability,
 	}
-	if !r.obsOpts.DisableMetrics {
+	if !r.front.Observability.DisableMetrics {
 		rs.Metrics = r.handleMetrics
 	}
 	return rs.Handler()
@@ -225,7 +208,7 @@ func (r *Router) Meta() fingerprint.MetaResponse {
 		Capabilities: fingerprint.MetaCapabilities{
 			Ingest:  r.metaIngest,
 			Sharded: true,
-			Trace:   r.obsOpts.Tracer != nil,
+			Trace:   r.front.Observability.Tracer != nil,
 		},
 		Build: obs.Build(),
 	}
@@ -251,26 +234,6 @@ func (r *Router) RunRepairLoop(ctx context.Context) {
 	if r.repair != nil {
 		r.repair.run(ctx)
 	}
-}
-
-func (r *Router) fail(w http.ResponseWriter, status int, code, format string, args ...any) {
-	r.errs.Add(1)
-	r.errCodes.Inc(code)
-	fingerprint.WriteError(w, status, code, format, args...)
-}
-
-func (r *Router) decode(w http.ResponseWriter, req *http.Request, into any) bool {
-	req.Body = http.MaxBytesReader(w, req.Body, r.maxBody)
-	if err := json.NewDecoder(req.Body).Decode(into); err != nil {
-		var tooLarge *http.MaxBytesError
-		if errors.As(err, &tooLarge) {
-			r.fail(w, http.StatusRequestEntityTooLarge, fingerprint.ErrCodeBodyTooLarge, "request body exceeds %d bytes", r.maxBody)
-			return false
-		}
-		r.fail(w, http.StatusBadRequest, fingerprint.ErrCodeBadRequest, "bad request: %v", err)
-		return false
-	}
-	return true
 }
 
 // eachShard is the router's one fan-out: it runs fn for every shard that

@@ -264,6 +264,17 @@ func TestReplicaErrorTypeParity(t *testing.T) {
 	}
 	t.Cleanup(func() { st.Close() })
 	writable.SetIngester(st)
+	// A writable service holding ingests to one entry, like a daemon
+	// started with -max-batch 1.
+	cappedDB := db.Snapshot(-1)
+	cappedFlat := index.NewFlat(cappedDB)
+	capped := fingerprint.NewSearcherService(cappedFlat, fingerprint.WithMaxBatch(1))
+	cst, err := ingest.Open(t.TempDir(), cappedDB, cappedFlat, ingest.Options{})
+	if err != nil {
+		t.Fatal(err)
+	}
+	t.Cleanup(func() { cst.Close() })
+	capped.SetIngester(cst)
 
 	kinds := map[string]func(*fingerprint.Service) IngestReplica{
 		"local": func(svc *fingerprint.Service) IngestReplica { return NewLocalReplica("local", svc) },
@@ -288,6 +299,11 @@ func TestReplicaErrorTypeParity(t *testing.T) {
 			_, err := r.Ingest(t.Context(), []fingerprint.IngestEntry{{Fingerprint: make([]float32, 5)}})
 			return err
 		}, http.StatusBadRequest, fingerprint.ErrCodeBadRequest},
+		{"oversized ingest", capped, func(r IngestReplica) error {
+			e := fingerprint.IngestEntry{Fingerprint: db.Entry(0).F, Label: 1}
+			_, err := r.Ingest(t.Context(), []fingerprint.IngestEntry{e, e})
+			return err
+		}, http.StatusBadRequest, fingerprint.ErrCodeLimitExceeded},
 		{"read-only ingest", readOnly, func(r IngestReplica) error {
 			_, err := r.Ingest(t.Context(), []fingerprint.IngestEntry{{Fingerprint: make([]float32, 8)}})
 			return err

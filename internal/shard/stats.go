@@ -4,7 +4,6 @@ import (
 	"context"
 	"net/http"
 	"strconv"
-	"time"
 
 	"caltrain/internal/fingerprint"
 	"caltrain/internal/obs"
@@ -112,20 +111,10 @@ func (r *Router) shardTotals(ctx context.Context) shardTotals {
 
 func (r *Router) handleStats(w http.ResponseWriter, req *http.Request) {
 	t := r.shardTotals(req.Context())
+	head := r.front.Stats()
+	head.Entries, head.Dim, head.Index, head.Ingest = t.entries, t.dim, "router", t.ingest
 	out := StatsResponse{
-		StatsResponse: fingerprint.StatsResponse{
-			Entries:        t.entries,
-			Dim:            t.dim,
-			Index:          "router",
-			UptimeSeconds:  time.Since(r.start).Seconds(),
-			Queries:        r.queries.Load(),
-			BatchRequests:  r.batches.Load(),
-			IngestRequests: r.ingests.Load(),
-			Errors:         r.errs.Load(),
-			LatencyUS:      r.latency.Bins(),
-			LatencySumUS:   r.latency.SumUS(),
-			Ingest:         t.ingest,
-		},
+		StatsResponse:     head,
 		Shards:            t.shards,
 		ShardLatencyUS:    t.latency,
 		UnreachableShards: t.unreachable,
@@ -155,33 +144,12 @@ func (r *Router) lastScrape() shardTotals {
 	return r.scrape
 }
 
-// buildMetrics assembles the router's Prometheus registry: its own
-// serving counters and latency histogram (same family names a single
-// daemon exports, so dashboards work against either tier), plus the
-// router-only shard topology gauges and the shard-latency roll-up read
-// from the totals handleMetrics stores.
+// buildMetrics assembles the router's Prometheus registry: the Front's
+// families (same names a single daemon exports, so dashboards work
+// against either tier) plus the router-only shard topology gauges and
+// the shard-latency roll-up read from the totals handleMetrics stores.
 func (r *Router) buildMetrics() *obs.Registry {
-	reg := obs.NewRegistry()
-	reg.MustRegister(
-		obs.BuildInfoFamily(),
-		obs.CounterFunc("caltrain_queries_total",
-			"Queries routed, batched queries counted individually.",
-			func() float64 { return float64(r.queries.Load()) }),
-		obs.CounterFunc("caltrain_batch_requests_total",
-			"Batch query requests served.",
-			func() float64 { return float64(r.batches.Load()) }),
-		obs.CounterFunc("caltrain_ingest_requests_total",
-			"Ingest requests fanned out.",
-			func() float64 { return float64(r.ingests.Load()) }),
-		r.errCodes.Family(),
-		obs.GaugeFunc("caltrain_uptime_seconds",
-			"Seconds since the router started.",
-			func() float64 { return time.Since(r.start).Seconds() }),
-		obs.HistogramFunc("caltrain_query_latency_seconds",
-			"Router-level request latency (scatter-gather included), cumulative in seconds.",
-			func() obs.HistogramSnapshot {
-				return fingerprint.PromHistogram(r.latency.Bins(), r.latency.SumUS())
-			}),
+	fams := []*obs.Family{
 		obs.GaugeFunc("caltrain_router_shards",
 			"Shards this router fans out across.",
 			func() float64 { return float64(len(r.shards)) }),
@@ -220,12 +188,12 @@ func (r *Router) buildMetrics() *obs.Registry {
 				sc := r.lastScrape()
 				return fingerprint.PromHistogram(sc.latency, sc.latencySumUS)
 			}),
-	)
+	}
 	if r.repair != nil {
-		reg.MustRegister(r.repair.metricFamilies()...)
+		fams = append(fams, r.repair.metricFamilies()...)
 	}
 	if r.cache != nil {
-		reg.MustRegister(
+		fams = append(fams,
 			obs.CounterFunc("caltrain_router_cache_hits_total",
 				"Single-query requests answered from the router's response cache.",
 				func() float64 { return float64(r.cache.hits.Load()) }),
@@ -234,9 +202,5 @@ func (r *Router) buildMetrics() *obs.Registry {
 				func() float64 { return float64(r.cache.misses.Load()) }),
 		)
 	}
-	if fams := r.obsOpts.Tracer.MetricFamilies(); len(fams) > 0 {
-		reg.MustRegister(fams...)
-	}
-	reg.MustRegister(obs.RuntimeFamilies()...)
-	return reg
+	return r.front.Registry(fams...)
 }
