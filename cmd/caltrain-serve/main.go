@@ -490,21 +490,34 @@ func run(parent context.Context, args []string, out io.Writer) error {
 	return nil
 }
 
+// saveIndexFile persists s to path atomically, as ingest.Store.Snapshot
+// does the database: into path.tmp, synced, then renamed over path, so
+// a crash, a full disk or a failed Save leaves the previous file whole.
 func saveIndexFile(path string, s fingerprint.Searcher) error {
-	f, err := os.Create(path)
+	tmp := path + ".tmp"
+	f, err := os.Create(tmp)
 	if err != nil {
 		return err
 	}
-	if err := index.Save(f, s); err != nil {
-		f.Close()
+	err = index.Save(f, s)
+	if err == nil {
+		err = f.Sync()
+	}
+	if cerr := f.Close(); err == nil {
+		err = cerr
+	}
+	if err != nil {
+		os.Remove(tmp)
 		return err
 	}
-	return f.Close()
+	return os.Rename(tmp, path)
 }
 
-// loadIndexFile loads a serialized index and verifies it matches the
-// database it will serve. Backend selection from -backend goes through
-// serve.ParseBackend instead.
+// loadIndexFile loads a serialized index and checks its shape against
+// the database it will serve; the entries themselves are checked when
+// the deployment attaches it (index.Attach), which also catches up an
+// index that covers only a prefix of the database. Backend selection
+// from -backend goes through serve.ParseBackend instead.
 func loadIndexFile(path string, db *fingerprint.DB, out io.Writer) (fingerprint.Searcher, error) {
 	f, err := os.Open(path)
 	if err != nil {
@@ -515,7 +528,7 @@ func loadIndexFile(path string, db *fingerprint.DB, out io.Writer) (fingerprint.
 	if err != nil {
 		return nil, err
 	}
-	if s.Dim() != db.Dim() || s.Len() != db.Len() {
+	if s.Dim() != db.Dim() || s.Len() > db.Len() {
 		return nil, fmt.Errorf("index %s (%d entries, dim %d) does not match database (%d entries, dim %d)",
 			path, s.Len(), s.Dim(), db.Len(), db.Dim())
 	}

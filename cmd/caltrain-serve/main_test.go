@@ -42,11 +42,18 @@ func (b *syncBuffer) String() string {
 
 func writeTestDB(t *testing.T, n int) string {
 	t.Helper()
+	return writeDB(t, n, 77)
+}
+
+// writeDB saves n synthetic linkages drawn from seed, all from source
+// "p1", and returns the file's path.
+func writeDB(t *testing.T, n int, seed uint64) string {
+	t.Helper()
 	db, err := fingerprint.NewDB(8)
 	if err != nil {
 		t.Fatal(err)
 	}
-	rng := rand.New(rand.NewPCG(77, 1))
+	rng := rand.New(rand.NewPCG(seed, 1))
 	for i, f := range index.SynthFingerprints(rng, n, 8, 8, 0.2) {
 		if err := db.Add(fingerprint.Linkage{F: f, Y: i % 3, S: "p1"}); err != nil {
 			t.Fatal(err)
@@ -500,6 +507,164 @@ func TestServeRejectsMismatchedIndex(t *testing.T) {
 		if !strings.Contains(msg, want) {
 			t.Fatalf("mismatch error %q does not mention %q", msg, want)
 		}
+	}
+}
+
+// readDB loads a database file written by writeDB.
+func readDB(t *testing.T, path string) *fingerprint.DB {
+	t.Helper()
+	f, err := os.Open(path)
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer f.Close()
+	db, err := fingerprint.LoadDB(f)
+	if err != nil {
+		t.Fatal(err)
+	}
+	return db
+}
+
+// TestServeRefusesForeignIndex: an index saved over one database and
+// loaded against another of the same size and dimension must not be
+// served — its answers would name linkages -db does not hold. The two
+// databases share labels and sources and differ in every row, which
+// Flat and IVF compare; their IVFPQ index (no rows, only codes) is
+// caught once one source differs too. The daemon refuses at start-up
+// with index.ErrForeignIndex.
+func TestServeRefusesForeignIndex(t *testing.T) {
+	const n = 60
+	dbPath, otherPath := writeDB(t, n, 77), writeDB(t, n, 78)
+	other := readDB(t, otherPath)
+	for _, kind := range []string{"flat", "ivf", "ivfpq"} {
+		t.Run(kind, func(t *testing.T) {
+			var idx fingerprint.Searcher
+			var err error
+			switch kind {
+			case "flat":
+				idx = index.NewFlat(other)
+			case "ivf":
+				idx, err = index.TrainIVF(other, index.IVFOptions{Nlist: 2, Seed: 1})
+			case "ivfpq":
+				// Entry 5 from another contributor: a provenance difference.
+				relabeled, _ := fingerprint.NewDB(8)
+				for i := range n {
+					l := other.Entry(i)
+					if i == 5 {
+						l.S = "p2"
+					}
+					if err := relabeled.Add(l); err != nil {
+						t.Fatal(err)
+					}
+				}
+				idx, err = index.TrainIVFPQ(relabeled, index.IVFPQOptions{IVFOptions: index.IVFOptions{Nlist: 2, Seed: 1}, M: 2})
+			}
+			if err != nil {
+				t.Fatal(err)
+			}
+			idxPath := filepath.Join(t.TempDir(), "other.idx")
+			if err := saveIndexFile(idxPath, idx); err != nil {
+				t.Fatal(err)
+			}
+			ctx, cancel := context.WithCancel(context.Background())
+			defer cancel()
+			var out syncBuffer
+			done := make(chan error, 1)
+			go func() {
+				done <- run(ctx, []string{"-db", dbPath, "-addr", "127.0.0.1:0", "-load-index", idxPath}, &out)
+			}()
+			for {
+				select {
+				case err := <-done:
+					if !errors.Is(err, index.ErrForeignIndex) {
+						t.Fatalf("start-up error %v, want index.ErrForeignIndex", err)
+					}
+					return
+				case <-time.After(5 * time.Millisecond):
+					if addrRE.MatchString(out.String()) {
+						cancel()
+						<-done
+						t.Fatalf("%s index of another database served:\n%s", kind, out.String())
+					}
+				}
+			}
+		})
+	}
+}
+
+// TestServeCatchesUpLaggingIndex: a -load-index file that covers only a
+// prefix of the database — what a crash between the database's rename
+// and the index's leaves behind — is checked, caught up by Append, and
+// served over the whole database; the newest entries answer at
+// distance 0.
+func TestServeCatchesUpLaggingIndex(t *testing.T) {
+	const n, saved = 60, 45
+	dbPath := writeTestDB(t, n)
+	db := readDB(t, dbPath)
+	idx, err := index.TrainIVFPQ(db.Snapshot(saved), index.IVFPQOptions{IVFOptions: index.IVFOptions{Nlist: 2, Seed: 1}, M: 2})
+	if err != nil {
+		t.Fatal(err)
+	}
+	idxPath := filepath.Join(t.TempDir(), "lagging.idx")
+	if err := saveIndexFile(idxPath, idx); err != nil {
+		t.Fatal(err)
+	}
+	ctx, cancel := context.WithCancel(context.Background())
+	var out syncBuffer
+	done := make(chan error, 1)
+	go func() {
+		done <- run(ctx, []string{"-db", dbPath, "-addr", "127.0.0.1:0", "-load-index", idxPath}, &out)
+	}()
+	client := fingerprint.NewClient("http://"+waitForAddr(t, &out), nil)
+	st, err := client.Stats()
+	if err != nil {
+		t.Fatal(err)
+	}
+	if st.Entries != n {
+		t.Fatalf("serving %d entries, want %d", st.Entries, n)
+	}
+	for i := saved; i < n; i++ {
+		l := db.Entry(i)
+		got, err := client.Query(l.F, l.Y, 1)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if len(got.Matches) != 1 || got.Matches[0].Index != i || got.Matches[0].Distance != 0 {
+			t.Fatalf("entry %d: %+v", i, got.Matches)
+		}
+	}
+	cancel()
+	if err := <-done; err != nil {
+		t.Fatal(err)
+	}
+}
+
+// TestSaveIndexFileIsAtomic: a persist that fails — here index.Save
+// refusing a backend it cannot write — leaves the previous index file
+// whole and loadable, and no temporary file behind.
+func TestSaveIndexFileIsAtomic(t *testing.T) {
+	db := readDB(t, writeTestDB(t, 40))
+	path := filepath.Join(t.TempDir(), "linkage.idx")
+	if err := saveIndexFile(path, index.NewFlat(db)); err != nil {
+		t.Fatal(err)
+	}
+	if err := saveIndexFile(path, db); err == nil {
+		t.Fatal("saving the linear scan succeeded")
+	}
+	f, err := os.Open(path)
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer f.Close()
+	s, err := index.Load(f)
+	if err != nil {
+		t.Fatalf("previous index no longer loads after a failed save: %v", err)
+	}
+	if s.Len() != db.Len() {
+		t.Fatalf("previous index holds %d entries, want %d", s.Len(), db.Len())
+	}
+	if _, err := os.Stat(path + ".tmp"); !os.IsNotExist(err) {
+		t.Fatalf("temporary file left behind: %v", err)
 	}
 }
 

@@ -197,13 +197,7 @@ func lloyd(vecs *rows, points []int32, cents []float32, k, iters int, rng *rand.
 			transpose(table, cents, k, dim)
 		}
 		assignNearest(vecs, listed, order, assign, func(qs []float32, out []int32) {
-			if !planar(dim) {
-				kernel.ArgminBatch(qs, table, dim, k, out)
-				return
-			}
-			for i := range out {
-				out[i] = int32(kernel.ArgminPlanar(qs[i*dim:(i+1)*dim], table, k))
-			}
+			nearestBatch(qs, table, dim, k, out)
 		})
 		clear(sums)
 		clear(counts)
@@ -289,8 +283,9 @@ func storageOrder(points []int32, n int) []int32 {
 	return order
 }
 
-// assignTile is how many listed rows assignNearest gathers per argmin
-// call: whole screening tiles of the kernel, 4 KiB at dim 64.
+// assignTile is how many rows assignNearest gathers, and the IVFPQ
+// encoding pass packs, per batched argmin call: whole screening tiles of
+// the kernel, 4 KiB at dim 64.
 const assignTile = 4 * kernel.ArgminTile
 
 // Kind implements Searcher.

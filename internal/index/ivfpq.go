@@ -149,8 +149,8 @@ func TrainIVFPQ(db *fingerprint.DB, opts IVFPQOptions) (*IVFPQ, error) {
 // the encoding pass that turns the bucket's float vectors into per-list
 // code arrays, each code written once, where it stays. Residuals (vector
 // minus its coarse centroid) are computed where they are consumed — for
-// the training sample, and one row at a time while encoding — never as a
-// whole n×dim matrix.
+// the training sample, and assignTile rows at a time while encoding —
+// never as a whole n×dim matrix.
 func (x *IVFPQ) trainClass(b *bucket, co IVFOptions) *ivfpqClass {
 	dim, m := x.dim, x.m
 	ivfc := trainClass(b, co)
@@ -178,7 +178,8 @@ func (x *IVFPQ) trainClass(b *bucket, co IVFOptions) *ivfpqClass {
 
 	// Encode every point straight into its list: order is the bucket
 	// positions list by list, so position q of it is entry q-start[ci] of
-	// its list ci, and the pass fans out over points, not lists.
+	// its list ci, and the pass fans out over points, not lists, packing
+	// assignTile residuals per batched encode.
 	c.lists = make([]*pqList, c.nlist)
 	start := make([]int, c.nlist)
 	order := make([]int32, 0, b.n)
@@ -188,13 +189,21 @@ func (x *IVFPQ) trainClass(b *bucket, co IVFOptions) *ivfpqClass {
 		order = append(order, list...)
 	}
 	parallelChunks(b.n, func(lo, hi int) {
-		r := make([]float32, dim)
-		for q := lo; q < hi; q++ {
-			p := int(order[q])
-			l, i := c.lists[assign[p]], q-start[assign[p]]
-			residual(p, r)
-			c.book.encode(r, l.codes[i*m:(i+1)*m])
-			l.idx[i] = b.idx[p]
+		r, res := make([]float32, dim), make([]float32, assignTile*dim)
+		codes, near := make([]byte, assignTile*m), make([]int32, assignTile)
+		for q0 := lo; q0 < hi; q0 += assignTile {
+			nq := min(assignTile, hi-q0)
+			for i := range nq {
+				residual(int(order[q0+i]), r)
+				c.book.pack(res, r, i, nq)
+			}
+			c.book.encode(res, nq, codes, near)
+			for i := range nq {
+				p := int(order[q0+i])
+				l, k := c.lists[assign[p]], q0+i-start[assign[p]]
+				copy(l.codes[k*m:(k+1)*m], codes[i*m:(i+1)*m])
+				l.idx[k] = b.idx[p]
+			}
 		}
 	})
 	return c
@@ -283,7 +292,8 @@ func (x *IVFPQ) Append(dbIndex int, l fingerprint.Linkage) error {
 		lst := c.lists[best]
 		n := len(lst.codes)
 		lst.codes = slices.Grow(lst.codes, x.m)[:n+x.m]
-		c.book.encode(x.appendRes, lst.codes[n:])
+		var near [1]int32
+		c.book.encode(x.appendRes, 1, lst.codes[n:], near[:])
 		lst.idx = append(lst.idx, int32(dbIndex))
 		lst.src, lst.hash, lst.f = append(lst.src, l.S), append(lst.hash, l.H), append(lst.f, l.F)
 		c.n++
@@ -303,35 +313,28 @@ func (l *pqList) loaded() int {
 	return n
 }
 
-// AttachDB gives an index read by Load the database it indexes: every
-// loaded entry must be db's entry of that index (same label, source and
-// hash), after which the lists drop their carried provenance and
-// searches run the exact stage against db's rows, as on a trained index.
-// On a mismatch the index is left as it was. An index that already has
-// a database keeps it.
+// AttachDB gives an index read by Load the database it indexes: its
+// entries must be db's first Len() entries, each db's entry of that
+// index (same label, source and hash), or AttachDB refuses with
+// ErrForeignIndex and leaves the index as it was. After it the lists
+// drop their carried provenance and searches run the exact stage against
+// db's rows, as on a trained index. An index that already has a
+// database keeps it. Attach is AttachDB plus catching up the entries db
+// holds past the index's.
 func (x *IVFPQ) AttachDB(db *fingerprint.DB) error {
-	x.mu.Lock()
-	defer x.mu.Unlock()
-	if x.db != nil {
+	x.mu.RLock()
+	attached := x.db != nil
+	x.mu.RUnlock()
+	if attached {
 		return nil
 	}
-	if db.Dim() != x.dim {
-		return fmt.Errorf("%w: attached database has %d dims, index %d", fingerprint.ErrDimMismatch, db.Dim(), x.dim)
+	if err := checkPrefix(x, db); err != nil {
+		return err
 	}
-	n := db.Len()
-	for y, c := range x.labels {
-		for _, l := range c.lists {
-			r := l.kept()
-			for i := 0; i < l.loaded(); i++ {
-				idx := int(l.idx[r+i])
-				if idx < 0 || idx >= n {
-					return fmt.Errorf("index: attach: entry %d is outside the %d-entry database", idx, n)
-				}
-				if e := db.Entry(idx); e.Y != y || e.S != l.src[i] || e.H != l.hash[i] {
-					return fmt.Errorf("index: attach: entry %d (label %d, source %q) is not the database's", idx, y, l.src[i])
-				}
-			}
-		}
+	x.mu.Lock()
+	defer x.mu.Unlock()
+	if x.db != nil { // attached meanwhile
+		return nil
 	}
 	for _, c := range x.labels {
 		for _, l := range c.lists {

@@ -43,8 +43,21 @@ func newCodebook(m, dsub int) *pqCodebook {
 }
 
 // planar reports whether centroid tables of dim-wide rows are read
-// dimension-major (kernel.ArgminPlanar) rather than row by row.
+// dimension-major (kernel.ArgminPlanarBatch) rather than row by row.
 func planar(dim int) bool { return dim < kernel.BlockDim }
+
+// nearestBatch writes into out[i] the index of the centroid nearest row
+// i of qs (len(out) dim-wide rows) in a table of k centroids held in the
+// layout of that width (planar): one batched kernel argmin, strict <,
+// so ties are deterministic. It is the assignment step of every k-means
+// here and of PQ encoding.
+func nearestBatch(qs, table []float32, dim, k int, out []int32) {
+	if planar(dim) {
+		kernel.ArgminPlanarBatch(qs, table, dim, k, out)
+		return
+	}
+	kernel.ArgminBatch(qs, table, dim, k, out)
+}
 
 // transpose writes the n×dim row-major table src dimension-major into
 // dst: dst[j*n+i] = src[i*dim+j].
@@ -89,9 +102,7 @@ func trainPQ(residual func(p int, r []float32), n, dim, m, iters, sampleCap int,
 	r := make([]float32, dim)
 	for i, p := range perm {
 		residual(p, r)
-		for j := 0; j < m; j++ {
-			copy(packed[(j*sampleN+i)*dsub:], r[j*dsub:(j+1)*dsub])
-		}
+		cb.pack(packed, r, i, sampleN)
 	}
 	all := make([]int32, sampleN)
 	for i := range all {
@@ -116,22 +127,27 @@ func trainPQ(residual func(p int, r []float32), n, dim, m, iters, sampleCap int,
 	return cb
 }
 
-// encode writes the m-byte code of one dim-length residual: per
-// subquantizer, the index of the nearest centroid (strict-< argmin, so
-// ties are deterministic).
-func (cb *pqCodebook) encode(res []float32, code []byte) {
+// pack copies the dim-length residual r into slot i of a block of nq
+// residuals packed by subquantizer: subvector j of residual i goes to
+// dst[(j*nq+i)*dsub:], so the nq subvectors subquantizer j reads are one
+// contiguous run. A block of one is the residual as it lies.
+func (cb *pqCodebook) pack(dst, r []float32, i, nq int) {
 	for j := 0; j < cb.m; j++ {
-		code[j] = byte(nearest(res[j*cb.dsub:(j+1)*cb.dsub], cb.sub(j), pqKs))
+		copy(dst[(j*nq+i)*cb.dsub:], r[j*cb.dsub:(j+1)*cb.dsub])
 	}
 }
 
-// nearest returns the index of the centroid nearest v in a table of k
-// len(v)-wide centroids held in the layout of that width (planar).
-func nearest(v, table []float32, k int) int {
-	if planar(len(v)) {
-		return kernel.ArgminPlanar(v, table, k)
+// encode writes the m-byte codes of the nq residuals of a packed block
+// (pack) into codes, row-major: per subquantizer, one nearestBatch over
+// its nq subvectors. near is an nq-long scratch.
+func (cb *pqCodebook) encode(res []float32, nq int, codes []byte, near []int32) {
+	run := nq * cb.dsub
+	for j := 0; j < cb.m; j++ {
+		nearestBatch(res[j*run:(j+1)*run], cb.sub(j), cb.dsub, pqKs, near[:nq])
+		for i, c := range near[:nq] {
+			codes[i*cb.m+j] = byte(c)
+		}
 	}
-	return kernel.ArgminRows(v, table, len(v), k)
 }
 
 // table fills one query's ADC lookup table for a dim-length residual:

@@ -10,21 +10,19 @@ package kernel
 
 func registerArch() {}
 
-// rowsVector is never reached on this build (the registry holds only
-// the portable reference); it exists so Impl.rows compiles to static
-// calls on every build.
+// rowsVector and planarVector are never reached on this build (the
+// registry holds only the portable reference); they exist so the
+// dispatch to them compiles to static calls on every build.
 func rowsVector(q, vecs []float32, dim int, out []float64) { rowsGeneric(q, vecs, dim, out) }
 
-// planarVector and argminPlanarVector are never reached either, for the
-// same reason.
-func planarVector(q, planes []float32, out []float64) { planarGeneric(q, planes, len(out), 0, out) }
-
-func argminPlanarVector(q, planes []float32, n int) int { return argminPlanarGeneric(q, planes, n) }
+func planarVector(q, planes []float32, n, lo int, out []float64) {
+	planarGeneric(q, planes, n, lo, out)
+}
 
 // screenOK is false without an assembly implementation, so
 // argminScreened is never reached either.
 const screenOK = false
 
-func argminScreened(qs, vecs []float32, dim, n int, out []int32, a []float32) {
+func argminScreened(qs, vecs []float32, dim, n int, out []int32, a []float32, planar bool) {
 	panic("kernel: no screening routine on this build")
 }

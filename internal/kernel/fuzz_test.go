@@ -140,25 +140,36 @@ func FuzzArgminBatchParity(f *testing.F) {
 	})
 }
 
-// FuzzPlanarParity is FuzzArgminParity for the planar entry points: the
-// seed corpus is the same adversarial table at the planar widths (below
-// kernel.BlockDim) — exact ties planted in different lanes and lane
-// groups, one-ulp neighbours, NaN and ±Inf coordinates, a NaN in every
-// row (⇒ 0) — and DistancePlanar and ArgminPlanar over the TRANSPOSED
-// table must return, under every implementation, the reference's bits
-// and the exhaustive exact scan's index, for row counts that are not
-// multiples of any lane count too.
+// FuzzPlanarParity is FuzzArgminBatchParity for the planar entry
+// points: the seed corpus is the same adversarial table at the planar
+// widths (below kernel.BlockDim) — exact ties planted in different lanes
+// and vector steps, one-ulp neighbours, a cloud 1e3 from the origin,
+// re-seeded duplicates, NaN and ±Inf coordinates, a NaN in every row
+// (⇒ 0) — with the planted query in a batch beside a row of the table
+// and its negation, and DistancePlanar, ArgminPlanar and
+// ArgminPlanarBatch over the TRANSPOSED table must return, under every
+// implementation, the reference's bits and, for every query at every
+// slot position, the exhaustive exact scan's index, for row counts that
+// are not multiples of any lane count too.
 func FuzzPlanarParity(f *testing.F) {
-	for _, c := range argminCases([]int{1, 2, 4, 7}, []int{1, 6, 257}) {
-		f.Add(toBytes(c.q), toBytes(c.vecs))
+	for _, c := range argminCases([]int{1, 2, 4, 7}, []int{1, 6, 33, 257}) {
+		dim := len(c.q)
+		qs := append(append([]float32{}, c.q...), c.vecs[:dim]...)
+		for _, x := range c.q {
+			qs = append(qs, -x)
+		}
+		f.Add(toBytes(qs), toBytes(c.vecs), uint8(dim-1))
 	}
-	f.Fuzz(func(t *testing.T, qb, vb []byte) {
-		q, vecs := kerneltest.FromBytes(qb), kerneltest.FromBytes(vb)
-		if len(q) == 0 {
+	f.Fuzz(func(t *testing.T, qb, vb []byte, width uint8) {
+		dim := 1 + int(width)%(kernel.BlockDim-1)
+		qs, vecs := kerneltest.FromBytes(qb), kerneltest.FromBytes(vb)
+		nq := min(len(qs)/dim, 2*kernel.ArgminTile+1)
+		if nq == 0 {
 			return
 		}
-		q = q[:min(len(q), kernel.BlockDim-1)]
-		kerneltest.CheckPlanar(t, q, vecs, min(len(vecs)/len(q), 600))
+		n := min(len(vecs)/dim, 600)
+		kerneltest.CheckPlanar(t, qs[:dim], vecs, n)
+		kerneltest.CheckArgminPlanarBatch(t, qs[:nq*dim], vecs, dim, n)
 	})
 }
 

@@ -20,10 +20,11 @@
 // Each implementation fills three slots of Impl: the pair kernel
 // (SqDist), the rows kernel (Rows: one query against a contiguous block
 // of rows, ONE dispatch per block) and the ADC table scan (adc.go). The
-// assembly implementations also carry two unexported routines: the
-// planar routine behind DistancePlanar and ArgminPlanar (see "Small
-// widths" below), and the float32 screening routine ArgminRows and
-// ArgminBatch share (see "Screened argmin").
+// assembly implementations also carry unexported routines: the planar
+// routine behind DistancePlanar (see "Small widths" below), and the
+// float32 screens of the argmins — one over row-major rows (ArgminRows,
+// ArgminBatch), one over planar tables (ArgminPlanar, ArgminPlanarBatch)
+// — with the selection stage they share (see "Screened argmin").
 //
 // Bit-stability contract. Every implementation MUST produce bitwise
 // identical float64 results for identical inputs, so indexes built,
@@ -60,8 +61,10 @@
 // centroid, so coordinate j of four neighbouring centroids is one
 // 16-byte load, and the vector paths put one CENTROID in each double
 // lane (4 per step on AVX2, 2 on NEON) and add the terms of every lane
-// in ascending j. DistancePlanar and ArgminPlanar are the entry points;
-// the portable path sweeps one plane at a time. The transposition
+// in ascending j. DistancePlanar is that exact path (the ADC table
+// build); ArgminPlanar and ArgminPlanarBatch are screened like the
+// row-major argmins (below); the portable path sweeps one plane at a
+// time. The transposition
 // happens where a table is made resident (internal/index: after a
 // subquantizer trains, when a CTIX file is loaded, once per Lloyd round
 // for the table being refined) and the CTIX bytes stay row-major. None
@@ -80,21 +83,24 @@
 // equality for ALL inputs, and SqDist(q,v) == SqDist(v,q) exactly).
 //
 // The batched entry points (DistanceRows, DistanceGather,
-// DistanceBatch, ArgminRows, ArgminBatch) amortize dispatch and memory
-// traffic: DistanceRows and ArgminRows hand a whole block of rows to one
-// kernel call, DistanceBatch sweeps a block of vectors sized to stay
-// cache-resident across a whole query batch, so a batch of B queries
-// costs one pass over the data instead of B, and ArgminBatch screens a
-// tile of queries per load of each row.
+// DistanceBatch, ArgminRows, ArgminBatch, ArgminPlanarBatch) amortize
+// dispatch and memory traffic: DistanceRows and ArgminRows hand a whole
+// block of rows to one kernel call, DistanceBatch sweeps a block of
+// vectors sized to stay cache-resident across a whole query batch, so a
+// batch of B queries costs one pass over the data instead of B, and
+// ArgminBatch and ArgminPlanarBatch screen a tile of queries per load of
+// each row.
 //
 // Screened argmin. ArgminRows and ArgminBatch — the nearest-centroid
-// assignment of k-means, the one loop IVF set-up consists of — are
-// specified by their RESULT: the index an ascending strict-< scan of the
-// exact kernel distances returns. Under an assembly implementation, for
-// widths of 8 and up, they get there without running the exact kernel on
-// most rows. One routine per architecture, screenAsm, scores a TILE of up
-// to four queries against a block of at most 256 rows in float32 DOT
-// FORM,
+// assignment of k-means, the one loop IVF set-up consists of — and
+// ArgminPlanar and ArgminPlanarBatch — the same for PQ codebooks, under
+// PQ training, encoding and every IVFPQ Append — are specified by their
+// RESULT: the index an ascending strict-< scan of the exact kernel
+// distances returns. Under an assembly implementation they get there
+// without running the exact kernel on most rows. One routine per
+// architecture and layout, screenAsm (row-major, widths of 8 and up) and
+// planarScreenAsm (planar, 1–7), scores a TILE of up to four queries
+// against a block of at most 256 rows in float32 DOT FORM,
 //
 //	s = ‖v‖² − 2·q·v  =  T − ‖q‖²   (T the real squared distance)
 //
@@ -103,16 +109,19 @@
 // one fused multiply-add per query per 8 coordinates, plus one for the
 // norm (a batch of one sums v·(v − 2·q) instead: a subtraction and an
 // FMA per lane, the port mix of one query). Then, per query, from the
-// block's smallest value m and the routine's own ‖q‖² (qq), every row
-// with s ≤ L is a candidate,
+// block's smallest value m and the routine's own ‖q‖² (qq), the shared
+// selection stage, screenSelectAsm, marks every row with s ≤ L a
+// candidate,
 //
 //	L = a·m + b·qq + c₀   (screenBound: a = 1 + 4c(1+4c), b ≈ 20c, c₀ ≈ η)
-//	c = γ_K + 2u,  γ_K = Ku/(1−Ku),  K = dim/8 + 12,  u = 2⁻²⁴,  η = (dim+8)·2⁻¹⁴⁷
+//	c = γ_K + 2u,  γ_K = Ku/(1−Ku),  u = 2⁻²⁴,  η = (dim+8)·2⁻¹⁴⁷
+//	K = dim/8 + 12 (row-major),  K = dim + 4 (planar)
 //
 // (L evaluated in float64 and rounded UP to float32), marked in a bitmap,
 // and only the candidates — one of a bench centroid table, typically, and
 // the one candidate of a single block is the answer outright — are
-// scored by the exact pair kernel and compared ascending with a strict <.
+// scored by the exact distance (the pair kernel, or the planar sum of
+// that one centroid) and compared ascending with a strict <.
 // The screening values are NOT part of the bit-stability contract (the
 // two architectures sum in different orders); the returned index is,
 // because the candidate set provably contains the exhaustive winner:
@@ -120,7 +129,13 @@
 //   - One value. Every term of s (v_j² and −2·q_j·v_j) passes through at
 //     most K float32 roundings — ⌈dim/8⌉ fused steps per lane, the lane's
 //     n − 2·d (or the subtraction v − 2·q), three reduction levels, and on
-//     NEON up to eight more for the scalar tail — so for a row whose
+//     NEON up to eight more for the scalar tail. A planar term is one
+//     coordinate of one centroid, at most dim + 1 deep: dim fused steps
+//     down the planes in one float lane (the FMA chain of ‖c‖² or of a
+//     dot, or of c·(c − 2·q) for a batch of one after its subtraction)
+//     and the combining ‖c‖² − 2·dot; qq is four deep on AVX2 (a square
+//     and three reduction adds) and dim on NEON (a chain of FMADDs), so
+//     K = dim + 4 covers both. Either way, for a row whose
 //     arithmetic never overflows, |ŝ − s| ≤ c·(‖q‖ + ‖v‖)² + η/2: the
 //     terms' magnitudes sum to at most ‖v‖² + 2‖q‖‖v‖ ≤ (‖q‖ + ‖v‖)², the
 //     extra u covers the rounding of the subtraction, and η/2 the absolute
@@ -129,10 +144,14 @@
 //   - Why it scales with (‖q‖ + ‖v‖)². The dot form cancels ‖v‖² against
 //     2·q·v, so its error is relative to the norms, not to the distance:
 //     tight for fingerprints near the origin (one candidate of 158 at unit
-//     norm), every row a candidate for a cloud 1e3 from it — slower, never
-//     wrong (TestScreenBoundWidensOffOrigin logs the count).
+//     norm, one of 256 codebook centroids), every row a candidate for a
+//     cloud 1e3 from it — slower, never wrong
+//     (TestScreenBoundWidensOffOrigin logs both counts).
 //   - No row norms needed. Only two rows matter: m's and the exhaustive
-//     winner i's. For any row ‖v‖ ≤ ‖q‖ + √T, so (‖q‖ + ‖v‖)² ≤ 8‖q‖² + 2T;
+//     winner i's — so the planar screen sums each centroid's ‖c‖² in the
+//     same pass as its dots, and neither the table layout nor the CTIX
+//     bytes change, nor does anything stay resident. For any row
+//     ‖v‖ ≤ ‖q‖ + √T, so (‖q‖ + ‖v‖)² ≤ 8‖q‖² + 2T;
 //     applied to m, T_m ≤ m + ‖q‖² + c·(8‖q‖² + 2T_m) + η/2, a bound linear
 //     in m; and the float64 exact values D (|D − T| ≤ γ₆₄·T) give
 //     D_i ≤ D_m, hence T_i ≤ T_m·(1 + 3γ₆₄). Chaining them,
@@ -150,18 +169,23 @@
 // row whose arithmetic overflows float32 screens as +Inf (no −Inf can
 // arise while ‖q‖² ≤ 1e30) or NaN: never a candidate under a finite L,
 // rightly, since its T is past 3e38 while T_m ≤ 2e30; always one if NaN.
-// Widths below 8 (the tables hot at those widths are planar), widths
-// above screenMaxDim, blocks of fewer than four rows, everything under
-// the portable implementation, and an AVX2 host without FMA3 (screenOK:
-// dispatch_amd64.go probes CPUID.1:ECX bit 12) keep the exact scan.
-// kerneltest.CheckRows and CheckArgminBatch hold both entry points to the
-// reference argmin under every implementation, at every slot of a tile;
-// TestArgminAdversarial, TestArgminBatchAdversarial, FuzzArgminParity and
-// FuzzArgminBatchParity aim them at exact ties, one-ulp neighbours, rows
-// whose distances agree to the last bits (also 100 from the origin, where
-// the dot form cancels), underflowing and overflowing squares and
-// non-finite coordinates, and FuzzPlanarParity aims the same table, at
-// the planar widths, at ArgminPlanar.
+// Row-major rows narrower than 8 (the tables hot at those widths are
+// planar), widths above screenMaxDim, blocks of fewer than four rows (16
+// planar centroids), everything under the portable implementation, and
+// an AVX2 host without FMA3 (screenOK: dispatch_amd64.go probes
+// CPUID.1:ECX bit 12) keep the exact scan; so does DistancePlanar, which
+// returns distances, not an index. kerneltest.CheckRows,
+// CheckArgminBatch, CheckPlanar and CheckArgminPlanarBatch hold all four
+// entry points to the reference argmin under every implementation, at
+// every slot of a tile; TestArgminAdversarial,
+// TestArgminBatchAdversarial, TestArgminPlanarAdversarial and the
+// FuzzArgminParity, FuzzArgminBatchParity and FuzzPlanarParity targets
+// aim them at exact ties (re-seeded duplicate centroids too), one-ulp
+// neighbours, rows whose distances agree to the last bits (also 100 and
+// 1e3 from the origin, where the dot form cancels), underflowing,
+// accumulating-subnormal and overflowing squares and non-finite
+// coordinates; TestPlanarScreenValues holds planarScreenAsm's values,
+// minima and ‖q‖² to the bound above.
 package kernel
 
 import (
@@ -439,7 +463,7 @@ func ArgminBatch(qs, vecs []float32, dim, n int, out []int32) {
 	im := active.Load()
 	if screens(im, dim) {
 		var a [ArgminTile * argminBlock]float32
-		argminScreened(qs, vecs, dim, n, out, a[:])
+		argminScreened(qs, vecs, dim, n, out, a[:], false)
 		return
 	}
 	for i := range out {
@@ -460,7 +484,7 @@ func ArgminRows(q, vecs []float32, dim, n int) int {
 	checkRowsArgs("ArgminRows", q, vecs, dim, n)
 	im := active.Load()
 	if screens(im, dim) {
-		return argminOne(q, vecs, dim, n)
+		return argminOne(q, vecs, dim, n, false)
 	}
 	// The exhaustive scan both argmins are specified by, kept inline: a
 	// call level around its 2 KiB block cost the dim-4 path ~25 ns.
@@ -478,15 +502,16 @@ func ArgminRows(q, vecs []float32, dim, n int) int {
 	return best
 }
 
-// argminOne is ArgminRows' batch of one. Its screening scratch lives in
-// this frame: declared in ArgminRows, the address-taken 1 KiB block was
+// argminOne is the screened argmin's batch of one (ArgminRows, and
+// ArgminPlanar when planar is set). Its screening scratch lives in this
+// frame: declared in ArgminRows, the address-taken 1 KiB block was
 // zeroed on every call, exact path included (+5 % at dim 4).
 //
 //go:noinline
-func argminOne(q, vecs []float32, dim, n int) int {
+func argminOne(q, vecs []float32, dim, n int, planar bool) int {
 	var a [argminBlock]float32
 	var out [1]int32
-	argminScreened(q, vecs, dim, n, out[:], a[:])
+	argminScreened(q, vecs, dim, n, out[:], a[:], planar)
 	return int(out[0])
 }
 

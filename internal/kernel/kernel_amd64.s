@@ -6,9 +6,9 @@
 // loop with PCALIGN $64, so where its loops sit relative to the 64-byte
 // windows of the decoded-uop cache is a property of this file and not of
 // what the linker happened to place before the function. (32 was not
-// enough: planarAsm's loop head at 32 mod 64 instead of 0 cost its
-// argmin 20–30 % on the Sapphire Rapids sandbox, in whichever binary
-// drew it.) An inner loop head is a fixed
+// enough: planarAsm's loop head at 32 mod 64 instead of 0 once cost the
+// codebook argmin 20–30 % on a Sapphire Rapids host, in whichever
+// binary drew it.) An inner loop head is a fixed
 // distance past an aligned outer one, so it is pinned too, without
 // padding that the outer loop would execute on every pass; the scalar
 // tails run at most seven latency-bound iterations and are left alone.
@@ -169,7 +169,7 @@ rowsdone:
 	VZEROUPPER
 	RET
 
-// func planarAsm(qd *float64, planes *float32, dim, stride, n int, out *float64, best *planarBest)
+// func planarAsm(qd *float64, planes *float32, dim, stride, n int, out *float64)
 //
 // A planar (dimension-major) centroid table, 1 ≤ dim ≤ 7 planes stride
 // floats apart, where the specified order is s = (((t0+t1)+t2)+…): four
@@ -180,37 +180,18 @@ rowsdone:
 // j of the four centroids is one 16-byte load widened by VCVTPS2PD,
 // subtracted from the broadcast qd[j], squared and added (no FMA, no
 // shuffle). The accumulator starts at +0: +0 + t0 is t0 exactly, a term
-// is never -0.
-//
-// out non-nil: the four sums are stored there, NaN lanes canonicalized.
-// out nil: the fused argmin. Y4 holds each lane's best distance so far
-// and Y6 the index it was found at; Y5 is the index of the centroid now
-// in each lane ({0,1,2,3} from best.i on entry, +4 per step). A lane is
-// replaced where sum < best — ordered, so a NaN sum never is, and
-// strict, so the first of equal sums stays — and both vectors go back
-// to *best at the end for the caller to reduce.
-TEXT ·planarAsm(SB), NOSPLIT, $0-56
+// is never -0. The four sums are stored to out, NaN lanes canonicalized.
+TEXT ·planarAsm(SB), NOSPLIT, $0-48
 	MOVQ qd+0(FP), SI
 	MOVQ planes+8(FP), DI
 	MOVQ dim+16(FP), CX
 	MOVQ stride+24(FP), R9
 	MOVQ n+32(FP), BX
 	MOVQ out+40(FP), R8
-	MOVQ best+48(FP), R11
 	SHLQ $2, R9                // R9 = plane stride in bytes
-	TESTQ R8, R8
-	JZ   argmininit
 	MOVQ $0x7FF8000000000001, AX
 	VMOVQ AX, X7
 	VBROADCASTSD X7, Y7        // canonical math.NaN() bits, every lane
-	JMP  step
-argmininit:
-	VMOVUPD (R11), Y4
-	VMOVDQU 32(R11), Y5
-	VPXOR Y6, Y6, Y6
-	MOVQ $4, AX
-	VMOVQ AX, X7
-	VPBROADCASTQ X7, Y7        // the index step
 
 	PCALIGN $64
 step:
@@ -228,28 +209,13 @@ plane:
 	CMPQ AX, CX
 	JL   plane
 
-	TESTQ R8, R8
-	JZ   argmin
 	VCMPPD $3, Y0, Y0, Y3      // all-ones where the lane is NaN
 	VBLENDVPD Y3, Y7, Y0, Y0
 	VMOVUPD Y0, (R8)
 	ADDQ $32, R8
-	JMP  next
-argmin:
-	VCMPPD $1, Y4, Y0, Y3      // all-ones where sum < best (false on NaN)
-	VMINPD Y4, Y0, Y4          // sum < best ? sum : best, the same rule
-	VBLENDVPD Y3, Y5, Y6, Y6
-	VPADDQ Y7, Y5, Y5
-next:
 	ADDQ $16, DI               // next four centroids
 	SUBQ $4, BX
 	JG   step
-
-	TESTQ R8, R8
-	JNZ  done
-	VMOVUPD Y4, (R11)
-	VMOVDQU Y6, 32(R11)
-done:
 	VZEROUPPER
 	RET
 
@@ -282,7 +248,8 @@ done:
 // (Y15 masks them in; masked lanes load +0 and add exactly nothing).
 // X13 lane t is the smallest value m of query slot t (lane 0 alone for
 // nq = 1) as VMINPS keeps it: a finite value of some row, or not finite
-// (a NaN row can hide the rest), which `finish` treats as unsafe.
+// (a NaN row can hide the rest), which screenSelectAsm treats as unsafe.
+// It goes to res.lim, for screenSelectAsm to replace by the limits.
 TEXT ·screenAsm(SB), NOSPLIT, $0-56
 	MOVQ qs+0(FP), SI
 	MOVQ vecs+8(FP), DI
@@ -532,12 +499,244 @@ singlemin:
 	VMINPS X1, X13, X13
 
 finish:
-	// The limit of each slot, L = a·m + b·qq + c0 in float64 (m and qq
-	// widen exactly), then rounded UP to float32: L + |L|·2⁻²³ + 2⁻¹⁴⁹
-	// rounds to nearest at or above L. A slot whose m or qq is not at most
-	// 1e30 (NaN is not) gets +Inf: every row a candidate.
 	MOVQ res+48(FP), AX
-	VCVTPS2PD X13, Y0          // m
+	VMOVUPS X13, 24(AX)        // res.lim: the minima
+	VZEROUPPER
+	RET
+
+// func planarScreenAsm(qs, planes *float32, dim, stride, n, nq int, out *float32, res *screenResult)
+//
+// screenAsm for a planar (dimension-major) table: the values
+// s = ‖c‖² − 2·q·c of nq (1…4) queries of 1 ≤ dim ≤ 7 floats,
+// concatenated at qs, against n ≥ 32 centroids, dim planes stride floats
+// apart (n ≤ 256); query slot t's value for centroid i goes to
+// out[t*256+i], slots past nq reading the last query again. ONE
+// CENTROID PER FLOAT LANE, coordinate j of eight neighbours one load
+// from plane j; ‖q‖² (res.qq) is the dim lanes masked in (Y15), squared
+// and reduced like screenAsm's — four roundings deep. Then one of two
+// register tiles, like screenAsm's:
+//
+//   - nq ≥ 2: four queries × eight centroids in DOT FORM: the square of
+//     coordinate j summed into ‖c‖² (Y0) and its product with each slot's
+//     broadcast q[j] into that slot's dot (Y1..Y4), fused, in ascending
+//     j; then per slot s = ‖c‖² − 2·dot, one rounding (VFNMADD213PS).
+//     A term is at most dim + 1 roundings deep.
+//   - nq = 1: one query × thirty-two centroids, s = Σ c·(c − 2·q) — a
+//     subtraction and an FMA per plane, the port mix of one query — with
+//     2·q broadcast from a copy on the stack; dim + 1 roundings again.
+//
+// When n is not a multiple of the step the last step is re-anchored at
+// centroid n-8 (n-32) and rewrites up to seven (thirty-one) values. The
+// minimum of each slot (Y10, Y11, Y13, Y14, eight lanes each — a single
+// step's four vectors each keep one, folded into Y10 at sdone — folded
+// at the end) goes to res.lim, for screenSelectAsm.
+TEXT ·planarScreenAsm(SB), NOSPLIT, $32-64
+	MOVQ qs+0(FP), SI
+	MOVQ planes+8(FP), DI
+	MOVQ dim+16(FP), CX
+	MOVQ stride+24(FP), R9
+	MOVQ n+32(FP), BX
+	MOVQ nq+40(FP), R13
+	MOVQ out+48(FP), R8
+	SHLQ $2, R9                // R9 = plane stride in bytes
+	LEAQ (CX*4), R14           // R14 = query stride in bytes
+
+	// Query pointers of slots 1..3, clamped to the last query.
+	DECQ R13                   // R13 = nq-1
+	MOVQ $1, R10
+	CMPQ R13, R10
+	CMOVQLT R13, R10
+	IMULQ R14, R10
+	ADDQ SI, R10
+	MOVQ $2, R11
+	CMPQ R13, R11
+	CMOVQLT R13, R11
+	IMULQ R14, R11
+	ADDQ SI, R11
+	MOVQ $3, R12
+	CMPQ R13, R12
+	CMOVQLT R13, R12
+	IMULQ R14, R12
+	ADDQ SI, R12
+
+	// ‖q‖² of the four slots: the dim lanes masked in (Y15), squared and
+	// reduced like screenAsm's.
+	MOVQ CX, AX
+	NEGQ AX
+	LEAQ screenMask<>(SB), DX
+	VMOVDQU 32(DX)(AX*4), Y15  // lanes below dim all-ones
+	VMASKMOVPS (SI), Y15, Y0
+	VMULPS Y0, Y0, Y0
+	VMASKMOVPS (R10), Y15, Y1
+	VMULPS Y1, Y1, Y1
+	VMASKMOVPS (R11), Y15, Y2
+	VMULPS Y2, Y2, Y2
+	VMASKMOVPS (R12), Y15, Y3
+	VMULPS Y3, Y3, Y3
+	VHADDPS Y1, Y0, Y0
+	VHADDPS Y3, Y2, Y2
+	VHADDPS Y2, Y0, Y0
+	VEXTRACTF128 $1, Y0, X1
+	VADDPS X1, X0, X0
+	MOVQ res+56(FP), AX
+	VMOVUPS X0, 40(AX)         // res.qq
+
+	VBROADCASTSS screenTwo<>(SB), Y12
+	MOVL $0x7F800000, AX
+	VMOVD AX, X10
+	VPBROADCASTD X10, Y10      // running minima of slots 0..3: +Inf
+	VMOVAPS Y10, Y11
+	VMOVAPS Y10, Y13
+	VMOVAPS Y10, Y14
+	CMPQ R13, $0
+	JEQ  single
+
+	PCALIGN $64
+group:
+	VXORPS Y0, Y0, Y0          // ‖c‖² of the eight centroids
+	VXORPS Y1, Y1, Y1          // q·c, slot 0
+	VXORPS Y2, Y2, Y2
+	VXORPS Y3, Y3, Y3
+	VXORPS Y4, Y4, Y4
+	MOVQ DI, DX                // DX = &plane j[the group]
+	XORQ AX, AX                // AX = plane index j
+plane:
+	VMOVUPS (DX), Y5
+	VFMADD231PS Y5, Y5, Y0
+	VBROADCASTSS (SI)(AX*4), Y6
+	VFMADD231PS Y6, Y5, Y1
+	VBROADCASTSS (R10)(AX*4), Y7
+	VFMADD231PS Y7, Y5, Y2
+	VBROADCASTSS (R11)(AX*4), Y8
+	VFMADD231PS Y8, Y5, Y3
+	VBROADCASTSS (R12)(AX*4), Y9
+	VFMADD231PS Y9, Y5, Y4
+	ADDQ R9, DX
+	INCQ AX
+	CMPQ AX, CX
+	JL   plane
+
+	VFNMADD213PS Y0, Y12, Y1   // s = ‖c‖² − 2·q·c, one rounding
+	VFNMADD213PS Y0, Y12, Y2
+	VFNMADD213PS Y0, Y12, Y3
+	VFNMADD213PS Y0, Y12, Y4
+	VMOVUPS Y1, (R8)           // query t's values are 1 KiB apart
+	VMOVUPS Y2, 1024(R8)
+	VMOVUPS Y3, 2048(R8)
+	VMOVUPS Y4, 3072(R8)
+	VMINPS Y1, Y10, Y10
+	VMINPS Y2, Y11, Y11
+	VMINPS Y3, Y13, Y13
+	VMINPS Y4, Y14, Y14
+	ADDQ $32, DI               // next eight centroids
+	ADDQ $32, R8
+	SUBQ $8, BX
+	CMPQ BX, $8
+	JGE  group
+	TESTQ BX, BX
+	JLE  fold
+	SUBQ $8, BX                // 1..7 left: step back to centroid n-8
+	LEAQ (DI)(BX*4), DI
+	LEAQ (R8)(BX*4), R8
+	MOVQ $8, BX
+	JMP  group
+
+single:
+	VMASKMOVPS (SI), Y15, Y6
+	VADDPS Y6, Y6, Y6          // 2·q, exact
+	VMOVUPS Y6, (SP)
+
+	PCALIGN $64
+sgroup:
+	VXORPS Y1, Y1, Y1          // s of centroids 0..7 of the step
+	VXORPS Y2, Y2, Y2          // 8..15
+	VXORPS Y3, Y3, Y3          // 16..23
+	VXORPS Y4, Y4, Y4          // 24..31
+	MOVQ DI, DX
+	XORQ AX, AX
+splane:
+	VBROADCASTSS (SP)(AX*4), Y0
+	VMOVUPS (DX), Y5
+	VMOVUPS 32(DX), Y6
+	VMOVUPS 64(DX), Y7
+	VMOVUPS 96(DX), Y8
+	VSUBPS Y0, Y5, Y9          // c − 2·q
+	VFMADD231PS Y9, Y5, Y1     // s += c·(c − 2·q)
+	VSUBPS Y0, Y6, Y9
+	VFMADD231PS Y9, Y6, Y2
+	VSUBPS Y0, Y7, Y9
+	VFMADD231PS Y9, Y7, Y3
+	VSUBPS Y0, Y8, Y9
+	VFMADD231PS Y9, Y8, Y4
+	ADDQ R9, DX
+	INCQ AX
+	CMPQ AX, CX
+	JL   splane
+	VMOVUPS Y1, (R8)
+	VMOVUPS Y2, 32(R8)
+	VMOVUPS Y3, 64(R8)
+	VMOVUPS Y4, 96(R8)
+	VMINPS Y1, Y10, Y10
+	VMINPS Y2, Y11, Y11
+	VMINPS Y3, Y13, Y13
+	VMINPS Y4, Y14, Y14
+	ADDQ $128, DI              // next thirty-two centroids
+	ADDQ $128, R8
+	SUBQ $32, BX
+	CMPQ BX, $32
+	JGE  sgroup
+	TESTQ BX, BX
+	JLE  sdone
+	SUBQ $32, BX               // 1..31 left: step back to centroid n-32
+	LEAQ (DI)(BX*4), DI
+	LEAQ (R8)(BX*4), R8
+	MOVQ $32, BX
+	JMP  sgroup
+sdone:
+	VMINPS Y11, Y10, Y10       // the four chains of slot 0 into Y10
+	VMINPS Y14, Y13, Y13
+	VMINPS Y13, Y10, Y10
+
+fold:
+	// Each slot's eight lanes to four, then the four slots side by side:
+	// X13 lane t = the minimum of slot t.
+	VEXTRACTF128 $1, Y10, X0
+	VMINPS X0, X10, X10
+	VEXTRACTF128 $1, Y11, X0
+	VMINPS X0, X11, X11
+	VEXTRACTF128 $1, Y13, X0
+	VMINPS X0, X13, X13
+	VEXTRACTF128 $1, Y14, X0
+	VMINPS X0, X14, X14
+	VUNPCKLPS X11, X10, X0     // {a0, b0, a1, b1}
+	VUNPCKHPS X11, X10, X1     // {a2, b2, a3, b3}
+	VMINPS X1, X0, X0          // {a02, b02, a13, b13}
+	VUNPCKLPS X14, X13, X2
+	VUNPCKHPS X14, X13, X3
+	VMINPS X3, X2, X2          // {c02, d02, c13, d13}
+	VMOVLHPS X2, X0, X1        // {a02, b02, c02, d02}
+	VMOVHLPS X0, X2, X3        // {a13, b13, c13, d13}
+	VMINPS X3, X1, X13
+	MOVQ res+56(FP), AX
+	VMOVUPS X13, 24(AX)        // res.lim: the minima
+	VZEROUPPER
+	RET
+
+// func screenSelectAsm(out *float32, n, nq int, res *screenResult)
+//
+// The selection stage of both screens: on entry res.lim[t] holds the
+// smallest value m of query slot t, as the screening routine kept it,
+// and out[t*256+i] the values themselves. First each slot's limit,
+// L = a·m + b·qq + c0 of res.bound in float64 (m and qq widen exactly),
+// rounded UP to float32: L + |L|·2⁻²³ + 2⁻¹⁴⁹ rounds to nearest at or
+// above L. A slot whose m or qq is not at most 1e30 (NaN is not) gets
+// +Inf: every row a candidate. Then, for each of the nq queries, the
+// candidate bitmap res.cand: bit i is !(lim[t] < out[t*256+i]), true
+// for a NaN, eight rows per compare.
+TEXT ·screenSelectAsm(SB), NOSPLIT, $0-32
+	MOVQ res+24(FP), AX
+	VMOVUPS 24(AX), X13        // m
+	VCVTPS2PD X13, Y0
 	VCVTPS2PD 40(AX), Y1       // qq
 	VBROADCASTSD 16(AX), Y2    // c0
 	VBROADCASTSD 8(AX), Y3     // b
@@ -569,23 +768,45 @@ finish:
 	VBLENDVPS X6, X2, X5, X2   // safe ? L : +Inf
 	VMOVUPS X2, 24(AX)         // res.lim
 
-	// Candidate bitmaps: bit i of slot t is !(lim[t] < out[t*256+i]),
-	// true for a NaN, eight rows per compare.
-	MOVQ out+40(FP), SI
+	// Candidate bitmaps, one 64-bit word per 64 rows (rows at and past n
+	// read values of the slot's scratch that no row owns: their bits are
+	// unspecified). Per 32 rows: four compares, their all-ones masks
+	// packed to bytes (VPACKSSDW, VPACKSSWB, in 128-bit lanes) and put
+	// back in row order (VPERMD by screenPerm), one VPMOVMSKB.
+	MOVQ out+0(FP), SI
 	LEAQ 56(AX), DI            // res.cand
-	MOVQ n+24(FP), BX
-	MOVQ nq+32(FP), R13
+	MOVQ n+8(FP), BX
+	MOVQ nq+16(FP), R13
+	VMOVDQU screenPerm<>(SB), Y7
 	XORQ R10, R10              // slot t
 selslot:
 	VBROADCASTSS 24(AX)(R10*4), Y0
 	XORQ CX, CX                // row i
-	XORQ R11, R11              // bitmap byte i/8
+	XORQ R11, R11              // bitmap word i/64
 selrow:
 	VCMPPS $0x15, (SI)(CX*4), Y0, Y1
-	VMOVMSKPS Y1, DX
-	MOVB DX, (DI)(R11*1)
+	VCMPPS $0x15, 32(SI)(CX*4), Y0, Y2
+	VCMPPS $0x15, 64(SI)(CX*4), Y0, Y3
+	VCMPPS $0x15, 96(SI)(CX*4), Y0, Y4
+	VPACKSSDW Y2, Y1, Y1
+	VPACKSSDW Y4, Y3, Y3
+	VPACKSSWB Y3, Y1, Y1
+	VPERMD Y1, Y7, Y1
+	VPMOVMSKB Y1, DX
+	VCMPPS $0x15, 128(SI)(CX*4), Y0, Y1
+	VCMPPS $0x15, 160(SI)(CX*4), Y0, Y2
+	VCMPPS $0x15, 192(SI)(CX*4), Y0, Y3
+	VCMPPS $0x15, 224(SI)(CX*4), Y0, Y4
+	VPACKSSDW Y2, Y1, Y1
+	VPACKSSDW Y4, Y3, Y3
+	VPACKSSWB Y3, Y1, Y1
+	VPERMD Y1, Y7, Y1
+	VPMOVMSKB Y1, R12
+	SHLQ $32, R12
+	ORQ  R12, DX
+	MOVQ DX, (DI)(R11*8)
 	INCQ R11
-	ADDQ $8, CX
+	ADDQ $64, CX
 	CMPQ CX, BX
 	JL   selrow
 	ADDQ $1024, SI
@@ -610,6 +831,14 @@ GLOBL screenMask<>(SB), RODATA|NOPTR, $64
 
 DATA screenTwo<>+0(SB)/4, $0x40000000 // 2.0
 GLOBL screenTwo<>(SB), RODATA|NOPTR, $4
+
+// screenPerm: the VPERMD indexes {0, 4, 1, 5, 2, 6, 3, 7} that put the
+// dwords of a lane-wise pack of four compare masks back in row order.
+DATA screenPerm<>+0(SB)/8, $0x0000000400000000
+DATA screenPerm<>+8(SB)/8, $0x0000000500000001
+DATA screenPerm<>+16(SB)/8, $0x0000000600000002
+DATA screenPerm<>+24(SB)/8, $0x0000000700000003
+GLOBL screenPerm<>(SB), RODATA|NOPTR, $32
 
 // func cpuid(eaxIn, ecxIn uint32) (eax, ebx, ecx, edx uint32)
 TEXT ·cpuid(SB), NOSPLIT, $0-24

@@ -217,7 +217,7 @@ canon:
 rowsdone:
 	RET
 
-// func planarAsm(qd *float64, planes *float32, dim, stride, n int, out *float64, best *planarBest)
+// func planarAsm(qd *float64, planes *float32, dim, stride, n int, out *float64)
 //
 // A planar (dimension-major) centroid table, 1 ≤ dim ≤ 7 planes stride
 // floats apart, where the specified order is s = (((t0+t1)+t2)+…): two
@@ -227,33 +227,18 @@ rowsdone:
 // float64 (dim doubles); n must be a positive multiple of 2. Coordinate
 // j of the two centroids is one 8-byte load, widened, subtracted from
 // the broadcast qd[j], squared and added (no FMLA). The accumulator
-// starts at +0: +0 + t0 is t0 exactly, a term is never -0. Encodings as
-// listed above pairAsm.
-//
-// out non-nil: the two sums are stored there, NaN lanes canonicalized.
-// out nil: the fused argmin. F4/F5 hold each lane's best distance so
-// far and R12/R13 the index it was found at; R14/R15 are the indexes of
-// the centroids now in the lanes (best.i on entry, +2 per step). A lane
-// is replaced on MI after FCMPD — sum < best, ordered, so a NaN sum
-// never is, and strict, so the first of equal sums stays — and all four
-// go back to *best at the end for the caller to reduce.
-TEXT ·planarAsm(SB), NOSPLIT, $0-56
+// starts at +0: +0 + t0 is t0 exactly, a term is never -0. The two sums
+// are stored to out, NaN lanes canonicalized. Encodings as listed above
+// pairAsm.
+TEXT ·planarAsm(SB), NOSPLIT, $0-48
 	MOVD qd+0(FP), R7
 	MOVD planes+8(FP), R1
 	MOVD dim+16(FP), R2
 	MOVD stride+24(FP), R3
 	MOVD n+32(FP), R8
 	MOVD out+40(FP), R9
-	MOVD best+48(FP), R11
 	LSL  $2, R3, R3                // R3 = plane stride in bytes
 	MOVD $0x7FF8000000000001, R10  // canonical math.NaN() bits
-	CBNZ R9, step
-	FMOVD (R11), F4
-	FMOVD 8(R11), F5
-	MOVD  16(R11), R14
-	MOVD  24(R11), R15
-	MOVD  ZR, R12
-	MOVD  ZR, R13
 
 	PCALIGN $16
 step:
@@ -276,7 +261,6 @@ plane:
 	FMOVD R4, F0
 	VMOV  V16.D[1], R5
 	FMOVD R5, F1
-	CBZ   R9, argmin
 	FCMPD F0, F0 // unordered (V set) iff the lane is NaN
 	CSEL  VS, R10, R4, R4
 	FCMPD F1, F1
@@ -284,27 +268,9 @@ plane:
 	MOVD  R4, (R9)
 	MOVD  R5, 8(R9)
 	ADD   $16, R9
-	B     next
-argmin:
-	FCMPD  F4, F0 // MI iff sum < best (clear on NaN)
-	FCSELD MI, F0, F4, F4
-	CSEL   MI, R14, R12, R12
-	FCMPD  F5, F1
-	FCSELD MI, F1, F5, F5
-	CSEL   MI, R15, R13, R13
-	ADD    $2, R14
-	ADD    $2, R15
-next:
-	ADD  $8, R1                    // next two centroids
-	SUB  $2, R8
-	CBNZ R8, step
-
-	CBNZ  R9, done
-	FMOVD F4, (R11)
-	FMOVD F5, 8(R11)
-	MOVD  R12, 16(R11)
-	MOVD  R13, 24(R11)
-done:
+	ADD   $8, R1                   // next two centroids
+	SUB   $2, R8
+	CBNZ  R8, step
 	RET
 
 // func screenAsm(qs, vecs *float32, dim, n, nq int, out *float32, res *screenResult)
@@ -327,13 +293,8 @@ done:
 // V18..V25 dots, two 4-lane accumulators each), combined lane by lane
 // into n − 2·d and reduced to one value per slot; a batch of one (R15 =
 // nq-1 = 0) skips slots 1..3. F28..F31 keep each slot's smallest value
-// (FMIN: a NaN sticks, and the caller's limit is then +Inf).
-//
-// Then, as on amd64, each slot's limit L = a·m + b·qq + c0 of res.bound
-// in float64, rounded up to float32 through L + |L|·2⁻²³ + 2⁻¹⁴⁹ (+Inf
-// unless m and qq are at most 1e30) into res.lim, and for each of the nq
-// queries the candidate bitmap res.cand: bit i is !(out[t*256+i] > L),
-// four rows per FCMGT, weighted {1,2,4,8} and summed across lanes.
+// (FMIN: a NaN sticks, and the limit is then +Inf), stored to res.lim
+// for screenSelectAsm.
 //
 // Encodings of the WORD-coded .4S forms (sz = 0) beside those above
 // pairAsm and planarAsm:
@@ -567,6 +528,183 @@ rownext:
 	SUB  $1, R8
 	CBNZ R8, row
 
+	FMOVS F28, 24(R11)             // res.lim: the minima, for screenSelectAsm
+	FMOVS F29, 28(R11)
+	FMOVS F30, 32(R11)
+	FMOVS F31, 36(R11)
+	RET
+
+// func planarScreenAsm(qs, planes *float32, dim, stride, n, nq int, out *float32, res *screenResult)
+//
+// screenAsm for a planar (dimension-major) table, as on amd64: the
+// dot-form values s = ‖c‖² − 2·q·c of nq (1…4) queries of 1 ≤ dim ≤ 7
+// floats, concatenated at qs, against n ≥ 4 centroids, dim planes
+// stride floats apart (n ≤ 256); query slot t's value for centroid i
+// goes to out[t*256+i], slots past nq reading the last query again. FOUR
+// CENTROIDS PER STEP, one per float lane: coordinate j of the four is
+// one load from plane j, its square summed into ‖c‖² (V16) and its
+// product with each slot's broadcast q[j] into that slot's dot
+// (V17..V20), fused (FMLA), in ascending j; then per slot 2·dot (exact)
+// and ‖c‖² − 2·dot, one rounding. A batch of one (R15 = nq-1 = 0)
+// skips slots 1..3, and stores only slot 0's values. Every term is at
+// most dim + 1 roundings deep; ‖q‖² (res.qq) is a chain of dim scalar
+// FMADDs, dim deep. When n is not a multiple of 4 the last step is
+// re-anchored at centroid n-4 and rewrites up to three values. V28..V31
+// keep each slot's smallest values lane by lane (FMIN: a NaN sticks, and
+// the limit is then +Inf), folded at the end (FMINV) into res.lim, for
+// screenSelectAsm.
+//
+// Encodings of the WORD-coded forms beside those above pairAsm and
+// screenAsm:
+//
+//	FMIN  Vd.4S, Vn.4S, Vm.4S = 0x4EA0F400 | m<<16 | n<<5 | d
+//	FMINV Sd, Vn.4S           = 0x6EB0F800 | n<<5 | d
+TEXT ·planarScreenAsm(SB), NOSPLIT, $0-64
+	MOVD qs+0(FP), R0
+	MOVD planes+8(FP), R1
+	MOVD dim+16(FP), R2
+	MOVD stride+24(FP), R3
+	MOVD n+32(FP), R8
+	MOVD nq+40(FP), R13
+	MOVD out+48(FP), R9
+	MOVD res+56(FP), R11
+	LSL  $2, R3, R3                // R3 = plane stride in bytes
+	LSL  $2, R2, R10               // R10 = query stride in bytes
+	SUB  $1, R13, R15              // R15 = nq-1: 0 for a batch of one
+
+	// Query pointers of slots 1..3 (R4, R5, R6), clamped to the last query.
+	MOVD $1, R7
+	CMP  R7, R15
+	CSEL LT, R15, R7, R7
+	MUL  R10, R7, R7
+	ADD  R0, R7, R4
+	MOVD $2, R7
+	CMP  R7, R15
+	CSEL LT, R15, R7, R7
+	MUL  R10, R7, R7
+	ADD  R0, R7, R5
+	MOVD $3, R7
+	CMP  R7, R15
+	CSEL LT, R15, R7, R7
+	MUL  R10, R7, R7
+	ADD  R0, R7, R6
+
+	// ‖q‖² of the four slots into F18..F21, then res.qq.
+	VEOR V18.B16, V18.B16, V18.B16
+	VEOR V19.B16, V19.B16, V19.B16
+	VEOR V20.B16, V20.B16, V20.B16
+	VEOR V21.B16, V21.B16, V21.B16
+	MOVD ZR, R14
+qq:
+	LSL    $2, R14, R7
+	FMOVS  (R0)(R7), F0
+	FMADDS F0, F18, F0, F18        // F18 += q[j]·q[j], one rounding
+	FMOVS  (R4)(R7), F0
+	FMADDS F0, F19, F0, F19
+	FMOVS  (R5)(R7), F0
+	FMADDS F0, F20, F0, F20
+	FMOVS  (R6)(R7), F0
+	FMADDS F0, F21, F0, F21
+	ADD    $1, R14
+	CMP    R2, R14
+	BLT    qq
+	FMOVS F18, 40(R11)
+	FMOVS F19, 44(R11)
+	FMOVS F20, 48(R11)
+	FMOVS F21, 52(R11)
+
+	MOVW $0x7F800000, R7
+	VDUP R7, V28.S4                // running minima of slots 0..3: +Inf
+	VDUP R7, V29.S4
+	VDUP R7, V30.S4
+	VDUP R7, V31.S4
+
+	PCALIGN $16
+group:
+	VEOR V16.B16, V16.B16, V16.B16 // ‖c‖² of the four centroids
+	VEOR V17.B16, V17.B16, V17.B16 // q·c, slot 0
+	VEOR V18.B16, V18.B16, V18.B16
+	VEOR V19.B16, V19.B16, V19.B16
+	VEOR V20.B16, V20.B16, V20.B16
+	MOVD R0, R19                   // the four slots' queries, walked per plane
+	MOVD R4, R20
+	MOVD R5, R21
+	MOVD R6, R22
+	MOVD R1, R7                    // R7 = &plane j[the step]
+	MOVD R2, R14                   // R14 = planes left
+plane:
+	VLD1    (R7), [V0.S4]          // coordinate j of the four centroids
+	VLD1R.P 4(R19), [V1.S4]        // slot 0's q[j], every lane
+	VFMLA   V0.S4, V0.S4, V16.S4
+	VFMLA   V1.S4, V0.S4, V17.S4
+	CBZ     R15, planenext
+	VLD1R.P 4(R20), [V2.S4]
+	VLD1R.P 4(R21), [V3.S4]
+	VLD1R.P 4(R22), [V4.S4]
+	VFMLA   V2.S4, V0.S4, V18.S4
+	VFMLA   V3.S4, V0.S4, V19.S4
+	VFMLA   V4.S4, V0.S4, V20.S4
+planenext:
+	ADD  R3, R7
+	SUB  $1, R14
+	CBNZ R14, plane
+
+	// Per slot ‖c‖² − 2·dot (the doubling is exact), stored and folded
+	// into the slot's minima.
+	WORD $0x4E31D631 // FADD  V17.4S, V17.4S, V17.4S
+	WORD $0x4EB1D611 // FSUB  V17.4S, V16.4S, V17.4S
+	FMOVQ F17, (R9)
+	WORD $0x4EB1F79C // FMIN  V28.4S, V28.4S, V17.4S
+	CBZ   R15, groupnext
+	WORD $0x4E32D652 // FADD  V18.4S, V18.4S, V18.4S
+	WORD $0x4EB2D612 // FSUB  V18.4S, V16.4S, V18.4S
+	FMOVQ F18, 1024(R9)
+	WORD $0x4EB2F7BD // FMIN  V29.4S, V29.4S, V18.4S
+	WORD $0x4E33D673 // FADD  V19.4S, V19.4S, V19.4S
+	WORD $0x4EB3D613 // FSUB  V19.4S, V16.4S, V19.4S
+	FMOVQ F19, 2048(R9)
+	WORD $0x4EB3F7DE // FMIN  V30.4S, V30.4S, V19.4S
+	WORD $0x4E34D694 // FADD  V20.4S, V20.4S, V20.4S
+	WORD $0x4EB4D614 // FSUB  V20.4S, V16.4S, V20.4S
+	FMOVQ F20, 3072(R9)
+	WORD $0x4EB4F7FF // FMIN  V31.4S, V31.4S, V20.4S
+groupnext:
+	ADD  $16, R1                   // next four centroids
+	ADD  $16, R9
+	SUB  $4, R8
+	CMP  $4, R8
+	BGE  group
+	CBZ  R8, fold
+	SUB  $4, R8, R7                // 1..3 left: step back to centroid n-4
+	LSL  $2, R7, R7
+	ADD  R7, R1
+	ADD  R7, R9
+	MOVD $4, R8
+	B    group
+
+fold:
+	WORD $0x6EB0FB9C // FMINV S28, V28.4S
+	WORD $0x6EB0FBBD // FMINV S29, V29.4S
+	WORD $0x6EB0FBDE // FMINV S30, V30.4S
+	WORD $0x6EB0FBFF // FMINV S31, V31.4S
+	FMOVS F28, 24(R11)             // res.lim: the minima
+	FMOVS F29, 28(R11)
+	FMOVS F30, 32(R11)
+	FMOVS F31, 36(R11)
+	RET
+
+// func screenSelectAsm(out *float32, n, nq int, res *screenResult)
+//
+// The selection stage of both screens, as on amd64: from each slot's
+// minimum m (res.lim on entry) and ‖q‖², the limit L = a·m + b·qq + c0
+// of res.bound in float64, rounded up to float32 through
+// L + |L|·2⁻²³ + 2⁻¹⁴⁹ (+Inf unless m and qq are at most 1e30) into
+// res.lim, and for each of the nq queries the candidate bitmap res.cand:
+// bit i is !(out[t*256+i] > L), four rows per FCMGT, weighted {1,2,4,8}
+// and summed across lanes.
+TEXT ·screenSelectAsm(SB), NOSPLIT, $0-32
+	MOVD res+24(FP), R11
+
 	// Limits.
 	MOVD  $0x3E80000000000000, R7  // 2⁻²³
 	FMOVD R7, F8
@@ -579,10 +717,6 @@ rownext:
 	FMOVD 0(R11), F12              // a
 	FMOVD 8(R11), F13              // b
 	FMOVD 16(R11), F14             // c0
-	FMOVS F28, 24(R11)             // the minima, replaced by the limits
-	FMOVS F29, 28(R11)
-	FMOVS F30, 32(R11)
-	FMOVS F31, 36(R11)
 	ADD   $24, R11, R12
 	MOVD  $4, R7
 limslot:
@@ -613,13 +747,14 @@ limslot:
 	VMOV R7, V6.D[0]
 	MOVD $0x0000000800000004, R7
 	VMOV R7, V6.D[1]               // lane weights {1, 2, 4, 8}
-	MOVD out+40(FP), R9
+	MOVD out+0(FP), R9
 	ADD  $24, R11, R12             // &res.lim[t]
 	ADD  $56, R11, R14             // &res.cand[t]
+	MOVD nq+16(FP), R13
 selslot:
 	VLD1R.P 4(R12), [V5.S4]        // lim[t] in every lane
 	MOVD R9, R19
-	MOVD n+24(FP), R8
+	MOVD n+8(FP), R8
 	MOVD ZR, R20                   // the bitmap word being filled
 	MOVD ZR, R21                   // its next bit
 	MOVD R14, R22

@@ -226,6 +226,26 @@ func argminCases(dims, ns []int) []argminCase {
 					}
 				}
 			})
+			add("cloud far from the origin", 1, func(q, vecs []float32, row func(int) []float32) {
+				// Every coordinate 1e3 off: the dot form cancels ~20 bits, the
+				// limit widens with ‖q‖², and every row is a candidate.
+				for i := range vecs {
+					vecs[i] += 1e3
+				}
+				for j := range q {
+					q[j] += 1e3
+				}
+			})
+			add("re-seeded duplicates", 1, func(q, vecs []float32, row func(int) []float32) {
+				// A codebook seeded from fewer samples than centroids (PQ
+				// training's k%sampleN): the table repeats with period 5, so
+				// every distance ties with four or more others.
+				for i := 5; i < n; i++ {
+					copy(row(i), row(i%5))
+				}
+				copy(q, row((n-1)%5))
+				q[0] += 0.25
+			})
 			add("query equals rows", 1, func(q, vecs []float32, row func(int) []float32) {
 				copy(q, row(w))
 				copy(row(a), row(w))
@@ -246,6 +266,20 @@ func argminCases(dims, ns []int) []argminCase {
 				}
 				clear(row(w))
 				row(w)[0] = 1.5 * 0x1p-75
+			})
+			add("subnormal squares accumulate", 1, func(q, vecs []float32, row func(int) []float32) {
+				// Every square of rows ≠ w rounds to zero (they screen as 0);
+				// row w's first 2·dim/5 squares round DOWN, 2.25 to 2, 3.125
+				// to 3 ulps of 2⁻¹⁴⁹, though it is the nearest row: only the
+				// absolute term η of the limit covers the difference.
+				clear(q)
+				for i := range vecs {
+					vecs[i] = 0.99 * 0x1p-75
+				}
+				clear(row(w))
+				for j := range max(1, 2*dim/5) {
+					row(w)[j] = 1.5 * 0x1p-75
+				}
 			})
 			add("squares underflow", 1e-21, nil)
 			add("squares overflow", 1e19, nil)
@@ -282,6 +316,24 @@ func TestArgminAdversarial(t *testing.T) {
 	for _, c := range argminCases(dims, ns) {
 		t.Run(c.name, func(t *testing.T) {
 			kerneltest.CheckRows(t, c.q, c.vecs, len(c.vecs)/len(c.q))
+		})
+	}
+}
+
+// TestArgminPlanarAdversarial holds the planar entry points to the
+// exhaustive exact scan on the adversarial table at every planar width
+// and at row counts below, at and around the screen's minimum, the
+// vector step and the 256-row block: CheckPlanar runs DistancePlanar,
+// ArgminPlanar and ArgminPlanarBatch with the planted query at every
+// slot of a tile, under every implementation.
+func TestArgminPlanarAdversarial(t *testing.T) {
+	dims, ns := []int{1, 2, 3, 4, 5, 6, 7}, []int{1, 7, 8, 31, 32, 33, 255, 256, 257}
+	if testing.Short() {
+		dims, ns = []int{1, 4, 7}, []int{8, 33, 257}
+	}
+	for _, c := range argminCases(dims, ns) {
+		t.Run(c.name, func(t *testing.T) {
+			kerneltest.CheckPlanar(t, c.q, c.vecs, len(c.vecs)/len(c.q))
 		})
 	}
 }
@@ -563,6 +615,26 @@ func BenchmarkArgminCodebook(b *testing.B) {
 				sink = float64(best)
 			})
 		}
+	}
+}
+
+// BenchmarkArgminPlanarBatch times one ArgminPlanarBatch call of tile
+// subvectors against a dsub-4 planar codebook (dim 64 at M 16), under
+// the dispatched implementation: tile 1 is ArgminPlanar's batch of one
+// (IVFPQ.Append), 4 one screening tile, 64 a run of the assignment pass
+// of PQ training. ns/op ÷ tile is the cost per subvector.
+func BenchmarkArgminPlanarBatch(b *testing.B) {
+	rng := rand.New(rand.NewPCG(89, 97))
+	const dsub = 4
+	_, planes := codebook(dsub)
+	for _, tile := range []int{1, 4, 64} {
+		qs, out := randVec(rng, tile*dsub), make([]int32, tile)
+		b.Run(strconv.Itoa(dsub)+"x256/tile="+strconv.Itoa(tile), func(b *testing.B) {
+			for i := 0; i < b.N; i++ {
+				kernel.ArgminPlanarBatch(qs, planes, dsub, kernel.ADCKs, out)
+			}
+			sink = float64(out[0])
+		})
 	}
 }
 

@@ -173,6 +173,31 @@ func CheckArgminBatch(t testing.TB, qs, vecs []float32, dim, n int) {
 	if dim <= 0 {
 		t.Fatalf("CheckArgminBatch needs dim ≥ 1, got %d", dim)
 	}
+	checkBatch(t, "ArgminBatch", qs, vecs, dim, n, func(qs []float32, out []int32) {
+		kernel.ArgminBatch(qs, vecs, dim, n, out)
+	})
+}
+
+// CheckArgminPlanarBatch is CheckArgminBatch for ArgminPlanarBatch over
+// the n-row table vecs TRANSPOSED to dimension-major (1 ≤ dim <
+// kernel.BlockDim).
+func CheckArgminPlanarBatch(t testing.TB, qs, vecs []float32, dim, n int) {
+	t.Helper()
+	if dim <= 0 || dim >= kernel.BlockDim {
+		t.Fatalf("CheckArgminPlanarBatch needs 1 ≤ dim < %d, got %d", kernel.BlockDim, dim)
+	}
+	planes := transpose(vecs, dim, n)
+	checkBatch(t, "ArgminPlanarBatch", qs, vecs, dim, n, func(qs []float32, out []int32) {
+		kernel.ArgminPlanarBatch(qs, planes, dim, n, out)
+	})
+}
+
+// checkBatch holds argmin, a batched argmin entry point over the n rows
+// of vecs, to the reference argmin of every query of qs under every
+// registered implementation: the whole batch and every window of
+// 1…ArgminTile+1 consecutive queries, with a guard past the outputs.
+func checkBatch(t testing.TB, name string, qs, vecs []float32, dim, n int, argmin func(qs []float32, out []int32)) {
+	t.Helper()
 	nq := len(qs) / dim
 	qs = qs[:nq*dim]
 	want := make([]int32, nq)
@@ -194,17 +219,17 @@ func CheckArgminBatch(t testing.TB, qs, vecs []float32, dim, n int) {
 			t.Helper()
 			const guard = -7
 			got[hi-lo] = guard
-			kernel.ArgminBatch(qs[lo*dim:hi*dim], vecs, dim, n, got[:hi-lo])
+			argmin(qs[lo*dim:hi*dim], got[:hi-lo])
 			for i := lo; i < hi; i++ {
 				if got[i-lo] != want[i] {
 					restore()
-					t.Fatalf("ArgminBatch (%s) of queries [%d,%d): query %d (slot %d) = %d, reference argmin %d (dim=%d, n=%d)\nq = %v",
-						im.Name, lo, hi, i, i-lo, got[i-lo], want[i], dim, n, qs[i*dim:(i+1)*dim])
+					t.Fatalf("%s (%s) of queries [%d,%d): query %d (slot %d) = %d, reference argmin %d (dim=%d, n=%d)\nq = %v",
+						name, im.Name, lo, hi, i, i-lo, got[i-lo], want[i], dim, n, qs[i*dim:(i+1)*dim])
 				}
 			}
 			if got[hi-lo] != guard {
 				restore()
-				t.Fatalf("ArgminBatch (%s) wrote past its %d outputs", im.Name, hi-lo)
+				t.Fatalf("%s (%s) wrote past its %d outputs", name, im.Name, hi-lo)
 			}
 		}
 		check(0, nq)
@@ -217,25 +242,36 @@ func CheckArgminBatch(t testing.TB, qs, vecs []float32, dim, n int) {
 	}
 }
 
+// transpose returns the n×dim row-major table vecs dimension-major:
+// planes[j*n+i] = vecs[i*dim+j].
+func transpose(vecs []float32, dim, n int) []float32 {
+	planes := make([]float32, n*dim)
+	for i := 0; i < n; i++ {
+		for j, x := range vecs[i*dim : (i+1)*dim] {
+			planes[j*n+i] = x
+		}
+	}
+	return planes
+}
+
 // CheckPlanar fails t unless, under every registered implementation,
 // DistancePlanar over the n-row table vecs TRANSPOSED to dimension-major
 // returns the reference's exact float64 bits for every row (what
 // DistanceRows returns for vecs itself), writes nothing past out[n-1],
 // and ArgminPlanar returns the strict-<, lowest-index-wins argmin of the
-// reference distances. len(q) must be below kernel.BlockDim; n need not
-// be a multiple of any lane count.
+// reference distances; and, for len(q) ≥ 1, that ArgminPlanarBatch
+// does too with q at every slot of a tile and past it, beside rows of
+// the table (distance 0, ties) and q's negation
+// (CheckArgminPlanarBatch). len(q) must be below kernel.BlockDim; n
+// need not be a multiple of any lane count.
 func CheckPlanar(t testing.TB, q, vecs []float32, n int) {
 	t.Helper()
 	dim := len(q)
-	planes := make([]float32, n*dim)
+	planes := transpose(vecs, dim, n)
 	want := make([]float64, n)
 	wantBest, bestD := 0, math.Inf(1)
 	for i := range want {
-		row := vecs[i*dim : (i+1)*dim]
-		for j, x := range row {
-			planes[j*n+i] = x
-		}
-		want[i] = kernel.SqDistRef(q, row)
+		want[i] = kernel.SqDistRef(q, vecs[i*dim:(i+1)*dim])
 		if want[i] < bestD {
 			wantBest, bestD = i, want[i]
 		}
@@ -266,6 +302,22 @@ func CheckPlanar(t testing.TB, q, vecs []float32, n int) {
 			t.Fatalf("ArgminPlanar (%s) = %d, reference argmin %d (dim=%d, n=%d)\nq = %v\nrows = %v", im.Name, best, wantBest, dim, n, q, vecs[:n*dim])
 		}
 	}
+	if dim == 0 {
+		return
+	}
+	qs := make([]float32, 0, (kernel.ArgminTile+1)*dim)
+	for s := 0; s < kernel.ArgminTile; s++ {
+		if s%2 == 0 && n > 0 {
+			r := (s * 7) % n
+			qs = append(qs, vecs[r*dim:(r+1)*dim]...)
+		} else {
+			for _, x := range q {
+				qs = append(qs, -x)
+			}
+		}
+	}
+	qs = append(qs, q...)
+	CheckArgminPlanarBatch(t, qs, vecs, dim, n)
 }
 
 // CheckADC fails t unless every registered implementation's ADC

@@ -64,14 +64,18 @@ func planarGeneric(q, planes []float32, n, lo int, out []float64) {
 	}
 }
 
-// argminPlanarGeneric is the exhaustive scan ArgminPlanar is specified
-// by, a block of distances at a time.
-func argminPlanarGeneric(q, planes []float32, n int) int {
+// argminPlanarExact is the exhaustive scan ArgminPlanar is specified
+// by, a block of distances at a time under im's planar routine.
+func argminPlanarExact(im *Impl, q, planes []float32, n int) int {
 	var buf [argminBlock]float64
 	best, bestD := 0, math.Inf(1)
 	for lo := 0; lo < n; lo += argminBlock {
 		d2s := buf[:min(argminBlock, n-lo)]
-		planarGeneric(q, planes, n, lo, d2s)
+		if im == &impls[0] {
+			planarGeneric(q, planes, n, lo, d2s)
+		} else {
+			planarVector(q, planes, n, lo, d2s)
+		}
 		for i, d := range d2s {
 			if d < bestD {
 				best, bestD = lo+i, d
@@ -80,6 +84,10 @@ func argminPlanarGeneric(q, planes []float32, n int) int {
 	}
 	return best
 }
+
+// The planar screen steps over 32 centroids at a time for a batch of
+// one (AVX2: four vectors of eight): a block of fewer is scanned exactly.
+const planarScreenMinRows = 32
 
 // DistancePlanar computes the squared kernel distance from q to every
 // centroid of a planar table: out[i] for centroid i of n = len(out),
@@ -96,7 +104,39 @@ func DistancePlanar(q, planes []float32, out []float64) {
 		planarGeneric(q, planes, len(out), 0, out)
 		return
 	}
-	planarVector(q, planes, out)
+	planarVector(q, planes, len(out), 0, out)
+}
+
+// ArgminPlanarBatch writes into out[i] the index of the centroid of an
+// n-centroid planar table nearest query i of qs (len(out) queries of
+// dim < BlockDim floats, concatenated): bit for bit what
+// ArgminPlanar(qs[i*dim:(i+1)*dim], planes, n) returns. On the assembly
+// implementations the queries are screened ArgminTile at a time, so
+// each group of centroids is loaded once per tile — the assignment pass
+// of PQ training and the encoding pass hand a run of subvectors to one
+// call.
+func ArgminPlanarBatch(qs, planes []float32, dim, n int, out []int32) {
+	if dim < 0 || dim >= BlockDim || len(qs) != len(out)*dim {
+		panic(fmt.Sprintf("kernel: ArgminPlanarBatch %d query floats for %d queries of %d (planar tables are narrower than %d)",
+			len(qs), len(out), dim, BlockDim))
+	}
+	if n < 0 || len(planes) < dim*n {
+		panic(fmt.Sprintf("kernel: ArgminPlanarBatch %d table floats for %d planes of %d", len(planes), dim, n))
+	}
+	im := active.Load()
+	switch {
+	case dim == 0:
+		clear(out)
+	case !screensPlanar(im, dim):
+		for i := range out {
+			out[i] = int32(argminPlanarExact(im, qs[i*dim:(i+1)*dim], planes, n))
+		}
+	case len(out) == 1:
+		out[0] = int32(argminOne(qs, planes, dim, n, true))
+	default:
+		var a [ArgminTile * argminBlock]float32
+		argminScreened(qs, planes, dim, n, out, a[:], true)
+	}
 }
 
 // ArgminPlanar returns the index of the centroid of an n-centroid
@@ -104,18 +144,25 @@ func DistancePlanar(q, planes []float32, out []float64) {
 // training and encoding. It is specified, like ArgminRows, by the
 // exhaustive scan: ascending with a strict <, so ties go to the lowest
 // index, a NaN distance never wins, and 0 is returned when no centroid
-// is closer than +Inf (or n is 0). The vector paths fuse the scan into
-// the distance loop: each double lane keeps the best distance and index
-// of the centroids that passed through it (strict <, ascending), and
-// the lanes are reduced by (distance, lowest index), which is the same
-// answer without a distance ever being stored.
+// is closer than +Inf (or n is 0). On the assembly implementations it
+// is ArgminPlanarBatch's batch of one: a float32 screen sums each
+// centroid's norm beside its dot with q, rules out all but a few
+// centroids, and only those reach the exact distance (package comment,
+// "Screened argmin").
 func ArgminPlanar(q, planes []float32, n int) int {
 	checkPlanarArgs("ArgminPlanar", q, planes, n)
 	if len(q) == 0 {
 		return 0
 	}
-	if active.Load() == &impls[0] {
-		return argminPlanarGeneric(q, planes, n)
+	im := active.Load()
+	if screensPlanar(im, len(q)) {
+		return argminOne(q, planes, len(q), n, true)
 	}
-	return argminPlanarVector(q, planes, n)
+	return argminPlanarExact(im, q, planes, n)
+}
+
+// screensPlanar reports whether im runs the screened argmin over a
+// planar table of width dim ≥ 1.
+func screensPlanar(im *Impl, dim int) bool {
+	return screenOK && im != &impls[0]
 }

@@ -129,14 +129,15 @@ type PrebuiltSpec struct {
 // Kind implements BackendSpec.
 func (s PrebuiltSpec) Kind() string { return s.Searcher.Kind() }
 
-// Build implements BackendSpec: the backend already exists. A loaded
-// IVFPQ index is handed db, the one thing its file does not carry — the
-// float rows its exact re-rank reads (index.IVFPQ.AttachDB).
+// Build implements BackendSpec: the backend already exists, and
+// index.Attach makes it db's — every entry checked against the database,
+// refused with index.ErrForeignIndex if one is not db's, and caught up
+// by Append when db holds more. A loaded IVFPQ index is also handed the
+// one thing its file does not carry: the float rows its exact re-rank
+// reads.
 func (s PrebuiltSpec) Build(db *fingerprint.DB) (fingerprint.Searcher, error) {
-	if pq, ok := s.Searcher.(*index.IVFPQ); ok {
-		if err := pq.AttachDB(db); err != nil {
-			return nil, err
-		}
+	if err := index.Attach(s.Searcher, db); err != nil {
+		return nil, err
 	}
 	return s.Searcher, nil
 }
