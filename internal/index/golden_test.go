@@ -5,6 +5,7 @@ import (
 	"crypto/sha256"
 	"encoding/hex"
 	"math/rand/v2"
+	"runtime"
 	"testing"
 
 	"caltrain/internal/fingerprint"
@@ -81,6 +82,49 @@ func saveDigest(t testing.TB, s Searcher) string {
 	}
 	sum := sha256.Sum256(buf.Bytes())
 	return hex.EncodeToString(sum[:])
+}
+
+// TestTrainDeterministicAcrossProcs trains an IVF index and an IVFPQ
+// index over a class big enough that every training pass fans out across
+// workers (9 000 points, above parallelScanThreshold: Lloyd's assignment
+// of the whole sample, the full assignment pass, PQ training and the
+// encoding pass) under GOMAXPROCS 1, 2 and 8 and every kernel
+// implementation, and holds each Save to one pinned digest. The
+// assignments may come back from any core in any order; the Lloyd sums
+// take the points in sample order, so the bytes may not move. CI runs
+// the index suite under -tags noasm too, where the portable path alone
+// must reach the same digests.
+func TestTrainDeterministicAcrossProcs(t *testing.T) {
+	want := map[string]string{
+		"ivf":   "47041870ca0ba79f56c2dd4b7ff32fadea7628544e8e68fd4c3dd99089614796",
+		"ivfpq": "644a41b8109301ae40861317d815342a234c02a7440f3c9a12170888c0bb1f9f",
+	}
+	db := populatedDB(t, 8, 9000, 1, 11)
+	o := IVFOptions{Nlist: 64, Iters: 2, SampleCap: 9000, Seed: 3}
+	defer runtime.GOMAXPROCS(runtime.GOMAXPROCS(0))
+	for _, im := range kernel.Impls() {
+		restore, err := kernel.SetActive(im.Name)
+		if err != nil {
+			t.Fatal(err)
+		}
+		for _, procs := range []int{1, 2, 8} {
+			runtime.GOMAXPROCS(procs)
+			ivf, err := TrainIVF(db, o)
+			if err != nil {
+				t.Fatal(err)
+			}
+			pq, err := TrainIVFPQ(db, IVFPQOptions{IVFOptions: IVFOptions{Nlist: 16, Iters: 2, SampleCap: 9000, Seed: 3}, M: 2})
+			if err != nil {
+				t.Fatal(err)
+			}
+			for name, x := range map[string]Searcher{"ivf": ivf, "ivfpq": pq} {
+				if got := saveDigest(t, x); got != want[name] {
+					t.Errorf("impl %q, GOMAXPROCS %d: %s digest %s, pinned %s", im.Name, procs, name, got, want[name])
+				}
+			}
+		}
+		restore()
+	}
 }
 
 // TestGoldenIndexDigest trains the pinned indexes under every

@@ -133,10 +133,11 @@ func TrainIVFPQ(db *fingerprint.DB, opts IVFPQOptions) (*IVFPQ, error) {
 	x := &IVFPQ{m: o.M, db: db, labels: make(map[int]*ivfpqClass)}
 	x.dim = dim
 	nprobe := 0
+	var km kmeans
 	for _, y := range db.Labels() {
 		b := buildBucket(db, y)
 		co := o.IVFOptions.withDefaults(b.n)
-		x.labels[y] = x.trainClass(b, co)
+		x.labels[y] = x.trainClass(b, co, &km)
 		x.total += b.n
 		nprobe = max(nprobe, co.Nprobe)
 	}
@@ -151,9 +152,9 @@ func TrainIVFPQ(db *fingerprint.DB, opts IVFPQOptions) (*IVFPQ, error) {
 // minus its coarse centroid) are computed where they are consumed — for
 // the training sample, and assignTile rows at a time while encoding —
 // never as a whole n×dim matrix.
-func (x *IVFPQ) trainClass(b *bucket, co IVFOptions) *ivfpqClass {
+func (x *IVFPQ) trainClass(b *bucket, co IVFOptions, km *kmeans) *ivfpqClass {
 	dim, m := x.dim, x.m
-	ivfc := trainClass(b, co)
+	ivfc := trainClass(b, co, km)
 	c := &ivfpqClass{x: x, nlist: ivfc.nlist, centroids: ivfc.centroids, n: b.n}
 
 	assign := make([]int32, b.n) // coarse list by bucket position
@@ -174,7 +175,7 @@ func (x *IVFPQ) trainClass(b *bucket, co IVFOptions) *ivfpqClass {
 	// quantizer's so the two stages can't correlate; the sample floor
 	// keeps a small coarse SampleCap from starving 256-means.
 	rng := rand.New(rand.NewPCG(co.Seed^0x9e3779b97f4a7c15, uint64(b.n)<<16|uint64(m)))
-	c.book = trainPQ(residual, b.n, dim, m, co.Iters, max(co.SampleCap, 8*pqKs), rng)
+	c.book = trainPQ(residual, b.n, dim, m, co.Iters, max(co.SampleCap, 8*pqKs), rng, km)
 
 	// Encode every point straight into its list: order is the bucket
 	// positions list by list, so position q of it is entry q-start[ci] of

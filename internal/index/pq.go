@@ -42,22 +42,9 @@ func newCodebook(m, dsub int) *pqCodebook {
 	return &pqCodebook{m: m, dsub: dsub, centroids: make([]float32, m*pqKs*dsub)}
 }
 
-// planar reports whether centroid tables of dim-wide rows are read
-// dimension-major (kernel.ArgminPlanarBatch) rather than row by row.
+// planar reports whether a resident codebook of dim-wide subquantizers
+// is kept dimension-major rather than row-major.
 func planar(dim int) bool { return dim < kernel.BlockDim }
-
-// nearestBatch writes into out[i] the index of the centroid nearest row
-// i of qs (len(out) dim-wide rows) in a table of k centroids held in the
-// layout of that width (planar): one batched kernel argmin, strict <,
-// so ties are deterministic. It is the assignment step of every k-means
-// here and of PQ encoding.
-func nearestBatch(qs, table []float32, dim, k int, out []int32) {
-	if planar(dim) {
-		kernel.ArgminPlanarBatch(qs, table, dim, k, out)
-		return
-	}
-	kernel.ArgminBatch(qs, table, dim, k, out)
-}
 
 // transpose writes the n×dim row-major table src dimension-major into
 // dst: dst[j*n+i] = src[i*dim+j].
@@ -90,7 +77,7 @@ func (cb *pqCodebook) slot(i int) int {
 // called for the sampled rows only. Training is deterministic for a
 // fixed rng state and input (the kernel's bit-stability contract makes
 // the assignment step reproducible across hardware paths).
-func trainPQ(residual func(p int, r []float32), n, dim, m, iters, sampleCap int, rng *rand.Rand) *pqCodebook {
+func trainPQ(residual func(p int, r []float32), n, dim, m, iters, sampleCap int, rng *rand.Rand, km *kmeans) *pqCodebook {
 	dsub := dim / m
 	cb := newCodebook(m, dsub)
 	sampleN := min(n, sampleCap)
@@ -117,12 +104,15 @@ func trainPQ(residual func(p int, r []float32), n, dim, m, iters, sampleCap int,
 		for k := 0; k < pqKs; k++ {
 			copy(cents[k*dsub:(k+1)*dsub], sub.at(k%sampleN))
 		}
-		lloyd(&sub, all, cents, pqKs, iters, rng)
 		if planar(dsub) {
-			transpose(cb.sub(j), cents, pqKs, dsub)
-		} else {
-			copy(cb.sub(j), cents)
+			// The planar copy lloyd assigns against is the resident table,
+			// which it leaves trained.
+			km.lloyd(&sub, all, cents, cb.sub(j), pqKs, iters, rng)
+			continue
 		}
+		km.table = resize(km.table, pqKs*dsub)
+		km.lloyd(&sub, all, cents, km.table, pqKs, iters, rng)
+		copy(cb.sub(j), cents)
 	}
 	return cb
 }
@@ -138,12 +128,18 @@ func (cb *pqCodebook) pack(dst, r []float32, i, nq int) {
 }
 
 // encode writes the m-byte codes of the nq residuals of a packed block
-// (pack) into codes, row-major: per subquantizer, one nearestBatch over
-// its nq subvectors. near is an nq-long scratch.
+// (pack) into codes, row-major: per subquantizer, one batched kernel
+// argmin over its nq subvectors in the table's resident layout (strict
+// <, so ties are deterministic). near is an nq-long scratch.
 func (cb *pqCodebook) encode(res []float32, nq int, codes []byte, near []int32) {
 	run := nq * cb.dsub
 	for j := 0; j < cb.m; j++ {
-		nearestBatch(res[j*run:(j+1)*run], cb.sub(j), cb.dsub, pqKs, near[:nq])
+		qs, table := res[j*run:(j+1)*run], cb.sub(j)
+		if planar(cb.dsub) {
+			kernel.ArgminPlanarBatch(qs, table, cb.dsub, pqKs, near[:nq])
+		} else {
+			kernel.ArgminBatch(qs, table, cb.dsub, pqKs, near[:nq])
+		}
 		for i, c := range near[:nq] {
 			codes[i*cb.m+j] = byte(c)
 		}

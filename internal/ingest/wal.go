@@ -376,11 +376,8 @@ func readWALRecord(r io.Reader, dim int, payload *[]byte) (uint64, fingerprint.L
 	if payLen < 4+2+32+4*dim || payLen > 4+2+65535+32+4*dim {
 		return 0, fingerprint.Linkage{}, fmt.Errorf("implausible record length %d: %w", payLen, errTorn)
 	}
-	if cap(*payload) < payLen {
-		*payload = make([]byte, payLen)
-	}
-	buf := (*payload)[:payLen]
-	if _, err := io.ReadFull(r, buf); err != nil {
+	buf, err := readBody(r, payload, payLen)
+	if err != nil {
 		return 0, fingerprint.Linkage{}, fmt.Errorf("record body: %w: %w", err, errTorn)
 	}
 	if crc32.Checksum(buf, crcTable) != crc {
@@ -399,6 +396,30 @@ func readWALRecord(r io.Reader, dim int, payload *[]byte) (uint64, fingerprint.L
 		l.F[j] = math.Float32frombits(binary.LittleEndian.Uint32(fb[j*4:]))
 	}
 	return seq, l, nil
+}
+
+// readBody reads a record's n-byte payload into the caller's scratch,
+// growing it only as the bytes arrive — by at most what it already
+// holds, from 64 KiB — so a length field that lies (a stream header can
+// claim any dimension, and the length may match it) costs memory in
+// proportion to the bytes the stream really carries.
+func readBody(r io.Reader, scratch *[]byte, n int) ([]byte, error) {
+	buf := (*scratch)[:0]
+	for len(buf) < n {
+		step := min(n-len(buf), max(len(buf), 64<<10))
+		if cap(buf)-len(buf) < step {
+			grown := make([]byte, len(buf), len(buf)+step)
+			copy(grown, buf)
+			buf = grown
+			*scratch = buf
+		}
+		got, err := io.ReadFull(r, buf[len(buf):len(buf)+step])
+		buf = buf[:len(buf)+got]
+		if err != nil {
+			return nil, err
+		}
+	}
+	return buf, nil
 }
 
 // Append logs a batch of linkages, the first at sequence number seq and

@@ -38,10 +38,10 @@ func hasAVX2() bool {
 	return ebx7&avx2 != 0
 }
 
-// screenOK gates the screened argmins (kernel.go): screenAsm and
-// planarScreenAsm use VFMADD231PS, which hasAVX2 does not vouch for, so
-// registerArch probes FMA3 separately — CPUID.1:ECX bit 12. An AVX2 host
-// without it keeps the exact scans.
+// screenOK gates the screened argmins (kernel.go): screenAsm,
+// planarScreenAsm and planarNormsAsm use VFMADD231PS, which hasAVX2 does
+// not vouch for, so registerArch probes FMA3 separately — CPUID.1:ECX
+// bit 12. An AVX2 host without it keeps the exact scans.
 var screenOK bool
 
 // registerArch appends the AVX2 path when the host supports it; called

@@ -12,8 +12,8 @@ package kernel
 // double lane of a 128-bit vector register.
 const rowLanes = 2
 
-// screenOK gates the screened argmins (kernel.go): screenAsm and
-// planarScreenAsm need nothing beyond baseline ASIMD.
+// screenOK gates the screened argmins (kernel.go): screenAsm,
+// planarScreenAsm and planarNormsAsm need nothing beyond baseline ASIMD.
 const screenOK = true
 
 // registerArch appends the NEON path; called once from the package init

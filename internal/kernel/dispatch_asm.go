@@ -7,7 +7,7 @@ import (
 	"math/bits"
 )
 
-// Go side of the assembly implementations: six routines per
+// Go side of the assembly implementations: eight routines per
 // architecture (kernel_amd64.s, kernel_arm64.s) behind the same names,
 // and the wrappers that fill the Impl slots from them.
 
@@ -59,12 +59,21 @@ type screenResult struct {
 func screenAsm(qs, vecs *float32, dim, n, nq int, out *float32, res *screenResult)
 
 // planarScreenAsm is screenAsm for a planar table: n ≥ planarScreenMinRows
-// centroids (n ≤ argminBlock) of dim planes (1 ≤ dim < BlockDim) stride
-// floats apart, with ‖c‖² summed beside the dots — no norm is stored
-// anywhere.
+// centroids (n ≤ argminBlock) of dim planes (1 ≤ dim ≤ screenMaxDim)
+// stride floats apart. A tile (nq ≥ 2) reads the n centroids' ‖c‖² from
+// norms (planarNormsAsm's); a batch of one sums c·(c − 2·q) and does not
+// read norms.
 //
 //go:noescape
-func planarScreenAsm(qs, planes *float32, dim, stride, n, nq int, out *float32, res *screenResult)
+func planarScreenAsm(qs, planes, norms *float32, dim, stride, n, nq int, out *float32, res *screenResult)
+
+// planarNormsAsm writes the float32 ‖c‖² of n ≥ planarScreenMinRows
+// centroids (n ≤ argminBlock) of a planar table, dim planes stride floats
+// apart, to out: the norms a tile of planarScreenAsm reads, computed
+// once per block of a call instead of once per tile.
+//
+//go:noescape
+func planarNormsAsm(planes *float32, dim, stride, n int, out *float32)
 
 // screenSelectAsm finishes a screened block of n rows for nq queries:
 // from each slot's minimum and ‖q‖² in res, the limit L of res.bound
@@ -73,6 +82,19 @@ func planarScreenAsm(qs, planes *float32, dim, stride, n, nq int, out *float32, 
 //
 //go:noescape
 func screenSelectAsm(out *float32, n, nq int, res *screenResult)
+
+// accumulateAsm adds the n ≥ 1 floats at v, widened, into the n doubles
+// at sums, with Accumulate's bits.
+//
+//go:noescape
+func accumulateAsm(sums *float64, v *float32, n int)
+
+// accumulateVector is Accumulate under the assembly implementation.
+func accumulateVector(sums []float64, v []float32) {
+	if len(v) > 0 {
+		accumulateAsm(&sums[0], &v[0], len(v))
+	}
+}
 
 func sqDistVector(q, v []float32) float64 {
 	if len(q) == 0 {
@@ -126,14 +148,18 @@ func planarVector(q, planes []float32, n, lo int, out []float64) {
 // exhaustive scan's answer. In a block too small to screen every row is
 // a candidate: the exhaustive scan itself. a is the screening values'
 // scratch: argminBlock floats for one query, ArgminTile times that for
-// more.
+// more, and one block more for a planar tile's norms.
 func argminScreened(qs, vecs []float32, dim, n int, out []int32, a []float32, planar bool) {
 	bound, minRows := screenBound{}, screenMinRows
-	if planar {
+	switch {
+	case planar && dim < BlockDim:
 		bound, minRows = planarBounds[dim], planarScreenMinRows
-	} else {
+	case planar:
+		bound, minRows = newScreenBound(dim, true), planarScreenMinRows
+	default:
 		bound = newScreenBound(dim, false)
 	}
+	normsAt := -1 // the block whose norms a[ArgminTile*argminBlock:] holds
 	for t0 := 0; t0 < len(out); t0 += ArgminTile {
 		nt := min(ArgminTile, len(out)-t0)
 		var best [ArgminTile]int
@@ -149,8 +175,16 @@ func argminScreened(qs, vecs []float32, dim, n int, out []int32, a []float32, pl
 				for t := range nt {
 					res.cand[t][0] = 1<<nb - 1
 				}
+			case planar && nt > 1:
+				norms := &a[ArgminTile*argminBlock]
+				if normsAt != r0 {
+					planarNormsAsm(&vecs[r0], dim, n, nb, norms)
+					normsAt = r0
+				}
+				planarScreenAsm(&qs[t0*dim], &vecs[r0], norms, dim, n, nb, nt, &a[0], &res)
+				screenSelectAsm(&a[0], nb, nt, &res)
 			case planar:
-				planarScreenAsm(&qs[t0*dim], &vecs[r0], dim, n, nb, nt, &a[0], &res)
+				planarScreenAsm(&qs[t0*dim], &vecs[r0], nil, dim, n, nb, nt, &a[0], &res)
 				screenSelectAsm(&a[0], nb, nt, &res)
 			default:
 				screenAsm(&qs[t0*dim], &vecs[r0*dim], dim, nb, nt, &a[0], &res)
@@ -201,12 +235,21 @@ func onlyOne(words []uint64) bool {
 }
 
 // planarAt is the exact distance from q to centroid i of an n-centroid
-// planar table: planarGeneric's sum for that one centroid (NaN left
-// uncanonicalized — it never wins a strict <).
+// planar table of any width, for the screen's candidates: sqDistGeneric's
+// sum with each coordinate read from its plane (NaN left uncanonicalized
+// — it never wins a strict <).
 func planarAt(q, planes []float32, n, i int) float64 {
-	s := 0.0
-	for j, x := range q {
-		d := float64(x) - float64(planes[j*n+i])
+	nb := len(q) &^ 7
+	var p [8]float64
+	for j := 0; j < nb; j += 8 {
+		for k := 0; k < 8; k++ {
+			d := float64(q[j+k]) - float64(planes[(j+k)*n+i])
+			p[k] += float64(d * d)
+		}
+	}
+	s := ((p[0] + p[4]) + (p[2] + p[6])) + ((p[1] + p[5]) + (p[3] + p[7]))
+	for j := nb; j < len(q); j++ {
+		d := float64(q[j]) - float64(planes[j*n+i])
 		s += float64(d * d)
 	}
 	return s

@@ -10,14 +10,16 @@ package kernel
 
 func registerArch() {}
 
-// rowsVector and planarVector are never reached on this build (the
-// registry holds only the portable reference); they exist so the
-// dispatch to them compiles to static calls on every build.
+// rowsVector, planarVector and accumulateVector are never reached on
+// this build (the registry holds only the portable reference); they
+// exist so the dispatch to them compiles to static calls on every build.
 func rowsVector(q, vecs []float32, dim int, out []float64) { rowsGeneric(q, vecs, dim, out) }
 
 func planarVector(q, planes []float32, n, lo int, out []float64) {
 	planarGeneric(q, planes, n, lo, out)
 }
+
+func accumulateVector(sums []float64, v []float32) { accumulateGeneric(sums, v) }
 
 // screenOK is false without an assembly implementation, so
 // argminScreened is never reached either.

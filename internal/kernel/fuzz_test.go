@@ -141,34 +141,41 @@ func FuzzArgminBatchParity(f *testing.F) {
 }
 
 // FuzzPlanarParity is FuzzArgminBatchParity for the planar entry
-// points: the seed corpus is the same adversarial table at the planar
-// widths (below kernel.BlockDim) — exact ties planted in different lanes
-// and vector steps, one-ulp neighbours, a cloud 1e3 from the origin,
-// re-seeded duplicates, NaN and ±Inf coordinates, a NaN in every row
-// (⇒ 0) — with the planted query in a batch beside a row of the table
-// and its negation, and DistancePlanar, ArgminPlanar and
-// ArgminPlanarBatch over the TRANSPOSED table must return, under every
+// points: the seed corpus is the same adversarial table at the widths of
+// a PQ codebook (below kernel.BlockDim) and at the wide widths of a
+// coarse quantizer — exact ties planted in different lanes and vector
+// steps, one-ulp neighbours, a cloud 1e3 from the origin, re-seeded
+// duplicates, NaN and ±Inf coordinates, a NaN in every row (⇒ 0) — with
+// the planted query in a batch beside a row of the table and its
+// negation, and ArgminPlanarBatch over the TRANSPOSED table (and, below
+// BlockDim, DistancePlanar and ArgminPlanar) must return, under every
 // implementation, the reference's bits and, for every query at every
 // slot position, the exhaustive exact scan's index, for row counts that
-// are not multiples of any lane count too.
+// are not multiples of any lane count or step too.
 func FuzzPlanarParity(f *testing.F) {
-	for _, c := range argminCases([]int{1, 2, 4, 7}, []int{1, 6, 33, 257}) {
-		dim := len(c.q)
-		qs := append(append([]float32{}, c.q...), c.vecs[:dim]...)
-		for _, x := range c.q {
-			qs = append(qs, -x)
+	add := func(dims, ns []int) {
+		for _, c := range argminCases(dims, ns) {
+			dim := len(c.q)
+			qs := append(append([]float32{}, c.q...), c.vecs[:dim]...)
+			for _, x := range c.q {
+				qs = append(qs, -x)
+			}
+			f.Add(toBytes(qs), toBytes(c.vecs), uint8(dim-1))
 		}
-		f.Add(toBytes(qs), toBytes(c.vecs), uint8(dim-1))
 	}
+	add([]int{1, 2, 4, 7}, []int{1, 6, 33, 257})
+	add([]int{8, 9, 17, 64}, []int{1, 33, 257})
 	f.Fuzz(func(t *testing.T, qb, vb []byte, width uint8) {
-		dim := 1 + int(width)%(kernel.BlockDim-1)
+		dim := 1 + int(width)
 		qs, vecs := kerneltest.FromBytes(qb), kerneltest.FromBytes(vb)
 		nq := min(len(qs)/dim, 2*kernel.ArgminTile+1)
 		if nq == 0 {
 			return
 		}
 		n := min(len(vecs)/dim, 600)
-		kerneltest.CheckPlanar(t, qs[:dim], vecs, n)
+		if dim < kernel.BlockDim {
+			kerneltest.CheckPlanar(t, qs[:dim], vecs, n)
+		}
 		kerneltest.CheckArgminPlanarBatch(t, qs[:nq*dim], vecs, dim, n)
 	})
 }

@@ -21,10 +21,12 @@
 // (SqDist), the rows kernel (Rows: one query against a contiguous block
 // of rows, ONE dispatch per block) and the ADC table scan (adc.go). The
 // assembly implementations also carry unexported routines: the planar
-// routine behind DistancePlanar (see "Small widths" below), and the
-// float32 screens of the argmins — one over row-major rows (ArgminRows,
+// routine behind DistancePlanar and the widening add behind Accumulate
+// (see "Planar tables" and "The Lloyd update" below), and the float32
+// screens of the argmins — one over row-major rows (ArgminRows,
 // ArgminBatch), one over planar tables (ArgminPlanar, ArgminPlanarBatch)
-// — with the selection stage they share (see "Screened argmin").
+// with its norms pass — and the selection stage they share (see
+// "Screened argmin").
 //
 // Bit-stability contract. Every implementation MUST produce bitwise
 // identical float64 results for identical inputs, so indexes built,
@@ -45,36 +47,46 @@
 // VCVTPS2PD/VSUBPD/VMULPD/VADDPD, reduced with the fixed tree above,
 // then a scalar tail.
 //
-// Small widths. For len < 8 (BlockDim) the blocked prefix is empty, the
+// Planar tables. For len < 8 (BlockDim) the blocked prefix is empty, the
 // tree sums eight +0s, and the order degenerates to
 //
 //	s = (((t0 + t1) + t2) + …) + t[len-1]
 //
 // (+0 + t0 is t0 exactly: a term is never -0). That is the shape of a
 // product-quantization subvector (dim/M floats, 4 at dim 64 and M 16),
-// and a row that narrow gives a vector unit nothing to work across:
-// scoring four row-major rows at once means gathering every element
-// with a scalar load and a shuffle. So the tables that are hot at those
-// widths — PQ codebooks, and the centroid table of any k-means at such
-// a width — are not kept row-major at all. They are PLANAR (planar.go):
-// dim planes of n floats, plane j holding coordinate j of every
-// centroid, so coordinate j of four neighbouring centroids is one
-// 16-byte load, and the vector paths put one CENTROID in each double
-// lane (4 per step on AVX2, 2 on NEON) and add the terms of every lane
-// in ascending j. DistancePlanar is that exact path (the ADC table
-// build); ArgminPlanar and ArgminPlanarBatch are screened like the
-// row-major argmins (below); the portable path sweeps one plane at a
-// time. The transposition
-// happens where a table is made resident (internal/index: after a
-// subquantizer trains, when a CTIX file is loaded, once per Lloyd round
-// for the table being refined) and the CTIX bytes stay row-major. None
+// and a row that narrow gives a vector unit nothing to work across. So
+// centroid tables are also kept PLANAR (planar.go): dim planes of n
+// floats, plane j holding coordinate j of every centroid, so coordinate
+// j of neighbouring centroids is one contiguous load and a vector lane
+// holds one CENTROID rather than one coordinate. Two kinds of table are
+// planar. A PQ codebook narrower than 8 is planar where it is resident
+// (after a subquantizer trains, when a CTIX file is loaded); DistancePlanar
+// (the ADC table build: one centroid per double lane, 4 per step on
+// AVX2, 2 on NEON, terms added in ascending j) and ArgminPlanar read it.
+// And every k-means assignment pass, at EVERY width, reads a transient
+// planar copy of its row-major centroid table through ArgminPlanarBatch
+// (internal/index: rewritten once per Lloyd round, and once for IVF's
+// full pass): scoring a tile of queries against a plane is a broadcast
+// and one fused multiply-add per query per lane of centroids, with no
+// horizontal reduction anywhere, where a row-major row needs one per row
+// and query (see "Screened argmin"). The CTIX bytes stay row-major. None
 // of this can change a bit of any result: the layout decides which
-// address a float is read from, and the value of centroid i is still
-// the sum above over the same floats in the same order — which is also
-// what the rows kernel returns for narrow rows of row-major data (a
-// Flat index over fingerprints narrower than 8), where every
-// implementation runs the portable loop: the query widened once and the
-// sum run straight down each row.
+// address a float is read from, and the value of centroid i is still the
+// sum above over the same floats in the same order (planarAt reads it
+// plane by plane) — which is also what the rows kernel returns for
+// narrow rows of row-major data (a Flat index over fingerprints narrower
+// than 8), where every implementation runs the portable loop: the query
+// widened once and the sum run straight down each row.
+//
+// The Lloyd update. The other half of a k-means round adds each sample
+// point, widened to float64, into its cluster's sums, in sample order
+// whichever core assigned it. Accumulate is that step under the same kind
+// of contract: bit for bit the scalar loop sums[j] += float64(v[j]).
+// Elements are independent and widening is exact, so a vector path
+// (VCVTPS2PD + VADDPD, FCVTL + FADD) may take any number at once; the one
+// choice left to it is which payload survives when both operands are NaN,
+// and it makes the choice the compiled loop makes on that architecture
+// (TestAccumulateParity holds it to the loop, NaN rows included).
 //
 // A result that is NaN is canonicalized to the math.NaN() bit pattern.
 // Which input payload would otherwise survive the sum depends on x86
@@ -91,24 +103,33 @@
 // ArgminBatch and ArgminPlanarBatch screen a tile of queries per load of
 // each row.
 //
-// Screened argmin. ArgminRows and ArgminBatch — the nearest-centroid
-// assignment of k-means, the one loop IVF set-up consists of — and
-// ArgminPlanar and ArgminPlanarBatch — the same for PQ codebooks, under
-// PQ training, encoding and every IVFPQ Append — are specified by their
-// RESULT: the index an ascending strict-< scan of the exact kernel
-// distances returns. Under an assembly implementation they get there
-// without running the exact kernel on most rows. One routine per
-// architecture and layout, screenAsm (row-major, widths of 8 and up) and
-// planarScreenAsm (planar, 1–7), scores a TILE of up to four queries
-// against a block of at most 256 rows in float32 DOT FORM,
+// Screened argmin. ArgminPlanarBatch — the nearest-centroid assignment of
+// every k-means pass (IVF's coarse quantizer, every PQ subquantizer) and
+// of PQ encoding, the loop set-up consists of — ArgminRows (an IVF or
+// IVFPQ Append), ArgminBatch (PQ encoding at 8 floats and wider) and
+// ArgminPlanar are specified by their RESULT: the index an ascending
+// strict-< scan of the exact kernel distances returns. Under an assembly
+// implementation they get there without running the exact kernel on most
+// rows. One routine per architecture and layout, screenAsm (row-major,
+// widths of 8 and up) and planarScreenAsm (planar, any width), scores a
+// TILE of up to four queries against a block of at most 256 rows in
+// float32 DOT FORM,
 //
 //	s = ‖v‖² − 2·q·v  =  T − ‖q‖²   (T the real squared distance)
 //
-// dropping the per-query ‖q‖² and computing ‖v‖² in-kernel beside the
-// dots: each block of a row is loaded once for the whole tile and costs
-// one fused multiply-add per query per 8 coordinates, plus one for the
-// norm (a batch of one sums v·(v − 2·q) instead: a subtraction and an
-// FMA per lane, the port mix of one query). Then, per query, from the
+// dropping the per-query ‖q‖². Row-major, ‖v‖² is summed in-kernel beside
+// the dots: each 8 coordinates of a row are loaded once for the tile and
+// cost one fused multiply-add per query plus one for the norm, and each
+// row and query one horizontal reduction. Planar, a plane of centroids
+// is loaded once for the tile and costs one fused multiply-add per query
+// and lane of centroids — a register tile of 4 queries × 24 centroids
+// on AVX2 (twelve independent FMA chains: the eight that two FMA ports of
+// latency four need, and room; eight ran at ~80 % of the FMA bound, twelve
+// at ~92 %), 4 × 16 on NEON — and the centroids' ‖c‖² are read from a
+// norms pass (planarNormsAsm) run once per block of a call rather than
+// once per tile. A batch of one sums v·(v − 2·q) instead (row-major, and
+// planar on AVX2: a subtraction and an FMA per lane, the port mix of one
+// query), or ‖c‖² beside its dot (planar on NEON). Then, per query, from the
 // block's smallest value m and the routine's own ‖q‖² (qq), the shared
 // selection stage, screenSelectAsm, marks every row with s ≤ L a
 // candidate,
@@ -131,11 +152,14 @@
 //     n − 2·d (or the subtraction v − 2·q), three reduction levels, and on
 //     NEON up to eight more for the scalar tail. A planar term is one
 //     coordinate of one centroid, at most dim + 1 deep: dim fused steps
-//     down the planes in one float lane (the FMA chain of ‖c‖² or of a
-//     dot, or of c·(c − 2·q) for a batch of one after its subtraction)
-//     and the combining ‖c‖² − 2·dot; qq is four deep on AVX2 (a square
-//     and three reduction adds) and dim on NEON (a chain of FMADDs), so
-//     K = dim + 4 covers both. Either way, for a row whose
+//     down the planes in one float lane (the FMA chain of a dot, of ‖c‖²
+//     beside it, or of c·(c − 2·q) for a batch of one after its
+//     subtraction) and the combining ‖c‖² − 2·dot; the norms pass splits
+//     the planes between two chains, ⌈dim/2⌉ + 1 deep with their sum; qq
+//     is ⌈dim/8⌉ + 3 deep on AVX2 (screenAsm's sum) and on NEON at most
+//     ⌈dim/8⌉ + 10 from dim 8 on (three reduction levels and seven fused
+//     tail steps) and a chain of dim FMADDs below it, so K = dim + 4
+//     covers them all. Either way, for a row whose
 //     arithmetic never overflows, |ŝ − s| ≤ c·(‖q‖ + ‖v‖)² + η/2: the
 //     terms' magnitudes sum to at most ‖v‖² + 2‖q‖‖v‖ ≤ (‖q‖ + ‖v‖)², the
 //     extra u covers the rounding of the subtraction, and η/2 the absolute
@@ -147,10 +171,11 @@
 //     norm, one of 256 codebook centroids), every row a candidate for a
 //     cloud 1e3 from it — slower, never wrong
 //     (TestScreenBoundWidensOffOrigin logs both counts).
-//   - No row norms needed. Only two rows matter: m's and the exhaustive
-//     winner i's — so the planar screen sums each centroid's ‖c‖² in the
-//     same pass as its dots, and neither the table layout nor the CTIX
-//     bytes change, nor does anything stay resident. For any row
+//   - No stored norms. Only two rows matter: m's and the exhaustive
+//     winner i's — so each screen computes ‖v‖² where it runs (beside the
+//     dots, or the planar norms pass into a block of call scratch), and
+//     neither the table layout nor the CTIX bytes change, nor does
+//     anything stay resident. For any row
 //     ‖v‖ ≤ ‖q‖ + √T, so (‖q‖ + ‖v‖)² ≤ 8‖q‖² + 2T;
 //     applied to m, T_m ≤ m + ‖q‖² + c·(8‖q‖² + 2T_m) + η/2, a bound linear
 //     in m; and the float64 exact values D (|D − T| ≤ γ₆₄·T) give
@@ -170,7 +195,7 @@
 // arise while ‖q‖² ≤ 1e30) or NaN: never a candidate under a finite L,
 // rightly, since its T is past 3e38 while T_m ≤ 2e30; always one if NaN.
 // Row-major rows narrower than 8 (the tables hot at those widths are
-// planar), widths above screenMaxDim, blocks of fewer than four rows (16
+// planar), widths above screenMaxDim, blocks of fewer than four rows (32
 // planar centroids), everything under the portable implementation, and
 // an AVX2 host without FMA3 (screenOK: dispatch_amd64.go probes
 // CPUID.1:ECX bit 12) keep the exact scan; so does DistancePlanar, which
@@ -178,14 +203,15 @@
 // CheckArgminBatch, CheckPlanar and CheckArgminPlanarBatch hold all four
 // entry points to the reference argmin under every implementation, at
 // every slot of a tile; TestArgminAdversarial,
-// TestArgminBatchAdversarial, TestArgminPlanarAdversarial and the
+// TestArgminBatchAdversarial, TestArgminPlanarAdversarial,
+// TestArgminPlanarBatchAdversarial (the wide planar widths) and the
 // FuzzArgminParity, FuzzArgminBatchParity and FuzzPlanarParity targets
 // aim them at exact ties (re-seeded duplicate centroids too), one-ulp
 // neighbours, rows whose distances agree to the last bits (also 100 and
 // 1e3 from the origin, where the dot form cancels), underflowing,
 // accumulating-subnormal and overflowing squares and non-finite
 // coordinates; TestPlanarScreenValues holds planarScreenAsm's values,
-// minima and ‖q‖² to the bound above.
+// minima and ‖q‖², and planarNormsAsm's norms, to the bound above.
 package kernel
 
 import (
@@ -416,6 +442,37 @@ func checkRowsArgs(name string, q, vecs []float32, dim, rows int) {
 func DistanceRows(q, vecs []float32, dim int, out []float64) {
 	checkRowsArgs("DistanceRows", q, vecs, dim, len(out))
 	active.Load().rows(q, vecs, dim, out)
+}
+
+// Accumulate adds v, widened to float64, into sums element by element —
+// the update step of k-means, run once per sample point in sample order.
+// Its contract is bitwise: sums ends as the scalar loop
+//
+//	for j, x := range v { sums[j] += float64(x) }
+//
+// leaves it, element j one IEEE-754 double addition of float64(v[j]) and
+// sums[j] (widening is exact, also for subnormals). Elements are
+// independent, so the vector paths take several per instruction and
+// keep that loop's bits; where both operands are NaN they keep the
+// payload the loop's compiled addition keeps on that architecture: the
+// widened v[j] on amd64, sums[j] on arm64. len(sums) must equal len(v).
+func Accumulate(sums []float64, v []float32) {
+	if len(sums) != len(v) {
+		panic(fmt.Sprintf("kernel: Accumulate %d sums for %d values", len(sums), len(v)))
+	}
+	if active.Load() == &impls[0] {
+		accumulateGeneric(sums, v)
+		return
+	}
+	accumulateVector(sums, v)
+}
+
+// accumulateGeneric is Accumulate's portable reference: the loop its
+// contract names.
+func accumulateGeneric(sums []float64, v []float32) {
+	for j, x := range v {
+		sums[j] += float64(x)
+	}
 }
 
 // argminBlock is how many rows an exhaustive argmin scores per kernel

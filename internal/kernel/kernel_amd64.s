@@ -219,6 +219,49 @@ plane:
 	VZEROUPPER
 	RET
 
+// func accumulateAsm(sums *float64, v *float32, n int)
+//
+// sums[j] = float64(v[j]) + sums[j] for j < n ≥ 1: eight elements per
+// step, widened by VCVTPS2PD and added by VADDPD with the widened value
+// as the first source — the operand order of the scalar loop's compiled
+// ADDSD, so where both are NaN the same payload survives — then a
+// scalar tail. Each element is one double addition, so the bits are
+// the scalar loop's whatever the grouping.
+TEXT ·accumulateAsm(SB), NOSPLIT, $0-24
+	MOVQ sums+0(FP), DI
+	MOVQ v+8(FP), SI
+	MOVQ n+16(FP), CX
+	MOVQ CX, DX
+	ANDQ $-8, DX               // DX = n &^ 7
+	XORQ AX, AX                // AX = element index j
+	CMPQ DX, $0
+	JE   acctail
+
+	PCALIGN $64
+accblk:
+	VCVTPS2PD (SI)(AX*4), Y0
+	VCVTPS2PD 16(SI)(AX*4), Y1
+	VADDPD (DI)(AX*8), Y0, Y0
+	VADDPD 32(DI)(AX*8), Y1, Y1
+	VMOVUPD Y0, (DI)(AX*8)
+	VMOVUPD Y1, 32(DI)(AX*8)
+	ADDQ $8, AX
+	CMPQ AX, DX
+	JL   accblk
+
+acctail:
+	CMPQ AX, CX
+	JGE  accdone
+	VCVTSS2SD (SI)(AX*4), X0, X0
+	VADDSD (DI)(AX*8), X0, X0
+	VMOVSD X0, (DI)(AX*8)
+	INCQ AX
+	JMP  acctail
+
+accdone:
+	VZEROUPPER
+	RET
+
 // func screenAsm(qs, vecs *float32, dim, n, nq int, out *float32, res *screenResult)
 //
 // The screening pass of the screened argmin (kernel.go), in DOT FORM:
@@ -504,40 +547,138 @@ finish:
 	VZEROUPPER
 	RET
 
-// func planarScreenAsm(qs, planes *float32, dim, stride, n, nq int, out *float32, res *screenResult)
+// func planarNormsAsm(planes *float32, dim, stride, n int, out *float32)
+//
+// The squared norms ‖c‖² of n ≥ 32 centroids (n ≤ 256) of a planar
+// table, dim ≥ 1 planes stride floats apart, into out[0..n), in float32
+// for the dot-form tile of planarScreenAsm: thirty-two centroids per
+// step, the even planes fused into Y0..Y3 and the odd ones into Y4..Y7 —
+// eight independent chains — added at the end, so a term is at most
+// ⌈dim/2⌉ + 1 roundings deep. When n is not a multiple of 32 the last
+// step is re-anchored at centroid n-32 and rewrites up to thirty-one
+// norms with the same values.
+TEXT ·planarNormsAsm(SB), NOSPLIT, $0-40
+	MOVQ planes+0(FP), DI
+	MOVQ dim+8(FP), CX
+	MOVQ stride+16(FP), R9
+	MOVQ n+24(FP), BX
+	MOVQ out+32(FP), R8
+	SHLQ $2, R9                // R9 = plane stride in bytes
+	LEAQ (R9*2), R10           // R10 = two planes
+
+	PCALIGN $64
+nstep:
+	VXORPS Y0, Y0, Y0
+	VXORPS Y1, Y1, Y1
+	VXORPS Y2, Y2, Y2
+	VXORPS Y3, Y3, Y3
+	VXORPS Y4, Y4, Y4
+	VXORPS Y5, Y5, Y5
+	VXORPS Y6, Y6, Y6
+	VXORPS Y7, Y7, Y7
+	MOVQ DI, DX                // DX = &plane j[the step]
+	LEAQ -1(CX), AX            // AX = planes left past the pair at DX
+	JMP  npaircheck
+npair:
+	VMOVUPS (DX), Y8
+	VFMADD231PS Y8, Y8, Y0
+	VMOVUPS 32(DX), Y9
+	VFMADD231PS Y9, Y9, Y1
+	VMOVUPS 64(DX), Y10
+	VFMADD231PS Y10, Y10, Y2
+	VMOVUPS 96(DX), Y11
+	VFMADD231PS Y11, Y11, Y3
+	VMOVUPS (DX)(R9*1), Y8
+	VFMADD231PS Y8, Y8, Y4
+	VMOVUPS 32(DX)(R9*1), Y9
+	VFMADD231PS Y9, Y9, Y5
+	VMOVUPS 64(DX)(R9*1), Y10
+	VFMADD231PS Y10, Y10, Y6
+	VMOVUPS 96(DX)(R9*1), Y11
+	VFMADD231PS Y11, Y11, Y7
+	ADDQ R10, DX
+	SUBQ $2, AX
+npaircheck:
+	CMPQ AX, $0
+	JG   npair
+	JL   nsum                  // dim even: every plane taken
+	VMOVUPS (DX), Y8           // the last plane of an odd dim
+	VFMADD231PS Y8, Y8, Y0
+	VMOVUPS 32(DX), Y9
+	VFMADD231PS Y9, Y9, Y1
+	VMOVUPS 64(DX), Y10
+	VFMADD231PS Y10, Y10, Y2
+	VMOVUPS 96(DX), Y11
+	VFMADD231PS Y11, Y11, Y3
+nsum:
+	VADDPS Y4, Y0, Y0
+	VADDPS Y5, Y1, Y1
+	VADDPS Y6, Y2, Y2
+	VADDPS Y7, Y3, Y3
+	VMOVUPS Y0, (R8)
+	VMOVUPS Y1, 32(R8)
+	VMOVUPS Y2, 64(R8)
+	VMOVUPS Y3, 96(R8)
+	ADDQ $128, DI              // next thirty-two centroids
+	ADDQ $128, R8
+	SUBQ $32, BX
+	CMPQ BX, $32
+	JGE  nstep
+	TESTQ BX, BX
+	JLE  ndone
+	SUBQ $32, BX               // 1..31 left: step back to centroid n-32
+	LEAQ (DI)(BX*4), DI
+	LEAQ (R8)(BX*4), R8
+	MOVQ $32, BX
+	JMP  nstep
+ndone:
+	VZEROUPPER
+	RET
+
+// func planarScreenAsm(qs, planes, norms *float32, dim, stride, n, nq int, out *float32, res *screenResult)
 //
 // screenAsm for a planar (dimension-major) table: the values
-// s = ‖c‖² − 2·q·c of nq (1…4) queries of 1 ≤ dim ≤ 7 floats,
-// concatenated at qs, against n ≥ 32 centroids, dim planes stride floats
-// apart (n ≤ 256); query slot t's value for centroid i goes to
-// out[t*256+i], slots past nq reading the last query again. ONE
-// CENTROID PER FLOAT LANE, coordinate j of eight neighbours one load
-// from plane j; ‖q‖² (res.qq) is the dim lanes masked in (Y15), squared
-// and reduced like screenAsm's — four roundings deep. Then one of two
-// register tiles, like screenAsm's:
+// s = ‖c‖² − 2·q·c of nq (1…4) queries of dim ≥ 1 floats, concatenated
+// at qs, against n ≥ 32 centroids, dim planes stride floats apart
+// (n ≤ 256); query slot t's value for centroid i goes to out[t*256+i],
+// slots past nq reading the last query again. ONE CENTROID PER FLOAT
+// LANE, coordinate j of eight neighbours one load from plane j. ‖q‖²
+// (res.qq) is summed as screenAsm sums it: 8-float blocks, the dim mod 8
+// leftover lanes masked in (Y15), three reduction levels — ⌈dim/8⌉ + 3
+// roundings deep. Then one of two register tiles:
 //
-//   - nq ≥ 2: four queries × eight centroids in DOT FORM: the square of
-//     coordinate j summed into ‖c‖² (Y0) and its product with each slot's
-//     broadcast q[j] into that slot's dot (Y1..Y4), fused, in ascending
-//     j; then per slot s = ‖c‖² − 2·dot, one rounding (VFNMADD213PS).
-//     A term is at most dim + 1 roundings deep.
+//   - nq ≥ 2: four queries × 24 centroids in DOT FORM: the products of
+//     coordinate j with each slot's broadcast q[j] fused into that slot's
+//     dots (Y0..Y11), in ascending j — twelve independent FMA chains, no
+//     horizontal step — then per slot s = ‖c‖² − 2·dot, one rounding
+//     (VFNMADD213PS), with the 24 ‖c‖² read from norms (planarNormsAsm's).
+//     Each slot's running minimum lives in the frame, at R14 + 32·t —
+//     32-byte aligned: at SP, which Go aligns to 8 only, the store and
+//     reload each step crossed a cache line in some frames, missed store
+//     forwarding, and cost a codebook's short steps (4 planes) half their
+//     speed. VMINPS takes the running value as the second source, so a
+//     NaN value leaves it as it was.
 //   - nq = 1: one query × thirty-two centroids, s = Σ c·(c − 2·q) — a
 //     subtraction and an FMA per plane, the port mix of one query — with
-//     2·q broadcast from a copy on the stack; dim + 1 roundings again.
+//     2·q[j] broadcast and doubled (exact) per plane; norms is not read.
 //
-// When n is not a multiple of the step the last step is re-anchored at
-// centroid n-8 (n-32) and rewrites up to seven (thirty-one) values. The
-// minimum of each slot (Y10, Y11, Y13, Y14, eight lanes each — a single
-// step's four vectors each keep one, folded into Y10 at sdone — folded
-// at the end) goes to res.lim, for screenSelectAsm.
-TEXT ·planarScreenAsm(SB), NOSPLIT, $32-64
+// Either way a term is at most dim + 1 roundings deep. When n is not a
+// multiple of the step the last step is re-anchored at centroid n-24
+// (n-32) and rewrites up to 23 (31) values — a tile's last step takes
+// sixteen centroids instead when no more than sixteen are left (the 2
+// past 48 of a 50-list quantizer, the 14 past 144 of 158). The minima of the slots
+// (Y10, Y11, Y13, Y14, eight lanes each — a single step's four vectors
+// each keep one, folded into Y10 at sdone — folded at the end) go to
+// res.lim, for screenSelectAsm.
+TEXT ·planarScreenAsm(SB), NOSPLIT, $160-72
 	MOVQ qs+0(FP), SI
 	MOVQ planes+8(FP), DI
-	MOVQ dim+16(FP), CX
-	MOVQ stride+24(FP), R9
-	MOVQ n+32(FP), BX
-	MOVQ nq+40(FP), R13
-	MOVQ out+48(FP), R8
+	MOVQ norms+16(FP), R15
+	MOVQ dim+24(FP), CX
+	MOVQ stride+32(FP), R9
+	MOVQ n+40(FP), BX
+	MOVQ nq+48(FP), R13
+	MOVQ out+56(FP), R8
 	SHLQ $2, R9                // R9 = plane stride in bytes
 	LEAQ (CX*4), R14           // R14 = query stride in bytes
 
@@ -559,92 +700,242 @@ TEXT ·planarScreenAsm(SB), NOSPLIT, $32-64
 	IMULQ R14, R12
 	ADDQ SI, R12
 
-	// ‖q‖² of the four slots: the dim lanes masked in (Y15), squared and
-	// reduced like screenAsm's.
+	LEAQ 31(SP), R14
+	ANDQ $-32, R14             // R14 = the tile's four running minima
+
+	// ‖q‖² of the four slots, summed like screenAsm's.
 	MOVQ CX, AX
+	ANDQ $7, AX
 	NEGQ AX
 	LEAQ screenMask<>(SB), DX
-	VMOVDQU 32(DX)(AX*4), Y15  // lanes below dim all-ones
-	VMASKMOVPS (SI), Y15, Y0
-	VMULPS Y0, Y0, Y0
-	VMASKMOVPS (R10), Y15, Y1
-	VMULPS Y1, Y1, Y1
-	VMASKMOVPS (R11), Y15, Y2
-	VMULPS Y2, Y2, Y2
-	VMASKMOVPS (R12), Y15, Y3
-	VMULPS Y3, Y3, Y3
+	VMOVDQU 32(DX)(AX*4), Y15  // lanes below dim mod 8 all-ones
+	MOVQ CX, DX
+	ANDQ $-8, DX               // DX = dim &^ 7
+	VXORPS Y0, Y0, Y0
+	VXORPS Y1, Y1, Y1
+	VXORPS Y2, Y2, Y2
+	VXORPS Y3, Y3, Y3
+	XORQ AX, AX
+	CMPQ DX, $0
+	JE   qqtail
+qqblk:
+	VMOVUPS (SI)(AX*4), Y4
+	VFMADD231PS Y4, Y4, Y0
+	VMOVUPS (R10)(AX*4), Y5
+	VFMADD231PS Y5, Y5, Y1
+	VMOVUPS (R11)(AX*4), Y6
+	VFMADD231PS Y6, Y6, Y2
+	VMOVUPS (R12)(AX*4), Y7
+	VFMADD231PS Y7, Y7, Y3
+	ADDQ $8, AX
+	CMPQ AX, DX
+	JL   qqblk
+qqtail:
+	CMPQ AX, CX
+	JGE  qqred
+	VMASKMOVPS (SI)(AX*4), Y15, Y4
+	VFMADD231PS Y4, Y4, Y0
+	VMASKMOVPS (R10)(AX*4), Y15, Y5
+	VFMADD231PS Y5, Y5, Y1
+	VMASKMOVPS (R11)(AX*4), Y15, Y6
+	VFMADD231PS Y6, Y6, Y2
+	VMASKMOVPS (R12)(AX*4), Y15, Y7
+	VFMADD231PS Y7, Y7, Y3
+qqred:
 	VHADDPS Y1, Y0, Y0
 	VHADDPS Y3, Y2, Y2
 	VHADDPS Y2, Y0, Y0
 	VEXTRACTF128 $1, Y0, X1
 	VADDPS X1, X0, X0
-	MOVQ res+56(FP), AX
+	MOVQ res+64(FP), AX
 	VMOVUPS X0, 40(AX)         // res.qq
 
-	VBROADCASTSS screenTwo<>(SB), Y12
 	MOVL $0x7F800000, AX
 	VMOVD AX, X10
-	VPBROADCASTD X10, Y10      // running minima of slots 0..3: +Inf
-	VMOVAPS Y10, Y11
-	VMOVAPS Y10, Y13
-	VMOVAPS Y10, Y14
+	VPBROADCASTD X10, Y10      // +Inf
 	CMPQ R13, $0
 	JEQ  single
+	VMOVUPS Y10, (R14)          // running minima of slots 0..3
+	VMOVUPS Y10, 32(R14)
+	VMOVUPS Y10, 64(R14)
+	VMOVUPS Y10, 96(R14)
 
 	PCALIGN $64
 group:
-	VXORPS Y0, Y0, Y0          // ‖c‖² of the eight centroids
-	VXORPS Y1, Y1, Y1          // q·c, slot 0
-	VXORPS Y2, Y2, Y2
-	VXORPS Y3, Y3, Y3
+	VXORPS Y0, Y0, Y0          // q·c, slot 0, centroids 0..7 of the step
+	VXORPS Y1, Y1, Y1          // slot 0, 8..15
+	VXORPS Y2, Y2, Y2          // slot 0, 16..23
+	VXORPS Y3, Y3, Y3          // slot 1
 	VXORPS Y4, Y4, Y4
-	MOVQ DI, DX                // DX = &plane j[the group]
+	VXORPS Y5, Y5, Y5
+	VXORPS Y6, Y6, Y6          // slot 2
+	VXORPS Y7, Y7, Y7
+	VXORPS Y8, Y8, Y8
+	VXORPS Y9, Y9, Y9          // slot 3
+	VXORPS Y10, Y10, Y10
+	VXORPS Y11, Y11, Y11
+	MOVQ DI, DX                // DX = &plane j[the step]
 	XORQ AX, AX                // AX = plane index j
 plane:
-	VMOVUPS (DX), Y5
-	VFMADD231PS Y5, Y5, Y0
-	VBROADCASTSS (SI)(AX*4), Y6
-	VFMADD231PS Y6, Y5, Y1
-	VBROADCASTSS (R10)(AX*4), Y7
-	VFMADD231PS Y7, Y5, Y2
-	VBROADCASTSS (R11)(AX*4), Y8
-	VFMADD231PS Y8, Y5, Y3
-	VBROADCASTSS (R12)(AX*4), Y9
-	VFMADD231PS Y9, Y5, Y4
+	VMOVUPS (DX), Y12
+	VMOVUPS 32(DX), Y13
+	VMOVUPS 64(DX), Y14
+	VBROADCASTSS (SI)(AX*4), Y15
+	VFMADD231PS Y15, Y12, Y0
+	VFMADD231PS Y15, Y13, Y1
+	VFMADD231PS Y15, Y14, Y2
+	VBROADCASTSS (R10)(AX*4), Y15
+	VFMADD231PS Y15, Y12, Y3
+	VFMADD231PS Y15, Y13, Y4
+	VFMADD231PS Y15, Y14, Y5
+	VBROADCASTSS (R11)(AX*4), Y15
+	VFMADD231PS Y15, Y12, Y6
+	VFMADD231PS Y15, Y13, Y7
+	VFMADD231PS Y15, Y14, Y8
+	VBROADCASTSS (R12)(AX*4), Y15
+	VFMADD231PS Y15, Y12, Y9
+	VFMADD231PS Y15, Y13, Y10
+	VFMADD231PS Y15, Y14, Y11
 	ADDQ R9, DX
 	INCQ AX
 	CMPQ AX, CX
 	JL   plane
 
-	VFNMADD213PS Y0, Y12, Y1   // s = ‖c‖² − 2·q·c, one rounding
-	VFNMADD213PS Y0, Y12, Y2
-	VFNMADD213PS Y0, Y12, Y3
-	VFNMADD213PS Y0, Y12, Y4
-	VMOVUPS Y1, (R8)           // query t's values are 1 KiB apart
-	VMOVUPS Y2, 1024(R8)
-	VMOVUPS Y3, 2048(R8)
-	VMOVUPS Y4, 3072(R8)
-	VMINPS Y1, Y10, Y10
-	VMINPS Y2, Y11, Y11
-	VMINPS Y3, Y13, Y13
-	VMINPS Y4, Y14, Y14
-	ADDQ $32, DI               // next eight centroids
-	ADDQ $32, R8
-	SUBQ $8, BX
-	CMPQ BX, $8
+	VBROADCASTSS screenTwo<>(SB), Y15
+	VFNMADD213PS (R15), Y15, Y0 // s = ‖c‖² − 2·q·c, one rounding
+	VFNMADD213PS 32(R15), Y15, Y1
+	VFNMADD213PS 64(R15), Y15, Y2
+	VFNMADD213PS (R15), Y15, Y3
+	VFNMADD213PS 32(R15), Y15, Y4
+	VFNMADD213PS 64(R15), Y15, Y5
+	VFNMADD213PS (R15), Y15, Y6
+	VFNMADD213PS 32(R15), Y15, Y7
+	VFNMADD213PS 64(R15), Y15, Y8
+	VFNMADD213PS (R15), Y15, Y9
+	VFNMADD213PS 32(R15), Y15, Y10
+	VFNMADD213PS 64(R15), Y15, Y11
+	VMOVUPS Y0, (R8)           // query t's values are 1 KiB apart
+	VMOVUPS Y1, 32(R8)
+	VMOVUPS Y2, 64(R8)
+	VMOVUPS Y3, 1024(R8)
+	VMOVUPS Y4, 1056(R8)
+	VMOVUPS Y5, 1088(R8)
+	VMOVUPS Y6, 2048(R8)
+	VMOVUPS Y7, 2080(R8)
+	VMOVUPS Y8, 2112(R8)
+	VMOVUPS Y9, 3072(R8)
+	VMOVUPS Y10, 3104(R8)
+	VMOVUPS Y11, 3136(R8)
+	VMINPS Y1, Y0, Y0          // each slot's 24 values to eight lanes,
+	VMINPS Y2, Y0, Y0          // then into its running minimum (a NaN
+	VMINPS (R14), Y0, Y0        // lane keeps the minimum it met)
+	VMOVUPS Y0, (R14)
+	VMINPS Y4, Y3, Y3
+	VMINPS Y5, Y3, Y3
+	VMINPS 32(R14), Y3, Y3
+	VMOVUPS Y3, 32(R14)
+	VMINPS Y7, Y6, Y6
+	VMINPS Y8, Y6, Y6
+	VMINPS 64(R14), Y6, Y6
+	VMOVUPS Y6, 64(R14)
+	VMINPS Y10, Y9, Y9
+	VMINPS Y11, Y9, Y9
+	VMINPS 96(R14), Y9, Y9
+	VMOVUPS Y9, 96(R14)
+	ADDQ $96, DI               // next 24 centroids
+	ADDQ $96, R8
+	ADDQ $96, R15
+	SUBQ $24, BX
+	CMPQ BX, $24
 	JGE  group
 	TESTQ BX, BX
-	JLE  fold
-	SUBQ $8, BX                // 1..7 left: step back to centroid n-8
+	JLE  tiledone
+	CMPQ BX, $16
+	JLE  last16
+	SUBQ $24, BX               // 17..23 left: step back to centroid n-24
 	LEAQ (DI)(BX*4), DI
 	LEAQ (R8)(BX*4), R8
-	MOVQ $8, BX
+	LEAQ (R15)(BX*4), R15
+	MOVQ $24, BX
 	JMP  group
 
+last16:
+	// 1..16 left: one step of sixteen, back at centroid n-16 — eight
+	// chains, two thirds of a 24-step's work.
+	SUBQ $16, BX
+	LEAQ (DI)(BX*4), DI
+	LEAQ (R8)(BX*4), R8
+	LEAQ (R15)(BX*4), R15
+	VXORPS Y0, Y0, Y0
+	VXORPS Y1, Y1, Y1
+	VXORPS Y2, Y2, Y2
+	VXORPS Y3, Y3, Y3
+	VXORPS Y4, Y4, Y4
+	VXORPS Y5, Y5, Y5
+	VXORPS Y6, Y6, Y6
+	VXORPS Y7, Y7, Y7
+	MOVQ DI, DX
+	XORQ AX, AX
+plane16:
+	VMOVUPS (DX), Y12
+	VMOVUPS 32(DX), Y13
+	VBROADCASTSS (SI)(AX*4), Y15
+	VFMADD231PS Y15, Y12, Y0
+	VFMADD231PS Y15, Y13, Y1
+	VBROADCASTSS (R10)(AX*4), Y15
+	VFMADD231PS Y15, Y12, Y2
+	VFMADD231PS Y15, Y13, Y3
+	VBROADCASTSS (R11)(AX*4), Y15
+	VFMADD231PS Y15, Y12, Y4
+	VFMADD231PS Y15, Y13, Y5
+	VBROADCASTSS (R12)(AX*4), Y15
+	VFMADD231PS Y15, Y12, Y6
+	VFMADD231PS Y15, Y13, Y7
+	ADDQ R9, DX
+	INCQ AX
+	CMPQ AX, CX
+	JL   plane16
+
+	VBROADCASTSS screenTwo<>(SB), Y15
+	VFNMADD213PS (R15), Y15, Y0
+	VFNMADD213PS 32(R15), Y15, Y1
+	VFNMADD213PS (R15), Y15, Y2
+	VFNMADD213PS 32(R15), Y15, Y3
+	VFNMADD213PS (R15), Y15, Y4
+	VFNMADD213PS 32(R15), Y15, Y5
+	VFNMADD213PS (R15), Y15, Y6
+	VFNMADD213PS 32(R15), Y15, Y7
+	VMOVUPS Y0, (R8)
+	VMOVUPS Y1, 32(R8)
+	VMOVUPS Y2, 1024(R8)
+	VMOVUPS Y3, 1056(R8)
+	VMOVUPS Y4, 2048(R8)
+	VMOVUPS Y5, 2080(R8)
+	VMOVUPS Y6, 3072(R8)
+	VMOVUPS Y7, 3104(R8)
+	VMINPS Y1, Y0, Y0
+	VMINPS (R14), Y0, Y0
+	VMOVUPS Y0, (R14)
+	VMINPS Y3, Y2, Y2
+	VMINPS 32(R14), Y2, Y2
+	VMOVUPS Y2, 32(R14)
+	VMINPS Y5, Y4, Y4
+	VMINPS 64(R14), Y4, Y4
+	VMOVUPS Y4, 64(R14)
+	VMINPS Y7, Y6, Y6
+	VMINPS 96(R14), Y6, Y6
+	VMOVUPS Y6, 96(R14)
+tiledone:
+	VMOVUPS (R14), Y10
+	VMOVUPS 32(R14), Y11
+	VMOVUPS 64(R14), Y13
+	VMOVUPS 96(R14), Y14
+	JMP  fold
+
 single:
-	VMASKMOVPS (SI), Y15, Y6
-	VADDPS Y6, Y6, Y6          // 2·q, exact
-	VMOVUPS Y6, (SP)
+	VMOVAPS Y10, Y11           // running minima of the four chains: +Inf
+	VMOVAPS Y10, Y13
+	VMOVAPS Y10, Y14
 
 	PCALIGN $64
 sgroup:
@@ -655,7 +946,8 @@ sgroup:
 	MOVQ DI, DX
 	XORQ AX, AX
 splane:
-	VBROADCASTSS (SP)(AX*4), Y0
+	VBROADCASTSS (SI)(AX*4), Y0
+	VADDPS Y0, Y0, Y0          // 2·q[j], exact
 	VMOVUPS (DX), Y5
 	VMOVUPS 32(DX), Y6
 	VMOVUPS 64(DX), Y7
@@ -717,7 +1009,7 @@ fold:
 	VMOVLHPS X2, X0, X1        // {a02, b02, c02, d02}
 	VMOVHLPS X0, X2, X3        // {a13, b13, c13, d13}
 	VMINPS X3, X1, X13
-	MOVQ res+56(FP), AX
+	MOVQ res+64(FP), AX
 	VMOVUPS X13, 24(AX)        // res.lim: the minima
 	VZEROUPPER
 	RET

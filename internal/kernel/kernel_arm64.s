@@ -273,6 +273,54 @@ plane:
 	CBNZ  R8, step
 	RET
 
+// func accumulateAsm(sums *float64, v *float32, n int)
+//
+// sums[j] = sums[j] + float64(v[j]) for j < n ≥ 1: eight elements per
+// step, two 4-float loads widened by FCVTL/FCVTL2 into four pairs of
+// doubles and added by FADD .2D with the sum as the first operand (Vn) —
+// the operand order of the scalar loop's compiled FADDD, so where both
+// are NaN the same payload survives — then a scalar tail. Each element
+// is one double addition, so the bits are the scalar loop's whatever
+// the grouping. Encodings as listed above pairAsm.
+TEXT ·accumulateAsm(SB), NOSPLIT, $0-24
+	MOVD sums+0(FP), R0
+	MOVD v+8(FP), R1
+	MOVD n+16(FP), R2
+	AND  $-8, R2, R3               // R3 = n &^ 7
+	CBZ  R3, acctail
+
+	PCALIGN $16
+accblk:
+	VLD1.P 32(R1), [V0.S4, V1.S4]  // v[j..j+7]
+	VLD1   (R0), [V2.D2, V3.D2, V4.D2, V5.D2] // sums[j..j+7]
+	WORD $0x0E617806 // FCVTL V6.2D, V0.2S
+	WORD $0x4E617807 // FCVTL2 V7.2D, V0.4S
+	WORD $0x0E617830 // FCVTL V16.2D, V1.2S
+	WORD $0x4E617831 // FCVTL2 V17.2D, V1.4S
+	WORD $0x4E66D442 // FADD  V2.2D, V2.2D, V6.2D
+	WORD $0x4E67D463 // FADD  V3.2D, V3.2D, V7.2D
+	WORD $0x4E70D484 // FADD  V4.2D, V4.2D, V16.2D
+	WORD $0x4E71D4A5 // FADD  V5.2D, V5.2D, V17.2D
+	VST1.P [V2.D2, V3.D2, V4.D2, V5.D2], 64(R0)
+	SUB  $8, R3
+	CBNZ R3, accblk
+
+acctail:
+	AND  $7, R2
+	CBZ  R2, accdone
+accone:
+	FMOVS  (R1), F0
+	FCVTSD F0, F0
+	FMOVD  (R0), F1
+	FADDD  F0, F1, F1              // sums[j] the first operand (Dn)
+	FMOVD  F1, (R0)
+	ADD    $4, R1
+	ADD    $8, R0
+	SUB    $1, R2
+	CBNZ   R2, accone
+accdone:
+	RET
+
 // func screenAsm(qs, vecs *float32, dim, n, nq int, out *float32, res *screenResult)
 //
 // The screening pass of the screened argmin (kernel.go), in DOT FORM:
@@ -534,40 +582,49 @@ rownext:
 	FMOVS F31, 36(R11)
 	RET
 
-// func planarScreenAsm(qs, planes *float32, dim, stride, n, nq int, out *float32, res *screenResult)
+// func planarScreenAsm(qs, planes, norms *float32, dim, stride, n, nq int, out *float32, res *screenResult)
 //
 // screenAsm for a planar (dimension-major) table, as on amd64: the
-// dot-form values s = ‖c‖² − 2·q·c of nq (1…4) queries of 1 ≤ dim ≤ 7
-// floats, concatenated at qs, against n ≥ 4 centroids, dim planes
-// stride floats apart (n ≤ 256); query slot t's value for centroid i
-// goes to out[t*256+i], slots past nq reading the last query again. FOUR
-// CENTROIDS PER STEP, one per float lane: coordinate j of the four is
-// one load from plane j, its square summed into ‖c‖² (V16) and its
-// product with each slot's broadcast q[j] into that slot's dot
-// (V17..V20), fused (FMLA), in ascending j; then per slot 2·dot (exact)
-// and ‖c‖² − 2·dot, one rounding. A batch of one (R15 = nq-1 = 0)
-// skips slots 1..3, and stores only slot 0's values. Every term is at
-// most dim + 1 roundings deep; ‖q‖² (res.qq) is a chain of dim scalar
-// FMADDs, dim deep. When n is not a multiple of 4 the last step is
-// re-anchored at centroid n-4 and rewrites up to three values. V28..V31
-// keep each slot's smallest values lane by lane (FMIN: a NaN sticks, and
-// the limit is then +Inf), folded at the end (FMINV) into res.lim, for
-// screenSelectAsm.
+// dot-form values s = ‖c‖² − 2·q·c of nq (1…4) queries of dim ≥ 1 floats,
+// concatenated at qs, against n ≥ 16 centroids, dim planes stride floats
+// apart (n ≤ 256); query slot t's value for centroid i goes to
+// out[t*256+i], slots past nq reading the last query again. ‖q‖²
+// (res.qq) is summed like screenAsm's: 8-float blocks into two
+// accumulators per slot (V16..V23), reduced three levels, then the
+// dim mod 8 leftover elements by fused FMADDs — at most ⌈dim/8⌉ + 10
+// roundings deep, within dim + 4 from dim 8 on, and a chain of dim
+// FMADDs below it. Then SIXTEEN CENTROIDS PER STEP, one per float lane,
+// coordinate j of the sixteen one load from plane j:
+//
+//   - nq ≥ 2: each slot's broadcast q[j] times the four vectors fused
+//     into that slot's dots (V8..V23, sixteen independent chains), in
+//     ascending j; then per slot 2·dot (exact) and ‖c‖² − 2·dot, one
+//     rounding, with the sixteen ‖c‖² read from norms (planarNormsAsm's).
+//   - nq = 1: the squares summed into ‖c‖² (V24..V27) beside the one
+//     slot's dots (V8..V11), then s as above; only slot 0's values are
+//     stored.
+//
+// Every term is at most dim + 1 roundings deep. When n is not a multiple
+// of 16 the last step is re-anchored at centroid n-16 and rewrites up to
+// fifteen values. V28..V31 keep each slot's smallest values lane by lane
+// (FMIN: a NaN sticks, and the limit is then +Inf), folded at the end
+// (FMINV) into res.lim, for screenSelectAsm.
 //
 // Encodings of the WORD-coded forms beside those above pairAsm and
 // screenAsm:
 //
 //	FMIN  Vd.4S, Vn.4S, Vm.4S = 0x4EA0F400 | m<<16 | n<<5 | d
 //	FMINV Sd, Vn.4S           = 0x6EB0F800 | n<<5 | d
-TEXT ·planarScreenAsm(SB), NOSPLIT, $0-64
+TEXT ·planarScreenAsm(SB), NOSPLIT, $0-72
 	MOVD qs+0(FP), R0
 	MOVD planes+8(FP), R1
-	MOVD dim+16(FP), R2
-	MOVD stride+24(FP), R3
-	MOVD n+32(FP), R8
-	MOVD nq+40(FP), R13
-	MOVD out+48(FP), R9
-	MOVD res+56(FP), R11
+	MOVD norms+16(FP), R12
+	MOVD dim+24(FP), R2
+	MOVD stride+32(FP), R3
+	MOVD n+40(FP), R8
+	MOVD nq+48(FP), R13
+	MOVD out+56(FP), R9
+	MOVD res+64(FP), R11
 	LSL  $2, R3, R3                // R3 = plane stride in bytes
 	LSL  $2, R2, R10               // R10 = query stride in bytes
 	SUB  $1, R13, R15              // R15 = nq-1: 0 for a batch of one
@@ -589,43 +646,97 @@ TEXT ·planarScreenAsm(SB), NOSPLIT, $0-64
 	MUL  R10, R7, R7
 	ADD  R0, R7, R6
 
-	// ‖q‖² of the four slots into F18..F21, then res.qq.
+	// ‖q‖² of the four slots into F16, F18, F20, F22, then res.qq.
+	MOVD R0, R19
+	MOVD R4, R20
+	MOVD R5, R21
+	MOVD R6, R22
+	VEOR V16.B16, V16.B16, V16.B16
+	VEOR V17.B16, V17.B16, V17.B16
 	VEOR V18.B16, V18.B16, V18.B16
 	VEOR V19.B16, V19.B16, V19.B16
 	VEOR V20.B16, V20.B16, V20.B16
 	VEOR V21.B16, V21.B16, V21.B16
-	MOVD ZR, R14
-qq:
-	LSL    $2, R14, R7
-	FMOVS  (R0)(R7), F0
-	FMADDS F0, F18, F0, F18        // F18 += q[j]·q[j], one rounding
-	FMOVS  (R4)(R7), F0
-	FMADDS F0, F19, F0, F19
-	FMOVS  (R5)(R7), F0
+	VEOR V22.B16, V22.B16, V22.B16
+	VEOR V23.B16, V23.B16, V23.B16
+	AND  $-8, R2, R14              // R14 = dim &^ 7
+	CBZ  R14, qqred
+qqblk:
+	VLD1.P 32(R19), [V0.S4, V1.S4]
+	VLD1.P 32(R20), [V2.S4, V3.S4]
+	VLD1.P 32(R21), [V4.S4, V5.S4]
+	VLD1.P 32(R22), [V6.S4, V7.S4]
+	VFMLA V0.S4, V0.S4, V16.S4
+	VFMLA V1.S4, V1.S4, V17.S4
+	VFMLA V2.S4, V2.S4, V18.S4
+	VFMLA V3.S4, V3.S4, V19.S4
+	VFMLA V4.S4, V4.S4, V20.S4
+	VFMLA V5.S4, V5.S4, V21.S4
+	VFMLA V6.S4, V6.S4, V22.S4
+	VFMLA V7.S4, V7.S4, V23.S4
+	SUB  $8, R14
+	CBNZ R14, qqblk
+qqred:
+	WORD $0x4E31D610 // FADD  V16.4S, V16.4S, V17.4S
+	WORD $0x6E30D610 // FADDP V16.4S, V16.4S, V16.4S
+	WORD $0x7E30DA10 // FADDP S16, V16.2S
+	WORD $0x4E33D652 // FADD  V18.4S, V18.4S, V19.4S
+	WORD $0x6E32D652 // FADDP V18.4S, V18.4S, V18.4S
+	WORD $0x7E30DA52 // FADDP S18, V18.2S
+	WORD $0x4E35D694 // FADD  V20.4S, V20.4S, V21.4S
+	WORD $0x6E34D694 // FADDP V20.4S, V20.4S, V20.4S
+	WORD $0x7E30DA94 // FADDP S20, V20.2S
+	WORD $0x4E37D6D6 // FADD  V22.4S, V22.4S, V23.4S
+	WORD $0x6E36D6D6 // FADDP V22.4S, V22.4S, V22.4S
+	WORD $0x7E30DAD6 // FADDP S22, V22.2S
+	AND  $7, R2, R14               // R14 = the leftover elements
+	CBZ  R14, qqdone
+qqtail:
+	FMOVS  (R19), F0
+	FMADDS F0, F16, F0, F16        // F16 += q[j]·q[j], one rounding
+	FMOVS  (R20), F0
+	FMADDS F0, F18, F0, F18
+	FMOVS  (R21), F0
 	FMADDS F0, F20, F0, F20
-	FMOVS  (R6)(R7), F0
-	FMADDS F0, F21, F0, F21
-	ADD    $1, R14
-	CMP    R2, R14
-	BLT    qq
-	FMOVS F18, 40(R11)
-	FMOVS F19, 44(R11)
+	FMOVS  (R22), F0
+	FMADDS F0, F22, F0, F22
+	ADD  $4, R19
+	ADD  $4, R20
+	ADD  $4, R21
+	ADD  $4, R22
+	SUB  $1, R14
+	CBNZ R14, qqtail
+qqdone:
+	FMOVS F16, 40(R11)
+	FMOVS F18, 44(R11)
 	FMOVS F20, 48(R11)
-	FMOVS F21, 52(R11)
+	FMOVS F22, 52(R11)
 
 	MOVW $0x7F800000, R7
 	VDUP R7, V28.S4                // running minima of slots 0..3: +Inf
 	VDUP R7, V29.S4
 	VDUP R7, V30.S4
 	VDUP R7, V31.S4
+	CBZ  R15, sgroup
 
 	PCALIGN $16
 group:
-	VEOR V16.B16, V16.B16, V16.B16 // ‖c‖² of the four centroids
-	VEOR V17.B16, V17.B16, V17.B16 // q·c, slot 0
+	VEOR V8.B16, V8.B16, V8.B16    // q·c, slot 0, centroids 0..3 of the step
+	VEOR V9.B16, V9.B16, V9.B16    // slot 0, 4..7
+	VEOR V10.B16, V10.B16, V10.B16
+	VEOR V11.B16, V11.B16, V11.B16
+	VEOR V12.B16, V12.B16, V12.B16 // slot 1
+	VEOR V13.B16, V13.B16, V13.B16
+	VEOR V14.B16, V14.B16, V14.B16
+	VEOR V15.B16, V15.B16, V15.B16
+	VEOR V16.B16, V16.B16, V16.B16 // slot 2
+	VEOR V17.B16, V17.B16, V17.B16
 	VEOR V18.B16, V18.B16, V18.B16
 	VEOR V19.B16, V19.B16, V19.B16
-	VEOR V20.B16, V20.B16, V20.B16
+	VEOR V20.B16, V20.B16, V20.B16 // slot 3
+	VEOR V21.B16, V21.B16, V21.B16
+	VEOR V22.B16, V22.B16, V22.B16
+	VEOR V23.B16, V23.B16, V23.B16
 	MOVD R0, R19                   // the four slots' queries, walked per plane
 	MOVD R4, R20
 	MOVD R5, R21
@@ -633,54 +744,156 @@ group:
 	MOVD R1, R7                    // R7 = &plane j[the step]
 	MOVD R2, R14                   // R14 = planes left
 plane:
-	VLD1    (R7), [V0.S4]          // coordinate j of the four centroids
-	VLD1R.P 4(R19), [V1.S4]        // slot 0's q[j], every lane
-	VFMLA   V0.S4, V0.S4, V16.S4
-	VFMLA   V1.S4, V0.S4, V17.S4
-	CBZ     R15, planenext
-	VLD1R.P 4(R20), [V2.S4]
-	VLD1R.P 4(R21), [V3.S4]
-	VLD1R.P 4(R22), [V4.S4]
-	VFMLA   V2.S4, V0.S4, V18.S4
-	VFMLA   V3.S4, V0.S4, V19.S4
-	VFMLA   V4.S4, V0.S4, V20.S4
-planenext:
+	VLD1    (R7), [V0.S4, V1.S4, V2.S4, V3.S4] // coordinate j of the sixteen
+	VLD1R.P 4(R19), [V4.S4]        // each slot's q[j], every lane
+	VLD1R.P 4(R20), [V5.S4]
+	VLD1R.P 4(R21), [V6.S4]
+	VLD1R.P 4(R22), [V7.S4]
+	VFMLA   V4.S4, V0.S4, V8.S4
+	VFMLA   V4.S4, V1.S4, V9.S4
+	VFMLA   V4.S4, V2.S4, V10.S4
+	VFMLA   V4.S4, V3.S4, V11.S4
+	VFMLA   V5.S4, V0.S4, V12.S4
+	VFMLA   V5.S4, V1.S4, V13.S4
+	VFMLA   V5.S4, V2.S4, V14.S4
+	VFMLA   V5.S4, V3.S4, V15.S4
+	VFMLA   V6.S4, V0.S4, V16.S4
+	VFMLA   V6.S4, V1.S4, V17.S4
+	VFMLA   V6.S4, V2.S4, V18.S4
+	VFMLA   V6.S4, V3.S4, V19.S4
+	VFMLA   V7.S4, V0.S4, V20.S4
+	VFMLA   V7.S4, V1.S4, V21.S4
+	VFMLA   V7.S4, V2.S4, V22.S4
+	VFMLA   V7.S4, V3.S4, V23.S4
 	ADD  R3, R7
 	SUB  $1, R14
 	CBNZ R14, plane
 
-	// Per slot ‖c‖² − 2·dot (the doubling is exact), stored and folded
+	// Per slot ‖c‖² − 2·dot (the doubling is exact), stored, then folded
 	// into the slot's minima.
+	VLD1 (R12), [V24.S4, V25.S4, V26.S4, V27.S4] // ‖c‖² of the sixteen
+	WORD $0x4E28D508 // FADD  V8.4S, V8.4S, V8.4S
+	WORD $0x4EA8D708 // FSUB  V8.4S, V24.4S, V8.4S
+	WORD $0x4E29D529 // FADD  V9.4S, V9.4S, V9.4S
+	WORD $0x4EA9D729 // FSUB  V9.4S, V25.4S, V9.4S
+	WORD $0x4E2AD54A // FADD  V10.4S, V10.4S, V10.4S
+	WORD $0x4EAAD74A // FSUB  V10.4S, V26.4S, V10.4S
+	WORD $0x4E2BD56B // FADD  V11.4S, V11.4S, V11.4S
+	WORD $0x4EABD76B // FSUB  V11.4S, V27.4S, V11.4S
+	WORD $0x4E2CD58C // FADD  V12.4S, V12.4S, V12.4S
+	WORD $0x4EACD70C // FSUB  V12.4S, V24.4S, V12.4S
+	WORD $0x4E2DD5AD // FADD  V13.4S, V13.4S, V13.4S
+	WORD $0x4EADD72D // FSUB  V13.4S, V25.4S, V13.4S
+	WORD $0x4E2ED5CE // FADD  V14.4S, V14.4S, V14.4S
+	WORD $0x4EAED74E // FSUB  V14.4S, V26.4S, V14.4S
+	WORD $0x4E2FD5EF // FADD  V15.4S, V15.4S, V15.4S
+	WORD $0x4EAFD76F // FSUB  V15.4S, V27.4S, V15.4S
+	WORD $0x4E30D610 // FADD  V16.4S, V16.4S, V16.4S
+	WORD $0x4EB0D710 // FSUB  V16.4S, V24.4S, V16.4S
 	WORD $0x4E31D631 // FADD  V17.4S, V17.4S, V17.4S
-	WORD $0x4EB1D611 // FSUB  V17.4S, V16.4S, V17.4S
-	FMOVQ F17, (R9)
-	WORD $0x4EB1F79C // FMIN  V28.4S, V28.4S, V17.4S
-	CBZ   R15, groupnext
+	WORD $0x4EB1D731 // FSUB  V17.4S, V25.4S, V17.4S
 	WORD $0x4E32D652 // FADD  V18.4S, V18.4S, V18.4S
-	WORD $0x4EB2D612 // FSUB  V18.4S, V16.4S, V18.4S
-	FMOVQ F18, 1024(R9)
-	WORD $0x4EB2F7BD // FMIN  V29.4S, V29.4S, V18.4S
+	WORD $0x4EB2D752 // FSUB  V18.4S, V26.4S, V18.4S
 	WORD $0x4E33D673 // FADD  V19.4S, V19.4S, V19.4S
-	WORD $0x4EB3D613 // FSUB  V19.4S, V16.4S, V19.4S
-	FMOVQ F19, 2048(R9)
-	WORD $0x4EB3F7DE // FMIN  V30.4S, V30.4S, V19.4S
+	WORD $0x4EB3D773 // FSUB  V19.4S, V27.4S, V19.4S
 	WORD $0x4E34D694 // FADD  V20.4S, V20.4S, V20.4S
-	WORD $0x4EB4D614 // FSUB  V20.4S, V16.4S, V20.4S
-	FMOVQ F20, 3072(R9)
+	WORD $0x4EB4D714 // FSUB  V20.4S, V24.4S, V20.4S
+	WORD $0x4E35D6B5 // FADD  V21.4S, V21.4S, V21.4S
+	WORD $0x4EB5D735 // FSUB  V21.4S, V25.4S, V21.4S
+	WORD $0x4E36D6D6 // FADD  V22.4S, V22.4S, V22.4S
+	WORD $0x4EB6D756 // FSUB  V22.4S, V26.4S, V22.4S
+	WORD $0x4E37D6F7 // FADD  V23.4S, V23.4S, V23.4S
+	WORD $0x4EB7D777 // FSUB  V23.4S, V27.4S, V23.4S
+	VST1 [V8.S4, V9.S4, V10.S4, V11.S4], (R9) // query t's values are 1 KiB apart
+	ADD  $1024, R9, R7
+	VST1 [V12.S4, V13.S4, V14.S4, V15.S4], (R7)
+	ADD  $1024, R7
+	VST1 [V16.S4, V17.S4, V18.S4, V19.S4], (R7)
+	ADD  $1024, R7
+	VST1 [V20.S4, V21.S4, V22.S4, V23.S4], (R7)
+	WORD $0x4EA9F508 // FMIN  V8.4S, V8.4S, V9.4S
+	WORD $0x4EABF54A // FMIN  V10.4S, V10.4S, V11.4S
+	WORD $0x4EAAF508 // FMIN  V8.4S, V8.4S, V10.4S
+	WORD $0x4EA8F79C // FMIN  V28.4S, V28.4S, V8.4S
+	WORD $0x4EADF58C // FMIN  V12.4S, V12.4S, V13.4S
+	WORD $0x4EAFF5CE // FMIN  V14.4S, V14.4S, V15.4S
+	WORD $0x4EAEF58C // FMIN  V12.4S, V12.4S, V14.4S
+	WORD $0x4EACF7BD // FMIN  V29.4S, V29.4S, V12.4S
+	WORD $0x4EB1F610 // FMIN  V16.4S, V16.4S, V17.4S
+	WORD $0x4EB3F652 // FMIN  V18.4S, V18.4S, V19.4S
+	WORD $0x4EB2F610 // FMIN  V16.4S, V16.4S, V18.4S
+	WORD $0x4EB0F7DE // FMIN  V30.4S, V30.4S, V16.4S
+	WORD $0x4EB5F694 // FMIN  V20.4S, V20.4S, V21.4S
+	WORD $0x4EB7F6D6 // FMIN  V22.4S, V22.4S, V23.4S
+	WORD $0x4EB6F694 // FMIN  V20.4S, V20.4S, V22.4S
 	WORD $0x4EB4F7FF // FMIN  V31.4S, V31.4S, V20.4S
-groupnext:
-	ADD  $16, R1                   // next four centroids
-	ADD  $16, R9
-	SUB  $4, R8
-	CMP  $4, R8
+	ADD  $64, R1                   // next sixteen centroids
+	ADD  $64, R9
+	ADD  $64, R12
+	SUB  $16, R8
+	CMP  $16, R8
 	BGE  group
 	CBZ  R8, fold
-	SUB  $4, R8, R7                // 1..3 left: step back to centroid n-4
+	SUB  $16, R8, R7               // 1..15 left: step back to centroid n-16
 	LSL  $2, R7, R7
 	ADD  R7, R1
 	ADD  R7, R9
-	MOVD $4, R8
+	ADD  R7, R12
+	MOVD $16, R8
 	B    group
+
+	PCALIGN $16
+sgroup:
+	VEOR V8.B16, V8.B16, V8.B16    // q·c of centroids 0..3 of the step
+	VEOR V9.B16, V9.B16, V9.B16
+	VEOR V10.B16, V10.B16, V10.B16
+	VEOR V11.B16, V11.B16, V11.B16
+	VEOR V24.B16, V24.B16, V24.B16 // ‖c‖² of centroids 0..3
+	VEOR V25.B16, V25.B16, V25.B16
+	VEOR V26.B16, V26.B16, V26.B16
+	VEOR V27.B16, V27.B16, V27.B16
+	MOVD R0, R19
+	MOVD R1, R7
+	MOVD R2, R14
+splane:
+	VLD1    (R7), [V0.S4, V1.S4, V2.S4, V3.S4]
+	VLD1R.P 4(R19), [V4.S4]
+	VFMLA   V0.S4, V0.S4, V24.S4
+	VFMLA   V1.S4, V1.S4, V25.S4
+	VFMLA   V2.S4, V2.S4, V26.S4
+	VFMLA   V3.S4, V3.S4, V27.S4
+	VFMLA   V4.S4, V0.S4, V8.S4
+	VFMLA   V4.S4, V1.S4, V9.S4
+	VFMLA   V4.S4, V2.S4, V10.S4
+	VFMLA   V4.S4, V3.S4, V11.S4
+	ADD  R3, R7
+	SUB  $1, R14
+	CBNZ R14, splane
+	WORD $0x4E28D508 // FADD  V8.4S, V8.4S, V8.4S
+	WORD $0x4EA8D708 // FSUB  V8.4S, V24.4S, V8.4S
+	WORD $0x4E29D529 // FADD  V9.4S, V9.4S, V9.4S
+	WORD $0x4EA9D729 // FSUB  V9.4S, V25.4S, V9.4S
+	WORD $0x4E2AD54A // FADD  V10.4S, V10.4S, V10.4S
+	WORD $0x4EAAD74A // FSUB  V10.4S, V26.4S, V10.4S
+	WORD $0x4E2BD56B // FADD  V11.4S, V11.4S, V11.4S
+	WORD $0x4EABD76B // FSUB  V11.4S, V27.4S, V11.4S
+	VST1 [V8.S4, V9.S4, V10.S4, V11.S4], (R9)
+	WORD $0x4EA9F508 // FMIN  V8.4S, V8.4S, V9.4S
+	WORD $0x4EABF54A // FMIN  V10.4S, V10.4S, V11.4S
+	WORD $0x4EAAF508 // FMIN  V8.4S, V8.4S, V10.4S
+	WORD $0x4EA8F79C // FMIN  V28.4S, V28.4S, V8.4S
+	ADD  $64, R1
+	ADD  $64, R9
+	SUB  $16, R8
+	CMP  $16, R8
+	BGE  sgroup
+	CBZ  R8, fold
+	SUB  $16, R8, R7
+	LSL  $2, R7, R7
+	ADD  R7, R1
+	ADD  R7, R9
+	MOVD $16, R8
+	B    sgroup
 
 fold:
 	WORD $0x6EB0FB9C // FMINV S28, V28.4S
@@ -691,6 +904,80 @@ fold:
 	FMOVS F29, 28(R11)
 	FMOVS F30, 32(R11)
 	FMOVS F31, 36(R11)
+	RET
+
+// func planarNormsAsm(planes *float32, dim, stride, n int, out *float32)
+//
+// The float32 ‖c‖² of n ≥ 16 centroids (n ≤ 256) of a planar table, dim
+// ≥ 1 planes stride floats apart, into out[0..n) — the norms a tile of
+// planarScreenAsm reads: sixteen centroids per step, the even planes
+// fused into V16..V19 and the odd ones into V20..V23 (eight independent
+// chains), added at the end, so a term is at most ⌈dim/2⌉ + 1 roundings
+// deep. When n is not a multiple of 16 the last step is re-anchored at
+// centroid n-16 and rewrites up to fifteen norms with the same values.
+TEXT ·planarNormsAsm(SB), NOSPLIT, $0-40
+	MOVD planes+0(FP), R1
+	MOVD dim+8(FP), R2
+	MOVD stride+16(FP), R3
+	MOVD n+24(FP), R8
+	MOVD out+32(FP), R9
+	LSL  $2, R3, R3                // R3 = plane stride in bytes
+
+	PCALIGN $16
+nstep:
+	VEOR V16.B16, V16.B16, V16.B16
+	VEOR V17.B16, V17.B16, V17.B16
+	VEOR V18.B16, V18.B16, V18.B16
+	VEOR V19.B16, V19.B16, V19.B16
+	VEOR V20.B16, V20.B16, V20.B16
+	VEOR V21.B16, V21.B16, V21.B16
+	VEOR V22.B16, V22.B16, V22.B16
+	VEOR V23.B16, V23.B16, V23.B16
+	MOVD R1, R7                    // R7 = &plane j[the step]
+	SUB  $1, R2, R14               // R14 = planes left past the pair at R7
+npair:
+	CMP  $0, R14
+	BLT  nsum                      // dim even: every plane taken
+	BEQ  nlast
+	VLD1  (R7), [V0.S4, V1.S4, V2.S4, V3.S4]
+	ADD   R3, R7
+	VLD1  (R7), [V4.S4, V5.S4, V6.S4, V7.S4]
+	ADD   R3, R7
+	VFMLA V0.S4, V0.S4, V16.S4
+	VFMLA V1.S4, V1.S4, V17.S4
+	VFMLA V2.S4, V2.S4, V18.S4
+	VFMLA V3.S4, V3.S4, V19.S4
+	VFMLA V4.S4, V4.S4, V20.S4
+	VFMLA V5.S4, V5.S4, V21.S4
+	VFMLA V6.S4, V6.S4, V22.S4
+	VFMLA V7.S4, V7.S4, V23.S4
+	SUB   $2, R14
+	B     npair
+nlast:
+	VLD1  (R7), [V0.S4, V1.S4, V2.S4, V3.S4] // the last plane of an odd dim
+	VFMLA V0.S4, V0.S4, V16.S4
+	VFMLA V1.S4, V1.S4, V17.S4
+	VFMLA V2.S4, V2.S4, V18.S4
+	VFMLA V3.S4, V3.S4, V19.S4
+nsum:
+	WORD $0x4E34D610 // FADD  V16.4S, V16.4S, V20.4S
+	WORD $0x4E35D631 // FADD  V17.4S, V17.4S, V21.4S
+	WORD $0x4E36D652 // FADD  V18.4S, V18.4S, V22.4S
+	WORD $0x4E37D673 // FADD  V19.4S, V19.4S, V23.4S
+	VST1 [V16.S4, V17.S4, V18.S4, V19.S4], (R9)
+	ADD  $64, R1                   // next sixteen centroids
+	ADD  $64, R9
+	SUB  $16, R8
+	CMP  $16, R8
+	BGE  nstep
+	CBZ  R8, ndone
+	SUB  $16, R8, R7               // 1..15 left: step back to centroid n-16
+	LSL  $2, R7, R7
+	ADD  R7, R1
+	ADD  R7, R9
+	MOVD $16, R8
+	B    nstep
+ndone:
 	RET
 
 // func screenSelectAsm(out *float32, n, nq int, res *screenResult)

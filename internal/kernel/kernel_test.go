@@ -396,6 +396,41 @@ func TestArgminBatchAdversarial(t *testing.T) {
 	}
 }
 
+// TestArgminPlanarBatchAdversarial holds ArgminPlanarBatch — the
+// assignment step of every k-means pass, over the centroid table
+// transposed to planar at any width — to the exhaustive exact scan on
+// the adversarial table, under every implementation: the wide widths of
+// a coarse quantizer (whole 8-float blocks, a leftover tail, a long
+// row) at row counts around the screen's minimum, the tiles' last steps
+// (sixteen wide when no more than sixteen are left, a 24-wide step
+// re-anchored when 17–23 are: 47) and the 256-row block, and the bench
+// shards' 50 and 158 lists. The batch
+// alternates the planted query with its negation, five long, so the
+// windows CheckArgminPlanarBatch screens put the planted query at every
+// slot of a full tile, beside a different query, and in a batch of one.
+func TestArgminPlanarBatchAdversarial(t *testing.T) {
+	dims, ns := []int{8, 9, 15, 16, 17, 64, 100, 1024}, []int{1, 15, 16, 17, 47, 50, 158, 255, 256, 257}
+	if testing.Short() {
+		dims, ns = []int{8, 17, 64}, []int{17, 50, 257}
+	}
+	for _, c := range argminCases(dims, ns) {
+		t.Run(c.name, func(t *testing.T) {
+			dim := len(c.q)
+			qs := make([]float32, 0, (kernel.ArgminTile+1)*dim)
+			for s := 0; s <= kernel.ArgminTile; s++ {
+				if s%2 == 0 {
+					qs = append(qs, c.q...)
+					continue
+				}
+				for _, x := range c.q {
+					qs = append(qs, -x)
+				}
+			}
+			kerneltest.CheckArgminPlanarBatch(t, qs, c.vecs, dim, len(c.vecs)/dim)
+		})
+	}
+}
+
 // TestArgminBatchIsolatesSpecialQueries puts a NaN, an infinite and a
 // huge query (squared norm far above the screen's 1e30 safe range) into
 // one slot of a tile of ordinary ones: that slot falls back to the
@@ -410,6 +445,51 @@ func TestArgminBatchIsolatesSpecialQueries(t *testing.T) {
 			qs := randVec(rng, kernel.ArgminTile*dim)
 			qs[slot*dim+dim/2] = special
 			kerneltest.CheckArgminBatch(t, qs, vecs, dim, n)
+		}
+	}
+}
+
+// TestAccumulateParity holds Accumulate under every implementation to
+// the scalar loop its contract names, bit for bit: widths around the
+// vector steps, rows of random values, of every special (quiet and
+// signalling NaN payloads, ±Inf, ±MaxFloat32, subnormals, −0) at shifting
+// offsets, and of NaNs and infinities landing on sums that are already
+// NaN or infinite, each summed in sequence as Lloyd's update sums points.
+func TestAccumulateParity(t *testing.T) {
+	rng := rand.New(rand.NewPCG(107, 109))
+	nan := float32(math.NaN())
+	for _, dim := range []int{0, 1, 3, 4, 7, 8, 9, 15, 16, 17, 64, 100} {
+		var rows [][]float32
+		for phase := range 6 {
+			rows = append(rows, randVec(rng, dim), specialVec(dim, phase))
+		}
+		same := make([]float32, dim)
+		for i := range same {
+			same[i] = []float32{nan, -nan, float32(math.Inf(1)), float32(math.Inf(-1))}[i%4]
+		}
+		rows = append(rows, same, specialVec(dim, 3), same)
+		want := make([]float64, dim)
+		for _, v := range rows {
+			for j, x := range v {
+				want[j] += float64(x)
+			}
+		}
+		for _, im := range kernel.Impls() {
+			restore, err := kernel.SetActive(im.Name)
+			if err != nil {
+				t.Fatal(err)
+			}
+			got := make([]float64, dim)
+			for _, v := range rows {
+				kernel.Accumulate(got, v)
+			}
+			restore()
+			for j := range want {
+				if math.Float64bits(got[j]) != math.Float64bits(want[j]) {
+					t.Fatalf("impl %q, dim %d: sums[%d] = %v (%#016x), scalar loop %v (%#016x)",
+						im.Name, dim, j, got[j], math.Float64bits(got[j]), want[j], math.Float64bits(want[j]))
+				}
+			}
 		}
 	}
 }
@@ -587,6 +667,34 @@ func BenchmarkArgminBatch(b *testing.B) {
 	}
 }
 
+// BenchmarkAccumulate times the update step of one Lloyd round per
+// implementation at a bench shard label's IVF shape: a training sample
+// of 20 224 points of 64 floats, visited in sample order (a random
+// permutation of 25 000 rows, so each row is a cache miss, as in
+// training), summed into 158 clusters' float64 sums. ns/op is per point.
+func BenchmarkAccumulate(b *testing.B) {
+	const dim, rows, sample, k = 64, 25000, 20224, 158
+	rng := rand.New(rand.NewPCG(113, 127))
+	vecs := randVec(rng, rows*dim)
+	order := rng.Perm(rows)[:sample]
+	sums := make([]float64, k*dim)
+	for _, im := range kernel.Impls() {
+		b.Run("dim=64/"+im.Name, func(b *testing.B) {
+			restore, err := kernel.SetActive(im.Name)
+			if err != nil {
+				b.Fatal(err)
+			}
+			defer restore()
+			for i := 0; i < b.N; i++ {
+				p := order[i%sample]
+				ci := p % k
+				kernel.Accumulate(sums[ci*dim:(ci+1)*dim], vecs[p*dim:(p+1)*dim])
+			}
+			sink = sums[0]
+		})
+	}
+}
+
 // codebook is a product-quantization subquantizer at the serving shape:
 // 256 centroids of dsub floats, dimension-major, and one query subvector.
 func codebook(dsub int) (q, planes []float32) {
@@ -619,22 +727,30 @@ func BenchmarkArgminCodebook(b *testing.B) {
 }
 
 // BenchmarkArgminPlanarBatch times one ArgminPlanarBatch call of tile
-// subvectors against a dsub-4 planar codebook (dim 64 at M 16), under
-// the dispatched implementation: tile 1 is ArgminPlanar's batch of one
-// (IVFPQ.Append), 4 one screening tile, 64 a run of the assignment pass
-// of PQ training. ns/op ÷ tile is the cost per subvector.
+// points against a planar table, under the dispatched implementation. A
+// dsub-4 codebook (dim 64 at M 16, 256 centroids): tile 1 is
+// ArgminPlanar's batch of one (IVFPQ.Append), 4 one screening tile, 64 a
+// run of the assignment pass of PQ training. The coarse quantizers of
+// the bench's IVFPQ and IVF shard labels (50 and 158 centroids of 64
+// floats): tile 32 is one gather of a Lloyd assignment pass, 64 a run of
+// the full pass (BenchmarkArgminBatch's row-major shape). ns/op ÷ tile is
+// the cost per point.
 func BenchmarkArgminPlanarBatch(b *testing.B) {
 	rng := rand.New(rand.NewPCG(89, 97))
-	const dsub = 4
-	_, planes := codebook(dsub)
-	for _, tile := range []int{1, 4, 64} {
-		qs, out := randVec(rng, tile*dsub), make([]int32, tile)
-		b.Run(strconv.Itoa(dsub)+"x256/tile="+strconv.Itoa(tile), func(b *testing.B) {
-			for i := 0; i < b.N; i++ {
-				kernel.ArgminPlanarBatch(qs, planes, dsub, kernel.ADCKs, out)
-			}
-			sink = float64(out[0])
-		})
+	for _, c := range []struct {
+		dim, n int
+		tiles  []int
+	}{{4, kernel.ADCKs, []int{1, 4, 64}}, {64, 50, []int{32, 64}}, {64, 158, []int{32, 64}}} {
+		planes := randVec(rng, c.dim*c.n)
+		for _, tile := range c.tiles {
+			qs, out := randVec(rng, tile*c.dim), make([]int32, tile)
+			b.Run("dim="+strconv.Itoa(c.dim)+"/n="+strconv.Itoa(c.n)+"/tile="+strconv.Itoa(tile), func(b *testing.B) {
+				for i := 0; i < b.N; i++ {
+					kernel.ArgminPlanarBatch(qs, planes, c.dim, c.n, out)
+				}
+				sink = float64(out[0])
+			})
+		}
 	}
 }
 

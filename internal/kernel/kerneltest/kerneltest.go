@@ -179,12 +179,11 @@ func CheckArgminBatch(t testing.TB, qs, vecs []float32, dim, n int) {
 }
 
 // CheckArgminPlanarBatch is CheckArgminBatch for ArgminPlanarBatch over
-// the n-row table vecs TRANSPOSED to dimension-major (1 ≤ dim <
-// kernel.BlockDim).
+// the n-row table vecs TRANSPOSED to dimension-major.
 func CheckArgminPlanarBatch(t testing.TB, qs, vecs []float32, dim, n int) {
 	t.Helper()
-	if dim <= 0 || dim >= kernel.BlockDim {
-		t.Fatalf("CheckArgminPlanarBatch needs 1 ≤ dim < %d, got %d", kernel.BlockDim, dim)
+	if dim <= 0 {
+		t.Fatalf("CheckArgminPlanarBatch needs dim ≥ 1, got %d", dim)
 	}
 	planes := transpose(vecs, dim, n)
 	checkBatch(t, "ArgminPlanarBatch", qs, vecs, dim, n, func(qs []float32, out []int32) {

@@ -5,16 +5,18 @@ import (
 	"math"
 )
 
-// Planar (dimension-major) centroid tables: the layout of a table whose
-// rows are narrower than one block of the summation order (BlockDim),
-// which is every product-quantization subquantizer at dim/M < 8. Such a
-// table of n centroids is dim planes of n floats — planes[j*n+i] is
-// coordinate j of centroid i — so the vector paths read one coordinate
-// of rowLanes neighbouring centroids with ONE contiguous load and put
-// one centroid in each double lane. The distance of centroid i is the
-// tail-only order of the package comment,
+// Planar (dimension-major) centroid tables. A table of n centroids is
+// dim planes of n floats — planes[j*n+i] is coordinate j of centroid i
+// — so the vector paths read one coordinate of neighbouring centroids
+// with ONE contiguous load and put one centroid in each lane. It is the
+// resident layout of a product-quantization subquantizer narrower than
+// one block of the summation order (BlockDim: dim 64 at M 16 is 4), and
+// the transient layout every k-means assignment pass (ArgminPlanarBatch)
+// reads at any width. The distance of centroid i is the package
+// comment's summation order over t_j = (float64(q[j]) − float64(planes[j*n+i]))²;
+// below BlockDim that is the tail-only order,
 //
-//	s = (((t0 + t1) + t2) + …) + t[dim-1],   t_j = (float64(q[j]) − float64(planes[j*n+i]))²
+//	s = (((t0 + t1) + t2) + …) + t[dim-1],
 //
 // which is bit for bit what DistanceRows returns for the same table
 // stored row-major (NaN canonicalized the same way): the layout moves
@@ -64,16 +66,48 @@ func planarGeneric(q, planes []float32, n, lo int, out []float64) {
 	}
 }
 
-// argminPlanarExact is the exhaustive scan ArgminPlanar is specified
-// by, a block of distances at a time under im's planar routine.
+// planarWide is planarGeneric for a table of BlockDim or more floats per
+// centroid, len(out) ≤ argminBlock: the blocked prefix swept one plane
+// at a time into the 8 partial sums of every centroid, the fixed tree,
+// then the tail planes — the order of the package comment, with every
+// load contiguous. NaN is left uncanonicalized: its one caller is an
+// argmin.
+func planarWide(q, planes []float32, n, lo int, out []float64) {
+	var p [8][argminBlock]float64
+	nb := len(q) &^ 7
+	for j := 0; j < nb; j++ {
+		qj, pk := float64(q[j]), p[j&7][:len(out)]
+		for i, v := range planes[j*n+lo : j*n+lo+len(out)] {
+			d := qj - float64(v)
+			pk[i] += float64(d * d)
+		}
+	}
+	for i := range out {
+		out[i] = ((p[0][i] + p[4][i]) + (p[2][i] + p[6][i])) + ((p[1][i] + p[5][i]) + (p[3][i] + p[7][i]))
+	}
+	for j := nb; j < len(q); j++ {
+		qj := float64(q[j])
+		for i, v := range planes[j*n+lo : j*n+lo+len(out)] {
+			d := qj - float64(v)
+			out[i] += float64(d * d)
+		}
+	}
+}
+
+// argminPlanarExact is the exhaustive scan ArgminPlanar and
+// ArgminPlanarBatch are specified by, a block of distances at a time:
+// below BlockDim under im's planar routine, from there up planarWide's.
 func argminPlanarExact(im *Impl, q, planes []float32, n int) int {
-	var buf [argminBlock]float64
 	best, bestD := 0, math.Inf(1)
+	var buf [argminBlock]float64
 	for lo := 0; lo < n; lo += argminBlock {
 		d2s := buf[:min(argminBlock, n-lo)]
-		if im == &impls[0] {
+		switch {
+		case len(q) >= BlockDim:
+			planarWide(q, planes, n, lo, d2s)
+		case im == &impls[0]:
 			planarGeneric(q, planes, n, lo, d2s)
-		} else {
+		default:
 			planarVector(q, planes, n, lo, d2s)
 		}
 		for i, d := range d2s {
@@ -108,17 +142,17 @@ func DistancePlanar(q, planes []float32, out []float64) {
 }
 
 // ArgminPlanarBatch writes into out[i] the index of the centroid of an
-// n-centroid planar table nearest query i of qs (len(out) queries of
-// dim < BlockDim floats, concatenated): bit for bit what
-// ArgminPlanar(qs[i*dim:(i+1)*dim], planes, n) returns. On the assembly
+// n-centroid planar table of any width nearest query i of qs (len(out)
+// queries of dim floats, concatenated): bit for bit what
+// ArgminRows(qs[i*dim:(i+1)*dim], table, dim, n) returns for the same
+// table stored row-major — the exhaustive scan's index. On the assembly
 // implementations the queries are screened ArgminTile at a time, so
-// each group of centroids is loaded once per tile — the assignment pass
-// of PQ training and the encoding pass hand a run of subvectors to one
+// each group of centroids is loaded once per tile — every k-means
+// assignment pass and the PQ encoding pass hand a run of points to one
 // call.
 func ArgminPlanarBatch(qs, planes []float32, dim, n int, out []int32) {
-	if dim < 0 || dim >= BlockDim || len(qs) != len(out)*dim {
-		panic(fmt.Sprintf("kernel: ArgminPlanarBatch %d query floats for %d queries of %d (planar tables are narrower than %d)",
-			len(qs), len(out), dim, BlockDim))
+	if dim < 0 || len(qs) != len(out)*dim {
+		panic(fmt.Sprintf("kernel: ArgminPlanarBatch %d query floats for %d queries of %d", len(qs), len(out), dim))
 	}
 	if n < 0 || len(planes) < dim*n {
 		panic(fmt.Sprintf("kernel: ArgminPlanarBatch %d table floats for %d planes of %d", len(planes), dim, n))
@@ -134,7 +168,7 @@ func ArgminPlanarBatch(qs, planes []float32, dim, n int, out []int32) {
 	case len(out) == 1:
 		out[0] = int32(argminOne(qs, planes, dim, n, true))
 	default:
-		var a [ArgminTile * argminBlock]float32
+		var a [(ArgminTile + 1) * argminBlock]float32
 		argminScreened(qs, planes, dim, n, out, a[:], true)
 	}
 }
@@ -164,5 +198,5 @@ func ArgminPlanar(q, planes []float32, n int) int {
 // screensPlanar reports whether im runs the screened argmin over a
 // planar table of width dim ≥ 1.
 func screensPlanar(im *Impl, dim int) bool {
-	return screenOK && im != &impls[0]
+	return screenOK && im != &impls[0] && dim <= screenMaxDim
 }

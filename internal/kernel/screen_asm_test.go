@@ -11,8 +11,8 @@ import (
 )
 
 // TestScreenBoundWidensOffOrigin moves rows and queries 1e3 from the
-// origin in every coordinate (‖q‖ ≈ 8e3 at dim 64, 2e3 for a dsub-4
-// planar codebook). The screening error scales with (‖q‖ + ‖v‖)², not
+// origin in every coordinate (‖q‖ ≈ 8e3 at dim 64, row-major and planar,
+// 2e3 for a dsub-4 planar codebook). The screening error scales with (‖q‖ + ‖v‖)², not
 // with the distances, so far more rows are candidates than for the same
 // cloud at the origin — the count is logged — and every answer is still
 // the exhaustive scan's.
@@ -24,7 +24,7 @@ func TestScreenBoundWidensOffOrigin(t *testing.T) {
 	for _, c := range []struct {
 		dim, n int
 		planar bool
-	}{{64, 158, false}, {4, argminBlock, true}} {
+	}{{64, 158, false}, {64, 158, true}, {4, argminBlock, true}} {
 		const nq = 64
 		dim, n := c.dim, c.n
 		for _, off := range []float32{0, 1e3} {
@@ -61,11 +61,13 @@ func TestScreenBoundWidensOffOrigin(t *testing.T) {
 				}
 			}
 			var a [ArgminTile * argminBlock]float32
+			var norms [argminBlock]float32
 			total := 0
 			for t0 := 0; t0 < nq; t0 += ArgminTile {
 				res := screenResult{bound: newScreenBound(dim, c.planar)}
 				if c.planar {
-					planarScreenAsm(&qs[t0*dim], &table[0], dim, n, n, ArgminTile, &a[0], &res)
+					planarNormsAsm(&table[0], dim, n, n, &norms[0])
+					planarScreenAsm(&qs[t0*dim], &table[0], &norms[0], dim, n, n, ArgminTile, &a[0], &res)
 				} else {
 					screenAsm(&qs[t0*dim], &vecs[0], dim, n, ArgminTile, &a[0], &res)
 				}
@@ -88,21 +90,23 @@ func TestScreenBoundWidensOffOrigin(t *testing.T) {
 	}
 }
 
-// TestPlanarScreenValues holds planarScreenAsm itself to what the
-// screened argmin relies on, at every planar width, row counts around
-// its steps, and tiles of one to four queries: every value within the
-// proved error of the real ‖c‖² − 2·q·c, each slot's minimum the
-// smallest of its values, its ‖q‖² within the proved error, and nothing
-// written outside the values of its rows and slots (a batch of one
-// owns 1 KiB of scratch only).
+// TestPlanarScreenValues holds planarScreenAsm and planarNormsAsm
+// themselves to what the screened argmin relies on, at the narrow widths
+// of a PQ codebook and wide ones around the 8-float blocks of ‖q‖², row
+// counts around their steps, and tiles of one to four queries: every
+// value within the proved error of the real ‖c‖² − 2·q·c (the norms a
+// tile reads within it of ‖c‖²), each slot's minimum the smallest of its
+// values, its ‖q‖² within the proved error, and nothing written outside
+// the values of its rows and slots (a batch of one owns 1 KiB of
+// scratch only) or past the n norms.
 func TestPlanarScreenValues(t *testing.T) {
 	if !screenOK || Active() == "generic" {
 		t.Skip("no screening routine on this host")
 	}
 	rng := rand.New(rand.NewPCG(101, 103))
 	const sentinel = float32(-1234.5)
-	for dim := 1; dim < BlockDim; dim++ {
-		for _, n := range []int{32, 33, 63, 100, 255, 256} {
+	for _, dim := range []int{1, 2, 3, 4, 5, 6, 7, 8, 9, 15, 16, 17, 64, 100} {
+		for _, n := range []int{32, 33, 40, 41, 47, 63, 100, 158, 255, 256} {
 			for nq := 1; nq <= ArgminTile; nq++ {
 				stride := n + 3 // the block is the middle of a wider table
 				table := make([]float32, dim*stride)
@@ -118,9 +122,30 @@ func TestPlanarScreenValues(t *testing.T) {
 					a[i] = sentinel
 				}
 				res := screenResult{bound: newScreenBound(dim, true)}
-				planarScreenAsm(&qs[0], &table[2], dim, stride, n, nq, &a[0], &res)
+				var norms [argminBlock + 1]float32
+				for i := range norms {
+					norms[i] = sentinel
+				}
+				planarNormsAsm(&table[2], dim, stride, n, &norms[0])
+				planarScreenAsm(&qs[0], &table[2], &norms[0], dim, stride, n, nq, &a[0], &res)
 				k := float64(dim + 4)
 				c := k*0x1p-24/(1-k*0x1p-24) + 0x1p-23
+				for i, got := range norms {
+					if i >= n {
+						if got != sentinel {
+							t.Fatalf("dim %d, n %d: norm %d written (%v)", dim, n, i, got)
+						}
+						continue
+					}
+					norm := 0.0
+					for j := 0; j < dim; j++ {
+						v := float64(table[j*stride+2+i])
+						norm += v * v
+					}
+					if err := math.Abs(float64(got) - norm); err > c*norm {
+						t.Fatalf("dim %d, n %d: norm %d = %v, real %v: error %g past the bound", dim, n, i, got, norm, err)
+					}
+				}
 				for slot := range ArgminTile {
 					q := qs[min(slot, nq-1)*dim:][:dim]
 					qq := 0.0
