@@ -513,10 +513,9 @@ func saveIndexFile(path string, s fingerprint.Searcher) error {
 	return os.Rename(tmp, path)
 }
 
-// loadIndexFile loads a serialized index and checks its shape against
-// the database it will serve; the entries themselves are checked when
-// the deployment attaches it (index.Attach), which also catches up an
-// index that covers only a prefix of the database. Backend selection
+// loadIndexFile reads a serialized index as the index of db
+// (index.Load): every entry is checked against the database, and an
+// index that covers only a prefix of it catches up. Backend selection
 // from -backend goes through serve.ParseBackend instead.
 func loadIndexFile(path string, db *fingerprint.DB, out io.Writer) (fingerprint.Searcher, error) {
 	f, err := os.Open(path)
@@ -524,13 +523,9 @@ func loadIndexFile(path string, db *fingerprint.DB, out io.Writer) (fingerprint.
 		return nil, err
 	}
 	defer f.Close()
-	s, err := index.Load(f)
+	s, err := index.Load(f, db)
 	if err != nil {
 		return nil, err
-	}
-	if s.Dim() != db.Dim() || s.Len() > db.Len() {
-		return nil, fmt.Errorf("index %s (%d entries, dim %d) does not match database (%d entries, dim %d)",
-			path, s.Len(), s.Dim(), db.Len(), db.Dim())
 	}
 	fmt.Fprintf(out, "loaded %s index from %s\n", s.Kind(), path)
 	return s, nil

@@ -477,9 +477,9 @@ func TestEveryKnobFlagReachesConfig(t *testing.T) {
 func TestServeRejectsMismatchedIndex(t *testing.T) {
 	dbPath := writeTestDB(t, 40)
 	otherDB := writeTestDB(t, 50)
-	// Build an index over a different database and try to serve with it:
-	// the daemon must refuse with a message naming both entry counts, not
-	// silently serve results that point at the wrong linkages.
+	// Build an index over a larger database and try to serve with it: the
+	// daemon must refuse it as foreign, naming a label's entry count in
+	// each, not silently serve results that point at the wrong linkages.
 	f, err := os.Open(otherDB)
 	if err != nil {
 		t.Fatal(err)
@@ -502,11 +502,8 @@ func TestServeRejectsMismatchedIndex(t *testing.T) {
 	if err == nil {
 		t.Fatal("mismatched index accepted")
 	}
-	msg := err.Error()
-	for _, want := range []string{"does not match database", "50 entries", "40 entries"} {
-		if !strings.Contains(msg, want) {
-			t.Fatalf("mismatch error %q does not mention %q", msg, want)
-		}
+	if !errors.Is(err, index.ErrForeignIndex) || !strings.Contains(err.Error(), "label 0 holds 17 entries, the database 14") {
+		t.Fatalf("mismatch error %q is not index.ErrForeignIndex naming label 0's counts", err)
 	}
 }
 
@@ -656,7 +653,7 @@ func TestSaveIndexFileIsAtomic(t *testing.T) {
 		t.Fatal(err)
 	}
 	defer f.Close()
-	s, err := index.Load(f)
+	s, err := index.Load(f, db)
 	if err != nil {
 		t.Fatalf("previous index no longer loads after a failed save: %v", err)
 	}

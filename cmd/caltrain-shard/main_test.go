@@ -89,7 +89,7 @@ func TestShardSplitEndToEnd(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
-		s, err := index.Load(xf)
+		s, err := index.Load(xf, db)
 		xf.Close()
 		if err != nil {
 			t.Fatal(err)

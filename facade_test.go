@@ -96,7 +96,7 @@ func TestIndexServingFacade(t *testing.T) {
 	if err := SaveIndex(&buf, ivf); err != nil {
 		t.Fatal(err)
 	}
-	reloaded, err := LoadIndex(&buf)
+	reloaded, err := LoadIndex(&buf, db)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -614,7 +614,7 @@ func TestIngestFacade(t *testing.T) {
 	if _, err := LoadLinkageDB(bytes.NewReader([]byte("NOPEnope"))); !errors.Is(err, ErrCorrupt) {
 		t.Fatalf("corrupt db load: %v", err)
 	}
-	if _, err := LoadIndex(bytes.NewReader([]byte{'C', 'T', 'I', 'X', 99})); !errors.Is(err, ErrVersionMismatch) && !errors.Is(err, ErrCorrupt) {
+	if _, err := LoadIndex(bytes.NewReader([]byte{'C', 'T', 'I', 'X', 99}), db3); !errors.Is(err, ErrVersionMismatch) && !errors.Is(err, ErrCorrupt) {
 		t.Fatalf("corrupt index load: %v", err)
 	}
 }

@@ -164,9 +164,10 @@ func runsOf(t testing.TB, s Searcher) []*entries {
 // TestIndexHoldsProvenanceOnlyForAppends: an index built over a
 // database — loaded or Add-built — keeps no linkage of its own for any
 // entry it was built over, only the database it resolves them through;
-// a linkage that arrives through Append and that no database holds is
-// kept, and served with its own index, source and hash, before and after
-// a Save/Load round trip.
+// a linkage that arrives through Append and that the database does not
+// hold is kept, and served with its own index, source and hash. Loaded
+// over a database that has since stored it, the same index keeps
+// nothing again and serves it the same.
 func TestIndexHoldsProvenanceOnlyForAppends(t *testing.T) {
 	const dim, classes = 8, 3
 	added, loaded, _ := addedAndLoaded(t, dim, 300, classes, true, 13)
@@ -193,7 +194,7 @@ func TestIndexHoldsProvenanceOnlyForAppends(t *testing.T) {
 
 			ghost := fingerprint.Linkage{F: make(fingerprint.Fingerprint, dim), Y: 1, S: "ghost", H: [32]byte{0xfe, 0xed}}
 			ghost.F[0] = 40 // far from every unit-norm entry: its own nearest neighbour
-			ghostIdx := db.Len() + 7
+			ghostIdx := db.Len()
 			if err := x.Append(ghostIdx, ghost); err != nil {
 				t.Fatal(err)
 			}
@@ -204,9 +205,18 @@ func TestIndexHoldsProvenanceOnlyForAppends(t *testing.T) {
 			if kept != 1 {
 				t.Fatalf("%s: provenance kept for %d entries after one Append", x.Kind(), kept)
 			}
-			reloaded, err := Load(bytes.NewReader(savedBytes(t, x)))
+			grown := db.Snapshot(-1)
+			if err := grown.Add(ghost); err != nil {
+				t.Fatal(err)
+			}
+			reloaded, err := Load(bytes.NewReader(savedBytes(t, x)), grown)
 			if err != nil {
 				t.Fatal(err)
+			}
+			for _, e := range runsOf(t, reloaded) {
+				if e.kept() != len(e.idx) || e.db != grown {
+					t.Fatalf("%s: a loaded run keeps provenance of its own for %d of %d entries", x.Kind(), len(e.idx)-e.kept(), len(e.idx))
+				}
 			}
 			for _, s := range []Searcher{x, reloaded} {
 				got, err := s.Search(ghost.F, 1, 2)
@@ -523,17 +533,41 @@ const (
 	indexedBudget = 1.22
 )
 
+// budgetKinds trains each backend the way the resident budgets measure
+// it, at M 16 for IVFPQ.
+var budgetKinds = []struct {
+	name  string
+	train func(*fingerprint.DB) (Searcher, error)
+}{
+	{"flat", func(db *fingerprint.DB) (Searcher, error) { return NewFlat(db), nil }},
+	{"ivf", func(db *fingerprint.DB) (Searcher, error) { return TrainIVF(db, IVFOptions{Seed: 1}) }},
+	{"ivfpq", func(db *fingerprint.DB) (Searcher, error) {
+		return TrainIVFPQ(db, IVFPQOptions{IVFOptions: IVFOptions{Seed: 1}, M: 16})
+	}},
+}
+
 // TestLoadedIndexHeapBudget holds a loaded database, alone and under
-// each index, to the resident budget, and loading to allocating at most
-// 1.2 × the file. IVFPQ's codes, M bytes an entry, are its own and come
-// on top.
+// each index — trained over it, or read by Load from the file that
+// training saves — to the resident budget, and loading to allocating at
+// most 1.2 × the file. IVFPQ's codes, M bytes an entry, are its own and
+// come on top.
 func TestLoadedIndexHeapBudget(t *testing.T) {
 	if testing.Short() {
 		t.Skip("allocates a 50 000 × 64 database")
 	}
 	const dim, n, classes, m = 64, 50_000, 8, 16
-	_, _, raw := addedAndLoaded(t, dim, n, classes, true, 7)
+	_, first, raw := addedAndLoaded(t, dim, n, classes, true, 7)
 	rawVectors := float64(n * dim * 4)
+	saved := make(map[string][]byte, len(budgetKinds))
+	for _, k := range budgetKinds {
+		s, err := k.train(first)
+		if err != nil {
+			t.Fatal(err)
+		}
+		saved[k.name] = savedBytes(t, s)
+	}
+	// first is dead from here on: of it, only the saved files are part of
+	// the baseline.
 
 	live0, total0 := liveHeap()
 	db, err := fingerprint.LoadDB(bytes.NewReader(raw))
@@ -544,18 +578,21 @@ func TestLoadedIndexHeapBudget(t *testing.T) {
 	if got, limit := float64(total1-total0), 1.2*float64(len(raw)); got > limit {
 		t.Errorf("LoadDB allocated %.1f MB for a %.1f MB file (limit 1.2×)", got/1e6, float64(len(raw))/1e6)
 	}
-	for _, row := range []struct {
+	type row struct {
 		name   string
 		budget float64
 		build  func() (Searcher, error)
-	}{
-		{"database alone", dbBudget * rawVectors, func() (Searcher, error) { return db, nil }},
-		{"flat", indexedBudget * rawVectors, func() (Searcher, error) { return NewFlat(db), nil }},
-		{"ivf", indexedBudget * rawVectors, func() (Searcher, error) { return TrainIVF(db, IVFOptions{Seed: 1}) }},
-		{"ivfpq", indexedBudget*rawVectors + n*m, func() (Searcher, error) {
-			return TrainIVFPQ(db, IVFPQOptions{IVFOptions: IVFOptions{Seed: 1}, M: m})
-		}},
-	} {
+	}
+	rows := []row{{"database alone", dbBudget * rawVectors, func() (Searcher, error) { return db, nil }}}
+	for _, k := range budgetKinds {
+		budget := indexedBudget * rawVectors
+		if k.name == "ivfpq" {
+			budget += n * m
+		}
+		rows = append(rows, row{k.name, budget, func() (Searcher, error) { return k.train(db) }},
+			row{k.name + " via Load", budget, func() (Searcher, error) { return Load(bytes.NewReader(saved[k.name]), db) }})
+	}
+	for _, row := range rows {
 		s, err := row.build()
 		if err != nil {
 			t.Fatal(err)
@@ -570,6 +607,7 @@ func TestLoadedIndexHeapBudget(t *testing.T) {
 	}
 	runtime.KeepAlive(db)
 	runtime.KeepAlive(raw) // part of the baseline: it must not be collected in between
+	runtime.KeepAlive(saved)
 }
 
 // TestStoreRetrainPinsNothing: a drift retrain trains over a Snapshot and

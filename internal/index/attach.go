@@ -9,39 +9,37 @@ import (
 )
 
 // ErrForeignIndex marks an index that is not its database's: an entry
-// the database does not hold at that index (label, source, hash, and for
-// Flat and IVF the row's bits), an index outside the database's first
-// Len() entries or held twice, or more entries than the database has.
-// Branch with errors.Is.
+// the database does not hold at that index (label, source, hash, and the
+// row's bits), an index outside the database's first Len() entries or
+// held twice, or more entries than the database has. Branch with
+// errors.Is.
 var ErrForeignIndex = errors.New("index: not the database's index")
 
-// Attach makes s — typically read by Load — the index of db. Every entry
-// of s must be db's entry at its database index, and together they must
-// be db's first s.Len() entries; otherwise Attach refuses with
-// ErrForeignIndex and leaves s as it was. An IVFPQ then takes db for its
-// exact stage (AttachDB), and the entries db holds past s's are
-// appended in database order, as the write path would have appended
-// them: an index saved before its database grew — a snapshot that
-// landed the database file but not the index file — catches up instead
-// of being refused. A searcher other than Flat, IVF and IVFPQ is left
-// alone.
+// Attach makes s the index of db. Every entry of s must be db's entry at
+// its database index, and together they must be db's first s.Len()
+// entries; otherwise Attach refuses with ErrForeignIndex and leaves s as
+// it was. The entries db holds past s's are then appended in database
+// order, as the write path would have appended them. A searcher other
+// than Flat, IVF and IVFPQ is left alone.
 func Attach(s Searcher, db *fingerprint.DB) error {
-	switch x := s.(type) {
-	case *IVFPQ:
-		if err := x.AttachDB(db); err != nil {
-			return err
-		}
-	case *Flat, *IVF:
+	switch s.(type) {
+	case *Flat, *IVF, *IVFPQ:
 		if err := checkPrefix(s, db); err != nil {
 			return err
 		}
-	default:
-		return nil
+		return catchUp(s.(Appender), db)
 	}
-	ap := s.(Appender)
+	return nil
+}
+
+// catchUp appends to s, in database order, the entries db holds past
+// s's: an index saved before its database grew — a snapshot that landed
+// the database file but not the index file — catches up instead of
+// being refused.
+func catchUp(s Appender, db *fingerprint.DB) error {
 	for i := s.Len(); i < db.Len(); i++ {
-		if err := ap.Append(i, db.Entry(i)); err != nil {
-			return fmt.Errorf("index: attach: catching up entry %d: %w", i, err)
+		if err := s.Append(i, db.Entry(i)); err != nil {
+			return fmt.Errorf("index: catching up entry %d: %w", i, err)
 		}
 	}
 	return nil
@@ -49,30 +47,20 @@ func Attach(s Searcher, db *fingerprint.DB) error {
 
 // checkPrefix reports whether the entries of s are db's first s.Len()
 // entries, each the database's at its index: one pass over the index in
-// whatever order it keeps its runs, each database index marked once.
+// whatever order it keeps its runs.
 func checkPrefix(s Searcher, db *fingerprint.DB) error {
 	if db.Dim() != s.Dim() {
 		return fmt.Errorf("%w: database has %d dims, index %d", fingerprint.ErrDimMismatch, db.Dim(), s.Dim())
 	}
-	n := s.Len()
-	if n > db.Len() {
+	if n := s.Len(); n > db.Len() {
 		return fmt.Errorf("%w: %d entries, the database %d", ErrForeignIndex, n, db.Len())
 	}
-	seen := make([]uint64, (n+63)/64)
-	check := func(y int, e *entries, vecs *rows) error {
+	chk := newEntryCheck(db)
+	run := func(y int, e *entries, row func(pos int) []float32) error {
 		for pos, idx := range e.idx {
-			i := int(idx)
-			if i < 0 || i >= n || seen[i/64]&(1<<(i%64)) != 0 {
-				return fmt.Errorf("%w: entry %d of label %d is outside the database's first %d or held twice", ErrForeignIndex, i, y, n)
-			}
-			seen[i/64] |= 1 << (i % 64)
 			src, hash := e.provenance(pos)
-			l := db.Entry(i)
-			if l.Y != y || l.S != src || l.H != hash {
-				return fmt.Errorf("%w: entry %d (label %d, source %q) is not the database's (label %d, source %q)", ErrForeignIndex, i, y, src, l.Y, l.S)
-			}
-			if vecs != nil && !sameRow(vecs.at(pos), l.F) {
-				return fmt.Errorf("%w: entry %d's row is not the database's", ErrForeignIndex, i)
+			if err := chk.entry(int(idx), y, []byte(src), hash[:], row(pos)); err != nil {
+				return err
 			}
 		}
 		return nil
@@ -82,7 +70,7 @@ func checkPrefix(s Searcher, db *fingerprint.DB) error {
 		x.mu.RLock()
 		defer x.mu.RUnlock()
 		for y, b := range x.buckets {
-			if err := check(y, &b.entries, &b.vecs); err != nil {
+			if err := run(y, &b.entries, b.vecs.at); err != nil {
 				return err
 			}
 		}
@@ -90,7 +78,7 @@ func checkPrefix(s Searcher, db *fingerprint.DB) error {
 		x.mu.RLock()
 		defer x.mu.RUnlock()
 		for y, c := range x.labels {
-			if err := check(y, &c.b.entries, &c.b.vecs); err != nil {
+			if err := run(y, &c.b.entries, c.b.vecs.at); err != nil {
 				return err
 			}
 		}
@@ -99,11 +87,56 @@ func checkPrefix(s Searcher, db *fingerprint.DB) error {
 		defer x.mu.RUnlock()
 		for y, c := range x.labels {
 			for _, l := range c.lists {
-				if err := check(y, &l.entries, nil); err != nil {
+				if err := run(y, &l.entries, l.row); err != nil {
 					return err
 				}
 			}
 		}
+	}
+	return chk.prefix()
+}
+
+// entryCheck holds an index's entries, one at a time, to a database:
+// each must be db's entry at its index — label, source, hash and, where
+// the caller has it, the row's bits — below the Len() db had when the
+// check began, and no index may be held twice. Load runs it on each
+// entry as it reads it, checkPrefix on each entry an index holds.
+type entryCheck struct {
+	db   *fingerprint.DB
+	n    int
+	seen []uint64 // the indices held so far
+	held int
+	top  int // one past the highest index held
+}
+
+func newEntryCheck(db *fingerprint.DB) *entryCheck {
+	n := db.Len()
+	return &entryCheck{db: db, n: n, seen: make([]uint64, (n+63)/64)}
+}
+
+// entry checks that database index i holds an entry of label y with
+// this source, hash and (unless row is nil) row.
+func (c *entryCheck) entry(i, y int, src, hash []byte, row []float32) error {
+	if i < 0 || i >= c.n || c.seen[i/64]&(1<<(i%64)) != 0 {
+		return fmt.Errorf("%w: entry %d of label %d is outside the database's %d or held twice", ErrForeignIndex, i, y, c.n)
+	}
+	c.seen[i/64] |= 1 << (i % 64)
+	c.held, c.top = c.held+1, max(c.top, i+1)
+	l := c.db.Entry(i)
+	if l.Y != y || string(src) != l.S || [32]byte(hash) != l.H {
+		return fmt.Errorf("%w: entry %d of label %d is not the database's (label %d, source %q)", ErrForeignIndex, i, y, l.Y, l.S)
+	}
+	if row != nil && !sameRow(row, l.F) {
+		return fmt.Errorf("%w: entry %d's row is not the database's", ErrForeignIndex, i)
+	}
+	return nil
+}
+
+// prefix reports whether the entries held so far are the database's
+// first ones: as many as one past the highest of them.
+func (c *entryCheck) prefix() error {
+	if c.top != c.held {
+		return fmt.Errorf("%w: its %d entries are not the database's first %d (it holds entry %d)", ErrForeignIndex, c.held, c.held, c.top-1)
 	}
 	return nil
 }

@@ -30,13 +30,13 @@
 // written again: when the database came from fingerprint.LoadDB it is
 // the database's own class block (DB.ClassBlock), aliased, so a loaded
 // fingerprint is resident once, not once per layer; for a database
-// built by Add, and for Load, it is a private copy. tail is the
-// index-owned segment Append grows, so appends never reallocate or
-// duplicate base. Positions run through base then tail, in database
-// order. IVFPQ keeps no copy of any float vector: its trainer reads the
-// same buckets and drops them, and its searches reach a row through the
-// database the index was trained over (or, for an appended entry, through
-// the linkage Append was handed).
+// built by Add it is a private copy. tail is the index-owned segment
+// Append grows, so appends never reallocate or duplicate base. Positions
+// run through base then tail, in database order. IVFPQ keeps no copy of
+// any float vector: its trainer reads the same buckets and drops them,
+// and its searches reach a row through the database the index was
+// trained over (or, for an appended entry, through the linkage Append
+// was handed).
 //
 // Provenance has the same split in all three (see entries): an index
 // keeps the database it was built over and each entry's database index,
@@ -44,8 +44,10 @@
 // saved, and keeps a source and hash of its own only for what Append
 // handed it.
 //
-// All three serialize with Save/Load so a built index persists and
-// reloads alongside LinkageDB.Save.
+// All three serialize with Save, and Load reads a saved index back over
+// its database in the state training leaves one in: the same aliased
+// buckets and database-resolved entries, every entry checked against the
+// database on the way in.
 package index
 
 import (
@@ -146,18 +148,16 @@ func (m *rows) bytes() int64 { return 4 * int64(len(m.base)+len(m.tail)) }
 // or one IVFPQ list's: the database index of each, and what the index
 // keeps of a linkage itself. That is kept only for the run's last
 // len(src) entries: the ones that arrived through Append, which the
-// database the index was built over need not hold, and every entry of an
-// index read by Load. The entries before them are the database's and
-// resolve through it by index, so a linkage's provenance is resident
-// once.
+// database the index was built over need not hold. The entries before
+// them are the database's and resolve through it by index, so a
+// linkage's provenance is resident once.
 type entries struct {
-	db   *fingerprint.DB // what the index was built over; nil for a loaded index
+	db   *fingerprint.DB // what the index was built over, or loaded over
 	idx  []int32         // database indices
 	src  []string        // S of each kept entry
 	hash [][32]byte      // H of each kept entry
 	// f is IVFPQ's alone, which has no vector storage of its own: each
-	// kept entry's row, aliasing the fingerprint Append was handed, nil
-	// for an entry read by Load.
+	// kept entry's row, aliasing the fingerprint Append was handed.
 	f []fingerprint.Fingerprint
 }
 
@@ -238,6 +238,18 @@ func buildBucket(db *fingerprint.DB, y int) *bucket {
 		b.idx[i] = int32(dbIdx)
 	}
 	return b
+}
+
+// clip keeps the bucket's first n entries: Load's bucket of a label
+// when the file covers only a prefix of the database, which catches up
+// by Append.
+func (b *bucket) clip(n int) {
+	b.n, b.idx = n, b.idx[:n]
+	if n <= b.vecs.nb {
+		b.vecs.nb, b.vecs.base, b.vecs.tail = n, b.vecs.base[:n*b.vecs.dim], nil
+	} else {
+		b.vecs.tail = b.vecs.tail[:(n-b.vecs.nb)*b.vecs.dim]
+	}
 }
 
 // ownedBytes is what the bucket keeps resident beyond the database: its

@@ -360,7 +360,7 @@ func TestSaveLoadFlat(t *testing.T) {
 	if err := Save(&buf, flat); err != nil {
 		t.Fatal(err)
 	}
-	got, err := Load(&buf)
+	got, err := Load(&buf, db)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -389,7 +389,7 @@ func TestSaveLoadIVF(t *testing.T) {
 	if err := Save(&buf, ivf); err != nil {
 		t.Fatal(err)
 	}
-	got, err := Load(&buf)
+	got, err := Load(&buf, db)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -419,11 +419,11 @@ func TestLoadRejectsCorruption(t *testing.T) {
 		t.Fatal(err)
 	}
 	raw := buf.Bytes()
-	if _, err := Load(bytes.NewReader(raw[:len(raw)-5])); err == nil {
+	if _, err := Load(bytes.NewReader(raw[:len(raw)-5]), db); err == nil {
 		t.Fatal("truncated index accepted")
 	}
 	bad := append([]byte("XXXX"), raw[4:]...)
-	if _, err := Load(bytes.NewReader(bad)); err == nil {
+	if _, err := Load(bytes.NewReader(bad), db); err == nil {
 		t.Fatal("bad magic accepted")
 	}
 	if err := Save(&buf, populatedDB(t, 4, 2, 1, 1)); err == nil {
@@ -443,13 +443,17 @@ func TestLoadRejectsHostileHeader(t *testing.T) {
 		b = binary.LittleEndian.AppendUint32(b, n)
 		return b
 	}
+	db, err := fingerprint.NewDB(64)
+	if err != nil {
+		t.Fatal(err)
+	}
 	for name, raw := range map[string][]byte{
 		"huge dim":       hostile(2_000_000_000, 1, 0, 10),
 		"huge count":     hostile(64, 1, 0, 2_000_000_000),
 		"overflow n*dim": hostile(1_000_000, 1, 0, 100_000_000),
 		"zero dim":       hostile(0, 1, 0, 10),
 	} {
-		if _, err := Load(bytes.NewReader(raw)); err == nil {
+		if _, err := Load(bytes.NewReader(raw), db); err == nil {
 			t.Fatalf("%s accepted", name)
 		} else {
 			t.Logf("%s: %v", name, err)
@@ -492,7 +496,7 @@ func TestLoadRejectsInconsistentIVF(t *testing.T) {
 	}
 	zeroed := append([]byte(nil), raw...)
 	copy(zeroed[off:off+4], []byte{0, 0, 0, 0})
-	if _, err := Load(bytes.NewReader(zeroed)); err == nil {
+	if _, err := Load(bytes.NewReader(zeroed), db); err == nil {
 		t.Fatal("nprobe=0 accepted")
 	}
 
@@ -501,7 +505,7 @@ func TestLoadRejectsInconsistentIVF(t *testing.T) {
 	// Simpler: flip a stored position to duplicate another.
 	dup := append([]byte(nil), raw...)
 	copy(dup[len(dup)-4:], dup[len(dup)-8:len(dup)-4])
-	if _, err := Load(bytes.NewReader(dup)); err == nil {
+	if _, err := Load(bytes.NewReader(dup), db); err == nil {
 		t.Fatal("duplicated list position accepted")
 	}
 }

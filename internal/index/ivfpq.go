@@ -35,9 +35,8 @@ func (o IVFPQOptions) withDefaults(dim int) IVFPQOptions {
 
 // pqList is one inverted list of an IVFPQ class: per-entry codes and
 // identities. An entry's float row and provenance stay where the
-// database keeps them; of the entries the list keeps itself (see
-// entries), one read by Load has no row until AttachDB hands it back to
-// the database, and an appended one's aliases the fingerprint Append was
+// database keeps them; an entry the list keeps itself (see entries)
+// arrived through Append, and its row aliases the fingerprint Append was
 // given.
 type pqList struct {
 	entries
@@ -74,10 +73,8 @@ type ivfpqClass struct {
 // nprobe and M govern and TestIVFPQRecall measures.
 //
 // The index copies neither float vectors nor the provenance of the
-// entries it was trained over: it holds that database and resolves an
-// entry by its index. An index read by Load has no database, carries
-// its provenance itself and answers from the ADC stage alone —
-// approximate order, approximate Distance — until AttachDB gives it one.
+// entries it was trained (or loaded) over: it holds that database and
+// resolves an entry by its index.
 //
 // IVFPQ implements Appender: a new vector is encoded against its
 // label's nearest centroid without retraining, and Drift reports the
@@ -87,9 +84,9 @@ type IVFPQ struct {
 	coarseStage
 	m      int
 	labels map[int]*ivfpqClass
-	// db resolves the entries no list carries (every list's entries.db);
-	// nil for a loaded index until AttachDB. It may be a Snapshot:
-	// entries appended later arrive through Append with their own row.
+	// db resolves the entries no list carries (every list's entries.db).
+	// It may be a Snapshot: entries appended later arrive through Append
+	// with their own row.
 	db *fingerprint.DB
 	// appendRes is Append's residual scratch, guarded by the write lock
 	// so an append allocates only what the lists themselves grow by.
@@ -105,14 +102,8 @@ type IVFPQ struct {
 // and 1.000, so 4k is the first width with margin to spare, for ~4 µs of
 // a ~26 µs search (8k costs ~8). The floor is for small k, where 4k is
 // too few to hold a linkage group: recall@1 reads 0.81 at k′ = 4 and
-// 1.000 at 32. An index without a database has no exact stage and
-// keeps k.
-func (c *ivfpqClass) shortlist(k int) int {
-	if c.x.db == nil {
-		return k
-	}
-	return max(4*k, 32)
-}
+// 1.000 at 32.
+func (*ivfpqClass) shortlist(k int) int { return max(4*k, 32) }
 
 // TrainIVFPQ builds an IVFPQ index from a snapshot of the linkage
 // database: per label, the IVF coarse training pass (shared with
@@ -240,8 +231,7 @@ func (x *IVFPQ) VectorBytes() int64 {
 
 // OwnedBytes reports what the index keeps resident beyond the database
 // it was built over: VectorBytes by capacity, plus the linkage of every
-// entry Append handed it (and of every entry of an index read by Load,
-// until AttachDB).
+// entry Append handed it.
 func (x *IVFPQ) OwnedBytes() int64 {
 	x.mu.RLock()
 	defer x.mu.RUnlock()
@@ -304,49 +294,6 @@ func (x *IVFPQ) Append(dbIndex int, l fingerprint.Linkage) error {
 	return nil
 }
 
-// loaded counts the entries the list still carries from Load: the
-// row-less head of the ones it keeps.
-func (l *pqList) loaded() int {
-	n := 0
-	for n < len(l.f) && l.f[n] == nil {
-		n++
-	}
-	return n
-}
-
-// AttachDB gives an index read by Load the database it indexes: its
-// entries must be db's first Len() entries, each db's entry of that
-// index (same label, source and hash), or AttachDB refuses with
-// ErrForeignIndex and leaves the index as it was. After it the lists
-// drop their carried provenance and searches run the exact stage against
-// db's rows, as on a trained index. An index that already has a
-// database keeps it. Attach is AttachDB plus catching up the entries db
-// holds past the index's.
-func (x *IVFPQ) AttachDB(db *fingerprint.DB) error {
-	x.mu.RLock()
-	attached := x.db != nil
-	x.mu.RUnlock()
-	if attached {
-		return nil
-	}
-	if err := checkPrefix(x, db); err != nil {
-		return err
-	}
-	x.mu.Lock()
-	defer x.mu.Unlock()
-	if x.db != nil { // attached meanwhile
-		return nil
-	}
-	for _, c := range x.labels {
-		for _, l := range c.lists {
-			k := l.loaded()
-			l.db, l.src, l.hash, l.f = db, slices.Clone(l.src[k:]), slices.Clone(l.hash[k:]), slices.Clone(l.f[k:])
-		}
-	}
-	x.db = db
-	return nil
-}
-
 // class implements backend.
 func (x *IVFPQ) class(label int) (class, int) {
 	if c, ok := x.labels[label]; ok {
@@ -394,13 +341,10 @@ func (c *ivfpqClass) scanList(w *scratch, q []float32, heaps []topK, li int32, l
 	}
 }
 
-// rescore is the exact stage, run once on the merged shortlist: with a
-// database, every candidate's ADC estimate is replaced by the kernel
-// distance to its float row.
+// rescore is the exact stage, run once on the merged shortlist: every
+// candidate's ADC estimate is replaced by the kernel distance to its
+// float row.
 func (c *ivfpqClass) rescore(q []float32, h []cand) {
-	if c.x.db == nil {
-		return
-	}
 	for i := range h {
 		h[i].d2 = kernel.SqDist(q, h[i].in.row(int(h[i].pos)))
 	}

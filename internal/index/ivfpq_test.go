@@ -8,7 +8,6 @@ import (
 	"math/rand/v2"
 	"os"
 	"reflect"
-	"sort"
 	"testing"
 
 	"caltrain/internal/fingerprint"
@@ -262,10 +261,10 @@ func TestIVFPQRecallAfterAppend(t *testing.T) {
 // duplicated or poisoned contribution looks like — are appended under a
 // frozen codebook until they outnumber the trained entries, and recall@9
 // must hold. The ADC stage alone decays here (the end-to-end benchmark
-// read 0.894 → 0.832 as such appends accumulated; this test logs what it
-// reads through a loaded, unattached copy of the same index), because
-// codes trained on the old residuals tell a group's members apart ever
-// less well; the exact stage does not care.
+// read 0.894 → 0.832 as such appends accumulated), because codes trained
+// on the old residuals tell a group's members apart ever less well; the
+// exact stage does not care. A copy saved and loaded back over the
+// database must read the same.
 func TestIVFPQRecallUnderDuplicateAppends(t *testing.T) {
 	n := 6000
 	if testing.Short() {
@@ -302,7 +301,7 @@ func TestIVFPQRecallUnderDuplicateAppends(t *testing.T) {
 	if d := pq.Drift(); d < 0.5 {
 		t.Fatalf("drift %.2f: the appended linkages should outnumber the trained ones", d)
 	}
-	adcOnly, err := Load(bytes.NewReader(savedBytes(t, pq)))
+	reloaded, err := Load(bytes.NewReader(savedBytes(t, pq)), db)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -313,7 +312,7 @@ func TestIVFPQRecallUnderDuplicateAppends(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	r0, err := Recall(flat, adcOnly, queries, labels, 9)
+	r0, err := Recall(flat, reloaded, queries, labels, 9)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -323,9 +322,9 @@ func TestIVFPQRecallUnderDuplicateAppends(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	t.Logf("with %d trained + %d appended near-duplicates: recall@9 %.3f (ADC stage alone: %.3f), recall@1 %.3f", n, db.Len()-n, r, r0, r1)
-	if r < 0.97 || r1 < 0.97 {
-		t.Fatalf("under duplicate appends recall@9 = %.3f and recall@1 = %.3f, want ≥ 0.97", r, r1)
+	t.Logf("with %d trained + %d appended near-duplicates: recall@9 %.3f (saved and loaded: %.3f), recall@1 %.3f", n, db.Len()-n, r, r0, r1)
+	if r < 0.97 || r1 < 0.97 || r0 != r {
+		t.Fatalf("under duplicate appends recall@9 = %.3f (loaded %.3f) and recall@1 = %.3f, want ≥ 0.97", r, r0, r1)
 	}
 }
 
@@ -414,8 +413,8 @@ func TestIVFPQAppendNewLabel(t *testing.T) {
 // 4-float subvectors — the planar width the bench serves). The layout is
 // a resident matter only: under every kernel implementation that file
 // must load, re-save to the same bytes, be exactly what training the
-// same database writes today, and answer — from the ADC stage alone, and
-// after AttachDB from both stages — what the index trained today does.
+// same database writes today, and — loaded over that database — answer
+// what the index trained today does.
 func TestLoadParentSavedIVFPQ(t *testing.T) {
 	file, err := os.ReadFile("testdata/pr19.ivfpq.ctix")
 	if err != nil {
@@ -432,7 +431,7 @@ func TestLoadParentSavedIVFPQ(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
-		got, err := Load(bytes.NewReader(file))
+		got, err := Load(bytes.NewReader(file), db)
 		if err != nil {
 			t.Fatalf("impl %q: %v", im.Name, err)
 		}
@@ -460,69 +459,18 @@ func TestLoadParentSavedIVFPQ(t *testing.T) {
 			}
 			return out
 		}
-		for i, ms := range answers(loaded) {
-			if want := adcReference(trained, queries[i], i%2, 5); !reflect.DeepEqual(ms, want) {
-				t.Fatalf("impl %q: loaded, query %d: %+v, want the ADC stage's %+v", im.Name, i, ms, want)
-			}
-		}
-		if err := loaded.AttachDB(db); err != nil {
-			t.Fatalf("impl %q: %v", im.Name, err)
-		}
 		if got, want := answers(loaded), answers(trained); !reflect.DeepEqual(got, want) {
-			t.Errorf("impl %q: attached answers %+v, trained %+v", im.Name, got, want)
+			t.Errorf("impl %q: loaded answers %+v, trained %+v", im.Name, got, want)
 		}
 		restore()
 	}
 }
 
-// adcReference is the first search stage alone, spelled out: every code
-// of the nprobe nearest lists scored through its list's lookup table and
-// ranked by (ADC estimate, database index) — what IVFPQ answered before
-// it had an exact stage, and what a loaded index answers until AttachDB.
-func adcReference(x *IVFPQ, f fingerprint.Fingerprint, label, k int) []fingerprint.Match {
-	c := x.labels[label]
-	d2s := make([]float64, c.nlist)
-	kernel.DistanceRows(f, c.centroids, x.dim, d2s)
-	order := make([]int, c.nlist)
-	for ci := range order {
-		order[ci] = ci
-	}
-	sort.SliceStable(order, func(a, b int) bool { return d2s[order[a]] < d2s[order[b]] })
-	var out []fingerprint.Match
-	res, tab, scratch := make([]float32, x.dim), make([]float32, x.m*pqKs), make([]float64, pqKs)
-	for _, ci := range order[:min(x.Nprobe(), c.nlist)] {
-		for j := range res {
-			res[j] = f[j] - c.centroids[ci*x.dim+j]
-		}
-		c.book.table(res, tab, scratch)
-		l := c.lists[ci]
-		est := make([]float64, l.n())
-		kernel.ADCScan(tab, l.codes, x.m, est)
-		for pos, d2 := range est {
-			src, hash := l.provenance(pos)
-			out = append(out, fingerprint.Match{Index: int(l.idx[pos]), Source: src, Label: label, Hash: hash, Distance: d2})
-		}
-	}
-	sort.Slice(out, func(a, b int) bool {
-		if out[a].Distance != out[b].Distance {
-			return out[a].Distance < out[b].Distance
-		}
-		return out[a].Index < out[b].Index
-	})
-	out = out[:min(k, len(out))]
-	for i := range out {
-		out[i].Distance = math.Sqrt(out[i].Distance)
-	}
-	return out
-}
-
 // TestSaveLoadIVFPQ: the roundtrip preserves parameters, codes, and
-// codebooks exactly. A loaded index has no database, so it is the one
-// ADC-only case: it answers the first stage's order with the first
-// stage's distances, as every IVFPQ did before the exact stage. Once
-// AttachDB gives it the database it answers bit-identically to the
-// trained index; a database that is not the indexed one is refused and
-// changes nothing.
+// codebooks exactly, and the index loaded over its database answers
+// Search and SearchBatch bit-identically to the trained one, carrying
+// no linkage of its own. A database that is not the indexed one — other
+// entries, too few, another dimension — is refused.
 func TestSaveLoadIVFPQ(t *testing.T) {
 	db := populatedDB(t, 8, 400, 2, 33)
 	pq, err := TrainIVFPQ(db, IVFPQOptions{IVFOptions: IVFOptions{Nlist: 10, Nprobe: 3, Seed: 7}, M: 4})
@@ -530,7 +478,22 @@ func TestSaveLoadIVFPQ(t *testing.T) {
 		t.Fatal(err)
 	}
 	saved := savedBytes(t, pq)
-	got, err := Load(bytes.NewReader(saved))
+	other := populatedDB(t, 8, 400, 3, 33) // same sources and hashes, other labels
+	wrongDim, _ := fingerprint.NewDB(4)
+	for _, c := range []struct {
+		name string
+		db   *fingerprint.DB
+		want error
+	}{
+		{"a database with other entries", other, ErrForeignIndex},
+		{"a database shorter than the index", db.Snapshot(300), ErrForeignIndex},
+		{"a dim-4 database", wrongDim, fingerprint.ErrDimMismatch},
+	} {
+		if _, err := Load(bytes.NewReader(saved), c.db); !errors.Is(err, c.want) {
+			t.Fatalf("loaded over %s: %v, want %v", c.name, err, c.want)
+		}
+	}
+	got, err := Load(bytes.NewReader(saved), db)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -541,86 +504,38 @@ func TestSaveLoadIVFPQ(t *testing.T) {
 	if re.Nprobe() != pq.Nprobe() || re.M() != pq.M() || re.Len() != pq.Len() || re.Dim() != pq.Dim() {
 		t.Fatalf("reloaded params nprobe=%d m=%d len=%d dim=%d", re.Nprobe(), re.M(), re.Len(), re.Dim())
 	}
-	if re.VectorBytes() != pq.VectorBytes() {
-		t.Fatalf("reloaded footprint %d, want %d", re.VectorBytes(), pq.VectorBytes())
+	if re.VectorBytes() != pq.VectorBytes() || re.OwnedBytes() != pq.OwnedBytes() {
+		t.Fatalf("reloaded footprint %d (owned %d), want %d (%d)", re.VectorBytes(), re.OwnedBytes(), pq.VectorBytes(), pq.OwnedBytes())
 	}
 	if !bytes.Equal(savedBytes(t, re), saved) {
 		t.Fatal("a loaded index saves different bytes than the trained one")
 	}
+	for _, c := range re.labels {
+		for _, l := range c.lists {
+			if l.kept() != l.n() || l.db != db {
+				t.Fatalf("a loaded list carries %d linkages of its own", l.n()-l.kept())
+			}
+		}
+	}
 
 	rng := rand.New(rand.NewPCG(8, 8))
 	queries := make([]fingerprint.Fingerprint, 8)
-	for i := range queries {
-		queries[i] = randomFP(rng, 8)
-	}
-	adcOnly := func(when string) {
-		t.Helper()
-		approximate := false
-		for i, q := range queries {
-			out, err := re.Search(q, i%2, 5)
-			if err != nil {
-				t.Fatal(err)
-			}
-			want := adcReference(pq, q, i%2, 5)
-			if !reflect.DeepEqual(out, want) {
-				t.Fatalf("%s, query %d: %+v, want the ADC stage's %+v", when, i, out, want)
-			}
-			for _, m := range out {
-				exact, _ := q.L2Distance(db.Entry(m.Index).F)
-				approximate = approximate || m.Distance != exact
-			}
-		}
-		if !approximate {
-			t.Fatalf("%s: every distance is exact; the ADC-only case is not being exercised", when)
-		}
-	}
-	adcOnly("loaded")
-
-	other := populatedDB(t, 8, 400, 3, 33) // same sources and hashes, other labels
-	if err := re.AttachDB(other); err == nil {
-		t.Fatal("a database with other entries was attached")
-	}
-	if err := re.AttachDB(db.Snapshot(300)); err == nil {
-		t.Fatal("a database shorter than the index was attached")
-	}
-	wrongDim, _ := fingerprint.NewDB(4)
-	if err := re.AttachDB(wrongDim); !errors.Is(err, fingerprint.ErrDimMismatch) {
-		t.Fatalf("attach of a dim-4 database: %v", err)
-	}
-	adcOnly("after refused attaches")
-
-	if err := re.AttachDB(db); err != nil {
-		t.Fatal(err)
-	}
-	if err := re.AttachDB(other); err != nil { // already attached: kept
-		t.Fatal(err)
-	}
 	labels, ks := make([]int, len(queries)), make([]int, len(queries))
 	for i := range queries {
-		labels[i], ks[i] = i%2, 5
+		queries[i], labels[i], ks[i] = randomFP(rng, 8), i%2, 5
 		want, _ := pq.Search(queries[i], i%2, 5)
 		out, err := re.Search(queries[i], i%2, 5)
 		if err != nil {
 			t.Fatal(err)
 		}
 		if !reflect.DeepEqual(out, want) {
-			t.Fatalf("attached, query %d: %+v, want the trained index's %+v", i, out, want)
+			t.Fatalf("loaded, query %d: %+v, want the trained index's %+v", i, out, want)
 		}
 	}
 	wantBatch, _ := pq.SearchBatch(queries, labels, ks)
 	gotBatch, _ := re.SearchBatch(queries, labels, ks)
 	if !reflect.DeepEqual(gotBatch, wantBatch) {
-		t.Fatal("attached: SearchBatch differs from the trained index's")
-	}
-	for _, c := range re.labels {
-		for _, l := range c.lists {
-			if l.kept() != l.n() {
-				t.Fatalf("an attached list still carries %d linkages", l.n()-l.kept())
-			}
-		}
-	}
-	if !bytes.Equal(savedBytes(t, re), saved) {
-		t.Fatal("an attached index saves different bytes than the trained one")
+		t.Fatal("loaded: SearchBatch differs from the trained index's")
 	}
 }
 
@@ -640,7 +555,7 @@ func TestLoadRejectsCorruptIVFPQ(t *testing.T) {
 	raw := buf.Bytes()
 
 	for cut := 1; cut < 40; cut += 7 {
-		if _, err := Load(bytes.NewReader(raw[:len(raw)-cut])); err == nil {
+		if _, err := Load(bytes.NewReader(raw[:len(raw)-cut]), db); err == nil {
 			t.Fatalf("truncation by %d accepted", cut)
 		}
 	}
@@ -650,14 +565,14 @@ func TestLoadRejectsCorruptIVFPQ(t *testing.T) {
 	for _, badM := range []uint32{0, 3, 9, 1 << 30} {
 		patched := append([]byte(nil), raw...)
 		binary.LittleEndian.PutUint32(patched[mOff:], badM)
-		if _, err := Load(bytes.NewReader(patched)); !errors.Is(err, ErrCorrupt) {
+		if _, err := Load(bytes.NewReader(patched), db); !errors.Is(err, ErrCorrupt) {
 			t.Fatalf("m=%d: %v, want ErrCorrupt", badM, err)
 		}
 	}
 	// Zeroed nprobe is metadata that lies, like the IVF case.
 	patched := append([]byte(nil), raw...)
 	binary.LittleEndian.PutUint32(patched[14:], 0)
-	if _, err := Load(bytes.NewReader(patched)); !errors.Is(err, ErrCorrupt) {
+	if _, err := Load(bytes.NewReader(patched), db); !errors.Is(err, ErrCorrupt) {
 		t.Fatalf("nprobe=0: %v, want ErrCorrupt", err)
 	}
 }

@@ -7,6 +7,7 @@ import (
 	"io"
 	"math"
 	"sort"
+	"sync/atomic"
 
 	"caltrain/internal/fingerprint"
 )
@@ -53,8 +54,8 @@ const (
 	maxPlausibleElems = 4_000_000_000
 )
 
-// Save serializes a Flat or IVF index so it persists and reloads
-// alongside LinkageDB.Save.
+// Save serializes a Flat, IVF or IVFPQ index so it persists alongside
+// LinkageDB.Save; Load reads it back over that database.
 func Save(w io.Writer, s Searcher) error {
 	bw := bufio.NewWriter(w)
 	var kind byte
@@ -207,28 +208,41 @@ func saveIVFPQ(bw *bufio.Writer, x *IVFPQ) error {
 	return nil
 }
 
-// Load deserializes an index written by Save, returning a *Flat, *IVF,
-// or *IVFPQ.
+// Load reads an index written by Save as the index of db, in the state
+// training over db leaves one in: a *Flat, *IVF or *IVFPQ that resolves
+// every entry through db and keeps nothing db already holds. Flat and IVF
+// buckets are the trainers' own (buildBucket), aliasing db's class
+// blocks; the file supplies only what training computes — IVF's
+// centroids and lists, IVFPQ's centroids, codebooks and codes.
 //
-// Malformed input yields ErrCorrupt or ErrVersionMismatch, never a
-// panic. When r can say how long it is (a file, a bytes.Reader), every
-// count the stream claims is held to the bytes it would need before
-// anything is allocated for it, so a short hostile file costs memory in
-// proportion to its own size, not to what its header says.
-func Load(r io.Reader) (Searcher, error) {
+// Every entry is checked against db as it is read (entryCheck), and a
+// Flat or IVF entry must sit where db's class puts it. The entries must
+// be db's first ones; those db holds past them are then appended in
+// database order, as Attach does, so a file saved before its database
+// grew catches up.
+//
+// An index that is not db's yields ErrForeignIndex, another
+// dimensionality fingerprint.ErrDimMismatch, malformed input ErrCorrupt
+// or ErrVersionMismatch — never a panic. When r can say how long it is
+// (a file, a bytes.Reader), every count the stream claims is held to the
+// bytes it would need before anything is allocated for it, so a short
+// hostile file costs memory in proportion to its own size, not to what
+// its header says.
+func Load(r io.Reader, db *fingerprint.DB) (Searcher, error) {
 	left := int64(math.MaxInt64)
 	if s, ok := r.(io.Seeker); ok {
 		if n, ok := fingerprint.BytesLeft(s); ok {
 			left = n
 		}
 	}
-	// holds reports whether the stream is long enough for count records
-	// of at least each bytes.
-	holds := func(count, each int) bool { return int64(count)*int64(each) <= left }
-	br := bufio.NewReader(r)
-	head := make([]byte, 4+1+1+4+4)
-	if _, err := io.ReadFull(br, head); err != nil {
-		return nil, fmt.Errorf("index: load: %w: %w", err, ErrCorrupt)
+	ld := &loader{
+		br:    bufio.NewReader(r),
+		holds: func(count, each int) bool { return int64(count)*int64(each) <= left },
+		db:    db,
+	}
+	head := ld.read(4 + 1 + 1 + 4 + 4)
+	if ld.err != nil {
+		return nil, ld.err
 	}
 	if string(head[:4]) != ixMagic {
 		return nil, fmt.Errorf("index: load: bad magic %q: %w", head[:4], ErrCorrupt)
@@ -239,244 +253,243 @@ func Load(r io.Reader) (Searcher, error) {
 	kind := head[5]
 	dim := int(binary.LittleEndian.Uint32(head[6:]))
 	nlabels := int(binary.LittleEndian.Uint32(head[10:]))
-	if dim <= 0 || dim > maxPlausibleDim || nlabels < 0 || nlabels > maxPlausible || !holds(nlabels, 8) {
+	if dim <= 0 || dim > maxPlausibleDim || nlabels < 0 || nlabels > maxPlausible || !ld.holds(nlabels, 8) {
 		return nil, fmt.Errorf("index: load: implausible header (dim %d, labels %d): %w", dim, nlabels, ErrCorrupt)
 	}
-	var u32b [4]byte
-	get := func() (uint32, error) {
-		if _, err := io.ReadFull(br, u32b[:]); err != nil {
-			return 0, err
-		}
-		return binary.LittleEndian.Uint32(u32b[:]), nil
-	}
-	if kind == kindIVFPQ {
-		return loadIVFPQ(br, dim, nlabels, get, holds)
-	}
-	labels := make([]int, nlabels)
-	buckets := make(map[int]*bucket, nlabels)
-	total := 0
-	for li := 0; li < nlabels; li++ {
-		yv, err := get()
-		if err != nil {
-			return nil, fmt.Errorf("index: load label %d: %w: %w", li, err, ErrCorrupt)
-		}
-		y := int(int32(yv))
-		nv, err := get()
-		if err != nil {
-			return nil, fmt.Errorf("index: load label %d: %w: %w", li, err, ErrCorrupt)
-		}
-		n := int(nv)
-		// Bound the product too: make([]float32, n*dim) on hostile
-		// headers must error, not panic or exhaust memory.
-		if n > maxPlausible || n*dim > maxPlausibleElems || !holds(n, 4+2+32+4*dim) {
-			return nil, fmt.Errorf("index: load: implausible entry count %d (dim %d): %w", n, dim, ErrCorrupt)
-		}
-		vecs := make([]float32, n*dim)
-		b := &bucket{
-			entries: entries{idx: make([]int32, n), src: make([]string, n), hash: make([][32]byte, n)},
-			n:       n,
-			vecs:    rows{dim: dim, nb: n, base: vecs},
-		}
-		for i := 0; i < n; i++ {
-			iv, err := get()
-			if err != nil {
-				return nil, fmt.Errorf("index: load entry %d/%d: %w: %w", li, i, err, ErrCorrupt)
-			}
-			b.idx[i] = int32(iv)
-			var u16 [2]byte
-			if _, err := io.ReadFull(br, u16[:]); err != nil {
-				return nil, fmt.Errorf("index: load entry %d/%d: %w: %w", li, i, err, ErrCorrupt)
-			}
-			rest := make([]byte, int(binary.LittleEndian.Uint16(u16[:]))+32+4*dim)
-			if _, err := io.ReadFull(br, rest); err != nil {
-				return nil, fmt.Errorf("index: load entry %d/%d: %w: %w", li, i, err, ErrCorrupt)
-			}
-			slen := len(rest) - 32 - 4*dim
-			b.src[i] = string(rest[:slen])
-			copy(b.hash[i][:], rest[slen:slen+32])
-			fb := rest[slen+32:]
-			for j := 0; j < dim; j++ {
-				vecs[i*dim+j] = math.Float32frombits(binary.LittleEndian.Uint32(fb[j*4:]))
-			}
-		}
-		if _, dup := buckets[y]; dup {
-			return nil, fmt.Errorf("index: load: duplicate label %d: %w", y, ErrCorrupt)
-		}
-		labels[li] = y
-		buckets[y] = b
-		total += n
-	}
-	switch kind {
-	case kindFlat:
-		return &Flat{dim: dim, total: total, buckets: buckets}, nil
-	case kindIVF:
-		x := &IVF{labels: make(map[int]*ivfClass, nlabels)}
-		x.dim, x.total = dim, total
-		np, err := get()
-		if err != nil {
-			return nil, fmt.Errorf("index: load nprobe: %w: %w", err, ErrCorrupt)
-		}
-		if np == 0 || np > maxPlausible {
-			return nil, fmt.Errorf("index: load: implausible nprobe %d: %w", np, ErrCorrupt)
-		}
-		x.nprobe.Store(int32(np))
-		for _, y := range labels {
-			b := buckets[y]
-			nl, err := get()
-			if err != nil {
-				return nil, fmt.Errorf("index: load label %d lists: %w: %w", y, err, ErrCorrupt)
-			}
-			nlist := int(nl)
-			if nlist <= 0 || nlist > maxPlausible || nlist*dim > maxPlausibleElems || !holds(nlist, 4*dim+4) {
-				return nil, fmt.Errorf("index: load: implausible nlist %d (dim %d): %w", nlist, dim, ErrCorrupt)
-			}
-			c := &ivfClass{b: b, nlist: nlist, centroids: make([]float32, nlist*dim), lists: make([][]int32, nlist)}
-			for j := range c.centroids {
-				v, err := get()
-				if err != nil {
-					return nil, fmt.Errorf("index: load centroids %d: %w: %w", y, err, ErrCorrupt)
-				}
-				c.centroids[j] = math.Float32frombits(v)
-			}
-			// The inverted lists must partition the class: every bucket
-			// position in exactly one list, or searches would silently
-			// drop (or double-count) entries.
-			seen := make([]bool, b.n)
-			covered := 0
-			for ci := 0; ci < nlist; ci++ {
-				ln, err := get()
-				if err != nil {
-					return nil, fmt.Errorf("index: load list %d/%d: %w: %w", y, ci, err, ErrCorrupt)
-				}
-				if int(ln) > b.n {
-					return nil, fmt.Errorf("index: load: list %d/%d longer than class (%d > %d): %w", y, ci, ln, b.n, ErrCorrupt)
-				}
-				list := make([]int32, ln)
-				for p := range list {
-					pv, err := get()
-					if err != nil {
-						return nil, fmt.Errorf("index: load list %d/%d: %w: %w", y, ci, err, ErrCorrupt)
-					}
-					if int(pv) >= b.n {
-						return nil, fmt.Errorf("index: load: list position %d out of range: %w", pv, ErrCorrupt)
-					}
-					if seen[pv] {
-						return nil, fmt.Errorf("index: load: position %d in two lists of label %d: %w", pv, y, ErrCorrupt)
-					}
-					seen[pv] = true
-					covered++
-					list[p] = int32(pv)
-				}
-				c.lists[ci] = list
-			}
-			if covered != b.n {
-				return nil, fmt.Errorf("index: load: lists of label %d cover %d of %d entries: %w", y, covered, b.n, ErrCorrupt)
-			}
-			x.labels[y] = c
-		}
-		return x, nil
-	default:
+	if kind > kindIVFPQ {
 		return nil, fmt.Errorf("index: load: unknown kind %d: %w", kind, ErrCorrupt)
+	}
+	if dim != db.Dim() {
+		return nil, fmt.Errorf("%w: database has %d dims, index %d", fingerprint.ErrDimMismatch, db.Dim(), dim)
+	}
+	ld.dim, ld.check = dim, newEntryCheck(db)
+	var s Appender
+	var err error
+	if kind == kindIVFPQ {
+		s, err = ld.ivfpq(nlabels)
+	} else {
+		s, err = ld.buckets(kind, nlabels)
+	}
+	if err == nil {
+		err = ld.fail(ld.check.prefix())
+	}
+	if err == nil {
+		err = catchUp(s, db)
+	}
+	if err != nil {
+		return nil, err
+	}
+	return s, nil
+}
+
+// loader is Load's state: the stream, the one record buffer every field
+// and entry is read through, and the check every entry passes. A read
+// that fails is sticky: err keeps it, and every read after it yields
+// zeros, so a truncated stream runs out through empty loops instead of
+// being checked at every field.
+type loader struct {
+	br    *bufio.Reader
+	err   error
+	holds func(count, each int) bool // whether the stream can hold count records of each bytes
+	dim   int
+	db    *fingerprint.DB
+	check *entryCheck
+	rec   []byte
+	row   []float32 // a Flat or IVF entry's row, decoded from rec
+	seen  []bool    // the bucket positions an IVF label's lists have covered
+}
+
+// read returns the next n bytes of the stream, in the record buffer.
+func (ld *loader) read(n int) []byte {
+	ld.rec = resize(ld.rec, n)
+	if ld.err == nil {
+		if _, err := io.ReadFull(ld.br, ld.rec); err != nil {
+			ld.err = fmt.Errorf("index: load: %w: %w", err, ErrCorrupt)
+		}
+	}
+	if ld.err != nil {
+		clear(ld.rec)
+	}
+	return ld.rec
+}
+
+func (ld *loader) u32() uint32 { return binary.LittleEndian.Uint32(ld.read(4)) }
+
+// fail is the error a check on the stream reports: err, unless a read
+// failed first — the check then saw zeros, and the failed read is the
+// error.
+func (ld *loader) fail(err error) error {
+	if ld.err != nil {
+		return ld.err
+	}
+	return err
+}
+
+// floats fills dst from the stream.
+func (ld *loader) floats(dst []float32) {
+	for j := range dst {
+		dst[j] = math.Float32frombits(ld.u32())
 	}
 }
 
-// loadIVFPQ deserializes the kindIVFPQ body. Hostile headers must error
-// (never panic or balloon): every count is bounds-checked before its
-// allocation, mirroring the flat/IVF loader.
-func loadIVFPQ(br *bufio.Reader, dim, nlabels int, get func() (uint32, error), holds func(count, each int) bool) (*IVFPQ, error) {
-	np, err := get()
-	if err != nil {
-		return nil, fmt.Errorf("index: load nprobe: %w: %w", err, ErrCorrupt)
-	}
+// nprobe reads the search knob both coarse backends carry.
+func (ld *loader) nprobe(into *atomic.Int32) error {
+	np := ld.u32()
 	if np == 0 || np > maxPlausible {
-		return nil, fmt.Errorf("index: load: implausible nprobe %d: %w", np, ErrCorrupt)
+		return ld.fail(fmt.Errorf("index: load: implausible nprobe %d: %w", np, ErrCorrupt))
 	}
-	mv, err := get()
-	if err != nil {
-		return nil, fmt.Errorf("index: load m: %w: %w", err, ErrCorrupt)
+	into.Store(int32(np))
+	return nil
+}
+
+// readIdentity reads what every saved entry starts with — the mirror of
+// appendIdentity — and the rest bytes that follow it (a row, or codes).
+// The slices view the record buffer until the next read.
+func (ld *loader) readIdentity(rest int) (idx int, src, hash, tail []byte) {
+	head := ld.read(4 + 2)
+	idx, slen := int(binary.LittleEndian.Uint32(head)), int(binary.LittleEndian.Uint16(head[4:]))
+	rec := ld.read(slen + 32 + rest)
+	return idx, rec[:slen], rec[slen : slen+32], rec[slen+32:]
+}
+
+// buckets reads the Flat and IVF body: per label the entries, each
+// checked against the bucket buildBucket makes of db's class, then for
+// IVF each label's centroids and inverted lists.
+func (ld *loader) buckets(kind byte, nlabels int) (Appender, error) {
+	dim := ld.dim
+	labels := make([]int, nlabels)
+	buckets := make(map[int]*bucket, nlabels)
+	total := 0
+	ld.row = make([]float32, dim)
+	for li := range labels {
+		y, n := int(int32(ld.u32())), int(ld.u32())
+		if n > maxPlausible || !ld.holds(n, 4+2+32+4*dim) {
+			return nil, ld.fail(fmt.Errorf("index: load: implausible entry count %d (dim %d): %w", n, dim, ErrCorrupt))
+		}
+		if _, dup := buckets[y]; dup {
+			return nil, ld.fail(fmt.Errorf("index: load: duplicate label %d: %w", y, ErrCorrupt))
+		}
+		b := buildBucket(ld.db, y)
+		if n > b.n {
+			return nil, ld.fail(fmt.Errorf("%w: label %d holds %d entries, the database %d", ErrForeignIndex, y, n, b.n))
+		}
+		for p := 0; p < n; p++ {
+			idx, src, hash, rest := ld.readIdentity(4 * dim)
+			if idx != int(b.idx[p]) {
+				return nil, ld.fail(fmt.Errorf("%w: label %d's entry %d is %d, the database's %d", ErrForeignIndex, y, p, idx, b.idx[p]))
+			}
+			for j := range ld.row {
+				ld.row[j] = math.Float32frombits(binary.LittleEndian.Uint32(rest[4*j:]))
+			}
+			if err := ld.check.entry(idx, y, src, hash, ld.row); err != nil {
+				return nil, ld.fail(err)
+			}
+		}
+		b.clip(n)
+		labels[li], buckets[y] = y, b
+		total += n
 	}
-	m := int(mv)
-	if m < 1 || m > dim || dim%m != 0 {
-		return nil, fmt.Errorf("index: load: IVFPQ m=%d does not divide dim %d: %w", m, dim, ErrCorrupt)
+	if kind == kindFlat {
+		return &Flat{dim: dim, total: total, buckets: buckets}, nil
 	}
-	dsub := dim / m
-	x := &IVFPQ{m: m, labels: make(map[int]*ivfpqClass, nlabels)}
+	x := &IVF{labels: make(map[int]*ivfClass, nlabels)}
+	x.dim, x.total = dim, total
+	if err := ld.nprobe(&x.nprobe); err != nil {
+		return nil, err
+	}
+	for _, y := range labels {
+		b := buckets[y]
+		nlist := int(ld.u32())
+		if nlist <= 0 || nlist > maxPlausible || nlist*dim > maxPlausibleElems || !ld.holds(nlist, 4*dim+4) {
+			return nil, ld.fail(fmt.Errorf("index: load: implausible nlist %d (dim %d): %w", nlist, dim, ErrCorrupt))
+		}
+		c := &ivfClass{b: b, nlist: nlist, centroids: make([]float32, nlist*dim), lists: make([][]int32, nlist)}
+		ld.floats(c.centroids)
+		// The inverted lists must partition the class: every bucket
+		// position in exactly one list, or searches would silently drop
+		// (or double-count) entries.
+		ld.seen = resize(ld.seen, b.n)
+		clear(ld.seen)
+		covered := 0
+		for ci := range c.lists {
+			ln := int(ld.u32())
+			if ln > b.n {
+				return nil, ld.fail(fmt.Errorf("index: load: list %d/%d longer than class (%d > %d): %w", y, ci, ln, b.n, ErrCorrupt))
+			}
+			list := make([]int32, ln)
+			for p := range list {
+				pv := int(ld.u32())
+				if pv >= b.n || ld.seen[pv] {
+					return nil, ld.fail(fmt.Errorf("index: load: position %d of label %d out of range or in two lists: %w", pv, y, ErrCorrupt))
+				}
+				ld.seen[pv] = true
+				covered++
+				list[p] = int32(pv)
+			}
+			c.lists[ci] = list
+		}
+		if covered != b.n {
+			return nil, ld.fail(fmt.Errorf("index: load: lists of label %d cover %d of %d entries: %w", y, covered, b.n, ErrCorrupt))
+		}
+		x.labels[y] = c
+	}
+	return x, nil
+}
+
+// ivfpq reads the IVFPQ body: per label the coarse centroids, the
+// codebook and the code-carrying inverted lists, each entry checked
+// against db as it is read.
+func (ld *loader) ivfpq(nlabels int) (Appender, error) {
+	dim := ld.dim
+	x := &IVFPQ{db: ld.db, labels: make(map[int]*ivfpqClass, nlabels)}
 	x.dim = dim
-	x.nprobe.Store(int32(np))
+	if err := ld.nprobe(&x.nprobe); err != nil {
+		return nil, err
+	}
+	m := int(ld.u32())
+	if m < 1 || m > dim || dim%m != 0 {
+		return nil, ld.fail(fmt.Errorf("index: load: IVFPQ m=%d does not divide dim %d: %w", m, dim, ErrCorrupt))
+	}
+	x.m = m
 	for li := 0; li < nlabels; li++ {
-		yv, err := get()
-		if err != nil {
-			return nil, fmt.Errorf("index: load label %d: %w: %w", li, err, ErrCorrupt)
-		}
-		y := int(int32(yv))
+		y, nlist := int(int32(ld.u32())), int(ld.u32())
 		if _, dup := x.labels[y]; dup {
-			return nil, fmt.Errorf("index: load: duplicate label %d: %w", y, ErrCorrupt)
+			return nil, ld.fail(fmt.Errorf("index: load: duplicate label %d: %w", y, ErrCorrupt))
 		}
-		nl, err := get()
-		if err != nil {
-			return nil, fmt.Errorf("index: load label %d lists: %w: %w", y, err, ErrCorrupt)
-		}
-		nlist := int(nl)
 		// Besides its lists a label carries the codebook: m·256·dsub floats.
-		if nlist <= 0 || nlist > maxPlausible || nlist*dim > maxPlausibleElems || !holds(nlist, 4*dim+4) || !holds(dim, 4*pqKs) {
-			return nil, fmt.Errorf("index: load: implausible nlist %d (dim %d): %w", nlist, dim, ErrCorrupt)
+		if nlist <= 0 || nlist > maxPlausible || nlist*dim > maxPlausibleElems || !ld.holds(nlist, 4*dim+4) || !ld.holds(dim, 4*pqKs) {
+			return nil, ld.fail(fmt.Errorf("index: load: implausible nlist %d (dim %d): %w", nlist, dim, ErrCorrupt))
 		}
 		c := &ivfpqClass{
 			x:         x,
 			nlist:     nlist,
 			centroids: make([]float32, nlist*dim),
-			book:      newCodebook(m, dsub),
+			book:      newCodebook(m, dim/m),
 			lists:     make([]*pqList, nlist),
 		}
-		for j := range c.centroids {
-			v, err := get()
-			if err != nil {
-				return nil, fmt.Errorf("index: load centroids %d: %w: %w", y, err, ErrCorrupt)
-			}
-			c.centroids[j] = math.Float32frombits(v)
-		}
+		ld.floats(c.centroids)
 		for j := range c.book.centroids {
-			v, err := get()
-			if err != nil {
-				return nil, fmt.Errorf("index: load codebook %d: %w: %w", y, err, ErrCorrupt)
-			}
-			c.book.centroids[c.book.slot(j)] = math.Float32frombits(v)
+			c.book.centroids[c.book.slot(j)] = math.Float32frombits(ld.u32())
 		}
-		for ci := 0; ci < nlist; ci++ {
-			ln, err := get()
-			if err != nil {
-				return nil, fmt.Errorf("index: load list %d/%d: %w: %w", y, ci, err, ErrCorrupt)
+		for ci := range c.lists {
+			n := int(ld.u32())
+			if n > maxPlausible || n*m > maxPlausibleElems || !ld.holds(n, 4+2+32+m) {
+				return nil, ld.fail(fmt.Errorf("index: load: implausible list length %d (m %d): %w", n, m, ErrCorrupt))
 			}
-			n := int(ln)
-			if n > maxPlausible || n*m > maxPlausibleElems || !holds(n, 4+2+32+m) {
-				return nil, fmt.Errorf("index: load: implausible list length %d (m %d): %w", n, m, ErrCorrupt)
-			}
-			l := &pqList{codes: make([]byte, n*m), entries: entries{
-				idx: make([]int32, n), src: make([]string, n), hash: make([][32]byte, n), f: make([]fingerprint.Fingerprint, n)}}
-			for i := 0; i < n; i++ {
-				iv, err := get()
-				if err != nil {
-					return nil, fmt.Errorf("index: load entry %d/%d/%d: %w: %w", y, ci, i, err, ErrCorrupt)
+			l := &pqList{codes: make([]byte, n*m), entries: entries{db: ld.db, idx: make([]int32, n)}}
+			for i := range l.idx {
+				idx, src, hash, code := ld.readIdentity(m)
+				if err := ld.check.entry(idx, y, src, hash, nil); err != nil {
+					return nil, ld.fail(err)
 				}
-				l.idx[i] = int32(iv)
-				var u16 [2]byte
-				if _, err := io.ReadFull(br, u16[:]); err != nil {
-					return nil, fmt.Errorf("index: load entry %d/%d/%d: %w: %w", y, ci, i, err, ErrCorrupt)
-				}
-				rest := make([]byte, int(binary.LittleEndian.Uint16(u16[:]))+32+m)
-				if _, err := io.ReadFull(br, rest); err != nil {
-					return nil, fmt.Errorf("index: load entry %d/%d/%d: %w: %w", y, ci, i, err, ErrCorrupt)
-				}
-				slen := len(rest) - 32 - m
-				l.src[i] = string(rest[:slen])
-				copy(l.hash[i][:], rest[slen:slen+32])
-				copy(l.codes[i*m:(i+1)*m], rest[slen+32:])
+				l.idx[i] = int32(idx)
+				copy(l.codes[i*m:], code)
 			}
 			c.lists[ci] = l
 			c.n += n
+			x.total += n
 		}
 		x.labels[y] = c
-		x.total += c.n
 	}
 	return x, nil
 }

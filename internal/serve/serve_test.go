@@ -105,10 +105,10 @@ func TestPrebuiltSpec(t *testing.T) {
 		t.Fatal("sharded prebuilt backend accepted")
 	}
 
-	// A loaded IVFPQ index carries no float rows: Build is where it gets
-	// the database, after which it answers with exact distances like the
-	// index it was saved from — or the build fails, for a database that
-	// is not the indexed one.
+	// An IVFPQ index loaded over the database answers with exact
+	// distances like the index it was saved from; Build attaches it to
+	// the database it serves, and fails for a database that is not the
+	// indexed one.
 	trained, err := index.TrainIVFPQ(db, index.IVFPQOptions{IVFOptions: index.IVFOptions{Nlist: 2, Nprobe: 2, Seed: 3}, M: 4})
 	if err != nil {
 		t.Fatal(err)
@@ -123,7 +123,7 @@ func TestPrebuiltSpec(t *testing.T) {
 		db *fingerprint.DB
 		ok bool
 	}{{testDB(t, 8, 50, 5), false}, {db, true}} {
-		loaded, err := index.Load(bytes.NewReader(saved.Bytes()))
+		loaded, err := index.Load(bytes.NewReader(saved.Bytes()), db)
 		if err != nil {
 			t.Fatal(err)
 		}

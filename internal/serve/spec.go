@@ -132,9 +132,7 @@ func (s PrebuiltSpec) Kind() string { return s.Searcher.Kind() }
 // Build implements BackendSpec: the backend already exists, and
 // index.Attach makes it db's — every entry checked against the database,
 // refused with index.ErrForeignIndex if one is not db's, and caught up
-// by Append when db holds more. A loaded IVFPQ index is also handed the
-// one thing its file does not carry: the float rows its exact re-rank
-// reads.
+// by Append when db holds more.
 func (s PrebuiltSpec) Build(db *fingerprint.DB) (fingerprint.Searcher, error) {
 	if err := index.Attach(s.Searcher, db); err != nil {
 		return nil, err

@@ -96,8 +96,7 @@ type (
 	IVFOptions = index.IVFOptions
 	// IVFPQIndex is the product-quantized IVF backend: M code bytes per
 	// entry instead of float vectors, scanned by ADC table lookups, the
-	// shortlist re-ranked exactly against the database's own rows. An
-	// index from LoadIndex needs AttachDB for that second stage.
+	// shortlist re-ranked exactly against the database's own rows.
 	IVFPQIndex = index.IVFPQ
 	// IVFPQOptions tunes IVFPQ training and search (IVFOptions plus the
 	// subquantizer count M).
@@ -411,8 +410,11 @@ func TrainIVFPQIndex(db *LinkageDB, opts IVFPQOptions) (*IVFPQIndex, error) {
 // SaveIndex serializes a Flat, IVF, or IVFPQ index.
 func SaveIndex(w io.Writer, s Searcher) error { return index.Save(w, s) }
 
-// LoadIndex deserializes an index saved with SaveIndex.
-func LoadIndex(r io.Reader) (Searcher, error) { return index.Load(r) }
+// LoadIndex reads an index saved with SaveIndex as the index of db, the
+// database it was built over (or a database that has grown since): each
+// entry is checked against db, and the entries db holds past the file's
+// are appended.
+func LoadIndex(r io.Reader, db *LinkageDB) (Searcher, error) { return index.Load(r, db) }
 
 // IndexRecall measures recall@k of an approximate backend against an
 // exact one on the given queries (labels[i] is query i's class).
