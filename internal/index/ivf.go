@@ -51,10 +51,51 @@ func (o IVFOptions) withDefaults(n int) IVFOptions {
 // label's bucket.
 type ivfClass struct {
 	exact
-	b         *bucket
+	coarse
+	b     *bucket
+	lists [][]int32 // bucket positions per list
+}
+
+// coarse is one label's coarse quantizer, resident in two layouts:
+// row-major centroids, which the coarse ranking of a search
+// (scratch.scan) and the CTIX format read, and their dimension-major
+// copy planes, which nearest reads.
+type coarse struct {
 	nlist     int
-	centroids []float32 // nlist*dim
-	lists     [][]int32 // bucket positions per list
+	centroids []float32 // nlist×dim
+	planes    []float32 // the same, dim planes of nlist floats
+}
+
+// newCoarse returns the quantizer of the nlist row-major centroids. One
+// centroid reads the same in either layout, so a one-list quantizer (a
+// class born from one append, say) keeps one array.
+func newCoarse(centroids []float32, nlist, dim int) coarse {
+	planes := centroids
+	if nlist > 1 {
+		planes = make([]float32, len(centroids))
+		transpose(planes, centroids, nlist, dim)
+	}
+	return coarse{nlist: nlist, centroids: centroids, planes: planes}
+}
+
+func (c *coarse) quantizer() (int, []float32) { return c.nlist, c.centroids }
+
+// nearest returns the list whose centroid is nearest f, by the kernel's
+// argmin (strict <, lowest index wins): a batch of one.
+func (c *coarse) nearest(f []float32) int {
+	var out [1]int32
+	kernel.ArgminPlanarBatch(f, c.planes, len(f), c.nlist, out[:])
+	return int(out[0])
+}
+
+// bytes is the quantizer's resident storage, by capacity: a one-list
+// quantizer's one array once.
+func (c *coarse) bytes() int64 {
+	n := 4 * int64(cap(c.centroids))
+	if c.nlist > 1 {
+		n += 4 * int64(cap(c.planes))
+	}
+	return n
 }
 
 // IVF is the approximate backend: each class label is partitioned by a
@@ -104,7 +145,6 @@ func TrainIVF(db *fingerprint.DB, opts IVFOptions) (*IVF, error) {
 // are garbage by the next, and fresh ones would land on pages no
 // collection has freed yet, adding to the set-up's peak resident memory.
 type kmeans struct {
-	table  []float32 // the planar copy of the centroids a pass assigns against
 	sums   []float64 // a Lloyd round's per-cluster sums
 	assign []int32   // a round's cluster of each point
 }
@@ -113,11 +153,10 @@ type kmeans struct {
 func trainClass(b *bucket, o IVFOptions, km *kmeans) *ivfClass {
 	dim := b.vecs.dim
 	rng := rand.New(rand.NewPCG(o.Seed, uint64(b.n)<<16|uint64(o.Nlist)))
-	c := &ivfClass{b: b, nlist: o.Nlist}
+	c := &ivfClass{b: b}
 	if o.Nlist >= b.n {
 		// Degenerate: every point its own list; centroids are the points.
-		c.centroids = append(append(make([]float32, 0, b.n*dim), b.vecs.base...), b.vecs.tail...)
-		c.nlist = b.n
+		c.coarse = newCoarse(append(append(make([]float32, 0, b.n*dim), b.vecs.base...), b.vecs.tail...), b.n, dim)
 		c.lists = make([][]int32, b.n)
 		for i := range c.lists {
 			c.lists[i] = []int32{int32(i)}
@@ -134,23 +173,22 @@ func trainClass(b *bucket, o IVFOptions, km *kmeans) *ivfClass {
 	rng.Shuffle(len(perm), func(i, j int) { perm[i], perm[j] = perm[j], perm[i] })
 	sample := perm[:min(b.n, o.SampleCap)]
 
-	// Random distinct init from the sample.
-	c.centroids = make([]float32, c.nlist*dim)
-	for i := 0; i < c.nlist; i++ {
+	// Random distinct init from the sample; lloyd leaves the trained
+	// centroids in both layouts.
+	nlist := o.Nlist
+	c.coarse = newCoarse(make([]float32, nlist*dim), nlist, dim)
+	for i := 0; i < nlist; i++ {
 		p := int(sample[i%len(sample)])
 		copy(c.centroids[i*dim:(i+1)*dim], b.vecs.at(p))
 	}
+	km.lloyd(&b.vecs, sample, c.centroids, c.planes, nlist, o.Iters, rng)
 
-	km.table = resize(km.table, c.nlist*dim)
-	km.lloyd(&b.vecs, sample, c.centroids, km.table, c.nlist, o.Iters, rng)
-
-	// Full assignment pass over every point in the label, against the
-	// trained centroids lloyd left transposed in km.table.
+	// Full assignment pass over every point in the label.
 	km.assign = resize(km.assign, b.n)
 	assignNearest(&b.vecs, nil, nil, km.assign, func(qs []float32, out []int32) {
-		kernel.ArgminPlanarBatch(qs, km.table, dim, c.nlist, out)
+		kernel.ArgminPlanarBatch(qs, c.planes, dim, nlist, out)
 	})
-	c.lists = invertedLists(km.assign, c.nlist)
+	c.lists = invertedLists(km.assign, nlist)
 	return c
 }
 
@@ -193,9 +231,9 @@ func invertedLists(assign []int32, nlist int) [][]int32 {
 // assigned them. cents stays row-major, which is what the update step
 // writes; each assignment pass reads table, the caller's k·dim floats
 // that cents is transposed into once per round — the planar layout
-// kernel.ArgminPlanarBatch reads at every width, returning the same
-// indexes — and table ends holding the trained centroids transposed, for
-// the caller's own pass over them.
+// kernel.ArgminPlanarBatch reads at every width — and table ends holding
+// the trained centroids transposed: the resident planar copy of a coarse
+// quantizer or a PQ codebook.
 func (km *kmeans) lloyd(vecs *rows, points []int32, cents, table []float32, k, iters int, rng *rand.Rand) {
 	dim := vecs.dim
 	km.assign, km.sums = resize(km.assign, len(points)), resize(km.sums, k*dim)
@@ -316,15 +354,10 @@ func (x *IVF) Append(dbIndex int, l fingerprint.Linkage) error {
 	if c == nil {
 		b := &bucket{vecs: rows{dim: x.dim}}
 		pos := b.appendEntry(int32(dbIndex), l)
-		x.labels[l.Y] = &ivfClass{
-			b:         b,
-			nlist:     1,
-			centroids: append([]float32(nil), l.F...),
-			lists:     [][]int32{{pos}},
-		}
+		x.labels[l.Y] = &ivfClass{coarse: newCoarse(append([]float32(nil), l.F...), 1, x.dim), b: b, lists: [][]int32{{pos}}}
 	} else {
 		pos := c.b.appendEntry(int32(dbIndex), l)
-		best := kernel.ArgminRows(l.F, c.centroids, x.dim, c.nlist)
+		best := c.nearest(l.F)
 		c.lists[best] = append(c.lists[best], pos)
 	}
 	x.total++
@@ -352,14 +385,14 @@ func (x *IVF) VectorBytes() int64 {
 }
 
 // OwnedBytes reports what the index keeps resident beyond the database
-// it was built over: Flat.OwnedBytes plus the centroid tables and the
-// inverted lists.
+// it was built over: Flat.OwnedBytes plus the centroid tables, in both
+// layouts, and the inverted lists.
 func (x *IVF) OwnedBytes() int64 {
 	x.mu.RLock()
 	defer x.mu.RUnlock()
 	var total int64
 	for _, c := range x.labels {
-		total += c.b.ownedBytes() + 4*int64(cap(c.centroids))
+		total += c.b.ownedBytes() + c.coarse.bytes()
 		for _, list := range c.lists {
 			total += 4 * int64(cap(list))
 		}
@@ -390,8 +423,6 @@ func (x *IVF) Search(f fingerprint.Fingerprint, label, k int) ([]fingerprint.Mat
 func (x *IVF) SearchBatch(fs []fingerprint.Fingerprint, labels []int, ks []int) ([][]fingerprint.Match, []error) {
 	return searchBatch(x, &x.mu, fs, labels, ks)
 }
-
-func (c *ivfClass) quantizer() (int, []float32) { return c.nlist, c.centroids }
 
 func (c *ivfClass) listLen(li int32) int { return len(c.lists[li]) }
 

@@ -48,12 +48,11 @@ func (l *pqList) n() int { return len(l.idx) }
 // ivfpqClass is one label's coarse quantizer, PQ codebook, and
 // product-quantized inverted lists.
 type ivfpqClass struct {
-	x         *IVFPQ // the owning index: dim, m, and the database entries resolve through
-	nlist     int
-	centroids []float32 // nlist×dim
-	book      *pqCodebook
-	lists     []*pqList
-	n         int
+	coarse
+	x     *IVFPQ // the owning index: dim, m, and the database entries resolve through
+	book  *pqCodebook
+	lists []*pqList
+	n     int
 }
 
 // IVFPQ is the memory-compressed approximate backend: the IVF coarse
@@ -146,7 +145,7 @@ func TrainIVFPQ(db *fingerprint.DB, opts IVFPQOptions) (*IVFPQ, error) {
 func (x *IVFPQ) trainClass(b *bucket, co IVFOptions, km *kmeans) *ivfpqClass {
 	dim, m := x.dim, x.m
 	ivfc := trainClass(b, co, km)
-	c := &ivfpqClass{x: x, nlist: ivfc.nlist, centroids: ivfc.centroids, n: b.n}
+	c := &ivfpqClass{coarse: ivfc.coarse, x: x, n: b.n}
 
 	assign := make([]int32, b.n) // coarse list by bucket position
 	for ci, list := range ivfc.lists {
@@ -230,14 +229,14 @@ func (x *IVFPQ) VectorBytes() int64 {
 }
 
 // OwnedBytes reports what the index keeps resident beyond the database
-// it was built over: VectorBytes by capacity, plus the linkage of every
-// entry Append handed it.
+// it was built over: VectorBytes by capacity, plus the coarse centroids'
+// planar copy and the linkage of every entry Append handed it.
 func (x *IVFPQ) OwnedBytes() int64 {
 	x.mu.RLock()
 	defer x.mu.RUnlock()
 	var total int64
 	for _, c := range x.labels {
-		total += 4*int64(cap(c.centroids)) + 4*int64(cap(c.book.centroids))
+		total += c.coarse.bytes() + 4*int64(cap(c.book.centroids))
 		for _, l := range c.lists {
 			total += int64(cap(l.codes)) + l.entries.bytes()
 		}
@@ -260,10 +259,9 @@ func (x *IVFPQ) Append(dbIndex int, l fingerprint.Linkage) error {
 	c := x.labels[l.Y]
 	if c == nil {
 		x.labels[l.Y] = &ivfpqClass{
-			x:         x,
-			nlist:     1,
-			centroids: append([]float32(nil), l.F...),
-			book:      newCodebook(x.m, x.dim/x.m),
+			coarse: newCoarse(append([]float32(nil), l.F...), 1, x.dim),
+			x:      x,
+			book:   newCodebook(x.m, x.dim/x.m),
 			lists: []*pqList{{
 				codes: make([]byte, x.m),
 				entries: entries{db: x.db, idx: []int32{int32(dbIndex)},
@@ -272,7 +270,7 @@ func (x *IVFPQ) Append(dbIndex int, l fingerprint.Linkage) error {
 			n: 1,
 		}
 	} else {
-		best := kernel.ArgminRows(l.F, c.centroids, x.dim, c.nlist)
+		best := c.nearest(l.F)
 		cen := c.centroids[best*x.dim : (best+1)*x.dim]
 		if x.appendRes == nil {
 			x.appendRes = make([]float32, x.dim)
@@ -317,8 +315,6 @@ func (x *IVFPQ) Search(f fingerprint.Fingerprint, label, k int) ([]fingerprint.M
 func (x *IVFPQ) SearchBatch(fs []fingerprint.Fingerprint, labels []int, ks []int) ([][]fingerprint.Match, []error) {
 	return searchBatch(x, &x.mu, fs, labels, ks)
 }
-
-func (c *ivfpqClass) quantizer() (int, []float32) { return c.nlist, c.centroids }
 
 func (c *ivfpqClass) listLen(li int32) int { return c.lists[li].n() }
 

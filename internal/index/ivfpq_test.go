@@ -410,7 +410,7 @@ func TestIVFPQAppendNewLabel(t *testing.T) {
 // TestLoadParentSavedIVFPQ: testdata/pr19.ivfpq.ctix was written by the
 // commit before PQ codebooks became dimension-major in memory (PR 19's
 // build: populatedDB(8, 200, 2, 20), Nlist 4, Nprobe 2, Seed 9, M 2, so
-// 4-float subvectors — the planar width the bench serves). The layout is
+// 4-float subvectors, the width the bench serves). The layout is
 // a resident matter only: under every kernel implementation that file
 // must load, re-save to the same bytes, be exactly what training the
 // same database writes today, and — loaded over that database — answer
@@ -436,9 +436,6 @@ func TestLoadParentSavedIVFPQ(t *testing.T) {
 			t.Fatalf("impl %q: %v", im.Name, err)
 		}
 		loaded := got.(*IVFPQ)
-		if !planar(loaded.labels[0].book.dsub) {
-			t.Fatal("the file's subvectors are not of a planar width: the test would prove nothing")
-		}
 		if !bytes.Equal(savedBytes(t, loaded), file) {
 			t.Errorf("impl %q: the parent's file re-saves to different bytes", im.Name)
 		}
@@ -609,8 +606,8 @@ func linkedClassDB(b *testing.B, n int) *fingerprint.DB {
 // BenchmarkTrainIVF times the whole IVF build — sample, Lloyd rounds,
 // full assignment pass, inverted lists — for one class the size of a
 // bench shard label (25 000 × 64, 158 lists; 2 500 under -short).
-// Nearly all of it is ArgminBatch of 64-float rows against the
-// centroid table, which is what the screened argmin exists for.
+// Nearly all of it is ArgminPlanarBatch of 64-float points against the
+// planar centroid table, which is what the screened argmin exists for.
 func BenchmarkTrainIVF(b *testing.B) {
 	n := 25000
 	if testing.Short() {
@@ -628,7 +625,7 @@ func BenchmarkTrainIVF(b *testing.B) {
 // BenchmarkTrainIVFPQ times the whole IVFPQ build — coarse k-means, PQ
 // codebook training, the encoding pass — for one class at the shape of
 // a bench shard label (dim 64, M 16: 4-float subvectors), 2 500 entries
-// (500 under -short). Nearly all of it is ArgminPlanar over 256-centroid
+// (500 under -short). Nearly all of it is ArgminPlanarBatch over 256-centroid
 // codebooks, which is what the planar kernel exists for.
 func BenchmarkTrainIVFPQ(b *testing.B) {
 	n := 2500

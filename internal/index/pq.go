@@ -20,13 +20,10 @@ import (
 // contract (one code element = one uint8).
 const pqKs = kernel.ADCKs
 
-// pqCodebook holds one label's trained subquantizer centroids. A
+// pqCodebook holds one label's trained subquantizer centroids. Each
 // subquantizer's table is resident in the layout the kernel's argmin
-// reads at its width: dimension-major (dsub planes of pqKs floats) when
-// dsub is below kernel.BlockDim, where a row has no whole block to
-// vectorize over, and row-major (pqKs rows of dsub) from there up. The
-// CTIX stream is row-major either way (slot), so the layout is
-// invisible on disk.
+// reads: dimension-major, dsub planes of pqKs floats. The CTIX stream is
+// row-major (slot), so the layout is invisible on disk.
 type pqCodebook struct {
 	m, dsub   int
 	centroids []float32 // m tables of pqKs×dsub floats
@@ -41,10 +38,6 @@ type pqCodebook struct {
 func newCodebook(m, dsub int) *pqCodebook {
 	return &pqCodebook{m: m, dsub: dsub, centroids: make([]float32, m*pqKs*dsub)}
 }
-
-// planar reports whether a resident codebook of dim-wide subquantizers
-// is kept dimension-major rather than row-major.
-func planar(dim int) bool { return dim < kernel.BlockDim }
 
 // transpose writes the n×dim row-major table src dimension-major into
 // dst: dst[j*n+i] = src[i*dim+j].
@@ -65,9 +58,6 @@ func (cb *pqCodebook) sub(j int) []float32 {
 // (subquantizer, centroid, coordinate) to where centroids keeps that
 // float.
 func (cb *pqCodebook) slot(i int) int {
-	if !planar(cb.dsub) {
-		return i
-	}
 	table, k, d := i/(pqKs*cb.dsub), i/cb.dsub%pqKs, i%cb.dsub
 	return table*pqKs*cb.dsub + d*pqKs + k
 }
@@ -104,15 +94,9 @@ func trainPQ(residual func(p int, r []float32), n, dim, m, iters, sampleCap int,
 		for k := 0; k < pqKs; k++ {
 			copy(cents[k*dsub:(k+1)*dsub], sub.at(k%sampleN))
 		}
-		if planar(dsub) {
-			// The planar copy lloyd assigns against is the resident table,
-			// which it leaves trained.
-			km.lloyd(&sub, all, cents, cb.sub(j), pqKs, iters, rng)
-			continue
-		}
-		km.table = resize(km.table, pqKs*dsub)
-		km.lloyd(&sub, all, cents, km.table, pqKs, iters, rng)
-		copy(cb.sub(j), cents)
+		// The planar copy lloyd assigns against is the resident table,
+		// which it leaves trained.
+		km.lloyd(&sub, all, cents, cb.sub(j), pqKs, iters, rng)
 	}
 	return cb
 }
@@ -129,17 +113,12 @@ func (cb *pqCodebook) pack(dst, r []float32, i, nq int) {
 
 // encode writes the m-byte codes of the nq residuals of a packed block
 // (pack) into codes, row-major: per subquantizer, one batched kernel
-// argmin over its nq subvectors in the table's resident layout (strict
-// <, so ties are deterministic). near is an nq-long scratch.
+// argmin over its nq subvectors (strict <, so ties are deterministic).
+// near is an nq-long scratch.
 func (cb *pqCodebook) encode(res []float32, nq int, codes []byte, near []int32) {
 	run := nq * cb.dsub
 	for j := 0; j < cb.m; j++ {
-		qs, table := res[j*run:(j+1)*run], cb.sub(j)
-		if planar(cb.dsub) {
-			kernel.ArgminPlanarBatch(qs, table, cb.dsub, pqKs, near[:nq])
-		} else {
-			kernel.ArgminBatch(qs, table, cb.dsub, pqKs, near[:nq])
-		}
+		kernel.ArgminPlanarBatch(res[j*run:(j+1)*run], cb.sub(j), cb.dsub, pqKs, near[:nq])
 		for i, c := range near[:nq] {
 			codes[i*cb.m+j] = byte(c)
 		}
@@ -152,12 +131,7 @@ func (cb *pqCodebook) encode(res []float32, nq int, codes []byte, near []int32) 
 // kernel dispatch per subquantizer. d2s is a ≥pqKs scratch.
 func (cb *pqCodebook) table(res []float32, tab []float32, d2s []float64) {
 	for j := 0; j < cb.m; j++ {
-		r := res[j*cb.dsub : (j+1)*cb.dsub]
-		if planar(cb.dsub) {
-			kernel.DistancePlanar(r, cb.sub(j), d2s[:pqKs])
-		} else {
-			kernel.DistanceRows(r, cb.sub(j), cb.dsub, d2s[:pqKs])
-		}
+		kernel.DistancePlanar(res[j*cb.dsub:(j+1)*cb.dsub], cb.sub(j), d2s[:pqKs])
 		for k, d := range d2s[:pqKs] {
 			tab[j*pqKs+k] = float32(d)
 		}

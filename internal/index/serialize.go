@@ -403,8 +403,9 @@ func (ld *loader) buckets(kind byte, nlabels int) (Appender, error) {
 		if nlist <= 0 || nlist > maxPlausible || nlist*dim > maxPlausibleElems || !ld.holds(nlist, 4*dim+4) {
 			return nil, ld.fail(fmt.Errorf("index: load: implausible nlist %d (dim %d): %w", nlist, dim, ErrCorrupt))
 		}
-		c := &ivfClass{b: b, nlist: nlist, centroids: make([]float32, nlist*dim), lists: make([][]int32, nlist)}
-		ld.floats(c.centroids)
+		centroids := make([]float32, nlist*dim)
+		ld.floats(centroids)
+		c := &ivfClass{coarse: newCoarse(centroids, nlist, dim), b: b, lists: make([][]int32, nlist)}
 		// The inverted lists must partition the class: every bucket
 		// position in exactly one list, or searches would silently drop
 		// (or double-count) entries.
@@ -460,14 +461,14 @@ func (ld *loader) ivfpq(nlabels int) (Appender, error) {
 		if nlist <= 0 || nlist > maxPlausible || nlist*dim > maxPlausibleElems || !ld.holds(nlist, 4*dim+4) || !ld.holds(dim, 4*pqKs) {
 			return nil, ld.fail(fmt.Errorf("index: load: implausible nlist %d (dim %d): %w", nlist, dim, ErrCorrupt))
 		}
+		centroids := make([]float32, nlist*dim)
+		ld.floats(centroids)
 		c := &ivfpqClass{
-			x:         x,
-			nlist:     nlist,
-			centroids: make([]float32, nlist*dim),
-			book:      newCodebook(m, dim/m),
-			lists:     make([]*pqList, nlist),
+			coarse: newCoarse(centroids, nlist, dim),
+			x:      x,
+			book:   newCodebook(m, dim/m),
+			lists:  make([]*pqList, nlist),
 		}
-		ld.floats(c.centroids)
 		for j := range c.book.centroids {
 			c.book.centroids[c.book.slot(j)] = math.Float32frombits(ld.u32())
 		}

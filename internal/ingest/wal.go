@@ -158,10 +158,13 @@ type WAL struct {
 	stopSyn chan struct{}
 	synWG   sync.WaitGroup
 	closed  bool
-	// failed marks a torn write that could not be rolled back: appends
-	// stop (fail-stop) so the damage stays at the stream's tail, which
-	// replay tolerates.
-	failed bool
+	// failed is why appends stopped (fail-stop): a torn write that could
+	// not be rolled back, or a failed fsync — after which the kernel may
+	// have dropped the dirty pages and cleared the error, so a later fsync
+	// could report success over records that never reached the disk.
+	// Either way the damage stays at the stream's tail, which replay
+	// tolerates.
+	failed error
 	// cursors counts open replication cursors (OpenCursor). While any
 	// are open, Truncate defers segment unlinking into pending instead
 	// of deleting files a reader still holds mid-stream.
@@ -290,8 +293,9 @@ func (w *WAL) syncLoop() {
 		select {
 		case <-t.C:
 			w.mu.Lock()
-			if !w.closed {
-				w.f.Sync()
+			if !w.closed && w.failed == nil {
+				// A failure fails the log stop: the next Append reports it.
+				_ = w.syncLocked()
 			}
 			w.mu.Unlock()
 		case <-w.stopSyn:
@@ -443,8 +447,8 @@ func (w *WAL) AppendCtx(ctx context.Context, seq uint64, ls []fingerprint.Linkag
 	if w.closed {
 		return errors.New("ingest: wal: append after Close")
 	}
-	if w.failed {
-		return errors.New("ingest: wal: log failed a torn-write rollback; restart to replay")
+	if w.failed != nil {
+		return fmt.Errorf("ingest: wal: log closed to appends until restart: %w", w.failed)
 	}
 	w.buf = w.buf[:0]
 	for i, l := range ls {
@@ -461,8 +465,8 @@ func (w *WAL) AppendCtx(ctx context.Context, seq uint64, ls []fingerprint.Linkag
 		// fails, fail stop: refusing further appends keeps the torn
 		// bytes at the tail, where the next restart's replay skips them
 		// (they were never acknowledged).
-		if w.f.Truncate(w.size) != nil || !w.seekTo(w.size) {
-			w.failed = true
+		if !w.rollback() {
+			w.failed = fmt.Errorf("torn write not rolled back: %w", err)
 			return fmt.Errorf("ingest: wal: %w (rollback failed; log closed to appends until restart)", err)
 		}
 		return fmt.Errorf("ingest: wal: %w", err)
@@ -471,11 +475,17 @@ func (w *WAL) AppendCtx(ctx context.Context, seq uint64, ls []fingerprint.Linkag
 	w.total += int64(n)
 	if w.opts.Sync == SyncAlways {
 		_, span := obs.StartSpan(ctx, "fsync")
-		err := w.f.Sync()
+		err := w.syncLocked()
 		span.SetError(err)
 		span.End()
 		if err != nil {
-			return fmt.Errorf("ingest: wal: %w", err)
+			// The batch is not durable and is reported failed, so it must
+			// not come back at replay: roll it back as a torn write is. The
+			// log stays failed whatever the rollback returns.
+			w.size -= int64(n)
+			w.total -= int64(n)
+			w.rollback()
+			return fmt.Errorf("%w (log closed to appends until restart)", err)
 		}
 	}
 	if w.size >= w.opts.SegmentBytes {
@@ -488,11 +498,25 @@ func (w *WAL) AppendCtx(ctx context.Context, seq uint64, ls []fingerprint.Linkag
 	return nil
 }
 
-// seekTo repositions the active segment's write offset after a torn
-// write was truncated away. Callers hold w.mu.
-func (w *WAL) seekTo(off int64) bool {
-	pos, err := w.f.Seek(off, io.SeekStart)
-	return err == nil && pos == off
+// rollback truncates the active segment back to w.size, the end of its
+// last logged batch, and repositions the write offset there; it reports
+// whether both succeeded. Callers hold w.mu.
+func (w *WAL) rollback() bool {
+	if w.f.Truncate(w.size) != nil {
+		return false
+	}
+	pos, err := w.f.Seek(w.size, io.SeekStart)
+	return err == nil && pos == w.size
+}
+
+// syncLocked fsyncs the active segment; a failure fails the log stop
+// (see failed). Callers hold w.mu.
+func (w *WAL) syncLocked() error {
+	if err := w.f.Sync(); err != nil {
+		w.failed = fmt.Errorf("fsync failed: %w", err)
+		return fmt.Errorf("ingest: wal: %w", w.failed)
+	}
+	return nil
 }
 
 // rotateLocked switches to the next segment. The old segment stays
@@ -509,17 +533,14 @@ func (w *WAL) rotateLocked() error {
 }
 
 // Sync flushes the active segment to stable storage regardless of
-// policy.
+// policy. A failure fails the log stop, as under the policies.
 func (w *WAL) Sync() error {
 	w.mu.Lock()
 	defer w.mu.Unlock()
 	if w.closed {
 		return nil
 	}
-	if err := w.f.Sync(); err != nil {
-		return fmt.Errorf("ingest: wal: %w", err)
-	}
-	return nil
+	return w.syncLocked()
 }
 
 // Bytes returns the total size of all live segments — the wal_bytes

@@ -4,7 +4,9 @@ import (
 	"errors"
 	"math/rand/v2"
 	"os"
+	"strings"
 	"testing"
+	"time"
 
 	"caltrain/internal/fingerprint"
 )
@@ -249,5 +251,76 @@ func TestWALDimMismatch(t *testing.T) {
 	err = w2.Replay(func(uint64, fingerprint.Linkage) error { return nil })
 	if !errors.Is(err, ErrCorrupt) {
 		t.Fatalf("dim mismatch: %v, want ErrCorrupt", err)
+	}
+}
+
+// TestWALFailStopOnFsyncError: once an fsync fails the log takes no more
+// appends until restart, under both policies that sync — SyncAlways,
+// where the Append that saw the failure is refused, and SyncInterval,
+// where the timer saw it. The kernel may have dropped the dirty pages and
+// cleared the error, so a later fsync could succeed over lost records:
+// every later Append must write nothing and return an error naming the
+// failed sync. The active segment is swapped for a pipe, on which fsync
+// fails (EINVAL on Linux) while writes succeed.
+func TestWALFailStopOnFsyncError(t *testing.T) {
+	for _, policy := range []SyncPolicy{SyncAlways, SyncInterval} {
+		t.Run(policy.String(), func(t *testing.T) {
+			w, err := OpenWAL(t.TempDir(), 4, WALOptions{Sync: policy, SyncEvery: time.Millisecond})
+			if err != nil {
+				t.Fatal(err)
+			}
+			r, pw, err := os.Pipe()
+			if err != nil {
+				t.Fatal(err)
+			}
+			defer r.Close()
+			w.mu.Lock()
+			seg := w.f
+			w.f = pw
+			w.mu.Unlock()
+			defer seg.Close()
+			defer w.Close()
+			// drain empties the pipe and returns how many bytes it held.
+			drain := func() int {
+				n, buf := 0, make([]byte, 4096)
+				for {
+					r.SetReadDeadline(time.Now().Add(20 * time.Millisecond))
+					k, err := r.Read(buf)
+					n += k
+					if err != nil {
+						return n
+					}
+				}
+			}
+
+			ls := testLinkages(9, 2, 4)
+			deadline := time.Now().Add(5 * time.Second)
+			for seq := uint64(0); ; seq += 2 {
+				err := w.Append(seq, ls)
+				if err != nil {
+					if !strings.Contains(err.Error(), "fsync failed") {
+						t.Fatalf("the failing Append: %v, want it to name the failed fsync", err)
+					}
+					break
+				}
+				if policy == SyncAlways {
+					t.Fatal("an Append whose fsync failed was acknowledged")
+				}
+				if time.Now().After(deadline) {
+					t.Fatal("the interval fsync's failure never surfaced")
+				}
+				drain() // a full pipe would block the next write
+			}
+			drain()
+			for i := 0; i < 3; i++ {
+				err := w.Append(100+uint64(i), ls)
+				if err == nil || !strings.Contains(err.Error(), "fsync failed") || !strings.Contains(err.Error(), "closed to appends") {
+					t.Fatalf("Append %d after the failed fsync: %v, want the fail-stop error naming the fsync", i, err)
+				}
+				if n := drain(); n != 0 {
+					t.Fatalf("Append %d after the failed fsync wrote %d bytes", i, n)
+				}
+			}
+		})
 	}
 }

@@ -7,7 +7,7 @@ import (
 	"math/bits"
 )
 
-// Go side of the assembly implementations: eight routines per
+// Go side of the assembly implementations: seven routines per
 // architecture (kernel_amd64.s, kernel_arm64.s) behind the same names,
 // and the wrappers that fill the Impl slots from them.
 
@@ -48,21 +48,15 @@ type screenResult struct {
 	cand  [ArgminTile][argminBlock / 64]uint64
 }
 
-// screenAsm is the screening pass of the screened argmin over row-major
-// rows: the dot-form values s = ‖v‖² − 2·q·v, in float32, of nq
-// (1…ArgminTile) queries against n ≥ 4 rows (dim ≥ 8, n ≤ argminBlock),
-// query t's value for row i to out[t*argminBlock+i] (slots past nq
-// repeat the last query), each slot's ‖q‖² to res.qq and its smallest
-// value to res.lim.
-//
-//go:noescape
-func screenAsm(qs, vecs *float32, dim, n, nq int, out *float32, res *screenResult)
-
-// planarScreenAsm is screenAsm for a planar table: n ≥ planarScreenMinRows
-// centroids (n ≤ argminBlock) of dim planes (1 ≤ dim ≤ screenMaxDim)
-// stride floats apart. A tile (nq ≥ 2) reads the n centroids' ‖c‖² from
-// norms (planarNormsAsm's); a batch of one sums c·(c − 2·q) and does not
-// read norms.
+// planarScreenAsm is the screening pass of the screened argmin: the
+// dot-form values s = ‖c‖² − 2·q·c, in float32, of nq (1…ArgminTile)
+// queries against n ≥ planarScreenMinRows centroids (n ≤ argminBlock) of
+// a planar table, dim planes (1 ≤ dim ≤ screenMaxDim) stride floats
+// apart: query t's value for centroid i to out[t*argminBlock+i] (slots
+// past nq repeat the last query), each slot's ‖q‖² to res.qq and its
+// smallest value to res.lim. A tile (nq ≥ 2) reads the n centroids' ‖c‖²
+// from norms (planarNormsAsm's); a batch of one sums c·(c − 2·q) and does
+// not read norms.
 //
 //go:noescape
 func planarScreenAsm(qs, planes, norms *float32, dim, stride, n, nq int, out *float32, res *screenResult)
@@ -120,10 +114,16 @@ func rowsVector(q, vecs []float32, dim int, out []float64) {
 	}
 }
 
-// planarVector is planarGeneric under the assembly implementation: whole
-// lane groups in assembly, the centroids left over (fewer than rowLanes)
-// in portable Go.
+// planarVector is planarGeneric under the assembly implementation: for
+// a table narrower than BlockDim whole lane groups in assembly, the
+// centroids left over (fewer than rowLanes) in portable Go; a wider table
+// in portable Go (planarAsm serves the narrow ADC tables, and no serving
+// path builds one wider).
 func planarVector(q, planes []float32, n, lo int, out []float64) {
+	if len(q) >= BlockDim {
+		planarGeneric(q, planes, n, lo, out)
+		return
+	}
 	done := len(out) &^ (rowLanes - 1)
 	if done > 0 {
 		var qd [BlockDim - 1]float64
@@ -138,26 +138,23 @@ func planarVector(q, planes []float32, n, lo int, out []float64) {
 }
 
 // argminScreened is the screened argmin (package comment, "Screened
-// argmin") of the len(out) queries in qs against the n rows of vecs —
-// row-major, or a planar table when planar is set — ArgminTile queries
-// at a time: per block of argminBlock rows, the screening routine scores
-// every row against the tile in float32 dot form, screenSelectAsm marks
-// each query's candidates — the rows whose value is within the proved
-// margin of that query's smallest — and the exact distance (pairAsm, or
-// planarAt) compares the candidates ascending and strict-<, which is the
-// exhaustive scan's answer. In a block too small to screen every row is
-// a candidate: the exhaustive scan itself. a is the screening values'
-// scratch: argminBlock floats for one query, ArgminTile times that for
-// more, and one block more for a planar tile's norms.
-func argminScreened(qs, vecs []float32, dim, n int, out []int32, a []float32, planar bool) {
-	bound, minRows := screenBound{}, screenMinRows
-	switch {
-	case planar && dim < BlockDim:
-		bound, minRows = planarBounds[dim], planarScreenMinRows
-	case planar:
-		bound, minRows = newScreenBound(dim, true), planarScreenMinRows
-	default:
-		bound = newScreenBound(dim, false)
+// argmin") of the len(out) queries in qs against the n centroids of a
+// planar table, ArgminTile queries at a time: per block of argminBlock
+// centroids, planarScreenAsm scores every centroid against the tile in
+// float32 dot form, screenSelectAsm marks each query's candidates — the
+// centroids whose value is within the proved margin of that query's
+// smallest — and the exact distance (planarAt) compares the candidates
+// ascending and strict-<, which is the exhaustive scan's answer. In a
+// block too small to screen every centroid is a candidate: the
+// exhaustive scan itself. a is the screening values' scratch:
+// argminBlock floats for one query, and for more ArgminTile times that
+// and one block more for the tile's norms.
+func argminScreened(qs, planes []float32, dim, n int, out []int32, a []float32) {
+	var bound screenBound
+	if dim < BlockDim {
+		bound = planarBounds[dim]
+	} else {
+		bound = newScreenBound(dim)
 	}
 	normsAt := -1 // the block whose norms a[ArgminTile*argminBlock:] holds
 	for t0 := 0; t0 < len(out); t0 += ArgminTile {
@@ -171,23 +168,20 @@ func argminScreened(qs, vecs []float32, dim, n int, out []int32, a []float32, pl
 			nb := min(argminBlock, n-r0)
 			res := screenResult{bound: bound}
 			switch {
-			case nb < minRows:
+			case nb < planarScreenMinRows:
 				for t := range nt {
 					res.cand[t][0] = 1<<nb - 1
 				}
-			case planar && nt > 1:
+			case nt > 1:
 				norms := &a[ArgminTile*argminBlock]
 				if normsAt != r0 {
-					planarNormsAsm(&vecs[r0], dim, n, nb, norms)
+					planarNormsAsm(&planes[r0], dim, n, nb, norms)
 					normsAt = r0
 				}
-				planarScreenAsm(&qs[t0*dim], &vecs[r0], norms, dim, n, nb, nt, &a[0], &res)
-				screenSelectAsm(&a[0], nb, nt, &res)
-			case planar:
-				planarScreenAsm(&qs[t0*dim], &vecs[r0], nil, dim, n, nb, nt, &a[0], &res)
+				planarScreenAsm(&qs[t0*dim], &planes[r0], norms, dim, n, nb, nt, &a[0], &res)
 				screenSelectAsm(&a[0], nb, nt, &res)
 			default:
-				screenAsm(&qs[t0*dim], &vecs[r0*dim], dim, nb, nt, &a[0], &res)
+				planarScreenAsm(&qs[t0*dim], &planes[r0], nil, dim, n, nb, nt, &a[0], &res)
 				screenSelectAsm(&a[0], nb, nt, &res)
 			}
 			for t := range nt {
@@ -206,13 +200,7 @@ func argminScreened(qs, vecs []float32, dim, n int, out []int32, a []float32, pl
 							best[t] = i
 							continue
 						}
-						var d float64
-						if planar {
-							d = planarAt(q, vecs, n, i)
-						} else {
-							d = pairAsm(&q[0], &vecs[i*dim], dim)
-						}
-						if d < bestD[t] {
+						if d := planarAt(q, planes, n, i); d < bestD[t] {
 							best[t], bestD[t] = i, d
 						}
 					}
@@ -262,22 +250,19 @@ func planarAt(q, planes []float32, n, i int) float64 {
 // routine computed them, and screenSelectAsm evaluates it.
 type screenBound struct{ a, b, c0 float64 }
 
-// planarBounds[dim] is the planar bound at each width, computed once: a
-// codebook's batch of one is ~100 ns, and the division was 15 of them.
+// planarBounds[dim] is the bound at each width narrower than a block,
+// computed once: a codebook's batch of one is ~100 ns, and the division
+// was 15 of them.
 var planarBounds = func() (b [BlockDim]screenBound) {
 	for dim := range b {
-		b[dim] = newScreenBound(dim, true)
+		b[dim] = newScreenBound(dim)
 	}
 	return b
 }()
 
-// newScreenBound is the bound at width dim for row-major rows, or for a
-// planar table: only the rounding depth K differs.
-func newScreenBound(dim int, planar bool) screenBound {
-	k := float64(dim/8 + 12)
-	if planar {
-		k = float64(dim + 4)
-	}
+// newScreenBound is the bound at width dim: K = dim + 4.
+func newScreenBound(dim int) screenBound {
+	k := float64(dim + 4)
 	c := k*0x1p-24/(1-k*0x1p-24) + 0x1p-23 // γ_K + 2u
 	eta := float64(dim+8) * 0x1p-147
 	w := 16*c + 4*c*(1+4*c)*(1+8*c)

@@ -25,6 +25,6 @@ func accumulateVector(sums []float64, v []float32) { accumulateGeneric(sums, v) 
 // argminScreened is never reached either.
 const screenOK = false
 
-func argminScreened(qs, vecs []float32, dim, n int, out []int32, a []float32, planar bool) {
+func argminScreened(qs, planes []float32, dim, n int, out []int32, a []float32) {
 	panic("kernel: no screening routine on this build")
 }

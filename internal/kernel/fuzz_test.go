@@ -49,7 +49,8 @@ func FuzzDistanceBatchParity(f *testing.F) {
 }
 
 // FuzzRowsParity drives the rows kernel — every registered
-// implementation, the dispatched DistanceRows and ArgminRows — with
+// implementation and the dispatched DistanceRows — and, through
+// CheckRows, the planar entry points over the same table transposed, with
 // fuzz-chosen shapes. Half the inputs land on widths 0–9, where the
 // vector paths put one row per double lane, the other half on the
 // adversarial Dims() list; row counts straddle the lane count (not a
@@ -96,11 +97,14 @@ func toBytes(v []float32) []byte {
 }
 
 // FuzzArgminParity mutates the adversarial argmin table (the seed
-// corpus is argminCases at compact shapes): the query and the rows
-// arrive as raw float32 bytes, so the fuzzer perturbs single ulps of a
-// planted tie, flips a coordinate to NaN or to a magnitude whose square
-// leaves float32, and resizes both — and ArgminRows under every
-// implementation must still return the exhaustive exact scan's index.
+// corpus is argminCases at compact shapes of a coarse quantizer's
+// width): the query and the rows arrive as raw float32 bytes, so the
+// fuzzer perturbs single ulps of a planted tie, flips a coordinate to NaN
+// or to a magnitude whose square leaves float32, and resizes both — and
+// CheckRows holds the rows kernel to the reference and ArgminPlanarBatch
+// over the transposed table, alone and in a tile, to the exhaustive exact
+// scan's index. Its seeds run with every test; CI fuzzes FuzzPlanarParity,
+// which drives the same entry points.
 func FuzzArgminParity(f *testing.F) {
 	for _, c := range argminCases([]int{8, 9, 17, 64}, []int{1, 6, 257}) {
 		f.Add(toBytes(c.q), toBytes(c.vecs))
@@ -118,8 +122,10 @@ func FuzzArgminParity(f *testing.F) {
 // is the adversarial table with the planted query in a tile beside one
 // of its rows (distance 0) and its negation, and the fuzzer resizes the
 // batch, the rows and the width and perturbs every float — and
-// ArgminBatch under every implementation must return, for every query
-// at every slot position, the exhaustive exact scan's index.
+// ArgminPlanarBatch over the transposed table under every implementation
+// must return, for every query at every slot position, the exhaustive
+// exact scan's index. Like FuzzArgminParity, its seeds run with every
+// test and CI fuzzes FuzzPlanarParity.
 func FuzzArgminBatchParity(f *testing.F) {
 	for _, c := range argminCases([]int{8, 9, 17, 64}, []int{1, 6, 257}) {
 		dim := len(c.q)
@@ -136,22 +142,21 @@ func FuzzArgminBatchParity(f *testing.F) {
 		if nq == 0 {
 			return
 		}
-		kerneltest.CheckArgminBatch(t, qs[:nq*dim], vecs, dim, min(len(vecs)/dim, 600))
+		kerneltest.CheckArgminPlanarBatch(t, qs[:nq*dim], vecs, dim, min(len(vecs)/dim, 600))
 	})
 }
 
-// FuzzPlanarParity is FuzzArgminBatchParity for the planar entry
-// points: the seed corpus is the same adversarial table at the widths of
-// a PQ codebook (below kernel.BlockDim) and at the wide widths of a
-// coarse quantizer — exact ties planted in different lanes and vector
-// steps, one-ulp neighbours, a cloud 1e3 from the origin, re-seeded
-// duplicates, NaN and ±Inf coordinates, a NaN in every row (⇒ 0) — with
-// the planted query in a batch beside a row of the table and its
-// negation, and ArgminPlanarBatch over the TRANSPOSED table (and, below
-// BlockDim, DistancePlanar and ArgminPlanar) must return, under every
-// implementation, the reference's bits and, for every query at every
-// slot position, the exhaustive exact scan's index, for row counts that
-// are not multiples of any lane count or step too.
+// FuzzPlanarParity is the fuzz target of the planar entry points: the
+// seed corpus is the adversarial table at the widths of a PQ codebook
+// (below kernel.BlockDim) and at the wide widths of a coarse quantizer —
+// exact ties planted in different lanes and vector steps, one-ulp
+// neighbours, a cloud 1e3 from the origin, re-seeded duplicates, NaN and
+// ±Inf coordinates, a NaN in every row (⇒ 0) — with the planted query in
+// a batch beside a row of the table and its negation, and DistancePlanar
+// and ArgminPlanarBatch over the TRANSPOSED table, alone and in a batch,
+// must return, under every implementation, the reference's bits and, for
+// every query at every slot position, the exhaustive exact scan's index,
+// for row counts that are not multiples of any lane count or step too.
 func FuzzPlanarParity(f *testing.F) {
 	add := func(dims, ns []int) {
 		for _, c := range argminCases(dims, ns) {
@@ -173,9 +178,7 @@ func FuzzPlanarParity(f *testing.F) {
 			return
 		}
 		n := min(len(vecs)/dim, 600)
-		if dim < kernel.BlockDim {
-			kerneltest.CheckPlanar(t, qs[:dim], vecs, n)
-		}
+		kerneltest.CheckPlanar(t, qs[:dim], vecs, n)
 		kerneltest.CheckArgminPlanarBatch(t, qs[:nq*dim], vecs, dim, n)
 	})
 }

@@ -22,11 +22,9 @@
 // of rows, ONE dispatch per block) and the ADC table scan (adc.go). The
 // assembly implementations also carry unexported routines: the planar
 // routine behind DistancePlanar and the widening add behind Accumulate
-// (see "Planar tables" and "The Lloyd update" below), and the float32
-// screens of the argmins — one over row-major rows (ArgminRows,
-// ArgminBatch), one over planar tables (ArgminPlanar, ArgminPlanarBatch)
-// with its norms pass — and the selection stage they share (see
-// "Screened argmin").
+// (see "Planar tables" and "The Lloyd update" below), and the one argmin
+// — a float32 screen over planar tables with its norms pass and its
+// selection stage (see "Screened argmin").
 //
 // Bit-stability contract. Every implementation MUST produce bitwise
 // identical float64 results for identical inputs, so indexes built,
@@ -55,28 +53,30 @@
 // (+0 + t0 is t0 exactly: a term is never -0). That is the shape of a
 // product-quantization subvector (dim/M floats, 4 at dim 64 and M 16),
 // and a row that narrow gives a vector unit nothing to work across. So
-// centroid tables are also kept PLANAR (planar.go): dim planes of n
-// floats, plane j holding coordinate j of every centroid, so coordinate
-// j of neighbouring centroids is one contiguous load and a vector lane
-// holds one CENTROID rather than one coordinate. Two kinds of table are
-// planar. A PQ codebook narrower than 8 is planar where it is resident
-// (after a subquantizer trains, when a CTIX file is loaded); DistancePlanar
-// (the ADC table build: one centroid per double lane, 4 per step on
-// AVX2, 2 on NEON, terms added in ascending j) and ArgminPlanar read it.
-// And every k-means assignment pass, at EVERY width, reads a transient
-// planar copy of its row-major centroid table through ArgminPlanarBatch
-// (internal/index: rewritten once per Lloyd round, and once for IVF's
-// full pass): scoring a tile of queries against a plane is a broadcast
-// and one fused multiply-add per query per lane of centroids, with no
-// horizontal reduction anywhere, where a row-major row needs one per row
-// and query (see "Screened argmin"). The CTIX bytes stay row-major. None
-// of this can change a bit of any result: the layout decides which
-// address a float is read from, and the value of centroid i is still the
-// sum above over the same floats in the same order (planarAt reads it
-// plane by plane) — which is also what the rows kernel returns for
-// narrow rows of row-major data (a Flat index over fingerprints narrower
-// than 8), where every implementation runs the portable loop: the query
-// widened once and the sum run straight down each row.
+// every centroid table an argmin reads is kept PLANAR (planar.go): dim
+// planes of n floats, plane j holding coordinate j of every centroid, so
+// coordinate j of neighbouring centroids is one contiguous load and a
+// vector lane holds one CENTROID rather than one coordinate. Every PQ
+// codebook is planar where it is resident (after a subquantizer trains,
+// when a CTIX file is loaded); DistancePlanar reads it for the ADC table
+// build (below BlockDim one centroid per double lane, 4 per step on
+// AVX2, 2 on NEON, terms added in ascending j; from BlockDim up, which no
+// workload builds, the portable loop), and so does the argmin of PQ
+// encoding. Every coarse quantizer keeps a planar copy beside its
+// row-major centroids (internal/index), for the argmin of Append; the
+// row-major table serves the coarse ranking of a search (DistanceBatch)
+// and the CTIX bytes, which stay row-major. And every k-means assignment
+// pass reads its round's table transposed. Scoring a tile of queries
+// against a plane is a broadcast and one fused multiply-add per query
+// per lane of centroids, with no horizontal reduction anywhere (see
+// "Screened argmin"). None of this can change a bit of any result: the
+// layout decides which address a float is read from, and the value of
+// centroid i is still the sum above over the same floats in the same
+// order (planarAt reads it plane by plane) — which is also what the rows
+// kernel returns for narrow rows of row-major data (a Flat index over
+// fingerprints narrower than 8), where every implementation runs the
+// portable loop: the query widened once and the sum run straight down
+// each row.
 //
 // The Lloyd update. The other half of a k-means round adds each sample
 // point, widened to float64, into its cluster's sums, in sample order
@@ -95,120 +95,106 @@
 // equality for ALL inputs, and SqDist(q,v) == SqDist(v,q) exactly).
 //
 // The batched entry points (DistanceRows, DistanceGather,
-// DistanceBatch, ArgminRows, ArgminBatch, ArgminPlanarBatch) amortize
-// dispatch and memory traffic: DistanceRows and ArgminRows hand a whole
-// block of rows to one kernel call, DistanceBatch sweeps a block of
-// vectors sized to stay cache-resident across a whole query batch, so a
-// batch of B queries costs one pass over the data instead of B, and
-// ArgminBatch and ArgminPlanarBatch screen a tile of queries per load of
-// each row.
+// DistanceBatch, ArgminPlanarBatch) amortize dispatch and memory
+// traffic: DistanceRows hands a whole block of rows to one kernel call,
+// DistanceBatch sweeps a block of vectors sized to stay cache-resident
+// across a whole query batch, so a batch of B queries costs one pass over
+// the data instead of B, and ArgminPlanarBatch screens a tile of queries
+// per load of each plane.
 //
-// Screened argmin. ArgminPlanarBatch — the nearest-centroid assignment of
-// every k-means pass (IVF's coarse quantizer, every PQ subquantizer) and
-// of PQ encoding, the loop set-up consists of — ArgminRows (an IVF or
-// IVFPQ Append), ArgminBatch (PQ encoding at 8 floats and wider) and
-// ArgminPlanar are specified by their RESULT: the index an ascending
-// strict-< scan of the exact kernel distances returns. Under an assembly
-// implementation they get there without running the exact kernel on most
-// rows. One routine per architecture and layout, screenAsm (row-major,
-// widths of 8 and up) and planarScreenAsm (planar, any width), scores a
-// TILE of up to four queries against a block of at most 256 rows in
-// float32 DOT FORM,
+// Screened argmin. ArgminPlanarBatch is the one argmin: the
+// nearest-centroid assignment of every k-means pass (IVF's coarse
+// quantizer, every PQ subquantizer), of PQ encoding, and of an IVF or
+// IVFPQ Append (a batch of one). It is specified by its RESULT: the
+// index an ascending strict-< scan of the exact kernel distances
+// returns. Under an assembly implementation it gets there without
+// running the exact sum on most centroids. One routine per architecture,
+// planarScreenAsm, scores a TILE of up to four queries against a block
+// of at most 256 centroids in float32 DOT FORM,
 //
-//	s = ‖v‖² − 2·q·v  =  T − ‖q‖²   (T the real squared distance)
+//	s = ‖c‖² − 2·q·c  =  T − ‖q‖²   (T the real squared distance)
 //
-// dropping the per-query ‖q‖². Row-major, ‖v‖² is summed in-kernel beside
-// the dots: each 8 coordinates of a row are loaded once for the tile and
-// cost one fused multiply-add per query plus one for the norm, and each
-// row and query one horizontal reduction. Planar, a plane of centroids
-// is loaded once for the tile and costs one fused multiply-add per query
-// and lane of centroids — a register tile of 4 queries × 24 centroids
-// on AVX2 (twelve independent FMA chains: the eight that two FMA ports of
-// latency four need, and room; eight ran at ~80 % of the FMA bound, twelve
-// at ~92 %), 4 × 16 on NEON — and the centroids' ‖c‖² are read from a
-// norms pass (planarNormsAsm) run once per block of a call rather than
-// once per tile. A batch of one sums v·(v − 2·q) instead (row-major, and
-// planar on AVX2: a subtraction and an FMA per lane, the port mix of one
-// query), or ‖c‖² beside its dot (planar on NEON). Then, per query, from the
-// block's smallest value m and the routine's own ‖q‖² (qq), the shared
-// selection stage, screenSelectAsm, marks every row with s ≤ L a
-// candidate,
+// dropping the per-query ‖q‖². A plane of centroids is loaded once for
+// the tile and costs one fused multiply-add per query and lane of
+// centroids — a register tile of 4 queries × 24 centroids on AVX2
+// (twelve independent FMA chains: the eight that two FMA ports of
+// latency four need, and room; eight ran at ~80 % of the FMA bound,
+// twelve at ~92 %), 4 × 16 on NEON — and the centroids' ‖c‖² are read
+// from a norms pass (planarNormsAsm) run once per block of a call rather
+// than once per tile. A batch of one sums c·(c − 2·q) instead on AVX2 (a
+// subtraction and an FMA per lane, the port mix of one query), or ‖c‖²
+// beside its dot on NEON. Then, per query, from the block's smallest
+// value m and the routine's own ‖q‖² (qq), the selection stage,
+// screenSelectAsm, marks every centroid with s ≤ L a candidate,
 //
 //	L = a·m + b·qq + c₀   (screenBound: a = 1 + 4c(1+4c), b ≈ 20c, c₀ ≈ η)
 //	c = γ_K + 2u,  γ_K = Ku/(1−Ku),  u = 2⁻²⁴,  η = (dim+8)·2⁻¹⁴⁷
-//	K = dim/8 + 12 (row-major),  K = dim + 4 (planar)
+//	K = dim + 4
 //
 // (L evaluated in float64 and rounded UP to float32), marked in a bitmap,
 // and only the candidates — one of a bench centroid table, typically, and
 // the one candidate of a single block is the answer outright — are
-// scored by the exact distance (the pair kernel, or the planar sum of
-// that one centroid) and compared ascending with a strict <.
+// scored by the exact distance (planarAt: the sum above, that one
+// centroid read plane by plane) and compared ascending with a strict <.
 // The screening values are NOT part of the bit-stability contract (the
 // two architectures sum in different orders); the returned index is,
 // because the candidate set provably contains the exhaustive winner:
 //
-//   - One value. Every term of s (v_j² and −2·q_j·v_j) passes through at
-//     most K float32 roundings — ⌈dim/8⌉ fused steps per lane, the lane's
-//     n − 2·d (or the subtraction v − 2·q), three reduction levels, and on
-//     NEON up to eight more for the scalar tail. A planar term is one
-//     coordinate of one centroid, at most dim + 1 deep: dim fused steps
-//     down the planes in one float lane (the FMA chain of a dot, of ‖c‖²
-//     beside it, or of c·(c − 2·q) for a batch of one after its
-//     subtraction) and the combining ‖c‖² − 2·dot; the norms pass splits
-//     the planes between two chains, ⌈dim/2⌉ + 1 deep with their sum; qq
-//     is ⌈dim/8⌉ + 3 deep on AVX2 (screenAsm's sum) and on NEON at most
-//     ⌈dim/8⌉ + 10 from dim 8 on (three reduction levels and seven fused
-//     tail steps) and a chain of dim FMADDs below it, so K = dim + 4
-//     covers them all. Either way, for a row whose
-//     arithmetic never overflows, |ŝ − s| ≤ c·(‖q‖ + ‖v‖)² + η/2: the
-//     terms' magnitudes sum to at most ‖v‖² + 2‖q‖‖v‖ ≤ (‖q‖ + ‖v‖)², the
-//     extra u covers the rounding of the subtraction, and η/2 the absolute
-//     error of a product rounding in the subnormal range (additions are
-//     exact there; the Go runtime leaves flush-to-zero off).
-//   - Why it scales with (‖q‖ + ‖v‖)². The dot form cancels ‖v‖² against
-//     2·q·v, so its error is relative to the norms, not to the distance:
+//   - One value. A term of s is one coordinate of one centroid, at most
+//     dim + 1 float32 roundings deep: dim fused steps down the planes in
+//     one float lane (the FMA chain of a dot, of ‖c‖² beside it, or of
+//     c·(c − 2·q) for a batch of one after its subtraction) and the
+//     combining ‖c‖² − 2·dot; the norms pass splits the planes between
+//     two chains, ⌈dim/2⌉ + 1 deep with their sum; qq is ⌈dim/8⌉ + 3
+//     deep on AVX2 and on NEON at most ⌈dim/8⌉ + 10 from dim 8 on (three
+//     reduction levels and seven fused tail steps) and a chain of dim
+//     FMADDs below it, so K = dim + 4 covers them all. For a centroid
+//     whose arithmetic never overflows, |ŝ − s| ≤ c·(‖q‖ + ‖c‖)² + η/2:
+//     the terms' magnitudes sum to at most ‖c‖² + 2‖q‖‖c‖ ≤ (‖q‖ + ‖c‖)²,
+//     the extra u covers the rounding of the subtraction, and η/2 the
+//     absolute error of a product rounding in the subnormal range
+//     (additions are exact there; the Go runtime leaves flush-to-zero
+//     off).
+//   - Why it scales with (‖q‖ + ‖c‖)². The dot form cancels ‖c‖² against
+//     2·q·c, so its error is relative to the norms, not to the distance:
 //     tight for fingerprints near the origin (one candidate of 158 at unit
-//     norm, one of 256 codebook centroids), every row a candidate for a
-//     cloud 1e3 from it — slower, never wrong
+//     norm, one of 256 codebook centroids), every centroid a candidate
+//     for a cloud 1e3 from it — slower, never wrong
 //     (TestScreenBoundWidensOffOrigin logs both counts).
-//   - No stored norms. Only two rows matter: m's and the exhaustive
-//     winner i's — so each screen computes ‖v‖² where it runs (beside the
-//     dots, or the planar norms pass into a block of call scratch), and
-//     neither the table layout nor the CTIX bytes change, nor does
-//     anything stay resident. For any row
-//     ‖v‖ ≤ ‖q‖ + √T, so (‖q‖ + ‖v‖)² ≤ 8‖q‖² + 2T;
+//   - No stored norms. Only two centroids matter: m's and the exhaustive
+//     winner i's — so the norms pass computes ‖c‖² into a block of call
+//     scratch, and nothing but the table stays resident. For any
+//     centroid ‖c‖ ≤ ‖q‖ + √T, so (‖q‖ + ‖c‖)² ≤ 8‖q‖² + 2T;
 //     applied to m, T_m ≤ m + ‖q‖² + c·(8‖q‖² + 2T_m) + η/2, a bound linear
 //     in m; and the float64 exact values D (|D − T| ≤ γ₆₄·T) give
 //     D_i ≤ D_m, hence T_i ≤ T_m·(1 + 3γ₆₄). Chaining them,
 //     ŝ_i ≤ m + c·(16‖q‖² + 4T_m) + η, with ‖q‖² ≤ qq·(1 + 2c) + η from qq's
 //     own error and the γ₆₄ terms inside the u/2 of slack c keeps: that
-//     is L. Row i passes.
+//     is L. Centroid i passes.
 //   - Among candidates the ascending strict-< scan of exact distances
 //     picks the lowest index at the smallest D, which is i, and blocks
 //     combine by the same rule.
 //
 // The bound needs finite arithmetic. A query whose qq is above 1e30 or
-// NaN, and a block whose m is (m is also NaN when a NaN row hides the
-// minimum), get L = +Inf: every row a candidate — the exhaustive scan,
-// for that query alone; its tile's other queries keep their limits. A
-// row whose arithmetic overflows float32 screens as +Inf (no −Inf can
-// arise while ‖q‖² ≤ 1e30) or NaN: never a candidate under a finite L,
-// rightly, since its T is past 3e38 while T_m ≤ 2e30; always one if NaN.
-// Row-major rows narrower than 8 (the tables hot at those widths are
-// planar), widths above screenMaxDim, blocks of fewer than four rows (32
-// planar centroids), everything under the portable implementation, and
-// an AVX2 host without FMA3 (screenOK: dispatch_amd64.go probes
-// CPUID.1:ECX bit 12) keep the exact scan; so does DistancePlanar, which
-// returns distances, not an index. kerneltest.CheckRows,
-// CheckArgminBatch, CheckPlanar and CheckArgminPlanarBatch hold all four
-// entry points to the reference argmin under every implementation, at
+// NaN, and a block whose m is (m is also NaN when a NaN centroid hides
+// the minimum), get L = +Inf: every centroid a candidate — the
+// exhaustive scan, for that query alone; its tile's other queries keep
+// their limits. A centroid whose arithmetic overflows float32 screens as
+// +Inf (no −Inf can arise while ‖q‖² ≤ 1e30) or NaN: never a candidate
+// under a finite L, rightly, since its T is past 3e38 while T_m ≤ 2e30;
+// always one if NaN. Widths above screenMaxDim, blocks of fewer than 32
+// centroids, everything under the portable implementation, and an AVX2
+// host without FMA3 (screenOK: dispatch_amd64.go probes CPUID.1:ECX bit
+// 12) keep the exact scan; so does DistancePlanar, which returns
+// distances, not an index. kerneltest.CheckRows (which runs CheckPlanar
+// over its table transposed), CheckPlanar and CheckArgminPlanarBatch hold
+// the argmin to the reference under every implementation, alone and at
 // every slot of a tile; TestArgminAdversarial,
-// TestArgminBatchAdversarial, TestArgminPlanarAdversarial,
-// TestArgminPlanarBatchAdversarial (the wide planar widths) and the
-// FuzzArgminParity, FuzzArgminBatchParity and FuzzPlanarParity targets
-// aim them at exact ties (re-seeded duplicate centroids too), one-ulp
-// neighbours, rows whose distances agree to the last bits (also 100 and
-// 1e3 from the origin, where the dot form cancels), underflowing,
+// TestArgminPlanarAdversarial, TestArgminBatchAdversarial,
+// TestArgminPlanarBatchAdversarial and the FuzzPlanarParity target aim it
+// at exact ties (re-seeded duplicate centroids too), one-ulp neighbours,
+// centroids whose distances agree to the last bits (also 100 and 1e3
+// from the origin, where the dot form cancels), underflowing,
 // accumulating-subnormal and overflowing squares and non-finite
 // coordinates; TestPlanarScreenValues holds planarScreenAsm's values,
 // minima and ‖q‖², and planarNormsAsm's norms, to the bound above.
@@ -244,9 +230,8 @@ type Impl struct {
 // rows runs the rows kernel of im, a registry entry, through a static
 // call: the portable reference is impls[0], anything else is the
 // build's assembly implementation. Dispatching through the Rows func
-// value instead would make escape analysis move a caller's
-// stack-resident out block (ArgminRows') to the heap: arguments of an
-// indirect call escape.
+// value instead would make escape analysis move a caller's out block to
+// the heap: arguments of an indirect call escape.
 func (im *Impl) rows(q, vecs []float32, dim int, out []float64) {
 	if im == &impls[0] {
 		rowsGeneric(q, vecs, dim, out)
@@ -473,103 +458,6 @@ func accumulateGeneric(sums []float64, v []float32) {
 	for j, x := range v {
 		sums[j] += float64(x)
 	}
-}
-
-// argminBlock is how many rows an exhaustive argmin scores per kernel
-// call: a whole PQ codebook (ADCKs rows) in one dispatch, on 2 KiB of
-// stack for the exact distances. The screened argmin screens a block of
-// that many rows at a time too, for up to ArgminTile queries at once.
-const argminBlock = ADCKs
-
-// The screened argmin applies where its proof does (see the package
-// comment): an assembly implementation whose screening routine the host
-// can run (screenOK, per architecture), at least one whole 8-float
-// block per row, at least four rows per block, and a width that keeps
-// the rounding depth K far below 2²⁴ (c ≤ 1/4, and the float64 error
-// terms inside c's slack).
-const (
-	screenMinDim  = BlockDim
-	screenMaxDim  = 1 << 16
-	screenMinRows = 4
-)
-
-// screens reports whether im runs the screened argmin at width dim.
-func screens(im *Impl, dim int) bool {
-	return screenOK && im != &impls[0] && dim >= screenMinDim && dim <= screenMaxDim
-}
-
-// ArgminTile is how many queries of an ArgminBatch the assembly
-// implementations screen together against each block of rows (one
-// screenAsm call).
-const ArgminTile = 4
-
-// ArgminBatch writes into out[i] the index of the row of vecs[:n*dim]
-// nearest query i of qs (len(out) queries of dim floats, concatenated):
-// bit for bit what ArgminRows(qs[i*dim:(i+1)*dim], vecs, dim, n)
-// returns. On the assembly implementations the queries are screened
-// ArgminTile at a time, so each block of rows is read once per tile
-// instead of once per query — the assignment pass of k-means hands a
-// whole chunk of points to one call.
-func ArgminBatch(qs, vecs []float32, dim, n int, out []int32) {
-	if dim < 0 || len(qs) != len(out)*dim {
-		panic(fmt.Sprintf("kernel: ArgminBatch %d query floats for %d queries of %d", len(qs), len(out), dim))
-	}
-	if n < 0 || len(vecs) < n*dim {
-		panic(fmt.Sprintf("kernel: ArgminBatch %d vector floats for %d rows of %d", len(vecs), n, dim))
-	}
-	im := active.Load()
-	if screens(im, dim) {
-		var a [ArgminTile * argminBlock]float32
-		argminScreened(qs, vecs, dim, n, out, a[:], false)
-		return
-	}
-	for i := range out {
-		out[i] = int32(ArgminRows(qs[i*dim:(i+1)*dim], vecs, dim, n))
-	}
-}
-
-// ArgminRows returns the index of the row of vecs[:n*dim] nearest q by
-// squared kernel distance — the assignment step of k-means and product
-// quantization. The scan is ascending with a strict <, so ties go to
-// the lowest index; a NaN distance never wins, and 0 is returned when no
-// row is closer than +Inf (or n is 0). On the assembly implementations
-// it is ArgminBatch's batch of one: most rows are ruled out by a float32
-// screening pass and never reach the exact kernel, and the index
-// returned is the exhaustive scan's for every input (package comment,
-// "Screened argmin").
-func ArgminRows(q, vecs []float32, dim, n int) int {
-	checkRowsArgs("ArgminRows", q, vecs, dim, n)
-	im := active.Load()
-	if screens(im, dim) {
-		return argminOne(q, vecs, dim, n, false)
-	}
-	// The exhaustive scan both argmins are specified by, kept inline: a
-	// call level around its 2 KiB block cost the dim-4 path ~25 ns.
-	var buf [argminBlock]float64
-	best, bestD := 0, math.Inf(1)
-	for r0 := 0; r0 < n; r0 += argminBlock {
-		d2s := buf[:min(argminBlock, n-r0)]
-		im.rows(q, vecs[r0*dim:], dim, d2s)
-		for i, d := range d2s {
-			if d < bestD {
-				best, bestD = r0+i, d
-			}
-		}
-	}
-	return best
-}
-
-// argminOne is the screened argmin's batch of one (ArgminRows, and
-// ArgminPlanar when planar is set). Its screening scratch lives in this
-// frame: declared in ArgminRows, the address-taken 1 KiB block was
-// zeroed on every call, exact path included (+5 % at dim 4).
-//
-//go:noinline
-func argminOne(q, vecs []float32, dim, n int, planar bool) int {
-	var a [argminBlock]float32
-	var out [1]int32
-	argminScreened(q, vecs, dim, n, out[:], a[:], planar)
-	return int(out[0])
 }
 
 // DistanceGather computes out[i] = SqDist(q, vecs[pos[i]*dim:...]) —

@@ -262,291 +262,6 @@ accdone:
 	VZEROUPPER
 	RET
 
-// func screenAsm(qs, vecs *float32, dim, n, nq int, out *float32, res *screenResult)
-//
-// The screening pass of the screened argmin (kernel.go), in DOT FORM:
-// s = ‖v‖² − 2·q·v = ‖q − v‖² − ‖q‖² in plain float32 — 8-lane FMA, no
-// widening — for nq (1…4) queries of dim ≥ 8 floats, concatenated at
-// qs, against n ≥ 4 contiguous rows (n ≤ 256). The caller has probed
-// FMA3 (screenOK). These values are NOT under the bit-stability
-// contract; only the error bound documented in kernel.go is relied on:
-// every term is ⌈dim/8⌉ fused steps per lane, one combining rounding and
-// three reduction adds deep.
-//
-// Query slot t's value for row i goes to out[t*256+i]; slots past nq
-// read the last query again. First the four slots' ‖q‖² (res.qq, summed
-// the same way), then one of two register tiles:
-//
-//   - nq = 1: one query × four rows, s = Σ v·(v − 2·q) — a subtraction
-//     and an FMA per lane, the port mix of one query (Y0..Y3 sums, 2·q
-//     in Y12). When n is not a multiple of 4 the last group is
-//     re-anchored at row n-4 and rewrites up to three values.
-//   - nq ≥ 2: four queries × two rows, s = ‖v‖² − 2·q·v: each block of a
-//     row is loaded once for the four queries, its ‖v‖² (Y8/Y9) summed
-//     beside their dots (Y0..Y7, each query block an FMA memory operand)
-//     and combined lane by lane before the reduction. An odd n
-//     re-anchors the last pair at row n-2.
-//
-// The dim mod 8 leftover elements are one more step through VMASKMOVPS
-// (Y15 masks them in; masked lanes load +0 and add exactly nothing).
-// X13 lane t is the smallest value m of query slot t (lane 0 alone for
-// nq = 1) as VMINPS keeps it: a finite value of some row, or not finite
-// (a NaN row can hide the rest), which screenSelectAsm treats as unsafe.
-// It goes to res.lim, for screenSelectAsm to replace by the limits.
-TEXT ·screenAsm(SB), NOSPLIT, $0-56
-	MOVQ qs+0(FP), SI
-	MOVQ vecs+8(FP), DI
-	MOVQ dim+16(FP), CX
-	MOVQ n+24(FP), BX
-	MOVQ nq+32(FP), R13
-	MOVQ out+40(FP), R8
-	LEAQ (CX*4), R9            // R9 = row stride in bytes
-	MOVQ CX, AX
-	ANDQ $7, AX
-	NEGQ AX
-	LEAQ screenMask<>(SB), DX
-	VMOVDQU 32(DX)(AX*4), Y15  // lanes below dim mod 8 all-ones
-	MOVQ CX, DX
-	ANDQ $-8, DX               // DX = dim &^ 7, the blocked prefix
-	MOVL $0x7F800000, AX
-	VMOVD AX, X13
-	VPBROADCASTD X13, X13      // running minimum per query slot: +Inf
-
-	// Query pointers of slots 1..3, clamped to the last query.
-	DECQ R13                   // R13 = nq-1
-	MOVQ $1, R10
-	CMPQ R13, R10
-	CMOVQLT R13, R10
-	IMULQ R9, R10
-	ADDQ SI, R10
-	MOVQ $2, R11
-	CMPQ R13, R11
-	CMOVQLT R13, R11
-	IMULQ R9, R11
-	ADDQ SI, R11
-	MOVQ $3, R12
-	CMPQ R13, R12
-	CMOVQLT R13, R12
-	IMULQ R9, R12
-	ADDQ SI, R12
-
-	// ‖q‖² of the four slots, summed like the dots below.
-	VXORPS Y0, Y0, Y0
-	VXORPS Y1, Y1, Y1
-	VXORPS Y2, Y2, Y2
-	VXORPS Y3, Y3, Y3
-	XORQ AX, AX
-qqblk:
-	VMOVUPS (SI)(AX*4), Y4
-	VFMADD231PS Y4, Y4, Y0
-	VMOVUPS (R10)(AX*4), Y5
-	VFMADD231PS Y5, Y5, Y1
-	VMOVUPS (R11)(AX*4), Y6
-	VFMADD231PS Y6, Y6, Y2
-	VMOVUPS (R12)(AX*4), Y7
-	VFMADD231PS Y7, Y7, Y3
-	ADDQ $8, AX
-	CMPQ AX, DX
-	JL   qqblk
-	CMPQ AX, CX
-	JGE  qqred
-	VMASKMOVPS (SI)(AX*4), Y15, Y4
-	VFMADD231PS Y4, Y4, Y0
-	VMASKMOVPS (R10)(AX*4), Y15, Y5
-	VFMADD231PS Y5, Y5, Y1
-	VMASKMOVPS (R11)(AX*4), Y15, Y6
-	VFMADD231PS Y6, Y6, Y2
-	VMASKMOVPS (R12)(AX*4), Y15, Y7
-	VFMADD231PS Y7, Y7, Y3
-qqred:
-	VHADDPS Y1, Y0, Y0
-	VHADDPS Y3, Y2, Y2
-	VHADDPS Y2, Y0, Y0
-	VEXTRACTF128 $1, Y0, X1
-	VADDPS X1, X0, X0
-	MOVQ res+48(FP), AX
-	VMOVUPS X0, 40(AX)         // res.qq
-	CMPQ R13, $0
-	JEQ  single
-
-	PCALIGN $64
-pair:
-	LEAQ (DI)(R9*1), R13       // row 1 of the pair
-	VXORPS Y0, Y0, Y0
-	VXORPS Y1, Y1, Y1
-	VXORPS Y2, Y2, Y2
-	VXORPS Y3, Y3, Y3
-	VXORPS Y4, Y4, Y4
-	VXORPS Y5, Y5, Y5
-	VXORPS Y6, Y6, Y6
-	VXORPS Y7, Y7, Y7
-	VXORPS Y8, Y8, Y8
-	VXORPS Y9, Y9, Y9
-	XORQ AX, AX                // AX = element index j
-
-pairblk:
-	VMOVUPS (DI)(AX*4), Y10
-	VMOVUPS (R13)(AX*4), Y11
-	VFMADD231PS Y10, Y10, Y8   // ‖v0‖²
-	VFMADD231PS Y11, Y11, Y9   // ‖v1‖²
-	VFMADD231PS (SI)(AX*4), Y10, Y0
-	VFMADD231PS (SI)(AX*4), Y11, Y1
-	VFMADD231PS (R10)(AX*4), Y10, Y2
-	VFMADD231PS (R10)(AX*4), Y11, Y3
-	VFMADD231PS (R11)(AX*4), Y10, Y4
-	VFMADD231PS (R11)(AX*4), Y11, Y5
-	VFMADD231PS (R12)(AX*4), Y10, Y6
-	VFMADD231PS (R12)(AX*4), Y11, Y7
-	ADDQ $8, AX
-	CMPQ AX, DX
-	JL   pairblk
-
-	CMPQ AX, CX
-	JGE  pairred
-	VMASKMOVPS (DI)(AX*4), Y15, Y10
-	VMASKMOVPS (R13)(AX*4), Y15, Y11
-	VFMADD231PS Y10, Y10, Y8
-	VFMADD231PS Y11, Y11, Y9
-	VMASKMOVPS (SI)(AX*4), Y15, Y12
-	VFMADD231PS Y12, Y10, Y0
-	VFMADD231PS Y12, Y11, Y1
-	VMASKMOVPS (R10)(AX*4), Y15, Y12
-	VFMADD231PS Y12, Y10, Y2
-	VFMADD231PS Y12, Y11, Y3
-	VMASKMOVPS (R11)(AX*4), Y15, Y12
-	VFMADD231PS Y12, Y10, Y4
-	VFMADD231PS Y12, Y11, Y5
-	VMASKMOVPS (R12)(AX*4), Y15, Y12
-	VFMADD231PS Y12, Y10, Y6
-	VFMADD231PS Y12, Y11, Y7
-
-pairred:
-	VBROADCASTSS screenTwo<>(SB), Y12
-	VFNMADD213PS Y8, Y12, Y0   // per lane: n0 - 2·d, one rounding
-	VFNMADD213PS Y9, Y12, Y1
-	VFNMADD213PS Y8, Y12, Y2
-	VFNMADD213PS Y9, Y12, Y3
-	VFNMADD213PS Y8, Y12, Y4
-	VFNMADD213PS Y9, Y12, Y5
-	VFNMADD213PS Y8, Y12, Y6
-	VFNMADD213PS Y9, Y12, Y7
-	VHADDPS Y2, Y0, Y0         // row 0, per half: {q0, q0, q1, q1} pair sums
-	VHADDPS Y6, Y4, Y4         // {q2, q2, q3, q3}
-	VHADDPS Y4, Y0, Y0         // {q0, q1, q2, q3}
-	VEXTRACTF128 $1, Y0, X2
-	VADDPS X0, X2, X2          // X2 = s of row 0, queries 0..3
-	VHADDPS Y3, Y1, Y1         // the same for row 1
-	VHADDPS Y7, Y5, Y5
-	VHADDPS Y5, Y1, Y1
-	VEXTRACTF128 $1, Y1, X3
-	VADDPS X1, X3, X3          // X3 = s of row 1
-	VMOVSS X2, (R8)            // query t's values are 1 KiB apart
-	VEXTRACTPS $1, X2, 1024(R8)
-	VEXTRACTPS $2, X2, 2048(R8)
-	VEXTRACTPS $3, X2, 3072(R8)
-	VMOVSS X3, 4(R8)
-	VEXTRACTPS $1, X3, 1028(R8)
-	VEXTRACTPS $2, X3, 2052(R8)
-	VEXTRACTPS $3, X3, 3076(R8)
-	VMINPS X2, X13, X13
-	VMINPS X3, X13, X13
-	ADDQ $8, R8
-	LEAQ (DI)(R9*2), DI        // next two rows
-	SUBQ $2, BX
-	CMPQ BX, $2
-	JGE  pair
-	TESTQ BX, BX
-	JLE  finish
-	SUBQ R9, DI                // one row left: step back to row n-2
-	SUBQ $4, R8
-	MOVQ $2, BX
-	JMP  pair
-
-	PCALIGN $64
-single:
-	LEAQ (DI)(R9*1), R10       // rows 1..3 of the group
-	LEAQ (R10)(R9*1), R11
-	LEAQ (R11)(R9*1), R12
-	VXORPS Y0, Y0, Y0
-	VXORPS Y1, Y1, Y1
-	VXORPS Y2, Y2, Y2
-	VXORPS Y3, Y3, Y3
-	VXORPS Y4, Y4, Y4
-	VXORPS Y5, Y5, Y5
-	VXORPS Y6, Y6, Y6
-	VXORPS Y7, Y7, Y7
-	XORQ AX, AX                // AX = element index j
-
-singleblk:
-	VMOVUPS (SI)(AX*4), Y12
-	VADDPS Y12, Y12, Y12       // 2·q, exact
-	VMOVUPS (DI)(AX*4), Y8
-	VMOVUPS (R10)(AX*4), Y9
-	VMOVUPS (R11)(AX*4), Y10
-	VMOVUPS (R12)(AX*4), Y11
-	VSUBPS Y12, Y8, Y4         // v - 2·q
-	VFMADD231PS Y4, Y8, Y0     // s += v·(v - 2·q)
-	VSUBPS Y12, Y9, Y5
-	VFMADD231PS Y5, Y9, Y1
-	VSUBPS Y12, Y10, Y6
-	VFMADD231PS Y6, Y10, Y2
-	VSUBPS Y12, Y11, Y7
-	VFMADD231PS Y7, Y11, Y3
-	ADDQ $8, AX
-	CMPQ AX, DX
-	JL   singleblk
-
-	CMPQ AX, CX
-	JGE  singlered
-	VMASKMOVPS (SI)(AX*4), Y15, Y12
-	VADDPS Y12, Y12, Y12
-	VMASKMOVPS (DI)(AX*4), Y15, Y8
-	VMASKMOVPS (R10)(AX*4), Y15, Y9
-	VMASKMOVPS (R11)(AX*4), Y15, Y10
-	VMASKMOVPS (R12)(AX*4), Y15, Y11
-	VSUBPS Y12, Y8, Y4
-	VFMADD231PS Y4, Y8, Y0
-	VSUBPS Y12, Y9, Y5
-	VFMADD231PS Y5, Y9, Y1
-	VSUBPS Y12, Y10, Y6
-	VFMADD231PS Y6, Y10, Y2
-	VSUBPS Y12, Y11, Y7
-	VFMADD231PS Y7, Y11, Y3
-
-singlered:
-	VHADDPS Y1, Y0, Y0         // per half: {r0, r0, r1, r1} pair sums
-	VHADDPS Y3, Y2, Y2         // {r2, r2, r3, r3}
-	VHADDPS Y2, Y0, Y0         // {r0, r1, r2, r3}
-	VEXTRACTF128 $1, Y0, X1
-	VADDPS X1, X0, X0          // X0 = s of rows 0..3
-	VMOVUPS X0, (R8)
-	VMINPS X0, X13, X13
-	ADDQ $16, R8
-	LEAQ (DI)(R9*4), DI        // next four rows
-	SUBQ $4, BX
-	CMPQ BX, $4
-	JGE  single
-	TESTQ BX, BX
-	JLE  singlemin
-	SUBQ $4, BX                // 1..3 rows left: step back to row n-4
-	LEAQ (R8)(BX*4), R8
-	IMULQ R9, BX
-	ADDQ BX, DI
-	MOVQ $4, BX
-	JMP  single
-
-singlemin:
-	VSHUFPS $0x4E, X13, X13, X1 // fold the four row lanes into lane 0
-	VMINPS X1, X13, X13
-	VSHUFPS $0xB1, X13, X13, X1
-	VMINPS X1, X13, X13
-
-finish:
-	MOVQ res+48(FP), AX
-	VMOVUPS X13, 24(AX)        // res.lim: the minima
-	VZEROUPPER
-	RET
-
 // func planarNormsAsm(planes *float32, dim, stride, n int, out *float32)
 //
 // The squared norms ‖c‖² of n ≥ 32 centroids (n ≤ 256) of a planar
@@ -637,13 +352,13 @@ ndone:
 
 // func planarScreenAsm(qs, planes, norms *float32, dim, stride, n, nq int, out *float32, res *screenResult)
 //
-// screenAsm for a planar (dimension-major) table: the values
+// The screen of the screened argmin (kernel.go): the float32 values
 // s = ‖c‖² − 2·q·c of nq (1…4) queries of dim ≥ 1 floats, concatenated
 // at qs, against n ≥ 32 centroids, dim planes stride floats apart
 // (n ≤ 256); query slot t's value for centroid i goes to out[t*256+i],
 // slots past nq reading the last query again. ONE CENTROID PER FLOAT
 // LANE, coordinate j of eight neighbours one load from plane j. ‖q‖²
-// (res.qq) is summed as screenAsm sums it: 8-float blocks, the dim mod 8
+// (res.qq) is summed in 8-float blocks, the dim mod 8
 // leftover lanes masked in (Y15), three reduction levels — ⌈dim/8⌉ + 3
 // roundings deep. Then one of two register tiles:
 //
@@ -703,7 +418,7 @@ TEXT ·planarScreenAsm(SB), NOSPLIT, $160-72
 	LEAQ 31(SP), R14
 	ANDQ $-32, R14             // R14 = the tile's four running minima
 
-	// ‖q‖² of the four slots, summed like screenAsm's.
+	// ‖q‖² of the four slots.
 	MOVQ CX, AX
 	ANDQ $7, AX
 	NEGQ AX
@@ -1016,7 +731,7 @@ fold:
 
 // func screenSelectAsm(out *float32, n, nq int, res *screenResult)
 //
-// The selection stage of both screens: on entry res.lim[t] holds the
+// The selection stage of the screen: on entry res.lim[t] holds the
 // smallest value m of query slot t, as the screening routine kept it,
 // and out[t*256+i] the values themselves. First each slot's limit,
 // L = a·m + b·qq + c0 of res.bound in float64 (m and qq widen exactly),

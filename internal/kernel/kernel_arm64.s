@@ -321,29 +321,6 @@ accone:
 accdone:
 	RET
 
-// func screenAsm(qs, vecs *float32, dim, n, nq int, out *float32, res *screenResult)
-//
-// The screening pass of the screened argmin (kernel.go), in DOT FORM:
-// s = ‖v‖² − 2·q·v = ‖q − v‖² − ‖q‖² in plain float32 — 4-lane FMLA, no
-// widening — for nq (1…4) queries of dim ≥ 8 floats, concatenated at qs,
-// against n ≥ 4 contiguous rows (n ≤ 256); query slot t's value for row
-// i goes to out[t*256+i], slots past nq reading the last query again.
-// These values are NOT under the bit-stability contract; only the error
-// bound documented in kernel.go is relied on: every term is ⌈dim/8⌉
-// fused steps per lane, one combining rounding and three reduction adds
-// deep, and the dim mod 8 leftover elements add at most eight more
-// roundings (v·(v − 2·q) as a scalar subtraction, multiplication and
-// addition per element).
-//
-// First the four slots' ‖q‖² (res.qq, summed the same way). Then one
-// row at a time against the whole tile: 8 floats of the row per step
-// (V6/V7), its ‖v‖² summed beside the four slots' dots (V16/V17 norms,
-// V18..V25 dots, two 4-lane accumulators each), combined lane by lane
-// into n − 2·d and reduced to one value per slot; a batch of one (R15 =
-// nq-1 = 0) skips slots 1..3. F28..F31 keep each slot's smallest value
-// (FMIN: a NaN sticks, and the limit is then +Inf), stored to res.lim
-// for screenSelectAsm.
-//
 // Encodings of the WORD-coded .4S forms (sz = 0) beside those above
 // pairAsm and planarAsm:
 //
@@ -352,244 +329,15 @@ accdone:
 //	FADDP Vd.4S, Vn.4S, Vm.4S = 0x6E20D400 | m<<16 | n<<5 | d
 //	FADDP Sd, Vn.2S           = 0x7E30D800 | n<<5 | d
 //	FCMGT Vd.4S, Vn.4S, Vm.4S = 0x6EA0E400 | m<<16 | n<<5 | d
-TEXT ·screenAsm(SB), NOSPLIT, $0-56
-	MOVD qs+0(FP), R0
-	MOVD vecs+8(FP), R1
-	MOVD dim+16(FP), R2
-	MOVD n+24(FP), R8
-	MOVD nq+32(FP), R13
-	MOVD out+40(FP), R9
-	MOVD res+48(FP), R11
-	AND  $-8, R2, R6               // R6 = dim &^ 7, the blocked prefix
-	LSL  $2, R2, R10               // R10 = row stride in bytes
-	SUB  $1, R13, R15              // R15 = nq-1: 0 for a batch of one
-
-	// Query pointers of slots 1..3 (R3, R4, R5), clamped to the last query.
-	MOVD $1, R7
-	CMP  R7, R15
-	CSEL LT, R15, R7, R7
-	MUL  R10, R7, R7
-	ADD  R0, R7, R3
-	MOVD $2, R7
-	CMP  R7, R15
-	CSEL LT, R15, R7, R7
-	MUL  R10, R7, R7
-	ADD  R0, R7, R4
-	MOVD $3, R7
-	CMP  R7, R15
-	CSEL LT, R15, R7, R7
-	MUL  R10, R7, R7
-	ADD  R0, R7, R5
-
-	// ‖q‖² of the four slots into S18, S20, S22, S24, then res.qq.
-	MOVD R0, R19
-	MOVD R3, R20
-	MOVD R4, R21
-	MOVD R5, R22
-	VEOR V18.B16, V18.B16, V18.B16
-	VEOR V19.B16, V19.B16, V19.B16
-	VEOR V20.B16, V20.B16, V20.B16
-	VEOR V21.B16, V21.B16, V21.B16
-	VEOR V22.B16, V22.B16, V22.B16
-	VEOR V23.B16, V23.B16, V23.B16
-	VEOR V24.B16, V24.B16, V24.B16
-	VEOR V25.B16, V25.B16, V25.B16
-	MOVD ZR, R14
-qqblk:
-	VLD1.P 32(R19), [V0.S4, V1.S4]
-	VLD1.P 32(R20), [V2.S4, V3.S4]
-	VLD1.P 32(R21), [V4.S4, V5.S4]
-	VLD1.P 32(R22), [V26.S4, V27.S4]
-	VFMLA V0.S4, V0.S4, V18.S4
-	VFMLA V1.S4, V1.S4, V19.S4
-	VFMLA V2.S4, V2.S4, V20.S4
-	VFMLA V3.S4, V3.S4, V21.S4
-	VFMLA V4.S4, V4.S4, V22.S4
-	VFMLA V5.S4, V5.S4, V23.S4
-	VFMLA V26.S4, V26.S4, V24.S4
-	VFMLA V27.S4, V27.S4, V25.S4
-	ADD $8, R14
-	CMP R6, R14
-	BLT qqblk
-	WORD $0x4E33D652 // FADD  V18.4S, V18.4S, V19.4S
-	WORD $0x6E32D652 // FADDP V18.4S, V18.4S, V18.4S
-	WORD $0x7E30DA52 // FADDP S18, V18.2S
-	WORD $0x4E35D694 // FADD  V20.4S, V20.4S, V21.4S
-	WORD $0x6E34D694 // FADDP V20.4S, V20.4S, V20.4S
-	WORD $0x7E30DA94 // FADDP S20, V20.2S
-	WORD $0x4E37D6D6 // FADD  V22.4S, V22.4S, V23.4S
-	WORD $0x6E36D6D6 // FADDP V22.4S, V22.4S, V22.4S
-	WORD $0x7E30DAD6 // FADDP S22, V22.2S
-	WORD $0x4E39D718 // FADD  V24.4S, V24.4S, V25.4S
-	WORD $0x6E38D718 // FADDP V24.4S, V24.4S, V24.4S
-	WORD $0x7E30DB18 // FADDP S24, V24.2S
-qqtail:
-	CMP R2, R14
-	BGE qqdone
-	FMOVS (R19), F0
-	FMULS F0, F0, F0
-	FADDS F0, F18, F18
-	FMOVS (R20), F0
-	FMULS F0, F0, F0
-	FADDS F0, F20, F20
-	FMOVS (R21), F0
-	FMULS F0, F0, F0
-	FADDS F0, F22, F22
-	FMOVS (R22), F0
-	FMULS F0, F0, F0
-	FADDS F0, F24, F24
-	ADD $4, R19
-	ADD $4, R20
-	ADD $4, R21
-	ADD $4, R22
-	ADD $1, R14
-	B   qqtail
-qqdone:
-	FMOVS F18, 40(R11)
-	FMOVS F20, 44(R11)
-	FMOVS F22, 48(R11)
-	FMOVS F24, 52(R11)
-
-	MOVW  $0x7F800000, R7
-	FMOVS R7, F28                  // running minimum of each slot: +Inf
-	FMOVS R7, F29
-	FMOVS R7, F30
-	FMOVS R7, F31
-
-	PCALIGN $16
-row:
-	MOVD R0, R19                   // the four slots' queries, walked per row
-	MOVD R3, R20
-	MOVD R4, R21
-	MOVD R5, R22
-	VEOR V16.B16, V16.B16, V16.B16 // ‖v‖² lanes
-	VEOR V17.B16, V17.B16, V17.B16
-	VEOR V18.B16, V18.B16, V18.B16 // q·v lanes, slot 0
-	VEOR V19.B16, V19.B16, V19.B16
-	VEOR V20.B16, V20.B16, V20.B16 // slot 1
-	VEOR V21.B16, V21.B16, V21.B16
-	VEOR V22.B16, V22.B16, V22.B16 // slot 2
-	VEOR V23.B16, V23.B16, V23.B16
-	VEOR V24.B16, V24.B16, V24.B16 // slot 3
-	VEOR V25.B16, V25.B16, V25.B16
-	MOVD ZR, R14                   // R14 = element index j
-
-blocked:
-	VLD1.P 32(R1), [V6.S4, V7.S4]  // v[j..j+7]
-	VLD1.P 32(R19), [V0.S4, V1.S4]
-	VFMLA V6.S4, V6.S4, V16.S4
-	VFMLA V7.S4, V7.S4, V17.S4
-	VFMLA V0.S4, V6.S4, V18.S4
-	VFMLA V1.S4, V7.S4, V19.S4
-	CBZ R15, blocknext
-	VLD1.P 32(R20), [V2.S4, V3.S4]
-	VLD1.P 32(R21), [V4.S4, V5.S4]
-	VLD1.P 32(R22), [V26.S4, V27.S4]
-	VFMLA V2.S4, V6.S4, V20.S4
-	VFMLA V3.S4, V7.S4, V21.S4
-	VFMLA V4.S4, V6.S4, V22.S4
-	VFMLA V5.S4, V7.S4, V23.S4
-	VFMLA V26.S4, V6.S4, V24.S4
-	VFMLA V27.S4, V7.S4, V25.S4
-blocknext:
-	ADD $8, R14
-	CMP R6, R14
-	BLT blocked
-
-	// Per lane n - 2·d (the doubling is exact), then each slot's lanes
-	// reduced into S18, S20, S22, S24.
-	WORD $0x4E32D652 // FADD  V18.4S, V18.4S, V18.4S
-	WORD $0x4EB2D612 // FSUB  V18.4S, V16.4S, V18.4S
-	WORD $0x4E33D673 // FADD  V19.4S, V19.4S, V19.4S
-	WORD $0x4EB3D633 // FSUB  V19.4S, V17.4S, V19.4S
-	WORD $0x4E34D694 // FADD  V20.4S, V20.4S, V20.4S
-	WORD $0x4EB4D614 // FSUB  V20.4S, V16.4S, V20.4S
-	WORD $0x4E35D6B5 // FADD  V21.4S, V21.4S, V21.4S
-	WORD $0x4EB5D635 // FSUB  V21.4S, V17.4S, V21.4S
-	WORD $0x4E36D6D6 // FADD  V22.4S, V22.4S, V22.4S
-	WORD $0x4EB6D616 // FSUB  V22.4S, V16.4S, V22.4S
-	WORD $0x4E37D6F7 // FADD  V23.4S, V23.4S, V23.4S
-	WORD $0x4EB7D637 // FSUB  V23.4S, V17.4S, V23.4S
-	WORD $0x4E38D718 // FADD  V24.4S, V24.4S, V24.4S
-	WORD $0x4EB8D618 // FSUB  V24.4S, V16.4S, V24.4S
-	WORD $0x4E39D739 // FADD  V25.4S, V25.4S, V25.4S
-	WORD $0x4EB9D639 // FSUB  V25.4S, V17.4S, V25.4S
-	WORD $0x4E33D652 // FADD  V18.4S, V18.4S, V19.4S
-	WORD $0x6E32D652 // FADDP V18.4S, V18.4S, V18.4S
-	WORD $0x7E30DA52 // FADDP S18, V18.2S
-	WORD $0x4E35D694 // FADD  V20.4S, V20.4S, V21.4S
-	WORD $0x6E34D694 // FADDP V20.4S, V20.4S, V20.4S
-	WORD $0x7E30DA94 // FADDP S20, V20.2S
-	WORD $0x4E37D6D6 // FADD  V22.4S, V22.4S, V23.4S
-	WORD $0x6E36D6D6 // FADDP V22.4S, V22.4S, V22.4S
-	WORD $0x7E30DAD6 // FADDP S22, V22.2S
-	WORD $0x4E39D718 // FADD  V24.4S, V24.4S, V25.4S
-	WORD $0x6E38D718 // FADDP V24.4S, V24.4S, V24.4S
-	WORD $0x7E30DB18 // FADDP S24, V24.2S
-
-rowtail:
-	CMP R2, R14
-	BGE rowdone
-	FMOVS (R1), F6                 // v[j]
-	ADD   $4, R1
-	FMOVS (R19), F0
-	FADDS F0, F0, F0               // 2·q[j], exact
-	FSUBS F0, F6, F0               // v - 2·q
-	FMULS F6, F0, F0
-	FADDS F0, F18, F18
-	CBZ   R15, rowtailnext
-	FMOVS (R20), F0
-	FADDS F0, F0, F0
-	FSUBS F0, F6, F0
-	FMULS F6, F0, F0
-	FADDS F0, F20, F20
-	FMOVS (R21), F0
-	FADDS F0, F0, F0
-	FSUBS F0, F6, F0
-	FMULS F6, F0, F0
-	FADDS F0, F22, F22
-	FMOVS (R22), F0
-	FADDS F0, F0, F0
-	FSUBS F0, F6, F0
-	FMULS F6, F0, F0
-	FADDS F0, F24, F24
-rowtailnext:
-	ADD $4, R19
-	ADD $4, R20
-	ADD $4, R21
-	ADD $4, R22
-	ADD $1, R14
-	B   rowtail
-
-rowdone:
-	FMOVS F18, (R9)
-	FMINS F18, F28, F28
-	CBZ   R15, rownext
-	FMOVS F20, 1024(R9)
-	FMINS F20, F29, F29
-	FMOVS F22, 2048(R9)
-	FMINS F22, F30, F30
-	FMOVS F24, 3072(R9)
-	FMINS F24, F31, F31
-rownext:
-	ADD  $4, R9
-	SUB  $1, R8
-	CBNZ R8, row
-
-	FMOVS F28, 24(R11)             // res.lim: the minima, for screenSelectAsm
-	FMOVS F29, 28(R11)
-	FMOVS F30, 32(R11)
-	FMOVS F31, 36(R11)
-	RET
 
 // func planarScreenAsm(qs, planes, norms *float32, dim, stride, n, nq int, out *float32, res *screenResult)
 //
-// screenAsm for a planar (dimension-major) table, as on amd64: the
+// The screen of the screened argmin (kernel.go), as on amd64: the
 // dot-form values s = ‖c‖² − 2·q·c of nq (1…4) queries of dim ≥ 1 floats,
 // concatenated at qs, against n ≥ 16 centroids, dim planes stride floats
 // apart (n ≤ 256); query slot t's value for centroid i goes to
 // out[t*256+i], slots past nq reading the last query again. ‖q‖²
-// (res.qq) is summed like screenAsm's: 8-float blocks into two
+// (res.qq) is summed in 8-float blocks into two
 // accumulators per slot (V16..V23), reduced three levels, then the
 // dim mod 8 leftover elements by fused FMADDs — at most ⌈dim/8⌉ + 10
 // roundings deep, within dim + 4 from dim 8 on, and a chain of dim
@@ -611,7 +359,7 @@ rownext:
 // (FMINV) into res.lim, for screenSelectAsm.
 //
 // Encodings of the WORD-coded forms beside those above pairAsm and
-// screenAsm:
+// above this comment:
 //
 //	FMIN  Vd.4S, Vn.4S, Vm.4S = 0x4EA0F400 | m<<16 | n<<5 | d
 //	FMINV Sd, Vn.4S           = 0x6EB0F800 | n<<5 | d
@@ -982,7 +730,7 @@ ndone:
 
 // func screenSelectAsm(out *float32, n, nq int, res *screenResult)
 //
-// The selection stage of both screens, as on amd64: from each slot's
+// The selection stage of the screen, as on amd64: from each slot's
 // minimum m (res.lim on entry) and ‖q‖², the limit L = a·m + b·qq + c0
 // of res.bound in float64, rounded up to float32 through
 // L + |L|·2⁻²³ + 2⁻¹⁴⁹ (+Inf unless m and qq are at most 1e30) into

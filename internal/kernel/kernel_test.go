@@ -65,12 +65,12 @@ func TestBatchParity(t *testing.T) {
 	}
 }
 
-// TestRowsParity sweeps the rows kernel of every implementation, and
-// ArgminRows on top of it, against pairwise reference calls: every
-// adversarial width, row counts around the lane counts and the argmin
-// block, random, special and mixed values, and rows and query sliced
-// off vector-aligned bases. At the widths 1–7, covered in full,
-// CheckRows holds the planar entry points to the same table transposed.
+// TestRowsParity sweeps the rows kernel of every implementation against
+// pairwise reference calls: every adversarial width, row counts around
+// the lane counts and the argmin block, random, special and mixed
+// values, and rows and query sliced off vector-aligned bases. CheckRows
+// holds the planar entry points — DistancePlanar and the argmin — to the
+// same table transposed.
 func TestRowsParity(t *testing.T) {
 	rng := rand.New(rand.NewPCG(29, 31))
 	for _, dim := range kerneltest.Dims() {
@@ -89,7 +89,8 @@ func TestRowsParity(t *testing.T) {
 }
 
 // TestArgminRowsTieBreak pins the argmin contract the trainers' output
-// bytes depend on: strict <, so the lowest index wins a tie (within a
+// bytes depend on, for ArgminPlanarBatch's batch of one over a table of
+// rows transposed: strict <, so the lowest index wins a tie (within a
 // block and across the block boundary); NaN never wins; and 0 comes
 // back when no row is closer than +Inf.
 func TestArgminRowsTieBreak(t *testing.T) {
@@ -129,15 +130,18 @@ func TestArgminRowsTieBreak(t *testing.T) {
 			{"all NaN", rows(6, nan), 6, 0},
 			{"all +Inf", rows(6, inf), 6, 0},
 		} {
-			if got := kernel.ArgminRows(q, c.vecs, dim, c.n); got != c.want {
-				t.Errorf("impl %q: %s: ArgminRows = %d, want %d", im.Name, c.name, got, c.want)
+			var got [1]int32
+			kernel.ArgminPlanarBatch(q, kerneltest.Transpose(c.vecs, dim, c.n), dim, c.n, got[:])
+			if int(got[0]) != c.want {
+				t.Errorf("impl %q: %s: ArgminPlanarBatch = %d, want %d", im.Name, c.name, got[0], c.want)
 			}
 		}
 		restore()
 	}
 }
 
-// argminCase is one adversarial ArgminRows input: len(vecs)/len(q) rows.
+// argminCase is one adversarial argmin input: len(vecs)/len(q) rows, the
+// table an argmin reads transposed.
 type argminCase struct {
 	name    string
 	q, vecs []float32
@@ -301,13 +305,12 @@ func argminCases(dims, ns []int) []argminCase {
 	return cases
 }
 
-// TestArgminAdversarial holds ArgminRows under every implementation to
-// the exhaustive exact scan on the adversarial table, at every width
-// class of the screening pass (whole 8-float blocks, a scalar tail, a
-// long row) and every row count around the 256-row block edges — and,
-// at the planar widths below 8, ArgminPlanar and DistancePlanar over the
-// transposed table (CheckRows runs CheckPlanar there), where the planted
-// ties land in different lanes and lane groups of the fused argmin.
+// TestArgminAdversarial holds the rows kernel, and DistancePlanar and
+// ArgminPlanarBatch over the transposed table (CheckRows runs
+// CheckPlanar), under every implementation to the exhaustive exact scan
+// on the adversarial table, at the narrow widths of a codebook and every
+// wider width class (whole 8-float blocks, a leftover tail, a long row),
+// and every row count around the 256-row block edges.
 func TestArgminAdversarial(t *testing.T) {
 	dims, ns := []int{1, 2, 4, 7, 8, 9, 15, 16, 17, 64, 100, 1024}, []int{1, 255, 256, 257, 513}
 	if testing.Short() {
@@ -321,11 +324,11 @@ func TestArgminAdversarial(t *testing.T) {
 }
 
 // TestArgminPlanarAdversarial holds the planar entry points to the
-// exhaustive exact scan on the adversarial table at every planar width
-// and at row counts below, at and around the screen's minimum, the
-// vector step and the 256-row block: CheckPlanar runs DistancePlanar,
-// ArgminPlanar and ArgminPlanarBatch with the planted query at every
-// slot of a tile, under every implementation.
+// exhaustive exact scan on the adversarial table at every width below a
+// block and at row counts below, at and around the screen's minimum, the
+// vector step and the 256-row block: CheckPlanar runs DistancePlanar and
+// ArgminPlanarBatch, alone and with the planted query at every slot of a
+// tile, under every implementation.
 func TestArgminPlanarAdversarial(t *testing.T) {
 	dims, ns := []int{1, 2, 3, 4, 5, 6, 7}, []int{1, 7, 8, 31, 32, 33, 255, 256, 257}
 	if testing.Short() {
@@ -338,34 +341,11 @@ func TestArgminPlanarAdversarial(t *testing.T) {
 	}
 }
 
-// TestArgminBatchParity holds ArgminBatch under every implementation to
-// the reference argmin of each query: every screened width class (whole
-// blocks, a leftover tail, a long row) and a few below it, row counts
-// around the four-row screening minimum and the 256-row block, batches
-// that are not a multiple of the tile, and random, special and mixed
-// values.
-func TestArgminBatchParity(t *testing.T) {
-	rng := rand.New(rand.NewPCG(53, 59))
-	dims, ns := []int{1, 4, 7, 8, 9, 15, 16, 17, 63, 64, 65, 129}, []int{0, 1, 3, 4, 5, 158, 256, 257, 600}
-	if testing.Short() {
-		dims, ns = []int{4, 8, 17, 64}, []int{0, 3, 158, 257}
-	}
-	for _, dim := range dims {
-		for _, n := range ns {
-			nq := 1 + (dim+n)%(2*kernel.ArgminTile+2)
-			vecs := randVec(rng, n*dim)
-			kerneltest.CheckArgminBatch(t, randVec(rng, nq*dim), vecs, dim, n)
-			kerneltest.CheckArgminBatch(t, specialVec(nq*dim, 3), specialVec(n*dim, 1), dim, n)
-			kerneltest.CheckArgminBatch(t, specialVec(nq*dim, 5), vecs, dim, n)
-		}
-	}
-}
-
 // TestArgminBatchAdversarial runs the adversarial table through
-// ArgminBatch with the planted query at every slot position of a tile
-// and beyond it, its neighbours rows of the same table (distance 0,
-// ties) and its own negation: every slot must equal the exhaustive exact
-// scan's index.
+// ArgminPlanarBatch with the planted query placed at every slot position
+// of a tile and beyond it in turn, its neighbours rows of the same table
+// (distance 0, ties) and its own negation: every slot must equal the
+// exhaustive exact scan's index.
 func TestArgminBatchAdversarial(t *testing.T) {
 	dims, ns := []int{8, 9, 16, 17, 64, 100}, []int{4, 255, 257}
 	if testing.Short() {
@@ -390,7 +370,7 @@ func TestArgminBatchAdversarial(t *testing.T) {
 						}
 					}
 				}
-				kerneltest.CheckArgminBatch(t, qs, c.vecs, dim, n)
+				kerneltest.CheckArgminPlanarBatch(t, qs, c.vecs, dim, n)
 			}
 		})
 	}
@@ -444,7 +424,7 @@ func TestArgminBatchIsolatesSpecialQueries(t *testing.T) {
 		for slot := 0; slot < kernel.ArgminTile; slot++ {
 			qs := randVec(rng, kernel.ArgminTile*dim)
 			qs[slot*dim+dim/2] = special
-			kerneltest.CheckArgminBatch(t, qs, vecs, dim, n)
+			kerneltest.CheckArgminPlanarBatch(t, qs, vecs, dim, n)
 		}
 	}
 }
@@ -537,13 +517,16 @@ func TestSqDistLengthMismatchPanics(t *testing.T) {
 	kernel.SqDist(make([]float32, 3), make([]float32, 4))
 }
 
-// TestRowsShortVectorsPanics: the rows kernel keeps its row loop in
-// assembly, so a vecs shorter than len(out) rows must be refused before
-// dispatch rather than read past.
+// TestRowsShortVectorsPanics: the rows kernel and the planar routines
+// keep their loops in assembly, so a table shorter than its rows or
+// planes must be refused before dispatch rather than read past.
 func TestRowsShortVectorsPanics(t *testing.T) {
 	for name, call := range map[string]func(){
-		"DistanceRows": func() { kernel.DistanceRows(make([]float32, 4), make([]float32, 11), 4, make([]float64, 3)) },
-		"ArgminRows":   func() { kernel.ArgminRows(make([]float32, 4), make([]float32, 11), 4, 3) },
+		"DistanceRows":   func() { kernel.DistanceRows(make([]float32, 4), make([]float32, 11), 4, make([]float64, 3)) },
+		"DistancePlanar": func() { kernel.DistancePlanar(make([]float32, 4), make([]float32, 11), make([]float64, 3)) },
+		"ArgminPlanarBatch": func() {
+			kernel.ArgminPlanarBatch(make([]float32, 4), make([]float32, 11), 4, 3, make([]int32, 1))
+		},
 	} {
 		func() {
 			defer func() {
@@ -616,57 +599,6 @@ func BenchmarkDistanceRows(b *testing.B) {
 	}
 }
 
-// BenchmarkArgminRows times one nearest-row query per implementation
-// over row-major rows: 4-float rows (the exhaustive scan of the portable
-// loop; the PQ shape of that width is BenchmarkArgminCodebook), and a
-// whole 64-float fingerprint against a bench shard label's 158 IVF
-// centroids or a full 256-row block (screened under the assembly
-// implementations, exact under generic). ns/op ÷ n is the cost per row.
-func BenchmarkArgminRows(b *testing.B) {
-	rng := rand.New(rand.NewPCG(7, 13))
-	for _, dim := range []int{4, 64} {
-		for _, n := range []int{158, 256} {
-			q, vecs := randVec(rng, dim), randVec(rng, n*dim)
-			for _, im := range kernel.Impls() {
-				b.Run("dim="+strconv.Itoa(dim)+"/n="+strconv.Itoa(n)+"/"+im.Name, func(b *testing.B) {
-					restore, err := kernel.SetActive(im.Name)
-					if err != nil {
-						b.Fatal(err)
-					}
-					defer restore()
-					b.SetBytes(int64(4 * n * dim))
-					best := 0
-					for i := 0; i < b.N; i++ {
-						best += kernel.ArgminRows(q, vecs, dim, n)
-					}
-					sink = float64(best)
-				})
-			}
-		}
-	}
-}
-
-// BenchmarkArgminBatch times one ArgminBatch call of tile queries against
-// a bench shard label's 158 IVF centroids at a whole 64-float
-// fingerprint, under the dispatched implementation: tile 1 is
-// ArgminRows' batch of one (IVF.Append), 4 one screening tile, 64 a run
-// of the assignment pass. ns/op ÷ tile is the cost per point.
-func BenchmarkArgminBatch(b *testing.B) {
-	rng := rand.New(rand.NewPCG(71, 73))
-	const dim, n = 64, 158
-	vecs := randVec(rng, n*dim)
-	for _, tile := range []int{1, 4, 64} {
-		qs, out := randVec(rng, tile*dim), make([]int32, tile)
-		b.Run("dim="+strconv.Itoa(dim)+"/n="+strconv.Itoa(n)+"/tile="+strconv.Itoa(tile), func(b *testing.B) {
-			b.SetBytes(int64(4 * tile * n * dim))
-			for i := 0; i < b.N; i++ {
-				kernel.ArgminBatch(qs, vecs, dim, n, out)
-			}
-			sink = float64(out[0])
-		})
-	}
-}
-
 // BenchmarkAccumulate times the update step of one Lloyd round per
 // implementation at a bench shard label's IVF shape: a training sample
 // of 20 224 points of 64 floats, visited in sample order (a random
@@ -703,9 +635,9 @@ func codebook(dsub int) (q, planes []float32) {
 }
 
 // BenchmarkArgminCodebook times one nearest-centroid query against a
-// planar codebook per implementation — the call PQ training, the
-// encoding pass and IVFPQ.Append make once per subvector (dsub 4 is
-// dim 64 at M 16).
+// planar codebook per implementation — ArgminPlanarBatch's batch of one,
+// the call IVFPQ.Append makes once per subvector (dsub 4 is dim 64 at
+// M 16).
 func BenchmarkArgminCodebook(b *testing.B) {
 	for _, dsub := range []int{4, 2} {
 		q, planes := codebook(dsub)
@@ -716,11 +648,11 @@ func BenchmarkArgminCodebook(b *testing.B) {
 					b.Fatal(err)
 				}
 				defer restore()
-				best := 0
+				var best [1]int32
 				for i := 0; i < b.N; i++ {
-					best += kernel.ArgminPlanar(q, planes, kernel.ADCKs)
+					kernel.ArgminPlanarBatch(q, planes, dsub, kernel.ADCKs, best[:])
 				}
-				sink = float64(best)
+				sink = float64(best[0])
 			})
 		}
 	}
@@ -728,19 +660,18 @@ func BenchmarkArgminCodebook(b *testing.B) {
 
 // BenchmarkArgminPlanarBatch times one ArgminPlanarBatch call of tile
 // points against a planar table, under the dispatched implementation. A
-// dsub-4 codebook (dim 64 at M 16, 256 centroids): tile 1 is
-// ArgminPlanar's batch of one (IVFPQ.Append), 4 one screening tile, 64 a
-// run of the assignment pass of PQ training. The coarse quantizers of
-// the bench's IVFPQ and IVF shard labels (50 and 158 centroids of 64
-// floats): tile 32 is one gather of a Lloyd assignment pass, 64 a run of
-// the full pass (BenchmarkArgminBatch's row-major shape). ns/op ÷ tile is
-// the cost per point.
+// dsub-4 codebook (dim 64 at M 16, 256 centroids): tile 1 is the batch of
+// one of IVFPQ.Append, 4 one screening tile, 64 a run of the assignment
+// pass of PQ training. The coarse quantizers of the bench's IVFPQ and IVF
+// shard labels (50 and 158 centroids of 64 floats): tile 1 is the
+// nearest list of an Append, 32 one gather of a Lloyd assignment pass, 64
+// a run of the full pass. ns/op ÷ tile is the cost per point.
 func BenchmarkArgminPlanarBatch(b *testing.B) {
 	rng := rand.New(rand.NewPCG(89, 97))
 	for _, c := range []struct {
 		dim, n int
 		tiles  []int
-	}{{4, kernel.ADCKs, []int{1, 4, 64}}, {64, 50, []int{32, 64}}, {64, 158, []int{32, 64}}} {
+	}{{4, kernel.ADCKs, []int{1, 4, 64}}, {64, 50, []int{1, 32, 64}}, {64, 158, []int{1, 32, 64}}} {
 		planes := randVec(rng, c.dim*c.n)
 		for _, tile := range c.tiles {
 			qs, out := randVec(rng, tile*c.dim), make([]int32, tile)

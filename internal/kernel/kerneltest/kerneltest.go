@@ -101,22 +101,16 @@ func checkOrder(t testing.TB, q, v []float32) {
 
 // CheckRows fails t unless every registered implementation's rows
 // kernel scores the n rows of vecs against q (dim = len(q)) with the
-// reference's exact float64 bits, writes nothing past out[n-1], the
-// dispatched DistanceRows agrees with it, and ArgminRows under every
-// implementation returns the strict-<, lowest-index-wins argmin of the
-// reference distances. It is the differential check of the
-// one-dispatch-per-block path and of the screened argmin at widths from
-// 8; below 8 the same table is also held to CheckPlanar.
+// reference's exact float64 bits, writes nothing past out[n-1], and the
+// dispatched DistanceRows agrees with it: the differential check of the
+// one-dispatch-per-block path. The same table, transposed, is then held
+// to CheckPlanar.
 func CheckRows(t testing.TB, q, vecs []float32, n int) {
 	t.Helper()
 	dim := len(q)
 	want := make([]float64, n)
-	wantBest, bestD := 0, math.Inf(1)
 	for i := range want {
 		want[i] = kernel.SqDistRef(q, vecs[i*dim:(i+1)*dim])
-		if want[i] < bestD {
-			wantBest, bestD = i, want[i]
-		}
 	}
 	const guard = -12345.5
 	got := make([]float64, n+1)
@@ -144,59 +138,24 @@ func CheckRows(t testing.TB, q, vecs []float32, n int) {
 	reset()
 	kernel.DistanceRows(q, vecs, dim, got[:n])
 	check("dispatched (" + kernel.Active() + ")")
-	for _, im := range kernel.Impls() {
-		restore, err := kernel.SetActive(im.Name)
-		if err != nil {
-			t.Fatal(err)
-		}
-		best := kernel.ArgminRows(q, vecs, dim, n)
-		restore()
-		if best != wantBest {
-			t.Fatalf("ArgminRows (%s) = %d, reference argmin %d (dim=%d, rows=%d)", im.Name, best, wantBest, dim, n)
-		}
-	}
-	if dim < kernel.BlockDim {
-		CheckPlanar(t, q, vecs, n)
-	}
+	CheckPlanar(t, q, vecs, n)
 }
 
-// CheckArgminBatch fails t unless, under every registered
-// implementation, ArgminBatch over the n rows of vecs returns for every
-// query of qs (len(qs)/dim of them) the strict-<, lowest-index-wins
-// argmin of the reference distances — for the whole batch (a ragged
-// last tile when its size is not a multiple of kernel.ArgminTile) and
-// for every window of 1…ArgminTile+1 consecutive queries, so each query
-// is screened at every slot position of a tile and beside every
-// neighbour.
-func CheckArgminBatch(t testing.TB, qs, vecs []float32, dim, n int) {
-	t.Helper()
-	if dim <= 0 {
-		t.Fatalf("CheckArgminBatch needs dim ≥ 1, got %d", dim)
-	}
-	checkBatch(t, "ArgminBatch", qs, vecs, dim, n, func(qs []float32, out []int32) {
-		kernel.ArgminBatch(qs, vecs, dim, n, out)
-	})
-}
-
-// CheckArgminPlanarBatch is CheckArgminBatch for ArgminPlanarBatch over
-// the n-row table vecs TRANSPOSED to dimension-major.
+// CheckArgminPlanarBatch fails t unless, under every registered
+// implementation, ArgminPlanarBatch over the n-row table vecs
+// TRANSPOSED to dimension-major returns for every query of qs
+// (len(qs)/dim of them) the strict-<, lowest-index-wins argmin of the
+// reference distances — for the whole batch (a ragged last tile when its
+// size is not a multiple of kernel.ArgminTile) and for every window of
+// 1…ArgminTile+1 consecutive queries, so each query is screened at every
+// slot position of a tile, beside every neighbour and alone, with a
+// guard past the outputs.
 func CheckArgminPlanarBatch(t testing.TB, qs, vecs []float32, dim, n int) {
 	t.Helper()
 	if dim <= 0 {
 		t.Fatalf("CheckArgminPlanarBatch needs dim ≥ 1, got %d", dim)
 	}
-	planes := transpose(vecs, dim, n)
-	checkBatch(t, "ArgminPlanarBatch", qs, vecs, dim, n, func(qs []float32, out []int32) {
-		kernel.ArgminPlanarBatch(qs, planes, dim, n, out)
-	})
-}
-
-// checkBatch holds argmin, a batched argmin entry point over the n rows
-// of vecs, to the reference argmin of every query of qs under every
-// registered implementation: the whole batch and every window of
-// 1…ArgminTile+1 consecutive queries, with a guard past the outputs.
-func checkBatch(t testing.TB, name string, qs, vecs []float32, dim, n int, argmin func(qs []float32, out []int32)) {
-	t.Helper()
+	planes := Transpose(vecs, dim, n)
 	nq := len(qs) / dim
 	qs = qs[:nq*dim]
 	want := make([]int32, nq)
@@ -218,17 +177,17 @@ func checkBatch(t testing.TB, name string, qs, vecs []float32, dim, n int, argmi
 			t.Helper()
 			const guard = -7
 			got[hi-lo] = guard
-			argmin(qs[lo*dim:hi*dim], got[:hi-lo])
+			kernel.ArgminPlanarBatch(qs[lo*dim:hi*dim], planes, dim, n, got[:hi-lo])
 			for i := lo; i < hi; i++ {
 				if got[i-lo] != want[i] {
 					restore()
-					t.Fatalf("%s (%s) of queries [%d,%d): query %d (slot %d) = %d, reference argmin %d (dim=%d, n=%d)\nq = %v",
-						name, im.Name, lo, hi, i, i-lo, got[i-lo], want[i], dim, n, qs[i*dim:(i+1)*dim])
+					t.Fatalf("ArgminPlanarBatch (%s) of queries [%d,%d): query %d (slot %d) = %d, reference argmin %d (dim=%d, n=%d)\nq = %v",
+						im.Name, lo, hi, i, i-lo, got[i-lo], want[i], dim, n, qs[i*dim:(i+1)*dim])
 				}
 			}
 			if got[hi-lo] != guard {
 				restore()
-				t.Fatalf("%s (%s) wrote past its %d outputs", name, im.Name, hi-lo)
+				t.Fatalf("ArgminPlanarBatch (%s) wrote past its %d outputs", im.Name, hi-lo)
 			}
 		}
 		check(0, nq)
@@ -241,9 +200,9 @@ func checkBatch(t testing.TB, name string, qs, vecs []float32, dim, n int, argmi
 	}
 }
 
-// transpose returns the n×dim row-major table vecs dimension-major:
+// Transpose returns the n×dim row-major table vecs dimension-major:
 // planes[j*n+i] = vecs[i*dim+j].
-func transpose(vecs []float32, dim, n int) []float32 {
+func Transpose(vecs []float32, dim, n int) []float32 {
 	planes := make([]float32, n*dim)
 	for i := 0; i < n; i++ {
 		for j, x := range vecs[i*dim : (i+1)*dim] {
@@ -257,16 +216,16 @@ func transpose(vecs []float32, dim, n int) []float32 {
 // DistancePlanar over the n-row table vecs TRANSPOSED to dimension-major
 // returns the reference's exact float64 bits for every row (what
 // DistanceRows returns for vecs itself), writes nothing past out[n-1],
-// and ArgminPlanar returns the strict-<, lowest-index-wins argmin of the
-// reference distances; and, for len(q) ≥ 1, that ArgminPlanarBatch
-// does too with q at every slot of a tile and past it, beside rows of
-// the table (distance 0, ties) and q's negation
-// (CheckArgminPlanarBatch). len(q) must be below kernel.BlockDim; n
-// need not be a multiple of any lane count.
+// and ArgminPlanarBatch's batch of one returns the strict-<,
+// lowest-index-wins argmin of the reference distances; and, for
+// len(q) ≥ 1, that ArgminPlanarBatch does too with q at every slot of a
+// tile and past it, beside rows of the table (distance 0, ties) and q's
+// negation (CheckArgminPlanarBatch). Any width; n need not be a multiple
+// of any lane count.
 func CheckPlanar(t testing.TB, q, vecs []float32, n int) {
 	t.Helper()
 	dim := len(q)
-	planes := transpose(vecs, dim, n)
+	planes := Transpose(vecs, dim, n)
 	want := make([]float64, n)
 	wantBest, bestD := 0, math.Inf(1)
 	for i := range want {
@@ -286,7 +245,8 @@ func CheckPlanar(t testing.TB, q, vecs []float32, n int) {
 			got[i] = guard
 		}
 		kernel.DistancePlanar(q, planes, got[:n])
-		best := kernel.ArgminPlanar(q, planes, n)
+		var best [1]int32
+		kernel.ArgminPlanarBatch(q, planes, dim, n, best[:])
 		restore()
 		for i, w := range want {
 			if math.Float64bits(got[i]) != math.Float64bits(w) {
@@ -297,8 +257,8 @@ func CheckPlanar(t testing.TB, q, vecs []float32, n int) {
 		if got[n] != guard {
 			t.Fatalf("DistancePlanar (%s) wrote past its %d outputs (dim=%d)", im.Name, n, dim)
 		}
-		if best != wantBest {
-			t.Fatalf("ArgminPlanar (%s) = %d, reference argmin %d (dim=%d, n=%d)\nq = %v\nrows = %v", im.Name, best, wantBest, dim, n, q, vecs[:n*dim])
+		if int(best[0]) != wantBest {
+			t.Fatalf("ArgminPlanarBatch (%s) of one = %d, reference argmin %d (dim=%d, n=%d)\nq = %v\nrows = %v", im.Name, best[0], wantBest, dim, n, q, vecs[:n*dim])
 		}
 	}
 	if dim == 0 {

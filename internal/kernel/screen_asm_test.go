@@ -10,21 +10,18 @@ import (
 	"unsafe"
 )
 
-// TestScreenBoundWidensOffOrigin moves rows and queries 1e3 from the
-// origin in every coordinate (‖q‖ ≈ 8e3 at dim 64, row-major and planar,
-// 2e3 for a dsub-4 planar codebook). The screening error scales with (‖q‖ + ‖v‖)², not
-// with the distances, so far more rows are candidates than for the same
-// cloud at the origin — the count is logged — and every answer is still
-// the exhaustive scan's.
+// TestScreenBoundWidensOffOrigin moves centroids and queries 1e3 from
+// the origin in every coordinate (‖q‖ ≈ 8e3 for a dim-64 coarse
+// quantizer, 2e3 for a dsub-4 codebook). The screening error scales with
+// (‖q‖ + ‖c‖)², not with the distances, so far more centroids are
+// candidates than for the same cloud at the origin — the count is logged
+// — and every answer is still the exhaustive scan's.
 func TestScreenBoundWidensOffOrigin(t *testing.T) {
 	if !screenOK || Active() == "generic" {
 		t.Skip("no screening routine on this host")
 	}
 	rng := rand.New(rand.NewPCG(79, 83))
-	for _, c := range []struct {
-		dim, n int
-		planar bool
-	}{{64, 158, false}, {64, 158, true}, {4, argminBlock, true}} {
+	for _, c := range []struct{ dim, n int }{{64, 158}, {4, argminBlock}} {
 		const nq = 64
 		dim, n := c.dim, c.n
 		for _, off := range []float32{0, 1e3} {
@@ -36,19 +33,14 @@ func TestScreenBoundWidensOffOrigin(t *testing.T) {
 				return v
 			}
 			qs, vecs := cloud(nq), cloud(n)
-			table := vecs
-			got := make([]int32, nq)
-			if c.planar {
-				table = make([]float32, n*dim)
-				for i := 0; i < n; i++ {
-					for j := 0; j < dim; j++ {
-						table[j*n+i] = vecs[i*dim+j]
-					}
+			table := make([]float32, n*dim)
+			for i := 0; i < n; i++ {
+				for j := 0; j < dim; j++ {
+					table[j*n+i] = vecs[i*dim+j]
 				}
-				ArgminPlanarBatch(qs, table, dim, n, got)
-			} else {
-				ArgminBatch(qs, vecs, dim, n, got)
 			}
+			got := make([]int32, nq)
+			ArgminPlanarBatch(qs, table, dim, n, got)
 			for i := range got {
 				want, bestD := 0, math.Inf(1)
 				for r := 0; r < n; r++ {
@@ -64,13 +56,9 @@ func TestScreenBoundWidensOffOrigin(t *testing.T) {
 			var norms [argminBlock]float32
 			total := 0
 			for t0 := 0; t0 < nq; t0 += ArgminTile {
-				res := screenResult{bound: newScreenBound(dim, c.planar)}
-				if c.planar {
-					planarNormsAsm(&table[0], dim, n, n, &norms[0])
-					planarScreenAsm(&qs[t0*dim], &table[0], &norms[0], dim, n, n, ArgminTile, &a[0], &res)
-				} else {
-					screenAsm(&qs[t0*dim], &vecs[0], dim, n, ArgminTile, &a[0], &res)
-				}
+				res := screenResult{bound: newScreenBound(dim)}
+				planarNormsAsm(&table[0], dim, n, n, &norms[0])
+				planarScreenAsm(&qs[t0*dim], &table[0], &norms[0], dim, n, n, ArgminTile, &a[0], &res)
 				screenSelectAsm(&a[0], n, ArgminTile, &res)
 				for s := range ArgminTile {
 					for w, word := range res.cand[s][:(n+63)/64] {
@@ -82,7 +70,7 @@ func TestScreenBoundWidensOffOrigin(t *testing.T) {
 				}
 			}
 			per := float64(total) / nq
-			t.Logf("dim %d (planar %v), rows offset %g from the origin: %.2f candidates per query of %d rows", dim, c.planar, off, per, n)
+			t.Logf("dim %d, centroids offset %g from the origin: %.2f candidates per query of %d", dim, off, per, n)
 			if off == 0 && per > 1.5 {
 				t.Errorf("%.2f candidates per query at the origin: the bound is far looser than it should be", per)
 			}
@@ -121,7 +109,7 @@ func TestPlanarScreenValues(t *testing.T) {
 				for i := range a {
 					a[i] = sentinel
 				}
-				res := screenResult{bound: newScreenBound(dim, true)}
+				res := screenResult{bound: newScreenBound(dim)}
 				var norms [argminBlock + 1]float32
 				for i := range norms {
 					norms[i] = sentinel
@@ -192,7 +180,7 @@ func TestPlanarScreenValues(t *testing.T) {
 }
 
 // TestScreenResultLayout pins the field offsets of screenResult that
-// both assembly routines address by number.
+// both screening routines address by number.
 func TestScreenResultLayout(t *testing.T) {
 	var r screenResult
 	for _, f := range []struct {
