@@ -40,17 +40,8 @@ func run() error {
 		batch    = flag.Int("batch", 0, "mini-batch size")
 		parties  = flag.Int("participants", 0, "number of training participants")
 		seed     = flag.Uint64("seed", 0, "experiment seed")
-
-		record        = flag.String("record", "", "measure query-serving latency and write a BENCH_*.json trajectory entry to this path (skips experiments); \"auto\" picks the next free BENCH_NNN.json, an existing path is refused")
-		recordEntries = flag.Int("record-entries", 100_000, "class size for -record")
-		recordQueries = flag.Int("record-queries", 500, "measured queries for -record")
-		recordDim     = flag.Int("record-dim", 64, "fingerprint dimensionality for -record")
 	)
 	flag.Parse()
-
-	if *record != "" {
-		return runRecord(*record, *recordEntries, *recordQueries, *recordDim, *seed)
-	}
 
 	p := experiments.Defaults()
 	if *scale > 0 {

@@ -474,16 +474,16 @@ func run(parent context.Context, args []string, out io.Writer) error {
 				return err
 			}
 		}
-		if err := built.Close(); err != nil {
-			return err
-		}
+	}
+	// Close flushes every write path and waits out background retrains,
+	// volatile ones included. Sharded write paths have no single -db file
+	// to compact into: their per-replica WALs replay on restart.
+	if err := built.Close(); err != nil {
+		return err
+	}
+	if store != nil {
 		fmt.Fprintf(out, "final snapshot: %d entries → %s\n", svc.Searcher().Len(), o.db)
 	} else if stores := built.Stores(); len(stores) > 0 {
-		// Sharded write paths have no single -db file to compact into;
-		// close them flushed — the per-replica WALs replay on restart.
-		if err := built.Close(); err != nil {
-			return err
-		}
 		fmt.Fprintf(out, "closed %d shard write paths (wal retained for replay)\n", len(stores))
 	}
 	fmt.Fprintln(out, "drained, bye")

@@ -2,8 +2,10 @@ package ingest
 
 import (
 	"context"
+	"errors"
 	"fmt"
 	"os"
+	"path/filepath"
 	"sync"
 	"sync/atomic"
 	"time"
@@ -56,19 +58,24 @@ type Options struct {
 // sits in lists chosen by a quantizer that never saw those vectors.
 const DefaultDriftThreshold = 0.25
 
-// Store is the durable write path of one serving daemon: a WAL in
-// front of the linkage database and its (appendable) index backend.
+// errVolatile refuses what only a store with a log can do.
+var errVolatile = errors.New("ingest: a volatile store has no write-ahead log")
+
+// Store is the write path of one serving daemon: a WAL in front of the
+// linkage database and its (appendable) index backend.
 //
 //	Open     → replay the WAL over the loaded snapshot
 //	Ingest   → WAL append (fsync per policy) → DB → index, under one lock
 //	Snapshot → persist the DB, truncate the WAL (compaction)
 //
-// Reads never block on the store: searches run against the index's own
-// read locks, and the batch lock here only serializes writers. Store
-// implements fingerprint.Ingester.
+// A store opened without a log directory is volatile: it ingests and
+// retrains the same way but logs nothing, so a restart loses every
+// batch it took. Reads never block on the store: searches run against
+// the index's own read locks, and the batch lock here only serializes
+// writers. Store implements fingerprint.Ingester.
 type Store struct {
 	mu  sync.Mutex // serializes writers: Ingest, Snapshot, retrain swap
-	wal *WAL
+	wal *WAL       // nil for a volatile store
 	db  *fingerprint.DB
 
 	// smu guards only the searcher/app pointer pair, so stats readers
@@ -94,8 +101,11 @@ type Store struct {
 // Open attaches a WAL at dir to the database and its serving backend,
 // replaying any records the last snapshot does not cover — into both
 // the database and the backend, so a restarted daemon serves exactly
-// the acknowledged linkages. The backend must be the database itself
-// (linear scan; appends are naturally visible) or an index.Appender.
+// the acknowledged linkages. An empty dir opens a volatile store: no
+// log, no replay, no file touched; it reports zero WAL bytes and
+// segments, and refuses Snapshot and ReplCursor. The backend must be
+// the database itself (linear scan; appends are naturally visible) or
+// an index.Appender.
 func Open(dir string, db *fingerprint.DB, searcher fingerprint.Searcher, opts Options) (*Store, error) {
 	s := &Store{
 		db:             db,
@@ -121,6 +131,9 @@ func Open(dir string, db *fingerprint.DB, searcher fingerprint.Searcher, opts Op
 			return nil, fmt.Errorf("ingest: %s backend does not support appends", searcher.Kind())
 		}
 		s.app = ap
+	}
+	if dir == "" {
+		return s, nil
 	}
 
 	wal, err := OpenWAL(dir, db.Dim(), opts.WAL)
@@ -167,9 +180,10 @@ func (s *Store) apply(l fingerprint.Linkage) error {
 }
 
 // IngestBatch implements fingerprint.Ingester: validate everything,
-// log the batch (durable per the WAL's fsync policy), then apply it to
-// the database and index. All-or-nothing: a validation failure anywhere
-// rejects the batch before the WAL sees a byte.
+// log the batch (durable per the WAL's fsync policy; a volatile store
+// skips this step), then apply it to the database and index.
+// All-or-nothing: a validation failure anywhere rejects the batch
+// before the WAL sees a byte.
 func (s *Store) IngestBatch(ls []fingerprint.Linkage) (int, error) {
 	return s.IngestBatchCtx(context.Background(), ls)
 }
@@ -187,12 +201,14 @@ func (s *Store) IngestBatchCtx(ctx context.Context, ls []fingerprint.Linkage) (i
 	}
 	s.mu.Lock()
 	defer s.mu.Unlock()
-	wctx, span := obs.StartSpan(ctx, "wal_append")
-	err := s.wal.AppendCtx(wctx, uint64(s.db.Len()), ls)
-	span.SetError(err)
-	span.End()
-	if err != nil {
-		return 0, err
+	if s.wal != nil {
+		wctx, span := obs.StartSpan(ctx, "wal_append")
+		err := s.wal.AppendCtx(wctx, uint64(s.db.Len()), ls)
+		span.SetError(err)
+		span.End()
+		if err != nil {
+			return 0, err
+		}
 	}
 	for i, l := range ls {
 		// Validation passed above, so apply cannot fail on input; an
@@ -268,8 +284,14 @@ func (s *Store) maybeRetrainLocked() {
 // re-saves it here, so the index and database files can never disagree
 // on entry count across a restart. A callback failure aborts the
 // truncate: the database file is already updated, but replay is
-// idempotent, so nothing is lost.
+// idempotent, so nothing is lost. The directory holding path is synced
+// after the rename, so a crash cannot leave the old database file
+// beside a truncated log. A volatile store has no log to compact and
+// refuses.
 func (s *Store) Snapshot(path string, alsoPersist ...func(fingerprint.Searcher) error) error {
+	if s.wal == nil {
+		return errVolatile
+	}
 	s.mu.Lock()
 	defer s.mu.Unlock()
 	tmp := path + ".tmp"
@@ -293,6 +315,9 @@ func (s *Store) Snapshot(path string, alsoPersist ...func(fingerprint.Searcher) 
 	if err := os.Rename(tmp, path); err != nil {
 		return fmt.Errorf("ingest: snapshot: %w", err)
 	}
+	if err := syncDir(filepath.Dir(path)); err != nil {
+		return fmt.Errorf("ingest: snapshot: %w", err)
+	}
 	for _, fn := range alsoPersist {
 		if err := fn(s.searcher); err != nil {
 			return fmt.Errorf("ingest: snapshot: %w", err)
@@ -309,11 +334,14 @@ func (s *Store) Snapshot(path string, alsoPersist ...func(fingerprint.Searcher) 
 func (s *Store) IngestStats() fingerprint.IngestStats {
 	st := fingerprint.IngestStats{
 		Accepted:         s.accepted.Load(),
-		WALBytes:         s.wal.Bytes(),
 		ReplayEntries:    s.replayed,
 		LastSnapshotUnix: s.lastSnapshot.Load(),
 		Retrains:         s.retrains.Load(),
-		Segments:         s.wal.Segments(),
+	}
+	if s.wal != nil {
+		// Zero WAL bytes and segments are how /stats tells a volatile
+		// write path from a durable one.
+		st.WALBytes, st.Segments = s.wal.Bytes(), s.wal.Segments()
 	}
 	if ls := st.LastSnapshotUnix; ls > 0 {
 		st.LastSnapshotAgeSeconds = time.Since(time.Unix(ls, 0)).Seconds()
@@ -365,8 +393,11 @@ func (s *Store) SnapshotView() (*fingerprint.DB, uint64) {
 // the two reads, so every record in [from, head) that the log still
 // retains is visible through the cursor. The caller must Close the
 // cursor; while it is open, compaction defers segment deletion (see
-// WAL.Truncate).
+// WAL.Truncate). A volatile store has no log to ship and refuses.
 func (s *Store) ReplCursor(from uint64) (*Cursor, uint64, error) {
+	if s.wal == nil {
+		return nil, 0, errVolatile
+	}
 	s.mu.Lock()
 	defer s.mu.Unlock()
 	cur, err := s.wal.OpenCursor(from)
@@ -381,5 +412,8 @@ func (s *Store) ReplCursor(from uint64) (*Cursor, uint64, error) {
 // Open.
 func (s *Store) Close() error {
 	s.retrainWG.Wait()
+	if s.wal == nil {
+		return nil
+	}
 	return s.wal.Close()
 }

@@ -2,9 +2,11 @@ package ingest
 
 import (
 	"errors"
+	"fmt"
 	"math/rand/v2"
 	"os"
 	"path/filepath"
+	"reflect"
 	"sync"
 	"testing"
 	"time"
@@ -177,6 +179,110 @@ func TestStoreSnapshotCompacts(t *testing.T) {
 	defer st2.Close()
 	if st2.Replayed() != 0 {
 		t.Fatalf("replayed %d after snapshot, want 0", st2.Replayed())
+	}
+}
+
+// TestStoreSnapshotSyncsDir: the snapshot's directory is synced after
+// the new database file is renamed into it and before the log's
+// segments are removed — otherwise a crash can leave the old database
+// file beside a truncated log, and the linkages only the log held are
+// gone. A failed directory sync leaves the log whole.
+func TestStoreSnapshotSyncsDir(t *testing.T) {
+	dir := t.TempDir()
+	dbDir, walDir := filepath.Join(dir, "db"), filepath.Join(dir, "wal")
+	if err := os.Mkdir(dbDir, 0o755); err != nil {
+		t.Fatal(err)
+	}
+	dbPath := filepath.Join(dbDir, "linkage.db")
+	db := storeDB(t, 4, 20, 2, 5)
+	st, err := Open(walDir, db, index.NewFlat(db), Options{})
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer st.Close()
+	if _, err := st.IngestBatch(newLinkages(t, 4, 6, 2, 6, "x")); err != nil {
+		t.Fatal(err)
+	}
+	before, _, err := listSegments(walDir)
+	if err != nil {
+		t.Fatal(err)
+	}
+
+	orig := syncDir
+	t.Cleanup(func() { syncDir = orig })
+	var events []string
+	fail := errors.New("injected")
+	syncDir = func(d string) error {
+		if d != dbDir {
+			return orig(d)
+		}
+		_, tmpErr := os.Stat(dbPath + ".tmp")
+		segs, _, _ := listSegments(walDir)
+		events = append(events, fmt.Sprintf("renamed=%v segments=%v", os.IsNotExist(tmpErr), segs))
+		if fail != nil {
+			return fail
+		}
+		return orig(d)
+	}
+	if err := st.Snapshot(dbPath); !errors.Is(err, fail) {
+		t.Fatalf("snapshot with a failing directory sync: %v", err)
+	}
+	if after, _, _ := listSegments(walDir); !reflect.DeepEqual(after, before) {
+		t.Fatalf("a failed directory sync truncated the log: segments %v → %v", before, after)
+	}
+
+	fail, events = nil, nil
+	if err := st.Snapshot(dbPath); err != nil {
+		t.Fatal(err)
+	}
+	if want := []string{fmt.Sprintf("renamed=true segments=%v", before)}; !reflect.DeepEqual(events, want) {
+		t.Fatalf("syncs of the database's directory: %q, want %q (after the rename, before the truncate)", events, want)
+	}
+	after, _, err := listSegments(walDir)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if len(after) != 1 || after[0] <= before[len(before)-1] {
+		t.Fatalf("segments after the snapshot: %v, want one past %v", after, before)
+	}
+}
+
+// TestStoreVolatile: a store opened without a log directory ingests
+// and serves like a durable one, touches no file, reports no log in its
+// stats, and refuses what only a log can do.
+func TestStoreVolatile(t *testing.T) {
+	t.Chdir(t.TempDir()) // a stray relative path would land here
+	db := storeDB(t, 8, 60, 3, 1)
+	flat := index.NewFlat(db)
+	st, err := Open("", db, flat, Options{})
+	if err != nil {
+		t.Fatal(err)
+	}
+	ls := newLinkages(t, 8, 12, 3, 2, "volatile")
+	if n, err := st.IngestBatch(ls); err != nil || n != 12 {
+		t.Fatalf("ingest: %d, %v", n, err)
+	}
+	if got, err := flat.Search(ls[0].F, ls[0].Y, 1); err != nil || got[0].Source != "volatile" {
+		t.Fatalf("ingested entry not served: %v %v", got, err)
+	}
+	if _, err := st.IngestBatch([]fingerprint.Linkage{{F: make(fingerprint.Fingerprint, 3)}}); !errors.Is(err, fingerprint.ErrDimMismatch) {
+		t.Fatalf("bad batch: %v", err)
+	}
+	stats := st.IngestStats()
+	if stats.Accepted != 12 || stats.WALBytes != 0 || stats.Segments != 0 || stats.ReplayEntries != 0 {
+		t.Fatalf("volatile stats: %+v", stats)
+	}
+	if err := st.Snapshot("linkage.db"); err == nil {
+		t.Fatal("a volatile store snapshotted")
+	}
+	if _, _, err := st.ReplCursor(0); err == nil {
+		t.Fatal("a volatile store opened a replication cursor")
+	}
+	if err := st.Close(); err != nil {
+		t.Fatal(err)
+	}
+	if files, err := os.ReadDir("."); err != nil || len(files) != 0 {
+		t.Fatalf("a volatile store wrote %v (%v)", files, err)
 	}
 }
 

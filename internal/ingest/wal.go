@@ -15,7 +15,8 @@
 //     WAL-first, tracks approximate-index drift, and retrains + hot-swaps
 //     the serving backend in the background once drift crosses a
 //     threshold. Snapshot persists the database and truncates the WAL
-//     (compaction).
+//     (compaction). Opened without a log directory, the same Store is
+//     a deployment's volatile write path: everything but the log.
 //
 // The Store implements fingerprint.Ingester, so a fingerprint.Service
 // exposes it as POST /ingest with counters on /stats; internal/shard
@@ -265,7 +266,7 @@ func (w *WAL) openSegment(n int) error {
 			return fail(fmt.Errorf("ingest: wal: %w", err))
 		}
 		if err := syncDir(w.dir); err != nil {
-			return fail(err)
+			return fail(fmt.Errorf("ingest: wal: %w", err))
 		}
 	}
 	w.f, w.active, w.size = f, n, walHeaderLen
@@ -273,14 +274,17 @@ func (w *WAL) openSegment(n int) error {
 	return nil
 }
 
-func syncDir(dir string) error {
+// syncDir fsyncs a directory, so the files created, renamed or removed
+// in it stay that way across a crash. It is a variable so a test can
+// see where a sync falls among the renames and removals around it.
+var syncDir = func(dir string) error {
 	d, err := os.Open(dir)
 	if err != nil {
-		return fmt.Errorf("ingest: wal: %w", err)
+		return fmt.Errorf("sync dir: %w", err)
 	}
 	defer d.Close()
 	if err := d.Sync(); err != nil {
-		return fmt.Errorf("ingest: wal: %w", err)
+		return fmt.Errorf("sync dir: %w", err)
 	}
 	return nil
 }
@@ -609,7 +613,7 @@ func (w *WAL) Truncate() error {
 	}
 	if w.opts.Sync != SyncNever {
 		if err := syncDir(w.dir); err != nil {
-			return err
+			return fmt.Errorf("ingest: wal: %w", err)
 		}
 	}
 	w.total = 0

@@ -182,8 +182,6 @@ func TestTraceNilSafety(t *testing.T) {
 	if tr.ID() != "" {
 		t.Error("nil trace ID should be empty")
 	}
-	tr.StartStage("search")() // must not panic
-	tr.Add("x", time.Second)
 	if tr.Stages() != nil {
 		t.Error("nil trace stages should be nil")
 	}
@@ -194,16 +192,20 @@ func TestTraceNilSafety(t *testing.T) {
 
 func TestTraceStages(t *testing.T) {
 	tr := NewTrace("abc")
-	done := tr.StartStage("search")
-	done()
-	tr.Add("wal_append", 3*time.Millisecond)
-	stages := tr.Stages()
-	if len(stages) != 2 || stages[0].Name != "search" || stages[1].Name != "wal_append" {
-		t.Fatalf("unexpected stages: %v", stages)
-	}
 	ctx := WithTrace(context.Background(), tr)
 	if RequestIDFrom(ctx) != "abc" {
 		t.Fatal("request ID not carried by context")
+	}
+	for _, name := range []string{"search", "wal_append"} {
+		sctx, sp := StartSpan(ctx, name)
+		_, child := StartSpan(sctx, "fsync") // nested: not a stage
+		child.End()
+		sp.End()
+	}
+	StartSpan(ctx, "unfinished") // not a stage until it ends
+	stages := tr.Stages()
+	if len(stages) != 2 || stages[0].Name != "search" || stages[1].Name != "wal_append" {
+		t.Fatalf("unexpected stages: %v", stages)
 	}
 }
 
@@ -260,7 +262,8 @@ func TestMiddlewareRequestLog(t *testing.T) {
 	logger := slog.New(slog.NewTextHandler(&buf, nil))
 	h := Middleware(Options{Component: "serve", Logger: logger, RequestLog: true},
 		http.HandlerFunc(func(w http.ResponseWriter, r *http.Request) {
-			TraceFrom(r.Context()).Add("search", 2*time.Millisecond)
+			_, sp := StartSpan(r.Context(), "search")
+			sp.End()
 			http.Error(w, "nope", http.StatusTeapot)
 		}))
 	req := httptest.NewRequest(http.MethodPost, "/v1/query", nil)

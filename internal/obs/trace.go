@@ -339,8 +339,8 @@ func (t *Trace) newSpan(name, parent string) *Span {
 	return sp
 }
 
-// setRoot marks the request's root span (the middleware's), under which
-// StartStage-compat spans and the Stages view hang.
+// setRoot marks the request's root span (the middleware's): its direct
+// children are the stages the Stages view reports.
 func (t *Trace) setRoot(sp *Span) {
 	if t == nil || sp == nil {
 		return
@@ -361,42 +361,6 @@ func (t *Trace) Root() *Span {
 	t.mu.Lock()
 	defer t.mu.Unlock()
 	return t.root
-}
-
-// stageParent is the parent ID StartStage/Add spans hang under: the
-// root span when the middleware installed one, top level otherwise.
-func (t *Trace) stageParent() string {
-	t.mu.Lock()
-	defer t.mu.Unlock()
-	if t.root != nil {
-		return t.root.id
-	}
-	return t.remoteParent
-}
-
-// StartStage begins timing a named stage; call the returned func when
-// the stage ends. It is the flat, context-free compatibility form of
-// StartSpan: the span parents under the request's root span. On a nil
-// trace both calls are no-ops.
-func (t *Trace) StartStage(name string) func() {
-	if t == nil {
-		return func() {}
-	}
-	sp := t.newSpan(name, t.stageParent())
-	return sp.End
-}
-
-// Add records a completed stage of the given duration. No-op on nil.
-func (t *Trace) Add(name string, d time.Duration) {
-	if t == nil {
-		return
-	}
-	now := t.clock()
-	sp := &Span{t: t, id: newSpanID(), parent: t.stageParent(), name: name, start: now.Add(-d)}
-	sp.end = now
-	t.mu.Lock()
-	t.spans = append(t.spans, sp)
-	t.mu.Unlock()
 }
 
 // Stages returns the finished top-level spans as flat stage timings in

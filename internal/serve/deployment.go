@@ -139,11 +139,10 @@ type Deployment struct {
 	// VolatileWrites false builds a read-only deployment.
 	WAL *WALConfig
 	// VolatileWrites enables a non-durable in-memory write path when WAL
-	// is nil: POST /ingest applies to the database and index but is lost
-	// on restart. Unlike the WAL path it never retrains an approximate
-	// backend, so an IVF deployment under sustained volatile ingest
-	// degrades in recall — use an exact backend, or a WAL, when writes
-	// are more than a trickle. Ignored when WAL is set.
+	// is nil: the same ingest.Store a WAL deployment opens, without a
+	// log. POST /ingest applies to the database and index, and retrains
+	// an approximate backend past the default drift threshold, but every
+	// write is lost on restart. Ignored when WAL is set.
 	VolatileWrites bool
 	// Limits forwards request bounds (body size, k, batch) to every
 	// query service the deployment builds.
@@ -180,7 +179,8 @@ type Server struct {
 	handler http.Handler
 	svc     *fingerprint.Service
 	router  *shard.Router
-	stores  []*ingest.Store
+	stores  []*ingest.Store // every write path the build opened
+	durable bool            // the stores have a log
 	syncer  *cluster.Syncer
 	tracer  *obs.Tracer
 }
@@ -196,14 +196,18 @@ func (s *Server) Service() *fingerprint.Service { return s.svc }
 func (s *Server) Router() *shard.Router { return s.router }
 
 // Stores returns every durable write path the build opened (one per
-// shard replica), empty without a WAL. Keep them to Snapshot. Under
-// replication the store can be swapped by a full resync, so ask each
-// time instead of caching the slice.
+// shard replica), empty without a WAL — volatile stores have nothing
+// to snapshot. Keep them to Snapshot. Under replication the store can
+// be swapped by a full resync, so ask each time instead of caching the
+// slice.
 func (s *Server) Stores() []*ingest.Store {
 	if s.syncer != nil {
 		if st := s.syncer.Store(); st != nil {
 			return []*ingest.Store{st}
 		}
+		return nil
+	}
+	if !s.durable {
 		return nil
 	}
 	return s.stores
@@ -214,13 +218,10 @@ func (s *Server) Stores() []*ingest.Store {
 // this is the syncer's CURRENT store — a full resync replaces it, so
 // snapshot paths must call Store at use time, not once at startup.
 func (s *Server) Store() *ingest.Store {
-	if s.syncer != nil {
-		return s.syncer.Store()
+	if st := s.Stores(); len(st) > 0 {
+		return st[0]
 	}
-	if len(s.stores) == 0 {
-		return nil
-	}
-	return s.stores[0]
+	return nil
 }
 
 // Syncer returns the replication state machine, nil unless the
@@ -257,9 +258,9 @@ func (s *Server) Serve(ctx context.Context, l net.Listener, grace time.Duration)
 	return fingerprint.ServeHandler(ctx, l, s.handler, grace)
 }
 
-// Close flushes and closes every durable write path (waiting out
-// background retrains). It does not snapshot; call Store Snapshot
-// first when compaction on shutdown is wanted.
+// Close flushes and closes every write path, durable or volatile,
+// waiting out background retrains. It does not snapshot; call Store
+// Snapshot first when compaction on shutdown is wanted.
 func (s *Server) Close() error {
 	if s.syncer != nil {
 		// The syncer owns the current store (a full resync may have
@@ -303,10 +304,9 @@ func (d Deployment) buildSingle(db *fingerprint.DB, spec BackendSpec) (*Server, 
 	sopts := append(append([]fingerprint.ServiceOption{}, d.Limits...),
 		fingerprint.WithObservability(d.Observability.options("serve", tracer)))
 	svc := fingerprint.NewSearcherService(searcher, sopts...)
-	srv := &Server{svc: svc, tracer: tracer}
-	switch {
-	case d.WAL != nil:
-		store, err := d.openStore(d.WAL.Dir, db, searcher, spec, svc)
+	srv := &Server{svc: svc, tracer: tracer, durable: d.WAL != nil}
+	if d.WAL != nil || d.VolatileWrites {
+		store, err := d.openStore(d.logDir(), db, searcher, spec, svc)
 		if err != nil {
 			return nil, err
 		}
@@ -334,12 +334,6 @@ func (d Deployment) buildSingle(db *fingerprint.DB, spec BackendSpec) (*Server, 
 			svc.SetIngester(store)
 			srv.stores = []*ingest.Store{store}
 		}
-	case d.VolatileWrites:
-		ing, err := newVolatileIngester(db, searcher)
-		if err != nil {
-			return nil, err
-		}
-		svc.SetIngester(ing)
 	}
 	current := func() *fingerprint.DB { return db }
 	if d.WAL != nil {
@@ -391,10 +385,6 @@ func residentFamily(db func() *fingerprint.DB, searcher func() fingerprint.Searc
 // the startup store had).
 func (d Deployment) newSyncer(svc *fingerprint.Service, spec BackendSpec) (*cluster.Syncer, error) {
 	dir := d.WAL.Dir
-	logger := slog.Default()
-	if d.Observability != nil && d.Observability.Logger != nil {
-		logger = d.Observability.Logger
-	}
 	return cluster.NewSyncer(cluster.Options{
 		Peer:    d.Replication.Peer,
 		Service: svc,
@@ -407,8 +397,18 @@ func (d Deployment) newSyncer(svc *fingerprint.Service, spec BackendSpec) (*clus
 			}
 			return d.openStore(dir, ndb, sr, spec, svc)
 		},
-		Logf: func(format string, args ...any) { logger.Info(fmt.Sprintf(format, args...)) },
+		Logf: d.logf,
 	})
+}
+
+// logf reports background write-path events — retrains, syncs —
+// through the deployment's logger, slog.Default when none is set.
+func (d Deployment) logf(format string, args ...any) {
+	logger := slog.Default()
+	if d.Observability != nil && d.Observability.Logger != nil {
+		logger = d.Observability.Logger
+	}
+	logger.Info(fmt.Sprintf(format, args...))
 }
 
 // buildSharded assembles the in-process sharded shape: the database is
@@ -429,7 +429,7 @@ func (d Deployment) buildSharded(db *fingerprint.DB, spec BackendSpec) (*Server,
 	}
 	nrep := max(1, d.ReplicasPerShard)
 	replicas := make([][]shard.Replica, d.Shards)
-	srv := &Server{}
+	srv := &Server{durable: d.WAL != nil}
 	for rep := 0; rep < nrep; rep++ {
 		// Each replica owns a private copy of its shard's data, split
 		// fresh from the seed database, so replicated writes and failover
@@ -448,21 +448,14 @@ func (d Deployment) buildSharded(db *fingerprint.DB, spec BackendSpec) (*Server,
 			if nrep > 1 {
 				name = fmt.Sprintf("local-shard-%d-replica-%d", i, rep)
 			}
-			switch {
-			case d.WAL != nil:
-				dir := filepath.Join(d.WAL.Dir, fmt.Sprintf("shard-%d", i), fmt.Sprintf("replica-%d", rep))
+			if d.WAL != nil || d.VolatileWrites {
+				dir := d.logDir(fmt.Sprintf("shard-%d", i), fmt.Sprintf("replica-%d", rep))
 				store, err := d.openStore(dir, part, searcher, spec, svc)
-				if err != nil {
-					return nil, fmt.Errorf("serve: shard %d wal: %w", i, err)
-				}
-				svc.SetIngester(store)
-				srv.stores = append(srv.stores, store)
-			case d.VolatileWrites:
-				ing, err := newVolatileIngester(part, searcher)
 				if err != nil {
 					return nil, fmt.Errorf("serve: shard %d write path: %w", i, err)
 				}
-				svc.SetIngester(ing)
+				svc.SetIngester(store)
+				srv.stores = append(srv.stores, store)
 			}
 			replicas[i] = append(replicas[i], shard.NewLocalReplica(name, svc))
 		}
@@ -501,15 +494,32 @@ func BuildShardBackend(spec BackendSpec, part *fingerprint.DB) (fingerprint.Sear
 	return sr, err
 }
 
-// openStore opens one durable write path, defaulting the retrain hook
-// from the spec and the hot-swap target to the built service.
+// logDir is the log directory of one write path under the deployment's
+// WAL, "" (no log: a volatile store) without one.
+func (d Deployment) logDir(elem ...string) string {
+	if d.WAL == nil {
+		return ""
+	}
+	return filepath.Join(append([]string{d.WAL.Dir}, elem...)...)
+}
+
+// openStore opens one write path, durable with a log at dir and
+// volatile when dir is "". Either way the retrain hook defaults to the
+// spec's and the hot-swap target to the built service, so writes past
+// the drift threshold retrain the serving backend.
 func (d Deployment) openStore(dir string, db *fingerprint.DB, searcher fingerprint.Searcher, spec BackendSpec, svc *fingerprint.Service) (*ingest.Store, error) {
-	opts := d.WAL.Store
+	var opts ingest.Options
+	if d.WAL != nil {
+		opts = d.WAL.Store
+	}
 	if opts.Rebuild == nil {
 		opts.Rebuild = spec.Rebuild()
 	}
 	if opts.Swapper == nil {
 		opts.Swapper = svc
+	}
+	if opts.Logf == nil {
+		opts.Logf = d.logf
 	}
 	return ingest.Open(dir, db, searcher, opts)
 }

@@ -11,6 +11,7 @@ import (
 
 	"caltrain/internal/fingerprint"
 	"caltrain/internal/index"
+	"caltrain/internal/ingest"
 	"caltrain/internal/obs/obstest"
 	"caltrain/internal/shard"
 )
@@ -92,12 +93,12 @@ func FuzzFrontParity(f *testing.F) {
 	daemon := func() *fingerprint.Service {
 		db := testDB(f, 4, 40, 3)
 		flat := index.NewFlat(db)
-		ing, err := newVolatileIngester(db, flat)
+		store, err := ingest.Open("", db, flat, ingest.Options{})
 		if err != nil {
 			f.Fatal(err)
 		}
 		svc := fingerprint.NewSearcherService(flat, limits...)
-		svc.SetIngester(ing)
+		svc.SetIngester(store)
 		return svc
 	}
 	single, behind := daemon(), daemon()

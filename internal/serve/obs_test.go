@@ -212,10 +212,25 @@ func TestConfigSingleDeploymentServesMetrics(t *testing.T) {
 	if _, err := client.Ingest(entries); err != nil {
 		t.Fatal(err)
 	}
+	// 200 of 800 entries is the default drift threshold: let the
+	// background retrain land, or it may swap the index between the
+	// scrape and /stats.
+	for deadline := time.Now().Add(10 * time.Second); ; time.Sleep(5 * time.Millisecond) {
+		st, err := client.Stats()
+		if err != nil {
+			t.Fatal(err)
+		}
+		if st.Ingest != nil && st.Ingest.Retrains > 0 {
+			break
+		}
+		if time.Now().After(deadline) {
+			t.Fatalf("no retrain after ingesting to the drift threshold: %+v", st.Ingest)
+		}
+	}
 	after := parts()
 	for _, part := range []string{"rows", "provenance", "index"} {
 		if after[part] <= before[part] {
-			t.Errorf("%s did not grow with 200 ingested entries: %d → %d", part, before[part], after[part])
+			t.Errorf("%s did not grow with %d ingested entries: %d → %d", part, len(entries), before[part], after[part])
 		}
 	}
 }

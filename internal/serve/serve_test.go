@@ -212,6 +212,56 @@ func TestDeploymentSingleVolatileWrites(t *testing.T) {
 	}
 }
 
+// TestDeploymentVolatileRetrains: a volatile write path is the durable
+// one without a log, so an IVF deployment ingesting past the drift
+// threshold retrains and hot-swaps its backend instead of losing recall
+// without bound — and Close waits for the swap. Nothing is exposed to
+// snapshot.
+func TestDeploymentVolatileRetrains(t *testing.T) {
+	db := testDB(t, 8, 300, 3)
+	srv, err := Deployment{Backend: IVFSpec{index.IVFOptions{Nlist: 4, Nprobe: 1, Seed: 5}}, VolatileWrites: true}.Build(db)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if srv.Store() != nil || len(srv.Stores()) != 0 {
+		t.Fatalf("a volatile deployment exposed stores to snapshot: %v", srv.Stores())
+	}
+	before := srv.Service().Searcher()
+	hs := httptest.NewServer(srv.Handler())
+	defer hs.Close()
+	client := fingerprint.NewClient(hs.URL, hs.Client())
+	// 120 appends over 300 entries: drift 0.29, past the default 0.25.
+	entries := make([]fingerprint.IngestEntry, 120)
+	for i := range entries {
+		f := make([]float32, 8)
+		f[i%8] = 10 + float32(i)
+		entries[i] = fingerprint.IngestEntry{Fingerprint: f, Label: i % 3, Source: "volatile"}
+	}
+	if resp, err := client.Ingest(entries); err != nil || resp.Accepted != len(entries) {
+		t.Fatalf("ingest: %+v %v", resp, err)
+	}
+	if err := srv.Close(); err != nil { // waits for the background retrain
+		t.Fatal(err)
+	}
+	after := srv.Service().Searcher()
+	if after == before {
+		t.Fatal("no retrained backend swapped in past the drift threshold")
+	}
+	if d := after.(*index.IVF).Drift(); after.Len() != 420 || d >= ingest.DefaultDriftThreshold {
+		t.Fatalf("swapped backend: %d entries, drift %v; want 420 below %v", after.Len(), d, ingest.DefaultDriftThreshold)
+	}
+	st, err := client.Stats()
+	if err != nil || st.Ingest == nil || st.Ingest.Retrains != 1 || st.Ingest.WALBytes != 0 {
+		t.Fatalf("stats after the retrain: %+v %v", st.Ingest, err)
+	}
+	for i, e := range entries {
+		q, err := client.Query(fingerprint.Fingerprint(e.Fingerprint), e.Label, 1)
+		if err != nil || len(q.Matches) != 1 || q.Matches[0].Source != "volatile" || q.Matches[0].Distance != 0 {
+			t.Fatalf("entry %d through the retrained backend: %+v %v", i, q, err)
+		}
+	}
+}
+
 // TestDeploymentShardedReadOnlyMeta: a sharded build with no write
 // path says so on /v1/meta instead of advertising ingest and answering
 // 501 per shard.

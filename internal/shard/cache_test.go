@@ -11,27 +11,13 @@ import (
 	"testing"
 
 	"caltrain/internal/fingerprint"
+	"caltrain/internal/ingest"
 )
-
-// cacheIngester is a minimal volatile write path for cache tests:
-// entries apply straight to the shard database the replica serves, so
-// an invalidated cache entry observably changes answers.
-type cacheIngester struct{ db *fingerprint.DB }
-
-func (c *cacheIngester) IngestBatch(ls []fingerprint.Linkage) (int, error) {
-	for i, l := range ls {
-		if err := c.db.Add(l); err != nil {
-			return i, err
-		}
-	}
-	return len(ls), nil
-}
-
-func (c *cacheIngester) IngestStats() fingerprint.IngestStats { return fingerprint.IngestStats{} }
 
 // cachedFixture shards db across nshards linear local replicas that
 // accept volatile writes, behind a router with an n-entry response
-// cache.
+// cache. Writes apply straight to the shard database the replica
+// serves, so an invalidated cache entry observably changes answers.
 func cachedFixture(t *testing.T, db *fingerprint.DB, nshards, n int) *Router {
 	t.Helper()
 	m := mustHashMap(t, nshards)
@@ -41,7 +27,11 @@ func cachedFixture(t *testing.T, db *fingerprint.DB, nshards, n int) *Router {
 	}
 	replicas := make([][]Replica, nshards)
 	for i, p := range parts {
-		svc := fingerprint.NewService(p, fingerprint.WithIngester(&cacheIngester{db: p}))
+		store, err := ingest.Open("", p, p, ingest.Options{})
+		if err != nil {
+			t.Fatal(err)
+		}
+		svc := fingerprint.NewService(p, fingerprint.WithIngester(store))
 		replicas[i] = []Replica{NewLocalReplica(fmt.Sprintf("local-%d", i), svc)}
 	}
 	rt, err := NewRouter(m, replicas, WithRouterResponseCache(n))

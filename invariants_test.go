@@ -63,6 +63,23 @@ func TestRepositoryInvariants(t *testing.T) {
 		}
 	})
 
+	t.Run("one write path", func(t *testing.T) {
+		// ingest.Store is the only code that applies linkages to a
+		// database and its index: a volatile deployment is a Store without
+		// a log, and cluster.Syncer's IngestBatch only hands the batch to
+		// its current Store. A second IngestBatch is a second write path.
+		hits := grep(t, `(?m)^func \([^)]*\) IngestBatch\(`, sources(t, nonTestGo, "internal", "cmd"))
+		for _, f := range []string{"internal/ingest/store.go", "internal/cluster/syncer.go"} {
+			if hits[f] != 1 {
+				t.Errorf("%s defines IngestBatch %d times, want once", f, hits[f])
+			}
+			delete(hits, f)
+		}
+		if len(hits) > 0 {
+			t.Errorf("a second write path: %v", where(hits))
+		}
+	})
+
 	t.Run("one argmin kernel", func(t *testing.T) {
 		// kernel.ArgminPlanarBatch over planar tables is the one argmin, and
 		// planarScreenAsm its one screen per architecture: every centroid

@@ -285,11 +285,12 @@ func (s *Session) IngestHandler(walDir string, iopts IngestOptions, opts ...Quer
 // query service over the configured index backend, behind a
 // scatter-gather router speaking the single-daemon protocol. The
 // deployment carries the write path: POST /ingest routes each new
-// linkage to the shard owning its label (non-durable, and with no
-// drift-triggered retrain — back the topology with IngestService-style
-// WAL stores, or run the real caltrain-router, when writes must
-// survive a restart or arrive in volume against an IVF backend).
-// Fingerprint must have been called first.
+// linkage to the shard owning its label, where an IngestStore without a
+// log applies it and retrains an approximate backend past the drift
+// threshold. Nothing is logged, so writes are lost on restart — back
+// the topology with IngestService-style WAL stores, or run the real
+// caltrain-router, when they must survive one. Fingerprint must have
+// been called first.
 //
 // This is the one-process model of the production topology
 // (caltrain-shard + N×caltrain-serve + caltrain-router); use it to

@@ -347,10 +347,10 @@ var (
 // lets a serving deployment absorb new linkages while answering
 // queries.
 type (
-	// IngestStore is the WAL-backed write path of one daemon: batches
-	// are logged (fsynced per policy), applied to the database and the
-	// appendable index, replayed on restart, and compacted with
-	// Snapshot. It implements Ingester.
+	// IngestStore is the write path of one daemon: batches are logged
+	// (fsynced per policy; a store opened without a log directory skips
+	// this), applied to the database and the appendable index, replayed
+	// on restart, and compacted with Snapshot. It implements Ingester.
 	IngestStore = ingest.Store
 	// IngestOptions configures an IngestStore (WAL tuning, drift
 	// threshold, background-retrain rebuild hook).
@@ -383,9 +383,11 @@ const (
 
 // OpenIngestStore attaches a WAL at dir to a database and its serving
 // backend (the database itself, a FlatIndex, or an IVFIndex), replaying
-// any entries the database snapshot does not cover. Wire the returned
-// store into a query service with WithIngester (or
-// QueryService.SetIngester) to expose POST /ingest.
+// any entries the database snapshot does not cover. An empty dir opens
+// the same store without a log: writes apply and retrain alike but do
+// not survive a restart, and Snapshot refuses. Wire the returned store
+// into a query service with WithIngester (or QueryService.SetIngester)
+// to expose POST /ingest.
 func OpenIngestStore(dir string, db *LinkageDB, s Searcher, opts IngestOptions) (*IngestStore, error) {
 	return ingest.Open(dir, db, s, opts)
 }
