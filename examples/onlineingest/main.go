@@ -53,9 +53,7 @@ func main() {
 	// Serve it with the write path enabled: one declarative Deployment —
 	// an exact Flat index that grows in place, fronted by a WAL. In
 	// production this is caltrain-serve -wal; here the same config
-	// in-process. (The long-hand wiring — NewFlatIndex,
-	// NewSearcherQueryService, OpenIngestStore, SetIngester — still
-	// exists underneath for deployments that need custom parts.)
+	// in-process.
 	built, err := caltrain.Deployment{
 		Backend: caltrain.FlatSpec{},
 		WAL:     &caltrain.WALConfig{Dir: walDir},
@@ -64,7 +62,7 @@ func main() {
 		log.Fatal(err)
 	}
 	srv := httptest.NewServer(built.Handler())
-	client := caltrain.NewIngestClient(srv.URL)
+	client := caltrain.NewQueryClient(srv.URL)
 	if meta, err := client.Meta(); err == nil {
 		fmt.Printf("serving %s backend, ingest=%v (protocol %s)\n",
 			meta.Backend, meta.Capabilities.Ingest, meta.Protocol)

@@ -6,8 +6,8 @@ import (
 	"math/rand/v2"
 	"net/http/httptest"
 	"os"
-	"strings"
 	"testing"
+	"time"
 )
 
 func TestSaveLoadModelFacade(t *testing.T) {
@@ -45,7 +45,7 @@ func TestLinkageDBFacadeAndClient(t *testing.T) {
 	if db2.Len() != db.Len() {
 		t.Fatalf("db round trip: %d vs %d", db2.Len(), db.Len())
 	}
-	srv := httptest.NewServer(NewQueryService(db2))
+	srv := httptest.NewServer(NewLinearQueryService(db2).Handler())
 	defer srv.Close()
 	client := NewQueryClient(srv.URL)
 	q := make(Fingerprint, 16)
@@ -59,50 +59,53 @@ func TestLinkageDBFacadeAndClient(t *testing.T) {
 	}
 }
 
-// TestIndexServingFacade drives the new serving surface end to end: build
-// indexes over a linkage database, verify agreement and recall, persist
-// and reload, serve through the hot-swappable service, and batch-query it.
+// TestIndexServingFacade drives the index serving surface end to end:
+// a spec-built index agrees with the exact one, a Deployment serves with
+// limits, and its service hot-swaps to the other index while serving.
 func TestIndexServingFacade(t *testing.T) {
 	db, err := newTestDB(16, 400)
 	if err != nil {
 		t.Fatal(err)
 	}
 	flat := NewFlatIndex(db)
-	ivf, err := TrainIVFIndex(db, IVFOptions{Nlist: 8, Nprobe: 8, Seed: 5})
+	ivf, err := IVFSpec{IVFOptions: IVFOptions{Nlist: 8, Nprobe: 8, Seed: 5}}.Build(db)
 	if err != nil {
 		t.Fatal(err)
 	}
 
 	rng := rand.New(rand.NewPCG(9, 9))
 	queries := make([]Fingerprint, 20)
-	labels := make([]int, 20)
 	for i := range queries {
 		f := make(Fingerprint, 16)
 		for j := range f {
 			f[j] = rng.Float32()
 		}
-		queries[i], labels[i] = f, i%3
+		queries[i] = f
+		// Full probe: IVF must find exactly the exact index's neighbours.
+		want, err := flat.Search(f, i%3, 10)
+		if err != nil {
+			t.Fatal(err)
+		}
+		got, err := ivf.Search(f, i%3, 10)
+		if err != nil {
+			t.Fatal(err)
+		}
+		found := map[int]bool{}
+		for _, m := range got {
+			found[m.Index] = true
+		}
+		for _, m := range want {
+			if !found[m.Index] {
+				t.Fatalf("query %d: full-probe IVF missed entry %d", i, m.Index)
+			}
+		}
 	}
-	// Full probe: IVF must agree exactly, so recall is 1.
-	r, err := IndexRecall(flat, ivf, queries, labels, 10)
+
+	built, err := Deployment{Limits: []ServiceOption{WithMaxK(64)}}.Build(db)
 	if err != nil {
 		t.Fatal(err)
 	}
-	if r != 1 {
-		t.Fatalf("full-probe recall %v, want 1", r)
-	}
-
-	var buf bytes.Buffer
-	if err := SaveIndex(&buf, ivf); err != nil {
-		t.Fatal(err)
-	}
-	reloaded, err := LoadIndex(&buf, db)
-	if err != nil {
-		t.Fatal(err)
-	}
-
-	svc := NewSearcherQueryService(flat, WithMaxK(64))
-	srv := httptest.NewServer(svc.Handler())
+	srv := httptest.NewServer(built.Handler())
 	defer srv.Close()
 	client := NewQueryClient(srv.URL)
 	resp, err := client.QueryBatch([]QueryRequest{
@@ -118,8 +121,8 @@ func TestIndexServingFacade(t *testing.T) {
 	if resp.Results[1].Error == "" {
 		t.Fatal("oversized k in batch succeeded")
 	}
-	// Hot-swap to the reloaded IVF index; stats reflect it.
-	svc.SetSearcher(reloaded)
+	// Hot-swap to the IVF index; stats reflect it.
+	built.Service().SetSearcher(ivf)
 	st, err := client.Stats()
 	if err != nil {
 		t.Fatal(err)
@@ -130,9 +133,9 @@ func TestIndexServingFacade(t *testing.T) {
 }
 
 // TestShardedServingFacade drives the distributed serving surface end
-// to end through the public API: shard-map round trip, SplitDB, local
-// replicas behind a router, scatter-gather batches, and aggregated
-// stats.
+// to end through the public API: SplitDB, one Deployment per shard
+// behind HTTP replicas, the router, scatter-gather batches, and
+// aggregated stats.
 func TestShardedServingFacade(t *testing.T) {
 	db, err := newTestDB(16, 300)
 	if err != nil {
@@ -142,26 +145,21 @@ func TestShardedServingFacade(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	var buf bytes.Buffer
-	if err := SaveShardMap(&buf, m); err != nil {
-		t.Fatal(err)
-	}
-	m, err = LoadShardMap(&buf)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if m.Strategy() != ShardByHash || m.NumShards() != 2 {
-		t.Fatalf("map round trip: %v/%d", m.Strategy(), m.NumShards())
-	}
 	parts, err := SplitDB(db, m)
 	if err != nil {
 		t.Fatal(err)
 	}
 	replicas := make([][]ShardReplica, len(parts))
 	for i, p := range parts {
-		replicas[i] = []ShardReplica{NewLocalShardReplica("local", NewSearcherQueryService(NewFlatIndex(p)))}
+		built, err := Deployment{}.Build(p)
+		if err != nil {
+			t.Fatal(err)
+		}
+		shardSrv := httptest.NewServer(built.Handler())
+		defer shardSrv.Close()
+		replicas[i] = []ShardReplica{NewHTTPShardReplica(shardSrv.URL, nil)}
 	}
-	rt, err := NewShardRouter(m, replicas, WithRouterMaxBatch(64))
+	rt, err := NewShardRouter(m, replicas, WithShardTimeout(5*time.Second))
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -295,24 +293,15 @@ func TestDeploymentFacade(t *testing.T) {
 	}
 }
 
-// TestDeploymentConfigFacade: the JSON file form of a Deployment parses
-// through the facade, builds the declared topology, and client
-// rejections carry the typed wire-protocol code.
-func TestDeploymentConfigFacade(t *testing.T) {
+// TestTypedErrorFacade: a Deployment's limits surface through the
+// client as the typed wire-protocol code, branchable without message
+// matching.
+func TestTypedErrorFacade(t *testing.T) {
 	db, err := newTestDB(16, 200)
 	if err != nil {
 		t.Fatal(err)
 	}
-	cfg, err := ParseDeploymentConfig(strings.NewReader(
-		`{"backend": {"kind": "flat"}, "shards": 2, "volatile_writes": true, "limits": {"max_k": 16}}`))
-	if err != nil {
-		t.Fatal(err)
-	}
-	dep, err := cfg.Deployment()
-	if err != nil {
-		t.Fatal(err)
-	}
-	built, err := dep.Build(db)
+	built, err := Deployment{Shards: 2, VolatileWrites: true, Limits: []ServiceOption{WithMaxK(16)}}.Build(db)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -323,14 +312,12 @@ func TestDeploymentConfigFacade(t *testing.T) {
 
 	meta, err := client.Meta()
 	if err != nil || !meta.Capabilities.Sharded || !meta.Capabilities.Ingest {
-		t.Fatalf("config-built meta: %+v %v", meta, err)
+		t.Fatalf("sharded meta: %+v %v", meta, err)
 	}
 
-	// Typed rejection: the config's max_k surfaces as ErrCodeLimitExceeded,
-	// branchable without message matching.
 	_, err = client.Query(make(Fingerprint, 16), 0, 17)
 	if ErrorCodeOf(err) != ErrCodeLimitExceeded {
-		t.Fatalf("k over config limit: %v (code %q)", err, ErrorCodeOf(err))
+		t.Fatalf("k over deployment limit: %v (code %q)", err, ErrorCodeOf(err))
 	}
 	var ae *APIError
 	if !errors.As(err, &ae) || ae.Status != 400 {
@@ -338,11 +325,6 @@ func TestDeploymentConfigFacade(t *testing.T) {
 	}
 	if _, err := client.Query(make(Fingerprint, 16), 0, 4); err != nil || ErrorCodeOf(err) != "" {
 		t.Fatalf("success: %v (code %q)", err, ErrorCodeOf(err))
-	}
-
-	// A typo'd knob fails at parse time, not silently at serve time.
-	if _, err := ParseDeploymentConfig(strings.NewReader(`{"shrads": 2}`)); err == nil {
-		t.Fatal("unknown config field accepted")
 	}
 }
 
@@ -521,27 +503,24 @@ func TestClassifyFacade(t *testing.T) {
 }
 
 // TestIngestFacade drives the write-path surface end to end through the
-// public API: open a WAL-backed store over an appendable index, ingest
-// through the HTTP client, kill-and-replay, snapshot compaction, and
-// the typed loader sentinels.
+// public API: a WAL-backed Deployment over an appendable index, ingest
+// through the HTTP client, kill-and-replay into a store opened by hand,
+// snapshot compaction, and the typed loader sentinels.
 func TestIngestFacade(t *testing.T) {
 	db, err := newTestDB(16, 60)
 	if err != nil {
 		t.Fatal(err)
 	}
 	walDir := t.TempDir()
-	flat := NewFlatIndex(db)
-	svc := NewSearcherQueryService(flat)
-	store, err := OpenIngestStore(walDir, db, flat, IngestOptions{
+	built, err := Deployment{WAL: &WALConfig{Dir: walDir, Store: IngestOptions{
 		WAL: WALOptions{Sync: WALSyncAlways},
-	})
+	}}}.Build(db)
 	if err != nil {
 		t.Fatal(err)
 	}
-	svc.SetIngester(store)
-	srv := httptest.NewServer(svc.Handler())
+	srv := httptest.NewServer(built.Handler())
 	defer srv.Close()
-	client := NewIngestClient(srv.URL)
+	client := NewQueryClient(srv.URL)
 
 	entries := make([]IngestEntry, 5)
 	for i := range entries {
@@ -613,8 +592,5 @@ func TestIngestFacade(t *testing.T) {
 	// ErrCorrupt, not matchable message text.
 	if _, err := LoadLinkageDB(bytes.NewReader([]byte("NOPEnope"))); !errors.Is(err, ErrCorrupt) {
 		t.Fatalf("corrupt db load: %v", err)
-	}
-	if _, err := LoadIndex(bytes.NewReader([]byte{'C', 'T', 'I', 'X', 99}), db3); !errors.Is(err, ErrVersionMismatch) && !errors.Is(err, ErrCorrupt) {
-		t.Fatalf("corrupt index load: %v", err)
 	}
 }

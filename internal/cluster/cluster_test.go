@@ -46,7 +46,7 @@ func newReplica(t *testing.T, peer string) *replica {
 	if err != nil {
 		t.Fatal(err)
 	}
-	svc := fingerprint.NewService(db)
+	svc := fingerprint.NewSearcherService(db)
 	walDir := filepath.Join(t.TempDir(), "wal")
 	open := func(ndb *fingerprint.DB, sr fingerprint.Searcher) (*ingest.Store, error) {
 		return ingest.Open(walDir, ndb, sr, ingest.Options{WAL: ingest.WALOptions{Sync: ingest.SyncNever}})
@@ -89,7 +89,7 @@ func newReplica(t *testing.T, peer string) *replica {
 
 func ingestAll(t *testing.T, r *replica, ls []fingerprint.Linkage) {
 	t.Helper()
-	if _, err := r.syncer.IngestBatch(ls); err != nil {
+	if _, err := r.syncer.IngestBatchCtx(context.Background(), ls); err != nil {
 		t.Fatal(err)
 	}
 }
@@ -208,7 +208,7 @@ func TestWritesRejectedDuringSync(t *testing.T) {
 	done := make(chan error, 1)
 	go func() { done <- follower.syncer.Sync(context.Background()) }()
 	<-entered
-	if _, err := follower.syncer.IngestBatch(testLinkages(5, 1)); err != ErrSyncing {
+	if _, err := follower.syncer.IngestBatchCtx(context.Background(), testLinkages(5, 1)); err != ErrSyncing {
 		t.Fatalf("write during sync: %v, want ErrSyncing", err)
 	}
 	close(release)
@@ -216,7 +216,7 @@ func TestWritesRejectedDuringSync(t *testing.T) {
 		t.Fatal(err)
 	}
 	// Live again: writes flow.
-	if _, err := follower.syncer.IngestBatch(testLinkages(6, 1)); err != nil {
+	if _, err := follower.syncer.IngestBatchCtx(context.Background(), testLinkages(6, 1)); err != nil {
 		t.Fatalf("write after sync: %v", err)
 	}
 }

@@ -157,15 +157,9 @@ func (s *Syncer) Peer() string {
 	return s.peer
 }
 
-// IngestBatch implements fingerprint.Ingester by delegating to the
+// IngestBatchCtx implements fingerprint.Ingester by delegating to the
 // current store — unless a sync runs, which rejects the write so the
 // shipped history stays the only history.
-func (s *Syncer) IngestBatch(ls []fingerprint.Linkage) (int, error) {
-	return s.IngestBatchCtx(context.Background(), ls)
-}
-
-// IngestBatchCtx is the context-carrying form (trace spans flow to the
-// WAL append).
 func (s *Syncer) IngestBatchCtx(ctx context.Context, ls []fingerprint.Linkage) (int, error) {
 	if s.syncing.Load() {
 		return 0, ErrSyncing

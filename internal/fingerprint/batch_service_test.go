@@ -45,7 +45,7 @@ func TestRunBatchRoutesThroughBatchSearcher(t *testing.T) {
 	db := seedDB(t, 12)
 	rec := &recordingBatchSearcher{db: db}
 	svc := NewSearcherService(rec, WithMaxK(5))
-	plain := NewService(db, WithMaxK(5)) // per-query reference path
+	plain := NewSearcherService(db, WithMaxK(5)) // per-query reference path
 
 	reqs := []QueryRequest{
 		{Fingerprint: db.Entry(0).F, Label: db.Entry(0).Y, K: 3},

@@ -273,7 +273,7 @@ func TestLoadRejectsCorruption(t *testing.T) {
 
 func TestHTTPServiceQuery(t *testing.T) {
 	db := populatedDB(t, 4, 30, 2, 17)
-	srv := httptest.NewServer(NewService(db).Handler())
+	srv := httptest.NewServer(NewSearcherService(db).Handler())
 	defer srv.Close()
 
 	client := NewClient(srv.URL, srv.Client())
@@ -310,7 +310,7 @@ func TestHTTPServiceQuery(t *testing.T) {
 
 func TestHTTPServiceStats(t *testing.T) {
 	db := populatedDB(t, 4, 12, 2, 19)
-	srv := httptest.NewServer(NewService(db).Handler())
+	srv := httptest.NewServer(NewSearcherService(db).Handler())
 	defer srv.Close()
 	resp, err := srv.Client().Get(srv.URL + "/v1/stats")
 	if err != nil {

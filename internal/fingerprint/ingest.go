@@ -6,8 +6,6 @@ import (
 	"errors"
 	"fmt"
 	"net/http"
-
-	"caltrain/internal/obs"
 )
 
 // Ingester is the pluggable write path behind POST /ingest — the
@@ -15,10 +13,11 @@ import (
 // the production implementation (WAL-backed, durable, drift-aware); the
 // service stays read-only when none is configured.
 type Ingester interface {
-	// IngestBatch durably applies a batch of linkages, all-or-nothing:
+	// IngestBatchCtx durably applies a batch of linkages, all-or-nothing:
 	// a validation failure anywhere rejects the whole batch before any
-	// entry is logged. It returns the number of entries applied.
-	IngestBatch(ls []Linkage) (int, error)
+	// entry is logged. It returns the number of entries applied, and
+	// records the log write as a "wal_append" stage on ctx's trace.
+	IngestBatchCtx(ctx context.Context, ls []Linkage) (int, error)
 	// IngestStats reports the write path's counters for /stats.
 	IngestStats() IngestStats
 }
@@ -163,17 +162,10 @@ func (s *Service) RunIngest(entries []IngestEntry) (*IngestResponse, error) {
 	return s.RunIngestCtx(context.Background(), entries)
 }
 
-// ctxIngester is the optional context-taking extension of Ingester:
-// internal/ingest.Store implements it to record the WAL append as a
-// trace stage from inside the write lock.
-type ctxIngester interface {
-	IngestBatchCtx(ctx context.Context, ls []Linkage) (int, error)
-}
-
-// RunIngestCtx is RunIngest with a caller-supplied context: the durable
-// apply is recorded as a "wal_append" stage on the context's trace. It
-// holds the batch to the service's limits and counts a rejection as one
-// error, whether the batch came over HTTP or from a local replica.
+// RunIngestCtx is RunIngest with a caller-supplied context, on whose
+// trace the Ingester records the durable log write. It holds the batch
+// to the service's limits and counts a rejection as one error, whether
+// the batch came over HTTP or from a local replica.
 func (s *Service) RunIngestCtx(ctx context.Context, entries []IngestEntry) (*IngestResponse, error) {
 	if s.ingester == nil {
 		return nil, ErrIngestDisabled
@@ -185,14 +177,7 @@ func (s *Service) RunIngestCtx(ctx context.Context, entries []IngestEntry) (*Ing
 	ls, err := DecodeIngestEntries(entries)
 	var accepted int
 	if err == nil {
-		if ci, ok := s.ingester.(ctxIngester); ok {
-			accepted, err = ci.IngestBatchCtx(ctx, ls)
-		} else {
-			_, span := obs.StartSpan(ctx, "wal_append")
-			accepted, err = s.ingester.IngestBatch(ls)
-			span.SetError(err)
-			span.End()
-		}
+		accepted, err = s.ingester.IngestBatchCtx(ctx, ls)
 	}
 	if err != nil {
 		s.front.CountErrors(IngestError(err).Code, 1)

@@ -92,7 +92,7 @@ func TestMetricsExpositionService(t *testing.T) {
 // TestMetricsDisabled: DisableMetrics removes the endpoint.
 func TestMetricsDisabled(t *testing.T) {
 	db := populatedDB(t, 4, 10, 2, 5)
-	svc := NewService(db, WithObservability(Observability{DisableMetrics: true}))
+	svc := NewSearcherService(db, WithObservability(Observability{DisableMetrics: true}))
 	rec := httptest.NewRecorder()
 	svc.Handler().ServeHTTP(rec, httptest.NewRequest(http.MethodGet, "/v1/metrics", nil))
 	if rec.Code != http.StatusNotFound {
@@ -172,7 +172,7 @@ func TestMergeBinsMismatchedBounds(t *testing.T) {
 // error envelope and on the response header; an absent one is generated.
 func TestRequestIDInErrorEnvelope(t *testing.T) {
 	db := populatedDB(t, 4, 10, 2, 5)
-	svc := NewService(db)
+	svc := NewSearcherService(db)
 	h := svc.Handler()
 
 	body, _ := json.Marshal(QueryRequest{Fingerprint: make([]float32, 9), Label: 0, K: 3})

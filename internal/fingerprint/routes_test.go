@@ -43,7 +43,7 @@ func doRaw(t *testing.T, h http.Handler, method, path, body string) (int, ErrorE
 // just an unknown route.
 func TestServiceErrorEnvelope(t *testing.T) {
 	db := populatedDB(t, 4, 30, 2, 23)
-	svc := NewService(db, WithMaxBodyBytes(256), WithMaxK(8), WithMaxBatch(2))
+	svc := NewSearcherService(db, WithMaxBodyBytes(256), WithMaxK(8), WithMaxBatch(2))
 	h := svc.Handler()
 
 	bigBody := `{"fingerprint":[` + strings.Repeat("0.1,", 200) + `0.1],"label":0,"k":3}`
@@ -87,7 +87,7 @@ func TestServiceErrorEnvelope(t *testing.T) {
 // reports the backend and capabilities (tracking SetIngester).
 func TestServiceV1RoutesServe(t *testing.T) {
 	db := populatedDB(t, 4, 30, 2, 29)
-	svc := NewService(db)
+	svc := NewSearcherService(db)
 	srv := httptest.NewServer(svc.Handler())
 	defer srv.Close()
 
@@ -134,7 +134,7 @@ func TestServiceV1RoutesServe(t *testing.T) {
 // balancers and uptime probes HEAD /v1/healthz and must keep getting 200.
 func TestHeadServesOnGetRoutes(t *testing.T) {
 	db := populatedDB(t, 4, 10, 2, 41)
-	h := NewService(db).Handler()
+	h := NewSearcherService(db).Handler()
 	for _, path := range []string{"/v1/healthz", "/v1/stats", "/v1/meta"} {
 		status, _ := doRaw(t, h, http.MethodHead, path, "")
 		if status != http.StatusOK {
@@ -152,7 +152,7 @@ func TestHeadServesOnGetRoutes(t *testing.T) {
 // errors.As — instead of matching message text.
 func TestClientTypedErrorCodes(t *testing.T) {
 	db := populatedDB(t, 4, 30, 2, 37)
-	svc := NewService(db, WithMaxK(8), WithMaxBatch(2))
+	svc := NewSearcherService(db, WithMaxK(8), WithMaxBatch(2))
 	srv := httptest.NewServer(svc.Handler())
 	defer srv.Close()
 	client := NewClient(srv.URL, srv.Client())

@@ -96,14 +96,9 @@ func (s *Service) MustRegisterMetrics(fams ...*obs.Family) {
 	s.metrics.MustRegister(fams...)
 }
 
-// NewService serves the linkage database itself (exact linear scan) —
-// the zero-setup path. Production deployments wrap an index backend with
-// NewSearcherService or swap one in with SetSearcher.
-func NewService(db *DB, opts ...ServiceOption) *Service {
-	return NewSearcherService(db, opts...)
-}
-
-// NewSearcherService serves queries through any Searcher backend.
+// NewSearcherService serves queries through any Searcher backend: the
+// linkage database itself (exact linear scan), or an index over it.
+// SetSearcher swaps the backend while serving.
 func NewSearcherService(sr Searcher, opts ...ServiceOption) *Service {
 	s := &Service{searcher: sr, front: NewFront(DefaultLatencyBucketsUS), maxK: DefaultMaxK}
 	for _, o := range opts {

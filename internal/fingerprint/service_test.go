@@ -18,7 +18,7 @@ import (
 func serviceFixture(t *testing.T, opts ...ServiceOption) (*Service, *httptest.Server, *Client) {
 	t.Helper()
 	db := populatedDB(t, 4, 30, 2, 23)
-	svc := NewService(db, opts...)
+	svc := NewSearcherService(db, opts...)
 	srv := httptest.NewServer(svc.Handler())
 	t.Cleanup(srv.Close)
 	return svc, srv, NewClient(srv.URL, srv.Client())
@@ -194,7 +194,7 @@ func TestServiceBatchOneSnapshot(t *testing.T) {
 			t.Fatal(err)
 		}
 	}
-	svc := NewService(db)
+	svc := NewSearcherService(db)
 	svc.SetSearcher(&swappingSearcher{Searcher: db, svc: svc, next: next})
 	resp := svc.RunBatch(reqs)
 	if svc.Searcher() != Searcher(next) {
@@ -215,7 +215,7 @@ func TestServiceBatchOneSnapshot(t *testing.T) {
 // the daemon relies on.
 func TestServiceConcurrent(t *testing.T) {
 	db := populatedDB(t, 4, 50, 2, 31)
-	svc := NewService(db)
+	svc := NewSearcherService(db)
 	srv := httptest.NewServer(svc.Handler())
 	defer srv.Close()
 
@@ -278,7 +278,7 @@ func TestServiceConcurrent(t *testing.T) {
 // running, cancellation drains and returns nil.
 func TestServiceGracefulServe(t *testing.T) {
 	db := populatedDB(t, 4, 20, 2, 37)
-	svc := NewService(db)
+	svc := NewSearcherService(db)
 	l, err := net.Listen("tcp", "127.0.0.1:0")
 	if err != nil {
 		t.Fatal(err)
@@ -322,7 +322,7 @@ type recordingIngester struct {
 	fail    error
 }
 
-func (r *recordingIngester) IngestBatch(ls []Linkage) (int, error) {
+func (r *recordingIngester) IngestBatchCtx(_ context.Context, ls []Linkage) (int, error) {
 	r.mu.Lock()
 	defer r.mu.Unlock()
 	if r.fail != nil {

@@ -179,19 +179,18 @@ func (s *Store) apply(l fingerprint.Linkage) error {
 	return nil
 }
 
-// IngestBatch implements fingerprint.Ingester: validate everything,
-// log the batch (durable per the WAL's fsync policy; a volatile store
-// skips this step), then apply it to the database and index.
-// All-or-nothing: a validation failure anywhere rejects the batch
-// before the WAL sees a byte.
+// IngestBatch is IngestBatchCtx without a trace.
 func (s *Store) IngestBatch(ls []fingerprint.Linkage) (int, error) {
 	return s.IngestBatchCtx(context.Background(), ls)
 }
 
-// IngestBatchCtx is IngestBatch with a caller-supplied context: the
-// durable log write (including its fsync, per policy) is recorded as a
-// "wal_append" stage on the context's trace, so request logs attribute
-// write latency to the disk rather than the index.
+// IngestBatchCtx implements fingerprint.Ingester: validate everything,
+// log the batch (durable per the WAL's fsync policy; a volatile store
+// skips this step), then apply it to the database and index.
+// All-or-nothing: a validation failure anywhere rejects the batch
+// before the WAL sees a byte. The log write (including its fsync, per
+// policy) is recorded as a "wal_append" stage on ctx's trace, so request
+// logs attribute write latency to the disk rather than the index.
 func (s *Store) IngestBatchCtx(ctx context.Context, ls []fingerprint.Linkage) (int, error) {
 	if len(ls) == 0 {
 		return 0, nil

@@ -147,9 +147,6 @@ type Deployment struct {
 	// Limits forwards request bounds (body size, k, batch) to every
 	// query service the deployment builds.
 	Limits []fingerprint.ServiceOption
-	// RouterOptions tunes the sharded router (timeouts, write quorum,
-	// latency buckets). Sharded only.
-	RouterOptions []shard.RouterOption
 	// Observability tunes metrics, request logging, and the debug
 	// listener on whichever handler the deployment builds; nil keeps
 	// the defaults (metrics on, logging off, no debug listener).
@@ -276,8 +273,11 @@ func (s *Server) Close() error {
 	return firstErr
 }
 
-// Build assembles the declared topology over db.
+// Build assembles the declared topology over db, which must exist.
 func (d Deployment) Build(db *fingerprint.DB) (*Server, error) {
+	if db == nil {
+		return nil, fmt.Errorf("serve: no linkage database to serve (a session has one after Fingerprint)")
+	}
 	spec := d.Backend
 	if spec == nil {
 		spec = FlatSpec{}
@@ -465,8 +465,7 @@ func (d Deployment) buildSharded(db *fingerprint.DB, spec BackendSpec) (*Server,
 	// through the request context — a single store holds the full tree.
 	tracer := d.tracer()
 	srv.tracer = tracer
-	ropts := append(append([]shard.RouterOption{}, d.RouterOptions...),
-		shard.WithObservability(d.Observability.options("router", tracer)))
+	ropts := []shard.RouterOption{shard.WithObservability(d.Observability.options("router", tracer))}
 	if d.WAL == nil && !d.VolatileWrites {
 		// Every shard service was built read-only; say so on /v1/meta
 		// instead of advertising a write path that would only answer 501.

@@ -3,8 +3,7 @@
 // Deployment assembles one linkage database into a complete serving
 // topology — a single ingest-enabled query service, or a sharded
 // scatter-gather router over per-shard services — behind the versioned
-// /v1 wire protocol. The caltrain facade (Session.QueryService,
-// Session.IngestService, Session.RouterHandler) and both serving
+// /v1 wire protocol. The caltrain facade's Deployment and both serving
 // daemons (caltrain-serve, caltrain-router) build through this package,
 // so a new backend (PQ, HNSW) or topology plugs in at this one seam:
 // implement BackendSpec, and every entry point can serve it.

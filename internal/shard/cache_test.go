@@ -31,7 +31,7 @@ func cachedFixture(t *testing.T, db *fingerprint.DB, nshards, n int) *Router {
 		if err != nil {
 			t.Fatal(err)
 		}
-		svc := fingerprint.NewService(p, fingerprint.WithIngester(store))
+		svc := fingerprint.NewSearcherService(p, fingerprint.WithIngester(store))
 		replicas[i] = []Replica{NewLocalReplica(fmt.Sprintf("local-%d", i), svc)}
 	}
 	rt, err := NewRouter(m, replicas, WithRouterResponseCache(n))

@@ -150,8 +150,8 @@ func (r *HTTPReplica) SyncStatus(ctx context.Context) (*fingerprint.ReplStatus, 
 }
 
 // LocalReplica serves a shard from an in-process query service — no
-// network hop. Session.RouterHandler and the scaling benchmarks shard
-// this way.
+// network hop. A sharded serve.Deployment and the scaling benchmarks
+// shard this way.
 type LocalReplica struct {
 	name string
 	svc  *fingerprint.Service

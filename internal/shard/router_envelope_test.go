@@ -156,7 +156,7 @@ func TestRouterErrorCodeParity(t *testing.T) {
 	for i, p := range parts {
 		// Per-shard services carry the k limit, exactly as a fleet of
 		// caltrain-serve -max-k daemons would.
-		replicas[i] = []Replica{NewLocalReplica("local", fingerprint.NewService(p, fingerprint.WithMaxK(4)))}
+		replicas[i] = []Replica{NewLocalReplica("local", fingerprint.NewSearcherService(p, fingerprint.WithMaxK(4)))}
 	}
 	rt, err := NewRouter(m2, replicas)
 	if err != nil {
@@ -190,7 +190,7 @@ func TestRouterErrorCodeParity(t *testing.T) {
 
 	// Status parity too: a shard daemon's 413 body_too_large rejection
 	// answers 413 from the router, not a remapped 400.
-	tinySvc := fingerprint.NewService(db, fingerprint.WithMaxBodyBytes(64))
+	tinySvc := fingerprint.NewSearcherService(db, fingerprint.WithMaxBodyBytes(64))
 	tiny := httptest.NewServer(tinySvc.Handler())
 	defer tiny.Close()
 	m1, err := NewHashMap(1)
@@ -255,7 +255,7 @@ func TestRouterErrorCodeParity(t *testing.T) {
 // same type.
 func TestReplicaErrorTypeParity(t *testing.T) {
 	db := testDB(t, 8, 40, 2)
-	readOnly := fingerprint.NewService(db, fingerprint.WithMaxBatch(1))
+	readOnly := fingerprint.NewSearcherService(db, fingerprint.WithMaxBatch(1))
 	flat := index.NewFlat(db)
 	writable := fingerprint.NewSearcherService(flat)
 	st, err := ingest.Open(t.TempDir(), db, flat, ingest.Options{})
@@ -336,7 +336,7 @@ func TestReplicaErrorTypeParity(t *testing.T) {
 // stay human-readable.
 func TestReplicaSurfacesEnvelopeMessage(t *testing.T) {
 	db := testDB(t, 8, 100, 4)
-	svc := fingerprint.NewService(db, fingerprint.WithMaxBatch(1))
+	svc := fingerprint.NewSearcherService(db, fingerprint.WithMaxBatch(1))
 	srv := httptest.NewServer(svc.Handler())
 	defer srv.Close()
 	rep := NewHTTPReplica(srv.URL, nil)

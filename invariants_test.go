@@ -66,17 +66,84 @@ func TestRepositoryInvariants(t *testing.T) {
 	t.Run("one write path", func(t *testing.T) {
 		// ingest.Store is the only code that applies linkages to a
 		// database and its index: a volatile deployment is a Store without
-		// a log, and cluster.Syncer's IngestBatch only hands the batch to
-		// its current Store. A second IngestBatch is a second write path.
-		hits := grep(t, `(?m)^func \([^)]*\) IngestBatch\(`, sources(t, nonTestGo, "internal", "cmd"))
+		// a log, and cluster.Syncer's IngestBatchCtx only hands the batch
+		// to its current Store. A second IngestBatchCtx — the write method
+		// of fingerprint.Ingester — is a second write path.
+		hits := grep(t, `(?m)^func \([^)]*\) IngestBatchCtx\(`, sources(t, nonTestGo, "internal", "cmd"))
 		for _, f := range []string{"internal/ingest/store.go", "internal/cluster/syncer.go"} {
 			if hits[f] != 1 {
-				t.Errorf("%s defines IngestBatch %d times, want once", f, hits[f])
+				t.Errorf("%s defines IngestBatchCtx %d times, want once", f, hits[f])
 			}
 			delete(hits, f)
 		}
 		if len(hits) > 0 {
 			t.Errorf("a second write path: %v", where(hits))
+		}
+	})
+
+	t.Run("facade has callers", func(t *testing.T) {
+		// Every exported name of this package earns its place: a program
+		// under examples/ or cmd/, or the package example, names it, or
+		// it is kept below for its reason — the paper's pipeline, or a
+		// kept name needs it (a type in a kept signature or field, a value
+		// a kept field documents, an error a kept function returns). A
+		// re-export nothing calls is a second spelling to maintain.
+		keep := map[string]string{}
+		for reason, names := range map[string][]string{
+			"paper pipeline": {
+				"Augmentation", "Dataset", "Record", "EpochStats", "ExposureReport", "Federation",
+				"Match", "Measurement", "ReleasedModel", "Session", "Trigger",
+				"Session.DB", "Session.Evaluate", "Session.Repartition", "Session.Split",
+				"Session.TrainEpoch", "Session.WarmStart",
+			},
+			"a type in a kept signature or field": {
+				"BackendSpec", "DeploymentServer", "FlatIndex", "IngestStore", "IVFOptions",
+				"IVFPQOptions", "QueryService", "Searcher", "ServiceOption", "ShardMap",
+				"ShardRouter", "ShardRouterOption", "TraceConfig", "WALOptions", "WALSyncPolicy",
+			},
+			"a value a kept field documents": {
+				"IVFPQSpec", "LinearSpec", "PrebuiltSpec", "WALSyncAlways", "WALSyncInterval",
+				"WALSyncNever", "WithLatencyBuckets", "WithMaxBatch", "WithMaxBodyBytes", "WithMaxK",
+			},
+			"an error or code a kept function returns": {
+				"APIError", "ErrorCodeOf", "ErrCorrupt", "ErrVersionMismatch",
+				"ErrCodeBadRequest", "ErrCodeBodyTooLarge", "ErrCodeIngestDisabled", "ErrCodeInternal",
+				"ErrCodeLimitExceeded", "ErrCodeMethodNotAllowed", "ErrCodeNotFound", "ErrCodeShardUnreachable",
+			},
+		} {
+			for _, n := range names {
+				keep[n] = reason
+			}
+		}
+		var callers strings.Builder
+		for _, f := range append(sources(t, nonTestGo, "examples", "cmd"), "example_test.go") {
+			b, err := os.ReadFile(f)
+			if err != nil {
+				t.Fatal(err)
+			}
+			callers.Write(b)
+		}
+		text := callers.String()
+		decl := regexp.MustCompile(`^(?:(?:const|var|type) (\w+)|func (?:\(\w+ \*?(\w+)\) )?(\w+))`)
+		api := map[string]bool{}
+		for _, line := range strings.Split(strings.TrimSpace(renderAPISurface(t)), "\n") {
+			m := decl.FindStringSubmatch(line)
+			if m == nil {
+				t.Fatalf("unparsed API line %q", line)
+			}
+			name, ref := m[1]+m[3], `\bcaltrain\.`+m[1]+m[3]+`\b`
+			if m[2] != "" {
+				name, ref = m[2]+"."+m[3], `\.`+m[3]+`\(`
+			}
+			api[name] = true
+			if keep[name] == "" && !regexp.MustCompile(ref).MatchString(text) {
+				t.Errorf("%s has no caller in examples/, cmd/ or example_test.go and no reason to stay: delete it, or keep it with its reason", name)
+			}
+		}
+		for name := range keep {
+			if !api[name] {
+				t.Errorf("the keep list names %s, which the API no longer has", name)
+			}
 		}
 	})
 

@@ -3,7 +3,6 @@ package caltrain
 import (
 	"fmt"
 	"math/rand/v2"
-	"net/http"
 
 	"caltrain/internal/assess"
 	"caltrain/internal/attest"
@@ -24,7 +23,8 @@ func assessNew(model, oracle *Network, opts ExposureOptions) *assess.Framework {
 // fingerprinting, and query.
 //
 // The zero value is not usable; construct with NewSession, then
-// AddParticipant, Train, Fingerprint, and QueryHandler in that order.
+// AddParticipant, Train, and Fingerprint in that order. The query stage
+// serves the linkage database: Deployment{...}.Build(sess.DB()).
 type Session struct {
 	cfg          SessionConfig
 	authority    *attest.Authority
@@ -188,171 +188,6 @@ func (s *Session) Fingerprint() (*LinkageDB, error) {
 		return nil, err
 	}
 	return s.db, nil
-}
-
-// QueryService returns the accountability query service over the
-// session's linkage database. Fingerprint must have been called first.
-// By default queries run on an exact Flat index snapshot of the database;
-// pass options to select another backend (WithIVFBackend for approximate
-// search at scale, WithLinearBackend for the reference scan, or
-// WithBackendSpec for any custom BackendSpec) or to bound request sizes
-// (WithServiceOptions). The service is read-only; IngestService adds
-// the durable write path.
-func (s *Session) QueryService(opts ...QueryHandlerOption) (*QueryService, error) {
-	if err := s.checkServable(); err != nil {
-		return nil, err
-	}
-	built, err := s.deployment(opts).Build(s.db)
-	if err != nil {
-		return nil, err
-	}
-	return built.Service(), nil
-}
-
-// deployment translates QueryHandler options into the declarative
-// Deployment every Session serving constructor builds through. The
-// caller must still check s.db (deployment cannot build over nil).
-func (s *Session) deployment(opts []QueryHandlerOption) Deployment {
-	cfg := queryHandlerConfig{spec: FlatSpec{}}
-	for _, o := range opts {
-		o(&cfg)
-	}
-	return Deployment{Backend: cfg.spec, Limits: cfg.svc}
-}
-
-// checkServable guards every serving constructor: the linkage database
-// exists only after Fingerprint.
-func (s *Session) checkServable() error {
-	if s.db == nil {
-		return fmt.Errorf("caltrain: run Fingerprint before serving queries")
-	}
-	return nil
-}
-
-// QueryHandler returns the HTTP handler of the accountability query
-// service over the session's linkage database. Fingerprint must have been
-// called first. Options select and tune the index backend; see
-// QueryService.
-func (s *Session) QueryHandler(opts ...QueryHandlerOption) (http.Handler, error) {
-	svc, err := s.QueryService(opts...)
-	if err != nil {
-		return nil, err
-	}
-	return svc.Handler(), nil
-}
-
-// IngestService returns the accountability query service over the
-// session's linkage database with the durable write path enabled: new
-// linkages POSTed to /ingest are CRC-framed into a write-ahead log at
-// walDir before they are applied to the database and appended into the
-// serving index, so acknowledged writes survive a crash (reopen with
-// the same walDir to replay). IVF backends retrain and hot-swap in the
-// background once appends drift past opts.DriftThreshold. Fingerprint
-// must have been called first.
-//
-// The returned store is the service's write path: Snapshot compacts the
-// WAL once the database is persisted, Close flushes it. The linear
-// backend (WithLinearBackend) ingests with no index append at all; Flat
-// stays exact under appends; IVF trades recall for append speed until
-// its background retrain.
-func (s *Session) IngestService(walDir string, iopts IngestOptions, opts ...QueryHandlerOption) (*QueryService, *IngestStore, error) {
-	if err := s.checkServable(); err != nil {
-		return nil, nil, err
-	}
-	dep := s.deployment(opts)
-	dep.WAL = &WALConfig{Dir: walDir, Store: iopts}
-	built, err := dep.Build(s.db)
-	if err != nil {
-		return nil, nil, err
-	}
-	return built.Service(), built.Store(), nil
-}
-
-// IngestHandler returns the HTTP handler of an ingest-enabled query
-// service (see IngestService) plus its write path store — keep the
-// store to Snapshot and Close it.
-func (s *Session) IngestHandler(walDir string, iopts IngestOptions, opts ...QueryHandlerOption) (http.Handler, *IngestStore, error) {
-	svc, store, err := s.IngestService(walDir, iopts, opts...)
-	if err != nil {
-		return nil, nil, err
-	}
-	return svc.Handler(), store, nil
-}
-
-// RouterHandler returns the HTTP handler of a sharded accountability
-// deployment built in-process from the session's linkage database: the
-// database is hash-split across nshards shards, each served by its own
-// query service over the configured index backend, behind a
-// scatter-gather router speaking the single-daemon protocol. The
-// deployment carries the write path: POST /ingest routes each new
-// linkage to the shard owning its label, where an IngestStore without a
-// log applies it and retrains an approximate backend past the drift
-// threshold. Nothing is logged, so writes are lost on restart — back
-// the topology with IngestService-style WAL stores, or run the real
-// caltrain-router, when they must survive one. Fingerprint must have
-// been called first.
-//
-// This is the one-process model of the production topology
-// (caltrain-shard + N×caltrain-serve + caltrain-router); use it to
-// exercise routing semantics, or as the serving handler on a machine
-// where per-shard daemons are not worth their operational cost. With
-// nshards below 2 it serves a single (unsharded) query service.
-func (s *Session) RouterHandler(nshards int, opts ...QueryHandlerOption) (http.Handler, error) {
-	if err := s.checkServable(); err != nil {
-		return nil, err
-	}
-	dep := s.deployment(opts)
-	dep.Shards = nshards
-	dep.VolatileWrites = true
-	built, err := dep.Build(s.db)
-	if err != nil {
-		return nil, err
-	}
-	return built.Handler(), nil
-}
-
-// queryHandlerConfig collects QueryHandler option state.
-type queryHandlerConfig struct {
-	spec BackendSpec
-	svc  []ServiceOption
-}
-
-// QueryHandlerOption configures Session.QueryHandler / QueryService.
-type QueryHandlerOption func(*queryHandlerConfig)
-
-// WithLinearBackend serves queries with the reference linear scan over
-// the live database (no snapshot; new Add calls are visible).
-func WithLinearBackend() QueryHandlerOption {
-	return func(c *queryHandlerConfig) { c.spec = LinearSpec{} }
-}
-
-// WithFlatBackend serves queries with the exact Flat index (the default).
-func WithFlatBackend() QueryHandlerOption {
-	return func(c *queryHandlerConfig) { c.spec = FlatSpec{} }
-}
-
-// WithIVFBackend serves queries with the approximate IVF index.
-func WithIVFBackend(opts IVFOptions) QueryHandlerOption {
-	return func(c *queryHandlerConfig) { c.spec = IVFSpec{IVFOptions: opts} }
-}
-
-// WithIVFPQBackend serves queries with the product-quantized IVF index
-// — IVF accuracy knobs plus the M memory knob, ~4·dim/M times smaller
-// than the float backends.
-func WithIVFPQBackend(opts IVFPQOptions) QueryHandlerOption {
-	return func(c *queryHandlerConfig) { c.spec = IVFPQSpec{IVFPQOptions: opts} }
-}
-
-// WithBackendSpec serves queries with any BackendSpec — the seam where
-// a future backend (PQ, HNSW, a custom Searcher) plugs into every
-// Session serving constructor without facade changes.
-func WithBackendSpec(spec BackendSpec) QueryHandlerOption {
-	return func(c *queryHandlerConfig) { c.spec = spec }
-}
-
-// WithServiceOptions forwards limits to the underlying query service.
-func WithServiceOptions(opts ...ServiceOption) QueryHandlerOption {
-	return func(c *queryHandlerConfig) { c.svc = append(c.svc, opts...) }
 }
 
 // DB returns the linkage database built by Fingerprint (nil before).

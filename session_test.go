@@ -77,7 +77,8 @@ func TestSessionEndToEnd(t *testing.T) {
 		t.Fatalf("top2 %v < top1 %v", top2, top1)
 	}
 
-	// Fingerprint stage + HTTP query service.
+	// Fingerprint stage + HTTP query service: the session's database
+	// served through a Deployment (Flat by default).
 	db, err := sess.Fingerprint()
 	if err != nil {
 		t.Fatal(err)
@@ -85,11 +86,16 @@ func TestSessionEndToEnd(t *testing.T) {
 	if db.Len() != train.Len() {
 		t.Fatalf("db %d entries, want %d", db.Len(), train.Len())
 	}
-	h, err := sess.QueryHandler()
-	if err != nil {
-		t.Fatal(err)
+	serve := func(d Deployment) *httptest.Server {
+		t.Helper()
+		built, err := d.Build(sess.DB())
+		if err != nil {
+			t.Fatal(err)
+		}
+		t.Cleanup(func() { built.Close() })
+		return httptest.NewServer(built.Handler())
 	}
-	srv := httptest.NewServer(h)
+	srv := serve(Deployment{})
 	defer srv.Close()
 
 	f, label, err := QueryFingerprint(net, test.Records[0].Image)
@@ -116,14 +122,10 @@ func TestSessionEndToEnd(t *testing.T) {
 	}
 
 	// The same session serves through an IVF backend with limits.
-	h2, err := sess.QueryHandler(
-		WithIVFBackend(IVFOptions{Nlist: 4, Nprobe: 4, Seed: 9}),
-		WithServiceOptions(WithMaxK(16)),
-	)
-	if err != nil {
-		t.Fatal(err)
-	}
-	srv2 := httptest.NewServer(h2)
+	srv2 := serve(Deployment{
+		Backend: IVFSpec{IVFOptions: IVFOptions{Nlist: 4, Nprobe: 4, Seed: 9}},
+		Limits:  []ServiceOption{WithMaxK(16)},
+	})
 	defer srv2.Close()
 	client := NewQueryClient(srv2.URL)
 	resp2, err := client.Query(f, label, 3)
@@ -139,11 +141,7 @@ func TestSessionEndToEnd(t *testing.T) {
 
 	// The same session serves sharded: the in-process scatter-gather
 	// router answers the single-daemon protocol with identical matches.
-	h3, err := sess.RouterHandler(2)
-	if err != nil {
-		t.Fatal(err)
-	}
-	srv3 := httptest.NewServer(h3)
+	srv3 := serve(Deployment{Shards: 2, VolatileWrites: true})
 	defer srv3.Close()
 	routed := NewQueryClient(srv3.URL)
 	resp3, err := routed.Query(f, label, 3)
@@ -185,16 +183,6 @@ func TestSessionEndToEnd(t *testing.T) {
 	}
 }
 
-func TestRouterHandlerBeforeFingerprint(t *testing.T) {
-	sess, err := NewSession(quickConfig())
-	if err != nil {
-		t.Fatal(err)
-	}
-	if _, err := sess.RouterHandler(2); err == nil {
-		t.Fatal("expected error before Fingerprint")
-	}
-}
-
 func TestSessionRepartition(t *testing.T) {
 	sess, err := NewSession(quickConfig())
 	if err != nil {
@@ -211,13 +199,27 @@ func TestSessionRepartition(t *testing.T) {
 	}
 }
 
+// TestQueryHandlerBeforeFingerprint: a session has no linkage database
+// before Fingerprint, and a single-service Deployment refuses to build a
+// query handler over none.
 func TestQueryHandlerBeforeFingerprint(t *testing.T) {
 	sess, err := NewSession(quickConfig())
 	if err != nil {
 		t.Fatal(err)
 	}
-	if _, err := sess.QueryHandler(); err == nil {
-		t.Fatal("expected error before Fingerprint")
+	if _, err := (Deployment{}).Build(sess.DB()); err == nil {
+		t.Fatal("single deployment built before Fingerprint")
+	}
+}
+
+// TestRouterHandlerBeforeFingerprint: the sharded shape refuses the same way.
+func TestRouterHandlerBeforeFingerprint(t *testing.T) {
+	sess, err := NewSession(quickConfig())
+	if err != nil {
+		t.Fatal(err)
+	}
+	if _, err := (Deployment{Shards: 2}).Build(sess.DB()); err == nil {
+		t.Fatal("sharded deployment built before Fingerprint")
 	}
 }
 
