@@ -178,9 +178,9 @@ func parseFlags(args []string) (*flag.FlagSet, *options, error) {
 	t := &serve.TopologyConfig{
 		Timeout:  serve.Duration(shard.DefaultShardTimeout),
 		Cooldown: serve.Duration(shard.DefaultReplicaCooldown),
-		Repair:   &serve.RepairFileConfig{},
+		Repair:   &serve.RepairConfig{},
 	}
-	o.cfg = serve.Config{Topology: t, Limits: &serve.LimitsConfig{}, Observability: &serve.ObsFileConfig{}}
+	o.cfg = serve.Config{Topology: t, Limits: &serve.LimitsConfig{}, Observability: &serve.ObservabilityConfig{}}
 	fs.StringVar(&t.Map, "map", "shards/shardmap.ctsm", "shard map written by caltrain-shard")
 	fs.Var((*shardFlag)(&t.Shards), "shard", "shard replicas as ID=addr[,addr...]; repeat per shard")
 	fs.Var(&t.Timeout, "timeout", "per-shard call timeout (all replica attempts combined; 0 = default)")
@@ -202,7 +202,7 @@ func parseFlags(args []string) (*flag.FlagSet, *options, error) {
 		t.Repair = nil
 	}
 	if serve.FlagGiven(fs, "trace-sample-rate", "trace-store", "trace-slow") == "" {
-		o.cfg.Observability.Tracing = nil
+		o.cfg.Observability.Trace = nil
 	}
 	return fs, o, nil
 }

@@ -168,9 +168,9 @@ func parseFlags(args []string) (*flag.FlagSet, *options, error) {
 	drift := ingest.DefaultDriftThreshold
 	o.cfg = serve.Config{
 		Limits:        &serve.LimitsConfig{},
-		Observability: &serve.ObsFileConfig{},
-		WAL:           &serve.WALFileConfig{FsyncEvery: serve.Duration(50 * time.Millisecond), DriftThreshold: &drift},
-		Replication:   &serve.ReplicationFileConfig{},
+		Observability: &serve.ObservabilityConfig{},
+		WAL:           &serve.WALConfig{FsyncEvery: serve.Duration(50 * time.Millisecond), DriftThreshold: &drift},
+		Replication:   &serve.ReplicationConfig{},
 	}
 	c := &o.cfg
 	fs.StringVar(&c.Backend.Kind, "backend", "flat", "index backend: linear, flat, ivf, or ivfpq")
@@ -200,7 +200,7 @@ func parseFlags(args []string) (*flag.FlagSet, *options, error) {
 		c.Replication = nil
 	}
 	if serve.FlagGiven(fs, "trace-sample-rate", "trace-store", "trace-slow") == "" {
-		c.Observability.Tracing = nil
+		c.Observability.Trace = nil
 	}
 	return fs, o, nil
 }
@@ -320,23 +320,9 @@ func run(parent context.Context, args []string, out io.Writer) error {
 
 	// buildNanos is how long the serving index last took to build: the
 	// startup build below, then every drift retrain, which runs through
-	// the store's Rebuild hook.
+	// the spec's Rebuild hook.
 	var buildNanos atomic.Int64
-	if dep.WAL != nil {
-		dep.WAL.Store.Logf = func(format string, args ...any) {
-			fmt.Fprintf(out, format+"\n", args...)
-		}
-		if rebuild := dep.Backend.Rebuild(); rebuild != nil {
-			dep.WAL.Store.Rebuild = func(db *fingerprint.DB) (fingerprint.Searcher, error) {
-				start := time.Now()
-				sr, err := rebuild(db)
-				if err == nil {
-					buildNanos.Store(int64(time.Since(start)))
-				}
-				return sr, err
-			}
-		}
-	}
+	dep.Backend = timedSpec{BackendSpec: dep.Backend, nanos: &buildNanos}
 	// Build trains the index (if any) and replays the WAL, so both
 	// -save-index below and the first query see every acknowledged entry.
 	built, err := dep.Build(db)
@@ -370,8 +356,9 @@ func run(parent context.Context, args []string, out io.Writer) error {
 	}
 	fmt.Fprintln(out, setup)
 	if store != nil {
+		policy, _ := ingest.ParseSyncPolicy(dep.WAL.Fsync) // Build validated it
 		fmt.Fprintf(out, "wal: %s (fsync %s), replayed %d entries, %d total\n",
-			dep.WAL.Dir, dep.WAL.Store.WAL.Sync, store.Replayed(), db.Len())
+			dep.WAL.Dir, policy, store.Replayed(), db.Len())
 	} else if stores := built.Stores(); len(stores) > 0 {
 		fmt.Fprintf(out, "wal: %s, %d shard-replica stores\n", dep.WAL.Dir, len(stores))
 	}
@@ -490,27 +477,35 @@ func run(parent context.Context, args []string, out io.Writer) error {
 	return nil
 }
 
-// saveIndexFile persists s to path atomically, as ingest.Store.Snapshot
-// does the database: into path.tmp, synced, then renamed over path, so
-// a crash, a full disk or a failed Save leaves the previous file whole.
+// timedSpec records in nanos how long each drift retrain of the
+// wrapped backend takes — what caltrain_index_build_seconds reports
+// after startup.
+type timedSpec struct {
+	serve.BackendSpec
+	nanos *atomic.Int64
+}
+
+// Rebuild implements serve.BackendSpec.
+func (s timedSpec) Rebuild() func(*fingerprint.DB) (fingerprint.Searcher, error) {
+	rebuild := s.BackendSpec.Rebuild()
+	if rebuild == nil {
+		return nil
+	}
+	return func(db *fingerprint.DB) (fingerprint.Searcher, error) {
+		start := time.Now()
+		sr, err := rebuild(db)
+		if err == nil {
+			s.nanos.Store(int64(time.Since(start)))
+		}
+		return sr, err
+	}
+}
+
+// saveIndexFile persists s to path atomically through ingest.WriteFile,
+// as ingest.Store.Snapshot does the database: a crash, a full disk or a
+// failed Save leaves the previous file whole.
 func saveIndexFile(path string, s fingerprint.Searcher) error {
-	tmp := path + ".tmp"
-	f, err := os.Create(tmp)
-	if err != nil {
-		return err
-	}
-	err = index.Save(f, s)
-	if err == nil {
-		err = f.Sync()
-	}
-	if cerr := f.Close(); err == nil {
-		err = cerr
-	}
-	if err != nil {
-		os.Remove(tmp)
-		return err
-	}
-	return os.Rename(tmp, path)
+	return ingest.WriteFile(path, func(w io.Writer) error { return index.Save(w, s) })
 }
 
 // loadIndexFile reads a serialized index as the index of db

@@ -36,6 +36,7 @@ import (
 
 	"caltrain/internal/fingerprint"
 	"caltrain/internal/index"
+	"caltrain/internal/ingest"
 	"caltrain/internal/serve"
 	"caltrain/internal/shard"
 )
@@ -118,12 +119,12 @@ func run(args []string, out io.Writer) error {
 	if err := os.MkdirAll(*outDir, 0o755); err != nil {
 		return err
 	}
-	if err := writeFile(filepath.Join(*outDir, MapFileName), m.Save); err != nil {
+	if err := ingest.WriteFile(filepath.Join(*outDir, MapFileName), m.Save); err != nil {
 		return err
 	}
 	for sid, part := range parts {
 		dbName := shardFile(sid, "db")
-		if err := writeFile(filepath.Join(*outDir, dbName), part.Save); err != nil {
+		if err := ingest.WriteFile(filepath.Join(*outDir, dbName), part.Save); err != nil {
 			return err
 		}
 		line := fmt.Sprintf("shard %d: %d entries, %d labels → %s", sid, part.Len(), len(part.Labels()), dbName)
@@ -138,7 +139,7 @@ func run(args []string, out io.Writer) error {
 			if err != nil {
 				return fmt.Errorf("shard %d index: %w", sid, err)
 			}
-			if err := writeFile(filepath.Join(*outDir, idxName), func(w io.Writer) error {
+			if err := ingest.WriteFile(filepath.Join(*outDir, idxName), func(w io.Writer) error {
 				return index.Save(w, searcher)
 			}); err != nil {
 				return err
@@ -169,15 +170,3 @@ func buildMap(db *fingerprint.DB, strategy string, nshards int) (*shard.Map, err
 // shardFile names shard sid's artifact with the given extension, the
 // layout caltrain-serve and caltrain-router point at.
 func shardFile(sid int, ext string) string { return fmt.Sprintf("shard-%03d.%s", sid, ext) }
-
-func writeFile(path string, save func(io.Writer) error) error {
-	f, err := os.Create(path)
-	if err != nil {
-		return err
-	}
-	if err := save(f); err != nil {
-		f.Close()
-		return err
-	}
-	return f.Close()
-}

@@ -12,10 +12,12 @@ package main
 import (
 	"flag"
 	"fmt"
+	"io"
 	"math/rand/v2"
 	"os"
 
 	"caltrain"
+	"caltrain/internal/ingest"
 )
 
 func main() {
@@ -101,12 +103,9 @@ func run() error {
 	if err != nil {
 		return err
 	}
-	f, err := os.Create(*outPath)
-	if err != nil {
-		return err
-	}
-	defer f.Close()
-	if err := caltrain.SaveModel(f, modelCfg, net); err != nil {
+	if err := ingest.WriteFile(*outPath, func(w io.Writer) error {
+		return caltrain.SaveModel(w, modelCfg, net)
+	}); err != nil {
 		return err
 	}
 	fmt.Printf("released model (decrypted by %s) written to %s\n", first.ID, *outPath)
@@ -115,12 +114,7 @@ func run() error {
 	if err != nil {
 		return err
 	}
-	dbf, err := os.Create(*dbPath)
-	if err != nil {
-		return err
-	}
-	defer dbf.Close()
-	if err := db.Save(dbf); err != nil {
+	if err := ingest.WriteFile(*dbPath, db.Save); err != nil {
 		return err
 	}
 	fmt.Printf("linkage database (%d entries, dim %d) written to %s\n", db.Len(), db.Dim(), *dbPath)

@@ -512,9 +512,7 @@ func TestIngestFacade(t *testing.T) {
 		t.Fatal(err)
 	}
 	walDir := t.TempDir()
-	built, err := Deployment{WAL: &WALConfig{Dir: walDir, Store: IngestOptions{
-		WAL: WALOptions{Sync: WALSyncAlways},
-	}}}.Build(db)
+	built, err := Deployment{WAL: &WALConfig{Dir: walDir, Fsync: "always"}}.Build(db)
 	if err != nil {
 		t.Fatal(err)
 	}

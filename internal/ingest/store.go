@@ -4,6 +4,7 @@ import (
 	"context"
 	"errors"
 	"fmt"
+	"io"
 	"os"
 	"path/filepath"
 	"sync"
@@ -293,28 +294,7 @@ func (s *Store) Snapshot(path string, alsoPersist ...func(fingerprint.Searcher) 
 	}
 	s.mu.Lock()
 	defer s.mu.Unlock()
-	tmp := path + ".tmp"
-	f, err := os.Create(tmp)
-	if err != nil {
-		return fmt.Errorf("ingest: snapshot: %w", err)
-	}
-	if err := s.db.Save(f); err != nil {
-		f.Close()
-		os.Remove(tmp)
-		return fmt.Errorf("ingest: snapshot: %w", err)
-	}
-	if err := f.Sync(); err != nil {
-		f.Close()
-		os.Remove(tmp)
-		return fmt.Errorf("ingest: snapshot: %w", err)
-	}
-	if err := f.Close(); err != nil {
-		return fmt.Errorf("ingest: snapshot: %w", err)
-	}
-	if err := os.Rename(tmp, path); err != nil {
-		return fmt.Errorf("ingest: snapshot: %w", err)
-	}
-	if err := syncDir(filepath.Dir(path)); err != nil {
+	if err := WriteFile(path, s.db.Save); err != nil {
 		return fmt.Errorf("ingest: snapshot: %w", err)
 	}
 	for _, fn := range alsoPersist {
@@ -327,6 +307,35 @@ func (s *Store) Snapshot(path string, alsoPersist ...func(fingerprint.Searcher) 
 	}
 	s.lastSnapshot.Store(time.Now().Unix())
 	return nil
+}
+
+// WriteFile replaces the file at path with what save writes, so that a
+// crash, a full disk or a failing save leaves either the previous file
+// or the new one, never a mix: save writes path.tmp, which is fsynced,
+// closed and renamed over path, and then the directory is synced so the
+// rename itself survives a crash. On failure the temporary file is
+// removed and path is untouched.
+func WriteFile(path string, save func(io.Writer) error) error {
+	tmp := path + ".tmp"
+	f, err := os.Create(tmp)
+	if err != nil {
+		return err
+	}
+	err = save(f)
+	if err == nil {
+		err = f.Sync()
+	}
+	if cerr := f.Close(); err == nil {
+		err = cerr
+	}
+	if err == nil {
+		err = os.Rename(tmp, path)
+	}
+	if err != nil {
+		os.Remove(tmp)
+		return err
+	}
+	return syncDir(filepath.Dir(path))
 }
 
 // IngestStats implements fingerprint.Ingester.

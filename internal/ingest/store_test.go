@@ -1,8 +1,10 @@
 package ingest
 
 import (
+	"bytes"
 	"errors"
 	"fmt"
+	"io"
 	"math/rand/v2"
 	"os"
 	"path/filepath"
@@ -244,6 +246,41 @@ func TestStoreSnapshotSyncsDir(t *testing.T) {
 	}
 	if len(after) != 1 || after[0] <= before[len(before)-1] {
 		t.Fatalf("segments after the snapshot: %v, want one past %v", after, before)
+	}
+}
+
+// TestWriteFileFailedSaveKeepsPrevious: a save that fails after writing
+// part of the new file leaves the previous file byte-identical and no
+// temporary file behind; a save that succeeds replaces it whole.
+func TestWriteFileFailedSaveKeepsPrevious(t *testing.T) {
+	path := filepath.Join(t.TempDir(), "artifact")
+	prev := []byte("the previous artifact, whole")
+	if err := os.WriteFile(path, prev, 0o644); err != nil {
+		t.Fatal(err)
+	}
+	fail := errors.New("disk full halfway")
+	err := WriteFile(path, func(w io.Writer) error {
+		if _, err := w.Write([]byte("the new artifact, ha")); err != nil {
+			return err
+		}
+		return fail
+	})
+	if !errors.Is(err, fail) {
+		t.Fatalf("WriteFile with a failing save: %v", err)
+	}
+	if got, err := os.ReadFile(path); err != nil || !bytes.Equal(got, prev) {
+		t.Fatalf("previous file after a failed save: %q (%v), want %q", got, err, prev)
+	}
+	if _, err := os.Stat(path + ".tmp"); !os.IsNotExist(err) {
+		t.Fatalf("temporary file left behind: %v", err)
+	}
+
+	next := []byte("the new artifact")
+	if err := WriteFile(path, func(w io.Writer) error { _, err := w.Write(next); return err }); err != nil {
+		t.Fatal(err)
+	}
+	if got, err := os.ReadFile(path); err != nil || !bytes.Equal(got, next) {
+		t.Fatalf("file after a successful save: %q (%v), want %q", got, err, next)
 	}
 }
 

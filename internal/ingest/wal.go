@@ -84,10 +84,11 @@ func (p SyncPolicy) String() string {
 	}
 }
 
-// ParseSyncPolicy turns a -fsync flag value into a SyncPolicy.
+// ParseSyncPolicy turns a -fsync flag value into a SyncPolicy; the
+// empty string is the default, SyncAlways.
 func ParseSyncPolicy(s string) (SyncPolicy, error) {
 	switch s {
-	case "always":
+	case "always", "":
 		return SyncAlways, nil
 	case "interval":
 		return SyncInterval, nil

@@ -4,21 +4,21 @@ import (
 	"encoding/json"
 	"fmt"
 	"io"
-	"net"
+	"log/slog"
 	"os"
 	"strings"
 	"time"
 
 	"caltrain/internal/fingerprint"
 	"caltrain/internal/index"
-	"caltrain/internal/ingest"
 )
 
 // Config is the file form of a Deployment: one JSON document declares
 // the complete serving topology — backend, sharding, durability,
 // limits — so an operator ships a config file instead of N flag sets
-// (caltrain-serve -deployment config.json). Deployment translates it
-// into the in-memory Deployment the daemons and the facade build.
+// (caltrain-serve -deployment config.json). The optional blocks are the
+// Deployment's own types, so Deployment only resolves the backend and
+// limits and validates the rest where Build does.
 //
 //	{
 //	  "backend": {"kind": "ivf", "nlist": 64, "nprobe": 8},
@@ -38,25 +38,25 @@ type Config struct {
 	// ReplicasPerShard replicates each shard; see Deployment.ReplicasPerShard.
 	ReplicasPerShard int `json:"replicas_per_shard,omitempty"`
 	// WAL enables the durable write path; see WALConfig.
-	WAL *WALFileConfig `json:"wal,omitempty"`
+	WAL *WALConfig `json:"wal,omitempty"`
 	// VolatileWrites enables the non-durable write path when WAL is
 	// absent; see Deployment.VolatileWrites.
 	VolatileWrites bool `json:"volatile_writes,omitempty"`
 	// Limits bounds request sizes on every built query service.
 	Limits *LimitsConfig `json:"limits,omitempty"`
 	// Observability tunes metrics, request logging, and the debug
-	// listener; see ObsFileConfig.
-	Observability *ObsFileConfig `json:"observability,omitempty"`
+	// listener; see ObservabilityConfig.
+	Observability *ObservabilityConfig `json:"observability,omitempty"`
 	// Replication enables the self-healing sync state machine on a
-	// single-service WAL deployment; see ReplicationFileConfig.
-	Replication *ReplicationFileConfig `json:"replication,omitempty"`
+	// single-service WAL deployment; see ReplicationConfig.
+	Replication *ReplicationConfig `json:"replication,omitempty"`
 	// Topology is the routed-topology block consumed by caltrain-router
 	// -deployment; it conflicts with every daemon-shape field. See
 	// TopologyConfig.
 	Topology *TopologyConfig `json:"topology,omitempty"`
 }
 
-// ReplicationFileConfig is the replication block of a daemon config:
+// ReplicationConfig is the replication block of a deployment:
 //
 //	"replication": {"peer": "replica-a:8791"}
 //
@@ -65,7 +65,7 @@ type Config struct {
 // startup (snapshot bootstrap or WAL catchup) before accepting external
 // writes; without one, the daemon only serves the /v1/repl/* source
 // endpoints and syncs when a repair nudge names a peer.
-type ReplicationFileConfig struct {
+type ReplicationConfig struct {
 	// Peer is the sync source base URL — normally another replica of the
 	// same shard. Empty means source-only until nudged.
 	Peer string `json:"peer,omitempty"`
@@ -97,15 +97,15 @@ type TopologyConfig struct {
 	// ResponseCache keeps up to N hot single-query responses at the
 	// router (0 = off).
 	ResponseCache int `json:"response_cache,omitempty"`
-	// Repair enables the anti-entropy repair loop; see RepairFileConfig.
-	Repair *RepairFileConfig `json:"repair,omitempty"`
+	// Repair enables the anti-entropy repair loop; see RepairConfig.
+	Repair *RepairConfig `json:"repair,omitempty"`
 }
 
-// RepairFileConfig is the repair block of a topology config: presence
+// RepairConfig is the repair block of a topology config: presence
 // enables the router's anti-entropy loop (degraded replicas are driven
 // through a /v1/repl/sync resync and readmitted). Zero fields keep the
 // shard.Default* repair values.
-type RepairFileConfig struct {
+type RepairConfig struct {
 	// After is the degradation streak that triggers a repair.
 	After Duration `json:"after,omitempty"`
 	// Interval is the health scan period.
@@ -145,18 +145,24 @@ func (b BackendConfig) Spec() (BackendSpec, error) {
 	})
 }
 
-// WALFileConfig is the file form of WALConfig plus the WAL tuning the
-// daemon otherwise takes as -fsync/-wal-segment-bytes/-drift-threshold.
-type WALFileConfig struct {
-	// Dir is the write-ahead log directory (required).
+// WALConfig enables the durable write path of a Deployment: ingest
+// batches are CRC-framed into a write-ahead log under Dir before they
+// are applied, so acknowledged writes survive a crash. A sharded
+// deployment logs per shard replica under Dir/shard-N/replica-M, so a
+// rebuild over the same seed database and Dir replays every shard.
+// Drift-triggered retrains rebuild through the deployment's BackendSpec
+// and hot-swap into the built service.
+type WALConfig struct {
+	// Dir is the write-ahead log directory (required; created if
+	// absent).
 	Dir string `json:"dir"`
-	// Fsync is the WAL sync policy: "always" (default), "interval", or
-	// "never".
+	// Fsync is the WAL sync policy: "always" (the default, also when
+	// empty), "interval", or "never".
 	Fsync string `json:"fsync,omitempty"`
 	// FsyncEvery is the flush period under the interval policy
-	// (default 50ms).
+	// (0 = 50ms).
 	FsyncEvery Duration `json:"fsync_every,omitempty"`
-	// SegmentBytes rotates WAL segments past this size (default 64 MiB).
+	// SegmentBytes rotates WAL segments past this size (0 = 64 MiB).
 	SegmentBytes int64 `json:"segment_bytes,omitempty"`
 	// DriftThreshold is the appended fraction that triggers a background
 	// retrain + hot-swap of an approximate backend; nil means the ingest
@@ -173,109 +179,64 @@ type LimitsConfig struct {
 	MaxBatch     int   `json:"max_batch,omitempty"`
 	// LatencyBuckets replaces the /stats histogram bounds, each a
 	// duration string ("100us", "1ms", …), ascending.
-	LatencyBuckets []Duration `json:"latency_buckets,omitempty"`
+	LatencyBuckets []Duration `json:"latency_buckets"`
 }
 
-// ObsFileConfig is the file form of ObservabilityConfig: the
-// observability block of a deployment config.
+// ObservabilityConfig tunes the observability layer of a Deployment:
+// the /v1/metrics endpoint, per-request structured logging, the
+// slow-query log, and the debug (pprof/expvar) sidecar listener. The
+// zero value serves metrics and nothing else — logging is opt-in and
+// the debug listener stays closed.
 //
 //	"observability": {
 //	  "request_log": true,
 //	  "slow_query_threshold": "250ms",
 //	  "debug_addr": "localhost:6060"
 //	}
-type ObsFileConfig struct {
-	// Metrics serves GET /v1/metrics when true — the default; an
-	// explicit false removes the endpoint from the public handler.
+type ObservabilityConfig struct {
+	// Metrics serves GET /v1/metrics when nil or true; an explicit false
+	// removes the endpoint from the public handler.
 	Metrics *bool `json:"metrics,omitempty"`
-	// RequestLog emits one structured log line per request.
+	// RequestLog emits one structured log line per request — method,
+	// path, status, duration, request ID, and per-stage timings.
 	RequestLog bool `json:"request_log,omitempty"`
-	// SlowQueryThreshold warns about requests slower than this
-	// ("250ms"); omitted or 0 disables the slow-query log.
+	// SlowQueryThreshold logs a warning for any request slower than
+	// this ("250ms"), even when RequestLog is off. 0 disables the
+	// slow-query log.
 	SlowQueryThreshold Duration `json:"slow_query_threshold,omitempty"`
-	// DebugAddr is the host:port of the pprof/expvar/trace sidecar
-	// listener ("localhost:6060"); empty keeps it closed.
+	// DebugAddr is the host:port a daemon serves net/http/pprof, expvar
+	// and /v1/debug/traces on ("localhost:6060") — always a sidecar
+	// listener, never the public handler. Empty keeps the debug listener
+	// closed. Deployment.Build does not open it; the daemons (and
+	// ListenDebug) do.
 	DebugAddr string `json:"debug_addr,omitempty"`
-	// Tracing tunes distributed tracing; see TraceFileConfig. Omitted
-	// means the defaults: every request sampled into a default-sized
-	// store.
-	Tracing *TraceFileConfig `json:"tracing,omitempty"`
+	// Trace tunes distributed tracing. Nil keeps the defaults — every
+	// request sampled into a store of obs.DefaultTraceStoreSize traces.
+	Trace *TraceConfig `json:"tracing,omitempty"`
+	// Logger receives the request, slow-query and write-path logs; nil
+	// means slog.Default. A process-local part: no file spells it.
+	Logger *slog.Logger `json:"-"`
 }
 
-// TraceFileConfig is the tracing block of an observability config:
+// TraceConfig is the tracing block of an ObservabilityConfig:
 //
 //	"tracing": {
 //	  "sample_rate": 0.05,
 //	  "store": 512,
 //	  "slow_always": "100ms"
 //	}
-type TraceFileConfig struct {
-	// SampleRate is the head-sampling probability in [0, 1]. Omitted
-	// means 1 (sample everything); an explicit 0 keeps only slow/error
-	// traces.
+type TraceConfig struct {
+	// SampleRate is the head-sampling probability in [0, 1] for traces
+	// originating at this deployment. Nil means 1 (sample everything);
+	// an explicit 0 keeps only slow/error traces.
 	SampleRate *float64 `json:"sample_rate,omitempty"`
-	// Store bounds the in-memory trace store behind /v1/debug/traces;
-	// omitted or 0 means the default, negative disables retention.
-	Store int `json:"store,omitempty"`
+	// StoreSize bounds the in-memory trace store behind
+	// /v1/debug/traces, at most 1<<20 traces; 0 means
+	// obs.DefaultTraceStoreSize, negative disables retention.
+	StoreSize int `json:"store,omitempty"`
 	// SlowAlways stores any trace slower than this even when head
-	// sampling passed it by ("100ms"); omitted or 0 disables.
+	// sampling passed it by ("100ms"); 0 disables.
 	SlowAlways Duration `json:"slow_always,omitempty"`
-}
-
-// maxTraceStore bounds observability.tracing.store: the trace store
-// allocates its ring up front, so an absurd size must fail at startup
-// as a config error, not as an allocation panic.
-const maxTraceStore = 1 << 20
-
-// observability translates the observability block for either
-// translation; an absent block is the zero ObservabilityConfig, never
-// nil, so callers fill in the process-local parts (logger, debug
-// address) without a nil dance.
-func (c Config) observability() (*ObservabilityConfig, error) {
-	if c.Observability == nil {
-		return &ObservabilityConfig{}, nil
-	}
-	return c.Observability.config()
-}
-
-// config validates the block and translates it into the in-memory
-// ObservabilityConfig. Negative thresholds and unparseable listen
-// addresses are rejected rather than silently ignored — an operator
-// who wrote one believes it is in effect.
-func (o ObsFileConfig) config() (*ObservabilityConfig, error) {
-	if o.SlowQueryThreshold < 0 {
-		return nil, fmt.Errorf("serve: observability.slow_query_threshold must be non-negative (0 disables the slow-query log), got %s", o.SlowQueryThreshold)
-	}
-	if o.DebugAddr != "" {
-		if _, _, err := net.SplitHostPort(o.DebugAddr); err != nil {
-			return nil, fmt.Errorf("serve: observability.debug_addr must be host:port: %w", err)
-		}
-	}
-	cfg := &ObservabilityConfig{
-		DisableMetrics:     o.Metrics != nil && !*o.Metrics,
-		RequestLog:         o.RequestLog,
-		SlowQueryThreshold: time.Duration(o.SlowQueryThreshold),
-		DebugAddr:          o.DebugAddr,
-	}
-	if o.Tracing != nil {
-		tc := &TraceConfig{SampleRate: 1}
-		if o.Tracing.SampleRate != nil {
-			if r := *o.Tracing.SampleRate; r < 0 || r > 1 {
-				return nil, fmt.Errorf("serve: observability.tracing.sample_rate must be in [0, 1], got %v", r)
-			}
-			tc.SampleRate = *o.Tracing.SampleRate
-		}
-		if o.Tracing.SlowAlways < 0 {
-			return nil, fmt.Errorf("serve: observability.tracing.slow_always must be non-negative (0 disables), got %s", o.Tracing.SlowAlways)
-		}
-		if o.Tracing.Store > maxTraceStore {
-			return nil, fmt.Errorf("serve: observability.tracing.store must be at most %d traces, got %d", maxTraceStore, o.Tracing.Store)
-		}
-		tc.StoreSize = o.Tracing.Store
-		tc.SlowAlways = time.Duration(o.Tracing.SlowAlways)
-		cfg.Trace = tc
-	}
-	return cfg, nil
 }
 
 // Duration is a time.Duration that marshals as a duration string
@@ -342,8 +303,9 @@ func LoadConfig(path string) (Config, error) {
 	return ParseConfig(f)
 }
 
-// Deployment translates the config into the Deployment it declares,
-// validating every field (backend kind, fsync policy, latency bounds).
+// Deployment resolves the backend block into a spec and the limits
+// into service options, and hands every other block over as it is;
+// Deployment.Build runs the same validation on the result.
 func (c Config) Deployment() (Deployment, error) {
 	if c.Topology != nil {
 		return Deployment{}, fmt.Errorf("serve: topology is the router's block (caltrain-router -deployment); a daemon config declares backend/wal/replication")
@@ -352,77 +314,29 @@ func (c Config) Deployment() (Deployment, error) {
 	if err != nil {
 		return Deployment{}, err
 	}
-	if c.Shards < 0 {
-		return Deployment{}, fmt.Errorf("serve: shards must be non-negative, got %d", c.Shards)
-	}
-	if c.ReplicasPerShard < 0 {
-		return Deployment{}, fmt.Errorf("serve: replicas_per_shard must be non-negative, got %d", c.ReplicasPerShard)
-	}
-	if c.ReplicasPerShard > 1 && c.Shards <= 1 {
-		return Deployment{}, fmt.Errorf("serve: replicas_per_shard needs shards > 1 (a single service has no replicas)")
+	// An absent observability block is the zero block, never nil, so a
+	// daemon fills in the process-local parts (logger, debug address)
+	// without a nil dance — on its own copy, not the config's.
+	var o ObservabilityConfig
+	if c.Observability != nil {
+		o = *c.Observability
 	}
 	dep := Deployment{
 		Backend:          spec,
 		Shards:           c.Shards,
 		ReplicasPerShard: c.ReplicasPerShard,
+		WAL:              c.WAL,
 		VolatileWrites:   c.VolatileWrites,
+		Observability:    &o,
+		Replication:      c.Replication,
 	}
 	if c.Limits != nil {
-		opts, err := c.Limits.options()
-		if err != nil {
+		if dep.Limits, err = c.Limits.options(); err != nil {
 			return Deployment{}, err
 		}
-		dep.Limits = opts
 	}
-	if dep.Observability, err = c.observability(); err != nil {
+	if err := dep.validate(); err != nil {
 		return Deployment{}, err
-	}
-	if c.WAL != nil {
-		if c.VolatileWrites {
-			return Deployment{}, fmt.Errorf("serve: wal and volatile_writes contradict each other: a write path is durable or it is not")
-		}
-		if c.WAL.Dir == "" {
-			return Deployment{}, fmt.Errorf("serve: wal.dir is required when wal is set")
-		}
-		if c.WAL.FsyncEvery < 0 || c.WAL.SegmentBytes < 0 {
-			// The ingest layer would quietly normalize these to defaults;
-			// an operator who wrote one believes it is enforced.
-			return Deployment{}, fmt.Errorf("serve: wal.fsync_every and wal.segment_bytes must be non-negative (0 means default)")
-		}
-		fsync := c.WAL.Fsync
-		if fsync == "" {
-			fsync = "always"
-		}
-		policy, err := ingest.ParseSyncPolicy(fsync)
-		if err != nil {
-			return Deployment{}, err
-		}
-		store := ingest.Options{
-			WAL: ingest.WALOptions{
-				Sync:         policy,
-				SyncEvery:    time.Duration(c.WAL.FsyncEvery),
-				SegmentBytes: c.WAL.SegmentBytes,
-			},
-		}
-		if c.WAL.DriftThreshold != nil {
-			// The ingest layer reads 0 as "use the default", which would
-			// silently override an explicit 0 here — make the operator say
-			// what they mean.
-			if *c.WAL.DriftThreshold == 0 {
-				return Deployment{}, fmt.Errorf("serve: wal.drift_threshold 0 is ambiguous: omit it for the default, use a negative value to disable retrains, or a small positive fraction")
-			}
-			store.DriftThreshold = *c.WAL.DriftThreshold
-		}
-		dep.WAL = &WALConfig{Dir: c.WAL.Dir, Store: store}
-	}
-	if c.Replication != nil {
-		if dep.WAL == nil {
-			return Deployment{}, fmt.Errorf("serve: replication requires a wal block — the WAL is the replication transport")
-		}
-		if c.Shards > 1 {
-			return Deployment{}, fmt.Errorf("serve: replication applies to a single-service daemon; in a routed topology each shard process carries its own replication block")
-		}
-		dep.Replication = &ReplicationConfig{Peer: c.Replication.Peer}
 	}
 	return dep, nil
 }

@@ -1,13 +1,13 @@
 package serve
 
 import (
+	"fmt"
 	"net/http/httptest"
 	"strings"
 	"testing"
 	"time"
 
 	"caltrain/internal/fingerprint"
-	"caltrain/internal/ingest"
 )
 
 // TestParseConfigFull: every field of the file form round-trips into
@@ -38,12 +38,12 @@ func TestParseConfigFull(t *testing.T) {
 	if dep.WAL == nil || dep.WAL.Dir != "wal/" {
 		t.Fatalf("wal: %+v", dep.WAL)
 	}
-	w := dep.WAL.Store.WAL
-	if w.Sync != ingest.SyncInterval || w.SyncEvery != 25*time.Millisecond || w.SegmentBytes != 1<<20 {
+	w := dep.WAL
+	if w.Fsync != "interval" || w.FsyncEvery != Duration(25*time.Millisecond) || w.SegmentBytes != 1<<20 {
 		t.Fatalf("wal options: %+v", w)
 	}
-	if dep.WAL.Store.DriftThreshold != 0.5 {
-		t.Fatalf("drift threshold: %v", dep.WAL.Store.DriftThreshold)
+	if w.DriftThreshold == nil || *w.DriftThreshold != 0.5 {
+		t.Fatalf("drift threshold: %v", w.DriftThreshold)
 	}
 	if len(dep.Limits) != 4 {
 		t.Fatalf("limits: %d options, want 4", len(dep.Limits))
@@ -117,6 +117,69 @@ func TestParseConfigRejects(t *testing.T) {
 	}
 }
 
+// TestDeploymentValidatesGoForm: every rejection the file form gets
+// from Config.Deployment, the same Deployment written as a Go literal
+// gets from Build, with the same text — one validation, not one per
+// spelling. Rejections the Go form cannot spell (a backend kind, a
+// limit, a topology block) are left out.
+func TestDeploymentValidatesGoForm(t *testing.T) {
+	db := testDB(t, 8, 40, 2)
+	dir := t.TempDir() // never created under: every case is refused first
+	rate := func(r float64) *float64 { return &r }
+	for _, c := range []struct {
+		name string
+		doc  string
+		dep  Deployment
+	}{
+		{"negative shards", `{"shards": -1}`, Deployment{Shards: -1}},
+		{"replicas without shards", `{"replicas_per_shard": 2}`, Deployment{ReplicasPerShard: 2}},
+		{"negative replicas", `{"shards": 2, "replicas_per_shard": -1}`, Deployment{Shards: 2, ReplicasPerShard: -1}},
+		{"wal without dir", `{"wal": {"fsync": "always"}}`, Deployment{WAL: &WALConfig{Fsync: "always"}}},
+		{"bad fsync policy", `{"wal": {"dir": "w", "fsync": "sometimes"}}`, Deployment{WAL: &WALConfig{Dir: dir, Fsync: "sometimes"}}},
+		{"wal and volatile_writes contradict", `{"wal": {"dir": "w"}, "volatile_writes": true}`,
+			Deployment{WAL: &WALConfig{Dir: dir}, VolatileWrites: true}},
+		{"negative fsync_every", `{"wal": {"dir": "w", "fsync_every": "-1s"}}`,
+			Deployment{WAL: &WALConfig{Dir: dir, FsyncEvery: Duration(-time.Second)}}},
+		{"negative segment_bytes", `{"wal": {"dir": "w", "segment_bytes": -1}}`, Deployment{WAL: &WALConfig{Dir: dir, SegmentBytes: -1}}},
+		{"ambiguous zero drift_threshold", `{"wal": {"dir": "w", "drift_threshold": 0}}`,
+			Deployment{WAL: &WALConfig{Dir: dir, DriftThreshold: rate(0)}}},
+		{"replication without wal", `{"replication": {"peer": "a:1"}}`, Deployment{Replication: &ReplicationConfig{Peer: "a:1"}}},
+		{"replication with sharding", `{"shards": 2, "wal": {"dir": "w"}, "replication": {}}`,
+			Deployment{Shards: 2, WAL: &WALConfig{Dir: dir}, Replication: &ReplicationConfig{}}},
+		{"negative slow_query_threshold", `{"observability": {"slow_query_threshold": "-1s"}}`,
+			Deployment{Observability: &ObservabilityConfig{SlowQueryThreshold: Duration(-time.Second)}}},
+		{"debug_addr without port", `{"observability": {"debug_addr": "localhost"}}`,
+			Deployment{Observability: &ObservabilityConfig{DebugAddr: "localhost"}}},
+		{"sample_rate above 1", `{"observability": {"tracing": {"sample_rate": 1.5}}}`,
+			Deployment{Observability: &ObservabilityConfig{Trace: &TraceConfig{SampleRate: rate(1.5)}}}},
+		{"negative sample_rate", `{"observability": {"tracing": {"sample_rate": -0.1}}}`,
+			Deployment{Observability: &ObservabilityConfig{Trace: &TraceConfig{SampleRate: rate(-0.1)}}}},
+		{"negative slow_always", `{"observability": {"tracing": {"slow_always": "-1s"}}}`,
+			Deployment{Observability: &ObservabilityConfig{Trace: &TraceConfig{SlowAlways: Duration(-time.Second)}}}},
+		{"trace store over the cap", fmt.Sprintf(`{"observability": {"tracing": {"store": %d}}}`, maxTraceStore+1),
+			Deployment{Observability: &ObservabilityConfig{Trace: &TraceConfig{StoreSize: maxTraceStore + 1}}}},
+	} {
+		cfg, err := ParseConfig(strings.NewReader(c.doc))
+		if err != nil {
+			t.Fatalf("%s: %v", c.name, err)
+		}
+		_, fileErr := cfg.Deployment()
+		if fileErr == nil {
+			t.Errorf("%s: the file form %s is accepted", c.name, c.doc)
+			continue
+		}
+		srv, goErr := c.dep.Build(db)
+		if goErr == nil {
+			srv.Close()
+			t.Errorf("%s: the Go form builds; the file form is refused with %q", c.name, fileErr)
+			continue
+		}
+		if goErr.Error() != fileErr.Error() {
+			t.Errorf("%s: the Go form is refused with %q, the file form with %q", c.name, goErr, fileErr)
+		}
+	}
+}
+
 // TestConfigDefaults: the zero document serves the same deployment as
 // the zero Deployment value — a read-only Flat service.
 func TestConfigDefaults(t *testing.T) {
@@ -155,7 +218,7 @@ func TestConfigBuildsShardedDeployment(t *testing.T) {
 		t.Fatal(err)
 	}
 	defer srv.Close()
-	if srv.Router() == nil || srv.Service() != nil {
+	if srv.router == nil || srv.Service() != nil {
 		t.Fatal("config sharded build did not produce a router")
 	}
 	hs := httptest.NewServer(srv.Handler())

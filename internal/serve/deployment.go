@@ -17,67 +17,10 @@ import (
 	"caltrain/internal/shard"
 )
 
-// WALConfig enables the durable write path of a Deployment: ingest
-// batches are CRC-framed into a write-ahead log under Dir before they
-// are applied, so acknowledged writes survive a crash. A sharded
-// deployment logs per shard replica under Dir/shard-N/replica-M, so a
-// rebuild over the same seed database and Dir replays every shard.
-type WALConfig struct {
-	// Dir is the write-ahead log directory (created if absent).
-	Dir string
-	// Store tunes the durable write path: WAL fsync policy and segment
-	// rotation, drift threshold, and the advanced hooks. A nil
-	// Store.Rebuild is filled from the deployment's BackendSpec, a nil
-	// Store.Swapper with the built service, so drift-triggered retrains
-	// hot-swap the right backend without any extra wiring.
-	Store ingest.Options
-}
-
-// ObservabilityConfig tunes the observability layer of a Deployment:
-// the /v1/metrics endpoint, per-request structured logging, the
-// slow-query log, and the debug (pprof/expvar) sidecar listener. The
-// zero value serves metrics and nothing else — logging is opt-in and
-// the debug listener stays closed.
-type ObservabilityConfig struct {
-	// DisableMetrics removes GET /v1/metrics from the built handler.
-	DisableMetrics bool
-	// RequestLog emits one structured log line per request — method,
-	// path, status, duration, request ID, and per-stage timings.
-	RequestLog bool
-	// SlowQueryThreshold logs a warning for any request slower than
-	// this, even when RequestLog is off. 0 disables the slow-query log.
-	SlowQueryThreshold time.Duration
-	// DebugAddr is the host:port a daemon serves net/http/pprof and
-	// expvar on — always a sidecar listener, never the public handler.
-	// Empty keeps the debug listener closed. Deployment.Build does not
-	// open it; the daemons (and ListenDebug) do.
-	DebugAddr string
-	// Logger receives the request and slow-query logs; nil means
-	// slog.Default.
-	Logger *slog.Logger
-	// Trace tunes distributed tracing: the head-sampling rate, the
-	// in-memory trace store bound, and the always-keep threshold for
-	// slow requests. Nil keeps the defaults — every request sampled, a
-	// store of obs.DefaultTraceStoreSize traces.
-	Trace *TraceConfig
-}
-
-// TraceConfig is the tracing block of an ObservabilityConfig (file
-// form: observability.tracing). The zero value head-samples nothing and
-// keeps only slow/error traces — set SampleRate explicitly; a nil
-// TraceConfig on ObservabilityConfig means sample everything instead.
-type TraceConfig struct {
-	// SampleRate is the head-sampling probability in [0, 1] for traces
-	// originating at this deployment. 0 keeps only slow/error traces.
-	SampleRate float64
-	// StoreSize bounds the in-memory trace store behind
-	// /v1/debug/traces; 0 means obs.DefaultTraceStoreSize, negative
-	// disables retention.
-	StoreSize int
-	// SlowAlways stores any trace slower than this even when head
-	// sampling passed it by; 0 disables the slow lane's tail decision.
-	SlowAlways time.Duration
-}
+// maxTraceStore bounds TraceConfig.StoreSize: the trace store
+// allocates its ring up front, so an absurd size must fail at startup
+// as a config error, not as an allocation panic.
+const maxTraceStore = 1 << 20
 
 // options translates the config into the per-handler observability
 // options, stamping the component name that request logs carry and the
@@ -87,27 +30,57 @@ func (o *ObservabilityConfig) options(component string, tracer *obs.Tracer) fing
 	if o != nil {
 		opts.Logger = o.Logger
 		opts.RequestLog = o.RequestLog
-		opts.SlowQueryThreshold = o.SlowQueryThreshold
-		opts.DisableMetrics = o.DisableMetrics
+		opts.SlowQueryThreshold = time.Duration(o.SlowQueryThreshold)
+		opts.DisableMetrics = o.Metrics != nil && !*o.Metrics
 	}
 	return opts
 }
 
-// tracer builds the deployment-wide Tracer every handler shares — one
-// store holds an in-process topology's whole span tree. A nil Trace
-// block samples every request into a default-sized store, so traces are
-// inspectable out of the box; tune (or effectively disable with
-// SampleRate 0 and StoreSize -1) via the Trace block.
-func (d Deployment) tracer() *obs.Tracer {
-	tc := TraceConfig{SampleRate: 1}
-	if d.Observability != nil && d.Observability.Trace != nil {
-		tc = *d.Observability.Trace
+// tracer builds the Tracer every handler of a deployment (or a router)
+// shares — one store holds an in-process topology's whole span tree. A
+// nil Trace block samples every request into a default-sized store, so
+// traces are inspectable out of the box; tune (or effectively disable
+// with SampleRate 0 and StoreSize -1) via the Trace block.
+func (o *ObservabilityConfig) tracer() *obs.Tracer {
+	opts := obs.TracerOptions{SampleRate: 1}
+	if o != nil && o.Trace != nil {
+		if o.Trace.SampleRate != nil {
+			opts.SampleRate = *o.Trace.SampleRate
+		}
+		opts.StoreSize = o.Trace.StoreSize
+		opts.SlowAlways = time.Duration(o.Trace.SlowAlways)
 	}
-	return obs.NewTracer(obs.TracerOptions{
-		SampleRate: tc.SampleRate,
-		StoreSize:  tc.StoreSize,
-		SlowAlways: tc.SlowAlways,
-	})
+	return obs.NewTracer(opts)
+}
+
+// validate is the observability part of Deployment.validate, which
+// RouterPlan runs on its own. Negative thresholds and unparseable
+// listen addresses are rejected rather than silently ignored — an
+// operator who wrote one believes it is in effect.
+func (o *ObservabilityConfig) validate() error {
+	if o == nil {
+		return nil
+	}
+	if o.SlowQueryThreshold < 0 {
+		return fmt.Errorf("serve: observability.slow_query_threshold must be non-negative (0 disables the slow-query log), got %s", o.SlowQueryThreshold)
+	}
+	if o.DebugAddr != "" {
+		if _, _, err := net.SplitHostPort(o.DebugAddr); err != nil {
+			return fmt.Errorf("serve: observability.debug_addr must be host:port: %w", err)
+		}
+	}
+	if t := o.Trace; t != nil {
+		if t.SampleRate != nil && (*t.SampleRate < 0 || *t.SampleRate > 1) {
+			return fmt.Errorf("serve: observability.tracing.sample_rate must be in [0, 1], got %v", *t.SampleRate)
+		}
+		if t.SlowAlways < 0 {
+			return fmt.Errorf("serve: observability.tracing.slow_always must be non-negative (0 disables), got %s", t.SlowAlways)
+		}
+		if t.StoreSize > maxTraceStore {
+			return fmt.Errorf("serve: observability.tracing.store must be at most %d traces, got %d", maxTraceStore, t.StoreSize)
+		}
+	}
+	return nil
 }
 
 // Deployment declares a complete serving topology over one linkage
@@ -160,18 +133,59 @@ type Deployment struct {
 	Replication *ReplicationConfig
 }
 
-// ReplicationConfig enables replication on a single-service deployment
-// (file form: the replication block of a Config).
-type ReplicationConfig struct {
-	// Peer is the sync source base URL — normally another replica of
-	// the same shard. Empty means source-only: the daemon starts live
-	// and syncs only when a repair nudge names a peer.
-	Peer string
+// validate is every range and shape check of a Deployment, for the Go
+// form and the file form alike: Build runs it before building anything,
+// Config.Deployment before returning. The messages name the file keys.
+func (d Deployment) validate() error {
+	if d.Shards < 0 {
+		return fmt.Errorf("serve: shards must be non-negative, got %d", d.Shards)
+	}
+	if d.ReplicasPerShard < 0 {
+		return fmt.Errorf("serve: replicas_per_shard must be non-negative, got %d", d.ReplicasPerShard)
+	}
+	if d.ReplicasPerShard > 1 && d.Shards <= 1 {
+		return fmt.Errorf("serve: replicas_per_shard needs shards > 1 (a single service has no replicas)")
+	}
+	if _, ok := d.Backend.(PrebuiltSpec); ok && d.Shards > 1 {
+		return fmt.Errorf("serve: a prebuilt backend covers the whole database and cannot be sharded")
+	}
+	if w := d.WAL; w != nil {
+		if d.VolatileWrites {
+			return fmt.Errorf("serve: wal and volatile_writes contradict each other: a write path is durable or it is not")
+		}
+		if w.Dir == "" {
+			return fmt.Errorf("serve: wal.dir is required when wal is set")
+		}
+		if w.FsyncEvery < 0 || w.SegmentBytes < 0 {
+			// The ingest layer would quietly normalize these to defaults;
+			// an operator who wrote one believes it is enforced.
+			return fmt.Errorf("serve: wal.fsync_every and wal.segment_bytes must be non-negative (0 means default)")
+		}
+		if _, err := ingest.ParseSyncPolicy(w.Fsync); err != nil {
+			return err
+		}
+		// The ingest layer reads 0 as "use the default", which would
+		// silently override an explicit 0 here — make the operator say
+		// what they mean.
+		if w.DriftThreshold != nil && *w.DriftThreshold == 0 {
+			return fmt.Errorf("serve: wal.drift_threshold 0 is ambiguous: omit it for the default, use a negative value to disable retrains, or a small positive fraction")
+		}
+	}
+	if d.Replication != nil {
+		if d.WAL == nil {
+			return fmt.Errorf("serve: replication requires a wal block — the WAL is the replication transport")
+		}
+		if d.Shards > 1 {
+			return fmt.Errorf("serve: replication applies to a single-service daemon; in a routed topology each shard process carries its own replication block")
+		}
+	}
+	return d.Observability.validate()
 }
 
 // Server is a built Deployment: the handle through which a process
-// serves, snapshots, and shuts down one topology. Exactly one of
-// Service or Router is non-nil, matching the deployment's shape.
+// serves, snapshots, and shuts down one topology: a single query
+// service (Service) or a scatter-gather router, matching the
+// deployment's shape.
 type Server struct {
 	handler http.Handler
 	svc     *fingerprint.Service
@@ -188,9 +202,6 @@ func (s *Server) Handler() http.Handler { return s.handler }
 
 // Service returns the single query service, nil for a sharded build.
 func (s *Server) Service() *fingerprint.Service { return s.svc }
-
-// Router returns the scatter-gather router, nil for a single build.
-func (s *Server) Router() *shard.Router { return s.router }
 
 // Stores returns every durable write path the build opened (one per
 // shard replica), empty without a WAL — volatile stores have nothing
@@ -220,13 +231,6 @@ func (s *Server) Store() *ingest.Store {
 	}
 	return nil
 }
-
-// Syncer returns the replication state machine, nil unless the
-// deployment declared Replication.
-func (s *Server) Syncer() *cluster.Syncer { return s.syncer }
-
-// Tracer returns the deployment-wide tracer the built handlers share.
-func (s *Server) Tracer() *obs.Tracer { return s.tracer }
 
 // TraceStore returns the trace retention store behind the deployment's
 // tracer — what ListenDebug mounts as /v1/debug/traces. Nil when
@@ -278,6 +282,9 @@ func (d Deployment) Build(db *fingerprint.DB) (*Server, error) {
 	if db == nil {
 		return nil, fmt.Errorf("serve: no linkage database to serve (a session has one after Fingerprint)")
 	}
+	if err := d.validate(); err != nil {
+		return nil, err
+	}
 	spec := d.Backend
 	if spec == nil {
 		spec = FlatSpec{}
@@ -293,14 +300,11 @@ func (d Deployment) Build(db *fingerprint.DB) (*Server, error) {
 // The handler is built last — replication mounts the /v1/repl/* routes
 // on the service first.
 func (d Deployment) buildSingle(db *fingerprint.DB, spec BackendSpec) (*Server, error) {
-	if d.Replication != nil && d.WAL == nil {
-		return nil, fmt.Errorf("serve: replication requires a WAL — the WAL is the replication transport")
-	}
 	searcher, err := spec.Build(db)
 	if err != nil {
 		return nil, err
 	}
-	tracer := d.tracer()
+	tracer := d.Observability.tracer()
 	sopts := append(append([]fingerprint.ServiceOption{}, d.Limits...),
 		fingerprint.WithObservability(d.Observability.options("serve", tracer)))
 	svc := fingerprint.NewSearcherService(searcher, sopts...)
@@ -417,12 +421,6 @@ func (d Deployment) logf(format string, args ...any) {
 // protocol across them. Writes route to the owning shard and replicate
 // to all of its replicas, exactly like the caltrain-router topology.
 func (d Deployment) buildSharded(db *fingerprint.DB, spec BackendSpec) (*Server, error) {
-	if _, ok := spec.(PrebuiltSpec); ok {
-		return nil, fmt.Errorf("serve: a prebuilt backend covers the whole database and cannot be sharded")
-	}
-	if d.Replication != nil {
-		return nil, fmt.Errorf("serve: replication applies to a single-service daemon; in a routed topology each shard process carries its own replication config")
-	}
 	m, err := shard.NewHashMap(d.Shards)
 	if err != nil {
 		return nil, err
@@ -463,7 +461,7 @@ func (d Deployment) buildSharded(db *fingerprint.DB, spec BackendSpec) (*Server,
 	// One tracer for the whole topology: the router's middleware records
 	// the root, and the local replicas' spans flow into the same trace
 	// through the request context — a single store holds the full tree.
-	tracer := d.tracer()
+	tracer := d.Observability.tracer()
 	srv.tracer = tracer
 	ropts := []shard.RouterOption{shard.WithObservability(d.Observability.options("router", tracer))}
 	if d.WAL == nil && !d.VolatileWrites {
@@ -503,22 +501,21 @@ func (d Deployment) logDir(elem ...string) string {
 }
 
 // openStore opens one write path, durable with a log at dir and
-// volatile when dir is "". Either way the retrain hook defaults to the
-// spec's and the hot-swap target to the built service, so writes past
-// the drift threshold retrain the serving backend.
+// volatile when dir is "" — the one place a deployment's ingest.Options
+// are made. Retrains rebuild through the spec and hot-swap into the
+// built service, so writes past the drift threshold retrain the serving
+// backend; their outcomes go to the deployment's logger.
 func (d Deployment) openStore(dir string, db *fingerprint.DB, searcher fingerprint.Searcher, spec BackendSpec, svc *fingerprint.Service) (*ingest.Store, error) {
-	var opts ingest.Options
-	if d.WAL != nil {
-		opts = d.WAL.Store
-	}
-	if opts.Rebuild == nil {
-		opts.Rebuild = spec.Rebuild()
-	}
-	if opts.Swapper == nil {
-		opts.Swapper = svc
-	}
-	if opts.Logf == nil {
-		opts.Logf = d.logf
+	opts := ingest.Options{Rebuild: spec.Rebuild(), Swapper: svc, Logf: d.logf}
+	if w := d.WAL; w != nil {
+		sync, err := ingest.ParseSyncPolicy(w.Fsync)
+		if err != nil {
+			return nil, err
+		}
+		opts.WAL = ingest.WALOptions{Sync: sync, SyncEvery: time.Duration(w.FsyncEvery), SegmentBytes: w.SegmentBytes}
+		if w.DriftThreshold != nil {
+			opts.DriftThreshold = *w.DriftThreshold
+		}
 	}
 	return ingest.Open(dir, db, searcher, opts)
 }

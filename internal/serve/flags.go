@@ -12,7 +12,7 @@ import (
 // Flags are an overlay on Config: the daemons bind each serving knob's
 // flag straight into the Config field it sets, so the flag path and the
 // -deployment file path meet in one value and share Config.Deployment /
-// Config.RouterPlan — one translation, one set of range checks. The
+// Config.RouterPlan, and with them Deployment's one validation. The
 // binders below cover the flags more than one binary declares.
 
 // ResolveConfig picks the one Config a daemon runs from: the flag-bound
@@ -74,16 +74,16 @@ func BindLimitFlags(fs *flag.FlagSet, l *LimitsConfig, bucketsUsage string) {
 // BindObservabilityFlags binds the logging and tracing flags both
 // serving daemons take (-request-log -slow-query-threshold
 // -trace-sample-rate -trace-store -trace-slow) into o. It allocates
-// o.Tracing to bind into; like every optional block, the caller drops
-// it again when none of its flags was given.
-func BindObservabilityFlags(fs *flag.FlagSet, o *ObsFileConfig) {
+// o.Trace to bind into; like every optional block, the caller drops it
+// again when none of its flags was given.
+func BindObservabilityFlags(fs *flag.FlagSet, o *ObservabilityConfig) {
 	fs.BoolVar(&o.RequestLog, "request-log", false, "log one structured line per request: request ID, trace ID, status, duration, stage timings")
 	fs.Var(&o.SlowQueryThreshold, "slow-query-threshold", "warn about requests slower than this, even without -request-log (0 = disabled)")
 	rate := 1.0
-	o.Tracing = &TraceFileConfig{SampleRate: &rate}
-	fs.Float64Var(o.Tracing.SampleRate, "trace-sample-rate", rate, "head-sampling probability for request traces, in [0,1] (0 = keep only slow/error traces)")
-	fs.IntVar(&o.Tracing.Store, "trace-store", 0, "in-memory trace store size behind /v1/debug/traces (0 = default, negative = no retention)")
-	fs.Var(&o.Tracing.SlowAlways, "trace-slow", "always store traces slower than this, even when not head-sampled (0 = disabled)")
+	o.Trace = &TraceConfig{SampleRate: &rate}
+	fs.Float64Var(o.Trace.SampleRate, "trace-sample-rate", rate, "head-sampling probability for request traces, in [0,1] (0 = keep only slow/error traces)")
+	fs.IntVar(&o.Trace.StoreSize, "trace-store", 0, "in-memory trace store size behind /v1/debug/traces (0 = default, negative = no retention)")
+	fs.Var(&o.Trace.SlowAlways, "trace-slow", "always store traces slower than this, even when not head-sampled (0 = disabled)")
 }
 
 // durationList is the flag form of a []Duration field: a

@@ -1,14 +1,20 @@
 package serve
 
 import (
+	"bytes"
+	"encoding/json"
+	"reflect"
 	"strings"
 	"testing"
 )
 
 // FuzzParseConfig drives the one door every serving knob — flag or
-// file — enters through: whatever bytes arrive, ParseConfig followed by
-// both translations returns a value or an error and never panics. The
-// seeds are the documents the config tests already use.
+// file — enters through. The Go value is the document: whatever parses
+// marshals back into a document that parses to the same Config. And
+// whatever bytes arrive, Config.Deployment (which runs the one
+// validation Build runs, without building) and RouterPlan return a
+// value or an error and never panic. The seeds are the documents the
+// config tests already use.
 func FuzzParseConfig(f *testing.F) {
 	for _, doc := range []string{
 		`{}`,
@@ -30,6 +36,10 @@ func FuzzParseConfig(f *testing.F) {
 		`{"backend": {"kind": "flat"}} {"shards": 2}`,
 		// A store size the tracer would try to allocate up front.
 		`{"topology": {"map": "map.ctsm", "shards": {"0": ["a:1"], "1": ["b:1"]}}, "observability": {"tracing": {"store": 4611686018427387904}}}`,
+		`{"observability": {"tracing": {"store": 1048577}}}`,
+		// Empty and null collections are values of their own.
+		`{"limits": {"latency_buckets": []}, "observability": {"metrics": null, "tracing": {"sample_rate": 0}}}`,
+		`{"topology": {"map": "", "shards": {}}}`,
 	} {
 		f.Add(doc)
 	}
@@ -41,6 +51,13 @@ func FuzzParseConfig(f *testing.F) {
 		cfg, err := ParseConfig(strings.NewReader(doc))
 		if err != nil {
 			return
+		}
+		b, err := json.Marshal(cfg)
+		if err != nil {
+			t.Fatalf("%s parses but does not marshal: %v", doc, err)
+		}
+		if again, err := ParseConfig(bytes.NewReader(b)); err != nil || !reflect.DeepEqual(again, cfg) {
+			t.Fatalf("%s parses to a Config that marshals to %s, which parses to %+v (%v)", doc, b, again, err)
 		}
 		if dep, err := cfg.Deployment(); err == nil && dep.Backend == nil {
 			t.Fatalf("Deployment() returned neither a backend nor an error for %s", doc)

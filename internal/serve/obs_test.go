@@ -36,7 +36,7 @@ func TestConfigObservabilityBlock(t *testing.T) {
 	if o == nil {
 		t.Fatal("observability block not translated")
 	}
-	if !o.DisableMetrics || !o.RequestLog || o.SlowQueryThreshold != 250*time.Millisecond || o.DebugAddr != "localhost:6060" {
+	if o.Metrics == nil || *o.Metrics || !o.RequestLog || o.SlowQueryThreshold != Duration(250*time.Millisecond) || o.DebugAddr != "localhost:6060" {
 		t.Fatalf("observability config: %+v", o)
 	}
 
@@ -50,7 +50,7 @@ func TestConfigObservabilityBlock(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
-		if dep.Observability != nil && dep.Observability.DisableMetrics {
+		if m := dep.Observability.Metrics; m != nil && !*m {
 			t.Fatalf("%s: metrics disabled by default", doc)
 		}
 	}
@@ -309,7 +309,7 @@ func TestConfigTracingBlock(t *testing.T) {
 	if tc == nil {
 		t.Fatal("tracing block not translated")
 	}
-	if tc.SampleRate != 0.25 || tc.StoreSize != 64 || tc.SlowAlways != 100*time.Millisecond {
+	if tc.SampleRate == nil || *tc.SampleRate != 0.25 || tc.StoreSize != 64 || tc.SlowAlways != Duration(100*time.Millisecond) {
 		t.Fatalf("tracing config: %+v", tc)
 	}
 

@@ -13,7 +13,6 @@ import (
 
 	"caltrain/internal/cluster"
 	"caltrain/internal/fingerprint"
-	"caltrain/internal/ingest"
 	"caltrain/internal/shard"
 )
 
@@ -56,7 +55,7 @@ func TestParseConfigReplication(t *testing.T) {
 
 func replDeployment(dir, peer string) Deployment {
 	return Deployment{
-		WAL:         &WALConfig{Dir: dir, Store: ingest.Options{WAL: ingest.WALOptions{Sync: ingest.SyncNever}}},
+		WAL:         &WALConfig{Dir: dir, Fsync: "never"},
 		Replication: &ReplicationConfig{Peer: peer},
 	}
 }
@@ -73,7 +72,7 @@ func TestReplicationDeploymentBuild(t *testing.T) {
 		t.Fatal(err)
 	}
 	defer source.Close()
-	if source.Syncer() == nil || source.Store() == nil {
+	if source.syncer == nil || source.Store() == nil {
 		t.Fatal("replication build has no syncer or store")
 	}
 	ts := httptest.NewServer(source.Handler())
@@ -100,10 +99,10 @@ func TestReplicationDeploymentBuild(t *testing.T) {
 		t.Fatal(err)
 	}
 	defer follower.Close()
-	if err := follower.Syncer().Sync(context.Background()); err != nil {
+	if err := follower.syncer.Sync(context.Background()); err != nil {
 		t.Fatal(err)
 	}
-	if got := follower.Syncer().State(); got != cluster.StateLive {
+	if got := follower.syncer.State(); got != cluster.StateLive {
 		t.Fatalf("follower state %v, want live", got)
 	}
 	if got, want := follower.Service().Searcher().Len(), 41; got != want {
@@ -184,7 +183,7 @@ func TestRouterPlan(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if srv.Router() == nil {
+	if srv.router == nil {
 		t.Fatal("plan did not build a router")
 	}
 }
@@ -251,9 +250,9 @@ func TestReplicationServeRunsStartupSync(t *testing.T) {
 	go func() { done <- follower.Serve(ctx, l, time.Second) }()
 
 	deadline := time.Now().Add(10 * time.Second)
-	for follower.Syncer().State() != cluster.StateLive {
+	for follower.syncer.State() != cluster.StateLive {
 		if time.Now().After(deadline) {
-			t.Fatalf("follower never reached live: %+v", follower.Syncer().Status())
+			t.Fatalf("follower never reached live: %+v", follower.syncer.Status())
 		}
 		time.Sleep(10 * time.Millisecond)
 	}

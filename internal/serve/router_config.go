@@ -108,14 +108,17 @@ func (c Config) RouterPlan(logger *slog.Logger) (*RouterPlan, error) {
 		return nil, fmt.Errorf("serve: topology.shards keys %v are outside the map's %d shards", extra, m.NumShards())
 	}
 
-	oc, err := c.observability()
-	if err != nil {
+	if err := c.Observability.validate(); err != nil {
 		return nil, err
+	}
+	var oc ObservabilityConfig
+	if c.Observability != nil {
+		oc = *c.Observability
 	}
 	if logger != nil {
 		oc.Logger = logger
 	}
-	tracer := (Deployment{Observability: oc}).tracer()
+	tracer := oc.tracer()
 	opts := []shard.RouterOption{
 		shard.WithWriteQuorum(t.WriteQuorum),
 		shard.WithObservability(oc.options("router", tracer)),

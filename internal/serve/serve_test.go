@@ -148,8 +148,8 @@ func TestDeploymentSingleReadOnly(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if srv.Service() == nil || srv.Router() != nil || srv.Store() != nil {
-		t.Fatalf("single build shape: svc=%v router=%v stores=%v", srv.Service(), srv.Router(), srv.Stores())
+	if srv.Service() == nil || srv.router != nil || srv.Store() != nil {
+		t.Fatalf("single build shape: svc=%v router=%v stores=%v", srv.Service(), srv.router, srv.Stores())
 	}
 	hs := httptest.NewServer(srv.Handler())
 	defer hs.Close()
@@ -302,7 +302,7 @@ func TestDeploymentShardedIngestRoutesToOwningShard(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if srv.Router() == nil || srv.Service() != nil {
+	if srv.router == nil || srv.Service() != nil {
 		t.Fatal("sharded build shape wrong")
 	}
 	hs := httptest.NewServer(srv.Handler())
@@ -359,7 +359,7 @@ func TestDeploymentShardedDurableWrites(t *testing.T) {
 		db := testDB(t, 8, 200, 4)
 		srv, err := Deployment{
 			Shards: 2,
-			WAL:    &WALConfig{Dir: walDir, Store: ingest.Options{WAL: ingest.WALOptions{Sync: ingest.SyncAlways}}},
+			WAL:    &WALConfig{Dir: walDir, Fsync: "always"},
 		}.Build(db)
 		if err != nil {
 			t.Fatal(err)

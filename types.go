@@ -130,7 +130,9 @@ type (
 	// DeploymentServer is a built Deployment: handler, service or
 	// router, and the write-path stores.
 	DeploymentServer = serve.Server
-	// WALConfig enables a Deployment's durable write path.
+	// WALConfig enables a Deployment's durable write path: the log
+	// directory, fsync policy ("always" when empty), segment size and
+	// drift threshold — the wal block of a -deployment file.
 	WALConfig = serve.WALConfig
 )
 
@@ -139,15 +141,16 @@ type (
 // distributed request tracing with W3C-traceparent propagation.
 type (
 	// ObservabilityConfig tunes a Deployment's observability — the
-	// metrics endpoint, request and slow-query logging, tracing, and the
-	// debug listener address.
+	// metrics endpoint (Metrics: nil or true serves it, false removes
+	// it), request and slow-query logging, tracing, and the debug
+	// listener address.
 	ObservabilityConfig = serve.ObservabilityConfig
 	// ObservabilityOptions is the per-handler form the router option
 	// WithRouterObservability takes.
 	ObservabilityOptions = fingerprint.Observability
-	// TraceConfig tunes a Deployment's tracing — head-sampling rate,
-	// trace store size, always-keep slow threshold: the
-	// ObservabilityConfig.Trace block.
+	// TraceConfig tunes a Deployment's tracing — head-sampling rate
+	// (nil SampleRate samples every request), trace store size,
+	// always-keep slow threshold: the ObservabilityConfig.Trace block.
 	TraceConfig = serve.TraceConfig
 )
 
