@@ -250,6 +250,25 @@ func (db *DB) ClassIndex(y int) []int {
 	return out
 }
 
+// ClassIndexInto is ClassIndex as int32, what an index keeps per entry,
+// written into dst's storage when it has room and into a new exact-size
+// slice when it has not: an index builder's identities without
+// ClassIndex's copy.
+func (db *DB) ClassIndexInto(dst []int32, y int) []int32 {
+	db.mu.RLock()
+	defer db.mu.RUnlock()
+	members := db.byClass[y]
+	n := members.len()
+	if cap(dst) < n {
+		dst = make([]int32, n)
+	}
+	dst = dst[:n]
+	for k := range dst {
+		dst[k] = members.get(k)
+	}
+	return dst
+}
+
 // ClassBlock returns the contiguous row-major fingerprints of the first
 // len(block)/Dim() entries of ClassIndex(y) — the class's rows as LoadDB
 // laid them out — or nil for a label holding only entries stored by Add.

@@ -31,7 +31,7 @@ type Flat struct {
 func NewFlat(db *fingerprint.DB) *Flat {
 	x := &Flat{dim: db.Dim(), buckets: make(map[int]*bucket)}
 	for _, y := range db.Labels() {
-		b := buildBucket(db, y)
+		b := buildBucket(db, y, nil)
 		x.buckets[y] = b
 		x.total += b.n
 	}

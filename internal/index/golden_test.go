@@ -6,6 +6,7 @@ import (
 	"encoding/hex"
 	"math/rand/v2"
 	"runtime"
+	"slices"
 	"testing"
 
 	"caltrain/internal/fingerprint"
@@ -28,17 +29,26 @@ import (
 // so empty clusters are re-seeded and the rng draw order matters); and
 // entries appended after training (the encode path of Append and WAL
 // replay), to IVF and to IVFPQ at both kinds of subvector width, one of
-// them to a label the index has never seen.
+// them to a label the index has never seen. The "sizes" rows train
+// classes of unequal size in one database, largest first and smallest
+// first — one past parallelScanThreshold, one under the sample cap, one
+// below nlist — so that
+// scratch one class leaves behind for the next reads as changed bytes;
+// they were recorded before training reused one workspace across labels.
 var goldenDigests = map[string]string{
-	"ivf/dim16":         "cd072be7ac23de12e86e229818e320a70fa028efcfdeed2d12b780929b244772",
-	"ivf/dim16/+":       "49695fd6b7f13feffca4c5c807aa1c7d41c369f691de72a87f10c45c7866d565",
-	"ivfpq/dim64/m16":   "622dc72a83537852a0f05a70d64fe896e974aae4cb9bbb4151ba6c8d32fca1de",
-	"ivfpq/dim24/m2":    "e5e556bf37d480d4bb6e34b0f9f07b8f43cc4c30f105317acac1a126073d6f0a",
-	"ivfpq/dim24/m2/+":  "b16cb31549f359ae1c5df2da751843d8fc2b05dc926d9824ebef98a69f8a042b",
-	"ivfpq/dim16/m2":    "8d9cc54a50dae1b736ac654c387a245f173f5dbb40271a757259b583321b8659",
-	"ivfpq/dim6/m2":     "8818d6aaa0d5266eadab42474207d406d82344c5efaf704f2e8415fe20758c7b",
-	"ivfpq/dim10/m2":    "4905ab52dce675b3e88e707c8eea2524859901ff916ab7fd7de092e8dbbaf717",
-	"ivfpq/dim64/m16/+": "17b55f5710379443c462acc53b5081acdfa50f8df48c1d39e48d54a5a755eb52",
+	"ivf/dim16":               "cd072be7ac23de12e86e229818e320a70fa028efcfdeed2d12b780929b244772",
+	"ivf/dim16/+":             "49695fd6b7f13feffca4c5c807aa1c7d41c369f691de72a87f10c45c7866d565",
+	"ivfpq/dim64/m16":         "622dc72a83537852a0f05a70d64fe896e974aae4cb9bbb4151ba6c8d32fca1de",
+	"ivfpq/dim24/m2":          "e5e556bf37d480d4bb6e34b0f9f07b8f43cc4c30f105317acac1a126073d6f0a",
+	"ivfpq/dim24/m2/+":        "b16cb31549f359ae1c5df2da751843d8fc2b05dc926d9824ebef98a69f8a042b",
+	"ivfpq/dim16/m2":          "8d9cc54a50dae1b736ac654c387a245f173f5dbb40271a757259b583321b8659",
+	"ivfpq/dim6/m2":           "8818d6aaa0d5266eadab42474207d406d82344c5efaf704f2e8415fe20758c7b",
+	"ivfpq/dim10/m2":          "4905ab52dce675b3e88e707c8eea2524859901ff916ab7fd7de092e8dbbaf717",
+	"ivfpq/dim64/m16/+":       "17b55f5710379443c462acc53b5081acdfa50f8df48c1d39e48d54a5a755eb52",
+	"ivf/sizes/large-small":   "c2ede7390ac0558f14e485b617d99c7f13328bd2915e1825d22827a847370ceb",
+	"ivf/sizes/small-large":   "4e45dfb5150ec3099b50dda3f5f3c6a8d180e87ed793d682e1c27dd0f4144806",
+	"ivfpq/sizes/large-small": "1cf9bc88cf31d4bb04b717b89bd029ac1715f9457ae95499d23f3602fc818ade",
+	"ivfpq/sizes/small-large": "30451e60e1688e17fb0fac7908c34d114ad642585aea162235dd410abdf29c0f",
 }
 
 // goldenCase is one pinned index: the database it is trained over, the
@@ -59,6 +69,23 @@ func goldenCases(t testing.TB) map[string]goldenCase {
 	out := map[string]goldenCase{
 		"ivf/dim16":   {db: populatedDB(t, 16, 600, 3, 77), train: ivf},
 		"ivf/dim16/+": {db: populatedDB(t, 16, 600, 3, 77), train: ivf, appends: goldenAppends(16, 3, 40)},
+	}
+	for name, sizes := range map[string][]int{
+		"large-small": {9000, 200, 6},
+		"small-large": {6, 200, 9000},
+	} {
+		out["ivf/sizes/"+name] = goldenCase{db: sizedDB(t, 16, 21, sizes), train: ivf}
+	}
+	for name, sizes := range map[string][]int{
+		"large-small": {9000, 300, 4},
+		"small-large": {4, 300, 9000},
+	} {
+		out["ivfpq/sizes/"+name] = goldenCase{
+			db: sizedDB(t, 16, 22, sizes),
+			train: func(db *fingerprint.DB) (Appender, error) {
+				return TrainIVFPQ(db, IVFPQOptions{IVFOptions: IVFOptions{Nlist: 6, Seed: 9}, M: 4})
+			},
+		}
 	}
 	for _, c := range []struct {
 		name            string
@@ -83,6 +110,31 @@ func goldenCases(t testing.TB) map[string]goldenCase {
 		}
 	}
 	return out
+}
+
+// sizedDB returns a database holding sizes[y] random entries of label
+// y, the labels interleaved until each runs out.
+func sizedDB(t testing.TB, dim int, seed uint64, sizes []int) *fingerprint.DB {
+	t.Helper()
+	db, err := fingerprint.NewDB(dim)
+	if err != nil {
+		t.Fatal(err)
+	}
+	rng := rand.New(rand.NewPCG(seed, 1))
+	left := slices.Clone(sizes)
+	for i := 0; slices.Max(left) > 0; i++ {
+		y := i % len(left)
+		if left[y] == 0 {
+			continue
+		}
+		left[y]--
+		var h [32]byte
+		h[0], h[1] = byte(i), byte(i>>8)
+		if err := db.Add(fingerprint.Linkage{F: randomFP(rng, dim), Y: y, S: "erin", H: h}); err != nil {
+			t.Fatal(err)
+		}
+	}
+	return db
 }
 
 // goldenAppends draws n fingerprints to append, labelled with the

@@ -215,29 +215,35 @@ func (b *bucket) appendEntry(dbIdx int32, l fingerprint.Linkage) int32 {
 // not cover (entries stored by Add) are copied — into the tail behind an
 // aliased base, or as a private base when the label has no block.
 // Nothing else of a linkage is copied: the bucket keeps each entry's
-// database index and db.
-func buildBucket(db *fingerprint.DB, y int) *bucket {
+// database index and db. Given a training workspace, the identities and
+// copied rows go into its storage instead of the bucket's own: IVFPQ's
+// bucket of a label lives only while that label trains.
+func buildBucket(db *fingerprint.DB, y int, km *kmeans) *bucket {
 	dim := db.Dim()
-	idxs := db.ClassIndex(y)
+	var idx []int32
+	var own []float32
+	if km != nil {
+		idx, own = km.idx, km.own
+	}
+	idx = db.ClassIndexInto(idx, y)
 	block := db.ClassBlock(y)
 	nb := len(block) / dim
-	own := make([]float32, (len(idxs)-nb)*dim)
+	if n := (len(idx) - nb) * dim; cap(own) < n {
+		own = make([]float32, n)
+	} else {
+		own = own[:n]
+	}
+	if km != nil {
+		km.idx, km.own = idx, own
+	}
 	vecs := rows{dim: dim, nb: nb, base: block, tail: own, shared: true}
 	if nb == 0 {
-		vecs = rows{dim: dim, nb: len(idxs), base: own}
+		vecs = rows{dim: dim, nb: len(idx), base: own}
 	}
-	b := &bucket{
-		entries: entries{db: db, idx: make([]int32, len(idxs))},
-		n:       len(idxs),
-		vecs:    vecs,
+	for i := nb; i < len(idx); i++ {
+		copy(own[(i-nb)*dim:], db.Entry(int(idx[i])).F)
 	}
-	for i, dbIdx := range idxs {
-		if i >= nb {
-			copy(own[(i-nb)*dim:], db.Entry(dbIdx).F)
-		}
-		b.idx[i] = int32(dbIdx)
-	}
-	return b
+	return &bucket{entries: entries{db: db, idx: idx}, n: len(idx), vecs: vecs}
 }
 
 // clip keeps the bucket's first n entries: Load's bucket of a label

@@ -308,7 +308,7 @@ func TestNearestLists(t *testing.T) {
 	}
 }
 
-// TestInvertedListsCapClipped pins the layout trainClass hands out: the
+// TestInvertedListsCapClipped pins the layout TrainIVF hands out: the
 // lists of a class are sub-slices of one arena, each with capacity equal
 // to its length, so appending to a list moves THAT list and leaves the
 // rows of the next one alone. Every list gets an append (its own

@@ -5,6 +5,7 @@ import (
 	"math"
 	"math/rand/v2"
 	"slices"
+	"sync"
 
 	"caltrain/internal/fingerprint"
 	"caltrain/internal/kernel"
@@ -117,7 +118,8 @@ type IVF struct {
 
 // TrainIVF builds an IVF index from a snapshot of the linkage database.
 // Training runs per label: sample, k-means (kmeans++-free random init +
-// Lloyd refinement), then one full assignment pass.
+// Lloyd refinement), then one full assignment pass. It allocates what
+// the index keeps and one workspace (kmeans).
 func TrainIVF(db *fingerprint.DB, opts IVFOptions) (*IVF, error) {
 	if db.Len() == 0 {
 		return nil, fmt.Errorf("index: cannot train IVF on an empty database")
@@ -127,9 +129,10 @@ func TrainIVF(db *fingerprint.DB, opts IVFOptions) (*IVF, error) {
 	nprobe := 0
 	var km kmeans
 	for _, y := range db.Labels() {
-		b := buildBucket(db, y)
+		b := buildBucket(db, y, nil)
 		o := opts.withDefaults(b.n)
-		c := trainClass(b, o, &km)
+		c := &ivfClass{b: b, coarse: trainCoarse(b, o, &km)}
+		c.lists = invertedLists(km.assign, c.nlist, make([]int32, b.n))
 		x.labels[y] = c
 		x.total += b.n
 		// The coarsest label's nprobe default governs the index; labels
@@ -140,43 +143,73 @@ func TrainIVF(db *fingerprint.DB, opts IVFOptions) (*IVF, error) {
 	return x, nil
 }
 
-// kmeans is the working memory of a set-up's k-means passes, handed from
-// label to label and from subquantizer to subquantizer: a pass's buffers
-// are garbage by the next, and fresh ones would land on pages no
-// collection has freed yet, adding to the set-up's peak resident memory.
+// kmeans is the one workspace of a training call: every buffer the
+// set-up needs besides what the trained index keeps, sized by the
+// largest label and handed from label to label, from subquantizer to
+// subquantizer and from pass to pass. A pass's buffers are garbage by
+// the next, and fresh ones would land on pages no collection has freed
+// yet, adding to the set-up's peak resident memory. Per entry of the
+// largest label it holds four int32 (IVF) or seven (IVFPQ), plus IVFPQ's
+// one subquantizer's sample and the rows of the label the database
+// holds no class block of; see TestTrainAllocBudget.
 type kmeans struct {
+	perm   []int32   // a seeded permutation of a label's points: its sample
+	slot   []int32   // storageOrder's row → position map, zeroed per use
+	near   []int32   // a Lloyd round's cluster of each point
 	sums   []float64 // a Lloyd round's per-cluster sums
-	assign []int32   // a round's cluster of each point
+	counts []int     // a Lloyd round's per-cluster sizes
+	assign []int32   // the full assignment pass's list of each bucket position
+
+	// IVFPQ's alone: the bucket of the label in training (buildBucket),
+	// its positions list by list (the coarse lists' arena), and the
+	// sample one subquantizer trains on with its identity and table.
+	idx    []int32
+	own    []float32
+	order  []int32
+	sample []float32
+	all    []int32
+	cents  []float32
+	// tiles are the encoding pass's, one per concurrent worker.
+	mu    sync.Mutex
+	tiles []*encodeTile
 }
 
-// trainClass trains one label's coarse quantizer and inverted lists.
-func trainClass(b *bucket, o IVFOptions, km *kmeans) *ivfClass {
-	dim := b.vecs.dim
-	rng := rand.New(rand.NewPCG(o.Seed, uint64(b.n)<<16|uint64(o.Nlist)))
-	c := &ivfClass{b: b}
-	if o.Nlist >= b.n {
-		// Degenerate: every point its own list; centroids are the points.
-		c.coarse = newCoarse(append(append(make([]float32, 0, b.n*dim), b.vecs.base...), b.vecs.tail...), b.n, dim)
-		c.lists = make([][]int32, b.n)
-		for i := range c.lists {
-			c.lists[i] = []int32{int32(i)}
-		}
-		return c
+// permute returns rng.Perm(n)'s draws — it is this Shuffle of the
+// identity — in int32, in the workspace.
+func (km *kmeans) permute(n int, rng *rand.Rand) []int32 {
+	perm := iota32(km.perm, n)
+	rng.Shuffle(n, func(i, j int) { perm[i], perm[j] = perm[j], perm[i] })
+	km.perm = perm
+	return perm
+}
+
+// iota32 returns 0, 1, …, n-1 in s's storage when it has room.
+func iota32(s []int32, n int) []int32 {
+	s = resize(s, n)
+	for i := range s {
+		s[i] = int32(i)
+	}
+	return s
+}
+
+// trainCoarse trains one label's coarse quantizer and leaves the list of
+// every bucket position in km.assign. A label of no more points than
+// lists is degenerate: every point its own list, the centroids the
+// points.
+func trainCoarse(b *bucket, o IVFOptions, km *kmeans) coarse {
+	dim, nlist := b.vecs.dim, o.Nlist
+	if nlist >= b.n {
+		km.assign = iota32(km.assign, b.n)
+		return newCoarse(append(append(make([]float32, 0, b.n*dim), b.vecs.base...), b.vecs.tail...), b.n, dim)
 	}
 
-	// Training sample: a seeded permutation prefix — rng.Perm's draws
-	// (it is this Shuffle of the identity), in int32 and without a copy.
-	perm := make([]int32, b.n)
-	for i := range perm {
-		perm[i] = int32(i)
-	}
-	rng.Shuffle(len(perm), func(i, j int) { perm[i], perm[j] = perm[j], perm[i] })
-	sample := perm[:min(b.n, o.SampleCap)]
+	// Training sample: a seeded permutation prefix.
+	rng := rand.New(rand.NewPCG(o.Seed, uint64(b.n)<<16|uint64(nlist)))
+	sample := km.permute(b.n, rng)[:min(b.n, o.SampleCap)]
 
 	// Random distinct init from the sample; lloyd leaves the trained
 	// centroids in both layouts.
-	nlist := o.Nlist
-	c.coarse = newCoarse(make([]float32, nlist*dim), nlist, dim)
+	c := newCoarse(make([]float32, nlist*dim), nlist, dim)
 	for i := 0; i < nlist; i++ {
 		p := int(sample[i%len(sample)])
 		copy(c.centroids[i*dim:(i+1)*dim], b.vecs.at(p))
@@ -185,19 +218,21 @@ func trainClass(b *bucket, o IVFOptions, km *kmeans) *ivfClass {
 
 	// Full assignment pass over every point in the label.
 	km.assign = resize(km.assign, b.n)
+	planes := c.planes
 	assignNearest(&b.vecs, nil, nil, km.assign, func(qs []float32, out []int32) {
-		kernel.ArgminPlanarBatch(qs, c.planes, dim, nlist, out)
+		kernel.ArgminPlanarBatch(qs, planes, dim, nlist, out)
 	})
-	c.lists = invertedLists(km.assign, nlist)
 	return c
 }
 
 // invertedLists groups the positions 0..len(assign)-1 by their list,
-// ascending within each: count, prefix-sum, then fill ONE exact-size
-// arena through sub-slices whose capacity is their final length. A list
-// therefore never grows while it is built, and an Append to it later
-// reallocates that list instead of writing into its neighbour's rows.
-func invertedLists(assign []int32, nlist int) [][]int32 {
+// ascending within each, into arena (len(assign) long): count,
+// prefix-sum, then fill the arena through sub-slices whose capacity is
+// their final length. A list therefore never grows while it is built,
+// and an Append to it later reallocates that list instead of writing
+// into its neighbour's rows. The arena read in list order is every
+// position, list by list.
+func invertedLists(assign []int32, nlist int, arena []int32) [][]int32 {
 	end := make([]int, nlist) // end[ci] = arena offset one past list ci
 	for _, ci := range assign {
 		end[ci]++
@@ -205,7 +240,6 @@ func invertedLists(assign []int32, nlist int) [][]int32 {
 	for ci := 1; ci < nlist; ci++ {
 		end[ci] += end[ci-1]
 	}
-	arena := make([]int32, len(assign))
 	lists := make([][]int32, nlist)
 	lo := 0
 	for ci, hi := range end {
@@ -236,22 +270,20 @@ func invertedLists(assign []int32, nlist int) [][]int32 {
 // quantizer or a PQ codebook.
 func (km *kmeans) lloyd(vecs *rows, points []int32, cents, table []float32, k, iters int, rng *rand.Rand) {
 	dim := vecs.dim
-	km.assign, km.sums = resize(km.assign, len(points)), resize(km.sums, k*dim)
-	assign, sums := km.assign, km.sums
-	counts := make([]int, k)
-	listed, order := points, storageOrder(points, vecs.nb+len(vecs.tail)/dim)
+	km.near, km.sums, km.counts = resize(km.near, len(points)), resize(km.sums, k*dim), resize(km.counts, k)
+	near, sums, counts := km.near, km.sums, km.counts
+	listed, order := points, km.storageOrder(points, vecs.nb+len(vecs.tail)/dim)
 	if order == nil {
 		listed = nil
 	}
+	argmin := func(qs []float32, out []int32) { kernel.ArgminPlanarBatch(qs, table, dim, k, out) }
 	for it := 0; it < iters; it++ {
 		transpose(table, cents, k, dim)
-		assignNearest(vecs, listed, order, assign, func(qs []float32, out []int32) {
-			kernel.ArgminPlanarBatch(qs, table, dim, k, out)
-		})
+		assignNearest(vecs, listed, order, near, argmin)
 		clear(sums)
 		clear(counts)
 		for i, p := range points {
-			ci := int(assign[i])
+			ci := int(near[i])
 			counts[ci]++
 			kernel.Accumulate(sums[ci*dim:(ci+1)*dim], vecs.at(int(p)))
 		}
@@ -310,14 +342,16 @@ func assignNearest(vecs *rows, points, order, out []int32, argmin func(qs []floa
 // — sorted by the row each names: the order assignNearest visits them
 // in; nil when points already lists every row in order (trainPQ's
 // sample), which assignNearest then reads as every row. One pass over
-// the rows: slot[p] is 1 + the position naming row p, and the answer is
-// compacted into slot's own prefix (the write index never passes the
-// read index).
-func storageOrder(points []int32, n int) []int32 {
+// the rows: the workspace's slot[p] is 1 + the position naming row p,
+// and the answer is compacted into slot's own prefix (the write index
+// never passes the read index).
+func (km *kmeans) storageOrder(points []int32, n int) []int32 {
 	if len(points) == n && slices.IsSorted(points) {
 		return nil
 	}
-	slot := make([]int32, n)
+	km.slot = resize(km.slot, n)
+	slot := km.slot
+	clear(slot)
 	for i, p := range points {
 		slot[p] = int32(i) + 1
 	}

@@ -106,11 +106,12 @@ func (*ivfpqClass) shortlist(k int) int { return max(4*k, 32) }
 
 // TrainIVFPQ builds an IVFPQ index from a snapshot of the linkage
 // database: per label, the IVF coarse training pass (shared with
-// TrainIVF), then per-subquantizer k-means over the residuals and one
-// encoding pass. A label's float vectors are read where the database
-// keeps them (or from a copy that lives only while that label trains)
-// and never retained — only codes, centroids, codebooks, and db itself
-// are.
+// TrainIVF), then per-subquantizer k-means over the residuals of a
+// sample and one encoding pass. It allocates what the index keeps —
+// codes, centroids, codebooks, list identities; db itself is the
+// caller's — and one workspace (kmeans): a label's float vectors are
+// read where the database keeps them, or from a copy in the workspace
+// that lives only while that label trains.
 func TrainIVFPQ(db *fingerprint.DB, opts IVFPQOptions) (*IVFPQ, error) {
 	if db.Len() == 0 {
 		return nil, fmt.Errorf("index: cannot train IVFPQ on an empty database")
@@ -125,7 +126,7 @@ func TrainIVFPQ(db *fingerprint.DB, opts IVFPQOptions) (*IVFPQ, error) {
 	nprobe := 0
 	var km kmeans
 	for _, y := range db.Labels() {
-		b := buildBucket(db, y)
+		b := buildBucket(db, y, &km)
 		co := o.IVFOptions.withDefaults(b.n)
 		x.labels[y] = x.trainClass(b, co, &km)
 		x.total += b.n
@@ -135,64 +136,57 @@ func TrainIVFPQ(db *fingerprint.DB, opts IVFPQOptions) (*IVFPQ, error) {
 	return x, nil
 }
 
-// trainClass runs the full per-label pipeline: coarse k-means (the
-// IVF trainer), PQ codebook training on the residuals of a sample, and
-// the encoding pass that turns the bucket's float vectors into per-list
-// code arrays, each code written once, where it stays. Residuals (vector
-// minus its coarse centroid) are computed where they are consumed — for
-// the training sample, and assignTile rows at a time while encoding —
-// never as a whole n×dim matrix.
+// trainClass runs the full per-label pipeline: the coarse quantizer
+// (trainCoarse, which leaves each bucket position's list in km.assign),
+// PQ codebook training on the residuals of a sample, and the encoding
+// pass that turns the bucket's float vectors into per-list code arrays,
+// each code written once, where it stays. Residuals are computed where
+// they are consumed (residuals), never as a whole matrix.
 func (x *IVFPQ) trainClass(b *bucket, co IVFOptions, km *kmeans) *ivfpqClass {
 	dim, m := x.dim, x.m
-	ivfc := trainClass(b, co, km)
-	c := &ivfpqClass{coarse: ivfc.coarse, x: x, n: b.n}
-
-	assign := make([]int32, b.n) // coarse list by bucket position
-	for ci, list := range ivfc.lists {
-		for _, p := range list {
-			assign[p] = int32(ci)
-		}
-	}
-	residual := func(p int, r []float32) {
-		v := b.vecs.at(p)
-		cen := c.centroids[int(assign[p])*dim : (int(assign[p])+1)*dim]
-		for j := range r {
-			r[j] = v[j] - cen[j]
-		}
-	}
+	dsub := dim / m
+	c := &ivfpqClass{coarse: trainCoarse(b, co, km), x: x, n: b.n}
+	assign := km.assign
+	rs := &residuals{vecs: &b.vecs, centroids: c.centroids, assign: assign, dsub: dsub}
 
 	// PQ training draws from a stream disjoint from the coarse
 	// quantizer's so the two stages can't correlate; the sample floor
 	// keeps a small coarse SampleCap from starving 256-means.
 	rng := rand.New(rand.NewPCG(co.Seed^0x9e3779b97f4a7c15, uint64(b.n)<<16|uint64(m)))
-	c.book = trainPQ(residual, b.n, dim, m, co.Iters, max(co.SampleCap, 8*pqKs), rng, km)
+	c.book = trainPQ(rs, b.n, m, co.Iters, max(co.SampleCap, 8*pqKs), rng, km)
 
-	// Encode every point straight into its list: order is the bucket
-	// positions list by list, so position q of it is entry q-start[ci] of
-	// its list ci, and the pass fans out over points, not lists, packing
-	// assignTile residuals per batched encode.
+	// Encode every point straight into its list: order, the coarse lists'
+	// arena, is the bucket positions list by list, so position q of it is
+	// entry q-start[ci] of its list ci, and the pass fans out over points,
+	// not lists, packing assignTile residuals per batched encode. The
+	// lists' codes and identities are laid out the same way, each list a
+	// capacity-clipped run of one arena (as invertedLists'), so an Append
+	// to a list moves that list alone.
+	km.order = resize(km.order, b.n)
+	order := km.order
 	c.lists = make([]*pqList, c.nlist)
-	start := make([]int, c.nlist)
-	order := make([]int32, 0, b.n)
-	for ci, list := range ivfc.lists {
-		c.lists[ci] = &pqList{codes: make([]byte, len(list)*m), entries: entries{db: x.db, idx: make([]int32, len(list))}}
-		start[ci] = len(order)
-		order = append(order, list...)
+	held, start := make([]pqList, c.nlist), make([]int, c.nlist)
+	codes, idx := make([]byte, b.n*m), make([]int32, b.n)
+	q := 0
+	for ci, list := range invertedLists(assign, c.nlist, order) {
+		lo, hi := q, q+len(list)
+		held[ci] = pqList{codes: codes[lo*m : hi*m : hi*m], entries: entries{db: x.db, idx: idx[lo:hi:hi]}}
+		c.lists[ci], start[ci], q = &held[ci], lo, hi
 	}
 	parallelChunks(b.n, func(lo, hi int) {
-		r, res := make([]float32, dim), make([]float32, assignTile*dim)
-		codes, near := make([]byte, assignTile*m), make([]int32, assignTile)
+		t := km.tile(dim, m)
+		defer km.release(t)
 		for q0 := lo; q0 < hi; q0 += assignTile {
 			nq := min(assignTile, hi-q0)
 			for i := range nq {
-				residual(int(order[q0+i]), r)
-				c.book.pack(res, r, i, nq)
+				rs.span(int(order[q0+i]), 0, t.r)
+				c.book.pack(t.res, t.r, i, nq)
 			}
-			c.book.encode(res, nq, codes, near)
+			c.book.encode(t.res, nq, t.codes, t.near)
 			for i := range nq {
 				p := int(order[q0+i])
 				l, k := c.lists[assign[p]], q0+i-start[assign[p]]
-				copy(l.codes[k*m:(k+1)*m], codes[i*m:(i+1)*m])
+				copy(l.codes[k*m:(k+1)*m], t.codes[i*m:(i+1)*m])
 				l.idx[k] = b.idx[p]
 			}
 		}

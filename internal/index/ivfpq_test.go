@@ -8,6 +8,7 @@ import (
 	"math/rand/v2"
 	"os"
 	"reflect"
+	"runtime"
 	"testing"
 
 	"caltrain/internal/fingerprint"
@@ -618,6 +619,59 @@ func BenchmarkTrainIVF(b *testing.B) {
 	for i := 0; i < b.N; i++ {
 		if _, err := TrainIVF(db, IVFOptions{Seed: 2}); err != nil {
 			b.Fatal(err)
+		}
+	}
+}
+
+// TestTrainAllocBudget: a training call allocates what the index it
+// returns owns plus one workspace (kmeans), sized by its largest label
+// and reused across labels, subquantizers and passes — never a label's
+// whole residual sample, nor scratch per label. The workspace bound is
+// per entry of that label: IVF's permutation, storage-order slots,
+// Lloyd-round and full assignments, 16 B; IVFPQ's bucket identities,
+// list arena and sample identity besides, 28 B, plus one subquantizer's
+// sample, 4·dsub B; the Lloyd sums and counts of the widest table; and
+// 64 KiB per worker, for its encoding tile, its pooled gather tile and
+// the goroutines of every fan-out. The 256 KiB allowance covers what
+// grows with neither: class and list headers, the fan-outs' closures.
+// Measured over a loaded database, whose class blocks the buckets alias.
+func TestTrainAllocBudget(t *testing.T) {
+	if raceEnabled {
+		t.Skip("the race detector allocates")
+	}
+	perClass := []int{2_500}
+	if !testing.Short() {
+		perClass = append(perClass, 25_000)
+	}
+	const dim, m = 64, 16
+	for _, n := range perClass {
+		_, db, _ := addedAndLoaded(t, dim, 4*n, 4, true, 23)
+		nlist := IVFOptions{}.withDefaults(n).Nlist
+		sums := func(k, d int) int { return 8 * k * (d + 1) }
+		perWorker := runtime.GOMAXPROCS(0) << 16
+		for _, k := range []struct {
+			name      string
+			train     func(*fingerprint.DB) (Searcher, error)
+			workspace int
+		}{
+			{"ivf", budgetKinds[1].train, 16*n + sums(nlist, dim) + perWorker},
+			{"ivfpq", budgetKinds[2].train, (28+4*dim/m)*n + max(sums(nlist, dim), sums(pqKs, dim/m)) + perWorker},
+		} {
+			var before, after runtime.MemStats
+			runtime.ReadMemStats(&before)
+			s, err := k.train(db)
+			runtime.ReadMemStats(&after)
+			if err != nil {
+				t.Fatal(err)
+			}
+			owned := s.(interface{ OwnedBytes() int64 }).OwnedBytes()
+			got, limit := after.TotalAlloc-before.TotalAlloc, uint64(owned)+uint64(k.workspace)+256<<10
+			t.Logf("%s, 4 × %d: training allocated %.2f MB, the index owns %.2f MB, workspace bound %.2f MB",
+				k.name, n, float64(got)/1e6, float64(owned)/1e6, float64(k.workspace)/1e6)
+			if got > limit {
+				t.Errorf("%s, 4 × %d: training allocated %d bytes, budget %d (owned %d + workspace %d + 256 KiB)",
+					k.name, n, got, limit, owned, k.workspace)
+			}
 		}
 	}
 }

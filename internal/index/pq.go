@@ -62,43 +62,82 @@ func (cb *pqCodebook) slot(i int) int {
 	return table*pqKs*cb.dsub + d*pqKs + k
 }
 
+// residuals reads a label's residuals — each bucket row minus its
+// coarse centroid — where they are consumed: a subvector at a time for
+// one subquantizer's training sample, a row at a time while encoding.
+// No matrix of them is ever stored.
+type residuals struct {
+	vecs      *rows
+	centroids []float32 // the coarse quantizer's, row-major
+	assign    []int32   // the coarse list of each bucket position
+	dsub      int
+}
+
+// span writes coordinates [lo, lo+len(r)) of residual p into r.
+func (rs *residuals) span(p, lo int, r []float32) {
+	v, cen := rs.vecs.at(p)[lo:], rs.centroids[int(rs.assign[p])*rs.vecs.dim+lo:]
+	for d := range r {
+		r[d] = v[d] - cen[d]
+	}
+}
+
 // trainPQ runs k-means per subquantizer over a seeded sample of n
-// dim-length residuals; residual(p, r) writes residual p into r, and is
-// called for the sampled rows only. Training is deterministic for a
-// fixed rng state and input (the kernel's bit-stability contract makes
-// the assignment step reproducible across hardware paths).
-func trainPQ(residual func(p int, r []float32), n, dim, m, iters, sampleCap int, rng *rand.Rand, km *kmeans) *pqCodebook {
-	dsub := dim / m
+// residuals. Each subquantizer's sampleN×dsub block is packed into the
+// workspace when its turn comes, the samples visited in one order for
+// every block, so no whole sampleN×dim residual sample is ever
+// resident. Training is deterministic for a fixed rng state and input
+// (the kernel's bit-stability contract makes the assignment step
+// reproducible across hardware paths).
+func trainPQ(rs *residuals, n, m, iters, sampleCap int, rng *rand.Rand, km *kmeans) *pqCodebook {
+	dsub := rs.dsub
 	cb := newCodebook(m, dsub)
 	sampleN := min(n, sampleCap)
-	perm := rng.Perm(n)[:sampleN]
-
-	// The sampled residuals, packed by subquantizer as they are computed:
-	// block j is the sampleN dsub-length rows subquantizer j trains on.
-	packed := make([]float32, m*sampleN*dsub)
-	r := make([]float32, dim)
-	for i, p := range perm {
-		residual(p, r)
-		cb.pack(packed, r, i, sampleN)
-	}
-	all := make([]int32, sampleN)
-	for i := range all {
-		all[i] = int32(i)
-	}
-
-	cents := make([]float32, pqKs*dsub) // lloyd's row-major table, reused
+	perm := km.permute(n, rng)[:sampleN]
+	km.sample, km.cents = resize(km.sample, sampleN*dsub), resize(km.cents, pqKs*dsub)
+	km.all = iota32(km.all, sampleN)
+	block := rows{dim: dsub, nb: sampleN, base: km.sample}
 	for j := 0; j < m; j++ {
-		sub := rows{dim: dsub, nb: sampleN, base: packed[j*sampleN*dsub : (j+1)*sampleN*dsub]}
+		for i, p := range perm {
+			rs.span(int(p), j*dsub, km.sample[i*dsub:(i+1)*dsub])
+		}
 		// Init from the shuffled sample; with fewer than pqKs samples the
 		// duplicates are harmless (strict-< argmin always picks the first).
 		for k := 0; k < pqKs; k++ {
-			copy(cents[k*dsub:(k+1)*dsub], sub.at(k%sampleN))
+			copy(km.cents[k*dsub:(k+1)*dsub], block.at(k%sampleN))
 		}
 		// The planar copy lloyd assigns against is the resident table,
 		// which it leaves trained.
-		km.lloyd(&sub, all, cents, cb.sub(j), pqKs, iters, rng)
+		km.lloyd(&block, km.all, km.cents, cb.sub(j), pqKs, iters, rng)
 	}
 	return cb
+}
+
+// encodeTile is one encoding worker's scratch: a residual, assignTile
+// residuals packed by subquantizer (pack), and their codes.
+type encodeTile struct {
+	r, res []float32
+	codes  []byte
+	near   []int32
+}
+
+// tile hands an encoding worker a tile of the workspace, allocating one
+// only when every tile is taken; release gives it back. A training call
+// therefore allocates one tile per concurrent worker, once.
+func (km *kmeans) tile(dim, m int) *encodeTile {
+	km.mu.Lock()
+	defer km.mu.Unlock()
+	if n := len(km.tiles); n > 0 {
+		t := km.tiles[n-1]
+		km.tiles = km.tiles[:n-1]
+		return t
+	}
+	return &encodeTile{r: make([]float32, dim), res: make([]float32, assignTile*dim), codes: make([]byte, assignTile*m), near: make([]int32, assignTile)}
+}
+
+func (km *kmeans) release(t *encodeTile) {
+	km.mu.Lock()
+	defer km.mu.Unlock()
+	km.tiles = append(km.tiles, t)
 }
 
 // pack copies the dim-length residual r into slot i of a block of nq

@@ -224,8 +224,8 @@ const scanBlock = 256
 const parallelScanThreshold = 8192
 
 // parallelChunks splits [0, n) into one contiguous chunk per worker and
-// runs fn on each concurrently; below parallelScanThreshold it runs
-// fn(0, n) inline.
+// runs fn on each concurrently, the first on the calling goroutine;
+// below parallelScanThreshold it runs fn(0, n) inline.
 func parallelChunks(n int, fn func(lo, hi int)) {
 	if n < parallelScanThreshold {
 		fn(0, n)
@@ -234,18 +234,14 @@ func parallelChunks(n int, fn func(lo, hi int)) {
 	workers := runtime.GOMAXPROCS(0)
 	chunk := (n + workers - 1) / workers
 	var wg sync.WaitGroup
-	for w := 0; w < workers; w++ {
-		lo := w * chunk
-		hi := min(lo+chunk, n)
-		if lo >= hi {
-			break
-		}
+	for lo := chunk; lo < n; lo += chunk {
 		wg.Add(1)
 		go func(lo, hi int) {
 			defer wg.Done()
 			fn(lo, hi)
-		}(lo, hi)
+		}(lo, min(lo+chunk, n))
 	}
+	fn(0, chunk)
 	wg.Wait()
 }
 

@@ -369,7 +369,7 @@ func (ld *loader) buckets(kind byte, nlabels int) (Appender, error) {
 		if _, dup := buckets[y]; dup {
 			return nil, ld.fail(fmt.Errorf("index: load: duplicate label %d: %w", y, ErrCorrupt))
 		}
-		b := buildBucket(ld.db, y)
+		b := buildBucket(ld.db, y, nil)
 		if n > b.n {
 			return nil, ld.fail(fmt.Errorf("%w: label %d holds %d entries, the database %d", ErrForeignIndex, y, n, b.n))
 		}

@@ -62,6 +62,13 @@ const DefaultDriftThreshold = 0.25
 // errVolatile refuses what only a store with a log can do.
 var errVolatile = errors.New("ingest: a volatile store has no write-ahead log")
 
+// ErrHalfApplied is why a store failed stop: a batch the log had taken
+// failed to apply to the database or its index, which then no longer
+// serve what the log holds. The store refuses every later ingest and
+// snapshot with it — a snapshot would persist the half batch and
+// truncate the rest away — until a restart replays the log.
+var ErrHalfApplied = errors.New("ingest: a logged batch half-applied; store closed to ingests until restart")
+
 // Store is the write path of one serving daemon: a WAL in front of the
 // linkage database and its (appendable) index backend.
 //
@@ -75,9 +82,10 @@ var errVolatile = errors.New("ingest: a volatile store has no write-ahead log")
 // the index's own read locks, and the batch lock here only serializes
 // writers. Store implements fingerprint.Ingester.
 type Store struct {
-	mu  sync.Mutex // serializes writers: Ingest, Snapshot, retrain swap
-	wal *WAL       // nil for a volatile store
-	db  *fingerprint.DB
+	mu     sync.Mutex // serializes writers: Ingest, Snapshot, retrain swap
+	wal    *WAL       // nil for a volatile store
+	db     *fingerprint.DB
+	failed error // wraps ErrHalfApplied once a batch half-applied; under mu
 
 	// smu guards only the searcher/app pointer pair, so stats readers
 	// never wait behind a Snapshot or retrain catch-up holding mu.
@@ -189,7 +197,8 @@ func (s *Store) IngestBatch(ls []fingerprint.Linkage) (int, error) {
 // log the batch (durable per the WAL's fsync policy; a volatile store
 // skips this step), then apply it to the database and index.
 // All-or-nothing: a validation failure anywhere rejects the batch
-// before the WAL sees a byte. The log write (including its fsync, per
+// before the WAL sees a byte; a batch that fails to apply after that
+// fails the store stop (ErrHalfApplied). The log write (including its fsync, per
 // policy) is recorded as a "wal_append" stage on ctx's trace, so request
 // logs attribute write latency to the disk rather than the index.
 func (s *Store) IngestBatchCtx(ctx context.Context, ls []fingerprint.Linkage) (int, error) {
@@ -201,6 +210,9 @@ func (s *Store) IngestBatchCtx(ctx context.Context, ls []fingerprint.Linkage) (i
 	}
 	s.mu.Lock()
 	defer s.mu.Unlock()
+	if s.failed != nil {
+		return 0, s.failed
+	}
 	if s.wal != nil {
 		wctx, span := obs.StartSpan(ctx, "wal_append")
 		err := s.wal.AppendCtx(wctx, uint64(s.db.Len()), ls)
@@ -213,9 +225,11 @@ func (s *Store) IngestBatchCtx(ctx context.Context, ls []fingerprint.Linkage) (i
 	for i, l := range ls {
 		// Validation passed above, so apply cannot fail on input; an
 		// error here means the logged batch half-applied, which only a
-		// restart (replay) repairs.
+		// restart (replay) repairs. Serving on, or logging the next batch
+		// at db.Len(), would reuse sequence numbers this batch holds.
 		if err := s.apply(l); err != nil {
-			return i, fmt.Errorf("ingest: apply after WAL ack: %w (restart to replay)", err)
+			s.failed = fmt.Errorf("%w: entry %d of %d: %v", ErrHalfApplied, i, len(ls), err)
+			return i, s.failed
 		}
 	}
 	s.accepted.Add(uint64(len(ls)))
@@ -287,13 +301,16 @@ func (s *Store) maybeRetrainLocked() {
 // idempotent, so nothing is lost. The directory holding path is synced
 // after the rename, so a crash cannot leave the old database file
 // beside a truncated log. A volatile store has no log to compact and
-// refuses.
+// refuses, and so does a store that failed stop (ErrHalfApplied).
 func (s *Store) Snapshot(path string, alsoPersist ...func(fingerprint.Searcher) error) error {
 	if s.wal == nil {
 		return errVolatile
 	}
 	s.mu.Lock()
 	defer s.mu.Unlock()
+	if s.failed != nil {
+		return s.failed
+	}
 	if err := WriteFile(path, s.db.Save); err != nil {
 		return fmt.Errorf("ingest: snapshot: %w", err)
 	}

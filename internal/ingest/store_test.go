@@ -351,6 +351,91 @@ func TestStoreRejectsBadBatch(t *testing.T) {
 	}
 }
 
+// failingAppender is a Flat whose k-th Append, counting from 1, fails.
+type failingAppender struct {
+	*index.Flat
+	k, calls int
+}
+
+func (f *failingAppender) Append(i int, l fingerprint.Linkage) error {
+	if f.calls++; f.calls == f.k {
+		return errors.New("injected append failure")
+	}
+	return f.Flat.Append(i, l)
+}
+
+// TestStoreFailStopOnHalfAppliedBatch: a batch the log took but the
+// index refused half-way fails the store stop, as a failed fsync fails
+// the log: every later ingest and snapshot answers ErrHalfApplied and
+// touches neither the log nor the database file, so a restart replays
+// the whole batch.
+func TestStoreFailStopOnHalfAppliedBatch(t *testing.T) {
+	dir := t.TempDir()
+	dbPath, walDir := filepath.Join(dir, "linkage.db"), filepath.Join(dir, "wal")
+	db := storeDB(t, 8, 20, 2, 13)
+	if err := WriteFile(dbPath, db.Save); err != nil {
+		t.Fatal(err)
+	}
+	saved, err := os.ReadFile(dbPath)
+	if err != nil {
+		t.Fatal(err)
+	}
+	st, err := Open(walDir, db, &failingAppender{Flat: index.NewFlat(db), k: 3}, Options{})
+	if err != nil {
+		t.Fatal(err)
+	}
+	ls := newLinkages(t, 8, 5, 2, 14, "half")
+	if n, err := st.IngestBatch(ls); n != 2 || !errors.Is(err, ErrHalfApplied) {
+		t.Fatalf("half-applied batch: %d, %v; want 2 and ErrHalfApplied", n, err)
+	}
+	walBytes := st.IngestStats().WALBytes
+	for i := 0; i < 2; i++ {
+		if n, err := st.IngestBatch(newLinkages(t, 8, 2, 2, 15, "later")); n != 0 || !errors.Is(err, ErrHalfApplied) {
+			t.Fatalf("ingest %d after the half-applied batch: %d, %v; want the fail-stop error", i, n, err)
+		}
+	}
+	if err := st.Snapshot(dbPath); !errors.Is(err, ErrHalfApplied) {
+		t.Fatalf("snapshot after the half-applied batch: %v, want the fail-stop error", err)
+	}
+	if got := st.IngestStats().WALBytes; got != walBytes || db.Len() != 23 {
+		t.Fatalf("refused ingests moved the store: wal %d → %d bytes, db %d entries", walBytes, got, db.Len())
+	}
+	if now, err := os.ReadFile(dbPath); err != nil || !bytes.Equal(now, saved) {
+		t.Fatalf("the refused snapshot rewrote the database file (%v)", err)
+	}
+	if err := st.Close(); err != nil {
+		t.Fatal(err)
+	}
+
+	rf, err := os.Open(dbPath)
+	if err != nil {
+		t.Fatal(err)
+	}
+	db2, err := fingerprint.LoadDB(rf)
+	rf.Close()
+	if err != nil {
+		t.Fatal(err)
+	}
+	flat2 := index.NewFlat(db2)
+	st2, err := Open(walDir, db2, flat2, Options{})
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer st2.Close()
+	if st2.Replayed() != 5 || db2.Len() != 25 || flat2.Len() != 25 {
+		t.Fatalf("restart replayed %d entries (db %d, index %d), want the whole batch of 5 over 20", st2.Replayed(), db2.Len(), flat2.Len())
+	}
+	for i, l := range ls {
+		got, err := flat2.Search(l.F, l.Y, 1)
+		if err != nil || len(got) != 1 || got[0].Index != 20+i || got[0].Source != "half" {
+			t.Fatalf("replayed entry %d: %v %v", i, got, err)
+		}
+	}
+	if _, err := st2.IngestBatch(newLinkages(t, 8, 2, 2, 15, "later")); err != nil {
+		t.Fatalf("ingest after the restart: %v", err)
+	}
+}
+
 // TestStoreRejectsNonAppendable: a snapshot backend with no Append must
 // be refused up front, not silently served stale.
 func TestStoreRejectsNonAppendable(t *testing.T) {

@@ -6,6 +6,8 @@ import (
 	"log/slog"
 	"net/http"
 	"net/http/httptest"
+	"os"
+	"strconv"
 	"strings"
 	"sync"
 	"testing"
@@ -341,5 +343,55 @@ func TestBuildInfoFamily(t *testing.T) {
 	}
 	if samples[0].Labels[0].Name != "go_version" || samples[0].Labels[0].Value != b.GoVersion {
 		t.Fatalf("missing go_version label: %v", samples[0].Labels)
+	}
+}
+
+// TestRuntimeFamilies: the process-health set passes the exposition
+// lint, and the peak resident gauge is the VmHWM of /proc/self/status —
+// present and at least the current resident set where that file exists,
+// absent where it does not.
+func TestRuntimeFamilies(t *testing.T) {
+	r := NewRegistry()
+	r.MustRegister(RuntimeFamilies()...)
+	var buf bytes.Buffer
+	if err := r.WriteText(&buf); err != nil {
+		t.Fatal(err)
+	}
+	out := buf.String()
+	if err := Lint(strings.NewReader(out)); err != nil {
+		t.Fatalf("runtime families fail the lint: %v\n%s", err, out)
+	}
+	status, err := os.ReadFile("/proc/self/status")
+	if err != nil {
+		if strings.Contains(out, "caltrain_process_peak_resident_bytes") {
+			t.Fatalf("peak gauge exported without /proc/self/status:\n%s", out)
+		}
+		t.Skipf("no /proc/self/status: %v", err)
+	}
+	var peak, rss float64
+	for _, line := range strings.Split(out, "\n") {
+		if v, ok := strings.CutPrefix(line, "caltrain_process_peak_resident_bytes "); ok {
+			peak, _ = strconv.ParseFloat(v, 64)
+		}
+	}
+	for _, line := range strings.Split(string(status), "\n") {
+		if v, ok := strings.CutPrefix(line, "VmRSS:"); ok {
+			kb, _ := strconv.ParseFloat(strings.TrimSuffix(strings.TrimSpace(v), " kB"), 64)
+			rss = kb * 1024
+		}
+	}
+	if peak <= 0 || peak < rss/2 {
+		t.Fatalf("caltrain_process_peak_resident_bytes = %v with VmRSS %v bytes:\n%s", peak, rss, out)
+	}
+}
+
+func TestParseVmHWM(t *testing.T) {
+	if got, ok := parseVmHWM("Name:\tcaltrain-serve\nVmPeak:\t  900 kB\nVmHWM:\t  2048 kB\nVmRSS:\t 1024 kB\n"); !ok || got != 2048<<10 {
+		t.Errorf("VmHWM = %v, %v; want %d", got, ok, 2048<<10)
+	}
+	for _, status := range []string{"Name:\tx\n", "VmHWM:\t12 MB\n", "VmHWM:\tlots kB\n"} {
+		if got, ok := parseVmHWM(status); ok {
+			t.Errorf("%q read as %v", status, got)
+		}
 	}
 }
