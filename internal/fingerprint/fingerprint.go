@@ -26,6 +26,7 @@ import (
 	"strings"
 	"sync"
 
+	"caltrain/internal/f32le"
 	"caltrain/internal/kernel"
 	"caltrain/internal/nn"
 	"caltrain/internal/tensor"
@@ -613,9 +614,7 @@ func (db *DB) Save(w io.Writer) error {
 		rec = binary.LittleEndian.AppendUint16(rec, uint16(len(e.S)))
 		rec = append(rec, e.S...)
 		rec = append(rec, e.H[:]...)
-		for _, v := range e.F {
-			rec = binary.LittleEndian.AppendUint32(rec, math.Float32bits(v))
-		}
+		rec = f32le.Append(rec, e.F)
 		if _, err := bw.Write(rec); err != nil {
 			return fmt.Errorf("fingerprint: save: %w", err)
 		}
@@ -639,11 +638,19 @@ func (db *DB) Save(w io.Writer) error {
 // alias instead of copying. Database indices are the file's record
 // order.
 //
+// Each record is read once, in place in the reader's buffer (one longer
+// than the buffer is copied out), its floats copied into the arena as
+// bytes (see f32le), and labels are counted a run at a time.
+//
 // Malformed input yields ErrCorrupt (a cut stream also keeps
-// io.ErrUnexpectedEOF in the chain) or ErrBadLabel, never a panic; the
-// arena is allocated only after n·dim passes the plausibility bound
-// and, when r can seek, after the header's claim fits the bytes that
-// remain.
+// io.ErrUnexpectedEOF in the chain) or ErrBadLabel, never a panic. The
+// header is believed only after n·dim passes the plausibility bound.
+// When r can seek, its claim must also fit the bytes that remain, and
+// the columns are allocated at their size up front; otherwise they start
+// at one buffer's worth of records and at most double as records
+// arrive, so a lying header costs memory in proportion to the bytes the
+// stream really carries, and one that keeps its word still ends in
+// exact-size columns.
 func LoadDB(r io.Reader) (*DB, error) {
 	br := bufio.NewReaderSize(r, ioBufSize)
 	hdr := make([]byte, 12)
@@ -664,6 +671,7 @@ func LoadDB(r io.Reader) (*DB, error) {
 	if n > 100_000_000 || int64(n)*int64(dim) > maxPlausibleElems {
 		return nil, fmt.Errorf("fingerprint: load: implausible entry count %d (dim %d): %w", n, dim, ErrCorrupt)
 	}
+	room := min(n, 1+ioBufSize/(6+32+4*dim)) // entries the columns hold
 	if s, ok := r.(io.Seeker); ok {
 		if left, ok := BytesLeft(s); ok {
 			left += int64(br.Buffered())
@@ -671,6 +679,7 @@ func LoadDB(r io.Reader) (*DB, error) {
 				return nil, fmt.Errorf("fingerprint: load: header claims %d entries (at least %d bytes) but %d remain: %w: %w",
 					n, need, left, io.ErrUnexpectedEOF, ErrCorrupt)
 			}
+			room = n
 		}
 	}
 
@@ -678,20 +687,25 @@ func LoadDB(r io.Reader) (*DB, error) {
 	if err != nil {
 		return nil, err
 	}
-	arena := make([]float32, n*dim)
-	labels, hashes, srcs := make([]int32, n), make([][32]byte, n), make([]uint32, n)
+	arena := make([]float32, room*dim)
+	labels, hashes, srcs := make([]int32, room), make([][32]byte, room), make([]uint32, room)
 	db.srcID = make(map[string]uint32) // interned: one string per participant
-	head := make([]byte, 6)
-	var rec []byte // source + hash + vector of the current record, reused
+	var long []byte                    // a record longer than br's buffer, reused
 
-	// Labels in first-appearance order with their entry counts. grouped
-	// stays true while no label resumes after another one interrupted
-	// it, i.e. while file order already is class-major.
+	// Labels in first-appearance order with their entry counts, each
+	// count added when its run of records ends. grouped stays true while
+	// no label resumes after another one interrupted it, i.e. while file
+	// order already is class-major.
 	var order []int
 	counts := make(map[int]int)
-	grouped, prevY := true, -1
-	for i := range labels {
-		if _, err := io.ReadFull(br, head); err != nil {
+	grouped, prevY, run := true, -1, 0
+	for i := range n {
+		if i == room {
+			room = min(n, 2*room)
+			arena, labels, hashes, srcs = regrow(arena, room*dim), regrow(labels, room), regrow(hashes, room), regrow(srcs, room)
+		}
+		head, err := br.Peek(6)
+		if err != nil {
 			return nil, truncated(fmt.Sprintf("entry %d", i), err)
 		}
 		y := int(int32(binary.LittleEndian.Uint32(head)))
@@ -699,34 +713,46 @@ func LoadDB(r io.Reader) (*DB, error) {
 			return nil, fmt.Errorf("fingerprint: load entry %d: %w: %d", i, ErrBadLabel, y)
 		}
 		slen := int(binary.LittleEndian.Uint16(head[4:]))
-		if need := slen + 32 + 4*dim; cap(rec) < need {
-			rec = make([]byte, need)
+		size := 6 + slen + 32 + 4*dim
+		inPlace := size <= br.Size()
+		var rec []byte
+		if inPlace {
+			rec, err = br.Peek(size)
 		} else {
-			rec = rec[:need]
+			long = slices.Grow(long[:0], size)[:size]
+			_, err = io.ReadFull(br, long)
+			rec = long
 		}
-		if _, err := io.ReadFull(br, rec); err != nil {
+		if err != nil {
 			return nil, truncated(fmt.Sprintf("entry %d", i), err)
 		}
-		labels[i] = int32(y)
-		id, ok := db.srcID[string(rec[:slen])] // no allocation on a hit
+		src := rec[6 : 6+slen]
+		id, ok := db.srcID[string(src)] // no allocation on a hit
 		if !ok {
-			id = db.intern(string(rec[:slen]))
+			id = db.intern(string(src))
 		}
-		srcs[i] = id
-		copy(hashes[i][:], rec[slen:])
-		fb := rec[slen+32:]
-		for j, row := 0, arena[i*dim:(i+1)*dim]; j < dim; j++ {
-			row[j] = math.Float32frombits(binary.LittleEndian.Uint32(fb[4*j:]))
+		labels[i], srcs[i] = int32(y), id
+		copy(hashes[i][:], rec[6+slen:])
+		f32le.Decode(arena[i*dim:(i+1)*dim], rec[6+slen+32:])
+		if inPlace {
+			_, _ = br.Discard(size) // cannot fail: Peek buffered these bytes
 		}
 		if y != prevY {
+			if run > 0 {
+				counts[prevY] += run
+			}
 			if _, seen := counts[y]; seen {
 				grouped = false
 			} else {
 				order = append(order, y)
+				counts[y] = 0
 			}
-			prevY = y
+			prevY, run = y, 0
 		}
-		counts[y]++
+		run++
+	}
+	if run > 0 {
+		counts[prevY] += run
 	}
 	db.label, db.hash, db.src = loadedColumn(1, labels), loadedColumn(1, hashes), loadedColumn(1, srcs)
 	db.rows, db.loaded = loadedColumn(dim, arena), n
@@ -759,6 +785,15 @@ func LoadDB(r io.Reader) (*DB, error) {
 	}
 	permuteRows(arena, dim, slices.Clone(db.rowAt))
 	return db, nil
+}
+
+// regrow returns s's elements at the front of a new array of length n:
+// a column of a stream that could not be sized, grown as its records
+// arrive.
+func regrow[T any](s []T, n int) []T {
+	out := make([]T, n)
+	copy(out, s)
+	return out
 }
 
 // truncated wraps a read failure inside a record as corruption. A

@@ -13,6 +13,7 @@ import (
 	"slices"
 	"sync"
 	"testing"
+	"testing/iotest"
 )
 
 // fileDB builds a database by Add and returns it with its Save bytes.
@@ -357,15 +358,12 @@ func TestLoadDBRejectsMalformed(t *testing.T) {
 		{"cut between records", raw[:12+(len(raw)-12)/10*4], []error{ErrCorrupt, io.ErrUnexpectedEOF}},
 		{"zero dim", header(0, 10), []error{ErrCorrupt}},
 		{"huge dim", header(2_000_000, 10), []error{ErrCorrupt}},
-		{"lying count", header(4, 90_000_000), []error{ErrCorrupt}},
+		{"lying count", header(4, 90_000_000), []error{ErrCorrupt, io.ErrUnexpectedEOF}},
 		{"implausible product", header(900_000, 90_000_000), []error{ErrCorrupt}},
 		{"negative label", negative, []error{ErrBadLabel}},
 	}
 	for _, tc := range cases {
 		for _, seekable := range []bool{true, false} {
-			if !seekable && tc.name == "lying count" {
-				continue // without a size to check against, 90M entries is merely plausible
-			}
 			var r io.Reader = bytes.NewReader(tc.data)
 			if !seekable {
 				r = onlyReader{r}
@@ -388,26 +386,92 @@ func TestLoadDBRejectsMalformed(t *testing.T) {
 	}
 }
 
+// TestLoadDBStreamSizedByRecords: a stream that cannot seek is believed
+// only as far as its records go. A 12-byte body claiming 100 M entries
+// costs what one buffer of records would, not the gigabytes the header
+// names; a stream that keeps its word — its columns grown several times
+// on the way — ends in the exact-size layout a seekable file loads into.
+func TestLoadDBStreamSizedByRecords(t *testing.T) {
+	hdr := binary.LittleEndian.AppendUint32([]byte(dbMagic), 1)
+	hdr = binary.LittleEndian.AppendUint32(hdr, 100_000_000)
+	var before, after runtime.MemStats
+	runtime.ReadMemStats(&before)
+	_, err := LoadDB(onlyReader{bytes.NewReader(hdr)})
+	runtime.ReadMemStats(&after)
+	if !errors.Is(err, ErrCorrupt) || !errors.Is(err, io.ErrUnexpectedEOF) {
+		t.Fatalf("12-byte stream claiming 100M entries: %v", err)
+	}
+	if grew := after.TotalAlloc - before.TotalAlloc; grew >= 4<<20 {
+		t.Fatalf("12-byte stream claiming 100M entries allocated %d bytes", grew)
+	}
+
+	for _, grouped := range []bool{true, false} {
+		want, raw := fileDB(t, 4, 20_000, 3, grouped, 4) // the columns start at 4 855 entries
+		sized, err := LoadDB(bytes.NewReader(raw))
+		if err != nil {
+			t.Fatal(err)
+		}
+		got, err := LoadDB(onlyReader{bytes.NewReader(raw)})
+		if err != nil {
+			t.Fatal(err)
+		}
+		sameEntries(t, got, want)
+		checkArena(t, got)
+		gr, gp, gc := got.ResidentBytes()
+		sr, sp, sc := sized.ResidentBytes()
+		if gr != sr || gp != sp || gc != sc {
+			t.Fatalf("grouped=%v: stream-loaded columns hold %d/%d/%d bytes, file-loaded %d/%d/%d", grouped, gr, gp, gc, sr, sp, sc)
+		}
+		if !bytes.Equal(savedDB(t, got), raw) {
+			t.Fatalf("grouped=%v: Save after a stream load differs from the file", grouped)
+		}
+	}
+}
+
 // FuzzLoadDB holds the CTFP decoder to "a database or a typed sentinel,
 // never a panic": on success the layout invariants hold and Save
-// reproduces the consumed bytes exactly.
+// reproduces the consumed bytes exactly. A stream that cannot seek and
+// delivers short reads must fare the same as the seekable reader.
 func FuzzLoadDB(f *testing.F) {
 	_, grouped := fileDB(f, 3, 9, 3, true, 1)
 	_, interleaved := fileDB(f, 3, 9, 3, false, 2)
 	lying := append([]byte(nil), interleaved...)
 	binary.LittleEndian.PutUint32(lying[8:], 50_000_000)
+	liar := append([]byte(nil), lying...)
+	binary.LittleEndian.PutUint32(liar[12:], 0xffffffff) // and a first label of -1
+	_, long := fileDB(f, 1+ioBufSize/4, 2, 2, false, 3)  // each record longer than the read buffer
 	f.Add(grouped)
 	f.Add(interleaved)
 	f.Add(interleaved[:len(interleaved)-5])
 	f.Add(lying)
+	f.Add(liar)
+	f.Add(long)
 	f.Fuzz(func(t *testing.T, data []byte) {
 		db, err := LoadDB(bytes.NewReader(data))
+		streamed, serr := LoadDB(iotest.HalfReader(bytes.NewReader(data)))
+		if (err == nil) != (serr == nil) {
+			t.Fatalf("seekable reader: %v; short-reading stream: %v", err, serr)
+		}
 		if err != nil {
 			if !errors.Is(err, ErrCorrupt) && !errors.Is(err, ErrBadLabel) {
 				t.Fatalf("untyped error: %v", err)
 			}
+			// The one way the two may part: a seekable reader refuses a
+			// header whose claim outruns its bytes before any record,
+			// while the stream reads records until it runs out and may
+			// meet a negative label first.
+			lied := errors.Is(err, io.ErrUnexpectedEOF) && errors.Is(serr, ErrBadLabel)
+			for _, s := range []error{ErrCorrupt, ErrBadLabel, io.ErrUnexpectedEOF} {
+				if errors.Is(err, s) != errors.Is(serr, s) && !lied {
+					t.Fatalf("seekable reader: %v; short-reading stream: %v", err, serr)
+				}
+			}
 			return
 		}
+		if !bytes.Equal(savedDB(t, streamed), savedDB(t, db)) {
+			t.Fatal("a short-reading stream loads a different database than the seekable reader")
+		}
+		checkArena(t, streamed)
 		checkArena(t, db)
 		consumed := savedDB(t, db)
 		if !bytes.HasPrefix(data, consumed) {

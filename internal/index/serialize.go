@@ -9,6 +9,7 @@ import (
 	"sort"
 	"sync/atomic"
 
+	"caltrain/internal/f32le"
 	"caltrain/internal/fingerprint"
 )
 
@@ -111,10 +112,8 @@ func Save(w io.Writer, s Searcher) error {
 			if rec, err = appendIdentity(rec[:0], &b.entries, i); err != nil {
 				return err
 			}
+			rec = f32le.Append(rec, b.vecs.at(i))
 			bw.Write(rec)
-			for _, v := range b.vecs.at(i) {
-				put(math.Float32bits(v))
-			}
 		}
 	}
 	if ivf != nil {
@@ -122,9 +121,8 @@ func Save(w io.Writer, s Searcher) error {
 		for _, y := range labels {
 			c := ivf.labels[y]
 			put(uint32(c.nlist))
-			for _, v := range c.centroids {
-				put(math.Float32bits(v))
-			}
+			rec = f32le.Append(rec[:0], c.centroids)
+			bw.Write(rec)
 			for _, list := range c.lists {
 				put(uint32(len(list)))
 				for _, pos := range list {
@@ -184,9 +182,8 @@ func saveIVFPQ(bw *bufio.Writer, x *IVFPQ) error {
 		c := x.labels[y]
 		put(uint32(int32(y)))
 		put(uint32(c.nlist))
-		for _, v := range c.centroids {
-			put(math.Float32bits(v))
-		}
+		rec = f32le.Append(rec[:0], c.centroids)
+		bw.Write(rec)
 		for i := range c.book.centroids {
 			put(math.Float32bits(c.book.centroids[c.book.slot(i)]))
 		}
@@ -326,11 +323,7 @@ func (ld *loader) fail(err error) error {
 }
 
 // floats fills dst from the stream.
-func (ld *loader) floats(dst []float32) {
-	for j := range dst {
-		dst[j] = math.Float32frombits(ld.u32())
-	}
-}
+func (ld *loader) floats(dst []float32) { f32le.Decode(dst, ld.read(4*len(dst))) }
 
 // nprobe reads the search knob both coarse backends carry.
 func (ld *loader) nprobe(into *atomic.Int32) error {
@@ -378,9 +371,7 @@ func (ld *loader) buckets(kind byte, nlabels int) (Appender, error) {
 			if idx != int(b.idx[p]) {
 				return nil, ld.fail(fmt.Errorf("%w: label %d's entry %d is %d, the database's %d", ErrForeignIndex, y, p, idx, b.idx[p]))
 			}
-			for j := range ld.row {
-				ld.row[j] = math.Float32frombits(binary.LittleEndian.Uint32(rest[4*j:]))
-			}
+			f32le.Decode(ld.row, rest)
 			if err := ld.check.entry(idx, y, src, hash, ld.row); err != nil {
 				return nil, ld.fail(err)
 			}

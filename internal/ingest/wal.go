@@ -31,7 +31,6 @@ import (
 	"fmt"
 	"hash/crc32"
 	"io"
-	"math"
 	"os"
 	"path/filepath"
 	"sort"
@@ -39,6 +38,7 @@ import (
 	"sync"
 	"time"
 
+	"caltrain/internal/f32le"
 	"caltrain/internal/fingerprint"
 	"caltrain/internal/obs"
 )
@@ -330,9 +330,7 @@ func appendWALRecord(buf []byte, dim int, seq uint64, l fingerprint.Linkage) []b
 	buf = binary.LittleEndian.AppendUint16(buf, uint16(len(l.S)))
 	buf = append(buf, l.S...)
 	buf = append(buf, l.H[:]...)
-	for _, v := range l.F {
-		buf = binary.LittleEndian.AppendUint32(buf, math.Float32bits(v))
-	}
+	buf = f32le.Append(buf, l.F)
 	crc := crc32.Checksum(buf[payStart:], crcTable)
 	binary.LittleEndian.PutUint32(buf[payStart-4:payStart], crc)
 	return buf
@@ -400,10 +398,7 @@ func readWALRecord(r io.Reader, dim int, payload *[]byte) (uint64, fingerprint.L
 	l.S = string(buf[6 : 6+slen])
 	copy(l.H[:], buf[6+slen:6+slen+32])
 	l.F = make(fingerprint.Fingerprint, dim)
-	fb := buf[6+slen+32:]
-	for j := 0; j < dim; j++ {
-		l.F[j] = math.Float32frombits(binary.LittleEndian.Uint32(fb[j*4:]))
-	}
+	f32le.Decode(l.F, buf[6+slen+32:])
 	return seq, l, nil
 }
 

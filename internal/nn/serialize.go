@@ -6,9 +6,9 @@ import (
 	"encoding/json"
 	"fmt"
 	"io"
-	"math"
 	"math/rand/v2"
 
+	"caltrain/internal/f32le"
 	"caltrain/internal/tensor"
 )
 
@@ -91,11 +91,7 @@ func writeTensor(w io.Writer, t *tensor.Tensor) error {
 			return err
 		}
 	}
-	buf := make([]byte, 4*t.Len())
-	for i, v := range t.Data() {
-		binary.LittleEndian.PutUint32(buf[i*4:], math.Float32bits(v))
-	}
-	_, err := w.Write(buf)
+	_, err := w.Write(f32le.Append(make([]byte, 0, 4*t.Len()), t.Data()))
 	return err
 }
 
@@ -121,10 +117,7 @@ func readTensorInto(r io.Reader, t *tensor.Tensor) error {
 	if _, err := io.ReadFull(r, buf); err != nil {
 		return err
 	}
-	data := t.Data()
-	for i := range data {
-		data[i] = math.Float32frombits(binary.LittleEndian.Uint32(buf[i*4:]))
-	}
+	f32le.Decode(t.Data(), buf)
 	return nil
 }
 

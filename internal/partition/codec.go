@@ -3,8 +3,8 @@ package partition
 import (
 	"encoding/binary"
 	"fmt"
-	"math"
 
+	"caltrain/internal/f32le"
 	"caltrain/internal/tensor"
 )
 
@@ -22,18 +22,12 @@ import (
 func EncodeTensor(t *tensor.Tensor) []byte {
 	shape := t.Shape()
 	data := t.Data()
-	out := make([]byte, 4+4*len(shape)+4*len(data))
-	binary.LittleEndian.PutUint32(out, uint32(len(shape)))
-	off := 4
+	out := make([]byte, 0, 4+4*len(shape)+4*len(data))
+	out = binary.LittleEndian.AppendUint32(out, uint32(len(shape)))
 	for _, d := range shape {
-		binary.LittleEndian.PutUint32(out[off:], uint32(d))
-		off += 4
+		out = binary.LittleEndian.AppendUint32(out, uint32(d))
 	}
-	for _, v := range data {
-		binary.LittleEndian.PutUint32(out[off:], math.Float32bits(v))
-		off += 4
-	}
-	return out
+	return f32le.Append(out, data)
 }
 
 // DecodeTensor inverts EncodeTensor.
@@ -63,8 +57,6 @@ func DecodeTensor(buf []byte) (*tensor.Tensor, error) {
 		return nil, fmt.Errorf("partition: tensor payload %d bytes, want %d", len(buf), 4*n)
 	}
 	data := make([]float32, n)
-	for i := range data {
-		data[i] = math.Float32frombits(binary.LittleEndian.Uint32(buf[i*4:]))
-	}
+	f32le.Decode(data, buf)
 	return tensor.FromSlice(data, shape...), nil
 }

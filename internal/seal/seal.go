@@ -20,8 +20,9 @@ import (
 	"encoding/binary"
 	"errors"
 	"fmt"
-	"math"
 	"math/rand/v2"
+
+	"caltrain/internal/f32le"
 )
 
 // Errors returned by record operations.
@@ -89,11 +90,7 @@ func newGCM(key Key) (cipher.AEAD, error) {
 
 // EncodeImage converts a float32 image to its canonical byte encoding.
 func EncodeImage(img []float32) []byte {
-	buf := make([]byte, 4*len(img))
-	for i, v := range img {
-		binary.LittleEndian.PutUint32(buf[i*4:], math.Float32bits(v))
-	}
-	return buf
+	return f32le.Append(make([]byte, 0, 4*len(img)), img)
 }
 
 // DecodeImage inverts EncodeImage.
@@ -102,9 +99,7 @@ func DecodeImage(buf []byte) ([]float32, error) {
 		return nil, fmt.Errorf("%w: image payload length %d", ErrMalformed, len(buf))
 	}
 	img := make([]float32, len(buf)/4)
-	for i := range img {
-		img[i] = math.Float32frombits(binary.LittleEndian.Uint32(buf[i*4:]))
-	}
+	f32le.Decode(img, buf)
 	return img, nil
 }
 

@@ -147,6 +147,21 @@ func TestRepositoryInvariants(t *testing.T) {
 		}
 	})
 
+	t.Run("one float codec", func(t *testing.T) {
+		// f32le.Append and f32le.Decode are the one spelling of "a float32
+		// is stored as its little-endian bits": a format that loops over
+		// its floats itself misses the bulk copy a little-endian host
+		// takes. kerneltest.FromBytes keeps its loop because f32le's
+		// parity fuzz is seeded through kerneltest.
+		hits := grep(t, `math\.Float32frombits\(binary\.|Uint32\([^)]*math\.Float32bits`, sources(t, nonTestGo, "internal", "cmd"))
+		for _, f := range []string{"internal/f32le/f32le.go", "internal/kernel/kerneltest/kerneltest.go"} {
+			delete(hits, f)
+		}
+		if len(hits) > 0 {
+			t.Errorf("a float32 byte codec outside internal/f32le: %v", where(hits))
+		}
+	})
+
 	t.Run("one argmin kernel", func(t *testing.T) {
 		// kernel.ArgminPlanarBatch over planar tables is the one argmin, and
 		// planarScreenAsm its one screen per architecture: every centroid
