@@ -76,7 +76,11 @@ func FetchSnapshot(ctx context.Context, peer *fingerprint.Client) (*fingerprint.
 		return nil, 0, fmt.Errorf("cluster: snapshot: %w", err)
 	}
 	defer resp.Body.Close()
-	db, err := fingerprint.LoadDB(resp.Body)
+	var body io.Reader = resp.Body
+	if resp.ContentLength >= 0 { // LoadDB holds the header to it and sizes the columns once
+		body = io.LimitReader(resp.Body, resp.ContentLength)
+	}
+	db, err := fingerprint.LoadDB(body)
 	if err != nil {
 		return nil, 0, fmt.Errorf("cluster: snapshot: %w", err)
 	}

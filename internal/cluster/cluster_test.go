@@ -1,7 +1,9 @@
 package cluster
 
 import (
+	"bytes"
 	"context"
+	"io"
 	"math/rand/v2"
 	"net/http"
 	"net/http/httptest"
@@ -161,6 +163,28 @@ func TestSyncSnapshotBootstrap(t *testing.T) {
 		t.Fatal(err)
 	}
 	assertSame(t, follower, third, 70)
+}
+
+// TestSnapshotDeclaresLength: the snapshot response's Content-Length is
+// its body's length, so a follower's LoadDB sizes its columns once.
+func TestSnapshotDeclaresLength(t *testing.T) {
+	source := newReplica(t, "")
+	ingestAll(t, source, testLinkages(5, 40))
+	resp, err := http.Get(source.ts.URL + "/v1/repl/snapshot")
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer resp.Body.Close()
+	body, err := io.ReadAll(resp.Body)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if resp.ContentLength != int64(len(body)) {
+		t.Fatalf("Content-Length %d, body %d bytes", resp.ContentLength, len(body))
+	}
+	if db, err := fingerprint.LoadDB(bytes.NewReader(body)); err != nil || db.Len() != 40 {
+		t.Fatalf("snapshot body: %v", err)
+	}
 }
 
 // TestWritesRejectedDuringSync: while the state machine runs, external

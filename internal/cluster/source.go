@@ -34,7 +34,8 @@ func NewSource(store func() *ingest.Store) *Source {
 }
 
 // HandleSnapshot is GET /v1/repl/snapshot: the database in its
-// canonical serialized form, with the covered sequence number in
+// canonical serialized form, with its length in Content-Length (the
+// follower sizes its columns by it) and the covered sequence number in
 // X-Caltrain-Repl-Seq. The snapshot is taken under the store's write
 // lock but streamed outside it (copies share immutable fingerprint
 // storage), so a large transfer does not stall ingest.
@@ -47,6 +48,7 @@ func (s *Source) HandleSnapshot(w http.ResponseWriter, r *http.Request) {
 	}
 	snap, seq := st.SnapshotView()
 	w.Header().Set("Content-Type", "application/octet-stream")
+	w.Header().Set("Content-Length", strconv.FormatInt(snap.SavedSize(), 10))
 	w.Header().Set(HeaderReplSeq, strconv.FormatUint(seq, 10))
 	_, span := obs.StartSpan(r.Context(), "repl_snapshot_stream")
 	err := snap.Save(w)

@@ -625,6 +625,18 @@ func (db *DB) Save(w io.Writer) error {
 	return nil
 }
 
+// SavedSize reports how many bytes Save writes: the Content-Length a
+// snapshot stream declares, so its reader can size the columns up front.
+func (db *DB) SavedSize() int64 {
+	db.mu.RLock()
+	defer db.mu.RUnlock()
+	size := int64(len(dbMagic)+8) + int64(db.label.n)*int64(6+32+4*db.dim)
+	for i := 0; i < db.label.n; i++ {
+		size += int64(len(db.sources[db.src.get(i)]))
+	}
+	return size
+}
+
 // LoadDB deserializes a database written by Save into exact-size
 // columns (one array each for labels, hashes, source ids and the class
 // index, every source name once), the rows into ONE arena of exactly
@@ -638,29 +650,27 @@ func (db *DB) Save(w io.Writer) error {
 // alias instead of copying. Database indices are the file's record
 // order.
 //
-// Each record is read once, in place in the reader's buffer (one longer
-// than the buffer is copied out), its floats copied into the arena as
-// bytes (see f32le), and labels are counted a run at a time.
+// Each record is read once, in place in the reader's buffer (sized
+// after the header to hold the longest record the dimension allows),
+// and its floats are copied into the arena as bytes (see f32le).
 //
 // Malformed input yields ErrCorrupt (a cut stream also keeps
 // io.ErrUnexpectedEOF in the chain) or ErrBadLabel, never a panic. The
 // header is believed only after n·dim passes the plausibility bound.
-// When r can seek, its claim must also fit the bytes that remain, and
-// the columns are allocated at their size up front; otherwise they start
-// at one buffer's worth of records and at most double as records
-// arrive, so a lying header costs memory in proportion to the bytes the
-// stream really carries, and one that keeps its word still ends in
-// exact-size columns.
+// When r can say how many bytes it still holds (see BytesLeft), its
+// claim must also fit them, and the columns are allocated at their size
+// up front; otherwise they start at one buffer's worth of records and
+// at most double as records arrive, so a lying header costs memory in
+// proportion to the bytes the stream really carries.
 func LoadDB(r io.Reader) (*DB, error) {
-	br := bufio.NewReaderSize(r, ioBufSize)
 	hdr := make([]byte, 12)
-	if _, err := io.ReadFull(br, hdr[:4]); err != nil {
+	if _, err := io.ReadFull(r, hdr[:4]); err != nil {
 		return nil, truncated("magic", err)
 	}
 	if string(hdr[:4]) != dbMagic {
 		return nil, fmt.Errorf("fingerprint: load: bad magic %q: %w", hdr[:4], ErrCorrupt)
 	}
-	if _, err := io.ReadFull(br, hdr[4:]); err != nil {
+	if _, err := io.ReadFull(r, hdr[4:]); err != nil {
 		return nil, truncated("header", err)
 	}
 	dim := int(binary.LittleEndian.Uint32(hdr[4:]))
@@ -672,16 +682,14 @@ func LoadDB(r io.Reader) (*DB, error) {
 		return nil, fmt.Errorf("fingerprint: load: implausible entry count %d (dim %d): %w", n, dim, ErrCorrupt)
 	}
 	room := min(n, 1+ioBufSize/(6+32+4*dim)) // entries the columns hold
-	if s, ok := r.(io.Seeker); ok {
-		if left, ok := BytesLeft(s); ok {
-			left += int64(br.Buffered())
-			if need := int64(n) * int64(6+32+4*dim); need > left {
-				return nil, fmt.Errorf("fingerprint: load: header claims %d entries (at least %d bytes) but %d remain: %w: %w",
-					n, need, left, io.ErrUnexpectedEOF, ErrCorrupt)
-			}
-			room = n
+	if left, ok := BytesLeft(r); ok {
+		if need := int64(n) * int64(6+32+4*dim); need > left {
+			return nil, fmt.Errorf("fingerprint: load: header claims %d entries (at least %d bytes) but %d remain: %w: %w",
+				n, need, left, io.ErrUnexpectedEOF, ErrCorrupt)
 		}
+		room = n
 	}
+	br := bufio.NewReaderSize(r, max(ioBufSize, 6+math.MaxUint16+32+4*dim))
 
 	db, err := NewDB(dim)
 	if err != nil {
@@ -690,15 +698,13 @@ func LoadDB(r io.Reader) (*DB, error) {
 	arena := make([]float32, room*dim)
 	labels, hashes, srcs := make([]int32, room), make([][32]byte, room), make([]uint32, room)
 	db.srcID = make(map[string]uint32) // interned: one string per participant
-	var long []byte                    // a record longer than br's buffer, reused
 
-	// Labels in first-appearance order with their entry counts, each
-	// count added when its run of records ends. grouped stays true while
-	// no label resumes after another one interrupted it, i.e. while file
-	// order already is class-major.
+	// Labels in first-appearance order with their entry counts. grouped
+	// stays true while no label resumes after another one interrupted
+	// it, i.e. while file order already is class-major.
 	var order []int
 	counts := make(map[int]int)
-	grouped, prevY, run := true, -1, 0
+	grouped, prevY := true, -1
 	for i := range n {
 		if i == room {
 			room = min(n, 2*room)
@@ -714,15 +720,7 @@ func LoadDB(r io.Reader) (*DB, error) {
 		}
 		slen := int(binary.LittleEndian.Uint16(head[4:]))
 		size := 6 + slen + 32 + 4*dim
-		inPlace := size <= br.Size()
-		var rec []byte
-		if inPlace {
-			rec, err = br.Peek(size)
-		} else {
-			long = slices.Grow(long[:0], size)[:size]
-			_, err = io.ReadFull(br, long)
-			rec = long
-		}
+		rec, err := br.Peek(size)
 		if err != nil {
 			return nil, truncated(fmt.Sprintf("entry %d", i), err)
 		}
@@ -734,25 +732,16 @@ func LoadDB(r io.Reader) (*DB, error) {
 		labels[i], srcs[i] = int32(y), id
 		copy(hashes[i][:], rec[6+slen:])
 		f32le.Decode(arena[i*dim:(i+1)*dim], rec[6+slen+32:])
-		if inPlace {
-			_, _ = br.Discard(size) // cannot fail: Peek buffered these bytes
-		}
+		_, _ = br.Discard(size) // cannot fail: Peek buffered these bytes
 		if y != prevY {
-			if run > 0 {
-				counts[prevY] += run
-			}
 			if _, seen := counts[y]; seen {
 				grouped = false
 			} else {
 				order = append(order, y)
-				counts[y] = 0
 			}
-			prevY, run = y, 0
+			prevY = y
 		}
-		run++
-	}
-	if run > 0 {
-		counts[prevY] += run
+		counts[y]++
 	}
 	db.label, db.hash, db.src = loadedColumn(1, labels), loadedColumn(1, hashes), loadedColumn(1, srcs)
 	db.rows, db.loaded = loadedColumn(dim, arena), n
@@ -806,11 +795,20 @@ func truncated(where string, err error) error {
 	return fmt.Errorf("fingerprint: load %s: %w: %w", where, err, ErrCorrupt)
 }
 
-// BytesLeft reports how many bytes lie between s's position and its
-// end, leaving the position where it was; ok is false for a seeker that
-// cannot say (a pipe behind an *os.File). The format loaders hold the
-// counts a header claims to it before allocating for them.
-func BytesLeft(s io.Seeker) (left int64, ok bool) {
+// BytesLeft reports at most how many bytes r can still yield: what lies
+// between a seeker's position and its end (the position is left where
+// it was), or a LimitedReader's N (a response body cut at its
+// Content-Length). ok is false for a reader that cannot say: a stream,
+// or a pipe behind an *os.File. The format loaders hold the counts a
+// header claims to it before allocating for them.
+func BytesLeft(r io.Reader) (left int64, ok bool) {
+	if l, ok := r.(*io.LimitedReader); ok {
+		return l.N, true
+	}
+	s, ok := r.(io.Seeker)
+	if !ok {
+		return 0, false
+	}
 	cur, err := s.Seek(0, io.SeekCurrent)
 	if err != nil {
 		return 0, false

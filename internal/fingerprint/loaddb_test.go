@@ -386,22 +386,30 @@ func TestLoadDBRejectsMalformed(t *testing.T) {
 	}
 }
 
+// allocated reports the bytes LoadDB(r) allocates, and its error.
+func allocated(r io.Reader) (uint64, error) {
+	var before, after runtime.MemStats
+	runtime.ReadMemStats(&before)
+	_, err := LoadDB(r)
+	runtime.ReadMemStats(&after)
+	return after.TotalAlloc - before.TotalAlloc, err
+}
+
 // TestLoadDBStreamSizedByRecords: a stream that cannot seek is believed
 // only as far as its records go. A 12-byte body claiming 100 M entries
 // costs what one buffer of records would, not the gigabytes the header
 // names; a stream that keeps its word — its columns grown several times
 // on the way — ends in the exact-size layout a seekable file loads into.
+// A stream that declares its length (a response body cut at its
+// Content-Length) is sized up front like a file.
 func TestLoadDBStreamSizedByRecords(t *testing.T) {
 	hdr := binary.LittleEndian.AppendUint32([]byte(dbMagic), 1)
 	hdr = binary.LittleEndian.AppendUint32(hdr, 100_000_000)
-	var before, after runtime.MemStats
-	runtime.ReadMemStats(&before)
-	_, err := LoadDB(onlyReader{bytes.NewReader(hdr)})
-	runtime.ReadMemStats(&after)
+	grew, err := allocated(onlyReader{bytes.NewReader(hdr)})
 	if !errors.Is(err, ErrCorrupt) || !errors.Is(err, io.ErrUnexpectedEOF) {
 		t.Fatalf("12-byte stream claiming 100M entries: %v", err)
 	}
-	if grew := after.TotalAlloc - before.TotalAlloc; grew >= 4<<20 {
+	if grew >= 4<<20 {
 		t.Fatalf("12-byte stream claiming 100M entries allocated %d bytes", grew)
 	}
 
@@ -425,6 +433,23 @@ func TestLoadDBStreamSizedByRecords(t *testing.T) {
 		if !bytes.Equal(savedDB(t, got), raw) {
 			t.Fatalf("grouped=%v: Save after a stream load differs from the file", grouped)
 		}
+		if size := got.SavedSize(); size != int64(len(raw)) {
+			t.Fatalf("grouped=%v: SavedSize %d, Save wrote %d bytes", grouped, size, len(raw))
+		}
+
+		fromFile, _ := allocated(bytes.NewReader(raw))
+		streamed, _ := allocated(onlyReader{bytes.NewReader(raw)})
+		declared, err := allocated(io.LimitReader(onlyReader{bytes.NewReader(raw)}, int64(len(raw))))
+		if err != nil {
+			t.Fatal(err)
+		}
+		if declared > fromFile+64<<10 || streamed < fromFile+fromFile/4 {
+			t.Fatalf("grouped=%v: allocated %d bytes from a declared-length stream, %d from the file, %d from a stream", grouped, declared, fromFile, streamed)
+		}
+	}
+	// Refused at the header: the claim outruns the declared length.
+	if grew, err := allocated(io.LimitReader(onlyReader{bytes.NewReader(hdr)}, 1<<30)); !errors.Is(err, ErrCorrupt) || grew >= 64<<10 {
+		t.Fatalf("12-byte stream declaring 1 GiB, claiming 100M entries: allocated %d bytes, %v", grew, err)
 	}
 }
 
@@ -439,7 +464,7 @@ func FuzzLoadDB(f *testing.F) {
 	binary.LittleEndian.PutUint32(lying[8:], 50_000_000)
 	liar := append([]byte(nil), lying...)
 	binary.LittleEndian.PutUint32(liar[12:], 0xffffffff) // and a first label of -1
-	_, long := fileDB(f, 1+ioBufSize/4, 2, 2, false, 3)  // each record longer than the read buffer
+	_, long := fileDB(f, 1+ioBufSize/4, 2, 2, false, 3)  // each record longer than the default read buffer
 	f.Add(grouped)
 	f.Add(interleaved)
 	f.Add(interleaved[:len(interleaved)-5])

@@ -227,10 +227,8 @@ func saveIVFPQ(bw *bufio.Writer, x *IVFPQ) error {
 // its header says.
 func Load(r io.Reader, db *fingerprint.DB) (Searcher, error) {
 	left := int64(math.MaxInt64)
-	if s, ok := r.(io.Seeker); ok {
-		if n, ok := fingerprint.BytesLeft(s); ok {
-			left = n
-		}
+	if n, ok := fingerprint.BytesLeft(r); ok {
+		left = n
 	}
 	ld := &loader{
 		br:    bufio.NewReader(r),
