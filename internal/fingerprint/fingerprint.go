@@ -132,11 +132,13 @@ type Match struct {
 // queries always restrict to Y = Ytest.
 //
 // A linkage is stored once, as one position across append-only columns
-// (see column): its row of dim floats, its label, its hash, and its
-// source as an id into a table holding each participant's name once.
-// Entry puts the four back together by value. No column ever moves what
-// it has stored, which is what lets Snapshot and the index backends
-// share the storage instead of copying it.
+// (see column): its label, its hash, its source as an id into a table
+// holding each participant's name once, and its row of dim floats, kept
+// class-major — a label's rows are a column of their own. Entry puts
+// the four back together by value. No column ever moves what it has
+// stored, which is what lets Snapshot share the storage instead of
+// copying it, and an index backend serve a label's rows as the database
+// holds them (ClassRows) instead of keeping any of its own.
 //
 // DB is safe for concurrent use: the serving path reads (Query, Entry,
 // Len, Save) while ingest appends (Add).
@@ -147,30 +149,30 @@ type DB struct {
 	label column[int32]    // Y; its length is the database's
 	hash  column[[32]byte] // H
 	src   column[uint32]   // S, as an index into sources
-	// rows holds F. Its base is the arena LoadDB laid out class-major,
-	// every chunk after it rows stored by Add. The first loaded entries
-	// find their row in the arena by position — their own, or rowAt's
-	// when the file interleaved its labels — and every later entry's
-	// row follows the arena in order (see row). loaded is below the
-	// arena's row count only in a Snapshot cut inside it.
-	rows   column[float32]
+	// F of the first loaded entries is in arena, the rows LoadDB laid out
+	// class-major, at the entry's own position or at rowAt's when the
+	// file interleaved its labels. Every later entry's row is in its
+	// class's rows, at the position slot holds for it (see row). loaded is
+	// below the arena's row count only in a Snapshot cut inside it.
+	arena  []float32
 	loaded int
 	rowAt  []int32
+	slot   column[int32]
 
 	sources []string          // each distinct source once, by id
 	srcID   map[string]uint32 // sources inverted; a snapshot builds its own on its first Add
-	byClass map[int]*column[int32]
-	// blocks maps a label to the class-major rows LoadDB laid out for
-	// it: blocks[y] is the fingerprints of the first len(blocks[y])/dim
-	// entries of byClass[y], contiguous and in that order, and those
-	// entries' F alias it. It is set before the DB is shared and the
-	// rows are never written again, so index backends scan a block
-	// without the lock (see ClassBlock). Entries stored by Add are not
-	// in any block.
-	blocks map[int][]float32
+	byClass map[int]*class
 	// borrowed marks a Snapshot, whose last chunks may hold entries its
 	// origin stored later: its first Add takes its own copy of them.
 	borrowed bool
+}
+
+// class is one label's entries in insertion order: their database
+// indices, and their rows. The rows' base is the run of the arena LoadDB
+// laid out for the label, their chunks what Add stored.
+type class struct {
+	members column[int32]
+	rows    column[float32]
 }
 
 // NewDB creates a database for fingerprints of the given dimensionality.
@@ -183,8 +185,8 @@ func NewDB(dim int) (*DB, error) {
 		label:   newColumn[int32](1),
 		hash:    newColumn[[32]byte](1),
 		src:     newColumn[uint32](1),
-		rows:    newColumn[float32](dim),
-		byClass: make(map[int]*column[int32]),
+		slot:    newColumn[int32](1),
+		byClass: make(map[int]*class),
 	}, nil
 }
 
@@ -215,15 +217,22 @@ func (db *DB) entry(i int) Linkage {
 	return Linkage{F: db.row(i), Y: int(db.label.get(i)), S: db.sources[db.src.get(i)], H: db.hash.get(i)}
 }
 
+// Row returns Entry(i).F alone: what an index's exact re-rank reads.
+func (db *DB) Row(i int) Fingerprint {
+	db.mu.RLock()
+	defer db.mu.RUnlock()
+	return db.row(i)
+}
+
 // row returns entry i's fingerprint, capacity-clipped.
 func (db *DB) row(i int) Fingerprint {
-	switch {
-	case i >= db.loaded:
-		i += db.rows.nb - db.loaded
-	case db.rowAt != nil:
+	if i >= db.loaded {
+		return db.byClass[int(db.label.get(i))].rows.At(int(db.slot.get(i - db.loaded)))
+	}
+	if db.rowAt != nil {
 		i = int(db.rowAt[i])
 	}
-	return db.rows.at(i)
+	return db.arena[i*db.dim : (i+1)*db.dim : (i+1)*db.dim]
 }
 
 // Labels returns the distinct class labels present, ascending.
@@ -239,14 +248,12 @@ func (db *DB) Labels() []int {
 }
 
 // ClassIndex returns a copy of the database indices holding label y, in
-// insertion order. Index builders snapshot classes through this.
+// insertion order.
 func (db *DB) ClassIndex(y int) []int {
-	db.mu.RLock()
-	defer db.mu.RUnlock()
-	members := db.byClass[y]
-	out := make([]int, members.len())
-	for k := range out {
-		out[k] = int(members.get(k))
+	idx := db.ClassIndexInto(nil, y)
+	out := make([]int, len(idx))
+	for k, i := range idx {
+		out[k] = int(i)
 	}
 	return out
 }
@@ -258,24 +265,33 @@ func (db *DB) ClassIndex(y int) []int {
 func (db *DB) ClassIndexInto(dst []int32, y int) []int32 {
 	db.mu.RLock()
 	defer db.mu.RUnlock()
-	members := db.byClass[y]
-	n := members.len()
-	if cap(dst) < n {
-		dst = make([]int32, n)
+	var members column[int32]
+	if c := db.byClass[y]; c != nil {
+		members = c.members
 	}
-	dst = dst[:n]
+	if cap(dst) < members.n {
+		dst = make([]int32, members.n)
+	}
+	dst = dst[:members.n]
 	for k := range dst {
 		dst[k] = members.get(k)
 	}
 	return dst
 }
 
-// ClassBlock returns the contiguous row-major fingerprints of the first
-// len(block)/Dim() entries of ClassIndex(y) — the class's rows as LoadDB
-// laid them out — or nil for a label holding only entries stored by Add.
-// The block is immutable: index backends alias it instead of copying the
-// vectors. Callers must not write to it.
-func (db *DB) ClassBlock(y int) []float32 { return db.blocks[y] }
+// ClassRows returns the fingerprints of ClassIndex(y), in that order, as
+// the database stores them: the class block LoadDB laid out, then the
+// chunks Add fills, which never move. Rows read them in place, without the lock, however
+// the database grows: index backends serve a label's rows through it
+// instead of copying them. Callers must not write to them.
+func (db *DB) ClassRows(y int) Rows {
+	db.mu.RLock()
+	defer db.mu.RUnlock()
+	if c := db.byClass[y]; c != nil {
+		return c.rows.Prefix(c.rows.n)
+	}
+	return newColumn[float32](db.dim)
+}
 
 // Snapshot returns a new database holding exactly the first n entries
 // (all of them if n < 0 or n > Len). Nothing is copied: the columns
@@ -294,28 +310,23 @@ func (db *DB) Snapshot(n int) *DB {
 	loaded := min(n, db.loaded)
 	out := &DB{
 		dim:      db.dim,
-		label:    db.label.prefix(n),
-		hash:     db.hash.prefix(n),
-		src:      db.src.prefix(n),
-		rows:     db.rows.prefix(db.rows.nb + n - loaded), // the whole arena: rowAt points anywhere in it
+		label:    db.label.Prefix(n),
+		hash:     db.hash.Prefix(n),
+		src:      db.src.Prefix(n),
+		arena:    db.arena, // the whole arena: rowAt points anywhere in it
 		loaded:   loaded,
+		slot:     db.slot.Prefix(n - loaded),
 		sources:  db.sources[:len(db.sources):len(db.sources)],
-		byClass:  make(map[int]*column[int32], len(db.byClass)),
-		blocks:   make(map[int][]float32, len(db.blocks)),
+		byClass:  make(map[int]*class, len(db.byClass)),
 		borrowed: true,
 	}
 	if db.rowAt != nil {
 		out.rowAt = db.rowAt[:loaded]
 	}
-	for y, members := range db.byClass {
-		c := sort.Search(members.n, func(k int) bool { return int(members.get(k)) >= n })
-		if c == 0 {
-			continue
-		}
-		clipped := members.prefix(c)
-		out.byClass[y] = &clipped
-		if rows := min(c, len(db.blocks[y])/db.dim); rows > 0 {
-			out.blocks[y] = db.blocks[y][: rows*db.dim : rows*db.dim]
+	for y, c := range db.byClass {
+		k := sort.Search(c.members.n, func(k int) bool { return int(c.members.get(k)) >= n })
+		if k > 0 {
+			out.byClass[y] = &class{members: c.members.Prefix(k), rows: c.rows.Prefix(k)}
 		}
 	}
 	return out
@@ -352,20 +363,21 @@ func (db *DB) Add(l Linkage) error {
 		db.label.unshare()
 		db.hash.unshare()
 		db.src.unshare()
-		db.rows.unshare()
+		db.slot.unshare()
 		for _, c := range db.byClass {
-			c.unshare()
+			c.members.unshare()
+			c.rows.unshare()
 		}
 		db.borrowed = false
 	}
-	members := db.byClass[l.Y]
-	if members == nil {
-		c := newColumn[int32](1)
-		members = &c
-		db.byClass[l.Y] = members
+	c := db.byClass[l.Y]
+	if c == nil {
+		c = &class{members: newColumn[int32](1), rows: newColumn[float32](db.dim)}
+		db.byClass[l.Y] = c
 	}
-	members.append(int32(db.label.n))
-	db.rows.append(l.F...)
+	db.slot.append(int32(c.members.n))
+	c.members.append(int32(db.label.n))
+	c.rows.append(l.F...)
 	db.label.append(int32(l.Y))
 	db.hash.append(l.H)
 	db.src.append(db.intern(l.S))
@@ -394,19 +406,19 @@ func (db *DB) intern(s string) uint32 {
 // ResidentBytes reports what the database keeps resident per part, from
 // its column lengths: the float rows, the provenance beside them (label,
 // hash and source id per entry, and the source table), and the class
-// index (the per-label entry lists, and the row map of an interleaved
-// file).
+// index (the per-label entry lists, the class slot of every entry Add
+// stored, and the row map of an interleaved file).
 func (db *DB) ResidentBytes() (rows, provenance, classIndex int64) {
 	db.mu.RLock()
 	defer db.mu.RUnlock()
-	rows = db.rows.bytes(4)
 	provenance = db.label.bytes(4) + db.hash.bytes(32) + db.src.bytes(4)
 	for _, s := range db.sources {
 		provenance += 16 + int64(len(s))
 	}
-	classIndex = 4 * int64(len(db.rowAt))
-	for _, members := range db.byClass {
-		classIndex += members.bytes(4)
+	classIndex = 4*int64(len(db.rowAt)) + db.slot.bytes(4)
+	for _, c := range db.byClass {
+		rows += c.rows.bytes(4)
+		classIndex += c.members.bytes(4)
 	}
 	return rows, provenance, classIndex
 }
@@ -481,16 +493,18 @@ func (db *DB) Query(f Fingerprint, label, k int) ([]Match, error) {
 	defer scoredPool.Put(scratch)
 	db.mu.RLock()
 	defer db.mu.RUnlock()
-	members := db.byClass[label]
-	n := members.len()
+	c := db.byClass[label]
+	if c == nil {
+		return []Match{}, nil
+	}
+	n := c.members.n
 	*scratch = slices.Grow((*scratch)[:0], n)[:n]
 	cands := *scratch
 	fill := func(lo, hi int) {
 		for i := lo; i < hi; i++ {
-			idx := members.get(i)
 			// Dimensions were validated at Add time; the kernel keeps
 			// this exact scan bit-compatible with the index backends.
-			cands[i] = scored{d: math.Sqrt(kernel.SqDist(f, db.row(int(idx)))), idx: idx}
+			cands[i] = scored{d: math.Sqrt(kernel.SqDist(f, c.rows.At(i))), idx: c.members.get(i)}
 		}
 	}
 	// Large classes scan in parallel; the query service's latency is
@@ -520,10 +534,25 @@ func (db *DB) Query(f Fingerprint, label, k int) ([]Match, error) {
 	best := nearest(cands, k)
 	out := make([]Match, len(best))
 	for i, c := range best {
-		idx := int(c.idx)
-		out[i] = Match{Index: idx, Source: db.sources[db.src.get(idx)], Label: label, Hash: db.hash.get(idx), Distance: c.d}
+		out[i] = Match{Index: int(c.idx), Label: label, Distance: c.d}
 	}
+	db.provenance(out)
 	return out, nil
+}
+
+// Provenance fills in each match's Source and Hash: those of the entry
+// at its Index. An index backend materialises its matches through it.
+func (db *DB) Provenance(ms []Match) {
+	db.mu.RLock()
+	defer db.mu.RUnlock()
+	db.provenance(ms)
+}
+
+// provenance is Provenance for callers that hold the lock.
+func (db *DB) provenance(ms []Match) {
+	for i := range ms {
+		ms[i].Source, ms[i].Hash = db.sources[db.src.get(ms[i].Index)], db.hash.get(ms[i].Index)
+	}
 }
 
 // Search implements Searcher over the exact linear scan.
@@ -645,10 +674,9 @@ func (db *DB) SavedSize() int64 {
 // (labels are placed by first appearance, so a class-grouped file — what
 // Save writes for a database built label by label, and what
 // caltrain-shard emits — needs no row moved, and no row map kept).
-// Entry(i).F is a capacity-clipped sub-slice of the arena and
-// ClassBlock(y) the label's whole run of rows, which the index backends
-// alias instead of copying. Database indices are the file's record
-// order.
+// Entry(i).F is a capacity-clipped sub-slice of the arena, and the
+// label's whole run of rows is the base of ClassRows(y). Database indices
+// are the file's record order.
 //
 // Each record is read once, in place in the reader's buffer (sized
 // after the header to hold the longest record the dimension allows),
@@ -744,19 +772,16 @@ func LoadDB(r io.Reader) (*DB, error) {
 		counts[y]++
 	}
 	db.label, db.hash, db.src = loadedColumn(1, labels), loadedColumn(1, hashes), loadedColumn(1, srcs)
-	db.rows, db.loaded = loadedColumn(dim, arena), n
+	db.arena, db.loaded = arena, n
 
 	// next[y] is the class-major row the label's next entry belongs in.
 	next := make(map[int]int, len(order))
-	db.blocks = make(map[int][]float32, len(order))
 	members := make([]int32, n) // database index by class-major row: every class's entry list, back to back
 	start := 0
 	for _, y := range order {
 		end := start + counts[y]
 		next[y] = start
-		class := loadedColumn(1, members[start:end:end])
-		db.byClass[y] = &class
-		db.blocks[y] = arena[start*dim : end*dim : end*dim]
+		db.byClass[y] = &class{members: loadedColumn(1, members[start:end:end]), rows: loadedColumn(dim, arena[start*dim:end*dim:end*dim])}
 		start = end
 	}
 	if grouped { // a record's row is where the file put it

@@ -55,7 +55,7 @@ func checkArena(t testing.TB, db *DB) {
 	t.Helper()
 	covered := 0
 	for _, y := range db.Labels() {
-		idxs, block := db.ClassIndex(y), db.ClassBlock(y)
+		idxs, block := db.ClassIndex(y), classBlock(db, y)
 		if len(block) != len(idxs)*db.Dim() || cap(block) != len(block) {
 			t.Fatalf("label %d: block of %d floats (cap %d) for %d entries of dim %d", y, len(block), cap(block), len(idxs), db.Dim())
 		}
@@ -161,7 +161,7 @@ func checkLayout(t testing.TB, db *DB, raw []byte) {
 				t.Fatalf("snapshot(%d) labels %v, want %v", n, snap.Labels(), ref.Labels())
 			}
 			for _, y := range ref.Labels() {
-				if !reflect.DeepEqual(snap.ClassIndex(y), ref.ClassIndex(y)) || len(snap.ClassBlock(y)) != len(ref.ClassBlock(y)) {
+				if !reflect.DeepEqual(snap.ClassIndex(y), ref.ClassIndex(y)) || len(classBlock(snap, y)) != len(classBlock(ref, y)) {
 					t.Fatalf("snapshot(%d) label %d: class index or block differs from the prefix file's", n, y)
 				}
 				g, _ := snap.Query(extra[0].F, y, 5)
@@ -271,7 +271,7 @@ func TestSnapshotCarriesBlocks(t *testing.T) {
 			t.Fatalf("snapshot(%d) holds %d", n, snap.Len())
 		}
 		for _, y := range db.Labels() {
-			idxs, block := snap.ClassIndex(y), snap.ClassBlock(y)
+			idxs, block := snap.ClassIndex(y), classBlock(snap, y)
 			for _, i := range idxs {
 				if i >= n || snap.Entry(i).Y != y {
 					t.Fatalf("snapshot(%d) label %d lists entry %d", n, y, i)
@@ -286,7 +286,7 @@ func TestSnapshotCarriesBlocks(t *testing.T) {
 			if len(block) != loaded*4 {
 				t.Fatalf("snapshot(%d) label %d: block of %d floats, want %d rows", n, y, len(block), loaded)
 			}
-			if loaded > 0 && &block[0] != &db.ClassBlock(y)[0] {
+			if loaded > 0 && &block[0] != &classBlock(db, y)[0] {
 				t.Fatalf("snapshot(%d) label %d: block is a copy", n, y)
 			}
 		}
@@ -577,7 +577,7 @@ func TestConcurrentAddQuerySnapshot(t *testing.T) {
 					t.Errorf("snapshot lost label %d entries: %d", g, got)
 					return
 				}
-				_ = snap.ClassBlock(g)[0]
+				_ = classBlock(snap, g)[0]
 				// An Add on the snapshot forks it off chunks the writer
 				// is filling at this moment.
 				n := snap.Len()
@@ -634,4 +634,57 @@ func BenchmarkDBSaveLoad(b *testing.B) {
 		b.ReportMetric(float64(b.Elapsed().Nanoseconds())/float64(b.N*n), "ns/entry")
 		b.ReportMetric(float64(ms1.Mallocs-ms0.Mallocs)/float64(b.N*n), "allocs/entry")
 	})
+}
+
+// TestColumnChunks holds the chunk arithmetic to the layout it promises
+// at widths from a label to rows wider than a chunk: chunks double from
+// firstElems elements up to a full one, every entry reads back what was
+// stored, Array and Span hand out the array an entry lies in, a prefix
+// reads only its entries, and bytes counts what the chunks allocated.
+func TestColumnChunks(t *testing.T) {
+	for _, w := range []int{1, 3, 8, 64, 300, 70_000} {
+		c := newColumn[int32](w)
+		per := 1 << c.pshift
+		n := 3*per + 5 + (1<<c.pshift - 1<<c.fshift)
+		for i := range n {
+			v := make([]int32, w)
+			v[0], v[w-1] = int32(i), int32(i)
+			c.append(v...)
+		}
+		if got := len(c.chunks[0]); got > max(w, firstElems) || 2*got <= min(firstElems, per*w) {
+			t.Fatalf("width %d: the first chunk holds %d elements", w, got)
+		}
+		allocated := 0
+		for k, ch := range c.chunks {
+			allocated += len(ch)
+			if len(ch) != c.size(k)*w || (k > 0 && c.size(k) != min(2*c.size(k-1), per)) {
+				t.Fatalf("width %d: chunk %d holds %d entries after %d", w, k, len(ch)/w, c.size(max(0, k-1)))
+			}
+		}
+		if c.bytes(4) != int64(4*allocated) {
+			t.Fatalf("width %d: bytes %d, chunks allocate %d", w, c.bytes(4), 4*allocated)
+		}
+		cut := c.Prefix(n - per/2 - 1)
+		for i := range n {
+			e := c.At(i)
+			run, first := c.Array(i)
+			if e[0] != int32(i) || e[w-1] != int32(i) || &run[(i-first)*w] != &e[0] || len(run)%w != 0 {
+				t.Fatalf("width %d: entry %d reads %d..%d, its array starts at %d", w, i, e[0], e[w-1], first)
+			}
+			if i < cut.n && &cut.At(i)[0] != &e[0] {
+				t.Fatalf("width %d: the prefix moved entry %d", w, i)
+			}
+		}
+		if run, first := cut.Array(cut.n - 1); first+len(run)/w != cut.n {
+			t.Fatalf("width %d: the prefix's last array runs to %d, past its %d entries", w, first+len(run)/w, cut.n)
+		}
+	}
+}
+
+// classBlock is the class-major run of rows LoadDB laid out for label y
+// — the base of ClassRows(y) — or nil for a label holding only entries
+// stored by Add.
+func classBlock(db *DB, y int) []float32 {
+	rows := db.ClassRows(y)
+	return rows.base
 }

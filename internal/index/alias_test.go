@@ -65,58 +65,76 @@ func bucketsOf(t testing.TB, s Searcher) map[int]*bucket {
 	return nil
 }
 
-// assertAliased fails unless every bucket's base IS the database's
-// class block — same first element, same length — rather than a copy.
+// assertAliased fails unless every row a bucket scans IS the row the
+// database keeps for that entry — same address — rather than a copy:
+// rows loaded into a class block, stored by Add, or ingested after the
+// index was built alike.
 func assertAliased(t testing.TB, s Searcher, db *fingerprint.DB, when string) {
 	t.Helper()
 	for y, b := range bucketsOf(t, s) {
-		block := db.ClassBlock(y)
-		if len(block) == 0 {
-			continue // a label born from Add/Append has nothing to alias
+		if b.vecs.Len() != len(b.idx) {
+			t.Fatalf("%s %s: label %d scans %d rows for %d entries", s.Kind(), when, y, b.vecs.Len(), len(b.idx))
 		}
-		first := db.Entry(db.ClassIndex(y)[0]).F
-		if len(b.vecs.base) != len(block) || &b.vecs.base[0] != &first[0] {
-			t.Fatalf("%s %s: label %d base (%d floats) does not alias the database block (%d floats)",
-				s.Kind(), when, y, len(b.vecs.base), len(block))
+		for p, i := range b.idx {
+			if row, e := b.vecs.At(p), db.Entry(int(i)); e.Y != y || &row[0] != &e.F[0] {
+				t.Fatalf("%s %s: label %d position %d does not alias database entry %d (label %d)", s.Kind(), when, y, p, i, e.Y)
+			}
 		}
 	}
 }
 
+// databaseOf is the database an index resolves every entry through.
+func databaseOf(s Searcher) *fingerprint.DB {
+	return s.(interface{ database() *fingerprint.DB }).database()
+}
+
+// ownedBytesOf reads the OwnedBytes every backend reports.
+func ownedBytesOf(s Searcher) int64 { return s.(interface{ OwnedBytes() int64 }).OwnedBytes() }
+
 // TestIndexAliasesLoadedDB is the one-resident-copy invariant: an index
 // built over a LoadDB database scans the database's own rows, appends
-// grow a separate tail without bringing the copy back, and a retrain
-// over a snapshot — direct, or through the ingest store's drift
-// hot-swap — aliases again.
+// — linkages stored in the database by Append itself — are scanned
+// where the database stored them, each costing the index its database
+// index and nothing of the linkage, and a retrain over a snapshot
+// aliases again.
 func TestIndexAliasesLoadedDB(t *testing.T) {
 	const dim, classes = 8, 3
-	_, db, _ := addedAndLoaded(t, dim, 600, classes, false, 5)
-	ivf, err := TrainIVF(db, IVFOptions{Nlist: 6, Seed: 3})
-	if err != nil {
-		t.Fatal(err)
-	}
 	rng := rand.New(rand.NewPCG(4, 4))
-	for _, backend := range []Appender{NewFlat(db), ivf} {
+	for _, kind := range []string{"flat", "ivf"} {
+		_, db, _ := addedAndLoaded(t, dim, 600, classes, false, 5)
+		backend := Appender(NewFlat(db))
+		if kind == "ivf" {
+			ivf, err := TrainIVF(db, IVFOptions{Nlist: 6, Seed: 3})
+			if err != nil {
+				t.Fatal(err)
+			}
+			backend = ivf
+		}
 		assertAliased(t, backend, db, "after build")
-		before := vectorBytesOf(backend)
+		vectors, owned := vectorBytesOf(backend), ownedBytesOf(backend)
 		for i := 0; i < 1000*classes; i++ {
-			// Rows the database never sees: Append must absorb them anyway.
-			if err := backend.Append(db.Len()+i, fingerprint.Linkage{F: randomFP(rng, dim), Y: i % classes, S: "app"}); err != nil {
+			// Rows the database does not hold yet: Append stores them there.
+			if err := backend.Append(db.Len(), fingerprint.Linkage{F: randomFP(rng, dim), Y: i % classes, S: "app"}); err != nil {
 				t.Fatal(err)
 			}
 		}
 		assertAliased(t, backend, db, "after 1000 appends per class")
 		for y, b := range bucketsOf(t, backend) {
-			if len(b.vecs.tail) != 1000*dim || b.n != 200+1000 {
-				t.Fatalf("%s label %d: tail of %d floats, n %d", backend.Kind(), y, len(b.vecs.tail), b.n)
+			if len(b.idx) != 200+1000 || db.Len() != 600+1000*classes {
+				t.Fatalf("%s label %d: %d entries, database %d", kind, y, len(b.idx), db.Len())
 			}
 		}
-		if grew := vectorBytesOf(backend) - before; grew < int64(1000*classes*dim*4) {
-			t.Fatalf("%s: VectorBytes grew by %d for %d appended vectors", backend.Kind(), grew, 1000*classes)
+		if grew := vectorBytesOf(backend) - vectors; grew < int64(1000*classes*dim*4) {
+			t.Fatalf("%s: VectorBytes grew by %d for %d appended vectors", kind, grew, 1000*classes)
+		}
+		if grew := ownedBytesOf(backend) - owned; grew > int64(1000*classes*16) {
+			t.Fatalf("%s: OwnedBytes grew by %d for %d appended vectors: more than their database indices and lists", kind, grew, 1000*classes)
 		}
 	}
 
-	// Entries stored by Add sit outside the blocks; a retrain over the
-	// snapshot aliases the loaded prefix and copies only those.
+	// A retrain over a snapshot of a database that has grown by Add reads
+	// the rows the database holds, in its blocks and its chunks alike.
+	_, db, _ := addedAndLoaded(t, dim, 600, classes, false, 5)
 	for i := 0; i < 90; i++ {
 		if err := db.Add(fingerprint.Linkage{F: randomFP(rng, dim), Y: i % classes, S: "late"}); err != nil {
 			t.Fatal(err)
@@ -128,95 +146,51 @@ func TestIndexAliasesLoadedDB(t *testing.T) {
 		t.Fatal(err)
 	}
 	assertAliased(t, retrained, db, "retrained over Snapshot(-1)")
-	for y, b := range bucketsOf(t, retrained) {
-		if len(b.vecs.tail) != 30*dim {
-			t.Fatalf("retrained label %d: tail of %d floats, want the 30 Add-built rows", y, len(b.vecs.tail))
-		}
-	}
 	want, err := TrainIVF(rebuiltByAdd(t, db), IVFOptions{Nlist: 6, Seed: 3})
 	if err != nil {
 		t.Fatal(err)
 	}
 	if !bytes.Equal(savedBytes(t, retrained), savedBytes(t, want)) {
-		t.Fatal("IVF trained over block+tail saves different bytes than over one private copy")
+		t.Fatal("IVF trained over a class block and chunks saves different bytes than over chunks alone")
 	}
 }
 
-// runsOf exposes every run of entries of an index: a bucket per label
-// for Flat and IVF, every inverted list for IVFPQ.
-func runsOf(t testing.TB, s Searcher) []*entries {
-	t.Helper()
-	var out []*entries
-	if pq, ok := s.(*IVFPQ); ok {
-		for _, c := range pq.labels {
-			for _, l := range c.lists {
-				out = append(out, &l.entries)
-			}
-		}
-		return out
-	}
-	for _, b := range bucketsOf(t, s) {
-		out = append(out, &b.entries)
-	}
-	return out
-}
-
-// TestIndexHoldsProvenanceOnlyForAppends: an index built over a
-// database — loaded or Add-built — keeps no linkage of its own for any
-// entry it was built over, only the database it resolves them through;
-// a linkage that arrives through Append and that the database does not
-// hold is kept, and served with its own index, source and hash. Loaded
-// over a database that has since stored it, the same index keeps
-// nothing again and serves it the same.
-func TestIndexHoldsProvenanceOnlyForAppends(t *testing.T) {
+// TestIndexHoldsNoProvenance: an index built over a database — loaded
+// or Add-built — keeps no linkage of its own, only the database it
+// resolves its entries through and each one's database index. A linkage
+// handed to Append that the database does not hold yet is stored in the
+// database, not in the index, and served with its own index, source
+// and hash; loaded over a copy of that database, the same index serves
+// it the same, and attached to the original it reads the original's rows.
+func TestIndexHoldsNoProvenance(t *testing.T) {
 	const dim, classes = 8, 3
 	added, loaded, _ := addedAndLoaded(t, dim, 300, classes, true, 13)
-	for _, db := range []*fingerprint.DB{added, loaded} {
-		ivf, err := TrainIVF(db, IVFOptions{Nlist: 4, Nprobe: 4, Seed: 2})
-		if err != nil {
-			t.Fatal(err)
-		}
-		pq, err := TrainIVFPQ(db, IVFPQOptions{IVFOptions: IVFOptions{Nlist: 4, Nprobe: 4, Seed: 2}, M: 4})
-		if err != nil {
-			t.Fatal(err)
-		}
-		for _, x := range []Appender{NewFlat(db), ivf, pq} {
-			held := 0
-			for _, e := range runsOf(t, x) {
-				if len(e.src)+len(e.hash)+len(e.f) != 0 || e.db != db {
-					t.Fatalf("%s: a built run of %d entries keeps provenance of its own for %d (database %p, want %p)", x.Kind(), len(e.idx), len(e.src), e.db, db)
-				}
-				held += len(e.idx)
-			}
-			if held != db.Len() {
-				t.Fatalf("%s: runs cover %d of %d entries", x.Kind(), held, db.Len())
-			}
-
-			ghost := fingerprint.Linkage{F: make(fingerprint.Fingerprint, dim), Y: 1, S: "ghost", H: [32]byte{0xfe, 0xed}}
-			ghost.F[0] = 40 // far from every unit-norm entry: its own nearest neighbour
-			ghostIdx := db.Len()
-			if err := x.Append(ghostIdx, ghost); err != nil {
-				t.Fatal(err)
-			}
-			kept := 0
-			for _, e := range runsOf(t, x) {
-				kept += len(e.idx) - e.kept()
-			}
-			if kept != 1 {
-				t.Fatalf("%s: provenance kept for %d entries after one Append", x.Kind(), kept)
-			}
-			grown := db.Snapshot(-1)
-			if err := grown.Add(ghost); err != nil {
-				t.Fatal(err)
-			}
-			reloaded, err := Load(bytes.NewReader(savedBytes(t, x)), grown)
+	for _, origin := range []*fingerprint.DB{added, loaded} {
+		for _, k := range attachKinds {
+			db := origin.Snapshot(-1) // the ghost lands in a database of this backend's own
+			x, err := k.build(db)
 			if err != nil {
 				t.Fatal(err)
 			}
-			for _, e := range runsOf(t, reloaded) {
-				if e.kept() != len(e.idx) || e.db != grown {
-					t.Fatalf("%s: a loaded run keeps provenance of its own for %d of %d entries", x.Kind(), len(e.idx)-e.kept(), len(e.idx))
-				}
+			if databaseOf(x) != db || x.Len() != db.Len() {
+				t.Fatalf("%s: holds %d entries through %p, want the %d of %p", x.Kind(), x.Len(), databaseOf(x), db.Len(), db)
+			}
+			owned := ownedBytesOf(x)
+			ghost := fingerprint.Linkage{F: make(fingerprint.Fingerprint, dim), Y: 1, S: "ghost", H: [32]byte{0xfe, 0xed}}
+			ghost.F[0] = 40 // far from every unit-norm entry: its own nearest neighbour
+			ghostIdx := db.Len()
+			if err := x.(Appender).Append(ghostIdx, ghost); err != nil {
+				t.Fatal(err)
+			}
+			if e := db.Entry(ghostIdx); db.Len() != ghostIdx+1 || e.S != ghost.S || e.H != ghost.H {
+				t.Fatalf("%s: Append did not store the linkage in the database: %d entries, entry %+v", x.Kind(), db.Len(), e)
+			}
+			if grew := ownedBytesOf(x) - owned; grew > 64 {
+				t.Fatalf("%s: one Append grew the index by %d bytes", x.Kind(), grew)
+			}
+			reloaded, err := Load(bytes.NewReader(savedBytes(t, x)), rebuiltByAdd(t, db))
+			if err != nil {
+				t.Fatal(err)
 			}
 			for _, s := range []Searcher{x, reloaded} {
 				got, err := s.Search(ghost.F, 1, 2)
@@ -229,6 +203,14 @@ func TestIndexHoldsProvenanceOnlyForAppends(t *testing.T) {
 				if e := db.Entry(got[1].Index); got[1].Source != e.S || got[1].Hash != e.H || e.Y != 1 {
 					t.Fatalf("%s: the runner-up %+v is not the database's entry %+v", s.Kind(), got[1], e)
 				}
+			}
+			// Attached to the database it holds a copy of, the reloaded
+			// index reads that database's rows, not the copy's.
+			if err := Attach(reloaded, db); err != nil || databaseOf(reloaded) != db {
+				t.Fatalf("%s: attached to the original: %v", x.Kind(), err)
+			}
+			if k.name != "ivfpq" {
+				assertAliased(t, reloaded, db, "attached")
 			}
 		}
 	}
@@ -251,37 +233,12 @@ func (c *swapCatcher) SetSearcher(s fingerprint.Searcher) {
 	c.s = s
 }
 
-// assertCarriedAlias fails unless every linkage an IVFPQ list carries is
-// the database's stored entry of that index: same provenance, and F the
-// database's own row rather than a second copy of it. resident, when
-// non-negative, is how many entries the lists must NOT carry.
-func assertCarriedAlias(t testing.TB, x *IVFPQ, db *fingerprint.DB, resident int, when string) {
-	t.Helper()
-	carried := 0
-	for _, c := range x.labels {
-		for _, l := range c.lists {
-			r := l.kept()
-			for i, f := range l.f {
-				e := db.Entry(int(l.idx[r+i]))
-				if l.src[i] != e.S || l.hash[i] != e.H || &f[0] != &e.F[0] {
-					t.Fatalf("ivfpq %s: entry %d is carried as a copy, not as the database's row", when, l.idx[r+i])
-				}
-			}
-			carried += len(l.f)
-		}
-	}
-	if resident >= 0 && x.Len()-carried != resident {
-		t.Fatalf("ivfpq %s: %d of %d entries resolve through the database, want %d", when, x.Len()-carried, x.Len(), resident)
-	}
-}
-
 // TestStoreRetrainAliases drives the real drift path: ingest past the
 // threshold, let the store retrain over Snapshot(-1) and swap, and the
-// swapped-in IVF must still scan the loaded database's rows. The
-// swapped-in IVFPQ resolves every entry through the snapshot, and the
-// ones ingested before and after the swap — which no snapshot of its own
-// can see — through the stored entry the store hands Append: no appended
-// vector is held twice.
+// swapped-in index must be a view of the live database — rebased off
+// the snapshot it was trained over, so that the entries ingested before
+// and after the swap resolve where the database stored them — and, for
+// IVF, scan the database's own rows.
 func TestStoreRetrainAliases(t *testing.T) {
 	const dim, classes = 8, 2
 	for _, kind := range []string{"ivf", "ivfpq"} {
@@ -317,9 +274,6 @@ func TestStoreRetrainAliases(t *testing.T) {
 			}
 		}
 		ingest(60)
-		if pq, ok := first.(*IVFPQ); ok {
-			assertCarriedAlias(t, pq, db, 400, "before the retrain")
-		}
 		select {
 		case <-swapped.done:
 		case <-time.After(30 * time.Second):
@@ -329,14 +283,12 @@ func TestStoreRetrainAliases(t *testing.T) {
 		if err := store.Close(); err != nil {
 			t.Fatal(err)
 		}
-		if swapped.s.Len() != db.Len() {
-			t.Fatalf("%s: swapped backend holds %d of %d entries", kind, swapped.s.Len(), db.Len())
+		if swapped.s.Len() != db.Len() || databaseOf(swapped.s) != db {
+			t.Fatalf("%s: swapped backend holds %d of %d entries, through %p, not the live database %p", kind, swapped.s.Len(), db.Len(), databaseOf(swapped.s), db)
 		}
-		if pq, ok := swapped.s.(*IVFPQ); ok {
-			assertCarriedAlias(t, pq, db, -1, "after the store's drift retrain")
-			continue
+		if kind == "ivf" {
+			assertAliased(t, swapped.s, db, "after the store's drift retrain")
 		}
-		assertAliased(t, swapped.s, db, "after the store's drift retrain")
 	}
 }
 
@@ -426,12 +378,11 @@ func TestLoadedMatchesAdded(t *testing.T) {
 }
 
 // TestAliasedIndexRace runs everything that touches the shared storage
-// at once — searches over the aliased base that resolve every match's
-// provenance through the database, appends to the tails, DB.Add growing
-// the database's columns across chunk boundaries, and snapshots retrained
-// into fresh indexes; for IVFPQ, searches whose exact stage reads rows
-// through the database and through linkages the concurrent appends are
-// adding. Run under -race.
+// at once — searches over the database's rows that resolve every match's
+// provenance through the database, DB.Add growing the database's
+// columns across chunk boundaries, appends of those entries, and
+// snapshots built into fresh indexes; for IVFPQ, searches whose exact
+// stage reads rows through the database. Run under -race.
 func TestAliasedIndexRace(t *testing.T) {
 	const dim, classes = 8, 3
 	_, db, _ := addedAndLoaded(t, dim, 450, classes, false, 23)
@@ -491,7 +442,7 @@ func TestAliasedIndexRace(t *testing.T) {
 			t.Fatal(err)
 		}
 		for _, b := range backends {
-			if err := b.Append(idx, db.Entry(idx)); err != nil {
+			if err := b.Append(idx); err != nil {
 				t.Fatal(err)
 			}
 		}
@@ -499,14 +450,12 @@ func TestAliasedIndexRace(t *testing.T) {
 	close(stop)
 	wg.Wait()
 	for _, b := range backends {
-		if b.Len() != db.Len() {
+		if b.Len() != db.Len() || databaseOf(b) != db {
 			t.Fatalf("%s: len %d, want %d", b.Kind(), b.Len(), db.Len())
 		}
-		if b == Appender(pq) {
-			assertCarriedAlias(t, pq, db, 450, "after the race")
-			continue
+		if b != Appender(pq) {
+			assertAliased(t, b, db, "after the race")
 		}
-		assertAliased(t, b, db, "after the race")
 	}
 }
 
@@ -610,15 +559,14 @@ func TestLoadedIndexHeapBudget(t *testing.T) {
 	runtime.KeepAlive(saved)
 }
 
-// TestStoreRetrainPinsNothing: a drift retrain trains over a Snapshot and
-// the swapped-in index keeps it, to resolve the entries it was built
-// over. Once the live database has grown to three times that snapshot,
-// everything still reachable must be current: the database within its
-// budget over the entries it holds NOW, plus what the index reports
-// owning (codes, and the linkage of every entry appended since — the
-// price of a tail, not of a stale copy). Column arrays a growing database
-// had reallocated, kept alive by the snapshot, would not fit: they are
-// 44 B for every entry of the snapshot.
+// TestStoreRetrainPinsNothing: a drift retrain trains over a Snapshot,
+// and the swapped-in index is rebased onto the live database. Once the
+// live database has grown to three times that snapshot, everything
+// still reachable must be current: the database within its budget over
+// the entries it holds NOW, plus what the index reports owning (codes
+// and database indices). Column arrays a growing database had
+// reallocated, kept alive by the snapshot, would not fit: they are 44 B
+// for every entry of the snapshot.
 func TestStoreRetrainPinsNothing(t *testing.T) {
 	if testing.Short() {
 		t.Skip("ingests 90 000 × 64 linkages")
@@ -693,3 +641,81 @@ func TestStoreRetrainPinsNothing(t *testing.T) {
 	runtime.KeepAlive(db)
 	runtime.KeepAlive(raw)
 }
+
+// TestAppendOwnsNothing: a linkage ingested through the write path into
+// a loaded database is resident once, in the database. Over a bench-shard
+// shape (4 labels × 25 000 × 64) and 16 000 volatile-store ingests, the
+// database's rows grow by 4·dim bytes a linkage and the whole database
+// by at most 330 B — the row, 40 B of provenance, its class slot and the
+// chunks' unfilled tails — while what each index owns grows by its
+// per-entry bookkeeping alone: a database index (and IVF a list
+// position, IVFPQ M code bytes) with the slack of growing the arrays
+// that hold them. A second copy of an appended row (256 B) or of its
+// provenance (48 B) cannot fit any bound.
+func TestAppendOwnsNothing(t *testing.T) {
+	if testing.Short() {
+		t.Skip("ingests 16 000 linkages into each of three 100 000 × 64 shards")
+	}
+	const dim, n, classes, appends, dbBound = 64, 100_000, 4, 16_000, 330
+	_, _, raw := addedAndLoaded(t, dim, n, classes, true, 17)
+	for _, k := range []struct {
+		name  string
+		bound int64 // owned bytes a linkage
+	}{{"flat", 16}, {"ivf", 24}, {"ivfpq", 48}} {
+		db, err := fingerprint.LoadDB(bytes.NewReader(raw))
+		if err != nil {
+			t.Fatal(err)
+		}
+		var x Searcher
+		for _, b := range budgetKinds {
+			if b.name == k.name {
+				if x, err = b.train(db); err != nil {
+					t.Fatal(err)
+				}
+			}
+		}
+		rows0, prov0, class0 := db.ResidentBytes()
+		owned0 := ownedBytesOf(x)
+		st, err := ingest.Open("", db, x, ingest.Options{DriftThreshold: -1})
+		if err != nil {
+			t.Fatal(err)
+		}
+		rng := rand.New(rand.NewPCG(18, 18))
+		for i := 0; i < appends; i += 500 {
+			batch := make([]fingerprint.Linkage, 500)
+			for j := range batch {
+				batch[j] = fingerprint.Linkage{F: randomFP(rng, dim), Y: j % classes, S: "ingest", H: [32]byte{byte(j)}}
+			}
+			if _, err := st.IngestBatch(batch); err != nil {
+				t.Fatal(err)
+			}
+		}
+		if err := st.Close(); err != nil {
+			t.Fatal(err)
+		}
+		rows1, prov1, class1 := db.ResidentBytes()
+		owned := ownedBytesOf(x) - owned0
+		rows, all := rows1-rows0, rows1+prov1+class1-rows0-prov0-class0
+		t.Logf("%s: per ingested linkage the index owns %.1f B more, the database %.1f B (rows %.1f B)",
+			k.name, float64(owned)/appends, float64(all)/appends, float64(rows)/appends)
+		if x.Len() != n+appends || db.Len() != n+appends {
+			t.Fatalf("%s: index holds %d, database %d, want %d", k.name, x.Len(), db.Len(), n+appends)
+		}
+		if owned > k.bound*appends {
+			t.Errorf("%s: the index grew by %d B over %d ingests, bound %d B each", k.name, owned, appends, k.bound)
+		}
+		if slack := int64(classes * chunkBytes); rows < 4*dim*appends || rows > 4*dim*appends+slack {
+			t.Errorf("%s: the database's rows grew by %d B over %d ingests, want %d + at most %d of unfilled chunks", k.name, rows, appends, 4*dim*appends, slack)
+		}
+		if all > dbBound*appends {
+			t.Errorf("%s: the database grew by %d B over %d ingests, bound %d B each", k.name, all, appends, dbBound)
+		}
+		if k.name != "ivfpq" {
+			assertAliased(t, x, db, "after the ingests")
+		}
+	}
+}
+
+// chunkBytes is a full chunk of dim-64 rows: the most a label's rows
+// hold unfilled.
+const chunkBytes = 256 * 64 * 4

@@ -18,15 +18,17 @@ var ErrForeignIndex = errors.New("index: not the database's index")
 // Attach makes s the index of db. Every entry of s must be db's entry at
 // its database index, and together they must be db's first s.Len()
 // entries; otherwise Attach refuses with ErrForeignIndex and leaves s as
-// it was. The entries db holds past s's are then appended in database
-// order, as the write path would have appended them. A searcher other
-// than Flat, IVF and IVFPQ is left alone.
+// it was. s is then a view of db (Rebase), and the entries db holds past
+// s's are appended in database order, as the write path would have
+// appended them. A searcher other than Flat, IVF and IVFPQ is left
+// alone.
 func Attach(s Searcher, db *fingerprint.DB) error {
 	switch s.(type) {
 	case *Flat, *IVF, *IVFPQ:
 		if err := checkPrefix(s, db); err != nil {
 			return err
 		}
+		s.(Appender).Rebase(db)
 		return catchUp(s.(Appender), db)
 	}
 	return nil
@@ -38,16 +40,17 @@ func Attach(s Searcher, db *fingerprint.DB) error {
 // being refused.
 func catchUp(s Appender, db *fingerprint.DB) error {
 	for i := s.Len(); i < db.Len(); i++ {
-		if err := s.Append(i, db.Entry(i)); err != nil {
+		if err := s.Append(i); err != nil {
 			return fmt.Errorf("index: catching up entry %d: %w", i, err)
 		}
 	}
 	return nil
 }
 
-// checkPrefix reports whether the entries of s are db's first s.Len()
-// entries, each the database's at its index: one pass over the index in
-// whatever order it keeps its runs.
+// checkPrefix reports whether the entries of s, as the database it is a
+// view of holds them, are db's first s.Len() entries, each the
+// database's at its index: one pass over the index in whatever order it
+// keeps its runs.
 func checkPrefix(s Searcher, db *fingerprint.DB) error {
 	if db.Dim() != s.Dim() {
 		return fmt.Errorf("%w: database has %d dims, index %d", fingerprint.ErrDimMismatch, db.Dim(), s.Dim())
@@ -56,10 +59,11 @@ func checkPrefix(s Searcher, db *fingerprint.DB) error {
 		return fmt.Errorf("%w: %d entries, the database %d", ErrForeignIndex, n, db.Len())
 	}
 	chk := newEntryCheck(db)
-	run := func(y int, e *entries, row func(pos int) []float32) error {
-		for pos, idx := range e.idx {
-			src, hash := e.provenance(pos)
-			if err := chk.entry(int(idx), y, []byte(src), hash[:], row(pos)); err != nil {
+	var own *fingerprint.DB
+	run := func(y int, idx []int32) error {
+		for _, i := range idx {
+			l := own.Entry(int(i))
+			if err := chk.entry(int(i), y, []byte(l.S), l.H[:], l.F); err != nil {
 				return err
 			}
 		}
@@ -69,25 +73,28 @@ func checkPrefix(s Searcher, db *fingerprint.DB) error {
 	case *Flat:
 		x.mu.RLock()
 		defer x.mu.RUnlock()
+		own = x.db
 		for y, b := range x.buckets {
-			if err := run(y, &b.entries, b.vecs.at); err != nil {
+			if err := run(y, b.idx); err != nil {
 				return err
 			}
 		}
 	case *IVF:
 		x.mu.RLock()
 		defer x.mu.RUnlock()
+		own = x.db
 		for y, c := range x.labels {
-			if err := run(y, &c.b.entries, c.b.vecs.at); err != nil {
+			if err := run(y, c.b.idx); err != nil {
 				return err
 			}
 		}
 	case *IVFPQ:
 		x.mu.RLock()
 		defer x.mu.RUnlock()
+		own = x.db
 		for y, c := range x.labels {
 			for _, l := range c.lists {
-				if err := run(y, &l.entries, l.row); err != nil {
+				if err := run(y, l.idx); err != nil {
 					return err
 				}
 			}

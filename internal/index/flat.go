@@ -1,17 +1,12 @@
 package index
 
-import (
-	"fmt"
-	"sync"
+import "caltrain/internal/fingerprint"
 
-	"caltrain/internal/fingerprint"
-)
-
-// Flat is the exact backend: per-label contiguous vector storage scanned
-// in full for every query. It returns results identical to DB.Query but
-// replaces the full sort with a bounded top-k max-heap, compares squared
-// distances (one sqrt per returned match instead of one per entry), and
-// fans large classes out across cores.
+// Flat is the exact backend: each label's rows, as the database keeps
+// them, scanned in full for every query. It returns results identical
+// to DB.Query but replaces the full sort with a bounded top-k max-heap,
+// compares squared distances (one sqrt per returned match instead of
+// one per entry), and fans large classes out across cores.
 //
 // Flat implements Appender: the ingest path grows per-label buckets in
 // place, and appended entries are immediately visible to searches with
@@ -19,59 +14,52 @@ import (
 // serialized under an internal RWMutex; concurrent searches still run
 // in parallel.
 type Flat struct {
-	mu      sync.RWMutex
-	dim     int
-	total   int
+	view
 	buckets map[int]*bucket
 }
 
-// NewFlat builds an exact index from a snapshot of the linkage database.
-// Entries added to the database afterwards are not visible unless fed in
-// with Append.
+// NewFlat builds an exact index over the linkage database. Entries added
+// to the database afterwards are not visible unless fed in with Append.
 func NewFlat(db *fingerprint.DB) *Flat {
-	x := &Flat{dim: db.Dim(), buckets: make(map[int]*bucket)}
+	x := &Flat{view: view{dim: db.Dim(), db: db}, buckets: make(map[int]*bucket)}
 	for _, y := range db.Labels() {
 		b := buildBucket(db, y, nil)
 		x.buckets[y] = b
-		x.total += b.n
+		x.total += len(b.idx)
 	}
 	return x
-}
-
-// Dim returns the fingerprint dimensionality.
-func (x *Flat) Dim() int { return x.dim }
-
-// Len returns the number of indexed linkages.
-func (x *Flat) Len() int {
-	x.mu.RLock()
-	defer x.mu.RUnlock()
-	return x.total
 }
 
 // Kind implements Searcher.
 func (x *Flat) Kind() string { return "flat" }
 
-// Append implements Appender: it grows the label's bucket in place. The
-// entry is visible to searches as soon as Append returns.
-func (x *Flat) Append(dbIndex int, l fingerprint.Linkage) error {
-	if len(l.F) != x.dim {
-		return fmt.Errorf("%w: appended fingerprint has %d dims, index %d", fingerprint.ErrDimMismatch, len(l.F), x.dim)
-	}
+// Append implements Appender: each entry joins its label's bucket, and
+// is visible to searches as soon as Append returns.
+func (x *Flat) Append(dbIndex int, l ...fingerprint.Linkage) error {
 	x.mu.Lock()
 	defer x.mu.Unlock()
-	b := x.buckets[l.Y]
-	if b == nil {
-		b = &bucket{vecs: rows{dim: x.dim}}
-		x.buckets[l.Y] = b
+	return x.reach(dbIndex, l, func(i int, e fingerprint.Linkage) {
+		b := x.buckets[e.Y]
+		if b == nil {
+			b = &bucket{}
+			x.buckets[e.Y] = b
+		}
+		b.add(x.db, i, e.Y)
+	})
+}
+
+// Rebase implements Appender: the buckets read db's rows.
+func (x *Flat) Rebase(db *fingerprint.DB) {
+	x.mu.Lock()
+	defer x.mu.Unlock()
+	x.db = db
+	for y, b := range x.buckets {
+		b.rows(db, y)
 	}
-	b.appendEntry(int32(dbIndex), l)
-	x.total++
-	return nil
 }
 
 // VectorBytes reports the bytes of search geometry the index scans —
-// vector storage plus the per-entry database indices — whether the
-// rows are its own or the database's class block, aliased. For Flat
+// the database's rows it reads plus the per-entry database indices. For Flat
 // this is essentially 4·dim bytes per entry; the IVFPQ backend's
 // VectorBytes divides this by roughly 4·dim/M. The bench trajectory's
 // bytes/entry rows and the TestIVFPQRecall memory assertion both
@@ -82,22 +70,19 @@ func (x *Flat) VectorBytes() int64 {
 	defer x.mu.RUnlock()
 	var total int64
 	for _, b := range x.buckets {
-		total += b.vecs.bytes()
-		total += 4 * int64(len(b.idx))
+		total += int64(4 * (b.vecs.Len()*x.dim + len(b.idx)))
 	}
 	return total
 }
 
-// OwnedBytes reports what the index keeps resident beyond the database
-// it was built over: per entry a database index, plus the rows and the
-// linkage of every entry Append handed it (and of every entry when the
-// database had no class block to alias, or the index came from Load).
+// OwnedBytes reports what the index keeps resident beyond the database:
+// a database index per entry, by capacity.
 func (x *Flat) OwnedBytes() int64 {
 	x.mu.RLock()
 	defer x.mu.RUnlock()
 	var total int64
 	for _, b := range x.buckets {
-		total += b.ownedBytes()
+		total += 4 * int64(cap(b.idx))
 	}
 	return total
 }

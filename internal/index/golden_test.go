@@ -153,10 +153,12 @@ func goldenAppends(dim, classes, n int) []fingerprint.Linkage {
 }
 
 // build trains the case under the active kernel — and, viaLoad, saves
-// the trained index and loads it back over its database — then appends.
+// the trained index and loads it back over its database — then appends,
+// into a snapshot of the case's database, which the appends grow.
 func (c goldenCase) build(t testing.TB, viaLoad bool) Searcher {
 	t.Helper()
-	x, err := c.train(c.db)
+	db := c.db.Snapshot(-1)
+	x, err := c.train(db)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -165,14 +167,14 @@ func (c goldenCase) build(t testing.TB, viaLoad bool) Searcher {
 		if err := Save(&buf, x); err != nil {
 			t.Fatal(err)
 		}
-		s, err := Load(bytes.NewReader(buf.Bytes()), c.db)
+		s, err := Load(bytes.NewReader(buf.Bytes()), db)
 		if err != nil {
 			t.Fatal(err)
 		}
 		x = s.(Appender)
 	}
 	for i, l := range c.appends {
-		if err := x.Append(c.db.Len()+i, l); err != nil {
+		if err := x.Append(db.Len(), l); err != nil {
 			t.Fatalf("append %d: %v", i, err)
 		}
 	}

@@ -25,32 +25,25 @@
 // a backend supplies how a label's entries are arranged and scored, the
 // pipeline the grouping, heaps, fan-out, pooled scratch and result order.
 //
-// Flat and IVF keep each label's vectors in a bucket of two row-major
-// segments. base holds the rows the index was built over and is never
-// written again: when the database came from fingerprint.LoadDB it is
-// the database's own class block (DB.ClassBlock), aliased, so a loaded
-// fingerprint is resident once, not once per layer; for a database
-// built by Add it is a private copy. tail is the index-owned segment
-// Append grows, so appends never reallocate or duplicate base. Positions
-// run through base then tail, in database order. IVFPQ keeps no copy of
-// any float vector: its trainer reads the same buckets and drops them,
-// and its searches reach a row through the database the index was
-// trained over (or, for an appended entry, through the linkage Append
-// was handed).
-//
-// Provenance has the same split in all three (see entries): an index
-// keeps the database it was built over and each entry's database index,
-// resolves source and hash through them when a match is materialised or
-// saved, and keeps a source and hash of its own only for what Append
-// handed it.
+// Every backend is a view of the linkage database it serves: it holds
+// the database and, per entry, its database index, and reads everything
+// else of a linkage where the database keeps it. Flat and IVF scan a
+// label's rows as DB.ClassRows hands them out — the class block LoadDB
+// laid out, then the chunks Add fills, none of which moves — so a
+// fingerprint is resident once, whether it was loaded, added before
+// the index was built, or ingested after; IVFPQ keeps codes and reaches
+// a row through DB.Entry for its exact re-rank. Source and hash resolve
+// through the database where a match is materialised or an index saved.
 //
 // All three serialize with Save, and Load reads a saved index back over
-// its database in the state training leaves one in: the same aliased
-// buckets and database-resolved entries, every entry checked against the
-// database on the way in.
+// its database in the state training leaves one in, every entry checked
+// against the database on the way in.
 package index
 
 import (
+	"fmt"
+	"sync"
+
 	"caltrain/internal/fingerprint"
 	"caltrain/internal/kernel"
 )
@@ -61,20 +54,25 @@ import (
 type Searcher = fingerprint.Searcher
 
 // Appender is the optional write extension of a Searcher backend: it
-// absorbs one new linkage without a rebuild, making the entry visible to
-// subsequent searches. dbIndex is the entry's position in the backing
-// linkage database, so Match.Index values stay consistent between the
-// index and DB.Query. Flat grows its per-label bucket in place (still
-// exact); IVF assigns the vector to its label's nearest centroid (exact
-// within the probed lists, but the coarse quantizer is not retrained —
-// see Drifter); IVFPQ encodes it the same way and keeps l itself, F
-// aliased rather than copied, for the exact re-rank — so hand Append
-// the database's stored entry, whose fingerprint is immutable, not a
-// buffer that will be reused. Implementations serialize Append against
+// makes entries of its database searchable without a rebuild. Append
+// makes the index hold the database's first dbIndex+1 entries: entry
+// dbIndex, and any before it the index does not hold yet, in database
+// order, so Match.Index values stay consistent between the index and
+// DB.Query. Flat grows its per-label bucket (still exact); IVF assigns
+// each entry to its label's nearest centroid (exact within the probed
+// lists, but the coarse quantizer is not retrained — see Drifter);
+// IVFPQ encodes it the same way. None of them copies anything of the
+// linkage. A linkage the database does not hold yet may be handed in
+// as l: Append stores it in the database first, at dbIndex, which must
+// then be the database's Len. Rebase makes db the index's database; the
+// one it was built or loaded over must be a prefix of db — a Snapshot of
+// it, say — so that every entry it holds is db's at the same index
+// (Attach is the checked way). Implementations serialize both against
 // Search internally.
 type Appender interface {
 	Searcher
-	Append(dbIndex int, l fingerprint.Linkage) error
+	Append(dbIndex int, l ...fingerprint.Linkage) error
+	Rebase(db *fingerprint.DB)
 }
 
 // Drifter is implemented by appendable backends whose search quality
@@ -87,202 +85,150 @@ type Drifter interface {
 	Drift() float64
 }
 
-// rows is a row-major float32 matrix stored in two segments: rows
-// [0, nb) in base, the rest in tail. The split exists so a bucket can
-// alias an immutable block it does not own (base) and still grow (tail).
-type rows struct {
-	dim, nb    int
-	base, tail []float32
-	shared     bool // base is the database's class block, not the index's own
+// view is what every backend keeps above its classes: the database it
+// is a view of, how many of that database's first entries it holds, and
+// the lock that serializes Append against Search.
+type view struct {
+	mu    sync.RWMutex
+	dim   int
+	total int
+	db    *fingerprint.DB
 }
 
-// at returns row p.
-func (m *rows) at(p int) []float32 {
-	if p < m.nb {
-		return m.base[p*m.dim : (p+1)*m.dim]
-	}
-	p -= m.nb
-	return m.tail[p*m.dim : (p+1)*m.dim]
+// Dim returns the fingerprint dimensionality.
+func (x *view) Dim() int { return x.dim }
+
+// Len returns the number of indexed linkages.
+func (x *view) Len() int {
+	x.mu.RLock()
+	defer x.mu.RUnlock()
+	return x.total
 }
 
-// span returns the stored rows [r, r+n): the longest contiguous run that
-// starts at r, stays in one segment and ends by hi.
-func (m *rows) span(r, hi int) (run []float32, n int) {
-	if r < m.nb {
-		hi = min(hi, m.nb)
-		return m.base[r*m.dim : hi*m.dim], hi - r
-	}
-	return m.tail[(r-m.nb)*m.dim : (hi-m.nb)*m.dim], hi - r
-}
+// database is what a search resolves its matches through. Callers hold
+// the lock.
+func (x *view) database() *fingerprint.DB { return x.db }
 
-// gather computes out[i] = SqDist(q, row pos[i]) for at most scanBlock
-// positions, one kernel call per run of positions in the same segment
-// (an inverted list is ascending, so that is at most two calls).
-func (m *rows) gather(q []float32, pos []int32, out []float64) {
-	if len(m.tail) == 0 {
-		kernel.DistanceGather(q, m.base, m.dim, pos, out)
-		return
-	}
-	var rel [scanBlock]int32 // tail-relative positions of the current run
-	for i := 0; i < len(pos); {
-		j := i
-		if int(pos[i]) < m.nb {
-			for j < len(pos) && int(pos[j]) < m.nb {
-				j++
-			}
-			kernel.DistanceGather(q, m.base, m.dim, pos[i:j], out[i:j])
-		} else {
-			for ; j < len(pos) && int(pos[j]) >= m.nb; j++ {
-				rel[j-i] = pos[j] - int32(m.nb)
-			}
-			kernel.DistanceGather(q, m.tail, m.dim, rel[:j-i], out[i:j])
+// reach is Append for every backend: it stores l, when given, in the
+// database, then hands add, in database order, every entry up to dbIndex
+// that the index does not hold yet. Callers hold the write lock.
+func (x *view) reach(dbIndex int, l []fingerprint.Linkage, add func(i int, e fingerprint.Linkage)) error {
+	switch n := x.db.Len(); {
+	case len(l) > 1:
+		return fmt.Errorf("index: Append stores one linkage, not %d", len(l))
+	case len(l) == 1 && dbIndex != n:
+		return fmt.Errorf("index: a linkage appended at %d would land at the database's end, %d", dbIndex, n)
+	case len(l) == 1:
+		if err := x.db.Add(l[0]); err != nil {
+			return err
 		}
-		i = j
+	case dbIndex >= n:
+		return fmt.Errorf("index: entry %d is not in the database's %d", dbIndex, n)
 	}
-}
-
-// bytes is the float storage both segments address.
-func (m *rows) bytes() int64 { return 4 * int64(len(m.base)+len(m.tail)) }
-
-// entries is the identity side of a run of index entries — a bucket's,
-// or one IVFPQ list's: the database index of each, and what the index
-// keeps of a linkage itself. That is kept only for the run's last
-// len(src) entries: the ones that arrived through Append, which the
-// database the index was built over need not hold. The entries before
-// them are the database's and resolve through it by index, so a
-// linkage's provenance is resident once.
-type entries struct {
-	db   *fingerprint.DB // what the index was built over, or loaded over
-	idx  []int32         // database indices
-	src  []string        // S of each kept entry
-	hash [][32]byte      // H of each kept entry
-	// f is IVFPQ's alone, which has no vector storage of its own: each
-	// kept entry's row, aliasing the fingerprint Append was handed.
-	f []fingerprint.Fingerprint
-}
-
-// kept is the position of the run's first kept entry.
-func (e *entries) kept() int { return len(e.idx) - len(e.src) }
-
-// provenance resolves position pos of the run to its source and hash.
-// Callers hold the owning index's lock.
-func (e *entries) provenance(pos int) (string, [32]byte) {
-	if r := e.kept(); pos >= r {
-		return e.src[pos-r], e.hash[pos-r]
+	if dbIndex < x.total {
+		return fmt.Errorf("index: entry %d is indexed already", dbIndex)
 	}
-	l := e.db.Entry(int(e.idx[pos]))
-	return l.S, l.H
-}
-
-// row resolves position pos of an IVFPQ list to its float row: the
-// database's, or the one the list aliases for an entry it keeps.
-func (e *entries) row(pos int) []float32 {
-	if r := e.kept(); pos >= r {
-		return e.f[pos-r]
+	for ; x.total <= dbIndex; x.total++ {
+		add(x.total, x.db.Entry(x.total))
 	}
-	return e.db.Entry(int(e.idx[pos])).F
+	return nil
 }
 
-// bytes is the storage of the run's identities, by capacity.
-func (e *entries) bytes() int64 {
-	return 4*int64(cap(e.idx)) + 16*int64(cap(e.src)) + 32*int64(cap(e.hash)) + 24*int64(cap(e.f))
-}
-
-// bucket is one class label's slice of the index: vectors stored
-// contiguously for cache-friendly scanning (see rows and the package
-// comment for the base/tail split), identities parallel (see entries).
+// bucket is one class label's entries, in database order: each one's
+// database index, and the label's rows as the database keeps them.
 type bucket struct {
 	exact
-	entries
-	n    int
-	vecs rows
+	idx  []int32
+	vecs fingerprint.Rows
 }
 
-// appendEntry grows the bucket by one linkage and returns its position.
-// Callers hold the owning index's write lock.
-func (b *bucket) appendEntry(dbIdx int32, l fingerprint.Linkage) int32 {
-	pos := int32(b.n)
-	b.vecs.tail = append(b.vecs.tail, l.F...)
-	b.idx = append(b.idx, dbIdx)
-	b.src = append(b.src, l.S)
-	b.hash = append(b.hash, l.H)
-	b.n++
-	return pos
+// rows points the bucket at the rows db keeps for its label y.
+func (b *bucket) rows(db *fingerprint.DB, y int) {
+	all := db.ClassRows(y)
+	b.vecs = all.Prefix(len(b.idx))
 }
 
-// buildBucket snapshots label y of the database. The rows covered by
-// the database's class block are aliased as base; rows the block does
-// not cover (entries stored by Add) are copied — into the tail behind an
-// aliased base, or as a private base when the label has no block.
-// Nothing else of a linkage is copied: the bucket keeps each entry's
-// database index and db. Given a training workspace, the identities and
-// copied rows go into its storage instead of the bucket's own: IVFPQ's
-// bucket of a label lives only while that label trains.
+// add grows the bucket by database entry i, of label y, and returns its
+// position: the entry's place in its class, the row the database keeps
+// there. Callers hold the owning index's write lock.
+func (b *bucket) add(db *fingerprint.DB, i, y int) int32 {
+	b.idx = append(grow(b.idx, 1), int32(i))
+	b.rows(db, y)
+	return int32(len(b.idx) - 1)
+}
+
+// grow returns s with room for n more elements. A full s grows by an
+// eighth, not append's half or more: an index grows by what is ingested
+// between retrains, a small share of what it was built over, so the
+// slack is what it owns.
+func grow[T any](s []T, n int) []T {
+	if len(s)+n > cap(s) {
+		s = append(make([]T, 0, max(len(s)+n, len(s)+len(s)/8)), s...)
+	}
+	return s
+}
+
+// buildBucket snapshots label y of the database: its entries' database
+// indices — into a training workspace when given one, where IVFPQ's
+// bucket of a label lives only while that label trains — and a view of
+// its rows. Nothing of a linkage is copied.
 func buildBucket(db *fingerprint.DB, y int, km *kmeans) *bucket {
-	dim := db.Dim()
 	var idx []int32
-	var own []float32
 	if km != nil {
-		idx, own = km.idx, km.own
+		idx = km.idx
 	}
-	idx = db.ClassIndexInto(idx, y)
-	block := db.ClassBlock(y)
-	nb := len(block) / dim
-	if n := (len(idx) - nb) * dim; cap(own) < n {
-		own = make([]float32, n)
-	} else {
-		own = own[:n]
-	}
+	b := &bucket{idx: db.ClassIndexInto(idx, y)}
 	if km != nil {
-		km.idx, km.own = idx, own
+		km.idx = b.idx
 	}
-	vecs := rows{dim: dim, nb: nb, base: block, tail: own, shared: true}
-	if nb == 0 {
-		vecs = rows{dim: dim, nb: len(idx), base: own}
-	}
-	for i := nb; i < len(idx); i++ {
-		copy(own[(i-nb)*dim:], db.Entry(int(idx[i])).F)
-	}
-	return &bucket{entries: entries{db: db, idx: idx}, n: len(idx), vecs: vecs}
+	b.rows(db, y)
+	return b
 }
 
 // clip keeps the bucket's first n entries: Load's bucket of a label
 // when the file covers only a prefix of the database, which catches up
 // by Append.
 func (b *bucket) clip(n int) {
-	b.n, b.idx = n, b.idx[:n]
-	if n <= b.vecs.nb {
-		b.vecs.nb, b.vecs.base, b.vecs.tail = n, b.vecs.base[:n*b.vecs.dim], nil
-	} else {
-		b.vecs.tail = b.vecs.tail[:(n-b.vecs.nb)*b.vecs.dim]
-	}
+	b.idx = b.idx[:n]
+	b.vecs = b.vecs.Prefix(n)
 }
 
-// ownedBytes is what the bucket keeps resident beyond the database: its
-// own rows and its identities, by capacity.
-func (b *bucket) ownedBytes() int64 {
-	n := 4*int64(cap(b.vecs.tail)) + b.entries.bytes()
-	if !b.vecs.shared {
-		n += 4 * int64(cap(b.vecs.base))
+// gather computes out[i] = SqDist(q, row pos[i] of m) for ascending
+// positions: one kernel call when they all lie in m's first array (a
+// class block), one per row otherwise.
+func gather(m *fingerprint.Rows, q []float32, pos []int32, out []float64) {
+	dim := m.Dim()
+	run, first := m.Array(int(pos[0]))
+	end := first + len(run)/dim
+	if first == 0 && int(pos[len(pos)-1]) < end {
+		kernel.DistanceGather(q, run, dim, pos, out)
+		return
 	}
-	return n
+	for i, p := range pos {
+		if int(p) >= end {
+			run, first = m.Array(int(p))
+			end = first + len(run)/dim
+		}
+		o := (int(p) - first) * dim
+		out[i] = kernel.SqDist(q, run[o:o+dim])
+	}
 }
 
 // A bucket is Flat's class: one list, scanned in full by every query.
 
 func (b *bucket) quantizer() (int, []float32) { return 0, nil }
 
-func (b *bucket) listLen(int32) int { return b.n }
+func (b *bucket) listLen(int32) int { return len(b.idx) }
 
 // scanList visits each block of rows with every query while it is
 // cache-resident.
 func (b *bucket) scanList(w *scratch, qs []float32, heaps []topK, _ int32, lo, hi int) {
 	nq := len(heaps)
 	for r := lo; r < hi; {
-		run, n := b.vecs.span(r, min(r+scanBlock, hi))
-		kernel.DistanceBatch(qs, run, b.vecs.dim, w.buf[:nq*n])
+		run, n := b.vecs.Span(r, min(r+scanBlock, hi))
+		kernel.DistanceBatch(qs, run, b.vecs.Dim(), w.buf[:nq*n])
 		for j := range heaps {
-			heaps[j].offer(w.buf[j*n:(j+1)*n], r, nil, &b.entries)
+			heaps[j].offer(w.buf[j*n:(j+1)*n], r, nil, b.idx)
 		}
 		r += n
 	}

@@ -330,7 +330,7 @@ func TestInvertedListsCapClipped(t *testing.T) {
 	}
 	for ci := 0; ci < nlist; ci++ {
 		cen := fingerprint.Fingerprint(c.centroids[ci*dim : (ci+1)*dim])
-		if err := x.Append(db.Len()+ci, fingerprint.Linkage{F: cen, Y: 0, S: "late"}); err != nil {
+		if err := x.Append(db.Len(), fingerprint.Linkage{F: cen, Y: 0, S: "late"}); err != nil {
 			t.Fatal(err)
 		}
 	}
@@ -544,7 +544,7 @@ func TestIVFRecallAfterAppend(t *testing.T) {
 		if err := db.Add(fingerprint.Linkage{F: f, Y: 0, S: "new"}); err != nil {
 			t.Fatal(err)
 		}
-		if err := ivf.Append(idx, fingerprint.Linkage{F: f, Y: 0, S: "new"}); err != nil {
+		if err := ivf.Append(idx); err != nil {
 			t.Fatal(err)
 		}
 	}
@@ -655,7 +655,7 @@ func TestAppendMatchesRebuild(t *testing.T) {
 		if err := db.Add(l); err != nil {
 			t.Fatal(err)
 		}
-		if err := flat.Append(idx, l); err != nil {
+		if err := flat.Append(idx); err != nil {
 			t.Fatal(err)
 		}
 	}

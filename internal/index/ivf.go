@@ -125,16 +125,17 @@ func TrainIVF(db *fingerprint.DB, opts IVFOptions) (*IVF, error) {
 		return nil, fmt.Errorf("index: cannot train IVF on an empty database")
 	}
 	x := &IVF{labels: make(map[int]*ivfClass)}
-	x.dim = db.Dim()
+	x.dim, x.db = db.Dim(), db
 	nprobe := 0
 	var km kmeans
 	for _, y := range db.Labels() {
 		b := buildBucket(db, y, nil)
-		o := opts.withDefaults(b.n)
-		c := &ivfClass{b: b, coarse: trainCoarse(b, o, &km)}
-		c.lists = invertedLists(km.assign, c.nlist, make([]int32, b.n))
+		n := len(b.idx)
+		o := opts.withDefaults(n)
+		c := &ivfClass{b: b, coarse: trainCoarse(&b.vecs, o, &km)}
+		c.lists = invertedLists(km.assign, c.nlist, make([]int32, n))
 		x.labels[y] = c
-		x.total += b.n
+		x.total += n
 		// The coarsest label's nprobe default governs the index; labels
 		// with fewer lists are clamped at search time.
 		nprobe = max(nprobe, o.Nprobe)
@@ -150,8 +151,7 @@ func TrainIVF(db *fingerprint.DB, opts IVFOptions) (*IVF, error) {
 // the next, and fresh ones would land on pages no collection has freed
 // yet, adding to the set-up's peak resident memory. Per entry of the
 // largest label it holds four int32 (IVF) or seven (IVFPQ), plus IVFPQ's
-// one subquantizer's sample and the rows of the label the database
-// holds no class block of; see TestTrainAllocBudget.
+// one subquantizer's sample; see TestTrainAllocBudget.
 type kmeans struct {
 	perm   []int32   // a seeded permutation of a label's points: its sample
 	slot   []int32   // storageOrder's row → position map, zeroed per use
@@ -160,11 +160,11 @@ type kmeans struct {
 	counts []int     // a Lloyd round's per-cluster sizes
 	assign []int32   // the full assignment pass's list of each bucket position
 
-	// IVFPQ's alone: the bucket of the label in training (buildBucket),
-	// its positions list by list (the coarse lists' arena), and the
-	// sample one subquantizer trains on with its identity and table.
+	// IVFPQ's alone: the identities of the label in training
+	// (buildBucket), its positions list by list (the coarse lists'
+	// arena), and the sample one subquantizer trains on with its
+	// identity and table.
 	idx    []int32
-	own    []float32
 	order  []int32
 	sample []float32
 	all    []int32
@@ -192,34 +192,38 @@ func iota32(s []int32, n int) []int32 {
 	return s
 }
 
-// trainCoarse trains one label's coarse quantizer and leaves the list of
-// every bucket position in km.assign. A label of no more points than
-// lists is degenerate: every point its own list, the centroids the
+// trainCoarse trains one label's coarse quantizer over its rows and
+// leaves the list of every row in km.assign. A label of no more points
+// than lists is degenerate: every point its own list, the centroids the
 // points.
-func trainCoarse(b *bucket, o IVFOptions, km *kmeans) coarse {
-	dim, nlist := b.vecs.dim, o.Nlist
-	if nlist >= b.n {
-		km.assign = iota32(km.assign, b.n)
-		return newCoarse(append(append(make([]float32, 0, b.n*dim), b.vecs.base...), b.vecs.tail...), b.n, dim)
+func trainCoarse(vecs *fingerprint.Rows, o IVFOptions, km *kmeans) coarse {
+	dim, nlist, n := vecs.Dim(), o.Nlist, vecs.Len()
+	if nlist >= n {
+		km.assign = iota32(km.assign, n)
+		points := make([]float32, 0, n*dim)
+		for p := range n {
+			points = append(points, vecs.At(p)...)
+		}
+		return newCoarse(points, n, dim)
 	}
 
 	// Training sample: a seeded permutation prefix.
-	rng := rand.New(rand.NewPCG(o.Seed, uint64(b.n)<<16|uint64(nlist)))
-	sample := km.permute(b.n, rng)[:min(b.n, o.SampleCap)]
+	rng := rand.New(rand.NewPCG(o.Seed, uint64(n)<<16|uint64(nlist)))
+	sample := km.permute(n, rng)[:min(n, o.SampleCap)]
 
 	// Random distinct init from the sample; lloyd leaves the trained
 	// centroids in both layouts.
 	c := newCoarse(make([]float32, nlist*dim), nlist, dim)
 	for i := 0; i < nlist; i++ {
 		p := int(sample[i%len(sample)])
-		copy(c.centroids[i*dim:(i+1)*dim], b.vecs.at(p))
+		copy(c.centroids[i*dim:(i+1)*dim], vecs.At(p))
 	}
-	km.lloyd(&b.vecs, sample, c.centroids, c.planes, nlist, o.Iters, rng)
+	km.lloyd(vecs, sample, c.centroids, c.planes, nlist, o.Iters, rng)
 
 	// Full assignment pass over every point in the label.
-	km.assign = resize(km.assign, b.n)
+	km.assign = resize(km.assign, n)
 	planes := c.planes
-	assignNearest(&b.vecs, nil, nil, km.assign, func(qs []float32, out []int32) {
+	assignNearest(vecs, nil, nil, km.assign, func(qs []float32, out []int32) {
 		kernel.ArgminPlanarBatch(qs, planes, dim, nlist, out)
 	})
 	return c
@@ -268,11 +272,11 @@ func invertedLists(assign []int32, nlist int, arena []int32) [][]int32 {
 // kernel.ArgminPlanarBatch reads at every width — and table ends holding
 // the trained centroids transposed: the resident planar copy of a coarse
 // quantizer or a PQ codebook.
-func (km *kmeans) lloyd(vecs *rows, points []int32, cents, table []float32, k, iters int, rng *rand.Rand) {
-	dim := vecs.dim
+func (km *kmeans) lloyd(vecs *fingerprint.Rows, points []int32, cents, table []float32, k, iters int, rng *rand.Rand) {
+	dim := vecs.Dim()
 	km.near, km.sums, km.counts = resize(km.near, len(points)), resize(km.sums, k*dim), resize(km.counts, k)
 	near, sums, counts := km.near, km.sums, km.counts
-	listed, order := points, km.storageOrder(points, vecs.nb+len(vecs.tail)/dim)
+	listed, order := points, km.storageOrder(points, vecs.Len())
 	if order == nil {
 		listed = nil
 	}
@@ -285,13 +289,13 @@ func (km *kmeans) lloyd(vecs *rows, points []int32, cents, table []float32, k, i
 		for i, p := range points {
 			ci := int(near[i])
 			counts[ci]++
-			kernel.Accumulate(sums[ci*dim:(ci+1)*dim], vecs.at(int(p)))
+			kernel.Accumulate(sums[ci*dim:(ci+1)*dim], vecs.At(int(p)))
 		}
 		for ci := 0; ci < k; ci++ {
 			cen := cents[ci*dim : (ci+1)*dim]
 			if counts[ci] == 0 {
 				p := int(points[rng.IntN(len(points))])
-				copy(cen, vecs.at(p))
+				copy(cen, vecs.At(p))
 				continue
 			}
 			inv := 1 / float64(counts[ci])
@@ -311,12 +315,12 @@ func (km *kmeans) lloyd(vecs *rows, points []int32, cents, table []float32, k, i
 // are visited in storage order (points[order[0]], points[order[1]], …,
 // ascending) so that they stream from memory, and gathered assignTile
 // at a time into a pooled scratch.
-func assignNearest(vecs *rows, points, order, out []int32, argmin func(qs []float32, out []int32)) {
-	dim := vecs.dim
+func assignNearest(vecs *fingerprint.Rows, points, order, out []int32, argmin func(qs []float32, out []int32)) {
+	dim := vecs.Dim()
 	parallelChunks(len(out), func(lo, hi int) {
 		if points == nil {
 			for i := lo; i < hi; {
-				run, n := vecs.span(i, hi)
+				run, n := vecs.Span(i, hi)
 				argmin(run, out[i:i+n])
 				i += n
 			}
@@ -328,7 +332,7 @@ func assignNearest(vecs *rows, points, order, out []int32, argmin func(qs []floa
 		for k0 := lo; k0 < hi; k0 += assignTile {
 			tile := order[k0:min(k0+assignTile, hi)]
 			for k, i := range tile {
-				copy(s.qs[k*dim:], vecs.at(int(points[i])))
+				copy(s.qs[k*dim:], vecs.At(int(points[i])))
 			}
 			argmin(s.qs[:len(tile)*dim], s.probed[:len(tile)])
 			for k, i := range tile {
@@ -374,29 +378,36 @@ const assignTile = 8 * kernel.ArgminTile
 // Kind implements Searcher.
 func (x *IVF) Kind() string { return "ivf" }
 
-// Append implements Appender: the vector joins its label's nearest
+// Append implements Appender: each entry joins its label's nearest
 // inverted list (by centroid distance) without retraining the
 // quantizer. A label the index has never seen starts as a degenerate
-// one-list class seeded by the vector itself.
-func (x *IVF) Append(dbIndex int, l fingerprint.Linkage) error {
-	if len(l.F) != x.dim {
-		return fmt.Errorf("%w: appended fingerprint has %d dims, index %d", fingerprint.ErrDimMismatch, len(l.F), x.dim)
-	}
+// one-list class seeded by the entry's row.
+func (x *IVF) Append(dbIndex int, l ...fingerprint.Linkage) error {
 	x.mu.Lock()
 	defer x.mu.Unlock()
-	c := x.labels[l.Y]
-	if c == nil {
-		b := &bucket{vecs: rows{dim: x.dim}}
-		pos := b.appendEntry(int32(dbIndex), l)
-		x.labels[l.Y] = &ivfClass{coarse: newCoarse(append([]float32(nil), l.F...), 1, x.dim), b: b, lists: [][]int32{{pos}}}
-	} else {
-		pos := c.b.appendEntry(int32(dbIndex), l)
-		best := c.nearest(l.F)
-		c.lists[best] = append(c.lists[best], pos)
+	return x.reach(dbIndex, l, func(i int, e fingerprint.Linkage) {
+		c := x.labels[e.Y]
+		if c == nil {
+			b := &bucket{}
+			pos := b.add(x.db, i, e.Y)
+			x.labels[e.Y] = &ivfClass{coarse: newCoarse(slices.Clone(e.F), 1, x.dim), b: b, lists: [][]int32{{pos}}}
+		} else {
+			pos := c.b.add(x.db, i, e.Y)
+			best := c.nearest(e.F)
+			c.lists[best] = append(grow(c.lists[best], 1), pos)
+		}
+		x.appended++
+	})
+}
+
+// Rebase implements Appender: the buckets read db's rows.
+func (x *IVF) Rebase(db *fingerprint.DB) {
+	x.mu.Lock()
+	defer x.mu.Unlock()
+	x.db = db
+	for y, c := range x.labels {
+		c.b.rows(db, y)
 	}
-	x.total++
-	x.appended++
-	return nil
 }
 
 // VectorBytes reports the bytes of search geometry the index scans: the
@@ -408,8 +419,7 @@ func (x *IVF) VectorBytes() int64 {
 	defer x.mu.RUnlock()
 	var total int64
 	for _, c := range x.labels {
-		total += c.b.vecs.bytes()
-		total += 4 * int64(len(c.b.idx))
+		total += int64(4 * (c.b.vecs.Len()*x.dim + len(c.b.idx)))
 		total += 4 * int64(len(c.centroids))
 		for _, list := range c.lists {
 			total += 4 * int64(len(list))
@@ -418,15 +428,15 @@ func (x *IVF) VectorBytes() int64 {
 	return total
 }
 
-// OwnedBytes reports what the index keeps resident beyond the database
-// it was built over: Flat.OwnedBytes plus the centroid tables, in both
-// layouts, and the inverted lists.
+// OwnedBytes reports what the index keeps resident beyond the database:
+// Flat.OwnedBytes plus the centroid tables, in both layouts, and the
+// inverted lists.
 func (x *IVF) OwnedBytes() int64 {
 	x.mu.RLock()
 	defer x.mu.RUnlock()
 	var total int64
 	for _, c := range x.labels {
-		total += c.b.ownedBytes() + c.coarse.bytes()
+		total += 4*int64(cap(c.b.idx)) + c.coarse.bytes()
 		for _, list := range c.lists {
 			total += 4 * int64(cap(list))
 		}
@@ -465,7 +475,7 @@ func (c *ivfClass) scanList(w *scratch, q []float32, heaps []topK, li int32, lo,
 	list := c.lists[li]
 	for off := lo; off < hi; off += scanBlock {
 		at := list[off:min(off+scanBlock, hi)]
-		c.b.vecs.gather(q, at, w.buf[:len(at)])
-		heaps[0].offer(w.buf[:len(at)], 0, at, &c.b.entries)
+		gather(&c.b.vecs, q, at, w.buf[:len(at)])
+		heaps[0].offer(w.buf[:len(at)], 0, at, c.b.idx)
 	}
 }

@@ -33,23 +33,19 @@ func (o IVFPQOptions) withDefaults(dim int) IVFPQOptions {
 	return o
 }
 
-// pqList is one inverted list of an IVFPQ class: per-entry codes and
-// identities. An entry's float row and provenance stay where the
-// database keeps them; an entry the list keeps itself (see entries)
-// arrived through Append, and its row aliases the fingerprint Append was
-// given.
+// pqList is one inverted list of an IVFPQ class: per-entry database
+// indices and codes. An entry's float row and provenance stay where the
+// database keeps them.
 type pqList struct {
-	entries
+	idx   []int32
 	codes []byte // n×m, row-major
 }
-
-func (l *pqList) n() int { return len(l.idx) }
 
 // ivfpqClass is one label's coarse quantizer, PQ codebook, and
 // product-quantized inverted lists.
 type ivfpqClass struct {
 	coarse
-	x     *IVFPQ // the owning index: dim, m, and the database entries resolve through
+	x     *IVFPQ // the owning index: dim, m, and the database rows are read from
 	book  *pqCodebook
 	lists []*pqList
 	n     int
@@ -71,9 +67,8 @@ type ivfpqClass struct {
 // what stays approximate is which candidates reach the shortlist, which
 // nprobe and M govern and TestIVFPQRecall measures.
 //
-// The index copies neither float vectors nor the provenance of the
-// entries it was trained (or loaded) over: it holds that database and
-// resolves an entry by its index.
+// The index copies neither float vectors nor provenance: it holds the
+// database and resolves an entry by its index.
 //
 // IVFPQ implements Appender: a new vector is encoded against its
 // label's nearest centroid without retraining, and Drift reports the
@@ -83,10 +78,6 @@ type IVFPQ struct {
 	coarseStage
 	m      int
 	labels map[int]*ivfpqClass
-	// db resolves the entries no list carries (every list's entries.db).
-	// It may be a Snapshot: entries appended later arrive through Append
-	// with their own row.
-	db *fingerprint.DB
 	// appendRes is Append's residual scratch, guarded by the write lock
 	// so an append allocates only what the lists themselves grow by.
 	appendRes []float32
@@ -110,8 +101,7 @@ func (*ivfpqClass) shortlist(k int) int { return max(4*k, 32) }
 // sample and one encoding pass. It allocates what the index keeps —
 // codes, centroids, codebooks, list identities; db itself is the
 // caller's — and one workspace (kmeans): a label's float vectors are
-// read where the database keeps them, or from a copy in the workspace
-// that lives only while that label trains.
+// read where the database keeps them.
 func TrainIVFPQ(db *fingerprint.DB, opts IVFPQOptions) (*IVFPQ, error) {
 	if db.Len() == 0 {
 		return nil, fmt.Errorf("index: cannot train IVFPQ on an empty database")
@@ -121,15 +111,15 @@ func TrainIVFPQ(db *fingerprint.DB, opts IVFPQOptions) (*IVFPQ, error) {
 	if o.M < 1 || dim%o.M != 0 {
 		return nil, fmt.Errorf("index: IVFPQ M=%d must divide the fingerprint dimensionality %d", o.M, dim)
 	}
-	x := &IVFPQ{m: o.M, db: db, labels: make(map[int]*ivfpqClass)}
-	x.dim = dim
+	x := &IVFPQ{m: o.M, labels: make(map[int]*ivfpqClass)}
+	x.dim, x.db = dim, db
 	nprobe := 0
 	var km kmeans
 	for _, y := range db.Labels() {
 		b := buildBucket(db, y, &km)
-		co := o.IVFOptions.withDefaults(b.n)
+		co := o.IVFOptions.withDefaults(len(b.idx))
 		x.labels[y] = x.trainClass(b, co, &km)
-		x.total += b.n
+		x.total += len(b.idx)
 		nprobe = max(nprobe, co.Nprobe)
 	}
 	x.nprobe.Store(int32(nprobe))
@@ -143,17 +133,17 @@ func TrainIVFPQ(db *fingerprint.DB, opts IVFPQOptions) (*IVFPQ, error) {
 // each code written once, where it stays. Residuals are computed where
 // they are consumed (residuals), never as a whole matrix.
 func (x *IVFPQ) trainClass(b *bucket, co IVFOptions, km *kmeans) *ivfpqClass {
-	dim, m := x.dim, x.m
+	dim, m, n := x.dim, x.m, len(b.idx)
 	dsub := dim / m
-	c := &ivfpqClass{coarse: trainCoarse(b, co, km), x: x, n: b.n}
+	c := &ivfpqClass{coarse: trainCoarse(&b.vecs, co, km), x: x, n: n}
 	assign := km.assign
 	rs := &residuals{vecs: &b.vecs, centroids: c.centroids, assign: assign, dsub: dsub}
 
 	// PQ training draws from a stream disjoint from the coarse
 	// quantizer's so the two stages can't correlate; the sample floor
 	// keeps a small coarse SampleCap from starving 256-means.
-	rng := rand.New(rand.NewPCG(co.Seed^0x9e3779b97f4a7c15, uint64(b.n)<<16|uint64(m)))
-	c.book = trainPQ(rs, b.n, m, co.Iters, max(co.SampleCap, 8*pqKs), rng, km)
+	rng := rand.New(rand.NewPCG(co.Seed^0x9e3779b97f4a7c15, uint64(n)<<16|uint64(m)))
+	c.book = trainPQ(rs, n, m, co.Iters, max(co.SampleCap, 8*pqKs), rng, km)
 
 	// Encode every point straight into its list: order, the coarse lists'
 	// arena, is the bucket positions list by list, so position q of it is
@@ -162,18 +152,18 @@ func (x *IVFPQ) trainClass(b *bucket, co IVFOptions, km *kmeans) *ivfpqClass {
 	// lists' codes and identities are laid out the same way, each list a
 	// capacity-clipped run of one arena (as invertedLists'), so an Append
 	// to a list moves that list alone.
-	km.order = resize(km.order, b.n)
+	km.order = resize(km.order, n)
 	order := km.order
 	c.lists = make([]*pqList, c.nlist)
 	held, start := make([]pqList, c.nlist), make([]int, c.nlist)
-	codes, idx := make([]byte, b.n*m), make([]int32, b.n)
+	codes, idx := make([]byte, n*m), make([]int32, n)
 	q := 0
 	for ci, list := range invertedLists(assign, c.nlist, order) {
 		lo, hi := q, q+len(list)
-		held[ci] = pqList{codes: codes[lo*m : hi*m : hi*m], entries: entries{db: x.db, idx: idx[lo:hi:hi]}}
+		held[ci] = pqList{codes: codes[lo*m : hi*m : hi*m], idx: idx[lo:hi:hi]}
 		c.lists[ci], start[ci], q = &held[ci], lo, hi
 	}
-	parallelChunks(b.n, func(lo, hi int) {
+	parallelChunks(n, func(lo, hi int) {
 		t := km.tile(dim, m)
 		defer km.release(t)
 		for q0 := lo; q0 < hi; q0 += assignTile {
@@ -222,9 +212,8 @@ func (x *IVFPQ) VectorBytes() int64 {
 	return total
 }
 
-// OwnedBytes reports what the index keeps resident beyond the database
-// it was built over: VectorBytes by capacity, plus the coarse centroids'
-// planar copy and the linkage of every entry Append handed it.
+// OwnedBytes reports what the index keeps resident beyond the database:
+// VectorBytes by capacity, plus the coarse centroids' planar copy.
 func (x *IVFPQ) OwnedBytes() int64 {
 	x.mu.RLock()
 	defer x.mu.RUnlock()
@@ -232,58 +221,57 @@ func (x *IVFPQ) OwnedBytes() int64 {
 	for _, c := range x.labels {
 		total += c.coarse.bytes() + 4*int64(cap(c.book.centroids))
 		for _, l := range c.lists {
-			total += int64(cap(l.codes)) + l.entries.bytes()
+			total += int64(cap(l.codes)) + 4*int64(cap(l.idx))
 		}
 	}
 	return total
 }
 
-// Append implements Appender: the vector is encoded against its label's
+// Append implements Appender: each entry is encoded against its label's
 // nearest centroid and its code joins that inverted list; neither the
 // coarse quantizer nor the codebook retrains. A label the index has
 // never seen starts as a degenerate one-list class whose centroid is
-// the vector itself and whose codebook is all-zero (so the residual
-// encodes exactly). The list keeps l, F aliased: see Appender.
-func (x *IVFPQ) Append(dbIndex int, l fingerprint.Linkage) error {
-	if len(l.F) != x.dim {
-		return fmt.Errorf("%w: appended fingerprint has %d dims, index %d", fingerprint.ErrDimMismatch, len(l.F), x.dim)
-	}
+// the entry's row and whose codebook is all-zero (so the residual
+// encodes exactly).
+func (x *IVFPQ) Append(dbIndex int, l ...fingerprint.Linkage) error {
 	x.mu.Lock()
 	defer x.mu.Unlock()
-	c := x.labels[l.Y]
-	if c == nil {
-		x.labels[l.Y] = &ivfpqClass{
-			coarse: newCoarse(append([]float32(nil), l.F...), 1, x.dim),
-			x:      x,
-			book:   newCodebook(x.m, x.dim/x.m),
-			lists: []*pqList{{
-				codes: make([]byte, x.m),
-				entries: entries{db: x.db, idx: []int32{int32(dbIndex)},
-					src: []string{l.S}, hash: [][32]byte{l.H}, f: []fingerprint.Fingerprint{l.F}},
-			}},
-			n: 1,
+	return x.reach(dbIndex, l, func(i int, e fingerprint.Linkage) {
+		x.appended++
+		c := x.labels[e.Y]
+		if c == nil {
+			x.labels[e.Y] = &ivfpqClass{
+				coarse: newCoarse(slices.Clone(e.F), 1, x.dim),
+				x:      x,
+				book:   newCodebook(x.m, x.dim/x.m),
+				lists:  []*pqList{{codes: make([]byte, x.m), idx: []int32{int32(i)}}},
+				n:      1,
+			}
+			return
 		}
-	} else {
-		best := c.nearest(l.F)
+		best := c.nearest(e.F)
 		cen := c.centroids[best*x.dim : (best+1)*x.dim]
 		if x.appendRes == nil {
 			x.appendRes = make([]float32, x.dim)
 		}
 		for j := range x.appendRes {
-			x.appendRes[j] = l.F[j] - cen[j]
+			x.appendRes[j] = e.F[j] - cen[j]
 		}
 		lst := c.lists[best]
 		n := len(lst.codes)
-		lst.codes = slices.Grow(lst.codes, x.m)[:n+x.m]
+		lst.codes = grow(lst.codes, x.m)[:n+x.m]
 		var near [1]int32
 		c.book.encode(x.appendRes, 1, lst.codes[n:], near[:])
-		lst.idx = append(lst.idx, int32(dbIndex))
-		lst.src, lst.hash, lst.f = append(lst.src, l.S), append(lst.hash, l.H), append(lst.f, l.F)
+		lst.idx = append(grow(lst.idx, 1), int32(i))
 		c.n++
-	}
-	x.total++
-	x.appended++
-	return nil
+	})
+}
+
+// Rebase implements Appender.
+func (x *IVFPQ) Rebase(db *fingerprint.DB) {
+	x.mu.Lock()
+	defer x.mu.Unlock()
+	x.db = db
 }
 
 // class implements backend.
@@ -310,7 +298,7 @@ func (x *IVFPQ) SearchBatch(fs []fingerprint.Fingerprint, labels []int, ks []int
 	return searchBatch(x, &x.mu, fs, labels, ks)
 }
 
-func (c *ivfpqClass) listLen(li int32) int { return c.lists[li].n() }
+func (c *ivfpqClass) listLen(li int32) int { return len(c.lists[li].idx) }
 
 // scanList is the ADC stage: it builds the lookup table for list li
 // (from the query's residual against that list's centroid) and scores
@@ -327,15 +315,15 @@ func (c *ivfpqClass) scanList(w *scratch, q []float32, heaps []topK, li int32, l
 	for off := lo; off < hi; off += scanBlock {
 		n := min(scanBlock, hi-off)
 		kernel.ADCScan(w.tab, l.codes[off*m:(off+n)*m], m, w.buf[:n])
-		heaps[0].offer(w.buf[:n], off, nil, &l.entries)
+		heaps[0].offer(w.buf[:n], off, nil, l.idx)
 	}
 }
 
 // rescore is the exact stage, run once on the merged shortlist: every
-// candidate's ADC estimate is replaced by the kernel distance to its
-// float row.
+// candidate's ADC estimate is replaced by the kernel distance to the
+// row the database keeps for it.
 func (c *ivfpqClass) rescore(q []float32, h []cand) {
 	for i := range h {
-		h[i].d2 = kernel.SqDist(q, h[i].in.row(int(h[i].pos)))
+		h[i].d2 = kernel.SqDist(q, c.x.db.Row(int(h[i].idx)))
 	}
 }

@@ -78,14 +78,10 @@ func BenchmarkLoadIndex(b *testing.B) {
 // must be the database's first ones: a file missing a label between
 // them is refused rather than caught up with entries it already holds.
 func TestLoadRefusesMisplacedEntries(t *testing.T) {
-	db := populatedDB(t, 8, 90, 3, 11) // Add-built: the buckets own their rows
+	db := populatedDB(t, 8, 90, 3, 11)
 	swapped := NewFlat(db)
 	b := swapped.buckets[1]
-	b.idx[0], b.idx[1] = b.idx[1], b.idx[0]
-	r0, r1 := b.vecs.at(0), b.vecs.at(1)
-	for j := range r0 {
-		r0[j], r1[j] = r1[j], r0[j]
-	}
+	b.idx[0], b.idx[1] = b.idx[1], b.idx[0] // Save writes each with the database's row
 	gap := NewFlat(db)
 	delete(gap.buckets, 0)
 	gap.total -= db.Len() / 3

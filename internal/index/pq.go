@@ -3,6 +3,7 @@ package index
 import (
 	"math/rand/v2"
 
+	"caltrain/internal/fingerprint"
 	"caltrain/internal/kernel"
 )
 
@@ -67,7 +68,7 @@ func (cb *pqCodebook) slot(i int) int {
 // one subquantizer's training sample, a row at a time while encoding.
 // No matrix of them is ever stored.
 type residuals struct {
-	vecs      *rows
+	vecs      *fingerprint.Rows
 	centroids []float32 // the coarse quantizer's, row-major
 	assign    []int32   // the coarse list of each bucket position
 	dsub      int
@@ -75,7 +76,7 @@ type residuals struct {
 
 // span writes coordinates [lo, lo+len(r)) of residual p into r.
 func (rs *residuals) span(p, lo int, r []float32) {
-	v, cen := rs.vecs.at(p)[lo:], rs.centroids[int(rs.assign[p])*rs.vecs.dim+lo:]
+	v, cen := rs.vecs.At(p)[lo:], rs.centroids[int(rs.assign[p])*rs.vecs.Dim()+lo:]
 	for d := range r {
 		r[d] = v[d] - cen[d]
 	}
@@ -95,7 +96,7 @@ func trainPQ(rs *residuals, n, m, iters, sampleCap int, rng *rand.Rand, km *kmea
 	perm := km.permute(n, rng)[:sampleN]
 	km.sample, km.cents = resize(km.sample, sampleN*dsub), resize(km.cents, pqKs*dsub)
 	km.all = iota32(km.all, sampleN)
-	block := rows{dim: dsub, nb: sampleN, base: km.sample}
+	block := fingerprint.NewRows(dsub, km.sample)
 	for j := 0; j < m; j++ {
 		for i, p := range perm {
 			rs.span(int(p), j*dsub, km.sample[i*dsub:(i+1)*dsub])
@@ -103,7 +104,7 @@ func trainPQ(rs *residuals, n, m, iters, sampleCap int, rng *rand.Rand, km *kmea
 		// Init from the shuffled sample; with fewer than pqKs samples the
 		// duplicates are harmless (strict-< argmin always picks the first).
 		for k := 0; k < pqKs; k++ {
-			copy(km.cents[k*dsub:(k+1)*dsub], block.at(k%sampleN))
+			copy(km.cents[k*dsub:(k+1)*dsub], block.At(k%sampleN))
 		}
 		// The planar copy lloyd assigns against is the resident table,
 		// which it leaves trained.

@@ -24,6 +24,8 @@ import (
 // backend is an index as the pipeline sees it.
 type backend interface {
 	Dim() int
+	// database is what matches resolve through.
+	database() *fingerprint.DB
 	// class returns the label's class, nil when the index holds no such
 	// label, and how many of the class's lists a query scans.
 	class(label int) (c class, nprobe int)
@@ -61,26 +63,14 @@ type exact struct{}
 func (exact) shortlist(k int) int       { return k }
 func (exact) rescore([]float32, []cand) {}
 
-// coarseStage is what IVF and IVFPQ share above their classes: the lock,
-// the counts Drift reads, and nprobe, the one search knob. Their
-// classes' coarse centroids are ranked by the pipeline (scratch.scan),
-// identically for both.
+// coarseStage is what IVF and IVFPQ share above their classes: the
+// view, the appended count Drift reads, and nprobe, the one search knob.
+// Their classes' coarse centroids are ranked by the pipeline
+// (scratch.scan), identically for both.
 type coarseStage struct {
-	mu       sync.RWMutex
-	dim      int
-	total    int
+	view
 	appended int
 	nprobe   atomic.Int32
-}
-
-// Dim returns the fingerprint dimensionality.
-func (x *coarseStage) Dim() int { return x.dim }
-
-// Len returns the number of indexed linkages.
-func (x *coarseStage) Len() int {
-	x.mu.RLock()
-	defer x.mu.RUnlock()
-	return x.total
 }
 
 // Nprobe returns the current probe width.
@@ -104,14 +94,12 @@ func (x *coarseStage) Drift() float64 {
 }
 
 // cand is one scan candidate: squared distance (a class with a shortlist
-// stores its estimate here until rescore), the database index that
-// breaks ties, and the run of entries and position in it that resolve
-// to its linkage. The sqrt is deferred until the final top-k is known.
+// stores its estimate here until rescore) and the database index that
+// breaks ties and resolves to its linkage. The sqrt is deferred until
+// the final top-k is known.
 type cand struct {
 	d2  float64
 	idx int32
-	pos int32
-	in  *entries
 }
 
 // compareCands orders candidates by squared distance, ties by database
@@ -200,16 +188,17 @@ func (t *topK) merge(o *topK) {
 }
 
 // offer feeds one block of kernel output through the heap: d2s[i] is
-// the score of the entry at position at[i] of e — off+i when at is nil.
-func (t *topK) offer(d2s []float64, off int, at []int32, e *entries) {
+// the score of the entry whose database index is idx[at[i]] — idx[off+i]
+// when at is nil.
+func (t *topK) offer(d2s []float64, off int, at, idx []int32) {
 	for i, d2 := range d2s {
 		// Equal distance can still win on the index tie-break, so <=.
 		if d2 <= t.threshold() {
-			pos := int32(off + i)
+			pos := off + i
 			if at != nil {
-				pos = at[i]
+				pos = int(at[i])
 			}
-			t.consider(cand{d2: d2, idx: e.idx[pos], pos: pos, in: e})
+			t.consider(cand{d2: d2, idx: idx[pos]})
 		}
 	}
 }
@@ -288,7 +277,7 @@ func search(x backend, mu *sync.RWMutex, f fingerprint.Fingerprint, label, k int
 	defer scratchPool.Put(s)
 	s.qs, s.ks = append(s.qs[:0], f...), append(s.ks[:0], k)
 	s.scan(c, dim, nprobe)
-	return s.matches(c, 0, dim, label), nil
+	return s.matches(x.database(), c, 0, dim, label), nil
 }
 
 // searchBatch is SearchBatch for every backend: queries sharing a label
@@ -314,7 +303,7 @@ func searchBatch(x backend, mu *sync.RWMutex, fs []fingerprint.Fingerprint, labe
 		}
 		s.scan(c, dim, nprobe)
 		for j, i := range qidx {
-			results[i] = s.matches(c, j, dim, label)
+			results[i] = s.matches(x.database(), c, j, dim, label)
 		}
 	}
 	return results, errs
@@ -454,9 +443,8 @@ func (w *scratch) scanRange(c class, qs []float32, heaps []topK, lists []int32, 
 // matches consumes query j's heap: the class rescores the shortlist,
 // the best k by (squared distance, database index) are selected and
 // sorted in place, and each is materialized with the one sqrt and the
-// one resolution of its provenance (entries.provenance) a returned
-// match costs.
-func (s *scratch) matches(c class, j, dim, label int) []fingerprint.Match {
+// one resolution of its provenance through db a returned match costs.
+func (s *scratch) matches(db *fingerprint.DB, c class, j, dim, label int) []fingerprint.Match {
 	t, k := &s.heaps[j], s.ks[j]
 	c.rescore(s.qs[j*dim:(j+1)*dim], t.h)
 	if len(t.h) > k {
@@ -471,14 +459,8 @@ func (s *scratch) matches(c class, j, dim, label int) []fingerprint.Match {
 	slices.SortFunc(t.h, compareCands)
 	out := make([]fingerprint.Match, len(t.h))
 	for i, cd := range t.h {
-		src, hash := cd.in.provenance(int(cd.pos))
-		out[i] = fingerprint.Match{
-			Index:    int(cd.idx),
-			Source:   src,
-			Label:    label,
-			Hash:     hash,
-			Distance: math.Sqrt(cd.d2),
-		}
+		out[i] = fingerprint.Match{Index: int(cd.idx), Label: label, Distance: math.Sqrt(cd.d2)}
 	}
+	db.Provenance(out)
 	return out
 }

@@ -62,17 +62,18 @@ func Save(w io.Writer, s Searcher) error {
 	var kind byte
 	var buckets map[int]*bucket
 	var ivf *IVF
+	var db *fingerprint.DB
 	switch x := s.(type) {
 	case *Flat:
 		// Hold the read lock for the whole dump so a concurrent Append
 		// cannot tear the snapshot mid-bucket.
 		x.mu.RLock()
 		defer x.mu.RUnlock()
-		kind, buckets = kindFlat, x.buckets
+		kind, buckets, db = kindFlat, x.buckets, x.db
 	case *IVF:
 		x.mu.RLock()
 		defer x.mu.RUnlock()
-		kind, ivf = kindIVF, x
+		kind, ivf, db = kindIVF, x, x.db
 		buckets = make(map[int]*bucket, len(x.labels))
 		for y, c := range x.labels {
 			buckets[y] = c.b
@@ -106,13 +107,14 @@ func Save(w io.Writer, s Searcher) error {
 	for _, y := range labels {
 		b := buckets[y]
 		put(uint32(int32(y)))
-		put(uint32(b.n))
-		for i := 0; i < b.n; i++ {
+		put(uint32(len(b.idx)))
+		for _, i := range b.idx {
+			l := db.Entry(int(i))
 			var err error
-			if rec, err = appendIdentity(rec[:0], &b.entries, i); err != nil {
+			if rec, err = appendIdentity(rec[:0], i, l); err != nil {
 				return err
 			}
-			rec = f32le.Append(rec, b.vecs.at(i))
+			rec = f32le.Append(rec, l.F)
 			bw.Write(rec)
 		}
 	}
@@ -138,20 +140,17 @@ func Save(w io.Writer, s Searcher) error {
 }
 
 // appendIdentity appends what every saved entry starts with — idx u32 |
-// srclen u16 | src | hash[32] — for position pos of e, resolved through
-// the database or from the run itself (entries.provenance), so a file
-// does not show where a linkage was resident. rec is the caller's
-// reused buffer: the hash is copied into it, never handed to the writer,
-// which would move every one to the heap.
-func appendIdentity(rec []byte, e *entries, pos int) ([]byte, error) {
-	src, hash := e.provenance(pos)
-	if len(src) > 65535 {
-		return nil, fmt.Errorf("index: save: source %q… exceeds 65535 bytes", src[:32])
+// srclen u16 | src | hash[32] — for database entry idx, l. rec is the
+// caller's reused buffer: the hash is copied into it, never handed to
+// the writer, which would move every one to the heap.
+func appendIdentity(rec []byte, idx int32, l fingerprint.Linkage) ([]byte, error) {
+	if len(l.S) > 65535 {
+		return nil, fmt.Errorf("index: save: source %q… exceeds 65535 bytes", l.S[:32])
 	}
-	rec = binary.LittleEndian.AppendUint32(rec, uint32(e.idx[pos]))
-	rec = binary.LittleEndian.AppendUint16(rec, uint16(len(src)))
-	rec = append(rec, src...)
-	return append(rec, hash[:]...), nil
+	rec = binary.LittleEndian.AppendUint32(rec, uint32(idx))
+	rec = binary.LittleEndian.AppendUint16(rec, uint16(len(l.S)))
+	rec = append(rec, l.S...)
+	return append(rec, l.H[:]...), nil
 }
 
 // saveIVFPQ writes the kindIVFPQ stream: header, search knobs, then per
@@ -188,14 +187,14 @@ func saveIVFPQ(bw *bufio.Writer, x *IVFPQ) error {
 			put(math.Float32bits(c.book.centroids[c.book.slot(i)]))
 		}
 		for _, l := range c.lists {
-			put(uint32(l.n()))
-			for i := 0; i < l.n(); i++ {
+			put(uint32(len(l.idx)))
+			for k, i := range l.idx {
 				var err error
-				if rec, err = appendIdentity(rec[:0], &l.entries, i); err != nil {
+				if rec, err = appendIdentity(rec[:0], i, x.db.Entry(int(i))); err != nil {
 					return err
 				}
 				bw.Write(rec)
-				bw.Write(l.codes[i*x.m : (i+1)*x.m])
+				bw.Write(l.codes[k*x.m : (k+1)*x.m])
 			}
 		}
 	}
@@ -208,8 +207,8 @@ func saveIVFPQ(bw *bufio.Writer, x *IVFPQ) error {
 // Load reads an index written by Save as the index of db, in the state
 // training over db leaves one in: a *Flat, *IVF or *IVFPQ that resolves
 // every entry through db and keeps nothing db already holds. Flat and IVF
-// buckets are the trainers' own (buildBucket), aliasing db's class
-// blocks; the file supplies only what training computes — IVF's
+// buckets are the trainers' own (buildBucket), views of db's class
+// rows; the file supplies only what training computes — IVF's
 // centroids and lists, IVFPQ's centroids, codebooks and codes.
 //
 // Every entry is checked against db as it is read (entryCheck), and a
@@ -361,8 +360,8 @@ func (ld *loader) buckets(kind byte, nlabels int) (Appender, error) {
 			return nil, ld.fail(fmt.Errorf("index: load: duplicate label %d: %w", y, ErrCorrupt))
 		}
 		b := buildBucket(ld.db, y, nil)
-		if n > b.n {
-			return nil, ld.fail(fmt.Errorf("%w: label %d holds %d entries, the database %d", ErrForeignIndex, y, n, b.n))
+		if n > len(b.idx) {
+			return nil, ld.fail(fmt.Errorf("%w: label %d holds %d entries, the database %d", ErrForeignIndex, y, n, len(b.idx)))
 		}
 		for p := 0; p < n; p++ {
 			idx, src, hash, rest := ld.readIdentity(4 * dim)
@@ -379,15 +378,16 @@ func (ld *loader) buckets(kind byte, nlabels int) (Appender, error) {
 		total += n
 	}
 	if kind == kindFlat {
-		return &Flat{dim: dim, total: total, buckets: buckets}, nil
+		return &Flat{view: view{dim: dim, total: total, db: ld.db}, buckets: buckets}, nil
 	}
 	x := &IVF{labels: make(map[int]*ivfClass, nlabels)}
-	x.dim, x.total = dim, total
+	x.dim, x.total, x.db = dim, total, ld.db
 	if err := ld.nprobe(&x.nprobe); err != nil {
 		return nil, err
 	}
 	for _, y := range labels {
 		b := buckets[y]
+		n := len(b.idx)
 		nlist := int(ld.u32())
 		if nlist <= 0 || nlist > maxPlausible || nlist*dim > maxPlausibleElems || !ld.holds(nlist, 4*dim+4) {
 			return nil, ld.fail(fmt.Errorf("index: load: implausible nlist %d (dim %d): %w", nlist, dim, ErrCorrupt))
@@ -398,18 +398,18 @@ func (ld *loader) buckets(kind byte, nlabels int) (Appender, error) {
 		// The inverted lists must partition the class: every bucket
 		// position in exactly one list, or searches would silently drop
 		// (or double-count) entries.
-		ld.seen = resize(ld.seen, b.n)
+		ld.seen = resize(ld.seen, n)
 		clear(ld.seen)
 		covered := 0
 		for ci := range c.lists {
 			ln := int(ld.u32())
-			if ln > b.n {
-				return nil, ld.fail(fmt.Errorf("index: load: list %d/%d longer than class (%d > %d): %w", y, ci, ln, b.n, ErrCorrupt))
+			if ln > n {
+				return nil, ld.fail(fmt.Errorf("index: load: list %d/%d longer than class (%d > %d): %w", y, ci, ln, n, ErrCorrupt))
 			}
 			list := make([]int32, ln)
 			for p := range list {
 				pv := int(ld.u32())
-				if pv >= b.n || ld.seen[pv] {
+				if pv >= n || ld.seen[pv] {
 					return nil, ld.fail(fmt.Errorf("index: load: position %d of label %d out of range or in two lists: %w", pv, y, ErrCorrupt))
 				}
 				ld.seen[pv] = true
@@ -418,8 +418,8 @@ func (ld *loader) buckets(kind byte, nlabels int) (Appender, error) {
 			}
 			c.lists[ci] = list
 		}
-		if covered != b.n {
-			return nil, ld.fail(fmt.Errorf("index: load: lists of label %d cover %d of %d entries: %w", y, covered, b.n, ErrCorrupt))
+		if covered != n {
+			return nil, ld.fail(fmt.Errorf("index: load: lists of label %d cover %d of %d entries: %w", y, covered, n, ErrCorrupt))
 		}
 		x.labels[y] = c
 	}
@@ -431,8 +431,8 @@ func (ld *loader) buckets(kind byte, nlabels int) (Appender, error) {
 // against db as it is read.
 func (ld *loader) ivfpq(nlabels int) (Appender, error) {
 	dim := ld.dim
-	x := &IVFPQ{db: ld.db, labels: make(map[int]*ivfpqClass, nlabels)}
-	x.dim = dim
+	x := &IVFPQ{labels: make(map[int]*ivfpqClass, nlabels)}
+	x.dim, x.db = dim, ld.db
 	if err := ld.nprobe(&x.nprobe); err != nil {
 		return nil, err
 	}
@@ -466,7 +466,7 @@ func (ld *loader) ivfpq(nlabels int) (Appender, error) {
 			if n > maxPlausible || n*m > maxPlausibleElems || !ld.holds(n, 4+2+32+m) {
 				return nil, ld.fail(fmt.Errorf("index: load: implausible list length %d (m %d): %w", n, m, ErrCorrupt))
 			}
-			l := &pqList{codes: make([]byte, n*m), entries: entries{db: ld.db, idx: make([]int32, n)}}
+			l := &pqList{codes: make([]byte, n*m), idx: make([]int32, n)}
 			for i := range l.idx {
 				idx, src, hash, code := ld.readIdentity(m)
 				if err := ld.check.entry(idx, y, src, hash, nil); err != nil {

@@ -18,7 +18,8 @@ import (
 // appender matches index.Appender structurally, so the store stays
 // decoupled from the concrete index package.
 type appender interface {
-	Append(dbIndex int, l fingerprint.Linkage) error
+	Append(dbIndex int, l ...fingerprint.Linkage) error
+	Rebase(db *fingerprint.DB)
 }
 
 // drifter matches index.Drifter structurally.
@@ -179,9 +180,7 @@ func (s *Store) apply(l fingerprint.Linkage) error {
 		return err
 	}
 	if s.app != nil {
-		// The stored entry, as in the retrain catch-up: its fingerprint is
-		// the database's immutable copy, which an appender may alias.
-		if err := s.app.Append(idx, s.db.Entry(idx)); err != nil {
+		if err := s.app.Append(idx); err != nil {
 			return err
 		}
 	}
@@ -262,7 +261,8 @@ func (s *Store) maybeRetrainLocked() {
 			return
 		}
 		// Entries ingested while training ran are in the DB but not in
-		// the fresh index; catch up under the write lock, then swap.
+		// the fresh index; point it at the DB the snapshot is a prefix
+		// of, catch up under the write lock, then swap.
 		s.mu.Lock()
 		defer s.mu.Unlock()
 		ap, ok := fresh.(appender)
@@ -270,8 +270,9 @@ func (s *Store) maybeRetrainLocked() {
 			s.logf("ingest: retrained %s backend is not appendable; swap aborted", fresh.Kind())
 			return
 		}
+		ap.Rebase(s.db)
 		for i := snap.Len(); i < s.db.Len(); i++ {
-			if err := ap.Append(i, s.db.Entry(i)); err != nil {
+			if err := ap.Append(i); err != nil {
 				s.logf("ingest: retrain catch-up: %v", err)
 				return
 			}

@@ -357,11 +357,11 @@ type failingAppender struct {
 	k, calls int
 }
 
-func (f *failingAppender) Append(i int, l fingerprint.Linkage) error {
+func (f *failingAppender) Append(i int, l ...fingerprint.Linkage) error {
 	if f.calls++; f.calls == f.k {
 		return errors.New("injected append failure")
 	}
-	return f.Flat.Append(i, l)
+	return f.Flat.Append(i, l...)
 }
 
 // TestStoreFailStopOnHalfAppliedBatch: a batch the log took but the

@@ -190,19 +190,21 @@ func TestConfigSingleDeploymentServesMetrics(t *testing.T) {
 	}
 	before := parts()
 	// testDB builds by Add: rows and columns sit in chunks (at most one
-	// spare chunk per column, and per class), and the index copies the
-	// rows it cannot alias.
+	// spare chunk per column, and per class, whose rows are a column of
+	// their own), every entry has a class slot, and the index keeps a
+	// database index and a list position per entry besides its centroids,
+	// nothing of a linkage.
 	if rows := before["rows"]; rows < n*dim*4 || rows > (n+256)*dim*4 {
 		t.Errorf("rows = %d bytes for %d × %d floats", rows, n, dim)
 	}
 	if p := before["provenance"]; p < n*40 || p > (n+256)*40+1024 {
 		t.Errorf("provenance = %d bytes for %d entries at 40 B", p, n)
 	}
-	if c := before["class_index"]; c < n*4 || c > (n+3*256)*4 {
+	if c := before["class_index"]; c < 2*n*4 || c > (2*n+4*256)*4 { // per entry a class-list entry and a class slot
 		t.Errorf("class_index = %d bytes for %d entries", c, n)
 	}
-	if x := before["index"]; x < n*(dim*4+8) {
-		t.Errorf("index = %d bytes: less than a copy of the rows plus 8 B an entry", x)
+	if x := before["index"]; x < n*8 || x > n*8+3*2*4*dim*4 {
+		t.Errorf("index = %d bytes: not 8 B an entry plus 3 labels' 4 centroids in two layouts", x)
 	}
 
 	entries := make([]fingerprint.IngestEntry, 200)

@@ -2,44 +2,33 @@ package shard
 
 import (
 	"container/list"
-	"math"
 	"sync"
 	"sync/atomic"
 
+	"caltrain/internal/f32le"
 	"caltrain/internal/fingerprint"
 )
 
 // cacheKey identifies one single-query request for the router's
-// response cache: the owning label, an FNV-1a hash of the fingerprint,
-// and the requested k. Hot accountability queries — the same suspect
-// fingerprint checked repeatedly against the same label — repeat this
-// triple exactly, which is what makes a router-side cache worth its
-// memory: a hit saves the whole scatter round trip.
+// response cache: the owning label, the requested k, and the fingerprint
+// itself. Hot accountability queries — the same suspect fingerprint
+// checked repeatedly against the same label — repeat this triple
+// exactly, which is what makes a router-side cache worth its memory: a
+// hit saves the whole scatter round trip. The fingerprint is its float
+// bits, which the map hashes and compares: a hit takes a bit-equal
+// fingerprint, where a hash standing in for it would let one client
+// plant provenance for another's query under a constructed collision.
 type cacheKey struct {
-	label  int
-	fpHash uint64
-	k      int
+	label, k int
+	bits     string
 }
 
-// fingerprintHash folds a fingerprint into the cache key with FNV-1a
-// over the raw float bits. Bit-exact equality is the right notion here:
-// clients replay byte-identical JSON for repeated checks, and hashing
-// bits (not values) keeps -0 vs +0 and NaN payloads from aliasing
-// distinct requests.
-func fingerprintHash(fp []float32) uint64 {
-	const (
-		offset64 = 14695981039346656037
-		prime64  = 1099511628211
-	)
-	h := uint64(offset64)
-	for _, v := range fp {
-		b := math.Float32bits(v)
-		for s := 0; s < 32; s += 8 {
-			h ^= uint64(byte(b >> s))
-			h *= prime64
-		}
-	}
-	return h
+// newCacheKey keys query q. Bits, not values, are the right notion of
+// equal here: clients replay byte-identical JSON for repeated checks,
+// and bits keep -0 vs +0 and NaN payloads from aliasing distinct
+// requests.
+func newCacheKey(q fingerprint.QueryRequest) cacheKey {
+	return cacheKey{label: q.Label, k: q.K, bits: string(f32le.Append(nil, q.Fingerprint))}
 }
 
 // cacheEntry is one cached response plus the shard generation it was

@@ -2,11 +2,14 @@ package shard
 
 import (
 	"bytes"
+	"encoding/binary"
 	"encoding/json"
 	"fmt"
+	"hash/fnv"
 	"math"
 	"net/http"
 	"net/http/httptest"
+	"reflect"
 	"strings"
 	"testing"
 
@@ -203,18 +206,62 @@ func TestRouterCacheMetrics(t *testing.T) {
 	}
 }
 
-// TestFingerprintHashDistinguishesBits: bit-level float differences
-// (signed zero, NaN payloads) key distinct cache slots.
-func TestFingerprintHashDistinguishesBits(t *testing.T) {
+// TestCacheKeyDistinguishesBits: bit-level float differences (signed
+// zero, NaN payloads) key distinct cache slots.
+func TestCacheKeyDistinguishesBits(t *testing.T) {
+	key := func(f []float32) cacheKey {
+		return newCacheKey(fingerprint.QueryRequest{Fingerprint: f, Label: 1, K: 3})
+	}
 	a := []float32{0, 1, 2}
 	b := []float32{float32(math.Copysign(0, -1)), 1, 2}
-	if fingerprintHash(a) == fingerprintHash(b) {
+	if key(a) == key(b) {
 		t.Fatal("+0 and -0 alias one cache key")
 	}
-	if fingerprintHash(a) != fingerprintHash([]float32{0, 1, 2}) {
-		t.Fatal("equal fingerprints hash differently")
+	if key(a) != key([]float32{0, 1, 2}) {
+		t.Fatal("equal fingerprints key differently")
 	}
-	if fingerprintHash(nil) == fingerprintHash([]float32{0}) {
+	if key(nil) == key([]float32{0}) {
 		t.Fatal("empty and zero fingerprints alias")
+	}
+	nan := math.Float32frombits(0x7fc00001)
+	if key([]float32{nan}) == key([]float32{math.Float32frombits(0x7fc00002)}) || key([]float32{nan}) != key([]float32{nan}) {
+		t.Fatal("NaN payloads do not key by their bits")
+	}
+}
+
+// TestResponseCacheMissesOnHashCollision: two fingerprints whose float
+// bits collide under 64-bit FNV-1a — the hash the cache once stood in
+// for the fingerprint with, so that one client could plant provenance
+// for another's query — are two queries: the second misses, and each
+// is answered for itself.
+func TestResponseCacheMissesOnHashCollision(t *testing.T) {
+	var fps [2][]float32
+	var sums [2]uint64
+	for i, bits := range [2][3]uint32{
+		{0x3f524887, 0x3f4a4c57, 0x3f006e4f},
+		{0x3fcd737d, 0x3f27d23d, 0x3f00e7b9},
+	} {
+		h := fnv.New64a()
+		for _, b := range bits {
+			fps[i] = append(fps[i], math.Float32frombits(b))
+			h.Write(binary.LittleEndian.AppendUint32(nil, b))
+		}
+		sums[i] = h.Sum64()
+	}
+	if sums[0] != sums[1] {
+		t.Fatalf("FNV-1a %x and %x: not a collision", sums[0], sums[1])
+	}
+	db := testDB(t, 3, 120, 2)
+	rt := cachedFixture(t, db, 2, 16)
+	plain, _ := shardedFixture(t, db, 2)
+	for i, f := range fps {
+		q := fingerprint.QueryRequest{Fingerprint: f, Label: 1, K: 4}
+		got, want := postQuery(t, rt.Handler(), q), postQuery(t, plain.Handler(), q)
+		if rt.cache.hits.Load() != 0 || rt.cache.misses.Load() != uint64(i+1) {
+			t.Fatalf("fingerprint %d: hits=%d misses=%d, want 0 and %d", i, rt.cache.hits.Load(), rt.cache.misses.Load(), i+1)
+		}
+		if !reflect.DeepEqual(got, want) {
+			t.Fatalf("fingerprint %d: answered %+v, the uncached router %+v", i, got, want)
+		}
 	}
 }

@@ -134,7 +134,7 @@ func (r *Router) handleQuery(w http.ResponseWriter, req *http.Request) {
 	)
 	if r.cache != nil {
 		sid = r.m.Shard(q.Label)
-		key = cacheKey{label: q.Label, fpHash: fingerprintHash(q.Fingerprint), k: q.K}
+		key = newCacheKey(q)
 		_, lookup := obs.StartSpan(req.Context(), "cache_lookup")
 		resp, ok := r.cache.get(key)
 		lookup.SetAttr("hit", strconv.FormatBool(ok))
