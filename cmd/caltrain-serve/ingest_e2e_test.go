@@ -1,6 +1,7 @@
 package main
 
 import (
+	"bytes"
 	"context"
 	"encoding/json"
 	"fmt"
@@ -267,7 +268,7 @@ func TestServeSetupIsLegible(t *testing.T) {
 	d := spawnDaemon(t, "-db", dbPath, "-wal", filepath.Join(dir, "wal"), "-fsync", "never",
 		"-addr", "127.0.0.1:0", "-backend", "ivf", "-nlist", "4", "-nprobe", "2", "-drift-threshold", "0.05")
 	addr := waitForAddr(t, d.out)
-	if !regexp.MustCompile(`(?m)^loaded 300 entries in \S+, built ivf index in \S+ \(nprobe 2\)$`).MatchString(d.out.String()) {
+	if !regexp.MustCompile(`(?m)^loaded 300 entries in \S+, trained ivf index in \S+ \(nprobe 2\)$`).MatchString(d.out.String()) {
 		t.Fatalf("no set-up line in the daemon output:\n%s", d.out.String())
 	}
 	client := fingerprint.NewClient("http://"+addr, nil)
@@ -334,10 +335,9 @@ func TestServeSetupIsLegible(t *testing.T) {
 }
 
 // TestServeIngestSnapshotKeepsIndexInSync is the -load-index restart
-// regression guard: a daemon serving a loaded index with -wal must,
-// on snapshot, re-save that index alongside the database — otherwise
-// the restart's entry-count check would refuse the stale index file
-// against the grown database.
+// regression guard: a snapshot grows the database past the index file,
+// and the restart must catch the file up — serving every entry, and
+// counting the caught-up ones as drift — rather than refuse it.
 func TestServeIngestSnapshotKeepsIndexInSync(t *testing.T) {
 	dir := t.TempDir()
 	dbPath := filepath.Join(dir, "linkage.db")
@@ -362,8 +362,8 @@ func TestServeIngestSnapshotKeepsIndexInSync(t *testing.T) {
 	}
 
 	// Restart from the loaded index (no -save-index): must come up with
-	// the grown entry count, replay nothing — and after another ingest +
-	// SIGTERM, the loaded index file itself must be re-persisted.
+	// the grown entry count, replay nothing, and report the entries the
+	// file lacks as drift — also after another ingest + SIGTERM.
 	for round := 0; round < 2; round++ {
 		d = spawnDaemon(t, "-db", dbPath, "-load-index", idxPath,
 			"-wal", filepath.Join(dir, "wal"), "-addr", "127.0.0.1:0")
@@ -373,8 +373,8 @@ func TestServeIngestSnapshotKeepsIndexInSync(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
-		if want := 91 + round; st.Entries != want || st.Index != "ivf" || st.Ingest.ReplayEntries != 0 {
-			t.Fatalf("round %d: %d entries (%s, replay %d), want %d", round, st.Entries, st.Index, st.Ingest.ReplayEntries, want)
+		if want := 91 + round; st.Entries != want || st.Index != "ivf" || st.Ingest.ReplayEntries != 0 || st.Ingest.Drift == 0 {
+			t.Fatalf("round %d: %d entries (%s, replay %d, drift %v), want %d and drift", round, st.Entries, st.Index, st.Ingest.ReplayEntries, st.Ingest.Drift, want)
 		}
 		if _, err := client.Ingest([]fingerprint.IngestEntry{
 			{Fingerprint: make([]float32, 8), Label: 1, Source: "grow"},
@@ -387,5 +387,81 @@ func TestServeIngestSnapshotKeepsIndexInSync(t *testing.T) {
 		if err := d.cmd.Wait(); err != nil {
 			t.Fatalf("round %d daemon exit: %v\n%s", round, err, d.out.String())
 		}
+	}
+}
+
+// TestServeRestartLoadsKeptIndex: a -wal daemon whose backend trains
+// keeps the trained index in its log directory, so after a SIGKILL the
+// restart loads it instead of training, replays the log into it and
+// serves every acknowledged linkage — and the index it serves is byte
+// for byte the one a restart without the file trains.
+func TestServeRestartLoadsKeptIndex(t *testing.T) {
+	dir := t.TempDir()
+	dbPath, walDir := filepath.Join(dir, "linkage.db"), filepath.Join(dir, "wal")
+	copyFile(t, writeTestDB(t, 300), dbPath)
+	start := func(extra ...string) (*daemon, *fingerprint.Client) {
+		t.Helper()
+		d := spawnDaemon(t, append([]string{"-db", dbPath, "-wal", walDir, "-backend", "ivfpq", "-nlist", "4",
+			"-addr", "127.0.0.1:0"}, extra...)...)
+		client := fingerprint.NewClient("http://"+waitForAddr(t, d.out), nil)
+		waitHealthy(t, client)
+		return d, client
+	}
+
+	d, client := start()
+	if !regexp.MustCompile(`(?m)^loaded 300 entries in \S+, trained ivfpq index in \S+ \(nprobe \d+\)$`).MatchString(d.out.String()) {
+		t.Fatalf("first start did not train:\n%s", d.out.String())
+	}
+	entries := make([]fingerprint.IngestEntry, 12)
+	for i := range entries {
+		f := make([]float32, 8)
+		f[i%8] = 9 + float32(i) // far from the seed cluster: its own nearest neighbour
+		entries[i] = fingerprint.IngestEntry{Fingerprint: f, Label: i % 4, Source: "acked"}
+	}
+	if resp, err := client.Ingest(entries); err != nil || resp.Accepted != len(entries) {
+		t.Fatalf("ingest: %+v %v", resp, err)
+	}
+	d.sigkill(t)
+
+	kept, err := filepath.Glob(filepath.Join(walDir, "index-ivfpq-*.ctix"))
+	if err != nil || len(kept) != 1 {
+		t.Fatalf("index files in the log directory: %v %v", kept, err)
+	}
+	loadedOut := filepath.Join(dir, "loaded.idx")
+	d, client = start("-save-index", loadedOut)
+	want := fmt.Sprintf("(?m)^loaded 300 entries in \\S+, loaded ivfpq index from %s in \\S+ \\(nprobe \\d+\\)$", regexp.QuoteMeta(kept[0]))
+	if !regexp.MustCompile(want).MatchString(d.out.String()) {
+		t.Fatalf("restart did not load the kept index:\n%s", d.out.String())
+	}
+	for i, e := range entries {
+		out, err := client.Query(e.Fingerprint, e.Label, 1)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if len(out.Matches) != 1 || out.Matches[0].Source != "acked" || out.Matches[0].Distance > 1e-6 {
+			t.Fatalf("acked entry %d after the restart: %+v", i, out.Matches)
+		}
+	}
+	d.sigkill(t)
+
+	if err := os.Remove(kept[0]); err != nil {
+		t.Fatal(err)
+	}
+	trainedOut := filepath.Join(dir, "trained.idx")
+	d, _ = start("-save-index", trainedOut)
+	if !strings.Contains(d.out.String(), ", trained ivfpq index in ") {
+		t.Fatalf("restart without the index file did not train:\n%s", d.out.String())
+	}
+	d.sigkill(t)
+	loaded, err := os.ReadFile(loadedOut)
+	if err != nil {
+		t.Fatal(err)
+	}
+	trained, err := os.ReadFile(trainedOut)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if !bytes.Equal(loaded, trained) {
+		t.Fatalf("the loaded daemon serves another index than a retrained one (%d vs %d bytes)", len(loaded), len(trained))
 	}
 }

@@ -74,9 +74,10 @@
 // address; wins over observability.debug_addr), -snapshot-every
 // (periodically persist the database to -db and truncate the WAL; a
 // graceful shutdown always does), -deployment, -save-index and
-// -load-index (persist a built flat/ivf/ivfpq index, reload it to skip
-// training on restart; the loaded index determines the backend, -nprobe
-// is still honoured).
+// -load-index (write the flat/ivf/ivfpq index built at startup, reload
+// it instead of building one — a file behind the -db a snapshot grew is
+// caught up; the loaded index determines the backend, -nprobe is still
+// honoured, and a wal daemon then keeps no index file of its own).
 //
 // # Behaviour behind the knobs
 //
@@ -92,8 +93,15 @@
 // write-ahead log (fsynced per the policy) before they are applied to
 // the database and appended into the serving index, so an acknowledged
 // batch survives SIGKILL — on restart the daemon replays the log over
-// the loaded database. IVF backends track drift and retrain + hot-swap
-// in the background past the drift threshold.
+// the loaded database. An ivf or ivfpq wal daemon keeps its trained
+// index in the wal directory (index-<kind>-<digest>.ctix, the digest of
+// the training knobs and nprobe): a restart over the same -db and knobs
+// loads it and catches up what -db holds beyond it, counted as drift,
+// instead of training; it trains again when the file is missing or
+// refused — the startup line says which. IVF backends track drift and
+// retrain + hot-swap in the background past the drift threshold; a
+// snapshot writes the retrained index, or drops the file if entries
+// were appended since.
 //
 // Replication makes a wal daemon a self-healing replica: it serves
 // GET /v1/repl/snapshot and GET /v1/repl/wal so peers can bootstrap and
@@ -277,16 +285,17 @@ func run(parent context.Context, args []string, out io.Writer) error {
 	default:
 		return err
 	}
-	loadTook := time.Since(loadStart)
+	loadTook, loadedEntries := time.Since(loadStart), db.Len()
 
 	// The index is built between here and the end of dep.Build: read
-	// from -load-index or trained, then caught up with the WAL.
+	// from -load-index, loaded from the WAL directory or trained, then
+	// caught up with the WAL.
 	buildStart := time.Now()
 	if o.loadIndex != "" {
 		// The loaded index replaces the backend the config declared; its
 		// kind (and, for IVFPQ, its code width) with the config's training
 		// knobs make the spec whose Rebuild is the drift-retrain hook.
-		loaded, err := loadIndexFile(o.loadIndex, db, out)
+		loaded, err := loadIndexFile(o.loadIndex, db)
 		if err != nil {
 			return err
 		}
@@ -331,8 +340,12 @@ func run(parent context.Context, args []string, out io.Writer) error {
 	}
 	buildTook := time.Since(buildStart)
 	buildNanos.Store(int64(buildTook))
-	setup := fmt.Sprintf("loaded %d entries in %v, built %s index in %v", db.Len(),
-		loadTook.Round(time.Millisecond), dep.Backend.Kind(), buildTook.Round(time.Millisecond))
+	origin := built.IndexOrigin()
+	if o.loadIndex != "" {
+		origin = fmt.Sprintf("loaded %s index from %s", dep.Backend.Kind(), o.loadIndex)
+	}
+	setup := fmt.Sprintf("loaded %d entries in %v, %s in %v", loadedEntries,
+		loadTook.Round(time.Millisecond), origin, buildTook.Round(time.Millisecond))
 	svc := built.Service()
 	var desc string
 	var store *ingest.Store
@@ -348,7 +361,7 @@ func run(parent context.Context, args []string, out io.Writer) error {
 				"Seconds the daemon took to load (or bootstrap) the linkage database at startup.",
 				loadTook.Seconds),
 			obs.GaugeFunc("caltrain_index_build_seconds",
-				"Seconds the serving index last took to build: at startup, training or loading it and replaying the WAL into it; after that, each drift retrain.",
+				"Seconds the serving index last took to build: at startup, training it or loading it (from -load-index or the index file a WAL daemon keeps in its log directory) and replaying the WAL into it; after that, each drift retrain.",
 				func() float64 { return time.Duration(buildNanos.Load()).Seconds() }),
 		)
 	} else {
@@ -380,22 +393,6 @@ func run(parent context.Context, args []string, out io.Writer) error {
 	ctx, stop := signal.NotifyContext(parent, syscall.SIGINT, syscall.SIGTERM)
 	defer stop()
 
-	// Snapshots must persist the index alongside the database whenever
-	// one is being kept on disk — including a -load-index file, or the
-	// restart would refuse the (now smaller) index against the grown
-	// database. Running inside Store.Snapshot keeps the two files
-	// agreeing on entry count under the write lock.
-	indexOut := o.saveIndex
-	if indexOut == "" {
-		indexOut = o.loadIndex
-	}
-	var persist []func(fingerprint.Searcher) error
-	if indexOut != "" {
-		persist = append(persist, func(sr fingerprint.Searcher) error {
-			return saveIndexFile(indexOut, sr)
-		})
-	}
-
 	var snapDone chan struct{}
 	if store != nil && o.snapshotEvery > 0 {
 		snapDone = make(chan struct{})
@@ -412,7 +409,7 @@ func run(parent context.Context, args []string, out io.Writer) error {
 					if st == nil {
 						continue
 					}
-					if err := st.Snapshot(o.db, persist...); err != nil {
+					if err := st.Snapshot(o.db); err != nil {
 						fmt.Fprintf(out, "snapshot: %v\n", err)
 						continue
 					}
@@ -452,12 +449,12 @@ func run(parent context.Context, args []string, out io.Writer) error {
 		if snapDone != nil {
 			<-snapDone
 		}
-		// Graceful shutdown compacts: persist the database (and the
-		// index, when one is being persisted) so the restart loads a
-		// snapshot instead of replaying the whole log. The store is
+		// Graceful shutdown compacts: persist the database (and what the
+		// deployment keeps beside it) so the restart loads a snapshot
+		// instead of replaying the whole log. The store is
 		// re-fetched: under replication a full resync swaps it out.
 		if st := built.Store(); st != nil {
-			if err := st.Snapshot(o.db, persist...); err != nil {
+			if err := st.Snapshot(o.db); err != nil {
 				return err
 			}
 		}
@@ -484,6 +481,10 @@ type timedSpec struct {
 	serve.BackendSpec
 	nanos *atomic.Int64
 }
+
+// Unwrap returns the wrapped spec, whose training knobs name the index
+// file the deployment keeps.
+func (s timedSpec) Unwrap() serve.BackendSpec { return s.BackendSpec }
 
 // Rebuild implements serve.BackendSpec.
 func (s timedSpec) Rebuild() func(*fingerprint.DB) (fingerprint.Searcher, error) {
@@ -512,16 +513,11 @@ func saveIndexFile(path string, s fingerprint.Searcher) error {
 // (index.Load): every entry is checked against the database, and an
 // index that covers only a prefix of it catches up. Backend selection
 // from -backend goes through serve.ParseBackend instead.
-func loadIndexFile(path string, db *fingerprint.DB, out io.Writer) (fingerprint.Searcher, error) {
+func loadIndexFile(path string, db *fingerprint.DB) (fingerprint.Searcher, error) {
 	f, err := os.Open(path)
 	if err != nil {
 		return nil, err
 	}
 	defer f.Close()
-	s, err := index.Load(f, db)
-	if err != nil {
-		return nil, err
-	}
-	fmt.Fprintf(out, "loaded %s index from %s\n", s.Kind(), path)
-	return s, nil
+	return index.Load(f, db)
 }

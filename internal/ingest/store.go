@@ -53,6 +53,11 @@ type Options struct {
 	Swapper Swapper
 	// Logf reports background retrain outcomes; nil discards.
 	Logf func(format string, args ...any)
+	// Persist is called by every Snapshot with the serving backend, to
+	// keep what the store's owner keeps beside the database (a serving
+	// deployment's trained index). It reports its own failures: that
+	// file is derived state, and a snapshot does not fail on it.
+	Persist func(fingerprint.Searcher)
 }
 
 // DefaultDriftThreshold is the appended fraction above which a Store
@@ -99,6 +104,7 @@ type Store struct {
 	rebuild        func(*fingerprint.DB) (fingerprint.Searcher, error)
 	swapper        Swapper
 	logf           func(string, ...any)
+	persist        func(fingerprint.Searcher)
 
 	retraining   atomic.Bool
 	retrainWG    sync.WaitGroup
@@ -124,6 +130,7 @@ func Open(dir string, db *fingerprint.DB, searcher fingerprint.Searcher, opts Op
 		rebuild:        opts.Rebuild,
 		swapper:        opts.Swapper,
 		logf:           opts.Logf,
+		persist:        opts.Persist,
 	}
 	if s.driftThreshold == 0 {
 		s.driftThreshold = DefaultDriftThreshold
@@ -293,17 +300,14 @@ func (s *Store) maybeRetrainLocked() {
 // daemon loads at startup, so a restart reads the snapshot and replays
 // only the post-snapshot tail.
 //
-// alsoPersist callbacks run with the current serving backend inside the
+// Options.Persist runs with the current serving backend inside the
 // same write-locked section, after the database file lands and before
-// the WAL truncates — a daemon that loaded its index from a file
-// re-saves it here, so the index and database files can never disagree
-// on entry count across a restart. A callback failure aborts the
-// truncate: the database file is already updated, but replay is
-// idempotent, so nothing is lost. The directory holding path is synced
-// after the rename, so a crash cannot leave the old database file
-// beside a truncated log. A volatile store has no log to compact and
-// refuses, and so does a store that failed stop (ErrHalfApplied).
-func (s *Store) Snapshot(path string, alsoPersist ...func(fingerprint.Searcher) error) error {
+// the WAL truncates, so what it keeps agrees with the database file
+// across a restart. The directory holding path is synced after the
+// rename, so a crash cannot leave the old database file beside a
+// truncated log. A volatile store has no log to compact and refuses,
+// and so does a store that failed stop (ErrHalfApplied).
+func (s *Store) Snapshot(path string) error {
 	if s.wal == nil {
 		return errVolatile
 	}
@@ -315,10 +319,8 @@ func (s *Store) Snapshot(path string, alsoPersist ...func(fingerprint.Searcher) 
 	if err := WriteFile(path, s.db.Save); err != nil {
 		return fmt.Errorf("ingest: snapshot: %w", err)
 	}
-	for _, fn := range alsoPersist {
-		if err := fn(s.searcher); err != nil {
-			return fmt.Errorf("ingest: snapshot: %w", err)
-		}
+	if s.persist != nil {
+		s.persist(s.searcher)
 	}
 	if err := s.wal.Truncate(); err != nil {
 		return err

@@ -151,7 +151,9 @@ func (b BackendConfig) Spec() (BackendSpec, error) {
 // deployment logs per shard replica under Dir/shard-N/replica-M, so a
 // rebuild over the same seed database and Dir replays every shard.
 // Drift-triggered retrains rebuild through the deployment's BackendSpec
-// and hot-swap into the built service.
+// and hot-swap into the built service. An IVF or IVFPQ backend keeps
+// its trained index beside each log, so a rebuild over the same
+// database and knobs loads it instead of training.
 type WALConfig struct {
 	// Dir is the write-ahead log directory (required; created if
 	// absent).

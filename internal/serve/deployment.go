@@ -194,6 +194,7 @@ type Server struct {
 	durable bool            // the stores have a log
 	syncer  *cluster.Syncer
 	tracer  *obs.Tracer
+	origins []indexOrigin // where each serving index came from
 }
 
 // Handler returns the HTTP handler serving the /v1 wire protocol for
@@ -231,6 +232,12 @@ func (s *Server) Store() *ingest.Store {
 	}
 	return nil
 }
+
+// IndexOrigin says where the build's serving index came from, as a
+// startup line can print it: "trained ivfpq index", "loaded ivfpq index
+// from <file>", "index file <file> refused (<reason>); trained ivfpq
+// index", or "built flat index"; a sharded build counts the loaded.
+func (s *Server) IndexOrigin() string { return summarize(s.origins) }
 
 // TraceStore returns the trace retention store behind the deployment's
 // tracer — what ListenDebug mounts as /v1/debug/traces. Nil when
@@ -300,7 +307,7 @@ func (d Deployment) Build(db *fingerprint.DB) (*Server, error) {
 // The handler is built last — replication mounts the /v1/repl/* routes
 // on the service first.
 func (d Deployment) buildSingle(db *fingerprint.DB, spec BackendSpec) (*Server, error) {
-	searcher, err := spec.Build(db)
+	searcher, origin, err := d.backend(d.logDir(), db, spec, BackendSpec.Build)
 	if err != nil {
 		return nil, err
 	}
@@ -308,7 +315,7 @@ func (d Deployment) buildSingle(db *fingerprint.DB, spec BackendSpec) (*Server, 
 	sopts := append(append([]fingerprint.ServiceOption{}, d.Limits...),
 		fingerprint.WithObservability(d.Observability.options("serve", tracer)))
 	svc := fingerprint.NewSearcherService(searcher, sopts...)
-	srv := &Server{svc: svc, tracer: tracer, durable: d.WAL != nil}
+	srv := &Server{svc: svc, tracer: tracer, durable: d.WAL != nil, origins: []indexOrigin{origin}}
 	if d.WAL != nil || d.VolatileWrites {
 		store, err := d.openStore(d.logDir(), db, searcher, spec, svc)
 		if err != nil {
@@ -437,17 +444,18 @@ func (d Deployment) buildSharded(db *fingerprint.DB, spec BackendSpec) (*Server,
 			return nil, err
 		}
 		for i, part := range parts {
-			searcher, err := BuildShardBackend(spec, part)
+			dir := d.logDir(fmt.Sprintf("shard-%d", i), fmt.Sprintf("replica-%d", rep))
+			searcher, origin, err := d.backend(dir, part, spec, BuildShardBackend)
 			if err != nil {
 				return nil, fmt.Errorf("serve: shard %d backend: %w", i, err)
 			}
+			srv.origins = append(srv.origins, origin)
 			svc := fingerprint.NewSearcherService(searcher, d.Limits...)
 			name := fmt.Sprintf("local-shard-%d", i)
 			if nrep > 1 {
 				name = fmt.Sprintf("local-shard-%d-replica-%d", i, rep)
 			}
 			if d.WAL != nil || d.VolatileWrites {
-				dir := d.logDir(fmt.Sprintf("shard-%d", i), fmt.Sprintf("replica-%d", rep))
 				store, err := d.openStore(dir, part, searcher, spec, svc)
 				if err != nil {
 					return nil, fmt.Errorf("serve: shard %d write path: %w", i, err)
@@ -504,9 +512,25 @@ func (d Deployment) logDir(elem ...string) string {
 // volatile when dir is "" — the one place a deployment's ingest.Options
 // are made. Retrains rebuild through the spec and hot-swap into the
 // built service, so writes past the drift threshold retrain the serving
-// backend; their outcomes go to the deployment's logger.
+// backend; their outcomes go to the deployment's logger. A path that
+// keeps its trained index (keepIndex) persists a replacing training on
+// a snapshot, beside the database, under the snapshot's lock.
 func (d Deployment) openStore(dir string, db *fingerprint.DB, searcher fingerprint.Searcher, spec BackendSpec, svc *fingerprint.Service) (*ingest.Store, error) {
 	opts := ingest.Options{Rebuild: spec.Rebuild(), Swapper: svc, Logf: d.logf}
+	if keep, ok := keepIndex(dir, spec); ok {
+		// kept is the serving index whose training the file holds: the
+		// one backend loaded or wrote, none when there is no file.
+		var kept fingerprint.Searcher
+		if _, err := os.Stat(keep.file); err == nil {
+			kept = searcher
+		}
+		opts.Persist = func(sr fingerprint.Searcher) {
+			if sr != kept {
+				kept = sr
+				d.persist(keep, sr)
+			}
+		}
+	}
 	if w := d.WAL; w != nil {
 		sync, err := ingest.ParseSyncPolicy(w.Fsync)
 		if err != nil {
