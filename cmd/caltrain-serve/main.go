@@ -295,7 +295,7 @@ func run(parent context.Context, args []string, out io.Writer) error {
 		// The loaded index replaces the backend the config declared; its
 		// kind (and, for IVFPQ, its code width) with the config's training
 		// knobs make the spec whose Rebuild is the drift-retrain hook.
-		loaded, err := loadIndexFile(o.loadIndex, db)
+		loaded, err := serve.LoadIndexFile(o.loadIndex, db)
 		if err != nil {
 			return err
 		}
@@ -384,7 +384,7 @@ func run(parent context.Context, args []string, out io.Writer) error {
 	}
 
 	if o.saveIndex != "" {
-		if err := saveIndexFile(o.saveIndex, svc.Searcher()); err != nil {
+		if err := serve.SaveIndexFile(o.saveIndex, svc.Searcher()); err != nil {
 			return err
 		}
 		fmt.Fprintf(out, "index saved to %s\n", o.saveIndex)
@@ -500,24 +500,4 @@ func (s timedSpec) Rebuild() func(*fingerprint.DB) (fingerprint.Searcher, error)
 		}
 		return sr, err
 	}
-}
-
-// saveIndexFile persists s to path atomically through ingest.WriteFile,
-// as ingest.Store.Snapshot does the database: a crash, a full disk or a
-// failed Save leaves the previous file whole.
-func saveIndexFile(path string, s fingerprint.Searcher) error {
-	return ingest.WriteFile(path, func(w io.Writer) error { return index.Save(w, s) })
-}
-
-// loadIndexFile reads a serialized index as the index of db
-// (index.Load): every entry is checked against the database, and an
-// index that covers only a prefix of it catches up. Backend selection
-// from -backend goes through serve.ParseBackend instead.
-func loadIndexFile(path string, db *fingerprint.DB) (fingerprint.Searcher, error) {
-	f, err := os.Open(path)
-	if err != nil {
-		return nil, err
-	}
-	defer f.Close()
-	return index.Load(f, db)
 }

@@ -560,7 +560,7 @@ func TestServeRefusesForeignIndex(t *testing.T) {
 				t.Fatal(err)
 			}
 			idxPath := filepath.Join(t.TempDir(), "other.idx")
-			if err := saveIndexFile(idxPath, idx); err != nil {
+			if err := serve.SaveIndexFile(idxPath, idx); err != nil {
 				t.Fatal(err)
 			}
 			ctx, cancel := context.WithCancel(context.Background())
@@ -603,7 +603,7 @@ func TestServeCatchesUpLaggingIndex(t *testing.T) {
 		t.Fatal(err)
 	}
 	idxPath := filepath.Join(t.TempDir(), "lagging.idx")
-	if err := saveIndexFile(idxPath, idx); err != nil {
+	if err := serve.SaveIndexFile(idxPath, idx); err != nil {
 		t.Fatal(err)
 	}
 	ctx, cancel := context.WithCancel(context.Background())
@@ -642,10 +642,10 @@ func TestServeCatchesUpLaggingIndex(t *testing.T) {
 func TestSaveIndexFileIsAtomic(t *testing.T) {
 	db := readDB(t, writeTestDB(t, 40))
 	path := filepath.Join(t.TempDir(), "linkage.idx")
-	if err := saveIndexFile(path, index.NewFlat(db)); err != nil {
+	if err := serve.SaveIndexFile(path, index.NewFlat(db)); err != nil {
 		t.Fatal(err)
 	}
-	if err := saveIndexFile(path, db); err == nil {
+	if err := serve.SaveIndexFile(path, db); err == nil {
 		t.Fatal("saving the linear scan succeeded")
 	}
 	f, err := os.Open(path)

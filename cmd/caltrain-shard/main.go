@@ -35,7 +35,6 @@ import (
 	"time"
 
 	"caltrain/internal/fingerprint"
-	"caltrain/internal/index"
 	"caltrain/internal/ingest"
 	"caltrain/internal/serve"
 	"caltrain/internal/shard"
@@ -139,9 +138,7 @@ func run(args []string, out io.Writer) error {
 			if err != nil {
 				return fmt.Errorf("shard %d index: %w", sid, err)
 			}
-			if err := ingest.WriteFile(filepath.Join(*outDir, idxName), func(w io.Writer) error {
-				return index.Save(w, searcher)
-			}); err != nil {
+			if err := serve.SaveIndexFile(filepath.Join(*outDir, idxName), searcher); err != nil {
 				return err
 			}
 			line += fmt.Sprintf(" + %s (%s, built in %v)", idxName, searcher.Kind(), time.Since(started).Round(time.Millisecond))

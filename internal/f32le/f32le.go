@@ -1,6 +1,7 @@
 // Package f32le holds the rule every caltrain file and wire format
 // shares for a float32: its IEEE-754 bits, little-endian, four bytes
-// each. Append and Decode are the one pair of helpers that apply it. On
+// each. Append and Decode are the one pair of helpers that apply it, and
+// Equal compares encoded bytes with floats under it. On
 // a little-endian host the bytes already are the floats' memory, so both
 // copy them in bulk; a big-endian host takes the per-float loop, which is
 // also the reference FuzzFloatCodecParity holds the bulk copy to.
@@ -35,6 +36,15 @@ func Decode(dst []float32, b []byte) {
 	decodeLoop(dst, b)
 }
 
+// Equal reports whether b is the encoding of v: on a little-endian host
+// a byte compare of v's memory, with no float decoded.
+func Equal(b []byte, v []float32) bool {
+	if littleEndian {
+		return string(b) == string(bytesOf(v))
+	}
+	return equalLoop(b, v)
+}
+
 // bytesOf views v's memory as its 4·len(v) bytes.
 func bytesOf(v []float32) []byte {
 	return unsafe.Slice((*byte)(unsafe.Pointer(unsafe.SliceData(v))), 4*len(v))
@@ -53,4 +63,17 @@ func decodeLoop(dst []float32, b []byte) {
 	for i := range dst {
 		dst[i] = math.Float32frombits(binary.LittleEndian.Uint32(b[4*i:]))
 	}
+}
+
+// equalLoop is Equal one float at a time, for any host byte order.
+func equalLoop(b []byte, v []float32) bool {
+	if len(b) != 4*len(v) {
+		return false
+	}
+	for i, x := range v {
+		if binary.LittleEndian.Uint32(b[4*i:]) != math.Float32bits(x) {
+			return false
+		}
+	}
+	return true
 }

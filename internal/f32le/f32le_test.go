@@ -9,9 +9,10 @@ import (
 )
 
 // FuzzFloatCodecParity holds the bulk copy to the per-float loop:
-// fuzz-chosen bytes decode to the same bits both ways, and those floats
+// fuzz-chosen bytes decode to the same bits both ways, those floats
 // encode, behind a prefix, to the same bytes both ways — the bytes they
-// were decoded from. The seeds are kerneltest's specials (NaN payloads,
+// were decoded from — and Equal agrees with the loop on them and on the
+// bytes with their last one flipped. The seeds are kerneltest's specials (NaN payloads,
 // subnormals, ±0, ±Inf), the values an arithmetic float conversion on
 // the way would quiet, flush or fold. On a little-endian host this is
 // what keeps the loop, the big-endian path, checked.
@@ -36,6 +37,16 @@ func FuzzFloatCodecParity(f *testing.F) {
 		}
 		if !bytes.HasPrefix(enc, prefix) || !bytes.Equal(enc[len(prefix):], data[:4*n]) {
 			t.Fatalf("Append % x does not re-encode % x", enc, data[:4*n])
+		}
+		if !Equal(data[:4*n], got) || !equalLoop(data[:4*n], want) {
+			t.Fatalf("% x is not equal to the floats it decodes to", data[:4*n])
+		}
+		if n > 0 {
+			flipped := bytes.Clone(data[:4*n])
+			flipped[4*n-1] ^= 1
+			if Equal(flipped, got) || equalLoop(flipped, want) {
+				t.Fatalf("% x equals the floats % x decodes to", flipped, data[:4*n])
+			}
 		}
 	})
 }

@@ -217,6 +217,45 @@ func (db *DB) entry(i int) Linkage {
 	return Linkage{F: db.row(i), Y: int(db.label.get(i)), S: db.sources[db.src.get(i)], H: db.hash.get(i)}
 }
 
+// Records reads a database's entries in the framing its file and the
+// index file share after their own key — srclen u16 | src | hash[32] |
+// dim × f32 — straight from the columns and without the lock, so a
+// file's writer or loader takes no lock and builds no Linkage per
+// entry. It holds a Snapshot no one else does, whose columns nothing
+// changes.
+type Records struct{ db *DB }
+
+// Records returns the entries the database holds now as Records.
+func (db *DB) Records() Records { return Records{db.Snapshot(-1)} }
+
+// Len is the number of entries r holds.
+func (r Records) Len() int { return r.db.label.n }
+
+// Append appends entry i's record to b, its row only when row is set.
+func (r Records) Append(b []byte, i int, row bool) []byte { return r.db.appendRecord(b, i, row) }
+
+// Holds reports whether entry i, below Len, is of label y with this
+// source and hash and, unless row is nil, the row f32le encodes as row:
+// a file's record of the entry checked against the columns in place —
+// on a little-endian host the row is a byte compare.
+func (r Records) Holds(i, y int, src, hash, row []byte) bool {
+	db := r.db
+	return int(db.label.get(i)) == y && db.sources[db.src.get(i)] == string(src) &&
+		string(db.hash.At(i)[0][:]) == string(hash) && (row == nil || f32le.Equal(row, db.row(i)))
+}
+
+// appendRecord is Records.Append for callers that hold the lock.
+func (db *DB) appendRecord(b []byte, i int, row bool) []byte {
+	src := db.sources[db.src.get(i)]
+	b = binary.LittleEndian.AppendUint16(b, uint16(len(src)))
+	b = append(b, src...)
+	b = append(b, db.hash.At(i)[0][:]...)
+	if row {
+		b = f32le.Append(b, db.row(i))
+	}
+	return b
+}
+
 // Row returns Entry(i).F alone: what an index's exact re-rank reads.
 func (db *DB) Row(i int) Fingerprint {
 	db.mu.RLock()
@@ -638,12 +677,7 @@ func (db *DB) Save(w io.Writer) error {
 		return fmt.Errorf("fingerprint: save: %w", err)
 	}
 	for i := 0; i < db.label.n; i++ {
-		e := db.entry(i)
-		rec = binary.LittleEndian.AppendUint32(rec[:0], uint32(e.Y))
-		rec = binary.LittleEndian.AppendUint16(rec, uint16(len(e.S)))
-		rec = append(rec, e.S...)
-		rec = append(rec, e.H[:]...)
-		rec = f32le.Append(rec, e.F)
+		rec = db.appendRecord(binary.LittleEndian.AppendUint32(rec[:0], uint32(db.label.get(i))), i, true)
 		if _, err := bw.Write(rec); err != nil {
 			return fmt.Errorf("fingerprint: save: %w", err)
 		}

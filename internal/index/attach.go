@@ -3,8 +3,8 @@ package index
 import (
 	"errors"
 	"fmt"
-	"math"
 
+	"caltrain/internal/f32le"
 	"caltrain/internal/fingerprint"
 )
 
@@ -60,10 +60,12 @@ func checkPrefix(s Searcher, db *fingerprint.DB) error {
 	}
 	chk := newEntryCheck(db)
 	var own *fingerprint.DB
+	var row []byte
 	run := func(y int, idx []int32) error {
 		for _, i := range idx {
 			l := own.Entry(int(i))
-			if err := chk.entry(int(i), y, []byte(l.S), l.H[:], l.F); err != nil {
+			row = f32le.Append(row[:0], l.F)
+			if err := chk.entry(int(i), y, []byte(l.S), l.H[:], row); err != nil {
 				return err
 			}
 		}
@@ -110,6 +112,7 @@ func checkPrefix(s Searcher, db *fingerprint.DB) error {
 // entry as it reads it, checkPrefix on each entry an index holds.
 type entryCheck struct {
 	db   *fingerprint.DB
+	recs fingerprint.Records // db's entries when the check began
 	n    int
 	seen []uint64 // the indices held so far
 	held int
@@ -117,26 +120,27 @@ type entryCheck struct {
 }
 
 func newEntryCheck(db *fingerprint.DB) *entryCheck {
-	n := db.Len()
-	return &entryCheck{db: db, n: n, seen: make([]uint64, (n+63)/64)}
+	recs := db.Records()
+	n := recs.Len()
+	return &entryCheck{db: db, recs: recs, n: n, seen: make([]uint64, (n+63)/64)}
 }
 
 // entry checks that database index i holds an entry of label y with
-// this source, hash and (unless row is nil) row.
-func (c *entryCheck) entry(i, y int, src, hash []byte, row []float32) error {
+// this source, hash and (unless row is nil) row, as a file stores them:
+// a compare with the database's columns in place (Records.Holds).
+func (c *entryCheck) entry(i, y int, src, hash, row []byte) error {
 	if i < 0 || i >= c.n || c.seen[i/64]&(1<<(i%64)) != 0 {
 		return fmt.Errorf("%w: entry %d of label %d is outside the database's %d or held twice", ErrForeignIndex, i, y, c.n)
 	}
 	c.seen[i/64] |= 1 << (i % 64)
 	c.held, c.top = c.held+1, max(c.top, i+1)
-	l := c.db.Entry(i)
-	if l.Y != y || string(src) != l.S || [32]byte(hash) != l.H {
+	if c.recs.Holds(i, y, src, hash, row) {
+		return nil
+	}
+	if l := c.db.Entry(i); l.Y != y || string(src) != l.S || [32]byte(hash) != l.H {
 		return fmt.Errorf("%w: entry %d of label %d is not the database's (label %d, source %q)", ErrForeignIndex, i, y, l.Y, l.S)
 	}
-	if row != nil && !sameRow(row, l.F) {
-		return fmt.Errorf("%w: entry %d's row is not the database's", ErrForeignIndex, i)
-	}
-	return nil
+	return fmt.Errorf("%w: entry %d's row is not the database's", ErrForeignIndex, i)
 }
 
 // prefix reports whether the entries held so far are the database's
@@ -146,17 +150,4 @@ func (c *entryCheck) prefix() error {
 		return fmt.Errorf("%w: its %d entries are not the database's first %d (it holds entry %d)", ErrForeignIndex, c.held, c.held, c.top-1)
 	}
 	return nil
-}
-
-// sameRow reports whether two rows hold the same float32 bits.
-func sameRow(a, b []float32) bool {
-	if len(a) != len(b) {
-		return false
-	}
-	for j, v := range a {
-		if math.Float32bits(v) != math.Float32bits(b[j]) {
-			return false
-		}
-	}
-	return true
 }

@@ -5,8 +5,9 @@ import (
 	"encoding/binary"
 	"fmt"
 	"io"
+	"maps"
 	"math"
-	"sort"
+	"slices"
 	"sync/atomic"
 
 	"caltrain/internal/f32le"
@@ -55,13 +56,21 @@ const (
 	maxPlausibleElems = 4_000_000_000
 )
 
+// recordBound is the longest record a CTIX file of dimension dim holds —
+// an entry with the longest source the framing carries, and its row —
+// and the size of the one buffer Save writes through and Load reads
+// every record from in place.
+func recordBound(dim int) int { return 4 + 2 + math.MaxUint16 + 32 + 4*dim }
+
 // Save serializes a Flat, IVF or IVFPQ index so it persists alongside
-// LinkageDB.Save; Load reads it back over that database.
+// LinkageDB.Save; Load reads it back over that database. Each entry's
+// record is built from the database's columns (Records.Append) and
+// written through one buffer of recordBound bytes.
 func Save(w io.Writer, s Searcher) error {
-	bw := bufio.NewWriter(w)
 	var kind byte
 	var buckets map[int]*bucket
 	var ivf *IVF
+	var pq *IVFPQ
 	var db *fingerprint.DB
 	switch x := s.(type) {
 	case *Flat:
@@ -81,127 +90,118 @@ func Save(w io.Writer, s Searcher) error {
 	case *IVFPQ:
 		x.mu.RLock()
 		defer x.mu.RUnlock()
-		return saveIVFPQ(bw, x)
+		kind, pq, db = kindIVFPQ, x, x.db
 	default:
 		return fmt.Errorf("index: save: unsupported backend %q", s.Kind())
 	}
 	dim := s.Dim()
-	if _, err := bw.WriteString(ixMagic); err != nil {
+	e := &encoder{bw: bufio.NewWriterSize(w, recordBound(dim)), recs: db.Records()}
+	e.rec = append(e.rec, ixMagic...)
+	e.rec = append(e.rec, ixVersion, kind)
+	e.rec = binary.LittleEndian.AppendUint32(e.rec, uint32(dim))
+	if pq != nil {
+		e.u32(uint32(len(pq.labels)))
+		e.ivfpq(pq)
+	} else {
+		e.u32(uint32(len(buckets)))
+		e.buckets(buckets, ivf)
+	}
+	if err := e.bw.Flush(); err != nil {
 		return fmt.Errorf("index: save: %w", err)
 	}
-	bw.WriteByte(ixVersion)
-	bw.WriteByte(kind)
-	labels := make([]int, 0, len(buckets))
-	for y := range buckets {
-		labels = append(labels, y)
-	}
-	sort.Ints(labels)
-	var u32 [4]byte
-	put := func(v uint32) {
-		binary.LittleEndian.PutUint32(u32[:], v)
-		bw.Write(u32[:])
-	}
-	put(uint32(dim))
-	put(uint32(len(labels)))
-	var rec []byte
+	return nil
+}
+
+// encoder is Save's state: the buffered writer, whose first error
+// Flush reports, and the one record buffer every field and entry is
+// built in before it is written.
+type encoder struct {
+	bw   *bufio.Writer
+	recs fingerprint.Records
+	rec  []byte
+}
+
+// write hands the record built so far to the writer and starts the next.
+func (e *encoder) write() {
+	e.bw.Write(e.rec)
+	e.rec = e.rec[:0]
+}
+
+func (e *encoder) u32(v uint32) {
+	e.rec = binary.LittleEndian.AppendUint32(e.rec, v)
+	e.write()
+}
+
+func (e *encoder) floats(v []float32) {
+	e.rec = f32le.Append(e.rec, v)
+	e.write()
+}
+
+// entry writes what every saved entry is — idx u32 | srclen u16 | src |
+// hash[32], then a Flat or IVF entry's row or an IVFPQ entry's codes —
+// for database entry idx.
+func (e *encoder) entry(idx int32, row bool, codes []byte) {
+	e.rec = binary.LittleEndian.AppendUint32(e.rec, uint32(idx))
+	e.rec = e.recs.Append(e.rec, int(idx), row)
+	e.rec = append(e.rec, codes...)
+	e.write()
+}
+
+// buckets writes the Flat and IVF body: per label the entries with their
+// rows, then for IVF each label's centroids and inverted lists.
+func (e *encoder) buckets(buckets map[int]*bucket, ivf *IVF) {
+	labels := slices.Sorted(maps.Keys(buckets))
 	for _, y := range labels {
 		b := buckets[y]
-		put(uint32(int32(y)))
-		put(uint32(len(b.idx)))
+		e.u32(uint32(int32(y)))
+		e.u32(uint32(len(b.idx)))
 		for _, i := range b.idx {
-			l := db.Entry(int(i))
-			var err error
-			if rec, err = appendIdentity(rec[:0], i, l); err != nil {
-				return err
-			}
-			rec = f32le.Append(rec, l.F)
-			bw.Write(rec)
+			e.entry(i, true, nil)
 		}
 	}
-	if ivf != nil {
-		put(uint32(ivf.Nprobe()))
-		for _, y := range labels {
-			c := ivf.labels[y]
-			put(uint32(c.nlist))
-			rec = f32le.Append(rec[:0], c.centroids)
-			bw.Write(rec)
-			for _, list := range c.lists {
-				put(uint32(len(list)))
-				for _, pos := range list {
-					put(uint32(pos))
-				}
-			}
-		}
+	if ivf == nil {
+		return
 	}
-	if err := bw.Flush(); err != nil {
-		return fmt.Errorf("index: save: %w", err)
-	}
-	return nil
-}
-
-// appendIdentity appends what every saved entry starts with — idx u32 |
-// srclen u16 | src | hash[32] — for database entry idx, l. rec is the
-// caller's reused buffer: the hash is copied into it, never handed to
-// the writer, which would move every one to the heap.
-func appendIdentity(rec []byte, idx int32, l fingerprint.Linkage) ([]byte, error) {
-	if len(l.S) > 65535 {
-		return nil, fmt.Errorf("index: save: source %q… exceeds 65535 bytes", l.S[:32])
-	}
-	rec = binary.LittleEndian.AppendUint32(rec, uint32(idx))
-	rec = binary.LittleEndian.AppendUint16(rec, uint16(len(l.S)))
-	rec = append(rec, l.S...)
-	return append(rec, l.H[:]...), nil
-}
-
-// saveIVFPQ writes the kindIVFPQ stream: header, search knobs, then per
-// label the coarse centroids, PQ codebook, and code-carrying inverted
-// lists. The caller holds the index read lock.
-func saveIVFPQ(bw *bufio.Writer, x *IVFPQ) error {
-	if _, err := bw.WriteString(ixMagic); err != nil {
-		return fmt.Errorf("index: save: %w", err)
-	}
-	bw.WriteByte(ixVersion)
-	bw.WriteByte(kindIVFPQ)
-	var u32 [4]byte
-	put := func(v uint32) {
-		binary.LittleEndian.PutUint32(u32[:], v)
-		bw.Write(u32[:])
-	}
-	put(uint32(x.dim))
-	put(uint32(len(x.labels)))
-	put(uint32(x.Nprobe()))
-	put(uint32(x.m))
-	labels := make([]int, 0, len(x.labels))
-	for y := range x.labels {
-		labels = append(labels, y)
-	}
-	sort.Ints(labels)
-	var rec []byte
+	e.u32(uint32(ivf.Nprobe()))
 	for _, y := range labels {
+		c := ivf.labels[y]
+		e.u32(uint32(c.nlist))
+		e.floats(c.centroids)
+		for _, list := range c.lists {
+			e.rec = binary.LittleEndian.AppendUint32(e.rec, uint32(len(list)))
+			for _, pos := range list {
+				e.rec = binary.LittleEndian.AppendUint32(e.rec, uint32(pos))
+			}
+			e.write()
+		}
+	}
+}
+
+// ivfpq writes the IVFPQ body: the search knobs, then per label the
+// coarse centroids, PQ codebook, and code-carrying inverted lists.
+func (e *encoder) ivfpq(x *IVFPQ) {
+	e.u32(uint32(x.Nprobe()))
+	e.u32(uint32(x.m))
+	var book [pqKs]float32 // a run of the codebook in file order
+	for _, y := range slices.Sorted(maps.Keys(x.labels)) {
 		c := x.labels[y]
-		put(uint32(int32(y)))
-		put(uint32(c.nlist))
-		rec = f32le.Append(rec[:0], c.centroids)
-		bw.Write(rec)
-		for i := range c.book.centroids {
-			put(math.Float32bits(c.book.centroids[c.book.slot(i)]))
+		e.u32(uint32(int32(y)))
+		e.u32(uint32(c.nlist))
+		e.floats(c.centroids)
+		for j := 0; j < len(c.book.centroids); j += len(book) {
+			run := book[:min(len(book), len(c.book.centroids)-j)]
+			for t := range run {
+				run[t] = c.book.centroids[c.book.slot(j+t)]
+			}
+			e.floats(run)
 		}
 		for _, l := range c.lists {
-			put(uint32(len(l.idx)))
+			e.u32(uint32(len(l.idx)))
 			for k, i := range l.idx {
-				var err error
-				if rec, err = appendIdentity(rec[:0], i, x.db.Entry(int(i))); err != nil {
-					return err
-				}
-				bw.Write(rec)
-				bw.Write(l.codes[k*x.m : (k+1)*x.m])
+				e.entry(i, false, l.codes[k*x.m:(k+1)*x.m])
 			}
 		}
 	}
-	if err := bw.Flush(); err != nil {
-		return fmt.Errorf("index: save: %w", err)
-	}
-	return nil
 }
 
 // Load reads an index written by Save as the index of db, in the state
@@ -217,6 +217,12 @@ func saveIVFPQ(bw *bufio.Writer, x *IVFPQ) error {
 // database order, as Attach does, so a file saved before its database
 // grew catches up.
 //
+// Each record is read once, in place in a reader sized after the header
+// to hold the longest record the dimension allows (recordBound): an
+// entry's identity and row are compared with db's columns as the file
+// stores them (Records.Holds), and an inverted list's positions or a float
+// array come in runs of as many as the buffer holds.
+//
 // An index that is not db's yields ErrForeignIndex, another
 // dimensionality fingerprint.ErrDimMismatch, malformed input ErrCorrupt
 // or ErrVersionMismatch — never a panic. When r can say how long it is
@@ -229,14 +235,9 @@ func Load(r io.Reader, db *fingerprint.DB) (Searcher, error) {
 	if n, ok := fingerprint.BytesLeft(r); ok {
 		left = n
 	}
-	ld := &loader{
-		br:    bufio.NewReader(r),
-		holds: func(count, each int) bool { return int64(count)*int64(each) <= left },
-		db:    db,
-	}
-	head := ld.read(4 + 1 + 1 + 4 + 4)
-	if ld.err != nil {
-		return nil, ld.err
+	var head [4 + 1 + 1 + 4 + 4]byte
+	if _, err := io.ReadFull(r, head[:]); err != nil {
+		return nil, fmt.Errorf("index: load: %w: %w", err, ErrCorrupt)
 	}
 	if string(head[:4]) != ixMagic {
 		return nil, fmt.Errorf("index: load: bad magic %q: %w", head[:4], ErrCorrupt)
@@ -247,7 +248,8 @@ func Load(r io.Reader, db *fingerprint.DB) (Searcher, error) {
 	kind := head[5]
 	dim := int(binary.LittleEndian.Uint32(head[6:]))
 	nlabels := int(binary.LittleEndian.Uint32(head[10:]))
-	if dim <= 0 || dim > maxPlausibleDim || nlabels < 0 || nlabels > maxPlausible || !ld.holds(nlabels, 8) {
+	holds := func(count, each int) bool { return int64(count)*int64(each) <= left }
+	if dim <= 0 || dim > maxPlausibleDim || nlabels < 0 || nlabels > maxPlausible || !holds(nlabels, 8) {
 		return nil, fmt.Errorf("index: load: implausible header (dim %d, labels %d): %w", dim, nlabels, ErrCorrupt)
 	}
 	if kind > kindIVFPQ {
@@ -256,7 +258,13 @@ func Load(r io.Reader, db *fingerprint.DB) (Searcher, error) {
 	if dim != db.Dim() {
 		return nil, fmt.Errorf("%w: database has %d dims, index %d", fingerprint.ErrDimMismatch, db.Dim(), dim)
 	}
-	ld.dim, ld.check = dim, newEntryCheck(db)
+	ld := &loader{
+		br:    bufio.NewReaderSize(r, recordBound(dim)),
+		holds: holds,
+		dim:   dim,
+		db:    db,
+		check: newEntryCheck(db),
+	}
 	var s Appender
 	var err error
 	if kind == kindIVFPQ {
@@ -276,38 +284,72 @@ func Load(r io.Reader, db *fingerprint.DB) (Searcher, error) {
 	return s, nil
 }
 
-// loader is Load's state: the stream, the one record buffer every field
-// and entry is read through, and the check every entry passes. A read
-// that fails is sticky: err keeps it, and every read after it yields
-// zeros, so a truncated stream runs out through empty loops instead of
-// being checked at every field.
+// loader is Load's state: the stream, read in place, and the check
+// every entry passes. A read that fails is sticky: err keeps it, and
+// every read after it yields zeros, so a truncated stream runs out
+// through empty loops instead of being checked at every field.
 type loader struct {
 	br    *bufio.Reader
 	err   error
+	used  int                        // bytes of the last record handed out, consumed by the next read
+	zeros []byte                     // what a read yields once one has failed
 	holds func(count, each int) bool // whether the stream can hold count records of each bytes
 	dim   int
 	db    *fingerprint.DB
 	check *entryCheck
-	rec   []byte
-	row   []float32 // a Flat or IVF entry's row, decoded from rec
-	seen  []bool    // the bucket positions an IVF label's lists have covered
+	seen  []bool // the bucket positions an IVF label's lists have covered
 }
 
-// read returns the next n bytes of the stream, in the record buffer.
-func (ld *loader) read(n int) []byte {
-	ld.rec = resize(ld.rec, n)
+// peek returns the next n bytes of the stream, at most the buffer's
+// size, in place in the reader's buffer, after consuming the record
+// handed out before them; they stay valid until the next read.
+func (ld *loader) peek(n int) []byte {
+	ld.consume()
 	if ld.err == nil {
-		if _, err := io.ReadFull(ld.br, ld.rec); err != nil {
-			ld.err = fmt.Errorf("index: load: %w: %w", err, ErrCorrupt)
+		b, err := ld.br.Peek(n)
+		if err == nil {
+			return b
 		}
+		if err == io.EOF {
+			err = io.ErrUnexpectedEOF
+		}
+		ld.err = fmt.Errorf("index: load: %w: %w", err, ErrCorrupt)
 	}
-	if ld.err != nil {
-		clear(ld.rec)
-	}
-	return ld.rec
+	ld.zeros = resize(ld.zeros, n)
+	clear(ld.zeros)
+	return ld.zeros
 }
 
-func (ld *loader) u32() uint32 { return binary.LittleEndian.Uint32(ld.read(4)) }
+// consume drops the record handed out last from the reader's buffer.
+func (ld *loader) consume() {
+	_, _ = ld.br.Discard(ld.used) // cannot fail: Peek buffered these bytes
+	ld.used = 0
+}
+
+// record is peek of a whole record: the next read consumes it.
+func (ld *loader) record(n int) []byte {
+	b := ld.peek(n)
+	if ld.err == nil {
+		ld.used = n
+	}
+	return b
+}
+
+// run returns the next of count items of each bytes, as many as the
+// buffer holds: a caller reads count items in one run or a few. While
+// the buffer still holds an item, the run ends where the buffered bytes
+// do, so a long array never makes the reader refill a nearly full
+// buffer with a short read.
+func (ld *loader) run(count, each int) []byte {
+	ld.consume()
+	k := min(count, ld.br.Size()/each)
+	if have := ld.br.Buffered() / each; have > 0 {
+		k = min(k, have)
+	}
+	return ld.record(k * each)
+}
+
+func (ld *loader) u32() uint32 { return binary.LittleEndian.Uint32(ld.record(4)) }
 
 // fail is the error a check on the stream reports: err, unless a read
 // failed first — the check then saw zeros, and the failed read is the
@@ -320,7 +362,13 @@ func (ld *loader) fail(err error) error {
 }
 
 // floats fills dst from the stream.
-func (ld *loader) floats(dst []float32) { f32le.Decode(dst, ld.read(4*len(dst))) }
+func (ld *loader) floats(dst []float32) {
+	for len(dst) > 0 {
+		b := ld.run(len(dst), 4)
+		f32le.Decode(dst[:len(b)/4], b)
+		dst = dst[len(b)/4:]
+	}
+}
 
 // nprobe reads the search knob both coarse backends carry.
 func (ld *loader) nprobe(into *atomic.Int32) error {
@@ -332,14 +380,14 @@ func (ld *loader) nprobe(into *atomic.Int32) error {
 	return nil
 }
 
-// readIdentity reads what every saved entry starts with — the mirror of
-// appendIdentity — and the rest bytes that follow it (a row, or codes).
-// The slices view the record buffer until the next read.
+// readIdentity reads what every saved entry starts with — idx u32 |
+// srclen u16 | src | hash[32] — and the rest bytes that follow it (a row,
+// or codes), peeking the head for the record's length and then the whole
+// record. The slices view the reader's buffer until the next read.
 func (ld *loader) readIdentity(rest int) (idx int, src, hash, tail []byte) {
-	head := ld.read(4 + 2)
-	idx, slen := int(binary.LittleEndian.Uint32(head)), int(binary.LittleEndian.Uint16(head[4:]))
-	rec := ld.read(slen + 32 + rest)
-	return idx, rec[:slen], rec[slen : slen+32], rec[slen+32:]
+	slen := int(binary.LittleEndian.Uint16(ld.peek(4 + 2)[4:]))
+	rec := ld.record(4 + 2 + slen + 32 + rest)
+	return int(binary.LittleEndian.Uint32(rec)), rec[6 : 6+slen], rec[6+slen : 6+slen+32], rec[6+slen+32:]
 }
 
 // buckets reads the Flat and IVF body: per label the entries, each
@@ -350,7 +398,6 @@ func (ld *loader) buckets(kind byte, nlabels int) (Appender, error) {
 	labels := make([]int, nlabels)
 	buckets := make(map[int]*bucket, nlabels)
 	total := 0
-	ld.row = make([]float32, dim)
 	for li := range labels {
 		y, n := int(int32(ld.u32())), int(ld.u32())
 		if n > maxPlausible || !ld.holds(n, 4+2+32+4*dim) {
@@ -364,12 +411,11 @@ func (ld *loader) buckets(kind byte, nlabels int) (Appender, error) {
 			return nil, ld.fail(fmt.Errorf("%w: label %d holds %d entries, the database %d", ErrForeignIndex, y, n, len(b.idx)))
 		}
 		for p := 0; p < n; p++ {
-			idx, src, hash, rest := ld.readIdentity(4 * dim)
+			idx, src, hash, row := ld.readIdentity(4 * dim)
 			if idx != int(b.idx[p]) {
 				return nil, ld.fail(fmt.Errorf("%w: label %d's entry %d is %d, the database's %d", ErrForeignIndex, y, p, idx, b.idx[p]))
 			}
-			f32le.Decode(ld.row, rest)
-			if err := ld.check.entry(idx, y, src, hash, ld.row); err != nil {
+			if err := ld.check.entry(idx, y, src, hash, row); err != nil {
 				return nil, ld.fail(err)
 			}
 		}
@@ -407,15 +453,17 @@ func (ld *loader) buckets(kind byte, nlabels int) (Appender, error) {
 				return nil, ld.fail(fmt.Errorf("index: load: list %d/%d longer than class (%d > %d): %w", y, ci, ln, n, ErrCorrupt))
 			}
 			list := make([]int32, ln)
-			for p := range list {
-				pv := int(ld.u32())
-				if pv >= n || ld.seen[pv] {
-					return nil, ld.fail(fmt.Errorf("index: load: position %d of label %d out of range or in two lists: %w", pv, y, ErrCorrupt))
+			for p := 0; p < ln; {
+				for run := ld.run(ln-p, 4); len(run) > 0; run, p = run[4:], p+1 {
+					pv := int(binary.LittleEndian.Uint32(run))
+					if pv >= n || ld.seen[pv] {
+						return nil, ld.fail(fmt.Errorf("index: load: position %d of label %d out of range or in two lists: %w", pv, y, ErrCorrupt))
+					}
+					ld.seen[pv] = true
+					list[p] = int32(pv)
 				}
-				ld.seen[pv] = true
-				covered++
-				list[p] = int32(pv)
 			}
+			covered += ln
 			c.lists[ci] = list
 		}
 		if covered != n {
@@ -458,8 +506,14 @@ func (ld *loader) ivfpq(nlabels int) (Appender, error) {
 			book:   newCodebook(m, dim/m),
 			lists:  make([]*pqList, nlist),
 		}
-		for j := range c.book.centroids {
-			c.book.centroids[c.book.slot(j)] = math.Float32frombits(ld.u32())
+		var book [pqKs]float32 // a run of the codebook in file order
+		for j := 0; j < len(c.book.centroids); {
+			b := ld.run(min(len(book), len(c.book.centroids)-j), 4)
+			f32le.Decode(book[:len(b)/4], b)
+			for _, v := range book[:len(b)/4] {
+				c.book.centroids[c.book.slot(j)] = v
+				j++
+			}
 		}
 		for ci := range c.lists {
 			n := int(ld.u32())

@@ -114,7 +114,10 @@ func (d Deployment) backend(dir string, db *fingerprint.DB, spec BackendSpec, bu
 	origin := indexOrigin{kind: spec.Kind()}
 	keep, ok := keepIndex(dir, spec)
 	if ok {
-		sr, err := loadIndex(keep, db)
+		sr, err := LoadIndexFile(keep.file, db)
+		if err == nil && sr.Kind() != keep.kind {
+			err = fmt.Errorf("it holds a %s index", sr.Kind())
+		}
 		if err == nil {
 			origin.loaded = keep.file
 			return sr, origin, nil
@@ -146,35 +149,36 @@ func (d Deployment) backend(dir string, db *fingerprint.DB, spec BackendSpec, bu
 	return sr, origin, nil
 }
 
-// loadIndex reads keep's file as db's index, or refuses it; a missing
-// file answers os.IsNotExist.
-func loadIndex(keep indexKeep, db *fingerprint.DB) (fingerprint.Searcher, error) {
-	f, err := os.Open(keep.file)
+// LoadIndexFile reads the index file at path as db's index (index.Load):
+// every entry is checked against db, and an index of a prefix of it
+// catches up. A missing file answers os.IsNotExist.
+func LoadIndexFile(path string, db *fingerprint.DB) (fingerprint.Searcher, error) {
+	f, err := os.Open(path)
 	if err != nil {
 		return nil, err
 	}
 	defer f.Close()
-	sr, err := index.Load(f, db)
-	if err != nil {
-		return nil, err
-	}
-	if sr.Kind() != keep.kind {
-		return nil, fmt.Errorf("it holds a %s index", sr.Kind())
-	}
-	return sr, nil
+	return index.Load(f, db)
 }
 
-// saveIndex writes sr to keep's file through ingest.WriteFile; a
-// failure is logged, never returned — the file is derived state. A
-// backend of another kind (an empty shard's exact fallback) is not the
-// spec's index and is not kept.
+// SaveIndexFile writes sr to path through ingest.WriteFile, as
+// ingest.Store.Snapshot does the database: a crash, a full disk or a
+// failed Save leaves the previous file whole.
+func SaveIndexFile(path string, sr fingerprint.Searcher) error {
+	return ingest.WriteFile(path, func(w io.Writer) error { return index.Save(w, sr) })
+}
+
+// saveIndex writes sr to keep's file (SaveIndexFile); a failure is
+// logged, never returned — the file is derived state. A backend of
+// another kind (an empty shard's exact fallback) is not the spec's
+// index and is not kept.
 func (d Deployment) saveIndex(keep indexKeep, sr fingerprint.Searcher) {
 	if sr.Kind() != keep.kind {
 		return
 	}
 	err := os.MkdirAll(filepath.Dir(keep.file), 0o755)
 	if err == nil {
-		err = ingest.WriteFile(keep.file, func(w io.Writer) error { return index.Save(w, sr) })
+		err = SaveIndexFile(keep.file, sr)
 	}
 	if err != nil {
 		d.logf("index: keeping %s: %v", keep.file, err)
