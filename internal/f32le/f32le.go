@@ -1,15 +1,16 @@
 // Package f32le holds the rule every caltrain file and wire format
 // shares for a float32: its IEEE-754 bits, little-endian, four bytes
 // each. Append and Decode are the one pair of helpers that apply it, and
-// Equal compares encoded bytes with floats under it. On
-// a little-endian host the bytes already are the floats' memory, so both
-// copy them in bulk; a big-endian host takes the per-float loop, which is
-// also the reference FuzzFloatCodecParity holds the bulk copy to.
+// Words applies it to any 4-byte word's bits. On a little-endian host the
+// bytes already are the words' memory, so all three copy or view them in
+// bulk; a big-endian host takes the per-word loop, which is also the
+// reference FuzzFloatCodecParity holds the bulk path to.
 package f32le
 
 import (
 	"encoding/binary"
 	"math"
+	"slices"
 	"unsafe"
 )
 
@@ -36,17 +37,24 @@ func Decode(dst []float32, b []byte) {
 	decodeLoop(dst, b)
 }
 
-// Equal reports whether b is the encoding of v: on a little-endian host
-// a byte compare of v's memory, with no float decoded.
-func Equal(b []byte, v []float32) bool {
+// Words returns the encoding of v's elements' bits — a float's, or an
+// integer column's — as the formats store a float32: on a little-endian
+// host v's own memory, which the caller must not write to; elsewhere
+// the encoding built in *scratch (wordsLoop), valid until the next call
+// with it.
+func Words[T word](v []T, scratch *[]byte) []byte {
 	if littleEndian {
-		return string(b) == string(bytesOf(v))
+		return bytesOf(v)
 	}
-	return equalLoop(b, v)
+	*scratch = wordsLoop((*scratch)[:0], v)
+	return *scratch
 }
 
+// word is a 4-byte element whose bits Words encodes.
+type word interface{ ~float32 | ~int32 | ~uint32 }
+
 // bytesOf views v's memory as its 4·len(v) bytes.
-func bytesOf(v []float32) []byte {
+func bytesOf[T word](v []T) []byte {
 	return unsafe.Slice((*byte)(unsafe.Pointer(unsafe.SliceData(v))), 4*len(v))
 }
 
@@ -65,15 +73,12 @@ func decodeLoop(dst []float32, b []byte) {
 	}
 }
 
-// equalLoop is Equal one float at a time, for any host byte order.
-func equalLoop(b []byte, v []float32) bool {
-	if len(b) != 4*len(v) {
-		return false
+// wordsLoop appends v's encoding to b one word at a time, for any host
+// byte order.
+func wordsLoop[T word](b []byte, v []T) []byte {
+	b = slices.Grow(b, 4*len(v))
+	for i := range v {
+		b = binary.LittleEndian.AppendUint32(b, *(*uint32)(unsafe.Pointer(&v[i])))
 	}
-	for i, x := range v {
-		if binary.LittleEndian.Uint32(b[4*i:]) != math.Float32bits(x) {
-			return false
-		}
-	}
-	return true
+	return b
 }

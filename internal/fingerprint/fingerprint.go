@@ -18,13 +18,16 @@ import (
 	"encoding/binary"
 	"errors"
 	"fmt"
+	"hash/crc32"
 	"io"
+	"maps"
 	"math"
 	"runtime"
 	"slices"
 	"sort"
 	"strings"
 	"sync"
+	"unsafe"
 
 	"caltrain/internal/f32le"
 	"caltrain/internal/kernel"
@@ -217,43 +220,61 @@ func (db *DB) entry(i int) Linkage {
 	return Linkage{F: db.row(i), Y: int(db.label.get(i)), S: db.sources[db.src.get(i)], H: db.hash.get(i)}
 }
 
-// Records reads a database's entries in the framing its file and the
-// index file share after their own key — srclen u16 | src | hash[32] |
-// dim × f32 — straight from the columns and without the lock, so a
-// file's writer or loader takes no lock and builds no Linkage per
-// entry. It holds a Snapshot no one else does, whose columns nothing
-// changes.
-type Records struct{ db *DB }
-
-// Records returns the entries the database holds now as Records.
-func (db *DB) Records() Records { return Records{db.Snapshot(-1)} }
-
-// Len is the number of entries r holds.
-func (r Records) Len() int { return r.db.label.n }
-
-// Append appends entry i's record to b, its row only when row is set.
-func (r Records) Append(b []byte, i int, row bool) []byte { return r.db.appendRecord(b, i, row) }
-
-// Holds reports whether entry i, below Len, is of label y with this
-// source and hash and, unless row is nil, the row f32le encodes as row:
-// a file's record of the entry checked against the columns in place —
-// on a little-endian host the row is a byte compare.
-func (r Records) Holds(i, y int, src, hash, row []byte) bool {
-	db := r.db
-	return int(db.label.get(i)) == y && db.sources[db.src.get(i)] == string(src) &&
-		string(db.hash.At(i)[0][:]) == string(hash) && (row == nil || f32le.Equal(row, db.row(i)))
-}
-
-// appendRecord is Records.Append for callers that hold the lock.
-func (db *DB) appendRecord(b []byte, i int, row bool) []byte {
+// appendRecord appends entry i's record as Save frames it after the
+// label — srclen u16 | src | hash[32] | dim × f32. Callers hold the lock.
+func (db *DB) appendRecord(b []byte, i int) []byte {
 	src := db.sources[db.src.get(i)]
 	b = binary.LittleEndian.AppendUint16(b, uint16(len(src)))
 	b = append(b, src...)
 	b = append(b, db.hash.At(i)[0][:]...)
-	if row {
-		b = f32le.Append(b, db.row(i))
+	return f32le.Append(b, db.row(i))
+}
+
+// castagnoli is the CRC-32C table Digest computes with.
+var castagnoli = crc32.MakeTable(crc32.Castagnoli)
+
+// Digest is the CRC-32C of the database's first n entries, n at most
+// Len: their label, hash and source-id columns, the source table those
+// ids reach, then label by label, ascending, the label's rows among
+// them. It reads a Snapshot, so it takes no lock past the snapshot's,
+// and the columns' runs as they are stored, never entry by entry. An
+// index file binds itself to the entries it indexes with it.
+func (db *DB) Digest(n int) uint32 {
+	s := db.Snapshot(n)
+	var scratch []byte // a big-endian host's encoding of one run
+	crc := digestRuns(0, &s.label, func(ys []int32) []byte { return f32le.Words(ys, &scratch) })
+	crc = digestRuns(crc, &s.hash, func(h [][32]byte) []byte { return unsafe.Slice(&h[0][0], 32*len(h)) })
+	used := 0 // the ids the entries reach: an id is handed out as its source first appears
+	crc = digestRuns(crc, &s.src, func(ids []uint32) []byte {
+		for _, id := range ids {
+			used = max(used, int(id)+1)
+		}
+		return f32le.Words(ids, &scratch)
+	})
+	var rec []byte
+	for _, src := range s.sources[:used] {
+		rec = append(binary.LittleEndian.AppendUint16(rec[:0], uint16(len(src))), src...)
+		crc = crc32.Update(crc, castagnoli, rec)
 	}
-	return b
+	for _, y := range slices.Sorted(maps.Keys(s.byClass)) {
+		crc = digestRuns(crc, &s.byClass[y].rows, func(rows []float32) []byte { return f32le.Words(rows, &scratch) })
+	}
+	return crc
+}
+
+// digestRun is the most elements Digest hands the CRC at once: what a
+// big-endian host encodes into its scratch at a time.
+const digestRun = 1 << 13
+
+// digestRuns adds c's entries to crc, a run of at most digestRun
+// elements at a time, each as enc encodes it.
+func digestRuns[T any](crc uint32, c *column[T], enc func([]T) []byte) uint32 {
+	for i := 0; i < c.n; {
+		run, k := c.Span(i, min(c.n, i+max(1, digestRun/c.w)))
+		crc = crc32.Update(crc, castagnoli, enc(run))
+		i += k
+	}
+	return crc
 }
 
 // Row returns Entry(i).F alone: what an index's exact re-rank reads.
@@ -677,7 +698,7 @@ func (db *DB) Save(w io.Writer) error {
 		return fmt.Errorf("fingerprint: save: %w", err)
 	}
 	for i := 0; i < db.label.n; i++ {
-		rec = db.appendRecord(binary.LittleEndian.AppendUint32(rec[:0], uint32(db.label.get(i))), i, true)
+		rec = db.appendRecord(binary.LittleEndian.AppendUint32(rec[:0], uint32(db.label.get(i))), i)
 		if _, err := bw.Write(rec); err != nil {
 			return fmt.Errorf("fingerprint: save: %w", err)
 		}

@@ -688,3 +688,77 @@ func classBlock(db *DB, y int) []float32 {
 	rows := db.ClassRows(y)
 	return rows.base
 }
+
+// TestDigest: Digest(k) is a function of the first k entries alone —
+// the same over the database that wrote a file and the database LoadDB
+// reads from it (grouped or interleaved, so with or without a row map),
+// over a Snapshot and over a database holding those k entries only —
+// and one edit of an entry, to a row bit, its source, a hash byte or
+// its label, or a source's name, moves the digest of every prefix
+// holding an edited entry and of none that does not.
+func TestDigest(t *testing.T) {
+	const dim, n, edited = 8, 600, 300
+	copyOf := func(db *DB, k int, edit func(i int, l *Linkage)) *DB {
+		out, err := NewDB(dim)
+		if err != nil {
+			t.Fatal(err)
+		}
+		for i := range k {
+			l := db.Entry(i)
+			l.F = slices.Clone(l.F)
+			edit(i, &l)
+			if err := out.Add(l); err != nil {
+				t.Fatal(err)
+			}
+		}
+		return out
+	}
+	for _, grouped := range []bool{false, true} {
+		added, raw := fileDB(t, dim, n, 3, grouped, 9)
+		loaded, err := LoadDB(bytes.NewReader(raw))
+		if err != nil {
+			t.Fatal(err)
+		}
+		for _, k := range []int{0, 1, 257, n} {
+			want := added.Digest(k)
+			for name, got := range map[string]uint32{
+				"loaded":           loaded.Digest(k),
+				"a snapshot":       added.Snapshot(k).Digest(k),
+				"the prefix alone": copyOf(added, k, func(int, *Linkage) {}).Digest(k),
+			} {
+				if got != want {
+					t.Errorf("grouped %v, first %d: %s digest %08x, the database's %08x", grouped, k, name, got, want)
+				}
+			}
+		}
+		one := func(edit func(*Linkage)) func(int, *Linkage) {
+			return func(i int, l *Linkage) {
+				if i == edited {
+					edit(l)
+				}
+			}
+		}
+		for name, c := range map[string]struct {
+			first int // the first entry the edit changes
+			edit  func(int, *Linkage)
+		}{
+			"a row bit":   {edited, one(func(l *Linkage) { l.F[3] = math.Float32frombits(math.Float32bits(l.F[3]) ^ 1) })},
+			"a source":    {edited, one(func(l *Linkage) { l.S = "mallory" })},
+			"a hash byte": {edited, one(func(l *Linkage) { l.H[31] ^= 1 })},
+			"a label":     {edited, one(func(l *Linkage) { l.Y = (l.Y + 1) % 3 })},
+			"a source's name, the same ids": {3, func(_ int, l *Linkage) {
+				if l.S == "participant-03" {
+					l.S = "participant-3"
+				}
+			}},
+		} {
+			other := copyOf(added, n, c.edit)
+			if other.Digest(n) == added.Digest(n) {
+				t.Errorf("grouped %v: %s leaves the digest", grouped, name)
+			}
+			if other.Digest(c.first) != added.Digest(c.first) {
+				t.Errorf("grouped %v: %s moves the digest of the entries before it changes", grouped, name)
+			}
+		}
+	}
+}

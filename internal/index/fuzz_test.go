@@ -7,7 +7,9 @@ import (
 	"io"
 	"math"
 	"math/rand/v2"
+	"os"
 	"runtime"
+	"slices"
 	"strings"
 	"testing"
 	"testing/iotest"
@@ -18,17 +20,18 @@ import (
 // FuzzLoadIndex holds the CTIX decoder, reading over a database, to "the
 // database's index or a typed sentinel, never a panic, never more memory
 // than the input's own size class": seeded from saved flat, IVF and IVFPQ
-// files, their truncations, headers that claim 50 million labels or
-// entries, a file of another database of the same shape and a file of a
-// prefix of the database. An index that loads must be the database's:
-// as long as it, and every match it answers carries the database's label,
-// source and hash at Match.Index and the exact distance to its row.
+// files, their truncations, one cut inside the binding, headers that
+// claim 50 million labels, entries or class entries, a count one past
+// its class, a file of another database of the same shape, a file of a
+// database one row bit away, a version-1 file and a file of a prefix of
+// the database. An index that loads must be the database's: as long as
+// it, and every match it answers carries the database's label, source
+// and hash at Match.Index and the exact distance to its row.
 //
 // Every input is loaded a second time through short reads of a stream
 // that still says how long it is: both loads must save the same bytes,
 // or fail with the same sentinel. long picks a second database, whose
-// seeds hold a record near the longest the dimension allows (a source of
-// 60 000 bytes) and an inverted list longer than the reader's buffer.
+// seeds hold inverted lists longer than the reader's buffer.
 func FuzzLoadIndex(f *testing.F) {
 	db, long := populatedDB(f, 4, 30, 2, 3), longDB(f)
 	kinds := []func(*fingerprint.DB) (Searcher, error){
@@ -45,19 +48,28 @@ func FuzzLoadIndex(f *testing.F) {
 		}
 		return savedBytes(f, s)
 	}
+	flipped := flippedRowDB(f, db, 7)
+	v1, err := os.ReadFile("testdata/pr19.ivfpq.ctix")
+	if err != nil {
+		f.Fatal(err)
+	}
+	f.Add(false, v1)
 	for _, train := range kinds {
 		raw := saved(train, db)
 		f.Add(false, raw)
 		f.Add(false, raw[:len(raw)-7])
-		// nlabels sits at offset 10, the first label's entry count at 18
-		// (flat, IVF) and its list count at 26 (IVFPQ).
-		for _, off := range []int{10, 18, 26} {
-			lying := append([]byte(nil), raw...)
+		f.Add(false, raw[:ixHead-3]) // cut inside the binding
+		// nlabels sits at offset 10, the binding's entry count at 14, the
+		// first label's count at ixHead+4.
+		for _, off := range []int{10, 14, ixHead + 4} {
+			lying := bytes.Clone(raw)
 			binary.LittleEndian.PutUint32(lying[off:], 50_000_000)
 			f.Add(false, lying)
 		}
-	}
-	for _, train := range kinds {
+		past := bytes.Clone(raw)
+		binary.LittleEndian.PutUint32(past[ixHead+4:], binary.LittleEndian.Uint32(past[ixHead+4:])+1)
+		f.Add(false, past)
+		f.Add(false, saved(train, flipped))
 		f.Add(false, saved(train, populatedDB(f, 4, 30, 2, 4)))
 		f.Add(false, saved(train, db.Snapshot(20)))
 	}
@@ -109,6 +121,10 @@ func FuzzLoadIndex(f *testing.F) {
 	})
 }
 
+// ixHead is where a CTIX file's first label starts: past the header and
+// the binding.
+const ixHead = 4 + 1 + 1 + 4 + 4 + 8
+
 // sentinel is the typed error err carries, nil for none.
 func sentinel(err error) error {
 	for _, typed := range []error{ErrCorrupt, ErrVersionMismatch, ErrForeignIndex, fingerprint.ErrDimMismatch} {
@@ -121,8 +137,8 @@ func sentinel(err error) error {
 
 // TestLoadLongRecords: FuzzLoadIndex's long seeds load, through whole
 // and short reads, as the index of the database they were saved over —
-// a record near the reader's size and an inverted list longer than it
-// take the one read path every record takes.
+// inverted lists longer than the reader's buffer take the one read path
+// every array takes.
 func TestLoadLongRecords(t *testing.T) {
 	long := longDB(t)
 	for _, c := range longIndexes(t, long) {
@@ -151,12 +167,17 @@ func longIndexes(t testing.TB, long *fingerprint.DB) []struct {
 	if err != nil {
 		t.Fatal(err)
 	}
+	pq, err := TrainIVFPQ(long, IVFPQOptions{IVFOptions: IVFOptions{Nlist: 1, Seed: 1}, M: 4})
+	if err != nil {
+		t.Fatal(err)
+	}
 	return []struct {
 		name       string
 		from, want Searcher
 	}{
-		{"a 60 000-byte source", NewFlat(long.Snapshot(longSources)), NewFlat(long)},
+		{"a prefix bound through a 60 000-byte source", NewFlat(long.Snapshot(longSources)), NewFlat(long)},
 		{"a list longer than the buffer", ivf, ivf},
+		{"positions and codes longer than the buffer", pq, pq},
 	}
 }
 
@@ -164,10 +185,10 @@ func longIndexes(t testing.TB, long *fingerprint.DB) []struct {
 // of them with a source of 60 000 bytes.
 const longSources = 3
 
-// longDB is a database at dim 4 whose records reach the edges of the
-// reader Load sizes (recordBound): label 1's longSources entries, one
-// record nearly the longest the dimension allows, then label 0 with more
-// entries than the buffer holds list positions.
+// longDB is a database at dim 4 whose files reach the edges of the
+// reader Load reads through (ixBufSize): label 1's longSources entries,
+// one with a source nearly the longest the framing carries, then label
+// 0 with more entries than the buffer holds list positions or codes.
 func longDB(t testing.TB) *fingerprint.DB {
 	t.Helper()
 	const dim = 4
@@ -176,7 +197,7 @@ func longDB(t testing.TB) *fingerprint.DB {
 		t.Fatal(err)
 	}
 	rng := rand.New(rand.NewPCG(5, 1))
-	n := longSources + recordBound(dim)/4 + 100
+	n := longSources + ixBufSize/4 + 100
 	for i := 0; i < n; i++ {
 		l := fingerprint.Linkage{F: randomFP(rng, dim), Y: 0, S: "dave"}
 		l.H[0], l.H[1] = byte(i), byte(i>>8)
@@ -191,4 +212,16 @@ func longDB(t testing.TB) *fingerprint.DB {
 		}
 	}
 	return db
+}
+
+// flippedRowDB is a copy of db whose entry i's row has one bit flipped:
+// the same labels, sources and hashes, another row.
+func flippedRowDB(t testing.TB, db *fingerprint.DB, i int) *fingerprint.DB {
+	return rebuilt(t, db, func(j int, l fingerprint.Linkage) fingerprint.Linkage {
+		if j == i {
+			l.F = slices.Clone(l.F)
+			l.F[0] = math.Float32frombits(math.Float32bits(l.F[0]) ^ 1)
+		}
+		return l
+	})
 }

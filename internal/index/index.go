@@ -33,11 +33,11 @@
 // fingerprint is resident once, whether it was loaded, added before
 // the index was built, or ingested after; IVFPQ keeps codes and reaches
 // a row through DB.Entry for its exact re-rank. Source and hash resolve
-// through the database where a match is materialised or an index saved.
+// through the database where a match is materialised.
 //
-// All three serialize with Save, and Load reads a saved index back over
-// its database in the state training leaves one in, every entry checked
-// against the database on the way in.
+// All three serialize with Save, trained state only, and Load reads a
+// saved index back over its database in the state training leaves one
+// in, bound to the database's entries by their Digest.
 package index
 
 import (
@@ -103,6 +103,14 @@ func (x *view) Len() int {
 	x.mu.RLock()
 	defer x.mu.RUnlock()
 	return x.total
+}
+
+// prefix returns the database the index is a view of and how many of
+// its first entries the index holds.
+func (x *view) prefix() (*fingerprint.DB, int) {
+	x.mu.RLock()
+	defer x.mu.RUnlock()
+	return x.db, x.total
 }
 
 // database is what a search resolves its matches through. Callers hold

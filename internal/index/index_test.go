@@ -439,6 +439,8 @@ func TestLoadRejectsHostileHeader(t *testing.T) {
 		b = append(b, ixVersion, kindFlat)
 		b = binary.LittleEndian.AppendUint32(b, dim)
 		b = binary.LittleEndian.AppendUint32(b, nlabels)
+		b = binary.LittleEndian.AppendUint32(b, n) // the binding: n entries and their digest
+		b = binary.LittleEndian.AppendUint32(b, 0)
 		b = binary.LittleEndian.AppendUint32(b, label)
 		b = binary.LittleEndian.AppendUint32(b, n)
 		return b

@@ -167,11 +167,14 @@ func (c *counter) Write(p []byte) (int, error) {
 	return n, err
 }
 
-// TestIndexFileCalls: Save writes and Load reads an index file through
-// one buffer of recordBound bytes, each record in place, so a file costs
-// one call per buffer's worth of it and a few besides — not one per
-// 4 KiB, let alone one per field. Unlike a timing, the count repeats
-// exactly from run to run.
+// TestIndexFileCalls: a file holds trained state only — per label a
+// count, per entry at most a 4-byte class position and an IVFPQ code,
+// per list its length and centroid, the codebooks, and 64 bytes of header
+// and binding besides — and Save writes and Load reads it through one
+// buffer of ixBufSize bytes, each word in place, so a file costs one call
+// per buffer's worth of it and a few besides — not one per 4 KiB, let
+// alone one per field. Unlike a timing, the counts repeat exactly from
+// run to run.
 func TestIndexFileCalls(t *testing.T) {
 	const dim, slack = 64, 3
 	_, db, _ := addedAndLoaded(t, dim, 20_000, 4, true, 19)
@@ -185,36 +188,78 @@ func TestIndexFileCalls(t *testing.T) {
 		if err := Save(w, s); err != nil {
 			t.Fatal(err)
 		}
-		size := buf.Len()
-		limit := (size+recordBound(dim)-1)/recordBound(dim) + slack
+		size, bound := buf.Len(), 64+trainedBound(s)
+		limit := (size+ixBufSize-1)/ixBufSize + slack
 		r := &counter{r: bytes.NewReader(buf.Bytes())}
 		if _, err := Load(r, db); err != nil {
 			t.Fatal(err)
 		}
-		t.Logf("%s: %d bytes, %d Write and %d Read calls (limit %d)", k.name, size, w.calls, r.calls, limit)
+		t.Logf("%s: %d bytes (bound %d), %d Write and %d Read calls (limit %d)", k.name, size, bound, w.calls, r.calls, limit)
+		if size > bound {
+			t.Errorf("%s: a %d-entry index saves %d bytes, bound %d", k.name, s.Len(), size, bound)
+		}
 		if w.calls > limit || r.calls > limit {
 			t.Errorf("%s: a %d-byte file took %d Write and %d Read calls, limit %d", k.name, size, w.calls, r.calls, limit)
 		}
 	}
 }
 
-// TestLoadRefusesMisplacedEntries: every entry of these files is the
-// database's, but not where Load would put it. Load builds a label's
-// bucket from the database's class, so an entry must sit at the position
-// the class gives it — two swapped entries are refused — and the entries
-// must be the database's first ones: a file missing a label between
-// them is refused rather than caught up with entries it already holds.
+// trainedBound is the bytes of trained state a file of s may hold past
+// its header and binding: a label and a count per label; a position per
+// entry, and per list a length and a centroid; IVFPQ's knobs, codebooks
+// and codes.
+func trainedBound(s Searcher) int {
+	dim, n := s.Dim(), s.Len()
+	switch x := s.(type) {
+	case *Flat:
+		return 8 * len(x.buckets)
+	case *IVF:
+		size := 4 + 4*n
+		for _, c := range x.labels {
+			size += 8 + 4 + c.nlist*(4+4*dim)
+		}
+		return size
+	case *IVFPQ:
+		size := 8 + (4+x.m)*n
+		for _, c := range x.labels {
+			size += 8 + 4 + c.nlist*(4+4*dim) + 4*len(c.book.centroids)
+		}
+		return size
+	}
+	panic("no trained state")
+}
+
+// TestLoadRefusesMisplacedEntries: a file's labels must hold the
+// database's first entries, each label its share of them, and a label's
+// inverted lists must place each of its entries once. A file saved from
+// an index missing a label between them is bound to the first entries
+// it counts, but its labels hold more of them than the database's do:
+// it is refused (ErrForeignIndex) rather than caught up with entries it
+// already holds. Lists holding one entry twice and another not at all
+// are refused as corrupt.
 func TestLoadRefusesMisplacedEntries(t *testing.T) {
 	db := populatedDB(t, 8, 90, 3, 11)
-	swapped := NewFlat(db)
-	b := swapped.buckets[1]
-	b.idx[0], b.idx[1] = b.idx[1], b.idx[0] // Save writes each with the database's row
 	gap := NewFlat(db)
 	delete(gap.buckets, 0)
 	gap.total -= db.Len() / 3
-	for name, s := range map[string]Searcher{"two swapped entries": swapped, "a missing label": gap} {
-		if _, err := Load(bytes.NewReader(savedBytes(t, s)), db); !errors.Is(err, ErrForeignIndex) {
-			t.Errorf("%s: Load = %v, want ErrForeignIndex", name, err)
+	if _, err := Load(bytes.NewReader(savedBytes(t, gap)), db); !errors.Is(err, ErrForeignIndex) {
+		t.Errorf("a missing label: Load = %v, want ErrForeignIndex", err)
+	}
+	for _, k := range attachKinds[1:] {
+		s, err := k.build(db)
+		if err != nil {
+			t.Fatal(err)
+		}
+		switch x := s.(type) {
+		case *IVF:
+			l := x.labels[1].lists
+			l[1][0] = l[0][0]
+		case *IVFPQ:
+			l := x.labels[1].lists
+			l[1].idx[0] = l[0].idx[0]
+		}
+		if _, err := Load(bytes.NewReader(savedBytes(t, s)), db); !errors.Is(err, ErrCorrupt) {
+			t.Errorf("%s: an entry in two lists: Load = %v, want ErrCorrupt", k.name, err)
 		}
 	}
 }

@@ -25,24 +25,21 @@ var (
 	ErrCorrupt = fingerprint.ErrCorrupt
 )
 
-// Binary index format, little-endian, mirroring LinkageDB.Save's framing:
+// Binary index format, little-endian. A file holds what training
+// computed and nothing the database holds: an entry is its place in its
+// class, the position p whose database index is db.ClassIndex(y)[p].
 //
-//	"CTIX" | version u8 | kind u8 | dim u32 | nlabels u32
-//	per label (ascending): label i32 | n u32 | n × entry
-//	entry: idx u32 | srclen u16 | src | hash[32] | dim × f32
+//	"CTIX" | version u8 | kind u8 | dim u32 | nlabels u32 |
+//	n u32 | crc u32 (the binding: db.Digest(n) of the n entries indexed)
+//	per label (ascending): label i32 | count u32
 //	IVF only: nprobe u32, then per label: nlist u32 |
 //	          nlist×dim × f32 centroids | nlist × (len u32 | len × pos u32)
-//
-// IVFPQ copies no float vectors, so after the same header its body
-// replaces the per-label entry section entirely:
-//
-//	nprobe u32 | m u32
-//	per label (ascending): label i32 | nlist u32 |
-//	  nlist×dim × f32 centroids | m×256×(dim/m) × f32 codebook |
-//	  nlist × (len u32 | len × (idx u32 | srclen u16 | src | hash[32] | m code bytes))
+//	IVFPQ only: nprobe u32 | m u32, then per label: nlist u32 |
+//	          nlist×dim × f32 centroids | m×256×(dim/m) × f32 codebook |
+//	          nlist × (len u32 | len × pos u32) | count×m code bytes, list by list
 const (
 	ixMagic   = "CTIX"
-	ixVersion = 1
+	ixVersion = 2
 	kindFlat  = 0
 	kindIVF   = 1
 	kindIVFPQ = 2
@@ -54,57 +51,64 @@ const (
 	// maxPlausibleElems bounds any one allocation's float32 count (16GB)
 	// so hostile headers error instead of panicking the loader.
 	maxPlausibleElems = 4_000_000_000
+	// ixBufSize is the buffer Save writes and Load reads a file through:
+	// every record is at most a word, and arrays come in runs of it.
+	ixBufSize = 1 << 16
 )
 
-// recordBound is the longest record a CTIX file of dimension dim holds —
-// an entry with the longest source the framing carries, and its row —
-// and the size of the one buffer Save writes through and Load reads
-// every record from in place.
-func recordBound(dim int) int { return 4 + 2 + math.MaxUint16 + 32 + 4*dim }
-
 // Save serializes a Flat, IVF or IVFPQ index so it persists alongside
-// LinkageDB.Save; Load reads it back over that database. Each entry's
-// record is built from the database's columns (Records.Append) and
-// written through one buffer of recordBound bytes.
+// LinkageDB.Save; Load reads it back over that database. The file binds
+// itself to the entries the index holds with their database's Digest.
 func Save(w io.Writer, s Searcher) error {
 	var kind byte
-	var buckets map[int]*bucket
+	var counts map[int]int
 	var ivf *IVF
 	var pq *IVFPQ
-	var db *fingerprint.DB
+	var v *view
 	switch x := s.(type) {
 	case *Flat:
 		// Hold the read lock for the whole dump so a concurrent Append
 		// cannot tear the snapshot mid-bucket.
 		x.mu.RLock()
 		defer x.mu.RUnlock()
-		kind, buckets, db = kindFlat, x.buckets, x.db
+		kind, v, counts = kindFlat, &x.view, make(map[int]int, len(x.buckets))
+		for y, b := range x.buckets {
+			counts[y] = len(b.idx)
+		}
 	case *IVF:
 		x.mu.RLock()
 		defer x.mu.RUnlock()
-		kind, ivf, db = kindIVF, x, x.db
-		buckets = make(map[int]*bucket, len(x.labels))
+		kind, v, ivf, counts = kindIVF, &x.view, x, make(map[int]int, len(x.labels))
 		for y, c := range x.labels {
-			buckets[y] = c.b
+			counts[y] = len(c.b.idx)
 		}
 	case *IVFPQ:
 		x.mu.RLock()
 		defer x.mu.RUnlock()
-		kind, pq, db = kindIVFPQ, x, x.db
+		kind, v, pq, counts = kindIVFPQ, &x.view, x, make(map[int]int, len(x.labels))
+		for y, c := range x.labels {
+			counts[y] = c.n
+		}
 	default:
 		return fmt.Errorf("index: save: unsupported backend %q", s.Kind())
 	}
-	dim := s.Dim()
-	e := &encoder{bw: bufio.NewWriterSize(w, recordBound(dim)), recs: db.Records()}
+	e := &encoder{bw: bufio.NewWriterSize(w, ixBufSize)}
 	e.rec = append(e.rec, ixMagic...)
 	e.rec = append(e.rec, ixVersion, kind)
-	e.rec = binary.LittleEndian.AppendUint32(e.rec, uint32(dim))
-	if pq != nil {
-		e.u32(uint32(len(pq.labels)))
-		e.ivfpq(pq)
-	} else {
-		e.u32(uint32(len(buckets)))
-		e.buckets(buckets, ivf)
+	e.rec = binary.LittleEndian.AppendUint32(e.rec, uint32(v.dim))
+	e.u32(uint32(len(counts)))
+	e.u32(uint32(v.total))
+	e.u32(v.db.Digest(v.total))
+	labels := slices.Sorted(maps.Keys(counts))
+	for _, y := range labels {
+		e.u32(uint32(int32(y)))
+		e.u32(uint32(counts[y]))
+	}
+	switch {
+	case ivf != nil:
+		e.ivf(ivf, labels)
+	case pq != nil:
+		e.ivfpq(pq, labels)
 	}
 	if err := e.bw.Flush(); err != nil {
 		return fmt.Errorf("index: save: %w", err)
@@ -113,12 +117,12 @@ func Save(w io.Writer, s Searcher) error {
 }
 
 // encoder is Save's state: the buffered writer, whose first error
-// Flush reports, and the one record buffer every field and entry is
-// built in before it is written.
+// Flush reports, and the one record buffer every field is built in
+// before it is written.
 type encoder struct {
-	bw   *bufio.Writer
-	recs fingerprint.Records
-	rec  []byte
+	bw    *bufio.Writer
+	rec   []byte
+	words []byte // a big-endian host's encoding of a list
 }
 
 // write hands the record built so far to the writer and starts the next.
@@ -137,55 +141,36 @@ func (e *encoder) floats(v []float32) {
 	e.write()
 }
 
-// entry writes what every saved entry is — idx u32 | srclen u16 | src |
-// hash[32], then a Flat or IVF entry's row or an IVFPQ entry's codes —
-// for database entry idx.
-func (e *encoder) entry(idx int32, row bool, codes []byte) {
-	e.rec = binary.LittleEndian.AppendUint32(e.rec, uint32(idx))
-	e.rec = e.recs.Append(e.rec, int(idx), row)
-	e.rec = append(e.rec, codes...)
+// positions writes one inverted list: its length, then its positions.
+func (e *encoder) positions(list []int32) {
+	e.rec = binary.LittleEndian.AppendUint32(e.rec, uint32(len(list)))
+	e.rec = append(e.rec, f32le.Words(list, &e.words)...)
 	e.write()
 }
 
-// buckets writes the Flat and IVF body: per label the entries with their
-// rows, then for IVF each label's centroids and inverted lists.
-func (e *encoder) buckets(buckets map[int]*bucket, ivf *IVF) {
-	labels := slices.Sorted(maps.Keys(buckets))
+// ivf writes the IVF body: each label's centroids and inverted lists.
+func (e *encoder) ivf(x *IVF, labels []int) {
+	e.u32(uint32(x.Nprobe()))
 	for _, y := range labels {
-		b := buckets[y]
-		e.u32(uint32(int32(y)))
-		e.u32(uint32(len(b.idx)))
-		for _, i := range b.idx {
-			e.entry(i, true, nil)
-		}
-	}
-	if ivf == nil {
-		return
-	}
-	e.u32(uint32(ivf.Nprobe()))
-	for _, y := range labels {
-		c := ivf.labels[y]
+		c := x.labels[y]
 		e.u32(uint32(c.nlist))
 		e.floats(c.centroids)
 		for _, list := range c.lists {
-			e.rec = binary.LittleEndian.AppendUint32(e.rec, uint32(len(list)))
-			for _, pos := range list {
-				e.rec = binary.LittleEndian.AppendUint32(e.rec, uint32(pos))
-			}
-			e.write()
+			e.positions(list)
 		}
 	}
 }
 
 // ivfpq writes the IVFPQ body: the search knobs, then per label the
-// coarse centroids, PQ codebook, and code-carrying inverted lists.
-func (e *encoder) ivfpq(x *IVFPQ) {
+// coarse centroids, PQ codebook, inverted lists of class positions, and
+// the lists' codes.
+func (e *encoder) ivfpq(x *IVFPQ, labels []int) {
 	e.u32(uint32(x.Nprobe()))
 	e.u32(uint32(x.m))
 	var book [pqKs]float32 // a run of the codebook in file order
-	for _, y := range slices.Sorted(maps.Keys(x.labels)) {
+	var members, pos []int32
+	for _, y := range labels {
 		c := x.labels[y]
-		e.u32(uint32(int32(y)))
 		e.u32(uint32(c.nlist))
 		e.floats(c.centroids)
 		for j := 0; j < len(c.book.centroids); j += len(book) {
@@ -195,11 +180,20 @@ func (e *encoder) ivfpq(x *IVFPQ) {
 			}
 			e.floats(run)
 		}
+		// A class's database indices ascend: an entry's position is where
+		// its index sits among them.
+		members = x.db.ClassIndexInto(members, y)
 		for _, l := range c.lists {
-			e.u32(uint32(len(l.idx)))
+			pos = resize(pos, len(l.idx))
 			for k, i := range l.idx {
-				e.entry(i, false, l.codes[k*x.m:(k+1)*x.m])
+				p, _ := slices.BinarySearch(members, i)
+				pos[k] = int32(p)
 			}
+			e.positions(pos)
+		}
+		for _, l := range c.lists {
+			e.rec = append(e.rec, l.codes...)
+			e.write()
 		}
 	}
 }
@@ -211,17 +205,14 @@ func (e *encoder) ivfpq(x *IVFPQ) {
 // rows; the file supplies only what training computes — IVF's
 // centroids and lists, IVFPQ's centroids, codebooks and codes.
 //
-// Every entry is checked against db as it is read (entryCheck), and a
-// Flat or IVF entry must sit where db's class puts it. The entries must
-// be db's first ones; those db holds past them are then appended in
-// database order, as Attach does, so a file saved before its database
-// grew catches up.
+// The file must be bound to db: its n entries db's first n, by Digest,
+// and each label's count the entries of that label among them. Each
+// inverted list's positions must partition its class. Those db holds
+// past the n are then appended in database order, as Attach does, so a
+// file saved before its database grew catches up.
 //
-// Each record is read once, in place in a reader sized after the header
-// to hold the longest record the dimension allows (recordBound): an
-// entry's identity and row are compared with db's columns as the file
-// stores them (Records.Holds), and an inverted list's positions or a float
-// array come in runs of as many as the buffer holds.
+// The stream is read through one buffer of ixBufSize bytes, each word
+// in place and each array in runs of as many as the buffer holds.
 //
 // An index that is not db's yields ErrForeignIndex, another
 // dimensionality fingerprint.ErrDimMismatch, malformed input ErrCorrupt
@@ -258,22 +249,32 @@ func Load(r io.Reader, db *fingerprint.DB) (Searcher, error) {
 	if dim != db.Dim() {
 		return nil, fmt.Errorf("%w: database has %d dims, index %d", fingerprint.ErrDimMismatch, db.Dim(), dim)
 	}
-	ld := &loader{
-		br:    bufio.NewReaderSize(r, recordBound(dim)),
-		holds: holds,
-		dim:   dim,
-		db:    db,
-		check: newEntryCheck(db),
+	ld := &loader{br: bufio.NewReaderSize(r, ixBufSize), holds: holds, dim: dim, db: db}
+	n, crc := int(ld.u32()), ld.u32()
+	if err := ld.fail(nil); err != nil {
+		return nil, err
+	}
+	if kind != kindFlat && !holds(n, 4) {
+		return nil, fmt.Errorf("index: load: %d entries' positions overrun the stream: %w: %w", n, io.ErrUnexpectedEOF, ErrCorrupt)
+	}
+	labels, buckets, err := ld.counts(nlabels, n)
+	if err != nil {
+		return nil, err
+	}
+	if db.Digest(n) != crc {
+		return nil, fmt.Errorf("%w: the database's first %d entries are not the ones it was saved over", ErrForeignIndex, n)
 	}
 	var s Appender
-	var err error
-	if kind == kindIVFPQ {
-		s, err = ld.ivfpq(nlabels)
-	} else {
-		s, err = ld.buckets(kind, nlabels)
+	switch kind {
+	case kindFlat:
+		s = &Flat{view: view{dim: dim, total: n, db: db}, buckets: buckets}
+	case kindIVF:
+		s, err = ld.ivf(labels, buckets)
+	default:
+		s, err = ld.ivfpq(labels, buckets)
 	}
 	if err == nil {
-		err = ld.fail(ld.check.prefix())
+		err = ld.fail(nil)
 	}
 	if err == nil {
 		err = catchUp(s, db)
@@ -284,10 +285,10 @@ func Load(r io.Reader, db *fingerprint.DB) (Searcher, error) {
 	return s, nil
 }
 
-// loader is Load's state: the stream, read in place, and the check
-// every entry passes. A read that fails is sticky: err keeps it, and
-// every read after it yields zeros, so a truncated stream runs out
-// through empty loops instead of being checked at every field.
+// loader is Load's state: the stream, read in place. A read that fails
+// is sticky: err keeps it, and every read after it yields zeros, so a
+// truncated stream runs out through empty loops instead of being
+// checked at every field.
 type loader struct {
 	br    *bufio.Reader
 	err   error
@@ -296,8 +297,7 @@ type loader struct {
 	holds func(count, each int) bool // whether the stream can hold count records of each bytes
 	dim   int
 	db    *fingerprint.DB
-	check *entryCheck
-	seen  []bool // the bucket positions an IVF label's lists have covered
+	seen  []bool // the class positions a label's lists have covered
 }
 
 // peek returns the next n bytes of the stream, at most the buffer's
@@ -380,106 +380,116 @@ func (ld *loader) nprobe(into *atomic.Int32) error {
 	return nil
 }
 
-// readIdentity reads what every saved entry starts with — idx u32 |
-// srclen u16 | src | hash[32] — and the rest bytes that follow it (a row,
-// or codes), peeking the head for the record's length and then the whole
-// record. The slices view the reader's buffer until the next read.
-func (ld *loader) readIdentity(rest int) (idx int, src, hash, tail []byte) {
-	slen := int(binary.LittleEndian.Uint16(ld.peek(4 + 2)[4:]))
-	rec := ld.record(4 + 2 + slen + 32 + rest)
-	return int(binary.LittleEndian.Uint32(rec)), rec[6 : 6+slen], rec[6+slen : 6+slen+32], rec[6+slen+32:]
-}
-
-// buckets reads the Flat and IVF body: per label the entries, each
-// checked against the bucket buildBucket makes of db's class, then for
-// IVF each label's centroids and inverted lists.
-func (ld *loader) buckets(kind byte, nlabels int) (Appender, error) {
-	dim := ld.dim
+// counts reads the labels and their counts, and returns, per label, the
+// bucket buildBucket makes of db's class cut to its count: the class's
+// first entries, which must be exactly those among db's first n. The
+// counts then add up to n, which db therefore holds.
+func (ld *loader) counts(nlabels, n int) ([]int, map[int]*bucket, error) {
 	labels := make([]int, nlabels)
 	buckets := make(map[int]*bucket, nlabels)
 	total := 0
 	for li := range labels {
-		y, n := int(int32(ld.u32())), int(ld.u32())
-		if n > maxPlausible || !ld.holds(n, 4+2+32+4*dim) {
-			return nil, ld.fail(fmt.Errorf("index: load: implausible entry count %d (dim %d): %w", n, dim, ErrCorrupt))
+		y, count := int(int32(ld.u32())), int(ld.u32())
+		if count == 0 {
+			return nil, nil, ld.fail(fmt.Errorf("index: load: label %d holds no entries: %w", y, ErrCorrupt))
 		}
 		if _, dup := buckets[y]; dup {
-			return nil, ld.fail(fmt.Errorf("index: load: duplicate label %d: %w", y, ErrCorrupt))
+			return nil, nil, ld.fail(fmt.Errorf("index: load: duplicate label %d: %w", y, ErrCorrupt))
 		}
 		b := buildBucket(ld.db, y, nil)
-		if n > len(b.idx) {
-			return nil, ld.fail(fmt.Errorf("%w: label %d holds %d entries, the database %d", ErrForeignIndex, y, n, len(b.idx)))
+		if count > len(b.idx) {
+			return nil, nil, ld.fail(fmt.Errorf("%w: label %d holds %d entries, the database %d", ErrForeignIndex, y, count, len(b.idx)))
 		}
-		for p := 0; p < n; p++ {
-			idx, src, hash, row := ld.readIdentity(4 * dim)
-			if idx != int(b.idx[p]) {
-				return nil, ld.fail(fmt.Errorf("%w: label %d's entry %d is %d, the database's %d", ErrForeignIndex, y, p, idx, b.idx[p]))
-			}
-			if err := ld.check.entry(idx, y, src, hash, row); err != nil {
-				return nil, ld.fail(err)
-			}
+		if int(b.idx[count-1]) >= n || count < len(b.idx) && int(b.idx[count]) < n {
+			return nil, nil, ld.fail(fmt.Errorf("%w: label %d's %d entries are not its share of the database's first %d", ErrForeignIndex, y, count, n))
 		}
-		b.clip(n)
+		b.clip(count)
 		labels[li], buckets[y] = y, b
-		total += n
+		total += count
 	}
-	if kind == kindFlat {
-		return &Flat{view: view{dim: dim, total: total, db: ld.db}, buckets: buckets}, nil
+	if total != n {
+		return nil, nil, ld.fail(fmt.Errorf("%w: its labels hold %d entries, not the %d it indexes", ErrForeignIndex, total, n))
 	}
-	x := &IVF{labels: make(map[int]*ivfClass, nlabels)}
-	x.dim, x.total, x.db = dim, total, ld.db
+	return labels, buckets, nil
+}
+
+// lists reads a label's nlist inverted lists of class positions into
+// one arena of count, each list a capacity-clipped run of it (as
+// invertedLists lays them out), checking that they partition the class:
+// every position in exactly one list, or searches would silently drop
+// (or double-count) entries.
+func (ld *loader) lists(y, nlist, count int) ([][]int32, error) {
+	ld.seen = resize(ld.seen, count)
+	clear(ld.seen)
+	arena, lists := make([]int32, count), make([][]int32, nlist)
+	covered := 0
+	for ci := range lists {
+		ln := int(ld.u32())
+		if ln > count-covered {
+			return nil, ld.fail(fmt.Errorf("index: load: lists of label %d hold more than its %d entries: %w", y, count, ErrCorrupt))
+		}
+		list := arena[covered : covered+ln : covered+ln]
+		for p := 0; p < ln; {
+			for run := ld.run(ln-p, 4); len(run) > 0; run, p = run[4:], p+1 {
+				pv := int(binary.LittleEndian.Uint32(run))
+				if pv >= count || ld.seen[pv] {
+					return nil, ld.fail(fmt.Errorf("index: load: position %d of label %d out of range or in two lists: %w", pv, y, ErrCorrupt))
+				}
+				ld.seen[pv] = true
+				list[p] = int32(pv)
+			}
+		}
+		covered += ln
+		lists[ci] = list
+	}
+	if covered != count {
+		return nil, ld.fail(fmt.Errorf("index: load: lists of label %d cover %d of %d entries: %w", y, covered, count, ErrCorrupt))
+	}
+	return lists, nil
+}
+
+// coarse reads a label's list count and its coarse centroids.
+func (ld *loader) coarse() (coarse, error) {
+	dim := ld.dim
+	nlist := int(ld.u32())
+	if nlist <= 0 || nlist > maxPlausible || nlist*dim > maxPlausibleElems || !ld.holds(nlist, 4*dim+4) {
+		return coarse{}, ld.fail(fmt.Errorf("index: load: implausible nlist %d (dim %d): %w", nlist, dim, ErrCorrupt))
+	}
+	centroids := make([]float32, nlist*dim)
+	ld.floats(centroids)
+	return newCoarse(centroids, nlist, dim), nil
+}
+
+// ivf reads the IVF body: each label's centroids and inverted lists over
+// its bucket.
+func (ld *loader) ivf(labels []int, buckets map[int]*bucket) (Appender, error) {
+	x := &IVF{labels: make(map[int]*ivfClass, len(labels))}
+	x.dim, x.db = ld.dim, ld.db
 	if err := ld.nprobe(&x.nprobe); err != nil {
 		return nil, err
 	}
 	for _, y := range labels {
 		b := buckets[y]
-		n := len(b.idx)
-		nlist := int(ld.u32())
-		if nlist <= 0 || nlist > maxPlausible || nlist*dim > maxPlausibleElems || !ld.holds(nlist, 4*dim+4) {
-			return nil, ld.fail(fmt.Errorf("index: load: implausible nlist %d (dim %d): %w", nlist, dim, ErrCorrupt))
+		co, err := ld.coarse()
+		if err != nil {
+			return nil, err
 		}
-		centroids := make([]float32, nlist*dim)
-		ld.floats(centroids)
-		c := &ivfClass{coarse: newCoarse(centroids, nlist, dim), b: b, lists: make([][]int32, nlist)}
-		// The inverted lists must partition the class: every bucket
-		// position in exactly one list, or searches would silently drop
-		// (or double-count) entries.
-		ld.seen = resize(ld.seen, n)
-		clear(ld.seen)
-		covered := 0
-		for ci := range c.lists {
-			ln := int(ld.u32())
-			if ln > n {
-				return nil, ld.fail(fmt.Errorf("index: load: list %d/%d longer than class (%d > %d): %w", y, ci, ln, n, ErrCorrupt))
-			}
-			list := make([]int32, ln)
-			for p := 0; p < ln; {
-				for run := ld.run(ln-p, 4); len(run) > 0; run, p = run[4:], p+1 {
-					pv := int(binary.LittleEndian.Uint32(run))
-					if pv >= n || ld.seen[pv] {
-						return nil, ld.fail(fmt.Errorf("index: load: position %d of label %d out of range or in two lists: %w", pv, y, ErrCorrupt))
-					}
-					ld.seen[pv] = true
-					list[p] = int32(pv)
-				}
-			}
-			covered += ln
-			c.lists[ci] = list
+		lists, err := ld.lists(y, co.nlist, len(b.idx))
+		if err != nil {
+			return nil, err
 		}
-		if covered != n {
-			return nil, ld.fail(fmt.Errorf("index: load: lists of label %d cover %d of %d entries: %w", y, covered, n, ErrCorrupt))
-		}
-		x.labels[y] = c
+		x.labels[y] = &ivfClass{coarse: co, b: b, lists: lists}
+		x.total += len(b.idx)
 	}
 	return x, nil
 }
 
 // ivfpq reads the IVFPQ body: per label the coarse centroids, the
-// codebook and the code-carrying inverted lists, each entry checked
-// against db as it is read.
-func (ld *loader) ivfpq(nlabels int) (Appender, error) {
+// codebook, the inverted lists, each entry's position resolved to its
+// database index through the label's bucket, and their codes.
+func (ld *loader) ivfpq(labels []int, buckets map[int]*bucket) (Appender, error) {
 	dim := ld.dim
-	x := &IVFPQ{labels: make(map[int]*ivfpqClass, nlabels)}
+	x := &IVFPQ{labels: make(map[int]*ivfpqClass, len(labels))}
 	x.dim, x.db = dim, ld.db
 	if err := ld.nprobe(&x.nprobe); err != nil {
 		return nil, err
@@ -489,51 +499,48 @@ func (ld *loader) ivfpq(nlabels int) (Appender, error) {
 		return nil, ld.fail(fmt.Errorf("index: load: IVFPQ m=%d does not divide dim %d: %w", m, dim, ErrCorrupt))
 	}
 	x.m = m
-	for li := 0; li < nlabels; li++ {
-		y, nlist := int(int32(ld.u32())), int(ld.u32())
-		if _, dup := x.labels[y]; dup {
-			return nil, ld.fail(fmt.Errorf("index: load: duplicate label %d: %w", y, ErrCorrupt))
+	for _, y := range labels {
+		b := buckets[y]
+		count := len(b.idx)
+		// Besides its lists a label carries the codebook (m·256·dsub
+		// floats), and its entries their codes.
+		if !ld.holds(dim, 4*pqKs) || !ld.holds(count, m) {
+			return nil, ld.fail(fmt.Errorf("index: load: label %d's codebook and codes overrun the stream: %w: %w", y, io.ErrUnexpectedEOF, ErrCorrupt))
 		}
-		// Besides its lists a label carries the codebook: m·256·dsub floats.
-		if nlist <= 0 || nlist > maxPlausible || nlist*dim > maxPlausibleElems || !ld.holds(nlist, 4*dim+4) || !ld.holds(dim, 4*pqKs) {
-			return nil, ld.fail(fmt.Errorf("index: load: implausible nlist %d (dim %d): %w", nlist, dim, ErrCorrupt))
+		co, err := ld.coarse()
+		if err != nil {
+			return nil, err
 		}
-		centroids := make([]float32, nlist*dim)
-		ld.floats(centroids)
-		c := &ivfpqClass{
-			coarse: newCoarse(centroids, nlist, dim),
-			x:      x,
-			book:   newCodebook(m, dim/m),
-			lists:  make([]*pqList, nlist),
-		}
+		c := &ivfpqClass{coarse: co, x: x, book: newCodebook(m, dim/m), n: count}
 		var book [pqKs]float32 // a run of the codebook in file order
 		for j := 0; j < len(c.book.centroids); {
-			b := ld.run(min(len(book), len(c.book.centroids)-j), 4)
-			f32le.Decode(book[:len(b)/4], b)
-			for _, v := range book[:len(b)/4] {
+			r := ld.run(min(len(book), len(c.book.centroids)-j), 4)
+			f32le.Decode(book[:len(r)/4], r)
+			for _, v := range book[:len(r)/4] {
 				c.book.centroids[c.book.slot(j)] = v
 				j++
 			}
 		}
-		for ci := range c.lists {
-			n := int(ld.u32())
-			if n > maxPlausible || n*m > maxPlausibleElems || !ld.holds(n, 4+2+32+m) {
-				return nil, ld.fail(fmt.Errorf("index: load: implausible list length %d (m %d): %w", n, m, ErrCorrupt))
+		lists, err := ld.lists(y, co.nlist, count)
+		if err != nil {
+			return nil, err
+		}
+		codes := make([]byte, count*m)
+		for k := 0; k < len(codes); {
+			k += copy(codes[k:], ld.run(len(codes)-k, 1))
+		}
+		held, start := make([]pqList, co.nlist), 0
+		c.lists = make([]*pqList, co.nlist)
+		for ci, list := range lists {
+			for k, p := range list {
+				list[k] = b.idx[p]
 			}
-			l := &pqList{codes: make([]byte, n*m), idx: make([]int32, n)}
-			for i := range l.idx {
-				idx, src, hash, code := ld.readIdentity(m)
-				if err := ld.check.entry(idx, y, src, hash, nil); err != nil {
-					return nil, ld.fail(err)
-				}
-				l.idx[i] = int32(idx)
-				copy(l.codes[i*m:], code)
-			}
-			c.lists[ci] = l
-			c.n += n
-			x.total += n
+			end := start + len(list)
+			held[ci] = pqList{idx: list, codes: codes[start*m : end*m : end*m]}
+			c.lists[ci], start = &held[ci], end
 		}
 		x.labels[y] = c
+		x.total += count
 	}
 	return x, nil
 }

@@ -16,17 +16,18 @@ import (
 )
 
 // viewDigests pins, per backend and database origin, one SHA-256 over
-// the CTFP and CTIX bytes every step of TestIndexIsAView leaves behind.
-// They were recorded on the commit before an index became a view of its
-// database, whose indexes kept their own copy of every appended linkage:
-// where a linkage is resident must not show in any file.
+// the CTFP bytes and the trained state (trainedDigest) every step of
+// TestIndexIsAView leaves behind: where a linkage is resident must not
+// show in any file or training. They were recorded on the commit before
+// CTIX files held trained state only, whose run of this test matched
+// the CTFP and CTIX bytes of the commit before an index became a view.
 var viewDigests = map[string]string{
-	"flat/loaded":  "4344f0957700cb13def558a4505e7ae9e42ecbc73e53eb840ee77d5177397b2f",
-	"flat/added":   "4344f0957700cb13def558a4505e7ae9e42ecbc73e53eb840ee77d5177397b2f",
-	"ivf/loaded":   "c6571ef89b45f4f3a5593212c810d779ebeefe54a6c01bcf2e88b6ad55be6120",
-	"ivf/added":    "c6571ef89b45f4f3a5593212c810d779ebeefe54a6c01bcf2e88b6ad55be6120",
-	"ivfpq/loaded": "99789dddf294bba458281812352bd0bfe22eb7917b954eb03f94949ba4554c62",
-	"ivfpq/added":  "99789dddf294bba458281812352bd0bfe22eb7917b954eb03f94949ba4554c62",
+	"flat/loaded":  "65d733b22dc33cdd0c42683a4f7fe0b2df72525b0da038bcbf41ca11c025e1ef",
+	"flat/added":   "65d733b22dc33cdd0c42683a4f7fe0b2df72525b0da038bcbf41ca11c025e1ef",
+	"ivf/loaded":   "0c65aa21666dae8942a6e9ef29405138947841754eaa60083d3f178c8cc34662",
+	"ivf/added":    "0c65aa21666dae8942a6e9ef29405138947841754eaa60083d3f178c8cc34662",
+	"ivfpq/loaded": "9eb01a57b3270d8d20ccc1dcda0ad42ba313693f07cd03e330a11a91536fabb9",
+	"ivfpq/added":  "9eb01a57b3270d8d20ccc1dcda0ad42ba313693f07cd03e330a11a91536fabb9",
 }
 
 // viewKinds are the backends the model runs, each small enough to
@@ -64,8 +65,9 @@ type viewModel struct {
 // the whole — over Flat, IVF and IVFPQ, each on a loaded and on an
 // Add-built database. After every step each match must be the
 // database's entry at its index (source, hash, label, exact distance),
-// Flat must answer DB.Query exactly, and the files written must hash to
-// what the commit before the change wrote.
+// Flat must answer DB.Query exactly, and the database files written and
+// the indexes trained must hash to what the commit before the change
+// wrote and trained.
 func TestIndexIsAView(t *testing.T) {
 	const dim, n, classes = 8, 240, 3
 	for _, k := range viewKinds {
@@ -241,7 +243,7 @@ func (m *viewModel) files(db *fingerprint.DB, x Searcher) []byte {
 	h := sha256.New()
 	h.Write(m.sum)
 	h.Write(buf.Bytes())
-	h.Write(savedBytes(m.t, x))
+	h.Write([]byte(trainedDigest(m.t, x)))
 	m.sum = nil
 	return h.Sum(nil)
 }

@@ -150,8 +150,8 @@ func (d Deployment) backend(dir string, db *fingerprint.DB, spec BackendSpec, bu
 }
 
 // LoadIndexFile reads the index file at path as db's index (index.Load):
-// every entry is checked against db, and an index of a prefix of it
-// catches up. A missing file answers os.IsNotExist.
+// it must be bound to db's first entries, and an index of a prefix of
+// db catches up. A missing file answers os.IsNotExist.
 func LoadIndexFile(path string, db *fingerprint.DB) (fingerprint.Searcher, error) {
 	f, err := os.Open(path)
 	if err != nil {

@@ -129,9 +129,9 @@ type PrebuiltSpec struct {
 func (s PrebuiltSpec) Kind() string { return s.Searcher.Kind() }
 
 // Build implements BackendSpec: the backend already exists, and
-// index.Attach makes it db's — every entry checked against the database,
-// refused with index.ErrForeignIndex if one is not db's, and caught up
-// by Append when db holds more.
+// index.Attach makes it db's — refused with index.ErrForeignIndex when
+// its entries are not db's first ones, and caught up by Append when db
+// holds more.
 func (s PrebuiltSpec) Build(db *fingerprint.DB) (fingerprint.Searcher, error) {
 	if err := index.Attach(s.Searcher, db); err != nil {
 		return nil, err
