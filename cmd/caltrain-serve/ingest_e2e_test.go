@@ -9,6 +9,7 @@ import (
 	"os"
 	"os/exec"
 	"path/filepath"
+	"reflect"
 	"regexp"
 	"strconv"
 	"strings"
@@ -334,19 +335,19 @@ func TestServeSetupIsLegible(t *testing.T) {
 	}
 }
 
-// TestServeIngestSnapshotKeepsIndexInSync is the -load-index restart
-// regression guard: a snapshot grows the database past the index file,
-// and the restart must catch the file up — serving every entry, and
-// counting the caught-up ones as drift — rather than refuse it.
+// TestServeIngestSnapshotKeepsIndexInSync is the kept-index restart
+// regression guard: a snapshot grows the database past the kept index
+// file, and the restart must load the file and catch it up — serving
+// every entry, and counting the caught-up ones as drift — rather than
+// refuse it.
 func TestServeIngestSnapshotKeepsIndexInSync(t *testing.T) {
 	dir := t.TempDir()
 	dbPath := filepath.Join(dir, "linkage.db")
-	idxPath := filepath.Join(dir, "linkage.ivf")
 	copyFile(t, writeTestDB(t, 90), dbPath)
+	args := []string{"-db", dbPath, "-backend", "ivf", "-nlist", "4", "-wal", filepath.Join(dir, "wal"), "-addr", "127.0.0.1:0"}
 
-	// First run builds and saves the index.
-	d := spawnDaemon(t, "-db", dbPath, "-backend", "ivf", "-nlist", "4",
-		"-save-index", idxPath, "-wal", filepath.Join(dir, "wal"), "-addr", "127.0.0.1:0")
+	// The first run trains and keeps the index.
+	d := spawnDaemon(t, args...)
 	client := fingerprint.NewClient("http://"+waitForAddr(t, d.out), nil)
 	waitHealthy(t, client)
 	if _, err := client.Ingest([]fingerprint.IngestEntry{
@@ -361,14 +362,16 @@ func TestServeIngestSnapshotKeepsIndexInSync(t *testing.T) {
 		t.Fatalf("daemon exit: %v\n%s", err, d.out.String())
 	}
 
-	// Restart from the loaded index (no -save-index): must come up with
-	// the grown entry count, replay nothing, and report the entries the
-	// file lacks as drift — also after another ingest + SIGTERM.
+	// Each restart loads the kept file: it must come up with the grown
+	// entry count, replay nothing, and report the entries the file lacks
+	// as drift — also after another ingest + SIGTERM.
 	for round := 0; round < 2; round++ {
-		d = spawnDaemon(t, "-db", dbPath, "-load-index", idxPath,
-			"-wal", filepath.Join(dir, "wal"), "-addr", "127.0.0.1:0")
+		d = spawnDaemon(t, args...)
 		client = fingerprint.NewClient("http://"+waitForAddr(t, d.out), nil)
 		waitHealthy(t, client)
+		if !strings.Contains(d.out.String(), ", loaded ivf index from ") {
+			t.Fatalf("round %d did not load the kept index:\n%s", round, d.out.String())
+		}
 		st, err := client.Stats()
 		if err != nil {
 			t.Fatal(err)
@@ -390,78 +393,140 @@ func TestServeIngestSnapshotKeepsIndexInSync(t *testing.T) {
 	}
 }
 
-// TestServeRestartLoadsKeptIndex: a -wal daemon whose backend trains
-// keeps the trained index in its log directory, so after a SIGKILL the
-// restart loads it instead of training, replays the log into it and
-// serves every acknowledged linkage — and the index it serves is byte
-// for byte the one a restart without the file trains.
+// TestServeRestartLoadsKeptIndex: a daemon whose backend trains keeps
+// the trained index — with -wal in its log directory, read-only beside
+// -db — so a restart after a SIGKILL loads it instead of training and
+// answers exactly as the trained daemon did (a -wal daemon replays its
+// acknowledged linkages into it). A file of other knobs is refused,
+// retrained and replaced, and the retrained file is byte for byte the
+// first training's. A place the file cannot be written costs a training
+// on each start, never a start.
 func TestServeRestartLoadsKeptIndex(t *testing.T) {
-	dir := t.TempDir()
-	dbPath, walDir := filepath.Join(dir, "linkage.db"), filepath.Join(dir, "wal")
-	copyFile(t, writeTestDB(t, 300), dbPath)
-	start := func(extra ...string) (*daemon, *fingerprint.Client) {
-		t.Helper()
-		d := spawnDaemon(t, append([]string{"-db", dbPath, "-wal", walDir, "-backend", "ivfpq", "-nlist", "4",
-			"-addr", "127.0.0.1:0"}, extra...)...)
-		client := fingerprint.NewClient("http://"+waitForAddr(t, d.out), nil)
-		waitHealthy(t, client)
-		return d, client
-	}
+	for _, c := range []struct {
+		name string
+		wal  bool
+	}{{"wal", true}, {"read-only", false}} {
+		t.Run(c.name, func(t *testing.T) {
+			dir := t.TempDir()
+			dbPath, walDir := filepath.Join(dir, "linkage.db"), filepath.Join(dir, "wal")
+			copyFile(t, writeTestDB(t, 300), dbPath)
+			kept := filepath.Join(dir, "linkage.db.index-ivfpq-*.ctix")
+			args := []string{"-db", dbPath, "-backend", "ivfpq", "-addr", "127.0.0.1:0"}
+			if c.wal {
+				kept = filepath.Join(walDir, "index-ivfpq-*.ctix")
+				args = append(args, "-wal", walDir)
+			}
+			start := func(nlist string) (*daemon, *fingerprint.Client) {
+				t.Helper()
+				d := spawnDaemon(t, append(args, "-nlist", nlist)...)
+				client := fingerprint.NewClient("http://"+waitForAddr(t, d.out), nil)
+				waitHealthy(t, client)
+				return d, client
+			}
+			setup := func(d *daemon, origin string) {
+				t.Helper()
+				if !regexp.MustCompile(`(?m)^loaded 300 entries in \S+, ` + origin + ` in \S+ \(nprobe \d+\)$`).MatchString(d.out.String()) {
+					t.Fatalf("start-up is not %q:\n%s", origin, d.out.String())
+				}
+			}
+			keptFile := func() string {
+				t.Helper()
+				files, err := filepath.Glob(kept)
+				if err != nil || len(files) != 1 {
+					t.Fatalf("kept index files %v (%v), want one", files, err)
+				}
+				return files[0]
+			}
+			entries := make([]fingerprint.IngestEntry, 12)
+			for i := range entries {
+				f := make([]float32, 8)
+				f[i%8] = 9 + float32(i) // far from the seed cluster: its own nearest neighbour
+				entries[i] = fingerprint.IngestEntry{Fingerprint: f, Label: i % 4, Source: "acked"}
+			}
+			answers := func(client *fingerprint.Client) [][]fingerprint.MatchJSON {
+				t.Helper()
+				var got [][]fingerprint.MatchJSON
+				for _, e := range entries {
+					out, err := client.Query(e.Fingerprint, e.Label, 3)
+					if err != nil {
+						t.Fatal(err)
+					}
+					got = append(got, out.Matches)
+				}
+				return got
+			}
 
-	d, client := start()
-	if !regexp.MustCompile(`(?m)^loaded 300 entries in \S+, trained ivfpq index in \S+ \(nprobe \d+\)$`).MatchString(d.out.String()) {
-		t.Fatalf("first start did not train:\n%s", d.out.String())
-	}
-	entries := make([]fingerprint.IngestEntry, 12)
-	for i := range entries {
-		f := make([]float32, 8)
-		f[i%8] = 9 + float32(i) // far from the seed cluster: its own nearest neighbour
-		entries[i] = fingerprint.IngestEntry{Fingerprint: f, Label: i % 4, Source: "acked"}
-	}
-	if resp, err := client.Ingest(entries); err != nil || resp.Accepted != len(entries) {
-		t.Fatalf("ingest: %+v %v", resp, err)
-	}
-	d.sigkill(t)
+			d, client := start("4")
+			setup(d, "trained ivfpq index")
+			if c.wal {
+				if resp, err := client.Ingest(entries); err != nil || resp.Accepted != len(entries) {
+					t.Fatalf("ingest: %+v %v", resp, err)
+				}
+			}
+			trained := answers(client)
+			d.sigkill(t)
+			file := keptFile()
+			first, err := os.ReadFile(file)
+			if err != nil {
+				t.Fatal(err)
+			}
 
-	kept, err := filepath.Glob(filepath.Join(walDir, "index-ivfpq-*.ctix"))
-	if err != nil || len(kept) != 1 {
-		t.Fatalf("index files in the log directory: %v %v", kept, err)
-	}
-	loadedOut := filepath.Join(dir, "loaded.idx")
-	d, client = start("-save-index", loadedOut)
-	want := fmt.Sprintf("(?m)^loaded 300 entries in \\S+, loaded ivfpq index from %s in \\S+ \\(nprobe \\d+\\)$", regexp.QuoteMeta(kept[0]))
-	if !regexp.MustCompile(want).MatchString(d.out.String()) {
-		t.Fatalf("restart did not load the kept index:\n%s", d.out.String())
-	}
-	for i, e := range entries {
-		out, err := client.Query(e.Fingerprint, e.Label, 1)
-		if err != nil {
-			t.Fatal(err)
-		}
-		if len(out.Matches) != 1 || out.Matches[0].Source != "acked" || out.Matches[0].Distance > 1e-6 {
-			t.Fatalf("acked entry %d after the restart: %+v", i, out.Matches)
-		}
-	}
-	d.sigkill(t)
+			d, client = start("4")
+			setup(d, "loaded ivfpq index from "+regexp.QuoteMeta(file))
+			if got := answers(client); !reflect.DeepEqual(got, trained) {
+				t.Fatalf("the loaded daemon answers\n%v\nthe trained one\n%v", got, trained)
+			}
+			served := 300
+			if c.wal {
+				served += len(entries)
+				for i, m := range trained {
+					if len(m) == 0 || m[0].Source != "acked" || m[0].Distance > 1e-6 {
+						t.Fatalf("acked entry %d: %+v", i, m)
+					}
+				}
+			}
+			if st, err := client.Stats(); err != nil || st.Index != "ivfpq" || st.Entries != served {
+				t.Fatalf("the loaded daemon's stats: %+v %v", st, err)
+			}
+			d.sigkill(t)
 
-	if err := os.Remove(kept[0]); err != nil {
-		t.Fatal(err)
-	}
-	trainedOut := filepath.Join(dir, "trained.idx")
-	d, _ = start("-save-index", trainedOut)
-	if !strings.Contains(d.out.String(), ", trained ivfpq index in ") {
-		t.Fatalf("restart without the index file did not train:\n%s", d.out.String())
-	}
-	d.sigkill(t)
-	loaded, err := os.ReadFile(loadedOut)
-	if err != nil {
-		t.Fatal(err)
-	}
-	trained, err := os.ReadFile(trainedOut)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if !bytes.Equal(loaded, trained) {
-		t.Fatalf("the loaded daemon serves another index than a retrained one (%d vs %d bytes)", len(loaded), len(trained))
+			// Other knobs: the file is refused, and the training of these
+			// knobs replaces it — and is in turn refused by the first knobs.
+			d, _ = start("2")
+			setup(d, "index file "+regexp.QuoteMeta(file)+` refused \(trained with other knobs\); trained ivfpq index`)
+			d.sigkill(t)
+			if other := keptFile(); other == file {
+				t.Fatalf("other knobs kept %s, the first knobs' file", other)
+			}
+			d, client = start("4")
+			setup(d, `index file \S+ refused \(trained with other knobs\); trained ivfpq index`)
+			if got := answers(client); !reflect.DeepEqual(got, trained) {
+				t.Fatal("the retrained daemon answers otherwise than the first training")
+			}
+			d.sigkill(t)
+			if again, err := os.ReadFile(keptFile()); err != nil || !bytes.Equal(again, first) {
+				t.Fatalf("the retrained file is not the first training's bytes (err %v)", err)
+			}
+
+			// A place that cannot be written: the temporary the file is
+			// written through is a directory, which no user can replace.
+			if err := os.Remove(file); err != nil {
+				t.Fatal(err)
+			}
+			if err := os.MkdirAll(filepath.Join(file+".tmp", "occupied"), 0o755); err != nil {
+				t.Fatal(err)
+			}
+			for range 2 {
+				d, client = start("4")
+				setup(d, "trained ivfpq index")
+				if !strings.Contains(d.out.String(), "index: keeping "+file+": ") {
+					t.Fatalf("the failed write was not logged:\n%s", d.out.String())
+				}
+				if got := answers(client); !reflect.DeepEqual(got, trained) {
+					t.Fatal("the daemon that could not keep its index answers otherwise")
+				}
+				d.sigkill(t)
+			}
+		})
 	}
 }

@@ -68,16 +68,12 @@
 //	{"backend": {"kind": "ivf", "nprobe": 8}, "shards": 4, "volatile_writes": true}
 //
 // Process flags say where the daemon runs, not what it serves; they have
-// no config field, and all but the last two compose with -deployment:
-// -db (linkage database), -addr (listen address), -grace (shutdown drain
-// timeout), -debug-addr (pprof/expvar/trace sidecar — never the public
-// address; wins over observability.debug_addr), -snapshot-every
-// (periodically persist the database to -db and truncate the WAL; a
-// graceful shutdown always does), -deployment, -save-index and
-// -load-index (write the flat/ivf/ivfpq index built at startup, reload
-// it instead of building one — a file behind the -db a snapshot grew is
-// caught up; the loaded index determines the backend, -nprobe is still
-// honoured, and a wal daemon then keeps no index file of its own).
+// no config field, and all compose with -deployment: -db (linkage
+// database), -addr (listen address), -grace (shutdown drain timeout),
+// -debug-addr (pprof/expvar/trace sidecar — never the public address;
+// wins over observability.debug_addr), -snapshot-every (periodically
+// persist the database to -db and truncate the WAL; a graceful shutdown
+// always does), -deployment.
 //
 // # Behaviour behind the knobs
 //
@@ -93,15 +89,18 @@
 // write-ahead log (fsynced per the policy) before they are applied to
 // the database and appended into the serving index, so an acknowledged
 // batch survives SIGKILL — on restart the daemon replays the log over
-// the loaded database. An ivf or ivfpq wal daemon keeps its trained
-// index in the wal directory (index-<kind>-<digest>.ctix, the digest of
-// the training knobs and nprobe): a restart over the same -db and knobs
-// loads it and catches up what -db holds beyond it, counted as drift,
-// instead of training; it trains again when the file is missing or
-// refused — the startup line says which. IVF backends track drift and
-// retrain + hot-swap in the background past the drift threshold; a
-// snapshot writes the retrained index, or drops the file if entries
-// were appended since.
+// the loaded database. IVF backends track drift and retrain + hot-swap
+// in the background past the drift threshold; a snapshot writes the
+// retrained index to the kept file (below), or drops the file if
+// entries were appended since.
+//
+// Kept index: an ivf or ivfpq daemon keeps its trained index as
+// index-<kind>-<digest>.ctix (the digest of the training knobs and
+// nprobe) in the wal directory, or without -wal beside -db
+// (linkage.db.index-<kind>-<digest>.ctix). A restart over the same -db
+// and knobs loads it and catches up what -db holds beyond it, counted as
+// drift, instead of training; it trains and writes the file again when
+// the file is missing or refused — the startup line says which.
 //
 // Replication makes a wal daemon a self-healing replica: it serves
 // GET /v1/repl/snapshot and GET /v1/repl/wal so peers can bootstrap and
@@ -128,7 +127,6 @@ import (
 
 	"caltrain/internal/cluster"
 	"caltrain/internal/fingerprint"
-	"caltrain/internal/index"
 	"caltrain/internal/ingest"
 	"caltrain/internal/obs"
 	"caltrain/internal/serve"
@@ -148,15 +146,14 @@ func main() {
 // instead of slipping past a stale deny-list.
 var processFlags = map[string]bool{
 	"db": true, "addr": true, "grace": true, "snapshot-every": true, "deployment": true, "debug-addr": true,
-	"load-index": false, "save-index": false,
 }
 
 // options is the parsed command line: the process flags, and every
 // serving knob bound straight into cfg — the same serve.Config a
 // -deployment file parses into.
 type options struct {
-	db, addr, deployment, debugAddr, loadIndex, saveIndex string
-	grace, snapshotEvery                                  time.Duration
+	db, addr, deployment, debugAddr string
+	grace, snapshotEvery            time.Duration
 
 	cfg serve.Config
 }
@@ -170,8 +167,6 @@ func parseFlags(args []string) (*flag.FlagSet, *options, error) {
 	fs.StringVar(&o.debugAddr, "debug-addr", "", "serve net/http/pprof, expvar, and /v1/debug/traces on this sidecar host:port (empty = no debug listener; never the public address)")
 	fs.DurationVar(&o.snapshotEvery, "snapshot-every", 0, "periodically persist the database to -db and truncate the WAL (0 = only on graceful shutdown)")
 	fs.StringVar(&o.deployment, "deployment", "", "deployment config file (JSON): backend, sharding, durability, limits in one document — conflicts with the per-knob flags")
-	fs.StringVar(&o.loadIndex, "load-index", "", "load a serialized index instead of building one")
-	fs.StringVar(&o.saveIndex, "save-index", "", "persist the built index to this path")
 
 	drift := ingest.DefaultDriftThreshold
 	o.cfg = serve.Config{
@@ -221,14 +216,6 @@ func run(parent context.Context, args []string, out io.Writer) error {
 	cfg, err := serve.ResolveConfig(fs, o.cfg, o.deployment, processFlags)
 	if err != nil {
 		return err
-	}
-	if f := serve.FlagGiven(fs, "backend", "nlist", "iters", "seed", "pq-m"); f != "" && o.loadIndex != "" {
-		// A training flag would silently be ignored. -nprobe stays honored
-		// (below).
-		return fmt.Errorf("-%s conflicts with -load-index: the loaded index determines the backend", f)
-	}
-	if o.saveIndex != "" && o.loadIndex == "" && cfg.Backend.Kind == "linear" {
-		return fmt.Errorf("-save-index needs an index backend (-backend flat, ivf, or ivfpq): the linear scan has nothing to persist")
 	}
 	if f := serve.FlagGiven(fs, "fsync", "fsync-every", "wal-segment-bytes", "drift-threshold", "repl", "repl-peer"); f != "" && serve.FlagGiven(fs, "wal") == "" {
 		return fmt.Errorf("-%s needs -wal: the read-only daemon has no write path", f)
@@ -287,36 +274,11 @@ func run(parent context.Context, args []string, out io.Writer) error {
 	}
 	loadTook, loadedEntries := time.Since(loadStart), db.Len()
 
-	// The index is built between here and the end of dep.Build: read
-	// from -load-index, loaded from the WAL directory or trained, then
-	// caught up with the WAL.
+	// The index is built between here and the end of dep.Build: loaded
+	// from the file the deployment keeps or trained, then caught up with
+	// the WAL.
 	buildStart := time.Now()
-	if o.loadIndex != "" {
-		// The loaded index replaces the backend the config declared; its
-		// kind (and, for IVFPQ, its code width) with the config's training
-		// knobs make the spec whose Rebuild is the drift-retrain hook.
-		loaded, err := serve.LoadIndexFile(o.loadIndex, db)
-		if err != nil {
-			return err
-		}
-		retrain := cfg.Backend
-		retrain.Kind = loaded.Kind()
-		if pq, ok := loaded.(*index.IVFPQ); ok {
-			retrain.M = pq.M()
-		}
-		if ivf, ok := loaded.(interface {
-			SetNprobe(int)
-			Nprobe() int
-		}); ok && serve.FlagGiven(fs, "nprobe") != "" {
-			ivf.SetNprobe(cfg.Backend.Nprobe)
-			fmt.Fprintf(out, "nprobe overridden to %d\n", ivf.Nprobe())
-		}
-		spec, err := retrain.Spec()
-		if err != nil {
-			return err
-		}
-		dep.Backend = serve.PrebuiltSpec{Searcher: loaded, RebuildFunc: spec.Rebuild()}
-	}
+	dep.DBFile = o.db
 
 	// Observability: -debug-addr is a process flag, so it composes with
 	// (and wins over) the config file's debug_addr. Request and
@@ -332,20 +294,16 @@ func run(parent context.Context, args []string, out io.Writer) error {
 	// the spec's Rebuild hook.
 	var buildNanos atomic.Int64
 	dep.Backend = timedSpec{BackendSpec: dep.Backend, nanos: &buildNanos}
-	// Build trains the index (if any) and replays the WAL, so both
-	// -save-index below and the first query see every acknowledged entry.
+	// Build trains the index (if any) and replays the WAL, so the first
+	// query sees every acknowledged entry.
 	built, err := dep.Build(db)
 	if err != nil {
 		return err
 	}
 	buildTook := time.Since(buildStart)
 	buildNanos.Store(int64(buildTook))
-	origin := built.IndexOrigin()
-	if o.loadIndex != "" {
-		origin = fmt.Sprintf("loaded %s index from %s", dep.Backend.Kind(), o.loadIndex)
-	}
 	setup := fmt.Sprintf("loaded %d entries in %v, %s in %v", loadedEntries,
-		loadTook.Round(time.Millisecond), origin, buildTook.Round(time.Millisecond))
+		loadTook.Round(time.Millisecond), built.IndexOrigin(), buildTook.Round(time.Millisecond))
 	svc := built.Service()
 	var desc string
 	var store *ingest.Store
@@ -361,7 +319,7 @@ func run(parent context.Context, args []string, out io.Writer) error {
 				"Seconds the daemon took to load (or bootstrap) the linkage database at startup.",
 				loadTook.Seconds),
 			obs.GaugeFunc("caltrain_index_build_seconds",
-				"Seconds the serving index last took to build: at startup, training it or loading it (from -load-index or the index file a WAL daemon keeps in its log directory) and replaying the WAL into it; after that, each drift retrain.",
+				"Seconds the serving index last took to build: at startup, training it or loading the index file the daemon keeps (in its log directory, or beside -db) and replaying the WAL into it; after that, each drift retrain.",
 				func() float64 { return time.Duration(buildNanos.Load()).Seconds() }),
 		)
 	} else {
@@ -381,13 +339,6 @@ func run(parent context.Context, args []string, out io.Writer) error {
 		} else {
 			fmt.Fprintln(out, "replication: enabled (source-only until nudged)")
 		}
-	}
-
-	if o.saveIndex != "" {
-		if err := serve.SaveIndexFile(o.saveIndex, svc.Searcher()); err != nil {
-			return err
-		}
-		fmt.Fprintf(out, "index saved to %s\n", o.saveIndex)
 	}
 
 	ctx, stop := signal.NotifyContext(parent, syscall.SIGINT, syscall.SIGTERM)

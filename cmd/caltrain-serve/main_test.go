@@ -4,13 +4,13 @@ import (
 	"bytes"
 	"context"
 	"encoding/json"
-	"errors"
 	"flag"
 	"math/rand/v2"
 	"os"
 	"path/filepath"
 	"reflect"
 	"regexp"
+	"strconv"
 	"strings"
 	"sync"
 	"syscall"
@@ -168,59 +168,6 @@ func TestServeLifecycle(t *testing.T) {
 	}
 }
 
-// TestServeSaveLoadIndex persists a built index and restarts from it.
-func TestServeSaveLoadIndex(t *testing.T) {
-	dbPath := writeTestDB(t, 300)
-	idxPath := filepath.Join(t.TempDir(), "linkage.ivf")
-
-	ctx, cancel := context.WithCancel(context.Background())
-	var out syncBuffer
-	done := make(chan error, 1)
-	go func() {
-		done <- run(ctx, []string{
-			"-db", dbPath, "-addr", "127.0.0.1:0",
-			"-backend", "ivf", "-nlist", "4", "-save-index", idxPath,
-		}, &out)
-	}()
-	waitForAddr(t, &out)
-	cancel()
-	if err := <-done; err != nil {
-		t.Fatal(err)
-	}
-	if _, err := os.Stat(idxPath); err != nil {
-		t.Fatal(err)
-	}
-
-	ctx2, cancel2 := context.WithCancel(context.Background())
-	var out2 syncBuffer
-	done2 := make(chan error, 1)
-	go func() {
-		done2 <- run(ctx2, []string{
-			"-db", dbPath, "-addr", "127.0.0.1:0", "-load-index", idxPath,
-		}, &out2)
-	}()
-	addr := waitForAddr(t, &out2)
-	client := fingerprint.NewClient("http://"+addr, nil)
-	deadline := time.Now().Add(5 * time.Second)
-	for client.Healthz() != nil {
-		if time.Now().After(deadline) {
-			t.Fatal("restarted daemon never became healthy")
-		}
-		time.Sleep(5 * time.Millisecond)
-	}
-	st, err := client.Stats()
-	if err != nil {
-		t.Fatal(err)
-	}
-	if st.Index != "ivf" || st.Entries != 300 {
-		t.Fatalf("reloaded stats: %+v", st)
-	}
-	cancel2()
-	if err := <-done2; err != nil {
-		t.Fatal(err)
-	}
-}
-
 // TestServeDeploymentConfigSingle: -deployment declares the topology
 // from one JSON file; the daemon serves it and /v1/meta reports the
 // declared backend.
@@ -321,7 +268,7 @@ func TestServeDeploymentConflictsWithKnobFlags(t *testing.T) {
 	}
 	for _, extra := range [][]string{
 		{"-backend", "flat"}, {"-nlist", "4"},
-		{"-wal", "waldir"}, {"-max-k", "9"}, {"-save-index", "x.idx"},
+		{"-wal", "waldir"}, {"-max-k", "9"},
 	} {
 		args := append([]string{"-db", dbPath, "-deployment", cfgPath}, extra...)
 		err := run(context.Background(), args, &syncBuffer{})
@@ -348,18 +295,6 @@ func TestServeRejectsUnknownIndexKind(t *testing.T) {
 
 func TestServeRejectsConflictingFlags(t *testing.T) {
 	dbPath := writeTestDB(t, 30)
-	// -save-index with the linear scan has nothing to persist.
-	err := run(context.Background(), []string{"-db", dbPath, "-backend", "linear", "-save-index", "x.idx"}, &syncBuffer{})
-	if err == nil {
-		t.Fatal("-backend linear -save-index accepted")
-	}
-	// Training flags alongside -load-index would be silently ignored.
-	for _, extra := range [][]string{{"-backend", "ivf"}, {"-nlist", "4"}, {"-iters", "3"}, {"-seed", "1"}} {
-		args := append([]string{"-db", dbPath, "-load-index", "whatever.idx"}, extra...)
-		if err := run(context.Background(), args, &syncBuffer{}); err == nil {
-			t.Fatalf("%v with -load-index accepted", extra)
-		}
-	}
 	// Flags are validated by the config file's validator: a negative
 	// bound is rejected at startup (0 means the default) and an explicit
 	// -drift-threshold 0 is ambiguous, like wal.drift_threshold: 0. The
@@ -385,10 +320,13 @@ func TestServeRejectsConflictingFlags(t *testing.T) {
 			t.Fatalf("%v: %v", extra, err)
 		}
 	}
-	// The -index alias of -backend is gone.
-	err = run(stopped, []string{"-db", dbPath, "-index", "flat"}, &syncBuffer{})
-	if err == nil || !strings.Contains(err.Error(), "flag provided but not defined") {
-		t.Fatalf("-index: %v", err)
+	// The -index alias of -backend is gone, and so are -save-index and
+	// -load-index: a trained index is kept where the daemon finds it.
+	for _, gone := range []string{"-index", "-save-index", "-load-index"} {
+		err := run(stopped, []string{"-db", dbPath, gone, "x"}, &syncBuffer{})
+		if err == nil || !strings.Contains(err.Error(), "flag provided but not defined") {
+			t.Fatalf("%s: %v", gone, err)
+		}
 	}
 }
 
@@ -474,39 +412,6 @@ func TestEveryKnobFlagReachesConfig(t *testing.T) {
 	})
 }
 
-func TestServeRejectsMismatchedIndex(t *testing.T) {
-	dbPath := writeTestDB(t, 40)
-	otherDB := writeTestDB(t, 50)
-	// Build an index over a larger database and try to serve with it: the
-	// daemon must refuse it as foreign, naming a label's entry count in
-	// each, not silently serve results that point at the wrong linkages.
-	f, err := os.Open(otherDB)
-	if err != nil {
-		t.Fatal(err)
-	}
-	db, err := fingerprint.LoadDB(f)
-	f.Close()
-	if err != nil {
-		t.Fatal(err)
-	}
-	idxPath := filepath.Join(t.TempDir(), "other.idx")
-	w, err := os.Create(idxPath)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if err := index.Save(w, index.NewFlat(db)); err != nil {
-		t.Fatal(err)
-	}
-	w.Close()
-	err = run(context.Background(), []string{"-db", dbPath, "-load-index", idxPath}, &syncBuffer{})
-	if err == nil {
-		t.Fatal("mismatched index accepted")
-	}
-	if !errors.Is(err, index.ErrForeignIndex) || !strings.Contains(err.Error(), "label 0 holds 17 entries, the database 14") {
-		t.Fatalf("mismatch error %q is not index.ErrForeignIndex naming label 0's counts", err)
-	}
-}
-
 // readDB loads a database file written by writeDB.
 func readDB(t *testing.T, path string) *fingerprint.DB {
 	t.Helper()
@@ -522,19 +427,100 @@ func readDB(t *testing.T, path string) *fingerprint.DB {
 	return db
 }
 
-// TestServeRefusesForeignIndex: an index saved over one database and
-// loaded against another of the same size and dimension must not be
-// served — its answers would name linkages -db does not hold. The two
-// databases share labels and sources and differ in every row, which
-// Flat and IVF compare; their IVFPQ index (no rows, only codes) is
-// caught once one source differs too. The daemon refuses at start-up
-// with index.ErrForeignIndex.
+// savedIndex is index.Save of sr.
+func savedIndex(t *testing.T, sr fingerprint.Searcher) []byte {
+	t.Helper()
+	var buf bytes.Buffer
+	if err := index.Save(&buf, sr); err != nil {
+		t.Fatal(err)
+	}
+	return buf.Bytes()
+}
+
+// serveKept writes blob (none when nil) to the file a read-only daemon
+// with backend's knobs keeps beside dbPath, runs that daemon, hands use a
+// client while it serves, stops it and returns its output. Whatever the
+// daemon found there, the file it leaves must be one the next start
+// loads.
+func serveKept(t *testing.T, dbPath string, backend serve.BackendConfig, blob []byte, use func(*fingerprint.Client)) string {
+	t.Helper()
+	spec, err := backend.Spec()
+	if err != nil {
+		t.Fatal(err)
+	}
+	kept, ok := serve.KeptIndexFile(dbPath, spec)
+	if !ok {
+		t.Fatalf("a %s daemon keeps no index", backend.Kind)
+	}
+	if blob != nil {
+		if err := os.WriteFile(kept, blob, 0o644); err != nil {
+			t.Fatal(err)
+		}
+	}
+	ctx, cancel := context.WithCancel(context.Background())
+	defer cancel()
+	var out syncBuffer
+	done := make(chan error, 1)
+	go func() {
+		done <- run(ctx, []string{"-db", dbPath, "-addr", "127.0.0.1:0", "-backend", backend.Kind,
+			"-nlist", strconv.Itoa(backend.Nlist), "-seed", strconv.FormatUint(backend.Seed, 10), "-pq-m", strconv.Itoa(backend.M)}, &out)
+	}()
+	use(fingerprint.NewClient("http://"+waitForAddr(t, &out), nil))
+	cancel()
+	if err := <-done; err != nil {
+		t.Fatalf("daemon: %v\n%s", err, out.String())
+	}
+	srv, err := serve.Deployment{Backend: spec, DBFile: dbPath}.Build(readDB(t, dbPath))
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer srv.Close()
+	if got, want := srv.IndexOrigin(), "loaded "+backend.Kind+" index from "+kept; got != want {
+		t.Fatalf("after the daemon, a start says %q, want %q", got, want)
+	}
+	return out.String()
+}
+
+// refusedAndTrained asserts out's start-up line: the kept file was
+// refused for a reason saying why, and the index trained.
+func refusedAndTrained(t *testing.T, out, kind, why string) {
+	t.Helper()
+	re := regexp.MustCompile(`(?m)^loaded \d+ entries in \S+, index file \S+ refused \((.*)\); trained ` + kind + ` index in `)
+	m := re.FindStringSubmatch(out)
+	if m == nil || !strings.Contains(m[1], why) {
+		t.Fatalf("start-up did not refuse the kept file for %q and train:\n%s", why, out)
+	}
+}
+
+// TestServeRejectsMismatchedIndex: an index file of a larger database in
+// the place the daemon keeps its own is refused naming a label's entry
+// count in each — never served with results that point at the wrong
+// linkages — and the daemon trains and keeps its own.
+func TestServeRejectsMismatchedIndex(t *testing.T) {
+	dbPath := writeTestDB(t, 40)
+	other := readDB(t, writeTestDB(t, 50))
+	b := serve.BackendConfig{Kind: "ivf", Nlist: 2, Seed: 1}
+	idx, err := index.TrainIVF(other, index.IVFOptions{Nlist: 2, Seed: 1})
+	if err != nil {
+		t.Fatal(err)
+	}
+	out := serveKept(t, dbPath, b, savedIndex(t, idx), func(*fingerprint.Client) {})
+	refusedAndTrained(t, out, "ivf", index.ErrForeignIndex.Error()+": label 0 holds 17 entries, the database 14")
+}
+
+// TestServeRefusesForeignIndex: an index trained over one database and
+// kept beside another of the same size and dimension must not be served
+// — its answers would name linkages -db does not hold. The two databases
+// share labels and sources and differ in every row; their IVFPQ files
+// also differ in one source. Whatever kind the file holds, the daemon
+// refuses it as index.ErrForeignIndex and trains.
 func TestServeRefusesForeignIndex(t *testing.T) {
 	const n = 60
 	dbPath, otherPath := writeDB(t, n, 77), writeDB(t, n, 78)
 	other := readDB(t, otherPath)
 	for _, kind := range []string{"flat", "ivf", "ivfpq"} {
 		t.Run(kind, func(t *testing.T) {
+			b := serve.BackendConfig{Kind: "ivf", Nlist: 2, Seed: 1}
 			var idx fingerprint.Searcher
 			var err error
 			switch kind {
@@ -554,85 +540,52 @@ func TestServeRefusesForeignIndex(t *testing.T) {
 						t.Fatal(err)
 					}
 				}
+				b = serve.BackendConfig{Kind: "ivfpq", Nlist: 2, Seed: 1, M: 2}
 				idx, err = index.TrainIVFPQ(relabeled, index.IVFPQOptions{IVFOptions: index.IVFOptions{Nlist: 2, Seed: 1}, M: 2})
 			}
 			if err != nil {
 				t.Fatal(err)
 			}
-			idxPath := filepath.Join(t.TempDir(), "other.idx")
-			if err := serve.SaveIndexFile(idxPath, idx); err != nil {
-				t.Fatal(err)
-			}
-			ctx, cancel := context.WithCancel(context.Background())
-			defer cancel()
-			var out syncBuffer
-			done := make(chan error, 1)
-			go func() {
-				done <- run(ctx, []string{"-db", dbPath, "-addr", "127.0.0.1:0", "-load-index", idxPath}, &out)
-			}()
-			for {
-				select {
-				case err := <-done:
-					if !errors.Is(err, index.ErrForeignIndex) {
-						t.Fatalf("start-up error %v, want index.ErrForeignIndex", err)
-					}
-					return
-				case <-time.After(5 * time.Millisecond):
-					if addrRE.MatchString(out.String()) {
-						cancel()
-						<-done
-						t.Fatalf("%s index of another database served:\n%s", kind, out.String())
-					}
-				}
-			}
+			out := serveKept(t, dbPath, b, savedIndex(t, idx), func(*fingerprint.Client) {})
+			refusedAndTrained(t, out, b.Kind, index.ErrForeignIndex.Error())
 		})
 	}
 }
 
-// TestServeCatchesUpLaggingIndex: a -load-index file that covers only a
-// prefix of the database — what a crash between the database's rename
-// and the index's leaves behind — is checked, caught up by Append, and
-// served over the whole database; the newest entries answer at
-// distance 0.
+// TestServeCatchesUpLaggingIndex: a kept file that covers only a prefix
+// of the database — what a crash between the database's rename and the
+// index's leaves behind — is checked, caught up by Append, and served
+// over the whole database; the newest entries answer at distance 0.
 func TestServeCatchesUpLaggingIndex(t *testing.T) {
 	const n, saved = 60, 45
 	dbPath := writeTestDB(t, n)
 	db := readDB(t, dbPath)
+	b := serve.BackendConfig{Kind: "ivfpq", Nlist: 2, Seed: 1, M: 2}
 	idx, err := index.TrainIVFPQ(db.Snapshot(saved), index.IVFPQOptions{IVFOptions: index.IVFOptions{Nlist: 2, Seed: 1}, M: 2})
 	if err != nil {
 		t.Fatal(err)
 	}
-	idxPath := filepath.Join(t.TempDir(), "lagging.idx")
-	if err := serve.SaveIndexFile(idxPath, idx); err != nil {
-		t.Fatal(err)
-	}
-	ctx, cancel := context.WithCancel(context.Background())
-	var out syncBuffer
-	done := make(chan error, 1)
-	go func() {
-		done <- run(ctx, []string{"-db", dbPath, "-addr", "127.0.0.1:0", "-load-index", idxPath}, &out)
-	}()
-	client := fingerprint.NewClient("http://"+waitForAddr(t, &out), nil)
-	st, err := client.Stats()
-	if err != nil {
-		t.Fatal(err)
-	}
-	if st.Entries != n {
-		t.Fatalf("serving %d entries, want %d", st.Entries, n)
-	}
-	for i := saved; i < n; i++ {
-		l := db.Entry(i)
-		got, err := client.Query(l.F, l.Y, 1)
+	out := serveKept(t, dbPath, b, savedIndex(t, idx), func(client *fingerprint.Client) {
+		st, err := client.Stats()
 		if err != nil {
 			t.Fatal(err)
 		}
-		if len(got.Matches) != 1 || got.Matches[0].Index != i || got.Matches[0].Distance != 0 {
-			t.Fatalf("entry %d: %+v", i, got.Matches)
+		if st.Entries != n {
+			t.Fatalf("serving %d entries, want %d", st.Entries, n)
 		}
-	}
-	cancel()
-	if err := <-done; err != nil {
-		t.Fatal(err)
+		for i := saved; i < n; i++ {
+			l := db.Entry(i)
+			got, err := client.Query(l.F, l.Y, 1)
+			if err != nil {
+				t.Fatal(err)
+			}
+			if len(got.Matches) != 1 || got.Matches[0].Index != i || got.Matches[0].Distance != 0 {
+				t.Fatalf("entry %d: %+v", i, got.Matches)
+			}
+		}
+	})
+	if !strings.Contains(out, ", loaded ivfpq index from ") {
+		t.Fatalf("the lagging file was not loaded:\n%s", out)
 	}
 }
 
@@ -665,59 +618,31 @@ func TestSaveIndexFileIsAtomic(t *testing.T) {
 	}
 }
 
-// TestServeRejectsCorruptIndex: -load-index against a file with an
-// unsupported version byte, a foreign magic, or a truncated body must
-// fail with a clear loader error instead of serving wrong results.
+// TestServeRejectsCorruptIndex: a kept file with an unsupported version
+// byte, a foreign magic, or a truncated body is refused with the
+// loader's reason — the version mismatch and the corruption named
+// apart — and the daemon trains instead of serving wrong results.
 func TestServeRejectsCorruptIndex(t *testing.T) {
 	dbPath := writeTestDB(t, 40)
-	f, err := os.Open(dbPath)
+	b := serve.BackendConfig{Kind: "ivf", Nlist: 2, Seed: 1}
+	idx, err := index.TrainIVF(readDB(t, dbPath), index.IVFOptions{Nlist: 2, Seed: 1})
 	if err != nil {
 		t.Fatal(err)
 	}
-	db, err := fingerprint.LoadDB(f)
-	f.Close()
-	if err != nil {
-		t.Fatal(err)
-	}
-	var good bytes.Buffer
-	if err := index.Save(&good, index.NewFlat(db)); err != nil {
-		t.Fatal(err)
-	}
-
-	// The loader wraps typed sentinels, so the assertion is errors.Is —
-	// not message text: daemons and operators branch the same way.
-	corrupt := func(name string, mutate func([]byte) []byte, want error) {
-		t.Helper()
-		blob := mutate(append([]byte(nil), good.Bytes()...))
-		idxPath := filepath.Join(t.TempDir(), name)
-		if err := os.WriteFile(idxPath, blob, 0o644); err != nil {
-			t.Fatal(err)
-		}
-		err := run(context.Background(), []string{"-db", dbPath, "-load-index", idxPath}, &syncBuffer{})
-		if err == nil {
-			t.Fatalf("%s accepted", name)
-		}
-		if !errors.Is(err, want) {
-			t.Fatalf("%s: error %q is not %q", name, err, want)
+	good := savedIndex(t, idx)
+	for _, c := range []struct {
+		name      string
+		mutate    func([]byte) []byte
+		want, not error
+	}{
+		{"future version", func(b []byte) []byte { b[4] = 99; return b }, index.ErrVersionMismatch, index.ErrCorrupt},
+		{"bad magic", func(b []byte) []byte { copy(b, "NOPE"); return b }, index.ErrCorrupt, index.ErrVersionMismatch},
+		{"truncated", func(b []byte) []byte { return b[:len(b)/2] }, index.ErrCorrupt, index.ErrVersionMismatch},
+	} {
+		out := serveKept(t, dbPath, b, c.mutate(bytes.Clone(good)), func(*fingerprint.Client) {})
+		refusedAndTrained(t, out, "ivf", c.want.Error())
+		if strings.Contains(out, c.not.Error()) {
+			t.Fatalf("%s: refusal names %q:\n%s", c.name, c.not, out)
 		}
 	}
-	corrupt("future-version.idx", func(b []byte) []byte { b[4] = 99; return b }, index.ErrVersionMismatch)
-	corrupt("bad-magic.idx", func(b []byte) []byte { copy(b, "NOPE"); return b }, index.ErrCorrupt)
-	corrupt("truncated.idx", func(b []byte) []byte { return b[:len(b)/2] }, index.ErrCorrupt)
-	// The two sentinels stay distinct: a version mismatch is not
-	// corruption and vice versa.
-	corruptIs := func(mutate func([]byte) []byte, not error) {
-		t.Helper()
-		blob := mutate(append([]byte(nil), good.Bytes()...))
-		idxPath := filepath.Join(t.TempDir(), "distinct.idx")
-		if err := os.WriteFile(idxPath, blob, 0o644); err != nil {
-			t.Fatal(err)
-		}
-		err := run(context.Background(), []string{"-db", dbPath, "-load-index", idxPath}, &syncBuffer{})
-		if errors.Is(err, not) {
-			t.Fatalf("error %q should not be %q", err, not)
-		}
-	}
-	corruptIs(func(b []byte) []byte { b[4] = 99; return b }, index.ErrCorrupt)
-	corruptIs(func(b []byte) []byte { copy(b, "NOPE"); return b }, index.ErrVersionMismatch)
 }

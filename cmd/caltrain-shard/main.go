@@ -1,6 +1,6 @@
 // Command caltrain-shard splits one linkage database into per-label
 // shards for distributed accountability serving: it writes N per-shard
-// databases, optionally a pre-built index per shard, and the versioned
+// databases, optionally a trained index per shard, and the versioned
 // shard map every daemon and the router load so label ownership always
 // agrees.
 //
@@ -10,14 +10,18 @@
 // Outputs in -out:
 //
 //	shard-000.db … shard-00N.db   per-shard linkage databases
-//	shard-000.idx …               per-shard indexes (with -index flat|ivf|ivfpq)
+//	shard-000.db.index-<kind>-<digest>.ctix …
+//	                              per-shard trainings (with -index ivf|ivfpq)
 //	shardmap.ctsm                 the label→shard assignment
 //
 // Each shard is then served by an ordinary caltrain-serve daemon
 // (replicas run the same shard files on more hosts), and
-// caltrain-router fans client batches out across them:
+// caltrain-router fans client batches out across them. A training is
+// kept where caltrain-serve keeps its own (serve.KeptIndexFile), so a
+// daemon started with the same -backend and knobs loads it on its first
+// start instead of training:
 //
-//	caltrain-serve  -db shards/shard-000.db -load-index shards/shard-000.idx -addr :9000
+//	caltrain-serve  -db shards/shard-000.db -backend ivf -addr :9000
 //	caltrain-router -map shards/shardmap.ctsm -shard 0=localhost:9000 …
 //
 // Strategies (-strategy): "hash" assigns labels by FNV-1a hash —
@@ -62,7 +66,7 @@ func run(args []string, out io.Writer) error {
 
 		debugAddr = fs.String("debug-addr", "", "serve net/http/pprof and expvar on this sidecar host:port while splitting (empty = no debug listener)")
 	)
-	fs.StringVar(&backend.Kind, "index", "", "also build a per-shard index: flat, ivf, or ivfpq (empty: none)")
+	fs.StringVar(&backend.Kind, "index", "", "also train a per-shard index: ivf or ivfpq (empty: none)")
 	serve.BindBackendFlags(fs, &backend)
 	if err := fs.Parse(args); err != nil {
 		return err
@@ -81,16 +85,16 @@ func run(args []string, out io.Writer) error {
 		return fmt.Errorf("-shards must be positive, got %d", *nshards)
 	}
 	// Resolve -index through the one string-to-backend seam; only
-	// persistable backends make sense here (the linear scan is the
-	// database itself — there is no index file to write).
+	// backends that train have a training to keep (the linear scan and
+	// flat build from the database in one pass).
 	var spec serve.BackendSpec
 	if backend.Kind != "" {
 		var err error
 		if spec, err = backend.Spec(); err != nil {
 			return err
 		}
-		if _, linear := spec.(serve.LinearSpec); linear {
-			return fmt.Errorf("-index linear has nothing to persist (want flat, ivf, or ivfpq)")
+		if _, ok := serve.KeptIndexFile(filepath.Join(*outDir, shardFile(0)), spec); !ok {
+			return fmt.Errorf("-index %s trains nothing to keep (want ivf or ivfpq)", spec.Kind())
 		}
 	}
 
@@ -122,26 +126,24 @@ func run(args []string, out io.Writer) error {
 		return err
 	}
 	for sid, part := range parts {
-		dbName := shardFile(sid, "db")
-		if err := ingest.WriteFile(filepath.Join(*outDir, dbName), part.Save); err != nil {
+		dbPath := filepath.Join(*outDir, shardFile(sid))
+		if err := ingest.WriteFile(dbPath, part.Save); err != nil {
 			return err
 		}
-		line := fmt.Sprintf("shard %d: %d entries, %d labels → %s", sid, part.Len(), len(part.Labels()), dbName)
-		if spec != nil {
-			idxName := shardFile(sid, "idx")
+		line := fmt.Sprintf("shard %d: %d entries, %d labels → %s", sid, part.Len(), len(part.Labels()), filepath.Base(dbPath))
+		// An empty shard has nothing to train on (IVF cannot train on
+		// nothing): it is served with -backend flat.
+		if spec != nil && part.Len() > 0 {
 			started := time.Now()
-			// BuildShardBackend is the same empty-shard policy Deployment
-			// uses in-process: IVF cannot train on nothing, so an empty
-			// shard gets an (empty) flat index and the documented
-			// -load-index startup still works.
-			searcher, err := serve.BuildShardBackend(spec, part)
+			searcher, err := spec.Build(part)
 			if err != nil {
 				return fmt.Errorf("shard %d index: %w", sid, err)
 			}
-			if err := serve.SaveIndexFile(filepath.Join(*outDir, idxName), searcher); err != nil {
+			kept, _ := serve.KeptIndexFile(dbPath, spec)
+			if err := serve.SaveIndexFile(kept, searcher); err != nil {
 				return err
 			}
-			line += fmt.Sprintf(" + %s (%s, built in %v)", idxName, searcher.Kind(), time.Since(started).Round(time.Millisecond))
+			line += fmt.Sprintf(" + %s (trained in %v)", filepath.Base(kept), time.Since(started).Round(time.Millisecond))
 		}
 		fmt.Fprintln(out, line)
 	}
@@ -164,6 +166,6 @@ func buildMap(db *fingerprint.DB, strategy string, nshards int) (*shard.Map, err
 	}
 }
 
-// shardFile names shard sid's artifact with the given extension, the
-// layout caltrain-serve and caltrain-router point at.
-func shardFile(sid int, ext string) string { return fmt.Sprintf("shard-%03d.%s", sid, ext) }
+// shardFile names shard sid's database, the layout caltrain-serve and
+// caltrain-router point at.
+func shardFile(sid int) string { return fmt.Sprintf("shard-%03d.db", sid) }

@@ -10,6 +10,7 @@ import (
 
 	"caltrain/internal/fingerprint"
 	"caltrain/internal/index"
+	"caltrain/internal/serve"
 	"caltrain/internal/shard"
 )
 
@@ -41,8 +42,9 @@ func writeTestDB(t *testing.T, n, labels int) string {
 
 // TestShardSplitEndToEnd splits a database, then verifies the written
 // artifacts: the map reloads and owns every shard's labels, the shard
-// DBs cover the original exactly, and the per-shard indexes load and
-// match their DBs.
+// DBs cover the original exactly, and each shard's training is kept
+// where a daemon serving the shard with the same knobs loads it on its
+// first start.
 func TestShardSplitEndToEnd(t *testing.T) {
 	dbPath := writeTestDB(t, 360, 9)
 	outDir := filepath.Join(t.TempDir(), "shards")
@@ -68,9 +70,11 @@ func TestShardSplitEndToEnd(t *testing.T) {
 		t.Fatalf("map shards %d", m.NumShards())
 	}
 
+	spec := serve.IVFSpec{IVFOptions: index.IVFOptions{Nlist: 4, Seed: 42}} // -seed defaults to 42
 	total := 0
 	for sid := 0; sid < 3; sid++ {
-		f, err := os.Open(filepath.Join(outDir, shardFile(sid, "db")))
+		shardPath := filepath.Join(outDir, shardFile(sid))
+		f, err := os.Open(shardPath)
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -85,24 +89,25 @@ func TestShardSplitEndToEnd(t *testing.T) {
 				t.Fatalf("shard %d holds label %d owned by %d", sid, y, m.Shard(y))
 			}
 		}
-		xf, err := os.Open(filepath.Join(outDir, shardFile(sid, "idx")))
+		kept, _ := serve.KeptIndexFile(shardPath, spec)
+		if _, err := os.Stat(kept); err != nil {
+			t.Fatalf("shard %d: no kept training: %v", sid, err)
+		}
+		srv, err := serve.Deployment{Backend: spec, DBFile: shardPath}.Build(db)
 		if err != nil {
 			t.Fatal(err)
 		}
-		s, err := index.Load(xf, db)
-		xf.Close()
-		if err != nil {
-			t.Fatal(err)
+		if got, want := srv.IndexOrigin(), "loaded ivf index from "+kept; got != want {
+			t.Fatalf("shard %d first start: %q, want %q", sid, got, want)
 		}
-		// Empty shards get a flat index (IVF cannot train on nothing) so
-		// the documented -load-index startup works for every shard.
-		wantKind := "ivf"
-		if db.Len() == 0 {
-			wantKind = "flat"
+		if s := srv.Service().Searcher(); s.Len() != db.Len() {
+			t.Fatalf("shard %d index: %d entries (db %d)", sid, s.Len(), db.Len())
 		}
-		if s.Kind() != wantKind || s.Len() != db.Len() || s.Dim() != db.Dim() {
-			t.Fatalf("shard %d index: kind %s, %d entries (db %d)", sid, s.Kind(), s.Len(), db.Len())
-		}
+	}
+	// The trainings and nothing else: one kept file per shard.
+	files, _ := filepath.Glob(filepath.Join(outDir, "*"))
+	if len(files) != 3*2+1 {
+		t.Fatalf("output files %v, want 3 databases, 3 trainings and the map", files)
 	}
 	if total != 360 {
 		t.Fatalf("shard DBs cover %d of 360 entries", total)
@@ -144,6 +149,7 @@ func TestShardRejectsBadFlags(t *testing.T) {
 		{"-db", dbPath, "-shards", "0"},
 		{"-db", dbPath, "-strategy", "modulo"},
 		{"-db", dbPath, "-index", "linear"},
+		{"-db", dbPath, "-index", "flat"},
 		{"-db", filepath.Join(t.TempDir(), "missing.db")},
 	} {
 		if err := run(append(args, "-out", t.TempDir()), &bytes.Buffer{}); err == nil {

@@ -69,7 +69,7 @@ type Options struct {
 	// Service receives the rebuilt searcher on a full resync.
 	Service *fingerprint.Service
 	// Build trains a serving backend from a fetched snapshot —
-	// normally a closure over serve.BuildShardBackend.
+	// normally a closure over serve's shard backend builder.
 	Build func(db *fingerprint.DB) (fingerprint.Searcher, error)
 	// Reopen discards the replica's local WAL state and opens a fresh
 	// store over db and its backend — the full-resync handoff. It must

@@ -25,8 +25,8 @@ var attachKinds = []struct {
 	}},
 }
 
-// savedAs returns the file build writes over db, as a daemon's
-// -save-index would.
+// savedAs returns the file build writes over db, as a daemon keeping
+// its training would.
 func savedAs(t *testing.T, build func(*fingerprint.DB) (Searcher, error), db *fingerprint.DB) []byte {
 	t.Helper()
 	s, err := build(db)

@@ -111,6 +111,12 @@ type Deployment struct {
 	// WAL enables the durable write path (see WALConfig). Nil with
 	// VolatileWrites false builds a read-only deployment.
 	WAL *WALConfig
+	// DBFile is the file the database was loaded from, if any. A single
+	// service without a WAL whose backend trains (ivf, ivfpq) keeps its
+	// training beside it (KeptIndexFile) and loads it on the next Build
+	// over the same file and knobs; a WAL deployment keeps it in its log
+	// directory instead, and a sharded one in each replica's.
+	DBFile string
 	// VolatileWrites enables a non-durable in-memory write path when WAL
 	// is nil: the same ingest.Store a WAL deployment opens, without a
 	// log. POST /ingest applies to the database and index, and retrains
@@ -307,7 +313,7 @@ func (d Deployment) Build(db *fingerprint.DB) (*Server, error) {
 // The handler is built last — replication mounts the /v1/repl/* routes
 // on the service first.
 func (d Deployment) buildSingle(db *fingerprint.DB, spec BackendSpec) (*Server, error) {
-	searcher, origin, err := d.backend(d.logDir(), db, spec, BackendSpec.Build)
+	searcher, origin, err := d.backend(keepBase(d.logDir(), d.DBFile), db, spec, BackendSpec.Build)
 	if err != nil {
 		return nil, err
 	}
@@ -400,7 +406,7 @@ func (d Deployment) newSyncer(svc *fingerprint.Service, spec BackendSpec) (*clus
 		Peer:    d.Replication.Peer,
 		Service: svc,
 		Build: func(ndb *fingerprint.DB) (fingerprint.Searcher, error) {
-			return BuildShardBackend(spec, ndb)
+			return buildShardBackend(spec, ndb)
 		},
 		Reopen: func(ndb *fingerprint.DB, sr fingerprint.Searcher) (*ingest.Store, error) {
 			if err := os.RemoveAll(dir); err != nil {
@@ -445,7 +451,7 @@ func (d Deployment) buildSharded(db *fingerprint.DB, spec BackendSpec) (*Server,
 		}
 		for i, part := range parts {
 			dir := d.logDir(fmt.Sprintf("shard-%d", i), fmt.Sprintf("replica-%d", rep))
-			searcher, origin, err := d.backend(dir, part, spec, BuildShardBackend)
+			searcher, origin, err := d.backend(keepBase(dir, ""), part, spec, buildShardBackend)
 			if err != nil {
 				return nil, fmt.Errorf("serve: shard %d backend: %w", i, err)
 			}
@@ -486,12 +492,11 @@ func (d Deployment) buildSharded(db *fingerprint.DB, spec BackendSpec) (*Server,
 	return srv, nil
 }
 
-// BuildShardBackend builds spec over one shard, falling back to the
+// buildShardBackend builds spec over one shard, falling back to the
 // exact Flat index when the spec cannot build over an empty shard (IVF
 // cannot train without vectors; the shard serves exact until writes
-// arrive). Deployment.Build and the caltrain-shard splitter share this
-// policy so pre-split artifacts and in-process shards always agree.
-func BuildShardBackend(spec BackendSpec, part *fingerprint.DB) (fingerprint.Searcher, error) {
+// arrive). In-process shards and a replica's resync share this policy.
+func buildShardBackend(spec BackendSpec, part *fingerprint.DB) (fingerprint.Searcher, error) {
 	sr, err := spec.Build(part)
 	if err != nil && part.Len() == 0 {
 		return FlatSpec{}.Build(part)
@@ -513,11 +518,12 @@ func (d Deployment) logDir(elem ...string) string {
 // are made. Retrains rebuild through the spec and hot-swap into the
 // built service, so writes past the drift threshold retrain the serving
 // backend; their outcomes go to the deployment's logger. A path that
-// keeps its trained index (keepIndex) persists a replacing training on
-// a snapshot, beside the database, under the snapshot's lock.
+// keeps its trained index in its log (keepIndex) persists a replacing
+// training on a snapshot, under the snapshot's lock; a volatile path's
+// writes never reach its database file, so what it kept stays true.
 func (d Deployment) openStore(dir string, db *fingerprint.DB, searcher fingerprint.Searcher, spec BackendSpec, svc *fingerprint.Service) (*ingest.Store, error) {
 	opts := ingest.Options{Rebuild: spec.Rebuild(), Swapper: svc, Logf: d.logf}
-	if keep, ok := keepIndex(dir, spec); ok {
+	if keep, ok := keepIndex(keepBase(dir, ""), spec); ok {
 		// kept is the serving index whose training the file holds: the
 		// one backend loaded or wrote, none when there is no file.
 		var kept fingerprint.Searcher

@@ -13,30 +13,57 @@ import (
 	"caltrain/internal/ingest"
 )
 
-// A write path with a log keeps the index its spec trains in the log
-// directory, as index-<kind>-<digest>.ctix: the digest covers the knobs
-// that decide the saved bytes, nprobe included, so a restart over the
-// same database and knobs loads the file instead of training again. The
-// file holds a training of a prefix of -db: a load catches it up with
-// Append, which counts the caught-up entries as drift, as they were
-// before the restart. The file is derived state: one that is missing,
-// corrupt, of another version, of another database or of other knobs is
-// refused and the index trained, and one that cannot be written costs
-// the next start a training, never this start or a snapshot.
+// A deployment whose backend trains keeps the index its spec trained
+// as index-<kind>-<digest>.ctix in a write path's log directory or, for
+// a single service without a log, beside the database file it was
+// loaded from, named after it: linkage.db keeps
+// linkage.db.index-ivf-<digest>.ctix. The digest covers the knobs that decide the saved bytes,
+// nprobe included, so a restart over the same database and knobs loads
+// the file instead of training again, and one with other knobs trains.
+// The file holds a training of a prefix of the database: a load catches
+// it up with Append, which counts the caught-up entries as drift, as
+// they were before the restart. The file is derived state: one that is
+// missing, corrupt, of another version, of another database or of other
+// knobs is refused and the index trained, and one that cannot be
+// written costs the next start a training, never this start or a
+// snapshot.
 const (
 	indexFilePrefix = "index-"
 	indexFileSuffix = ".ctix"
 )
 
-// indexKeep is where one write path keeps the index its spec trains.
+// indexKeep is where one deployment keeps the index its spec trains.
 type indexKeep struct {
 	kind string
-	file string // dir/index-<kind>-<digest>.ctix
+	base string // what every index file of this place starts with
+	file string // base + <kind>-<digest>.ctix
+}
+
+// keepBase is the base of the index files a write path keeps: in its
+// log directory dir, else beside the database file db; "" keeps none.
+func keepBase(dir, db string) string {
+	switch {
+	case dir != "":
+		return filepath.Join(dir, indexFilePrefix)
+	case db != "":
+		return db + "." + indexFilePrefix
+	}
+	return ""
+}
+
+// KeptIndexFile is the file a deployment without a log keeps spec's
+// trained index in when its database was loaded from db (see
+// Deployment.DBFile); false when spec does not train. caltrain-shard
+// writes each shard's training there, so a daemon serving the shard
+// with the same knobs loads it on its first start.
+func KeptIndexFile(db string, spec BackendSpec) (string, bool) {
+	keep, ok := keepIndex(keepBase("", db), spec)
+	return keep.file, ok
 }
 
 // training returns the options spec trains with, false when it does not
 // train: flat and linear build in one pass, and a prebuilt index is the
-// operator's. A spec wrapped by a caller is asked through its Unwrap.
+// caller's. A spec wrapped by a caller is asked through its Unwrap.
 func training(spec BackendSpec) (index.IVFPQOptions, bool) {
 	switch s := spec.(type) {
 	case IVFSpec:
@@ -49,11 +76,11 @@ func training(spec BackendSpec) (index.IVFPQOptions, bool) {
 	return index.IVFPQOptions{}, false
 }
 
-// keepIndex returns where the write path logging to dir keeps spec's
-// trained index; false without a log or when spec does not train.
-func keepIndex(dir string, spec BackendSpec) (indexKeep, bool) {
+// keepIndex returns where spec's trained index is kept under base
+// (keepBase); false without a base or when spec does not train.
+func keepIndex(base string, spec BackendSpec) (indexKeep, bool) {
 	o, ok := training(spec)
-	if dir == "" || !ok {
+	if base == "" || !ok {
 		return indexKeep{}, false
 	}
 	knobs := fmt.Sprintf("%s nlist=%d nprobe=%d iters=%d sample=%d seed=%d", spec.Kind(), o.Nlist, o.Nprobe, o.Iters, o.SampleCap, o.Seed)
@@ -61,8 +88,7 @@ func keepIndex(dir string, spec BackendSpec) (indexKeep, bool) {
 		knobs += fmt.Sprintf(" m=%d", o.M)
 	}
 	sum := sha256.Sum256([]byte(knobs))
-	name := fmt.Sprintf("%s%s-%x%s", indexFilePrefix, spec.Kind(), sum[:8], indexFileSuffix)
-	return indexKeep{kind: spec.Kind(), file: filepath.Join(dir, name)}, true
+	return indexKeep{kind: spec.Kind(), base: base, file: fmt.Sprintf("%s%s-%x%s", base, spec.Kind(), sum[:8], indexFileSuffix)}, true
 }
 
 // indexOrigin says where a write path's serving index came from.
@@ -104,17 +130,16 @@ func summarize(origins []indexOrigin) string {
 	return fmt.Sprintf("built %d %s shard indexes (%d loaded from their log directories)", len(origins), origins[0].kind, loaded)
 }
 
-// backend builds spec's backend over db for the write path logging to
-// dir, through build when it must be built. When the path keeps its
-// index (keepIndex), the file there is loaded over db with index.Load —
-// the checks and catch-up of -load-index; when it is refused the index
-// is trained and written there before the log replays, so the file
+// backend builds spec's backend over db, through build when it must be
+// built. When spec trains and base names a place (keepBase), the file
+// kept there is loaded over db with index.Load; when it is refused the
+// index is trained and written there before a log replays, so the file
 // holds exactly db's entries.
-func (d Deployment) backend(dir string, db *fingerprint.DB, spec BackendSpec, build func(BackendSpec, *fingerprint.DB) (fingerprint.Searcher, error)) (fingerprint.Searcher, indexOrigin, error) {
+func (d Deployment) backend(base string, db *fingerprint.DB, spec BackendSpec, build func(BackendSpec, *fingerprint.DB) (fingerprint.Searcher, error)) (fingerprint.Searcher, indexOrigin, error) {
 	origin := indexOrigin{kind: spec.Kind()}
-	keep, ok := keepIndex(dir, spec)
+	keep, ok := keepIndex(base, spec)
 	if ok {
-		sr, err := LoadIndexFile(keep.file, db)
+		sr, err := loadIndexFile(keep.file, db)
 		if err == nil && sr.Kind() != keep.kind {
 			err = fmt.Errorf("it holds a %s index", sr.Kind())
 		}
@@ -149,10 +174,10 @@ func (d Deployment) backend(dir string, db *fingerprint.DB, spec BackendSpec, bu
 	return sr, origin, nil
 }
 
-// LoadIndexFile reads the index file at path as db's index (index.Load):
+// loadIndexFile reads the index file at path as db's index (index.Load):
 // it must be bound to db's first entries, and an index of a prefix of
 // db catches up. A missing file answers os.IsNotExist.
-func LoadIndexFile(path string, db *fingerprint.DB) (fingerprint.Searcher, error) {
+func loadIndexFile(path string, db *fingerprint.DB) (fingerprint.Searcher, error) {
 	f, err := os.Open(path)
 	if err != nil {
 		return nil, err
@@ -203,17 +228,19 @@ func (d Deployment) persist(keep indexKeep, sr fingerprint.Searcher) {
 	}
 }
 
-// otherIndexFiles lists the index files, and temporaries of them, that
-// keep's directory holds besides keep's own: other knobs' or kinds'.
+// otherIndexFiles lists the index files, and temporaries of them, kept
+// under keep's base besides keep's own: other knobs' or kinds'. Files
+// of another base in the same directory — another database's — are not
+// keep's to refuse or remove.
 func otherIndexFiles(keep indexKeep) []string {
-	dir := filepath.Dir(keep.file)
+	dir, prefix, own := filepath.Dir(keep.base), filepath.Base(keep.base), filepath.Base(keep.file)
 	entries, _ := os.ReadDir(dir)
 	var out []string
 	for _, e := range entries {
-		path := filepath.Join(dir, e.Name())
-		if strings.HasPrefix(e.Name(), indexFilePrefix) && strings.HasSuffix(strings.TrimSuffix(e.Name(), ".tmp"), indexFileSuffix) &&
-			path != keep.file && path != keep.file+".tmp" {
-			out = append(out, path)
+		name := e.Name()
+		if strings.HasPrefix(name, prefix) && strings.HasSuffix(strings.TrimSuffix(name, ".tmp"), indexFileSuffix) &&
+			name != own && name != own+".tmp" {
+			out = append(out, filepath.Join(dir, name))
 		}
 	}
 	return out

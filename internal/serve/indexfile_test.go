@@ -3,6 +3,7 @@ package serve
 import (
 	"bytes"
 	"fmt"
+	"log/slog"
 	"math/rand/v2"
 	"os"
 	"path/filepath"
@@ -92,7 +93,7 @@ func TestDeploymentKeepsTrainedIndex(t *testing.T) {
 			if o := build(dir, spec, db); !o.trained || o.refused != "" {
 				t.Fatalf("first build: %+v, want trained", o)
 			}
-			k, _ := keepIndex(dir, spec)
+			k, _ := keepIndex(keepBase(dir, ""), spec)
 			if got, err := os.ReadFile(k.file); err != nil || !bytes.Equal(got, want) {
 				t.Fatalf("kept file is not the trained index's Save bytes (err %v)", err)
 			}
@@ -163,7 +164,7 @@ func TestDeploymentKeepsTrainedIndex(t *testing.T) {
 					case !strings.Contains(o.refused, c.refused):
 						t.Fatalf("refused %q, want it to say %q", o.refused, c.refused)
 					}
-					k, _ := keepIndex(dir, spec)
+					k, _ := keepIndex(keepBase(dir, ""), spec)
 					if got, err := os.ReadFile(k.file); err != nil || !bytes.Equal(got, want) {
 						t.Fatalf("index file not overwritten with the trained index (err %v)", err)
 					}
@@ -214,7 +215,7 @@ func TestDeploymentSnapshotKeepsIndex(t *testing.T) {
 			dbPath := filepath.Join(dir, "linkage.db")
 			threshold := 0.3
 			dep := Deployment{Backend: spec, WAL: &WALConfig{Dir: filepath.Join(dir, "wal"), Fsync: "never", DriftThreshold: &threshold}}
-			keep, _ := keepIndex(dep.WAL.Dir, spec)
+			keep, _ := keepIndex(keepBase(dep.WAL.Dir, ""), spec)
 			extra := otherDB(t, 8, 600, 4) // label 3 is one the trained index never saw
 			next := 0
 			ingest := func(srv *Server, n int) {
@@ -340,5 +341,125 @@ func TestDeploymentShardedKeepsIndexPerReplica(t *testing.T) {
 	files, _ := filepath.Glob(filepath.Join(walDir, "shard-*", "replica-*", "index-ivf-*.ctix"))
 	if len(files) != 4 {
 		t.Fatalf("index files %v, want one per replica", files)
+	}
+}
+
+// TestDeploymentKeepsIndexBesideDB: a single service without a log keeps
+// its training beside the database file it serves (KeptIndexFile), and
+// the next Build over that file loads it. Flat trains nothing and an
+// in-process sharded build has no file per shard: neither keeps one. A
+// place that cannot be written is logged and costs the next Build a
+// training, never a Build.
+func TestDeploymentKeepsIndexBesideDB(t *testing.T) {
+	db := testDB(t, 8, 400, 4)
+	spec := IVFSpec{index.IVFOptions{Nlist: 4, Seed: 3}}
+	dbPath := filepath.Join(t.TempDir(), "shard-000.db")
+	kept, ok := KeptIndexFile(dbPath, spec)
+	if !ok || filepath.Dir(kept) != filepath.Dir(dbPath) || !strings.HasPrefix(filepath.Base(kept), "shard-000.db.index-ivf-") {
+		t.Fatalf("KeptIndexFile = %q, %v", kept, ok)
+	}
+	var logged bytes.Buffer
+	build := func(d Deployment) string {
+		t.Helper()
+		d.DBFile = dbPath
+		d.Observability = &ObservabilityConfig{Logger: slog.New(slog.NewTextHandler(&logged, nil))}
+		srv, err := d.Build(db)
+		if err != nil {
+			t.Fatal(err)
+		}
+		srv.Close()
+		return srv.IndexOrigin()
+	}
+	for _, want := range []string{"trained ivf index", "loaded ivf index from " + kept} {
+		if got := build(Deployment{Backend: spec}); got != want {
+			t.Fatalf("origin %q, want %q", got, want)
+		}
+	}
+	if got, err := os.ReadFile(kept); err != nil || !bytes.Equal(got, savedBytes(t, mustBuild(t, spec, db))) {
+		t.Fatalf("kept file is not the training's Save bytes (err %v)", err)
+	}
+	if got := build(Deployment{Backend: spec, VolatileWrites: true}); got != "loaded ivf index from "+kept {
+		t.Fatalf("volatile writes: origin %q", got)
+	}
+
+	if err := os.Remove(kept); err != nil {
+		t.Fatal(err)
+	}
+	for _, d := range []Deployment{{Backend: FlatSpec{}}, {Backend: spec, Shards: 2}} {
+		build(d)
+		if files, _ := filepath.Glob(dbPath + ".index-*"); len(files) > 0 {
+			t.Fatalf("%d shards of %s kept %v", d.Shards, d.Backend.Kind(), files)
+		}
+	}
+
+	if err := os.MkdirAll(filepath.Join(kept+".tmp", "occupied"), 0o755); err != nil {
+		t.Fatal(err)
+	}
+	for range 2 {
+		if got := build(Deployment{Backend: spec}); got != "trained ivf index" {
+			t.Fatalf("origin %q with an unwritable place, want a training", got)
+		}
+	}
+	if !strings.Contains(logged.String(), "index: keeping "+kept+": ") {
+		t.Fatalf("the failed write was not logged:\n%s", logged.String())
+	}
+}
+
+// mustBuild is spec built over db.
+func mustBuild(t *testing.T, spec BackendSpec, db *fingerprint.DB) fingerprint.Searcher {
+	t.Helper()
+	sr, err := spec.Build(db)
+	if err != nil {
+		t.Fatal(err)
+	}
+	return sr
+}
+
+// TestDeploymentColocatedDBsKeepTheirOwnIndex: two databases in one
+// directory — how caltrain-shard lays shards out — each keep and load
+// their own training. A Build of one with other knobs refuses and
+// replaces only its own file: the other's is neither refused, rewritten
+// nor removed, and still loads.
+func TestDeploymentColocatedDBsKeepTheirOwnIndex(t *testing.T) {
+	dir := t.TempDir()
+	spec, other := IVFSpec{index.IVFOptions{Nlist: 4, Seed: 3}}, IVFSpec{index.IVFOptions{Nlist: 2, Seed: 3}}
+	paths := []string{filepath.Join(dir, "shard-000.db"), filepath.Join(dir, "shard-001.db")}
+	dbs := []*fingerprint.DB{testDB(t, 8, 400, 4), otherDB(t, 8, 300, 3)}
+	build := func(i int, spec BackendSpec) indexOrigin {
+		t.Helper()
+		srv, err := Deployment{Backend: spec, DBFile: paths[i]}.Build(dbs[i])
+		if err != nil {
+			t.Fatal(err)
+		}
+		srv.Close()
+		return srv.origins[0]
+	}
+	kept := make([]string, 2)
+	for i := range paths {
+		kept[i], _ = KeptIndexFile(paths[i], spec)
+		if o := build(i, spec); !o.trained || o.refused != "" {
+			t.Fatalf("db %d first build: %+v, want a plain training", i, o)
+		}
+	}
+	for i := range paths {
+		if o := build(i, spec); o.loaded != kept[i] {
+			t.Fatalf("db %d restart: %+v, want loaded from %s", i, o, kept[i])
+		}
+	}
+	before, err := os.Stat(kept[1])
+	if err != nil {
+		t.Fatal(err)
+	}
+	if o := build(0, other); !strings.HasPrefix(o.refused, kept[0]+" refused (trained with other knobs)") {
+		t.Fatalf("db 0 with other knobs: %+v, want its own file refused", o)
+	}
+	if _, err := os.Stat(kept[0]); !os.IsNotExist(err) {
+		t.Fatalf("db 0's file of the first knobs was not replaced: %v", err)
+	}
+	if after, err := os.Stat(kept[1]); err != nil || !os.SameFile(before, after) {
+		t.Fatalf("db 0's restart touched db 1's file (err %v)", err)
+	}
+	if o := build(1, spec); o.loaded != kept[1] {
+		t.Fatalf("db 1 after db 0's restart: %+v, want loaded from %s", o, kept[1])
 	}
 }

@@ -113,10 +113,10 @@ func (s IVFPQSpec) Rebuild() func(*fingerprint.DB) (fingerprint.Searcher, error)
 	}
 }
 
-// PrebuiltSpec wraps an already-built backend — a daemon that loaded a
-// serialized index with -load-index serves it through the same
-// Deployment layer as a freshly trained one. It cannot be sharded: the
-// one searcher covers the whole database.
+// PrebuiltSpec wraps an already-built backend — one a program trained
+// or loaded itself — so it serves through the same Deployment layer as
+// a freshly trained one. It cannot be sharded: the one searcher covers
+// the whole database.
 type PrebuiltSpec struct {
 	// Searcher is the backend to serve.
 	Searcher fingerprint.Searcher
