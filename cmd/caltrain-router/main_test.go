@@ -223,6 +223,7 @@ func TestRouterRejectsBadConfig(t *testing.T) {
 		{"-map", mapPath, "-shard", "zero=" + addrs[0]},                                          // bad id
 		{"-map", filepath.Join(t.TempDir(), "missing.ctsm"), "-shard", "0=" + addrs[0]},          // no map
 		{"-map", mapPath, "-shard", "0=" + addrs[0], "-shard", "1=" + addrs[1], "-latency-buckets", "5ms,nope"},
+		{"-map", mapPath, "-shard", "0=" + addrs[0], "-shard", "1=" + addrs[1], "-latency-buckets", "500ns"},
 		{"-map", mapPath, "-shard", "0=" + addrs[0], "-shard", "1="}, // empty replica address
 		// Flags are validated by the config file's validator: negative
 		// bounds are rejected at startup, 0 means the default.

@@ -113,6 +113,7 @@
 package main
 
 import (
+	"cmp"
 	"context"
 	"flag"
 	"fmt"
@@ -121,7 +122,6 @@ import (
 	"net"
 	"os"
 	"os/signal"
-	"sync/atomic"
 	"syscall"
 	"time"
 
@@ -289,11 +289,6 @@ func run(parent context.Context, args []string, out io.Writer) error {
 		dep.Observability.DebugAddr = o.debugAddr
 	}
 
-	// buildNanos is how long the serving index last took to build: the
-	// startup build below, then every drift retrain, which runs through
-	// the spec's Rebuild hook.
-	var buildNanos atomic.Int64
-	dep.Backend = timedSpec{BackendSpec: dep.Backend, nanos: &buildNanos}
 	// Build trains the index (if any) and replays the WAL, so the first
 	// query sees every acknowledged entry.
 	built, err := dep.Build(db)
@@ -301,7 +296,6 @@ func run(parent context.Context, args []string, out io.Writer) error {
 		return err
 	}
 	buildTook := time.Since(buildStart)
-	buildNanos.Store(int64(buildTook))
 	setup := fmt.Sprintf("loaded %d entries in %v, %s in %v", loadedEntries,
 		loadTook.Round(time.Millisecond), built.IndexOrigin(), buildTook.Round(time.Millisecond))
 	svc := built.Service()
@@ -320,10 +314,15 @@ func run(parent context.Context, args []string, out io.Writer) error {
 				loadTook.Seconds),
 			obs.GaugeFunc("caltrain_index_build_seconds",
 				"Seconds the serving index last took to build: at startup, training it or loading the index file the daemon keeps (in its log directory, or beside -db) and replaying the WAL into it; after that, each drift retrain.",
-				func() float64 { return time.Duration(buildNanos.Load()).Seconds() }),
+				func() float64 {
+					if d := built.LastRetrain(); d > 0 {
+						return d.Seconds()
+					}
+					return buildTook.Seconds()
+				}),
 		)
 	} else {
-		desc = fmt.Sprintf("%s-sharded router, %d shards", dep.Backend.Kind(), dep.Shards)
+		desc = fmt.Sprintf("%s-sharded router, %d shards", cmp.Or(dep.Backend.Kind, "flat"), dep.Shards)
 	}
 	fmt.Fprintln(out, setup)
 	if store != nil {
@@ -423,32 +422,4 @@ func run(parent context.Context, args []string, out io.Writer) error {
 	}
 	fmt.Fprintln(out, "drained, bye")
 	return nil
-}
-
-// timedSpec records in nanos how long each drift retrain of the
-// wrapped backend takes — what caltrain_index_build_seconds reports
-// after startup.
-type timedSpec struct {
-	serve.BackendSpec
-	nanos *atomic.Int64
-}
-
-// Unwrap returns the wrapped spec, whose training knobs name the index
-// file the deployment keeps.
-func (s timedSpec) Unwrap() serve.BackendSpec { return s.BackendSpec }
-
-// Rebuild implements serve.BackendSpec.
-func (s timedSpec) Rebuild() func(*fingerprint.DB) (fingerprint.Searcher, error) {
-	rebuild := s.BackendSpec.Rebuild()
-	if rebuild == nil {
-		return nil
-	}
-	return func(db *fingerprint.DB) (fingerprint.Searcher, error) {
-		start := time.Now()
-		sr, err := rebuild(db)
-		if err == nil {
-			s.nanos.Store(int64(time.Since(start)))
-		}
-		return sr, err
-	}
 }

@@ -307,6 +307,7 @@ func TestServeRejectsConflictingFlags(t *testing.T) {
 		{"-max-k", "-1"}, {"-max-batch", "-1"}, {"-max-body", "-1"},
 		{"-wal", wal, "-wal-segment-bytes", "-1"}, {"-wal", wal, "-fsync-every", "-1s"},
 		{"-wal", wal, "-drift-threshold", "0"}, {"-fsync", "never"}, {"-repl"},
+		{"-latency-buckets", "500ns"}, {"-latency-buckets", "500ns,1ms"}, {"-backend", "annoy"},
 	} {
 		args := append([]string{"-db", dbPath, "-addr", "127.0.0.1:0"}, extra...)
 		if err := run(stopped, args, &syncBuffer{}); err == nil {
@@ -444,11 +445,7 @@ func savedIndex(t *testing.T, sr fingerprint.Searcher) []byte {
 // loads.
 func serveKept(t *testing.T, dbPath string, backend serve.BackendConfig, blob []byte, use func(*fingerprint.Client)) string {
 	t.Helper()
-	spec, err := backend.Spec()
-	if err != nil {
-		t.Fatal(err)
-	}
-	kept, ok := serve.KeptIndexFile(dbPath, spec)
+	kept, ok := serve.KeptIndexFile(dbPath, backend)
 	if !ok {
 		t.Fatalf("a %s daemon keeps no index", backend.Kind)
 	}
@@ -470,7 +467,7 @@ func serveKept(t *testing.T, dbPath string, backend serve.BackendConfig, blob []
 	if err := <-done; err != nil {
 		t.Fatalf("daemon: %v\n%s", err, out.String())
 	}
-	srv, err := serve.Deployment{Backend: spec, DBFile: dbPath}.Build(readDB(t, dbPath))
+	srv, err := serve.Deployment{Backend: backend, DBFile: dbPath}.Build(readDB(t, dbPath))
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -84,17 +84,11 @@ func run(args []string, out io.Writer) error {
 	if *nshards < 1 {
 		return fmt.Errorf("-shards must be positive, got %d", *nshards)
 	}
-	// Resolve -index through the one string-to-backend seam; only
-	// backends that train have a training to keep (the linear scan and
-	// flat build from the database in one pass).
-	var spec serve.BackendSpec
+	// Only backends that train have a training to keep (the linear scan
+	// and flat build from the database in one pass).
 	if backend.Kind != "" {
-		var err error
-		if spec, err = backend.Spec(); err != nil {
-			return err
-		}
-		if _, ok := serve.KeptIndexFile(filepath.Join(*outDir, shardFile(0)), spec); !ok {
-			return fmt.Errorf("-index %s trains nothing to keep (want ivf or ivfpq)", spec.Kind())
+		if _, ok := serve.KeptIndexFile(filepath.Join(*outDir, shardFile(0)), backend); !ok {
+			return fmt.Errorf("-index %s trains nothing to keep (want ivf or ivfpq)", backend.Kind)
 		}
 	}
 
@@ -133,14 +127,14 @@ func run(args []string, out io.Writer) error {
 		line := fmt.Sprintf("shard %d: %d entries, %d labels → %s", sid, part.Len(), len(part.Labels()), filepath.Base(dbPath))
 		// An empty shard has nothing to train on (IVF cannot train on
 		// nothing): it is served with -backend flat.
-		if spec != nil && part.Len() > 0 {
+		if backend.Kind != "" && part.Len() > 0 {
 			started := time.Now()
-			searcher, err := spec.Build(part)
+			built, err := serve.Deployment{Backend: backend}.Build(part)
 			if err != nil {
 				return fmt.Errorf("shard %d index: %w", sid, err)
 			}
-			kept, _ := serve.KeptIndexFile(dbPath, spec)
-			if err := serve.SaveIndexFile(kept, searcher); err != nil {
+			kept, _ := serve.KeptIndexFile(dbPath, backend)
+			if err := serve.SaveIndexFile(kept, built.Service().Searcher()); err != nil {
 				return err
 			}
 			line += fmt.Sprintf(" + %s (trained in %v)", filepath.Base(kept), time.Since(started).Round(time.Millisecond))

@@ -70,7 +70,7 @@ func TestShardSplitEndToEnd(t *testing.T) {
 		t.Fatalf("map shards %d", m.NumShards())
 	}
 
-	spec := serve.IVFSpec{IVFOptions: index.IVFOptions{Nlist: 4, Seed: 42}} // -seed defaults to 42
+	backend := serve.BackendConfig{Kind: "ivf", Nlist: 4, Seed: 42} // -seed defaults to 42
 	total := 0
 	for sid := 0; sid < 3; sid++ {
 		shardPath := filepath.Join(outDir, shardFile(sid))
@@ -89,11 +89,11 @@ func TestShardSplitEndToEnd(t *testing.T) {
 				t.Fatalf("shard %d holds label %d owned by %d", sid, y, m.Shard(y))
 			}
 		}
-		kept, _ := serve.KeptIndexFile(shardPath, spec)
+		kept, _ := serve.KeptIndexFile(shardPath, backend)
 		if _, err := os.Stat(kept); err != nil {
 			t.Fatalf("shard %d: no kept training: %v", sid, err)
 		}
-		srv, err := serve.Deployment{Backend: spec, DBFile: shardPath}.Build(db)
+		srv, err := serve.Deployment{Backend: backend, DBFile: shardPath}.Build(db)
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -150,6 +150,7 @@ func TestShardRejectsBadFlags(t *testing.T) {
 		{"-db", dbPath, "-strategy", "modulo"},
 		{"-db", dbPath, "-index", "linear"},
 		{"-db", dbPath, "-index", "flat"},
+		{"-db", dbPath, "-index", "annoy"},
 		{"-db", filepath.Join(t.TempDir(), "missing.db")},
 	} {
 		if err := run(append(args, "-out", t.TempDir()), &bytes.Buffer{}); err == nil {

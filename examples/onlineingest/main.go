@@ -55,7 +55,7 @@ func main() {
 	// production this is caltrain-serve -wal; here the same config
 	// in-process.
 	built, err := caltrain.Deployment{
-		Backend: caltrain.FlatSpec{},
+		Backend: caltrain.BackendConfig{Kind: "flat"},
 		WAL:     &caltrain.WALConfig{Dir: walDir},
 	}.Build(db)
 	if err != nil {
@@ -114,7 +114,7 @@ func main() {
 	// Deployment over the reloaded snapshot: replay restores exactly the
 	// acknowledged linkages into the database AND the index.
 	built2, err := caltrain.Deployment{
-		Backend: caltrain.FlatSpec{},
+		Backend: caltrain.BackendConfig{Kind: "flat"},
 		WAL:     &caltrain.WALConfig{Dir: walDir},
 	}.Build(reloaded)
 	if err != nil {

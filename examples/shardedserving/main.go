@@ -94,14 +94,14 @@ func main() {
 	// Deployment over its part (exact Flat backend, the default). In
 	// production these are caltrain-serve processes on separate hosts;
 	// a different backend here is one field (Backend:
-	// caltrain.IVFSpec{...}), not new wiring.
+	// caltrain.BackendConfig{Kind: "ivf"}), not new wiring.
 	ctx := context.Background()
 	shardLogs := &logBuf{}
 	shardCtx := make([]context.CancelFunc, len(parts))
 	replicas := make([][]caltrain.ShardReplica, len(parts))
 	for i, part := range parts {
 		built, err := caltrain.Deployment{
-			Backend: caltrain.FlatSpec{},
+			Backend: caltrain.BackendConfig{Kind: "flat"},
 			// Request logging on: every shard daemon writes one
 			// structured line per request, request ID included — in
 			// production this is caltrain-serve -request-log on stderr.

@@ -60,18 +60,20 @@ func TestLinkageDBFacadeAndClient(t *testing.T) {
 }
 
 // TestIndexServingFacade drives the index serving surface end to end:
-// a spec-built index agrees with the exact one, a Deployment serves with
-// limits, and its service hot-swaps to the other index while serving.
+// an IVF index a Deployment trains agrees with the exact one, a
+// Deployment serves with limits, and its service hot-swaps to the IVF
+// index while serving.
 func TestIndexServingFacade(t *testing.T) {
 	db, err := newTestDB(16, 400)
 	if err != nil {
 		t.Fatal(err)
 	}
 	flat := NewFlatIndex(db)
-	ivf, err := IVFSpec{IVFOptions: IVFOptions{Nlist: 8, Nprobe: 8, Seed: 5}}.Build(db)
+	trained, err := Deployment{Backend: BackendConfig{Kind: "ivf", Nlist: 8, Nprobe: 8, Seed: 5}}.Build(db)
 	if err != nil {
 		t.Fatal(err)
 	}
+	ivf := trained.Service().Searcher()
 
 	rng := rand.New(rand.NewPCG(9, 9))
 	queries := make([]Fingerprint, 20)
@@ -101,7 +103,7 @@ func TestIndexServingFacade(t *testing.T) {
 		}
 	}
 
-	built, err := Deployment{Limits: []ServiceOption{WithMaxK(64)}}.Build(db)
+	built, err := Deployment{Limits: &LimitsConfig{MaxK: 64}}.Build(db)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -110,7 +112,7 @@ func TestIndexServingFacade(t *testing.T) {
 	client := NewQueryClient(srv.URL)
 	resp, err := client.QueryBatch([]QueryRequest{
 		{Fingerprint: queries[0], Label: 0, K: 4},
-		{Fingerprint: queries[1], Label: 1, K: 100}, // over WithMaxK: per-query error
+		{Fingerprint: queries[1], Label: 1, K: 100}, // over MaxK: per-query error
 	})
 	if err != nil {
 		t.Fatal(err)
@@ -219,10 +221,10 @@ func TestDeploymentFacade(t *testing.T) {
 		t.Fatal(err)
 	}
 	built, err := Deployment{
-		Backend:        IVFSpec{IVFOptions: IVFOptions{Nlist: 4, Nprobe: 4, Seed: 11}},
+		Backend:        BackendConfig{Kind: "ivf", Nlist: 4, Nprobe: 4, Seed: 11},
 		Shards:         3,
 		VolatileWrites: true,
-		Limits:         []ServiceOption{WithMaxK(32)},
+		Limits:         &LimitsConfig{MaxK: 32},
 	}.Build(db)
 	if err != nil {
 		t.Fatal(err)
@@ -301,7 +303,7 @@ func TestTypedErrorFacade(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	built, err := Deployment{Shards: 2, VolatileWrites: true, Limits: []ServiceOption{WithMaxK(16)}}.Build(db)
+	built, err := Deployment{Shards: 2, VolatileWrites: true, Limits: &LimitsConfig{MaxK: 16}}.Build(db)
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -1,11 +1,8 @@
 package fingerprint
 
 import (
-	"errors"
-	"fmt"
 	"net/http"
 	"sort"
-	"strings"
 	"sync/atomic"
 	"time"
 
@@ -202,28 +199,6 @@ func PromHistogram(bins []HistogramBin, sumUS int64) obs.HistogramSnapshot {
 	}
 	snap.Count = cum
 	return snap
-}
-
-// ParseLatencyBuckets turns a comma-separated list of durations
-// ("250us,1ms,5ms,1s") into ascending microsecond bucket bounds — the
-// format of the serving daemons' -latency-buckets flag.
-func ParseLatencyBuckets(s string) ([]int64, error) {
-	var out []int64
-	for _, part := range strings.Split(s, ",") {
-		d, err := time.ParseDuration(strings.TrimSpace(part))
-		if err != nil {
-			return nil, fmt.Errorf("fingerprint: bad latency bucket %q: %w", part, err)
-		}
-		if d <= 0 {
-			return nil, fmt.Errorf("fingerprint: latency bucket %q is not positive", part)
-		}
-		out = append(out, d.Microseconds())
-	}
-	if len(out) == 0 {
-		return nil, errors.New("fingerprint: no latency buckets given")
-	}
-	sort.Slice(out, func(i, j int) bool { return out[i] < out[j] })
-	return out, nil
 }
 
 // MergeBins sums histogram bins across services bucket-by-bucket — how a

@@ -161,12 +161,12 @@ func TestIndexAliasesLoadedDB(t *testing.T) {
 // handed to Append that the database does not hold yet is stored in the
 // database, not in the index, and served with its own index, source
 // and hash; loaded over a copy of that database, the same index serves
-// it the same, and attached to the original it reads the original's rows.
+// it the same, and rebased onto the original it reads the original's rows.
 func TestIndexHoldsNoProvenance(t *testing.T) {
 	const dim, classes = 8, 3
 	added, loaded, _ := addedAndLoaded(t, dim, 300, classes, true, 13)
 	for _, origin := range []*fingerprint.DB{added, loaded} {
-		for _, k := range attachKinds {
+		for _, k := range bindKinds {
 			db := origin.Snapshot(-1) // the ghost lands in a database of this backend's own
 			x, err := k.build(db)
 			if err != nil {
@@ -204,13 +204,14 @@ func TestIndexHoldsNoProvenance(t *testing.T) {
 					t.Fatalf("%s: the runner-up %+v is not the database's entry %+v", s.Kind(), got[1], e)
 				}
 			}
-			// Attached to the database it holds a copy of, the reloaded
+			// Rebased onto the database it holds a copy of, the reloaded
 			// index reads that database's rows, not the copy's.
-			if err := Attach(reloaded, db); err != nil || databaseOf(reloaded) != db {
-				t.Fatalf("%s: attached to the original: %v", x.Kind(), err)
+			rebase(t, reloaded, db)
+			if databaseOf(reloaded) != db {
+				t.Fatalf("%s: rebased onto the original, it reads another database", x.Kind())
 			}
 			if k.name != "ivfpq" {
-				assertAliased(t, reloaded, db, "attached")
+				assertAliased(t, reloaded, db, "rebased")
 			}
 		}
 	}

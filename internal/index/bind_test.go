@@ -9,10 +9,10 @@ import (
 	"caltrain/internal/fingerprint"
 )
 
-// attachKinds builds each backend over a database, with settings small
+// bindKinds builds each backend over a database, with settings small
 // enough for a few hundred entries (ivfpq at dim 8, M 4: planar
 // codebooks).
-var attachKinds = []struct {
+var bindKinds = []struct {
 	name  string
 	build func(*fingerprint.DB) (Searcher, error)
 }{
@@ -36,14 +36,12 @@ func savedAs(t *testing.T, build func(*fingerprint.DB) (Searcher, error), db *fi
 	return savedBytes(t, s)
 }
 
-// TestAttachRefusesForeignIndex: an index is bound by Digest to the
-// database it is loaded over or attached to — read from a file, or
-// trained over another database. Another database of the same size and
+// TestAttachRefusesForeignIndex: an index file is bound by Digest to
+// the database it is loaded over. Another database of the same size and
 // shape is refused with ErrForeignIndex — other rows under the same
 // labels, sources and hashes, one other source, or one entry held twice
-// — as is a database shorter than the index, and a refused index is left
-// as it was. An IVFPQ file, which carries codes and not rows, is bound to
-// the rows all the same.
+// — as is a database shorter than the index. An IVFPQ file, which
+// carries codes and not rows, is bound to the rows all the same.
 func TestAttachRefusesForeignIndex(t *testing.T) {
 	const dim, n = 8, 240
 	db := populatedDB(t, dim, n, 3, 5)
@@ -60,16 +58,9 @@ func TestAttachRefusesForeignIndex(t *testing.T) {
 		}
 		return l
 	})
-	for _, k := range attachKinds {
+	for _, k := range bindKinds {
 		t.Run(k.name, func(t *testing.T) {
 			file := savedAs(t, k.build, db)
-			load := func(over *fingerprint.DB) (Searcher, error) { return Load(bytes.NewReader(file), over) }
-			attached := func(s Searcher, err error) func(*fingerprint.DB) (Searcher, error) {
-				if err != nil {
-					t.Fatal(err)
-				}
-				return func(over *fingerprint.DB) (Searcher, error) { return s, Attach(s, over) }
-			}
 			for _, c := range []struct {
 				name    string
 				db      *fingerprint.DB
@@ -81,24 +72,26 @@ func TestAttachRefusesForeignIndex(t *testing.T) {
 				{"a shorter database", db.Snapshot(n - 1), true},
 				{"its own database", db, false},
 			} {
-				for _, way := range []struct {
-					name string
-					bind func(*fingerprint.DB) (Searcher, error)
-				}{
-					{"loaded over it", load},
-					{"loaded, then attached", attached(load(db))},
-					{"trained, then attached", attached(k.build(db))},
-				} {
-					s, err := way.bind(c.db)
-					if c.refused != errors.Is(err, ErrForeignIndex) || !c.refused && err != nil {
-						t.Fatalf("%s, %s: %v, refused %v", c.name, way.name, err, c.refused)
-					}
-					if s != nil && s.Len() != n {
-						t.Fatalf("%s, %s: the index holds %d entries, want %d", c.name, way.name, s.Len(), n)
-					}
+				s, err := Load(bytes.NewReader(file), c.db)
+				if c.refused != errors.Is(err, ErrForeignIndex) || !c.refused && err != nil {
+					t.Fatalf("%s: %v, refused %v", c.name, err, c.refused)
+				}
+				if s != nil && s.Len() != n {
+					t.Fatalf("%s: the index holds %d entries, want %d", c.name, s.Len(), n)
 				}
 			}
 		})
+	}
+}
+
+// rebase makes s, trained or loaded over a prefix of db, db's index:
+// Rebase, then catchUp, as Load does past the entries a file holds.
+func rebase(t testing.TB, s Searcher, db *fingerprint.DB) {
+	t.Helper()
+	ap := s.(Appender)
+	ap.Rebase(db)
+	if err := catchUp(ap, db); err != nil {
+		t.Fatal(err)
 	}
 }
 
@@ -121,8 +114,8 @@ func rebuilt(t testing.TB, db *fingerprint.DB, edit func(i int, l fingerprint.Li
 // 240-entry database it is a prefix of — what a restart finds when a
 // snapshot landed the database file but not the index file — takes the
 // other 60 by Append, whether it is loaded over the grown database or
-// loaded over its own and attached to it, and finds each of them at
-// distance 0. The database is built by Add, and read by LoadDB and grown
+// loaded over its own, rebased onto the grown one and caught up, and
+// finds each of them at distance 0. The database is built by Add, and read by LoadDB and grown
 // by Add, so that a bucket is cut back from a private base and from an
 // aliased class block with rows stored by Add behind it.
 func TestAttachCatchesUp(t *testing.T) {
@@ -136,7 +129,7 @@ func TestAttachCatchesUp(t *testing.T) {
 			}
 		}
 	}
-	for _, k := range attachKinds {
+	for _, k := range bindKinds {
 		t.Run(k.name, func(t *testing.T) {
 			for _, db := range []*fingerprint.DB{added, loaded} {
 				file := savedAs(t, k.build, db.Snapshot(saved))
@@ -147,11 +140,9 @@ func TestAttachCatchesUp(t *testing.T) {
 					}
 					return s
 				}
-				attached := loadedOver(db.Snapshot(saved))
-				if err := Attach(attached, db); err != nil {
-					t.Fatal(err)
-				}
-				for _, s := range []Searcher{loadedOver(db), attached} {
+				rebased := loadedOver(db.Snapshot(saved))
+				rebase(t, rebased, db)
+				for _, s := range []Searcher{loadedOver(db), rebased} {
 					if s.Len() != n {
 						t.Fatalf("caught-up index holds %d entries, want %d", s.Len(), n)
 					}

@@ -67,7 +67,7 @@ type Searcher = fingerprint.Searcher
 // then be the database's Len. Rebase makes db the index's database; the
 // one it was built or loaded over must be a prefix of db — a Snapshot of
 // it, say — so that every entry it holds is db's at the same index
-// (Attach is the checked way). Implementations serialize both against
+// (Load is the checked way). Implementations serialize both against
 // Search internally.
 type Appender interface {
 	Searcher
@@ -103,14 +103,6 @@ func (x *view) Len() int {
 	x.mu.RLock()
 	defer x.mu.RUnlock()
 	return x.total
-}
-
-// prefix returns the database the index is a view of and how many of
-// its first entries the index holds.
-func (x *view) prefix() (*fingerprint.DB, int) {
-	x.mu.RLock()
-	defer x.mu.RUnlock()
-	return x.db, x.total
 }
 
 // database is what a search resolves its matches through. Callers hold

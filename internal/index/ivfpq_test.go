@@ -351,9 +351,7 @@ func TestIVFPQDistancesExact(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
-		if err := Attach(pq, db); err != nil { // appends entries 540 on
-			t.Fatal(err)
-		}
+		rebase(t, pq, db) // appends entries 540 on
 		batch, errs := pq.SearchBatch(fs, labels, ks)
 		for i := range fs {
 			single, err := pq.Search(fs[i], labels[i], ks[i])

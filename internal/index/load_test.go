@@ -245,7 +245,7 @@ func TestLoadRefusesMisplacedEntries(t *testing.T) {
 	if _, err := Load(bytes.NewReader(savedBytes(t, gap)), db); !errors.Is(err, ErrForeignIndex) {
 		t.Errorf("a missing label: Load = %v, want ErrForeignIndex", err)
 	}
-	for _, k := range attachKinds[1:] {
+	for _, k := range bindKinds[1:] {
 		s, err := k.build(db)
 		if err != nil {
 			t.Fatal(err)

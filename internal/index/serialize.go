@@ -3,6 +3,7 @@ package index
 import (
 	"bufio"
 	"encoding/binary"
+	"errors"
 	"fmt"
 	"io"
 	"maps"
@@ -23,6 +24,11 @@ var (
 	ErrVersionMismatch = fingerprint.ErrVersionMismatch
 	// ErrCorrupt marks an index file that fails structural validation.
 	ErrCorrupt = fingerprint.ErrCorrupt
+	// ErrForeignIndex marks an index that is not its database's: one
+	// whose entries are not the database's first ones, by Digest —
+	// another database's, or more entries than the database has — or
+	// whose labels' counts are not theirs.
+	ErrForeignIndex = errors.New("index: not the database's index")
 )
 
 // Binary index format, little-endian. A file holds what training
@@ -208,8 +214,8 @@ func (e *encoder) ivfpq(x *IVFPQ, labels []int) {
 // The file must be bound to db: its n entries db's first n, by Digest,
 // and each label's count the entries of that label among them. Each
 // inverted list's positions must partition its class. Those db holds
-// past the n are then appended in database order, as Attach does, so a
-// file saved before its database grew catches up.
+// past the n are then appended in database order (catchUp), so a file
+// saved before its database grew catches up.
 //
 // The stream is read through one buffer of ixBufSize bytes, each word
 // in place and each array in runs of as many as the buffer holds.
@@ -283,6 +289,19 @@ func Load(r io.Reader, db *fingerprint.DB) (Searcher, error) {
 		return nil, err
 	}
 	return s, nil
+}
+
+// catchUp appends to s, in database order, the entries db holds past
+// s's: an index saved before its database grew — a snapshot that landed
+// the database file but not the index file — catches up instead of
+// being refused.
+func catchUp(s Appender, db *fingerprint.DB) error {
+	for i := s.Len(); i < db.Len(); i++ {
+		if err := s.Append(i); err != nil {
+			return fmt.Errorf("index: catching up entry %d: %w", i, err)
+		}
+	}
+	return nil
 }
 
 // loader is Load's state: the stream, read in place. A read that fails

@@ -60,8 +60,8 @@ type viewModel struct {
 // TestIndexIsAView runs seeded sequences of every step that moves
 // linkages between a database and its index — ingest through the write
 // path, a drift retrain whose swap catches up a batch ingested while it
-// trained, a Snapshot grown by Add and an index attached to it, Save →
-// Load of both files, and an index trained over a prefix attached to
+// trained, a Snapshot grown by Add and an index rebased onto it, Save →
+// Load of both files, and an index trained over a prefix rebased onto
 // the whole — over Flat, IVF and IVFPQ, each on a loaded and on an
 // Add-built database. After every step each match must be the
 // database's entry at its index (source, hash, label, exact distance),
@@ -159,9 +159,7 @@ func (m *viewModel) step(s, classes int) string {
 				t.Fatal(err)
 			}
 		}
-		if err := Attach(xs, snap); err != nil {
-			t.Fatal(err)
-		}
+		rebase(t, xs, snap)
 		m.sum = append(m.sum, m.files(snap, xs)...)
 		m.check(snap, xs, "the grown snapshot's", classes)
 		return "snapshot + add"
@@ -193,11 +191,9 @@ func (m *viewModel) step(s, classes int) string {
 			t.Fatal("an index loaded before an ingest and caught up saves other bytes than the one the ingest grew")
 		}
 		prefix := m.trained(m.db.Snapshot(1 + m.rng.IntN(m.db.Len())))
-		if err := Attach(prefix, m.db); err != nil {
-			t.Fatal(err)
-		}
+		rebase(t, prefix, m.db)
 		m.x = prefix
-		return "attach catch-up"
+		return "rebase catch-up"
 	}
 }
 

@@ -111,6 +111,7 @@ type Store struct {
 	accepted     atomic.Uint64
 	replayed     uint64
 	retrains     atomic.Uint64
+	lastRetrain  atomic.Int64 // nanoseconds
 	lastSnapshot atomic.Int64
 }
 
@@ -289,8 +290,10 @@ func (s *Store) maybeRetrainLocked() {
 		s.smu.Unlock()
 		s.swapper.SetSearcher(fresh)
 		s.retrains.Add(1)
+		took := time.Since(started)
+		s.lastRetrain.Store(int64(took))
 		s.logf("ingest: retrained %s backend over %d entries in %v (drift reset)",
-			fresh.Kind(), fresh.Len(), time.Since(started).Round(time.Millisecond))
+			fresh.Kind(), fresh.Len(), took.Round(time.Millisecond))
 	}()
 }
 
@@ -382,6 +385,10 @@ func (s *Store) IngestStats() fingerprint.IngestStats {
 	}
 	return st
 }
+
+// LastRetrain returns how long the last background retrain took, from
+// the start of training to the swap; 0 before the first.
+func (s *Store) LastRetrain() time.Duration { return time.Duration(s.lastRetrain.Load()) }
 
 // Replayed returns how many WAL entries Open restored.
 func (s *Store) Replayed() int { return int(s.replayed) }

@@ -6,7 +6,7 @@ import (
 	"io"
 	"log/slog"
 	"os"
-	"strings"
+	"slices"
 	"time"
 
 	"caltrain/internal/fingerprint"
@@ -16,9 +16,9 @@ import (
 // Config is the file form of a Deployment: one JSON document declares
 // the complete serving topology — backend, sharding, durability,
 // limits — so an operator ships a config file instead of N flag sets
-// (caltrain-serve -deployment config.json). The optional blocks are the
-// Deployment's own types, so Deployment only resolves the backend and
-// limits and validates the rest where Build does.
+// (caltrain-serve -deployment config.json). The blocks are the
+// Deployment's own types, so Deployment hands them over and validates
+// them where Build does.
 //
 //	{
 //	  "backend": {"kind": "ivf", "nlist": 64, "nprobe": 8},
@@ -114,9 +114,9 @@ type RepairConfig struct {
 	SyncTimeout Duration `json:"sync_timeout,omitempty"`
 }
 
-// BackendConfig names and tunes the index backend in a Config. Kind is
-// resolved through ParseBackend — the same single string-to-backend
-// seam the -backend flag uses.
+// BackendConfig names and tunes the index backend of a Deployment, the
+// backend block of a Config and the -backend flag alike; the zero value
+// means flat.
 type BackendConfig struct {
 	// Kind is "linear", "flat", "ivf", or "ivfpq" ("" means flat).
 	Kind string `json:"kind"`
@@ -132,17 +132,50 @@ type BackendConfig struct {
 	M int `json:"m,omitempty"`
 }
 
-// Spec resolves the block into the BackendSpec it declares, through
-// ParseBackend ("" means flat).
-func (b BackendConfig) Spec() (BackendSpec, error) {
-	kind := b.Kind
-	if kind == "" {
-		kind = "flat"
+// kind is the backend's wire name — what /v1/meta and /v1/stats report.
+func (b BackendConfig) kind() string {
+	if b.Kind == "" {
+		return "flat"
 	}
-	return ParseBackend(kind, index.IVFPQOptions{
-		IVFOptions: index.IVFOptions{Nlist: b.Nlist, Nprobe: b.Nprobe, Iters: b.Iters, Seed: b.Seed},
-		M:          b.M,
-	})
+	return b.Kind
+}
+
+// validate refuses a kind that names no backend.
+func (b BackendConfig) validate() error {
+	if !slices.Contains([]string{"linear", "flat", "ivf", "ivfpq"}, b.kind()) {
+		return fmt.Errorf("serve: unknown backend kind %q (want linear, flat, ivf, or ivfpq)", b.Kind)
+	}
+	return nil
+}
+
+// build builds the backend over db: the reference linear scan serves
+// the live database itself, flat an exact index over it, and ivf and
+// ivfpq train with the block's knobs (zero = auto defaults; m is read
+// by ivfpq only).
+func (b BackendConfig) build(db *fingerprint.DB) (fingerprint.Searcher, error) {
+	ivf := index.IVFOptions{Nlist: b.Nlist, Nprobe: b.Nprobe, Iters: b.Iters, Seed: b.Seed}
+	switch b.kind() {
+	case "linear":
+		return db, nil
+	case "ivf":
+		return index.TrainIVF(db, ivf)
+	case "ivfpq":
+		return index.TrainIVFPQ(db, index.IVFPQOptions{IVFOptions: ivf, M: b.M})
+	}
+	return index.NewFlat(db), nil
+}
+
+// trains reports whether the backend is trained (ivf, ivfpq): the exact
+// backends build in one pass and stay exact under appends.
+func (b BackendConfig) trains() bool { return b.kind() == "ivf" || b.kind() == "ivfpq" }
+
+// rebuild is the retrain hook a write path runs for drift-triggered
+// background retrains, nil when the backend never needs one.
+func (b BackendConfig) rebuild() func(*fingerprint.DB) (fingerprint.Searcher, error) {
+	if !b.trains() {
+		return nil
+	}
+	return b.build
 }
 
 // WALConfig enables the durable write path of a Deployment: ingest
@@ -150,7 +183,7 @@ func (b BackendConfig) Spec() (BackendSpec, error) {
 // are applied, so acknowledged writes survive a crash. A sharded
 // deployment logs per shard replica under Dir/shard-N/replica-M, so a
 // rebuild over the same seed database and Dir replays every shard.
-// Drift-triggered retrains rebuild through the deployment's BackendSpec
+// Drift-triggered retrains rebuild through the deployment's backend
 // and hot-swap into the built service. An IVF or IVFPQ backend keeps
 // its trained index beside each log, so a rebuild over the same
 // database and knobs loads it instead of training.
@@ -173,14 +206,15 @@ type WALConfig struct {
 	DriftThreshold *float64 `json:"drift_threshold,omitempty"`
 }
 
-// LimitsConfig bounds request sizes, the file form of the service
-// limit options. Zero fields keep the service defaults.
+// LimitsConfig bounds request sizes on every query service a Deployment
+// builds, or at the router's door in a topology config. Zero fields keep
+// the defaults.
 type LimitsConfig struct {
 	MaxBodyBytes int64 `json:"max_body_bytes,omitempty"`
 	MaxK         int   `json:"max_k,omitempty"`
 	MaxBatch     int   `json:"max_batch,omitempty"`
 	// LatencyBuckets replaces the /stats histogram bounds, each a
-	// duration string ("100us", "1ms", …), ascending.
+	// duration string of at least 1us ("100us", "1ms", …).
 	LatencyBuckets []Duration `json:"latency_buckets"`
 }
 
@@ -305,16 +339,11 @@ func LoadConfig(path string) (Config, error) {
 	return ParseConfig(f)
 }
 
-// Deployment resolves the backend block into a spec and the limits
-// into service options, and hands every other block over as it is;
-// Deployment.Build runs the same validation on the result.
+// Deployment hands every block over as it is to the Deployment it
+// declares and runs the validation Deployment.Build runs on it.
 func (c Config) Deployment() (Deployment, error) {
 	if c.Topology != nil {
 		return Deployment{}, fmt.Errorf("serve: topology is the router's block (caltrain-router -deployment); a daemon config declares backend/wal/replication")
-	}
-	spec, err := c.Backend.Spec()
-	if err != nil {
-		return Deployment{}, err
 	}
 	// An absent observability block is the zero block, never nil, so a
 	// daemon fills in the process-local parts (logger, debug address)
@@ -324,18 +353,14 @@ func (c Config) Deployment() (Deployment, error) {
 		o = *c.Observability
 	}
 	dep := Deployment{
-		Backend:          spec,
+		Backend:          c.Backend,
 		Shards:           c.Shards,
 		ReplicasPerShard: c.ReplicasPerShard,
 		WAL:              c.WAL,
 		VolatileWrites:   c.VolatileWrites,
+		Limits:           c.Limits,
 		Observability:    &o,
 		Replication:      c.Replication,
-	}
-	if c.Limits != nil {
-		if dep.Limits, err = c.Limits.options(); err != nil {
-			return Deployment{}, err
-		}
 	}
 	if err := dep.validate(); err != nil {
 		return Deployment{}, err
@@ -343,32 +368,46 @@ func (c Config) Deployment() (Deployment, error) {
 	return dep, nil
 }
 
-// bounds is the one range check of the limits block, shared by the
-// daemon and router translations: negative limits are rejected rather
-// than silently falling back to defaults — an operator who wrote one
-// believes it is enforced — and latency_buckets go through the one
-// bucket parser (each positive; returned ascending, nil when unset).
-func (l LimitsConfig) bounds() ([]int64, error) {
+// validate is the one range check of the limits block, for the daemon
+// and the router alike: negative limits are rejected rather than
+// silently falling back to defaults — an operator who wrote one believes
+// it is enforced — and so is a latency bucket under the microsecond the
+// histograms count in. A nil block keeps every default.
+func (l *LimitsConfig) validate() error {
+	if l == nil {
+		return nil
+	}
 	if l.MaxBodyBytes < 0 || l.MaxK < 0 || l.MaxBatch < 0 {
-		return nil, fmt.Errorf("serve: limits must be non-negative (max_body_bytes %d, max_k %d, max_batch %d; 0 means default)",
+		return fmt.Errorf("serve: limits must be non-negative (max_body_bytes %d, max_k %d, max_batch %d; 0 means default)",
 			l.MaxBodyBytes, l.MaxK, l.MaxBatch)
 	}
-	if len(l.LatencyBuckets) == 0 {
-		return nil, nil
+	for _, d := range l.LatencyBuckets {
+		if d < Duration(time.Microsecond) {
+			return fmt.Errorf("serve: limits.latency_buckets must each be at least 1us (latency is counted in whole microseconds), got %s", d)
+		}
 	}
-	ss := make([]string, len(l.LatencyBuckets))
-	for i, d := range l.LatencyBuckets {
-		ss[i] = d.String()
-	}
-	return fingerprint.ParseLatencyBuckets(strings.Join(ss, ","))
+	return nil
 }
 
-// options translates the limit fields into service options; zero
-// fields keep the service defaults.
-func (l LimitsConfig) options() ([]fingerprint.ServiceOption, error) {
-	buckets, err := l.bounds()
-	if err != nil {
-		return nil, err
+// bucketsUS is latency_buckets as ascending microsecond bounds, nil when
+// unset.
+func (l *LimitsConfig) bucketsUS() []int64 {
+	if len(l.LatencyBuckets) == 0 {
+		return nil
+	}
+	out := make([]int64, len(l.LatencyBuckets))
+	for i, d := range l.LatencyBuckets {
+		out[i] = time.Duration(d).Microseconds()
+	}
+	slices.Sort(out)
+	return out
+}
+
+// options translates a validated limits block into service options; a
+// nil block and zero fields keep the service defaults.
+func (l *LimitsConfig) options() []fingerprint.ServiceOption {
+	if l == nil {
+		return nil
 	}
 	var opts []fingerprint.ServiceOption
 	if l.MaxBodyBytes > 0 {
@@ -380,8 +419,8 @@ func (l LimitsConfig) options() ([]fingerprint.ServiceOption, error) {
 	if l.MaxBatch > 0 {
 		opts = append(opts, fingerprint.WithMaxBatch(l.MaxBatch))
 	}
-	if buckets != nil {
-		opts = append(opts, fingerprint.WithLatencyBuckets(buckets))
+	if b := l.bucketsUS(); b != nil {
+		opts = append(opts, fingerprint.WithLatencyBuckets(b))
 	}
-	return opts, nil
+	return opts
 }

@@ -3,6 +3,7 @@ package serve
 import (
 	"fmt"
 	"net/http/httptest"
+	"slices"
 	"strings"
 	"testing"
 	"time"
@@ -28,9 +29,8 @@ func TestParseConfigFull(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	ivf, ok := dep.Backend.(IVFSpec)
-	if !ok || ivf.Nlist != 8 || ivf.Nprobe != 4 || ivf.Iters != 3 || ivf.Seed != 9 {
-		t.Fatalf("backend spec: %#v", dep.Backend)
+	if want := (BackendConfig{Kind: "ivf", Nlist: 8, Nprobe: 4, Iters: 3, Seed: 9}); dep.Backend != want {
+		t.Fatalf("backend: %#v", dep.Backend)
 	}
 	if dep.Shards != 4 || dep.ReplicasPerShard != 2 {
 		t.Fatalf("topology: shards=%d replicas=%d", dep.Shards, dep.ReplicasPerShard)
@@ -45,12 +45,12 @@ func TestParseConfigFull(t *testing.T) {
 	if w.DriftThreshold == nil || *w.DriftThreshold != 0.5 {
 		t.Fatalf("drift threshold: %v", w.DriftThreshold)
 	}
-	if len(dep.Limits) != 4 {
-		t.Fatalf("limits: %d options, want 4", len(dep.Limits))
+	if dep.Limits != cfg.Limits || len(dep.Limits.options()) != 4 {
+		t.Fatalf("limits: %+v, %d options, want the config's block and 4", dep.Limits, len(dep.Limits.options()))
 	}
 }
 
-// TestParseConfigIVFPQ: the "m" knob reaches the IVFPQ spec alongside
+// TestParseConfigIVFPQ: the "m" knob reaches the IVFPQ backend alongside
 // the shared IVF tunables.
 func TestParseConfigIVFPQ(t *testing.T) {
 	cfg, err := ParseConfig(strings.NewReader(
@@ -62,9 +62,8 @@ func TestParseConfigIVFPQ(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	pq, ok := dep.Backend.(IVFPQSpec)
-	if !ok || pq.Nlist != 8 || pq.Nprobe != 4 || pq.Seed != 9 || pq.M != 4 {
-		t.Fatalf("backend spec: %#v", dep.Backend)
+	if want := (BackendConfig{Kind: "ivfpq", Nlist: 8, Nprobe: 4, Seed: 9, M: 4}); dep.Backend != want {
+		t.Fatalf("backend: %#v", dep.Backend)
 	}
 }
 
@@ -98,6 +97,8 @@ func TestParseConfigRejects(t *testing.T) {
 		{"wal without dir", `{"wal": {"fsync": "always"}}`},
 		{"bad fsync policy", `{"wal": {"dir": "w", "fsync": "sometimes"}}`},
 		{"non-positive latency bucket", `{"limits": {"latency_buckets": ["0s"]}}`},
+		{"sub-microsecond latency bucket", `{"limits": {"latency_buckets": ["500ns"]}}`},
+		{"sub-microsecond latency bucket beside a valid one", `{"limits": {"latency_buckets": ["500ns", "1ms"]}}`},
 		{"negative max_k", `{"limits": {"max_k": -5}}`},
 		{"negative max_body_bytes", `{"limits": {"max_body_bytes": -1}}`},
 		{"wal and volatile_writes contradict", `{"wal": {"dir": "w"}, "volatile_writes": true}`},
@@ -117,11 +118,46 @@ func TestParseConfigRejects(t *testing.T) {
 	}
 }
 
+// TestLimitsLatencyBuckets: latency_buckets reach the histogram as
+// ascending whole microseconds, each bucket as written; one under a
+// microsecond — which would count as 0 and be dropped, or leave the
+// defaults in place — is refused, naming the key.
+func TestLimitsLatencyBuckets(t *testing.T) {
+	us := func(ds ...time.Duration) *LimitsConfig {
+		l := &LimitsConfig{}
+		for _, d := range ds {
+			l.LatencyBuckets = append(l.LatencyBuckets, Duration(d))
+		}
+		return l
+	}
+	for _, c := range []struct {
+		limits *LimitsConfig
+		want   []int64
+	}{
+		{us(250*time.Microsecond, time.Millisecond, 5*time.Millisecond, time.Second), []int64{250, 1000, 5000, 1_000_000}},
+		{us(10*time.Millisecond, time.Microsecond, time.Millisecond), []int64{1, 1000, 10_000}},
+		{us(1500 * time.Nanosecond), []int64{1}},
+		{us(), nil},
+	} {
+		if err := c.limits.validate(); err != nil {
+			t.Fatalf("%v: %v", c.limits.LatencyBuckets, err)
+		}
+		if got := c.limits.bucketsUS(); !slices.Equal(got, c.want) {
+			t.Fatalf("%v: bounds %v, want %v", c.limits.LatencyBuckets, got, c.want)
+		}
+	}
+	for _, bad := range []*LimitsConfig{us(500 * time.Nanosecond), us(500*time.Nanosecond, time.Millisecond), us(0), us(-time.Millisecond)} {
+		if err := bad.validate(); err == nil || !strings.Contains(err.Error(), "limits.latency_buckets") {
+			t.Fatalf("%v: %v, want a refusal naming limits.latency_buckets", bad.LatencyBuckets, err)
+		}
+	}
+}
+
 // TestDeploymentValidatesGoForm: every rejection the file form gets
 // from Config.Deployment, the same Deployment written as a Go literal
 // gets from Build, with the same text — one validation, not one per
-// spelling. Rejections the Go form cannot spell (a backend kind, a
-// limit, a topology block) are left out.
+// spelling. A topology block, which the Go form cannot spell, is left
+// out.
 func TestDeploymentValidatesGoForm(t *testing.T) {
 	db := testDB(t, 8, 40, 2)
 	dir := t.TempDir() // never created under: every case is refused first
@@ -132,6 +168,10 @@ func TestDeploymentValidatesGoForm(t *testing.T) {
 		dep  Deployment
 	}{
 		{"negative shards", `{"shards": -1}`, Deployment{Shards: -1}},
+		{"unknown backend kind", `{"backend": {"kind": "annoy"}}`, Deployment{Backend: BackendConfig{Kind: "annoy"}}},
+		{"negative max_k", `{"limits": {"max_k": -5}}`, Deployment{Limits: &LimitsConfig{MaxK: -5}}},
+		{"sub-microsecond latency bucket", `{"limits": {"latency_buckets": ["1ms", "500ns"]}}`,
+			Deployment{Limits: &LimitsConfig{LatencyBuckets: []Duration{Duration(time.Millisecond), 500}}}},
 		{"replicas without shards", `{"replicas_per_shard": 2}`, Deployment{ReplicasPerShard: 2}},
 		{"negative replicas", `{"shards": 2, "replicas_per_shard": -1}`, Deployment{Shards: 2, ReplicasPerShard: -1}},
 		{"wal without dir", `{"wal": {"fsync": "always"}}`, Deployment{WAL: &WALConfig{Fsync: "always"}}},
@@ -191,10 +231,10 @@ func TestConfigDefaults(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if _, ok := dep.Backend.(FlatSpec); !ok {
+	if dep.Backend != (BackendConfig{}) || dep.Backend.kind() != "flat" {
 		t.Fatalf("default backend: %#v", dep.Backend)
 	}
-	if dep.Shards != 0 || dep.WAL != nil || dep.VolatileWrites || len(dep.Limits) != 0 {
+	if dep.Shards != 0 || dep.WAL != nil || dep.VolatileWrites || dep.Limits != nil {
 		t.Fatalf("zero config deployment: %+v", dep)
 	}
 }

@@ -1,3 +1,11 @@
+// Package serve is the declarative serving layer of the accountability
+// tier. A Deployment assembles one linkage database into a complete
+// serving topology — a single ingest-enabled query service, or a sharded
+// scatter-gather router over per-shard services — behind the versioned
+// /v1 wire protocol; its BackendConfig names and tunes the
+// nearest-neighbour backend. The caltrain facade's Deployment and both
+// serving daemons (caltrain-serve, caltrain-router) build through this
+// package, so a new backend or topology plugs in at this one seam.
 package serve
 
 import (
@@ -12,6 +20,7 @@ import (
 
 	"caltrain/internal/cluster"
 	"caltrain/internal/fingerprint"
+	"caltrain/internal/index"
 	"caltrain/internal/ingest"
 	"caltrain/internal/obs"
 	"caltrain/internal/shard"
@@ -88,17 +97,17 @@ func (o *ObservabilityConfig) validate() error {
 // service; filling fields composes backends, sharding, durability, and
 // limits without touching any construction code:
 //
-//	Deployment{Backend: IVFSpec{...}}                          // one daemon, approximate
-//	Deployment{Shards: 4, VolatileWrites: true}                // in-process sharded router
-//	Deployment{Backend: FlatSpec{}, WAL: &WALConfig{Dir: d}}   // durable single daemon
-//	Deployment{Shards: 4, ReplicasPerShard: 2, WAL: ...}       // replicated sharded writes
+//	Deployment{Backend: BackendConfig{Kind: "ivf"}}       // one daemon, approximate
+//	Deployment{Shards: 4, VolatileWrites: true}           // in-process sharded router
+//	Deployment{WAL: &WALConfig{Dir: d}}                   // durable single daemon
+//	Deployment{Shards: 4, ReplicasPerShard: 2, WAL: ...}  // replicated sharded writes
 //
 // Build assembles it; every topology serves the same versioned /v1 wire
 // protocol, so clients cannot tell the shapes apart except through
 // GET /v1/meta.
 type Deployment struct {
-	// Backend selects the index backend; nil means FlatSpec{}.
-	Backend BackendSpec
+	// Backend selects the index backend; the zero value means flat.
+	Backend BackendConfig
 	// Shards >1 splits the database by label hash across that many
 	// shards behind an in-process scatter-gather router; 0 or 1 serves a
 	// single query service.
@@ -123,9 +132,10 @@ type Deployment struct {
 	// an approximate backend past the default drift threshold, but every
 	// write is lost on restart. Ignored when WAL is set.
 	VolatileWrites bool
-	// Limits forwards request bounds (body size, k, batch) to every
-	// query service the deployment builds.
-	Limits []fingerprint.ServiceOption
+	// Limits bounds request sizes (body, k, batch) and sets the latency
+	// histogram on every query service the deployment builds; nil keeps
+	// the defaults.
+	Limits *LimitsConfig
 	// Observability tunes metrics, request logging, and the debug
 	// listener on whichever handler the deployment builds; nil keeps
 	// the defaults (metrics on, logging off, no debug listener).
@@ -152,8 +162,11 @@ func (d Deployment) validate() error {
 	if d.ReplicasPerShard > 1 && d.Shards <= 1 {
 		return fmt.Errorf("serve: replicas_per_shard needs shards > 1 (a single service has no replicas)")
 	}
-	if _, ok := d.Backend.(PrebuiltSpec); ok && d.Shards > 1 {
-		return fmt.Errorf("serve: a prebuilt backend covers the whole database and cannot be sharded")
+	if err := d.Backend.validate(); err != nil {
+		return err
+	}
+	if err := d.Limits.validate(); err != nil {
+		return err
 	}
 	if w := d.WAL; w != nil {
 		if d.VolatileWrites {
@@ -239,6 +252,20 @@ func (s *Server) Store() *ingest.Store {
 	return nil
 }
 
+// LastRetrain is how long the single service's last drift retrain took,
+// durable write path or volatile; 0 before the first, and for a sharded
+// build.
+func (s *Server) LastRetrain() time.Duration {
+	stores := s.stores
+	if s.syncer != nil {
+		stores = s.Stores()
+	}
+	if s.svc == nil || len(stores) == 0 {
+		return 0
+	}
+	return stores[0].LastRetrain()
+}
+
 // IndexOrigin says where the build's serving index came from, as a
 // startup line can print it: "trained ivfpq index", "loaded ivfpq index
 // from <file>", "index file <file> refused (<reason>); trained ivfpq
@@ -298,37 +325,32 @@ func (d Deployment) Build(db *fingerprint.DB) (*Server, error) {
 	if err := d.validate(); err != nil {
 		return nil, err
 	}
-	spec := d.Backend
-	if spec == nil {
-		spec = FlatSpec{}
-	}
 	if d.Shards > 1 {
-		return d.buildSharded(db, spec)
+		return d.buildSharded(db)
 	}
-	return d.buildSingle(db, spec)
+	return d.buildSingle(db)
 }
 
-// buildSingle assembles the one-daemon shape: spec-built backend, query
+// buildSingle assembles the one-daemon shape: the backend, query
 // service with limits, and whichever write path the config asks for.
 // The handler is built last — replication mounts the /v1/repl/* routes
 // on the service first.
-func (d Deployment) buildSingle(db *fingerprint.DB, spec BackendSpec) (*Server, error) {
-	searcher, origin, err := d.backend(keepBase(d.logDir(), d.DBFile), db, spec, BackendSpec.Build)
+func (d Deployment) buildSingle(db *fingerprint.DB) (*Server, error) {
+	searcher, origin, err := d.backend(keepBase(d.logDir(), d.DBFile), db)
 	if err != nil {
 		return nil, err
 	}
 	tracer := d.Observability.tracer()
-	sopts := append(append([]fingerprint.ServiceOption{}, d.Limits...),
-		fingerprint.WithObservability(d.Observability.options("serve", tracer)))
+	sopts := append(d.Limits.options(), fingerprint.WithObservability(d.Observability.options("serve", tracer)))
 	svc := fingerprint.NewSearcherService(searcher, sopts...)
 	srv := &Server{svc: svc, tracer: tracer, durable: d.WAL != nil, origins: []indexOrigin{origin}}
 	if d.WAL != nil || d.VolatileWrites {
-		store, err := d.openStore(d.logDir(), db, searcher, spec, svc)
+		store, err := d.openStore(d.logDir(), db, searcher, svc)
 		if err != nil {
 			return nil, err
 		}
 		if d.Replication != nil {
-			sync, err := d.newSyncer(svc, spec)
+			sync, err := d.newSyncer(svc)
 			if err != nil {
 				store.Close()
 				return nil, err
@@ -397,22 +419,23 @@ func residentFamily(db func() *fingerprint.DB, searcher func() fingerprint.Searc
 
 // newSyncer wires the replication state machine for a single-service
 // build: Build trains a serving backend from a fetched snapshot with
-// the deployment's spec, Reopen is the full-resync handoff (wipe the
+// the deployment's backend, Reopen is the full-resync handoff (wipe the
 // local WAL, open a fresh store with the same Swapper/Rebuild plumbing
 // the startup store had).
-func (d Deployment) newSyncer(svc *fingerprint.Service, spec BackendSpec) (*cluster.Syncer, error) {
+func (d Deployment) newSyncer(svc *fingerprint.Service) (*cluster.Syncer, error) {
 	dir := d.WAL.Dir
 	return cluster.NewSyncer(cluster.Options{
 		Peer:    d.Replication.Peer,
 		Service: svc,
 		Build: func(ndb *fingerprint.DB) (fingerprint.Searcher, error) {
-			return buildShardBackend(spec, ndb)
+			sr, err := d.Backend.build(ndb)
+			return exactWhenEmpty(ndb, sr, err)
 		},
 		Reopen: func(ndb *fingerprint.DB, sr fingerprint.Searcher) (*ingest.Store, error) {
 			if err := os.RemoveAll(dir); err != nil {
 				return nil, err
 			}
-			return d.openStore(dir, ndb, sr, spec, svc)
+			return d.openStore(dir, ndb, sr, svc)
 		},
 		Logf: d.logf,
 	})
@@ -433,7 +456,7 @@ func (d Deployment) logf(format string, args ...any) {
 // service, and write path, and a scatter-gather router fans the /v1
 // protocol across them. Writes route to the owning shard and replicate
 // to all of its replicas, exactly like the caltrain-router topology.
-func (d Deployment) buildSharded(db *fingerprint.DB, spec BackendSpec) (*Server, error) {
+func (d Deployment) buildSharded(db *fingerprint.DB) (*Server, error) {
 	m, err := shard.NewHashMap(d.Shards)
 	if err != nil {
 		return nil, err
@@ -441,6 +464,7 @@ func (d Deployment) buildSharded(db *fingerprint.DB, spec BackendSpec) (*Server,
 	nrep := max(1, d.ReplicasPerShard)
 	replicas := make([][]shard.Replica, d.Shards)
 	srv := &Server{durable: d.WAL != nil}
+	limits := d.Limits.options()
 	for rep := 0; rep < nrep; rep++ {
 		// Each replica owns a private copy of its shard's data, split
 		// fresh from the seed database, so replicated writes and failover
@@ -451,18 +475,18 @@ func (d Deployment) buildSharded(db *fingerprint.DB, spec BackendSpec) (*Server,
 		}
 		for i, part := range parts {
 			dir := d.logDir(fmt.Sprintf("shard-%d", i), fmt.Sprintf("replica-%d", rep))
-			searcher, origin, err := d.backend(keepBase(dir, ""), part, spec, buildShardBackend)
-			if err != nil {
+			searcher, origin, err := d.backend(keepBase(dir, ""), part)
+			if searcher, err = exactWhenEmpty(part, searcher, err); err != nil {
 				return nil, fmt.Errorf("serve: shard %d backend: %w", i, err)
 			}
 			srv.origins = append(srv.origins, origin)
-			svc := fingerprint.NewSearcherService(searcher, d.Limits...)
+			svc := fingerprint.NewSearcherService(searcher, limits...)
 			name := fmt.Sprintf("local-shard-%d", i)
 			if nrep > 1 {
 				name = fmt.Sprintf("local-shard-%d-replica-%d", i, rep)
 			}
 			if d.WAL != nil || d.VolatileWrites {
-				store, err := d.openStore(dir, part, searcher, spec, svc)
+				store, err := d.openStore(dir, part, searcher, svc)
 				if err != nil {
 					return nil, fmt.Errorf("serve: shard %d write path: %w", i, err)
 				}
@@ -492,14 +516,14 @@ func (d Deployment) buildSharded(db *fingerprint.DB, spec BackendSpec) (*Server,
 	return srv, nil
 }
 
-// buildShardBackend builds spec over one shard, falling back to the
-// exact Flat index when the spec cannot build over an empty shard (IVF
-// cannot train without vectors; the shard serves exact until writes
-// arrive). In-process shards and a replica's resync share this policy.
-func buildShardBackend(spec BackendSpec, part *fingerprint.DB) (fingerprint.Searcher, error) {
-	sr, err := spec.Build(part)
-	if err != nil && part.Len() == 0 {
-		return FlatSpec{}.Build(part)
+// exactWhenEmpty is the outcome of building a backend over db, falling
+// back to the exact Flat index when the backend cannot build over an
+// empty db (IVF cannot train without vectors; the shard serves exact
+// until writes arrive). In-process shards and a replica's resync share
+// this policy.
+func exactWhenEmpty(db *fingerprint.DB, sr fingerprint.Searcher, err error) (fingerprint.Searcher, error) {
+	if err != nil && db.Len() == 0 {
+		return index.NewFlat(db), nil
 	}
 	return sr, err
 }
@@ -515,15 +539,15 @@ func (d Deployment) logDir(elem ...string) string {
 
 // openStore opens one write path, durable with a log at dir and
 // volatile when dir is "" — the one place a deployment's ingest.Options
-// are made. Retrains rebuild through the spec and hot-swap into the
+// are made. Retrains rebuild through the backend and hot-swap into the
 // built service, so writes past the drift threshold retrain the serving
 // backend; their outcomes go to the deployment's logger. A path that
 // keeps its trained index in its log (keepIndex) persists a replacing
 // training on a snapshot, under the snapshot's lock; a volatile path's
 // writes never reach its database file, so what it kept stays true.
-func (d Deployment) openStore(dir string, db *fingerprint.DB, searcher fingerprint.Searcher, spec BackendSpec, svc *fingerprint.Service) (*ingest.Store, error) {
-	opts := ingest.Options{Rebuild: spec.Rebuild(), Swapper: svc, Logf: d.logf}
-	if keep, ok := keepIndex(keepBase(dir, ""), spec); ok {
+func (d Deployment) openStore(dir string, db *fingerprint.DB, searcher fingerprint.Searcher, svc *fingerprint.Service) (*ingest.Store, error) {
+	opts := ingest.Options{Rebuild: d.Backend.rebuild(), Swapper: svc, Logf: d.logf}
+	if keep, ok := keepIndex(keepBase(dir, ""), d.Backend); ok {
 		// kept is the serving index whose training the file holds: the
 		// one backend loaded or wrote, none when there is no file.
 		var kept fingerprint.Searcher

@@ -10,8 +10,9 @@ import (
 
 // FuzzParseConfig drives the one door every serving knob — flag or
 // file — enters through. The Go value is the document: whatever parses
-// marshals back into a document that parses to the same Config. And
-// whatever bytes arrive, Config.Deployment (which runs the one
+// marshals back into a document that parses to the same Config, and
+// Config.Deployment hands its backend and limits blocks over as they
+// are. And whatever bytes arrive, Config.Deployment (which runs the one
 // validation Build runs, without building) and RouterPlan return a
 // value or an error and never panic. The seeds are the documents the
 // config tests already use.
@@ -37,6 +38,10 @@ func FuzzParseConfig(f *testing.F) {
 		// A store size the tracer would try to allocate up front.
 		`{"topology": {"map": "map.ctsm", "shards": {"0": ["a:1"], "1": ["b:1"]}}, "observability": {"tracing": {"store": 4611686018427387904}}}`,
 		`{"observability": {"tracing": {"store": 1048577}}}`,
+		// A kind that names no backend, and a bucket under the microsecond
+		// the histograms count in.
+		`{"backend": {"kind": "annoy", "nlist": 4}}`,
+		`{"limits": {"latency_buckets": ["500ns", "1ms"]}}`,
 		// Empty and null collections are values of their own.
 		`{"limits": {"latency_buckets": []}, "observability": {"metrics": null, "tracing": {"sample_rate": 0}}}`,
 		`{"topology": {"map": "", "shards": {}}}`,
@@ -59,8 +64,8 @@ func FuzzParseConfig(f *testing.F) {
 		if again, err := ParseConfig(bytes.NewReader(b)); err != nil || !reflect.DeepEqual(again, cfg) {
 			t.Fatalf("%s parses to a Config that marshals to %s, which parses to %+v (%v)", doc, b, again, err)
 		}
-		if dep, err := cfg.Deployment(); err == nil && dep.Backend == nil {
-			t.Fatalf("Deployment() returned neither a backend nor an error for %s", doc)
+		if dep, err := cfg.Deployment(); err == nil && (dep.Backend != cfg.Backend || dep.Limits != cfg.Limits) {
+			t.Fatalf("Deployment() did not hand the backend and limits blocks over as they are for %s", doc)
 		}
 		if cfg.Topology != nil && cfg.Topology.Map != "" {
 			cfg.Topology.Map = mapPath

@@ -13,8 +13,8 @@ import (
 	"caltrain/internal/ingest"
 )
 
-// A deployment whose backend trains keeps the index its spec trained
-// as index-<kind>-<digest>.ctix in a write path's log directory or, for
+// A deployment whose backend trains keeps the index it trained as
+// index-<kind>-<digest>.ctix in a write path's log directory or, for
 // a single service without a log, beside the database file it was
 // loaded from, named after it: linkage.db keeps
 // linkage.db.index-ivf-<digest>.ctix. The digest covers the knobs that decide the saved bytes,
@@ -32,7 +32,7 @@ const (
 	indexFileSuffix = ".ctix"
 )
 
-// indexKeep is where one deployment keeps the index its spec trains.
+// indexKeep is where one deployment keeps the index its backend trains.
 type indexKeep struct {
 	kind string
 	base string // what every index file of this place starts with
@@ -51,50 +51,37 @@ func keepBase(dir, db string) string {
 	return ""
 }
 
-// KeptIndexFile is the file a deployment without a log keeps spec's
+// KeptIndexFile is the file a deployment without a log keeps b's
 // trained index in when its database was loaded from db (see
-// Deployment.DBFile); false when spec does not train. caltrain-shard
+// Deployment.DBFile); false when b does not train. caltrain-shard
 // writes each shard's training there, so a daemon serving the shard
 // with the same knobs loads it on its first start.
-func KeptIndexFile(db string, spec BackendSpec) (string, bool) {
-	keep, ok := keepIndex(keepBase("", db), spec)
+func KeptIndexFile(db string, b BackendConfig) (string, bool) {
+	keep, ok := keepIndex(keepBase("", db), b)
 	return keep.file, ok
 }
 
-// training returns the options spec trains with, false when it does not
-// train: flat and linear build in one pass, and a prebuilt index is the
-// caller's. A spec wrapped by a caller is asked through its Unwrap.
-func training(spec BackendSpec) (index.IVFPQOptions, bool) {
-	switch s := spec.(type) {
-	case IVFSpec:
-		return index.IVFPQOptions{IVFOptions: s.IVFOptions}, true
-	case IVFPQSpec:
-		return s.IVFPQOptions, true
-	case interface{ Unwrap() BackendSpec }:
-		return training(s.Unwrap())
-	}
-	return index.IVFPQOptions{}, false
-}
-
-// keepIndex returns where spec's trained index is kept under base
-// (keepBase); false without a base or when spec does not train.
-func keepIndex(base string, spec BackendSpec) (indexKeep, bool) {
-	o, ok := training(spec)
-	if base == "" || !ok {
+// keepIndex returns where b's trained index is kept under base
+// (keepBase); false without a base or when b does not train. The digest
+// spells a sample cap the serving tier never sets as sample=0, so the
+// names of files kept before it stopped being a knob still load.
+func keepIndex(base string, b BackendConfig) (indexKeep, bool) {
+	if base == "" || !b.trains() {
 		return indexKeep{}, false
 	}
-	knobs := fmt.Sprintf("%s nlist=%d nprobe=%d iters=%d sample=%d seed=%d", spec.Kind(), o.Nlist, o.Nprobe, o.Iters, o.SampleCap, o.Seed)
-	if spec.Kind() == "ivfpq" {
-		knobs += fmt.Sprintf(" m=%d", o.M)
+	kind := b.kind()
+	knobs := fmt.Sprintf("%s nlist=%d nprobe=%d iters=%d sample=0 seed=%d", kind, b.Nlist, b.Nprobe, b.Iters, b.Seed)
+	if kind == "ivfpq" {
+		knobs += fmt.Sprintf(" m=%d", b.M)
 	}
 	sum := sha256.Sum256([]byte(knobs))
-	return indexKeep{kind: spec.Kind(), base: base, file: fmt.Sprintf("%s%s-%x%s", base, spec.Kind(), sum[:8], indexFileSuffix)}, true
+	return indexKeep{kind: kind, base: base, file: fmt.Sprintf("%s%s-%x%s", base, kind, sum[:8], indexFileSuffix)}, true
 }
 
 // indexOrigin says where a write path's serving index came from.
 type indexOrigin struct {
 	kind    string
-	trained bool   // the spec trained it (else it was built or loaded)
+	trained bool   // the backend trained it (else it was built or loaded)
 	loaded  string // the index file it was loaded from
 	refused string // the index file that was refused, and why
 }
@@ -130,14 +117,13 @@ func summarize(origins []indexOrigin) string {
 	return fmt.Sprintf("built %d %s shard indexes (%d loaded from their log directories)", len(origins), origins[0].kind, loaded)
 }
 
-// backend builds spec's backend over db, through build when it must be
-// built. When spec trains and base names a place (keepBase), the file
-// kept there is loaded over db with index.Load; when it is refused the
-// index is trained and written there before a log replays, so the file
-// holds exactly db's entries.
-func (d Deployment) backend(base string, db *fingerprint.DB, spec BackendSpec, build func(BackendSpec, *fingerprint.DB) (fingerprint.Searcher, error)) (fingerprint.Searcher, indexOrigin, error) {
-	origin := indexOrigin{kind: spec.Kind()}
-	keep, ok := keepIndex(base, spec)
+// backend builds the deployment's backend over db. When it trains and
+// base names a place (keepBase), the file kept there is loaded over db
+// with index.Load; when it is refused the index is trained and written
+// there before a log replays, so the file holds exactly db's entries.
+func (d Deployment) backend(base string, db *fingerprint.DB) (fingerprint.Searcher, indexOrigin, error) {
+	origin := indexOrigin{kind: d.Backend.kind()}
+	keep, ok := keepIndex(base, d.Backend)
 	if ok {
 		sr, err := loadIndexFile(keep.file, db)
 		if err == nil && sr.Kind() != keep.kind {
@@ -159,12 +145,11 @@ func (d Deployment) backend(base string, db *fingerprint.DB, spec BackendSpec, b
 			d.logf("index: index file %s; training", origin.refused)
 		}
 	}
-	sr, err := build(spec, db)
+	sr, err := d.Backend.build(db)
 	if err != nil {
 		return nil, origin, err
 	}
-	_, trains := training(spec)
-	origin.trained = trains && sr.Kind() == spec.Kind()
+	origin.trained = d.Backend.trains()
 	if ok {
 		d.saveIndex(keep, sr)
 		for _, other := range otherIndexFiles(keep) {
@@ -195,7 +180,7 @@ func SaveIndexFile(path string, sr fingerprint.Searcher) error {
 
 // saveIndex writes sr to keep's file (SaveIndexFile); a failure is
 // logged, never returned — the file is derived state. A backend of
-// another kind (an empty shard's exact fallback) is not the spec's
+// another kind (an empty shard's exact fallback) is not the deployment's
 // index and is not kept.
 func (d Deployment) saveIndex(keep indexKeep, sr fingerprint.Searcher) {
 	if sr.Kind() != keep.kind {

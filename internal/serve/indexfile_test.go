@@ -55,34 +55,25 @@ func otherDB(t *testing.T, dim, n, labels int) *fingerprint.DB {
 func TestDeploymentKeepsTrainedIndex(t *testing.T) {
 	const dim, n, labels = 8, 400, 4
 	db := testDB(t, dim, n, labels)
-	opts := index.IVFOptions{Nlist: 4, Nprobe: 3, Seed: 3}
-	specs := map[string]BackendSpec{
-		"ivf":   IVFSpec{opts},
-		"ivfpq": IVFPQSpec{index.IVFPQOptions{IVFOptions: opts, M: 4}},
+	backends := map[string]BackendConfig{
+		"ivf":   {Kind: "ivf", Nlist: 4, Nprobe: 3, Seed: 3},
+		"ivfpq": {Kind: "ivfpq", Nlist: 4, Nprobe: 3, Seed: 3, M: 4},
 	}
-	for kind, spec := range specs {
+	for kind, backend := range backends {
 		t.Run(kind, func(t *testing.T) {
-			fresh, err := spec.Build(db)
-			if err != nil {
-				t.Fatal(err)
-			}
-			want := savedBytes(t, fresh)
+			want := savedBytes(t, mustBuild(t, backend, db))
 
-			// build builds spec (or another) over db into dir and checks it
-			// serves want; it returns where the index came from.
-			build := func(dir string, spec BackendSpec, over *fingerprint.DB) indexOrigin {
+			// build builds backend (or another) over db into dir and checks
+			// it serves want; it returns where the index came from.
+			build := func(dir string, backend BackendConfig, over *fingerprint.DB) indexOrigin {
 				t.Helper()
-				srv, err := Deployment{Backend: spec, WAL: &WALConfig{Dir: dir, Fsync: "never"}}.Build(over)
+				srv, err := Deployment{Backend: backend, WAL: &WALConfig{Dir: dir, Fsync: "never"}}.Build(over)
 				if err != nil {
 					t.Fatalf("build: %v", err)
 				}
 				defer srv.Close()
 				if over == db {
-					fresh, err := spec.Build(db)
-					if err != nil {
-						t.Fatal(err)
-					}
-					if !bytes.Equal(savedBytes(t, srv.Service().Searcher()), savedBytes(t, fresh)) {
+					if !bytes.Equal(savedBytes(t, srv.Service().Searcher()), savedBytes(t, mustBuild(t, backend, db))) {
 						t.Fatalf("served index is not a fresh training's (%s)", srv.IndexOrigin())
 					}
 				}
@@ -90,10 +81,10 @@ func TestDeploymentKeepsTrainedIndex(t *testing.T) {
 			}
 
 			dir := t.TempDir()
-			if o := build(dir, spec, db); !o.trained || o.refused != "" {
+			if o := build(dir, backend, db); !o.trained || o.refused != "" {
 				t.Fatalf("first build: %+v, want trained", o)
 			}
-			k, _ := keepIndex(keepBase(dir, ""), spec)
+			k, _ := keepIndex(keepBase(dir, ""), backend)
 			if got, err := os.ReadFile(k.file); err != nil || !bytes.Equal(got, want) {
 				t.Fatalf("kept file is not the trained index's Save bytes (err %v)", err)
 			}
@@ -101,29 +92,23 @@ func TestDeploymentKeepsTrainedIndex(t *testing.T) {
 			if err != nil {
 				t.Fatal(err)
 			}
-			if o := build(dir, spec, db); o.loaded != k.file {
+			if o := build(dir, backend, db); o.loaded != k.file {
 				t.Fatalf("second build: %+v, want loaded from %s", o, k.file)
 			}
 			if after, err := os.Stat(k.file); err != nil || !os.SameFile(before, after) {
 				t.Fatalf("a load rewrote the index file (err %v)", err)
 			}
 
-			other := map[string]BackendSpec{"ivf": specs["ivfpq"], "ivfpq": specs["ivf"]}[kind]
-			knobs := []BackendSpec{}
-			switch s := spec.(type) {
-			case IVFSpec:
-				seed, nlist, nprobe := s, s, s
-				seed.Seed++
-				nlist.Nlist++
-				nprobe.Nprobe = 0
-				knobs = append(knobs, seed, nlist, nprobe)
-			case IVFPQSpec:
-				seed, nlist, nprobe, m := s, s, s, s
-				seed.Seed++
-				nlist.Nlist++
-				nprobe.Nprobe = 0
+			other := map[string]BackendConfig{"ivf": backends["ivfpq"], "ivfpq": backends["ivf"]}[kind]
+			seed, nlist, nprobe := backend, backend, backend
+			seed.Seed++
+			nlist.Nlist++
+			nprobe.Nprobe = 0
+			knobs := []BackendConfig{seed, nlist, nprobe}
+			if kind == "ivfpq" {
+				m := backend
 				m.M = 2
-				knobs = append(knobs, seed, nlist, nprobe, m)
+				knobs = append(knobs, m)
 			}
 			type refusal struct {
 				name    string
@@ -144,7 +129,7 @@ func TestDeploymentKeepsTrainedIndex(t *testing.T) {
 					writeFile(t, filepath.Join(dir, filepath.Base(k.file)+".tmp"), want[:len(want)/2])
 				}, ""},
 				{"another database", func(t *testing.T, dir string) {
-					build(dir, spec, otherDB(t, dim, n, labels))
+					build(dir, backend, otherDB(t, dim, n, labels))
 				}, "not the database's index"},
 				{"the other kind", func(t *testing.T, dir string) { build(dir, other, db) }, "other knobs"},
 			}
@@ -155,7 +140,7 @@ func TestDeploymentKeepsTrainedIndex(t *testing.T) {
 				t.Run(c.name, func(t *testing.T) {
 					dir := t.TempDir()
 					c.setup(t, dir)
-					o := build(dir, spec, db)
+					o := build(dir, backend, db)
 					switch {
 					case !o.trained || o.loaded != "":
 						t.Fatalf("%+v: want trained", o)
@@ -164,7 +149,7 @@ func TestDeploymentKeepsTrainedIndex(t *testing.T) {
 					case !strings.Contains(o.refused, c.refused):
 						t.Fatalf("refused %q, want it to say %q", o.refused, c.refused)
 					}
-					k, _ := keepIndex(keepBase(dir, ""), spec)
+					k, _ := keepIndex(keepBase(dir, ""), backend)
 					if got, err := os.ReadFile(k.file); err != nil || !bytes.Equal(got, want) {
 						t.Fatalf("index file not overwritten with the trained index (err %v)", err)
 					}
@@ -208,14 +193,13 @@ func writeFile(t *testing.T, path string, b []byte) {
 // next snapshot — or, when entries were appended to it since, the file
 // is dropped and the restart trains, as it would without a file.
 func TestDeploymentSnapshotKeepsIndex(t *testing.T) {
-	opts := index.IVFOptions{Nlist: 4, Seed: 5}
-	for _, spec := range []BackendSpec{IVFSpec{opts}, IVFPQSpec{index.IVFPQOptions{IVFOptions: opts, M: 4}}} {
-		t.Run(spec.Kind(), func(t *testing.T) {
+	for _, backend := range []BackendConfig{{Kind: "ivf", Nlist: 4, Seed: 5}, {Kind: "ivfpq", Nlist: 4, Seed: 5, M: 4}} {
+		t.Run(backend.Kind, func(t *testing.T) {
 			dir := t.TempDir()
 			dbPath := filepath.Join(dir, "linkage.db")
 			threshold := 0.3
-			dep := Deployment{Backend: spec, WAL: &WALConfig{Dir: filepath.Join(dir, "wal"), Fsync: "never", DriftThreshold: &threshold}}
-			keep, _ := keepIndex(keepBase(dep.WAL.Dir, ""), spec)
+			dep := Deployment{Backend: backend, WAL: &WALConfig{Dir: filepath.Join(dir, "wal"), Fsync: "never", DriftThreshold: &threshold}}
+			keep, _ := keepIndex(keepBase(dep.WAL.Dir, ""), backend)
 			extra := otherDB(t, 8, 600, 4) // label 3 is one the trained index never saw
 			next := 0
 			ingest := func(srv *Server, n int) {
@@ -260,11 +244,7 @@ func TestDeploymentSnapshotKeepsIndex(t *testing.T) {
 					t.Fatal(err)
 				}
 				if !wantLoaded {
-					fresh, err := spec.Build(db)
-					if err != nil {
-						t.Fatal(err)
-					}
-					want, drift = savedBytes(t, fresh), 0
+					want, drift = savedBytes(t, mustBuild(t, backend, db)), 0
 				}
 				srv, err = dep.Build(db)
 				if err != nil {
@@ -323,7 +303,7 @@ func TestDeploymentSnapshotKeepsIndex(t *testing.T) {
 func TestDeploymentShardedKeepsIndexPerReplica(t *testing.T) {
 	walDir := t.TempDir()
 	dep := Deployment{
-		Backend:          IVFSpec{index.IVFOptions{Nlist: 2, Seed: 9}},
+		Backend:          BackendConfig{Kind: "ivf", Nlist: 2, Seed: 9},
 		Shards:           2,
 		ReplicasPerShard: 2,
 		WAL:              &WALConfig{Dir: walDir, Fsync: "never"},
@@ -352,9 +332,9 @@ func TestDeploymentShardedKeepsIndexPerReplica(t *testing.T) {
 // training, never a Build.
 func TestDeploymentKeepsIndexBesideDB(t *testing.T) {
 	db := testDB(t, 8, 400, 4)
-	spec := IVFSpec{index.IVFOptions{Nlist: 4, Seed: 3}}
+	backend := BackendConfig{Kind: "ivf", Nlist: 4, Seed: 3}
 	dbPath := filepath.Join(t.TempDir(), "shard-000.db")
-	kept, ok := KeptIndexFile(dbPath, spec)
+	kept, ok := KeptIndexFile(dbPath, backend)
 	if !ok || filepath.Dir(kept) != filepath.Dir(dbPath) || !strings.HasPrefix(filepath.Base(kept), "shard-000.db.index-ivf-") {
 		t.Fatalf("KeptIndexFile = %q, %v", kept, ok)
 	}
@@ -371,24 +351,24 @@ func TestDeploymentKeepsIndexBesideDB(t *testing.T) {
 		return srv.IndexOrigin()
 	}
 	for _, want := range []string{"trained ivf index", "loaded ivf index from " + kept} {
-		if got := build(Deployment{Backend: spec}); got != want {
+		if got := build(Deployment{Backend: backend}); got != want {
 			t.Fatalf("origin %q, want %q", got, want)
 		}
 	}
-	if got, err := os.ReadFile(kept); err != nil || !bytes.Equal(got, savedBytes(t, mustBuild(t, spec, db))) {
+	if got, err := os.ReadFile(kept); err != nil || !bytes.Equal(got, savedBytes(t, mustBuild(t, backend, db))) {
 		t.Fatalf("kept file is not the training's Save bytes (err %v)", err)
 	}
-	if got := build(Deployment{Backend: spec, VolatileWrites: true}); got != "loaded ivf index from "+kept {
+	if got := build(Deployment{Backend: backend, VolatileWrites: true}); got != "loaded ivf index from "+kept {
 		t.Fatalf("volatile writes: origin %q", got)
 	}
 
 	if err := os.Remove(kept); err != nil {
 		t.Fatal(err)
 	}
-	for _, d := range []Deployment{{Backend: FlatSpec{}}, {Backend: spec, Shards: 2}} {
+	for _, d := range []Deployment{{Backend: BackendConfig{Kind: "flat"}}, {Backend: backend, Shards: 2}} {
 		build(d)
 		if files, _ := filepath.Glob(dbPath + ".index-*"); len(files) > 0 {
-			t.Fatalf("%d shards of %s kept %v", d.Shards, d.Backend.Kind(), files)
+			t.Fatalf("%d shards of %s kept %v", d.Shards, d.Backend.Kind, files)
 		}
 	}
 
@@ -396,7 +376,7 @@ func TestDeploymentKeepsIndexBesideDB(t *testing.T) {
 		t.Fatal(err)
 	}
 	for range 2 {
-		if got := build(Deployment{Backend: spec}); got != "trained ivf index" {
+		if got := build(Deployment{Backend: backend}); got != "trained ivf index" {
 			t.Fatalf("origin %q with an unwritable place, want a training", got)
 		}
 	}
@@ -405,10 +385,10 @@ func TestDeploymentKeepsIndexBesideDB(t *testing.T) {
 	}
 }
 
-// mustBuild is spec built over db.
-func mustBuild(t *testing.T, spec BackendSpec, db *fingerprint.DB) fingerprint.Searcher {
+// mustBuild is b built over db.
+func mustBuild(t *testing.T, b BackendConfig, db *fingerprint.DB) fingerprint.Searcher {
 	t.Helper()
-	sr, err := spec.Build(db)
+	sr, err := b.build(db)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -422,12 +402,12 @@ func mustBuild(t *testing.T, spec BackendSpec, db *fingerprint.DB) fingerprint.S
 // nor removed, and still loads.
 func TestDeploymentColocatedDBsKeepTheirOwnIndex(t *testing.T) {
 	dir := t.TempDir()
-	spec, other := IVFSpec{index.IVFOptions{Nlist: 4, Seed: 3}}, IVFSpec{index.IVFOptions{Nlist: 2, Seed: 3}}
+	backend, other := BackendConfig{Kind: "ivf", Nlist: 4, Seed: 3}, BackendConfig{Kind: "ivf", Nlist: 2, Seed: 3}
 	paths := []string{filepath.Join(dir, "shard-000.db"), filepath.Join(dir, "shard-001.db")}
 	dbs := []*fingerprint.DB{testDB(t, 8, 400, 4), otherDB(t, 8, 300, 3)}
-	build := func(i int, spec BackendSpec) indexOrigin {
+	build := func(i int, backend BackendConfig) indexOrigin {
 		t.Helper()
-		srv, err := Deployment{Backend: spec, DBFile: paths[i]}.Build(dbs[i])
+		srv, err := Deployment{Backend: backend, DBFile: paths[i]}.Build(dbs[i])
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -436,13 +416,13 @@ func TestDeploymentColocatedDBsKeepTheirOwnIndex(t *testing.T) {
 	}
 	kept := make([]string, 2)
 	for i := range paths {
-		kept[i], _ = KeptIndexFile(paths[i], spec)
-		if o := build(i, spec); !o.trained || o.refused != "" {
+		kept[i], _ = KeptIndexFile(paths[i], backend)
+		if o := build(i, backend); !o.trained || o.refused != "" {
 			t.Fatalf("db %d first build: %+v, want a plain training", i, o)
 		}
 	}
 	for i := range paths {
-		if o := build(i, spec); o.loaded != kept[i] {
+		if o := build(i, backend); o.loaded != kept[i] {
 			t.Fatalf("db %d restart: %+v, want loaded from %s", i, o, kept[i])
 		}
 	}
@@ -459,7 +439,31 @@ func TestDeploymentColocatedDBsKeepTheirOwnIndex(t *testing.T) {
 	if after, err := os.Stat(kept[1]); err != nil || !os.SameFile(before, after) {
 		t.Fatalf("db 0's restart touched db 1's file (err %v)", err)
 	}
-	if o := build(1, spec); o.loaded != kept[1] {
+	if o := build(1, backend); o.loaded != kept[1] {
 		t.Fatalf("db 1 after db 0's restart: %+v, want loaded from %s", o, kept[1])
+	}
+}
+
+// TestKeptIndexFileNames: the name a training is kept under is part of
+// the on-disk contract — a file an operator's daemon kept must still be
+// found after an upgrade — so the digest of each knob set is pinned.
+func TestKeptIndexFileNames(t *testing.T) {
+	for _, c := range []struct {
+		backend BackendConfig
+		want    string
+	}{
+		{BackendConfig{Kind: "ivf", Seed: 42}, "shard-000.db.index-ivf-6b0755fc21c1e83a.ctix"},
+		{BackendConfig{Kind: "ivfpq", Seed: 42}, "shard-000.db.index-ivfpq-9d846285f8d131e0.ctix"},
+		{BackendConfig{Kind: "ivf", Nlist: 4, Nprobe: 2, Iters: 5, Seed: 7}, "shard-000.db.index-ivf-f730a9feab656328.ctix"},
+		{BackendConfig{Kind: "ivfpq", Nlist: 4, Nprobe: 2, Seed: 7, M: 8}, "shard-000.db.index-ivfpq-3ec45a6f7c824263.ctix"},
+	} {
+		if got, ok := KeptIndexFile("shard-000.db", c.backend); !ok || got != c.want {
+			t.Errorf("%+v keeps %q (%v), want %q", c.backend, got, ok, c.want)
+		}
+	}
+	for _, b := range []BackendConfig{{}, {Kind: "flat"}, {Kind: "linear"}, {Kind: "annoy"}} {
+		if got, ok := KeptIndexFile("shard-000.db", b); ok {
+			t.Errorf("%q keeps %q, want nothing: it does not train", b.Kind, got)
+		}
 	}
 }

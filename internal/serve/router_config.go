@@ -160,9 +160,8 @@ func (c Config) RouterPlan(logger *slog.Logger) (*RouterPlan, error) {
 // limits block, enforced at the router's door. max_k has no router
 // enforcement point (k is bounded by the shard daemons), so writing it
 // in a topology config is rejected rather than silently ignored.
-func (l LimitsConfig) routerOptions() ([]shard.RouterOption, error) {
-	buckets, err := l.bounds()
-	if err != nil {
+func (l *LimitsConfig) routerOptions() ([]shard.RouterOption, error) {
+	if err := l.validate(); err != nil {
 		return nil, err
 	}
 	if l.MaxK != 0 {
@@ -175,8 +174,8 @@ func (l LimitsConfig) routerOptions() ([]shard.RouterOption, error) {
 	if l.MaxBatch > 0 {
 		opts = append(opts, shard.WithRouterMaxBatch(l.MaxBatch))
 	}
-	if buckets != nil {
-		opts = append(opts, shard.WithRouterLatencyBuckets(buckets))
+	if b := l.bucketsUS(); b != nil {
+		opts = append(opts, shard.WithRouterLatencyBuckets(b))
 	}
 	return opts, nil
 }

@@ -1,10 +1,8 @@
 package serve
 
 import (
-	"bytes"
 	"math/rand/v2"
 	"net/http/httptest"
-	"reflect"
 	"testing"
 
 	"caltrain/internal/fingerprint"
@@ -31,112 +29,61 @@ func testDB(t testing.TB, dim, n, labels int) *fingerprint.DB {
 	return db
 }
 
+// TestParseBackend: each wire name resolves to the backend it names,
+// "" to flat, and a kind that names no backend is refused by Build,
+// before anything is built, with the message the daemons print.
 func TestParseBackend(t *testing.T) {
 	cases := []struct {
 		kind string
 		want string
 	}{
 		{"linear", "linear"},
+		{"", "flat"},
 		{"flat", "flat"},
 		{"ivf", "ivf"},
 		{"ivfpq", "ivfpq"},
 	}
 	for _, c := range cases {
-		spec, err := ParseBackend(c.kind, index.IVFPQOptions{})
-		if err != nil {
-			t.Fatalf("%s: %v", c.kind, err)
+		b := BackendConfig{Kind: c.kind}
+		if err := b.validate(); err != nil {
+			t.Fatalf("%q: %v", c.kind, err)
 		}
-		if spec.Kind() != c.want {
-			t.Fatalf("%s: kind %s", c.kind, spec.Kind())
+		if b.kind() != c.want {
+			t.Fatalf("%q: kind %s, want %s", c.kind, b.kind(), c.want)
 		}
 	}
-	if _, err := ParseBackend("annoy", index.IVFPQOptions{}); err == nil {
-		t.Fatal("unknown backend kind accepted")
+	_, err := Deployment{Backend: BackendConfig{Kind: "annoy"}}.Build(testDB(t, 8, 20, 2))
+	if err == nil || err.Error() != `serve: unknown backend kind "annoy" (want linear, flat, ivf, or ivfpq)` {
+		t.Fatalf("unknown backend kind: %v", err)
 	}
 }
 
+// TestSpecBuildKinds: each kind builds the backend it names over the
+// whole database. The linear scan serves the live database itself;
+// only the trained kinds supply a retrain hook.
 func TestSpecBuildKinds(t *testing.T) {
 	db := testDB(t, 8, 200, 4)
-	for _, spec := range []BackendSpec{
-		LinearSpec{},
-		FlatSpec{},
-		IVFSpec{index.IVFOptions{Nlist: 2, Nprobe: 2, Seed: 3}},
-		IVFPQSpec{index.IVFPQOptions{IVFOptions: index.IVFOptions{Nlist: 2, Nprobe: 2, Seed: 3}, M: 4}},
+	for _, b := range []BackendConfig{
+		{Kind: "linear"},
+		{},
+		{Kind: "flat"},
+		{Kind: "ivf", Nlist: 2, Nprobe: 2, Seed: 3},
+		{Kind: "ivfpq", Nlist: 2, Nprobe: 2, Seed: 3, M: 4},
 	} {
-		sr, err := spec.Build(db)
+		srv, err := Deployment{Backend: b}.Build(db)
 		if err != nil {
-			t.Fatalf("%s build: %v", spec.Kind(), err)
+			t.Fatalf("%q build: %v", b.Kind, err)
 		}
-		if sr.Kind() != spec.Kind() {
-			t.Fatalf("spec %s built a %s backend", spec.Kind(), sr.Kind())
+		sr := srv.Service().Searcher()
+		if sr.Kind() != b.kind() || sr.Len() != db.Len() {
+			t.Fatalf("%q built a %s backend of %d entries, want %s of %d", b.Kind, sr.Kind(), sr.Len(), b.kind(), db.Len())
 		}
-		if sr.Len() != db.Len() {
-			t.Fatalf("%s: %d entries, want %d", spec.Kind(), sr.Len(), db.Len())
+		if hook := b.rebuild() != nil; hook != b.trains() || b.trains() != (b.Kind == "ivf" || b.Kind == "ivfpq") {
+			t.Fatalf("%q: retrain hook %v, trains %v", b.Kind, hook, b.trains())
 		}
 	}
-	// LinearSpec serves the live database itself; FlatSpec a snapshot;
-	// IVFSpec supplies a retrain hook, the exact specs none.
-	if sr, _ := (LinearSpec{}).Build(db); sr.(*fingerprint.DB) != db {
-		t.Fatal("linear spec did not serve the database itself")
-	}
-	if (LinearSpec{}).Rebuild() != nil || (FlatSpec{}).Rebuild() != nil {
-		t.Fatal("exact specs should not retrain")
-	}
-	if (IVFSpec{}).Rebuild() == nil {
-		t.Fatal("IVFSpec must supply a rebuild hook")
-	}
-	if (IVFPQSpec{}).Rebuild() == nil {
-		t.Fatal("ivf spec has no retrain hook")
-	}
-}
-
-func TestPrebuiltSpec(t *testing.T) {
-	db := testDB(t, 8, 50, 2)
-	flat := index.NewFlat(db)
-	spec := PrebuiltSpec{Searcher: flat}
-	if spec.Kind() != "flat" {
-		t.Fatalf("prebuilt kind %s", spec.Kind())
-	}
-	sr, err := spec.Build(db)
-	if err != nil || sr != fingerprint.Searcher(flat) {
-		t.Fatalf("prebuilt build: %v %v", sr, err)
-	}
-	if _, err := (Deployment{Backend: spec, Shards: 2}).Build(db); err == nil {
-		t.Fatal("sharded prebuilt backend accepted")
-	}
-
-	// An IVFPQ index loaded over the database answers with exact
-	// distances like the index it was saved from; Build attaches it to
-	// the database it serves, and fails for a database that is not the
-	// indexed one.
-	trained, err := index.TrainIVFPQ(db, index.IVFPQOptions{IVFOptions: index.IVFOptions{Nlist: 2, Nprobe: 2, Seed: 3}, M: 4})
-	if err != nil {
-		t.Fatal(err)
-	}
-	var saved bytes.Buffer
-	if err := index.Save(&saved, trained); err != nil {
-		t.Fatal(err)
-	}
-	q := db.Entry(7).F
-	want, _ := trained.Search(q, db.Entry(7).Y, 5)
-	for _, c := range []struct {
-		db *fingerprint.DB
-		ok bool
-	}{{testDB(t, 8, 50, 5), false}, {db, true}} {
-		loaded, err := index.Load(bytes.NewReader(saved.Bytes()), db)
-		if err != nil {
-			t.Fatal(err)
-		}
-		sr, err := PrebuiltSpec{Searcher: loaded}.Build(c.db)
-		if (err == nil) != c.ok {
-			t.Fatalf("prebuilt ivfpq over a %d-label database: %v", len(c.db.Labels()), err)
-		}
-		if !c.ok {
-			continue
-		}
-		if got, _ := sr.Search(q, db.Entry(7).Y, 5); !reflect.DeepEqual(got, want) || got[0].Distance != 0 {
-			t.Fatalf("prebuilt ivfpq after Build: %+v, want the trained index's %+v", got, want)
-		}
+	if sr, _ := (BackendConfig{Kind: "linear"}).build(db); sr.(*fingerprint.DB) != db {
+		t.Fatal("linear did not serve the database itself")
 	}
 }
 
@@ -174,27 +121,27 @@ func TestDeploymentSingleReadOnly(t *testing.T) {
 // TestDeploymentSingleVolatileWrites: VolatileWrites enables a
 // non-durable write path on every backend that can append.
 func TestDeploymentSingleVolatileWrites(t *testing.T) {
-	for _, spec := range []BackendSpec{LinearSpec{}, FlatSpec{}, IVFSpec{index.IVFOptions{Nlist: 2, Nprobe: 2, Seed: 5}}} {
+	for _, b := range []BackendConfig{{Kind: "linear"}, {Kind: "flat"}, {Kind: "ivf", Nlist: 2, Nprobe: 2, Seed: 5}} {
 		db := testDB(t, 8, 120, 3)
-		srv, err := Deployment{Backend: spec, VolatileWrites: true}.Build(db)
+		srv, err := Deployment{Backend: b, VolatileWrites: true}.Build(db)
 		if err != nil {
-			t.Fatalf("%s: %v", spec.Kind(), err)
+			t.Fatalf("%s: %v", b.Kind, err)
 		}
 		hs := httptest.NewServer(srv.Handler())
 		client := fingerprint.NewClient(hs.URL, hs.Client())
 		meta, err := client.Meta()
 		if err != nil || !meta.Capabilities.Ingest {
-			t.Fatalf("%s meta: %+v %v", spec.Kind(), meta, err)
+			t.Fatalf("%s meta: %+v %v", b.Kind, meta, err)
 		}
 		f := make([]float32, 8)
 		f[0] = 42 // far from the seed cloud
 		resp, err := client.Ingest([]fingerprint.IngestEntry{{Fingerprint: f, Label: 1, Source: "new"}})
 		if err != nil || resp.Accepted != 1 {
-			t.Fatalf("%s ingest: %+v %v", spec.Kind(), resp, err)
+			t.Fatalf("%s ingest: %+v %v", b.Kind, resp, err)
 		}
 		q, err := client.Query(fingerprint.Fingerprint(f), 1, 1)
 		if err != nil || len(q.Matches) != 1 || q.Matches[0].Source != "new" {
-			t.Fatalf("%s: ingested entry not served: %+v %v", spec.Kind(), q, err)
+			t.Fatalf("%s: ingested entry not served: %+v %v", b.Kind, q, err)
 		}
 		// All-or-nothing validation: a bad entry anywhere rejects the batch.
 		bad := []fingerprint.IngestEntry{
@@ -203,10 +150,10 @@ func TestDeploymentSingleVolatileWrites(t *testing.T) {
 		}
 		before := srv.Service().Searcher().Len()
 		if _, err := client.Ingest(bad); err == nil {
-			t.Fatalf("%s: mixed-dimension batch accepted", spec.Kind())
+			t.Fatalf("%s: mixed-dimension batch accepted", b.Kind)
 		}
 		if got := srv.Service().Searcher().Len(); got != before {
-			t.Fatalf("%s: rejected batch half-applied: %d → %d", spec.Kind(), before, got)
+			t.Fatalf("%s: rejected batch half-applied: %d → %d", b.Kind, before, got)
 		}
 		hs.Close()
 	}
@@ -215,16 +162,19 @@ func TestDeploymentSingleVolatileWrites(t *testing.T) {
 // TestDeploymentVolatileRetrains: a volatile write path is the durable
 // one without a log, so an IVF deployment ingesting past the drift
 // threshold retrains and hot-swaps its backend instead of losing recall
-// without bound — and Close waits for the swap. Nothing is exposed to
-// snapshot.
+// without bound — and Close waits for the swap, whose duration
+// LastRetrain reports. Nothing is exposed to snapshot.
 func TestDeploymentVolatileRetrains(t *testing.T) {
 	db := testDB(t, 8, 300, 3)
-	srv, err := Deployment{Backend: IVFSpec{index.IVFOptions{Nlist: 4, Nprobe: 1, Seed: 5}}, VolatileWrites: true}.Build(db)
+	srv, err := Deployment{Backend: BackendConfig{Kind: "ivf", Nlist: 4, Nprobe: 1, Seed: 5}, VolatileWrites: true}.Build(db)
 	if err != nil {
 		t.Fatal(err)
 	}
 	if srv.Store() != nil || len(srv.Stores()) != 0 {
 		t.Fatalf("a volatile deployment exposed stores to snapshot: %v", srv.Stores())
+	}
+	if d := srv.LastRetrain(); d != 0 {
+		t.Fatalf("LastRetrain %v before any retrain", d)
 	}
 	before := srv.Service().Searcher()
 	hs := httptest.NewServer(srv.Handler())
@@ -246,6 +196,9 @@ func TestDeploymentVolatileRetrains(t *testing.T) {
 	after := srv.Service().Searcher()
 	if after == before {
 		t.Fatal("no retrained backend swapped in past the drift threshold")
+	}
+	if srv.LastRetrain() <= 0 {
+		t.Fatal("the volatile write path's retrain was not timed")
 	}
 	if d := after.(*index.IVF).Drift(); after.Len() != 420 || d >= ingest.DefaultDriftThreshold {
 		t.Fatalf("swapped backend: %d entries, drift %v; want 420 below %v", after.Len(), d, ingest.DefaultDriftThreshold)
@@ -423,7 +376,7 @@ func TestDeploymentReplicasPerShard(t *testing.T) {
 func TestDeploymentIVFEmptyShardFallsBackToFlat(t *testing.T) {
 	db := testDB(t, 8, 120, 1) // one label: most shards empty
 	srv, err := Deployment{
-		Backend:        IVFSpec{index.IVFOptions{Nlist: 2, Nprobe: 2, Seed: 9}},
+		Backend:        BackendConfig{Kind: "ivf", Nlist: 2, Nprobe: 2, Seed: 9},
 		Shards:         4,
 		VolatileWrites: true,
 	}.Build(db)

@@ -97,13 +97,12 @@ func TestRepositoryInvariants(t *testing.T) {
 				"Session.TrainEpoch", "Session.WarmStart",
 			},
 			"a type in a kept signature or field": {
-				"BackendSpec", "DeploymentServer", "FlatIndex", "IngestStore", "IVFOptions",
-				"IVFPQOptions", "QueryService", "Searcher", "ServiceOption", "ShardMap",
-				"ShardRouter", "ShardRouterOption", "TraceConfig", "WALOptions", "WALSyncPolicy",
+				"DeploymentServer", "FlatIndex", "IngestStore", "LimitsConfig", "QueryService",
+				"Searcher", "ShardMap", "ShardRouter", "ShardRouterOption", "TraceConfig",
+				"WALOptions", "WALSyncPolicy",
 			},
 			"a value a kept field documents": {
-				"IVFPQSpec", "LinearSpec", "PrebuiltSpec", "WALSyncAlways", "WALSyncInterval",
-				"WALSyncNever", "WithLatencyBuckets", "WithMaxBatch", "WithMaxBodyBytes", "WithMaxK",
+				"WALSyncAlways", "WALSyncInterval", "WALSyncNever",
 			},
 			"an error or code a kept function returns": {
 				"APIError", "ErrorCodeOf", "ErrCorrupt", "ErrVersionMismatch",
@@ -144,6 +143,21 @@ func TestRepositoryInvariants(t *testing.T) {
 			if !api[name] {
 				t.Errorf("the keep list names %s, which the API no longer has", name)
 			}
+		}
+	})
+
+	t.Run("one backend type", func(t *testing.T) {
+		// serve.BackendConfig is the backend: the -backend flag, the
+		// backend block of a file and a Deployment's field are one value,
+		// and its methods are the one switch on its kind. A spec type, a
+		// name-to-spec parser, a prebuilt wrapper or an Unwrap to see
+		// through a wrapped backend is a second backend type.
+		files := sources(t, nonTestGo, "internal", "cmd")
+		if hits := grep(t, `BackendSpec|ParseBackend|PrebuiltSpec|Unwrap\(\) \*?(\w+\.)?(BackendConfig|Searcher)\b`, files); len(hits) > 0 {
+			t.Errorf("a second backend type: %v", where(hits))
+		}
+		if hits := grep(t, `case "ivfpq"`, files); len(hits) != 1 || hits["internal/serve/config.go"] != 1 {
+			t.Errorf(`case "ivfpq" must appear once, in internal/serve/config.go: %v`, where(hits))
 		}
 	})
 

@@ -123,8 +123,8 @@ func TestSessionEndToEnd(t *testing.T) {
 
 	// The same session serves through an IVF backend with limits.
 	srv2 := serve(Deployment{
-		Backend: IVFSpec{IVFOptions: IVFOptions{Nlist: 4, Nprobe: 4, Seed: 9}},
-		Limits:  []ServiceOption{WithMaxK(16)},
+		Backend: BackendConfig{Kind: "ivf", Nlist: 4, Nprobe: 4, Seed: 9},
+		Limits:  &LimitsConfig{MaxK: 16},
 	})
 	defer srv2.Close()
 	client := NewQueryClient(srv2.URL)

@@ -86,20 +86,13 @@ type (
 type (
 	// Searcher is a pluggable nearest-neighbour backend for the query
 	// service: the LinkageDB itself (exact linear scan), a FlatIndex, or
-	// the index a BackendSpec builds.
+	// the index a Deployment's BackendConfig builds.
 	Searcher = fingerprint.Searcher
 	// FlatIndex is the exact heap-select index backend.
 	FlatIndex = index.Flat
-	// IVFOptions tunes IVF training and search.
-	IVFOptions = index.IVFOptions
-	// IVFPQOptions tunes IVFPQ training and search (IVFOptions plus the
-	// subquantizer count M).
-	IVFPQOptions = index.IVFPQOptions
 	// QueryService is the HTTP accountability query service (hot-swappable
 	// backend, batch queries, stats, graceful Serve).
 	QueryService = fingerprint.Service
-	// ServiceOption bounds query service request sizes.
-	ServiceOption = fingerprint.ServiceOption
 	// QueryRequest is one query of a QueryClient batch.
 	QueryRequest = fingerprint.QueryRequest
 )
@@ -108,21 +101,14 @@ type (
 // complete topology — backend, sharding, durability, limits — and the
 // daemons and your own code build through it.
 type (
-	// BackendSpec declaratively selects and tunes an index backend; a
-	// new backend implements this and plugs into every serving entry
-	// point with zero facade changes.
-	BackendSpec = serve.BackendSpec
-	// LinearSpec is the reference linear scan over the live database.
-	LinearSpec = serve.LinearSpec
-	// FlatSpec is the exact Flat index snapshot (the default backend).
-	FlatSpec = serve.FlatSpec
-	// IVFSpec is the approximate IVF index with its training options.
-	IVFSpec = serve.IVFSpec
-	// IVFPQSpec is the product-quantized IVF index with its training
-	// options (~4·dim/M times smaller in memory than IVF/Flat).
-	IVFPQSpec = serve.IVFPQSpec
-	// PrebuiltSpec serves an already-built (e.g. loaded) backend.
-	PrebuiltSpec = serve.PrebuiltSpec
+	// BackendConfig selects and tunes a Deployment's index backend: Kind
+	// "linear" (reference scan), "flat" (exact; the zero value), "ivf" or
+	// "ivfpq" (approximate, trained with Nlist, Nprobe, Iters, Seed, and
+	// for ivfpq M) — the backend block of a -deployment file.
+	BackendConfig = serve.BackendConfig
+	// LimitsConfig bounds a Deployment's request sizes and sets its
+	// latency histogram — the limits block of a -deployment file.
+	LimitsConfig = serve.LimitsConfig
 	// Deployment declares a serving topology over one linkage database:
 	// backend, shards, replicas, durability, limits. Build assembles it;
 	// a Session's database is Session.DB once Fingerprint has run.
@@ -256,20 +242,6 @@ func OpenIngestStore(dir string, db *LinkageDB, s Searcher, opts IngestOptions) 
 // NewFlatIndex builds an exact Flat index from a snapshot of db.
 func NewFlatIndex(db *LinkageDB) *FlatIndex { return index.NewFlat(db) }
 
-// Query service limits, forwarded from internal/fingerprint.
-var (
-	// WithMaxBodyBytes bounds the accepted request body size.
-	WithMaxBodyBytes = fingerprint.WithMaxBodyBytes
-	// WithMaxK bounds the per-query neighbour count.
-	WithMaxK = fingerprint.WithMaxK
-	// WithMaxBatch bounds the number of queries per batch request.
-	WithMaxBatch = fingerprint.WithMaxBatch
-	// WithLatencyBuckets replaces the /stats latency histogram bucket
-	// bounds (microseconds) — pass network-scale bounds when the service
-	// fronts remote callers.
-	WithLatencyBuckets = fingerprint.WithLatencyBuckets
-)
-
 // Distributed accountability serving types (internal/shard): one linkage
 // database label-sharded across daemons behind a scatter-gather router.
 type (
@@ -376,10 +348,11 @@ func LoadLinkageDB(r io.Reader) (*LinkageDB, error) { return fingerprint.LoadDB(
 
 // NewLinearQueryService returns the accountability query service over a
 // linkage database with the reference linear scan backend — the
-// zero-setup serving path. Production deployments pick an index via
-// Deployment{Backend: ...}.Build.
-func NewLinearQueryService(db *LinkageDB, opts ...ServiceOption) *QueryService {
-	return fingerprint.NewSearcherService(db, opts...)
+// zero-setup serving path, with the default limits. Production
+// deployments pick an index and limits via Deployment{Backend: ...,
+// Limits: ...}.Build.
+func NewLinearQueryService(db *LinkageDB) *QueryService {
+	return fingerprint.NewSearcherService(db)
 }
 
 // QueryClient queries a remote accountability service. It also carries
