@@ -49,8 +49,8 @@
 // describes both halves of a deployment — reachable two ways: its flag,
 // or its field in a -deployment config.json. The flags are an overlay on
 // serve.Config — each binds straight into the field beside it in the
-// table — so flags and file meet in one value, take the same path
-// (Config.RouterPlan → serve.NewRouter) and the same validation: a
+// table — so flags and file meet in one value, take caltrain-serve's
+// path (Config.Deployment → Deployment.Build) and the same validation: a
 // negative bound is rejected at startup, 0 means the default, unknown
 // file fields are rejected. A -deployment file declares the whole
 // topology, so every flag of this table conflicts with it.
@@ -131,8 +131,8 @@ func main() {
 // shardFlag accumulates repeated -shard ID=addr,addr flags straight
 // into the topology.shards map of the config. Only what a map cannot
 // express is checked here (a repeated ID); IDs and addresses are
-// validated, trimmed and scheme-defaulted by serve.Config.RouterPlan,
-// for flags and config files alike.
+// validated, trimmed and scheme-defaulted by the Deployment, for flags
+// and config files alike.
 type shardFlag map[string][]string
 
 func (s *shardFlag) String() string { return fmt.Sprint(map[string][]string(*s)) }
@@ -222,13 +222,20 @@ func run(parent context.Context, args []string, out io.Writer) error {
 	if err != nil {
 		return err
 	}
-	// Request, slow-query and repair logs go to stderr, keeping stdout for
-	// the daemon's own startup lines.
-	plan, err := cfg.RouterPlan(slog.New(slog.NewTextHandler(os.Stderr, nil)))
+	if cfg.Topology == nil {
+		return fmt.Errorf("serve: config has no topology block; a router deployment declares topology.map and topology.shards")
+	}
+	dep, err := cfg.Deployment()
 	if err != nil {
 		return err
 	}
-	built, err := serve.NewRouter(plan.Map, plan.Replicas, plan.Options...)
+	// Request, slow-query and repair logs go to stderr, keeping stdout for
+	// the daemon's own startup lines; -debug-addr wins over the config's.
+	dep.Observability.Logger = slog.New(slog.NewTextHandler(os.Stderr, nil))
+	if o.debugAddr != "" {
+		dep.Observability.DebugAddr = o.debugAddr
+	}
+	built, err := dep.Build(nil)
 	if err != nil {
 		return err
 	}
@@ -238,12 +245,8 @@ func run(parent context.Context, args []string, out io.Writer) error {
 
 	ctx, stop := signal.NotifyContext(parent, syscall.SIGINT, syscall.SIGTERM)
 	defer stop()
-	debugAddr := plan.DebugAddr
-	if o.debugAddr != "" {
-		debugAddr = o.debugAddr
-	}
-	if debugAddr != "" {
-		dl, err := serve.ListenDebug(debugAddr, plan.Tracer.Store())
+	if da := dep.Observability.DebugAddr; da != "" {
+		dl, err := serve.ListenDebug(da, built.TraceStore())
 		if err != nil {
 			return err
 		}
@@ -254,8 +257,9 @@ func run(parent context.Context, args []string, out io.Writer) error {
 	if err != nil {
 		return err
 	}
-	fmt.Fprintf(out, "routing accountability queries on %s across %d shards (%s map; POST /v1/query, POST /v1/query/batch, POST /v1/ingest, GET /v1/healthz, GET /v1/stats, GET /v1/meta)\n",
-		l.Addr(), plan.Map.NumShards(), plan.Map.Strategy())
+	// Build found every shard of the map in topology.shards, and no other.
+	fmt.Fprintf(out, "routing accountability queries on %s across %d shards (%s; POST /v1/query, POST /v1/query/batch, POST /v1/ingest, GET /v1/healthz, GET /v1/stats, GET /v1/meta)\n",
+		l.Addr(), len(dep.Topology.Shards), built.IndexOrigin())
 	if err := built.Serve(ctx, l, o.grace); err != nil {
 		return err
 	}

@@ -232,6 +232,10 @@ func TestRouterRejectsBadConfig(t *testing.T) {
 		{"-map", mapPath, "-shard", "0=" + addrs[0], "-shard", "1=" + addrs[1], "-max-batch", "-1"},
 		{"-map", mapPath, "-shard", "0=" + addrs[0], "-shard", "1=" + addrs[1], "-max-body", "-1"},
 		{"-map", mapPath, "-shard", "0=" + addrs[0], "-shard", "1=" + addrs[1], "-response-cache", "-1"},
+		// strconv.ParseFloat reads NaN, which no range check catches.
+		{"-map", mapPath, "-shard", "0=" + addrs[0], "-shard", "1=" + addrs[1], "-trace-sample-rate", "NaN"},
+		// Shard 0 spelled twice: one spelling would never be read.
+		{"-map", mapPath, "-shard", "0=" + addrs[0], "-shard", "00=" + addrs[1], "-shard", "1=" + addrs[1]},
 	} {
 		// The context is already cancelled: a router that accepted the
 		// arguments would start, drain and return nil, not hang the test.
@@ -239,9 +243,18 @@ func TestRouterRejectsBadConfig(t *testing.T) {
 			t.Fatalf("args %v accepted", args)
 		}
 	}
+	// A document without a topology block is a daemon's.
+	doc := filepath.Join(t.TempDir(), "daemon.json")
+	if err := os.WriteFile(doc, []byte(`{"backend": {"kind": "flat"}}`), 0o644); err != nil {
+		t.Fatal(err)
+	}
+	err := run(stopped, []string{"-deployment", doc, "-addr", "127.0.0.1:0"}, &syncBuffer{})
+	if err == nil || err.Error() != "serve: config has no topology block; a router deployment declares topology.map and topology.shards" {
+		t.Fatalf("a daemon config: %v", err)
+	}
 	// 0 is "the default": -timeout 0 must not make every shard call
 	// expire before it is sent.
-	err := run(stopped, []string{"-map", mapPath, "-shard", "0=" + addrs[0], "-shard", "1=" + addrs[1],
+	err = run(stopped, []string{"-map", mapPath, "-shard", "0=" + addrs[0], "-shard", "1=" + addrs[1],
 		"-timeout", "0", "-cooldown", "0", "-max-batch", "0", "-max-body", "0", "-addr", "127.0.0.1:0"}, &syncBuffer{})
 	if err != nil {
 		t.Fatalf("zero-means-default flags: %v", err)
@@ -250,7 +263,7 @@ func TestRouterRejectsBadConfig(t *testing.T) {
 
 // TestFlagConfigParity keeps the flag/file fork closed: a command line
 // binds into exactly the serve.Config its equivalent JSON document
-// parses into, so both reach Config.RouterPlan as the same value. The
+// parses into, so both reach Config.Deployment as the same value. The
 // documents spell out the flag defaults that differ from the file's zero
 // value.
 func TestFlagConfigParity(t *testing.T) {

@@ -227,6 +227,9 @@ func run(parent context.Context, args []string, out io.Writer) error {
 	// hook — assembles from it. The config resolves before the database
 	// loads so a replication peer declared there can bootstrap a missing
 	// -db file.
+	if cfg.Topology != nil {
+		return fmt.Errorf("serve: topology is the router's block (caltrain-router -deployment); a daemon config declares backend/wal/replication")
+	}
 	dep, err := cfg.Deployment()
 	if err != nil {
 		return err

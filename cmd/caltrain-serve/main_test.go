@@ -308,6 +308,8 @@ func TestServeRejectsConflictingFlags(t *testing.T) {
 		{"-wal", wal, "-wal-segment-bytes", "-1"}, {"-wal", wal, "-fsync-every", "-1s"},
 		{"-wal", wal, "-drift-threshold", "0"}, {"-fsync", "never"}, {"-repl"},
 		{"-latency-buckets", "500ns"}, {"-latency-buckets", "500ns,1ms"}, {"-backend", "annoy"},
+		// strconv.ParseFloat reads NaN, which no range check catches.
+		{"-wal", wal, "-drift-threshold", "NaN"}, {"-trace-sample-rate", "NaN"},
 	} {
 		args := append([]string{"-db", dbPath, "-addr", "127.0.0.1:0"}, extra...)
 		if err := run(stopped, args, &syncBuffer{}); err == nil {
@@ -328,6 +330,20 @@ func TestServeRejectsConflictingFlags(t *testing.T) {
 		if err == nil || !strings.Contains(err.Error(), "flag provided but not defined") {
 			t.Fatalf("%s: %v", gone, err)
 		}
+	}
+}
+
+// TestServeRefusesRouterConfig: a document with a topology block is the
+// router's, refused before the daemon loads (or bootstraps) -db.
+func TestServeRefusesRouterConfig(t *testing.T) {
+	doc := filepath.Join(t.TempDir(), "router.json")
+	if err := os.WriteFile(doc, []byte(`{"topology": {"map": "m", "shards": {"0": ["a:1"]}}}`), 0o644); err != nil {
+		t.Fatal(err)
+	}
+	missing := filepath.Join(t.TempDir(), "missing.db")
+	err := run(context.Background(), []string{"-db", missing, "-deployment", doc}, &syncBuffer{})
+	if err == nil || err.Error() != "serve: topology is the router's block (caltrain-router -deployment); a daemon config declares backend/wal/replication" {
+		t.Fatalf("a router config: %v", err)
 	}
 }
 

@@ -50,9 +50,8 @@ type Config struct {
 	// Replication enables the self-healing sync state machine on a
 	// single-service WAL deployment; see ReplicationConfig.
 	Replication *ReplicationConfig `json:"replication,omitempty"`
-	// Topology is the routed-topology block consumed by caltrain-router
-	// -deployment; it conflicts with every daemon-shape field. See
-	// TopologyConfig.
+	// Topology is the routed-topology block caltrain-router serves; it
+	// conflicts with every daemon-shape field. See Deployment.Topology.
 	Topology *TopologyConfig `json:"topology,omitempty"`
 }
 
@@ -207,8 +206,8 @@ type WALConfig struct {
 }
 
 // LimitsConfig bounds request sizes on every query service a Deployment
-// builds, or at the router's door in a topology config. Zero fields keep
-// the defaults.
+// builds and at its router's door, where max_k has no say. Zero fields
+// keep the defaults.
 type LimitsConfig struct {
 	MaxBodyBytes int64 `json:"max_body_bytes,omitempty"`
 	MaxK         int   `json:"max_k,omitempty"`
@@ -342,9 +341,6 @@ func LoadConfig(path string) (Config, error) {
 // Deployment hands every block over as it is to the Deployment it
 // declares and runs the validation Deployment.Build runs on it.
 func (c Config) Deployment() (Deployment, error) {
-	if c.Topology != nil {
-		return Deployment{}, fmt.Errorf("serve: topology is the router's block (caltrain-router -deployment); a daemon config declares backend/wal/replication")
-	}
 	// An absent observability block is the zero block, never nil, so a
 	// daemon fills in the process-local parts (logger, debug address)
 	// without a nil dance — on its own copy, not the config's.
@@ -361,6 +357,7 @@ func (c Config) Deployment() (Deployment, error) {
 		Limits:           c.Limits,
 		Observability:    &o,
 		Replication:      c.Replication,
+		Topology:         c.Topology,
 	}
 	if err := dep.validate(); err != nil {
 		return Deployment{}, err

@@ -2,6 +2,7 @@ package serve
 
 import (
 	"fmt"
+	"math"
 	"net/http/httptest"
 	"slices"
 	"strings"
@@ -156,12 +157,16 @@ func TestLimitsLatencyBuckets(t *testing.T) {
 // TestDeploymentValidatesGoForm: every rejection the file form gets
 // from Config.Deployment, the same Deployment written as a Go literal
 // gets from Build, with the same text — one validation, not one per
-// spelling. A topology block, which the Go form cannot spell, is left
-// out.
+// spelling. A value JSON cannot spell (NaN) comes as the flags bind it,
+// a Config, and its refusal must name the key.
 func TestDeploymentValidatesGoForm(t *testing.T) {
 	db := testDB(t, 8, 40, 2)
 	dir := t.TempDir() // never created under: every case is refused first
 	rate := func(r float64) *float64 { return &r }
+	route := func(shards map[string][]string) *TopologyConfig {
+		return &TopologyConfig{Map: "map.ctsm", Shards: shards}
+	}
+	two := map[string][]string{"0": {"a:1"}, "1": {"b:1"}}
 	for _, c := range []struct {
 		name string
 		doc  string
@@ -198,6 +203,16 @@ func TestDeploymentValidatesGoForm(t *testing.T) {
 			Deployment{Observability: &ObservabilityConfig{Trace: &TraceConfig{SlowAlways: Duration(-time.Second)}}}},
 		{"trace store over the cap", fmt.Sprintf(`{"observability": {"tracing": {"store": %d}}}`, maxTraceStore+1),
 			Deployment{Observability: &ObservabilityConfig{Trace: &TraceConfig{StoreSize: maxTraceStore + 1}}}},
+		{"topology with daemon fields", `{"shards": 2, "topology": {"map": "map.ctsm", "shards": {"0": ["a:1"], "1": ["b:1"]}}}`,
+			Deployment{Shards: 2, Topology: route(two)}},
+		{"topology without map", `{"topology": {"shards": {"0": ["a:1"]}}}`,
+			Deployment{Topology: &TopologyConfig{Shards: map[string][]string{"0": {"a:1"}}}}},
+		{"negative response_cache", `{"topology": {"map": "map.ctsm", "shards": {"0": ["a:1"], "1": ["b:1"]}, "response_cache": -1}}`,
+			Deployment{Topology: &TopologyConfig{Map: "map.ctsm", Shards: two, ResponseCache: -1}}},
+		{"max_k at the router", `{"limits": {"max_k": 8}, "topology": {"map": "map.ctsm", "shards": {"0": ["a:1"], "1": ["b:1"]}}}`,
+			Deployment{Limits: &LimitsConfig{MaxK: 8}, Topology: route(two)}},
+		{"non-canonical shard key", `{"topology": {"map": "map.ctsm", "shards": {"0": ["a:1"], "01": ["b:1"]}}}`,
+			Deployment{Topology: route(map[string][]string{"0": {"a:1"}, "01": {"b:1"}})}},
 	} {
 		cfg, err := ParseConfig(strings.NewReader(c.doc))
 		if err != nil {
@@ -216,6 +231,26 @@ func TestDeploymentValidatesGoForm(t *testing.T) {
 		}
 		if goErr.Error() != fileErr.Error() {
 			t.Errorf("%s: the Go form is refused with %q, the file form with %q", c.name, goErr, fileErr)
+		}
+	}
+	// NaN is a value JSON cannot spell: it arrives as the flags bind it,
+	// a Config, and the refusal names its key.
+	nan := math.NaN()
+	for key, cfg := range map[string]Config{
+		"wal.drift_threshold":               {WAL: &WALConfig{Dir: dir, DriftThreshold: &nan}},
+		"observability.tracing.sample_rate": {Observability: &ObservabilityConfig{Trace: &TraceConfig{SampleRate: &nan}}},
+	} {
+		_, fileErr := cfg.Deployment()
+		if fileErr == nil || !strings.Contains(fileErr.Error(), key) {
+			t.Errorf("NaN %s: Config.Deployment returns %v, want a refusal naming the key", key, fileErr)
+			continue
+		}
+		srv, goErr := Deployment{WAL: cfg.WAL, Observability: cfg.Observability}.Build(db)
+		if goErr == nil {
+			srv.Close()
+			t.Errorf("NaN %s: the Go form builds; the flag form is refused with %q", key, fileErr)
+		} else if goErr.Error() != fileErr.Error() {
+			t.Errorf("NaN %s: the Go form is refused with %q, the flag form with %q", key, goErr, fileErr)
 		}
 	}
 }

@@ -12,6 +12,7 @@ import (
 	"context"
 	"fmt"
 	"log/slog"
+	"math"
 	"net"
 	"net/http"
 	"os"
@@ -62,10 +63,10 @@ func (o *ObservabilityConfig) tracer() *obs.Tracer {
 	return obs.NewTracer(opts)
 }
 
-// validate is the observability part of Deployment.validate, which
-// RouterPlan runs on its own. Negative thresholds and unparseable
-// listen addresses are rejected rather than silently ignored — an
-// operator who wrote one believes it is in effect.
+// validate is the observability part of Deployment.validate. Negative
+// thresholds, unparseable listen addresses and a NaN sample rate are
+// rejected rather than silently ignored — an operator who wrote one
+// believes it is in effect.
 func (o *ObservabilityConfig) validate() error {
 	if o == nil {
 		return nil
@@ -79,8 +80,8 @@ func (o *ObservabilityConfig) validate() error {
 		}
 	}
 	if t := o.Trace; t != nil {
-		if t.SampleRate != nil && (*t.SampleRate < 0 || *t.SampleRate > 1) {
-			return fmt.Errorf("serve: observability.tracing.sample_rate must be in [0, 1], got %v", *t.SampleRate)
+		if r := t.SampleRate; r != nil && !(*r >= 0 && *r <= 1) {
+			return fmt.Errorf("serve: observability.tracing.sample_rate must be in [0, 1], got %v", *r)
 		}
 		if t.SlowAlways < 0 {
 			return fmt.Errorf("serve: observability.tracing.slow_always must be non-negative (0 disables), got %s", t.SlowAlways)
@@ -101,6 +102,7 @@ func (o *ObservabilityConfig) validate() error {
 //	Deployment{Shards: 4, VolatileWrites: true}           // in-process sharded router
 //	Deployment{WAL: &WALConfig{Dir: d}}                   // durable single daemon
 //	Deployment{Shards: 4, ReplicasPerShard: 2, WAL: ...}  // replicated sharded writes
+//	Deployment{Topology: &TopologyConfig{...}}            // router over shard daemons
 //
 // Build assembles it; every topology serves the same versioned /v1 wire
 // protocol, so clients cannot tell the shapes apart except through
@@ -133,8 +135,9 @@ type Deployment struct {
 	// write is lost on restart. Ignored when WAL is set.
 	VolatileWrites bool
 	// Limits bounds request sizes (body, k, batch) and sets the latency
-	// histogram on every query service the deployment builds; nil keeps
-	// the defaults.
+	// histogram on every query service the deployment builds, and body,
+	// batch and latency histogram at its router's door, in-process or
+	// over a topology; nil keeps the defaults.
 	Limits *LimitsConfig
 	// Observability tunes metrics, request logging, and the debug
 	// listener on whichever handler the deployment builds; nil keeps
@@ -147,12 +150,23 @@ type Deployment struct {
 	// repairs itself from that peer before accepting external writes.
 	// Requires WAL; see ReplicationConfig.
 	Replication *ReplicationConfig
+	// Topology routes to shard daemons in other processes, the
+	// caltrain-router shape: Build(nil) loads its shard map and builds a
+	// router over the replicas it names. It conflicts with every field
+	// that builds a local service (Backend, Shards, ReplicasPerShard,
+	// WAL, VolatileWrites, Replication); see TopologyConfig.
+	Topology *TopologyConfig
 }
 
 // validate is every range and shape check of a Deployment, for the Go
 // form and the file form alike: Build runs it before building anything,
 // Config.Deployment before returning. The messages name the file keys.
 func (d Deployment) validate() error {
+	if d.Topology != nil {
+		if err := d.validateTopology(); err != nil {
+			return err
+		}
+	}
 	if d.Shards < 0 {
 		return fmt.Errorf("serve: shards must be non-negative, got %d", d.Shards)
 	}
@@ -189,6 +203,10 @@ func (d Deployment) validate() error {
 		if w.DriftThreshold != nil && *w.DriftThreshold == 0 {
 			return fmt.Errorf("serve: wal.drift_threshold 0 is ambiguous: omit it for the default, use a negative value to disable retrains, or a small positive fraction")
 		}
+		// No drift compares below NaN: every ingest would retrain.
+		if w.DriftThreshold != nil && math.IsNaN(*w.DriftThreshold) {
+			return fmt.Errorf("serve: wal.drift_threshold must be a number, got NaN")
+		}
 	}
 	if d.Replication != nil {
 		if d.WAL == nil {
@@ -213,7 +231,8 @@ type Server struct {
 	durable bool            // the stores have a log
 	syncer  *cluster.Syncer
 	tracer  *obs.Tracer
-	origins []indexOrigin // where each serving index came from
+	origins []indexOrigin  // where each serving index came from
+	routes  shard.Strategy // the shard map of a router over shard daemons
 }
 
 // Handler returns the HTTP handler serving the /v1 wire protocol for
@@ -269,24 +288,25 @@ func (s *Server) LastRetrain() time.Duration {
 // IndexOrigin says where the build's serving index came from, as a
 // startup line can print it: "trained ivfpq index", "loaded ivfpq index
 // from <file>", "index file <file> refused (<reason>); trained ivfpq
-// index", or "built flat index"; a sharded build counts the loaded.
-func (s *Server) IndexOrigin() string { return summarize(s.origins) }
+// index", or "built flat index"; a sharded build counts the loaded. A
+// router over shard daemons, whose indexes are theirs, names the map
+// that routes to them: "hash map" or "range map".
+func (s *Server) IndexOrigin() string {
+	if len(s.origins) == 0 {
+		return s.routes.String() + " map"
+	}
+	return summarize(s.origins)
+}
 
 // TraceStore returns the trace retention store behind the deployment's
 // tracer — what ListenDebug mounts as /v1/debug/traces. Nil when
-// retention is disabled or the server was wired without a tracer
-// (NewRouter, where the tracer lives in the router options).
-func (s *Server) TraceStore() *obs.TraceStore {
-	if s.tracer == nil {
-		return nil
-	}
-	return s.tracer.Store()
-}
+// retention is disabled.
+func (s *Server) TraceStore() *obs.TraceStore { return s.tracer.Store() }
 
 // Serve runs the deployment on l until ctx is cancelled, then drains
 // in-flight requests for up to grace. A replication-enabled build also
-// runs its startup sync loop here, and a router built with
-// shard.WithRepair its anti-entropy repair loop — both stop with ctx.
+// runs its startup sync loop here, and a router over a topology with a
+// repair block its anti-entropy repair loop — both stop with ctx.
 func (s *Server) Serve(ctx context.Context, l net.Listener, grace time.Duration) error {
 	bg, cancel := context.WithCancel(ctx)
 	defer cancel()
@@ -317,15 +337,22 @@ func (s *Server) Close() error {
 	return firstErr
 }
 
-// Build assembles the declared topology over db, which must exist.
+// Build assembles the declared topology over db, which must exist —
+// except for a Topology, whose shards serve their own databases in
+// other processes: that one builds over none, Build(nil).
 func (d Deployment) Build(db *fingerprint.DB) (*Server, error) {
-	if db == nil {
+	if db == nil && d.Topology == nil {
 		return nil, fmt.Errorf("serve: no linkage database to serve (a session has one after Fingerprint)")
 	}
 	if err := d.validate(); err != nil {
 		return nil, err
 	}
-	if d.Shards > 1 {
+	switch {
+	case d.Topology != nil && db != nil:
+		return nil, fmt.Errorf("serve: a topology routes to shard daemons that serve their own databases: build it over none")
+	case d.Topology != nil:
+		return d.buildRouted()
+	case d.Shards > 1:
 		return d.buildSharded(db)
 	}
 	return d.buildSingle(db)
@@ -496,24 +523,7 @@ func (d Deployment) buildSharded(db *fingerprint.DB) (*Server, error) {
 			replicas[i] = append(replicas[i], shard.NewLocalReplica(name, svc))
 		}
 	}
-	// One tracer for the whole topology: the router's middleware records
-	// the root, and the local replicas' spans flow into the same trace
-	// through the request context — a single store holds the full tree.
-	tracer := d.Observability.tracer()
-	srv.tracer = tracer
-	ropts := []shard.RouterOption{shard.WithObservability(d.Observability.options("router", tracer))}
-	if d.WAL == nil && !d.VolatileWrites {
-		// Every shard service was built read-only; say so on /v1/meta
-		// instead of advertising a write path that would only answer 501.
-		ropts = append(ropts, shard.WithIngestCapability(false))
-	}
-	rt, err := shard.NewRouter(m, replicas, ropts...)
-	if err != nil {
-		return nil, err
-	}
-	srv.router = rt
-	srv.handler = rt.Handler()
-	return srv, nil
+	return d.route(srv, m, replicas)
 }
 
 // exactWhenEmpty is the outcome of building a backend over db, falling
@@ -590,16 +600,4 @@ func ListenDebug(addr string, store *obs.TraceStore) (net.Listener, error) {
 	srv := &http.Server{Handler: obs.DebugHandler(store)}
 	go func() { _ = srv.Serve(l) }()
 	return l, nil
-}
-
-// NewRouter wraps an externally wired scatter-gather router — remote
-// HTTP replicas, a loaded shard map — as a Server: the caltrain-router
-// topology, where the shards live in other processes. In-process
-// sharding goes through Deployment.Build instead.
-func NewRouter(m *shard.Map, replicas [][]shard.Replica, opts ...shard.RouterOption) (*Server, error) {
-	rt, err := shard.NewRouter(m, replicas, opts...)
-	if err != nil {
-		return nil, err
-	}
-	return &Server{router: rt, handler: rt.Handler()}, nil
 }

@@ -11,9 +11,9 @@ import (
 
 // Flags are an overlay on Config: the daemons bind each serving knob's
 // flag straight into the Config field it sets, so the flag path and the
-// -deployment file path meet in one value and share Config.Deployment /
-// Config.RouterPlan, and with them Deployment's one validation. The
-// binders below cover the flags more than one binary declares.
+// -deployment file path meet in one value and share Config.Deployment,
+// and with it Deployment's one validation. The binders below cover the
+// flags more than one binary declares.
 
 // ResolveConfig picks the one Config a daemon runs from: the flag-bound
 // overlay or, when path names a -deployment file, that file whole. The

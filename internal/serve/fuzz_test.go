@@ -11,11 +11,11 @@ import (
 // FuzzParseConfig drives the one door every serving knob — flag or
 // file — enters through. The Go value is the document: whatever parses
 // marshals back into a document that parses to the same Config, and
-// Config.Deployment hands its backend and limits blocks over as they
-// are. And whatever bytes arrive, Config.Deployment (which runs the one
-// validation Build runs, without building) and RouterPlan return a
-// value or an error and never panic. The seeds are the documents the
-// config tests already use.
+// Config.Deployment hands its backend, limits and topology blocks over
+// as they are. And whatever bytes arrive, Config.Deployment (which runs
+// the one validation Build runs, without building) and, for a topology,
+// Build(nil) return a value or an error and never panic. The seeds are
+// the documents the config tests already use.
 func FuzzParseConfig(f *testing.F) {
 	for _, doc := range []string{
 		`{}`,
@@ -45,12 +45,14 @@ func FuzzParseConfig(f *testing.F) {
 		// Empty and null collections are values of their own.
 		`{"limits": {"latency_buckets": []}, "observability": {"metrics": null, "tracing": {"sample_rate": 0}}}`,
 		`{"topology": {"map": "", "shards": {}}}`,
+		// A shard ID spelled another way than its plain decimal.
+		`{"topology": {"map": "map.ctsm", "shards": {"0": ["a:1"], "00": ["b:1"], "1": ["c:1"], "+1": ["d:1"]}}}`,
 	} {
 		f.Add(doc)
 	}
-	// RouterPlan opens topology.map; point every non-empty path at one
-	// real 2-shard map so the fuzzer exercises the validation behind the
-	// open instead of probing the file system.
+	// Build opens topology.map; point every non-empty path at one real
+	// 2-shard map so the fuzzer exercises the validation behind the open
+	// instead of probing the file system.
 	mapPath := writeShardMap(f, 2)
 	f.Fuzz(func(t *testing.T, doc string) {
 		cfg, err := ParseConfig(strings.NewReader(doc))
@@ -64,14 +66,25 @@ func FuzzParseConfig(f *testing.F) {
 		if again, err := ParseConfig(bytes.NewReader(b)); err != nil || !reflect.DeepEqual(again, cfg) {
 			t.Fatalf("%s parses to a Config that marshals to %s, which parses to %+v (%v)", doc, b, again, err)
 		}
-		if dep, err := cfg.Deployment(); err == nil && (dep.Backend != cfg.Backend || dep.Limits != cfg.Limits) {
-			t.Fatalf("Deployment() did not hand the backend and limits blocks over as they are for %s", doc)
-		}
 		if cfg.Topology != nil && cfg.Topology.Map != "" {
 			cfg.Topology.Map = mapPath
 		}
-		if plan, err := cfg.RouterPlan(nil); err == nil && (plan == nil || plan.Map == nil) {
-			t.Fatalf("RouterPlan() returned neither a plan nor an error for %s", doc)
+		dep, err := cfg.Deployment()
+		if err != nil {
+			return
+		}
+		if dep.Backend != cfg.Backend || dep.Limits != cfg.Limits || dep.Topology != cfg.Topology {
+			t.Fatalf("Deployment() did not hand the backend, limits and topology blocks over as they are for %s", doc)
+		}
+		if cfg.Topology == nil {
+			return
+		}
+		srv, err := dep.Build(nil)
+		if err == nil && (srv == nil || srv.router == nil) {
+			t.Fatalf("Build(nil) returned neither a router nor an error for %s", doc)
+		}
+		if srv != nil {
+			srv.Close()
 		}
 	})
 }

@@ -99,13 +99,9 @@ func (o indexOrigin) String() string {
 }
 
 // summarize is a build's origin in one phrase: its one index's, or a
-// sharded build's count (each refusal is logged as it happens); "" for
-// a router over remote shards.
+// sharded build's count (each refusal is logged as it happens).
 func summarize(origins []indexOrigin) string {
-	switch len(origins) {
-	case 0:
-		return ""
-	case 1:
+	if len(origins) == 1 {
 		return origins[0].String()
 	}
 	loaded := 0

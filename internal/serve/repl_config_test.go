@@ -2,6 +2,7 @@ package serve
 
 import (
 	"context"
+	"encoding/json"
 	"fmt"
 	"net"
 	"net/http/httptest"
@@ -13,6 +14,7 @@ import (
 
 	"caltrain/internal/cluster"
 	"caltrain/internal/fingerprint"
+	"caltrain/internal/index"
 	"caltrain/internal/shard"
 )
 
@@ -39,7 +41,6 @@ func TestParseConfigReplication(t *testing.T) {
 	}{
 		{"replication without wal", `{"replication": {"peer": "a:1"}}`},
 		{"replication with sharding", `{"shards": 2, "wal": {"dir": "w"}, "replication": {}}`},
-		{"topology in a daemon", `{"topology": {"map": "m", "shards": {"0": ["a:1"]}}}`},
 	}
 	for _, c := range rejects {
 		cfg, err := ParseConfig(strings.NewReader(c.doc))
@@ -143,54 +144,89 @@ func writeShardMap(t testing.TB, n int) string {
 	return path
 }
 
-// TestRouterPlan: a topology config translates into a complete router
-// assembly — loaded map, scheme-defaulted replicas, options — and the
-// result actually builds a serving router.
-func TestRouterPlan(t *testing.T) {
-	mapPath := writeShardMap(t, 2)
+// TestTopologyBuild: a topology config hands its block to the
+// Deployment, and Build(nil) loads the map and routes to the shard
+// daemons it names — bare addresses scheme-defaulted, every replica of a
+// shard in preference order — with the config's limits, tracer and
+// repair loop.
+func TestTopologyBuild(t *testing.T) {
+	db := testDB(t, 8, 40, 5)
+	m, err := shard.NewHashMap(2)
+	if err != nil {
+		t.Fatal(err)
+	}
+	parts, err := shard.SplitDB(db, m)
+	if err != nil {
+		t.Fatal(err)
+	}
+	var daemons []string
+	for _, part := range parts {
+		ts := httptest.NewServer(fingerprint.NewSearcherService(index.NewFlat(part)).Handler())
+		defer ts.Close()
+		daemons = append(daemons, strings.TrimPrefix(ts.URL, "http://"))
+	}
 	doc := fmt.Sprintf(`{
 		"topology": {
 			"map": %q,
-			"shards": {"0": ["replica-a:9000"], "1": ["http://replica-b:9001", "replica-c:9001"]},
+			"shards": {"0": [%q], "1": ["http://127.0.0.1:1", %q]},
 			"write_quorum": 1,
 			"timeout": "2s",
 			"repair": {"after": "5s"}
 		},
 		"limits": {"max_batch": 16},
 		"observability": {"debug_addr": "localhost:0"}
-	}`, mapPath)
+	}`, writeShardMap(t, 2), daemons[0], daemons[1])
 	cfg, err := ParseConfig(strings.NewReader(doc))
 	if err != nil {
 		t.Fatal(err)
 	}
-	plan, err := cfg.RouterPlan(nil)
+	dep, err := cfg.Deployment()
 	if err != nil {
 		t.Fatal(err)
 	}
-	if plan.Map.NumShards() != 2 || len(plan.Replicas) != 2 {
-		t.Fatalf("plan shards: %d map / %d replica rows", plan.Map.NumShards(), len(plan.Replicas))
+	if dep.Topology != cfg.Topology || dep.Observability.DebugAddr != "localhost:0" {
+		t.Fatalf("deployment: topology %+v, debug %q", dep.Topology, dep.Observability.DebugAddr)
 	}
-	if got := plan.Replicas[0][0].Addr(); got != "http://replica-a:9000" {
-		t.Fatalf("bare address not scheme-defaulted: %q", got)
-	}
-	if len(plan.Replicas[1]) != 2 {
-		t.Fatalf("shard 1 replicas: %d, want 2", len(plan.Replicas[1]))
-	}
-	if plan.Tracer == nil || plan.DebugAddr != "localhost:0" {
-		t.Fatalf("plan observability: tracer=%v debug=%q", plan.Tracer, plan.DebugAddr)
-	}
-	srv, err := NewRouter(plan.Map, plan.Replicas, plan.Options...)
+	srv, err := dep.Build(nil)
 	if err != nil {
 		t.Fatal(err)
 	}
-	if srv.router == nil {
-		t.Fatal("plan did not build a router")
+	if srv.router == nil || srv.TraceStore() == nil || srv.IndexOrigin() != "hash map" {
+		t.Fatalf("built: router %v, trace store %v, origin %q", srv.router, srv.TraceStore(), srv.IndexOrigin())
+	}
+	ts := httptest.NewServer(srv.Handler())
+	defer ts.Close()
+	resp, err := ts.Client().Get(ts.URL + "/v1/stats")
+	if err != nil {
+		t.Fatal(err)
+	}
+	var st shard.StatsResponse
+	err = json.NewDecoder(resp.Body).Decode(&st)
+	resp.Body.Close()
+	if err != nil {
+		t.Fatal(err)
+	}
+	// Shard 1's first replica is down: its stats come from the second.
+	if len(st.Shards) != 2 || st.Shards[0].Replica != "http://"+daemons[0] || st.Shards[1].Replica != "http://"+daemons[1] {
+		t.Fatalf("stats shards: %+v", st.Shards)
+	}
+	if st.Entries != db.Len() || st.Repair == nil {
+		t.Fatalf("stats: %d entries of %d, repair %v", st.Entries, db.Len(), st.Repair)
+	}
+	reqs := make([]fingerprint.QueryRequest, 17)
+	for i := range reqs {
+		reqs[i] = fingerprint.QueryRequest{Fingerprint: db.Entry(i).F, Label: db.Entry(i).Y, K: 1}
+	}
+	_, err = fingerprint.NewClient(ts.URL, ts.Client()).QueryBatch(reqs)
+	if fingerprint.CodeOf(err) != fingerprint.ErrCodeLimitExceeded {
+		t.Fatalf("17 queries past limits.max_batch 16: %v", err)
 	}
 }
 
-// TestRouterPlanRejects: shape conflicts and topology typos fail at
-// plan time instead of silently routing wrong.
-func TestRouterPlanRejects(t *testing.T) {
+// TestTopologyRejects: shape conflicts and topology typos fail at
+// Build instead of silently routing wrong — the checks that need no
+// shard map already in Config.Deployment.
+func TestTopologyRejects(t *testing.T) {
 	mapPath := writeShardMap(t, 2)
 	cases := []struct {
 		name string
@@ -204,14 +240,20 @@ func TestRouterPlanRejects(t *testing.T) {
 		{"empty replica list", fmt.Sprintf(`{"topology": {"map": %q, "shards": {"0": [], "1": ["b:1"]}}}`, mapPath)},
 		{"negative write_quorum", fmt.Sprintf(`{"topology": {"map": %q, "shards": {"0": ["a:1"], "1": ["b:1"]}, "write_quorum": -1}}`, mapPath)},
 		{"max_k at the router", fmt.Sprintf(`{"limits": {"max_k": 8}, "topology": {"map": %q, "shards": {"0": ["a:1"], "1": ["b:1"]}}}`, mapPath)},
+		{"non-canonical shard keys", fmt.Sprintf(`{"topology": {"map": %q, "shards": {"0": ["a:1"], "00": ["b:1"], "1": ["c:1"], "+1": ["d:1"]}}}`, mapPath)},
 	}
 	for _, c := range cases {
 		cfg, err := ParseConfig(strings.NewReader(c.doc))
 		if err != nil {
-			t.Errorf("%s: failed at parse (%v), want plan failure", c.name, err)
+			t.Errorf("%s: failed at parse (%v), want a build failure", c.name, err)
 			continue
 		}
-		if _, err := cfg.RouterPlan(nil); err == nil {
+		dep, err := cfg.Deployment()
+		if err != nil {
+			continue
+		}
+		if srv, err := dep.Build(nil); err == nil {
+			srv.Close()
 			t.Errorf("%s: accepted", c.name)
 		}
 	}

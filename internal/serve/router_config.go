@@ -2,70 +2,72 @@ package serve
 
 import (
 	"fmt"
-	"log/slog"
+	"maps"
 	"os"
-	"sort"
+	"slices"
 	"strconv"
 	"strings"
 	"time"
 
-	"caltrain/internal/obs"
 	"caltrain/internal/shard"
 )
 
-// RouterPlan is the routed-topology translation of a Config: everything
-// caltrain-router -deployment needs to assemble its scatter-gather
-// front from the same declarative document format the daemon takes, so
-// one config language describes both halves of a deployment.
-type RouterPlan struct {
-	// Map is the loaded shard map; Replicas the per-shard HTTP replicas
-	// in preference order, one row per shard ID.
-	Map      *shard.Map
-	Replicas [][]shard.Replica
-	// Options is the fully assembled router option list: topology knobs,
-	// limits, observability, and — when the config has a repair block —
-	// the anti-entropy repair loop.
-	Options []shard.RouterOption
-	// Tracer is the router's tracer, for wiring the debug listener.
-	Tracer *obs.Tracer
-	// DebugAddr echoes observability.debug_addr (empty = no debug
-	// listener).
-	DebugAddr string
-}
-
-// RouterPlan validates the topology block and translates the config
-// into a RouterPlan. Logs (request, slow-query, repair) go to logger;
-// nil means slog.Default. Daemon-shape fields (backend, wal,
-// replication, shards) conflict with topology: a document is a daemon
-// or a router, never both.
-func (c Config) RouterPlan(logger *slog.Logger) (*RouterPlan, error) {
-	t := c.Topology
-	if t == nil {
-		return nil, fmt.Errorf("serve: config has no topology block; a router deployment declares topology.map and topology.shards")
+// validateTopology is the routed part of validate: a deployment is a
+// router or a daemon, never both, and every check of the topology block
+// that needs no shard map runs here; Build checks the shard IDs against
+// the map it loads.
+func (d Deployment) validateTopology() error {
+	t := d.Topology
+	if d.Backend != (BackendConfig{}) || d.WAL != nil || d.Replication != nil ||
+		d.Shards != 0 || d.ReplicasPerShard != 0 || d.VolatileWrites {
+		return fmt.Errorf("serve: topology conflicts with daemon fields (backend, wal, replication, shards, replicas_per_shard, volatile_writes): a config is a router or a daemon, not both")
 	}
-	if c.Backend != (BackendConfig{}) || c.WAL != nil || c.Replication != nil ||
-		c.Shards != 0 || c.ReplicasPerShard != 0 || c.VolatileWrites {
-		return nil, fmt.Errorf("serve: topology conflicts with daemon fields (backend, wal, replication, shards, replicas_per_shard, volatile_writes): a config is a router or a daemon, not both")
+	if d.Limits != nil && d.Limits.MaxK != 0 {
+		// The router has no enforcement point for k: it is bounded by the
+		// shard daemons, so writing it here is refused rather than ignored.
+		return fmt.Errorf("serve: limits.max_k is enforced by the shard daemons, not the router — set it in each daemon's config")
 	}
 	if t.Map == "" {
-		return nil, fmt.Errorf("serve: topology.map is required (the shard map written by caltrain-shard)")
+		return fmt.Errorf("serve: topology.map is required (the shard map written by caltrain-shard)")
 	}
 	if len(t.Shards) == 0 {
-		return nil, fmt.Errorf("serve: topology.shards is required (shard ID -> replica base URLs)")
+		return fmt.Errorf("serve: topology.shards is required (shard ID -> replica base URLs)")
 	}
 	if t.WriteQuorum < 0 {
-		return nil, fmt.Errorf("serve: topology.write_quorum must be non-negative (0 = majority), got %d", t.WriteQuorum)
+		return fmt.Errorf("serve: topology.write_quorum must be non-negative (0 = majority), got %d", t.WriteQuorum)
 	}
 	if t.Timeout < 0 || t.Cooldown < 0 {
-		return nil, fmt.Errorf("serve: topology.timeout and topology.cooldown must be non-negative (0 means default)")
+		return fmt.Errorf("serve: topology.timeout and topology.cooldown must be non-negative (0 means default)")
 	}
 	if t.ResponseCache < 0 {
-		return nil, fmt.Errorf("serve: topology.response_cache must be non-negative (0 = off), got %d", t.ResponseCache)
+		return fmt.Errorf("serve: topology.response_cache must be non-negative (0 = off), got %d", t.ResponseCache)
 	}
 	if t.Repair != nil && (t.Repair.After < 0 || t.Repair.Interval < 0 || t.Repair.SyncTimeout < 0) {
-		return nil, fmt.Errorf("serve: topology.repair durations must be non-negative (0 means default)")
+		return fmt.Errorf("serve: topology.repair durations must be non-negative (0 means default)")
 	}
+	for _, key := range slices.Sorted(maps.Keys(t.Shards)) {
+		// Build looks shard N up as strconv.Itoa(N): any other spelling
+		// of N ("00", "+1") would never be read, and its replicas lost.
+		if sid, err := strconv.Atoi(key); err == nil && strconv.Itoa(sid) != key {
+			return fmt.Errorf("serve: topology.shards key %q is not a shard ID: write shard %d as %q", key, sid, strconv.Itoa(sid))
+		}
+		if len(t.Shards[key]) == 0 {
+			return fmt.Errorf("serve: topology.shards[%q] lists no replicas", key)
+		}
+		for _, a := range t.Shards[key] {
+			if strings.TrimSpace(a) == "" {
+				return fmt.Errorf("serve: topology.shards[%q] has an empty replica address", key)
+			}
+		}
+	}
+	return nil
+}
 
+// buildRouted assembles the caltrain-router shape: the topology's shard
+// map and a router over the shard daemons it names, each replica an
+// HTTP client of one daemon (a bare host:port means http).
+func (d Deployment) buildRouted() (*Server, error) {
+	t := d.Topology
 	mf, err := os.Open(t.Map)
 	if err != nil {
 		return nil, err
@@ -81,14 +83,8 @@ func (c Config) RouterPlan(logger *slog.Logger) (*RouterPlan, error) {
 		if !ok {
 			return nil, fmt.Errorf("serve: shard map has %d shards but topology.shards[%q] is missing", m.NumShards(), strconv.Itoa(sid))
 		}
-		if len(addrs) == 0 {
-			return nil, fmt.Errorf("serve: topology.shards[%q] lists no replicas", strconv.Itoa(sid))
-		}
 		for _, a := range addrs {
 			a = strings.TrimSpace(a)
-			if a == "" {
-				return nil, fmt.Errorf("serve: topology.shards[%q] has an empty replica address", strconv.Itoa(sid))
-			}
 			if !strings.Contains(a, "://") {
 				a = "http://" + a
 			}
@@ -104,78 +100,66 @@ func (c Config) RouterPlan(logger *slog.Logger) (*RouterPlan, error) {
 		}
 	}
 	if len(extra) > 0 {
-		sort.Strings(extra)
+		slices.Sort(extra)
 		return nil, fmt.Errorf("serve: topology.shards keys %v are outside the map's %d shards", extra, m.NumShards())
 	}
-
-	if err := c.Observability.validate(); err != nil {
-		return nil, err
-	}
-	var oc ObservabilityConfig
-	if c.Observability != nil {
-		oc = *c.Observability
-	}
-	if logger != nil {
-		oc.Logger = logger
-	}
-	tracer := oc.tracer()
-	opts := []shard.RouterOption{
-		shard.WithWriteQuorum(t.WriteQuorum),
-		shard.WithObservability(oc.options("router", tracer)),
-	}
-	if t.Timeout > 0 {
-		opts = append(opts, shard.WithShardTimeout(time.Duration(t.Timeout)))
-	}
-	if t.Cooldown > 0 {
-		opts = append(opts, shard.WithReplicaCooldown(time.Duration(t.Cooldown)))
-	}
-	if t.ResponseCache > 0 {
-		opts = append(opts, shard.WithRouterResponseCache(t.ResponseCache))
-	}
-	if t.Repair != nil {
-		opts = append(opts, shard.WithRepair(shard.RepairOptions{
-			After:       time.Duration(t.Repair.After),
-			Interval:    time.Duration(t.Repair.Interval),
-			SyncTimeout: time.Duration(t.Repair.SyncTimeout),
-			Logger:      oc.Logger,
-		}))
-	}
-	if c.Limits != nil {
-		lopts, err := c.Limits.routerOptions()
-		if err != nil {
-			return nil, err
-		}
-		opts = append(opts, lopts...)
-	}
-	return &RouterPlan{
-		Map:       m,
-		Replicas:  replicas,
-		Options:   opts,
-		Tracer:    tracer,
-		DebugAddr: oc.DebugAddr,
-	}, nil
+	return d.route(&Server{routes: m.Strategy()}, m, replicas)
 }
 
-// routerOptions is the router-side counterpart of options: the same
-// limits block, enforced at the router's door. max_k has no router
-// enforcement point (k is bounded by the shard daemons), so writing it
-// in a topology config is rejected rather than silently ignored.
-func (l *LimitsConfig) routerOptions() ([]shard.RouterOption, error) {
-	if err := l.validate(); err != nil {
+// route makes srv the scatter-gather router over replicas: the one place
+// a shard.Router is made, for in-process shards and shard daemons alike.
+// The router takes the limits block's body, batch and latency bounds
+// (max_k is the shards'), the observability block, and the topology's
+// knobs when its shards live in other processes. One tracer serves the
+// whole topology: the router records the root, and in-process replicas'
+// spans flow into the same trace through the request context.
+func (d Deployment) route(srv *Server, m *shard.Map, replicas [][]shard.Replica) (*Server, error) {
+	srv.tracer = d.Observability.tracer()
+	opts := []shard.RouterOption{shard.WithObservability(d.Observability.options("router", srv.tracer))}
+	if l := d.Limits; l != nil {
+		if l.MaxBodyBytes > 0 {
+			opts = append(opts, shard.WithRouterMaxBodyBytes(l.MaxBodyBytes))
+		}
+		if l.MaxBatch > 0 {
+			opts = append(opts, shard.WithRouterMaxBatch(l.MaxBatch))
+		}
+		if b := l.bucketsUS(); b != nil {
+			opts = append(opts, shard.WithRouterLatencyBuckets(b))
+		}
+	}
+	switch t := d.Topology; {
+	case t != nil:
+		opts = append(opts, shard.WithWriteQuorum(t.WriteQuorum))
+		if t.Timeout > 0 {
+			opts = append(opts, shard.WithShardTimeout(time.Duration(t.Timeout)))
+		}
+		if t.Cooldown > 0 {
+			opts = append(opts, shard.WithReplicaCooldown(time.Duration(t.Cooldown)))
+		}
+		if t.ResponseCache > 0 {
+			opts = append(opts, shard.WithRouterResponseCache(t.ResponseCache))
+		}
+		if t.Repair != nil {
+			repair := shard.RepairOptions{
+				After:       time.Duration(t.Repair.After),
+				Interval:    time.Duration(t.Repair.Interval),
+				SyncTimeout: time.Duration(t.Repair.SyncTimeout),
+			}
+			if d.Observability != nil {
+				repair.Logger = d.Observability.Logger
+			}
+			opts = append(opts, shard.WithRepair(repair))
+		}
+	case d.WAL == nil && !d.VolatileWrites:
+		// Every in-process shard service was built read-only; say so on
+		// /v1/meta instead of advertising a write path that would only
+		// answer 501.
+		opts = append(opts, shard.WithIngestCapability(false))
+	}
+	rt, err := shard.NewRouter(m, replicas, opts...)
+	if err != nil {
 		return nil, err
 	}
-	if l.MaxK != 0 {
-		return nil, fmt.Errorf("serve: limits.max_k is enforced by the shard daemons, not the router — set it in each daemon's config")
-	}
-	var opts []shard.RouterOption
-	if l.MaxBodyBytes > 0 {
-		opts = append(opts, shard.WithRouterMaxBodyBytes(l.MaxBodyBytes))
-	}
-	if l.MaxBatch > 0 {
-		opts = append(opts, shard.WithRouterMaxBatch(l.MaxBatch))
-	}
-	if b := l.bucketsUS(); b != nil {
-		opts = append(opts, shard.WithRouterLatencyBuckets(b))
-	}
-	return opts, nil
+	srv.router, srv.handler = rt, rt.Handler()
+	return srv, nil
 }

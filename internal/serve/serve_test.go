@@ -1,9 +1,13 @@
 package serve
 
 import (
+	"encoding/json"
 	"math/rand/v2"
+	"net/http"
 	"net/http/httptest"
+	"strings"
 	"testing"
+	"time"
 
 	"caltrain/internal/fingerprint"
 	"caltrain/internal/index"
@@ -242,6 +246,62 @@ func TestDeploymentShardedReadOnlyMeta(t *testing.T) {
 	}
 	if resp.Accepted != 0 || resp.Failed != 1 || len(resp.FailedShards) != 1 {
 		t.Fatalf("read-only sharded deployment accepted a write: %+v", resp)
+	}
+}
+
+// TestDeploymentShardedRouterTakesLimits: the in-process router
+// enforces the limits block at its door, as a router over shard daemons
+// does: a batch the block admits is not refused at the router's default
+// bound, a body past max_body_bytes is, and the router's own latency
+// histogram has the block's bounds.
+func TestDeploymentShardedRouterTakesLimits(t *testing.T) {
+	db := testDB(t, 2, 100, 4)
+	ms := func(n int) Duration { return Duration(time.Duration(n) * time.Millisecond) }
+	srv, err := Deployment{Shards: 2, Limits: &LimitsConfig{
+		MaxBatch: 300, MaxBodyBytes: 24 << 10, LatencyBuckets: []Duration{ms(1), ms(7), ms(40)},
+	}}.Build(db)
+	if err != nil {
+		t.Fatal(err)
+	}
+	hs := httptest.NewServer(srv.Handler())
+	defer hs.Close()
+	client := fingerprint.NewClient(hs.URL, hs.Client())
+
+	reqs := make([]fingerprint.QueryRequest, 280)
+	for i := range reqs {
+		e := db.Entry(i % db.Len())
+		reqs[i] = fingerprint.QueryRequest{Fingerprint: e.F, Label: e.Y, K: 1}
+	}
+	resp, err := client.QueryBatch(reqs)
+	if err != nil {
+		t.Fatalf("280 queries under limits.max_batch 300: %v", err)
+	}
+	for i, r := range resp.Results {
+		if r.Error != "" || len(r.Matches) != 1 {
+			t.Fatalf("result %d: %+v", i, r)
+		}
+	}
+
+	body := `{"queries": [` + strings.Repeat(" ", 32<<10) + `]}`
+	hr, err := hs.Client().Post(hs.URL+"/v1/query/batch", "application/json", strings.NewReader(body))
+	if err != nil {
+		t.Fatal(err)
+	}
+	var envelope struct{ Code string }
+	err = json.NewDecoder(hr.Body).Decode(&envelope)
+	hr.Body.Close()
+	if err != nil || hr.StatusCode != http.StatusRequestEntityTooLarge || envelope.Code != fingerprint.ErrCodeBodyTooLarge {
+		t.Fatalf("32 KiB body past limits.max_body_bytes 24 KiB: status %d, code %q (%v)", hr.StatusCode, envelope.Code, err)
+	}
+
+	metrics, err := client.Metrics()
+	if err != nil {
+		t.Fatal(err)
+	}
+	for _, le := range []string{"0.001", "0.007", "0.04"} {
+		if line := `caltrain_query_latency_seconds_bucket{le="` + le + `"}`; !strings.Contains(metrics, line) {
+			t.Errorf("router metrics lack %s", line)
+		}
 	}
 }
 

@@ -161,6 +161,41 @@ func TestRepositoryInvariants(t *testing.T) {
 		}
 	})
 
+	t.Run("one router builder", func(t *testing.T) {
+		// Deployment.route in internal/serve makes every shard.Router a
+		// daemon serves, in-process shards and shard daemons alike, from
+		// the deployment's blocks: a second caller is a second translation
+		// of them, and one of the two drifts (the in-process router once
+		// never saw the limits block).
+		files := sources(t, nonTestGo, "internal", "cmd")
+		hits := grep(t, `shard\.NewRouter\(`, files)
+		if len(hits) != 1 || hits["internal/serve/router_config.go"] != 1 {
+			t.Errorf("shard.NewRouter( must appear once, in internal/serve/router_config.go: %v", where(hits))
+		}
+		if hits := grep(t, `\bRouterPlan\b`, files); len(hits) > 0 {
+			t.Errorf("a router plan beside the Deployment: %v", where(hits))
+		}
+	})
+
+	t.Run("docs within budget", func(t *testing.T) {
+		// The prose docs were cut to what a reader needs; each may shrink,
+		// and growing past its cap is a decision to state in CHANGES.md
+		// with the raised cap, not drift.
+		for doc, limit := range map[string]int64{
+			"README.md":                      29146,
+			"ARCHITECTURE.md":                59575,
+			".claude/skills/verify/SKILL.md": 49856,
+		} {
+			fi, err := os.Stat(doc)
+			if err != nil {
+				t.Fatal(err)
+			}
+			if fi.Size() > limit {
+				t.Errorf("%s is %d B, over its cap of %d B", doc, fi.Size(), limit)
+			}
+		}
+	})
+
 	t.Run("one float codec", func(t *testing.T) {
 		// f32le.Append and f32le.Decode are the one spelling of "a float32
 		// is stored as its little-endian bits": a format that loops over
