@@ -77,7 +77,7 @@ func FetchSnapshot(ctx context.Context, peer *fingerprint.Client) (*fingerprint.
 	}
 	defer resp.Body.Close()
 	var body io.Reader = resp.Body
-	if resp.ContentLength >= 0 { // LoadDB holds the header to it and sizes the columns once
+	if resp.ContentLength >= 0 { // LoadDB holds the header to it and sizes its image once
 		body = io.LimitReader(resp.Body, resp.ContentLength)
 	}
 	db, err := fingerprint.LoadDB(body)

@@ -166,7 +166,7 @@ func TestSyncSnapshotBootstrap(t *testing.T) {
 }
 
 // TestSnapshotDeclaresLength: the snapshot response's Content-Length is
-// its body's length, so a follower's LoadDB sizes its columns once.
+// its body's length, so a follower's LoadDB sizes its image once.
 func TestSnapshotDeclaresLength(t *testing.T) {
 	source := newReplica(t, "")
 	ingestAll(t, source, testLinkages(5, 40))

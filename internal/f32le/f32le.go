@@ -1,10 +1,11 @@
 // Package f32le holds the rule every caltrain file and wire format
 // shares for a float32: its IEEE-754 bits, little-endian, four bytes
-// each. Append and Decode are the one pair of helpers that apply it, and
-// Words applies it to any 4-byte word's bits. On a little-endian host the
-// bytes already are the words' memory, so all three copy or view them in
-// bulk; a big-endian host takes the per-word loop, which is also the
-// reference FuzzFloatCodecParity holds the bulk path to.
+// each. Append and Decode are the one pair of helpers that apply it,
+// Words applies it to any 4-byte word's bits, and View reads such words
+// where they lie. On a little-endian host the bytes already are the
+// words' memory, so all four copy or view them in bulk; a big-endian
+// host takes the per-word loop, which is also the reference
+// FuzzFloatCodecParity holds the bulk path to.
 package f32le
 
 import (
@@ -50,12 +51,32 @@ func Words[T word](v []T, scratch *[]byte) []byte {
 	return *scratch
 }
 
+// View returns the words b encodes, in b's own memory: on a
+// little-endian host b viewed as them, which the caller must not write
+// to; elsewhere b decoded in place (viewLoop), so b must be writable.
+// b's length is a multiple of 4, and its start 4-byte aligned.
+func View[T word](b []byte) []T {
+	if littleEndian {
+		return wordsOf[T](b)
+	}
+	return viewLoop[T](b)
+}
+
+// Native reports whether the host's words are the formats' bytes: then
+// View leaves b as it is, and b may be a read-only mapping of a file.
+func Native() bool { return littleEndian }
+
 // word is a 4-byte element whose bits Words encodes.
 type word interface{ ~float32 | ~int32 | ~uint32 }
 
 // bytesOf views v's memory as its 4·len(v) bytes.
 func bytesOf[T word](v []T) []byte {
 	return unsafe.Slice((*byte)(unsafe.Pointer(unsafe.SliceData(v))), 4*len(v))
+}
+
+// wordsOf views b's memory as its len(b)/4 words.
+func wordsOf[T word](b []byte) []T {
+	return unsafe.Slice((*T)(unsafe.Pointer(unsafe.SliceData(b))), len(b)/4)
 }
 
 // appendLoop is Append one float at a time, for any host byte order.
@@ -81,4 +102,14 @@ func wordsLoop[T word](b []byte, v []T) []byte {
 		b = binary.LittleEndian.AppendUint32(b, *(*uint32)(unsafe.Pointer(&v[i])))
 	}
 	return b
+}
+
+// viewLoop is View one word at a time, for any host byte order: each
+// word is read from its bytes and stored back over them.
+func viewLoop[T word](b []byte) []T {
+	v := wordsOf[T](b)
+	for i := range v {
+		*(*uint32)(unsafe.Pointer(&v[i])) = binary.LittleEndian.Uint32(b[4*i:])
+	}
+	return v
 }

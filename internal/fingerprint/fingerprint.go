@@ -14,12 +14,9 @@
 package fingerprint
 
 import (
-	"bufio"
-	"encoding/binary"
 	"errors"
 	"fmt"
 	"hash/crc32"
-	"io"
 	"maps"
 	"math"
 	"runtime"
@@ -152,17 +149,21 @@ type DB struct {
 	label column[int32]    // Y; its length is the database's
 	hash  column[[32]byte] // H
 	src   column[uint32]   // S, as an index into sources
-	// F of the first loaded entries is in arena, the rows LoadDB laid out
-	// class-major, at the entry's own position or at rowAt's when the
-	// file interleaved its labels. Every later entry's row is in its
-	// class's rows, at the position slot holds for it (see row). loaded is
-	// below the arena's row count only in a Snapshot cut inside it.
+	// F of the first loaded entries is in arena, the file's class-major
+	// rows LoadDB views, at the entry's own position or at rowAt's when
+	// the file's labels do not ascend in database order. Every later
+	// entry's row is in its class's rows, at the position slot holds for
+	// it (see row). loaded is below the arena's row count only in a
+	// Snapshot cut inside it.
 	arena  []float32
 	loaded int
 	rowAt  []int32
 	slot   column[int32]
 
-	sources []string          // each distinct source once, by id
+	// sources holds each distinct source once, by id, an id handed out
+	// as its source is first used: every source is some entry's, so the
+	// table is the first ids' names, in order (see Snapshot).
+	sources []string
 	srcID   map[string]uint32 // sources inverted; a snapshot builds its own on its first Add
 	byClass map[int]*class
 	// borrowed marks a Snapshot, whose last chunks may hold entries its
@@ -171,8 +172,8 @@ type DB struct {
 }
 
 // class is one label's entries in insertion order: their database
-// indices, and their rows. The rows' base is the run of the arena LoadDB
-// laid out for the label, their chunks what Add stored.
+// indices, and their rows. The rows' base is the label's run of the
+// arena LoadDB views, their chunks what Add stored.
 type class struct {
 	members column[int32]
 	rows    column[float32]
@@ -220,61 +221,53 @@ func (db *DB) entry(i int) Linkage {
 	return Linkage{F: db.row(i), Y: int(db.label.get(i)), S: db.sources[db.src.get(i)], H: db.hash.get(i)}
 }
 
-// appendRecord appends entry i's record as Save frames it after the
-// label — srclen u16 | src | hash[32] | dim × f32. Callers hold the lock.
-func (db *DB) appendRecord(b []byte, i int) []byte {
-	src := db.sources[db.src.get(i)]
-	b = binary.LittleEndian.AppendUint16(b, uint16(len(src)))
-	b = append(b, src...)
-	b = append(b, db.hash.At(i)[0][:]...)
-	return f32le.Append(b, db.row(i))
-}
-
 // castagnoli is the CRC-32C table Digest computes with.
 var castagnoli = crc32.MakeTable(crc32.Castagnoli)
 
 // Digest is the CRC-32C of the database's first n entries, n at most
 // Len: their label, hash and source-id columns, the source table those
 // ids reach, then label by label, ascending, the label's rows among
-// them. It reads a Snapshot, so it takes no lock past the snapshot's,
+// them — what a CTFP file holds of them (see dbLayout), in another
+// order. It reads a Snapshot, so it takes no lock past the snapshot's,
 // and the columns' runs as they are stored, never entry by entry. An
 // index file binds itself to the entries it indexes with it.
 func (db *DB) Digest(n int) uint32 {
 	s := db.Snapshot(n)
+	var crc uint32
+	emit := func(b []byte) { crc = crc32.Update(crc, castagnoli, b) }
 	var scratch []byte // a big-endian host's encoding of one run
-	crc := digestRuns(0, &s.label, func(ys []int32) []byte { return f32le.Words(ys, &scratch) })
-	crc = digestRuns(crc, &s.hash, func(h [][32]byte) []byte { return unsafe.Slice(&h[0][0], 32*len(h)) })
-	used := 0 // the ids the entries reach: an id is handed out as its source first appears
-	crc = digestRuns(crc, &s.src, func(ids []uint32) []byte {
-		for _, id := range ids {
-			used = max(used, int(id)+1)
-		}
-		return f32le.Words(ids, &scratch)
-	})
-	var rec []byte
-	for _, src := range s.sources[:used] {
-		rec = append(binary.LittleEndian.AppendUint16(rec[:0], uint16(len(src))), src...)
-		crc = crc32.Update(crc, castagnoli, rec)
-	}
-	for _, y := range slices.Sorted(maps.Keys(s.byClass)) {
-		crc = digestRuns(crc, &s.byClass[y].rows, func(rows []float32) []byte { return f32le.Words(rows, &scratch) })
-	}
+	runs(&s.label, func(ys []int32) []byte { return f32le.Words(ys, &scratch) }, emit)
+	runs(&s.hash, hashBytes, emit)
+	runs(&s.src, func(ids []uint32) []byte { return f32le.Words(ids, &scratch) }, emit)
+	emit(appendTable(nil, s.sources))
+	s.classRuns(&scratch, emit)
 	return crc
 }
 
-// digestRun is the most elements Digest hands the CRC at once: what a
+// classRuns hands emit the rows of every class, label by label,
+// ascending, each class in database order: Digest's rows and a CTFP
+// file's row column. Callers hold the lock or own db.
+func (db *DB) classRuns(scratch *[]byte, emit func([]byte)) {
+	for _, y := range slices.Sorted(maps.Keys(db.byClass)) {
+		runs(&db.byClass[y].rows, func(rows []float32) []byte { return f32le.Words(rows, scratch) }, emit)
+	}
+}
+
+// hashBytes is a run of content digests as their bytes.
+func hashBytes(h [][32]byte) []byte { return unsafe.Slice(&h[0][0], 32*len(h)) }
+
+// digestRun is the most elements runs hands on at once: what a
 // big-endian host encodes into its scratch at a time.
 const digestRun = 1 << 13
 
-// digestRuns adds c's entries to crc, a run of at most digestRun
-// elements at a time, each as enc encodes it.
-func digestRuns[T any](crc uint32, c *column[T], enc func([]T) []byte) uint32 {
+// runs hands emit c's entries, a run of at most digestRun elements at a
+// time, each as enc encodes it.
+func runs[T any](c *column[T], enc func([]T) []byte, emit func([]byte)) {
 	for i := 0; i < c.n; {
 		run, k := c.Span(i, min(c.n, i+max(1, digestRun/c.w)))
-		crc = crc32.Update(crc, castagnoli, enc(run))
+		emit(enc(run))
 		i += k
 	}
-	return crc
 }
 
 // Row returns Entry(i).F alone: what an index's exact re-rank reads.
@@ -340,7 +333,7 @@ func (db *DB) ClassIndexInto(dst []int32, y int) []int32 {
 }
 
 // ClassRows returns the fingerprints of ClassIndex(y), in that order, as
-// the database stores them: the class block LoadDB laid out, then the
+// the database stores them: the class block LoadDB views, then the
 // chunks Add fills, which never move. Rows read them in place, without the lock, however
 // the database grows: index backends serve a label's rows through it
 // instead of copying them. Callers must not write to them.
@@ -356,9 +349,11 @@ func (db *DB) ClassRows(y int) Rows {
 // Snapshot returns a new database holding exactly the first n entries
 // (all of them if n < 0 or n > Len). Nothing is copied: the columns
 // never move a stored entry, so the snapshot shares their storage, and
-// carries the class blocks clipped to its prefix. An Add on the origin
-// lands beyond what the snapshot reads; an Add on the snapshot first
-// takes its own copy of the chunks it would write into. The ingest path
+// carries the class blocks clipped to its prefix, and the source table
+// clipped to the sources the prefix uses, so that an Add on it hands
+// out the next id. An Add on the origin lands beyond what the snapshot
+// reads; an Add on the snapshot first takes its own copy of the chunks
+// it would write into. The ingest path
 // trains replacement indexes against a snapshot so a concurrent writer
 // cannot smear entries into the build.
 func (db *DB) Snapshot(n int) *DB {
@@ -366,6 +361,17 @@ func (db *DB) Snapshot(n int) *DB {
 	defer db.mu.RUnlock()
 	if n < 0 || n > db.label.n {
 		n = db.label.n
+	}
+	used := len(db.sources) // the sources the prefix reaches: ids are handed out in order
+	if n < db.label.n {
+		used = 0
+		for i := 0; i < n; {
+			ids, k := db.src.Span(i, n)
+			for _, id := range ids {
+				used = max(used, int(id)+1)
+			}
+			i += k
+		}
 	}
 	loaded := min(n, db.loaded)
 	out := &DB{
@@ -376,7 +382,7 @@ func (db *DB) Snapshot(n int) *DB {
 		arena:    db.arena, // the whole arena: rowAt points anywhere in it
 		loaded:   loaded,
 		slot:     db.slot.Prefix(n - loaded),
-		sources:  db.sources[:len(db.sources):len(db.sources)],
+		sources:  db.sources[:used:used],
 		byClass:  make(map[int]*class, len(db.byClass)),
 		borrowed: true,
 	}
@@ -669,254 +675,5 @@ func normalize(f Fingerprint) {
 	inv := float32(1 / math.Sqrt(s))
 	for i := range f {
 		f[i] *= inv
-	}
-}
-
-// --- Persistence ----------------------------------------------------------
-
-const dbMagic = "CTFP"
-
-// ioBufSize is the buffer Save and LoadDB put between the record codec
-// and the file: large enough that a 100k-entry database costs a few
-// hundred write(2)/read(2) calls instead of one or two per entry.
-const ioBufSize = 1 << 18
-
-// maxPlausibleElems bounds the float32 count of the arena LoadDB
-// allocates from a header (16 GB), like internal/index's loader.
-const maxPlausibleElems = 4_000_000_000
-
-// Save serializes the database: "CTFP" | dim u32 | n u32, then per entry
-// label i32 | srclen u16 | src | hash[32] | dim × f32, little-endian.
-func (db *DB) Save(w io.Writer) error {
-	db.mu.RLock()
-	defer db.mu.RUnlock()
-	bw := bufio.NewWriterSize(w, ioBufSize)
-	rec := append(make([]byte, 0, 6+32+4*db.dim+64), dbMagic...)
-	rec = binary.LittleEndian.AppendUint32(rec, uint32(db.dim))
-	rec = binary.LittleEndian.AppendUint32(rec, uint32(db.label.n))
-	if _, err := bw.Write(rec); err != nil {
-		return fmt.Errorf("fingerprint: save: %w", err)
-	}
-	for i := 0; i < db.label.n; i++ {
-		rec = db.appendRecord(binary.LittleEndian.AppendUint32(rec[:0], uint32(db.label.get(i))), i)
-		if _, err := bw.Write(rec); err != nil {
-			return fmt.Errorf("fingerprint: save: %w", err)
-		}
-	}
-	if err := bw.Flush(); err != nil {
-		return fmt.Errorf("fingerprint: save: %w", err)
-	}
-	return nil
-}
-
-// SavedSize reports how many bytes Save writes: the Content-Length a
-// snapshot stream declares, so its reader can size the columns up front.
-func (db *DB) SavedSize() int64 {
-	db.mu.RLock()
-	defer db.mu.RUnlock()
-	size := int64(len(dbMagic)+8) + int64(db.label.n)*int64(6+32+4*db.dim)
-	for i := 0; i < db.label.n; i++ {
-		size += int64(len(db.sources[db.src.get(i)]))
-	}
-	return size
-}
-
-// LoadDB deserializes a database written by Save into exact-size
-// columns (one array each for labels, hashes, source ids and the class
-// index, every source name once), the rows into ONE arena of exactly
-// n·dim floats laid out class-major: the rows of a label are contiguous,
-// in database order, whatever order the file interleaves labels in
-// (labels are placed by first appearance, so a class-grouped file — what
-// Save writes for a database built label by label, and what
-// caltrain-shard emits — needs no row moved, and no row map kept).
-// Entry(i).F is a capacity-clipped sub-slice of the arena, and the
-// label's whole run of rows is the base of ClassRows(y). Database indices
-// are the file's record order.
-//
-// Each record is read once, in place in the reader's buffer (sized
-// after the header to hold the longest record the dimension allows),
-// and its floats are copied into the arena as bytes (see f32le).
-//
-// Malformed input yields ErrCorrupt (a cut stream also keeps
-// io.ErrUnexpectedEOF in the chain) or ErrBadLabel, never a panic. The
-// header is believed only after n·dim passes the plausibility bound.
-// When r can say how many bytes it still holds (see BytesLeft), its
-// claim must also fit them, and the columns are allocated at their size
-// up front; otherwise they start at one buffer's worth of records and
-// at most double as records arrive, so a lying header costs memory in
-// proportion to the bytes the stream really carries.
-func LoadDB(r io.Reader) (*DB, error) {
-	hdr := make([]byte, 12)
-	if _, err := io.ReadFull(r, hdr[:4]); err != nil {
-		return nil, truncated("magic", err)
-	}
-	if string(hdr[:4]) != dbMagic {
-		return nil, fmt.Errorf("fingerprint: load: bad magic %q: %w", hdr[:4], ErrCorrupt)
-	}
-	if _, err := io.ReadFull(r, hdr[4:]); err != nil {
-		return nil, truncated("header", err)
-	}
-	dim := int(binary.LittleEndian.Uint32(hdr[4:]))
-	n := int(binary.LittleEndian.Uint32(hdr[8:]))
-	if dim <= 0 || dim > 1_000_000 {
-		return nil, fmt.Errorf("fingerprint: load: implausible dimension %d: %w", dim, ErrCorrupt)
-	}
-	if n > 100_000_000 || int64(n)*int64(dim) > maxPlausibleElems {
-		return nil, fmt.Errorf("fingerprint: load: implausible entry count %d (dim %d): %w", n, dim, ErrCorrupt)
-	}
-	room := min(n, 1+ioBufSize/(6+32+4*dim)) // entries the columns hold
-	if left, ok := BytesLeft(r); ok {
-		if need := int64(n) * int64(6+32+4*dim); need > left {
-			return nil, fmt.Errorf("fingerprint: load: header claims %d entries (at least %d bytes) but %d remain: %w: %w",
-				n, need, left, io.ErrUnexpectedEOF, ErrCorrupt)
-		}
-		room = n
-	}
-	br := bufio.NewReaderSize(r, max(ioBufSize, 6+math.MaxUint16+32+4*dim))
-
-	db, err := NewDB(dim)
-	if err != nil {
-		return nil, err
-	}
-	arena := make([]float32, room*dim)
-	labels, hashes, srcs := make([]int32, room), make([][32]byte, room), make([]uint32, room)
-	db.srcID = make(map[string]uint32) // interned: one string per participant
-
-	// Labels in first-appearance order with their entry counts. grouped
-	// stays true while no label resumes after another one interrupted
-	// it, i.e. while file order already is class-major.
-	var order []int
-	counts := make(map[int]int)
-	grouped, prevY := true, -1
-	for i := range n {
-		if i == room {
-			room = min(n, 2*room)
-			arena, labels, hashes, srcs = regrow(arena, room*dim), regrow(labels, room), regrow(hashes, room), regrow(srcs, room)
-		}
-		head, err := br.Peek(6)
-		if err != nil {
-			return nil, truncated(fmt.Sprintf("entry %d", i), err)
-		}
-		y := int(int32(binary.LittleEndian.Uint32(head)))
-		if y < 0 {
-			return nil, fmt.Errorf("fingerprint: load entry %d: %w: %d", i, ErrBadLabel, y)
-		}
-		slen := int(binary.LittleEndian.Uint16(head[4:]))
-		size := 6 + slen + 32 + 4*dim
-		rec, err := br.Peek(size)
-		if err != nil {
-			return nil, truncated(fmt.Sprintf("entry %d", i), err)
-		}
-		src := rec[6 : 6+slen]
-		id, ok := db.srcID[string(src)] // no allocation on a hit
-		if !ok {
-			id = db.intern(string(src))
-		}
-		labels[i], srcs[i] = int32(y), id
-		copy(hashes[i][:], rec[6+slen:])
-		f32le.Decode(arena[i*dim:(i+1)*dim], rec[6+slen+32:])
-		_, _ = br.Discard(size) // cannot fail: Peek buffered these bytes
-		if y != prevY {
-			if _, seen := counts[y]; seen {
-				grouped = false
-			} else {
-				order = append(order, y)
-			}
-			prevY = y
-		}
-		counts[y]++
-	}
-	db.label, db.hash, db.src = loadedColumn(1, labels), loadedColumn(1, hashes), loadedColumn(1, srcs)
-	db.arena, db.loaded = arena, n
-
-	// next[y] is the class-major row the label's next entry belongs in.
-	next := make(map[int]int, len(order))
-	members := make([]int32, n) // database index by class-major row: every class's entry list, back to back
-	start := 0
-	for _, y := range order {
-		end := start + counts[y]
-		next[y] = start
-		db.byClass[y] = &class{members: loadedColumn(1, members[start:end:end]), rows: loadedColumn(dim, arena[start*dim:end*dim:end*dim])}
-		start = end
-	}
-	if grouped { // a record's row is where the file put it
-		for i := range members {
-			members[i] = int32(i)
-		}
-		return db, nil
-	}
-	db.rowAt = make([]int32, n)
-	for i, y := range labels {
-		row := next[int(y)]
-		next[int(y)]++
-		db.rowAt[i] = int32(row)
-		members[row] = int32(i)
-	}
-	permuteRows(arena, dim, slices.Clone(db.rowAt))
-	return db, nil
-}
-
-// regrow returns s's elements at the front of a new array of length n:
-// a column of a stream that could not be sized, grown as its records
-// arrive.
-func regrow[T any](s []T, n int) []T {
-	out := make([]T, n)
-	copy(out, s)
-	return out
-}
-
-// truncated wraps a read failure inside a record as corruption. A
-// stream that ends between two records reads as io.EOF; the header
-// promised more, so that is an unexpected end too.
-func truncated(where string, err error) error {
-	if err == io.EOF {
-		err = io.ErrUnexpectedEOF
-	}
-	return fmt.Errorf("fingerprint: load %s: %w: %w", where, err, ErrCorrupt)
-}
-
-// BytesLeft reports at most how many bytes r can still yield: what lies
-// between a seeker's position and its end (the position is left where
-// it was), or a LimitedReader's N (a response body cut at its
-// Content-Length). ok is false for a reader that cannot say: a stream,
-// or a pipe behind an *os.File. The format loaders hold the counts a
-// header claims to it before allocating for them.
-func BytesLeft(r io.Reader) (left int64, ok bool) {
-	if l, ok := r.(*io.LimitedReader); ok {
-		return l.N, true
-	}
-	s, ok := r.(io.Seeker)
-	if !ok {
-		return 0, false
-	}
-	cur, err := s.Seek(0, io.SeekCurrent)
-	if err != nil {
-		return 0, false
-	}
-	end, err := s.Seek(0, io.SeekEnd)
-	if err != nil {
-		return 0, false
-	}
-	if _, err := s.Seek(cur, io.SeekStart); err != nil {
-		return 0, false
-	}
-	return end - cur, true
-}
-
-// permuteRows moves, in place, the dim-length row at each position i of
-// arena to position dest[i], following the permutation's cycles with
-// one row of scratch: every swap puts one row in its final place.
-// dest is consumed.
-func permuteRows(arena []float32, dim int, dest []int32) {
-	tmp := make([]float32, dim)
-	for i := range dest {
-		for int(dest[i]) != i {
-			j := int(dest[i])
-			ri, rj := arena[i*dim:(i+1)*dim], arena[j*dim:(j+1)*dim]
-			copy(tmp, rj)
-			copy(rj, ri)
-			copy(ri, tmp)
-			dest[i], dest[j] = dest[j], int32(j)
-		}
 	}
 }

@@ -8,6 +8,8 @@ import (
 	"io"
 	"math"
 	"math/rand/v2"
+	"os"
+	"path/filepath"
 	"reflect"
 	"runtime"
 	"slices"
@@ -97,25 +99,54 @@ func sameEntries(t testing.TB, got, want *DB) {
 	}
 }
 
-// records decodes a CTFP stream record by record, independently of
-// LoadDB, and returns each linkage with the offset its record ends at.
-func records(t testing.TB, raw []byte) (ls []Linkage, ends []int) {
+// records decodes a CTFP file independently of LoadDB: its linkages
+// in database order, and the length of the file they end at.
+func records(t testing.TB, raw []byte) (ls []Linkage, end int) {
 	t.Helper()
-	dim, n := int(binary.LittleEndian.Uint32(raw[4:])), int(binary.LittleEndian.Uint32(raw[8:]))
-	off := 12
-	for i := 0; i < n; i++ {
-		l := Linkage{Y: int(int32(binary.LittleEndian.Uint32(raw[off:]))), F: make(Fingerprint, dim)}
-		slen := int(binary.LittleEndian.Uint16(raw[off+4:]))
-		l.S = string(raw[off+6 : off+6+slen])
-		off += 6 + slen
-		off += copy(l.H[:], raw[off:])
-		for j := range l.F {
-			l.F[j] = math.Float32frombits(binary.LittleEndian.Uint32(raw[off:]))
-			off += 4
-		}
-		ls, ends = append(ls, l), append(ends, off)
+	u32 := func(off int) int { return int(binary.LittleEndian.Uint32(raw[off:])) }
+	dim, n, nsrc, table := u32(12), u32(16), u32(20), u32(24)
+	var sources []string
+	for off := 28; len(sources) < nsrc; {
+		k := int(binary.LittleEndian.Uint16(raw[off:]))
+		sources = append(sources, string(raw[off+2:off+2+k]))
+		off += 2 + k
 	}
-	return ls, ends
+	up := func(off int) int { return (off + 63) / 64 * 64 }
+	label := up(28 + table)
+	src := up(label + 4*n)
+	hash := up(src + 4*n)
+	rows := up(hash + 32*n)
+	ls = make([]Linkage, n)
+	order := make([]int, n) // database indices in row order: by label, stably
+	for i := range ls {
+		ls[i].Y = int(int32(u32(label + 4*i)))
+		ls[i].S = sources[u32(src+4*i)]
+		copy(ls[i].H[:], raw[hash+32*i:])
+		order[i] = i
+	}
+	slices.SortStableFunc(order, func(a, b int) int { return ls[a].Y - ls[b].Y })
+	for r, i := range order {
+		ls[i].F = make(Fingerprint, dim)
+		for j := range ls[i].F {
+			ls[i].F[j] = math.Float32frombits(binary.LittleEndian.Uint32(raw[rows+4*(r*dim+j):]))
+		}
+	}
+	return ls, rows + 4*n*dim
+}
+
+// added builds a database of dimension dim holding ls, by Add.
+func added(t testing.TB, dim int, ls []Linkage) *DB {
+	t.Helper()
+	db, err := NewDB(dim)
+	if err != nil {
+		t.Fatal(err)
+	}
+	for _, l := range ls {
+		if err := db.Add(l); err != nil {
+			t.Fatal(err)
+		}
+	}
+	return db
 }
 
 func savedDB(t testing.TB, db *DB) []byte {
@@ -128,29 +159,28 @@ func savedDB(t testing.TB, db *DB) []byte {
 }
 
 // checkLayout holds a database loaded from raw to what the columnar
-// layout must not show: Entry(i) is record i field by field; Snapshot(n)
+// layout must not show: Entry(i) is record i field by field, and raw is
+// what Save writes for a database its records build by Add; Snapshot(n)
 // answers, lists its classes and saves like a database loaded from the
-// file's first n records, and goes on doing so when both take the same
-// Adds — which the database it was cut from must not see.
+// file of the first n records, and goes on doing so when both take the
+// same Adds — which the database it was cut from must not see.
 func checkLayout(t testing.TB, db *DB, raw []byte) {
 	t.Helper()
-	want, ends := records(t, raw)
+	want, end := records(t, raw)
 	for i, w := range want {
 		if g := db.Entry(i); !sameLinkage(g, w) {
 			t.Fatalf("entry %d: %+v, want record %+v", i, g, w)
 		}
+	}
+	if !bytes.Equal(savedDB(t, added(t, db.Dim(), want)), raw[:end]) {
+		t.Fatal("the file is not what Save writes for the database its records build")
 	}
 	extra := []Linkage{{F: make(Fingerprint, db.Dim()), Y: 0, S: "late"}, {F: make(Fingerprint, db.Dim()), Y: 1 << 20, S: "participant-00"}}
 	for _, n := range []int{0, 1, len(want) / 2, len(want)} {
 		if n > len(want) {
 			continue
 		}
-		prefix := append([]byte(nil), raw[:12]...)
-		if n > 0 {
-			prefix = append(prefix, raw[12:ends[n-1]]...)
-		}
-		binary.LittleEndian.PutUint32(prefix[8:], uint32(n))
-		ref, err := LoadDB(bytes.NewReader(prefix))
+		ref, err := LoadDB(bytes.NewReader(savedDB(t, added(t, db.Dim(), want[:n]))))
 		if err != nil {
 			t.Fatalf("first %d records do not load: %v", n, err)
 		}
@@ -190,16 +220,26 @@ func checkLayout(t testing.TB, db *DB, raw []byte) {
 			t.Fatalf("snapshot(%d): Add after load does not round-trip through Save", n)
 		}
 	}
-	if !bytes.Equal(savedDB(t, db), raw) {
+	if !bytes.Equal(savedDB(t, db), raw[:end]) {
 		t.Fatal("Adds on snapshots changed the database they were cut from")
 	}
 }
 
-// TestLoadDBClassMajor: whatever order the file interleaves labels in,
-// the loaded database keeps the file's indices, answers like the
-// Add-built one, saves the same bytes, and holds every class as one
-// contiguous block its entries alias.
+// TestLoadDBClassMajor: whatever order the labels come in, ascending,
+// descending or interleaved, the loaded database keeps the file's
+// indices, answers like the Add-built one, saves the same bytes, and
+// holds every class as one contiguous block its entries alias.
 func TestLoadDBClassMajor(t *testing.T) {
+	_, raw := fileDB(t, 6, 64, 3, false, 3)
+	ls, _ := records(t, raw)
+	slices.SortStableFunc(ls, func(a, b Linkage) int { return a.Y - b.Y })
+	raw = savedDB(t, added(t, 6, ls))
+	got, err := LoadDB(bytes.NewReader(raw))
+	if err != nil || got.rowAt != nil {
+		t.Fatalf("labels in ascending order: %v, a row map of %d", err, len(got.rowAt))
+	}
+	checkArena(t, got)
+	checkLayout(t, got, raw)
 	for _, grouped := range []bool{true, false} {
 		want, raw := fileDB(t, 6, 211, 5, grouped, 3)
 		got, err := LoadDB(bytes.NewReader(raw))
@@ -333,45 +373,111 @@ func TestSnapshotCarriesBlocks(t *testing.T) {
 // onlyReader hides every method but Read, so LoadDB cannot seek.
 type onlyReader struct{ io.Reader }
 
-// TestLoadDBRejectsMalformed: every malformed input is a typed sentinel,
-// and a cut stream keeps io.ErrUnexpectedEOF in the chain whether or
-// not the reader can seek.
-func TestLoadDBRejectsMalformed(t *testing.T) {
-	_, raw := fileDB(t, 4, 10, 2, false, 21)
-	header := func(dim, n uint32) []byte {
-		b := append([]byte(nil), raw...)
-		binary.LittleEndian.PutUint32(b[4:], dim)
-		binary.LittleEndian.PutUint32(b[8:], n)
+// v1File is what version 1 of Save wrote for db: "CTFP" | dim u32 | n
+// u32, then per entry label i32 | srclen u16 | src | hash[32] | dim × f32.
+func v1File(db *DB) []byte {
+	b := binary.LittleEndian.AppendUint32([]byte(dbMagic), uint32(db.Dim()))
+	b = binary.LittleEndian.AppendUint32(b, uint32(db.Len()))
+	for i := range db.Len() {
+		e := db.Entry(i)
+		b = binary.LittleEndian.AppendUint32(b, uint32(e.Y))
+		b = append(binary.LittleEndian.AppendUint16(b, uint16(len(e.S))), e.S...)
+		b = append(b, e.H[:]...)
+		for _, v := range e.F {
+			b = binary.LittleEndian.AppendUint32(b, math.Float32bits(v))
+		}
+	}
+	return b
+}
+
+// malformed returns raw, a CTFP file of fileDB(4, 10, 2, false, 21),
+// each way of breaking it, and the sentinels each must wrap.
+func malformed(t testing.TB) (raw []byte, cases []malformedCase) {
+	db, raw := fileDB(t, 4, 10, 2, false, 21)
+	l, err := parseHeader(raw)
+	if err != nil {
+		t.Fatal(err)
+	}
+	with := func(edits ...int64) []byte { // offset, word, offset, word, ...
+		b := bytes.Clone(raw)
+		for k := 0; k < len(edits); k += 2 {
+			binary.LittleEndian.PutUint32(b[edits[k]:], uint32(edits[k+1]))
+		}
 		return b
 	}
-	negative := append([]byte(nil), raw...)
-	binary.LittleEndian.PutUint32(negative[12:], 0xffffffff) // first record's label = -1
-	cases := []struct {
-		name string
-		data []byte
-		want []error
-	}{
-		{"empty", nil, []error{ErrCorrupt, io.ErrUnexpectedEOF}},
-		{"short header", raw[:9], []error{ErrCorrupt, io.ErrUnexpectedEOF}},
-		{"bad magic", append([]byte("ZZZZ"), raw[4:]...), []error{ErrCorrupt}},
-		{"cut mid-record", raw[:len(raw)-3], []error{ErrCorrupt, io.ErrUnexpectedEOF}},
-		{"cut between records", raw[:12+(len(raw)-12)/10*4], []error{ErrCorrupt, io.ErrUnexpectedEOF}},
-		{"zero dim", header(0, 10), []error{ErrCorrupt}},
-		{"huge dim", header(2_000_000, 10), []error{ErrCorrupt}},
-		{"lying count", header(4, 90_000_000), []error{ErrCorrupt, io.ErrUnexpectedEOF}},
-		{"implausible product", header(900_000, 90_000_000), []error{ErrCorrupt}},
-		{"negative label", negative, []error{ErrBadLabel}},
+	dup := bytes.Clone(raw) // participant-00, then participant-00 again
+	copy(dup[dbHead+16+2:], raw[dbHead+2:dbHead+16])
+	padded := bytes.Clone(raw)
+	padded[l.label-1] = 1
+	reordered := bytes.Clone(raw) // every source used, but source 2 before source 1
+	for i, id := range []uint32{0, 2, 1, 2, 3, 4, 5, 6, 0, 1} {
+		binary.LittleEndian.PutUint32(reordered[l.src+4*int64(i):], id)
 	}
+	cut, lie := []error{ErrCorrupt, io.ErrUnexpectedEOF}, []error{ErrCorrupt}
+	return raw, []malformedCase{
+		{"empty", nil, cut},
+		{"short header", raw[:9], cut},
+		{"bad magic", append([]byte("ZZZZ"), raw[4:]...), lie},
+		{"a version 1 file", v1File(db), []error{ErrVersionMismatch}},
+		{"version 3", with(8, 3), []error{ErrVersionMismatch}},
+		{"zero dim", with(12, 0), lie},
+		{"huge dim", with(12, 2_000_000), lie},
+		{"lying dim", with(12, 5), cut},
+		{"lying count", with(16, 90_000_000), cut},
+		{"implausible product", with(12, 900_000, 16, 90_000_000), lie},
+		{"lying source count", with(20, 8), lie},
+		{"source table longer than its sources", with(24, l.table+2), lie},
+		{"cut in the source table", raw[:dbHead+20], cut},
+		{"cut in the label column", raw[:l.label+5], cut},
+		{"cut in the source column", raw[:l.src+5], cut},
+		{"cut in the hash column", raw[:l.hash+40], cut},
+		{"cut in the rows", raw[:len(raw)-3], cut},
+		{"source id past the table", with(l.src+4*9, 7), lie},
+		{"source ids out of order", with(l.src, 1), lie},
+		{"a source used before the one listed before it", reordered, lie},
+		{"a listed source no entry uses", with(l.src+4*6, 5), lie},
+		{"source listed twice", dup, lie},
+		{"nonzero padding", padded, lie},
+		{"negative label", with(l.label, 0xffffffff), []error{ErrBadLabel}},
+	}
+}
+
+type malformedCase struct {
+	name string
+	data []byte
+	want []error
+}
+
+// loadFile loads data through a file at path, the way a daemon loads
+// -db, and returns the mapping the database views (nil if none), which
+// the caller unmaps when done with the database.
+func loadFile(t testing.TB, path string, data []byte) (*DB, []byte, error) {
+	t.Helper()
+	if err := os.WriteFile(path, data, 0o644); err != nil {
+		t.Fatal(err)
+	}
+	f, err := os.Open(path)
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer f.Close()
+	return loadDB(f)
+}
+
+// TestLoadDBRejectsMalformed: every malformed input is a typed sentinel,
+// the same one whether it is read from a file, a seekable reader or a
+// stream, and a cut one keeps io.ErrUnexpectedEOF in the chain.
+func TestLoadDBRejectsMalformed(t *testing.T) {
+	raw, cases := malformed(t)
+	path := filepath.Join(t.TempDir(), "db")
 	for _, tc := range cases {
-		for _, seekable := range []bool{true, false} {
-			var r io.Reader = bytes.NewReader(tc.data)
-			if !seekable {
-				r = onlyReader{r}
-			}
-			_, err := LoadDB(r)
+		_, _, ferr := loadFile(t, path, tc.data)
+		_, err := LoadDB(bytes.NewReader(tc.data))
+		_, serr := LoadDB(onlyReader{bytes.NewReader(tc.data)})
+		for way, err := range map[string]error{"a file": ferr, "a seekable reader": err, "a stream": serr} {
 			for _, want := range tc.want {
 				if !errors.Is(err, want) {
-					t.Errorf("%s (seekable=%v): error %v does not wrap %v", tc.name, seekable, err, want)
+					t.Errorf("%s from %s: error %v does not wrap %v", tc.name, way, err, want)
 				}
 			}
 		}
@@ -395,26 +501,31 @@ func allocated(r io.Reader) (uint64, error) {
 	return after.TotalAlloc - before.TotalAlloc, err
 }
 
+// classIndexBudget is what LoadDB may allocate besides the image: the
+// class index, 4 B per entry and 4 more for rowAt, and 64 KiB.
+func classIndexBudget(n int) uint64 { return uint64(8*n + 64<<10) }
+
 // TestLoadDBStreamSizedByRecords: a stream that cannot seek is believed
-// only as far as its records go. A 12-byte body claiming 100 M entries
-// costs what one buffer of records would, not the gigabytes the header
-// names; a stream that keeps its word — its columns grown several times
-// on the way — ends in the exact-size layout a seekable file loads into.
-// A stream that declares its length (a response body cut at its
-// Content-Length) is sized up front like a file.
+// only as far as its bytes go. A 28-byte header claiming 100 M entries
+// costs one ioBufSize of image, not the gigabytes the header names; a
+// stream that keeps its word — its image grown several times on the way
+// — ends in the layout a seekable reader loads into, and allocates at
+// most three images' worth: each growth at most doubles. A stream that
+// declares its length (a response body cut at its Content-Length) is
+// read into one image, like a reader that can seek.
 func TestLoadDBStreamSizedByRecords(t *testing.T) {
-	hdr := binary.LittleEndian.AppendUint32([]byte(dbMagic), 1)
-	hdr = binary.LittleEndian.AppendUint32(hdr, 100_000_000)
+	hdr := newLayout(1, 100_000_000, 1, 3).header()
 	grew, err := allocated(onlyReader{bytes.NewReader(hdr)})
 	if !errors.Is(err, ErrCorrupt) || !errors.Is(err, io.ErrUnexpectedEOF) {
-		t.Fatalf("12-byte stream claiming 100M entries: %v", err)
+		t.Fatalf("28-byte stream claiming 100M entries: %v", err)
 	}
-	if grew >= 4<<20 {
-		t.Fatalf("12-byte stream claiming 100M entries allocated %d bytes", grew)
+	if grew >= ioBufSize+64<<10 {
+		t.Fatalf("28-byte stream claiming 100M entries allocated %d bytes", grew)
 	}
 
 	for _, grouped := range []bool{true, false} {
-		want, raw := fileDB(t, 4, 20_000, 3, grouped, 4) // the columns start at 4 855 entries
+		const n = 20_000
+		want, raw := fileDB(t, 4, n, 3, grouped, 4) // a 1.2 MB file: the image grows 3 times
 		sized, err := LoadDB(bytes.NewReader(raw))
 		if err != nil {
 			t.Fatal(err)
@@ -437,68 +548,117 @@ func TestLoadDBStreamSizedByRecords(t *testing.T) {
 			t.Fatalf("grouped=%v: SavedSize %d, Save wrote %d bytes", grouped, size, len(raw))
 		}
 
-		fromFile, _ := allocated(bytes.NewReader(raw))
 		streamed, _ := allocated(onlyReader{bytes.NewReader(raw)})
 		declared, err := allocated(io.LimitReader(onlyReader{bytes.NewReader(raw)}, int64(len(raw))))
 		if err != nil {
 			t.Fatal(err)
 		}
-		if declared > fromFile+64<<10 || streamed < fromFile+fromFile/4 {
-			t.Fatalf("grouped=%v: allocated %d bytes from a declared-length stream, %d from the file, %d from a stream", grouped, declared, fromFile, streamed)
+		if image := uint64(len(raw)); declared > image+classIndexBudget(n) || streamed > 3*image+classIndexBudget(n) || streamed <= declared {
+			t.Fatalf("grouped=%v: a %d-byte file allocated %d bytes from a declared-length stream, %d from a stream", grouped, image, declared, streamed)
 		}
 	}
 	// Refused at the header: the claim outruns the declared length.
 	if grew, err := allocated(io.LimitReader(onlyReader{bytes.NewReader(hdr)}, 1<<30)); !errors.Is(err, ErrCorrupt) || grew >= 64<<10 {
-		t.Fatalf("12-byte stream declaring 1 GiB, claiming 100M entries: allocated %d bytes, %v", grew, err)
+		t.Fatalf("28-byte stream declaring 1 GiB, claiming 100M entries: allocated %d bytes, %v", grew, err)
+	}
+}
+
+// mapsFiles reports whether LoadDB maps a file on this host: a unix
+// host whose words are the format's.
+func mapsFiles(t testing.TB) bool {
+	t.Helper()
+	_, raw := fileDB(t, 2, 3, 2, true, 1)
+	db, mapped, err := loadFile(t, filepath.Join(t.TempDir(), "probe"), raw)
+	if err != nil || db.Len() != 3 {
+		t.Fatalf("probe: %v", err)
+	}
+	unmap(mapped)
+	return mapped != nil
+}
+
+// TestLoadDBMapsFile: a database loaded from a file views the file's
+// bytes in place. LoadDB allocates its class index and not the 16 MB
+// of linkages, with the labels ascending (no row map) and interleaved
+// (a row map), and the database answers as the one that saved it.
+func TestLoadDBMapsFile(t *testing.T) {
+	if !mapsFiles(t) {
+		t.Skip("LoadDB does not map files on this host")
+	}
+	const n, dim = 50_000, 64
+	for _, grouped := range []bool{true, false} {
+		want, raw := fileDB(t, dim, n, 8, grouped, 6)
+		path := filepath.Join(t.TempDir(), "db")
+		if err := os.WriteFile(path, raw, 0o644); err != nil {
+			t.Fatal(err)
+		}
+		f, err := os.Open(path)
+		if err != nil {
+			t.Fatal(err)
+		}
+		var before, after runtime.MemStats
+		runtime.ReadMemStats(&before)
+		db, err := LoadDB(f)
+		runtime.ReadMemStats(&after)
+		f.Close()
+		if err != nil {
+			t.Fatal(err)
+		}
+		if got, limit := after.TotalAlloc-before.TotalAlloc, classIndexBudget(n); got > limit {
+			t.Errorf("grouped=%v: LoadDB of a %d-byte file allocated %d bytes, want at most %d", grouped, len(raw), got, limit)
+		}
+		sameEntries(t, db, want)
+		checkArena(t, db)
+		if !bytes.Equal(savedDB(t, db), raw) {
+			t.Fatalf("grouped=%v: Save after a mapped load differs from the file", grouped)
+		}
 	}
 }
 
 // FuzzLoadDB holds the CTFP decoder to "a database or a typed sentinel,
-// never a panic": on success the layout invariants hold and Save
-// reproduces the consumed bytes exactly. A stream that cannot seek and
-// delivers short reads must fare the same as the seekable reader.
+// never a panic", reading every input three ways: a seekable reader, a
+// stream that delivers short reads, and a file, which LoadDB maps. All
+// three give the same sentinel, or databases that save the same bytes;
+// on success the layout invariants hold and Save reproduces the
+// consumed bytes exactly.
 func FuzzLoadDB(f *testing.F) {
 	_, grouped := fileDB(f, 3, 9, 3, true, 1)
 	_, interleaved := fileDB(f, 3, 9, 3, false, 2)
-	lying := append([]byte(nil), interleaved...)
-	binary.LittleEndian.PutUint32(lying[8:], 50_000_000)
-	liar := append([]byte(nil), lying...)
-	binary.LittleEndian.PutUint32(liar[12:], 0xffffffff) // and a first label of -1
-	_, long := fileDB(f, 1+ioBufSize/4, 2, 2, false, 3)  // each record longer than the default read buffer
+	_, long := fileDB(f, 1+ioBufSize/4, 2, 2, false, 3) // each row longer than a stream's first image
 	f.Add(grouped)
 	f.Add(interleaved)
-	f.Add(interleaved[:len(interleaved)-5])
-	f.Add(lying)
-	f.Add(liar)
 	f.Add(long)
+	_, cases := malformed(f)
+	for _, c := range cases {
+		f.Add(c.data)
+	}
+	path := filepath.Join(f.TempDir(), "db")
+	canMap := mapsFiles(f)
 	f.Fuzz(func(t *testing.T, data []byte) {
+		fromFile, mapped, ferr := loadFile(t, path, data)
+		defer unmap(mapped)
+		if canMap && ferr == nil && mapped == nil {
+			t.Fatal("a file that loads was not mapped")
+		}
 		db, err := LoadDB(bytes.NewReader(data))
 		streamed, serr := LoadDB(iotest.HalfReader(bytes.NewReader(data)))
-		if (err == nil) != (serr == nil) {
-			t.Fatalf("seekable reader: %v; short-reading stream: %v", err, serr)
+		for _, s := range []error{ErrCorrupt, ErrBadLabel, ErrVersionMismatch, io.ErrUnexpectedEOF} {
+			if errors.Is(err, s) != errors.Is(serr, s) || errors.Is(err, s) != errors.Is(ferr, s) {
+				t.Fatalf("seekable reader: %v; short-reading stream: %v; file: %v", err, serr, ferr)
+			}
 		}
 		if err != nil {
-			if !errors.Is(err, ErrCorrupt) && !errors.Is(err, ErrBadLabel) {
+			if !errors.Is(err, ErrCorrupt) && !errors.Is(err, ErrBadLabel) && !errors.Is(err, ErrVersionMismatch) {
 				t.Fatalf("untyped error: %v", err)
-			}
-			// The one way the two may part: a seekable reader refuses a
-			// header whose claim outruns its bytes before any record,
-			// while the stream reads records until it runs out and may
-			// meet a negative label first.
-			lied := errors.Is(err, io.ErrUnexpectedEOF) && errors.Is(serr, ErrBadLabel)
-			for _, s := range []error{ErrCorrupt, ErrBadLabel, io.ErrUnexpectedEOF} {
-				if errors.Is(err, s) != errors.Is(serr, s) && !lied {
-					t.Fatalf("seekable reader: %v; short-reading stream: %v", err, serr)
-				}
 			}
 			return
 		}
-		if !bytes.Equal(savedDB(t, streamed), savedDB(t, db)) {
-			t.Fatal("a short-reading stream loads a different database than the seekable reader")
+		consumed := savedDB(t, db)
+		if !bytes.Equal(savedDB(t, streamed), consumed) || !bytes.Equal(savedDB(t, fromFile), consumed) {
+			t.Fatal("a short-reading stream or a file loads a different database than the seekable reader")
 		}
 		checkArena(t, streamed)
+		checkArena(t, fromFile)
 		checkArena(t, db)
-		consumed := savedDB(t, db)
 		if !bytes.HasPrefix(data, consumed) {
 			t.Fatalf("Save after LoadDB is not the %d bytes consumed", len(consumed))
 		}
@@ -602,37 +762,54 @@ func TestConcurrentAddQuerySnapshot(t *testing.T) {
 }
 
 // BenchmarkDBSaveLoad reports what one entry costs to write and to read
-// back (dim 64, 8 labels, file-backed sizes are n × ~310 B). Allocations
-// per entry are the regression canary: both directions are a constant
-// handful per database, so the per-entry figure rounds to zero.
+// back (dim 64, 8 labels, the file n × ~300 B): loaded from a file,
+// which LoadDB maps and touches only the label and source-id columns
+// of, and from a stream, read into one heap image. Allocations per entry
+// are the regression canary: both directions are a constant handful per
+// database, so the per-entry figure rounds to zero.
 func BenchmarkDBSaveLoad(b *testing.B) {
 	n := 100_000
 	if testing.Short() {
 		n = 2_000
 	}
 	db, raw := fileDB(b, 64, n, 8, true, 1)
-	var ms0, ms1 runtime.MemStats
+	path := filepath.Join(b.TempDir(), "db")
+	if err := os.WriteFile(path, raw, 0o644); err != nil {
+		b.Fatal(err)
+	}
+	perEntry := func(b *testing.B, op func() error) {
+		var ms0, ms1 runtime.MemStats
+		runtime.ReadMemStats(&ms0)
+		for i := 0; i < b.N; i++ {
+			if err := op(); err != nil {
+				b.Fatal(err)
+			}
+		}
+		runtime.ReadMemStats(&ms1)
+		b.ReportMetric(float64(b.Elapsed().Nanoseconds())/float64(b.N*n), "ns/entry")
+		b.ReportMetric(float64(ms1.Mallocs-ms0.Mallocs)/float64(b.N*n), "allocs/entry")
+		b.ReportMetric(float64(ms1.TotalAlloc-ms0.TotalAlloc)/float64(b.N*n), "B/entry")
+	}
 	b.Run("save", func(b *testing.B) {
-		runtime.ReadMemStats(&ms0)
-		for i := 0; i < b.N; i++ {
-			if err := db.Save(io.Discard); err != nil {
-				b.Fatal(err)
-			}
-		}
-		runtime.ReadMemStats(&ms1)
-		b.ReportMetric(float64(b.Elapsed().Nanoseconds())/float64(b.N*n), "ns/entry")
-		b.ReportMetric(float64(ms1.Mallocs-ms0.Mallocs)/float64(b.N*n), "allocs/entry")
+		perEntry(b, func() error { return db.Save(io.Discard) })
 	})
-	b.Run("load", func(b *testing.B) {
-		runtime.ReadMemStats(&ms0)
-		for i := 0; i < b.N; i++ {
-			if _, err := LoadDB(bytes.NewReader(raw)); err != nil {
-				b.Fatal(err)
+	b.Run("load/file", func(b *testing.B) {
+		perEntry(b, func() error {
+			f, err := os.Open(path)
+			if err != nil {
+				return err
 			}
-		}
-		runtime.ReadMemStats(&ms1)
-		b.ReportMetric(float64(b.Elapsed().Nanoseconds())/float64(b.N*n), "ns/entry")
-		b.ReportMetric(float64(ms1.Mallocs-ms0.Mallocs)/float64(b.N*n), "allocs/entry")
+			defer f.Close()
+			_, mapped, err := loadDB(f)
+			unmap(mapped) // each iteration maps the file afresh
+			return err
+		})
+	})
+	b.Run("load/stream", func(b *testing.B) {
+		perEntry(b, func() error {
+			_, err := LoadDB(bytes.NewReader(raw))
+			return err
+		})
 	})
 }
 
@@ -681,7 +858,7 @@ func TestColumnChunks(t *testing.T) {
 	}
 }
 
-// classBlock is the class-major run of rows LoadDB laid out for label y
+// classBlock is the class-major run of rows LoadDB views for label y
 // — the base of ClassRows(y) — or nil for a label holding only entries
 // stored by Add.
 func classBlock(db *DB, y int) []float32 {

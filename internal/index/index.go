@@ -29,7 +29,7 @@
 // the database and, per entry, its database index, and reads everything
 // else of a linkage where the database keeps it. Flat and IVF scan a
 // label's rows as DB.ClassRows hands them out — the class block LoadDB
-// laid out, then the chunks Add fills, none of which moves — so a
+// views, then the chunks Add fills, none of which moves — so a
 // fingerprint is resident once, whether it was loaded, added before
 // the index was built, or ingested after; IVFPQ keeps codes and reaches
 // a row through DB.Entry for its exact re-rank. Source and hash resolve

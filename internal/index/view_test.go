@@ -18,16 +18,18 @@ import (
 // viewDigests pins, per backend and database origin, one SHA-256 over
 // the CTFP bytes and the trained state (trainedDigest) every step of
 // TestIndexIsAView leaves behind: where a linkage is resident must not
-// show in any file or training. They were recorded on the commit before
-// CTIX files held trained state only, whose run of this test matched
-// the CTFP and CTIX bytes of the commit before an index became a view.
+// show in any file or training. They were recorded when CTFP became
+// version 2; hashing each database's entries instead of its file, that
+// commit and the one before it gave the same six digests, so only the
+// file's layout moved them. Those digests had matched the CTFP and CTIX
+// bytes of the commit before an index became a view.
 var viewDigests = map[string]string{
-	"flat/loaded":  "65d733b22dc33cdd0c42683a4f7fe0b2df72525b0da038bcbf41ca11c025e1ef",
-	"flat/added":   "65d733b22dc33cdd0c42683a4f7fe0b2df72525b0da038bcbf41ca11c025e1ef",
-	"ivf/loaded":   "0c65aa21666dae8942a6e9ef29405138947841754eaa60083d3f178c8cc34662",
-	"ivf/added":    "0c65aa21666dae8942a6e9ef29405138947841754eaa60083d3f178c8cc34662",
-	"ivfpq/loaded": "9eb01a57b3270d8d20ccc1dcda0ad42ba313693f07cd03e330a11a91536fabb9",
-	"ivfpq/added":  "9eb01a57b3270d8d20ccc1dcda0ad42ba313693f07cd03e330a11a91536fabb9",
+	"flat/loaded":  "83c93df79653214e141ac9597ad9bb11f907f917221d40753db48f970ba60c5b",
+	"flat/added":   "83c93df79653214e141ac9597ad9bb11f907f917221d40753db48f970ba60c5b",
+	"ivf/loaded":   "e02a5fa4a8610678b875a8705f13b0ae1a41fc6111dd6e80467dacd468e39443",
+	"ivf/added":    "e02a5fa4a8610678b875a8705f13b0ae1a41fc6111dd6e80467dacd468e39443",
+	"ivfpq/loaded": "69af2380cfe87801fedb396ab7c12e762a816eb9e8b516274f09572c8c799d8d",
+	"ivfpq/added":  "69af2380cfe87801fedb396ab7c12e762a816eb9e8b516274f09572c8c799d8d",
 }
 
 // viewKinds are the backends the model runs, each small enough to

@@ -9,6 +9,7 @@ import (
 	"os"
 	"path/filepath"
 	"reflect"
+	"slices"
 	"sync"
 	"testing"
 	"time"
@@ -72,6 +73,83 @@ func TestStoreIngestVisibleToSearch(t *testing.T) {
 		if got[0].Index != want[0].Index || got[0].Source != "late" {
 			t.Fatalf("search %d: got %+v, want %+v", i, got[0], want[0])
 		}
+	}
+}
+
+// TestStoreSnapshotOntoLoadedFile: a database loaded from the very
+// file a snapshot replaces answers exactly as before it — LoadDB maps
+// that file, and the snapshot replaces it by rename, never writing into
+// the inode the mapping reads — and the new file loads as the database
+// that saved it.
+func TestStoreSnapshotOntoLoadedFile(t *testing.T) {
+	dir := t.TempDir()
+	dbPath := filepath.Join(dir, "linkage.db")
+	if err := WriteFile(dbPath, storeDB(t, 8, 400, 4, 5).Save); err != nil {
+		t.Fatal(err)
+	}
+	f, err := os.Open(dbPath)
+	if err != nil {
+		t.Fatal(err)
+	}
+	db, err := fingerprint.LoadDB(f)
+	f.Close()
+	if err != nil {
+		t.Fatal(err)
+	}
+	flat := index.NewFlat(db)
+	st, err := Open(filepath.Join(dir, "wal"), db, flat, Options{})
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer st.Close()
+	if _, err := st.IngestBatch(newLinkages(t, 8, 30, 4, 6, "late")); err != nil {
+		t.Fatal(err)
+	}
+	queries := newLinkages(t, 8, 16, 4, 7, "query")
+	answers := func() (out [][]fingerprint.Match, entries []fingerprint.Linkage) {
+		for _, q := range queries {
+			got, err := flat.Search(q.F, q.Y, 5)
+			if err != nil {
+				t.Fatal(err)
+			}
+			exact, err := db.Query(q.F, q.Y, 5)
+			if err != nil {
+				t.Fatal(err)
+			}
+			out = append(out, got, exact)
+		}
+		for i := range db.Len() {
+			e := db.Entry(i)
+			e.F = slices.Clone(e.F)
+			entries = append(entries, e)
+		}
+		return out, entries
+	}
+	before, entries := answers()
+	if err := st.Snapshot(dbPath); err != nil {
+		t.Fatal(err)
+	}
+	if after, now := answers(); !reflect.DeepEqual(after, before) || !reflect.DeepEqual(now, entries) {
+		t.Fatal("the database answers otherwise once a snapshot replaced the file it was loaded from")
+	}
+	rf, err := os.Open(dbPath)
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer rf.Close()
+	saved, err := fingerprint.LoadDB(rf)
+	if err != nil {
+		t.Fatal(err)
+	}
+	var want, got bytes.Buffer
+	if err := db.Save(&want); err != nil {
+		t.Fatal(err)
+	}
+	if err := saved.Save(&got); err != nil {
+		t.Fatal(err)
+	}
+	if saved.Len() != 430 || !bytes.Equal(got.Bytes(), want.Bytes()) {
+		t.Fatalf("the snapshot loads %d entries, saving other bytes than the database that wrote it", saved.Len())
 	}
 }
 

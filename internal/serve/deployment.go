@@ -491,6 +491,10 @@ func (d Deployment) buildSharded(db *fingerprint.DB) (*Server, error) {
 	nrep := max(1, d.ReplicasPerShard)
 	replicas := make([][]shard.Replica, d.Shards)
 	srv := &Server{durable: d.WAL != nil}
+	fail := func(err error) (*Server, error) { // the stores already open close as on shutdown
+		srv.Close()
+		return nil, err
+	}
 	limits := d.Limits.options()
 	for rep := 0; rep < nrep; rep++ {
 		// Each replica owns a private copy of its shard's data, split
@@ -498,13 +502,13 @@ func (d Deployment) buildSharded(db *fingerprint.DB) (*Server, error) {
 		// behave as they would across processes.
 		parts, err := shard.SplitDB(db, m)
 		if err != nil {
-			return nil, err
+			return fail(err)
 		}
 		for i, part := range parts {
 			dir := d.logDir(fmt.Sprintf("shard-%d", i), fmt.Sprintf("replica-%d", rep))
 			searcher, origin, err := d.backend(keepBase(dir, ""), part)
 			if searcher, err = exactWhenEmpty(part, searcher, err); err != nil {
-				return nil, fmt.Errorf("serve: shard %d backend: %w", i, err)
+				return fail(fmt.Errorf("serve: shard %d backend: %w", i, err))
 			}
 			srv.origins = append(srv.origins, origin)
 			svc := fingerprint.NewSearcherService(searcher, limits...)
@@ -515,7 +519,7 @@ func (d Deployment) buildSharded(db *fingerprint.DB) (*Server, error) {
 			if d.WAL != nil || d.VolatileWrites {
 				store, err := d.openStore(dir, part, searcher, svc)
 				if err != nil {
-					return nil, fmt.Errorf("serve: shard %d write path: %w", i, err)
+					return fail(fmt.Errorf("serve: shard %d write path: %w", i, err))
 				}
 				svc.SetIngester(store)
 				srv.stores = append(srv.stores, store)

@@ -158,6 +158,7 @@ func (d Deployment) route(srv *Server, m *shard.Map, replicas [][]shard.Replica)
 	}
 	rt, err := shard.NewRouter(m, replicas, opts...)
 	if err != nil {
+		srv.Close() // the in-process shards' stores, as on shutdown
 		return nil, err
 	}
 	srv.router, srv.handler = rt, rt.Handler()

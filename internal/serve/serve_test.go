@@ -5,6 +5,8 @@ import (
 	"math/rand/v2"
 	"net/http"
 	"net/http/httptest"
+	"os"
+	"path/filepath"
 	"strings"
 	"testing"
 	"time"
@@ -404,6 +406,52 @@ func TestDeploymentShardedDurableWrites(t *testing.T) {
 	}
 	if q.Matches[0].Source != "durable" || q.Matches[0].Distance > 1e-6 {
 		t.Fatalf("acknowledged write lost across rebuild: %+v", q.Matches[0])
+	}
+}
+
+// TestDeploymentShardedBuildFailureClosesStores: a sharded Build that
+// fails part-way, here at shard 1's log, whose path is a file, closes
+// the write paths it had already opened, as a clean shutdown does; once
+// the file is gone, the same Build succeeds.
+func TestDeploymentShardedBuildFailureClosesStores(t *testing.T) {
+	open := func() int {
+		fds, err := os.ReadDir("/proc/self/fd")
+		if err != nil {
+			t.Skip("no /proc/self/fd to count open files by")
+		}
+		return len(fds)
+	}
+	dep := func(dir string) Deployment {
+		return Deployment{Shards: 2, WAL: &WALConfig{Dir: dir, Fsync: "always"}}
+	}
+	// Whatever the process opens once and keeps is in the baseline.
+	warm, err := dep(t.TempDir()).Build(testDB(t, 8, 200, 4))
+	if err != nil {
+		t.Fatal(err)
+	}
+	warm.Close()
+
+	walDir := t.TempDir()
+	blocker := filepath.Join(walDir, "shard-1")
+	if err := os.WriteFile(blocker, nil, 0o644); err != nil {
+		t.Fatal(err)
+	}
+	before := open()
+	if _, err := dep(walDir).Build(testDB(t, 8, 200, 4)); err == nil || !strings.Contains(err.Error(), "not a directory") {
+		t.Fatalf("shard 1's log path is a file: %v, want \"not a directory\"", err)
+	}
+	if after := open(); after > before {
+		t.Fatalf("the failed Build left %d files open, %d before it", after, before)
+	}
+	if err := os.Remove(blocker); err != nil {
+		t.Fatal(err)
+	}
+	srv, err := dep(walDir).Build(testDB(t, 8, 200, 4))
+	if err != nil {
+		t.Fatalf("Build once shard 1's log path is free: %v", err)
+	}
+	if err := srv.Close(); err != nil {
+		t.Fatal(err)
 	}
 }
 

@@ -183,7 +183,7 @@ func SplitDB(db *fingerprint.DB, m *Map) ([]*fingerprint.DB, error) {
 }
 
 // Serialized shard-map format, little-endian, versioned like the index
-// files ("CTIX") and the linkage database ("CTFP"):
+// files ("CTIX") and, since its version 2, the linkage database ("CTFP"):
 //
 //	"CTSM" | version u8 | strategy u8 | nshards u32
 //	StrategyRange only: nshards × start i64
