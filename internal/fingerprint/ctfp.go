@@ -13,11 +13,11 @@ import (
 	"caltrain/internal/f32le"
 )
 
-// A CTFP file, version 2, little-endian, is a header, the source table,
+// A CTFP file, version 3, little-endian, is a header, the source table,
 // then four columns, each starting at a multiple of colAlign bytes from
 // the start of the file, with zero bytes between:
 //
-//	"CTFP" | 0 u32 | version u32 | dim u32 | n u32 | nsrc u32 | table u32
+//	"CTFP" | 0 u32 | version u32 | dim u32 | n u32 | nsrc u32 | table u32 | digest u32
 //	sources  nsrc × (len u16 | name): each source once, by id (table bytes)
 //	label    n × i32
 //	source   n × u32, an id into the table
@@ -25,12 +25,15 @@ import (
 //	rows     n·dim × f32, class-major: labels ascending, each class in database order
 //
 // Version 1 had no version word; its dimension stood where the zero is.
-// The rows are in Digest's order, and the table is the bytes Digest
-// hashes for it, so a database's digest is that of its file's parts.
+// Version 2 had no digest word. The digest is Digest(n) of the file's
+// entries, which Save computes and LoadDB keeps, so an index file binds
+// to a loaded database without a pass over its columns. The rows are in
+// Digest's order, and the table is the bytes Digest hashes for it, so a
+// database's digest is that of its file's parts.
 const (
 	dbMagic   = "CTFP"
-	dbVersion = 2
-	dbHead    = 28
+	dbVersion = 3
+	dbHead    = 32
 	colAlign  = 64
 )
 
@@ -47,6 +50,7 @@ type dbLayout struct {
 	dim, n, nsrc                int
 	table                       int64 // the source table's length
 	label, src, hash, rows, end int64 // where each column starts, and the file ends
+	digest                      uint32
 }
 
 func newLayout(dim, n, nsrc int, table int64) dbLayout {
@@ -63,7 +67,7 @@ func newLayout(dim, n, nsrc int, table int64) dbLayout {
 // header is the file's first dbHead bytes.
 func (l dbLayout) header() []byte {
 	b := append(make([]byte, 0, dbHead), dbMagic...)
-	for _, v := range []int64{0, dbVersion, int64(l.dim), int64(l.n), int64(l.nsrc), l.table} {
+	for _, v := range []int64{0, dbVersion, int64(l.dim), int64(l.n), int64(l.nsrc), l.table, int64(l.digest)} {
 		b = binary.LittleEndian.AppendUint32(b, uint32(v))
 	}
 	return b
@@ -83,7 +87,7 @@ func parseHeader(b []byte) (dbLayout, error) {
 	case len(b) >= 4 && string(b[:4]) != dbMagic:
 		return dbLayout{}, fmt.Errorf("fingerprint: load: bad magic %q: %w", b[:4], ErrCorrupt)
 	case len(b) >= 8 && word(1) != 0:
-		return dbLayout{}, fmt.Errorf("fingerprint: load: a version 1 file (dimension %d where version 2 holds 0): %w", word(1), ErrVersionMismatch)
+		return dbLayout{}, fmt.Errorf("fingerprint: load: a version 1 file (dimension %d where later versions hold 0): %w", word(1), ErrVersionMismatch)
 	case len(b) >= 12 && word(2) != dbVersion:
 		return dbLayout{}, fmt.Errorf("fingerprint: load: unsupported version %d: %w", word(2), ErrVersionMismatch)
 	case len(b) < dbHead:
@@ -100,6 +104,7 @@ func parseHeader(b []byte) (dbLayout, error) {
 		return dbLayout{}, fmt.Errorf("fingerprint: load: %d sources in %d bytes for %d entries: %w", nsrc, table, n, ErrCorrupt)
 	}
 	l := newLayout(int(dim), int(n), int(nsrc), table)
+	l.digest = uint32(word(7))
 	if int64(int(l.end)) != l.end {
 		return dbLayout{}, fmt.Errorf("fingerprint: load: a %d-byte file does not fit this host: %w", l.end, ErrCorrupt)
 	}
@@ -107,12 +112,15 @@ func parseHeader(b []byte) (dbLayout, error) {
 }
 
 // Save writes the database as a CTFP file (see dbLayout): the header,
-// the source table, then each column's runs as they are stored, the
-// rows label by label.
+// whose digest word it computes from the entries it writes, never
+// copying the word of a file the database was loaded from, then the
+// source table and each column's runs as they are stored, the rows
+// label by label.
 func (db *DB) Save(w io.Writer) error {
 	db.mu.RLock()
 	defer db.mu.RUnlock()
 	l := db.layout()
+	l.digest = db.digest()
 	s := saver{w: bufio.NewWriterSize(w, ioBufSize)}
 	var scratch []byte // a big-endian host's encoding of one run
 	s.put(l.header())
@@ -186,7 +194,8 @@ func (db *DB) SavedSize() int64 {
 // file's rows and Entry(i).F a capacity-clipped row of it. Only the
 // class index is built: each label's members, and the row of each entry
 // when the labels do not ascend in database order. Database indices are
-// the file's.
+// the file's. The header's digest word is kept, unchecked, as Digest of
+// the file's entries.
 //
 // A regular *os.File read from its start is mapped, read-only and
 // private, on a unix host whose words are the format's: nothing is
@@ -201,7 +210,7 @@ func (db *DB) SavedSize() int64 {
 // proportion to the bytes the stream really carries.
 //
 // Malformed input yields ErrCorrupt (a cut file also keeps
-// io.ErrUnexpectedEOF in the chain) or ErrBadLabel, a version 1 file
+// io.ErrUnexpectedEOF in the chain) or ErrBadLabel, a version 1 or 2 file
 // ErrVersionMismatch, never a panic, and every reader of the same bytes
 // the same sentinel. The header is believed only after n·dim passes the
 // plausibility bound.
@@ -336,6 +345,7 @@ func decodeDB(img []byte) (*DB, error) {
 	}
 	db.label, db.hash, db.src = loadedColumn(1, labels), loadedColumn(1, hashes), loadedColumn(1, ids)
 	db.arena, db.loaded = f32le.View[float32](img[l.rows:l.end]), l.n
+	db.stamp, db.stamped = l.digest, l.n
 	db.indexClasses(labels, ascending)
 	return db, nil
 }

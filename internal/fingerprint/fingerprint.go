@@ -159,6 +159,11 @@ type DB struct {
 	loaded int
 	rowAt  []int32
 	slot   column[int32]
+	// stamp is the digest word of the file LoadDB read, and stamped that
+	// file's entry count: Digest(stamped) is stamp. Otherwise, a Snapshot
+	// included, both are zero, as Digest(0) of any database is.
+	stamp   uint32
+	stamped int
 
 	// sources holds each distinct source once, by id, an id handed out
 	// as its source is first used: every source is some entry's, so the
@@ -228,19 +233,28 @@ var castagnoli = crc32.MakeTable(crc32.Castagnoli)
 // Len: their label, hash and source-id columns, the source table those
 // ids reach, then label by label, ascending, the label's rows among
 // them — what a CTFP file holds of them (see dbLayout), in another
-// order. It reads a Snapshot, so it takes no lock past the snapshot's,
-// and the columns' runs as they are stored, never entry by entry. An
-// index file binds itself to the entries it indexes with it.
+// order. On a database LoadDB read, Digest of its file's entries is
+// the digest word the file carries, and reads no column; otherwise it
+// reads a Snapshot, so it takes no lock past the snapshot's, and the
+// columns' runs as they are stored, never entry by entry. An index file
+// binds itself to the entries it indexes with it.
 func (db *DB) Digest(n int) uint32 {
-	s := db.Snapshot(n)
+	if n == db.stamped {
+		return db.stamp
+	}
+	return db.Snapshot(n).digest()
+}
+
+// digest is Digest(Len()), computed. Callers hold the lock or own db.
+func (db *DB) digest() uint32 {
 	var crc uint32
 	emit := func(b []byte) { crc = crc32.Update(crc, castagnoli, b) }
 	var scratch []byte // a big-endian host's encoding of one run
-	runs(&s.label, func(ys []int32) []byte { return f32le.Words(ys, &scratch) }, emit)
-	runs(&s.hash, hashBytes, emit)
-	runs(&s.src, func(ids []uint32) []byte { return f32le.Words(ids, &scratch) }, emit)
-	emit(appendTable(nil, s.sources))
-	s.classRuns(&scratch, emit)
+	runs(&db.label, func(ys []int32) []byte { return f32le.Words(ys, &scratch) }, emit)
+	runs(&db.hash, hashBytes, emit)
+	runs(&db.src, func(ids []uint32) []byte { return f32le.Words(ids, &scratch) }, emit)
+	emit(appendTable(nil, db.sources))
+	db.classRuns(&scratch, emit)
 	return crc
 }
 

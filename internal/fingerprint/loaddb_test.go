@@ -106,13 +106,13 @@ func records(t testing.TB, raw []byte) (ls []Linkage, end int) {
 	u32 := func(off int) int { return int(binary.LittleEndian.Uint32(raw[off:])) }
 	dim, n, nsrc, table := u32(12), u32(16), u32(20), u32(24)
 	var sources []string
-	for off := 28; len(sources) < nsrc; {
+	for off := 32; len(sources) < nsrc; {
 		k := int(binary.LittleEndian.Uint16(raw[off:]))
 		sources = append(sources, string(raw[off+2:off+2+k]))
 		off += 2 + k
 	}
 	up := func(off int) int { return (off + 63) / 64 * 64 }
-	label := up(28 + table)
+	label := up(32 + table)
 	src := up(label + 4*n)
 	hash := up(src + 4*n)
 	rows := up(hash + 32*n)
@@ -390,6 +390,26 @@ func v1File(db *DB) []byte {
 	return b
 }
 
+// v2File is what version 2 of Save wrote for the same entries as raw, a
+// version 3 file: its header without the digest word, then the same
+// table and columns, each aligned again.
+func v2File(t testing.TB, raw []byte) []byte {
+	t.Helper()
+	l, err := parseHeader(raw)
+	if err != nil {
+		t.Fatal(err)
+	}
+	b := slices.Clone(raw[:dbHead-4])
+	binary.LittleEndian.PutUint32(b[8:], 2)
+	b = append(b, raw[dbHead:dbHead+l.table]...)
+	n := int64(l.n)
+	for _, col := range [][2]int64{{l.label, 4 * n}, {l.src, 4 * n}, {l.hash, 32 * n}, {l.rows, 4 * n * int64(l.dim)}} {
+		b = append(b, make([]byte, -len(b)&(colAlign-1))...)
+		b = append(b, raw[col[0]:col[0]+col[1]]...)
+	}
+	return b
+}
+
 // malformed returns raw, a CTFP file of fileDB(4, 10, 2, false, 21),
 // each way of breaking it, and the sentinels each must wrap.
 func malformed(t testing.TB) (raw []byte, cases []malformedCase) {
@@ -419,7 +439,9 @@ func malformed(t testing.TB) (raw []byte, cases []malformedCase) {
 		{"short header", raw[:9], cut},
 		{"bad magic", append([]byte("ZZZZ"), raw[4:]...), lie},
 		{"a version 1 file", v1File(db), []error{ErrVersionMismatch}},
-		{"version 3", with(8, 3), []error{ErrVersionMismatch}},
+		{"a version 2 file", v2File(t, raw), []error{ErrVersionMismatch}},
+		{"version 4", with(8, 4), []error{ErrVersionMismatch}},
+		{"cut in the digest word", raw[:dbHead-2], cut},
 		{"zero dim", with(12, 0), lie},
 		{"huge dim", with(12, 2_000_000), lie},
 		{"lying dim", with(12, 5), cut},
@@ -506,7 +528,7 @@ func allocated(r io.Reader) (uint64, error) {
 func classIndexBudget(n int) uint64 { return uint64(8*n + 64<<10) }
 
 // TestLoadDBStreamSizedByRecords: a stream that cannot seek is believed
-// only as far as its bytes go. A 28-byte header claiming 100 M entries
+// only as far as its bytes go. A 32-byte header claiming 100 M entries
 // costs one ioBufSize of image, not the gigabytes the header names; a
 // stream that keeps its word — its image grown several times on the way
 // — ends in the layout a seekable reader loads into, and allocates at
@@ -517,10 +539,10 @@ func TestLoadDBStreamSizedByRecords(t *testing.T) {
 	hdr := newLayout(1, 100_000_000, 1, 3).header()
 	grew, err := allocated(onlyReader{bytes.NewReader(hdr)})
 	if !errors.Is(err, ErrCorrupt) || !errors.Is(err, io.ErrUnexpectedEOF) {
-		t.Fatalf("28-byte stream claiming 100M entries: %v", err)
+		t.Fatalf("32-byte stream claiming 100M entries: %v", err)
 	}
 	if grew >= ioBufSize+64<<10 {
-		t.Fatalf("28-byte stream claiming 100M entries allocated %d bytes", grew)
+		t.Fatalf("32-byte stream claiming 100M entries allocated %d bytes", grew)
 	}
 
 	for _, grouped := range []bool{true, false} {
@@ -559,7 +581,7 @@ func TestLoadDBStreamSizedByRecords(t *testing.T) {
 	}
 	// Refused at the header: the claim outruns the declared length.
 	if grew, err := allocated(io.LimitReader(onlyReader{bytes.NewReader(hdr)}, 1<<30)); !errors.Is(err, ErrCorrupt) || grew >= 64<<10 {
-		t.Fatalf("28-byte stream declaring 1 GiB, claiming 100M entries: allocated %d bytes, %v", grew, err)
+		t.Fatalf("32-byte stream declaring 1 GiB, claiming 100M entries: allocated %d bytes, %v", grew, err)
 	}
 }
 
@@ -618,8 +640,9 @@ func TestLoadDBMapsFile(t *testing.T) {
 // never a panic", reading every input three ways: a seekable reader, a
 // stream that delivers short reads, and a file, which LoadDB maps. All
 // three give the same sentinel, or databases that save the same bytes;
-// on success the layout invariants hold and Save reproduces the
-// consumed bytes exactly.
+// on success the layout invariants hold, Save reproduces the consumed
+// bytes but for the digest word, which it computes, and Digest of the
+// file's entries is the word the file carries, unchecked.
 func FuzzLoadDB(f *testing.F) {
 	_, grouped := fileDB(f, 3, 9, 3, true, 1)
 	_, interleaved := fileDB(f, 3, 9, 3, false, 2)
@@ -627,6 +650,9 @@ func FuzzLoadDB(f *testing.F) {
 	f.Add(grouped)
 	f.Add(interleaved)
 	f.Add(long)
+	stale := bytes.Clone(grouped) // a digest word that is not the entries' digest
+	stale[dbHead-1] ^= 0x80
+	f.Add(stale)
 	_, cases := malformed(f)
 	for _, c := range cases {
 		f.Add(c.data)
@@ -659,8 +685,14 @@ func FuzzLoadDB(f *testing.F) {
 		checkArena(t, streamed)
 		checkArena(t, fromFile)
 		checkArena(t, db)
-		if !bytes.HasPrefix(data, consumed) {
+		stamp := binary.LittleEndian.Uint32(data[dbHead-4:])
+		if !bytes.Equal(data[:dbHead-4], consumed[:dbHead-4]) || !bytes.HasPrefix(data[dbHead:], consumed[dbHead:]) {
 			t.Fatalf("Save after LoadDB is not the %d bytes consumed", len(consumed))
+		}
+		for _, x := range []*DB{db, streamed, fromFile} {
+			if got := x.Digest(x.Len()); got != stamp {
+				t.Fatalf("Digest of the file's entries is %08x, the file carries %08x", got, stamp)
+			}
 		}
 		checkLayout(t, db, consumed)
 	})
@@ -864,6 +896,68 @@ func TestColumnChunks(t *testing.T) {
 func classBlock(db *DB, y int) []float32 {
 	rows := db.ClassRows(y)
 	return rows.base
+}
+
+// TestLoadDBKeepsDigest: the digest word Save writes is Digest of the
+// file's entries, and a database LoadDB reads, from a mapped file or a
+// stream, answers Digest(k) as the Add-built database of its entries
+// does for k of 0, 1, n/2 and n — with the labels ascending, grouped out
+// of order or interleaved, and again after both grow by Add. It returns
+// the word for the file's n entries without reading them: a file whose
+// word is not their digest gives that word for n, the computed digest
+// for every other k, and saves the computed one.
+func TestLoadDBKeepsDigest(t *testing.T) {
+	const dim, n = 8, 600
+	_, grouped := fileDB(t, dim, n, 3, true, 9)
+	_, interleaved := fileDB(t, dim, n, 3, false, 9)
+	ls, _ := records(t, interleaved)
+	slices.SortStableFunc(ls, func(a, b Linkage) int { return a.Y - b.Y })
+	extra := []Linkage{{F: make(Fingerprint, dim), Y: 1, S: "late"}, {F: make(Fingerprint, dim), Y: 7, S: "participant-00"}}
+	dir := t.TempDir()
+	for name, raw := range map[string][]byte{"ascending": savedDB(t, added(t, dim, ls)), "grouped": grouped, "interleaved": interleaved} {
+		recs, _ := records(t, raw)
+		want := added(t, dim, append(recs, extra...)) // its first n entries are the file's
+		if stamp := binary.LittleEndian.Uint32(raw[dbHead-4:]); stamp != want.Digest(n) {
+			t.Fatalf("%s: the file carries %08x, its entries' digest is %08x", name, stamp, want.Digest(n))
+		}
+		stale := bytes.Clone(raw)
+		stale[dbHead-1] ^= 0x80
+		for way, raw := range map[string][]byte{"": raw, ", a stale word": stale} {
+			fromFile, mapped, err := loadFile(t, filepath.Join(dir, name), raw)
+			if err != nil {
+				t.Fatal(err)
+			}
+			defer unmap(mapped)
+			streamed, err := LoadDB(onlyReader{bytes.NewReader(raw)})
+			if err != nil {
+				t.Fatal(err)
+			}
+			for from, db := range map[string]*DB{"a file": fromFile, "a stream": streamed} {
+				for _, k := range []int{0, 1, n / 2, n} {
+					got, w := db.Digest(k), want.Digest(k)
+					if k == n {
+						w = binary.LittleEndian.Uint32(raw[dbHead-4:])
+					}
+					if got != w {
+						t.Errorf("%s from %s%s: Digest(%d) = %08x, want %08x", name, from, way, k, got, w)
+					}
+				}
+				if !bytes.Equal(savedDB(t, db), savedDB(t, want.Snapshot(n))) {
+					t.Errorf("%s from %s%s: Save does not write the entries' digest", name, from, way)
+				}
+				for _, l := range extra {
+					if err := db.Add(l); err != nil {
+						t.Fatal(err)
+					}
+				}
+				for _, k := range []int{0, 1, n / 2, n + 1, n + len(extra)} {
+					if got, w := db.Digest(k), want.Digest(k); got != w {
+						t.Errorf("%s from %s%s, grown by Add: Digest(%d) = %08x, want %08x", name, from, way, k, got, w)
+					}
+				}
+			}
+		}
+	}
 }
 
 // TestDigest: Digest(k) is a function of the first k entries alone —

@@ -3,7 +3,9 @@ package index
 import (
 	"bytes"
 	"errors"
+	"math"
 	"math/rand/v2"
+	"slices"
 	"testing"
 
 	"caltrain/internal/fingerprint"
@@ -79,6 +81,59 @@ func TestAttachRefusesForeignIndex(t *testing.T) {
 				if s != nil && s.Len() != n {
 					t.Fatalf("%s: the index holds %d entries, want %d", c.name, s.Len(), n)
 				}
+			}
+		})
+	}
+}
+
+// TestLoadRefusesForeignFile is TestAttachRefusesForeignIndex over
+// databases LoadDB reads from their files, whose Digest is the word each
+// file carries: a kept file saved over one file's database is refused
+// over another's that differs from it only in one row bit, one source or
+// one hash byte, or over a snapshot of its own one entry short, and
+// loads over its own file read again.
+func TestLoadRefusesForeignFile(t *testing.T) {
+	const dim, n = 8, 240
+	db := populatedDB(t, dim, n, 3, 5)
+	read := func(db *fingerprint.DB) *fingerprint.DB {
+		var buf bytes.Buffer
+		if err := db.Save(&buf); err != nil {
+			t.Fatal(err)
+		}
+		loaded, err := fingerprint.LoadDB(bytes.NewReader(buf.Bytes()))
+		if err != nil {
+			t.Fatal(err)
+		}
+		return loaded
+	}
+	edited := func(edit func(l *fingerprint.Linkage)) *fingerprint.DB {
+		return read(rebuilt(t, db, func(i int, l fingerprint.Linkage) fingerprint.Linkage {
+			if i == 100 {
+				l.F = slices.Clone(l.F)
+				edit(&l)
+			}
+			return l
+		}))
+	}
+	others := []struct {
+		name string
+		db   *fingerprint.DB
+	}{
+		{"one row bit", edited(func(l *fingerprint.Linkage) { l.F[3] = math.Float32frombits(math.Float32bits(l.F[3]) ^ 1) })},
+		{"one source", edited(func(l *fingerprint.Linkage) { l.S = "mallory" })},
+		{"one hash byte", edited(func(l *fingerprint.Linkage) { l.H[31] ^= 1 })},
+		{"one entry fewer", read(db).Snapshot(n - 1)},
+	}
+	for _, k := range bindKinds {
+		t.Run(k.name, func(t *testing.T) {
+			file := savedAs(t, k.build, read(db))
+			for _, c := range others {
+				if _, err := Load(bytes.NewReader(file), c.db); !errors.Is(err, ErrForeignIndex) {
+					t.Errorf("over a file with %s: %v, want ErrForeignIndex", c.name, err)
+				}
+			}
+			if s, err := Load(bytes.NewReader(file), read(db)); err != nil || s.Len() != n {
+				t.Fatalf("over its own file read again: %v", err)
 			}
 		})
 	}

@@ -7,6 +7,8 @@ import (
 	"os"
 	"path/filepath"
 	"runtime"
+	"strconv"
+	"strings"
 	"testing"
 
 	"caltrain/internal/fingerprint"
@@ -41,6 +43,74 @@ func TestLoadIndexAllocBudget(t *testing.T) {
 			t.Errorf("%s: Load allocated %d bytes, budget %d (owned %d + 1 MiB)", k.name, got, limit, owned)
 		}
 	}
+}
+
+// TestLoadIndexLeavesRowsUnread: a kept index binds to a database
+// LoadDB maps from its file by the digest word the file carries, so
+// loading each backend's file over it pages in none of the hash or row
+// columns. The mapping's resident size, read from /proc/self/smaps, stays
+// within the bytes before the rows — the header, table, label and
+// source-id columns LoadDB reads — plus 256 KiB of fault-around; a Load
+// that computed the digest would make all 13 MB of a 50 000 × 64 file
+// resident.
+func TestLoadIndexLeavesRowsUnread(t *testing.T) {
+	const dim, n = 64, 50_000
+	added, _, raw := addedAndLoaded(t, dim, n, 8, true, 29)
+	rowsAt := int64(len(raw)) - 4*n*dim // the row column ends the file
+	for _, k := range budgetKinds {
+		s, err := k.train(added)
+		if err != nil {
+			t.Fatal(err)
+		}
+		kept := savedBytes(t, s)
+		path := filepath.Join(t.TempDir(), "shard-"+k.name+".db")
+		if err := os.WriteFile(path, raw, 0o644); err != nil {
+			t.Fatal(err)
+		}
+		f, err := os.Open(path)
+		if err != nil {
+			t.Fatal(err)
+		}
+		db, err := fingerprint.LoadDB(f)
+		f.Close()
+		if err != nil {
+			t.Fatal(err)
+		}
+		loaded, err := Load(bytes.NewReader(kept), db)
+		if err != nil || loaded.Len() != n {
+			t.Fatalf("%s: Load over the mapped database: %v", k.name, err)
+		}
+		rss, ok := mappedRss(path)
+		if !ok {
+			t.Skip("LoadDB does not map files on this host")
+		}
+		t.Logf("%s: %d KiB of the %d KiB file resident, the rows start at %d KiB", k.name, rss>>10, len(raw)>>10, rowsAt>>10)
+		if limit := rowsAt + 256<<10; rss > limit {
+			t.Errorf("%s: loading the index made %d bytes of the mapped database resident, limit %d", k.name, rss, limit)
+		}
+	}
+}
+
+// mappedRss reports the resident bytes of this process's mapping of the
+// file at path, from /proc/self/smaps; ok is false when there is none.
+func mappedRss(path string) (rss int64, ok bool) {
+	smaps, err := os.ReadFile("/proc/self/smaps")
+	if err != nil {
+		return 0, false
+	}
+	in := false
+	for _, line := range strings.Split(string(smaps), "\n") {
+		f := strings.Fields(line)
+		switch {
+		case len(f) == 0:
+		case !strings.HasSuffix(f[0], ":"): // a mapping's first line: its range, ..., its file
+			in = strings.HasSuffix(line, " "+path)
+		case in && f[0] == "Rss:" && len(f) == 3:
+			kb, err := strconv.ParseInt(f[1], 10, 64)
+			return kb << 10, err == nil
+		}
+	}
+	return 0, false
 }
 
 // BenchmarkLoadIndex reads each backend's saved file over its database

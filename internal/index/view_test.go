@@ -19,17 +19,18 @@ import (
 // the CTFP bytes and the trained state (trainedDigest) every step of
 // TestIndexIsAView leaves behind: where a linkage is resident must not
 // show in any file or training. They were recorded when CTFP became
-// version 2; hashing each database's entries instead of its file, that
-// commit and the one before it gave the same six digests, so only the
-// file's layout moved them. Those digests had matched the CTFP and CTIX
-// bytes of the commit before an index became a view.
+// version 3; hashing each database's entries instead of its file, that
+// commit and the one before it gave the same six digests, as the
+// version 2 and version 1 commits had, so only the file's layout moved
+// them. Those digests had matched the CTFP and CTIX bytes of the commit
+// before an index became a view.
 var viewDigests = map[string]string{
-	"flat/loaded":  "83c93df79653214e141ac9597ad9bb11f907f917221d40753db48f970ba60c5b",
-	"flat/added":   "83c93df79653214e141ac9597ad9bb11f907f917221d40753db48f970ba60c5b",
-	"ivf/loaded":   "e02a5fa4a8610678b875a8705f13b0ae1a41fc6111dd6e80467dacd468e39443",
-	"ivf/added":    "e02a5fa4a8610678b875a8705f13b0ae1a41fc6111dd6e80467dacd468e39443",
-	"ivfpq/loaded": "69af2380cfe87801fedb396ab7c12e762a816eb9e8b516274f09572c8c799d8d",
-	"ivfpq/added":  "69af2380cfe87801fedb396ab7c12e762a816eb9e8b516274f09572c8c799d8d",
+	"flat/loaded":  "64f7902a34a731bbc278d0756e18ee500c31a69abc53498682d1556864c66d61",
+	"flat/added":   "64f7902a34a731bbc278d0756e18ee500c31a69abc53498682d1556864c66d61",
+	"ivf/loaded":   "c4d41046ea0b964913da8ac3dee7271dd6e7bdc9b27efa5b78ff9f1f3fae9c9b",
+	"ivf/added":    "c4d41046ea0b964913da8ac3dee7271dd6e7bdc9b27efa5b78ff9f1f3fae9c9b",
+	"ivfpq/loaded": "d5239365a28ffe871173aedae9560e9a7f34dc2ef09fd33fce30161978f1350b",
+	"ivfpq/added":  "d5239365a28ffe871173aedae9560e9a7f34dc2ef09fd33fce30161978f1350b",
 }
 
 // viewKinds are the backends the model runs, each small enough to
