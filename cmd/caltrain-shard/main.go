@@ -55,44 +55,53 @@ func main() {
 	}
 }
 
-func run(args []string, out io.Writer) error {
-	fs := flag.NewFlagSet("caltrain-shard", flag.ContinueOnError)
-	var (
-		dbPath   = fs.String("db", "linkage.db", "linkage database to split")
-		outDir   = fs.String("out", "shards", "output directory")
-		nshards  = fs.Int("shards", 4, "number of shards")
-		strategy = fs.String("strategy", "hash", "label assignment: hash or range (balanced by entry count)")
-		backend  serve.BackendConfig
+// options is the parsed command line.
+type options struct {
+	db, out, strategy, debugAddr string
+	shards                       int
+	backend                      serve.BackendConfig
+}
 
-		debugAddr = fs.String("debug-addr", "", "serve net/http/pprof and expvar on this sidecar host:port while splitting (empty = no debug listener)")
-	)
-	fs.StringVar(&backend.Kind, "index", "", "also train a per-shard index: ivf or ivfpq (empty: none)")
-	serve.BindBackendFlags(fs, &backend)
-	if err := fs.Parse(args); err != nil {
+func parseFlags(args []string) (*flag.FlagSet, *options, error) {
+	fs := flag.NewFlagSet("caltrain-shard", flag.ContinueOnError)
+	o := &options{}
+	fs.StringVar(&o.db, "db", "linkage.db", "linkage database to split")
+	fs.StringVar(&o.out, "out", "shards", "output directory")
+	fs.IntVar(&o.shards, "shards", 4, "number of shards")
+	fs.StringVar(&o.strategy, "strategy", "hash", "label assignment: hash or range (balanced by entry count)")
+	fs.StringVar(&o.debugAddr, "debug-addr", "", "serve net/http/pprof and expvar on this sidecar host:port while splitting (empty = no debug listener)")
+	fs.StringVar(&o.backend.Kind, "index", "", "also train a per-shard index: ivf or ivfpq (empty: none)")
+	serve.BindBackendFlags(fs, &o.backend)
+	return fs, o, fs.Parse(args)
+}
+
+func run(args []string, out io.Writer) error {
+	_, o, err := parseFlags(args)
+	if err != nil {
 		return err
 	}
-	if *debugAddr != "" {
+	if o.debugAddr != "" {
 		// Splitting and per-shard index training can run for minutes on a
 		// big database; the sidecar makes them profileable like the daemons.
-		dl, err := serve.ListenDebug(*debugAddr, nil)
+		dl, err := serve.ListenDebug(o.debugAddr, nil)
 		if err != nil {
 			return err
 		}
 		defer dl.Close()
 		fmt.Fprintf(out, "debug listener (pprof, expvar) on %s\n", dl.Addr())
 	}
-	if *nshards < 1 {
-		return fmt.Errorf("-shards must be positive, got %d", *nshards)
+	if o.shards < 1 {
+		return fmt.Errorf("-shards must be positive, got %d", o.shards)
 	}
 	// Only backends that train have a training to keep (the linear scan
 	// and flat build from the database in one pass).
-	if backend.Kind != "" {
-		if _, ok := serve.KeptIndexFile(filepath.Join(*outDir, shardFile(0)), backend); !ok {
-			return fmt.Errorf("-index %s trains nothing to keep (want ivf or ivfpq)", backend.Kind)
+	if o.backend.Kind != "" {
+		if _, ok := serve.KeptIndexFile(filepath.Join(o.out, shardFile(0)), o.backend); !ok {
+			return fmt.Errorf("-index %s trains nothing to keep (want ivf or ivfpq)", o.backend.Kind)
 		}
 	}
 
-	dbf, err := os.Open(*dbPath)
+	dbf, err := os.Open(o.db)
 	if err != nil {
 		return err
 	}
@@ -104,7 +113,7 @@ func run(args []string, out io.Writer) error {
 	fmt.Fprintf(out, "linkage database: %d entries, %d labels, fingerprint dim %d\n",
 		db.Len(), len(db.Labels()), db.Dim())
 
-	m, err := buildMap(db, *strategy, *nshards)
+	m, err := buildMap(db, o.strategy, o.shards)
 	if err != nil {
 		return err
 	}
@@ -113,27 +122,27 @@ func run(args []string, out io.Writer) error {
 		return err
 	}
 
-	if err := os.MkdirAll(*outDir, 0o755); err != nil {
+	if err := os.MkdirAll(o.out, 0o755); err != nil {
 		return err
 	}
-	if err := ingest.WriteFile(filepath.Join(*outDir, MapFileName), m.Save); err != nil {
+	if err := ingest.WriteFile(filepath.Join(o.out, MapFileName), m.Save); err != nil {
 		return err
 	}
 	for sid, part := range parts {
-		dbPath := filepath.Join(*outDir, shardFile(sid))
+		dbPath := filepath.Join(o.out, shardFile(sid))
 		if err := ingest.WriteFile(dbPath, part.Save); err != nil {
 			return err
 		}
 		line := fmt.Sprintf("shard %d: %d entries, %d labels → %s", sid, part.Len(), len(part.Labels()), filepath.Base(dbPath))
 		// An empty shard has nothing to train on (IVF cannot train on
 		// nothing): it is served with -backend flat.
-		if backend.Kind != "" && part.Len() > 0 {
+		if o.backend.Kind != "" && part.Len() > 0 {
 			started := time.Now()
-			built, err := serve.Deployment{Backend: backend}.Build(part)
+			built, err := serve.Deployment{Backend: o.backend}.Build(part)
 			if err != nil {
 				return fmt.Errorf("shard %d index: %w", sid, err)
 			}
-			kept, _ := serve.KeptIndexFile(dbPath, backend)
+			kept, _ := serve.KeptIndexFile(dbPath, o.backend)
 			if err := serve.SaveIndexFile(kept, built.Service().Searcher()); err != nil {
 				return err
 			}
@@ -141,7 +150,7 @@ func run(args []string, out io.Writer) error {
 		}
 		fmt.Fprintln(out, line)
 	}
-	fmt.Fprintf(out, "shard map (%s, %d shards) → %s\n", m.Strategy(), m.NumShards(), filepath.Join(*outDir, MapFileName))
+	fmt.Fprintf(out, "shard map (%s, %d shards) → %s\n", m.Strategy(), m.NumShards(), filepath.Join(o.out, MapFileName))
 	return nil
 }
 
