@@ -47,36 +47,13 @@
 // Every routing knob is one field of serve.Config — the document format
 // caltrain-serve takes, using its topology block, so one config language
 // describes both halves of a deployment — reachable two ways: its flag,
-// or its field in a -deployment config.json. The flags are an overlay on
-// serve.Config — each binds straight into the field beside it in the
-// table — so flags and file meet in one value, take caltrain-serve's
-// path (Config.Deployment → Deployment.Build) and the same validation: a
-// negative bound is rejected at startup, 0 means the default, unknown
-// file fields are rejected. A -deployment file declares the whole
-// topology, so every flag of this table conflicts with it.
-//
-//	flag                   config field                       default  meaning
-//	-map                   topology.map                       shards/shardmap.ctsm  shard map written by caltrain-shard
-//	-shard ID=a[,b…]       topology.shards {"ID": ["a","b"]}  (none)   one shard's replicas in preference order, repeat per
-//	                                                                   shard; a bare host:port means http://
-//	-timeout               topology.timeout                   5s       per-shard call timeout, all replica attempts combined
-//	-cooldown              topology.cooldown                  1s       base cooldown of a failed replica (grows exponentially)
-//	-write-quorum          topology.write_quorum              0        replicas that must ack an ingest batch (0 = majority)
-//	-response-cache        topology.response_cache            0 (off)  hot single-query responses cached at the router
-//	-repair                topology.repair: {}                off      anti-entropy loop: drive a degraded replica through
-//	                                                                   POST /v1/repl/sync from a healthy same-shard peer, poll
-//	                                                                   /v1/repl/status until live, readmit it (the daemons
-//	                                                                   run caltrain-serve -repl)
-//	-repair-after          topology.repair.after              default  degradation streak before a repair; implies -repair
-//	-repair-interval       topology.repair.interval           default  health scan period; implies -repair
-//	-max-body              limits.max_body_bytes              8 MiB    request body limit
-//	-max-batch             limits.max_batch                   256      queries per batch request
-//	-latency-buckets       limits.latency_buckets             network-scale  router histogram bounds: 5ms,25ms,… / ["5ms","25ms",…]
-//	-request-log           observability.request_log          false    one structured stderr line per request
-//	-slow-query-threshold  observability.slow_query_threshold 0 (off)  warn about slower requests even without the request log
-//	-trace-sample-rate     observability.tracing.sample_rate  1        head-sampling probability in [0,1]
-//	-trace-store           observability.tracing.store        0        traces kept for /v1/debug/traces (0 = default, <0 = none)
-//	-trace-slow            observability.tracing.slow_always  0 (off)  always keep traces slower than this
+// or its field in a -deployment config.json. Each flag is bound from its
+// field's tags (serve.BindFlags), so flags and file meet in one value,
+// take caltrain-serve's path (Config.Deployment → Deployment.Build) and
+// the same validation. A -deployment file declares the whole topology,
+// so every knob flag conflicts with it. README's router knob table and
+// -h list the flags, their config keys and defaults; -shard ID=a[,b…]
+// fills topology.shards {"ID": ["a","b"]}, one flag per shard.
 //
 // File only: topology.repair.sync_timeout, observability.metrics,
 // observability.debug_addr. limits.max_k is rejected: k is bounded by
@@ -117,6 +94,7 @@ import (
 	"syscall"
 	"time"
 
+	"caltrain/internal/fingerprint"
 	"caltrain/internal/serve"
 	"caltrain/internal/shard"
 )
@@ -175,36 +153,18 @@ func parseFlags(args []string) (*flag.FlagSet, *options, error) {
 	fs.StringVar(&o.debugAddr, "debug-addr", "", "serve net/http/pprof, expvar, and /v1/debug/traces on this sidecar host:port (empty = no debug listener; never the public address)")
 	fs.StringVar(&o.deployment, "deployment", "", "deployment config file (JSON) with a topology block: shard map, replicas, quorum, repair in one document — conflicts with the topology flags")
 
-	t := &serve.TopologyConfig{
-		Timeout:  serve.Duration(shard.DefaultShardTimeout),
-		Cooldown: serve.Duration(shard.DefaultReplicaCooldown),
-		Repair:   &serve.RepairConfig{},
+	// The knobs' flag defaults: BindFlags takes each from its field here.
+	one := 1.0
+	o.cfg = serve.Config{
+		Topology: &serve.TopologyConfig{Map: "shards/shardmap.ctsm", Timeout: serve.Duration(shard.DefaultShardTimeout),
+			Cooldown: serve.Duration(shard.DefaultReplicaCooldown), Repair: &serve.RepairConfig{}},
+		Limits:        &serve.LimitsConfig{MaxBodyBytes: fingerprint.DefaultMaxBodyBytes, MaxBatch: fingerprint.DefaultMaxBatch},
+		Observability: &serve.ObservabilityConfig{Trace: &serve.TraceConfig{SampleRate: &one}},
 	}
-	o.cfg = serve.Config{Topology: t, Limits: &serve.LimitsConfig{}, Observability: &serve.ObservabilityConfig{}}
-	fs.StringVar(&t.Map, "map", "shards/shardmap.ctsm", "shard map written by caltrain-shard")
-	fs.Var((*shardFlag)(&t.Shards), "shard", "shard replicas as ID=addr[,addr...]; repeat per shard")
-	fs.Var(&t.Timeout, "timeout", "per-shard call timeout (all replica attempts combined; 0 = default)")
-	fs.Var(&t.Cooldown, "cooldown", "base cooldown for a failed replica (grows exponentially; 0 = default)")
-	fs.IntVar(&t.WriteQuorum, "write-quorum", 0, "replicas per shard that must ack an ingest batch (0 = majority)")
-	fs.IntVar(&t.ResponseCache, "response-cache", 0, "cache up to N hot single-query responses at the router, invalidated on writes to the owning shard (0 = off)")
-	repair := fs.Bool("repair", false, "enable the anti-entropy repair loop: drive degraded replicas through a /v1/repl/sync resync from a healthy same-shard peer and readmit them")
-	fs.Var(&t.Repair.After, "repair-after", "degradation streak before a repair starts (0 = default; implies -repair)")
-	fs.Var(&t.Repair.Interval, "repair-interval", "repair loop health scan period (0 = default; implies -repair)")
-	serve.BindLimitFlags(fs, o.cfg.Limits, "comma-separated router latency bucket bounds as durations (e.g. 5ms,25ms,100ms,1s); empty = network-scale defaults")
-	serve.BindObservabilityFlags(fs, o.cfg.Observability)
-	if err := fs.Parse(args); err != nil {
-		return nil, nil, err
-	}
-	// An optional block's presence is itself a setting (a repair block
-	// turns the loop on), so each survives only when one of its flags was
-	// given — exactly as a config file would spell it.
-	if !*repair && serve.FlagGiven(fs, "repair-after", "repair-interval") == "" {
-		t.Repair = nil
-	}
-	if serve.FlagGiven(fs, "trace-sample-rate", "trace-store", "trace-slow") == "" {
-		o.cfg.Observability.Trace = nil
-	}
-	return fs, o, nil
+	// Bound by hand: topology.shards is a map, spelled one -shard ID=a,b
+	// per shard.
+	fs.Var((*shardFlag)(&o.cfg.Topology.Shards), "shard", "shard replicas as ID=addr[,addr...]; repeat per shard")
+	return fs, o, serve.BindFlags(fs, o.cfg.Topology, o.cfg.Limits, o.cfg.Observability)(args)
 }
 
 // run resolves the topology — from the flags or, whole, from the

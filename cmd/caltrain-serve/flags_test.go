@@ -5,7 +5,10 @@ import (
 	"flag"
 	"os"
 	"path/filepath"
+	"strings"
 	"testing"
+
+	"caltrain/internal/serve"
 )
 
 var update = flag.Bool("update", false, "rewrite testdata/flags.golden with the current flag set")
@@ -36,5 +39,42 @@ func TestFlagsGolden(t *testing.T) {
 	}
 	if !bytes.Equal(got.Bytes(), want) {
 		t.Errorf("the flag set no longer prints %s (after an intentional change: go test -run TestFlagsGolden -update .):\n%s", golden, got.Bytes())
+	}
+}
+
+// TestKnobTable holds README's knob table to the flags BindFlags binds
+// from serve.Config's tags. After an intentional change:
+//
+//	go test -run TestKnobTable -update .
+func TestKnobTable(t *testing.T) {
+	fs, _, err := parseFlags(nil)
+	if err != nil {
+		t.Fatal(err)
+	}
+	readmeSection(t, "caltrain-serve knobs", serve.KnobTable(fs, ""))
+}
+
+// readmeSection holds the lines of README.md between <!-- name --> and
+// <!-- end name --> to want; -update rewrites them.
+func readmeSection(t *testing.T, name, want string) {
+	const path = "../../README.md"
+	doc, err := os.ReadFile(path)
+	if err != nil {
+		t.Fatal(err)
+	}
+	begin, end := "<!-- "+name+" -->\n", "<!-- end "+name+" -->"
+	head, rest, ok := strings.Cut(string(doc), begin)
+	got, tail, ok2 := strings.Cut(rest, end)
+	if !ok || !ok2 {
+		t.Fatalf("%s has no %q … %q section", path, begin, end)
+	}
+	if *update {
+		if err := os.WriteFile(path, []byte(head+begin+want+end+tail), 0o644); err != nil {
+			t.Fatal(err)
+		}
+		return
+	}
+	if got != want {
+		t.Errorf("%s's %s table is stale (go test -run TestKnobTable -update .); want\n%s", path, name, want)
 	}
 }

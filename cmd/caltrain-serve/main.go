@@ -22,42 +22,14 @@
 // # Configuration
 //
 // Every serving knob is one field of serve.Config, reachable two ways:
-// its flag, or its field in a -deployment config.json. The flags are an
-// overlay on serve.Config — each binds straight into the field beside it
-// in the table — so flags and file meet in one value, take the same
-// path (Config.Deployment → Deployment.Build) and the same validation:
-// a negative bound is rejected at startup, 0 means the default, unknown
-// file fields are rejected. A -deployment file declares the whole
-// topology, so every flag of this table conflicts with it. The default
-// column is the flag's; an omitted file field means the same except
-// where noted.
-//
-//	flag                   config field                       default  meaning
-//	-backend               backend.kind                       flat     linear (reference scan), flat (exact, contiguous),
-//	                                                                   ivf (approximate inverted file), ivfpq (product-
-//	                                                                   quantized ivf: -pq-m code bytes per entry, ~4·dim/M smaller)
-//	-nlist                 backend.nlist                      0        ivf/ivfpq lists per label (0 = auto ≈√n)
-//	-nprobe                backend.nprobe                     0        ivf/ivfpq lists probed per query (0 = auto)
-//	-iters                 backend.iters                      0        k-means iterations (0 = default)
-//	-seed                  backend.seed                       42       training seed (the file's default is 0)
-//	-pq-m                  backend.m                          0        ivfpq subquantizers; must divide the dim (0 = auto)
-//	-max-body              limits.max_body_bytes              8 MiB    request body limit (0 = default)
-//	-max-k                 limits.max_k                       1024     per-query neighbour limit (0 = default)
-//	-max-batch             limits.max_batch                   256      queries per batch request (0 = default)
-//	-latency-buckets       limits.latency_buckets             sub-ms   /stats histogram bounds: 100us,1ms,… / ["100us","1ms",…]
-//	-wal                   wal.dir                            (none)   write-ahead log directory; turns on POST /v1/ingest
-//	-fsync                 wal.fsync                          always   always, interval, or never
-//	-fsync-every           wal.fsync_every                    50ms     flush period under -fsync interval
-//	-wal-segment-bytes     wal.segment_bytes                  64 MiB   segment rotation size
-//	-drift-threshold       wal.drift_threshold                0.25     appended fraction that triggers a background retrain
-//	                                                                   + hot-swap of ivf/ivfpq (negative disables; 0 is rejected)
-//	-repl                  replication: {}                    off      serve /v1/repl/* and run the sync state machine (needs a wal)
-//	-repl-peer             replication.peer                   (none)   sync source URL; implies -repl
-//	-request-log           observability.request_log          false    one structured stderr line per request
-//	-slow-query-threshold  observability.slow_query_threshold 0 (off)  warn about slower requests even without the request log
-//	-trace-sample-rate     observability.tracing.sample_rate  1        head-sampling probability in [0,1]
-//	-trace-store           observability.tracing.store        0        traces kept for /v1/debug/traces (0 = default, <0 = none)
-//	-trace-slow            observability.tracing.slow_always  0 (off)  always keep traces slower than this
+// its flag, or its field in a -deployment config.json. Each flag is
+// bound from its field's tags (serve.BindFlags), so flags and file meet
+// in one value, take the same path (Config.Deployment → Deployment.Build)
+// and the same validation: a negative bound is rejected at startup, 0
+// means the default, unknown file fields are rejected. A -deployment
+// file declares the whole topology, so every knob flag conflicts with
+// it. README's knob table and -h list the flags, their config keys and
+// defaults.
 //
 // File only: shards, replicas_per_shard (with "shards" above 1 the one
 // daemon serves the whole in-process sharded topology — the
@@ -168,44 +140,25 @@ func parseFlags(args []string) (*flag.FlagSet, *options, error) {
 	fs.DurationVar(&o.snapshotEvery, "snapshot-every", 0, "periodically persist the database to -db and truncate the WAL (0 = only on graceful shutdown)")
 	fs.StringVar(&o.deployment, "deployment", "", "deployment config file (JSON): backend, sharding, durability, limits in one document — conflicts with the per-knob flags")
 
-	drift := ingest.DefaultDriftThreshold
+	// The knobs' flag defaults: BindFlags takes each from its field here.
+	one, drift := 1.0, ingest.DefaultDriftThreshold
 	o.cfg = serve.Config{
-		Limits:        &serve.LimitsConfig{},
-		Observability: &serve.ObservabilityConfig{},
-		WAL:           &serve.WALConfig{FsyncEvery: serve.Duration(50 * time.Millisecond), DriftThreshold: &drift},
+		Backend: serve.BackendConfig{Kind: "flat", Seed: serve.FlagSeed},
+		WAL: &serve.WALConfig{Fsync: "always", FsyncEvery: serve.Duration(50 * time.Millisecond),
+			SegmentBytes: 64 << 20, DriftThreshold: &drift},
+		Limits: &serve.LimitsConfig{MaxBodyBytes: fingerprint.DefaultMaxBodyBytes,
+			MaxK: fingerprint.DefaultMaxK, MaxBatch: fingerprint.DefaultMaxBatch},
+		Observability: &serve.ObservabilityConfig{Trace: &serve.TraceConfig{SampleRate: &one}},
 		Replication:   &serve.ReplicationConfig{},
 	}
 	c := &o.cfg
-	fs.StringVar(&c.Backend.Kind, "backend", "flat", "index backend: linear, flat, ivf, or ivfpq")
-	serve.BindBackendFlags(fs, &c.Backend)
-	serve.BindLimitFlags(fs, c.Limits, "comma-separated /stats latency bucket bounds as durations (e.g. 100us,1ms,10ms); empty = sub-ms defaults")
-	fs.IntVar(&c.Limits.MaxK, "max-k", fingerprint.DefaultMaxK, "per-query neighbour count limit (0 = default)")
-	serve.BindObservabilityFlags(fs, c.Observability)
-
-	fs.StringVar(&c.WAL.Dir, "wal", "", "write-ahead log directory; enables POST /ingest (empty = read-only daemon)")
-	fs.StringVar(&c.WAL.Fsync, "fsync", "always", "WAL fsync policy: always, interval, or never")
-	fs.Var(&c.WAL.FsyncEvery, "fsync-every", "flush period for -fsync interval (0 = default)")
-	fs.Int64Var(&c.WAL.SegmentBytes, "wal-segment-bytes", 64<<20, "rotate WAL segments past this size (0 = default)")
-	fs.Float64Var(c.WAL.DriftThreshold, "drift-threshold", drift, "appended fraction that triggers a background IVF retrain + hot-swap (negative disables)")
-
-	repl := fs.Bool("repl", false, "enable replication: serve the /v1/repl/* snapshot+WAL source endpoints and run the sync state machine (needs -wal)")
-	fs.StringVar(&c.Replication.Peer, "repl-peer", "", "sync source base URL (another replica of the same shard); implies -repl — the daemon syncs from the peer at startup, and a missing -db file is bootstrapped from its snapshot")
-	if err := fs.Parse(args); err != nil {
-		return nil, nil, err
-	}
-	// An optional block's presence is itself a setting (a wal block turns
-	// the write path on), so each survives only when one of its flags was
-	// given — exactly as a config file would spell it.
-	if serve.FlagGiven(fs, "wal", "fsync", "fsync-every", "wal-segment-bytes", "drift-threshold") == "" {
-		c.WAL = nil
-	}
-	if !*repl && c.Replication.Peer == "" {
-		c.Replication = nil
-	}
-	if serve.FlagGiven(fs, "trace-sample-rate", "trace-store", "trace-slow") == "" {
-		c.Observability.Trace = nil
-	}
-	return fs, o, nil
+	// Bound by hand: caltrain-shard spells backend.kind -index, with no
+	// default.
+	fs.StringVar(&c.Backend.Kind, "backend", c.Backend.Kind, "index backend: linear, flat, ivf, or ivfpq")
+	// Bound by hand: limits.max_k is the daemon's alone; the router
+	// refuses it.
+	fs.IntVar(&c.Limits.MaxK, "max-k", c.Limits.MaxK, "per-query neighbour count limit (0 = default)")
+	return fs, o, serve.BindFlags(fs, c)(args)
 }
 
 func run(parent context.Context, args []string, out io.Writer) error {
@@ -216,9 +169,6 @@ func run(parent context.Context, args []string, out io.Writer) error {
 	cfg, err := serve.ResolveConfig(fs, o.cfg, o.deployment, processFlags)
 	if err != nil {
 		return err
-	}
-	if f := serve.FlagGiven(fs, "fsync", "fsync-every", "wal-segment-bytes", "drift-threshold", "repl", "repl-peer"); f != "" && serve.FlagGiven(fs, "wal") == "" {
-		return fmt.Errorf("-%s needs -wal: the read-only daemon has no write path", f)
 	}
 
 	// Flags or file, the topology is one serve.Config by now, and this is

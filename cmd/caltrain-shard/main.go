@@ -64,15 +64,16 @@ type options struct {
 
 func parseFlags(args []string) (*flag.FlagSet, *options, error) {
 	fs := flag.NewFlagSet("caltrain-shard", flag.ContinueOnError)
-	o := &options{}
+	o := &options{backend: serve.BackendConfig{Seed: serve.FlagSeed}}
 	fs.StringVar(&o.db, "db", "linkage.db", "linkage database to split")
 	fs.StringVar(&o.out, "out", "shards", "output directory")
 	fs.IntVar(&o.shards, "shards", 4, "number of shards")
 	fs.StringVar(&o.strategy, "strategy", "hash", "label assignment: hash or range (balanced by entry count)")
 	fs.StringVar(&o.debugAddr, "debug-addr", "", "serve net/http/pprof and expvar on this sidecar host:port while splitting (empty = no debug listener)")
+	// Bound by hand: caltrain-serve spells backend.kind -backend, with
+	// flat for its default.
 	fs.StringVar(&o.backend.Kind, "index", "", "also train a per-shard index: ivf or ivfpq (empty: none)")
-	serve.BindBackendFlags(fs, &o.backend)
-	return fs, o, fs.Parse(args)
+	return fs, o, serve.BindFlags(fs, &o.backend)(args)
 }
 
 func run(args []string, out io.Writer) error {

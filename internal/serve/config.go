@@ -38,7 +38,7 @@ type Config struct {
 	// ReplicasPerShard replicates each shard; see Deployment.ReplicasPerShard.
 	ReplicasPerShard int `json:"replicas_per_shard,omitempty"`
 	// WAL enables the durable write path; see WALConfig.
-	WAL *WALConfig `json:"wal,omitempty"`
+	WAL *WALConfig `json:"wal,omitempty" flag:""`
 	// VolatileWrites enables the non-durable write path when WAL is
 	// absent; see Deployment.VolatileWrites.
 	VolatileWrites bool `json:"volatile_writes,omitempty"`
@@ -49,7 +49,7 @@ type Config struct {
 	Observability *ObservabilityConfig `json:"observability,omitempty"`
 	// Replication enables the self-healing sync state machine on a
 	// single-service WAL deployment; see ReplicationConfig.
-	Replication *ReplicationConfig `json:"replication,omitempty"`
+	Replication *ReplicationConfig `json:"replication,omitempty" flag:"repl" usage:"enable replication: serve the /v1/repl/* snapshot+WAL source endpoints and run the sync state machine (needs -wal)"`
 	// Topology is the routed-topology block caltrain-router serves; it
 	// conflicts with every daemon-shape field. See Deployment.Topology.
 	Topology *TopologyConfig `json:"topology,omitempty"`
@@ -67,7 +67,7 @@ type Config struct {
 type ReplicationConfig struct {
 	// Peer is the sync source base URL — normally another replica of the
 	// same shard. Empty means source-only until nudged.
-	Peer string `json:"peer,omitempty"`
+	Peer string `json:"peer,omitempty" flag:"repl-peer" usage:"sync source base URL (another replica of the same shard); implies -repl — the daemon syncs from the peer at startup, and a missing -db file is bootstrapped from its snapshot"`
 }
 
 // TopologyConfig is the routed-topology block of a deployment config —
@@ -81,23 +81,23 @@ type ReplicationConfig struct {
 //	}
 type TopologyConfig struct {
 	// Map is the shard map file written by caltrain-shard (required).
-	Map string `json:"map"`
+	Map string `json:"map" flag:"map" usage:"shard map written by caltrain-shard"`
 	// Shards maps shard ID → replica base URLs in preference order; a
 	// bare host:port defaults to http. Every shard in the map must be
 	// listed (required).
 	Shards map[string][]string `json:"shards"`
 	// WriteQuorum is how many replicas of a shard must acknowledge an
 	// ingest batch (0 = majority).
-	WriteQuorum int `json:"write_quorum,omitempty"`
+	WriteQuorum int `json:"write_quorum,omitempty" flag:"write-quorum" usage:"replicas per shard that must ack an ingest batch (0 = majority)"`
 	// Timeout bounds each shard call; Cooldown is the base cooldown for
 	// a failed replica. Zero keeps the router defaults.
-	Timeout  Duration `json:"timeout,omitempty"`
-	Cooldown Duration `json:"cooldown,omitempty"`
+	Timeout  Duration `json:"timeout,omitempty" flag:"timeout" usage:"per-shard call timeout (all replica attempts combined; 0 = default)"`
+	Cooldown Duration `json:"cooldown,omitempty" flag:"cooldown" usage:"base cooldown for a failed replica (grows exponentially; 0 = default)"`
 	// ResponseCache keeps up to N hot single-query responses at the
 	// router (0 = off).
-	ResponseCache int `json:"response_cache,omitempty"`
+	ResponseCache int `json:"response_cache,omitempty" flag:"response-cache" usage:"cache up to N hot single-query responses at the router, invalidated on writes to the owning shard (0 = off)"`
 	// Repair enables the anti-entropy repair loop; see RepairConfig.
-	Repair *RepairConfig `json:"repair,omitempty"`
+	Repair *RepairConfig `json:"repair,omitempty" flag:"repair" usage:"enable the anti-entropy repair loop: drive degraded replicas through a /v1/repl/sync resync from a healthy same-shard peer and readmit them"`
 }
 
 // RepairConfig is the repair block of a topology config: presence
@@ -106,9 +106,9 @@ type TopologyConfig struct {
 // shard.Default* repair values.
 type RepairConfig struct {
 	// After is the degradation streak that triggers a repair.
-	After Duration `json:"after,omitempty"`
+	After Duration `json:"after,omitempty" flag:"repair-after" usage:"degradation streak before a repair starts (0 = default; implies -repair)"`
 	// Interval is the health scan period.
-	Interval Duration `json:"interval,omitempty"`
+	Interval Duration `json:"interval,omitempty" flag:"repair-interval" usage:"repair loop health scan period (0 = default; implies -repair)"`
 	// SyncTimeout bounds one repair attempt end to end.
 	SyncTimeout Duration `json:"sync_timeout,omitempty"`
 }
@@ -121,14 +121,14 @@ type BackendConfig struct {
 	Kind string `json:"kind"`
 	// IVF training and search knobs (ivf and ivfpq; zero = auto
 	// defaults).
-	Nlist  int    `json:"nlist,omitempty"`
-	Nprobe int    `json:"nprobe,omitempty"`
-	Iters  int    `json:"iters,omitempty"`
-	Seed   uint64 `json:"seed,omitempty"`
+	Nlist  int    `json:"nlist,omitempty" flag:"nlist" usage:"IVF/IVFPQ lists per label (0 = auto ≈√n)"`
+	Nprobe int    `json:"nprobe,omitempty" flag:"nprobe" usage:"IVF/IVFPQ lists probed per query (0 = auto)"`
+	Iters  int    `json:"iters,omitempty" flag:"iters" usage:"IVF/IVFPQ k-means iterations (0 = default)"`
+	Seed   uint64 `json:"seed,omitempty" flag:"seed" usage:"IVF/IVFPQ training seed"`
 	// M is the ivfpq subquantizer count (code bytes per entry); it must
 	// divide the fingerprint dimensionality. Zero picks the largest of
 	// {16, 8, 4, 2, 1} that does.
-	M int `json:"m,omitempty"`
+	M int `json:"m,omitempty" flag:"pq-m" usage:"IVFPQ subquantizers (code bytes per entry, must divide the fingerprint dim; 0 = auto)"`
 }
 
 // kind is the backend's wire name — what /v1/meta and /v1/stats report.
@@ -189,32 +189,32 @@ func (b BackendConfig) rebuild() func(*fingerprint.DB) (fingerprint.Searcher, er
 type WALConfig struct {
 	// Dir is the write-ahead log directory (required; created if
 	// absent).
-	Dir string `json:"dir"`
+	Dir string `json:"dir" flag:"wal" usage:"write-ahead log directory; enables POST /ingest (empty = read-only daemon)"`
 	// Fsync is the WAL sync policy: "always" (the default, also when
 	// empty), "interval", or "never".
-	Fsync string `json:"fsync,omitempty"`
+	Fsync string `json:"fsync,omitempty" flag:"fsync" usage:"WAL fsync policy: always, interval, or never"`
 	// FsyncEvery is the flush period under the interval policy
 	// (0 = 50ms).
-	FsyncEvery Duration `json:"fsync_every,omitempty"`
+	FsyncEvery Duration `json:"fsync_every,omitempty" flag:"fsync-every" usage:"flush period for -fsync interval (0 = default)"`
 	// SegmentBytes rotates WAL segments past this size (0 = 64 MiB).
-	SegmentBytes int64 `json:"segment_bytes,omitempty"`
+	SegmentBytes int64 `json:"segment_bytes,omitempty" flag:"wal-segment-bytes" usage:"rotate WAL segments past this size (0 = default)"`
 	// DriftThreshold is the appended fraction that triggers a background
 	// retrain + hot-swap of an approximate backend; nil means the ingest
 	// default, negative disables. An explicit 0 is rejected (the ingest
 	// layer would silently read it as the default).
-	DriftThreshold *float64 `json:"drift_threshold,omitempty"`
+	DriftThreshold *float64 `json:"drift_threshold,omitempty" flag:"drift-threshold" usage:"appended fraction that triggers a background IVF retrain + hot-swap (negative disables)"`
 }
 
 // LimitsConfig bounds request sizes on every query service a Deployment
 // builds and at its router's door, where max_k has no say. Zero fields
 // keep the defaults.
 type LimitsConfig struct {
-	MaxBodyBytes int64 `json:"max_body_bytes,omitempty"`
+	MaxBodyBytes int64 `json:"max_body_bytes,omitempty" flag:"max-body" usage:"request body size limit in bytes (0 = default)"`
 	MaxK         int   `json:"max_k,omitempty"`
-	MaxBatch     int   `json:"max_batch,omitempty"`
+	MaxBatch     int   `json:"max_batch,omitempty" flag:"max-batch" usage:"queries per batch request limit (0 = default)"`
 	// LatencyBuckets replaces the /stats histogram bounds, each a
 	// duration string of at least 1us ("100us", "1ms", …).
-	LatencyBuckets []Duration `json:"latency_buckets"`
+	LatencyBuckets []Duration `json:"latency_buckets" flag:"latency-buckets" usage:"comma-separated /stats latency bucket bounds as durations (e.g. 100us,1ms,10ms); empty = the tier's defaults, sub-ms on a daemon and network-scale on a router"`
 }
 
 // ObservabilityConfig tunes the observability layer of a Deployment:
@@ -234,11 +234,11 @@ type ObservabilityConfig struct {
 	Metrics *bool `json:"metrics,omitempty"`
 	// RequestLog emits one structured log line per request — method,
 	// path, status, duration, request ID, and per-stage timings.
-	RequestLog bool `json:"request_log,omitempty"`
+	RequestLog bool `json:"request_log,omitempty" flag:"request-log" usage:"log one structured line per request: request ID, trace ID, status, duration, stage timings"`
 	// SlowQueryThreshold logs a warning for any request slower than
 	// this ("250ms"), even when RequestLog is off. 0 disables the
 	// slow-query log.
-	SlowQueryThreshold Duration `json:"slow_query_threshold,omitempty"`
+	SlowQueryThreshold Duration `json:"slow_query_threshold,omitempty" flag:"slow-query-threshold" usage:"warn about requests slower than this, even without -request-log (0 = disabled)"`
 	// DebugAddr is the host:port a daemon serves net/http/pprof, expvar
 	// and /v1/debug/traces on ("localhost:6060") — always a sidecar
 	// listener, never the public handler. Empty keeps the debug listener
@@ -247,7 +247,7 @@ type ObservabilityConfig struct {
 	DebugAddr string `json:"debug_addr,omitempty"`
 	// Trace tunes distributed tracing. Nil keeps the defaults — every
 	// request sampled into a store of obs.DefaultTraceStoreSize traces.
-	Trace *TraceConfig `json:"tracing,omitempty"`
+	Trace *TraceConfig `json:"tracing,omitempty" flag:""`
 	// Logger receives the request, slow-query and write-path logs; nil
 	// means slog.Default. A process-local part: no file spells it.
 	Logger *slog.Logger `json:"-"`
@@ -264,14 +264,14 @@ type TraceConfig struct {
 	// SampleRate is the head-sampling probability in [0, 1] for traces
 	// originating at this deployment. Nil means 1 (sample everything);
 	// an explicit 0 keeps only slow/error traces.
-	SampleRate *float64 `json:"sample_rate,omitempty"`
+	SampleRate *float64 `json:"sample_rate,omitempty" flag:"trace-sample-rate" usage:"head-sampling probability for request traces, in [0,1] (0 = keep only slow/error traces)"`
 	// StoreSize bounds the in-memory trace store behind
 	// /v1/debug/traces, at most 1<<20 traces; 0 means
 	// obs.DefaultTraceStoreSize, negative disables retention.
-	StoreSize int `json:"store,omitempty"`
+	StoreSize int `json:"store,omitempty" flag:"trace-store" usage:"in-memory trace store size behind /v1/debug/traces (0 = default, negative = no retention)"`
 	// SlowAlways stores any trace slower than this even when head
 	// sampling passed it by ("100ms"); 0 disables.
-	SlowAlways Duration `json:"slow_always,omitempty"`
+	SlowAlways Duration `json:"slow_always,omitempty" flag:"trace-slow" usage:"always store traces slower than this, even when not head-sampled (0 = disabled)"`
 }
 
 // Duration is a time.Duration that marshals as a duration string

@@ -3,17 +3,15 @@ package serve
 import (
 	"flag"
 	"fmt"
+	"reflect"
 	"slices"
 	"strings"
-
-	"caltrain/internal/fingerprint"
 )
 
-// Flags are an overlay on Config: the daemons bind each serving knob's
-// flag straight into the Config field it sets, so the flag path and the
-// -deployment file path meet in one value and share Config.Deployment,
-// and with it Deployment's one validation. The binders below cover the
-// flags more than one binary declares.
+// FlagSeed is -seed's default in caltrain-serve and caltrain-shard
+// alike, so an index trained offline is the one a daemon started with
+// the same flags would train, and loads.
+const FlagSeed = 42
 
 // ResolveConfig picks the one Config a daemon runs from: the flag-bound
 // overlay or, when path names a -deployment file, that file whole. The
@@ -25,65 +23,160 @@ func ResolveConfig(fs *flag.FlagSet, overlay Config, path string, process map[st
 	if path == "" {
 		return overlay, nil
 	}
-	if conflict := firstGiven(fs, func(name string) bool { return !process[name] }); conflict != "" {
+	var conflict string
+	fs.Visit(func(f *flag.Flag) {
+		if conflict == "" && !process[f.Name] {
+			conflict = f.Name
+		}
+	})
+	if conflict != "" {
 		return Config{}, fmt.Errorf("-%s conflicts with -deployment: the config file declares the topology", conflict)
 	}
 	return LoadConfig(path)
 }
 
-// FlagGiven returns the first (in sorted order) of the named flags that
-// was set on fs's command line, "" when none was — how a daemon decides
-// which optional blocks (wal, replication, repair, tracing: presence is
-// itself a setting) survive in the overlay, exactly as a config file
-// would spell them, and which flag to name in a conflict.
-func FlagGiven(fs *flag.FlagSet, names ...string) string {
-	return firstGiven(fs, func(name string) bool { return slices.Contains(names, name) })
-}
-
-func firstGiven(fs *flag.FlagSet, match func(name string) bool) string {
-	var given string
-	fs.Visit(func(f *flag.Flag) {
-		if given == "" && match(f.Name) {
-			given = f.Name
+// BindFlags binds a flag to every field of the blocks that carries a
+// flag:"name" tag, with the field's usage tag as its help text and the
+// field's value now as its default: a daemon's flag defaults are the
+// Config literal it hands over, and each knob is declared once, by its
+// field. Each block is a pointer to a struct — a Config, or one of its
+// blocks. The walk descends into struct fields and into the
+// pointer-to-struct fields the literal fills; a nil one is a block the
+// daemon does not take.
+//
+// A pointer block tagged flag is optional: its presence is itself a
+// setting (a wal block turns the write path on), so the returned parse
+// keeps it only when one of its flags was given, as a file would spell
+// it. A non-empty tag names the block's own bool flag, which gives it
+// on its own (-repl, -repair).
+func BindFlags(fs *flag.FlagSet, blocks ...any) (parse func(args []string) error) {
+	var opts []optional
+	for _, b := range blocks {
+		bindStruct(fs, reflect.ValueOf(b).Elem(), &opts)
+	}
+	return func(args []string) error {
+		if err := fs.Parse(args); err != nil {
+			return err
 		}
+		given := map[string]bool{}
+		fs.Visit(func(f *flag.Flag) { given[f.Name] = true })
+		for _, o := range opts {
+			if !*o.on && !slices.ContainsFunc(o.flags, func(name string) bool { return given[name] }) {
+				o.block.SetZero()
+			}
+		}
+		return nil
+	}
+}
+
+// optional is a block that survives parsing only when one of its flags
+// was given or its own flag was set.
+type optional struct {
+	block reflect.Value // the pointer field
+	flags []string
+	on    *bool
+}
+
+// bindStruct binds the tagged fields under the struct v and returns
+// their flag names.
+func bindStruct(fs *flag.FlagSet, v reflect.Value, opts *[]optional) []string {
+	var names []string
+	for i := range v.NumField() {
+		f, fv := v.Type().Field(i), v.Field(i)
+		name, tagged := f.Tag.Lookup("flag")
+		switch {
+		case fv.Kind() == reflect.Struct:
+			names = append(names, bindStruct(fs, fv, opts)...)
+		case fv.Kind() == reflect.Pointer && fv.Type().Elem().Kind() == reflect.Struct:
+			if fv.IsNil() {
+				continue
+			}
+			inner := bindStruct(fs, fv.Elem(), opts)
+			if tagged {
+				o := optional{block: fv, flags: inner, on: new(bool)}
+				if name != "" {
+					fs.BoolVar(o.on, name, false, f.Tag.Get("usage"))
+					names = append(names, name)
+				}
+				*opts = append(*opts, o)
+			}
+			names = append(names, inner...)
+		case tagged:
+			bindField(fs, fv.Addr().Interface(), name, f.Tag.Get("usage"))
+			names = append(names, name)
+		}
+	}
+	return names
+}
+
+// bindField binds one knob through the flag package's own kind for its
+// type, so -h prints the type and default as a hand-written binding
+// would.
+func bindField(fs *flag.FlagSet, p any, name, usage string) {
+	switch p := p.(type) {
+	case *string:
+		fs.StringVar(p, name, *p, usage)
+	case *int:
+		fs.IntVar(p, name, *p, usage)
+	case *int64:
+		fs.Int64Var(p, name, *p, usage)
+	case *uint64:
+		fs.Uint64Var(p, name, *p, usage)
+	case *bool:
+		fs.BoolVar(p, name, *p, usage)
+	case *float64:
+		fs.Float64Var(p, name, *p, usage)
+	case **float64:
+		if *p == nil {
+			panic(fmt.Sprintf("serve: -%s binds a nil *float64: its default belongs in the literal", name))
+		}
+		fs.Float64Var(*p, name, **p, usage)
+	case *Duration:
+		fs.Var(p, name, usage)
+	case *[]Duration:
+		fs.Var((*durationList)(p), name, usage)
+	default:
+		panic(fmt.Sprintf("serve: -%s binds a %T, which has no flag form", name, p))
+	}
+}
+
+// KnobTable renders the knob flags fs holds whose config key starts
+// with under as a markdown table — flag, config key, default, meaning —
+// in Config's field order: the README's knob tables, generated from the
+// tags BindFlags binds.
+func KnobTable(fs *flag.FlagSet, under string) string {
+	var b strings.Builder
+	b.WriteString("| Flag | Config key | Default | Meaning |\n|---|---|---|---|\n")
+	knobKeys(reflect.TypeFor[Config](), "", func(name, key string) {
+		f := fs.Lookup(name)
+		if f == nil || !strings.HasPrefix(key, under) {
+			return
+		}
+		fmt.Fprintf(&b, "| `-%s` | `%s` | %s | %s |\n", name, key, f.DefValue, f.Usage)
 	})
-	return given
+	return b.String()
 }
 
-// BindBackendFlags binds the index training and search flags (-nlist
-// -nprobe -iters -seed -pq-m) into b. caltrain-serve and caltrain-shard
-// share it, so an index trained offline and one trained at daemon
-// startup get the same knobs and the same -seed default.
-func BindBackendFlags(fs *flag.FlagSet, b *BackendConfig) {
-	fs.IntVar(&b.Nlist, "nlist", 0, "IVF/IVFPQ lists per label (0 = auto ≈√n)")
-	fs.IntVar(&b.Nprobe, "nprobe", 0, "IVF/IVFPQ lists probed per query (0 = auto)")
-	fs.IntVar(&b.Iters, "iters", 0, "IVF/IVFPQ k-means iterations (0 = default)")
-	fs.Uint64Var(&b.Seed, "seed", 42, "IVF/IVFPQ training seed")
-	fs.IntVar(&b.M, "pq-m", 0, "IVFPQ subquantizers (code bytes per entry, must divide the fingerprint dim; 0 = auto)")
-}
-
-// BindLimitFlags binds the request bounds both serving daemons enforce
-// (-max-body -max-batch -latency-buckets) into l; bucketsUsage is the
-// daemon's own help text for its latency histogram.
-func BindLimitFlags(fs *flag.FlagSet, l *LimitsConfig, bucketsUsage string) {
-	fs.Int64Var(&l.MaxBodyBytes, "max-body", fingerprint.DefaultMaxBodyBytes, "request body size limit in bytes (0 = default)")
-	fs.IntVar(&l.MaxBatch, "max-batch", fingerprint.DefaultMaxBatch, "queries per batch request limit (0 = default)")
-	fs.Var((*durationList)(&l.LatencyBuckets), "latency-buckets", bucketsUsage)
-}
-
-// BindObservabilityFlags binds the logging and tracing flags both
-// serving daemons take (-request-log -slow-query-threshold
-// -trace-sample-rate -trace-store -trace-slow) into o. It allocates
-// o.Trace to bind into; like every optional block, the caller drops it
-// again when none of its flags was given.
-func BindObservabilityFlags(fs *flag.FlagSet, o *ObservabilityConfig) {
-	fs.BoolVar(&o.RequestLog, "request-log", false, "log one structured line per request: request ID, trace ID, status, duration, stage timings")
-	fs.Var(&o.SlowQueryThreshold, "slow-query-threshold", "warn about requests slower than this, even without -request-log (0 = disabled)")
-	rate := 1.0
-	o.Trace = &TraceConfig{SampleRate: &rate}
-	fs.Float64Var(o.Trace.SampleRate, "trace-sample-rate", rate, "head-sampling probability for request traces, in [0,1] (0 = keep only slow/error traces)")
-	fs.IntVar(&o.Trace.StoreSize, "trace-store", 0, "in-memory trace store size behind /v1/debug/traces (0 = default, negative = no retention)")
-	fs.Var(&o.Trace.SlowAlways, "trace-slow", "always store traces slower than this, even when not head-sampled (0 = disabled)")
+// knobKeys calls visit with every flag tag under the struct type t and
+// the config key of its field.
+func knobKeys(t reflect.Type, prefix string, visit func(name, key string)) {
+	for i := range t.NumField() {
+		f := t.Field(i)
+		key, _, _ := strings.Cut(f.Tag.Get("json"), ",")
+		if key == "-" {
+			continue
+		}
+		key = prefix + key
+		if name := f.Tag.Get("flag"); name != "" {
+			visit(name, key)
+		}
+		if ft := f.Type; ft.Kind() == reflect.Struct || ft.Kind() == reflect.Pointer && ft.Elem().Kind() == reflect.Struct {
+			if ft.Kind() == reflect.Pointer {
+				ft = ft.Elem()
+			}
+			knobKeys(ft, key+".", visit)
+		}
+	}
 }
 
 // durationList is the flag form of a []Duration field: a

@@ -3,6 +3,7 @@ package caltrain
 import (
 	"fmt"
 	"io/fs"
+	"maps"
 	"os"
 	"path/filepath"
 	"regexp"
@@ -174,6 +175,22 @@ func TestRepositoryInvariants(t *testing.T) {
 		}
 		if hits := grep(t, `\bRouterPlan\b`, files); len(hits) > 0 {
 			t.Errorf("a router plan beside the Deployment: %v", where(hits))
+		}
+	})
+
+	t.Run("one knob declaration", func(t *testing.T) {
+		// A serving knob is declared once, by its tagged serve.Config
+		// field: serve.BindFlags binds its flag from the tags. A flag bound
+		// by hand into a config block is a second declaration, its name,
+		// default and help text free to drift from the field's. Three stay
+		// by hand, each with its reason beside it: -backend and
+		// caltrain-shard's -index (one field, two spellings), -max-k (the
+		// daemon's alone) and the router's -shard map syntax.
+		hits := grep(t, `\.\w*Var\([^,]*\.(cfg|Backend|backend|WAL|Limits|Observability|Trace|Replication|Topology|Repair)\.`,
+			sources(t, nonTestGo, "internal", "cmd"))
+		want := map[string]int{"cmd/caltrain-serve/main.go": 2, "cmd/caltrain-shard/main.go": 1, "cmd/caltrain-router/main.go": 1}
+		if !maps.Equal(hits, want) {
+			t.Errorf("flags bound by hand into a serve.Config block: %v, want only %v", where(hits), want)
 		}
 	})
 
