@@ -9,6 +9,8 @@ import (
 	"net/http/httptest"
 	"os"
 	"path/filepath"
+	"runtime"
+	"sync/atomic"
 	"testing"
 	"time"
 
@@ -187,25 +189,23 @@ func TestSnapshotDeclaresLength(t *testing.T) {
 	}
 }
 
-// TestWritesRejectedDuringSync: while the state machine runs, external
-// writes answer ErrSyncing — interleaving local appends with shipped
-// records would fork the sequence history.
-func TestWritesRejectedDuringSync(t *testing.T) {
-	source := newReplica(t, "")
-	ingestAll(t, source, testLinkages(4, 5))
+// stall holds the first WAL fetch after each arm until the test
+// releases it, keeping a follower mid-sync: the fetch sends on entered,
+// then waits on release.
+type stall struct {
+	armed            atomic.Bool
+	entered, release chan struct{}
+}
 
-	// A peer proxy that stalls the WAL fetch until released, keeping
-	// the follower mid-sync while we probe its write path.
-	release := make(chan struct{})
-	entered := make(chan struct{})
-	var once bool
+// stallingPeer proxies target's endpoints through a stall.
+func stallingPeer(t *testing.T, target string) (string, *stall) {
+	st := &stall{entered: make(chan struct{}), release: make(chan struct{})}
 	proxy := httptest.NewServer(http.HandlerFunc(func(w http.ResponseWriter, r *http.Request) {
-		if r.URL.Path == "/v1/repl/wal" && !once {
-			once = true
-			close(entered)
-			<-release
+		if r.URL.Path == "/v1/repl/wal" && st.armed.CompareAndSwap(true, false) {
+			st.entered <- struct{}{}
+			<-st.release
 		}
-		resp, err := http.Get(source.ts.URL + r.URL.Path + "?" + r.URL.RawQuery)
+		resp, err := http.Get(target + r.URL.Path + "?" + r.URL.RawQuery)
 		if err != nil {
 			http.Error(w, err.Error(), http.StatusBadGateway)
 			return
@@ -215,33 +215,82 @@ func TestWritesRejectedDuringSync(t *testing.T) {
 			w.Header()[k] = v
 		}
 		w.WriteHeader(resp.StatusCode)
-		buf := make([]byte, 32<<10)
-		for {
-			n, err := resp.Body.Read(buf)
-			if n > 0 {
-				w.Write(buf[:n])
-			}
-			if err != nil {
-				return
-			}
-		}
+		io.Copy(w, resp.Body)
 	}))
-	defer proxy.Close()
+	t.Cleanup(proxy.Close)
+	return proxy.URL, st
+}
 
-	follower := newReplica(t, proxy.URL)
+// TestWritesRejectedDuringSync: while the state machine runs, external
+// writes answer ErrSyncing — interleaving local appends with shipped
+// records would fork the sequence history.
+func TestWritesRejectedDuringSync(t *testing.T) {
+	source := newReplica(t, "")
+	ingestAll(t, source, testLinkages(4, 5))
+	peer, stall := stallingPeer(t, source.ts.URL)
+
+	follower := newReplica(t, peer)
+	stall.armed.Store(true)
 	done := make(chan error, 1)
 	go func() { done <- follower.syncer.Sync(context.Background()) }()
-	<-entered
+	<-stall.entered
 	if _, err := follower.syncer.IngestBatchCtx(context.Background(), testLinkages(5, 1)); err != ErrSyncing {
 		t.Fatalf("write during sync: %v, want ErrSyncing", err)
 	}
-	close(release)
+	stall.release <- struct{}{}
 	if err := <-done; err != nil {
 		t.Fatal(err)
 	}
 	// Live again: writes flow.
 	if _, err := follower.syncer.IngestBatchCtx(context.Background(), testLinkages(6, 1)); err != nil {
 		t.Fatalf("write after sync: %v", err)
+	}
+}
+
+// TestLiveAdmitsWrites: "live" and "accepting writes" are one state. A
+// write sent the moment the follower reports live is taken, every
+// round, as a client that polled /v1/repl/status for live expects.
+func TestLiveAdmitsWrites(t *testing.T) {
+	source := newReplica(t, "")
+	ingestAll(t, source, testLinkages(11, 20))
+	peer, stall := stallingPeer(t, source.ts.URL)
+	follower := newReplica(t, peer)
+	for round := range 200 {
+		stall.armed.Store(true)
+		done := make(chan error, 1)
+		go func() { done <- follower.syncer.Sync(context.Background()) }()
+		<-stall.entered // the run is under way: the state has left live
+		stall.release <- struct{}{}
+		for follower.syncer.State() != StateLive {
+			runtime.Gosched()
+		}
+		if _, err := follower.syncer.IngestBatchCtx(context.Background(), testLinkages(uint64(100+round), 1)); err != nil {
+			t.Fatalf("round %d: a write right after the follower reported live: %v", round, err)
+		}
+		if err := <-done; err != nil {
+			t.Fatal(err)
+		}
+	}
+}
+
+// TestColdFollowerRefusesWrites: a follower with a peer accepts no
+// external write before its first sync reaches live. A write taken
+// while cold would sit at sequence numbers the peer's history also
+// fills, and the catchup would skip the peer's records there: the
+// replicas would agree on the head and differ in what it holds.
+func TestColdFollowerRefusesWrites(t *testing.T) {
+	source := newReplica(t, "")
+	ingestAll(t, source, testLinkages(12, 20))
+	follower := newReplica(t, source.ts.URL)
+	if _, err := follower.syncer.IngestBatchCtx(context.Background(), testLinkages(13, 3)); err != ErrSyncing {
+		t.Fatalf("a cold follower's write: %v, want ErrSyncing", err)
+	}
+	if err := follower.syncer.Sync(context.Background()); err != nil {
+		t.Fatal(err)
+	}
+	assertSame(t, source, follower, 20)
+	if _, err := follower.syncer.IngestBatchCtx(context.Background(), testLinkages(13, 3)); err != nil {
+		t.Fatalf("a live follower's write: %v", err)
 	}
 }
 

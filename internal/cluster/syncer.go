@@ -48,9 +48,10 @@ func (s State) String() string {
 	}
 }
 
-// ErrSyncing rejects external writes while a sync runs: accepting them
-// would interleave local appends with shipped records and fork the
-// replica's sequence history. The router counts the replica degraded
+// ErrSyncing rejects external writes unless the replica is live: a
+// write taken before a sync reached live, or during one, would
+// interleave local appends with shipped records and fork the replica's
+// sequence history. The router counts the replica degraded
 // and retries the batch's entries against it after readmission — via
 // the sync itself, which ships them from the peer.
 var ErrSyncing = errors.New("cluster: replica is syncing; write it to a live replica")
@@ -87,7 +88,7 @@ type Options struct {
 
 // Syncer is the follower half of a replica: the state machine that
 // bootstraps or repairs it from a peer, and the service's long-lived
-// Ingester (external writes reject while a sync runs). One Syncer per
+// Ingester (external writes are refused unless live). One Syncer per
 // daemon, installed once via Service.SetIngester — it is never
 // swapped, so the unsynchronized ingester field is written exactly
 // once before serving.
@@ -98,9 +99,10 @@ type Syncer struct {
 
 	store atomic.Pointer[ingest.Store]
 
-	// syncMu serializes sync runs; syncing gates external writes.
-	syncMu  sync.Mutex
-	syncing atomic.Bool
+	// gate is the write gate: an external write holds it shared and
+	// only while the state is live, a sync run holds it whole, so no
+	// write interleaves with shipped records.
+	gate sync.RWMutex
 
 	state     atomic.Int32
 	lag       atomic.Int64
@@ -158,14 +160,18 @@ func (s *Syncer) Peer() string {
 }
 
 // IngestBatchCtx implements fingerprint.Ingester by delegating to the
-// current store — unless a sync runs, which rejects the write so the
-// shipped history stays the only history.
+// current store if and only if the replica is live, so the shipped
+// history stays the only history. The first check turns a write away
+// without waiting out a sync run; a write that passes it waits at most
+// for the run that is handing over to live, and checks again.
 func (s *Syncer) IngestBatchCtx(ctx context.Context, ls []fingerprint.Linkage) (int, error) {
-	if s.syncing.Load() {
+	if s.State() != StateLive {
 		return 0, ErrSyncing
 	}
+	s.gate.RLock()
+	defer s.gate.RUnlock()
 	st := s.store.Load()
-	if st == nil {
+	if s.State() != StateLive || st == nil {
 		return 0, ErrSyncing
 	}
 	return st.IngestBatchCtx(ctx, ls)
@@ -246,7 +252,7 @@ func (s *Syncer) HandleSync(w http.ResponseWriter, r *http.Request) {
 			"no sync peer: configure replication.peer or name one in the nudge")
 		return
 	}
-	if !s.syncing.Load() {
+	if st := s.State(); st != StateCatchup && st != StateSnapshot {
 		go func() {
 			if err := s.Sync(context.Background()); err != nil {
 				s.logf("cluster: nudged sync failed: %v", err)
@@ -289,7 +295,7 @@ func (s *Syncer) Run(ctx context.Context) {
 
 // Sync drives one run of the state machine: incremental WAL catchup
 // when the histories allow it, snapshot bootstrap when they do not.
-// External writes reject for the duration. Runs serialize; a second
+// External writes are refused for the duration. Runs serialize; a second
 // caller blocks until the first finishes, then syncs again (cheap when
 // already caught up).
 func (s *Syncer) Sync(ctx context.Context) error {
@@ -300,10 +306,8 @@ func (s *Syncer) Sync(ctx context.Context) error {
 	if s.closed.Load() {
 		return errors.New("cluster: syncer closed")
 	}
-	s.syncMu.Lock()
-	defer s.syncMu.Unlock()
-	s.syncing.Store(true)
-	defer s.syncing.Store(false)
+	s.gate.Lock()
+	defer s.gate.Unlock()
 
 	started := time.Now()
 	full := false
@@ -441,7 +445,7 @@ func (s *Syncer) fullResync(ctx context.Context, peer *fingerprint.Client) error
 	if err != nil {
 		return fmt.Errorf("cluster: bootstrap build: %w", err)
 	}
-	// Handoff: writes are already rejected (syncing), so closing the
+	// Handoff: the run holds the write gate, so closing the
 	// old store strands no acknowledged data the peer does not hold.
 	if old := s.store.Swap(nil); old != nil {
 		old.Close()
@@ -460,8 +464,8 @@ func (s *Syncer) fullResync(ctx context.Context, peer *fingerprint.Client) error
 // Close stops future syncs and closes the current store.
 func (s *Syncer) Close() error {
 	s.closed.Store(true)
-	s.syncMu.Lock()
-	defer s.syncMu.Unlock()
+	s.gate.Lock()
+	defer s.gate.Unlock()
 	if st := s.store.Swap(nil); st != nil {
 		return st.Close()
 	}
