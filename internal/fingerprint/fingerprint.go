@@ -229,18 +229,23 @@ func (db *DB) entry(i int) Linkage {
 // castagnoli is the CRC-32C table Digest computes with.
 var castagnoli = crc32.MakeTable(crc32.Castagnoli)
 
-// Digest is the CRC-32C of the database's first n entries, n at most
-// Len: their label, hash and source-id columns, the source table those
+// Digest is the CRC-32C of the database's first n entries: their
+// label, hash and source-id columns, the source table those
 // ids reach, then label by label, ascending, the label's rows among
 // them — what a CTFP file holds of them (see dbLayout), in another
 // order. On a database LoadDB read, Digest of its file's entries is
 // the digest word the file carries, and reads no column; otherwise it
 // reads a Snapshot, so it takes no lock past the snapshot's, and the
 // columns' runs as they are stored, never entry by entry. An index file
-// binds itself to the entries it indexes with it.
+// binds itself to the entries it indexes with it. An n outside
+// [0, Len] names entries the database does not hold, and panics, as a
+// slice index past its length does.
 func (db *DB) Digest(n int) uint32 {
 	if n == db.stamped {
 		return db.stamp
+	}
+	if total := db.Len(); n < 0 || n > total {
+		panic(fmt.Sprintf("fingerprint: Digest(%d) of a database of %d entries", n, total))
 	}
 	return db.Snapshot(n).digest()
 }

@@ -1033,3 +1033,31 @@ func TestDigest(t *testing.T) {
 		}
 	}
 }
+
+// TestDigestOutOfRange: Digest(n) covers the first n entries, so an n
+// outside [0, Len] names entries the database does not hold. It panics,
+// as a slice index past its length does, rather than answering the
+// digest of the entries it has — over a built database, a loaded one
+// (whose file's count is answered from the word it carries) and a
+// snapshot alike.
+func TestDigestOutOfRange(t *testing.T) {
+	built, raw := fileDB(t, 4, 12, 3, false, 4)
+	loaded, err := LoadDB(bytes.NewReader(raw))
+	if err != nil {
+		t.Fatal(err)
+	}
+	for name, db := range map[string]*DB{"built": built, "loaded": loaded, "a snapshot": built.Snapshot(5)} {
+		for _, n := range []int{-1, db.Len() + 1, db.Len() + 2} {
+			func() {
+				defer func() {
+					if recover() == nil {
+						t.Errorf("%s: Digest(%d) of %d entries did not panic", name, n, db.Len())
+					}
+				}()
+				db.Digest(n)
+			}()
+		}
+		db.Digest(0)
+		db.Digest(db.Len())
+	}
+}

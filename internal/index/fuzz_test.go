@@ -72,6 +72,7 @@ func FuzzLoadIndex(f *testing.F) {
 		f.Add(false, saved(train, flipped))
 		f.Add(false, saved(train, populatedDB(f, 4, 30, 2, 4)))
 		f.Add(false, saved(train, db.Snapshot(20)))
+		f.Add(false, saved(train, populatedDB(f, 4, 40, 2, 3))) // db's 30 entries and 10 more
 	}
 	for _, s := range longIndexes(f, long) {
 		f.Add(true, savedBytes(f, s.from))

@@ -263,6 +263,9 @@ func Load(r io.Reader, db *fingerprint.DB) (Searcher, error) {
 	if kind != kindFlat && !holds(n, 4) {
 		return nil, fmt.Errorf("index: load: %d entries' positions overrun the stream: %w: %w", n, io.ErrUnexpectedEOF, ErrCorrupt)
 	}
+	if n > db.Len() {
+		return nil, fmt.Errorf("%w: it indexes %d entries, the database holds %d", ErrForeignIndex, n, db.Len())
+	}
 	labels, buckets, err := ld.counts(nlabels, n)
 	if err != nil {
 		return nil, err
