@@ -616,7 +616,9 @@ func (w *WAL) Truncate() error {
 	return w.openSegment(w.active + 1)
 }
 
-// Close flushes and closes the active segment.
+// Close flushes and closes the active segment. A final fsync that
+// fails is Close's error, after the file is closed: records appended
+// since the last sync may be lost.
 func (w *WAL) Close() error {
 	w.mu.Lock()
 	if w.closed {
@@ -630,7 +632,10 @@ func (w *WAL) Close() error {
 	w.mu.Lock()
 	defer w.mu.Unlock()
 	if w.opts.Sync != SyncNever {
-		w.f.Sync()
+		if err := w.f.Sync(); err != nil {
+			w.f.Close()
+			return fmt.Errorf("ingest: wal: final fsync: %w", err)
+		}
 	}
 	if err := w.f.Close(); err != nil {
 		return fmt.Errorf("ingest: wal: %w", err)

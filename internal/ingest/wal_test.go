@@ -324,3 +324,35 @@ func TestWALFailStopOnFsyncError(t *testing.T) {
 		})
 	}
 }
+
+// TestWALCloseReportsFinalFsync: under -fsync interval an acknowledged
+// record may still be unsynced when the log closes, so the final
+// fsync's failure is Close's error — a daemon must not report a clean
+// shutdown over records it may have lost. The active segment is
+// swapped for a pipe, on which fsync fails, and the timer is too slow
+// to run first.
+func TestWALCloseReportsFinalFsync(t *testing.T) {
+	w, err := OpenWAL(t.TempDir(), 4, WALOptions{Sync: SyncInterval, SyncEvery: time.Hour})
+	if err != nil {
+		t.Fatal(err)
+	}
+	r, pw, err := os.Pipe()
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer r.Close()
+	w.mu.Lock()
+	seg := w.f
+	w.f = pw
+	w.mu.Unlock()
+	defer seg.Close()
+	if err := w.Append(0, testLinkages(10, 1, 4)); err != nil {
+		t.Fatal(err)
+	}
+	if err := w.Close(); err == nil || !strings.Contains(err.Error(), "final fsync") {
+		t.Fatalf("Close over a failing final fsync: %v, want its error", err)
+	}
+	if _, err := pw.Write([]byte{0}); err == nil {
+		t.Fatal("Close left the segment open")
+	}
+}
