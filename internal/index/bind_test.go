@@ -6,7 +6,6 @@ import (
 	"math"
 	"math/rand/v2"
 	"slices"
-	"strings"
 	"testing"
 
 	"caltrain/internal/fingerprint"
@@ -219,14 +218,15 @@ func TestAttachCatchesUp(t *testing.T) {
 }
 
 // TestLoadRefusesIndexPastDatabase: an index of more entries than the
-// database holds is foreign, refused on its entry count before the
-// binding is read: no digest of entries the database lacks is asked for.
+// database holds is foreign, refused before its binding is checked:
+// Load asks for no digest of entries the database lacks, which would
+// panic.
 func TestLoadRefusesIndexPastDatabase(t *testing.T) {
 	db := populatedDB(t, 8, 300, 3, 3)
 	for _, k := range bindKinds {
 		_, err := Load(bytes.NewReader(savedAs(t, k.build, db)), db.Snapshot(200))
-		if !errors.Is(err, ErrForeignIndex) || !strings.Contains(err.Error(), "it indexes 300 entries, the database holds 200") {
-			t.Errorf("%s over a 200-entry prefix of its 300: %v, want ErrForeignIndex on the entry count", k.name, err)
+		if !errors.Is(err, ErrForeignIndex) {
+			t.Errorf("%s over a 200-entry prefix of its 300: %v, want ErrForeignIndex", k.name, err)
 		}
 	}
 }

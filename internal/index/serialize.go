@@ -263,12 +263,14 @@ func Load(r io.Reader, db *fingerprint.DB) (Searcher, error) {
 	if kind != kindFlat && !holds(n, 4) {
 		return nil, fmt.Errorf("index: load: %d entries' positions overrun the stream: %w: %w", n, io.ErrUnexpectedEOF, ErrCorrupt)
 	}
-	if n > db.Len() {
-		return nil, fmt.Errorf("%w: it indexes %d entries, the database holds %d", ErrForeignIndex, n, db.Len())
-	}
 	labels, buckets, err := ld.counts(nlabels, n)
 	if err != nil {
 		return nil, err
+	}
+	// The label counts already bound n by the database's classes; Digest
+	// of entries the database lacks would panic.
+	if n > db.Len() {
+		return nil, fmt.Errorf("%w: it indexes %d entries, the database holds %d", ErrForeignIndex, n, db.Len())
 	}
 	if db.Digest(n) != crc {
 		return nil, fmt.Errorf("%w: the database's first %d entries are not the ones it was saved over", ErrForeignIndex, n)
