@@ -44,16 +44,13 @@
 //
 // # Configuration
 //
-// Every routing knob is one field of serve.Config — the document format
-// caltrain-serve takes, using its topology block, so one config language
-// describes both halves of a deployment — reachable two ways: its flag,
-// or its field in a -deployment config.json. Each flag is bound from its
-// field's tags (serve.BindFlags), so flags and file meet in one value,
-// take caltrain-serve's path (Config.Deployment → Deployment.Build) and
-// the same validation. A -deployment file declares the whole topology,
-// so every knob flag conflicts with it. README's router knob table and
-// -h list the flags, their config keys and defaults; -shard ID=a[,b…]
-// fills topology.shards {"ID": ["a","b"]}, one flag per shard.
+// Every routing knob is one field of serve.Config — caltrain-serve's
+// document, using its topology block — set by its flag, bound from the
+// field's tags by serve.BindFlags, or by its key in a -deployment
+// config.json; both take caltrain-serve's path (Config.Deployment →
+// Build). A knob flag beside -deployment is an error. README's router
+// knob table and -h list the flags; -shard ID=a[,b…], one per shard,
+// fills topology.shards {"ID": ["a","b"]}.
 //
 // File only: topology.repair.sync_timeout, observability.metrics,
 // observability.debug_addr. limits.max_k is rejected: k is bounded by
@@ -64,10 +61,8 @@
 //	              "shards": {"0": ["replica-a:9000", "replica-b:9000"]},
 //	              "write_quorum": 1, "repair": {"after": "15s"}}}
 //
-// Process flags say where the router runs; they have no config field and
-// compose with -deployment: -addr (listen address), -grace (shutdown
-// drain timeout), -debug-addr (pprof/expvar/trace sidecar, wins over
-// observability.debug_addr), -deployment.
+// Process flags (-addr, -grace, -debug-addr, -deployment) say where the
+// router runs: no config key, and they compose with -deployment.
 //
 // Every request carries an X-Request-Id (inbound or generated) that the
 // router forwards to the shard daemons it fans out to, so one ID ties a
@@ -161,8 +156,7 @@ func parseFlags(args []string) (*flag.FlagSet, *options, error) {
 		Limits:        &serve.LimitsConfig{MaxBodyBytes: fingerprint.DefaultMaxBodyBytes, MaxBatch: fingerprint.DefaultMaxBatch},
 		Observability: &serve.ObservabilityConfig{Trace: &serve.TraceConfig{SampleRate: &one}},
 	}
-	// Bound by hand: topology.shards is a map, spelled one -shard ID=a,b
-	// per shard.
+	// By hand: topology.shards is a map, spelled one -shard ID=a,b each.
 	fs.Var((*shardFlag)(&o.cfg.Topology.Shards), "shard", "shard replicas as ID=addr[,addr...]; repeat per shard")
 	return fs, o, serve.BindFlags(fs, o.cfg.Topology, o.cfg.Limits, o.cfg.Observability)(args)
 }

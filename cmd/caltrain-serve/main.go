@@ -21,15 +21,11 @@
 //
 // # Configuration
 //
-// Every serving knob is one field of serve.Config, reachable two ways:
-// its flag, or its field in a -deployment config.json. Each flag is
-// bound from its field's tags (serve.BindFlags), so flags and file meet
-// in one value, take the same path (Config.Deployment → Deployment.Build)
-// and the same validation: a negative bound is rejected at startup, 0
-// means the default, unknown file fields are rejected. A -deployment
-// file declares the whole topology, so every knob flag conflicts with
-// it. README's knob table and -h list the flags, their config keys and
-// defaults.
+// Every serving knob is one field of serve.Config, set by its flag —
+// bound from the field's tags by serve.BindFlags — or by its key in a
+// -deployment config.json; both take Config.Deployment → Build and its
+// one validation. A knob flag beside -deployment is an error. README's
+// knob table and -h list the flags, their config keys and defaults.
 //
 // File only: shards, replicas_per_shard (with "shards" above 1 the one
 // daemon serves the whole in-process sharded topology — the
@@ -39,13 +35,10 @@
 //	caltrain-serve -db linkage.db -deployment deploy.json
 //	{"backend": {"kind": "ivf", "nprobe": 8}, "shards": 4, "volatile_writes": true}
 //
-// Process flags say where the daemon runs, not what it serves; they have
-// no config field, and all compose with -deployment: -db (linkage
-// database), -addr (listen address), -grace (shutdown drain timeout),
-// -debug-addr (pprof/expvar/trace sidecar — never the public address;
-// wins over observability.debug_addr), -snapshot-every (periodically
-// persist the database to -db and truncate the WAL; a graceful shutdown
-// always does), -deployment.
+// Process flags (-db, -addr, -grace, -debug-addr, -snapshot-every,
+// -deployment) say where the daemon runs, not what it serves: they have
+// no config key and compose with -deployment; -debug-addr wins over
+// observability.debug_addr.
 //
 // # Behaviour behind the knobs
 //
@@ -152,11 +145,9 @@ func parseFlags(args []string) (*flag.FlagSet, *options, error) {
 		Replication:   &serve.ReplicationConfig{},
 	}
 	c := &o.cfg
-	// Bound by hand: caltrain-shard spells backend.kind -index, with no
-	// default.
+	// By hand: caltrain-shard spells backend.kind -index, with no default.
 	fs.StringVar(&c.Backend.Kind, "backend", c.Backend.Kind, "index backend: linear, flat, ivf, or ivfpq")
-	// Bound by hand: limits.max_k is the daemon's alone; the router
-	// refuses it.
+	// By hand: limits.max_k is the daemon's alone; the router refuses it.
 	fs.IntVar(&c.Limits.MaxK, "max-k", c.Limits.MaxK, "per-query neighbour count limit (0 = default)")
 	return fs, o, serve.BindFlags(fs, c)(args)
 }

@@ -70,8 +70,7 @@ func parseFlags(args []string) (*flag.FlagSet, *options, error) {
 	fs.IntVar(&o.shards, "shards", 4, "number of shards")
 	fs.StringVar(&o.strategy, "strategy", "hash", "label assignment: hash or range (balanced by entry count)")
 	fs.StringVar(&o.debugAddr, "debug-addr", "", "serve net/http/pprof and expvar on this sidecar host:port while splitting (empty = no debug listener)")
-	// Bound by hand: caltrain-serve spells backend.kind -backend, with
-	// flat for its default.
+	// By hand: caltrain-serve spells backend.kind -backend, default flat.
 	fs.StringVar(&o.backend.Kind, "index", "", "also train a per-shard index: ivf or ivfpq (empty: none)")
 	return fs, o, serve.BindFlags(fs, &o.backend)(args)
 }

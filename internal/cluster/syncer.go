@@ -99,9 +99,8 @@ type Syncer struct {
 
 	store atomic.Pointer[ingest.Store]
 
-	// gate is the write gate: an external write holds it shared and
-	// only while the state is live, a sync run holds it whole, so no
-	// write interleaves with shipped records.
+	// gate: an external write holds it shared, and only while live; a
+	// sync run holds it whole, so no write interleaves with its records.
 	gate sync.RWMutex
 
 	state     atomic.Int32
@@ -161,9 +160,8 @@ func (s *Syncer) Peer() string {
 
 // IngestBatchCtx implements fingerprint.Ingester by delegating to the
 // current store if and only if the replica is live, so the shipped
-// history stays the only history. The first check turns a write away
-// without waiting out a sync run; a write that passes it waits at most
-// for the run that is handing over to live, and checks again.
+// history stays the only history. The first check spares a write the
+// wait for a whole sync run; the second follows the gate.
 func (s *Syncer) IngestBatchCtx(ctx context.Context, ls []fingerprint.Linkage) (int, error) {
 	if s.State() != StateLive {
 		return 0, ErrSyncing

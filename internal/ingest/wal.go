@@ -616,9 +616,8 @@ func (w *WAL) Truncate() error {
 	return w.openSegment(w.active + 1)
 }
 
-// Close flushes and closes the active segment. A final fsync that
-// fails is Close's error, after the file is closed: records appended
-// since the last sync may be lost.
+// Close flushes and closes the active segment. A failed final fsync is
+// its error: records appended since the last sync may be lost.
 func (w *WAL) Close() error {
 	w.mu.Lock()
 	if w.closed {

@@ -9,8 +9,7 @@ import (
 )
 
 // FlagSeed is -seed's default in caltrain-serve and caltrain-shard
-// alike, so an index trained offline is the one a daemon started with
-// the same flags would train, and loads.
+// alike, so a daemon loads the index caltrain-shard trained offline.
 const FlagSeed = 42
 
 // ResolveConfig picks the one Config a daemon runs from: the flag-bound
@@ -35,20 +34,17 @@ func ResolveConfig(fs *flag.FlagSet, overlay Config, path string, process map[st
 	return LoadConfig(path)
 }
 
-// BindFlags binds a flag to every field of the blocks that carries a
-// flag:"name" tag, with the field's usage tag as its help text and the
-// field's value now as its default: a daemon's flag defaults are the
-// Config literal it hands over, and each knob is declared once, by its
-// field. Each block is a pointer to a struct — a Config, or one of its
-// blocks. The walk descends into struct fields and into the
-// pointer-to-struct fields the literal fills; a nil one is a block the
-// daemon does not take.
+// BindFlags binds a flag to every field of the blocks (pointers to a
+// Config or to its blocks) tagged flag:"name", with the usage tag as
+// its help and the field's value now as its default, so a daemon's
+// flag defaults are the literal it hands over. The walk descends into
+// struct fields and the pointer-to-struct fields the literal fills.
 //
-// A pointer block tagged flag is optional: its presence is itself a
-// setting (a wal block turns the write path on), so the returned parse
-// keeps it only when one of its flags was given, as a file would spell
-// it. A non-empty tag names the block's own bool flag, which gives it
-// on its own (-repl, -repair).
+// A pointer block tagged flag is optional: its presence is a setting (a
+// wal block turns the write path on), so parse keeps it only when one
+// of its flags was given, as a file would spell it. A non-empty tag
+// names the block's own bool flag, which gives it alone (-repl,
+// -repair).
 func BindFlags(fs *flag.FlagSet, blocks ...any) (parse func(args []string) error) {
 	var opts []optional
 	for _, b := range blocks {
@@ -69,8 +65,8 @@ func BindFlags(fs *flag.FlagSet, blocks ...any) (parse func(args []string) error
 	}
 }
 
-// optional is a block that survives parsing only when one of its flags
-// was given or its own flag was set.
+// optional is a block that parse keeps only when one of its flags was
+// given or its own flag set.
 type optional struct {
 	block reflect.Value // the pointer field
 	flags []string
@@ -110,8 +106,7 @@ func bindStruct(fs *flag.FlagSet, v reflect.Value, opts *[]optional) []string {
 }
 
 // bindField binds one knob through the flag package's own kind for its
-// type, so -h prints the type and default as a hand-written binding
-// would.
+// type, so -h prints it as a hand-written binding would.
 func bindField(fs *flag.FlagSet, p any, name, usage string) {
 	switch p := p.(type) {
 	case *string:
@@ -126,10 +121,7 @@ func bindField(fs *flag.FlagSet, p any, name, usage string) {
 		fs.BoolVar(p, name, *p, usage)
 	case *float64:
 		fs.Float64Var(p, name, *p, usage)
-	case **float64:
-		if *p == nil {
-			panic(fmt.Sprintf("serve: -%s binds a nil *float64: its default belongs in the literal", name))
-		}
+	case **float64: // the literal points it at the default
 		fs.Float64Var(*p, name, **p, usage)
 	case *Duration:
 		fs.Var(p, name, usage)
@@ -140,43 +132,29 @@ func bindField(fs *flag.FlagSet, p any, name, usage string) {
 	}
 }
 
-// KnobTable renders the knob flags fs holds whose config key starts
-// with under as a markdown table — flag, config key, default, meaning —
-// in Config's field order: the README's knob tables, generated from the
-// tags BindFlags binds.
+// KnobTable renders the knob flags of fs whose config key starts with
+// under as a markdown table — flag, config key, default, meaning — in
+// Config's field order: the README's knob tables.
 func KnobTable(fs *flag.FlagSet, under string) string {
 	var b strings.Builder
 	b.WriteString("| Flag | Config key | Default | Meaning |\n|---|---|---|---|\n")
-	knobKeys(reflect.TypeFor[Config](), "", func(name, key string) {
-		f := fs.Lookup(name)
-		if f == nil || !strings.HasPrefix(key, under) {
-			return
-		}
-		fmt.Fprintf(&b, "| `-%s` | `%s` | %s | %s |\n", name, key, f.DefValue, f.Usage)
-	})
-	return b.String()
-}
-
-// knobKeys calls visit with every flag tag under the struct type t and
-// the config key of its field.
-func knobKeys(t reflect.Type, prefix string, visit func(name, key string)) {
-	for i := range t.NumField() {
-		f := t.Field(i)
-		key, _, _ := strings.Cut(f.Tag.Get("json"), ",")
-		if key == "-" {
-			continue
-		}
-		key = prefix + key
-		if name := f.Tag.Get("flag"); name != "" {
-			visit(name, key)
-		}
-		if ft := f.Type; ft.Kind() == reflect.Struct || ft.Kind() == reflect.Pointer && ft.Elem().Kind() == reflect.Struct {
-			if ft.Kind() == reflect.Pointer {
-				ft = ft.Elem()
+	var walk func(t reflect.Type, prefix string)
+	walk = func(t reflect.Type, prefix string) {
+		for i := range t.NumField() {
+			f := t.Field(i)
+			key := prefix + strings.Split(f.Tag.Get("json"), ",")[0]
+			if fl := fs.Lookup(f.Tag.Get("flag")); fl != nil && strings.HasPrefix(key, under) {
+				fmt.Fprintf(&b, "| `-%s` | `%s` | %s | %s |\n", fl.Name, key, fl.DefValue, fl.Usage)
 			}
-			knobKeys(ft, key+".", visit)
+			if ft := f.Type; ft.Kind() == reflect.Struct {
+				walk(ft, key+".")
+			} else if ft.Kind() == reflect.Pointer && ft.Elem().Kind() == reflect.Struct {
+				walk(ft.Elem(), key+".")
+			}
 		}
 	}
+	walk(reflect.TypeFor[Config](), "")
+	return b.String()
 }
 
 // durationList is the flag form of a []Duration field: a

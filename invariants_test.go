@@ -199,9 +199,9 @@ func TestRepositoryInvariants(t *testing.T) {
 		// and growing past its cap is a decision to state in CHANGES.md
 		// with the raised cap, not drift.
 		for doc, limit := range map[string]int64{
-			"README.md":                      29113,
-			"ARCHITECTURE.md":                59573,
-			".claude/skills/verify/SKILL.md": 49854,
+			"README.md":                      29087,
+			"ARCHITECTURE.md":                59536,
+			".claude/skills/verify/SKILL.md": 49817,
 		} {
 			fi, err := os.Stat(doc)
 			if err != nil {
