@@ -1,25 +1,21 @@
-// Command caltrain-query serves or queries the accountability linkage
-// database (the query stage of Figure 2).
-//
-// Serve mode exposes the HTTP query service over a database produced by
-// caltrain-train:
-//
-//	caltrain-query -serve -db linkage.db -addr :8791
-//
-// Query mode investigates one test input: it loads the released model,
-// fingerprints the input (by index into a freshly generated test set),
-// and prints the closest same-class training instances with provenance:
+// Command caltrain-query queries the accountability linkage database
+// (the query stage of Figure 2). It investigates one test input: it
+// loads the released model, fingerprints the input (by index into a
+// freshly generated test set), and prints the closest same-class
+// training instances with provenance:
 //
 //	caltrain-query -db linkage.db -model model.ctnn -index 3 -k 9
+//
+// To serve the same database over HTTP, run the query daemon:
+//
+//	caltrain-serve -db linkage.db
 package main
 
 import (
 	"flag"
 	"fmt"
 	"math/rand/v2"
-	"net/http"
 	"os"
-	"time"
 
 	"caltrain"
 )
@@ -34,10 +30,8 @@ func main() {
 func run() error {
 	var (
 		dbPath    = flag.String("db", "linkage.db", "linkage database path")
-		serve     = flag.Bool("serve", false, "serve the query API over HTTP")
-		addr      = flag.String("addr", ":8791", "listen address in serve mode")
-		modelPath = flag.String("model", "model.ctnn", "released model path (query mode)")
-		index     = flag.Int("index", 0, "test-set record index to investigate (query mode)")
+		modelPath = flag.String("model", "model.ctnn", "released model path")
+		index     = flag.Int("index", 0, "test-set record index to investigate")
 		k         = flag.Int("k", 9, "number of neighbours (the paper's figures show 9)")
 		seed      = flag.Uint64("seed", 7, "seed of the session whose test data to regenerate")
 		perClass  = flag.Int("per-class", 40, "per-class size of the original session")
@@ -54,16 +48,6 @@ func run() error {
 		return err
 	}
 	fmt.Printf("linkage database: %d entries, fingerprint dim %d\n", db.Len(), db.Dim())
-
-	if *serve {
-		srv := &http.Server{
-			Addr:              *addr,
-			Handler:           caltrain.NewLinearQueryService(db).Handler(),
-			ReadHeaderTimeout: 5 * time.Second,
-		}
-		fmt.Printf("serving accountability queries on %s (POST /v1/query, POST /v1/query/batch, GET /v1/healthz, GET /v1/stats, GET /v1/meta)\n", *addr)
-		return srv.ListenAndServe()
-	}
 
 	mf, err := os.Open(*modelPath)
 	if err != nil {

@@ -80,14 +80,17 @@ func routedFixture(t *testing.T) (mapPath string, shardAddrs []string, db *finge
 		t.Fatal(err)
 	}
 	for _, p := range parts {
-		svc := fingerprint.NewSearcherService(index.NewFlat(p))
+		built, err := serve.Deployment{}.Build(p)
+		if err != nil {
+			t.Fatal(err)
+		}
 		l, err := net.Listen("tcp", "127.0.0.1:0")
 		if err != nil {
 			t.Fatal(err)
 		}
 		ctx, cancel := context.WithCancel(context.Background())
 		stopShard = append(stopShard, cancel)
-		go func() { _ = svc.Serve(ctx, l, time.Second) }()
+		go func() { _ = built.Serve(ctx, l, time.Second) }()
 		t.Cleanup(cancel)
 		shardAddrs = append(shardAddrs, l.Addr().String())
 	}

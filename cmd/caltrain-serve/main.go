@@ -87,6 +87,7 @@ import (
 	"net"
 	"os"
 	"os/signal"
+	"reflect"
 	"syscall"
 	"time"
 
@@ -146,7 +147,7 @@ func parseFlags(args []string) (*flag.FlagSet, *options, error) {
 	}
 	c := &o.cfg
 	// By hand: caltrain-shard spells backend.kind -index, with no default.
-	fs.StringVar(&c.Backend.Kind, "backend", c.Backend.Kind, "index backend: linear, flat, ivf, or ivfpq")
+	fs.StringVar(&c.Backend.Kind, "backend", c.Backend.Kind, "index backend: flat, ivf, or ivfpq")
 	// By hand: limits.max_k is the daemon's alone; the router refuses it.
 	fs.IntVar(&c.Limits.MaxK, "max-k", c.Limits.MaxK, "per-query neighbour count limit (0 = default)")
 	return fs, o, serve.BindFlags(fs, c)(args)
@@ -160,6 +161,18 @@ func run(parent context.Context, args []string, out io.Writer) error {
 	cfg, err := serve.ResolveConfig(fs, o.cfg, o.deployment, processFlags)
 	if err != nil {
 		return err
+	}
+	// Any wal flag keeps the wal block, but only -wal names its log: a
+	// tuning flag without it is refused by the flag the user wrote, not
+	// by the file key (wal.dir) Deployment validation names.
+	if cfg.WAL != nil && cfg.WAL.Dir == "" {
+		given := map[string]bool{}
+		fs.Visit(func(f *flag.Flag) { given[f.Name] = true })
+		for _, f := range reflect.VisibleFields(reflect.TypeFor[serve.WALConfig]()) {
+			if name := f.Tag.Get("flag"); name != "wal" && given[name] {
+				return fmt.Errorf("-%s needs -wal", name)
+			}
+		}
 	}
 
 	// Flags or file, the topology is one serve.Config by now, and this is

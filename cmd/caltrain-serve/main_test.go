@@ -303,17 +303,29 @@ func TestServeRejectsConflictingFlags(t *testing.T) {
 	stopped, cancel := context.WithCancel(context.Background())
 	cancel()
 	wal := filepath.Join(t.TempDir(), "wal")
-	for _, extra := range [][]string{
-		{"-max-k", "-1"}, {"-max-batch", "-1"}, {"-max-body", "-1"},
-		{"-wal", wal, "-wal-segment-bytes", "-1"}, {"-wal", wal, "-fsync-every", "-1s"},
-		{"-wal", wal, "-drift-threshold", "0"}, {"-fsync", "never"}, {"-repl"},
-		{"-latency-buckets", "500ns"}, {"-latency-buckets", "500ns,1ms"}, {"-backend", "annoy"},
+	for _, c := range []struct {
+		extra []string
+		want  string // the exact refusal, where a row pins it
+	}{
+		{extra: []string{"-max-k", "-1"}}, {extra: []string{"-max-batch", "-1"}}, {extra: []string{"-max-body", "-1"}},
+		{extra: []string{"-wal", wal, "-wal-segment-bytes", "-1"}}, {extra: []string{"-wal", wal, "-fsync-every", "-1s"}},
+		{extra: []string{"-wal", wal, "-drift-threshold", "0"}},
+		// A wal flag without -wal names the flags written, not wal.dir.
+		{extra: []string{"-fsync", "never"}, want: "-fsync needs -wal"},
+		{extra: []string{"-repl"}},
+		{extra: []string{"-latency-buckets", "500ns"}}, {extra: []string{"-latency-buckets", "500ns,1ms"}},
+		{extra: []string{"-backend", "annoy"}},
+		{extra: []string{"-backend", "linear"}, want: `serve: unknown backend kind "linear" (want flat, ivf, or ivfpq)`},
 		// strconv.ParseFloat reads NaN, which no range check catches.
-		{"-wal", wal, "-drift-threshold", "NaN"}, {"-trace-sample-rate", "NaN"},
+		{extra: []string{"-wal", wal, "-drift-threshold", "NaN"}}, {extra: []string{"-trace-sample-rate", "NaN"}},
 	} {
-		args := append([]string{"-db", dbPath, "-addr", "127.0.0.1:0"}, extra...)
-		if err := run(stopped, args, &syncBuffer{}); err == nil {
-			t.Fatalf("%v accepted", extra)
+		args := append([]string{"-db", dbPath, "-addr", "127.0.0.1:0"}, c.extra...)
+		err := run(stopped, args, &syncBuffer{})
+		if err == nil {
+			t.Fatalf("%v accepted", c.extra)
+		}
+		if c.want != "" && err.Error() != c.want {
+			t.Fatalf("%v refused with %q, want %q", c.extra, err, c.want)
 		}
 	}
 	// 0 is "the default", not "reject every query".

@@ -93,8 +93,8 @@ func run(args []string, out io.Writer) error {
 	if o.shards < 1 {
 		return fmt.Errorf("-shards must be positive, got %d", o.shards)
 	}
-	// Only backends that train have a training to keep (the linear scan
-	// and flat build from the database in one pass).
+	// Only backends that train have a training to keep (flat builds
+	// from the database in one pass).
 	if o.backend.Kind != "" {
 		if _, ok := serve.KeptIndexFile(filepath.Join(o.out, shardFile(0)), o.backend); !ok {
 			return fmt.Errorf("-index %s trains nothing to keep (want ivf or ivfpq)", o.backend.Kind)

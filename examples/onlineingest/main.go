@@ -142,13 +142,15 @@ func main() {
 	if err != nil {
 		log.Fatal(err)
 	}
-	flat3 := caltrain.NewFlatIndex(final)
-	store3, err := caltrain.OpenIngestStore(walDir, final, flat3, caltrain.IngestOptions{})
+	built3, err := caltrain.Deployment{
+		Backend: caltrain.BackendConfig{Kind: "flat"},
+		WAL:     &caltrain.WALConfig{Dir: walDir},
+	}.Build(final)
 	if err != nil {
 		log.Fatal(err)
 	}
-	defer store3.Close()
-	fmt.Printf("after snapshot: %d entries on disk, restart replays %d\n", final.Len(), store3.Replayed())
+	defer built3.Close()
+	fmt.Printf("after snapshot: %d entries on disk, restart replays %d\n", final.Len(), built3.Store().Replayed())
 }
 
 func seedDB(dim, labels, n int) *caltrain.LinkageDB {

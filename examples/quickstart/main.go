@@ -105,11 +105,15 @@ func main() {
 		fmt.Printf("  %d. distance %.4f, contributed by %s\n", i+1, m.Distance, m.Source)
 	}
 
-	// 8. The same query served over HTTP: the zero-setup linear query
-	// service speaks the versioned /v1 wire protocol, and the client
-	// discovers what it is talking to on /v1/meta before querying.
-	svc := caltrain.NewLinearQueryService(db)
-	srv := httptest.NewServer(svc.Handler())
+	// 8. The same query served over HTTP: the zero Deployment builds an
+	// exact Flat-indexed query service that speaks the versioned /v1
+	// wire protocol, and the client discovers what it is talking to on
+	// /v1/meta before querying.
+	built, err := caltrain.Deployment{}.Build(db)
+	if err != nil {
+		log.Fatal(err)
+	}
+	srv := httptest.NewServer(built.Handler())
 	defer srv.Close()
 	client := caltrain.NewQueryClient(srv.URL)
 	meta, err := client.Meta()

@@ -26,6 +26,9 @@ import (
 	"log/slog"
 	"math/rand/v2"
 	"net"
+	"os"
+	"path/filepath"
+	"strconv"
 	"strings"
 	"sync"
 	"time"
@@ -80,13 +83,23 @@ func main() {
 	}
 	fmt.Printf("linkage database: %d entries, %d labels, dim %d\n", db.Len(), labels, dim)
 
-	// 2. Split it. In production: caltrain-shard -db linkage.db -shards 3.
+	// 2. Split it, and write the map the router loads. In production:
+	// caltrain-shard -db linkage.db -shards 3 (writes shardmap.ctsm).
 	shardMap, err := caltrain.NewHashShardMap(3)
 	if err != nil {
 		log.Fatal(err)
 	}
 	parts, err := caltrain.SplitDB(db, shardMap)
 	if err != nil {
+		log.Fatal(err)
+	}
+	dir, err := os.MkdirTemp("", "shardedserving")
+	if err != nil {
+		log.Fatal(err)
+	}
+	defer os.RemoveAll(dir)
+	mapPath := filepath.Join(dir, "shardmap.ctsm")
+	if err := saveShardMap(shardMap, mapPath); err != nil {
 		log.Fatal(err)
 	}
 
@@ -98,7 +111,7 @@ func main() {
 	ctx := context.Background()
 	shardLogs := &logBuf{}
 	shardCtx := make([]context.CancelFunc, len(parts))
-	replicas := make([][]caltrain.ShardReplica, len(parts))
+	shards := map[string][]string{}
 	for i, part := range parts {
 		built, err := caltrain.Deployment{
 			Backend: caltrain.BackendConfig{Kind: "flat"},
@@ -121,23 +134,26 @@ func main() {
 		shardCtx[i] = cancel
 		go func() { _ = built.Serve(sctx, l, time.Second) }()
 		fmt.Printf("shard %d: %d entries on %s\n", i, part.Len(), l.Addr())
-		replicas[i] = []caltrain.ShardReplica{
-			caltrain.NewHTTPShardReplica("http://"+l.Addr().String(), nil),
-		}
+		shards[strconv.Itoa(i)] = []string{l.Addr().String()}
 	}
 
-	// 4. The scatter-gather router, serving the single-daemon protocol.
-	// In production: caltrain-router -map shardmap.ctsm -shard 0=... .
+	// 4. The scatter-gather router, serving the single-daemon protocol:
+	// a Deployment whose topology names the map and each shard's
+	// daemons, built over no database of its own. In production:
+	// caltrain-router -map shardmap.ctsm -shard 0=... .
 	routerLog := &logBuf{}
-	router, err := caltrain.NewShardRouter(shardMap, replicas,
-		caltrain.WithShardTimeout(2*time.Second),
-		caltrain.WithReplicaCooldown(100*time.Millisecond),
-		caltrain.WithRouterObservability(caltrain.ObservabilityOptions{
-			Component:  "router",
+	router, err := caltrain.Deployment{
+		Topology: &caltrain.TopologyConfig{
+			Map:      mapPath,
+			Shards:   shards,
+			Timeout:  caltrain.Duration(2 * time.Second),
+			Cooldown: caltrain.Duration(100 * time.Millisecond),
+		},
+		Observability: &caltrain.ObservabilityConfig{
 			RequestLog: true,
 			Logger:     slog.New(slog.NewTextHandler(routerLog, nil)),
-		}),
-	)
+		},
+	}.Build(nil)
 	if err != nil {
 		log.Fatal(err)
 	}
@@ -148,7 +164,7 @@ func main() {
 	rctx, stopRouter := context.WithCancel(ctx)
 	defer stopRouter()
 	go func() { _ = router.Serve(rctx, rl, time.Second) }()
-	fmt.Printf("router: %d shards behind %s\n\n", router.NumShards(), rl.Addr())
+	fmt.Printf("router: %d shards behind %s\n\n", len(shards), rl.Addr())
 
 	// A model user investigates mispredictions: one batch, many labels —
 	// the unchanged single-daemon client, pointed at the router. The
@@ -236,6 +252,18 @@ func main() {
 			i, batch[i].Label, res.Matches[0].Source, res.Matches[0].Distance)
 	}
 	fmt.Printf("partial batch, unreachable: %v\n", resp.UnreachableShards)
+}
+
+func saveShardMap(m *caltrain.ShardMap, path string) error {
+	f, err := os.Create(path)
+	if err != nil {
+		return err
+	}
+	if err := m.Save(f); err != nil {
+		f.Close()
+		return err
+	}
+	return f.Close()
 }
 
 func waitHealthy(client *caltrain.QueryClient) {

@@ -6,6 +6,8 @@ import (
 	"math/rand/v2"
 	"net/http/httptest"
 	"os"
+	"path/filepath"
+	"strconv"
 	"testing"
 	"time"
 )
@@ -45,7 +47,11 @@ func TestLinkageDBFacadeAndClient(t *testing.T) {
 	if db2.Len() != db.Len() {
 		t.Fatalf("db round trip: %d vs %d", db2.Len(), db.Len())
 	}
-	srv := httptest.NewServer(NewLinearQueryService(db2).Handler())
+	built, err := Deployment{}.Build(db2)
+	if err != nil {
+		t.Fatal(err)
+	}
+	srv := httptest.NewServer(built.Handler())
 	defer srv.Close()
 	client := NewQueryClient(srv.URL)
 	q := make(Fingerprint, 16)
@@ -60,15 +66,15 @@ func TestLinkageDBFacadeAndClient(t *testing.T) {
 }
 
 // TestIndexServingFacade drives the index serving surface end to end:
-// an IVF index a Deployment trains agrees with the exact one, a
-// Deployment serves with limits, and its service hot-swaps to the IVF
-// index while serving.
+// an IVF index a Deployment trains agrees with the exact one another
+// builds, a Deployment serves with limits, and its service hot-swaps to
+// the IVF index while serving.
 func TestIndexServingFacade(t *testing.T) {
 	db, err := newTestDB(16, 400)
 	if err != nil {
 		t.Fatal(err)
 	}
-	flat := NewFlatIndex(db)
+	flat := exactSearcher(t, db)
 	trained, err := Deployment{Backend: BackendConfig{Kind: "ivf", Nlist: 8, Nprobe: 8, Seed: 5}}.Build(db)
 	if err != nil {
 		t.Fatal(err)
@@ -136,8 +142,8 @@ func TestIndexServingFacade(t *testing.T) {
 
 // TestShardedServingFacade drives the distributed serving surface end
 // to end through the public API: SplitDB, one Deployment per shard
-// behind HTTP replicas, the router, scatter-gather batches, and
-// aggregated stats.
+// behind HTTP, a topology Deployment routing to them over the saved
+// map, scatter-gather batches, and aggregated stats.
 func TestShardedServingFacade(t *testing.T) {
 	db, err := newTestDB(16, 300)
 	if err != nil {
@@ -151,7 +157,7 @@ func TestShardedServingFacade(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	replicas := make([][]ShardReplica, len(parts))
+	shards := map[string][]string{}
 	for i, p := range parts {
 		built, err := Deployment{}.Build(p)
 		if err != nil {
@@ -159,9 +165,20 @@ func TestShardedServingFacade(t *testing.T) {
 		}
 		shardSrv := httptest.NewServer(built.Handler())
 		defer shardSrv.Close()
-		replicas[i] = []ShardReplica{NewHTTPShardReplica(shardSrv.URL, nil)}
+		shards[strconv.Itoa(i)] = []string{shardSrv.URL}
 	}
-	rt, err := NewShardRouter(m, replicas, WithShardTimeout(5*time.Second))
+	mapPath := filepath.Join(t.TempDir(), "shardmap.ctsm")
+	mf, err := os.Create(mapPath)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if err := m.Save(mf); err != nil {
+		t.Fatal(err)
+	}
+	if err := mf.Close(); err != nil {
+		t.Fatal(err)
+	}
+	rt, err := Deployment{Topology: &TopologyConfig{Map: mapPath, Shards: shards, Timeout: Duration(5 * time.Second)}}.Build(nil)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -169,7 +186,7 @@ func TestShardedServingFacade(t *testing.T) {
 	defer srv.Close()
 	client := NewQueryClient(srv.URL)
 
-	single := NewFlatIndex(db)
+	single := exactSearcher(t, db)
 	reqs := make([]QueryRequest, 9)
 	for i := range reqs {
 		f := make(Fingerprint, 16)
@@ -328,6 +345,17 @@ func TestTypedErrorFacade(t *testing.T) {
 	if _, err := client.Query(make(Fingerprint, 16), 0, 4); err != nil || ErrorCodeOf(err) != "" {
 		t.Fatalf("success: %v (code %q)", err, ErrorCodeOf(err))
 	}
+}
+
+// exactSearcher is the exact Flat index the zero Deployment serves over
+// db: the reference the routed and approximate answers are held to.
+func exactSearcher(t *testing.T, db *LinkageDB) Searcher {
+	t.Helper()
+	built, err := Deployment{}.Build(db)
+	if err != nil {
+		t.Fatal(err)
+	}
+	return built.Service().Searcher()
 }
 
 func newTestDB(dim, n int) (*LinkageDB, error) {
@@ -506,8 +534,8 @@ func TestClassifyFacade(t *testing.T) {
 
 // TestIngestFacade drives the write-path surface end to end through the
 // public API: a WAL-backed Deployment over an appendable index, ingest
-// through the HTTP client, kill-and-replay into a store opened by hand,
-// snapshot compaction, and the typed loader sentinels.
+// through the HTTP client, kill-and-replay into a second Deployment over
+// the same log, snapshot compaction, and the typed loader sentinels.
 func TestIngestFacade(t *testing.T) {
 	db, err := newTestDB(16, 60)
 	if err != nil {
@@ -553,11 +581,11 @@ func TestIngestFacade(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	flat2 := NewFlatIndex(db2)
-	store2, err := OpenIngestStore(walDir, db2, flat2, IngestOptions{})
+	built2, err := Deployment{WAL: &WALConfig{Dir: walDir}}.Build(db2)
 	if err != nil {
 		t.Fatal(err)
 	}
+	store2, flat2 := built2.Store(), built2.Service().Searcher()
 	if db2.Len() != 65 || flat2.Len() != 65 {
 		t.Fatalf("replay restored %d/%d entries, want 65", db2.Len(), flat2.Len())
 	}
@@ -579,11 +607,12 @@ func TestIngestFacade(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	store3, err := OpenIngestStore(walDir, db3, NewFlatIndex(db3), IngestOptions{})
+	built3, err := Deployment{WAL: &WALConfig{Dir: walDir}}.Build(db3)
 	if err != nil {
 		t.Fatal(err)
 	}
-	defer store3.Close()
+	defer built3.Close()
+	store3 := built3.Store()
 	if db3.Len() != 65 || store3.Replayed() != 0 {
 		t.Fatalf("post-snapshot open: %d entries, %d replayed", db3.Len(), store3.Replayed())
 	}

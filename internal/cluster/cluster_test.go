@@ -15,6 +15,7 @@ import (
 	"time"
 
 	"caltrain/internal/fingerprint"
+	"caltrain/internal/index"
 	"caltrain/internal/ingest"
 )
 
@@ -50,19 +51,20 @@ func newReplica(t *testing.T, peer string) *replica {
 	if err != nil {
 		t.Fatal(err)
 	}
-	svc := fingerprint.NewSearcherService(db)
+	flat := index.NewFlat(db)
+	svc := fingerprint.NewSearcherService(flat)
 	walDir := filepath.Join(t.TempDir(), "wal")
 	open := func(ndb *fingerprint.DB, sr fingerprint.Searcher) (*ingest.Store, error) {
 		return ingest.Open(walDir, ndb, sr, ingest.Options{WAL: ingest.WALOptions{Sync: ingest.SyncNever}})
 	}
-	st, err := open(db, db)
+	st, err := open(db, flat)
 	if err != nil {
 		t.Fatal(err)
 	}
 	sync, err := NewSyncer(Options{
 		Peer:    peer,
 		Service: svc,
-		Build:   func(ndb *fingerprint.DB) (fingerprint.Searcher, error) { return ndb, nil },
+		Build:   func(ndb *fingerprint.DB) (fingerprint.Searcher, error) { return index.NewFlat(ndb), nil },
 		Reopen: func(ndb *fingerprint.DB, sr fingerprint.Searcher) (*ingest.Store, error) {
 			if err := os.RemoveAll(walDir); err != nil {
 				return nil, err

@@ -49,15 +49,10 @@ type IngestStats struct {
 	LastSnapshotAgeSeconds float64 `json:"last_snapshot_age_seconds,omitempty"`
 }
 
-// WithIngester enables the write path: POST /ingest applies batches
-// through ing, and /stats grows an "ingest" block.
-func WithIngester(ing Ingester) ServiceOption {
-	return func(s *Service) { s.ingester = ing }
-}
-
-// SetIngester enables the write path after construction — the daemon
-// wiring order is service first (the ingest store hot-swaps through
-// it), then the store, then this. Call before serving; it is not
+// SetIngester enables the write path: POST /ingest applies batches
+// through ing, and /stats grows an "ingest" block. The daemon wiring
+// order is service first (the ingest store hot-swaps through it), then
+// the store, then this. Call before serving; it is not
 // synchronized against in-flight requests. A replicated deployment
 // installs one long-lived Ingester (the cluster Syncer) exactly once
 // and swaps stores inside it, so this is never called at runtime.
@@ -127,12 +122,12 @@ func DecodeIngestEntries(entries []IngestEntry) ([]Linkage, error) {
 	return ls, nil
 }
 
-// ErrIngestDisabled is returned by RunIngest on a read-only daemon (no
-// Ingester configured).
+// ErrIngestDisabled is returned by RunIngestCtx on a read-only daemon
+// (no Ingester configured).
 var ErrIngestDisabled = errors.New("ingest not enabled on this daemon")
 
-// IngestError types a RunIngest error as the reply POST /v1/ingest
-// answers it with: the rejection itself when RunIngest refused the
+// IngestError types a RunIngestCtx error as the reply POST /v1/ingest
+// answers it with: the rejection itself when RunIngestCtx refused the
 // batch's size, 501 for a read-only daemon, 400 for a batch the daemon
 // validated and refused (every replica of its shard would refuse it
 // identically), 500 for daemon-side faults (WAL I/O). A
@@ -154,18 +149,13 @@ func IngestError(err error) *APIError {
 	return &APIError{Status: status, Code: ErrCodeForStatus(status), Message: err.Error()}
 }
 
-// RunIngest applies an ingest batch through the configured Ingester,
-// bypassing HTTP — the in-process path a local shard replica writes
-// through. The batch is all-or-nothing: any validation failure rejects
-// it before the WAL sees a byte.
-func (s *Service) RunIngest(entries []IngestEntry) (*IngestResponse, error) {
-	return s.RunIngestCtx(context.Background(), entries)
-}
-
-// RunIngestCtx is RunIngest with a caller-supplied context, on whose
-// trace the Ingester records the durable log write. It holds the batch
-// to the service's limits and counts a rejection as one error, whether
-// the batch came over HTTP or from a local replica.
+// RunIngestCtx applies an ingest batch through the configured
+// Ingester, bypassing HTTP — the in-process path a local shard replica
+// writes through — recording the durable log write on ctx's trace. The
+// batch is all-or-nothing: any validation failure rejects it before the
+// WAL sees a byte. It holds the batch to the service's limits and
+// counts a rejection as one error, whether the batch came over HTTP or
+// from a local replica.
 func (s *Service) RunIngestCtx(ctx context.Context, entries []IngestEntry) (*IngestResponse, error) {
 	if s.ingester == nil {
 		return nil, ErrIngestDisabled

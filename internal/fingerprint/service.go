@@ -181,17 +181,12 @@ func WriteJSON(w http.ResponseWriter, status int, v any) {
 	_ = json.NewEncoder(w).Encode(v)
 }
 
-// Serve runs the service on l until ctx is cancelled, then drains
-// in-flight requests (graceful shutdown) for up to grace. It always
-// closes the listener and returns nil after a clean shutdown.
-func (s *Service) Serve(ctx context.Context, l net.Listener, grace time.Duration) error {
-	return ServeHandler(ctx, l, s.Handler(), grace)
-}
-
 // ServeHandler runs any HTTP handler on l with the serving tier's
 // production defaults (header/read/write timeouts) until ctx is
-// cancelled, then drains in-flight requests for up to grace. Both the
-// query daemon (Service.Serve) and the shard router use it.
+// cancelled, then drains in-flight requests (graceful shutdown) for up
+// to grace. It always closes the listener and returns nil after a
+// clean shutdown. serve.Server.Serve runs every built deployment, a
+// query service or a router, through it.
 func ServeHandler(ctx context.Context, l net.Listener, h http.Handler, grace time.Duration) error {
 	srv := &http.Server{
 		Handler:           h,

@@ -274,8 +274,9 @@ func TestServiceConcurrent(t *testing.T) {
 	wg.Wait()
 }
 
-// TestServiceGracefulServe exercises Service.Serve: queries succeed while
-// running, cancellation drains and returns nil.
+// TestServiceGracefulServe exercises ServeHandler over a service's
+// handler: queries succeed while running, cancellation drains and
+// returns nil.
 func TestServiceGracefulServe(t *testing.T) {
 	db := populatedDB(t, 4, 20, 2, 37)
 	svc := NewSearcherService(db)
@@ -285,7 +286,7 @@ func TestServiceGracefulServe(t *testing.T) {
 	}
 	ctx, cancel := context.WithCancel(context.Background())
 	done := make(chan error, 1)
-	go func() { done <- svc.Serve(ctx, l, 2*time.Second) }()
+	go func() { done <- ServeHandler(ctx, l, svc.Handler(), 2*time.Second) }()
 
 	client := NewClient("http://"+l.Addr().String(), nil)
 	deadline := time.Now().Add(2 * time.Second)

@@ -98,7 +98,7 @@ type Store struct {
 	// Writers hold BOTH mu and smu.
 	smu      sync.Mutex
 	searcher fingerprint.Searcher
-	app      appender // nil when searcher is the DB itself (linear)
+	app      appender
 
 	driftThreshold float64
 	rebuild        func(*fingerprint.DB) (fingerprint.Searcher, error)
@@ -121,8 +121,7 @@ type Store struct {
 // the acknowledged linkages. An empty dir opens a volatile store: no
 // log, no replay, no file touched; it reports zero WAL bytes and
 // segments, and refuses Snapshot and ReplCursor. The backend must be
-// the database itself (linear scan; appends are naturally visible) or
-// an index.Appender.
+// an index.Appender over db.
 func Open(dir string, db *fingerprint.DB, searcher fingerprint.Searcher, opts Options) (*Store, error) {
 	s := &Store{
 		db:             db,
@@ -139,17 +138,11 @@ func Open(dir string, db *fingerprint.DB, searcher fingerprint.Searcher, opts Op
 	if s.logf == nil {
 		s.logf = func(string, ...any) {}
 	}
-	if sdb, ok := searcher.(*fingerprint.DB); ok {
-		if sdb != db {
-			return nil, fmt.Errorf("ingest: linear backend must be the ingest database itself")
-		}
-	} else {
-		ap, ok := searcher.(appender)
-		if !ok {
-			return nil, fmt.Errorf("ingest: %s backend does not support appends", searcher.Kind())
-		}
-		s.app = ap
+	ap, ok := searcher.(appender)
+	if !ok {
+		return nil, fmt.Errorf("ingest: %s backend does not support appends", searcher.Kind())
 	}
+	s.app = ap
 	if dir == "" {
 		return s, nil
 	}
@@ -187,12 +180,7 @@ func (s *Store) apply(l fingerprint.Linkage) error {
 	if err := s.db.Add(l); err != nil {
 		return err
 	}
-	if s.app != nil {
-		if err := s.app.Append(idx); err != nil {
-			return err
-		}
-	}
-	return nil
+	return s.app.Append(idx)
 }
 
 // IngestBatch is IngestBatchCtx without a trace.

@@ -117,7 +117,7 @@ type RepairConfig struct {
 // backend block of a Config and the -backend flag alike; the zero value
 // means flat.
 type BackendConfig struct {
-	// Kind is "linear", "flat", "ivf", or "ivfpq" ("" means flat).
+	// Kind is "flat", "ivf", or "ivfpq" ("" means flat).
 	Kind string `json:"kind"`
 	// IVF training and search knobs (ivf and ivfpq; zero = auto
 	// defaults).
@@ -141,21 +141,18 @@ func (b BackendConfig) kind() string {
 
 // validate refuses a kind that names no backend.
 func (b BackendConfig) validate() error {
-	if !slices.Contains([]string{"linear", "flat", "ivf", "ivfpq"}, b.kind()) {
-		return fmt.Errorf("serve: unknown backend kind %q (want linear, flat, ivf, or ivfpq)", b.Kind)
+	if !slices.Contains([]string{"flat", "ivf", "ivfpq"}, b.kind()) {
+		return fmt.Errorf("serve: unknown backend kind %q (want flat, ivf, or ivfpq)", b.Kind)
 	}
 	return nil
 }
 
-// build builds the backend over db: the reference linear scan serves
-// the live database itself, flat an exact index over it, and ivf and
-// ivfpq train with the block's knobs (zero = auto defaults; m is read
-// by ivfpq only).
+// build builds the backend over db: flat an exact index over it, and
+// ivf and ivfpq train with the block's knobs (zero = auto defaults; m
+// is read by ivfpq only).
 func (b BackendConfig) build(db *fingerprint.DB) (fingerprint.Searcher, error) {
 	ivf := index.IVFOptions{Nlist: b.Nlist, Nprobe: b.Nprobe, Iters: b.Iters, Seed: b.Seed}
 	switch b.kind() {
-	case "linear":
-		return db, nil
 	case "ivf":
 		return index.TrainIVF(db, ivf)
 	case "ivfpq":

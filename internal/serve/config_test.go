@@ -174,6 +174,7 @@ func TestDeploymentValidatesGoForm(t *testing.T) {
 	}{
 		{"negative shards", `{"shards": -1}`, Deployment{Shards: -1}},
 		{"unknown backend kind", `{"backend": {"kind": "annoy"}}`, Deployment{Backend: BackendConfig{Kind: "annoy"}}},
+		{"the retired linear kind", `{"backend": {"kind": "linear"}}`, Deployment{Backend: BackendConfig{Kind: "linear"}}},
 		{"negative max_k", `{"limits": {"max_k": -5}}`, Deployment{Limits: &LimitsConfig{MaxK: -5}}},
 		{"sub-microsecond latency bucket", `{"limits": {"latency_buckets": ["1ms", "500ns"]}}`,
 			Deployment{Limits: &LimitsConfig{LatencyBuckets: []Duration{Duration(time.Millisecond), 500}}}},

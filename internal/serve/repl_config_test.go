@@ -8,6 +8,7 @@ import (
 	"net/http/httptest"
 	"os"
 	"path/filepath"
+	"strconv"
 	"strings"
 	"testing"
 	"time"
@@ -220,6 +221,67 @@ func TestTopologyBuild(t *testing.T) {
 	_, err = fingerprint.NewClient(ts.URL, ts.Client()).QueryBatch(reqs)
 	if fingerprint.CodeOf(err) != fingerprint.ErrCodeLimitExceeded {
 		t.Fatalf("17 queries past limits.max_batch 16: %v", err)
+	}
+}
+
+// TestRouterServeLifecycle drives Server.Serve over a topology with a
+// real listener and a context cancel, the path caltrain-router runs:
+// routed queries answer while it serves, and cancellation drains and
+// returns nil.
+func TestRouterServeLifecycle(t *testing.T) {
+	db := testDB(t, 8, 90, 3)
+	m, err := shard.NewHashMap(3)
+	if err != nil {
+		t.Fatal(err)
+	}
+	parts, err := shard.SplitDB(db, m)
+	if err != nil {
+		t.Fatal(err)
+	}
+	shards := map[string][]string{}
+	for i, part := range parts {
+		daemon, err := Deployment{}.Build(part)
+		if err != nil {
+			t.Fatal(err)
+		}
+		ts := httptest.NewServer(daemon.Handler())
+		defer ts.Close()
+		shards[strconv.Itoa(i)] = []string{ts.URL}
+	}
+	srv, err := Deployment{Topology: &TopologyConfig{Map: writeShardMap(t, 3), Shards: shards}}.Build(nil)
+	if err != nil {
+		t.Fatal(err)
+	}
+	l, err := net.Listen("tcp", "127.0.0.1:0")
+	if err != nil {
+		t.Fatal(err)
+	}
+	ctx, cancel := context.WithCancel(context.Background())
+	done := make(chan error, 1)
+	go func() { done <- srv.Serve(ctx, l, time.Second) }()
+	client := fingerprint.NewClient("http://"+l.Addr().String(), nil)
+	deadline := time.Now().Add(5 * time.Second)
+	for client.Healthz() != nil {
+		if time.Now().After(deadline) {
+			t.Fatal("router never became healthy")
+		}
+		time.Sleep(5 * time.Millisecond)
+	}
+	resp, err := client.QueryBatch([]fingerprint.QueryRequest{{Fingerprint: db.Entry(0).F, Label: 0, K: 2}})
+	if err != nil {
+		t.Fatal(err)
+	}
+	if resp.Results[0].Error != "" {
+		t.Fatalf("routed query failed: %s", resp.Results[0].Error)
+	}
+	cancel()
+	select {
+	case err := <-done:
+		if err != nil {
+			t.Fatalf("Serve returned %v", err)
+		}
+	case <-time.After(5 * time.Second):
+		t.Fatal("router did not drain on cancel")
 	}
 }
 

@@ -37,13 +37,14 @@ func testDB(t testing.TB, dim, n, labels int) *fingerprint.DB {
 
 // TestParseBackend: each wire name resolves to the backend it names,
 // "" to flat, and a kind that names no backend is refused by Build,
-// before anything is built, with the message the daemons print.
+// before anything is built, with the message the daemons print. The
+// reference scan, "linear", is no serving kind: DB.Query stays the
+// reference the indexes are checked against.
 func TestParseBackend(t *testing.T) {
 	cases := []struct {
 		kind string
 		want string
 	}{
-		{"linear", "linear"},
 		{"", "flat"},
 		{"flat", "flat"},
 		{"ivf", "ivf"},
@@ -58,19 +59,19 @@ func TestParseBackend(t *testing.T) {
 			t.Fatalf("%q: kind %s, want %s", c.kind, b.kind(), c.want)
 		}
 	}
-	_, err := Deployment{Backend: BackendConfig{Kind: "annoy"}}.Build(testDB(t, 8, 20, 2))
-	if err == nil || err.Error() != `serve: unknown backend kind "annoy" (want linear, flat, ivf, or ivfpq)` {
-		t.Fatalf("unknown backend kind: %v", err)
+	for _, kind := range []string{"annoy", "linear"} {
+		_, err := Deployment{Backend: BackendConfig{Kind: kind}}.Build(testDB(t, 8, 20, 2))
+		if want := `serve: unknown backend kind "` + kind + `" (want flat, ivf, or ivfpq)`; err == nil || err.Error() != want {
+			t.Fatalf("backend kind %q: %v, want %s", kind, err, want)
+		}
 	}
 }
 
 // TestSpecBuildKinds: each kind builds the backend it names over the
-// whole database. The linear scan serves the live database itself;
-// only the trained kinds supply a retrain hook.
+// whole database; only the trained kinds supply a retrain hook.
 func TestSpecBuildKinds(t *testing.T) {
 	db := testDB(t, 8, 200, 4)
 	for _, b := range []BackendConfig{
-		{Kind: "linear"},
 		{},
 		{Kind: "flat"},
 		{Kind: "ivf", Nlist: 2, Nprobe: 2, Seed: 3},
@@ -87,9 +88,6 @@ func TestSpecBuildKinds(t *testing.T) {
 		if hook := b.rebuild() != nil; hook != b.trains() || b.trains() != (b.Kind == "ivf" || b.Kind == "ivfpq") {
 			t.Fatalf("%q: retrain hook %v, trains %v", b.Kind, hook, b.trains())
 		}
-	}
-	if sr, _ := (BackendConfig{Kind: "linear"}).build(db); sr.(*fingerprint.DB) != db {
-		t.Fatal("linear did not serve the database itself")
 	}
 }
 
@@ -127,7 +125,7 @@ func TestDeploymentSingleReadOnly(t *testing.T) {
 // TestDeploymentSingleVolatileWrites: VolatileWrites enables a
 // non-durable write path on every backend that can append.
 func TestDeploymentSingleVolatileWrites(t *testing.T) {
-	for _, b := range []BackendConfig{{Kind: "linear"}, {Kind: "flat"}, {Kind: "ivf", Nlist: 2, Nprobe: 2, Seed: 5}} {
+	for _, b := range []BackendConfig{{}, {Kind: "flat"}, {Kind: "ivf", Nlist: 2, Nprobe: 2, Seed: 5}} {
 		db := testDB(t, 8, 120, 3)
 		srv, err := Deployment{Backend: b, VolatileWrites: true}.Build(db)
 		if err != nil {

@@ -14,13 +14,15 @@ import (
 	"testing"
 
 	"caltrain/internal/fingerprint"
+	"caltrain/internal/index"
 	"caltrain/internal/ingest"
 )
 
-// cachedFixture shards db across nshards linear local replicas that
+// cachedFixture shards db across nshards exact local replicas that
 // accept volatile writes, behind a router with an n-entry response
-// cache. Writes apply straight to the shard database the replica
-// serves, so an invalidated cache entry observably changes answers.
+// cache. Writes apply to the shard database and the Flat index the
+// replica serves, so an invalidated cache entry observably changes
+// answers.
 func cachedFixture(t *testing.T, db *fingerprint.DB, nshards, n int) *Router {
 	t.Helper()
 	m := mustHashMap(t, nshards)
@@ -30,11 +32,13 @@ func cachedFixture(t *testing.T, db *fingerprint.DB, nshards, n int) *Router {
 	}
 	replicas := make([][]Replica, nshards)
 	for i, p := range parts {
-		store, err := ingest.Open("", p, p, ingest.Options{})
+		flat := index.NewFlat(p)
+		store, err := ingest.Open("", p, flat, ingest.Options{})
 		if err != nil {
 			t.Fatal(err)
 		}
-		svc := fingerprint.NewSearcherService(p, fingerprint.WithIngester(store))
+		svc := fingerprint.NewSearcherService(flat)
+		svc.SetIngester(store)
 		replicas[i] = []Replica{NewLocalReplica(fmt.Sprintf("local-%d", i), svc)}
 	}
 	rt, err := NewRouter(m, replicas, WithRouterResponseCache(n))

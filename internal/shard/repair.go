@@ -50,8 +50,7 @@ type RepairOptions struct {
 // degraded past RepairOptions.After, the router nudges its sync state
 // machine (POST /v1/repl/sync) naming a healthy replica of the same
 // shard as the source, polls /v1/repl/status until it reports live, and
-// readmits the replica to the rotation. The loop runs inside Serve, or
-// explicitly via RunRepairLoop for Handler-based deployments.
+// readmits the replica to the rotation. The loop runs in RunRepairLoop.
 func WithRepair(o RepairOptions) RouterOption {
 	return func(r *Router) {
 		cfg := o

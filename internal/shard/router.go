@@ -3,7 +3,6 @@ package shard
 import (
 	"context"
 	"fmt"
-	"net"
 	"net/http"
 	"sort"
 	"sync"
@@ -56,7 +55,7 @@ type Router struct {
 	cache     *responseCache
 
 	// repairCfg != nil enables the anti-entropy repair loop; repair is
-	// built in NewRouter and started by Serve (or RunRepairLoop).
+	// built in NewRouter and started by RunRepairLoop.
 	repairCfg *RepairOptions
 	repair    *repairer
 
@@ -214,22 +213,9 @@ func (r *Router) Meta() fingerprint.MetaResponse {
 	}
 }
 
-// Serve runs the router on l until ctx is cancelled, then drains
-// in-flight requests for up to grace, exactly like Service.Serve. When
-// WithRepair is configured the anti-entropy repair loop runs alongside
-// serving and stops with it.
-func (r *Router) Serve(ctx context.Context, l net.Listener, grace time.Duration) error {
-	if r.repair != nil {
-		rctx, cancel := context.WithCancel(ctx)
-		defer cancel()
-		go r.repair.run(rctx)
-	}
-	return fingerprint.ServeHandler(ctx, l, r.Handler(), grace)
-}
-
 // RunRepairLoop runs the anti-entropy repair loop until ctx is
-// cancelled, for deployments that serve the router through Handler()
-// rather than Serve. No-op without WithRepair.
+// cancelled; serve.Server.Serve runs it alongside the router's handler.
+// No-op without WithRepair.
 func (r *Router) RunRepairLoop(ctx context.Context) {
 	if r.repair != nil {
 		r.repair.run(ctx)

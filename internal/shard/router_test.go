@@ -6,7 +6,6 @@ import (
 	"encoding/json"
 	"fmt"
 	"math/rand/v2"
-	"net"
 	"net/http"
 	"net/http/httptest"
 	"strings"
@@ -18,10 +17,6 @@ import (
 	"caltrain/internal/index"
 	"caltrain/internal/ingest"
 )
-
-func newLocalListener() (net.Listener, error) {
-	return net.Listen("tcp", "127.0.0.1:0")
-}
 
 // shardedFixture splits a database across nshards local services behind
 // a router and also returns a single-daemon service over the whole
@@ -583,44 +578,6 @@ func TestReplicaCooldownSkipsDeadReplica(t *testing.T) {
 	s.markUp()
 	if !s.healthy(clock()) {
 		t.Fatal("markUp did not clear cooldown")
-	}
-}
-
-// TestRouterServeLifecycle drives Router.Serve with a real listener and
-// a context cancel, the path caltrain-router uses.
-func TestRouterServeLifecycle(t *testing.T) {
-	db := testDB(t, 8, 90, 3)
-	rt, _ := shardedFixture(t, db, 3)
-	l, err := newLocalListener()
-	if err != nil {
-		t.Fatal(err)
-	}
-	ctx, cancel := context.WithCancel(context.Background())
-	done := make(chan error, 1)
-	go func() { done <- rt.Serve(ctx, l, time.Second) }()
-	client := fingerprint.NewClient("http://"+l.Addr().String(), nil)
-	deadline := time.Now().Add(5 * time.Second)
-	for client.Healthz() != nil {
-		if time.Now().After(deadline) {
-			t.Fatal("router never became healthy")
-		}
-		time.Sleep(5 * time.Millisecond)
-	}
-	resp, err := client.QueryBatch([]fingerprint.QueryRequest{{Fingerprint: db.Entry(0).F, Label: 0, K: 2}})
-	if err != nil {
-		t.Fatal(err)
-	}
-	if resp.Results[0].Error != "" {
-		t.Fatalf("routed query failed: %s", resp.Results[0].Error)
-	}
-	cancel()
-	select {
-	case err := <-done:
-		if err != nil {
-			t.Fatalf("Serve returned %v", err)
-		}
-	case <-time.After(5 * time.Second):
-		t.Fatal("router did not drain on cancel")
 	}
 }
 

@@ -17,14 +17,12 @@ package caltrain
 import (
 	"context"
 	"io"
-	"net/http"
 
 	"caltrain/internal/assess"
 	"caltrain/internal/core"
 	"caltrain/internal/dataset"
 	"caltrain/internal/fingerprint"
 	"caltrain/internal/hub"
-	"caltrain/internal/index"
 	"caltrain/internal/ingest"
 	"caltrain/internal/nn"
 	"caltrain/internal/obs"
@@ -82,16 +80,16 @@ type (
 	Trigger = trojan.Trigger
 )
 
-// Accountability serving types (internal/index, internal/fingerprint).
+// Accountability serving types (internal/fingerprint).
 type (
-	// Searcher is a pluggable nearest-neighbour backend for the query
-	// service: the LinkageDB itself (exact linear scan), a FlatIndex, or
-	// the index a Deployment's BackendConfig builds.
+	// Searcher is a nearest-neighbour backend of the query service: the
+	// index a Deployment's BackendConfig builds. The LinkageDB is one
+	// too, the exact scan (LinkageDB.Query) the indexes are checked
+	// against.
 	Searcher = fingerprint.Searcher
-	// FlatIndex is the exact heap-select index backend.
-	FlatIndex = index.Flat
-	// QueryService is the HTTP accountability query service (hot-swappable
-	// backend, batch queries, stats, graceful Serve).
+	// QueryService is the HTTP accountability query service a
+	// single-service Deployment builds (hot-swappable backend, batch
+	// queries, stats).
 	QueryService = fingerprint.Service
 	// QueryRequest is one query of a QueryClient batch.
 	QueryRequest = fingerprint.QueryRequest
@@ -102,9 +100,9 @@ type (
 // daemons and your own code build through it.
 type (
 	// BackendConfig selects and tunes a Deployment's index backend: Kind
-	// "linear" (reference scan), "flat" (exact; the zero value), "ivf" or
-	// "ivfpq" (approximate, trained with Nlist, Nprobe, Iters, Seed, and
-	// for ivfpq M) — the backend block of a -deployment file.
+	// "flat" (exact; the zero value), "ivf" or "ivfpq" (approximate,
+	// trained with Nlist, Nprobe, Iters, Seed, and for ivfpq M) — the
+	// backend block of a -deployment file.
 	BackendConfig = serve.BackendConfig
 	// LimitsConfig bounds a Deployment's request sizes and sets its
 	// latency histogram — the limits block of a -deployment file.
@@ -120,6 +118,15 @@ type (
 	// directory, fsync policy ("always" when empty), segment size and
 	// drift threshold — the wal block of a -deployment file.
 	WALConfig = serve.WALConfig
+	// TopologyConfig routes a Deployment to shard daemons in other
+	// processes, the caltrain-router shape: the shard map file and each
+	// shard's replica addresses — the topology block of a -deployment
+	// file. Build it over no database, Build(nil).
+	TopologyConfig = serve.TopologyConfig
+	// Duration is a time.Duration as a Deployment's blocks hold it
+	// (TopologyConfig.Timeout, WALConfig.FsyncEvery, ...): Duration(d)
+	// sets one from a time.Duration.
+	Duration = serve.Duration
 )
 
 // Observability types (internal/obs through the serving layers):
@@ -131,18 +138,11 @@ type (
 	// it), request and slow-query logging, tracing, and the debug
 	// listener address.
 	ObservabilityConfig = serve.ObservabilityConfig
-	// ObservabilityOptions is the per-handler form the router option
-	// WithRouterObservability takes.
-	ObservabilityOptions = fingerprint.Observability
 	// TraceConfig tunes a Deployment's tracing — head-sampling rate
 	// (nil SampleRate samples every request), trace store size,
 	// always-keep slow threshold: the ObservabilityConfig.Trace block.
 	TraceConfig = serve.TraceConfig
 )
-
-// WithRouterObservability tunes a router's observability (request
-// logging, slow-query threshold, metrics on/off).
-var WithRouterObservability = shard.WithObservability
 
 // ContextWithRequestID returns a context carrying a request trace with
 // the given ID. A QueryClient call made with this context forwards the
@@ -203,68 +203,22 @@ var (
 // lets a serving deployment absorb new linkages while answering
 // queries.
 type (
-	// IngestStore is the write path of one daemon: batches are logged
-	// (fsynced per policy; a store opened without a log directory skips
-	// this), applied to the database and the appendable index, replayed
-	// on restart, and compacted with Snapshot.
+	// IngestStore is the durable write path a Deployment with a
+	// WALConfig opens (DeploymentServer.Store): batches are logged
+	// (fsynced per policy), applied to the database and the appendable
+	// index, replayed on restart, and compacted with Snapshot.
 	IngestStore = ingest.Store
-	// IngestOptions configures an IngestStore (WAL tuning, drift
-	// threshold, background-retrain rebuild hook).
-	IngestOptions = ingest.Options
-	// WALOptions tunes the write-ahead log (fsync policy, segment size).
-	WALOptions = ingest.WALOptions
-	// WALSyncPolicy selects when the WAL fsyncs.
-	WALSyncPolicy = ingest.SyncPolicy
 	// IngestEntry is one linkage in an ingest batch (wire form).
 	IngestEntry = fingerprint.IngestEntry
 )
-
-// WAL fsync policies.
-const (
-	// WALSyncAlways fsyncs every batch before acknowledging it.
-	WALSyncAlways = ingest.SyncAlways
-	// WALSyncInterval fsyncs on a background timer.
-	WALSyncInterval = ingest.SyncInterval
-	// WALSyncNever leaves syncing to the OS.
-	WALSyncNever = ingest.SyncNever
-)
-
-// OpenIngestStore attaches a WAL at dir to a database and its serving
-// backend (the database itself or an index over it), replaying any
-// entries the database snapshot does not cover. An empty dir opens the
-// same store without a log: writes apply and retrain alike but do not
-// survive a restart, and Snapshot refuses. A Deployment with a WALConfig
-// opens and wires its store itself.
-func OpenIngestStore(dir string, db *LinkageDB, s Searcher, opts IngestOptions) (*IngestStore, error) {
-	return ingest.Open(dir, db, s, opts)
-}
-
-// NewFlatIndex builds an exact Flat index from a snapshot of db.
-func NewFlatIndex(db *LinkageDB) *FlatIndex { return index.NewFlat(db) }
 
 // Distributed accountability serving types (internal/shard): one linkage
 // database label-sharded across daemons behind a scatter-gather router.
 type (
 	// ShardMap deterministically assigns class labels to shards; the
 	// splitter, every shard daemon, and the router share one serialized
-	// map so ownership always agrees.
+	// map (ShardMap.Save, TopologyConfig.Map) so ownership always agrees.
 	ShardMap = shard.Map
-	// ShardRouter fans batch queries out to label-sharded daemons and
-	// gathers per-query top-k results, degrading to partial responses
-	// when shards are unreachable. It serves the single-daemon protocol.
-	ShardRouter = shard.Router
-	// ShardRouterOption tunes router timeouts, limits, and cooldowns.
-	ShardRouterOption = shard.RouterOption
-	// ShardReplica is one serving endpoint of a shard.
-	ShardReplica = shard.Replica
-)
-
-// Router tuning knobs, forwarded from internal/shard.
-var (
-	// WithShardTimeout bounds each per-shard call of a routed batch.
-	WithShardTimeout = shard.WithShardTimeout
-	// WithReplicaCooldown sets the failed-replica retry cooldown base.
-	WithReplicaCooldown = shard.WithReplicaCooldown
 )
 
 // NewHashShardMap creates a hash-sharded label assignment over nshards.
@@ -273,18 +227,6 @@ func NewHashShardMap(nshards int) (*ShardMap, error) { return shard.NewHashMap(n
 // SplitDB partitions a linkage database into per-shard databases
 // according to the map — the in-process equivalent of caltrain-shard.
 func SplitDB(db *LinkageDB, m *ShardMap) ([]*LinkageDB, error) { return shard.SplitDB(db, m) }
-
-// NewShardRouter creates a scatter-gather router; replicas[i] lists
-// shard i's endpoints in preference order.
-func NewShardRouter(m *ShardMap, replicas [][]ShardReplica, opts ...ShardRouterOption) (*ShardRouter, error) {
-	return shard.NewRouter(m, replicas, opts...)
-}
-
-// NewHTTPShardReplica points a router at a shard daemon (caltrain-serve)
-// over HTTP. httpClient may be nil for http.DefaultClient.
-func NewHTTPShardReplica(baseURL string, httpClient *http.Client) ShardReplica {
-	return shard.NewHTTPReplica(baseURL, httpClient)
-}
 
 // Assessment types.
 type (
@@ -345,15 +287,6 @@ func NewLinkageDB(dim int) (*LinkageDB, error) { return fingerprint.NewDB(dim) }
 
 // LoadLinkageDB deserializes a linkage database saved with LinkageDB.Save.
 func LoadLinkageDB(r io.Reader) (*LinkageDB, error) { return fingerprint.LoadDB(r) }
-
-// NewLinearQueryService returns the accountability query service over a
-// linkage database with the reference linear scan backend — the
-// zero-setup serving path, with the default limits. Production
-// deployments pick an index and limits via Deployment{Backend: ...,
-// Limits: ...}.Build.
-func NewLinearQueryService(db *LinkageDB) *QueryService {
-	return fingerprint.NewSearcherService(db)
-}
 
 // QueryClient queries a remote accountability service. It also carries
 // the write path: Ingest posts new linkages to a daemon's (or router's)
