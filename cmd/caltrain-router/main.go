@@ -47,12 +47,13 @@
 // Every routing knob is one field of serve.Config — caltrain-serve's
 // document, using its topology block — set by its flag, bound from the
 // field's tags by serve.BindFlags, or by its key in a -deployment
-// config.json; both take caltrain-serve's path (Config.Deployment →
-// Build). A knob flag beside -deployment is an error. README's router
+// config.json; both take caltrain-serve's path (serve.ResolveDeployment
+// → Build). A knob flag beside -deployment is an error. README's router
 // knob table and -h list the flags; -shard ID=a[,b…], one per shard,
 // fills topology.shards {"ID": ["a","b"]}.
 //
-// File only: topology.repair.sync_timeout, observability.metrics,
+// File only, each for the reason at its field:
+// topology.repair.sync_timeout, observability.metrics,
 // observability.debug_addr. limits.max_k is rejected: k is bounded by
 // the shard daemons.
 //
@@ -172,16 +173,12 @@ func run(parent context.Context, args []string, out io.Writer) error {
 	if err != nil {
 		return err
 	}
-	cfg, err := serve.ResolveConfig(fs, o.cfg, o.deployment, processFlags)
+	dep, err := serve.ResolveDeployment(fs, o.cfg, o.deployment, processFlags)
 	if err != nil {
 		return err
 	}
-	if cfg.Topology == nil {
+	if dep.Topology == nil {
 		return fmt.Errorf("serve: config has no topology block; a router deployment declares topology.map and topology.shards")
-	}
-	dep, err := cfg.Deployment()
-	if err != nil {
-		return err
 	}
 	// Request, slow-query and repair logs go to stderr, keeping stdout for
 	// the daemon's own startup lines; -debug-addr wins over the config's.

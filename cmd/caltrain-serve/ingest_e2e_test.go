@@ -259,6 +259,54 @@ func TestServeIngestGracefulSnapshot(t *testing.T) {
 	}
 }
 
+// TestServePeriodicSnapshot: a wal.snapshot_every daemon compacts while
+// it serves — one tick after an ingest the log is truncated and -db
+// reloads with the ingested entry, with no shutdown in between.
+func TestServePeriodicSnapshot(t *testing.T) {
+	dir := t.TempDir()
+	dbPath := filepath.Join(dir, "linkage.db")
+	copyFile(t, writeTestDB(t, 60), dbPath)
+	ctx, cancel := context.WithCancel(context.Background())
+	defer cancel()
+	var out syncBuffer
+	done := make(chan error, 1)
+	go func() {
+		done <- run(ctx, []string{"-db", dbPath, "-wal", filepath.Join(dir, "wal"),
+			"-snapshot-every", "20ms", "-addr", "127.0.0.1:0"}, &out)
+	}()
+	client := fingerprint.NewClient("http://"+waitForAddr(t, &out), nil)
+	before, err := client.Stats()
+	if err != nil {
+		t.Fatal(err)
+	}
+	entries := []fingerprint.IngestEntry{{Fingerprint: make([]float32, 8), Label: 1, Source: "tick"}}
+	if _, err := client.Ingest(entries); err != nil {
+		t.Fatal(err)
+	}
+	// The acknowledged entry is in the log until a tick truncates it
+	// back to an empty segment, after the database file is written.
+	for deadline := time.Now().Add(10 * time.Second); ; time.Sleep(5 * time.Millisecond) {
+		st, err := client.Stats()
+		if err != nil {
+			t.Fatal(err)
+		}
+		if st.Ingest.WALBytes == before.Ingest.WALBytes {
+			break
+		}
+		if time.Now().After(deadline) {
+			t.Fatalf("the wal was never truncated: %+v", st.Ingest)
+		}
+	}
+	db := readDB(t, dbPath)
+	if db.Len() != 61 || db.Entry(60).S != "tick" {
+		t.Fatalf("-db reloads %d entries, want 61 ending with the ingested one", db.Len())
+	}
+	cancel()
+	if err := <-done; err != nil {
+		t.Fatal(err)
+	}
+}
+
 // TestServeSetupIsLegible: every backend announces how long loading the
 // database and building its index took, the same split is on
 // /v1/metrics (lint-clean), and a drift retrain moves the build gauge.

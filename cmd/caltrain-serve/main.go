@@ -23,21 +23,25 @@
 //
 // Every serving knob is one field of serve.Config, set by its flag —
 // bound from the field's tags by serve.BindFlags — or by its key in a
-// -deployment config.json; both take Config.Deployment → Build and its
-// one validation. A knob flag beside -deployment is an error. README's
-// knob table and -h list the flags, their config keys and defaults.
+// -deployment config.json; both take serve.ResolveDeployment → Build
+// and its one validation, whose refusals name the flag or key written.
+// A block is present if and only if one of its keys is written: -fsync
+// alone is refused as "-fsync needs -wal", and so is -wal "" (omit -wal
+// for a read-only daemon). A knob flag beside -deployment is an error.
+// README's knob table and -h list the flags, their config keys and
+// defaults.
 //
-// File only: shards, replicas_per_shard (with "shards" above 1 the one
-// daemon serves the whole in-process sharded topology — the
-// caltrain-router shape without the per-shard processes),
-// volatile_writes, observability.metrics, observability.debug_addr.
+// File only, each for the reason at its field: shards,
+// replicas_per_shard (with "shards" above 1 the one daemon serves the
+// whole in-process sharded topology), volatile_writes,
+// observability.metrics, observability.debug_addr.
 //
 //	caltrain-serve -db linkage.db -deployment deploy.json
 //	{"backend": {"kind": "ivf", "nprobe": 8}, "shards": 4, "volatile_writes": true}
 //
-// Process flags (-db, -addr, -grace, -debug-addr, -snapshot-every,
-// -deployment) say where the daemon runs, not what it serves: they have
-// no config key and compose with -deployment; -debug-addr wins over
+// Process flags (-db, -addr, -grace, -debug-addr, -deployment) say
+// where the daemon runs, not what it serves: they have no config key
+// and compose with -deployment; -debug-addr wins over
 // observability.debug_addr.
 //
 // # Behaviour behind the knobs
@@ -54,7 +58,9 @@
 // write-ahead log (fsynced per the policy) before they are applied to
 // the database and appended into the serving index, so an acknowledged
 // batch survives SIGKILL — on restart the daemon replays the log over
-// the loaded database. IVF backends track drift and retrain + hot-swap
+// the loaded database, and -snapshot-every (wal.snapshot_every) and a
+// graceful shutdown compact the log into -db, so a restart replays only
+// the tail. IVF backends track drift and retrain + hot-swap
 // in the background past the drift threshold; a snapshot writes the
 // retrained index to the kept file (below), or drops the file if
 // entries were appended since.
@@ -87,7 +93,6 @@ import (
 	"net"
 	"os"
 	"os/signal"
-	"reflect"
 	"syscall"
 	"time"
 
@@ -105,13 +110,11 @@ func main() {
 	}
 }
 
-// processFlags say where the process runs, not what it serves — the
-// only flags that are not bound into serve.Config. The value tells
-// whether the flag composes with -deployment; the rest conflict with it
-// like every serving knob, so a future flag conflicts by default
-// instead of slipping past a stale deny-list.
+// processFlags say where the process runs, not what it serves: the only
+// flags not bound into serve.Config, and the only ones that compose with
+// -deployment, so a future flag conflicts with it by default.
 var processFlags = map[string]bool{
-	"db": true, "addr": true, "grace": true, "snapshot-every": true, "deployment": true, "debug-addr": true,
+	"db": true, "addr": true, "grace": true, "deployment": true, "debug-addr": true,
 }
 
 // options is the parsed command line: the process flags, and every
@@ -119,7 +122,7 @@ var processFlags = map[string]bool{
 // -deployment file parses into.
 type options struct {
 	db, addr, deployment, debugAddr string
-	grace, snapshotEvery            time.Duration
+	grace                           time.Duration
 
 	cfg serve.Config
 }
@@ -131,7 +134,6 @@ func parseFlags(args []string) (*flag.FlagSet, *options, error) {
 	fs.StringVar(&o.addr, "addr", ":8791", "listen address")
 	fs.DurationVar(&o.grace, "grace", 10*time.Second, "shutdown drain timeout")
 	fs.StringVar(&o.debugAddr, "debug-addr", "", "serve net/http/pprof, expvar, and /v1/debug/traces on this sidecar host:port (empty = no debug listener; never the public address)")
-	fs.DurationVar(&o.snapshotEvery, "snapshot-every", 0, "periodically persist the database to -db and truncate the WAL (0 = only on graceful shutdown)")
 	fs.StringVar(&o.deployment, "deployment", "", "deployment config file (JSON): backend, sharding, durability, limits in one document — conflicts with the per-knob flags")
 
 	// The knobs' flag defaults: BindFlags takes each from its field here.
@@ -158,51 +160,22 @@ func run(parent context.Context, args []string, out io.Writer) error {
 	if err != nil {
 		return err
 	}
-	cfg, err := serve.ResolveConfig(fs, o.cfg, o.deployment, processFlags)
+	// Flags or file, this is the one place the topology becomes a
+	// Deployment — validated once, for both. Everything downstream —
+	// service or router, write path, compaction, retrain hook —
+	// assembles from it. It resolves before the database loads so a
+	// replication peer declared there can bootstrap a missing -db file.
+	dep, err := serve.ResolveDeployment(fs, o.cfg, o.deployment, processFlags)
 	if err != nil {
 		return err
 	}
-	// Any wal flag keeps the wal block, but only -wal names its log: a
-	// tuning flag without it is refused by the flag the user wrote, not
-	// by the file key (wal.dir) Deployment validation names.
-	if cfg.WAL != nil && cfg.WAL.Dir == "" {
-		given := map[string]bool{}
-		fs.Visit(func(f *flag.Flag) { given[f.Name] = true })
-		for _, f := range reflect.VisibleFields(reflect.TypeFor[serve.WALConfig]()) {
-			if name := f.Tag.Get("flag"); name != "wal" && given[name] {
-				return fmt.Errorf("-%s needs -wal", name)
-			}
-		}
-	}
-
-	// Flags or file, the topology is one serve.Config by now, and this is
-	// the one place it becomes a Deployment — validated once, for both.
-	// Everything downstream — service or router, write path, retrain
-	// hook — assembles from it. The config resolves before the database
-	// loads so a replication peer declared there can bootstrap a missing
-	// -db file.
-	if cfg.Topology != nil {
+	if dep.Topology != nil {
 		return fmt.Errorf("serve: topology is the router's block (caltrain-router -deployment); a daemon config declares backend/wal/replication")
-	}
-	dep, err := cfg.Deployment()
-	if err != nil {
-		return err
-	}
-	if o.snapshotEvery > 0 {
-		if dep.WAL == nil {
-			return fmt.Errorf("-snapshot-every needs -wal (or a wal block in the deployment config): the read-only topology has no write path")
-		}
-		if dep.Shards > 1 {
-			return fmt.Errorf("-snapshot-every requires a single-service deployment: sharded stores compact per shard, not into -db")
-		}
 	}
 	if o.deployment != "" {
 		fmt.Fprintf(out, "deployment config: %s\n", o.deployment)
 	}
-	var peer string
-	if dep.Replication != nil {
-		peer = dep.Replication.Peer
-	}
+	peer := cmp.Or(dep.Replication, &serve.ReplicationConfig{}).Peer
 
 	var db *fingerprint.DB
 	loadStart := time.Now()
@@ -283,50 +256,17 @@ func run(parent context.Context, args []string, out io.Writer) error {
 	}
 	fmt.Fprintln(out, setup)
 	if store != nil {
-		policy, _ := ingest.ParseSyncPolicy(dep.WAL.Fsync) // Build validated it
 		fmt.Fprintf(out, "wal: %s (fsync %s), replayed %d entries, %d total\n",
-			dep.WAL.Dir, policy, store.Replayed(), db.Len())
+			dep.WAL.Dir, cmp.Or(dep.WAL.Fsync, "always"), store.Replayed(), db.Len())
 	} else if stores := built.Stores(); len(stores) > 0 {
 		fmt.Fprintf(out, "wal: %s, %d shard-replica stores\n", dep.WAL.Dir, len(stores))
 	}
-	if dep.Replication != nil {
-		if dep.Replication.Peer != "" {
-			fmt.Fprintf(out, "replication: enabled, peer %s\n", dep.Replication.Peer)
-		} else {
-			fmt.Fprintln(out, "replication: enabled (source-only until nudged)")
-		}
+	if r := dep.Replication; r != nil {
+		fmt.Fprintf(out, "replication: enabled, peer %s\n", cmp.Or(r.Peer, "none (source-only until nudged)"))
 	}
 
 	ctx, stop := signal.NotifyContext(parent, syscall.SIGINT, syscall.SIGTERM)
 	defer stop()
-
-	var snapDone chan struct{}
-	if store != nil && o.snapshotEvery > 0 {
-		snapDone = make(chan struct{})
-		go func() {
-			defer close(snapDone)
-			t := time.NewTicker(o.snapshotEvery)
-			defer t.Stop()
-			for {
-				select {
-				case <-t.C:
-					// Ask for the store each cycle: under replication a
-					// full resync swaps it (and the database) out.
-					st := built.Store()
-					if st == nil {
-						continue
-					}
-					if err := st.Snapshot(o.db); err != nil {
-						fmt.Fprintf(out, "snapshot: %v\n", err)
-						continue
-					}
-					fmt.Fprintf(out, "snapshot: %d entries → %s, wal truncated\n", svc.Searcher().Len(), o.db)
-				case <-ctx.Done():
-					return
-				}
-			}
-		}()
-	}
 
 	if da := dep.Observability.DebugAddr; da != "" {
 		dl, err := serve.ListenDebug(da, built.TraceStore())
@@ -347,24 +287,10 @@ func run(parent context.Context, args []string, out io.Writer) error {
 	}
 	fmt.Fprintf(out, "serving accountability queries on %s (%s; %s)\n",
 		l.Addr(), desc, endpoints)
+	// Serve compacts a single durable store into -db after the drain
+	// (and every wal.snapshot_every before it).
 	if err := built.Serve(ctx, l, o.grace); err != nil {
 		return err
-	}
-	if store != nil {
-		// Let the periodic snapshotter finish its current cycle before
-		// the final compaction — ctx is cancelled, so it exits promptly.
-		if snapDone != nil {
-			<-snapDone
-		}
-		// Graceful shutdown compacts: persist the database (and what the
-		// deployment keeps beside it) so the restart loads a snapshot
-		// instead of replaying the whole log. The store is
-		// re-fetched: under replication a full resync swaps it out.
-		if st := built.Store(); st != nil {
-			if err := st.Snapshot(o.db); err != nil {
-				return err
-			}
-		}
 	}
 	// Close flushes every write path and waits out background retrains,
 	// volatile ones included. Sharded write paths have no single -db file

@@ -269,19 +269,14 @@ func TestServeDeploymentConflictsWithKnobFlags(t *testing.T) {
 	for _, extra := range [][]string{
 		{"-backend", "flat"}, {"-nlist", "4"},
 		{"-wal", "waldir"}, {"-max-k", "9"},
+		// wal.snapshot_every is a knob like the rest of its block.
+		{"-snapshot-every", "1s"},
 	} {
 		args := append([]string{"-db", dbPath, "-deployment", cfgPath}, extra...)
 		err := run(context.Background(), args, &syncBuffer{})
 		if err == nil || !strings.Contains(err.Error(), "conflicts with -deployment") {
 			t.Fatalf("%v: %v", extra, err)
 		}
-	}
-	// -snapshot-every without a WAL (or with shards) in the file cannot
-	// compact anything.
-	err := run(context.Background(),
-		[]string{"-db", dbPath, "-deployment", cfgPath, "-snapshot-every", "1s"}, &syncBuffer{})
-	if err == nil {
-		t.Fatal("-snapshot-every against a read-only deployment config accepted")
 	}
 }
 
@@ -310,9 +305,18 @@ func TestServeRejectsConflictingFlags(t *testing.T) {
 		{extra: []string{"-max-k", "-1"}}, {extra: []string{"-max-batch", "-1"}}, {extra: []string{"-max-body", "-1"}},
 		{extra: []string{"-wal", wal, "-wal-segment-bytes", "-1"}}, {extra: []string{"-wal", wal, "-fsync-every", "-1s"}},
 		{extra: []string{"-wal", wal, "-drift-threshold", "0"}},
-		// A wal flag without -wal names the flags written, not wal.dir.
+		// A refusal names the flags written, not the file keys: a wal
+		// flag without -wal, and -wal "" — the wal block is present once
+		// one of its flags is given, whatever the value.
 		{extra: []string{"-fsync", "never"}, want: "-fsync needs -wal"},
-		{extra: []string{"-repl"}},
+		{extra: []string{"-snapshot-every", "1s"}, want: "-snapshot-every needs -wal"},
+		{extra: []string{"-wal", ""}, want: "-wal must name the log directory (leave wal out for a daemon without one)"},
+		{extra: []string{"-wal", wal, "-snapshot-every", "-1s"},
+			want: "-snapshot-every must be non-negative (0 compacts only after the drain), got -1s"},
+		// -repl-peer "" is {"replication": {"peer": ""}}: source-only
+		// replication, which needs a wal like -repl.
+		{extra: []string{"-repl"}, want: "-repl needs -wal"},
+		{extra: []string{"-repl-peer", ""}, want: "-repl-peer needs -wal"},
 		{extra: []string{"-latency-buckets", "500ns"}}, {extra: []string{"-latency-buckets", "500ns,1ms"}},
 		{extra: []string{"-backend", "annoy"}},
 		{extra: []string{"-backend", "linear"}, want: `serve: unknown backend kind "linear" (want flat, ivf, or ivfpq)`},
@@ -385,6 +389,13 @@ func TestFlagConfigParity(t *testing.T) {
 			`{"backend": {"kind": "flat", "seed": 42}, ` + limits + `, "observability": {},
 			  "wal": {"dir": "w", "fsync": "always", "fsync_every": "50ms", "segment_bytes": 67108864, "drift_threshold": 0.25},
 			  "replication": {"peer": "http://a:8791"}}`},
+		{"an empty peer is source-only replication", []string{"-wal", "w", "-repl-peer", ""},
+			`{"backend": {"kind": "flat", "seed": 42}, ` + limits + `, "observability": {},
+			  "wal": {"dir": "w", "fsync": "always", "fsync_every": "50ms", "segment_bytes": 67108864, "drift_threshold": 0.25},
+			  "replication": {"peer": ""}}`},
+		{"periodic compaction", []string{"-wal", "w", "-snapshot-every", "10m"},
+			`{"backend": {"kind": "flat", "seed": 42}, ` + limits + `, "observability": {},
+			  "wal": {"dir": "w", "fsync": "always", "fsync_every": "50ms", "segment_bytes": 67108864, "drift_threshold": 0.25, "snapshot_every": "10m"}}`},
 		{"source-only replication", []string{"-wal", "w", "-fsync", "never", "-repl"},
 			`{"backend": {"kind": "flat", "seed": 42}, ` + limits + `, "observability": {},
 			  "wal": {"dir": "w", "fsync": "never", "fsync_every": "50ms", "segment_bytes": 67108864, "drift_threshold": 0.25},

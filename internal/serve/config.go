@@ -1,11 +1,11 @@
 package serve
 
 import (
+	"cmp"
 	"encoding/json"
 	"fmt"
 	"io"
 	"log/slog"
-	"os"
 	"slices"
 	"time"
 
@@ -13,47 +13,15 @@ import (
 	"caltrain/internal/index"
 )
 
-// Config is the file form of a Deployment: one JSON document declares
-// the complete serving topology — backend, sharding, durability,
-// limits — so an operator ships a config file instead of N flag sets
-// (caltrain-serve -deployment config.json). The blocks are the
-// Deployment's own types, so Deployment hands them over and validates
-// them where Build does.
+// Config is a Deployment as a -deployment file spells it: one JSON
+// document declares the complete serving topology, so an operator ships
+// a config file instead of N flag sets (caltrain-serve -deployment
+// config.json). Unknown fields are rejected, so a typo'd knob fails at
+// startup instead of silently serving defaults.
 //
-//	{
-//	  "backend": {"kind": "ivf", "nlist": 64, "nprobe": 8},
-//	  "shards": 4,
-//	  "replicas_per_shard": 2,
-//	  "wal": {"dir": "wal/", "fsync": "interval", "fsync_every": "50ms"},
-//	  "limits": {"max_k": 256, "max_batch": 128}
-//	}
-//
-// Unknown fields are rejected, so a typo'd knob fails at startup
-// instead of silently serving defaults.
-type Config struct {
-	// Backend selects the index backend; the zero value means flat.
-	Backend BackendConfig `json:"backend"`
-	// Shards >1 builds the in-process sharded router; see Deployment.Shards.
-	Shards int `json:"shards,omitempty"`
-	// ReplicasPerShard replicates each shard; see Deployment.ReplicasPerShard.
-	ReplicasPerShard int `json:"replicas_per_shard,omitempty"`
-	// WAL enables the durable write path; see WALConfig.
-	WAL *WALConfig `json:"wal,omitempty" flag:""`
-	// VolatileWrites enables the non-durable write path when WAL is
-	// absent; see Deployment.VolatileWrites.
-	VolatileWrites bool `json:"volatile_writes,omitempty"`
-	// Limits bounds request sizes on every built query service.
-	Limits *LimitsConfig `json:"limits,omitempty"`
-	// Observability tunes metrics, request logging, and the debug
-	// listener; see ObservabilityConfig.
-	Observability *ObservabilityConfig `json:"observability,omitempty"`
-	// Replication enables the self-healing sync state machine on a
-	// single-service WAL deployment; see ReplicationConfig.
-	Replication *ReplicationConfig `json:"replication,omitempty" flag:"repl" usage:"enable replication: serve the /v1/repl/* snapshot+WAL source endpoints and run the sync state machine (needs -wal)"`
-	// Topology is the routed-topology block caltrain-router serves; it
-	// conflicts with every daemon-shape field. See Deployment.Topology.
-	Topology *TopologyConfig `json:"topology,omitempty"`
-}
+//	{"backend": {"kind": "ivf", "nprobe": 8}, "shards": 4,
+//	 "wal": {"dir": "wal/", "fsync": "interval"}, "limits": {"max_k": 256}}
+type Config = Deployment
 
 // ReplicationConfig is the replication block of a deployment:
 //
@@ -67,7 +35,7 @@ type Config struct {
 type ReplicationConfig struct {
 	// Peer is the sync source base URL — normally another replica of the
 	// same shard. Empty means source-only until nudged.
-	Peer string `json:"peer,omitempty" flag:"repl-peer" usage:"sync source base URL (another replica of the same shard); implies -repl — the daemon syncs from the peer at startup, and a missing -db file is bootstrapped from its snapshot"`
+	Peer string `json:"peer,omitempty" flag:"repl-peer" usage:"sync source base URL (another replica of the same shard); implies -repl, and empty means source-only — the daemon syncs from the peer at startup, and a missing -db file is bootstrapped from its snapshot"`
 }
 
 // TopologyConfig is the routed-topology block of a deployment config —
@@ -109,7 +77,8 @@ type RepairConfig struct {
 	After Duration `json:"after,omitempty" flag:"repair-after" usage:"degradation streak before a repair starts (0 = default; implies -repair)"`
 	// Interval is the health scan period.
 	Interval Duration `json:"interval,omitempty" flag:"repair-interval" usage:"repair loop health scan period (0 = default; implies -repair)"`
-	// SyncTimeout bounds one repair attempt end to end.
+	// SyncTimeout bounds one repair attempt end to end. File only: its
+	// 15-minute default is a safety net, not a knob to tune per start.
 	SyncTimeout Duration `json:"sync_timeout,omitempty"`
 }
 
@@ -186,7 +155,7 @@ func (b BackendConfig) rebuild() func(*fingerprint.DB) (fingerprint.Searcher, er
 type WALConfig struct {
 	// Dir is the write-ahead log directory (required; created if
 	// absent).
-	Dir string `json:"dir" flag:"wal" usage:"write-ahead log directory; enables POST /ingest (empty = read-only daemon)"`
+	Dir string `json:"dir" flag:"wal" usage:"write-ahead log directory; enables POST /ingest (omit -wal for a read-only daemon)"`
 	// Fsync is the WAL sync policy: "always" (the default, also when
 	// empty), "interval", or "never".
 	Fsync string `json:"fsync,omitempty" flag:"fsync" usage:"WAL fsync policy: always, interval, or never"`
@@ -200,6 +169,10 @@ type WALConfig struct {
 	// default, negative disables. An explicit 0 is rejected (the ingest
 	// layer would silently read it as the default).
 	DriftThreshold *float64 `json:"drift_threshold,omitempty" flag:"drift-threshold" usage:"appended fraction that triggers a background IVF retrain + hot-swap (negative disables)"`
+	// SnapshotEvery compacts a single service's log into its database
+	// file (Deployment.DBFile) this often while it serves; 0 compacts
+	// only after the drain. See Server.Serve.
+	SnapshotEvery Duration `json:"snapshot_every,omitempty" flag:"snapshot-every" usage:"periodically persist the database to -db and truncate the WAL (0 = only on graceful shutdown)"`
 }
 
 // LimitsConfig bounds request sizes on every query service a Deployment
@@ -227,7 +200,8 @@ type LimitsConfig struct {
 //	}
 type ObservabilityConfig struct {
 	// Metrics serves GET /v1/metrics when nil or true; an explicit false
-	// removes the endpoint from the public handler.
+	// removes the endpoint from the public handler. File only: hiding an
+	// endpoint is a property of the deployment, not of one start.
 	Metrics *bool `json:"metrics,omitempty"`
 	// RequestLog emits one structured log line per request — method,
 	// path, status, duration, request ID, and per-stage timings.
@@ -240,7 +214,8 @@ type ObservabilityConfig struct {
 	// and /v1/debug/traces on ("localhost:6060") — always a sidecar
 	// listener, never the public handler. Empty keeps the debug listener
 	// closed. Deployment.Build does not open it; the daemons (and
-	// ListenDebug) do.
+	// ListenDebug) do. File only: -debug-addr is the process flag that
+	// says where one process listens, and wins over this.
 	DebugAddr string `json:"debug_addr,omitempty"`
 	// Trace tunes distributed tracing. Nil keeps the defaults — every
 	// request sampled into a store of obs.DefaultTraceStoreSize traces.
@@ -325,59 +300,60 @@ func ParseConfig(r io.Reader) (Config, error) {
 	return c, nil
 }
 
-// LoadConfig reads and parses a deployment config file.
-func LoadConfig(path string) (Config, error) {
-	f, err := os.Open(path)
-	if err != nil {
-		return Config{}, err
-	}
-	defer f.Close()
-	return ParseConfig(f)
-}
-
-// Deployment hands every block over as it is to the Deployment it
-// declares and runs the validation Deployment.Build runs on it.
+// Deployment is c validated as Build validates it, its observability
+// block copied (the zero block when absent) for a daemon to fill in the
+// process-local parts: logger, debug address.
 func (c Config) Deployment() (Deployment, error) {
-	// An absent observability block is the zero block, never nil, so a
-	// daemon fills in the process-local parts (logger, debug address)
-	// without a nil dance — on its own copy, not the config's.
 	var o ObservabilityConfig
 	if c.Observability != nil {
 		o = *c.Observability
 	}
-	dep := Deployment{
-		Backend:          c.Backend,
-		Shards:           c.Shards,
-		ReplicasPerShard: c.ReplicasPerShard,
-		WAL:              c.WAL,
-		VolatileWrites:   c.VolatileWrites,
-		Limits:           c.Limits,
-		Observability:    &o,
-		Replication:      c.Replication,
-		Topology:         c.Topology,
-	}
-	if err := dep.validate(); err != nil {
+	c.Observability = &o
+	if err := c.validate(); err != nil {
 		return Deployment{}, err
 	}
-	return dep, nil
+	return c, nil
+}
+
+// KnobError refuses one knob of a deployment, named by its config key;
+// By is the block whose presence asks for the knob when it is missing.
+// ResolveDeployment words a refusal of flags by the flags given.
+type KnobError struct {
+	Key, By, Why string
+	words        string
+}
+
+func (e *KnobError) Error() string { return cmp.Or(e.words, "serve: "+e.Key+" "+e.Why) }
+
+// refuse is the refusal of the knob key, for the reason why.
+func refuse(key, why string, args ...any) error {
+	return &KnobError{Key: key, Why: fmt.Sprintf(why, args...)}
+}
+
+// negative refuses a knob set below zero rather than read it as 0: an
+// operator who wrote it believes it is in effect.
+func negative[T ~int | ~int64](key string, v T, zero string) error {
+	if v < 0 {
+		return refuse(key, "must be non-negative (0 %s), got %v", zero, v)
+	}
+	return nil
 }
 
 // validate is the one range check of the limits block, for the daemon
-// and the router alike: negative limits are rejected rather than
-// silently falling back to defaults — an operator who wrote one believes
-// it is enforced — and so is a latency bucket under the microsecond the
-// histograms count in. A nil block keeps every default.
+// and the router alike: negative limits are refused, and so is a
+// latency bucket under the microsecond the histograms count in. A nil
+// block keeps every default.
 func (l *LimitsConfig) validate() error {
 	if l == nil {
 		return nil
 	}
-	if l.MaxBodyBytes < 0 || l.MaxK < 0 || l.MaxBatch < 0 {
-		return fmt.Errorf("serve: limits must be non-negative (max_body_bytes %d, max_k %d, max_batch %d; 0 means default)",
-			l.MaxBodyBytes, l.MaxK, l.MaxBatch)
+	if err := cmp.Or(negative("limits.max_body_bytes", l.MaxBodyBytes, "means the default"),
+		negative("limits.max_k", l.MaxK, "means the default"), negative("limits.max_batch", l.MaxBatch, "means the default")); err != nil {
+		return err
 	}
 	for _, d := range l.LatencyBuckets {
 		if d < Duration(time.Microsecond) {
-			return fmt.Errorf("serve: limits.latency_buckets must each be at least 1us (latency is counted in whole microseconds), got %s", d)
+			return refuse("limits.latency_buckets", "must each be at least 1us (latency is counted in whole microseconds), got %s", d)
 		}
 	}
 	return nil

@@ -9,6 +9,7 @@
 package serve
 
 import (
+	"cmp"
 	"context"
 	"fmt"
 	"log/slog"
@@ -71,24 +72,22 @@ func (o *ObservabilityConfig) validate() error {
 	if o == nil {
 		return nil
 	}
-	if o.SlowQueryThreshold < 0 {
-		return fmt.Errorf("serve: observability.slow_query_threshold must be non-negative (0 disables the slow-query log), got %s", o.SlowQueryThreshold)
+	if err := negative("observability.slow_query_threshold", o.SlowQueryThreshold, "disables the slow-query log"); err != nil {
+		return err
 	}
 	if o.DebugAddr != "" {
 		if _, _, err := net.SplitHostPort(o.DebugAddr); err != nil {
-			return fmt.Errorf("serve: observability.debug_addr must be host:port: %w", err)
+			return refuse("observability.debug_addr", "must be host:port: %v", err)
 		}
 	}
 	if t := o.Trace; t != nil {
 		if r := t.SampleRate; r != nil && !(*r >= 0 && *r <= 1) {
-			return fmt.Errorf("serve: observability.tracing.sample_rate must be in [0, 1], got %v", *r)
-		}
-		if t.SlowAlways < 0 {
-			return fmt.Errorf("serve: observability.tracing.slow_always must be non-negative (0 disables), got %s", t.SlowAlways)
+			return refuse("observability.tracing.sample_rate", "must be in [0, 1], got %v", *r)
 		}
 		if t.StoreSize > maxTraceStore {
-			return fmt.Errorf("serve: observability.tracing.store must be at most %d traces, got %d", maxTraceStore, t.StoreSize)
+			return refuse("observability.tracing.store", "must be at most %d traces, got %d", maxTraceStore, t.StoreSize)
 		}
+		return negative("observability.tracing.slow_always", t.SlowAlways, "disables")
 	}
 	return nil
 }
@@ -106,75 +105,79 @@ func (o *ObservabilityConfig) validate() error {
 //
 // Build assembles it; every topology serves the same versioned /v1 wire
 // protocol, so clients cannot tell the shapes apart except through
-// GET /v1/meta.
+// GET /v1/meta. The json tags are its file form, Config; the flag tags
+// bind its knobs to a daemon's flags (BindFlags).
 type Deployment struct {
 	// Backend selects the index backend; the zero value means flat.
-	Backend BackendConfig
+	Backend BackendConfig `json:"backend"`
 	// Shards >1 splits the database by label hash across that many
 	// shards behind an in-process scatter-gather router; 0 or 1 serves a
-	// single query service.
-	Shards int
+	// single query service. File only: it makes the daemon a whole
+	// topology, which one document declares.
+	Shards int `json:"shards,omitempty"`
 	// ReplicasPerShard builds that many identical replicas per shard
 	// (sharded only; 0 or 1 means one). Replicas make routed writes
 	// quorum-able and reads failover-able, at ReplicasPerShard× the
-	// memory.
-	ReplicasPerShard int
+	// memory. File only: it means something only beside shards.
+	ReplicasPerShard int `json:"replicas_per_shard,omitempty"`
 	// WAL enables the durable write path (see WALConfig). Nil with
 	// VolatileWrites false builds a read-only deployment.
-	WAL *WALConfig
+	WAL *WALConfig `json:"wal,omitempty" flag:""`
 	// DBFile is the file the database was loaded from, if any. A single
 	// service without a WAL whose backend trains (ivf, ivfpq) keeps its
 	// training beside it (KeptIndexFile) and loads it on the next Build
 	// over the same file and knobs; a WAL deployment keeps it in its log
-	// directory instead, and a sharded one in each replica's.
-	DBFile string
+	// directory instead, and a sharded one in each replica's. A single
+	// service with a WAL compacts its log into it (Server.Serve). A
+	// process-local part: no file spells it.
+	DBFile string `json:"-"`
 	// VolatileWrites enables a non-durable in-memory write path when WAL
 	// is nil: the same ingest.Store a WAL deployment opens, without a
 	// log. POST /ingest applies to the database and index, and retrains
 	// an approximate backend past the default drift threshold, but every
-	// write is lost on restart. Ignored when WAL is set.
-	VolatileWrites bool
+	// write is lost on restart. File only: such a write path is written
+	// down, not typed.
+	VolatileWrites bool `json:"volatile_writes,omitempty"`
 	// Limits bounds request sizes (body, k, batch) and sets the latency
 	// histogram on every query service the deployment builds, and body,
 	// batch and latency histogram at its router's door, in-process or
 	// over a topology; nil keeps the defaults.
-	Limits *LimitsConfig
+	Limits *LimitsConfig `json:"limits,omitempty"`
 	// Observability tunes metrics, request logging, and the debug
 	// listener on whichever handler the deployment builds; nil keeps
 	// the defaults (metrics on, logging off, no debug listener).
-	Observability *ObservabilityConfig
+	Observability *ObservabilityConfig `json:"observability,omitempty"`
 	// Replication runs the self-healing sync state machine on a
 	// single-service WAL deployment: the daemon serves the /v1/repl/*
 	// endpoints (snapshot + WAL shipping for followers, sync nudge +
 	// status), and — when a peer is configured or nudged — bootstraps or
 	// repairs itself from that peer before accepting external writes.
 	// Requires WAL; see ReplicationConfig.
-	Replication *ReplicationConfig
+	Replication *ReplicationConfig `json:"replication,omitempty" flag:"repl" usage:"enable replication: serve the /v1/repl/* snapshot+WAL source endpoints and run the sync state machine (needs -wal)"`
 	// Topology routes to shard daemons in other processes, the
 	// caltrain-router shape: Build(nil) loads its shard map and builds a
 	// router over the replicas it names. It conflicts with every field
 	// that builds a local service (Backend, Shards, ReplicasPerShard,
 	// WAL, VolatileWrites, Replication); see TopologyConfig.
-	Topology *TopologyConfig
+	Topology *TopologyConfig `json:"topology,omitempty"`
 }
 
 // validate is every range and shape check of a Deployment, for the Go
 // form and the file form alike: Build runs it before building anything,
-// Config.Deployment before returning. The messages name the file keys.
+// Config.Deployment before returning. Each refusal of one knob is a
+// KnobError naming its file key.
 func (d Deployment) validate() error {
 	if d.Topology != nil {
 		if err := d.validateTopology(); err != nil {
 			return err
 		}
 	}
-	if d.Shards < 0 {
-		return fmt.Errorf("serve: shards must be non-negative, got %d", d.Shards)
-	}
-	if d.ReplicasPerShard < 0 {
-		return fmt.Errorf("serve: replicas_per_shard must be non-negative, got %d", d.ReplicasPerShard)
+	if err := cmp.Or(negative("shards", d.Shards, "or 1 serves one service"),
+		negative("replicas_per_shard", d.ReplicasPerShard, "or 1 means one")); err != nil {
+		return err
 	}
 	if d.ReplicasPerShard > 1 && d.Shards <= 1 {
-		return fmt.Errorf("serve: replicas_per_shard needs shards > 1 (a single service has no replicas)")
+		return refuse("replicas_per_shard", "needs shards > 1 (a single service has no replicas)")
 	}
 	if err := d.Backend.validate(); err != nil {
 		return err
@@ -184,36 +187,40 @@ func (d Deployment) validate() error {
 	}
 	if w := d.WAL; w != nil {
 		if d.VolatileWrites {
-			return fmt.Errorf("serve: wal and volatile_writes contradict each other: a write path is durable or it is not")
+			return refuse("volatile_writes", "contradicts wal: a write path is durable or it is not")
 		}
 		if w.Dir == "" {
-			return fmt.Errorf("serve: wal.dir is required when wal is set")
+			return &KnobError{Key: "wal.dir", By: "wal", Why: "must name the log directory (leave wal out for a daemon without one)"}
 		}
-		if w.FsyncEvery < 0 || w.SegmentBytes < 0 {
-			// The ingest layer would quietly normalize these to defaults;
-			// an operator who wrote one believes it is enforced.
-			return fmt.Errorf("serve: wal.fsync_every and wal.segment_bytes must be non-negative (0 means default)")
+		// The ingest layer would quietly read these as its defaults.
+		if err := cmp.Or(negative("wal.fsync_every", w.FsyncEvery, "means the default"),
+			negative("wal.segment_bytes", w.SegmentBytes, "means the default"),
+			negative("wal.snapshot_every", w.SnapshotEvery, "compacts only after the drain")); err != nil {
+			return err
 		}
 		if _, err := ingest.ParseSyncPolicy(w.Fsync); err != nil {
-			return err
+			return refuse("wal.fsync", "must be always, interval, or never, got %q", w.Fsync)
 		}
 		// The ingest layer reads 0 as "use the default", which would
 		// silently override an explicit 0 here — make the operator say
 		// what they mean.
 		if w.DriftThreshold != nil && *w.DriftThreshold == 0 {
-			return fmt.Errorf("serve: wal.drift_threshold 0 is ambiguous: omit it for the default, use a negative value to disable retrains, or a small positive fraction")
+			return refuse("wal.drift_threshold", "0 is ambiguous: omit it for the default, use a negative value to disable retrains, or a small positive fraction")
 		}
 		// No drift compares below NaN: every ingest would retrain.
 		if w.DriftThreshold != nil && math.IsNaN(*w.DriftThreshold) {
-			return fmt.Errorf("serve: wal.drift_threshold must be a number, got NaN")
+			return refuse("wal.drift_threshold", "must be a number, got NaN")
+		}
+		if w.SnapshotEvery > 0 && d.Shards > 1 {
+			return refuse("wal.snapshot_every", "needs a single-service deployment: sharded stores compact per shard, not into one database file")
 		}
 	}
 	if d.Replication != nil {
 		if d.WAL == nil {
-			return fmt.Errorf("serve: replication requires a wal block — the WAL is the replication transport")
+			return &KnobError{Key: "wal.dir", By: "replication", Why: "is required by replication: the WAL is its transport"}
 		}
 		if d.Shards > 1 {
-			return fmt.Errorf("serve: replication applies to a single-service daemon; in a routed topology each shard process carries its own replication block")
+			return refuse("replication", "applies to a single-service daemon; in a routed topology each shard process carries its own replication block")
 		}
 	}
 	return d.Observability.validate()
@@ -233,6 +240,7 @@ type Server struct {
 	tracer  *obs.Tracer
 	origins []indexOrigin  // where each serving index came from
 	routes  shard.Strategy // the shard map of a router over shard daemons
+	single  Deployment     // what a single service was built from
 }
 
 // Handler returns the HTTP handler serving the /v1 wire protocol for
@@ -304,9 +312,10 @@ func (s *Server) IndexOrigin() string {
 func (s *Server) TraceStore() *obs.TraceStore { return s.tracer.Store() }
 
 // Serve runs the deployment on l until ctx is cancelled, then drains
-// in-flight requests for up to grace. A replication-enabled build also
-// runs its startup sync loop here, and a router over a topology with a
-// repair block its anti-entropy repair loop — both stop with ctx.
+// in-flight requests for up to grace. The build's loops stop with ctx:
+// a replicated build's sync, a router's repair, and a single durable
+// store's compaction into DBFile every wal.snapshot_every — which
+// compacts once more after the drain, so a restart replays no log.
 func (s *Server) Serve(ctx context.Context, l net.Listener, grace time.Duration) error {
 	bg, cancel := context.WithCancel(ctx)
 	defer cancel()
@@ -316,12 +325,51 @@ func (s *Server) Serve(ctx context.Context, l net.Listener, grace time.Duration)
 	if s.router != nil {
 		go s.router.RunRepairLoop(bg)
 	}
-	return fingerprint.ServeHandler(ctx, l, s.handler, grace)
+	compacting := make(chan struct{})
+	go s.compactEvery(bg, compacting)
+	err := fingerprint.ServeHandler(ctx, l, s.handler, grace)
+	cancel()
+	<-compacting
+	if err != nil {
+		return err
+	}
+	return s.compactNow()
+}
+
+// compactEvery compacts every wal.snapshot_every until ctx ends, then
+// closes done. A failed compaction is logged; the WAL keeps its entries.
+func (s *Server) compactEvery(ctx context.Context, done chan<- struct{}) {
+	defer close(done)
+	if w := s.single.WAL; w == nil || w.SnapshotEvery <= 0 {
+		return
+	}
+	t := time.NewTicker(time.Duration(s.single.WAL.SnapshotEvery))
+	defer t.Stop()
+	for {
+		select {
+		case <-t.C:
+			if err := s.compactNow(); err != nil {
+				s.single.logf("snapshot: %v", err)
+			}
+		case <-ctx.Done():
+			return
+		}
+	}
+}
+
+// compactNow snapshots a single durable store into its database file
+// and truncates its log. The store is asked for now: under replication
+// a full resync swaps it out.
+func (s *Server) compactNow() error {
+	if st := s.Store(); st != nil && s.single.DBFile != "" {
+		return st.Snapshot(s.single.DBFile)
+	}
+	return nil
 }
 
 // Close flushes and closes every write path, durable or volatile,
-// waiting out background retrains. It does not snapshot; call Store
-// Snapshot first when compaction on shutdown is wanted.
+// waiting out background retrains. It does not snapshot: Serve
+// compacts after its drain.
 func (s *Server) Close() error {
 	if s.syncer != nil {
 		// The syncer owns the current store (a full resync may have
@@ -347,6 +395,9 @@ func (d Deployment) Build(db *fingerprint.DB) (*Server, error) {
 	if err := d.validate(); err != nil {
 		return nil, err
 	}
+	if d.WAL != nil && d.WAL.SnapshotEvery > 0 && d.DBFile == "" {
+		return nil, refuse("wal.snapshot_every", "needs DBFile, the database file the log compacts into")
+	}
 	switch {
 	case d.Topology != nil && db != nil:
 		return nil, fmt.Errorf("serve: a topology routes to shard daemons that serve their own databases: build it over none")
@@ -370,7 +421,7 @@ func (d Deployment) buildSingle(db *fingerprint.DB) (*Server, error) {
 	tracer := d.Observability.tracer()
 	sopts := append(d.Limits.options(), fingerprint.WithObservability(d.Observability.options("serve", tracer)))
 	svc := fingerprint.NewSearcherService(searcher, sopts...)
-	srv := &Server{svc: svc, tracer: tracer, durable: d.WAL != nil, origins: []indexOrigin{origin}}
+	srv := &Server{svc: svc, tracer: tracer, durable: d.WAL != nil, origins: []indexOrigin{origin}, single: d}
 	if d.WAL != nil || d.VolatileWrites {
 		store, err := d.openStore(d.logDir(), db, searcher, svc)
 		if err != nil {

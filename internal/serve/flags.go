@@ -1,8 +1,10 @@
 package serve
 
 import (
+	"errors"
 	"flag"
 	"fmt"
+	"os"
 	"reflect"
 	"slices"
 	"strings"
@@ -12,15 +14,19 @@ import (
 // alike, so a daemon loads the index caltrain-shard trained offline.
 const FlagSeed = 42
 
-// ResolveConfig picks the one Config a daemon runs from: the flag-bound
-// overlay or, when path names a -deployment file, that file whole. The
-// file declares the entire topology, so a flag given alongside it would
-// silently lose to (or fight with) the file: any flag but those process
-// allows — the ones saying where the process runs — is a conflict,
-// reported by name.
-func ResolveConfig(fs *flag.FlagSet, overlay Config, path string, process map[string]bool) (Config, error) {
+// ResolveDeployment is the one Deployment a daemon runs: the flag-bound
+// overlay's or, when path names a -deployment file, that file's, whole.
+// The file declares the entire topology, so any flag given beside it but
+// those process allows — the ones saying where the process runs — is a
+// conflict, reported by name. A refusal of the overlay names the knob by
+// the flags given (spell).
+func ResolveDeployment(fs *flag.FlagSet, overlay Config, path string, process map[string]bool) (Deployment, error) {
 	if path == "" {
-		return overlay, nil
+		dep, err := overlay.Deployment()
+		if e := (*KnobError)(nil); errors.As(err, &e) {
+			e.words = spell(e, fs)
+		}
+		return dep, err
 	}
 	var conflict string
 	fs.Visit(func(f *flag.Flag) {
@@ -29,9 +35,43 @@ func ResolveConfig(fs *flag.FlagSet, overlay Config, path string, process map[st
 		}
 	})
 	if conflict != "" {
-		return Config{}, fmt.Errorf("-%s conflicts with -deployment: the config file declares the topology", conflict)
+		return Deployment{}, fmt.Errorf("-%s conflicts with -deployment: the config file declares the topology", conflict)
 	}
-	return LoadConfig(path)
+	f, err := os.Open(path)
+	if err != nil {
+		return Deployment{}, err
+	}
+	defer f.Close()
+	cfg, err := ParseConfig(f)
+	if err != nil {
+		return Deployment{}, err
+	}
+	return cfg.Deployment()
+}
+
+// spell words e by the flags of fs, through the key↔flag table of
+// Config's tags: the knob by its flag, and a knob missing from a block
+// by the flag that made the block present, "-fsync needs -wal". ""
+// keeps the file's wording, for a knob no flag of fs binds.
+func spell(e *KnobError, fs *flag.FlagSet) string {
+	var name string
+	var askers []string // the flags of e.By, in field order
+	eachKnob(func(key, flag string) {
+		if key == e.Key {
+			name = flag
+		} else if e.By != "" && (key == e.By || strings.HasPrefix(key, e.By+".")) {
+			askers = append(askers, flag)
+		}
+	})
+	if fs.Lookup(name) == nil {
+		return ""
+	}
+	given := map[string]bool{}
+	fs.Visit(func(f *flag.Flag) { given[f.Name] = true })
+	if i := slices.IndexFunc(askers, func(a string) bool { return given[a] }); i >= 0 && !given[name] {
+		return fmt.Sprintf("-%s needs -%s", askers[i], name)
+	}
+	return fmt.Sprintf("-%s %s", name, e.Why)
 }
 
 // BindFlags binds a flag to every field of the blocks (pointers to a
@@ -138,13 +178,24 @@ func bindField(fs *flag.FlagSet, p any, name, usage string) {
 func KnobTable(fs *flag.FlagSet, under string) string {
 	var b strings.Builder
 	b.WriteString("| Flag | Config key | Default | Meaning |\n|---|---|---|---|\n")
+	eachKnob(func(key, name string) {
+		if fl := fs.Lookup(name); fl != nil && strings.HasPrefix(key, under) {
+			fmt.Fprintf(&b, "| `-%s` | `%s` | %s | %s |\n", fl.Name, key, fl.DefValue, fl.Usage)
+		}
+	})
+	return b.String()
+}
+
+// eachKnob calls fn with the config key and flag name of every field of
+// Config tagged with a flag, in field order: the key↔flag table.
+func eachKnob(fn func(key, flag string)) {
 	var walk func(t reflect.Type, prefix string)
 	walk = func(t reflect.Type, prefix string) {
 		for i := range t.NumField() {
 			f := t.Field(i)
 			key := prefix + strings.Split(f.Tag.Get("json"), ",")[0]
-			if fl := fs.Lookup(f.Tag.Get("flag")); fl != nil && strings.HasPrefix(key, under) {
-				fmt.Fprintf(&b, "| `-%s` | `%s` | %s | %s |\n", fl.Name, key, fl.DefValue, fl.Usage)
+			if name := f.Tag.Get("flag"); name != "" {
+				fn(key, name)
 			}
 			if ft := f.Type; ft.Kind() == reflect.Struct {
 				walk(ft, key+".")
@@ -154,7 +205,6 @@ func KnobTable(fs *flag.FlagSet, under string) string {
 		}
 	}
 	walk(reflect.TypeFor[Config](), "")
-	return b.String()
 }
 
 // durationList is the flag form of a []Duration field: a

@@ -1,6 +1,7 @@
 package serve
 
 import (
+	"cmp"
 	"fmt"
 	"maps"
 	"os"
@@ -25,38 +26,34 @@ func (d Deployment) validateTopology() error {
 	if d.Limits != nil && d.Limits.MaxK != 0 {
 		// The router has no enforcement point for k: it is bounded by the
 		// shard daemons, so writing it here is refused rather than ignored.
-		return fmt.Errorf("serve: limits.max_k is enforced by the shard daemons, not the router — set it in each daemon's config")
+		return refuse("limits.max_k", "is enforced by the shard daemons, not the router — set it in each daemon's config")
 	}
 	if t.Map == "" {
-		return fmt.Errorf("serve: topology.map is required (the shard map written by caltrain-shard)")
+		return refuse("topology.map", "is required (the shard map written by caltrain-shard)")
 	}
 	if len(t.Shards) == 0 {
-		return fmt.Errorf("serve: topology.shards is required (shard ID -> replica base URLs)")
+		return refuse("topology.shards", "is required (shard ID -> replica base URLs)")
 	}
-	if t.WriteQuorum < 0 {
-		return fmt.Errorf("serve: topology.write_quorum must be non-negative (0 = majority), got %d", t.WriteQuorum)
-	}
-	if t.Timeout < 0 || t.Cooldown < 0 {
-		return fmt.Errorf("serve: topology.timeout and topology.cooldown must be non-negative (0 means default)")
-	}
-	if t.ResponseCache < 0 {
-		return fmt.Errorf("serve: topology.response_cache must be non-negative (0 = off), got %d", t.ResponseCache)
-	}
-	if t.Repair != nil && (t.Repair.After < 0 || t.Repair.Interval < 0 || t.Repair.SyncTimeout < 0) {
-		return fmt.Errorf("serve: topology.repair durations must be non-negative (0 means default)")
+	r := cmp.Or(t.Repair, &RepairConfig{})
+	if err := cmp.Or(negative("topology.write_quorum", t.WriteQuorum, "= majority"),
+		negative("topology.timeout", t.Timeout, "means the default"), negative("topology.cooldown", t.Cooldown, "means the default"),
+		negative("topology.response_cache", t.ResponseCache, "= off"), negative("topology.repair.after", r.After, "means the default"),
+		negative("topology.repair.interval", r.Interval, "means the default"),
+		negative("topology.repair.sync_timeout", r.SyncTimeout, "means the default")); err != nil {
+		return err
 	}
 	for _, key := range slices.Sorted(maps.Keys(t.Shards)) {
 		// Build looks shard N up as strconv.Itoa(N): any other spelling
 		// of N ("00", "+1") would never be read, and its replicas lost.
 		if sid, err := strconv.Atoi(key); err == nil && strconv.Itoa(sid) != key {
-			return fmt.Errorf("serve: topology.shards key %q is not a shard ID: write shard %d as %q", key, sid, strconv.Itoa(sid))
+			return refuse("topology.shards", "key %q is not a shard ID: write shard %d as %q", key, sid, strconv.Itoa(sid))
 		}
 		if len(t.Shards[key]) == 0 {
-			return fmt.Errorf("serve: topology.shards[%q] lists no replicas", key)
+			return refuse("topology.shards", "lists no replicas for shard %q", key)
 		}
 		for _, a := range t.Shards[key] {
 			if strings.TrimSpace(a) == "" {
-				return fmt.Errorf("serve: topology.shards[%q] has an empty replica address", key)
+				return refuse("topology.shards", "has an empty replica address for shard %q", key)
 			}
 		}
 	}

@@ -115,8 +115,9 @@ type (
 	// router, and the write-path stores.
 	DeploymentServer = serve.Server
 	// WALConfig enables a Deployment's durable write path: the log
-	// directory, fsync policy ("always" when empty), segment size and
-	// drift threshold — the wal block of a -deployment file.
+	// directory, fsync policy ("always" when empty), segment size, drift
+	// threshold and compaction period — the wal block of a -deployment
+	// file.
 	WALConfig = serve.WALConfig
 	// TopologyConfig routes a Deployment to shard daemons in other
 	// processes, the caltrain-router shape: the shard map file and each
