@@ -20,11 +20,16 @@ import (
 // the captured segments out from under the cursor, because open
 // cursors pin them (see WAL.Truncate).
 //
-// A torn or CRC-failing tail in any segment ends that segment cleanly
-// and the cursor moves to the next one: torn bytes were never
-// acknowledged, so no acknowledged record is skipped and sequence
-// continuity is preserved. Close releases the pin; a cursor must be
-// closed or retired segments are never deleted.
+// A short or CRC-failing record ends its segment: a crash cut it, and
+// its bytes were never acknowledged, so the restart after the crash
+// logged that sequence number again. The next good record must not skip
+// past it: its seq may be at most the damaged record's, when that
+// record's header survived, or else one past the last good record (the
+// lowest such bound, after damaged records in a row). A record that
+// skips past is ErrCorrupt: acknowledged records were lost, not just a
+// torn write. This one rule serves WAL shipping and Replay alike. Close
+// releases the pin; a cursor must be closed or retired segments are
+// never deleted.
 type Cursor struct {
 	w      *WAL
 	from   uint64
@@ -37,6 +42,8 @@ type Cursor struct {
 	f       *os.File
 	r       *bufio.Reader
 	payload []byte
+	next    uint64 // one past the last good record's seq; noSeq before the first
+	bound   uint64 // the highest seq the next record may carry; noSeq for any
 	closed  bool
 }
 
@@ -58,7 +65,7 @@ func (w *WAL) OpenCursor(from uint64) (*Cursor, error) {
 			live = append(live, n)
 		}
 	}
-	c := &Cursor{w: w, from: from, dim: w.dim, segs: live, active: w.active, limit: w.size}
+	c := &Cursor{w: w, from: from, dim: w.dim, segs: live, active: w.active, limit: w.size, next: noSeq, bound: noSeq}
 	w.cursors++
 	return c, nil
 }
@@ -80,15 +87,23 @@ func (c *Cursor) Next() (uint64, fingerprint.Linkage, error) {
 		}
 		seq, l, err := readWALRecord(c.r, c.dim, &c.payload)
 		switch {
-		case err == io.EOF || errors.Is(err, errTorn):
-			// End of this segment — including an unacknowledged torn
-			// tail, which is skipped cleanly, not surfaced as an error.
+		case errors.Is(err, errTorn):
+			if seq == noSeq {
+				seq = c.next
+			}
+			c.bound = min(c.bound, seq)
+			fallthrough
+		case err == io.EOF:
 			c.f.Close()
 			c.f, c.r = nil, nil
 			continue
 		case err != nil:
 			return 0, fingerprint.Linkage{}, fmt.Errorf("ingest: wal cursor: %w", err)
+		case seq > c.bound:
+			return 0, fingerprint.Linkage{}, fmt.Errorf("ingest: wal cursor %s: record %d skips past a damaged record (want seq <= %d): acknowledged records lost: %w",
+				filepath.Base(segmentPath(c.w.dir, c.segs[c.i-1])), seq, c.bound, ErrCorrupt)
 		}
+		c.next, c.bound = seq+1, noSeq
 		if seq < c.from {
 			continue
 		}

@@ -106,13 +106,15 @@ type Store struct {
 	logf           func(string, ...any)
 	persist        func(fingerprint.Searcher)
 
+	snapped snapMark // what the last successful Snapshot wrote; under mu
+
 	retraining   atomic.Bool
 	retrainWG    sync.WaitGroup
 	accepted     atomic.Uint64
 	replayed     uint64
 	retrains     atomic.Uint64
 	lastRetrain  atomic.Int64 // nanoseconds
-	lastSnapshot atomic.Int64
+	lastSnapshot atomic.Int64 // Unix nanoseconds
 }
 
 // Open attaches a WAL at dir to the database and its serving backend,
@@ -298,6 +300,12 @@ func (s *Store) maybeRetrainLocked() {
 // rename, so a crash cannot leave the old database file beside a
 // truncated log. A volatile store has no log to compact and refuses,
 // and so does a store that failed stop (ErrHalfApplied).
+//
+// A snapshot writes nothing when this store's last one wrote the same
+// path and since then no record was applied and no retrain swapped the
+// serving backend: the file is current and the log empty, so periodic
+// compaction of an idle store costs no disk writes. It still counts as
+// the last snapshot. A store's first snapshot always writes.
 func (s *Store) Snapshot(path string) error {
 	if s.wal == nil {
 		return errVolatile
@@ -306,6 +314,11 @@ func (s *Store) Snapshot(path string) error {
 	defer s.mu.Unlock()
 	if s.failed != nil {
 		return s.failed
+	}
+	mark := snapMark{path, s.db.Len(), s.searcher}
+	if s.snapped == mark {
+		s.lastSnapshot.Store(time.Now().UnixNano())
+		return nil
 	}
 	if err := WriteFile(path, s.db.Save); err != nil {
 		return fmt.Errorf("ingest: snapshot: %w", err)
@@ -316,8 +329,17 @@ func (s *Store) Snapshot(path string) error {
 	if err := s.wal.Truncate(); err != nil {
 		return err
 	}
-	s.lastSnapshot.Store(time.Now().Unix())
+	s.snapped = mark
+	s.lastSnapshot.Store(time.Now().UnixNano())
 	return nil
+}
+
+// snapMark is what a snapshot wrote: the database's entries, to path,
+// beside the serving backend a Persist kept.
+type snapMark struct {
+	path     string
+	entries  int
+	searcher fingerprint.Searcher
 }
 
 // WriteFile replaces the file at path with what save writes, so that a
@@ -352,18 +374,18 @@ func WriteFile(path string, save func(io.Writer) error) error {
 // IngestStats implements fingerprint.Ingester.
 func (s *Store) IngestStats() fingerprint.IngestStats {
 	st := fingerprint.IngestStats{
-		Accepted:         s.accepted.Load(),
-		ReplayEntries:    s.replayed,
-		LastSnapshotUnix: s.lastSnapshot.Load(),
-		Retrains:         s.retrains.Load(),
+		Accepted:      s.accepted.Load(),
+		ReplayEntries: s.replayed,
+		Retrains:      s.retrains.Load(),
 	}
 	if s.wal != nil {
 		// Zero WAL bytes and segments are how /stats tells a volatile
 		// write path from a durable one.
 		st.WALBytes, st.Segments = s.wal.Bytes(), s.wal.Segments()
 	}
-	if ls := st.LastSnapshotUnix; ls > 0 {
-		st.LastSnapshotAgeSeconds = time.Since(time.Unix(ls, 0)).Seconds()
+	if ns := s.lastSnapshot.Load(); ns > 0 {
+		st.LastSnapshotUnix = ns / int64(time.Second)
+		st.LastSnapshotAgeSeconds = time.Since(time.Unix(0, ns)).Seconds()
 	}
 	s.smu.Lock()
 	sr := s.searcher

@@ -693,3 +693,141 @@ func TestIngestQueryRace(t *testing.T) {
 		t.Fatalf("replay restored %d entries, want %d", db2.Len(), 300+2*15*8)
 	}
 }
+
+// TestStoreRestartsAfterTornTail: a crash that tears the tail of a
+// segment costs only the unacknowledged record it cut, on every later
+// restart too — not just the first. The first restart starts a fresh
+// segment after the torn one and takes more writes; the second must
+// replay every acknowledged linkage across both segments, with no Close
+// or Snapshot anywhere (each store dies as a killed process would).
+func TestStoreRestartsAfterTornTail(t *testing.T) {
+	const dim, classes = 8, 2
+	walDir := t.TempDir()
+	open := func() (*Store, *fingerprint.DB, *index.Flat) {
+		t.Helper()
+		db := storeDB(t, dim, 40, classes, 3)
+		flat := index.NewFlat(db)
+		st, err := Open(walDir, db, flat, Options{})
+		if err != nil {
+			t.Fatal(err)
+		}
+		return st, db, flat
+	}
+	first := newLinkages(t, dim, 10, classes, 4, "before-tear")
+	st, _, _ := open()
+	defer st.Close()
+	if _, err := st.IngestBatch(first); err != nil {
+		t.Fatal(err)
+	}
+	// The crash: the next batch's first record cut mid-payload, its
+	// 16-byte header whole, never acknowledged.
+	torn := appendWALRecord(nil, dim, 50, newLinkages(t, dim, 1, classes, 5, "torn")[0])
+	f, err := os.OpenFile(segmentPath(walDir, 1), os.O_APPEND|os.O_WRONLY, 0)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if _, err := f.Write(torn[:len(torn)/2]); err != nil {
+		t.Fatal(err)
+	}
+	f.Close()
+
+	st2, db2, _ := open()
+	defer st2.Close()
+	if db2.Len() != 50 {
+		t.Fatalf("first restart: %d entries, want 50", db2.Len())
+	}
+	second := newLinkages(t, dim, 5, classes, 6, "after-tear")
+	if _, err := st2.IngestBatch(second); err != nil {
+		t.Fatal(err)
+	}
+
+	st3, db3, flat3 := open()
+	defer st3.Close()
+	if db3.Len() != 55 || st3.Replayed() != 15 {
+		t.Fatalf("second restart: %d entries, %d replayed, want 55 and 15", db3.Len(), st3.Replayed())
+	}
+	for i, l := range append(first, second...) {
+		got, err := flat3.Search(l.F, l.Y, 1)
+		if err != nil || len(got) != 1 || got[0].Index != 40+i || got[0].Source != l.S {
+			t.Fatalf("acknowledged linkage %d not served: %+v %v", i, got, err)
+		}
+	}
+}
+
+// TestStoreSnapshotSkipsIdle: a snapshot with nothing applied or swapped
+// since the last one to the same path writes nothing — the database
+// file keeps its inode — yet still counts as the last snapshot, with an
+// age no older than the call. An ingest makes the next snapshot write,
+// and so does a retrain's swap that lands after a snapshot, so the
+// replacing backend is persisted.
+func TestStoreSnapshotSkipsIdle(t *testing.T) {
+	dir := t.TempDir()
+	dbPath := filepath.Join(dir, "linkage.db")
+	db := storeDB(t, 8, 200, 2, 12)
+	ivf, err := index.TrainIVF(db, index.IVFOptions{Nlist: 8, Seed: 1})
+	if err != nil {
+		t.Fatal(err)
+	}
+	release := make(chan struct{})
+	var persisted []fingerprint.Searcher
+	st, err := Open(filepath.Join(dir, "wal"), db, ivf, Options{
+		DriftThreshold: 0.01,
+		Rebuild: func(snap *fingerprint.DB) (fingerprint.Searcher, error) {
+			<-release
+			return index.TrainIVF(snap, index.IVFOptions{Nlist: 8, Seed: 2})
+		},
+		Swapper: &swapRecorder{},
+		Persist: func(sr fingerprint.Searcher) { persisted = append(persisted, sr) },
+	})
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer st.Close()
+	snapshot := func() os.FileInfo {
+		t.Helper()
+		before := time.Now()
+		if err := st.Snapshot(dbPath); err != nil {
+			t.Fatal(err)
+		}
+		stats := st.IngestStats()
+		if elapsed := time.Since(before).Seconds(); stats.LastSnapshotAgeSeconds > elapsed {
+			t.Fatalf("last_snapshot_age_seconds %v right after a snapshot that took %vs", stats.LastSnapshotAgeSeconds, elapsed)
+		}
+		if unix := stats.LastSnapshotUnix; unix < before.Unix() || unix > time.Now().Unix() {
+			t.Fatalf("last_snapshot_unix %d, want the snapshot's second", stats.LastSnapshotUnix)
+		}
+		fi, err := os.Stat(dbPath)
+		if err != nil {
+			t.Fatal(err)
+		}
+		return fi
+	}
+	first := snapshot() // a fresh store's first snapshot always writes
+	if idle := snapshot(); !os.SameFile(first, idle) {
+		t.Fatal("a snapshot with nothing new rewrote the database file")
+	}
+	if len(persisted) != 1 {
+		t.Fatalf("Persist ran %d times over two snapshots, want 1", len(persisted))
+	}
+
+	// The ingest crosses the drift threshold, starting a retrain that
+	// waits on release.
+	if _, err := st.IngestBatch(newLinkages(t, 8, 4, 2, 13, "new")); err != nil {
+		t.Fatal(err)
+	}
+	ingested := snapshot()
+	if os.SameFile(first, ingested) {
+		t.Fatal("a snapshot after an ingest left the database file alone")
+	}
+	if idle := snapshot(); !os.SameFile(ingested, idle) {
+		t.Fatal("a snapshot with nothing new rewrote the database file")
+	}
+	close(release)
+	st.retrainWG.Wait()
+	if st.IngestStats().Retrains != 1 {
+		t.Fatal("the retrain never swapped")
+	}
+	if swapped := snapshot(); os.SameFile(ingested, swapped) || len(persisted) != 3 || persisted[2] == ivf {
+		t.Fatalf("a snapshot after a swap: file rewritten %v, Persist ran %d times", !os.SameFile(ingested, swapped), len(persisted))
+	}
+}

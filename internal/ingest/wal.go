@@ -24,7 +24,6 @@
 package ingest
 
 import (
-	"bufio"
 	"context"
 	"encoding/binary"
 	"errors"
@@ -46,8 +45,8 @@ import (
 // WAL corruption sentinels, shared with the other format loaders (see
 // internal/fingerprint): branch with errors.Is.
 var (
-	// ErrCorrupt marks a WAL segment that fails structural validation
-	// somewhere other than the torn tail of the final segment.
+	// ErrCorrupt marks a WAL segment that fails structural validation,
+	// or a damaged record that a later record skips past (see Cursor).
 	ErrCorrupt = fingerprint.ErrCorrupt
 	// ErrVersionMismatch marks a WAL segment written by an incompatible
 	// format version.
@@ -164,8 +163,9 @@ type WAL struct {
 	// not be rolled back, or a failed fsync — after which the kernel may
 	// have dropped the dirty pages and cleared the error, so a later fsync
 	// could report success over records that never reached the disk.
-	// Either way the damage stays at the stream's tail, which replay
-	// tolerates.
+	// Either way the damage stays at the tail of the active segment, and
+	// the restart after it logs those sequence numbers again in a fresh
+	// segment, so replay reads past the damage (see Cursor).
 	failed error
 	// cursors counts open replication cursors (OpenCursor). While any
 	// are open, Truncate defers segment unlinking into pending instead
@@ -182,7 +182,7 @@ type WAL struct {
 // OpenWAL opens (creating if needed) the log directory and starts a
 // fresh active segment after any existing ones — earlier segments are
 // never appended to, so a torn tail from a crash stays confined to the
-// end of the stream. Existing records are read back with Replay.
+// end of its segment. Existing records are read back with Replay.
 func OpenWAL(dir string, dim int, opts WALOptions) (*WAL, error) {
 	if dim <= 0 {
 		return nil, fmt.Errorf("ingest: wal dimension must be positive, got %d", dim)
@@ -337,12 +337,15 @@ func appendWALRecord(buf []byte, dim int, seq uint64, l fingerprint.Linkage) []b
 }
 
 // errTorn tags a record that ends short or fails its CRC — the
-// signature of a write interrupted mid-record. Whether that is fatal
-// depends on the reader: replay tolerates it only at the stream's
-// tail, a cursor skips to the next segment (the bytes were never
-// acknowledged), and a ship-stream reader treats it as a truncated
-// transfer.
+// signature of a write interrupted mid-record. A segment reader
+// (Cursor, and Replay through it) ends the segment there and refuses a
+// later record that skips past it; a ship-stream reader treats it as a
+// truncated transfer.
 var errTorn = errors.New("torn record")
+
+// noSeq is the seq readWALRecord returns with a damaged record whose
+// header did not survive: cut short, or a length no record can have.
+const noSeq = ^uint64(0)
 
 // readWALHeader reads and validates a CTWL header, returning the
 // stream's fingerprint dimension.
@@ -367,28 +370,29 @@ func readWALHeader(r io.Reader) (int, error) {
 // readWALRecord decodes the next record from r. It returns io.EOF at a
 // clean record boundary, an errTorn-tagged error for a short or
 // CRC-failing record, and an ErrCorrupt-tagged error for damage the
-// CRC vouched for (which no torn write can produce). *payload is the
-// caller's reusable scratch buffer.
+// CRC vouched for (which no torn write can produce). With errTorn the
+// seq is the damaged record's, or noSeq if its header did not survive.
+// *payload is the caller's reusable scratch buffer.
 func readWALRecord(r io.Reader, dim int, payload *[]byte) (uint64, fingerprint.Linkage, error) {
 	var recHdr [8 + 4 + 4]byte
 	if _, err := io.ReadFull(r, recHdr[:]); err != nil {
 		if err == io.EOF {
 			return 0, fingerprint.Linkage{}, io.EOF
 		}
-		return 0, fingerprint.Linkage{}, fmt.Errorf("record header: %w: %w", err, errTorn)
+		return noSeq, fingerprint.Linkage{}, fmt.Errorf("record header: %w: %w", err, errTorn)
 	}
 	seq := binary.LittleEndian.Uint64(recHdr[:])
 	payLen := int(binary.LittleEndian.Uint32(recHdr[8:]))
 	crc := binary.LittleEndian.Uint32(recHdr[12:])
 	if payLen < 4+2+32+4*dim || payLen > 4+2+65535+32+4*dim {
-		return 0, fingerprint.Linkage{}, fmt.Errorf("implausible record length %d: %w", payLen, errTorn)
+		return noSeq, fingerprint.Linkage{}, fmt.Errorf("implausible record length %d: %w", payLen, errTorn)
 	}
 	buf, err := readBody(r, payload, payLen)
 	if err != nil {
-		return 0, fingerprint.Linkage{}, fmt.Errorf("record body: %w: %w", err, errTorn)
+		return seq, fingerprint.Linkage{}, fmt.Errorf("record %d body: %w: %w", seq, err, errTorn)
 	}
 	if crc32.Checksum(buf, crcTable) != crc {
-		return 0, fingerprint.Linkage{}, fmt.Errorf("record %d CRC mismatch: %w", seq, errTorn)
+		return seq, fingerprint.Linkage{}, fmt.Errorf("record %d CRC mismatch: %w", seq, errTorn)
 	}
 	l := fingerprint.Linkage{Y: int(int32(binary.LittleEndian.Uint32(buf)))}
 	slen := int(binary.LittleEndian.Uint16(buf[4:]))
@@ -460,11 +464,11 @@ func (w *WAL) AppendCtx(ctx context.Context, seq uint64, ls []fingerprint.Linkag
 	n, err := w.f.Write(w.buf)
 	if err != nil {
 		// Roll the torn record back so later acknowledged batches are
-		// not appended after mid-segment garbage — replay tolerates
-		// damage only at the stream's tail. If the rollback itself
-		// fails, fail stop: refusing further appends keeps the torn
-		// bytes at the tail, where the next restart's replay skips them
-		// (they were never acknowledged).
+		// not appended after mid-segment garbage — a damaged record ends
+		// its segment for every reader. If the rollback itself fails,
+		// fail stop: refusing further appends keeps the torn bytes at
+		// the segment's tail, where the next restart's replay skips
+		// them (they were never acknowledged).
 		if !w.rollback() {
 			w.failed = fmt.Errorf("torn write not rolled back: %w", err)
 			return fmt.Errorf("ingest: wal: %w (rollback failed; log closed to appends until restart)", err)
@@ -643,60 +647,22 @@ func (w *WAL) Close() error {
 }
 
 // Replay streams every record logged before this WAL's active segment
-// through fn in sequence order. A torn tail — a short or CRC-failing
-// record at the end of the final pre-existing segment, the signature of
-// a crash mid-write — ends replay silently: those bytes were never
-// acknowledged. The same damage anywhere else is ErrCorrupt. Call
-// before the first Append.
+// through fn in log order: it is a cursor from sequence 0, so replay and
+// WAL shipping read the segments under one damaged-tail rule (see
+// Cursor). Call before the first Append.
 func (w *WAL) Replay(fn func(seq uint64, l fingerprint.Linkage) error) error {
-	segs, _, err := listSegments(w.dir)
+	c, err := w.OpenCursor(0)
 	if err != nil {
 		return err
 	}
-	// Only segments older than the active one hold pre-crash records.
-	var live []int
-	for _, n := range segs {
-		if n < w.active {
-			live = append(live, n)
-		}
-	}
-	for i, n := range live {
-		if err := replaySegment(segmentPath(w.dir, n), w.dim, i == len(live)-1, fn); err != nil {
-			return err
-		}
-	}
-	return nil
-}
-
-// replaySegment reads one segment. tornOK tolerates a damaged tail
-// (final pre-existing segment only).
-func replaySegment(path string, dim int, tornOK bool, fn func(uint64, fingerprint.Linkage) error) error {
-	f, err := os.Open(path)
-	if err != nil {
-		return fmt.Errorf("ingest: wal replay: %w", err)
-	}
-	defer f.Close()
-	br := bufio.NewReaderSize(f, 64<<10)
-	got, err := readWALHeader(br)
-	if err != nil {
-		return fmt.Errorf("ingest: wal replay %s: %w", filepath.Base(path), err)
-	}
-	if got != dim {
-		return fmt.Errorf("ingest: wal replay %s: log dim %d, database dim %d: %w", filepath.Base(path), got, dim, ErrCorrupt)
-	}
-	var payload []byte
+	defer c.Close()
 	for {
-		seq, l, err := readWALRecord(br, dim, &payload)
-		switch {
-		case err == io.EOF:
-			return nil // clean end
-		case errors.Is(err, errTorn):
-			if tornOK {
-				return nil
-			}
-			return fmt.Errorf("ingest: wal replay %s: %w: %w", filepath.Base(path), err, ErrCorrupt)
-		case err != nil:
-			return fmt.Errorf("ingest: wal replay %s: %w", filepath.Base(path), err)
+		seq, l, err := c.Next()
+		if err == io.EOF {
+			return nil
+		}
+		if err != nil {
+			return err
 		}
 		if err := fn(seq, l); err != nil {
 			return err
