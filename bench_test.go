@@ -546,7 +546,7 @@ func BenchmarkIngestThroughput(b *testing.B) {
 					b.Fatal(err)
 				}
 			}
-			var backend fingerprint.Searcher
+			var backend index.Appender
 			switch kind {
 			case "flat":
 				backend = index.NewFlat(db)

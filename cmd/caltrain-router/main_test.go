@@ -246,12 +246,17 @@ func TestRouterRejectsBadConfig(t *testing.T) {
 			t.Fatalf("args %v accepted", args)
 		}
 	}
+	// A refusal of -shard names the flag, as every knob's does.
+	err := run(stopped, []string{"-map", mapPath, "-shard", "0=" + addrs[0] + ",", "-shard", "1=" + addrs[1], "-addr", "127.0.0.1:0"}, &syncBuffer{})
+	if want := `-shard has an empty replica address for shard "0"`; err == nil || err.Error() != want {
+		t.Fatalf("-shard 0=%s,: %v, want %s", addrs[0], err, want)
+	}
 	// A document without a topology block is a daemon's.
 	doc := filepath.Join(t.TempDir(), "daemon.json")
 	if err := os.WriteFile(doc, []byte(`{"backend": {"kind": "flat"}}`), 0o644); err != nil {
 		t.Fatal(err)
 	}
-	err := run(stopped, []string{"-deployment", doc, "-addr", "127.0.0.1:0"}, &syncBuffer{})
+	err = run(stopped, []string{"-deployment", doc, "-addr", "127.0.0.1:0"}, &syncBuffer{})
 	if err == nil || err.Error() != "serve: config has no topology block; a router deployment declares topology.map and topology.shards" {
 		t.Fatalf("a daemon config: %v", err)
 	}

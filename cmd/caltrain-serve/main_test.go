@@ -302,7 +302,8 @@ func TestServeRejectsConflictingFlags(t *testing.T) {
 		extra []string
 		want  string // the exact refusal, where a row pins it
 	}{
-		{extra: []string{"-max-k", "-1"}}, {extra: []string{"-max-batch", "-1"}}, {extra: []string{"-max-body", "-1"}},
+		{extra: []string{"-max-k", "-1"}, want: "-max-k must be non-negative (0 means the default), got -1"},
+		{extra: []string{"-max-batch", "-1"}}, {extra: []string{"-max-body", "-1"}},
 		{extra: []string{"-wal", wal, "-wal-segment-bytes", "-1"}}, {extra: []string{"-wal", wal, "-fsync-every", "-1s"}},
 		{extra: []string{"-wal", wal, "-drift-threshold", "0"}},
 		// A refusal names the flags written, not the file keys: a wal
@@ -319,7 +320,7 @@ func TestServeRejectsConflictingFlags(t *testing.T) {
 		{extra: []string{"-repl-peer", ""}, want: "-repl-peer needs -wal"},
 		{extra: []string{"-latency-buckets", "500ns"}}, {extra: []string{"-latency-buckets", "500ns,1ms"}},
 		{extra: []string{"-backend", "annoy"}},
-		{extra: []string{"-backend", "linear"}, want: `serve: unknown backend kind "linear" (want flat, ivf, or ivfpq)`},
+		{extra: []string{"-backend", "linear"}, want: `-backend must be flat, ivf, or ivfpq, got "linear"`},
 		// strconv.ParseFloat reads NaN, which no range check catches.
 		{extra: []string{"-wal", wal, "-drift-threshold", "NaN"}}, {extra: []string{"-trace-sample-rate", "NaN"}},
 	} {

@@ -94,7 +94,7 @@ func TestTracePropagationEndToEnd(t *testing.T) {
 	// would wire it.
 	tracer := obs.NewTracer(obs.TracerOptions{SampleRate: 1})
 	rt, err := shard.NewRouter(m, [][]shard.Replica{{replicas[0]}, {replicas[1]}},
-		shard.WithObservability(fingerprint.Observability{Component: "router", Tracer: tracer}))
+		shard.WithFront(fingerprint.WithObservability(fingerprint.Observability{Component: "router", Tracer: tracer})))
 	if err != nil {
 		t.Fatal(err)
 	}

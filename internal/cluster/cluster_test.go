@@ -54,7 +54,7 @@ func newReplica(t *testing.T, peer string) *replica {
 	flat := index.NewFlat(db)
 	svc := fingerprint.NewSearcherService(flat)
 	walDir := filepath.Join(t.TempDir(), "wal")
-	open := func(ndb *fingerprint.DB, sr fingerprint.Searcher) (*ingest.Store, error) {
+	open := func(ndb *fingerprint.DB, sr fingerprint.Appender) (*ingest.Store, error) {
 		return ingest.Open(walDir, ndb, sr, ingest.Options{WAL: ingest.WALOptions{Sync: ingest.SyncNever}})
 	}
 	st, err := open(db, flat)
@@ -64,8 +64,8 @@ func newReplica(t *testing.T, peer string) *replica {
 	sync, err := NewSyncer(Options{
 		Peer:    peer,
 		Service: svc,
-		Build:   func(ndb *fingerprint.DB) (fingerprint.Searcher, error) { return index.NewFlat(ndb), nil },
-		Reopen: func(ndb *fingerprint.DB, sr fingerprint.Searcher) (*ingest.Store, error) {
+		Build:   func(ndb *fingerprint.DB) (fingerprint.Appender, error) { return index.NewFlat(ndb), nil },
+		Reopen: func(ndb *fingerprint.DB, sr fingerprint.Appender) (*ingest.Store, error) {
 			if err := os.RemoveAll(walDir); err != nil {
 				return nil, err
 			}

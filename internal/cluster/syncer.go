@@ -71,11 +71,11 @@ type Options struct {
 	Service *fingerprint.Service
 	// Build trains a serving backend from a fetched snapshot —
 	// normally a closure over serve's shard backend builder.
-	Build func(db *fingerprint.DB) (fingerprint.Searcher, error)
+	Build func(db *fingerprint.DB) (fingerprint.Appender, error)
 	// Reopen discards the replica's local WAL state and opens a fresh
 	// store over db and its backend — the full-resync handoff. It must
 	// wire the same Swapper/Rebuild plumbing the startup store had.
-	Reopen func(db *fingerprint.DB, sr fingerprint.Searcher) (*ingest.Store, error)
+	Reopen func(db *fingerprint.DB, sr fingerprint.Appender) (*ingest.Store, error)
 	// HTTPClient performs replication transfers; nil gets a bounded
 	// default.
 	HTTPClient *http.Client

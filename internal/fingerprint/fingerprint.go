@@ -74,6 +74,24 @@ type Searcher interface {
 	Kind() string
 }
 
+// Appender is the write extension of a Searcher backend: it makes
+// entries of its database searchable without a rebuild. Append makes
+// the index hold the database's first dbIndex+1 entries: entry dbIndex,
+// and any before it the index does not hold yet, in database order, so
+// Match.Index values stay consistent between the index and DB.Query.
+// A linkage the database does not hold yet may be handed in as l:
+// Append stores it in the database first, at dbIndex, which must then
+// be the database's Len. Rebase makes db the index's database; the one
+// it was built or loaded over must be a prefix of db — a Snapshot of
+// it, say — so that every entry it holds is db's at the same index.
+// Implementations serialize both against Search internally. Every
+// internal/index backend is one, and the write path takes one.
+type Appender interface {
+	Searcher
+	Append(dbIndex int, l ...Linkage) error
+	Rebase(db *DB)
+}
+
 // BatchSearcher is the optional batched extension of Searcher: backends
 // that can amortize one blocked sweep of their storage across a whole
 // query batch (every internal/index backend does, via

@@ -23,9 +23,11 @@ import (
 // the two tiers cannot enforce a rule differently.
 type Front struct {
 	// MaxBody bounds a request body in bytes; MaxBatch the queries or
-	// entries of one batch. The owning tier's With* options set them.
+	// entries of one batch; MaxK the neighbours one query asks for,
+	// which only a daemon enforces. The With* options set them.
 	MaxBody  int64
 	MaxBatch int
+	MaxK     int
 	// Latency is the request-latency histogram: /v1/stats latency_us and
 	// caltrain_query_latency_seconds.
 	Latency *Histogram
@@ -41,17 +43,60 @@ type Front struct {
 	errCodes *obs.CounterVec
 }
 
+// Request limits. Overridable per tier with the With* options.
+const (
+	DefaultMaxBodyBytes = 8 << 20 // generous: one batch of ~1000 dim-2048 fingerprints
+	DefaultMaxK         = 1024
+	DefaultMaxBatch     = 256
+)
+
+// FrontOption configures a Front: the request options a daemon's
+// Service and a shard.Router take alike.
+type FrontOption func(*Front)
+
+// WithMaxBodyBytes bounds the accepted request body size.
+func WithMaxBodyBytes(n int64) FrontOption { return func(f *Front) { f.MaxBody = n } }
+
+// WithMaxK bounds the per-query neighbour count.
+func WithMaxK(k int) FrontOption { return func(f *Front) { f.MaxK = k } }
+
+// WithMaxBatch bounds the number of queries in one batch request, and
+// of entries in one ingest request.
+func WithMaxBatch(n int) FrontOption { return func(f *Front) { f.MaxBatch = n } }
+
+// WithLatencyBuckets replaces the latency histogram's bucket upper bounds
+// (microseconds, ascending). The tier's defaults are
+// DefaultLatencyBucketsUS for sub-millisecond local serving and
+// shard.RouterLatencyBucketsUS for a router's network hops.
+func WithLatencyBuckets(boundsUS []int64) FrontOption {
+	return func(f *Front) { f.Latency = NewHistogram(boundsUS) }
+}
+
+// WithObservability configures request logging, the slow-query
+// threshold, the tracer and the metrics toggle. The zero value (the
+// default) keeps request-ID propagation and /v1/metrics on with no
+// logging.
+func WithObservability(o Observability) FrontOption {
+	return func(f *Front) { f.Observability = o }
+}
+
 // NewFront returns a front with the default limits and a latency
-// histogram over bucketsUS, its uptime clock started now.
-func NewFront(bucketsUS []int64) *Front {
-	return &Front{
+// histogram over bucketsUS, then opts applied, its uptime clock
+// started now.
+func NewFront(bucketsUS []int64, opts ...FrontOption) *Front {
+	f := &Front{
 		MaxBody:  DefaultMaxBodyBytes,
 		MaxBatch: DefaultMaxBatch,
+		MaxK:     DefaultMaxK,
 		Latency:  NewHistogram(bucketsUS),
 		start:    time.Now(),
 		errCodes: obs.NewCounterVec("caltrain_request_errors_total",
 			"Error envelopes written, labeled by stable wire-protocol code.", "code"),
 	}
+	for _, o := range opts {
+		o(f)
+	}
+	return f
 }
 
 // CountErrors records n failures under one wire-protocol code: the

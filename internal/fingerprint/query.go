@@ -74,8 +74,8 @@ func queryErrCode(req QueryRequest, maxK int) string {
 // kLimit is the rejection of a query asking for more than maxK
 // neighbours, nil within the limit.
 func (s *Service) kLimit(q QueryRequest) error {
-	if q.K > s.maxK {
-		return fmt.Errorf("k %d exceeds limit %d", q.K, s.maxK)
+	if q.K > s.front.MaxK {
+		return fmt.Errorf("k %d exceeds limit %d", q.K, s.front.MaxK)
 	}
 	return nil
 }
@@ -84,7 +84,7 @@ func (s *Service) kLimit(q QueryRequest) error {
 // per-result error: failures inside a 200 batch count toward /stats
 // errors just like failures on /query.
 func (s *Service) queryFailed(q QueryRequest, err error) BatchResult {
-	code := queryErrCode(q, s.maxK)
+	code := queryErrCode(q, s.front.MaxK)
 	s.front.CountErrors(code, 1)
 	return BatchResult{Error: err.Error(), Code: code}
 }
@@ -136,7 +136,7 @@ func (s *Service) handleQuery(w http.ResponseWriter, r *http.Request) {
 	span.SetError(err)
 	span.End()
 	if err != nil {
-		s.front.Fail(w, http.StatusBadRequest, queryErrCode(req, s.maxK), "%v", err)
+		s.front.Fail(w, http.StatusBadRequest, queryErrCode(req, s.front.MaxK), "%v", err)
 		return
 	}
 	s.front.Latency.Observe(time.Since(started))

@@ -31,47 +31,9 @@ type Service struct {
 	ingester Ingester
 
 	front *Front
-	maxK  int
 	repl  ReplRoutes
 
 	metrics *obs.Registry
-}
-
-// Service limits. Overridable per service with the With* options.
-const (
-	DefaultMaxBodyBytes = 8 << 20 // generous: one batch of ~1000 dim-2048 fingerprints
-	DefaultMaxK         = 1024
-	DefaultMaxBatch     = 256
-)
-
-// ServiceOption configures a Service.
-type ServiceOption func(*Service)
-
-// WithMaxBodyBytes bounds the accepted request body size.
-func WithMaxBodyBytes(n int64) ServiceOption { return func(s *Service) { s.front.MaxBody = n } }
-
-// WithMaxK bounds the per-query neighbour count.
-func WithMaxK(k int) ServiceOption { return func(s *Service) { s.maxK = k } }
-
-// WithMaxBatch bounds the number of queries in one batch request, and
-// of entries in one ingest request.
-func WithMaxBatch(n int) ServiceOption { return func(s *Service) { s.front.MaxBatch = n } }
-
-// WithLatencyBuckets replaces the latency histogram's bucket upper bounds
-// (microseconds, ascending). The defaults (DefaultLatencyBucketsUS) are
-// tuned for sub-millisecond local serving; a service fronting network
-// hops — a scatter-gather router, a WAN deployment — should pass bounds
-// matching its latency regime so observations don't all land in the
-// overflow bucket.
-func WithLatencyBuckets(boundsUS []int64) ServiceOption {
-	return func(s *Service) { s.front.Latency = NewHistogram(boundsUS) }
-}
-
-// WithObservability configures request logging, the slow-query
-// threshold, and the metrics toggle. The zero value (the default) keeps
-// request-ID propagation and /v1/metrics on with no logging.
-func WithObservability(o Observability) ServiceOption {
-	return func(s *Service) { s.front.Observability = o }
 }
 
 // ReplRoutes is the set of replication endpoint handlers a cluster
@@ -99,11 +61,8 @@ func (s *Service) MustRegisterMetrics(fams ...*obs.Family) {
 // NewSearcherService serves queries through any Searcher backend: the
 // linkage database itself (exact linear scan), or an index over it.
 // SetSearcher swaps the backend while serving.
-func NewSearcherService(sr Searcher, opts ...ServiceOption) *Service {
-	s := &Service{searcher: sr, front: NewFront(DefaultLatencyBucketsUS), maxK: DefaultMaxK}
-	for _, o := range opts {
-		o(s)
-	}
+func NewSearcherService(sr Searcher, opts ...FrontOption) *Service {
+	s := &Service{searcher: sr, front: NewFront(DefaultLatencyBucketsUS, opts...)}
 	s.metrics = s.buildMetrics()
 	return s
 }

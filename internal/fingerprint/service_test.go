@@ -15,7 +15,7 @@ import (
 	"time"
 )
 
-func serviceFixture(t *testing.T, opts ...ServiceOption) (*Service, *httptest.Server, *Client) {
+func serviceFixture(t *testing.T, opts ...FrontOption) (*Service, *httptest.Server, *Client) {
 	t.Helper()
 	db := populatedDB(t, 4, 30, 2, 23)
 	svc := NewSearcherService(db, opts...)

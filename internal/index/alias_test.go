@@ -244,7 +244,7 @@ func TestStoreRetrainAliases(t *testing.T) {
 	const dim, classes = 8, 2
 	for _, kind := range []string{"ivf", "ivfpq"} {
 		_, db, _ := addedAndLoaded(t, dim, 400, classes, true, 9)
-		train := func(d *fingerprint.DB) (fingerprint.Searcher, error) {
+		train := func(d *fingerprint.DB) (Appender, error) {
 			if kind == "ivfpq" {
 				return TrainIVFPQ(d, IVFPQOptions{IVFOptions: IVFOptions{Nlist: 4, Seed: 1}, M: 4})
 			}
@@ -487,11 +487,11 @@ const (
 // it, at M 16 for IVFPQ.
 var budgetKinds = []struct {
 	name  string
-	train func(*fingerprint.DB) (Searcher, error)
+	train func(*fingerprint.DB) (Appender, error)
 }{
-	{"flat", func(db *fingerprint.DB) (Searcher, error) { return NewFlat(db), nil }},
-	{"ivf", func(db *fingerprint.DB) (Searcher, error) { return TrainIVF(db, IVFOptions{Seed: 1}) }},
-	{"ivfpq", func(db *fingerprint.DB) (Searcher, error) {
+	{"flat", func(db *fingerprint.DB) (Appender, error) { return NewFlat(db), nil }},
+	{"ivf", func(db *fingerprint.DB) (Appender, error) { return TrainIVF(db, IVFOptions{Seed: 1}) }},
+	{"ivfpq", func(db *fingerprint.DB) (Appender, error) {
 		return TrainIVFPQ(db, IVFPQOptions{IVFOptions: IVFOptions{Seed: 1}, M: 16})
 	}},
 }
@@ -589,7 +589,7 @@ func TestStoreRetrainPinsNothing(t *testing.T) {
 	store, err := ingest.Open(t.TempDir(), db, first, ingest.Options{
 		WAL:            ingest.WALOptions{Sync: ingest.SyncNever},
 		DriftThreshold: 0.1,
-		Rebuild: func(snap *fingerprint.DB) (fingerprint.Searcher, error) {
+		Rebuild: func(snap *fingerprint.DB) (fingerprint.Appender, error) {
 			if trained > 0 {
 				return nil, errors.New("one retrain is what this test measures")
 			}
@@ -667,7 +667,7 @@ func TestAppendOwnsNothing(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
-		var x Searcher
+		var x Appender
 		for _, b := range budgetKinds {
 			if b.name == k.name {
 				if x, err = b.train(db); err != nil {

@@ -257,7 +257,7 @@ func (c goldenCase) build(t testing.TB, viaLoad bool) Searcher {
 		if err != nil {
 			t.Fatal(err)
 		}
-		x = s.(Appender)
+		x = s
 	}
 	for i, l := range c.appends {
 		if err := x.Append(db.Len(), l); err != nil {

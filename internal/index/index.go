@@ -53,27 +53,9 @@ import (
 // without an import cycle.
 type Searcher = fingerprint.Searcher
 
-// Appender is the optional write extension of a Searcher backend: it
-// makes entries of its database searchable without a rebuild. Append
-// makes the index hold the database's first dbIndex+1 entries: entry
-// dbIndex, and any before it the index does not hold yet, in database
-// order, so Match.Index values stay consistent between the index and
-// DB.Query. Flat grows its per-label bucket (still exact); IVF assigns
-// each entry to its label's nearest centroid (exact within the probed
-// lists, but the coarse quantizer is not retrained — see Drifter);
-// IVFPQ encodes it the same way. None of them copies anything of the
-// linkage. A linkage the database does not hold yet may be handed in
-// as l: Append stores it in the database first, at dbIndex, which must
-// then be the database's Len. Rebase makes db the index's database; the
-// one it was built or loaded over must be a prefix of db — a Snapshot of
-// it, say — so that every entry it holds is db's at the same index
-// (Load is the checked way). Implementations serialize both against
-// Search internally.
-type Appender interface {
-	Searcher
-	Append(dbIndex int, l ...fingerprint.Linkage) error
-	Rebase(db *fingerprint.DB)
-}
+// Appender is re-exported beside Searcher: every backend here
+// implements it, and the write path (internal/ingest) takes one.
+type Appender = fingerprint.Appender
 
 // Drifter is implemented by appendable backends whose search quality
 // decays as appends accumulate. Drift is the fraction of entries

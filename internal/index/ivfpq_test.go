@@ -628,7 +628,7 @@ func TestTrainAllocBudget(t *testing.T) {
 		perWorker := runtime.GOMAXPROCS(0) << 16
 		for _, k := range []struct {
 			name      string
-			train     func(*fingerprint.DB) (Searcher, error)
+			train     func(*fingerprint.DB) (Appender, error)
 			workspace int
 		}{
 			{"ivf", budgetKinds[1].train, 16*n + sums(nlist, dim) + perWorker},
@@ -679,7 +679,7 @@ func BenchmarkTrainIVFPQ(b *testing.B) {
 // builds and scans and the exact re-rank of the shortlist instead. The
 // index is built over the whole class ("built"), or over 7/8 of it with
 // the rest ingested through a volatile store afterwards ("appended").
-func benchSearch(b *testing.B, build func(*fingerprint.DB) (Searcher, error)) {
+func benchSearch(b *testing.B, build func(*fingerprint.DB) (Appender, error)) {
 	n := 2500
 	if testing.Short() {
 		n = 500
@@ -720,15 +720,15 @@ func benchSearch(b *testing.B, build func(*fingerprint.DB) (Searcher, error)) {
 }
 
 func BenchmarkFlatSearch(b *testing.B) {
-	benchSearch(b, func(db *fingerprint.DB) (Searcher, error) { return NewFlat(db), nil })
+	benchSearch(b, func(db *fingerprint.DB) (Appender, error) { return NewFlat(db), nil })
 }
 
 func BenchmarkIVFSearch(b *testing.B) {
-	benchSearch(b, func(db *fingerprint.DB) (Searcher, error) { return TrainIVF(db, IVFOptions{Seed: 2}) })
+	benchSearch(b, func(db *fingerprint.DB) (Appender, error) { return TrainIVF(db, IVFOptions{Seed: 2}) })
 }
 
 func BenchmarkIVFPQSearch(b *testing.B) {
-	benchSearch(b, func(db *fingerprint.DB) (Searcher, error) {
+	benchSearch(b, func(db *fingerprint.DB) (Appender, error) {
 		return TrainIVFPQ(db, IVFPQOptions{IVFOptions: IVFOptions{Seed: 2}})
 	})
 }

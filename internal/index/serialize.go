@@ -227,7 +227,7 @@ func (e *encoder) ivfpq(x *IVFPQ, labels []int) {
 // bytes it would need before anything is allocated for it, so a short
 // hostile file costs memory in proportion to its own size, not to what
 // its header says.
-func Load(r io.Reader, db *fingerprint.DB) (Searcher, error) {
+func Load(r io.Reader, db *fingerprint.DB) (Appender, error) {
 	left := int64(math.MaxInt64)
 	if n, ok := fingerprint.BytesLeft(r); ok {
 		left = n

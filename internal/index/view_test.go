@@ -37,13 +37,13 @@ var viewDigests = map[string]string{
 // retrain a few times per step: IVF and IVFPQ probe half their lists.
 var viewKinds = []struct {
 	name  string
-	train func(*fingerprint.DB) (Searcher, error)
+	train func(*fingerprint.DB) (Appender, error)
 }{
-	{"flat", func(db *fingerprint.DB) (Searcher, error) { return NewFlat(db), nil }},
-	{"ivf", func(db *fingerprint.DB) (Searcher, error) {
+	{"flat", func(db *fingerprint.DB) (Appender, error) { return NewFlat(db), nil }},
+	{"ivf", func(db *fingerprint.DB) (Appender, error) {
 		return TrainIVF(db, IVFOptions{Nlist: 4, Nprobe: 2, Seed: 5})
 	}},
-	{"ivfpq", func(db *fingerprint.DB) (Searcher, error) {
+	{"ivfpq", func(db *fingerprint.DB) (Appender, error) {
 		return TrainIVFPQ(db, IVFPQOptions{IVFOptions: IVFOptions{Nlist: 4, Nprobe: 2, Seed: 5}, M: 4})
 	}},
 }
@@ -53,9 +53,9 @@ var viewKinds = []struct {
 type viewModel struct {
 	t     *testing.T
 	kind  string
-	train func(*fingerprint.DB) (Searcher, error)
+	train func(*fingerprint.DB) (Appender, error)
 	db    *fingerprint.DB
-	x     Searcher
+	x     Appender
 	rng   *rand.Rand
 	sum   []byte
 }
@@ -98,7 +98,7 @@ func TestIndexIsAView(t *testing.T) {
 	}
 }
 
-func (m *viewModel) trained(db *fingerprint.DB) Searcher {
+func (m *viewModel) trained(db *fingerprint.DB) Appender {
 	m.t.Helper()
 	x, err := m.train(db)
 	if err != nil {
@@ -133,7 +133,7 @@ func (m *viewModel) step(s, classes int) string {
 		// The retrain is held until a second batch has landed in the old
 		// index, so its swap must catch that batch up.
 		started, release := make(chan struct{}, 1), make(chan struct{})
-		st := m.open(0.05, func(snap *fingerprint.DB) (fingerprint.Searcher, error) {
+		st := m.open(0.05, func(snap *fingerprint.DB) (fingerprint.Appender, error) {
 			started <- struct{}{}
 			<-release
 			return m.train(snap)
@@ -202,7 +202,7 @@ func (m *viewModel) step(s, classes int) string {
 
 // open starts a volatile write path over the model's database and
 // index; swaps land in the model.
-func (m *viewModel) open(drift float64, rebuild func(*fingerprint.DB) (fingerprint.Searcher, error)) *ingest.Store {
+func (m *viewModel) open(drift float64, rebuild func(*fingerprint.DB) (fingerprint.Appender, error)) *ingest.Store {
 	m.t.Helper()
 	st, err := ingest.Open("", m.db, m.x, ingest.Options{DriftThreshold: drift, Rebuild: rebuild, Swapper: (*viewSwap)(m)})
 	if err != nil {
@@ -214,7 +214,7 @@ func (m *viewModel) open(drift float64, rebuild func(*fingerprint.DB) (fingerpri
 // viewSwap receives a drift retrain's swap for the model.
 type viewSwap viewModel
 
-func (v *viewSwap) SetSearcher(s fingerprint.Searcher) { v.x = s }
+func (v *viewSwap) SetSearcher(s fingerprint.Searcher) { v.x = s.(Appender) }
 
 func (m *viewModel) ingest(st *ingest.Store, ls []fingerprint.Linkage) {
 	m.t.Helper()

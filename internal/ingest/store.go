@@ -15,13 +15,6 @@ import (
 	"caltrain/internal/obs"
 )
 
-// appender matches index.Appender structurally, so the store stays
-// decoupled from the concrete index package.
-type appender interface {
-	Append(dbIndex int, l ...fingerprint.Linkage) error
-	Rebase(db *fingerprint.DB)
-}
-
 // drifter matches index.Drifter structurally.
 type drifter interface {
 	Drift() float64
@@ -44,10 +37,10 @@ type Options struct {
 	// Swapper are set and the backend reports drift.
 	DriftThreshold float64
 	// Rebuild trains a replacement backend from a database snapshot —
-	// e.g. a closure over index.TrainIVF with the daemon's options. The
-	// returned backend must implement Append so entries ingested during
-	// the rebuild can be caught up before the swap.
-	Rebuild func(db *fingerprint.DB) (fingerprint.Searcher, error)
+	// e.g. a closure over index.TrainIVF with the daemon's options.
+	// Entries ingested during the rebuild are appended to it before the
+	// swap.
+	Rebuild func(db *fingerprint.DB) (fingerprint.Appender, error)
 	// Swapper receives the retrained backend (normally the
 	// fingerprint.Service).
 	Swapper Swapper
@@ -93,15 +86,14 @@ type Store struct {
 	db     *fingerprint.DB
 	failed error // wraps ErrHalfApplied once a batch half-applied; under mu
 
-	// smu guards only the searcher/app pointer pair, so stats readers
-	// never wait behind a Snapshot or retrain catch-up holding mu.
-	// Writers hold BOTH mu and smu.
+	// smu guards only the searcher pointer, so stats readers never wait
+	// behind a Snapshot or retrain catch-up holding mu. Writers hold
+	// BOTH mu and smu.
 	smu      sync.Mutex
-	searcher fingerprint.Searcher
-	app      appender
+	searcher fingerprint.Appender
 
 	driftThreshold float64
-	rebuild        func(*fingerprint.DB) (fingerprint.Searcher, error)
+	rebuild        func(*fingerprint.DB) (fingerprint.Appender, error)
 	swapper        Swapper
 	logf           func(string, ...any)
 	persist        func(fingerprint.Searcher)
@@ -122,9 +114,9 @@ type Store struct {
 // the database and the backend, so a restarted daemon serves exactly
 // the acknowledged linkages. An empty dir opens a volatile store: no
 // log, no replay, no file touched; it reports zero WAL bytes and
-// segments, and refuses Snapshot and ReplCursor. The backend must be
-// an index.Appender over db.
-func Open(dir string, db *fingerprint.DB, searcher fingerprint.Searcher, opts Options) (*Store, error) {
+// segments, and refuses Snapshot and ReplCursor. The backend is an
+// index over db.
+func Open(dir string, db *fingerprint.DB, searcher fingerprint.Appender, opts Options) (*Store, error) {
 	s := &Store{
 		db:             db,
 		searcher:       searcher,
@@ -140,11 +132,6 @@ func Open(dir string, db *fingerprint.DB, searcher fingerprint.Searcher, opts Op
 	if s.logf == nil {
 		s.logf = func(string, ...any) {}
 	}
-	ap, ok := searcher.(appender)
-	if !ok {
-		return nil, fmt.Errorf("ingest: %s backend does not support appends", searcher.Kind())
-	}
-	s.app = ap
 	if dir == "" {
 		return s, nil
 	}
@@ -182,7 +169,7 @@ func (s *Store) apply(l fingerprint.Linkage) error {
 	if err := s.db.Add(l); err != nil {
 		return err
 	}
-	return s.app.Append(idx)
+	return s.searcher.Append(idx)
 }
 
 // IngestBatch is IngestBatchCtx without a trace.
@@ -263,20 +250,15 @@ func (s *Store) maybeRetrainLocked() {
 		// of, catch up under the write lock, then swap.
 		s.mu.Lock()
 		defer s.mu.Unlock()
-		ap, ok := fresh.(appender)
-		if !ok {
-			s.logf("ingest: retrained %s backend is not appendable; swap aborted", fresh.Kind())
-			return
-		}
-		ap.Rebase(s.db)
+		fresh.Rebase(s.db)
 		for i := snap.Len(); i < s.db.Len(); i++ {
-			if err := ap.Append(i); err != nil {
+			if err := fresh.Append(i); err != nil {
 				s.logf("ingest: retrain catch-up: %v", err)
 				return
 			}
 		}
 		s.smu.Lock()
-		s.searcher, s.app = fresh, ap
+		s.searcher = fresh
 		s.smu.Unlock()
 		s.swapper.SetSearcher(fresh)
 		s.retrains.Add(1)

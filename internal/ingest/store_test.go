@@ -514,24 +514,6 @@ func TestStoreFailStopOnHalfAppliedBatch(t *testing.T) {
 	}
 }
 
-// TestStoreRejectsNonAppendable: a backend with no Append must be
-// refused up front, not silently served stale — a database served as
-// its own backend too, the ingest database itself or another: a store
-// always has an index to append to.
-func TestStoreRejectsNonAppendable(t *testing.T) {
-	db := storeDB(t, 4, 10, 2, 9)
-	other := storeDB(t, 4, 10, 2, 10)
-	for name, backend := range map[string]*fingerprint.DB{"a foreign database": other, "the ingest database": db} {
-		_, err := Open(t.TempDir(), db, backend, Options{})
-		if want := "ingest: linear backend does not support appends"; err == nil || err.Error() != want {
-			t.Fatalf("%s as the backend: %v, want %s", name, err, want)
-		}
-	}
-	if db.Len() != 10 {
-		t.Fatalf("a refused open changed the database: %d entries", db.Len())
-	}
-}
-
 // swapRecorder is a Swapper that remembers every hot-swap.
 type swapRecorder struct {
 	mu    sync.Mutex
@@ -556,7 +538,7 @@ func TestStoreDriftRetrainHotSwap(t *testing.T) {
 	rec := &swapRecorder{}
 	st, err := Open(t.TempDir(), db, ivf, Options{
 		DriftThreshold: 0.10,
-		Rebuild: func(snap *fingerprint.DB) (fingerprint.Searcher, error) {
+		Rebuild: func(snap *fingerprint.DB) (fingerprint.Appender, error) {
 			return index.TrainIVF(snap, index.IVFOptions{Nlist: 8, Seed: 2})
 		},
 		Swapper: rec,
@@ -612,7 +594,7 @@ func TestIngestQueryRace(t *testing.T) {
 	walDir := t.TempDir()
 	st, err := Open(walDir, db, ivf, Options{
 		DriftThreshold: 0.02, // retrain eagerly to exercise swaps
-		Rebuild: func(snap *fingerprint.DB) (fingerprint.Searcher, error) {
+		Rebuild: func(snap *fingerprint.DB) (fingerprint.Appender, error) {
 			return index.TrainIVF(snap, index.IVFOptions{Nlist: 6, Seed: 4})
 		},
 		Swapper: svc,
@@ -772,7 +754,7 @@ func TestStoreSnapshotSkipsIdle(t *testing.T) {
 	var persisted []fingerprint.Searcher
 	st, err := Open(filepath.Join(dir, "wal"), db, ivf, Options{
 		DriftThreshold: 0.01,
-		Rebuild: func(snap *fingerprint.DB) (fingerprint.Searcher, error) {
+		Rebuild: func(snap *fingerprint.DB) (fingerprint.Appender, error) {
 			<-release
 			return index.TrainIVF(snap, index.IVFOptions{Nlist: 8, Seed: 2})
 		},

@@ -103,8 +103,8 @@ func toBytes(v []float32) []byte {
 // or to a magnitude whose square leaves float32, and resizes both — and
 // CheckRows holds the rows kernel to the reference and ArgminPlanarBatch
 // over the transposed table, alone and in a tile, to the exhaustive exact
-// scan's index. Its seeds run with every test; CI fuzzes FuzzPlanarParity,
-// which drives the same entry points.
+// scan's index. Its seeds run with every test, and CI's fuzz step
+// fuzzes it.
 func FuzzArgminParity(f *testing.F) {
 	for _, c := range argminCases([]int{8, 9, 17, 64}, []int{1, 6, 257}) {
 		f.Add(toBytes(c.q), toBytes(c.vecs))
@@ -125,7 +125,7 @@ func FuzzArgminParity(f *testing.F) {
 // ArgminPlanarBatch over the transposed table under every implementation
 // must return, for every query at every slot position, the exhaustive
 // exact scan's index. Like FuzzArgminParity, its seeds run with every
-// test and CI fuzzes FuzzPlanarParity.
+// test, and CI's fuzz step fuzzes it.
 func FuzzArgminBatchParity(f *testing.F) {
 	for _, c := range argminCases([]int{8, 9, 17, 64}, []int{1, 6, 257}) {
 		dim := len(c.q)

@@ -111,7 +111,7 @@ func (b BackendConfig) kind() string {
 // validate refuses a kind that names no backend.
 func (b BackendConfig) validate() error {
 	if !slices.Contains([]string{"flat", "ivf", "ivfpq"}, b.kind()) {
-		return fmt.Errorf("serve: unknown backend kind %q (want flat, ivf, or ivfpq)", b.Kind)
+		return refuse("backend.kind", "must be flat, ivf, or ivfpq, got %q", b.Kind)
 	}
 	return nil
 }
@@ -119,7 +119,7 @@ func (b BackendConfig) validate() error {
 // build builds the backend over db: flat an exact index over it, and
 // ivf and ivfpq train with the block's knobs (zero = auto defaults; m
 // is read by ivfpq only).
-func (b BackendConfig) build(db *fingerprint.DB) (fingerprint.Searcher, error) {
+func (b BackendConfig) build(db *fingerprint.DB) (fingerprint.Appender, error) {
 	ivf := index.IVFOptions{Nlist: b.Nlist, Nprobe: b.Nprobe, Iters: b.Iters, Seed: b.Seed}
 	switch b.kind() {
 	case "ivf":
@@ -136,7 +136,7 @@ func (b BackendConfig) trains() bool { return b.kind() == "ivf" || b.kind() == "
 
 // rebuild is the retrain hook a write path runs for drift-triggered
 // background retrains, nil when the backend never needs one.
-func (b BackendConfig) rebuild() func(*fingerprint.DB) (fingerprint.Searcher, error) {
+func (b BackendConfig) rebuild() func(*fingerprint.DB) (fingerprint.Appender, error) {
 	if !b.trains() {
 		return nil
 	}
@@ -373,13 +373,14 @@ func (l *LimitsConfig) bucketsUS() []int64 {
 	return out
 }
 
-// options translates a validated limits block into service options; a
-// nil block and zero fields keep the service defaults.
-func (l *LimitsConfig) options() []fingerprint.ServiceOption {
+// options translates a validated limits block into the request options
+// of a daemon's service and a router alike; a nil block and zero fields
+// keep the tier's defaults.
+func (l *LimitsConfig) options() []fingerprint.FrontOption {
 	if l == nil {
 		return nil
 	}
-	var opts []fingerprint.ServiceOption
+	var opts []fingerprint.FrontOption
 	if l.MaxBodyBytes > 0 {
 		opts = append(opts, fingerprint.WithMaxBodyBytes(l.MaxBodyBytes))
 	}

@@ -505,11 +505,11 @@ func (d Deployment) newSyncer(svc *fingerprint.Service) (*cluster.Syncer, error)
 	return cluster.NewSyncer(cluster.Options{
 		Peer:    d.Replication.Peer,
 		Service: svc,
-		Build: func(ndb *fingerprint.DB) (fingerprint.Searcher, error) {
+		Build: func(ndb *fingerprint.DB) (fingerprint.Appender, error) {
 			sr, err := d.Backend.build(ndb)
 			return exactWhenEmpty(ndb, sr, err)
 		},
-		Reopen: func(ndb *fingerprint.DB, sr fingerprint.Searcher) (*ingest.Store, error) {
+		Reopen: func(ndb *fingerprint.DB, sr fingerprint.Appender) (*ingest.Store, error) {
 			if err := os.RemoveAll(dir); err != nil {
 				return nil, err
 			}
@@ -586,7 +586,7 @@ func (d Deployment) buildSharded(db *fingerprint.DB) (*Server, error) {
 // empty db (IVF cannot train without vectors; the shard serves exact
 // until writes arrive). In-process shards and a replica's resync share
 // this policy.
-func exactWhenEmpty(db *fingerprint.DB, sr fingerprint.Searcher, err error) (fingerprint.Searcher, error) {
+func exactWhenEmpty(db *fingerprint.DB, sr fingerprint.Appender, err error) (fingerprint.Appender, error) {
 	if err != nil && db.Len() == 0 {
 		return index.NewFlat(db), nil
 	}
@@ -610,7 +610,7 @@ func (d Deployment) logDir(elem ...string) string {
 // keeps its trained index in its log (keepIndex) persists a replacing
 // training on a snapshot, under the snapshot's lock; a volatile path's
 // writes never reach its database file, so what it kept stays true.
-func (d Deployment) openStore(dir string, db *fingerprint.DB, searcher fingerprint.Searcher, svc *fingerprint.Service) (*ingest.Store, error) {
+func (d Deployment) openStore(dir string, db *fingerprint.DB, searcher fingerprint.Appender, svc *fingerprint.Service) (*ingest.Store, error) {
 	opts := ingest.Options{Rebuild: d.Backend.rebuild(), Swapper: svc, Logf: d.logf}
 	if keep, ok := keepIndex(keepBase(dir, ""), d.Backend); ok {
 		// kept is the serving index whose training the file holds: the

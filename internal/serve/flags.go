@@ -1,6 +1,7 @@
 package serve
 
 import (
+	"cmp"
 	"errors"
 	"flag"
 	"fmt"
@@ -186,15 +187,22 @@ func KnobTable(fs *flag.FlagSet, under string) string {
 	return b.String()
 }
 
+// byHand are the knobs a daemon binds by hand rather than from a tag,
+// by the flag the daemon spells each with: caltrain-shard spells
+// backend.kind -index, limits.max_k is the daemon's alone (the router
+// refuses it), and topology.shards is a map, one -shard ID=a,b each.
+var byHand = map[string]string{"backend.kind": "backend", "limits.max_k": "max-k", "topology.shards": "shard"}
+
 // eachKnob calls fn with the config key and flag name of every field of
-// Config tagged with a flag, in field order: the key↔flag table.
+// Config tagged with a flag or bound by hand, in field order: the
+// key↔flag table.
 func eachKnob(fn func(key, flag string)) {
 	var walk func(t reflect.Type, prefix string)
 	walk = func(t reflect.Type, prefix string) {
 		for i := range t.NumField() {
 			f := t.Field(i)
 			key := prefix + strings.Split(f.Tag.Get("json"), ",")[0]
-			if name := f.Tag.Get("flag"); name != "" {
+			if name := cmp.Or(f.Tag.Get("flag"), byHand[key]); name != "" {
 				fn(key, name)
 			}
 			if ft := f.Type; ft.Kind() == reflect.Struct {

@@ -87,7 +87,7 @@ func FuzzFrontParity(f *testing.F) {
 		f.Add(seed.route, seed.body)
 	}
 
-	limits := []fingerprint.ServiceOption{
+	limits := []fingerprint.FrontOption{
 		fingerprint.WithMaxK(8), fingerprint.WithMaxBatch(4), fingerprint.WithMaxBodyBytes(2048),
 	}
 	daemon := func() *fingerprint.Service {
@@ -107,7 +107,7 @@ func FuzzFrontParity(f *testing.F) {
 		f.Fatal(err)
 	}
 	rt, err := shard.NewRouter(m, [][]shard.Replica{{shard.NewLocalReplica("shard-0", behind)}},
-		shard.WithRouterMaxBatch(4), shard.WithRouterMaxBodyBytes(2048))
+		shard.WithFront(limits...))
 	if err != nil {
 		f.Fatal(err)
 	}

@@ -117,7 +117,7 @@ func summarize(origins []indexOrigin) string {
 // base names a place (keepBase), the file kept there is loaded over db
 // with index.Load; when it is refused the index is trained and written
 // there before a log replays, so the file holds exactly db's entries.
-func (d Deployment) backend(base string, db *fingerprint.DB) (fingerprint.Searcher, indexOrigin, error) {
+func (d Deployment) backend(base string, db *fingerprint.DB) (fingerprint.Appender, indexOrigin, error) {
 	origin := indexOrigin{kind: d.Backend.kind()}
 	keep, ok := keepIndex(base, d.Backend)
 	if ok {
@@ -158,7 +158,7 @@ func (d Deployment) backend(base string, db *fingerprint.DB) (fingerprint.Search
 // loadIndexFile reads the index file at path as db's index (index.Load):
 // it must be bound to db's first entries, and an index of a prefix of
 // db catches up. A missing file answers os.IsNotExist.
-func loadIndexFile(path string, db *fingerprint.DB) (fingerprint.Searcher, error) {
+func loadIndexFile(path string, db *fingerprint.DB) (fingerprint.Appender, error) {
 	f, err := os.Open(path)
 	if err != nil {
 		return nil, err

@@ -20,10 +20,6 @@ import (
 var fileOnly = []string{"shards", "replicas_per_shard", "volatile_writes",
 	"observability.metrics", "observability.debug_addr", "topology.repair.sync_timeout"}
 
-// byHand are the knobs a daemon binds by hand rather than from a tag,
-// by the flag the daemon spells each with.
-var byHand = map[string]string{"backend.kind": "backend", "limits.max_k": "max-k", "topology.shards": "shard"}
-
 // shape binds a command line the way one daemon does: the tagged knobs
 // of its blocks through BindFlags, the byHand ones by hand.
 type shape struct {
@@ -234,7 +230,7 @@ func checkParity(t *testing.T, seed uint64) {
 	}
 }
 
-// tagFlag is the flag Config's tags give key, "" for none.
+// tagFlag is the flag the key↔flag table gives key, "" for none.
 func tagFlag(key string) (name string) {
 	eachKnob(func(k, flag string) {
 		if k == key {

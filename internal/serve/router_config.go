@@ -10,6 +10,7 @@ import (
 	"strings"
 	"time"
 
+	"caltrain/internal/fingerprint"
 	"caltrain/internal/shard"
 )
 
@@ -105,25 +106,15 @@ func (d Deployment) buildRouted() (*Server, error) {
 
 // route makes srv the scatter-gather router over replicas: the one place
 // a shard.Router is made, for in-process shards and shard daemons alike.
-// The router takes the limits block's body, batch and latency bounds
-// (max_k is the shards'), the observability block, and the topology's
+// The router takes the request options a daemon's service does (max_k
+// is read by the shards only), and the topology's
 // knobs when its shards live in other processes. One tracer serves the
 // whole topology: the router records the root, and in-process replicas'
 // spans flow into the same trace through the request context.
 func (d Deployment) route(srv *Server, m *shard.Map, replicas [][]shard.Replica) (*Server, error) {
 	srv.tracer = d.Observability.tracer()
-	opts := []shard.RouterOption{shard.WithObservability(d.Observability.options("router", srv.tracer))}
-	if l := d.Limits; l != nil {
-		if l.MaxBodyBytes > 0 {
-			opts = append(opts, shard.WithRouterMaxBodyBytes(l.MaxBodyBytes))
-		}
-		if l.MaxBatch > 0 {
-			opts = append(opts, shard.WithRouterMaxBatch(l.MaxBatch))
-		}
-		if b := l.bucketsUS(); b != nil {
-			opts = append(opts, shard.WithRouterLatencyBuckets(b))
-		}
-	}
+	front := append(d.Limits.options(), fingerprint.WithObservability(d.Observability.options("router", srv.tracer)))
+	opts := []shard.RouterOption{shard.WithFront(front...)}
 	switch t := d.Topology; {
 	case t != nil:
 		opts = append(opts, shard.WithWriteQuorum(t.WriteQuorum))

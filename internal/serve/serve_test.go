@@ -61,7 +61,7 @@ func TestParseBackend(t *testing.T) {
 	}
 	for _, kind := range []string{"annoy", "linear"} {
 		_, err := Deployment{Backend: BackendConfig{Kind: kind}}.Build(testDB(t, 8, 20, 2))
-		if want := `serve: unknown backend kind "` + kind + `" (want flat, ivf, or ivfpq)`; err == nil || err.Error() != want {
+		if want := `serve: backend.kind must be flat, ivf, or ivfpq, got "` + kind + `"`; err == nil || err.Error() != want {
 			t.Fatalf("backend kind %q: %v, want %s", kind, err, want)
 		}
 	}

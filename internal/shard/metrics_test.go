@@ -140,11 +140,11 @@ func TestRequestIDThreadsThroughRouter(t *testing.T) {
 		t.Cleanup(srv.Close)
 		replicas[i] = []Replica{NewHTTPReplica(srv.URL, srv.Client())}
 	}
-	rt, err := NewRouter(m, replicas, WithObservability(fingerprint.Observability{
+	rt, err := NewRouter(m, replicas, WithFront(fingerprint.WithObservability(fingerprint.Observability{
 		Component:  "router",
 		Logger:     slog.New(slog.NewTextHandler(&routerLog, nil)),
 		RequestLog: true,
-	}))
+	})))
 	if err != nil {
 		t.Fatal(err)
 	}

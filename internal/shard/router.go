@@ -83,17 +83,16 @@ func WithReplicaCooldown(d time.Duration) RouterOption {
 	return func(r *Router) { r.cooldown = d }
 }
 
-// WithRouterMaxBodyBytes bounds the accepted request body size.
-func WithRouterMaxBodyBytes(n int64) RouterOption { return func(r *Router) { r.front.MaxBody = n } }
-
-// WithRouterMaxBatch bounds the number of queries in one batch request,
-// and of entries in one ingest request.
-func WithRouterMaxBatch(n int) RouterOption { return func(r *Router) { r.front.MaxBatch = n } }
-
-// WithRouterLatencyBuckets replaces the router-level latency histogram
-// bounds (microseconds). Default RouterLatencyBucketsUS.
-func WithRouterLatencyBuckets(boundsUS []int64) RouterOption {
-	return func(r *Router) { r.front.Latency = fingerprint.NewHistogram(boundsUS) }
+// WithFront gives the router's request front the options a daemon's
+// Service takes: body, batch and latency bounds and observability
+// (fingerprint.WithMaxK has no say at a router). Default latency bounds
+// RouterLatencyBucketsUS.
+func WithFront(opts ...fingerprint.FrontOption) RouterOption {
+	return func(r *Router) {
+		for _, o := range opts {
+			o(r.front)
+		}
+	}
 }
 
 // WithIngestCapability sets whether GET /v1/meta advertises a write
@@ -125,13 +124,6 @@ func WithWriteQuorum(n int) RouterOption {
 // queries should pay the staleness bookkeeping.
 func WithRouterResponseCache(n int) RouterOption {
 	return func(r *Router) { r.cacheSize = n }
-}
-
-// WithObservability configures the router's request logging, slow-query
-// threshold, and metrics toggle — the same knobs
-// fingerprint.WithObservability gives a single daemon.
-func WithObservability(o fingerprint.Observability) RouterOption {
-	return func(r *Router) { r.front.Observability = o }
 }
 
 // NewRouter creates a router over m.NumShards() shards; replicas[i]

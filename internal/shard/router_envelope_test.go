@@ -36,7 +36,7 @@ func doRawRouter(t *testing.T, h http.Handler, method, path, body string) (int, 
 // is now just an unknown route.
 func TestRouterErrorEnvelope(t *testing.T) {
 	db := testDB(t, 8, 200, 8)
-	rt, _ := shardedFixture(t, db, 2, WithRouterMaxBodyBytes(512), WithRouterMaxBatch(2))
+	rt, _ := shardedFixture(t, db, 2, WithFront(fingerprint.WithMaxBodyBytes(512), fingerprint.WithMaxBatch(2)))
 	h := rt.Handler()
 
 	// A separate router whose every replica is a closed port: every

@@ -356,7 +356,7 @@ func TestRouterAggregatedStats(t *testing.T) {
 // shard is contacted.
 func TestRouterRespectsLimits(t *testing.T) {
 	db := testDB(t, 8, 60, 3)
-	rt, _ := shardedFixture(t, db, 2, WithRouterMaxBatch(2))
+	rt, _ := shardedFixture(t, db, 2, WithFront(fingerprint.WithMaxBatch(2)))
 	reqs := []fingerprint.QueryRequest{
 		{Fingerprint: db.Entry(0).F, Label: 0, K: 1},
 		{Fingerprint: db.Entry(1).F, Label: 1, K: 1},
@@ -368,7 +368,7 @@ func TestRouterRespectsLimits(t *testing.T) {
 	if rec.Code != http.StatusBadRequest {
 		t.Fatalf("over-limit batch: status %d", rec.Code)
 	}
-	rt2, _ := shardedFixture(t, db, 2, WithRouterMaxBodyBytes(16))
+	rt2, _ := shardedFixture(t, db, 2, WithFront(fingerprint.WithMaxBodyBytes(16)))
 	rec = httptest.NewRecorder()
 	rt2.Handler().ServeHTTP(rec, httptest.NewRequest(http.MethodPost, "/v1/query/batch", bytes.NewReader(payload)))
 	if rec.Code != http.StatusRequestEntityTooLarge {
