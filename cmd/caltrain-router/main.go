@@ -86,6 +86,7 @@ import (
 	"net"
 	"os"
 	"os/signal"
+	"slices"
 	"strings"
 	"syscall"
 	"time"
@@ -109,7 +110,15 @@ func main() {
 // and config files alike.
 type shardFlag map[string][]string
 
-func (s *shardFlag) String() string { return fmt.Sprint(map[string][]string(*s)) }
+// String spells the shards as flags would, ID=addr,addr each, by ID.
+func (s *shardFlag) String() string {
+	var ids []string
+	for id, addrs := range *s {
+		ids = append(ids, id+"="+strings.Join(addrs, ","))
+	}
+	slices.Sort(ids)
+	return strings.Join(ids, " ")
+}
 
 func (s *shardFlag) Set(v string) error {
 	id, addrs, ok := strings.Cut(v, "=")

@@ -1,6 +1,7 @@
 package fingerprint
 
 import (
+	"context"
 	"encoding/json"
 	"errors"
 	"fmt"
@@ -11,16 +12,31 @@ import (
 	"caltrain/internal/obs"
 )
 
-// Front is the request side of the wire protocol that both HTTP tiers
-// share: the shard daemon (Service) and the scatter-gather router
-// (shard.Router) each hold one. It owns the serving counters, the error
-// total with its per-code counter, the latency histogram, the body and
-// batch limits and the observability options, and it is the one place
-// that decodes a request body, admits a batch, counts an error,
-// declares the metric families both tiers export and fills the
-// /v1/stats header they share. So /v1/stats and /v1/metrics read the
-// same counters — errors == Σ caltrain_request_errors_total{code} — and
-// the two tiers cannot enforce a rule differently.
+// Tier answers the verbs a Front serves: the shard daemon's Service
+// from its index, shard.Router by scatter-gather. A tier only answers,
+// and counts the failures inside an answer (a failed query, a batch's
+// failed results, a routed write's failed entries); the Front decodes,
+// admits, counts, times and encodes.
+type Tier interface {
+	// Query answers one query; a failure is a result with a code.
+	Query(ctx context.Context, q QueryRequest) BatchResult
+	// Batch answers an admitted batch, each query failing alone.
+	Batch(ctx context.Context, qs []QueryRequest) *BatchResponse
+	// Ingest applies an admitted write; an error refuses all of it.
+	Ingest(ctx context.Context, es []IngestEntry) (*IngestResponse, error)
+	// Writable reports whether the tier has a write path.
+	Writable() bool
+}
+
+// Front is the request side of the wire protocol both HTTP tiers share:
+// the shard daemon (Service) and the scatter-gather router
+// (shard.Router) each hold one, over themselves as its Tier. It serves
+// the three verbs over HTTP and in process (shard.LocalReplica), so it
+// is the one place that decodes a request body, admits a batch, counts
+// and times a request, counts an error, declares the metric families
+// both tiers export and fills their shared /v1/stats header: /v1/stats
+// and /v1/metrics read the same counters, and no tier counts a rule
+// its own way.
 type Front struct {
 	// MaxBody bounds a request body in bytes; MaxBatch the queries or
 	// entries of one batch; MaxK the neighbours one query asks for,
@@ -28,15 +44,16 @@ type Front struct {
 	MaxBody  int64
 	MaxBatch int
 	MaxK     int
-	// Latency is the request-latency histogram: /v1/stats latency_us and
-	// caltrain_query_latency_seconds.
-	Latency *Histogram
 	// Observability is the tier's request logging, tracer and metrics
 	// toggle.
 	Observability Observability
-	// Queries counts queries (batched ones individually), Batches batch
-	// requests, Ingests ingest requests.
-	Queries, Batches, Ingests atomic.Uint64
+
+	tier Tier
+	// latency backs /v1/stats latency_us and
+	// caltrain_query_latency_seconds; queries counts batched queries
+	// individually.
+	latency                   *Histogram
+	queries, batches, ingests atomic.Uint64
 
 	start    time.Time
 	errs     atomic.Uint64
@@ -69,7 +86,7 @@ func WithMaxBatch(n int) FrontOption { return func(f *Front) { f.MaxBatch = n } 
 // DefaultLatencyBucketsUS for sub-millisecond local serving and
 // shard.RouterLatencyBucketsUS for a router's network hops.
 func WithLatencyBuckets(boundsUS []int64) FrontOption {
-	return func(f *Front) { f.Latency = NewHistogram(boundsUS) }
+	return func(f *Front) { f.latency = NewHistogram(boundsUS) }
 }
 
 // WithObservability configures request logging, the slow-query
@@ -80,15 +97,16 @@ func WithObservability(o Observability) FrontOption {
 	return func(f *Front) { f.Observability = o }
 }
 
-// NewFront returns a front with the default limits and a latency
-// histogram over bucketsUS, then opts applied, its uptime clock
+// NewFront returns a front over t with the default limits and a
+// latency histogram over bucketsUS, then opts applied, its uptime clock
 // started now.
-func NewFront(bucketsUS []int64, opts ...FrontOption) *Front {
+func NewFront(t Tier, bucketsUS []int64, opts ...FrontOption) *Front {
 	f := &Front{
 		MaxBody:  DefaultMaxBodyBytes,
 		MaxBatch: DefaultMaxBatch,
 		MaxK:     DefaultMaxK,
-		Latency:  NewHistogram(bucketsUS),
+		tier:     t,
+		latency:  NewHistogram(bucketsUS),
 		start:    time.Now(),
 		errCodes: obs.NewCounterVec("caltrain_request_errors_total",
 			"Error envelopes written, labeled by stable wire-protocol code.", "code"),
@@ -107,16 +125,107 @@ func (f *Front) CountErrors(code string, n int) {
 	f.errCodes.Add(code, uint64(n))
 }
 
-// Fail counts one error and writes its envelope.
-func (f *Front) Fail(w http.ResponseWriter, status int, code, format string, args ...any) {
-	f.CountErrors(code, 1)
-	WriteError(w, status, code, format, args...)
+// Handler serves the wire protocol under the observability middleware
+// (request IDs, request and slow-query logging): the three verbs
+// through this front, and beside them rs, the tier's own routes, with
+// /v1/metrics unmounted when Observability turns metrics off.
+func (f *Front) Handler(rs RouteSet) http.Handler {
+	if f.Observability.DisableMetrics {
+		rs.Metrics = nil
+	}
+	return obs.Middleware(f.Observability, rs.mux(f.serveQuery, f.serveBatch, f.serveIngest))
 }
 
-// Decode reads r's JSON body, bounded by MaxBody, into v. On failure it
+// serveQuery answers POST /v1/query. A single query is counted, and
+// timed, from the moment it arrives.
+func (f *Front) serveQuery(w http.ResponseWriter, r *http.Request) {
+	started := time.Now()
+	f.queries.Add(1)
+	var q QueryRequest
+	if !f.decode(w, r, &q) {
+		return
+	}
+	res := f.tier.Query(r.Context(), q)
+	if ae := res.Failure(); ae != nil {
+		WriteAPIError(w, ae) // the tier counted it
+		return
+	}
+	f.latency.Observe(time.Since(started))
+	writeJSON(w, res.QueryResponse)
+}
+
+// serveBatch answers POST /v1/query/batch.
+func (f *Front) serveBatch(w http.ResponseWriter, r *http.Request) {
+	var req BatchRequest
+	if f.decode(w, r, &req) {
+		resp, err := f.Batch(r.Context(), req.Queries)
+		reply(w, resp, err)
+	}
+}
+
+// serveIngest answers POST /v1/ingest. A read-only tier refuses before
+// reading the body.
+func (f *Front) serveIngest(w http.ResponseWriter, r *http.Request) {
+	var req IngestRequest
+	if f.tier.Writable() && !f.decode(w, r, &req) {
+		return
+	}
+	resp, err := f.Ingest(r.Context(), req.Entries)
+	reply(w, resp, err)
+}
+
+// reply writes a verb's answer, or the *APIError Batch and Ingest
+// refuse with.
+func reply(w http.ResponseWriter, v any, err error) {
+	if err != nil {
+		WriteAPIError(w, err.(*APIError))
+		return
+	}
+	writeJSON(w, v)
+}
+
+// Batch admits a batch of queries, counts it, and times the tier's
+// answer from admission: POST /v1/query/batch past decoding, and a
+// shard.LocalReplica's sub-batch in process. A refused batch gets its
+// *APIError, counted as one error.
+func (f *Front) Batch(ctx context.Context, qs []QueryRequest) (*BatchResponse, error) {
+	if ae := f.admit(len(qs), "batch", "queries"); ae != nil {
+		return nil, ae
+	}
+	started := time.Now()
+	f.batches.Add(1)
+	f.queries.Add(uint64(len(qs)))
+	out := f.tier.Batch(ctx, qs)
+	f.latency.Observe(time.Since(started))
+	return out, nil
+}
+
+// Ingest admits a write, counts it and has the tier apply it: POST
+// /v1/ingest past decoding, and a shard.LocalReplica's write in
+// process. A refusal is the *APIError the tier's error types to,
+// counted as one error — but a read-only tier's 501 is not counted: it
+// is a valid deployment, and the client asked the wrong tier.
+func (f *Front) Ingest(ctx context.Context, es []IngestEntry) (*IngestResponse, error) {
+	if !f.tier.Writable() {
+		return nil, ingestError(ErrIngestDisabled)
+	}
+	if ae := f.admit(len(es), "ingest batch", "entries"); ae != nil {
+		return nil, ae
+	}
+	f.ingests.Add(1)
+	resp, err := f.tier.Ingest(ctx, es)
+	if err != nil {
+		ae := ingestError(err)
+		f.CountErrors(ae.Code, 1)
+		return nil, ae
+	}
+	return resp, nil
+}
+
+// decode reads r's JSON body, bounded by MaxBody, into v. On failure it
 // answers 413 body_too_large or 400 bad_request, counted, and returns
 // false.
-func (f *Front) Decode(w http.ResponseWriter, r *http.Request, v any) bool {
+func (f *Front) decode(w http.ResponseWriter, r *http.Request, v any) bool {
 	r.Body = http.MaxBytesReader(w, r.Body, f.MaxBody)
 	err := json.NewDecoder(r.Body).Decode(v)
 	if err == nil {
@@ -124,21 +233,18 @@ func (f *Front) Decode(w http.ResponseWriter, r *http.Request, v any) bool {
 	}
 	// Declared past the success return: errors.As moves it to the heap.
 	var tooLarge *http.MaxBytesError
+	ae := &APIError{Status: http.StatusBadRequest, Code: ErrCodeBadRequest, Message: "bad request: " + err.Error()}
 	if errors.As(err, &tooLarge) {
-		f.Fail(w, http.StatusRequestEntityTooLarge, ErrCodeBodyTooLarge, "request body exceeds %d bytes", f.MaxBody)
-	} else {
-		f.Fail(w, http.StatusBadRequest, ErrCodeBadRequest, "bad request: %v", err)
+		ae = &APIError{Status: http.StatusRequestEntityTooLarge, Code: ErrCodeBodyTooLarge,
+			Message: fmt.Sprintf("request body exceeds %d bytes", f.MaxBody)}
 	}
+	f.CountErrors(ae.Code, 1)
+	WriteAPIError(w, ae)
 	return false
 }
 
-// AdmitBatch returns nil for a query batch of n within MaxBatch, or the
-// rejection — already counted — an empty or oversized one gets.
-func (f *Front) AdmitBatch(n int) *APIError { return f.admit(n, "batch", "queries") }
-
-// AdmitIngest is AdmitBatch for an ingest batch of n entries.
-func (f *Front) AdmitIngest(n int) *APIError { return f.admit(n, "ingest batch", "entries") }
-
+// admit returns nil for a batch of n within MaxBatch, or the rejection
+// — already counted — an empty or oversized one gets.
 func (f *Front) admit(n int, what, unit string) *APIError {
 	var ae *APIError
 	switch {
@@ -154,18 +260,25 @@ func (f *Front) admit(n int, what, unit string) *APIError {
 	return ae
 }
 
+// Meta is the /v1/meta identity of a tier serving backend with caps:
+// this build and protocol, and whether the front keeps traces.
+func (f *Front) Meta(backend string, caps MetaCapabilities) MetaResponse {
+	caps.Trace = f.Observability.Tracer != nil
+	return MetaResponse{Server: ServerVersion, Protocol: ProtocolVersion, Backend: backend, Capabilities: caps, Build: obs.Build()}
+}
+
 // Stats fills the /v1/stats fields both tiers report: uptime, the
 // request counters, the error total and the latency histogram. The
 // caller adds what only it knows (entries, dimension, index kind).
 func (f *Front) Stats() StatsResponse {
 	return StatsResponse{
 		UptimeSeconds:  time.Since(f.start).Seconds(),
-		Queries:        f.Queries.Load(),
-		BatchRequests:  f.Batches.Load(),
-		IngestRequests: f.Ingests.Load(),
+		Queries:        f.queries.Load(),
+		BatchRequests:  f.batches.Load(),
+		IngestRequests: f.ingests.Load(),
 		Errors:         f.errs.Load(),
-		LatencyUS:      f.Latency.Bins(),
-		LatencySumUS:   f.Latency.SumUS(),
+		LatencyUS:      f.latency.Bins(),
+		LatencySumUS:   f.latency.SumUS(),
 	}
 }
 
@@ -180,20 +293,20 @@ func (f *Front) Registry(tier ...*obs.Family) *obs.Registry {
 		obs.BuildInfoFamily(),
 		obs.CounterFunc("caltrain_queries_total",
 			"Queries served, batched queries counted individually.",
-			func() float64 { return float64(f.Queries.Load()) }),
+			func() float64 { return float64(f.queries.Load()) }),
 		obs.CounterFunc("caltrain_batch_requests_total",
 			"Batch query requests served.",
-			func() float64 { return float64(f.Batches.Load()) }),
+			func() float64 { return float64(f.batches.Load()) }),
 		obs.CounterFunc("caltrain_ingest_requests_total",
 			"Ingest requests served.",
-			func() float64 { return float64(f.Ingests.Load()) }),
+			func() float64 { return float64(f.ingests.Load()) }),
 		f.errCodes.Family(),
 		obs.GaugeFunc("caltrain_uptime_seconds",
 			"Seconds since the process started serving.",
 			func() float64 { return time.Since(f.start).Seconds() }),
 		obs.HistogramFunc("caltrain_query_latency_seconds",
 			"Request latency, the /v1/stats histogram re-emitted cumulatively in seconds.",
-			func() obs.HistogramSnapshot { return PromHistogram(f.Latency.Bins(), f.Latency.SumUS()) }),
+			func() obs.HistogramSnapshot { return PromHistogram(f.latency.Bins(), f.latency.SumUS()) }),
 	)
 	reg.MustRegister(tier...)
 	reg.MustRegister(f.Observability.Tracer.MetricFamilies()...)

@@ -15,8 +15,12 @@ import (
 type Ingester interface {
 	// IngestBatchCtx durably applies a batch of linkages, all-or-nothing:
 	// a validation failure anywhere rejects the whole batch before any
-	// entry is logged. It returns the number of entries applied, and
-	// records the log write as a "wal_append" stage on ctx's trace.
+	// entry is logged. Not so a crash inside the log's one write
+	// (WAL.AppendCtx): its leading records can replay though the batch
+	// was never acknowledged (FuzzWALCrashRestart input 01C000000000000)
+	// until batches carry IDs (ROADMAP item 7). It returns the number of
+	// entries applied, and records the log write as a "wal_append" stage
+	// on ctx's trace.
 	IngestBatchCtx(ctx context.Context, ls []Linkage) (int, error)
 	// IngestStats reports the write path's counters for /stats.
 	IngestStats() IngestStats
@@ -122,18 +126,17 @@ func DecodeIngestEntries(entries []IngestEntry) ([]Linkage, error) {
 	return ls, nil
 }
 
-// ErrIngestDisabled is returned by RunIngestCtx on a read-only daemon
-// (no Ingester configured).
-var ErrIngestDisabled = errors.New("ingest not enabled on this daemon")
+// ErrIngestDisabled is a read-only daemon's (no Ingester configured)
+// refusal of a write.
+var ErrIngestDisabled = errors.New("ingest not enabled on this daemon (start caltrain-serve with -wal)")
 
-// IngestError types a RunIngestCtx error as the reply POST /v1/ingest
-// answers it with: the rejection itself when RunIngestCtx refused the
-// batch's size, 501 for a read-only daemon, 400 for a batch the daemon
-// validated and refused (every replica of its shard would refuse it
-// identically), 500 for daemon-side faults (WAL I/O). A
-// shard.LocalReplica returns the same value, so local and HTTP replicas
-// degrade identically.
-func IngestError(err error) *APIError {
+// ingestError types a Tier's Ingest error as the reply POST /v1/ingest
+// answers it with: an *APIError as it is (a router's own refusal), 501
+// for a read-only daemon, 400 for a batch the daemon validated and
+// refused (every replica of its shard would refuse it identically), 500
+// for daemon-side faults (WAL I/O). A shard.LocalReplica returns the
+// same value, so local and HTTP replicas degrade identically.
+func ingestError(err error) *APIError {
 	var ae *APIError
 	if errors.As(err, &ae) {
 		return ae
@@ -149,49 +152,22 @@ func IngestError(err error) *APIError {
 	return &APIError{Status: status, Code: ErrCodeForStatus(status), Message: err.Error()}
 }
 
-// RunIngestCtx applies an ingest batch through the configured
-// Ingester, bypassing HTTP — the in-process path a local shard replica
-// writes through — recording the durable log write on ctx's trace. The
-// batch is all-or-nothing: any validation failure rejects it before the
-// WAL sees a byte. It holds the batch to the service's limits and
-// counts a rejection as one error, whether the batch came over HTTP or
-// from a local replica.
-func (s *Service) RunIngestCtx(ctx context.Context, entries []IngestEntry) (*IngestResponse, error) {
-	if s.ingester == nil {
-		return nil, ErrIngestDisabled
-	}
-	if ae := s.front.AdmitIngest(len(entries)); ae != nil {
-		return nil, ae
-	}
-	s.front.Ingests.Add(1)
+// Writable reports whether the daemon has a write path (SetIngester).
+func (s *Service) Writable() bool { return s.ingester != nil }
+
+// Ingest applies a batch through the configured Ingester, which its
+// Front calls only when Writable: the daemon's answer to POST
+// /v1/ingest, which the Front admits and counts. Any validation failure
+// rejects the batch before the WAL sees a byte. The durable log write
+// is recorded on ctx's trace.
+func (s *Service) Ingest(ctx context.Context, entries []IngestEntry) (*IngestResponse, error) {
 	ls, err := DecodeIngestEntries(entries)
-	var accepted int
-	if err == nil {
-		accepted, err = s.ingester.IngestBatchCtx(ctx, ls)
-	}
 	if err != nil {
-		s.front.CountErrors(IngestError(err).Code, 1)
+		return nil, err
+	}
+	accepted, err := s.ingester.IngestBatchCtx(ctx, ls)
+	if err != nil {
 		return nil, err
 	}
 	return &IngestResponse{Accepted: accepted, Entries: s.Searcher().Len()}, nil
-}
-
-func (s *Service) handleIngest(w http.ResponseWriter, r *http.Request) {
-	if s.ingester == nil {
-		// Not an error counter event: a read-only daemon is a valid
-		// deployment, the client just asked the wrong tier.
-		WriteError(w, http.StatusNotImplemented, ErrCodeIngestDisabled,
-			"ingest not enabled on this daemon (start caltrain-serve with -wal)")
-		return
-	}
-	var req IngestRequest
-	if !s.front.Decode(w, r, &req) {
-		return
-	}
-	resp, err := s.RunIngestCtx(r.Context(), req.Entries)
-	if err != nil {
-		WriteAPIError(w, IngestError(err))
-		return
-	}
-	writeJSON(w, resp)
 }

@@ -1,12 +1,11 @@
 package fingerprint
 
 import (
+	"cmp"
 	"context"
 	"encoding/hex"
 	"fmt"
-	"net/http"
 	"strconv"
-	"time"
 
 	"caltrain/internal/kernel"
 	"caltrain/internal/obs"
@@ -51,6 +50,17 @@ type BatchResult struct {
 	Code string `json:"code,omitempty"`
 }
 
+// Failure is a failed result as a single query is refused with: its
+// code — a reply predating codes is a bad request — and the status a
+// daemon answers that code with; nil for a success.
+func (b BatchResult) Failure() *APIError {
+	if b.Error == "" {
+		return nil
+	}
+	code := cmp.Or(b.Code, ErrCodeBadRequest)
+	return &APIError{Status: StatusForErrCode(code), Code: code, Message: b.Error}
+}
+
 // BatchResponse is the JSON body of a POST /query/batch reply.
 type BatchResponse struct {
 	Results []BatchResult `json:"results"`
@@ -59,16 +69,6 @@ type BatchResponse struct {
 	// batch is partial rather than failed. Always empty when a single
 	// daemon answers directly.
 	UnreachableShards []string `json:"unreachable_shards,omitempty"`
-}
-
-// queryErrCode classifies a runQuery failure for the error envelope: a
-// k over the service limit is a limit violation, anything else (dim
-// mismatch, negative k) a bad request.
-func queryErrCode(req QueryRequest, maxK int) string {
-	if req.K > maxK {
-		return ErrCodeLimitExceeded
-	}
-	return ErrCodeBadRequest
 }
 
 // kLimit is the rejection of a query asking for more than maxK
@@ -80,11 +80,14 @@ func (s *Service) kLimit(q QueryRequest) error {
 	return nil
 }
 
-// queryFailed counts a failed query of a batch and returns its
-// per-result error: failures inside a 200 batch count toward /stats
-// errors just like failures on /query.
+// queryFailed counts a failed query and returns its per-result error:
+// a k over the service limit is a limit violation, anything else (dim
+// mismatch, negative k) a bad request.
 func (s *Service) queryFailed(q QueryRequest, err error) BatchResult {
-	code := queryErrCode(q, s.front.MaxK)
+	code := ErrCodeBadRequest
+	if q.K > s.front.MaxK {
+		code = ErrCodeLimitExceeded
+	}
 	s.front.CountErrors(code, 1)
 	return BatchResult{Error: err.Error(), Code: code}
 }
@@ -121,39 +124,34 @@ func matchesResponse(matches []Match) *QueryResponse {
 	return resp
 }
 
-func (s *Service) handleQuery(w http.ResponseWriter, r *http.Request) {
-	started := time.Now()
-	s.front.Queries.Add(1)
-	var req QueryRequest
-	if !s.front.Decode(w, r, &req) {
-		return
-	}
+// Query answers one query from the current backend, its "search"
+// stage recorded on ctx's trace, a failure counted: the daemon's answer
+// to POST /v1/query, which its Front serves.
+func (s *Service) Query(ctx context.Context, q QueryRequest) BatchResult {
 	sr := s.Searcher()
-	_, span := obs.StartSpan(r.Context(), "search")
+	_, span := obs.StartSpan(ctx, "search")
 	span.SetAttr("backend", sr.Kind())
 	span.SetAttr("kernel", kernel.Active())
-	resp, err := s.runQuery(sr, req)
+	resp, err := s.runQuery(sr, q)
 	span.SetError(err)
 	span.End()
 	if err != nil {
-		s.front.Fail(w, http.StatusBadRequest, queryErrCode(req, s.front.MaxK), "%v", err)
-		return
+		return s.queryFailed(q, err)
 	}
-	s.front.Latency.Observe(time.Since(started))
-	writeJSON(w, resp)
+	return BatchResult{QueryResponse: resp}
 }
 
-// RunBatch executes a batch of queries against the current backend,
-// bypassing HTTP — the in-process path a local shard replica serves. Each
-// query succeeds or fails independently; counters and the latency
-// histogram are updated exactly as for a POST /query/batch.
+// RunBatch is Batch without a trace: a batch answered in process,
+// neither admitted nor counted nor timed — only its failed queries are
+// counted.
 func (s *Service) RunBatch(reqs []QueryRequest) *BatchResponse {
-	return s.RunBatchCtx(context.Background(), reqs)
+	return s.Batch(context.Background(), reqs)
 }
 
-// RunBatchCtx is RunBatch with a caller-supplied context: the index
-// search is recorded as a "search" stage on the context's trace, so a
-// routed batch's request log attributes time to the search itself.
+// Batch answers a batch of queries from the current backend, each
+// succeeding or failing alone: the daemon's answer to POST
+// /v1/query/batch, which its Front admits, counts and times. The index
+// search is recorded as a "search" stage on ctx's trace.
 //
 // When the serving backend implements BatchSearcher (every index
 // backend does), the whole batch goes down in ONE call: queries sharing
@@ -162,12 +160,9 @@ func (s *Service) RunBatch(reqs []QueryRequest) *BatchResponse {
 // query. The backend pointer is read once, here, so the entire batch —
 // the per-query loop a backend without SearchBatch gets included — is
 // answered by one snapshot even while SetSearcher hot-swaps
-// concurrently. Results, error codes, and /stats counters are identical
+// concurrently. Results, error codes, and error counts are identical
 // to the per-query path.
-func (s *Service) RunBatchCtx(ctx context.Context, reqs []QueryRequest) *BatchResponse {
-	started := time.Now()
-	s.front.Batches.Add(1)
-	s.front.Queries.Add(uint64(len(reqs)))
+func (s *Service) Batch(ctx context.Context, reqs []QueryRequest) *BatchResponse {
 	sr := s.Searcher()
 	_, span := obs.StartSpan(ctx, "search")
 	span.SetAttr("backend", sr.Kind())
@@ -187,7 +182,6 @@ func (s *Service) RunBatchCtx(ctx context.Context, reqs []QueryRequest) *BatchRe
 			out.Results[i] = BatchResult{QueryResponse: resp}
 		}
 	}
-	s.front.Latency.Observe(time.Since(started))
 	return out
 }
 
@@ -222,22 +216,3 @@ func (s *Service) runBatchSearch(bs BatchSearcher, reqs []QueryRequest, out *Bat
 		out.Results[i] = BatchResult{QueryResponse: matchesResponse(results[j])}
 	}
 }
-
-func (s *Service) handleBatch(w http.ResponseWriter, r *http.Request) {
-	var req BatchRequest
-	if !s.front.Decode(w, r, &req) {
-		return
-	}
-	if ae := s.BatchLimit(len(req.Queries)); ae != nil {
-		WriteAPIError(w, ae)
-		return
-	}
-	writeJSON(w, s.RunBatchCtx(r.Context(), req.Queries))
-}
-
-// BatchLimit returns the rejection POST /v1/query/batch answers a batch
-// of n queries with — empty, or over the service's limit — counted as
-// one error; nil within the limit. shard.LocalReplica calls it before
-// RunBatchCtx, so a sub-batch an in-process shard refuses is refused,
-// and counted, exactly as its daemon would over HTTP.
-func (s *Service) BatchLimit(n int) *APIError { return s.front.AdmitBatch(n) }

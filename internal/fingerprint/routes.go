@@ -134,8 +134,7 @@ func CodeOf(err error) string {
 }
 
 // ErrCodeForStatus maps an HTTP status to the envelope code used when
-// no more specific code applies (e.g. typing an ingest error via
-// IngestError).
+// no more specific code applies (e.g. typing an ingest error).
 func ErrCodeForStatus(status int) string {
 	switch status {
 	case http.StatusBadRequest:
@@ -261,16 +260,16 @@ type MetaResponse struct {
 	Build obs.BuildInfo `json:"build"`
 }
 
-// Observability is the per-route-set observability configuration:
-// request logging, the slow-query threshold, and the metrics toggle.
-// The zero value is the always-on baseline — request IDs generated and
+// Observability is a tier's observability configuration: request
+// logging, the slow-query threshold, and the metrics toggle. The zero
+// value is the always-on baseline — request IDs generated and
 // propagated, metrics served, nothing logged.
 type Observability = obs.Options
 
-// RouteSet is the one route table of the accountability wire protocol,
-// shared by the query daemon (Service) and the shard router (Router) so
-// the two can never drift apart. Handler mounts every endpoint under
-// the versioned /v1 prefix, the only spelling.
+// RouteSet is a tier's own routes: Front.Handler mounts them beside the
+// three verbs the Front serves, so the query daemon (Service) and the
+// shard router (Router) share one route table of the accountability
+// wire protocol, under the versioned /v1 prefix, the only spelling.
 //
 //	POST /v1/query        one fingerprint → k nearest neighbours
 //	POST /v1/query/batch  many queries, per-query errors
@@ -282,17 +281,9 @@ type Observability = obs.Options
 //
 // Unknown routes and wrong methods answer with the structured error
 // envelope, like every other failure on the protocol.
-//
-// Handler wraps the whole table in the observability middleware:
-// every request gets an X-Request-Id (generated, or propagated from a
-// valid inbound header), echoed on the response and stamped into error
-// envelopes; request and slow-query logging follow Observability.
 type RouteSet struct {
-	Query      http.HandlerFunc
-	QueryBatch http.HandlerFunc
-	Ingest     http.HandlerFunc
-	Healthz    http.HandlerFunc
-	Stats      http.HandlerFunc
+	Healthz http.HandlerFunc
+	Stats   http.HandlerFunc
 	// Metrics serves the Prometheus exposition (GET /v1/metrics); nil
 	// leaves the route unmounted.
 	Metrics http.HandlerFunc
@@ -311,9 +302,6 @@ type RouteSet struct {
 	// Meta is evaluated per request, so capabilities that change after
 	// construction (SetIngester) stay accurate.
 	Meta func() MetaResponse
-	// Observability configures request logging and the slow-query
-	// threshold for the middleware Handler installs.
-	Observability Observability
 }
 
 // requireMethod wraps h to answer anything but method with a 405
@@ -332,9 +320,9 @@ func requireMethod(method string, h http.HandlerFunc) http.HandlerFunc {
 	}
 }
 
-// Handler mounts the route table under /v1, with envelope-shaped
+// mux mounts the three verbs and rs under /v1, with envelope-shaped
 // 404/405 fallbacks.
-func (rs RouteSet) Handler() http.Handler {
+func (rs RouteSet) mux(query, batch, ingest http.HandlerFunc) *http.ServeMux {
 	mux := http.NewServeMux()
 	mount := func(method, path string, h http.HandlerFunc) {
 		if h == nil {
@@ -342,9 +330,9 @@ func (rs RouteSet) Handler() http.Handler {
 		}
 		mux.HandleFunc("/"+ProtocolVersion+path, requireMethod(method, h))
 	}
-	mount(http.MethodPost, "/query", rs.Query)
-	mount(http.MethodPost, "/query/batch", rs.QueryBatch)
-	mount(http.MethodPost, "/ingest", rs.Ingest)
+	mount(http.MethodPost, "/query", query)
+	mount(http.MethodPost, "/query/batch", batch)
+	mount(http.MethodPost, "/ingest", ingest)
 	mount(http.MethodGet, "/healthz", rs.Healthz)
 	mount(http.MethodGet, "/stats", rs.Stats)
 	mount(http.MethodGet, "/metrics", rs.Metrics)
@@ -360,5 +348,5 @@ func (rs RouteSet) Handler() http.Handler {
 	mux.HandleFunc("/", func(w http.ResponseWriter, r *http.Request) {
 		WriteError(w, http.StatusNotFound, ErrCodeNotFound, "no such endpoint %s", r.URL.Path)
 	})
-	return obs.Middleware(rs.Observability, mux)
+	return mux
 }

@@ -62,7 +62,8 @@ func (s *Service) MustRegisterMetrics(fams ...*obs.Family) {
 // linkage database itself (exact linear scan), or an index over it.
 // SetSearcher swaps the backend while serving.
 func NewSearcherService(sr Searcher, opts ...FrontOption) *Service {
-	s := &Service{searcher: sr, front: NewFront(DefaultLatencyBucketsUS, opts...)}
+	s := &Service{searcher: sr}
+	s.front = NewFront(s, DefaultLatencyBucketsUS, opts...)
 	s.metrics = s.buildMetrics()
 	return s
 }
@@ -82,44 +83,32 @@ func (s *Service) Searcher() Searcher {
 	return s.searcher
 }
 
+// Front is the service's request side: a shard.LocalReplica sends its
+// in-process batches and writes through it, admitted and counted as
+// over HTTP.
+func (s *Service) Front() *Front { return s.front }
+
 // Handler returns the HTTP handler serving the versioned wire protocol
 // (POST /v1/query, POST /v1/query/batch, POST /v1/ingest, GET
-// /v1/healthz, GET /v1/stats, GET /v1/meta) from the shared RouteSet.
+// /v1/healthz, GET /v1/stats, GET /v1/meta): the Front serves the
+// verbs, the service answers them.
 func (s *Service) Handler() http.Handler {
-	rs := RouteSet{
-		Query:         s.handleQuery,
-		QueryBatch:    s.handleBatch,
-		Ingest:        s.handleIngest,
-		Healthz:       s.handleHealthz,
-		Stats:         s.handleStats,
-		Meta:          s.Meta,
-		Observability: s.front.Observability,
-		ReplSnapshot:  s.repl.Snapshot,
-		ReplWAL:       s.repl.WAL,
-		ReplSync:      s.repl.Sync,
-		ReplStatus:    s.repl.Status,
-	}
-	if !s.front.Observability.DisableMetrics {
-		rs.Metrics = s.metrics.ServeHTTP
-	}
-	return rs.Handler()
+	return s.front.Handler(RouteSet{
+		Healthz:      s.handleHealthz,
+		Stats:        s.handleStats,
+		Metrics:      s.metrics.ServeHTTP,
+		Meta:         s.Meta,
+		ReplSnapshot: s.repl.Snapshot,
+		ReplWAL:      s.repl.WAL,
+		ReplSync:     s.repl.Sync,
+		ReplStatus:   s.repl.Status,
+	})
 }
 
 // Meta reports the daemon's /v1/meta identity: the current backend kind
 // and whether a write path is configured.
 func (s *Service) Meta() MetaResponse {
-	return MetaResponse{
-		Server:   ServerVersion,
-		Protocol: ProtocolVersion,
-		Backend:  s.Searcher().Kind(),
-		Capabilities: MetaCapabilities{
-			Ingest:      s.ingester != nil,
-			Sharded:     false,
-			Trace:       s.front.Observability.Tracer != nil,
-			Replication: s.repl.Snapshot != nil,
-		},
-		Build: obs.Build(),
-	}
+	return s.front.Meta(s.Searcher().Kind(), MetaCapabilities{Ingest: s.Writable(), Replication: s.repl.Snapshot != nil})
 }
 
 func (s *Service) handleHealthz(w http.ResponseWriter, _ *http.Request) {

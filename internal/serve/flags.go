@@ -234,4 +234,10 @@ func (l *durationList) Set(s string) error {
 	return nil
 }
 
-func (l *durationList) String() string { return fmt.Sprint([]Duration(*l)) }
+func (l *durationList) String() string {
+	parts := make([]string, len(*l))
+	for i, d := range *l {
+		parts[i] = d.String()
+	}
+	return strings.Join(parts, ",")
+}

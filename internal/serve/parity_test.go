@@ -284,3 +284,16 @@ func FuzzFlagsFileParity(f *testing.F) {
 	}
 	f.Fuzz(checkParity)
 }
+
+// TestKnobTablePrintsFlagSyntax: a knob table's Default column is what
+// one types after the flag — a list comma-joined, nothing when unset —
+// never Go's print of the value (map[], []).
+func TestKnobTablePrintsFlagSyntax(t *testing.T) {
+	for _, sh := range shapes {
+		fs := flag.NewFlagSet(sh.name, flag.ContinueOnError)
+		sh.bind(fs)
+		if table := KnobTable(fs, ""); strings.Contains(table, "map[") || strings.Contains(table, "[]") {
+			t.Errorf("%s's knob table prints Go syntax as a default:\n%s", sh.name, table)
+		}
+	}
+}

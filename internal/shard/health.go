@@ -166,5 +166,5 @@ func (r *Router) handleHealthz(w http.ResponseWriter, req *http.Request) {
 		fingerprint.WriteJSON(w, http.StatusServiceUnavailable, resp)
 		return
 	}
-	writeJSON(w, resp)
+	fingerprint.WriteJSON(w, http.StatusOK, resp)
 }

@@ -103,45 +103,44 @@ func (r *Router) ingestShard(parent context.Context, sid int, entries []fingerpr
 	return res
 }
 
-func (r *Router) handleIngest(w http.ResponseWriter, req *http.Request) {
-	r.front.Ingests.Add(1)
-	var batch fingerprint.IngestRequest
-	if !r.front.Decode(w, req, &batch) {
-		return
-	}
-	if ae := r.front.AdmitIngest(len(batch.Entries)); ae != nil {
-		fingerprint.WriteAPIError(w, ae)
-		return
-	}
+// Writable is true: the router always fans writes out, and a read-only
+// shard's refusal counts against its quorum.
+func (r *Router) Writable() bool { return true }
+
+// Ingest fans a write out to its shards' replicas and reports, per
+// shard, quorum met or missed: the router's answer to POST /v1/ingest,
+// which its Front admits and counts. Entries whose shard missed quorum
+// are counted as failures here; a batch the router refuses outright
+// comes back as an error.
+func (r *Router) Ingest(ctx context.Context, entries []fingerprint.IngestEntry) (*fingerprint.IngestResponse, error) {
 	// Sub-batches apply atomically per shard, but a multi-shard request
 	// is not globally atomic — so everything a shard would refuse is
 	// refused here, by the validator every write path runs, before any
 	// shard sees a byte. Only a mismatch against the daemons' database
 	// dimension (taken here from entry 0) can still surface per shard.
-	ls, err := fingerprint.DecodeIngestEntries(batch.Entries)
+	ls, err := fingerprint.DecodeIngestEntries(entries)
 	if err == nil {
 		err = fingerprint.ValidateLinkages(len(ls[0].F), ls...)
 	}
 	if err != nil {
-		r.front.Fail(w, http.StatusBadRequest, fingerprint.ErrCodeBadRequest, "%v", err)
-		return
+		return nil, &fingerprint.APIError{Status: http.StatusBadRequest, Code: fingerprint.ErrCodeBadRequest, Message: err.Error()}
 	}
 	byShard := make([][]fingerprint.IngestEntry, len(r.shards))
-	for _, e := range batch.Entries {
+	for _, e := range entries {
 		sid := r.m.Shard(e.Label)
 		byShard[sid] = append(byShard[sid], e)
 	}
 	results := make([]shardIngestResult, len(r.shards))
 	// The replication fan-out runs under one "replicate" span; per-replica
 	// attempt spans parent under it via rctx.
-	rctx, replicate := obs.StartSpan(req.Context(), "replicate")
+	rctx, replicate := obs.StartSpan(ctx, "replicate")
 	involved := eachShard(byShard, func(sid int, entries []fingerprint.IngestEntry) {
 		results[sid] = r.ingestShard(rctx, sid, entries)
 	})
 	replicate.SetAttr("shards", strconv.Itoa(involved))
 	replicate.End()
 
-	out := fingerprint.IngestResponse{}
+	out := &fingerprint.IngestResponse{}
 	failed := make([]bool, len(r.shards))
 	for sid, res := range results {
 		if res.entries == 0 {
@@ -182,5 +181,5 @@ func (r *Router) handleIngest(w http.ResponseWriter, req *http.Request) {
 	out.FailedShards = shardNames(failed)
 	sort.Strings(out.DegradedReplicas)
 	sort.Strings(out.ShardErrors)
-	writeJSON(w, out)
+	return out, nil
 }

@@ -280,3 +280,100 @@ func TestErrorsCountedOnce(t *testing.T) {
 		}
 	}
 }
+
+// TestRequestsCountedAlike: every tier — a daemon over HTTP, a service
+// reached in process through a LocalReplica, the router — counts a
+// request by one rule. A batch or an ingest moves batch_requests or
+// ingest_requests only once it is decoded and admitted, and a batch is
+// timed from admission; a refused one moves no counter but errors. An
+// in-process caller holds decoded values, so a body that does not
+// decode never reaches its shard.
+func TestRequestsCountedAlike(t *testing.T) {
+	db := testDB(t, 8, 60, 4)
+	writable := func() *fingerprint.Service {
+		copyDB := db.Snapshot(-1)
+		flat := index.NewFlat(copyDB)
+		svc := fingerprint.NewSearcherService(flat, fingerprint.WithMaxBatch(2))
+		st, err := ingest.Open(t.TempDir(), copyDB, flat, ingest.Options{})
+		if err != nil {
+			t.Fatal(err)
+		}
+		t.Cleanup(func() { st.Close() })
+		svc.SetIngester(st)
+		return svc
+	}
+	daemon, inproc, routed := writable(), writable(), writable()
+	local := NewLocalReplica("local", inproc)
+	rt, err := NewRouter(mustHashMap(t, 1), [][]Replica{{NewLocalReplica("routed", routed)}},
+		WithFront(fingerprint.WithMaxBatch(2)))
+	if err != nil {
+		t.Fatal(err)
+	}
+	post := func(h http.Handler) func(path, body string) {
+		return func(path, body string) { doRawRouter(t, h, http.MethodPost, path, body) }
+	}
+	tiers := []struct {
+		name  string
+		stats http.Handler
+		send  func(path, body string)
+	}{
+		{"daemon", daemon.Handler(), post(daemon.Handler())},
+		{"in-process shard", inproc.Handler(), func(path, body string) {
+			var batch fingerprint.BatchRequest
+			var write fingerprint.IngestRequest
+			switch {
+			case path == "/v1/query/batch" && json.Unmarshal([]byte(body), &batch) == nil:
+				local.QueryBatch(t.Context(), batch.Queries)
+			case path == "/v1/ingest" && json.Unmarshal([]byte(body), &write) == nil:
+				local.Ingest(t.Context(), write.Entries)
+			}
+		}},
+		{"router", rt.Handler(), post(rt.Handler())},
+	}
+	// counts reads queries, batch_requests, ingest_requests and the
+	// latency histogram's count off a tier's /v1/stats.
+	counts := func(h http.Handler) [4]uint64 {
+		rec := httptest.NewRecorder()
+		h.ServeHTTP(rec, httptest.NewRequest(http.MethodGet, "/v1/stats", nil))
+		var st fingerprint.StatsResponse
+		if err := json.NewDecoder(rec.Body).Decode(&st); err != nil {
+			t.Fatal(err)
+		}
+		out := [4]uint64{st.Queries, st.BatchRequests, st.IngestRequests}
+		for _, bin := range st.LatencyUS {
+			out[3] += bin.Count
+		}
+		return out
+	}
+
+	fp := "[" + strings.TrimSuffix(strings.Repeat("0.5,", 8), ",") + "]"
+	q := `{"fingerprint":` + fp + `,"label":1,"k":2}`
+	e := `{"fingerprint":` + fp + `,"label":1,"source":"alike"}`
+	cases := []struct {
+		name, path, body string
+		want             [4]uint64 // queries, batch_requests, ingest_requests, latency count
+	}{
+		{"malformed batch", "/v1/query/batch", `{"queries":[`, [4]uint64{}},
+		{"empty batch", "/v1/query/batch", `{"queries":[]}`, [4]uint64{}},
+		{"oversized batch", "/v1/query/batch", `{"queries":[` + q + `,` + q + `,` + q + `]}`, [4]uint64{}},
+		{"malformed ingest", "/v1/ingest", `{"entries":[`, [4]uint64{}},
+		{"oversized ingest", "/v1/ingest", `{"entries":[` + e + `,` + e + `,` + e + `]}`, [4]uint64{}},
+		{"good batch", "/v1/query/batch", `{"queries":[` + q + `,` + q + `]}`, [4]uint64{2, 1, 0, 1}},
+		{"good ingest", "/v1/ingest", `{"entries":[` + e + `]}`, [4]uint64{0, 0, 1, 0}},
+	}
+	for _, c := range cases {
+		for _, tier := range tiers {
+			before := counts(tier.stats)
+			tier.send(c.path, c.body)
+			after := counts(tier.stats)
+			var moved [4]uint64
+			for i := range moved {
+				moved[i] = after[i] - before[i]
+			}
+			if moved != c.want {
+				t.Errorf("%s on the %s moved queries, batch_requests, ingest_requests, latency count by %v, want %v",
+					c.name, tier.name, moved, c.want)
+			}
+		}
+	}
+}

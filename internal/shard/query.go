@@ -1,12 +1,9 @@
 package shard
 
 import (
-	"cmp"
 	"context"
 	"fmt"
-	"net/http"
 	"strconv"
-	"time"
 
 	"caltrain/internal/fingerprint"
 	"caltrain/internal/obs"
@@ -85,7 +82,7 @@ func (r *Router) scatter(ctx context.Context, reqs []fingerprint.QueryRequest) (
 		if err == nil {
 			for j, pos := range positions {
 				if results[pos] = resp.Results[j]; results[pos].Error != "" {
-					r.front.CountErrors(resultCode(results[pos]), 1)
+					r.front.CountErrors(results[pos].Failure().Code, 1)
 				}
 			}
 			return
@@ -111,19 +108,11 @@ func (r *Router) scatter(ctx context.Context, reqs []fingerprint.QueryRequest) (
 	return results, shardNames(unreachable)
 }
 
-// resultCode is a failed result's wire code; a reply without one (a
-// daemon predating codes) is a bad request.
-func resultCode(res fingerprint.BatchResult) string {
-	return cmp.Or(res.Code, fingerprint.ErrCodeBadRequest)
-}
-
-func (r *Router) handleQuery(w http.ResponseWriter, req *http.Request) {
-	started := time.Now()
-	r.front.Queries.Add(1)
-	var q fingerprint.QueryRequest
-	if !r.front.Decode(w, req, &q) {
-		return
-	}
+// Query answers one query: from the response cache when it holds the
+// request, else from its owning shard. A failure — the shard down
+// (shard_unreachable, 502), or the shard's own rejection, answered with
+// the envelope a single daemon would — is counted by scatter.
+func (r *Router) Query(ctx context.Context, q fingerprint.QueryRequest) fingerprint.BatchResult {
 	// Cache lookup keys on the exact request triple; the generation is
 	// snapshotted BEFORE the scatter so a write landing mid-flight still
 	// invalidates whatever this request caches afterwards.
@@ -135,48 +124,25 @@ func (r *Router) handleQuery(w http.ResponseWriter, req *http.Request) {
 	if r.cache != nil {
 		sid = r.m.Shard(q.Label)
 		key = newCacheKey(q)
-		_, lookup := obs.StartSpan(req.Context(), "cache_lookup")
+		_, lookup := obs.StartSpan(ctx, "cache_lookup")
 		resp, ok := r.cache.get(key)
 		lookup.SetAttr("hit", strconv.FormatBool(ok))
 		lookup.End()
 		if ok {
-			r.front.Latency.Observe(time.Since(started))
-			writeJSON(w, resp)
-			return
+			return fingerprint.BatchResult{QueryResponse: resp}
 		}
 		gen = r.cache.gen(sid)
 	}
-	results, _ := r.scatter(req.Context(), []fingerprint.QueryRequest{q})
-	if res := results[0]; res.Error != "" {
-		// A single query has no partial result to return: its owning
-		// shard being down is a gateway failure (shard_unreachable, 502),
-		// and a shard's rejection (limit_exceeded vs bad_request vs
-		// body_too_large) answers with the envelope — code AND status — a
-		// single daemon would. scatter counted it.
-		code := resultCode(res)
-		fingerprint.WriteError(w, fingerprint.StatusForErrCode(code), code, "%s", res.Error)
-		return
-	}
-	if r.cache != nil {
+	results, _ := r.scatter(ctx, []fingerprint.QueryRequest{q})
+	if r.cache != nil && results[0].Error == "" {
 		r.cache.put(key, sid, gen, results[0].QueryResponse)
 	}
-	r.front.Latency.Observe(time.Since(started))
-	writeJSON(w, results[0].QueryResponse)
+	return results[0]
 }
 
-func (r *Router) handleBatch(w http.ResponseWriter, req *http.Request) {
-	started := time.Now()
-	r.front.Batches.Add(1)
-	var batch fingerprint.BatchRequest
-	if !r.front.Decode(w, req, &batch) {
-		return
-	}
-	if ae := r.front.AdmitBatch(len(batch.Queries)); ae != nil {
-		fingerprint.WriteAPIError(w, ae)
-		return
-	}
-	r.front.Queries.Add(uint64(len(batch.Queries)))
-	results, unreachable := r.scatter(req.Context(), batch.Queries)
-	r.front.Latency.Observe(time.Since(started))
-	writeJSON(w, fingerprint.BatchResponse{Results: results, UnreachableShards: unreachable})
+// Batch answers a batch by scatter-gather: a partial result, never a
+// failed batch, when shards are down.
+func (r *Router) Batch(ctx context.Context, qs []fingerprint.QueryRequest) *fingerprint.BatchResponse {
+	results, unreachable := r.scatter(ctx, qs)
+	return &fingerprint.BatchResponse{Results: results, UnreachableShards: unreachable}
 }

@@ -165,28 +165,21 @@ func NewLocalReplica(name string, svc *fingerprint.Service) *LocalReplica {
 // Addr returns the replica's configured name.
 func (r *LocalReplica) Addr() string { return r.name }
 
-// QueryBatch executes the sub-batch directly against the service, which
-// holds it to its own batch limit as its HTTP handler would. The
-// context's trace (request ID, stage timings) carries through, so an
-// in-process deployment traces like a networked one.
+// QueryBatch executes the sub-batch directly through the service's
+// Front, which admits, counts and times it as over HTTP. The context's
+// trace (request ID, stage timings) carries through, so an in-process
+// deployment traces like a networked one.
 func (r *LocalReplica) QueryBatch(ctx context.Context, reqs []fingerprint.QueryRequest) (*fingerprint.BatchResponse, error) {
-	if ae := r.svc.BatchLimit(len(reqs)); ae != nil {
-		return nil, ae
-	}
-	return r.svc.RunBatchCtx(ctx, reqs), nil
+	return r.svc.Front().Batch(ctx, reqs)
 }
 
-// Ingest applies the batch directly through the service's write path,
-// held to the service's batch limit as over HTTP. An error is the reply
-// the service would have written over HTTP, so the router's quorum
-// accounting treats local and HTTP replicas alike (a validation
-// rejection is definitive, a store fault is not).
+// Ingest applies the batch directly through the service's Front, as
+// over HTTP. An error is the reply the service would have written over
+// HTTP, so the router's quorum accounting treats local and HTTP
+// replicas alike (a validation rejection is definitive, a store fault
+// is not).
 func (r *LocalReplica) Ingest(ctx context.Context, entries []fingerprint.IngestEntry) (*fingerprint.IngestResponse, error) {
-	resp, err := r.svc.RunIngestCtx(ctx, entries)
-	if err != nil {
-		return nil, fingerprint.IngestError(err)
-	}
-	return resp, nil
+	return r.svc.Front().Ingest(ctx, entries)
 }
 
 // Healthz always succeeds: an in-process service lives as long as the

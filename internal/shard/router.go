@@ -138,8 +138,8 @@ func NewRouter(m *Map, replicas [][]Replica, opts ...RouterOption) (*Router, err
 		cooldown:   DefaultReplicaCooldown,
 		metaIngest: true,
 		now:        time.Now,
-		front:      fingerprint.NewFront(RouterLatencyBucketsUS),
 	}
+	r.front = fingerprint.NewFront(r, RouterLatencyBucketsUS)
 	for _, o := range opts {
 		o(r)
 	}
@@ -169,21 +169,15 @@ func (r *Router) NumShards() int { return r.m.NumShards() }
 
 // Handler returns the router's HTTP handler: the same versioned wire
 // protocol a single daemon serves (/v1/*, from the shared
-// fingerprint.RouteSet), answered by scatter-gather.
+// fingerprint.RouteSet), its verbs served by the router's Front and
+// answered by scatter-gather.
 func (r *Router) Handler() http.Handler {
-	rs := fingerprint.RouteSet{
-		Query:         r.handleQuery,
-		QueryBatch:    r.handleBatch,
-		Ingest:        r.handleIngest,
-		Healthz:       r.handleHealthz,
-		Stats:         r.handleStats,
-		Meta:          r.Meta,
-		Observability: r.front.Observability,
-	}
-	if !r.front.Observability.DisableMetrics {
-		rs.Metrics = r.handleMetrics
-	}
-	return rs.Handler()
+	return r.front.Handler(fingerprint.RouteSet{
+		Healthz: r.handleHealthz,
+		Stats:   r.handleStats,
+		Metrics: r.handleMetrics,
+		Meta:    r.Meta,
+	})
 }
 
 // Meta reports the router's /v1/meta identity. Ingest is advertised
@@ -192,17 +186,7 @@ func (r *Router) Handler() http.Handler {
 // -wal — but an in-process read-only Deployment sets it false so
 // discovery tells the truth.
 func (r *Router) Meta() fingerprint.MetaResponse {
-	return fingerprint.MetaResponse{
-		Server:   fingerprint.ServerVersion,
-		Protocol: fingerprint.ProtocolVersion,
-		Backend:  "router",
-		Capabilities: fingerprint.MetaCapabilities{
-			Ingest:  r.metaIngest,
-			Sharded: true,
-			Trace:   r.front.Observability.Tracer != nil,
-		},
-		Build: obs.Build(),
-	}
+	return r.front.Meta("router", fingerprint.MetaCapabilities{Ingest: r.metaIngest, Sharded: true})
 }
 
 // RunRepairLoop runs the anti-entropy repair loop until ctx is
@@ -248,8 +232,4 @@ func shardNames(marked []bool) []string {
 	}
 	sort.Strings(names)
 	return names
-}
-
-func writeJSON(w http.ResponseWriter, v any) {
-	fingerprint.WriteJSON(w, http.StatusOK, v)
 }

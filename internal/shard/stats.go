@@ -123,7 +123,7 @@ func (r *Router) handleStats(w http.ResponseWriter, req *http.Request) {
 		st := r.repair.stats()
 		out.Repair = &st
 	}
-	writeJSON(w, out)
+	fingerprint.WriteJSON(w, http.StatusOK, out)
 }
 
 // handleMetrics refreshes the scrape with a fresh stats fan-out, then

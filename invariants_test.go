@@ -33,10 +33,12 @@ func TestRepositoryInvariants(t *testing.T) {
 
 	t.Run("one request front", func(t *testing.T) {
 		// fingerprint.Front is the only code that bounds and decodes a
-		// request body, declares the families both HTTP tiers export, and
-		// counts an error: the daemon and the router each hold one, so
-		// /v1/stats and /v1/metrics read the same counters and neither
-		// tier enforces a rule the other skips. A second MaxBytesReader,
+		// request body, counts and times a request, declares the families
+		// both HTTP tiers export, and counts an error: the daemon and the
+		// router each hold one over themselves and only answer the verbs
+		// it serves, so /v1/stats and /v1/metrics read the same counters
+		// and neither tier counts a rule the other skips. A second
+		// MaxBytesReader, decode, request counter, latency observation,
 		// family declaration or error increment is a second front.
 		const front = "internal/fingerprint/front.go"
 		files := sources(t, nonTestGo, "internal")
@@ -49,10 +51,20 @@ func TestRepositoryInvariants(t *testing.T) {
 				t.Errorf("%s must appear once, in %s: %v", pat, front, where(hits))
 			}
 		}
-		hits := grep(t, `errCodes\.Inc|\.errs\.Add`, files)
+		for _, pat := range []string{`errCodes\.Inc|\.errs\.Add`, `(?i)\b(queries|batches|ingests)\.Add\(|latency\.Observe\(`} {
+			hits := grep(t, pat, files)
+			delete(hits, front)
+			if len(hits) > 0 {
+				t.Errorf("%s outside %s: %v", pat, front, where(hits))
+			}
+		}
+		// The serving packages decode a request only in the front, and a
+		// reply only in the client.
+		hits := grep(t, `\.Decode\(`, sources(t, nonTestGo, "internal/fingerprint", "internal/shard"))
 		delete(hits, front)
+		delete(hits, "internal/fingerprint/client.go")
 		if len(hits) > 0 {
-			t.Errorf("an error counter outside %s: %v", front, where(hits))
+			t.Errorf(".Decode( outside %s and the client: %v", front, where(hits))
 		}
 	})
 
