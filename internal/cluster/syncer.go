@@ -203,27 +203,21 @@ func (s *Syncer) Status() fingerprint.ReplStatus {
 	}
 }
 
-// MetricFamilies returns the sync gauges for the service registry:
+// MetricFamilies returns the sync families for the service registry:
 // caltrain_replica_sync_state (0 cold, 1 snapshot, 2 catchup, 3 live)
-// and caltrain_replica_sync_lag_seq, plus sync run counters.
+// and the failure counter, which /v1/repl/status does not report, and
+// between them ReplStatus's tagged lag and run counters.
 func (s *Syncer) MetricFamilies() []*obs.Family {
-	return []*obs.Family{
-		obs.GaugeFunc("caltrain_replica_sync_state",
-			"Replica sync state machine position: 0 cold, 1 snapshot, 2 catchup, 3 live.",
-			func() float64 { return float64(s.state.Load()) }),
-		obs.GaugeFunc("caltrain_replica_sync_lag_seq",
-			"Last observed sequence lag behind the sync peer, in records.",
-			func() float64 { return float64(s.lag.Load()) }),
-		obs.CounterFunc("caltrain_replica_syncs_total",
-			"Completed replica sync runs.",
-			func() float64 { return float64(s.syncs.Load()) }),
-		obs.CounterFunc("caltrain_replica_full_syncs_total",
-			"Sync runs that needed a snapshot bootstrap, not WAL catchup alone.",
-			func() float64 { return float64(s.fullSyncs.Load()) }),
-		obs.CounterFunc("caltrain_replica_sync_failures_total",
-			"Sync runs that failed and will be retried on the next nudge.",
-			func() float64 { return float64(s.failures.Load()) }),
-	}
+	fams := []*obs.Family{obs.GaugeFunc("caltrain_replica_sync_state",
+		"Replica sync state machine position: 0 cold, 1 snapshot, 2 catchup, 3 live.",
+		func() float64 { return float64(s.state.Load()) })}
+	fams = append(fams, obs.Fields(func() *fingerprint.ReplStatus {
+		st := s.Status()
+		return &st
+	})...)
+	return append(fams, obs.CounterFunc("caltrain_replica_sync_failures_total",
+		"Sync runs that failed and will be retried on the next nudge.",
+		func() float64 { return float64(s.failures.Load()) }))
 }
 
 // HandleSync is POST /v1/repl/sync — the repair nudge. The sync runs

@@ -56,7 +56,6 @@ type Front struct {
 	queries, batches, ingests atomic.Uint64
 
 	start    time.Time
-	errs     atomic.Uint64
 	errCodes *obs.CounterVec
 }
 
@@ -117,11 +116,10 @@ func NewFront(t Tier, bucketsUS []int64, opts ...FrontOption) *Front {
 	return f
 }
 
-// CountErrors records n failures under one wire-protocol code: the
-// /v1/stats errors total and caltrain_request_errors_total{code} move
-// together, here and nowhere else.
+// CountErrors records n failures under one wire-protocol code in
+// caltrain_request_errors_total{code}, whose sum is the /v1/stats
+// errors total: here and nowhere else.
 func (f *Front) CountErrors(code string, n int) {
-	f.errs.Add(uint64(n))
 	f.errCodes.Add(code, uint64(n))
 }
 
@@ -267,6 +265,31 @@ func (f *Front) Meta(backend string, caps MetaCapabilities) MetaResponse {
 	return MetaResponse{Server: ServerVersion, Protocol: ProtocolVersion, Backend: backend, Capabilities: caps, Build: obs.Build()}
 }
 
+// StatsResponse is the JSON body of GET /v1/stats. A field tagged
+// metric:"…" is also a family of the tier's scrape (obs.Fields), so the
+// two views of its number are one declaration.
+type StatsResponse struct {
+	Entries        int            `json:"entries"`
+	Dim            int            `json:"dim"`
+	Index          string         `json:"index"`
+	UptimeSeconds  float64        `json:"uptime_seconds" metric:"caltrain_uptime_seconds" help:"Seconds since the process started serving."`
+	Queries        uint64         `json:"queries" metric:"caltrain_queries_total" help:"Queries served, batched queries counted individually."`
+	BatchRequests  uint64         `json:"batch_requests" metric:"caltrain_batch_requests_total" help:"Batch query requests served."`
+	IngestRequests uint64         `json:"ingest_requests,omitempty" metric:"caltrain_ingest_requests_total" help:"Ingest requests served."`
+	Errors         uint64         `json:"errors"` // the sum of caltrain_request_errors_total
+	LatencyUS      []HistogramBin `json:"latency_us"`
+	// LatencySumUS is the sum of all observed latencies (microseconds),
+	// so rates and averages derive without bucket interpolation.
+	LatencySumUS int64 `json:"latency_sum_us,omitempty"`
+	// Ingest carries the write path's counters when the daemon has one
+	// (started with -wal).
+	Ingest *IngestStats `json:"ingest,omitempty"`
+	// LinkageResidentBytes is the caltrain_linkage_resident_bytes gauge
+	// family by its part label: what the linkages cost resident in the
+	// database's rows, provenance and class index, and in the index.
+	LinkageResidentBytes map[string]int64 `json:"linkage_resident_bytes,omitempty"`
+}
+
 // Stats fills the /v1/stats fields both tiers report: uptime, the
 // request counters, the error total and the latency histogram. The
 // caller adds what only it knows (entries, dimension, index kind).
@@ -276,34 +299,26 @@ func (f *Front) Stats() StatsResponse {
 		Queries:        f.queries.Load(),
 		BatchRequests:  f.batches.Load(),
 		IngestRequests: f.ingests.Load(),
-		Errors:         f.errs.Load(),
+		Errors:         f.errCodes.Total(),
 		LatencyUS:      f.latency.Bins(),
 		LatencySumUS:   f.latency.SumUS(),
 	}
 }
 
 // Registry assembles a tier's Prometheus registry: the families both
-// tiers export — build info, the request counters, errors by code,
-// uptime and the latency histogram — then the tier's own, then the
+// tiers export — build info, StatsResponse's tagged fields, errors by
+// code and the latency histogram — then the tier's own, then the
 // tracer's and the runtime's. Every family reads the counters above at
 // scrape time.
 func (f *Front) Registry(tier ...*obs.Family) *obs.Registry {
 	reg := obs.NewRegistry()
+	reg.MustRegister(obs.BuildInfoFamily())
+	reg.MustRegister(obs.Fields(func() *StatsResponse {
+		st := f.Stats()
+		return &st
+	})...)
 	reg.MustRegister(
-		obs.BuildInfoFamily(),
-		obs.CounterFunc("caltrain_queries_total",
-			"Queries served, batched queries counted individually.",
-			func() float64 { return float64(f.queries.Load()) }),
-		obs.CounterFunc("caltrain_batch_requests_total",
-			"Batch query requests served.",
-			func() float64 { return float64(f.batches.Load()) }),
-		obs.CounterFunc("caltrain_ingest_requests_total",
-			"Ingest requests served.",
-			func() float64 { return float64(f.ingests.Load()) }),
 		f.errCodes.Family(),
-		obs.GaugeFunc("caltrain_uptime_seconds",
-			"Seconds since the process started serving.",
-			func() float64 { return time.Since(f.start).Seconds() }),
 		obs.HistogramFunc("caltrain_query_latency_seconds",
 			"Request latency, the /v1/stats histogram re-emitted cumulatively in seconds.",
 			func() obs.HistogramSnapshot { return PromHistogram(f.latency.Bins(), f.latency.SumUS()) }),

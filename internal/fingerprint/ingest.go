@@ -30,27 +30,27 @@ type Ingester interface {
 type IngestStats struct {
 	// Accepted counts entries durably applied since startup (replayed
 	// entries excluded).
-	Accepted uint64 `json:"accepted"`
+	Accepted uint64 `json:"accepted" metric:"caltrain_ingest_accepted_total" help:"Entries durably applied since startup (replay excluded)."`
 	// WALBytes is the current size of the write-ahead log across all
 	// live segments — the operator's cue that a snapshot is overdue.
-	WALBytes int64 `json:"wal_bytes"`
+	WALBytes int64 `json:"wal_bytes" metric:"caltrain_wal_bytes" help:"Bytes across all live WAL segments — the cue that a snapshot is overdue."`
 	// ReplayEntries counts entries restored from the WAL at startup.
-	ReplayEntries uint64 `json:"replay_entries"`
+	ReplayEntries uint64 `json:"replay_entries" metric:"caltrain_ingest_replayed_entries" help:"Entries restored from the WAL at startup."`
 	// LastSnapshotUnix is the Unix time of the last snapshot+truncate
 	// compaction, 0 if none has run this process.
 	LastSnapshotUnix int64 `json:"last_snapshot_unix"`
 	// Retrains counts background index retrain + hot-swap cycles
 	// triggered by drift.
-	Retrains uint64 `json:"retrains"`
+	Retrains uint64 `json:"retrains" metric:"caltrain_ingest_retrains_total" help:"Background index retrain and hot-swap cycles."`
 	// Drift is the serving backend's current appended fraction (0 for
 	// exact backends).
-	Drift float64 `json:"drift"`
+	Drift float64 `json:"drift" metric:"caltrain_index_drift" help:"Serving backend's appended fraction since its last (re)train."`
 	// Segments is the number of live WAL segments.
-	Segments int `json:"wal_segments,omitempty"`
+	Segments int `json:"wal_segments,omitempty" metric:"caltrain_wal_segments" help:"Live WAL segments."`
 	// LastSnapshotAgeSeconds is how long ago the last snapshot ran, 0
 	// when none has run this process — the age form of
 	// LastSnapshotUnix, so dashboards need no wall-clock math.
-	LastSnapshotAgeSeconds float64 `json:"last_snapshot_age_seconds,omitempty"`
+	LastSnapshotAgeSeconds float64 `json:"last_snapshot_age_seconds,omitempty" metric:"caltrain_last_snapshot_age_seconds,omitzero" help:"Seconds since the last snapshot+truncate compaction; absent before the first."`
 }
 
 // SetIngester enables the write path: POST /ingest applies batches

@@ -232,15 +232,15 @@ type ReplStatus struct {
 	State string `json:"state"`
 	// LagSeq is the last observed gap between the peer's head sequence
 	// and this replica's, in records; 0 when caught up or never synced.
-	LagSeq int64 `json:"lag_seq"`
+	LagSeq int64 `json:"lag_seq" metric:"caltrain_replica_sync_lag_seq" help:"Last observed sequence lag behind the sync peer, in records."`
 	// Head is this replica's own next sequence number.
 	Head uint64 `json:"head"`
 	// Peer is the sync source base URL ("" when none is configured).
 	Peer string `json:"peer,omitempty"`
 	// Syncs counts completed sync runs; FullSyncs counts the subset
 	// that needed a snapshot bootstrap rather than WAL catchup alone.
-	Syncs     uint64 `json:"syncs"`
-	FullSyncs uint64 `json:"full_syncs"`
+	Syncs     uint64 `json:"syncs" metric:"caltrain_replica_syncs_total" help:"Completed replica sync runs."`
+	FullSyncs uint64 `json:"full_syncs" metric:"caltrain_replica_full_syncs_total" help:"Sync runs that needed a snapshot bootstrap, not WAL catchup alone."`
 	// LastSyncUnix is when the last successful sync finished.
 	LastSyncUnix int64 `json:"last_sync_unix,omitempty"`
 	// LastError is the most recent sync failure, cleared on success.

@@ -9,29 +9,6 @@ import (
 	"caltrain/internal/obs"
 )
 
-// StatsResponse is the JSON body of GET /stats.
-type StatsResponse struct {
-	Entries        int            `json:"entries"`
-	Dim            int            `json:"dim"`
-	Index          string         `json:"index"`
-	UptimeSeconds  float64        `json:"uptime_seconds"`
-	Queries        uint64         `json:"queries"`
-	BatchRequests  uint64         `json:"batch_requests"`
-	IngestRequests uint64         `json:"ingest_requests,omitempty"`
-	Errors         uint64         `json:"errors"`
-	LatencyUS      []HistogramBin `json:"latency_us"`
-	// LatencySumUS is the sum of all observed latencies (microseconds),
-	// so rates and averages derive without bucket interpolation.
-	LatencySumUS int64 `json:"latency_sum_us,omitempty"`
-	// Ingest carries the write path's counters when the daemon has one
-	// (started with -wal).
-	Ingest *IngestStats `json:"ingest,omitempty"`
-	// LinkageResidentBytes is the caltrain_linkage_resident_bytes gauge
-	// family by its part label: what the linkages cost resident in the
-	// database's rows, provenance and class index, and in the index.
-	LinkageResidentBytes map[string]int64 `json:"linkage_resident_bytes,omitempty"`
-}
-
 // ResidentBytesMetric names the gauge family StatsSnapshot re-reports as
 // StatsResponse.LinkageResidentBytes; the deployment that knows the
 // database declares it through MustRegisterMetrics.
@@ -46,11 +23,7 @@ func (s *Service) handleStats(w http.ResponseWriter, _ *http.Request) {
 func (s *Service) StatsSnapshot() StatsResponse {
 	sr := s.Searcher()
 	out := s.front.Stats()
-	out.Entries, out.Dim, out.Index = sr.Len(), sr.Dim(), sr.Kind()
-	if s.ingester != nil {
-		st := s.ingester.IngestStats()
-		out.Ingest = &st
-	}
+	out.Entries, out.Dim, out.Index, out.Ingest = sr.Len(), sr.Dim(), sr.Kind(), s.ingestStats()
 	for _, part := range s.metrics.Collect(ResidentBytesMetric) {
 		if out.LinkageResidentBytes == nil {
 			out.LinkageResidentBytes = make(map[string]int64)
@@ -61,56 +34,22 @@ func (s *Service) StatsSnapshot() StatsResponse {
 }
 
 // buildMetrics assembles the daemon's Prometheus registry: the Front's
-// shared families plus the serving backend's size and the write path's.
-// Every family reads the existing serving counters at scrape time; the
-// ingest families collect nothing (and so vanish from the exposition)
-// on a read-only daemon.
+// shared families plus the serving backend's size and the write path's
+// stats, which a read-only daemon's scrape leaves out.
 func (s *Service) buildMetrics() *obs.Registry {
-	// One gauge/counter per write-path stat, suppressed when the daemon
-	// has no ingester so a read-only daemon's scrape reports no WAL.
-	ing := func(fn func(IngestStats) float64) func() []obs.Sample {
-		return func() []obs.Sample {
-			if s.ingester == nil {
-				return nil
-			}
-			return []obs.Sample{{Value: fn(s.ingester.IngestStats())}}
-		}
+	entries := obs.GaugeFunc("caltrain_entries",
+		"Entries in the serving backend.",
+		func() float64 { return float64(s.Searcher().Len()) })
+	return s.front.Registry(append([]*obs.Family{entries}, obs.Fields(s.ingestStats)...)...)
+}
+
+// ingestStats reads the write path's stats, nil on a read-only daemon.
+func (s *Service) ingestStats() *IngestStats {
+	if s.ingester == nil {
+		return nil
 	}
-	return s.front.Registry(
-		obs.GaugeFunc("caltrain_entries",
-			"Entries in the serving backend.",
-			func() float64 { return float64(s.Searcher().Len()) }),
-		obs.SamplesFunc("caltrain_wal_bytes",
-			"Bytes across all live WAL segments — the cue that a snapshot is overdue.",
-			obs.KindGauge, ing(func(st IngestStats) float64 { return float64(st.WALBytes) })),
-		obs.SamplesFunc("caltrain_wal_segments",
-			"Live WAL segments.",
-			obs.KindGauge, ing(func(st IngestStats) float64 { return float64(st.Segments) })),
-		obs.SamplesFunc("caltrain_ingest_accepted_total",
-			"Entries durably applied since startup (replay excluded).",
-			obs.KindCounter, ing(func(st IngestStats) float64 { return float64(st.Accepted) })),
-		obs.SamplesFunc("caltrain_ingest_replayed_entries",
-			"Entries restored from the WAL at startup.",
-			obs.KindGauge, ing(func(st IngestStats) float64 { return float64(st.ReplayEntries) })),
-		obs.SamplesFunc("caltrain_ingest_retrains_total",
-			"Background index retrain and hot-swap cycles.",
-			obs.KindCounter, ing(func(st IngestStats) float64 { return float64(st.Retrains) })),
-		obs.SamplesFunc("caltrain_index_drift",
-			"Serving backend's appended fraction since its last (re)train.",
-			obs.KindGauge, ing(func(st IngestStats) float64 { return st.Drift })),
-		obs.SamplesFunc("caltrain_last_snapshot_age_seconds",
-			"Seconds since the last snapshot+truncate compaction; absent before the first.",
-			obs.KindGauge, func() []obs.Sample {
-				if s.ingester == nil {
-					return nil
-				}
-				st := s.ingester.IngestStats()
-				if st.LastSnapshotUnix == 0 {
-					return nil
-				}
-				return []obs.Sample{{Value: st.LastSnapshotAgeSeconds}}
-			}),
-	)
+	st := s.ingester.IngestStats()
+	return &st
 }
 
 // HistogramBin is one cumulative-style latency bucket: Count queries took

@@ -17,6 +17,7 @@ import (
 	"io"
 	"math"
 	"net/http"
+	"reflect"
 	"regexp"
 	"sort"
 	"strconv"
@@ -54,7 +55,9 @@ type Sample struct {
 // samples suppresses the family entirely for that scrape (its HELP/TYPE
 // lines included), so conditional metrics — ingest gauges on a
 // read-only daemon — simply vanish instead of reporting zeros that
-// would read as "a WAL exists and is empty".
+// would read as "a WAL exists and is empty". A stat a JSON status body
+// also reports is declared once, by a tagged field of that body's
+// struct: see Fields.
 type Family struct {
 	Name    string
 	Help    string
@@ -232,6 +235,49 @@ func GaugeFunc(name, help string, fn func() float64) *Family {
 	}}
 }
 
+// Fields builds one family per field of T tagged metric:"<name>", its
+// HELP the field's help:"…" tag: a counter when the name ends in
+// _total, a gauge otherwise. Each samples that field of what read
+// returns at scrape time. Every family is absent while read returns
+// nil, and one tagged metric:"<name>,omitzero" while its field reads
+// zero. The tagged field is the stat's one declaration: the JSON body
+// that encodes T and the scrape report the same number. A tag on a
+// field that is not a number is a programming bug, and panics.
+func Fields[T any](read func() *T) []*Family {
+	var out []*Family
+	for _, f := range reflect.VisibleFields(reflect.TypeFor[T]()) {
+		tag, ok := f.Tag.Lookup("metric")
+		if !ok {
+			continue
+		}
+		name, opt, _ := strings.Cut(tag, ",")
+		if opt != "" && opt != "omitzero" {
+			panic(fmt.Sprintf("obs: field %s: unknown metric option %q", f.Name, opt))
+		}
+		if !f.Type.ConvertibleTo(float64Type) {
+			panic(fmt.Sprintf("obs: field %s (%s) is not a number", f.Name, f.Type))
+		}
+		kind := KindGauge
+		if strings.HasSuffix(name, "_total") {
+			kind = KindCounter
+		}
+		out = append(out, SamplesFunc(name, f.Tag.Get("help"), kind, func() []Sample {
+			p := read()
+			if p == nil {
+				return nil
+			}
+			v := reflect.ValueOf(p).Elem().FieldByIndex(f.Index)
+			if opt == "omitzero" && v.IsZero() {
+				return nil
+			}
+			return []Sample{{Value: v.Convert(float64Type).Float()}}
+		}))
+	}
+	return out
+}
+
+var float64Type = reflect.TypeFor[float64]()
+
 // SamplesFunc builds a family of the given kind whose samples are
 // produced whole by fn at scrape time — for labeled or conditional
 // metrics (per-shard gauges, ingest stats on a daemon that may be
@@ -332,6 +378,17 @@ func (v *CounterVec) Value(value string) uint64 {
 		return c.Load()
 	}
 	return 0
+}
+
+// Total sums the counters over every label value.
+func (v *CounterVec) Total() uint64 {
+	v.mu.RLock()
+	defer v.mu.RUnlock()
+	var sum uint64
+	for _, c := range v.children {
+		sum += c.Load()
+	}
+	return sum
 }
 
 // Family renders the vec as a registerable family; samples are sorted

@@ -141,6 +141,67 @@ func TestCounterVecConcurrent(t *testing.T) {
 	}
 }
 
+// TestFields: a tagged field is a family — a counter by its _total
+// name, a gauge otherwise — that reads the field at scrape time, absent
+// while read returns nil, and while it reads zero when tagged omitzero.
+func TestFields(t *testing.T) {
+	type stats struct {
+		Hits  uint64  `json:"hits" metric:"caltrain_hits_total" help:"Hits."`
+		Lag   int64   `metric:"caltrain_lag" help:"Lag."`
+		Age   float64 `metric:"caltrain_age_seconds,omitzero" help:"Age."`
+		Label string  `json:"label"`
+	}
+	var cur *stats
+	fams := Fields(func() *stats { return cur })
+	r := NewRegistry()
+	r.MustRegister(fams...)
+	scrape := func() string {
+		var buf bytes.Buffer
+		if err := r.WriteText(&buf); err != nil {
+			t.Fatal(err)
+		}
+		return buf.String()
+	}
+	if out := scrape(); out != "" {
+		t.Fatalf("nil read scraped %q", out)
+	}
+	cur = &stats{Hits: 3, Lag: -2}
+	want := "# HELP caltrain_hits_total Hits.\n# TYPE caltrain_hits_total counter\ncaltrain_hits_total 3\n" +
+		"# HELP caltrain_lag Lag.\n# TYPE caltrain_lag gauge\ncaltrain_lag -2\n"
+	if out := scrape(); out != want {
+		t.Fatalf("scrape = %q, want %q (omitzero age absent)", out, want)
+	}
+	cur.Age = 1.5
+	if out := scrape(); !strings.HasSuffix(out, "# TYPE caltrain_age_seconds gauge\ncaltrain_age_seconds 1.5\n") {
+		t.Fatalf("nonzero omitzero field not scraped: %q", out)
+	}
+	if err := Lint(strings.NewReader(scrape())); err != nil {
+		t.Fatal(err)
+	}
+	defer func() {
+		if recover() == nil {
+			t.Fatal("a metric tag on a string field did not panic")
+		}
+	}()
+	Fields(func() *struct {
+		S string `metric:"caltrain_s"`
+	} {
+		return nil
+	})
+}
+
+func TestCounterVecTotal(t *testing.T) {
+	v := NewCounterVec("caltrain_request_errors_total", "Errors by code.", "code")
+	if v.Total() != 0 {
+		t.Fatalf("empty vec totals %d", v.Total())
+	}
+	v.Add("bad_request", 2)
+	v.Inc("not_found")
+	if v.Total() != 3 {
+		t.Fatalf("total %d, want 3", v.Total())
+	}
+}
+
 func TestLintRejections(t *testing.T) {
 	cases := map[string]string{
 		"sample without HELP/TYPE": "orphan_metric 1\n",

@@ -2,6 +2,7 @@ package serve
 
 import (
 	"bytes"
+	"encoding/json"
 	"flag"
 	"fmt"
 	"io"
@@ -9,12 +10,15 @@ import (
 	"net/http/httptest"
 	"os"
 	"path/filepath"
+	"reflect"
 	"sort"
+	"strconv"
 	"strings"
 	"testing"
 
 	"caltrain/internal/fingerprint"
 	"caltrain/internal/index"
+	"caltrain/internal/obs/obstest"
 	"caltrain/internal/shard"
 )
 
@@ -149,5 +153,109 @@ func TestExpositionGolden(t *testing.T) {
 	}
 	if !bytes.Equal(got.Bytes(), want) {
 		t.Errorf("the scrapes no longer declare %s (after an intentional change: go test -run TestExpositionGolden -update .):\n%s", golden, got.Bytes())
+	}
+}
+
+// TestStatsMetricsParity walks every metric-tagged field of the blocks
+// each shape's /v1/stats and /v1/repl/status encode, after one
+// malformed query: its family reads what the JSON reports, between a
+// scrape before and one after (equal but for a clock), and is absent
+// where its block is, or where it is tagged omitzero and reads zero.
+// Between them the shapes show every tagged family, and /v1/stats
+// errors is the sum of caltrain_request_errors_total.
+func TestStatsMetricsParity(t *testing.T) {
+	// Beside the four, a volatile daemon: an ingest block that never
+	// snapshots, whose scrape has no snapshot age.
+	volatile, err := Deployment{VolatileWrites: true}.Build(testDB(t, 8, 40, 5))
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer volatile.Close()
+	shown := map[string]bool{}
+	tagged := map[string]bool{}
+	for _, sh := range append(metricShapes(t), metricShape{"volatile daemon", volatile}) {
+		t.Run(sh.name, func(t *testing.T) {
+			h := sh.srv.Handler()
+			post(t, h, "/v1/query", "{", http.StatusBadRequest)
+			before := unlabeled(get(t, h, "/v1/metrics"))
+			var head *fingerprint.StatsResponse
+			var blocks []any
+			if sh.srv.router != nil {
+				var st shard.StatsResponse
+				decode(t, get(t, h, "/v1/stats"), &st)
+				head, blocks = &st.StatsResponse, []any{&st.StatsResponse, st.Repair}
+			} else {
+				var st fingerprint.StatsResponse
+				decode(t, get(t, h, "/v1/stats"), &st)
+				head, blocks = &st, []any{&st, st.Ingest}
+			}
+			if sh.srv.syncer != nil {
+				var rs fingerprint.ReplStatus
+				decode(t, get(t, h, "/v1/repl/status"), &rs)
+				blocks = append(blocks, &rs)
+			}
+			exposition := get(t, h, "/v1/metrics")
+			after := unlabeled(exposition)
+			for _, b := range blocks {
+				v := reflect.ValueOf(b)
+				for _, f := range reflect.VisibleFields(v.Type().Elem()) {
+					tag, ok := f.Tag.Lookup("metric")
+					if !ok {
+						continue
+					}
+					name, opt, _ := strings.Cut(tag, ",")
+					tagged[name] = true
+					a, inBefore := before[name]
+					z, inAfter := after[name]
+					if v.IsNil() || opt == "omitzero" && v.Elem().FieldByIndex(f.Index).IsZero() {
+						if inBefore || inAfter {
+							t.Errorf("%s is scraped, but its %s field is absent or zero in the JSON", name, f.Name)
+						}
+						continue
+					}
+					want := v.Elem().FieldByIndex(f.Index).Convert(reflect.TypeFor[float64]()).Float()
+					if !inBefore || !inAfter || want < a || want > z {
+						t.Errorf("%s scraped %v then %v (present %v, %v); the JSON's %s is %v", name, a, z, inBefore, inAfter, f.Name, want)
+					}
+					shown[name] = true
+				}
+			}
+			if got := obstest.Sum(t, exposition, "caltrain_request_errors_total"); got != float64(head.Errors) {
+				t.Errorf("caltrain_request_errors_total sums to %v, /v1/stats errors is %d", got, head.Errors)
+			}
+		})
+	}
+	for name := range tagged {
+		if !shown[name] {
+			t.Errorf("no shape scrapes %s: the shapes no longer cover every tagged family", name)
+		}
+	}
+	if _, ok := unlabeled(get(t, volatile.Handler(), "/v1/metrics"))["caltrain_last_snapshot_age_seconds"]; ok {
+		t.Error("a daemon that never snapshots scrapes a snapshot age")
+	}
+	if len(tagged) == 0 {
+		t.Fatal("no metric-tagged field: the parity holds vacuously")
+	}
+}
+
+// unlabeled maps each unlabeled sample of an exposition to its value.
+func unlabeled(exposition string) map[string]float64 {
+	out := map[string]float64{}
+	for _, line := range strings.Split(exposition, "\n") {
+		name, value, ok := strings.Cut(line, " ")
+		if !ok || strings.HasPrefix(line, "#") || strings.Contains(name, "{") {
+			continue
+		}
+		if v, err := strconv.ParseFloat(value, 64); err == nil {
+			out[name] = v
+		}
+	}
+	return out
+}
+
+func decode(t *testing.T, body string, v any) {
+	t.Helper()
+	if err := json.Unmarshal([]byte(body), v); err != nil {
+		t.Fatal(err)
 	}
 }

@@ -64,11 +64,11 @@ type RepairStats struct {
 	AfterSeconds float64 `json:"after_seconds"`
 	// Attempts counts repairs started; Succeeded those that drove the
 	// replica to live, Failed those that errored or timed out.
-	Attempts  uint64 `json:"attempts"`
-	Succeeded uint64 `json:"succeeded"`
-	Failed    uint64 `json:"failed"`
+	Attempts  uint64 `json:"attempts" metric:"caltrain_router_repair_attempts_total" help:"Anti-entropy repairs started by the router's repair loop."`
+	Succeeded uint64 `json:"succeeded" metric:"caltrain_router_repair_success_total" help:"Repairs that drove the replica's sync state machine to live."`
+	Failed    uint64 `json:"failed" metric:"caltrain_router_repair_failures_total" help:"Repairs that errored or timed out before the replica reached live."`
 	// InFlight is how many repairs are running right now.
-	InFlight int `json:"in_flight"`
+	InFlight int `json:"in_flight" metric:"caltrain_router_repairs_in_flight" help:"Repairs currently running."`
 	// LastReplica/LastPeer/LastUnix/LastError describe the most recently
 	// finished attempt.
 	LastReplica string `json:"last_replica,omitempty"`
@@ -119,10 +119,15 @@ func newRepairer(r *Router, cfg RepairOptions) *repairer {
 	return &repairer{r: r, cfg: cfg, retryAt: map[*replicaState]time.Time{}}
 }
 
-func (rp *repairer) stats() RepairStats {
+// stats reads the loop's counters and its last attempt; nil when the
+// router has no repair loop.
+func (rp *repairer) stats() *RepairStats {
+	if rp == nil {
+		return nil
+	}
 	rp.mu.Lock()
 	defer rp.mu.Unlock()
-	return RepairStats{
+	return &RepairStats{
 		AfterSeconds: rp.cfg.After.Seconds(),
 		Attempts:     rp.attempts.Load(),
 		Succeeded:    rp.succeeded.Load(),
@@ -132,23 +137,6 @@ func (rp *repairer) stats() RepairStats {
 		LastPeer:     rp.lastPeer,
 		LastUnix:     rp.lastUnix,
 		LastError:    rp.lastError,
-	}
-}
-
-func (rp *repairer) metricFamilies() []*obs.Family {
-	return []*obs.Family{
-		obs.CounterFunc("caltrain_router_repair_attempts_total",
-			"Anti-entropy repairs started by the router's repair loop.",
-			func() float64 { return float64(rp.attempts.Load()) }),
-		obs.CounterFunc("caltrain_router_repair_success_total",
-			"Repairs that drove the replica's sync state machine to live.",
-			func() float64 { return float64(rp.succeeded.Load()) }),
-		obs.CounterFunc("caltrain_router_repair_failures_total",
-			"Repairs that errored or timed out before the replica reached live.",
-			func() float64 { return float64(rp.failed.Load()) }),
-		obs.GaugeFunc("caltrain_router_repairs_in_flight",
-			"Repairs currently running.",
-			func() float64 { return float64(rp.inFlight.Load()) }),
 	}
 }
 

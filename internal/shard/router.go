@@ -6,6 +6,7 @@ import (
 	"net/http"
 	"sort"
 	"sync"
+	"sync/atomic"
 	"time"
 
 	"caltrain/internal/fingerprint"
@@ -60,11 +61,10 @@ type Router struct {
 	repair    *repairer
 
 	metrics *obs.Registry
-	// scrapeMu guards scrape, the shard totals refreshed on every
-	// /v1/metrics request so the per-shard gauges and the rolled-up
-	// histogram read from one consistent fetch.
-	scrapeMu sync.Mutex
-	scrape   shardTotals
+	// scrape is the stats fan-out handleMetrics stores before it
+	// renders, so the per-shard gauges and the rolled-up histogram read
+	// from one consistent fetch.
+	scrape atomic.Pointer[scrape]
 }
 
 // RouterOption configures a Router.

@@ -33,28 +33,17 @@ type StatsResponse struct {
 	Repair *RepairStats `json:"repair,omitempty"`
 }
 
-// shardTotals is one stats fan-out folded once: GET /stats renders it
-// as JSON, and a /metrics scrape stores it for the per-shard gauges and
-// the rolled-up histogram to read.
-type shardTotals struct {
-	// shards holds the shards that answered, in shard order, each as
-	// reported by its first answering replica; unreachable names the rest.
-	shards      []ShardStats
-	unreachable []string
-	entries     int // summed over shards
-	dim         int
-	// latency is the MergeBins roll-up of the shards' latency histograms,
-	// latencySumUS their summed latency sums.
-	latency      []fingerprint.HistogramBin
-	latencySumUS int64
-	// ingest aggregates the write path across shards, nil when no shard
-	// has one.
-	ingest *fingerprint.IngestStats
+// scrape is one stats fan-out folded into the router's /v1/stats body,
+// with the shards' summed latency sum beside it for the rolled-up
+// histogram (the body carries only their merged bins).
+type scrape struct {
+	StatsResponse
+	shardLatencySumUS int64
 }
 
-// shardTotals asks every shard for /stats concurrently and folds the
-// answers.
-func (r *Router) shardTotals(ctx context.Context) shardTotals {
+// stats asks every shard for /stats concurrently and folds the answers
+// into the router's /v1/stats body.
+func (r *Router) stats(ctx context.Context) *scrape {
 	answers := make([]*ShardStats, len(r.shards))
 	eachShard(r.shards, func(sid int, _ []*replicaState) {
 		_ = r.tryReplicas(ctx, sid, func(ctx context.Context, s *replicaState) (bool, error) {
@@ -66,7 +55,9 @@ func (r *Router) shardTotals(ctx context.Context) shardTotals {
 			return true, nil
 		})
 	})
-	var t shardTotals
+	sc := &scrape{StatsResponse: StatsResponse{StatsResponse: r.front.Stats(), Repair: r.repair.stats()}}
+	out := &sc.StatsResponse
+	out.Index = "router"
 	var bins [][]fingerprint.HistogramBin
 	down := make([]bool, len(r.shards))
 	for sid, st := range answers {
@@ -74,21 +65,21 @@ func (r *Router) shardTotals(ctx context.Context) shardTotals {
 			down[sid] = true
 			continue
 		}
-		t.shards = append(t.shards, *st)
-		t.entries += st.Entries
-		if t.dim == 0 {
-			t.dim = st.Dim
+		out.Shards = append(out.Shards, *st)
+		out.Entries += st.Entries
+		if out.Dim == 0 {
+			out.Dim = st.Dim
 		}
 		bins = append(bins, st.LatencyUS)
-		t.latencySumUS += st.LatencySumUS
+		sc.shardLatencySumUS += st.LatencySumUS
 		if ing := st.Ingest; ing != nil {
 			// Sums for the counters, the worst case for drift and snapshot
 			// age (the shard most overdue is the one a dashboard should
 			// page on), and the oldest snapshot time.
-			if t.ingest == nil {
-				t.ingest = &fingerprint.IngestStats{}
+			if out.Ingest == nil {
+				out.Ingest = &fingerprint.IngestStats{}
 			}
-			agg := t.ingest
+			agg := out.Ingest
 			agg.Accepted += ing.Accepted
 			agg.WALBytes += ing.WALBytes
 			agg.ReplayEntries += ing.ReplayEntries
@@ -103,51 +94,28 @@ func (r *Router) shardTotals(ctx context.Context) shardTotals {
 		}
 	}
 	if len(bins) > 0 {
-		t.latency = fingerprint.MergeBins(bins...)
+		out.ShardLatencyUS = fingerprint.MergeBins(bins...)
 	}
-	t.unreachable = shardNames(down)
-	return t
+	out.UnreachableShards = shardNames(down)
+	return sc
 }
 
 func (r *Router) handleStats(w http.ResponseWriter, req *http.Request) {
-	t := r.shardTotals(req.Context())
-	head := r.front.Stats()
-	head.Entries, head.Dim, head.Index, head.Ingest = t.entries, t.dim, "router", t.ingest
-	out := StatsResponse{
-		StatsResponse:     head,
-		Shards:            t.shards,
-		ShardLatencyUS:    t.latency,
-		UnreachableShards: t.unreachable,
-	}
-	if r.repair != nil {
-		st := r.repair.stats()
-		out.Repair = &st
-	}
-	fingerprint.WriteJSON(w, http.StatusOK, out)
+	fingerprint.WriteJSON(w, http.StatusOK, r.stats(req.Context()).StatsResponse)
 }
 
 // handleMetrics refreshes the scrape with a fresh stats fan-out, then
 // serves the registry — so the per-shard gauges a scrape reports are at
 // most one shard-stats round trip old.
 func (r *Router) handleMetrics(w http.ResponseWriter, req *http.Request) {
-	t := r.shardTotals(req.Context())
-	r.scrapeMu.Lock()
-	r.scrape = t
-	r.scrapeMu.Unlock()
+	r.scrape.Store(r.stats(req.Context()))
 	r.metrics.ServeHTTP(w, req)
-}
-
-// lastScrape returns the totals the last /metrics request stored.
-func (r *Router) lastScrape() shardTotals {
-	r.scrapeMu.Lock()
-	defer r.scrapeMu.Unlock()
-	return r.scrape
 }
 
 // buildMetrics assembles the router's Prometheus registry: the Front's
 // families (same names a single daemon exports, so dashboards work
 // against either tier) plus the router-only shard topology gauges and
-// the shard-latency roll-up read from the totals handleMetrics stores.
+// the shard-latency roll-up read from the fan-out handleMetrics stores.
 func (r *Router) buildMetrics() *obs.Registry {
 	fams := []*obs.Family{
 		obs.GaugeFunc("caltrain_router_shards",
@@ -169,12 +137,12 @@ func (r *Router) buildMetrics() *obs.Registry {
 			}),
 		obs.GaugeFunc("caltrain_router_unreachable_shards",
 			"Shards with no replica answering /stats at the last scrape.",
-			func() float64 { return float64(len(r.lastScrape().unreachable)) }),
+			func() float64 { return float64(len(r.scrape.Load().UnreachableShards)) }),
 		obs.SamplesFunc("caltrain_shard_entries",
 			"Entries served per shard, as of the last scrape; unreachable shards are absent.",
 			obs.KindGauge, func() []obs.Sample {
 				var out []obs.Sample
-				for _, st := range r.lastScrape().shards {
+				for _, st := range r.scrape.Load().Shards {
 					out = append(out, obs.Sample{
 						Labels: []obs.Label{{Name: "shard", Value: strconv.Itoa(st.ID)}},
 						Value:  float64(st.Entries),
@@ -185,13 +153,11 @@ func (r *Router) buildMetrics() *obs.Registry {
 		obs.HistogramFunc("caltrain_shard_query_latency_seconds",
 			"Shard-reported query latency rolled up across shards (MergeBins), as of the last scrape.",
 			func() obs.HistogramSnapshot {
-				sc := r.lastScrape()
-				return fingerprint.PromHistogram(sc.latency, sc.latencySumUS)
+				sc := r.scrape.Load()
+				return fingerprint.PromHistogram(sc.ShardLatencyUS, sc.shardLatencySumUS)
 			}),
 	}
-	if r.repair != nil {
-		fams = append(fams, r.repair.metricFamilies()...)
-	}
+	fams = append(fams, obs.Fields(r.repair.stats)...)
 	if r.cache != nil {
 		fams = append(fams,
 			obs.CounterFunc("caltrain_router_cache_hits_total",

@@ -68,6 +68,33 @@ func TestRepositoryInvariants(t *testing.T) {
 		}
 	})
 
+	t.Run("one declaration per stat", func(t *testing.T) {
+		// A stat that a JSON status body reports and the scrape exports is
+		// declared once, by a struct field tagged metric:"<name>" that
+		// obs.Fields renders: its family name appears quoted nowhere else,
+		// so no hand-written family copies the field again.
+		files := sources(t, nonTestGo, "internal", "cmd")
+		var names []string
+		for f := range grep(t, `metric:"`, files) {
+			b, err := os.ReadFile(f)
+			if err != nil {
+				t.Fatal(err)
+			}
+			for _, m := range regexp.MustCompile(`metric:"(\w+)`).FindAllSubmatch(b, -1) {
+				names = append(names, string(m[1]))
+			}
+		}
+		if len(names) == 0 {
+			t.Fatal("no metric-tagged field: the rule would hold vacuously")
+		}
+		for _, name := range names {
+			hits := grep(t, `"`+name+`[",]`, files)
+			if n := sum(hits); n != 1 {
+				t.Errorf("%q is declared %d times, want once, by its tag: %v", name, n, where(hits))
+			}
+		}
+	})
+
 	t.Run("a loaded index is a trained index", func(t *testing.T) {
 		// index.Load reads a saved index over its database and returns it
 		// in the state training leaves one in. An index without a
@@ -410,6 +437,15 @@ func grep(t *testing.T, pattern string, files []string) map[string]int {
 		}
 	}
 	return hits
+}
+
+// sum totals the match counts of hits.
+func sum(hits map[string]int) int {
+	var n int
+	for _, c := range hits {
+		n += c
+	}
+	return n
 }
 
 // where renders hits as sorted file names, each with its match count.
